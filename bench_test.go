@@ -8,6 +8,7 @@
 package gumbo
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -41,14 +42,14 @@ func benchConfig() experiments.Config {
 
 // runExperiment runs one experiment per iteration and reports a couple
 // of its headline numbers as custom benchmark metrics.
-func runExperiment(b *testing.B, run func(experiments.Config) (*experiments.Table, error), metric func(*experiments.Table) map[string]float64) {
+func runExperiment(b *testing.B, run func(context.Context, experiments.Config) (*experiments.Table, error), metric func(*experiments.Table) map[string]float64) {
 	b.Helper()
 	cfg := benchConfig()
 	var tbl *experiments.Table
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		tbl, err = run(cfg)
+		tbl, err = run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,8 +174,8 @@ func BenchmarkCostModel_GumboVsWang(b *testing.B) {
 // BenchmarkRankingAccuracy regenerates the §5.2 ranking accuracy
 // comparison (E9b).
 func BenchmarkRankingAccuracy(b *testing.B) {
-	runExperiment(b, func(c experiments.Config) (*experiments.Table, error) {
-		return experiments.RankingAccuracy(c, 12)
+	runExperiment(b, func(ctx context.Context, c experiments.Config) (*experiments.Table, error) {
+		return experiments.RankingAccuracy(ctx, c, 12)
 	}, func(t *experiments.Table) map[string]float64 {
 		return map[string]float64{
 			"gumbo-acc-pct": findCell(t, 2, "cost_gumbo"),
@@ -206,11 +207,11 @@ func BenchmarkMSJJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := mr.NewEngine(cost.Default().Scaled(0.0005))
+	engine := mr.NewEngine(mr.Config{Cost: cost.Default().Scaled(0.0005)})
 	b.ReportAllocs() // tracks mapper-side key building + engine record flow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.RunJob(job, db); err != nil {
+		if _, _, err := engine.RunJob(context.Background(), job, db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -225,11 +226,11 @@ func BenchmarkOneRoundJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := mr.NewEngine(cost.Default().Scaled(0.0005))
+	engine := mr.NewEngine(mr.Config{Cost: cost.Default().Scaled(0.0005)})
 	b.ReportAllocs() // tracks mapper-side key building + engine record flow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.RunJob(job, db); err != nil {
+		if _, _, err := engine.RunJob(context.Background(), job, db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,8 +329,7 @@ func pipelineWorkload(levels int, guardTuples int64) (*Query, *Database) {
 // host parallelism. This is the benchmark behind the partition-level
 // pipelined scheduler: a dependent job's map tasks over base relations
 // start while upstream jobs are still reducing, so the chain's job
-// barriers stop costing idle workers. Compare against the same
-// benchmark at the pre-pipelining commit (BENCH_pr5.json records both).
+// barriers stop costing idle workers.
 func BenchmarkProgramPipelined(b *testing.B) {
 	q, db := pipelineWorkload(8, 30000)
 	s := New(WithScale(0.001))
@@ -445,7 +445,7 @@ func benchSkewedQuery(b *testing.B, ratio float64) {
 // single-CPU host the scheduling win cannot show up in wall-clock, so
 // off vs on must be parity — the sampled sketch feed and split
 // bookkeeping are free — while multi-core hosts convert the balance
-// into wall-clock directly. BENCH_pr10.json records both.
+// into wall-clock directly.
 func BenchmarkSkewedQuery(b *testing.B) {
 	b.Run("split=off", func(b *testing.B) { benchSkewedQuery(b, -1) })
 	b.Run("split=on", func(b *testing.B) { benchSkewedQuery(b, 1.5) })

@@ -10,9 +10,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
 
 	"repro/internal/experiments"
@@ -28,10 +30,6 @@ func main() {
 		progress = flag.Bool("v", false, "log each run")
 		list     = flag.Bool("list", false, "list experiments and exit")
 	)
-	// Registered for compatibility; the unified task scheduler has no
-	// separate job level, so the value is unused (a warning is printed
-	// below when the flag is set explicitly).
-	flag.Int("jobs", 0, "deprecated: ignored; use -workers") //lint:ignore deprecatedknob compatibility shim: keeps old invocations parsing while the warning below steers users to -workers
 	flag.Parse()
 
 	if *list {
@@ -44,11 +42,6 @@ func main() {
 	cfg := experiments.At(*scale)
 	cfg.Cluster.Nodes = *nodes
 	cfg.HostWorkers = *workers
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "jobs" {
-			fmt.Fprintln(os.Stderr, "gumbo-bench: -jobs is deprecated and ignored: the engine runs every task of a plan on one unified worker pool; use -workers (e.g. -workers 1 for host-sequential execution)")
-		}
-	})
 	if *verify {
 		cfg.Verify = true
 	}
@@ -56,8 +49,13 @@ func main() {
 		cfg.Progress = os.Stderr
 	}
 
+	// An interrupt cancels the running experiment at the engine's next
+	// task boundary.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	if *expList == "" {
-		if err := experiments.RunAll(cfg, os.Stdout); err != nil {
+		if err := experiments.RunAll(ctx, cfg, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "gumbo-bench:", err)
 			os.Exit(1)
 		}
@@ -69,7 +67,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gumbo-bench: unknown experiment %q (use -list)\n", id)
 			os.Exit(2)
 		}
-		table, err := e.Run(cfg)
+		table, err := e.Run(ctx, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gumbo-bench:", err)
 			os.Exit(1)

@@ -30,9 +30,8 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		workers = flag.Int("workers", 0, "engine worker pool for all plan tasks (0 = GOMAXPROCS)")
-		//lint:ignore deprecatedknob -jobs here is admission control (concurrent plans at the service layer), not the retired engine parallelism knob
+		addr         = flag.String("addr", ":8080", "listen address")
+		workers      = flag.Int("workers", 0, "engine worker pool for all plan tasks (0 = GOMAXPROCS)")
 		jobs         = flag.Int("jobs", 0, "admission capacity: concurrently executing plans (0 = GOMAXPROCS)")
 		cacheSize    = flag.Int("cache", 128, "plan-cache capacity (entries)")
 		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window (negative disables batching)")
@@ -42,14 +41,13 @@ func main() {
 		scale        = flag.Float64("scale", 1, "cost-model scale factor (fraction of the paper's data sizes)")
 		memBudget    = flag.Int64("mem-budget", 0, "server-wide memory budget in bytes; saturated admission returns 503 (0 = unlimited)")
 		queryMem     = flag.Int64("query-mem", 0, "per-query memory budget in bytes; over-budget queries return 413 (0 = unlimited)")
-		spillThresh  = flag.Int64("spill-threshold", 0, "spill shuffle partitions at this many bytes (0 = GUMBO_SPILL_THRESHOLD env, negative = off)")
+		spillThresh  = flag.Int64("spill-threshold", 0, "spill shuffle partitions at this many bytes (0 = off)")
 		spillDir     = flag.String("spill-dir", "", "directory for spill temp files (empty = system temp dir)")
-		skewSplit    = flag.Float64("skew-split", 0, "split reduce partitions heavier than this ratio x the mean load (0 = GUMBO_SKEW_SPLIT env, negative = off)")
+		skewSplit    = flag.Float64("skew-split", 0, "split reduce partitions heavier than this ratio x the mean load (0 = off)")
 	)
 	flag.Parse()
 
 	cfg := server.Config{
-		PhaseWorkers:   *workers,
 		ConcurrentJobs: *jobs,
 		PlanCacheSize:  *cacheSize,
 		BatchWindow:    *batchWindow,
@@ -58,9 +56,11 @@ func main() {
 		QueryTimeout:   *queryTimeout,
 		MemBudget:      *memBudget,
 		QueryMemBudget: *queryMem,
-		SpillThreshold: *spillThresh,
-		SpillDir:       *spillDir,
-		SkewSplit:      *skewSplit,
+		Options: []gumbo.Option{
+			gumbo.WithHostWorkers(*workers),
+			gumbo.WithSpill(*spillThresh, *spillDir),
+			gumbo.WithSkewSplit(*skewSplit),
+		},
 	}
 	if *scale != 1 {
 		cfg.Options = append(cfg.Options, gumbo.WithScale(*scale))

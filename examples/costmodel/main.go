@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
+	"repro/internal/mr"
 	"repro/internal/workload"
 )
 
@@ -26,7 +28,7 @@ func main() {
 		len(core.ExtractEquations(wl.Program.Queries)))
 	db := wl.Build(scale)
 	costCfg := cost.Default().Scaled(scale)
-	runner := exec.NewRunner(costCfg, cluster.DefaultConfig())
+	runner := exec.NewRunner(mr.Config{Cost: costCfg}, cluster.DefaultConfig())
 
 	for _, model := range []cost.Model{cost.Gumbo, cost.Wang} {
 		est := core.NewEstimator(costCfg, model, db, wl.Program)
@@ -37,7 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := runner.Run(plan, db)
+		res, err := runner.Run(context.Background(), plan, db, mr.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -64,9 +64,8 @@ type (
 	// outside the determinism contract.
 	JobTiming = mr.JobTiming
 	// Progress accumulates live task-completion counters for one run:
-	// pass a fresh *Progress to RunPlanObserved and poll Snapshot from
-	// any goroutine while the run executes. The zero value is ready to
-	// use.
+	// pass a fresh *Progress in RunOptions and poll Snapshot from any
+	// goroutine while the run executes. The zero value is ready to use.
 	Progress = mr.Progress
 	// ProgressSnapshot is a point-in-time copy of a run's task counters.
 	ProgressSnapshot = mr.ProgressSnapshot
@@ -80,6 +79,11 @@ type (
 	Budget = mr.Budget
 	// MemStats is the memory accounting of one run (see Result.Mem).
 	MemStats = mr.MemStats
+	// RunOptions observes and bounds one RunPlanCtx call: Progress (live
+	// task counters) and Budget (memory cap), each one fresh value per
+	// run. The zero value runs unobserved and unlimited but still
+	// accounted, so Result.Mem is always populated.
+	RunOptions = mr.RunOptions
 	// CostConfig holds the MapReduce cost-model constants (Table 1/5).
 	CostConfig = cost.Config
 	// Strategy selects an evaluation strategy.
@@ -112,7 +116,7 @@ var ErrBudgetExceeded = mr.ErrBudgetExceeded
 // NewBudget returns a budget aborting runs that charge more than limit
 // bytes (0 = unlimited, accounting only). A Budget governs one run:
 // charges accumulate and are never released, so pass a fresh Budget to
-// each RunPlanGoverned call.
+// each RunPlanCtx call.
 func NewBudget(limit int64) *Budget { return mr.NewBudget(limit) }
 
 // Int returns the Value for a non-negative integer.
@@ -149,13 +153,9 @@ func DefaultCostConfig() CostConfig { return cost.Default() }
 // services that need a stable snapshot should key work off
 // Database.Generation, as internal/server does.
 type System struct {
-	costCfg        cost.Config
-	clusterCfg     cluster.Config
-	hostWorkers    int
-	spillThreshold int64
-	spillDir       string
-	skewSplit      float64
-	runner         *exec.Runner
+	cfg        mr.Config
+	clusterCfg cluster.Config
+	runner     *exec.Runner
 }
 
 // Option configures a System.
@@ -163,7 +163,7 @@ type Option func(*System)
 
 // WithCostConfig replaces the cost-model constants.
 func WithCostConfig(c CostConfig) Option {
-	return func(s *System) { s.costCfg = c }
+	return func(s *System) { s.cfg.Cost = c }
 }
 
 // WithCluster sets the simulated cluster size (nodes × container slots
@@ -175,7 +175,7 @@ func WithCluster(nodes, slotsPerNode int) Option {
 // WithScale scales the size-dependent cost settings (buffers, splits,
 // reducer allocation) for runs at a fraction of the paper's data sizes.
 func WithScale(f float64) Option {
-	return func(s *System) { s.costCfg = s.costCfg.Scaled(f) }
+	return func(s *System) { s.cfg.Cost = s.cfg.Cost.Scaled(f) }
 }
 
 // WithHostWorkers sizes the in-process engine's unified worker pool:
@@ -196,20 +196,18 @@ func WithScale(f float64) Option {
 // before releasing the map tasks that read it (see
 // docs/ARCHITECTURE.md, "Determinism contract").
 func WithHostWorkers(workers int) Option {
-	return func(s *System) { s.hostWorkers = workers }
+	return func(s *System) { s.cfg.Workers = workers }
 }
 
 // WithSpill enables shuffle spill-to-disk: a shuffle partition whose
 // modelled bytes reach threshold is written to a temp file under dir
 // ("" = os.TempDir) and streamed back by the reduce stage, bounding the
 // resident intermediate state of large shuffles. Outputs, stats and
-// metrics are bit-for-bit identical to the in-memory path. threshold 0
-// defers to the GUMBO_SPILL_THRESHOLD environment variable (unset =
-// spill off); negative disables spill unconditionally. Temp files never
-// outlive the run — completed, canceled, over-budget and panicked runs
-// all remove them.
+// metrics are bit-for-bit identical to the in-memory path. A threshold
+// ≤ 0 leaves spill off. Temp files never outlive the run — completed,
+// canceled, over-budget and panicked runs all remove them.
 func WithSpill(threshold int64, dir string) Option {
-	return func(s *System) { s.spillThreshold, s.spillDir = threshold, dir }
+	return func(s *System) { s.cfg.SpillThreshold, s.cfg.SpillDir = threshold, dir }
 }
 
 // WithSkewSplit enables runtime skew splitting: after a job's shuffle,
@@ -219,44 +217,21 @@ func WithSpill(threshold int64, dir string) Option {
 // independently, so one hot key no longer serializes the reduce wave.
 // Outputs, stats and metrics are bit-for-bit identical to the unsplit
 // run; only JobStats.SplitReduceTasks / MaxReduceTaskMB report the
-// splitting, deterministically. ratio 0 defers to the GUMBO_SKEW_SPLIT
-// environment variable (unset = splitting off); negative disables
-// splitting unconditionally. 1.5 is a reasonable starting ratio. When
-// splitting is enabled, plan-time static salting
-// (core.SkewAwareBasicPlan) stands down and lets the runtime handle
-// skew.
+// splitting, deterministically. A ratio ≤ 0 leaves splitting off; 1.5
+// is a reasonable starting ratio.
 func WithSkewSplit(ratio float64) Option {
-	return func(s *System) { s.skewSplit = ratio }
-}
-
-// WithHostParallelism is the earlier two-knob form of WithHostWorkers,
-// from when the engine bounded per-phase workers and concurrently
-// executing jobs separately. The unified task-graph scheduler has a
-// single pool per run; to preserve the effective concurrency existing
-// callers asked for, the alias sizes that pool at
-// phaseWorkers × concurrentJobs — the old configuration's worst-case
-// goroutine budget. Zero for either knob meant GOMAXPROCS at that
-// level and maps to a GOMAXPROCS-wide pool.
-//
-// Deprecated: use WithHostWorkers.
-func WithHostParallelism(phaseWorkers, concurrentJobs int) Option {
-	if phaseWorkers <= 0 || concurrentJobs <= 0 {
-		return WithHostWorkers(0)
-	}
-	return WithHostWorkers(phaseWorkers * concurrentJobs)
+	return func(s *System) { s.cfg.SkewSplit = ratio }
 }
 
 // New returns a System with the paper's default configuration. Options
-// are applied once here; the returned System is immutable.
+// are applied once here — the one place the engine's configuration is
+// resolved; the returned System is immutable.
 func New(opts ...Option) *System {
-	s := &System{costCfg: cost.Default(), clusterCfg: cluster.DefaultConfig()}
+	s := &System{cfg: mr.Config{Cost: cost.Default()}, clusterCfg: cluster.DefaultConfig()}
 	for _, o := range opts {
 		o(s)
 	}
-	s.runner = exec.NewRunner(s.costCfg, s.clusterCfg).
-		WithHostWorkers(s.hostWorkers).
-		WithSpill(s.spillThreshold, s.spillDir).
-		WithSkewSplit(s.skewSplit)
+	s.runner = exec.NewRunner(s.cfg, s.clusterCfg)
 	return s
 }
 
@@ -329,7 +304,7 @@ func (s *System) plan(q *Query, db *Database, strategy Strategy) (*core.Plan, er
 	queries := prog.Queries
 	name := fmt.Sprintf("%s-%s", q.Name(), strategy)
 	est := func() *core.Estimator {
-		return core.NewEstimator(s.costCfg, cost.Gumbo, db, prog)
+		return core.NewEstimator(s.cfg.Cost, cost.Gumbo, db, prog)
 	}
 	flat := func() error {
 		if err := sgf.CheckForwardRefs(prog); err != nil {
@@ -398,21 +373,11 @@ func (s *System) plan(q *Query, db *Database, strategy Strategy) (*core.Plan, er
 // Run plans and executes q against db under the strategy. It is
 // equivalent to Plan followed by RunPlan.
 func (s *System) Run(q *Query, db *Database, strategy Strategy) (*Result, error) {
-	//lint:ignore ctxpass Run is the library's documented no-cancellation entry point; RunCtx is the context-aware form
-	return s.RunCtx(context.Background(), q, db, strategy)
-}
-
-// RunCtx is Run honoring ctx: the engine stops at the next task
-// boundary after ctx is canceled or its deadline passes, and the
-// returned error wraps ctx.Err() — errors.Is(err, context.Canceled)
-// or errors.Is(err, context.DeadlineExceeded) holds. The input
-// database is never modified, canceled or not.
-func (s *System) RunCtx(ctx context.Context, q *Query, db *Database, strategy Strategy) (*Result, error) {
-	inner, err := s.plan(q, db, strategy)
+	plan, err := s.Plan(q, db, strategy)
 	if err != nil {
 		return nil, err
 	}
-	return s.runPlan(ctx, inner, q.Name(), db, nil, nil)
+	return s.RunPlan(plan, db)
 }
 
 // RunPlan executes a previously built plan against db. This is the
@@ -429,42 +394,28 @@ func (s *System) RunCtx(ctx context.Context, q *Query, db *Database, strategy St
 // internal/server) when plan optimality matters.
 func (s *System) RunPlan(plan *Plan, db *Database) (*Result, error) {
 	//lint:ignore ctxpass RunPlan is the library's documented no-cancellation entry point; RunPlanCtx is the context-aware form
-	return s.RunPlanCtx(context.Background(), plan, db)
+	return s.RunPlanCtx(context.Background(), plan, db, RunOptions{})
 }
 
-// RunPlanCtx is RunPlan honoring ctx; see RunCtx for the cancellation
-// contract.
-func (s *System) RunPlanCtx(ctx context.Context, plan *Plan, db *Database) (*Result, error) {
-	return s.RunPlanObserved(ctx, plan, db, nil)
-}
-
-// RunPlanObserved is RunPlanCtx additionally mirroring live
-// task-completion counters into prog when non-nil. Pass a fresh
-// *Progress per run and poll prog.Snapshot() from any goroutine while
-// the run executes — this is the progress hook services poll without
-// waiting for the Result (see internal/server's queries endpoint).
-func (s *System) RunPlanObserved(ctx context.Context, plan *Plan, db *Database, prog *Progress) (*Result, error) {
-	return s.RunPlanGoverned(ctx, plan, db, prog, nil)
-}
-
-// RunPlanGoverned is RunPlanObserved charging the run's bulk
-// allocations to budget (one fresh Budget per run; nil runs unlimited
-// but still accounted, so Result.Mem is always populated). A run that
-// charges past the budget's limit aborts like a cancellation — nil
-// Result, the input database untouched, no goroutines or temp files
-// left — with an error matching ErrBudgetExceeded via errors.Is. This
-// is the admission-control hook internal/server builds its degradation
-// ladder on.
-func (s *System) RunPlanGoverned(ctx context.Context, plan *Plan, db *Database, prog *Progress, budget *Budget) (*Result, error) {
+// RunPlanCtx is RunPlan honoring ctx and opts. The engine stops at the
+// next task boundary after ctx is canceled or its deadline passes, and
+// the returned error wraps ctx.Err() — errors.Is(err, context.Canceled)
+// or errors.Is(err, context.DeadlineExceeded) holds. opts.Progress,
+// when non-nil, mirrors live task-completion counters: poll its
+// Snapshot from any goroutine while the run executes (the progress
+// hook internal/server's queries endpoint reads). opts.Budget, when
+// non-nil, caps what the run may charge: a run that charges past its
+// limit aborts like a cancellation with an error matching
+// ErrBudgetExceeded via errors.Is — the admission-control hook
+// internal/server builds its degradation ladder on. Either way the
+// Result is nil, the input database untouched, and no goroutines or
+// temp files are left.
+func (s *System) RunPlanCtx(ctx context.Context, plan *Plan, db *Database, opts RunOptions) (*Result, error) {
 	output := plan.output
 	if output == "" && len(plan.inner.Outputs) > 0 {
 		output = plan.inner.Outputs[len(plan.inner.Outputs)-1]
 	}
-	return s.runPlan(ctx, plan.inner, output, db, prog, budget)
-}
-
-func (s *System) runPlan(ctx context.Context, inner *core.Plan, output string, db *Database, prog *Progress, budget *Budget) (*Result, error) {
-	res, err := s.runner.RunGoverned(ctx, inner, db, prog, budget)
+	res, err := s.runner.Run(ctx, plan.inner, db, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +426,7 @@ func (s *System) runPlan(ctx context.Context, inner *core.Plan, output string, d
 		JobStats:   res.JobStats,
 		JobTimings: res.Timings,
 		Mem:        res.Mem,
-		Plan:       &Plan{inner: inner, output: output},
+		Plan:       &Plan{inner: plan.inner, output: output},
 	}, nil
 }
 

@@ -132,13 +132,13 @@ func TestSystemOptions(t *testing.T) {
 	cfg := DefaultCostConfig()
 	cfg.JobOverhead = 0
 	sys := New(WithCostConfig(cfg), WithCluster(2, 4), WithScale(0.5))
-	if sys.costCfg.JobOverhead != 0 {
+	if sys.cfg.Cost.JobOverhead != 0 {
 		t.Error("WithCostConfig not applied")
 	}
 	if sys.clusterCfg.Nodes != 2 || sys.clusterCfg.SlotsPerNode != 4 {
 		t.Error("WithCluster not applied")
 	}
-	if sys.costCfg.BufMapMB != cfg.BufMapMB*0.5 {
+	if sys.cfg.Cost.BufMapMB != cfg.BufMapMB*0.5 {
 		t.Error("WithScale not applied")
 	}
 }

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/exec"
+	"repro/internal/mr"
 	"repro/internal/refeval"
 	"repro/internal/relation"
 	"repro/internal/sgf"
@@ -49,13 +51,13 @@ func checkBaselines(t *testing.T, src string, db *relation.Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := exec.NewRunner(cost.Default(), cluster.DefaultConfig())
+	runner := exec.NewRunner(mr.Config{Cost: cost.Default()}, cluster.DefaultConfig())
 	for name, build := range allBaselines() {
 		plan, err := build(name, prog.Queries)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := runner.Run(plan, db)
+		res, err := runner.Run(context.Background(), plan, db, mr.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -129,12 +131,12 @@ func TestBaselinesCostlierThanGumbo(t *testing.T) {
 	}
 	prog := sgf.MustParse(`Z := SELECT x, y, z, w FROM R(x, y, z, w)
 		WHERE S(x) AND T(y) AND U(z) AND V(w);`)
-	runner := exec.NewRunner(cost.Default().Scaled(0.001), cluster.DefaultConfig())
+	runner := exec.NewRunner(mr.Config{Cost: cost.Default().Scaled(0.001)}, cluster.DefaultConfig())
 	parPlan, err := core.ParPlan("par", prog.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := runner.Run(parPlan, db)
+	parRes, err := runner.Run(context.Background(), parPlan, db, mr.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestBaselinesCostlierThanGumbo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runner.Run(plan, db)
+		res, err := runner.Run(context.Background(), plan, db, mr.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

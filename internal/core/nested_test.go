@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -88,7 +89,7 @@ func nestedTestDB(rng *rand.Rand) *relation.Database {
 // reference evaluator on randomly generated nested programs.
 func TestRandomNestedPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	engine := mr.NewEngine(cost.Default())
+	engine := newTestEngine(cost.Default())
 	for trial := 0; trial < 25; trial++ {
 		prog := randomNestedProgram(rng, 1+rng.Intn(3))
 		if err := sgf.Validate(prog); err != nil {
@@ -110,7 +111,7 @@ func TestRandomNestedPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: %v\n%s", trial, name, err, prog)
 			}
-			outs, _, err := engine.RunProgram(plan.Program(), db)
+			outs, _, _, err := engine.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v\n%s", trial, name, err, prog)
 			}
@@ -144,8 +145,8 @@ func TestNestedSharedKeyProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := mr.NewEngine(cost.Default())
-	outs, _, err := engine.RunProgram(plan.Program(), db)
+	engine := newTestEngine(cost.Default())
+	outs, _, _, err := engine.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

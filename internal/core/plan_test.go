@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -25,8 +26,8 @@ func tup(vals ...int64) relation.Tuple {
 // runPlan executes a plan and returns the final output relation.
 func runPlan(t *testing.T, plan *Plan, db *relation.Database) *relation.Relation {
 	t.Helper()
-	engine := mr.NewEngine(cost.Default())
-	outs, stats, err := engine.RunProgram(plan.Program(), db)
+	engine := newTestEngine(cost.Default())
+	outs, stats, _, err := engine.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
 	if err != nil {
 		t.Fatalf("plan %s: %v", plan.Name, err)
 	}
@@ -224,8 +225,8 @@ func TestMultiQueryBasicPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine := mr.NewEngine(cost.Default())
-		outs, _, err := engine.RunProgram(plan.Program(), db)
+		engine := newTestEngine(cost.Default())
+		outs, _, _, err := engine.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,8 +265,8 @@ func TestSGFProgramStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		engine := mr.NewEngine(cost.Default())
-		outs, _, err := engine.RunProgram(plan.Program(), db)
+		engine := newTestEngine(cost.Default())
+		outs, _, _, err := engine.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -375,8 +376,8 @@ func TestExecRunnerMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := mr.NewEngine(cost.Default())
-	_, stats, err := engine.RunProgram(plan.Program(), db)
+	engine := newTestEngine(cost.Default())
+	_, stats, _, err := engine.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

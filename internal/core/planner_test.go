@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -182,8 +183,8 @@ func TestEstimatorSampledVsMeasured(t *testing.T) {
 	// Disable packing for the comparison: the estimator predicts raw
 	// map output, before packing.
 	job.Packing = false
-	engine := newTestEngine()
-	_, stats, err := engine.RunJob(job, db)
+	engine := newTestEngine(cost.Default())
+	_, stats, err := engine.RunJob(context.Background(), job, db)
 	if err != nil {
 		t.Fatal(err)
 	}

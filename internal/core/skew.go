@@ -30,7 +30,7 @@ type SkewConfig struct {
 	// SampleEvery is the detection sampling stride (default 100).
 	SampleEvery int
 	// RuntimeSplit declares that the executing engine performs runtime
-	// skew splitting (mr.Engine.SplitThreshold / gumbo.WithSkewSplit).
+	// skew splitting (mr.Config.SkewSplit / gumbo.WithSkewSplit).
 	// Static salting then stands down: detection is skipped and jobs are
 	// built unsalted, leaving skew to the engine's sub-partition tasks —
 	// salting the same hot keys twice would only inflate key bytes and

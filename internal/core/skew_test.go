@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -86,14 +87,13 @@ func TestSkewMitigationBalancesReducers(t *testing.T) {
 	db := skewedDB(40000, 0.4, 4)
 	prog := skewQuery()
 	eqs := ExtractEquations(prog.Queries)
-	engine := newTestEngine()
-	engine.Cost = cost.Default().Scaled(0.0002) // many reducers
+	engine := newTestEngine(cost.Default().Scaled(0.0002)) // many reducers
 
 	plain, err := NewMSJJob("plain", eqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plainStats, err := engine.RunJob(plain, db)
+	_, plainStats, err := engine.RunJob(context.Background(), plain, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSkewMitigationBalancesReducers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, saltedStats, err := engine.RunJob(salted, db)
+	_, saltedStats, err := engine.RunJob(context.Background(), salted, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,20 @@
 package core
 
 import (
+	"os"
+	"strconv"
+
 	"repro/internal/cost"
 	"repro/internal/mr"
 )
 
-// newTestEngine returns an engine with default constants for tests.
-func newTestEngine() *mr.Engine { return mr.NewEngine(cost.Default()) }
+// newTestEngine returns an engine over c whose spill threshold and
+// skew-split ratio come from GUMBO_SPILL_THRESHOLD / GUMBO_SKEW_SPLIT:
+// the CI spill gate's lever for re-running the plan and message-codec
+// suites with every partition spilling (unset or invalid = off).
+func newTestEngine(c cost.Config) *mr.Engine {
+	cfg := mr.Config{Cost: c}
+	cfg.SpillThreshold, _ = strconv.ParseInt(os.Getenv("GUMBO_SPILL_THRESHOLD"), 10, 64)
+	cfg.SkewSplit, _ = strconv.ParseFloat(os.Getenv("GUMBO_SKEW_SPLIT"), 64)
+	return mr.NewEngine(cfg)
+}

@@ -1,9 +1,9 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/mr"
@@ -23,8 +23,9 @@ const StrategyDynamic core.Strategy = "DYNAMIC"
 // RunDynamicSGF evaluates prog with iterative re-planning. Each
 // iteration runs Greedy-SGF on the not-yet-evaluated queries (whose
 // dependencies are now materialized), executes the first group with a
-// Greedy-BSGF plan, and folds the outputs back into the database.
-func (r *Runner) RunDynamicSGF(prog *sgf.Program, db *relation.Database) (*Result, error) {
+// Greedy-BSGF plan, and folds the outputs back into the database. ctx
+// cancels the run at the engine's next task boundary.
+func (r *Runner) RunDynamicSGF(ctx context.Context, prog *sgf.Program, db *relation.Database) (*Result, error) {
 	if err := sgf.Validate(prog); err != nil {
 		return nil, err
 	}
@@ -34,18 +35,17 @@ func (r *Runner) RunDynamicSGF(prog *sgf.Program, db *relation.Database) (*Resul
 	}
 	outputs := relation.NewDatabase()
 	var allStats []mr.JobStats
-	var simJobs []cluster.Job
-	var metrics mr.Metrics
-	prevGroupEnd := -1 // index of the last job of the previous group in simJobs
+	prevGroupEnd := -1 // index of the previous group's last job in resultPlan
 
 	remaining := append([]*sgf.BSGF(nil), prog.Queries...)
 	round := 0
 	resultPlan := &core.Plan{Name: "dynamic", Strategy: StrategyDynamic}
+	costCfg := r.Engine.Config().Cost
 	for len(remaining) > 0 {
 		round++
 		sub := &sgf.Program{Queries: remaining}
 		// Re-plan against current materialized state.
-		est := core.NewEstimator(r.CostCfg, cost.Gumbo, working, sub)
+		est := core.NewEstimator(costCfg, cost.Gumbo, working, sub)
 		sort := core.GreedySGF(sub)
 		if len(sort) == 0 {
 			return nil, fmt.Errorf("exec: dynamic planning produced no groups")
@@ -59,7 +59,7 @@ func (r *Runner) RunDynamicSGF(prog *sgf.Program, db *relation.Database) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		outs, stats, err := r.Engine.RunProgram(plan.Program(), working)
+		outs, stats, _, err := r.Engine.Run(ctx, plan.Program(), working, mr.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -67,11 +67,12 @@ func (r *Runner) RunDynamicSGF(prog *sgf.Program, db *relation.Database) (*Resul
 			working.Put(rel)
 			outputs.Put(rel)
 		}
-		// Stitch this group's jobs into the global simulated schedule:
-		// intra-group deps shift by the current offset; the whole group
-		// waits for the previous group (re-planning is a barrier).
-		offset := len(simJobs)
-		for ji, st := range stats {
+		// Stitch this group's jobs into the global plan, whose dependency
+		// graph is the simulated schedule: intra-group deps shift by the
+		// current offset; the whole group waits for the previous group
+		// (re-planning is a barrier).
+		offset := len(resultPlan.Jobs)
+		for ji := range stats {
 			deps := make([]int, 0, len(plan.Deps[ji])+1)
 			for _, d := range plan.Deps[ji] {
 				deps = append(deps, d+offset)
@@ -79,16 +80,10 @@ func (r *Runner) RunDynamicSGF(prog *sgf.Program, db *relation.Database) (*Resul
 			if prevGroupEnd >= 0 {
 				deps = append(deps, prevGroupEnd)
 			}
-			simJobs = append(simJobs, cluster.Job{
-				Name: st.Name,
-				Plan: r.CostCfg.TasksLoaded(st.CostSpec(), st.ReduceLoadMB),
-				Deps: deps,
-			})
 			resultPlan.AddJob(plan.Jobs[ji], deps...)
-			metrics.Add(st)
-			allStats = append(allStats, st)
 		}
-		prevGroupEnd = len(simJobs) - 1
+		allStats = append(allStats, stats...)
+		prevGroupEnd = len(resultPlan.Jobs) - 1
 		resultPlan.Outputs = append(resultPlan.Outputs, plan.Outputs...)
 
 		// Drop the executed queries.
@@ -104,15 +99,10 @@ func (r *Runner) RunDynamicSGF(prog *sgf.Program, db *relation.Database) (*Resul
 		}
 		remaining = next
 	}
-	sim := cluster.Simulate(r.Cluster, simJobs)
-	metrics.NetTime = sim.NetTime
-	metrics.TotalTime = sim.TotalTime
-	metrics.Rounds = resultPlan.Rounds()
 	return &Result{
 		Plan:     resultPlan,
 		Outputs:  outputs,
 		JobStats: allStats,
-		Metrics:  metrics,
-		Sim:      sim,
+		Metrics:  r.metrics(resultPlan, allStats),
 	}, nil
 }

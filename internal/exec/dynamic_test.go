@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/data"
+	"repro/internal/mr"
 	"repro/internal/refeval"
 	"repro/internal/relation"
 	"repro/internal/sgf"
@@ -27,7 +29,7 @@ func dynamicSetup(t *testing.T) (*Runner, *relation.Database, *sgf.Program) {
 		Z2 := SELECT x FROM G(x, y, z, w) WHERE T(x) AND T(y);
 		Z3 := SELECT x FROM G(x, y, z, w) WHERE Z1(x) AND Z1(y);
 		Z4 := SELECT x FROM H(x, y, z, w) WHERE Z2(x) AND U(y);`)
-	return NewRunner(cost.Default().Scaled(0.001), cluster.DefaultConfig()), db, prog
+	return NewRunner(mr.Config{Cost: cost.Default().Scaled(0.001)}, cluster.DefaultConfig()), db, prog
 }
 
 func TestRunDynamicSGFCorrect(t *testing.T) {
@@ -36,7 +38,7 @@ func TestRunDynamicSGFCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.RunDynamicSGF(prog, db)
+	res, err := runner.RunDynamicSGF(context.Background(), prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestRunDynamicUsesMaterializedSizes(t *testing.T) {
 	// estimator sees its true (small) size rather than the guard-size
 	// upper bound. The run must complete and produce multiple rounds.
 	runner, db, prog := dynamicSetup(t)
-	res, err := runner.RunDynamicSGF(prog, db)
+	res, err := runner.RunDynamicSGF(context.Background(), prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +77,16 @@ func TestRunDynamicVsStaticComparable(t *testing.T) {
 	// The dynamic strategy should never be wildly worse than static
 	// Greedy-SGF (same building blocks, better information).
 	runner, db, prog := dynamicSetup(t)
-	dyn, err := runner.RunDynamicSGF(prog, db)
+	dyn, err := runner.RunDynamicSGF(context.Background(), prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := core.NewEstimator(runner.CostCfg, cost.Gumbo, db, prog)
+	est := core.NewEstimator(runner.Engine.Config().Cost, cost.Gumbo, db, prog)
 	static, err := est.GreedySGFPlan("static", prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := runner.Run(static, db)
+	sres, err := runner.Run(context.Background(), static, db, mr.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestRunDynamicRejectsInvalidProgram(t *testing.T) {
 		Select: []string{"q"},
 		Guard:  sgf.NewAtom("R", sgf.V("x")),
 	}}}
-	if _, err := runner.RunDynamicSGF(bad, db); err == nil {
+	if _, err := runner.RunDynamicSGF(context.Background(), bad, db); err == nil {
 		t.Error("invalid program accepted")
 	}
 }

@@ -17,65 +17,22 @@ import (
 
 // Runner executes plans under one configuration.
 //
-// A Runner is safe for concurrent use once configured: Run keeps all
+// A Runner is immutable and safe for concurrent use: Run keeps all
 // per-run state on its own stack (the engine copies the input database
 // into a private working database, and jobs/stats/simulation are local),
 // so any number of goroutines may call Run on one Runner simultaneously.
-// The configuration fields and WithHostWorkers must not be modified
-// after the Runner is shared. gumbo.System relies on this to serve
-// concurrent System.Run calls over a single shared Runner.
+// gumbo.System relies on this to serve concurrent System.Run calls over
+// a single shared Runner.
 type Runner struct {
 	Engine  *mr.Engine
-	CostCfg cost.Config
 	Cluster cluster.Config
 }
 
-// NewRunner wires an engine, cost model constants and a simulated
-// cluster together. costCfg is used both by the engine (splits, reducer
+// NewRunner wires an engine built from cfg and a simulated cluster
+// together. cfg.Cost is used both by the engine (splits, reducer
 // allocation) and for task-time derivation.
-func NewRunner(costCfg cost.Config, clusterCfg cluster.Config) *Runner {
-	return &Runner{
-		Engine:  mr.NewEngine(costCfg),
-		CostCfg: costCfg,
-		Cluster: clusterCfg,
-	}
-}
-
-// WithHostWorkers sizes the engine's unified worker pool: every task of
-// a plan — map tasks, shuffle partitions, reduce partitions, output
-// merge shards, across all of the plan's jobs — shares these `workers`
-// goroutines (0 = GOMAXPROCS, 1 = strictly sequential). This replaces
-// the earlier two-knob split of per-phase workers × concurrent jobs:
-// the partition-level scheduler has no job level to bound separately.
-// Outputs, stats and simulated metrics are identical at every setting;
-// only wall-clock time changes. Returns r. Must be called before the
-// Runner is shared between goroutines.
-func (r *Runner) WithHostWorkers(workers int) *Runner {
-	r.Engine.Parallelism = workers
-	return r
-}
-
-// WithSpill configures shuffle spill-to-disk on the underlying engine:
-// shuffle partitions whose modelled bytes reach threshold are written
-// to temp files under dir ("" = os.TempDir) and streamed back by the
-// reduce stage; outputs and stats are bit-for-bit unchanged (see
-// mr.Engine.SpillThreshold for the 0 / negative conventions). Returns
-// r. Must be called before the Runner is shared between goroutines.
-func (r *Runner) WithSpill(threshold int64, dir string) *Runner {
-	r.Engine.SpillThreshold = threshold
-	r.Engine.SpillDir = dir
-	return r
-}
-
-// WithSkewSplit configures runtime skew splitting on the underlying
-// engine: after shuffle, reduce partitions heavier than ratio × the
-// mean are split at heavy-key boundaries into independently scheduled
-// sub-tasks; outputs and stats are bit-for-bit unchanged (see
-// mr.Engine.SplitThreshold for the 0 / negative conventions). Returns
-// r. Must be called before the Runner is shared between goroutines.
-func (r *Runner) WithSkewSplit(ratio float64) *Runner {
-	r.Engine.SplitThreshold = ratio
-	return r
+func NewRunner(cfg mr.Config, clusterCfg cluster.Config) *Runner {
+	return &Runner{Engine: mr.NewEngine(cfg), Cluster: clusterCfg}
 }
 
 // Result is the outcome of running one plan.
@@ -94,7 +51,6 @@ type Result struct {
 	// schedule-independent like JobStats (see mr.Budget).
 	Mem     mr.MemStats
 	Metrics mr.Metrics
-	Sim     cluster.Result
 }
 
 // Output returns the relation for the plan's final SGF output (the last
@@ -106,49 +62,51 @@ func (r *Result) Output() *relation.Relation {
 	return r.Outputs.Relation(r.Plan.Outputs[len(r.Plan.Outputs)-1])
 }
 
-// Run executes the plan against db.
-func (r *Runner) Run(plan *core.Plan, db *relation.Database) (*Result, error) {
-	//lint:ignore ctxpass Run is the documented no-cancellation entry point; callers below the API layer use RunCtx
-	return r.RunObserved(context.Background(), plan, db, nil)
-}
-
-// RunCtx is Run honoring ctx: the engine stops at the next task
-// boundary after cancellation and the returned error wraps ctx.Err()
-// (errors.Is-compatible with context.Canceled / DeadlineExceeded).
-func (r *Runner) RunCtx(ctx context.Context, plan *core.Plan, db *relation.Database) (*Result, error) {
-	return r.RunObserved(ctx, plan, db, nil)
-}
-
-// RunObserved is RunCtx additionally mirroring live task-completion
-// counters into prog when non-nil (one fresh mr.Progress per run; see
-// mr.RunProgramObserved for the cancellation contract).
-func (r *Runner) RunObserved(ctx context.Context, plan *core.Plan, db *relation.Database, prog *mr.Progress) (*Result, error) {
-	return r.RunGoverned(ctx, plan, db, prog, nil)
-}
-
-// RunGoverned is RunObserved charging the run's bulk allocations to
-// budget. A nil budget runs unlimited but still accounted, so
-// Result.Mem is always populated. When the run charges past the
-// budget's limit it aborts with an error matching mr.ErrBudgetExceeded
-// (errors.Is), nil Result, and the input database untouched.
-func (r *Runner) RunGoverned(ctx context.Context, plan *core.Plan, db *relation.Database, prog *mr.Progress, budget *mr.Budget) (*Result, error) {
-	if budget == nil {
-		budget = mr.NewBudget(0)
+// Run executes the plan against db, honoring ctx: the engine stops at
+// the next task boundary after cancellation and the returned error
+// wraps ctx.Err() (errors.Is-compatible with context.Canceled /
+// DeadlineExceeded; see mr.Engine.Run for the full contract).
+// opts.Progress, when non-nil, mirrors live task-completion counters;
+// opts.Budget is charged the run's bulk allocations. A nil budget runs
+// unlimited but still accounted, so Result.Mem is always populated.
+// When the run charges past the budget's limit it aborts with an error
+// matching mr.ErrBudgetExceeded (errors.Is), nil Result, and the input
+// database untouched.
+func (r *Runner) Run(ctx context.Context, plan *core.Plan, db *relation.Database, opts mr.RunOptions) (*Result, error) {
+	if opts.Budget == nil {
+		opts.Budget = mr.NewBudget(0)
 	}
-	outputs, stats, timings, err := r.Engine.RunProgramGoverned(ctx, plan.Program(), db, prog, budget)
+	outputs, stats, timings, err := r.Engine.Run(ctx, plan.Program(), db, opts)
 	if err != nil {
 		return nil, fmt.Errorf("exec: plan %s: %w", plan.Name, err)
 	}
 	if len(stats) != len(plan.Jobs) {
 		return nil, fmt.Errorf("exec: plan %s: %d jobs but %d stats", plan.Name, len(plan.Jobs), len(stats))
 	}
-	jobs := make([]cluster.Job, len(stats))
-	scale := r.CostCfg.Scale
+	return &Result{
+		Plan:     plan,
+		Outputs:  outputs,
+		JobStats: stats,
+		Timings:  timings,
+		Mem:      opts.Budget.Stats(),
+		Metrics:  r.metrics(plan, stats),
+	}, nil
+}
+
+// metrics derives a run's §5.1 metrics: the measured byte volumes of
+// stats, and the modelled net/total times of replaying each job's
+// per-task costs through the cluster simulator on plan's dependency
+// graph (plan.Jobs and plan.Deps are index-aligned with stats).
+func (r *Runner) metrics(plan *core.Plan, stats []mr.JobStats) mr.Metrics {
+	costCfg := r.Engine.Config().Cost
+	scale := costCfg.Scale
 	if scale <= 0 {
 		scale = 1
 	}
+	jobs := make([]cluster.Job, len(stats))
+	var m mr.Metrics
 	for i, st := range stats {
-		taskPlan := r.CostCfg.TasksLoaded(st.CostSpec(), st.ReduceLoadMB)
+		taskPlan := costCfg.TasksLoaded(st.CostSpec(), st.ReduceLoadMB)
 		// Baseline engine handicaps: slower tasks and extra per-job
 		// startup latency (mr.Job.TimeFactor / ExtraOverheadSec).
 		if f := plan.Jobs[i].TimeFactor; f > 0 && f != 1 {
@@ -160,29 +118,14 @@ func (r *Runner) RunGoverned(ctx context.Context, plan *core.Plan, db *relation.
 			}
 		}
 		taskPlan.Overhead += plan.Jobs[i].ExtraOverheadSec * scale
-		jobs[i] = cluster.Job{
-			Name: st.Name,
-			Plan: taskPlan,
-			Deps: plan.Deps[i],
-		}
-	}
-	sim := cluster.Simulate(r.Cluster, jobs)
-	var m mr.Metrics
-	for _, st := range stats {
+		jobs[i] = cluster.Job{Name: st.Name, Plan: taskPlan, Deps: plan.Deps[i]}
 		m.Add(st)
 	}
+	sim := cluster.Simulate(r.Cluster, jobs)
 	m.NetTime = sim.NetTime
 	m.TotalTime = sim.TotalTime
 	m.Rounds = plan.Rounds()
-	return &Result{
-		Plan:     plan,
-		Outputs:  outputs,
-		JobStats: stats,
-		Timings:  timings,
-		Mem:      budget.Stats(),
-		Metrics:  m,
-		Sim:      sim,
-	}, nil
+	return m
 }
 
 // PredictPlanBytes estimates, before running, how many bytes a plan's
@@ -225,9 +168,10 @@ func (r *Runner) PredictPlanBytes(plan *core.Plan, db *relation.Database) int64 
 // sizes under the chosen cost model (used by the §5.2 cost-model
 // comparison to rank jobs).
 func (r *Runner) ModelledPlanCost(model cost.Model, res *Result) float64 {
+	costCfg := r.Engine.Config().Cost
 	total := 0.0
 	for _, st := range res.JobStats {
-		total += r.CostCfg.JobCost(model, st.CostSpec())
+		total += costCfg.JobCost(model, st.CostSpec())
 	}
 	return total
 }

@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/data"
+	"repro/internal/mr"
 	"repro/internal/refeval"
 	"repro/internal/relation"
 	"repro/internal/sgf"
@@ -24,7 +26,7 @@ func testSetup(t *testing.T) (*Runner, *relation.Database, *sgf.Program) {
 		}.Generate())
 	}
 	prog := sgf.MustParse(`Z := SELECT x, y FROM R(x, y, z, w) WHERE S(x) AND T(y);`)
-	runner := NewRunner(cost.Default().Scaled(0.001), cluster.DefaultConfig())
+	runner := NewRunner(mr.Config{Cost: cost.Default().Scaled(0.001)}, cluster.DefaultConfig())
 	return runner, db, prog
 }
 
@@ -38,7 +40,7 @@ func TestRunProducesCorrectOutputAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.Run(plan, db)
+	res, err := runner.Run(context.Background(), plan, db, mr.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +76,11 @@ func TestSeqVsParShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, err := runner.Run(seqPlan, db)
+	seqRes, err := runner.Run(context.Background(), seqPlan, db, mr.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := runner.Run(parPlan, db)
+	parRes, err := runner.Run(context.Background(), parPlan, db, mr.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestModelledPlanCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.Run(plan, db)
+	res, err := runner.Run(context.Background(), plan, db, mr.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestRunErrorOnBrokenPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan.Jobs[0].Inputs = append(plan.Jobs[0].Inputs, "NoSuchRelation")
-	if _, err := runner.Run(plan, db); err == nil {
+	if _, err := runner.Run(context.Background(), plan, db, mr.RunOptions{}); err == nil {
 		t.Error("broken plan accepted")
 	}
 }

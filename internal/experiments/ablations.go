@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -16,7 +17,7 @@ import (
 // AblationPacking isolates §5.1 optimization (1): the same GREEDY plan
 // for A3 (all atoms share a join key, the best case for packing) with
 // message packing enabled vs disabled.
-func AblationPacking(cfg Config) (*Table, error) {
+func AblationPacking(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E11a",
 		Title:  "Ablation: message packing (A3, grouped MSJ)",
@@ -34,7 +35,7 @@ func AblationPacking(cfg Config) (*Table, error) {
 		for _, j := range plan.Jobs {
 			j.Packing = packing
 		}
-		res, err := runner.Run(plan, db)
+		res, err := runner.Run(ctx, plan, db, mr.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +55,7 @@ func AblationPacking(cfg Config) (*Table, error) {
 // tuple ids (with a guard re-read in EVAL) vs full-tuple semi-join
 // outputs combined on whole tuples (the unoptimized shape, here built
 // from the baseline building blocks with all engine handicaps removed).
-func AblationTupleID(cfg Config) (*Table, error) {
+func AblationTupleID(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E11b",
 		Title:  "Ablation: tuple-id references vs full-tuple shuffles (A1, PAR shape)",
@@ -76,7 +77,7 @@ func AblationTupleID(cfg Config) (*Table, error) {
 		name string
 		plan *core.Plan
 	}{{"tuple ids", idPlan}, {"full tuples", fullPlan}} {
-		res, err := runner.Run(c.plan, db)
+		res, err := runner.Run(ctx, c.plan, db, mr.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +91,7 @@ func AblationTupleID(cfg Config) (*Table, error) {
 // AblationReducerAllocation isolates §5.1 optimization (3):
 // intermediate-size-based reducer counts vs Pig-style input-based
 // allocation, on the same Gumbo GREEDY plan.
-func AblationReducerAllocation(cfg Config) (*Table, error) {
+func AblationReducerAllocation(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E11c",
 		Title:  "Ablation: reducer allocation policy (A1, GREEDY plan)",
@@ -114,7 +115,7 @@ func AblationReducerAllocation(cfg Config) (*Table, error) {
 				j.ReducerInputMB = 1024
 			}
 		}
-		res, err := runner.Run(plan, db)
+		res, err := runner.Run(ctx, plan, db, mr.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +133,7 @@ func AblationReducerAllocation(cfg Config) (*Table, error) {
 // join value evaluated by the plain MSJ plan vs the heavy-hitter-aware
 // salted plan. The per-reducer load accounting makes the hot reducer
 // visible in net time.
-func AblationSkew(cfg Config) (*Table, error) {
+func AblationSkew(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E11d",
 		Title:  "Ablation: heavy-hitter mitigation (skewed guard, 40% hot key)",
@@ -150,7 +151,7 @@ func AblationSkew(cfg Config) (*Table, error) {
 	// salting defers to it (RuntimeSplit) — the "salted" row then shows
 	// the runtime splitter's balance instead of double-mitigating.
 	skCfg := core.DefaultSkewConfig()
-	skCfg.RuntimeSplit = runner.Engine.SkewSplitEnabled()
+	skCfg.RuntimeSplit = runner.Engine.Config().SkewSplit > 0
 	salted, err := core.SkewAwareBasicPlan("salted", core.StrategyGreedy, prog.Queries, eqs,
 		core.OneGroup(len(eqs)), db, skCfg)
 	if err != nil {
@@ -160,7 +161,7 @@ func AblationSkew(cfg Config) (*Table, error) {
 		name string
 		plan *core.Plan
 	}{{"plain MSJ", plain}, {"salted MSJ", salted}} {
-		res, err := runner.Run(c.plan, db)
+		res, err := runner.Run(ctx, c.plan, db, mr.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +178,7 @@ func AblationSkew(cfg Config) (*Table, error) {
 // AblationDynamic compares static Greedy-SGF planning against the
 // dynamic re-planning strategy of §4.6's closing note on the C2 query
 // set.
-func AblationDynamic(cfg Config) (*Table, error) {
+func AblationDynamic(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E11e",
 		Title:  "Ablation: static Greedy-SGF vs dynamic re-planning (C2)",
@@ -191,11 +192,11 @@ func AblationDynamic(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sres, err := runner.Run(static, db)
+	sres, err := runner.Run(ctx, static, db, mr.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
-	dres, err := runner.RunDynamicSGF(wl.Program, db)
+	dres, err := runner.RunDynamicSGF(ctx, wl.Program, db)
 	if err != nil {
 		return nil, err
 	}
@@ -241,15 +242,15 @@ func skewedDatabase(n int, hotShare float64, seed int64) *relation.Database {
 }
 
 // Ablations runs all ablation tables and concatenates them.
-func Ablations(cfg Config) (*Table, error) {
+func Ablations(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E11",
 		Title:  "Ablations of Gumbo's design choices",
 		Header: []string{"ablation", "variant", "net", "total", "detail"},
 	}
-	type runner func(Config) (*Table, error)
+	type runner func(context.Context, Config) (*Table, error)
 	for _, sub := range []runner{AblationPacking, AblationTupleID, AblationReducerAllocation, AblationSkew, AblationDynamic} {
-		st, err := sub(cfg)
+		st, err := sub(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}

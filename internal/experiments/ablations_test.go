@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestAblationPacking(t *testing.T) {
-	tbl, err := AblationPacking(testConfig(t))
+	tbl, err := AblationPacking(context.Background(), testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestAblationPacking(t *testing.T) {
 }
 
 func TestAblationTupleID(t *testing.T) {
-	tbl, err := AblationTupleID(testConfig(t))
+	tbl, err := AblationTupleID(context.Background(), testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestAblationTupleID(t *testing.T) {
 }
 
 func TestAblationReducerAllocation(t *testing.T) {
-	tbl, err := AblationReducerAllocation(testConfig(t))
+	tbl, err := AblationReducerAllocation(context.Background(), testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestAblationReducerAllocation(t *testing.T) {
 }
 
 func TestAblationSkew(t *testing.T) {
-	tbl, err := AblationSkew(testConfig(t))
+	tbl, err := AblationSkew(context.Background(), testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestAblationSkew(t *testing.T) {
 }
 
 func TestAblationDynamic(t *testing.T) {
-	tbl, err := AblationDynamic(testConfig(t))
+	tbl, err := AblationDynamic(context.Background(), testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestAblationDynamic(t *testing.T) {
 }
 
 func TestAblationsCombined(t *testing.T) {
-	tbl, err := Ablations(testConfig(t))
+	tbl, err := Ablations(context.Background(), testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}

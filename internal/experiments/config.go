@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -65,7 +66,7 @@ func TestConfig() Config { return At(0.0001) }
 func SmokeConfig() Config { return At(0.00005) }
 
 func (c Config) runner() *exec.Runner {
-	return exec.NewRunner(c.CostCfg, c.Cluster).WithHostWorkers(c.HostWorkers)
+	return exec.NewRunner(mr.Config{Cost: c.CostCfg, Workers: c.HostWorkers}, c.Cluster)
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -107,7 +108,7 @@ func (c Config) paperMetrics(m mr.Metrics) mr.Metrics {
 
 // runStrategies executes the given strategies on one workload database,
 // verifying outputs against the reference evaluator when configured.
-func (c Config) runStrategies(wl workload.Workload, db *relation.Database, strategies []core.Strategy) ([]runResult, error) {
+func (c Config) runStrategies(ctx context.Context, wl workload.Workload, db *relation.Database, strategies []core.Strategy) ([]runResult, error) {
 	var want *relation.Database
 	if c.Verify {
 		var err error
@@ -123,7 +124,7 @@ func (c Config) runStrategies(wl workload.Workload, db *relation.Database, strat
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s/%s: %w", wl.Name, strat, err)
 		}
-		res, err := runner.Run(plan, db)
+		res, err := runner.Run(ctx, plan, db, mr.RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s/%s: %w", wl.Name, strat, err)
 		}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/mr"
 	"repro/internal/workload"
 )
 
@@ -15,7 +17,7 @@ import (
 // aggregate model (cost_wang); both plans are executed and their
 // measured times compared. The paper reports cost_gumbo's plan saving
 // 43% total and 71% net time.
-func CostModelExperiment(cfg Config) (*Table, error) {
+func CostModelExperiment(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E9",
 		Title:  "§5.2 Cost Model: GREEDY planned under cost_gumbo vs cost_wang",
@@ -36,7 +38,7 @@ func CostModelExperiment(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := runner.Run(plan, db)
+		res, err := runner.Run(ctx, plan, db, mr.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +62,7 @@ func CostModelExperiment(cfg Config) (*Table, error) {
 // cases". Candidate MSJ jobs are random equation groups drawn from the
 // A-queries; each model's *estimated* cost (from sampled sizes) ranks
 // job pairs, scored against the measured cost of the executed jobs.
-func RankingAccuracy(cfg Config, jobCount int) (*Table, error) {
+func RankingAccuracy(ctx context.Context, cfg Config, jobCount int) (*Table, error) {
 	if jobCount <= 1 {
 		jobCount = 24
 	}
@@ -104,7 +106,7 @@ func RankingAccuracy(cfg Config, jobCount int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, stats, err := runner.Engine.RunJob(mjob, db)
+		_, stats, err := runner.Engine.RunJob(ctx, mjob, db)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +174,7 @@ func RankingAccuracy(cfg Config, jobCount int) (*Table, error) {
 // partitions and multiway sorts are compared against brute-force optima
 // (Theorems 1 and 2 make the exact problems NP-hard; the instances here
 // are small enough to enumerate).
-func OptimalVsGreedy(cfg Config) (*Table, error) {
+func OptimalVsGreedy(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E10",
 		Title:  "Greedy-BSGF vs brute-force OPT (estimated plan cost)",

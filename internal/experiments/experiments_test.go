@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func testConfig(t *testing.T) Config {
 // engine, the cluster simulator and reference verification — at a
 // minimal scale, so -short runs still cover the whole pipeline.
 func TestSmoke(t *testing.T) {
-	tbl, err := AblationPacking(SmokeConfig())
+	tbl, err := AblationPacking(context.Background(), SmokeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func rowLookup(tbl *Table, n int) map[string][]string {
 
 func TestFigure3Shape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := Figure3(cfg)
+	tbl, err := Figure3(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFigure3Shape(t *testing.T) {
 
 func TestFigure4Shape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := Figure4(cfg)
+	tbl, err := Figure4(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestFigure5Shape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := Figure5(cfg)
+	tbl, err := Figure5(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestFigure7aShape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := Figure7a(cfg)
+	tbl, err := Figure7a(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestFigure7aShape(t *testing.T) {
 
 func TestFigure7bShape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := Figure7b(cfg)
+	tbl, err := Figure7b(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestFigure7bShape(t *testing.T) {
 
 func TestFigure8Shape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := Figure8(cfg)
+	tbl, err := Figure8(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestFigure8Shape(t *testing.T) {
 
 func TestTable3Shape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := Table3(cfg)
+	tbl, err := Table3(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestTable3Shape(t *testing.T) {
 
 func TestCostModelExperimentShape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := CostModelExperiment(cfg)
+	tbl, err := CostModelExperiment(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestCostModelExperimentShape(t *testing.T) {
 func TestRankingAccuracyShape(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Verify = false
-	tbl, err := RankingAccuracy(cfg, 10)
+	tbl, err := RankingAccuracy(context.Background(), cfg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestRankingAccuracyShape(t *testing.T) {
 
 func TestOptimalVsGreedyShape(t *testing.T) {
 	cfg := testConfig(t)
-	tbl, err := OptimalVsGreedy(cfg)
+	tbl, err := OptimalVsGreedy(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/relation"
@@ -11,16 +12,16 @@ import (
 // GREEDY, HPAR, HPARS, PPAR (and 1-ROUND where applicable), reporting
 // net time, total time, input and communication volume — absolute and
 // relative to SEQ.
-func Figure3(cfg Config) (*Table, error) {
-	return bsgfFigure(cfg, "E1", "Figure 3: BSGF queries A1-A5 by strategy", workload.AQueries())
+func Figure3(ctx context.Context, cfg Config) (*Table, error) {
+	return bsgfFigure(ctx, cfg, "E1", "Figure 3: BSGF queries A1-A5 by strategy", workload.AQueries())
 }
 
 // Figure4 reproduces Figure 4: the large BSGF queries B1 and B2.
-func Figure4(cfg Config) (*Table, error) {
-	return bsgfFigure(cfg, "E2", "Figure 4: large BSGF queries B1-B2 by strategy", workload.BQueries())
+func Figure4(ctx context.Context, cfg Config) (*Table, error) {
+	return bsgfFigure(ctx, cfg, "E2", "Figure 4: large BSGF queries B1-B2 by strategy", workload.BQueries())
 }
 
-func bsgfFigure(cfg Config, id, title string, wls []workload.Workload) (*Table, error) {
+func bsgfFigure(ctx context.Context, cfg Config, id, title string, wls []workload.Workload) (*Table, error) {
 	t := &Table{
 		ID:     id,
 		Title:  title,
@@ -28,7 +29,7 @@ func bsgfFigure(cfg Config, id, title string, wls []workload.Workload) (*Table, 
 	}
 	for _, wl := range wls {
 		db := wl.Build(cfg.Scale)
-		results, err := cfg.runStrategies(wl, db, bsgfStrategies(wl))
+		results, err := cfg.runStrategies(ctx, wl, db, bsgfStrategies(wl))
 		if err != nil {
 			return nil, err
 		}
@@ -47,7 +48,7 @@ func bsgfFigure(cfg Config, id, title string, wls []workload.Workload) (*Table, 
 
 // Figure5 reproduces Figure 5: the SGF query sets C1–C4 under SEQUNIT,
 // PARUNIT and GREEDY-SGF, with values relative to SEQUNIT.
-func Figure5(cfg Config) (*Table, error) {
+func Figure5(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E3",
 		Title:  "Figure 5: SGF queries C1-C4, values relative to SEQUNIT",
@@ -55,7 +56,7 @@ func Figure5(cfg Config) (*Table, error) {
 	}
 	for _, wl := range workload.CQueries() {
 		db := wl.Build(cfg.Scale)
-		results, err := cfg.runStrategies(wl, db, sgfStrategies())
+		results, err := cfg.runStrategies(ctx, wl, db, sgfStrategies())
 		if err != nil {
 			return nil, err
 		}

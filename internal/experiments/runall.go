@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -10,7 +11,7 @@ import (
 type Experiment struct {
 	ID   string
 	Name string
-	Run  func(Config) (*Table, error)
+	Run  func(context.Context, Config) (*Table, error)
 }
 
 // All returns every experiment in paper order.
@@ -25,7 +26,7 @@ func All() []Experiment {
 		{"E7", "Figure 8 (query size)", Figure8},
 		{"E8", "Table 3 (selectivity)", Table3},
 		{"E9", "§5.2 cost model comparison", CostModelExperiment},
-		{"E9b", "§5.2 ranking accuracy", func(c Config) (*Table, error) { return RankingAccuracy(c, 0) }},
+		{"E9b", "§5.2 ranking accuracy", func(ctx context.Context, c Config) (*Table, error) { return RankingAccuracy(ctx, c, 0) }},
 		{"E10", "greedy vs optimal", OptimalVsGreedy},
 		{"E11", "ablations (packing, tuple-ids, reducer allocation, skew, dynamic)", Ablations},
 	}
@@ -43,12 +44,12 @@ func ByID(id string) *Experiment {
 }
 
 // RunAll executes every experiment and renders the tables to w.
-func RunAll(cfg Config, w io.Writer) error {
+func RunAll(ctx context.Context, cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "Gumbo-Go experiment suite — scale %g, cluster %d×%d slots\n\n",
 		cfg.Scale, cfg.Cluster.Nodes, cfg.Cluster.SlotsPerNode)
 	for _, e := range All() {
 		start := time.Now()
-		table, err := e.Run(cfg)
+		table, err := e.Run(ctx, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}

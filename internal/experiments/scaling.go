@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/workload"
@@ -14,7 +15,7 @@ func paperSizeLabel(mult float64) string {
 
 // Figure7a reproduces Figure 7a: query A3 with growing data size
 // (200M–1600M paper tuples) on the 10-node cluster.
-func Figure7a(cfg Config) (*Table, error) {
+func Figure7a(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E4",
 		Title:  "Figure 7a: A3, varying data size (10 nodes)",
@@ -25,7 +26,7 @@ func Figure7a(cfg Config) (*Table, error) {
 		db := wl.Build(cfg.Scale * mult)
 		sub := cfg
 		sub.Verify = cfg.Verify && mult <= 4
-		results, err := sub.runStrategies(wl, db, scalingStrategies())
+		results, err := sub.runStrategies(ctx, wl, db, scalingStrategies())
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +42,7 @@ func Figure7a(cfg Config) (*Table, error) {
 
 // Figure7b reproduces Figure 7b: A3 at 800M paper tuples with cluster
 // sizes 5, 10 and 20 nodes.
-func Figure7b(cfg Config) (*Table, error) {
+func Figure7b(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E5",
 		Title:  "Figure 7b: A3, varying cluster size (800M tuples)",
@@ -53,7 +54,7 @@ func Figure7b(cfg Config) (*Table, error) {
 		sub := cfg
 		sub.Cluster.Nodes = nodes
 		sub.Verify = false
-		results, err := sub.runStrategies(wl, db, scalingStrategies())
+		results, err := sub.runStrategies(ctx, wl, db, scalingStrategies())
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +69,7 @@ func Figure7b(cfg Config) (*Table, error) {
 
 // Figure7c reproduces Figure 7c: joint data and cluster scaling
 // (200M/5, 400M/10, 800M/20).
-func Figure7c(cfg Config) (*Table, error) {
+func Figure7c(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E6",
 		Title:  "Figure 7c: A3, joint data and cluster scaling",
@@ -83,7 +84,7 @@ func Figure7c(cfg Config) (*Table, error) {
 		sub := cfg
 		sub.Cluster.Nodes = p.nodes
 		sub.Verify = cfg.Verify && p.mult <= 4
-		results, err := sub.runStrategies(wl, db, scalingStrategies())
+		results, err := sub.runStrategies(ctx, wl, db, scalingStrategies())
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +99,7 @@ func Figure7c(cfg Config) (*Table, error) {
 
 // Figure8 reproduces Figure 8: A3-like queries with 2–16 conditional
 // atoms.
-func Figure8(cfg Config) (*Table, error) {
+func Figure8(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E7",
 		Title:  "Figure 8: varying the number of conditional atoms (A3-like)",
@@ -107,7 +108,7 @@ func Figure8(cfg Config) (*Table, error) {
 	for _, k := range []int{2, 4, 6, 8, 10, 12, 14, 16} {
 		wl := workload.A3K(k)
 		db := wl.Build(cfg.Scale)
-		results, err := cfg.runStrategies(wl, db, scalingStrategies())
+		results, err := cfg.runStrategies(ctx, wl, db, scalingStrategies())
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +124,7 @@ func Figure8(cfg Config) (*Table, error) {
 // Table3 reproduces Table 3: the increase in net and total time when
 // the selectivity rate moves from 0.1 to 0.9 on A1–A3 for SEQ, PAR and
 // GREEDY.
-func Table3(cfg Config) (*Table, error) {
+func Table3(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "E8",
 		Title:  "Table 3: net/total increase from selectivity 0.1 to 0.9",
@@ -140,7 +141,7 @@ func Table3(cfg Config) (*Table, error) {
 		for _, base := range workload.AQueries()[:3] {
 			wl := base.WithSelectivity(sel)
 			db := wl.Build(cfg.Scale)
-			results, err := cfg.runStrategies(wl, db, strategies)
+			results, err := cfg.runStrategies(ctx, wl, db, strategies)
 			if err != nil {
 				return nil, err
 			}

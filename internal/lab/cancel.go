@@ -93,7 +93,7 @@ func cancelScenario(sys *gumbo.System, sc Scenario, width int) (int, string) {
 			cancel()
 		}
 	}})
-	_, err = sys.RunPlanCtx(ctx, plan, db)
+	_, err = sys.RunPlanCtx(ctx, plan, db, gumbo.RunOptions{})
 	restore()
 	if !errors.Is(err, context.Canceled) {
 		return k, fmt.Sprintf("canceled run returned %v, want context.Canceled", err)

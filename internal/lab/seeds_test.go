@@ -64,7 +64,7 @@ Z3 := SELECT x0 FROM R2(x0, x1) WHERE S3(x1) OR NOT S4(x1, x0) OR S5(x0);
 Z4 := SELECT x0 FROM Z1(x0, x1) WHERE Z3(x1);`},
 	// The skew fixture: under the zipf profile this scenario's join
 	// column concentrates on a handful of hot values, and at full lab
-	// scale (2000 tuples) its MSJ job crosses Engine.SplitThreshold and
+	// scale (2000 tuples) its MSJ job crosses Config.SkewSplit and
 	// exercises the runtime reduce-partition splitter —
 	// TestFrozenSkewScenarioSplits pins that. At the 300-tuple sweep
 	// scale it stays below the threshold and just rides the oracle.

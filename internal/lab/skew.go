@@ -134,8 +134,7 @@ func RunSkewSweep(scenarios []Scenario, cfg SweepConfig) *SkewReport {
 	cfg = cfg.normalized()
 	offSys, onSys := map[int]*gumbo.System{}, map[int]*gumbo.System{}
 	for _, w := range cfg.Widths {
-		offSys[w] = gumbo.New(gumbo.WithHostWorkers(w), gumbo.WithScale(cfg.Scale),
-			gumbo.WithSkewSplit(-1))
+		offSys[w] = gumbo.New(gumbo.WithHostWorkers(w), gumbo.WithScale(cfg.Scale))
 		onSys[w] = gumbo.New(gumbo.WithHostWorkers(w), gumbo.WithScale(cfg.Scale),
 			gumbo.WithSkewSplit(skewSplitRatio))
 	}

@@ -7,10 +7,10 @@
 // pool is the caller's. A function below the API layer that
 // manufactures its own root context (context.Background or
 // context.TODO) detaches everything beneath it from client
-// disconnects, per-query deadlines and the abort endpoint; the
-// documented no-cancellation entry points (gumbo.Run, Engine.RunJob,
-// ...) carry //lint:ignore directives recording why they are the
-// exception. Two checks:
+// disconnects, per-query deadlines and the abort endpoint; the few
+// places that own a run's lifetime (gumbo.RunPlan, the server's batch
+// run, the lab's cancel and fault sweeps) carry //lint:ignore
+// directives recording why they are the exception. Two checks:
 //
 //   - No context.Background()/context.TODO() outside package main and
 //     test files. If the enclosing function already receives a

@@ -1,4 +1,4 @@
-// Package lint assembles the gumbo-lint analyzer suite: the
+// Package lint assembles the gumbo-lint analyzer suite: the seven
 // project-specific static checks that machine-enforce the engine's
 // documented ownership, determinism and scheduling contracts
 // (docs/INVARIANTS.md maps each contract to its analyzer and fix
@@ -14,7 +14,6 @@ package lint
 import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/ctxpass"
-	"repro/internal/lint/deprecatedknob"
 	"repro/internal/lint/keyretain"
 	"repro/internal/lint/mapiter"
 	"repro/internal/lint/memcharge"
@@ -27,7 +26,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxpass.Analyzer,
-		deprecatedknob.Analyzer,
 		keyretain.Analyzer,
 		mapiter.Analyzer,
 		memcharge.Analyzer,

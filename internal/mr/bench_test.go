@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cost"
@@ -80,12 +81,12 @@ func benchShuffleJob(packing bool) *Job {
 // allocation-lean as records flow through every phase.
 func BenchmarkRunJobShuffle(b *testing.B) {
 	db := benchShuffleDB()
-	e := NewEngine(cost.Default().Scaled(0.001))
+	e := newTestEngine(cost.Default().Scaled(0.001))
 	job := benchShuffleJob(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunJob(job, db); err != nil {
+		if _, _, err := e.RunJob(context.Background(), job, db); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,12 +16,12 @@ import (
 func chargedBytes(t *testing.T, width int, spillThreshold int64, spillDir string) int64 {
 	t.Helper()
 	p, db := diamondProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = width
-	e.SpillThreshold = spillThreshold
-	e.SpillDir = spillDir
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = width
+	e.cfg.SpillThreshold = spillThreshold
+	e.cfg.SpillDir = spillDir
 	budget := NewBudget(0)
-	if _, _, _, err := e.RunProgramGoverned(context.Background(), p, db, nil, budget); err != nil {
+	if _, _, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget}); err != nil {
 		t.Fatalf("width %d: clean governed run failed: %v", width, err)
 	}
 	return budget.Stats().ChargedBytes
@@ -79,11 +79,11 @@ func TestBudgetExceeded(t *testing.T) {
 		seen[width] = true
 		p, db := diamondProgram()
 		before := dbSignature(db)
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = width
-		e.SpillThreshold = -1
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = width
+		e.cfg.SpillThreshold = -1
 		budget := NewBudget(limit)
-		outs, stats, _, err := e.RunProgramGoverned(context.Background(), p, db, nil, budget)
+		outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("width %d: err = %v, want ErrBudgetExceeded", width, err)
 		}
@@ -114,10 +114,10 @@ func TestBudgetExceeded(t *testing.T) {
 
 	// Clean re-run: the aborts polluted no process-global state.
 	p, db := diamondProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = 4
-	e.SpillThreshold = -1
-	_, stats, err := e.RunProgram(p, db)
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = 4
+	e.cfg.SpillThreshold = -1
+	_, stats, _, err := e.Run(context.Background(), p, db, RunOptions{})
 	if err != nil {
 		t.Fatalf("clean re-run failed: %v", err)
 	}

@@ -22,9 +22,9 @@ func countTaskGrants(t *testing.T, width int) int {
 	restore := SetFaultHooks(FaultHooks{Grant: func(int) { grants.Add(1) }})
 	defer restore()
 	p, db := diamondProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = width
-	if _, _, err := e.RunProgramCtx(context.Background(), p, db); err != nil {
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = width
+	if _, _, _, err := e.Run(context.Background(), p, db, RunOptions{}); err != nil {
 		t.Fatalf("width %d: clean run failed: %v", width, err)
 	}
 	return int(grants.Load())
@@ -35,8 +35,8 @@ func countTaskGrants(t *testing.T, width int) int {
 func oracleStats(t *testing.T) map[string]JobStats {
 	t.Helper()
 	p, db := diamondProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = 1
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = 1
 	working := relation.NewDatabase()
 	for _, r := range db.Relations() {
 		working.Put(r)
@@ -122,9 +122,9 @@ func TestCancelAtEveryTaskBoundary(t *testing.T) {
 
 			p, db := diamondProgram()
 			before := dbSignature(db)
-			e := NewEngine(cost.Default().Scaled(0.001))
-			e.Parallelism = width
-			outs, stats, err := e.RunProgramCtx(ctx, p, db)
+			e := newTestEngine(cost.Default().Scaled(0.001))
+			e.cfg.Workers = width
+			outs, stats, _, err := e.Run(ctx, p, db, RunOptions{})
 			restore()
 			cancel()
 
@@ -157,9 +157,9 @@ func TestCancelAtEveryTaskBoundary(t *testing.T) {
 		// Clean re-run after the cancel storm: nothing leaked into
 		// process-global state.
 		p, db := diamondProgram()
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = width
-		_, stats, err := e.RunProgram(p, db)
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = width
+		_, stats, _, err := e.Run(context.Background(), p, db, RunOptions{})
 		if err != nil {
 			t.Fatalf("width %d: clean re-run failed: %v", width, err)
 		}
@@ -184,8 +184,8 @@ func TestCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p, db := diamondProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	if _, _, err := e.RunProgramCtx(ctx, p, db); !errors.Is(err, context.Canceled) {
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	if _, _, _, err := e.Run(ctx, p, db, RunOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run: err = %v, want context.Canceled", err)
 	}
 	if g := grants.Load(); g != 0 {
@@ -207,17 +207,17 @@ func TestRunJobCancel(t *testing.T) {
 	defer restore()
 	db := testDB()
 	before := dbSignature(db)
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = 2
-	outs, _, err := e.RunJobCtx(ctx, semijoinJob(false), db)
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = 2
+	outs, _, err := e.RunJob(ctx, semijoinJob(false), db)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunJobCtx err = %v, want context.Canceled", err)
+		t.Fatalf("RunJob err = %v, want context.Canceled", err)
 	}
 	if outs != nil {
-		t.Fatalf("canceled RunJobCtx returned an output database")
+		t.Fatalf("canceled RunJob returned an output database")
 	}
 	if dbSignature(db) != before {
-		t.Fatalf("canceled RunJobCtx mutated the input database")
+		t.Fatalf("canceled RunJob mutated the input database")
 	}
 }
 
@@ -234,9 +234,9 @@ func TestDeadlineExceeded(t *testing.T) {
 	}})
 	defer restore()
 	p, db := diamondProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = 4
-	_, _, err := e.RunProgramCtx(ctx, p, db)
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = 4
+	_, _, _, err := e.Run(ctx, p, db, RunOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline run err = %v, want context.DeadlineExceeded", err)
 	}
@@ -249,10 +249,10 @@ func TestDeadlineExceeded(t *testing.T) {
 // job), and a canceled run's snapshot never exceeds those totals.
 func TestProgressCounters(t *testing.T) {
 	p, db := diamondProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = 4
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = 4
 	var prog Progress
-	_, stats, _, err := e.RunProgramObserved(context.Background(), p, db, &prog)
+	_, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Progress: &prog})
 	if err != nil {
 		t.Fatalf("observed run failed: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestProgressCounters(t *testing.T) {
 	defer restore()
 	p2, db2 := diamondProgram()
 	var prog2 Progress
-	if _, _, _, err := e.RunProgramObserved(ctx, p2, db2, &prog2); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := e.Run(ctx, p2, db2, RunOptions{Progress: &prog2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled observed run err = %v, want context.Canceled", err)
 	}
 	s2 := prog2.Snapshot()

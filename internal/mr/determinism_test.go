@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -25,9 +26,9 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	var baseline string
 	var baseOut *relation.Relation
 	for _, workers := range []int{1, 2, 8} {
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = workers
-		out, stats, err := e.RunJob(semijoinJob(true), db)
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = workers
+		out, stats, err := e.RunJob(context.Background(), semijoinJob(true), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,8 +61,8 @@ func TestReduceLoadAccounting(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Put(relation.FromTuples("R", 2, tuples))
 	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(7)}))
-	e := NewEngine(cost.Default().Scaled(0.0002))
-	_, stats, err := e.RunJob(semijoinJob(false), db)
+	e := newTestEngine(cost.Default().Scaled(0.0002))
+	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,11 @@ func TestGoldenStatsUnchanged(t *testing.T) {
 
 	for _, packing := range []bool{false, true} {
 		for _, workers := range []int{1, 0} { // sequential and GOMAXPROCS
-			e := NewEngine(cost.Default().Scaled(0.0002))
-			e.Parallelism = workers
+			e := newTestEngine(cost.Default().Scaled(0.0002))
+			e.cfg.Workers = workers
 			job := semijoinJob(packing)
 			job.Reducers = 7
-			out, stats, err := e.RunJob(job, db)
+			out, stats, err := e.RunJob(context.Background(), job, db)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -15,17 +13,17 @@ import (
 	"repro/internal/relation"
 )
 
-// Engine executes jobs. It is safe for concurrent use: RunJob and
-// RunProgram only read the database they are given (relation.Database
-// is internally locked), and all per-run state is private — each run
+// Engine executes jobs. It is safe for concurrent use: RunJob and Run
+// only read the database they are given (relation.Database is
+// internally locked), and all per-run state is private — each run
 // builds its own task graph and worker pool.
 //
 // Execution is task-granular: a job is decomposed into map tasks,
 // shuffle partition tasks, reduce partition tasks and output merge
 // shards (see jobrun.go), all scheduled on one work-stealing pool of
-// Parallelism workers (pool.go). RunProgram extends the same graph
-// across jobs at relation granularity: a job's map tasks over an input
-// start the moment the merge shard producing that relation completes
+// Config.Workers workers (pool.go). Run extends the same graph across
+// jobs at relation granularity: a job's map tasks over an input start
+// the moment the merge shard producing that relation completes
 // (scheduler.go), so phases of dependent jobs overlap instead of
 // meeting at per-job barriers. The cluster simulator still models the
 // paper's per-job schedule; host scheduling only shortens wall-clock
@@ -43,118 +41,71 @@ import (
 // outputs and stats are bit-for-bit identical at every parallelism
 // setting and to the earlier barriered, phase-at-a-time engine.
 type Engine struct {
-	Cost cost.Config
-	// Parallelism sizes the unified worker pool a run executes on: every
-	// task of a job — and, under RunProgram, of the whole program —
-	// shares these workers. 0 = GOMAXPROCS, 1 = strictly sequential.
-	// Results and stats are bit-for-bit identical at every setting.
-	// (Earlier engines split this into per-phase workers × concurrent
-	// jobs; the task-graph scheduler has a single pool.)
-	Parallelism int
-	SampleEvery int // stride for Sample; 0 = 100
+	cfg Config
+}
 
+// Config is the engine's whole configuration: an immutable value fixed
+// at NewEngine. None of the host settings can change an answer —
+// outputs and stats are bit-for-bit identical at every Workers,
+// SpillThreshold and SkewSplit setting — so one engine serves every
+// run of a process.
+type Config struct {
+	Cost cost.Config
+	// Workers sizes the unified worker pool a run executes on: every
+	// task of a job — and, under Run, of the whole program — shares
+	// these workers. ≤ 0 = GOMAXPROCS, 1 = strictly sequential.
+	Workers int
 	// SpillThreshold enables shuffle spill-to-disk: a map task's shuffle
 	// partition whose modelled bytes reach the threshold is written to a
-	// temp file and streamed back by the reduce stage (see spill.go);
-	// outputs and stats are bit-for-bit identical either way. 0 reads
-	// the GUMBO_SPILL_THRESHOLD environment variable (bytes; unset or
-	// invalid = spill off), negative disables spill unconditionally,
-	// positive is the threshold in bytes.
+	// temp file under SpillDir ("" = os.TempDir) and streamed back by
+	// the reduce stage (see spill.go). ≤ 0 = spill off.
 	SpillThreshold int64
-	// SpillDir is where spill files are created ("" = os.TempDir).
-	SpillDir string
+	SpillDir       string
+	// SkewSplit enables runtime skew splitting: after shuffle, a reduce
+	// partition whose modelled bytes exceed SkewSplit × the mean
+	// partition load is split at sketch-derived heavy-key boundaries
+	// into sub-range reduce tasks scheduled independently (see
+	// split.go). ≤ 0 = splitting off; 1.5 is a reasonable start (split
+	// anything half again heavier than the mean).
+	SkewSplit float64
+}
 
-	// SplitThreshold enables runtime skew splitting: after shuffle, a
-	// reduce partition whose modelled bytes exceed SplitThreshold × the
-	// mean partition load is split at sketch-derived heavy-key
-	// boundaries into sub-range reduce tasks scheduled independently
-	// (see split.go); outputs and stats are bit-for-bit identical
-	// either way. 0 reads the GUMBO_SKEW_SPLIT environment variable (a
-	// ratio; unset or invalid = splitting off), negative disables
-	// splitting unconditionally, positive is the ratio (1.5 is a
-	// reasonable start: split anything half again heavier than the
-	// mean).
-	SplitThreshold float64
+// NewEngine returns an engine running under cfg.
+func NewEngine(cfg Config) *Engine { return &Engine{cfg: cfg} }
+
+// Config returns the configuration the engine was built with.
+func (e *Engine) Config() Config { return e.cfg }
+
+// RunOptions observes and bounds one run; the zero value does neither.
+type RunOptions struct {
+	// Progress, when non-nil, mirrors live task-completion counters (one
+	// fresh Progress per run).
+	Progress *Progress
+	// Budget, when non-nil, is charged the run's bulk allocations — arena
+	// chunks, shuffle partitions, merge shards, spill buffers (one fresh
+	// Budget per run; see Budget).
+	Budget *Budget
 }
 
 // govern bundles one run's resource-governance state: the byte budget
-// the run charges (nil = unaccounted), the spill configuration, and
-// the skew-split ratio (0 = splitting off).
+// the run charges (nil = unaccounted) and its spill files (nil = spill
+// off).
 type govern struct {
-	budget    *Budget
-	spill     *spillSet // nil = spill off
-	threshold int64
-	split     float64
+	budget *Budget
+	spill  *spillSet
 }
 
-// newGovern resolves the engine's spill and skew-split knobs for one
-// run.
 func (e *Engine) newGovern(b *Budget) govern {
-	g := govern{budget: b, split: e.resolveSkewSplit()}
-	t := e.SpillThreshold
-	if t == 0 {
-		t = envSpillThreshold()
-	}
-	if t > 0 {
-		g.spill = newSpillSet(e.SpillDir)
-		g.threshold = t
+	g := govern{budget: b}
+	if e.cfg.SpillThreshold > 0 {
+		g.spill = newSpillSet(e.cfg.SpillDir)
 	}
 	return g
 }
 
-// resolveSkewSplit returns the effective skew-split ratio (0 = off),
-// applying the SplitThreshold zero-reads-environment convention.
-func (e *Engine) resolveSkewSplit() float64 {
-	s := e.SplitThreshold
-	if s == 0 {
-		s = envSkewSplit()
-	}
-	if s <= 0 {
-		return 0
-	}
-	return s
-}
-
-// SkewSplitEnabled reports whether runtime skew splitting is active
-// for this engine's runs — the signal plan-time skew handling
-// (internal/core's static salting) uses to stand down.
-func (e *Engine) SkewSplitEnabled() bool { return e.resolveSkewSplit() > 0 }
-
-// envSkewSplit reads GUMBO_SKEW_SPLIT, the environment hook for
-// enabling runtime skew splitting suite-wide (the CI skew gate's
-// lever, mirroring GUMBO_SPILL_THRESHOLD).
-func envSkewSplit() float64 {
-	v := os.Getenv("GUMBO_SKEW_SPLIT")
-	if v == "" {
-		return 0
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || f <= 0 {
-		return 0
-	}
-	return f
-}
-
-// envSpillThreshold reads GUMBO_SPILL_THRESHOLD, the CI spill gate's
-// hook for re-running the whole suite with every partition spilling.
-func envSpillThreshold() int64 {
-	v := os.Getenv("GUMBO_SPILL_THRESHOLD")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// NewEngine returns an engine with the given cost configuration.
-func NewEngine(c cost.Config) *Engine { return &Engine{Cost: c} }
-
 func (e *Engine) workers() int {
-	if e.Parallelism > 0 {
-		return e.Parallelism
+	if e.cfg.Workers > 0 {
+		return e.cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -209,19 +160,13 @@ func emitInto(arena *keyArena, recs *[]record) Emit {
 
 // RunJob executes the job against db and returns its output relations
 // and measured statistics. The job runs as its own task graph on a
-// pool of Parallelism workers; RunProgram schedules many jobs onto one
-// shared pool instead of calling RunJob per job.
-func (e *Engine) RunJob(job *Job, db *relation.Database) (*relation.Database, JobStats, error) {
-	//lint:ignore ctxpass RunJob is the documented no-cancellation entry point (and runSequential's oracle path); callers below the API layer use RunJobCtx
-	return e.RunJobCtx(context.Background(), job, db)
-}
-
-// RunJobCtx is RunJob honoring ctx. On cancellation the job's task
-// graph stops at the next task boundary, the returned database is nil,
-// and the error wraps ctx.Err() (context.Canceled or
+// pool of Config.Workers workers; Run schedules many jobs onto one
+// shared pool instead of calling RunJob per job. On cancellation the
+// job's task graph stops at the next task boundary, the returned
+// database is nil, and the error wraps ctx.Err() (context.Canceled or
 // context.DeadlineExceeded via errors.Is). The input database is never
 // modified either way.
-func (e *Engine) RunJobCtx(ctx context.Context, job *Job, db *relation.Database) (*relation.Database, JobStats, error) {
+func (e *Engine) RunJob(ctx context.Context, job *Job, db *relation.Database) (*relation.Database, JobStats, error) {
 	if err := job.validate(); err != nil {
 		return nil, JobStats{}, err
 	}
@@ -347,7 +292,7 @@ func parallelFor(workers, n int, fn func(i int) error) error {
 	return err
 }
 
-// Sample runs the job's mapper over every SampleEvery-th tuple of each
+// Sample runs the job's mapper over every sampleStride-th tuple of each
 // input and extrapolates the intermediate size per input: the sampling
 // step Gumbo uses to estimate M_i before running a job (§5.1 opt (3)).
 // Sampling only counts — it never materializes records, so it allocates
@@ -355,10 +300,13 @@ func parallelFor(workers, n int, fn func(i int) error) error {
 // byte counters are shared by one emit closure across inputs and reset
 // per input: each returned PartStats reflects exactly one input.
 func (e *Engine) Sample(job *Job, db *relation.Database) ([]PartStats, error) {
-	stride := e.SampleEvery
-	if stride <= 0 {
-		stride = 100
-	}
+	return e.sample(job, db, sampleStride)
+}
+
+// sampleStride is Sample's stride: every 100th tuple.
+const sampleStride = 100
+
+func (e *Engine) sample(job *Job, db *relation.Database, stride int) ([]PartStats, error) {
 	parts := make([]PartStats, 0, len(job.Inputs))
 	var records int64
 	var bytes int64
@@ -387,7 +335,7 @@ func (e *Engine) Sample(job *Job, db *relation.Database) ([]PartStats, error) {
 			InputMB: inputMB,
 			InterMB: mbOf(bytes) * scale,
 			Records: int64(float64(records) * scale),
-			Mappers: e.Cost.Mappers(inputMB),
+			Mappers: e.cfg.Cost.Mappers(inputMB),
 		})
 	}
 	return parts, nil

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -69,8 +70,8 @@ func semijoinJob(packing bool) *Job {
 }
 
 func TestRunJobSemiJoin(t *testing.T) {
-	e := NewEngine(cost.Default())
-	out, stats, err := e.RunJob(semijoinJob(false), testDB())
+	e := newTestEngine(cost.Default())
+	out, stats, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +93,14 @@ func TestRunJobSemiJoin(t *testing.T) {
 }
 
 func TestRunJobDeterministic(t *testing.T) {
-	e := NewEngine(cost.Default())
+	e := newTestEngine(cost.Default())
 	db := testDB()
-	_, s1, err := e.RunJob(semijoinJob(false), db)
+	_, s1, err := e.RunJob(context.Background(), semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		_, s2, err := e.RunJob(semijoinJob(false), db)
+		_, s2, err := e.RunJob(context.Background(), semijoinJob(false), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,13 +121,13 @@ func TestPackingReducesRecordsAndBytes(t *testing.T) {
 	db.Put(relation.FromTuples("R", 2, tuples))
 	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(0), tup(1)}))
 
-	e := NewEngine(cost.Default())
-	e.Parallelism = 1 // one map task per split; splits are size-based
-	outPlain, statsPlain, err := e.RunJob(semijoinJob(false), db)
+	e := newTestEngine(cost.Default())
+	e.cfg.Workers = 1 // one map task per split; splits are size-based
+	outPlain, statsPlain, err := e.RunJob(context.Background(), semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outPacked, statsPacked, err := e.RunJob(semijoinJob(true), db)
+	outPacked, statsPacked, err := e.RunJob(context.Background(), semijoinJob(true), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +143,8 @@ func TestPackingReducesRecordsAndBytes(t *testing.T) {
 }
 
 func TestReducerCountFromIntermediate(t *testing.T) {
-	e := NewEngine(cost.Default().Scaled(0.0001)) // tiny buffers: forces multiple reducers
-	_, stats, err := e.RunJob(semijoinJob(false), testDB())
+	e := newTestEngine(cost.Default().Scaled(0.0001)) // tiny buffers: forces multiple reducers
+	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestReducerCountFromIntermediate(t *testing.T) {
 	}
 	fixed := semijoinJob(false)
 	fixed.Reducers = 7
-	_, stats2, err := e.RunJob(fixed, testDB())
+	_, stats2, err := e.RunJob(context.Background(), fixed, testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +163,11 @@ func TestReducerCountFromIntermediate(t *testing.T) {
 }
 
 func TestReducersFromInputPigPolicy(t *testing.T) {
-	e := NewEngine(cost.Default())
+	e := newTestEngine(cost.Default())
 	job := semijoinJob(false)
 	job.ReducersFromInput = true
 	job.ReducerInputMB = 0.00001 // absurdly small per-reducer input
-	_, stats, err := e.RunJob(job, testDB())
+	_, stats, err := e.RunJob(context.Background(), job, testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +177,14 @@ func TestReducersFromInputPigPolicy(t *testing.T) {
 }
 
 func TestInflateIntermediate(t *testing.T) {
-	e := NewEngine(cost.Default())
-	plain, stats1, err := e.RunJob(semijoinJob(false), testDB())
+	e := newTestEngine(cost.Default())
+	plain, stats1, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
 	job := semijoinJob(false)
 	job.InflateIntermediate = 2.0
-	inflated, stats2, err := e.RunJob(job, testDB())
+	inflated, stats2, err := e.RunJob(context.Background(), job, testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +198,16 @@ func TestInflateIntermediate(t *testing.T) {
 }
 
 func TestUnknownInputRelation(t *testing.T) {
-	e := NewEngine(cost.Default())
+	e := newTestEngine(cost.Default())
 	job := semijoinJob(false)
 	job.Inputs = []string{"R", "Missing"}
-	if _, _, err := e.RunJob(job, testDB()); err == nil || !strings.Contains(err.Error(), "Missing") {
+	if _, _, err := e.RunJob(context.Background(), job, testDB()); err == nil || !strings.Contains(err.Error(), "Missing") {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestUndeclaredOutputPanics(t *testing.T) {
-	e := NewEngine(cost.Default())
+	e := newTestEngine(cost.Default())
 	job := &Job{
 		Name:    "bad",
 		Inputs:  []string{"R"},
@@ -223,15 +224,15 @@ func TestUndeclaredOutputPanics(t *testing.T) {
 			t.Fatal("undeclared output did not panic")
 		}
 	}()
-	e.RunJob(job, testDB())
+	e.RunJob(context.Background(), job, testDB())
 }
 
 func TestEmptyInputRelation(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Put(relation.New("R", 2))
 	db.Put(relation.New("S", 1))
-	e := NewEngine(cost.Default())
-	out, stats, err := e.RunJob(semijoinJob(false), db)
+	e := newTestEngine(cost.Default())
+	out, stats, err := e.RunJob(context.Background(), semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +252,12 @@ func TestSampleEstimates(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Put(relation.FromTuples("R", 2, tuples))
 	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(0)}))
-	e := NewEngine(cost.Default())
+	e := newTestEngine(cost.Default())
 	parts, err := e.Sample(semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := e.RunJob(semijoinJob(false), db)
+	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +281,8 @@ func TestSamplePerInputIsolation(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Put(relation.FromTuples("R", 2, tuples)) // sampled first, 400 emits
 	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(0), tup(3), tup(6)}))
-	e := NewEngine(cost.Default())
-	e.SampleEvery = 1 // exact: every tuple sampled, scale 1
-	parts, err := e.Sample(semijoinJob(false), db)
+	e := newTestEngine(cost.Default())
+	parts, err := e.sample(semijoinJob(false), db, 1) // exact: every tuple sampled, scale 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +325,8 @@ func TestProgramDepsAndRounds(t *testing.T) {
 	if p.Rounds() != 2 {
 		t.Errorf("Rounds = %d", p.Rounds())
 	}
-	e := NewEngine(cost.Default())
-	outs, stats, err := e.RunProgram(p, testDB())
+	e := newTestEngine(cost.Default())
+	outs, stats, _, err := e.Run(context.Background(), p, testDB(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestProgramValidate(t *testing.T) {
 }
 
 func TestMetricsAccumulate(t *testing.T) {
-	e := NewEngine(cost.Default())
-	_, stats, err := e.RunJob(semijoinJob(false), testDB())
+	e := newTestEngine(cost.Default())
+	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +367,8 @@ func TestMetricsAccumulate(t *testing.T) {
 }
 
 func TestCostSpecConversion(t *testing.T) {
-	e := NewEngine(cost.Default())
-	_, stats, err := e.RunJob(semijoinJob(false), testDB())
+	e := newTestEngine(cost.Default())
+	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func (jr *jobRun) seed(c *poolCtx) {
 // spawns the map tasks.
 func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 	inputMB := mbOf(rel.Bytes())
-	m := jr.e.Cost.Mappers(inputMB)
+	m := jr.e.cfg.Cost.Mappers(inputMB)
 	if m > rel.Size() && rel.Size() > 0 {
 		m = rel.Size()
 	}
@@ -268,11 +268,11 @@ func (jr *jobRun) computeReducers() int {
 	job, e := jr.job, jr.e
 	reducers := job.Reducers
 	if reducers <= 0 {
-		perReducer := e.Cost.ReducerDataMB
+		perReducer := e.cfg.Cost.ReducerDataMB
 		if job.ReducerInputMB > 0 {
 			// ReducerInputMB is expressed at full scale (Pig's 1 GB of
 			// map input per reducer); convert to the running scale.
-			scale := e.Cost.Scale
+			scale := e.cfg.Cost.Scale
 			if scale <= 0 {
 				scale = 1
 			}
@@ -285,7 +285,7 @@ func (jr *jobRun) computeReducers() int {
 		if perReducer <= 0 {
 			reducers = 1
 		} else {
-			tmp := e.Cost
+			tmp := e.cfg.Cost
 			tmp.ReducerDataMB = perReducer
 			reducers = tmp.Reducers(basis)
 		}
@@ -316,7 +316,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	}
 	if len(recs) > 0 {
 		var sk *keySketch
-		if jr.gov.split > 0 {
+		if jr.e.cfg.SkewSplit > 0 {
 			sk = newKeySketch(jr.gov.budget)
 		}
 		tc := make([]int32, len(recs)+reducers) // targets and counts, one allocation
@@ -343,7 +343,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			tp.parts[p] = append(tp.parts[p], r)
 		}
 	}
-	if jr.gov.spill != nil && taskBytes >= jr.gov.threshold && len(recs) > 0 && partitionSpillable(tp.parts) {
+	if jr.gov.spill != nil && taskBytes >= jr.e.cfg.SpillThreshold && len(recs) > 0 && partitionSpillable(tp.parts) {
 		sp, err := jr.gov.spill.writePartition(&tp, jr.gov.budget)
 		if err != nil {
 			panic(taskAbort{err: err})

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/relation"
@@ -107,20 +108,21 @@ func (p *Program) Validate(base []string) error {
 	return nil
 }
 
-// RunProgram executes the program as one unified task graph, feeding
-// outputs forward, and returns the database of all job outputs together
-// with per-job stats in declared job order. The input database is not
-// modified.
+// Run executes the program as one unified task graph, feeding outputs
+// forward, and returns the database of all job outputs together with
+// per-job stats and measured task timings (see JobTiming), index-aligned
+// in declared job order. The input database is never modified: runs
+// mutate only a private working copy. opts observes and bounds the run
+// (see RunOptions).
 //
-// Scheduling is partition-granular on a single pool of
-// Engine.Parallelism workers (see runPipelined): a job's map tasks over
-// an input start as soon as that relation exists, so phases of
-// dependent jobs overlap instead of meeting at per-job barriers.
-// Because each relation has a unique producer (Validate forbids
-// overwrites) and a consumer part waits for exactly that producer's
-// merge, every job sees the inputs it would see under sequential
-// execution — outputs and stats are bit-for-bit identical at every
-// parallelism level.
+// Scheduling is partition-granular on a single pool of Config.Workers
+// workers (see runPipelined): a job's map tasks over an input start as
+// soon as that relation exists, so phases of dependent jobs overlap
+// instead of meeting at per-job barriers. Because each relation has a
+// unique producer (Validate forbids overwrites) and a consumer part
+// waits for exactly that producer's merge, every job sees the inputs it
+// would see under sequential execution — outputs and stats are
+// bit-for-bit identical at every parallelism level.
 //
 // Failure semantics are deterministic: the only execution-time job
 // failures are per-job validation failures (Validate above excludes
@@ -128,16 +130,61 @@ func (p *Program) Validate(base []string) error {
 // lowest-indexed broken job is f, jobs 0..f-1 run to completion and
 // report stats, jobs from f on are not started, and the returned error
 // names job f.
-func (e *Engine) RunProgram(p *Program, db *relation.Database) (*relation.Database, []JobStats, error) {
-	outputs, stats, _, err := e.RunProgramTimed(p, db)
-	return outputs, stats, err
-}
-
-// RunProgramCtx is RunProgram honoring ctx: the run stops at the next
-// task boundary after ctx is canceled, completed jobs report stats,
-// and the returned error wraps ctx.Err(). See RunProgramObserved for
-// the full cancellation contract.
-func (e *Engine) RunProgramCtx(ctx context.Context, p *Program, db *relation.Database) (*relation.Database, []JobStats, error) {
-	outputs, stats, _, err := e.RunProgramObserved(ctx, p, db, nil)
-	return outputs, stats, err
+//
+// Cancellation semantics: the pool stops at the next task boundary —
+// never mid-task, so no partially folded state is ever observable.
+// Jobs that completed before the cancel report their stats and timings
+// (bit-for-bit identical to an uncanceled run's), the outputs database
+// is nil, and the returned error wraps ctx.Err(), so
+// errors.Is(err, context.Canceled) (or DeadlineExceeded) holds. A
+// canceled ctx always yields that error, even when the run raced to
+// completion first. A run that charges past opts.Budget's limit stops
+// on the same path with the same guarantees — no goroutines or temp
+// files left — and an error matching ErrBudgetExceeded via errors.Is.
+func (e *Engine) Run(ctx context.Context, p *Program, db *relation.Database, opts RunOptions) (*relation.Database, []JobStats, []JobTiming, error) {
+	if err := p.Validate(db.Names()); err != nil {
+		return nil, nil, nil, err
+	}
+	working := relation.NewDatabase()
+	for _, r := range db.Relations() {
+		working.Put(r)
+	}
+	limit := len(p.Jobs)
+	var failErr error
+	for i, job := range p.Jobs {
+		if err := job.validate(); err != nil {
+			limit, failErr = i, err
+			break
+		}
+	}
+	gov := e.newGovern(opts.Budget)
+	// Sweep unconsumed spill files however the run ends — completion,
+	// cancel, budget abort, or a task panic unwinding through us.
+	defer gov.spill.cleanup()
+	results, runErr := e.runPipelined(ctx, p, working, e.workers(), limit, opts.Progress, gov)
+	// Fold completed jobs in declared order so the outputs database and
+	// the stats slice are independent of the schedule.
+	outputs := relation.NewDatabase()
+	stats := make([]JobStats, 0, len(p.Jobs))
+	timings := make([]JobTiming, 0, len(p.Jobs))
+	for _, res := range results {
+		if !res.done {
+			continue
+		}
+		for _, r := range res.outs.Relations() {
+			outputs.Put(r)
+		}
+		stats = append(stats, res.stats)
+		timings = append(timings, res.timing)
+	}
+	if runErr != nil {
+		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
+			return nil, stats, timings, fmt.Errorf("mr: program canceled: %w", runErr)
+		}
+		return nil, stats, timings, fmt.Errorf("mr: program aborted: %w", runErr)
+	}
+	if failErr != nil {
+		return nil, stats, timings, fmt.Errorf("mr: job %s: %w", p.Jobs[limit].Name, failErr)
+	}
+	return outputs, stats, timings, nil
 }

@@ -9,7 +9,7 @@ import "sync/atomic"
 // known once its maps finish), so Done can briefly equal Total for a
 // stage that will still grow; JobsDone == JobsTotal is the reliable
 // completion signal. A Progress observes exactly one run — pass a fresh
-// value to each RunProgramObserved call.
+// value to each Run call.
 //
 // All methods are safe for concurrent use; a nil *Progress is a valid
 // no-op observer, which is how unobserved runs skip the bookkeeping.

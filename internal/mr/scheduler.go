@@ -2,7 +2,6 @@ package mr
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/relation"
 )
@@ -42,9 +41,9 @@ type consumerRef struct {
 // the relations it would read under sequential execution — each
 // relation has a unique producer (Validate forbids overwrites) and a
 // consumer part waits for precisely that producer's merge shard.
-// Results and stats are therefore bit-for-bit identical to
-// runSequential at every pool width; the caller folds them in declared
-// job order.
+// Results and stats are therefore bit-for-bit identical to a whole-job-
+// at-a-time sequential run at every pool width (the tests' runSequential
+// oracle); the caller folds them in declared job order.
 //
 // Cancellation stops the pool at the next task boundary (see
 // runTasks): jobs whose done callback already fired are complete —
@@ -104,22 +103,4 @@ func (e *Engine) runPipelined(ctx context.Context, p *Program, working *relation
 		}
 	})
 	return results, err
-}
-
-// runSequential executes the jobs strictly in declared order, one
-// whole job at a time: the reference schedule the pipelined scheduler
-// must match bit for bit (the differential tests compare against it).
-func (e *Engine) runSequential(p *Program, working *relation.Database) ([]progResult, error) {
-	results := make([]progResult, len(p.Jobs))
-	for i, job := range p.Jobs {
-		outs, st, err := e.RunJob(job, working)
-		if err != nil {
-			return results, fmt.Errorf("mr: job %s: %w", job.Name, err)
-		}
-		for _, r := range outs.Relations() {
-			working.Put(r)
-		}
-		results[i] = progResult{outs: outs, stats: st, done: true}
-	}
-	return results, nil
 }

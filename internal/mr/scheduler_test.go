@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
@@ -100,9 +101,9 @@ func TestRunProgramDeterminismAcrossWorkers(t *testing.T) {
 	var baseSig string
 	var baseStats []JobStats
 	for _, w := range widths {
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = w
-		outs, stats, err := e.RunProgram(p, db)
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = w
+		outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -137,8 +138,8 @@ func TestRunProgramDeterminismAcrossWorkers(t *testing.T) {
 func TestRunProgramMatchesSequentialOracle(t *testing.T) {
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		p, db := diamondProgram()
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = w
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = w
 
 		working := relation.NewDatabase()
 		for _, r := range db.Relations() {
@@ -157,7 +158,7 @@ func TestRunProgramMatchesSequentialOracle(t *testing.T) {
 			wantStats = append(wantStats, res.stats)
 		}
 
-		outs, stats, err := e.RunProgram(p, db)
+		outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,11 +203,11 @@ func TestRunProgramJobsOverlap(t *testing.T) {
 	}
 	p := &Program{Jobs: []*Job{gated("ja", "A", "OutA"), gated("jb", "B", "OutB")}}
 
-	e := NewEngine(cost.Default())
-	e.Parallelism = 2 // two pool workers: both jobs' map tasks can run at once
+	e := newTestEngine(cost.Default())
+	e.cfg.Workers = 2 // two pool workers: both jobs' map tasks can run at once
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := e.RunProgram(p, db)
+		_, _, _, err := e.Run(context.Background(), p, db, RunOptions{})
 		done <- err
 	}()
 
@@ -229,9 +230,9 @@ func TestRunProgramJobsOverlap(t *testing.T) {
 func TestRunProgramRespectsDependencies(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		p, db := diamondProgram()
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = 8
-		outs, _, err := e.RunProgram(p, db)
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = 8
+		outs, _, _, err := e.Run(context.Background(), p, db, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,9 +256,9 @@ func TestRunProgramErrorDeterministic(t *testing.T) {
 			broken("broken1", "B1"),
 			broken("broken2", "B2"),
 		}}
-		e := NewEngine(cost.Default())
-		e.Parallelism = 4
-		_, stats, err := e.RunProgram(p, testDB())
+		e := newTestEngine(cost.Default())
+		e.cfg.Workers = 4
+		_, stats, _, err := e.Run(context.Background(), p, testDB(), RunOptions{})
 		if err == nil {
 			t.Fatal("broken program succeeded")
 		}
@@ -277,8 +278,8 @@ func TestRunProgramErrorDeterministic(t *testing.T) {
 // database are safe and produce the sequential results.
 func TestConcurrentRunJobShared(t *testing.T) {
 	db := testDB()
-	e := NewEngine(cost.Default())
-	want, wantStats, err := e.RunJob(semijoinJob(false), db)
+	e := newTestEngine(cost.Default())
+	want, wantStats, err := e.RunJob(context.Background(), semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestConcurrentRunJobShared(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
-			outs[g], stats[g], errs[g] = e.RunJob(semijoinJob(false), db)
+			outs[g], stats[g], errs[g] = e.RunJob(context.Background(), semijoinJob(false), db)
 		}(g)
 	}
 	wg.Wait()
@@ -315,15 +316,15 @@ func TestConcurrentRunJobShared(t *testing.T) {
 func TestConcurrentRunProgramShared(t *testing.T) {
 	p1, db := diamondProgram()
 	p2, _ := diamondProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = 4
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = 4
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
 	for g, p := range []*Program{p1, p2} {
 		go func(g int, p *Program) {
 			defer wg.Done()
-			_, _, errs[g] = e.RunProgram(p, db)
+			_, _, _, errs[g] = e.Run(context.Background(), p, db, RunOptions{})
 		}(g, p)
 	}
 	wg.Wait()
@@ -336,9 +337,9 @@ func TestConcurrentRunProgramShared(t *testing.T) {
 
 // TestRunProgramEmpty covers the zero-job edge.
 func TestRunProgramEmpty(t *testing.T) {
-	e := NewEngine(cost.Default())
-	e.Parallelism = 4
-	outs, stats, err := e.RunProgram(&Program{}, testDB())
+	e := newTestEngine(cost.Default())
+	e.cfg.Workers = 4
+	outs, stats, _, err := e.Run(context.Background(), &Program{}, testDB(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,10 +389,10 @@ func TestRunProgramPipelinesAcrossJobBarrier(t *testing.T) {
 	})
 
 	p := &Program{Jobs: []*Job{upstream, downstream}}
-	e := NewEngine(cost.Default())
-	e.Parallelism = 2
+	e := newTestEngine(cost.Default())
+	e.cfg.Workers = 2
 	start := time.Now()
-	outs, _, err := e.RunProgram(p, db)
+	outs, _, _, err := e.Run(context.Background(), p, db, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,10 +59,10 @@ func spillFilesIn(t *testing.T, dir string) []string {
 // retired by the time it returns.
 func TestSpillDifferential(t *testing.T) {
 	p, db := diamondProgram()
-	oracle := NewEngine(cost.Default().Scaled(0.001))
-	oracle.Parallelism = 1
-	oracle.SpillThreshold = -1 // spill off even under the CI gate's env override
-	wantOuts, wantStats, err := oracle.RunProgram(p, db)
+	oracle := newTestEngine(cost.Default().Scaled(0.001))
+	oracle.cfg.Workers = 1
+	oracle.cfg.SpillThreshold = -1 // spill off even under the CI gate's env override
+	wantOuts, wantStats, _, err := oracle.Run(context.Background(), p, db, RunOptions{})
 	if err != nil {
 		t.Fatalf("oracle run failed: %v", err)
 	}
@@ -75,12 +75,12 @@ func TestSpillDifferential(t *testing.T) {
 		}
 		seen[width] = true
 		dir := t.TempDir()
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = width
-		e.SpillThreshold = 1
-		e.SpillDir = dir
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = width
+		e.cfg.SpillThreshold = 1
+		e.cfg.SpillDir = dir
 		budget := NewBudget(0) // count-only: MemStats without a limit
-		outs, stats, _, err := e.RunProgramGoverned(context.Background(), p, db, nil, budget)
+		outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
 		if err != nil {
 			t.Fatalf("width %d: spill run failed: %v", width, err)
 		}
@@ -183,22 +183,22 @@ func TestNonSpillablePartitionStaysInMemory(t *testing.T) {
 		}
 	}
 	db := testDB()
-	ref := NewEngine(cost.Default().Scaled(0.001))
-	ref.SpillThreshold = -1
-	wantOuts, wantStats, _, err := ref.RunProgramGoverned(context.Background(),
-		&Program{Jobs: []*Job{mkJob()}}, db, nil, nil)
+	ref := newTestEngine(cost.Default().Scaled(0.001))
+	ref.cfg.SpillThreshold = -1
+	wantOuts, wantStats, _, err := ref.Run(context.Background(),
+		&Program{Jobs: []*Job{mkJob()}}, db, RunOptions{})
 	if err != nil {
 		t.Fatalf("reference run failed: %v", err)
 	}
 
 	dir := t.TempDir()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.Parallelism = 4
-	e.SpillThreshold = 1
-	e.SpillDir = dir
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.Workers = 4
+	e.cfg.SpillThreshold = 1
+	e.cfg.SpillDir = dir
 	budget := NewBudget(0)
-	outs, stats, _, err := e.RunProgramGoverned(context.Background(),
-		&Program{Jobs: []*Job{mkJob()}}, db, nil, budget)
+	outs, stats, _, err := e.Run(context.Background(),
+		&Program{Jobs: []*Job{mkJob()}}, db, RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatalf("non-spillable run failed: %v", err)
 	}
@@ -229,12 +229,12 @@ func TestSpillAbortLeavesNoTempFiles(t *testing.T) {
 	// Measure a clean spill-on run's total charge so the budget case can
 	// pick a limit that is guaranteed to trip mid-run.
 	p, db := diamondProgram()
-	probe := NewEngine(cost.Default().Scaled(0.001))
-	probe.Parallelism = 4
-	probe.SpillThreshold = 1
-	probe.SpillDir = t.TempDir()
+	probe := newTestEngine(cost.Default().Scaled(0.001))
+	probe.cfg.Workers = 4
+	probe.cfg.SpillThreshold = 1
+	probe.cfg.SpillDir = t.TempDir()
 	budget := NewBudget(0)
-	if _, _, _, err := probe.RunProgramGoverned(context.Background(), p, db, nil, budget); err != nil {
+	if _, _, _, err := probe.Run(context.Background(), p, db, RunOptions{Budget: budget}); err != nil {
 		t.Fatalf("probe run failed: %v", err)
 	}
 	charged := budget.Stats().ChargedBytes
@@ -244,12 +244,12 @@ func TestSpillAbortLeavesNoTempFiles(t *testing.T) {
 
 	t.Run("budget", func(t *testing.T) {
 		dir := t.TempDir()
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = 4
-		e.SpillThreshold = 1
-		e.SpillDir = dir
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = 4
+		e.cfg.SpillThreshold = 1
+		e.cfg.SpillDir = dir
 		p, db := diamondProgram()
-		outs, _, _, err := e.RunProgramGoverned(context.Background(), p, db, nil, NewBudget(charged/2))
+		outs, _, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: NewBudget(charged / 2)})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 		}
@@ -271,12 +271,12 @@ func TestSpillAbortLeavesNoTempFiles(t *testing.T) {
 			}
 		}})
 		defer restore()
-		e := NewEngine(cost.Default().Scaled(0.001))
-		e.Parallelism = 4
-		e.SpillThreshold = 1
-		e.SpillDir = dir
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = 4
+		e.cfg.SpillThreshold = 1
+		e.cfg.SpillDir = dir
 		p, db := diamondProgram()
-		outs, _, _, err := e.RunProgramGoverned(ctx, p, db, nil, nil)
+		outs, _, _, err := e.Run(ctx, p, db, RunOptions{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -289,22 +289,16 @@ func TestSpillAbortLeavesNoTempFiles(t *testing.T) {
 	})
 }
 
-// TestSpillEnvThreshold pins the CI gate's hook: SpillThreshold 0 reads
-// GUMBO_SPILL_THRESHOLD, a negative threshold wins over the
-// environment, and an unset/garbage variable leaves spill off.
-func TestSpillEnvThreshold(t *testing.T) {
-	t.Setenv("GUMBO_SPILL_THRESHOLD", "123")
-	e := NewEngine(cost.Default())
-	if gov := e.newGovern(nil); gov.spill == nil || gov.threshold != 123 {
-		t.Errorf("env threshold not honored: %+v", gov)
-	}
-	e.SpillThreshold = -1
-	if gov := e.newGovern(nil); gov.spill != nil {
-		t.Errorf("negative threshold did not disable spill")
-	}
-	t.Setenv("GUMBO_SPILL_THRESHOLD", "nope")
-	e.SpillThreshold = 0
-	if gov := e.newGovern(nil); gov.spill != nil {
-		t.Errorf("garbage env value enabled spill")
+// TestSpillThresholdOffAtZero pins the two-valued convention: a positive
+// Config.SpillThreshold turns spill on, zero and negative leave it off.
+func TestSpillThresholdOffAtZero(t *testing.T) {
+	for _, c := range []struct {
+		threshold int64
+		on        bool
+	}{{123, true}, {0, false}, {-1, false}} {
+		e := NewEngine(Config{Cost: cost.Default(), SpillThreshold: c.threshold})
+		if gov := e.newGovern(nil); (gov.spill != nil) != c.on {
+			t.Errorf("SpillThreshold %d: spill on = %v, want %v", c.threshold, gov.spill != nil, c.on)
+		}
 	}
 }

@@ -6,8 +6,8 @@ import "bytes"
 //
 // After the shuffle stage the engine knows every reduce partition's
 // modelled byte load (taskPartition.loads, summed in declared order).
-// When Engine.SplitThreshold is active and a partition's load exceeds
-// threshold × the mean partition load, the partition is split at key
+// When Config.SkewSplit is active and a partition's load exceeds
+// that ratio × the mean partition load, the partition is split at key
 // boundaries derived from the shuffle-time heavy-key sketch
 // (sketch.go) into sub-partition reduce tasks that the work-stealing
 // pool schedules independently — the hot partition's sort and the
@@ -97,7 +97,7 @@ func unsplitSlots(r int) []reduceSlot {
 // order, so the plan is a function of the job and the data alone.
 func (jr *jobRun) planReduceSlots() []reduceSlot {
 	r := jr.reducers
-	if jr.gov.split <= 0 || r == 0 {
+	if jr.e.cfg.SkewSplit <= 0 || r == 0 {
 		return unsplitSlots(r)
 	}
 	loads := make([]int64, r)
@@ -124,7 +124,7 @@ func (jr *jobRun) planReduceSlots() []reduceSlot {
 	mean := float64(total) / float64(r)
 	slots := make([]reduceSlot, 0, r)
 	for ri := 0; ri < r; ri++ {
-		if float64(loads[ri]) <= jr.gov.split*mean {
+		if float64(loads[ri]) <= jr.e.cfg.SkewSplit*mean {
 			slots = append(slots, reduceSlot{ri: ri})
 			continue
 		}

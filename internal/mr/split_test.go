@@ -49,11 +49,11 @@ func TestSkewSplitDifferential(t *testing.T) {
 	}{{"memory", -1}, {"spill", 1}} {
 		t.Run(mode.name, func(t *testing.T) {
 			p, db := skewedProgram()
-			oracle := NewEngine(cost.Default().Scaled(0.001))
-			oracle.Parallelism = 1
-			oracle.SplitThreshold = -1 // splitting off even under the CI gate's env override
-			oracle.SpillThreshold = -1
-			wantOuts, wantStats, err := oracle.RunProgram(p, db)
+			oracle := newTestEngine(cost.Default().Scaled(0.001))
+			oracle.cfg.Workers = 1
+			oracle.cfg.SkewSplit = -1 // splitting off even under the CI gate's env override
+			oracle.cfg.SpillThreshold = -1
+			wantOuts, wantStats, _, err := oracle.Run(context.Background(), p, db, RunOptions{})
 			if err != nil {
 				t.Fatalf("oracle run failed: %v", err)
 			}
@@ -69,13 +69,13 @@ func TestSkewSplitDifferential(t *testing.T) {
 					continue
 				}
 				seen[width] = true
-				e := NewEngine(cost.Default().Scaled(0.001))
-				e.Parallelism = width
-				e.SplitThreshold = 1.3
-				e.SpillThreshold = mode.spill
-				e.SpillDir = t.TempDir()
+				e := newTestEngine(cost.Default().Scaled(0.001))
+				e.cfg.Workers = width
+				e.cfg.SkewSplit = 1.3
+				e.cfg.SpillThreshold = mode.spill
+				e.cfg.SpillDir = t.TempDir()
 				budget := NewBudget(0)
-				outs, stats, _, err := e.RunProgramGoverned(context.Background(), p, db, nil, budget)
+				outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
 				if err != nil {
 					t.Fatalf("width %d: split run failed: %v", width, err)
 				}
@@ -116,9 +116,9 @@ func TestSkewSplitDifferential(t *testing.T) {
 // exactly (every slot is a whole partition) and no tasks are split.
 func TestSkewSplitOffMatchesLoads(t *testing.T) {
 	p, db := skewedProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.SplitThreshold = -1
-	_, stats, err := e.RunProgram(p, db)
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.SkewSplit = -1
+	_, stats, _, err := e.Run(context.Background(), p, db, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +136,9 @@ func TestSkewSplitOffMatchesLoads(t *testing.T) {
 // reduce time, leaving TotalSeconds the sum of the four task kinds.
 func TestSkewSplitTiming(t *testing.T) {
 	p, db := skewedProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.SplitThreshold = 1.3
-	_, stats, timings, err := e.RunProgramTimed(p, db)
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.SkewSplit = 1.3
+	_, stats, timings, err := e.Run(context.Background(), p, db, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,42 +159,14 @@ func TestSkewSplitTiming(t *testing.T) {
 	}
 }
 
-// TestSkewSplitEnvKnob pins the CI gate's hook: SplitThreshold 0 reads
-// GUMBO_SKEW_SPLIT, a negative threshold wins over the environment,
-// and an unset/garbage/non-positive variable leaves splitting off.
-func TestSkewSplitEnvKnob(t *testing.T) {
-	t.Setenv("GUMBO_SKEW_SPLIT", "1.7")
-	e := NewEngine(cost.Default())
-	if gov := e.newGovern(nil); gov.split != 1.7 {
-		t.Errorf("env ratio not honored: split = %v", gov.split)
-	}
-	if !e.SkewSplitEnabled() {
-		t.Errorf("SkewSplitEnabled() = false with env ratio set")
-	}
-	e.SplitThreshold = -1
-	if gov := e.newGovern(nil); gov.split != 0 {
-		t.Errorf("negative threshold did not disable splitting: %v", gov.split)
-	}
-	if e.SkewSplitEnabled() {
-		t.Errorf("SkewSplitEnabled() = true with negative threshold")
-	}
-	e.SplitThreshold = 0
-	for _, v := range []string{"nope", "-2", "0"} {
-		t.Setenv("GUMBO_SKEW_SPLIT", v)
-		if gov := e.newGovern(nil); gov.split != 0 {
-			t.Errorf("env %q enabled splitting: %v", v, gov.split)
-		}
-	}
-}
-
 // TestSkewSplitPlanLayout unit-tests planReduceSlots' slot geometry
 // directly: slots are reducer-major, a split partition's sub-ranges
 // are ascending and contiguous (each slot's hi is the next slot's lo,
 // with unbounded outer edges), and light partitions stay whole.
 func TestSkewSplitPlanLayout(t *testing.T) {
 	p, db := skewedProgram()
-	e := NewEngine(cost.Default().Scaled(0.001))
-	e.SplitThreshold = 1.3
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	e.cfg.SkewSplit = 1.3
 	gov := e.newGovern(nil)
 	var slots []reduceSlot
 	jr := e.newJobRun(p.Jobs[0], gov, nil, func(c *poolCtx, jr *jobRun) {

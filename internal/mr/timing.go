@@ -1,13 +1,5 @@
 package mr
 
-import (
-	"context"
-	"errors"
-	"fmt"
-
-	"repro/internal/relation"
-)
-
 // JobTiming aggregates the measured host wall-clock spent inside one
 // job's task units, by task kind. Each field sums the durations of that
 // kind's tasks (CPU-seconds of work, not the job's elapsed span: with a
@@ -35,92 +27,4 @@ type JobTiming struct {
 // TotalSeconds returns the summed task time of all four kinds.
 func (t JobTiming) TotalSeconds() float64 {
 	return t.MapSeconds + t.ShuffleSeconds + t.ReduceSeconds + t.MergeSeconds
-}
-
-// RunProgramTimed is RunProgram returning, additionally, the measured
-// per-job task timings, aligned index-for-index with the returned stats
-// (completed jobs in declared order). See JobTiming for what the
-// numbers mean and why they are not part of JobStats.
-func (e *Engine) RunProgramTimed(p *Program, db *relation.Database) (*relation.Database, []JobStats, []JobTiming, error) {
-	//lint:ignore ctxpass RunProgramTimed is the documented no-cancellation entry point; callers below the API layer use RunProgramTimedCtx
-	return e.RunProgramObserved(context.Background(), p, db, nil)
-}
-
-// RunProgramTimedCtx is RunProgramTimed honoring ctx: see
-// RunProgramObserved for the cancellation contract.
-func (e *Engine) RunProgramTimedCtx(ctx context.Context, p *Program, db *relation.Database) (*relation.Database, []JobStats, []JobTiming, error) {
-	return e.RunProgramObserved(ctx, p, db, nil)
-}
-
-// RunProgramObserved is the engine's full program entry point: it runs
-// the program honoring ctx and, when prog is non-nil, mirrors live
-// task-completion counters into it (one fresh Progress per run; nil
-// skips the bookkeeping).
-//
-// Cancellation semantics: the pool stops at the next task boundary —
-// never mid-task, so no partially folded state is ever observable.
-// Jobs that completed before the cancel report their stats and timings
-// (bit-for-bit identical to an uncanceled run's), the outputs database
-// is nil, and the returned error wraps ctx.Err(), so
-// errors.Is(err, context.Canceled) (or DeadlineExceeded) holds. A
-// canceled ctx always yields that error, even when the run raced to
-// completion first. The input database is never modified, canceled or
-// not: runs mutate only a private working copy.
-func (e *Engine) RunProgramObserved(ctx context.Context, p *Program, db *relation.Database, prog *Progress) (*relation.Database, []JobStats, []JobTiming, error) {
-	return e.RunProgramGoverned(ctx, p, db, prog, nil)
-}
-
-// RunProgramGoverned is RunProgramObserved charging the run's bulk
-// allocations — arena chunks, shuffle partitions, merge shards, spill
-// buffers — to budget (nil = unaccounted; see Budget). A run that
-// charges past the budget's limit stops on the cancellation path with
-// the same guarantees: nil outputs, completed jobs' stats bit-for-bit,
-// the input database untouched, no goroutines or temp files left — and
-// the returned error matches ErrBudgetExceeded via errors.Is.
-func (e *Engine) RunProgramGoverned(ctx context.Context, p *Program, db *relation.Database, prog *Progress, budget *Budget) (*relation.Database, []JobStats, []JobTiming, error) {
-	if err := p.Validate(db.Names()); err != nil {
-		return nil, nil, nil, err
-	}
-	working := relation.NewDatabase()
-	for _, r := range db.Relations() {
-		working.Put(r)
-	}
-	limit := len(p.Jobs)
-	var failErr error
-	for i, job := range p.Jobs {
-		if err := job.validate(); err != nil {
-			limit, failErr = i, err
-			break
-		}
-	}
-	gov := e.newGovern(budget)
-	// Sweep unconsumed spill files however the run ends — completion,
-	// cancel, budget abort, or a task panic unwinding through us.
-	defer gov.spill.cleanup()
-	results, runErr := e.runPipelined(ctx, p, working, e.workers(), limit, prog, gov)
-	// Fold completed jobs in declared order so the outputs database and
-	// the stats slice are independent of the schedule.
-	outputs := relation.NewDatabase()
-	stats := make([]JobStats, 0, len(p.Jobs))
-	timings := make([]JobTiming, 0, len(p.Jobs))
-	for _, res := range results {
-		if !res.done {
-			continue
-		}
-		for _, r := range res.outs.Relations() {
-			outputs.Put(r)
-		}
-		stats = append(stats, res.stats)
-		timings = append(timings, res.timing)
-	}
-	if runErr != nil {
-		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
-			return nil, stats, timings, fmt.Errorf("mr: program canceled: %w", runErr)
-		}
-		return nil, stats, timings, fmt.Errorf("mr: program aborted: %w", runErr)
-	}
-	if failErr != nil {
-		return nil, stats, timings, fmt.Errorf("mr: job %s: %w", p.Jobs[limit].Name, failErr)
-	}
-	return outputs, stats, timings, nil
 }

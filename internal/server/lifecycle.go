@@ -23,7 +23,7 @@ import (
 // Cancellation, however triggered — client disconnect, the per-query
 // deadline, or the abort endpoint — releases the admission slot and
 // never leaves partial output visible: the engine drops canceled runs'
-// state wholesale (see mr.RunProgramObserved).
+// state wholesale (see mr.Engine.Run).
 
 // statusClientClosedRequest is the de-facto status (nginx's 499) for a
 // run whose context was canceled — by the client going away or by an

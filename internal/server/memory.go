@@ -11,7 +11,7 @@ import (
 // its cost-model-predicted bytes against a global ledger before it
 // runs; when the ledger is saturated, new queries are rejected with 503
 // and a Retry-After hint instead of being executed. Each run is then
-// governed by a per-query byte budget (gumbo.RunPlanGoverned): a query
+// governed by a per-query byte budget (gumbo.RunOptions.Budget): a query
 // whose actual charges outgrow its budget is aborted deterministically
 // with 413, leaving the database untouched. Spill-to-disk (configured
 // on the System) lowers resident memory pressure underneath both.

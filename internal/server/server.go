@@ -9,9 +9,9 @@
 //   - Admission control: a semaphore (Config.ConcurrentJobs) bounds how
 //     many plan executions run at once; excess requests queue instead of
 //     oversubscribing the host. Each admitted plan executes on its own
-//     work-stealing worker pool of Config.PhaseWorkers goroutines
-//     (gumbo.WithHostWorkers), so the engine's total worker count is
-//     bounded by PhaseWorkers × admitted plans.
+//     work-stealing worker pool (gumbo.WithHostWorkers in
+//     Config.Options), so the engine's total worker count is bounded by
+//     pool width × admitted plans.
 //   - Plan caching: parsed-and-planned queries are kept in an LRU cache
 //     keyed by database instance, Database.Generation, strategy and
 //     canonical query text, so repeated query text skips parsing,
@@ -63,15 +63,11 @@ var strategies = map[string]gumbo.Strategy{
 
 // Config configures a Server.
 type Config struct {
-	// PhaseWorkers sizes the worker pool each plan execution runs on
-	// (gumbo.WithHostWorkers; 0 = GOMAXPROCS): every task of that plan
-	// — across all of its jobs — shares those goroutines.
 	// ConcurrentJobs sizes the admission-control semaphore
 	// (0 = GOMAXPROCS): at most that many plan executions run at once;
 	// further requests queue. Total engine workers are therefore
-	// bounded by PhaseWorkers × ConcurrentJobs; size the pair to the
-	// host together.
-	PhaseWorkers   int
+	// bounded by the pool width (gumbo.WithHostWorkers) ×
+	// ConcurrentJobs; size the pair to the host together.
 	ConcurrentJobs int
 	// PlanCacheSize bounds the LRU plan cache (entries; 0 = 128).
 	PlanCacheSize int
@@ -104,18 +100,10 @@ type Config struct {
 	// (gumbo.ErrBudgetExceeded). It also clamps the per-query
 	// reservation taken against MemBudget.
 	QueryMemBudget int64
-	// SpillThreshold and SpillDir configure shuffle spill-to-disk on
-	// the shared System (gumbo.WithSpill): partitions whose modelled
-	// bytes reach the threshold go to temp files under SpillDir.
-	SpillThreshold int64
-	SpillDir       string
-	// SkewSplit configures runtime skew splitting on the shared System
-	// (gumbo.WithSkewSplit): reduce partitions heavier than the ratio ×
-	// the mean are split into independently scheduled sub-tasks. 0 =
-	// GUMBO_SKEW_SPLIT env, negative = off.
-	SkewSplit float64
-	// Options are applied to the shared gumbo.System after
-	// WithHostWorkers (e.g. gumbo.WithScale for scaled-down costs).
+	// Options configure the shared gumbo.System: the engine's pool
+	// width, spill and skew splitting (gumbo.WithHostWorkers, WithSpill,
+	// WithSkewSplit) and the cost model (e.g. gumbo.WithScale for
+	// scaled-down costs).
 	Options []gumbo.Option
 }
 
@@ -186,17 +174,12 @@ func New(cfg Config) *Server {
 	if maxBody <= 0 {
 		maxBody = 32 << 20
 	}
-	opts := append([]gumbo.Option{
-		gumbo.WithHostWorkers(cfg.PhaseWorkers),
-		gumbo.WithSpill(cfg.SpillThreshold, cfg.SpillDir),
-		gumbo.WithSkewSplit(cfg.SkewSplit),
-	}, cfg.Options...)
 	queryMem := cfg.QueryMemBudget
 	if queryMem < 0 {
 		queryMem = 0
 	}
 	return &Server{
-		sys:      gumbo.New(opts...),
+		sys:      gumbo.New(cfg.Options...),
 		cache:    newPlanCache(cfg.PlanCacheSize),
 		sem:      make(chan struct{}, admit),
 		window:   window,
@@ -333,7 +316,7 @@ func (s *Server) runQuery(ctx context.Context, dbe *dbEntry, q *gumbo.Query, str
 		}
 		defer s.mem.release(need)
 	}
-	res, err = s.sys.RunPlanGoverned(ctx, plan, dbe.db, qi.progress, gumbo.NewBudget(s.queryMem))
+	res, err = s.sys.RunPlanCtx(ctx, plan, dbe.db, gumbo.RunOptions{Progress: qi.progress, Budget: gumbo.NewBudget(s.queryMem)})
 	return res, hit, err
 }
 
