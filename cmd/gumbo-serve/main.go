@@ -46,6 +46,12 @@ func main() {
 		skewSplit    = flag.Float64("skew-split", 0, "split reduce partitions heavier than this ratio x the mean load (0 = off)")
 	)
 	flag.Parse()
+	if *spillThresh > 0 {
+		// Fail at start-up, not with a 500 on the first query that spills.
+		if err := checkSpillDir(*spillDir); err != nil {
+			log.Fatalf("gumbo-serve: -spill-dir is not a writable directory: %v", err)
+		}
+	}
 
 	cfg := server.Config{
 		ConcurrentJobs: *jobs,
@@ -93,4 +99,16 @@ func main() {
 			log.Fatalf("gumbo-serve: shutdown: %v", err)
 		}
 	}
+}
+
+// checkSpillDir reports whether spill files can be created in dir
+// ("" = the system temp dir, as the engine resolves it) by creating and
+// removing one.
+func checkSpillDir(dir string) error {
+	f, err := os.CreateTemp(dir, "gumbo-spill-probe-*")
+	if err != nil {
+		return err
+	}
+	f.Close()
+	return os.Remove(f.Name())
 }

@@ -113,6 +113,12 @@ const (
 // carries the limit and the charged/requested totals.
 var ErrBudgetExceeded = mr.ErrBudgetExceeded
 
+// ErrSpill is the sentinel a run's error matches (errors.Is) when
+// shuffle spill (WithSpill) failed on the host: the spill directory is
+// missing or not writable, the disk is full, a segment read back
+// corrupt. The query is not at fault.
+var ErrSpill = mr.ErrSpill
+
 // NewBudget returns a budget aborting runs that charge more than limit
 // bytes (0 = unlimited, accounting only). A Budget governs one run:
 // charges accumulate and are never released, so pass a fresh Budget to

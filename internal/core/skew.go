@@ -15,54 +15,28 @@ import (
 // can be computed at the expense of an additional round." This file
 // implements that adaptation for MSJ jobs: heavy join keys are detected
 // by sampling the guard relations; requests on a heavy key are salted
-// across SaltFactor sub-keys (spreading the hot reducer's load), and the
+// across saltFactor sub-keys (spreading the hot reducer's load), and the
 // small assert messages are replicated to every salt — semantics are
-// unchanged, reduce-side balance improves.
-
-// SkewConfig parameterizes heavy-hitter detection and mitigation.
-type SkewConfig struct {
-	// HeavyFraction marks a join key heavy when it covers more than
-	// this fraction of its guard relation's facts (default 0.01).
-	HeavyFraction float64
-	// SaltFactor is the number of sub-keys a heavy key is spread over
-	// (default 16).
-	SaltFactor int
-	// SampleEvery is the detection sampling stride (default 100).
-	SampleEvery int
-	// RuntimeSplit declares that the executing engine performs runtime
-	// skew splitting (mr.Config.SkewSplit / gumbo.WithSkewSplit).
-	// Static salting then stands down: detection is skipped and jobs are
-	// built unsalted, leaving skew to the engine's sub-partition tasks —
-	// salting the same hot keys twice would only inflate key bytes and
-	// assert replication without improving balance further.
-	RuntimeSplit bool
-}
-
-// DefaultSkewConfig returns the default mitigation parameters.
-func DefaultSkewConfig() SkewConfig {
-	return SkewConfig{HeavyFraction: 0.01, SaltFactor: 16, SampleEvery: 100}
-}
-
-func (c SkewConfig) normalized() SkewConfig {
-	if c.HeavyFraction <= 0 {
-		c.HeavyFraction = 0.01
-	}
-	if c.SaltFactor < 2 {
-		c.SaltFactor = 16
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 100
-	}
-	return c
-}
+// unchanged, reduce-side balance improves. Salting divides a hot key's
+// group, which the engine's runtime range splitting (mr/split.go) cannot
+// — a key group is one Reduce call — so the two are independent: a
+// salted plan runs the same under any engine configuration.
+const (
+	// heavyFraction marks a join key heavy when it covers more than this
+	// fraction of its guard relation's sampled facts.
+	heavyFraction = 0.01
+	// saltFactor is the number of sub-keys a heavy key is spread over.
+	saltFactor = 16
+	// heavySampleEvery is the detection sampling stride.
+	heavySampleEvery = 100
+)
 
 // DetectHeavyKeys samples the guard relations of eqs and returns the
-// set of join-key strings whose frequency exceeds HeavyFraction of
+// set of join-key strings whose frequency exceeds heavyFraction of
 // their relation ("heavy hitters"). This is the paper's extra sampling
 // pass; it costs one scan of a sample per distinct (guard, join key)
 // projection.
-func DetectHeavyKeys(cfg SkewConfig, eqs []Equation, db *relation.Database) map[string]bool {
-	cfg = cfg.normalized()
+func DetectHeavyKeys(eqs []Equation, db *relation.Database) map[string]bool {
 	heavy := make(map[string]bool)
 	seen := make(map[string]bool) // packing groups already sampled
 	for _, eq := range eqs {
@@ -79,17 +53,14 @@ func DetectHeavyKeys(cfg SkewConfig, eqs []Equation, db *relation.Database) map[
 		proj := sgf.NewProjector(eq.Guard, eq.JoinVars)
 		counts := make(map[string]int)
 		sampled := 0
-		for i := 0; i < rel.Size(); i += cfg.SampleEvery {
+		for i := 0; i < rel.Size(); i += heavySampleEvery {
 			sampled++
 			t := rel.Tuple(i)
 			if matcher.Matches(t) {
 				counts[proj.Apply(t).Key()]++
 			}
 		}
-		if sampled == 0 {
-			continue
-		}
-		threshold := cfg.HeavyFraction * float64(sampled)
+		threshold := heavyFraction * float64(sampled)
 		for k, n := range counts {
 			if float64(n) > threshold {
 				heavy[k] = true
@@ -122,13 +93,12 @@ func saltOf(id int64, factor int) int {
 // requests whose join key is heavy, the key is salted by the guard
 // tuple id; asserts on a heavy key are replicated to every salt. Keys
 // outside the heavy set behave exactly as in NewMSJJob.
-func NewMSJJobSkew(name string, eqs []Equation, heavy map[string]bool, cfg SkewConfig) (*mr.Job, error) {
-	cfg = cfg.normalized()
+func NewMSJJobSkew(name string, eqs []Equation, heavy map[string]bool) (*mr.Job, error) {
 	base, err := NewMSJJob(name, eqs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RuntimeSplit || len(heavy) == 0 {
+	if len(heavy) == 0 {
 		return base, nil
 	}
 	inner := base.Mapper
@@ -144,9 +114,9 @@ func NewMSJJobSkew(name string, eqs []Equation, heavy map[string]bool, cfg SkewC
 			}
 			switch m := msg.(type) {
 			case ReqID:
-				emit(appendSalt(append(sb[:0], key...), saltOf(m.ID, cfg.SaltFactor)), msg)
+				emit(appendSalt(append(sb[:0], key...), saltOf(m.ID, saltFactor)), msg)
 			case Assert:
-				for s := 0; s < cfg.SaltFactor; s++ {
+				for s := 0; s < saltFactor; s++ {
 					emit(appendSalt(append(sb[:0], key...), s), msg)
 				}
 			default:
@@ -161,16 +131,11 @@ func NewMSJJobSkew(name string, eqs []Equation, heavy map[string]bool, cfg SkewC
 // SkewAwareBasicPlan is BasicPlan with skew mitigation applied to every
 // MSJ job (the EVAL job's keys are guard-tuple ids and are skew-free by
 // construction).
-func SkewAwareBasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equation, partition [][]int, db *relation.Database, cfg SkewConfig) (*Plan, error) {
+func SkewAwareBasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equation, partition [][]int, db *relation.Database) (*Plan, error) {
 	if !ValidPartition(partition, len(eqs)) {
 		return nil, fmt.Errorf("core: %s: invalid partition over %d equations", name, len(eqs))
 	}
-	var heavy map[string]bool
-	if !cfg.RuntimeSplit {
-		// With runtime splitting on, skip the sampling pass entirely —
-		// its result would be discarded by NewMSJJobSkew anyway.
-		heavy = DetectHeavyKeys(cfg, eqs, db)
-	}
+	heavy := DetectHeavyKeys(eqs, db)
 	plan := &Plan{Name: name, Strategy: strategy}
 	var msjIdxs []int
 	for gi, group := range partition {
@@ -181,7 +146,7 @@ func SkewAwareBasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs
 		for k, i := range group {
 			sub[k] = eqs[i]
 		}
-		job, err := NewMSJJobSkew(fmt.Sprintf("%s/msj%d", name, gi), sub, heavy, cfg)
+		job, err := NewMSJJobSkew(fmt.Sprintf("%s/msj%d", name, gi), sub, heavy)
 		if err != nil {
 			return nil, err
 		}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/mr"
 	"repro/internal/refeval"
 	"repro/internal/relation"
 	"repro/internal/sgf"
@@ -47,7 +49,7 @@ func TestDetectHeavyKeys(t *testing.T) {
 	db := skewedDB(20000, 0.3, 1)
 	prog := skewQuery()
 	eqs := ExtractEquations(prog.Queries)
-	heavy := DetectHeavyKeys(DefaultSkewConfig(), eqs, db)
+	heavy := DetectHeavyKeys(eqs, db)
 	hotKey := relation.Tuple{relation.Value(7)}.Key()
 	if !heavy[hotKey] {
 		t.Fatalf("hot key not detected; heavy set size %d", len(heavy))
@@ -59,7 +61,7 @@ func TestDetectHeavyKeys(t *testing.T) {
 	}
 	// Uniform data: nothing heavy.
 	uniform := skewedDB(20000, 0, 2)
-	if got := DetectHeavyKeys(DefaultSkewConfig(), eqs, uniform); len(got) != 0 {
+	if got := DetectHeavyKeys(eqs, uniform); len(got) != 0 {
 		t.Errorf("uniform data produced heavy keys: %d", len(got))
 	}
 }
@@ -73,7 +75,7 @@ func TestSkewMitigationPreservesOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, err := SkewAwareBasicPlan("skew", StrategyGreedy, prog.Queries, eqs,
-		OneGroup(len(eqs)), db, DefaultSkewConfig())
+		OneGroup(len(eqs)), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +99,11 @@ func TestSkewMitigationBalancesReducers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy := DetectHeavyKeys(DefaultSkewConfig(), eqs, db)
+	heavy := DetectHeavyKeys(eqs, db)
 	if len(heavy) == 0 {
 		t.Fatal("no heavy keys detected")
 	}
-	salted, err := NewMSJJobSkew("salted", eqs, heavy, DefaultSkewConfig())
+	salted, err := NewMSJJobSkew("salted", eqs, heavy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestSkewJobNoHeavyKeysIsPlainMSJ(t *testing.T) {
 	db := skewedDB(1000, 0, 5)
 	prog := skewQuery()
 	eqs := ExtractEquations(prog.Queries)
-	job, err := NewMSJJobSkew("x", eqs, nil, DefaultSkewConfig())
+	job, err := NewMSJJobSkew("x", eqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,41 +137,45 @@ func TestSkewJobNoHeavyKeysIsPlainMSJ(t *testing.T) {
 	_ = db
 }
 
-// TestSkewRuntimeSplitDefersSalting: with RuntimeSplit set the static
-// mitigation stands down — jobs come back unsalted (plain MSJ name and
-// mapper) even with heavy keys in hand, and SkewAwareBasicPlan still
-// produces the correct output (the engine's runtime splitter owns skew
-// then; its own differential lives in internal/mr).
-func TestSkewRuntimeSplitDefersSalting(t *testing.T) {
+// TestSaltedPlanIgnoresEngineSplit pins the decoupling: salting is a
+// property of the plan alone. The same salted plan run on an engine
+// with runtime splitting on keeps its salted job and gives outputs and
+// stats bit-for-bit equal (up to the split observability fields) to a
+// split-off engine's — and to the reference evaluator.
+func TestSaltedPlanIgnoresEngineSplit(t *testing.T) {
 	db := skewedDB(20000, 0.3, 6)
 	prog := skewQuery()
 	eqs := ExtractEquations(prog.Queries)
-	cfg := DefaultSkewConfig()
-	cfg.RuntimeSplit = true
-	job, err := NewMSJJobSkew("x", eqs, map[string]bool{"k": true}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Name != "x" {
-		t.Errorf("RuntimeSplit job still salted: %s", job.Name)
-	}
 	want, err := refeval.EvalOutput(prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := SkewAwareBasicPlan("defer", StrategyGreedy, prog.Queries, eqs,
-		OneGroup(len(eqs)), db, cfg)
+	plan, err := SkewAwareBasicPlan("salt", StrategyGreedy, prog.Queries, eqs,
+		OneGroup(len(eqs)), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runPlan(t, plan, db)
-	if !got.Equal(want) {
-		t.Errorf("deferred plan output wrong:\n%s\nvs\n%s", got.Dump(), want.Dump())
+	if plan.Jobs[0].Name != "salt/msj0+skew" {
+		t.Fatalf("plan over a 30%% hot key is not salted: job %s", plan.Jobs[0].Name)
 	}
-	for _, j := range plan.Jobs {
-		if j.Name == "defer/msj0+skew" {
-			t.Errorf("plan salted job %s despite RuntimeSplit", j.Name)
+	run := func(split float64) (*relation.Relation, []mr.JobStats) {
+		e := mr.NewEngine(mr.Config{Cost: cost.Default().Scaled(0.0002), SkewSplit: split})
+		outs, stats, _, err := e.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
+		if err != nil {
+			t.Fatalf("split %v: %v", split, err)
 		}
+		for i := range stats {
+			stats[i] = stats[i].StripSplitInfo()
+		}
+		return outs.Relation("Z"), stats
+	}
+	offOut, offStats := run(0)
+	onOut, onStats := run(1.3)
+	if !offOut.Equal(want) || !onOut.Equal(want) {
+		t.Errorf("salted plan output differs from the reference evaluator")
+	}
+	if !reflect.DeepEqual(onStats, offStats) {
+		t.Errorf("salted plan stats depend on the engine's split setting:\n%+v\nvs\n%+v", onStats, offStats)
 	}
 }
 

@@ -6,9 +6,9 @@
 // the RunJob/Run caller. A raw goroutine is invisible to both —
 // work it performs can outlive the run (racing the next job's reuse of
 // shared buffers) and a panic in it crashes the process instead of
-// surfacing as an error. The two sanctioned primitives that *implement*
-// structured concurrency for the pool (runTasks's worker loop,
-// parallelFor's barriered helper) carry //lint:ignore directives.
+// surfacing as an error. The two go statements that *implement* the
+// pool (runTasks's worker loop and its cancellation watcher) carry
+// //lint:ignore directives.
 //
 // The check applies to non-test files of packages named "mr"; tests
 // exercising the pool from outside may use goroutines freely.

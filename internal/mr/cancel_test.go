@@ -313,12 +313,21 @@ func TestPoolCancelQuiesces(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, width := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		ctx, cancel := context.WithCancel(context.Background())
+		// ran counts only tasks that start after the cancel: siblings
+		// legitimately steal and run queued tasks while the seed is still
+		// spawning.
+		var canceled atomic.Bool
 		var ran atomic.Int64
 		err := runTasks(ctx, width, func(c *poolCtx) {
 			for i := 0; i < 64; i++ {
-				c.spawn(func(c *poolCtx) { ran.Add(1) })
+				c.spawn(func(c *poolCtx) {
+					if canceled.Load() {
+						ran.Add(1)
+					}
+				})
 			}
 			cancel()
+			canceled.Store(true)
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("width %d: runTasks err = %v, want context.Canceled", width, err)

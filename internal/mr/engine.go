@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
@@ -36,8 +34,11 @@ import (
 // object), shuffle partitions are built with counted two-pass placement
 // into one backing array per task, reduce-side grouping is sort-based
 // with an MSD radix sort on the key bytes (see group.go and radix.go),
-// and job outputs merge through a counted, pre-sized parallel merge
-// (relation.Merge). None of this changes what the engine computes —
+// and job outputs merge through a counted, pre-sized merge
+// (relation.Merge). Every goroutine a run starts is a pool worker (or
+// the pool's cancellation watcher): tasks never fan out on their own,
+// so panic containment and cancellation cover all of the engine's
+// concurrency. None of this changes what the engine computes —
 // outputs and stats are bit-for-bit identical at every parallelism
 // setting and to the earlier barriered, phase-at-a-time engine.
 type Engine struct {
@@ -222,74 +223,6 @@ func hashKey(key []byte) uint32 {
 		h *= prime32
 	}
 	return h
-}
-
-// parallelFor runs fn(0..n-1) on up to `workers` goroutines. Indices are
-// handed out as contiguous chunks through a single atomic counter — no
-// mutex on the hot path, and chunking keeps tiny per-index bodies from
-// thrashing the counter. On error the remaining chunks are abandoned and
-// the lowest-indexed recorded error is returned.
-//
-// The engine's stages run on the task pool (pool.go); parallelFor
-// remains the fan-out primitive for fine-grained work nested inside one
-// task, such as the parallel top radix level (radix.go).
-func parallelFor(workers, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		errIdx int
-		err    error
-	)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		//lint:ignore rawgo parallelFor is a sanctioned concurrency primitive: helpers are wg-joined before return and panics surface via the barrier
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				start := int(next.Add(int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					if e := fn(i); e != nil {
-						mu.Lock()
-						if err == nil || i < errIdx {
-							err, errIdx = e, i
-						}
-						mu.Unlock()
-						failed.Store(true)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return err
 }
 
 // Sample runs the job's mapper over every sampleStride-th tuple of each

@@ -382,22 +382,6 @@ func TestCostSpecConversion(t *testing.T) {
 	}
 }
 
-func TestParallelFor(t *testing.T) {
-	seen := make([]bool, 100)
-	err := parallelFor(8, 100, func(i int) error {
-		seen[i] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d not visited", i)
-		}
-	}
-}
-
 func TestPackedSizeBytes(t *testing.T) {
 	p := Packed{Msgs: []Message{intMsg(1), intMsg(2), intMsg(3)}}
 	if p.SizeBytes() != 24 {

@@ -53,14 +53,13 @@ func keyPrefix(key []byte) uint64 {
 // sortIndexByKey returns record indices ordered so that walking them
 // visits keys in ascending byte order and, within one key, records in
 // arrival order. Large inputs are sorted by an MSD radix sort over the
-// key bytes, parallelized across up to `workers` goroutines at the top
-// radix level; small inputs (and small radix buckets) fall back to a
+// key bytes; small inputs (and small radix buckets) fall back to a
 // comparison sort on the packed key prefix (see radix.go). Both paths
 // produce the same total key order — plain lexicographic byte order —
 // and both are unstable within one key (duplicate-key runs collapse);
 // arrival order within each run is restored afterwards with a cheap
 // integer sort by the callers.
-func sortIndexByKey(recs []record, workers int) []int32 {
+func sortIndexByKey(recs []record) []int32 {
 	n := len(recs)
 	size := n
 	if n >= radixMinLen {
@@ -71,12 +70,9 @@ func sortIndexByKey(recs []record, workers int) []int32 {
 	for i := range recs {
 		refs[i] = keyRef{prefix: keyPrefix(recs[i].key), idx: int32(i)}
 	}
-	switch {
-	case n < radixMinLen:
+	if n < radixMinLen {
 		sortRefs(recs, refs)
-	case workers > 1:
-		msdRadixParallel(recs, refs, buf[n:], workers)
-	default:
+	} else {
 		msdRadix(recs, refs, buf[n:], 0)
 	}
 	idx := make([]int32, n)
@@ -98,14 +94,12 @@ func runEnd(recs []record, idx []int32, i int) int {
 
 // forEachGroup groups one reduce partition's records by key and calls fn
 // once per distinct key; it is forEachGroupIdx over a freshly computed
-// serial sort index (a reduce partition task computes the index itself
-// so the sort can borrow the pool's spare workers — see
-// jobRun.reduceTask).
+// sort index.
 func forEachGroup(recs []record, fn func(key []byte, msgs []Message)) {
 	if len(recs) == 0 {
 		return
 	}
-	forEachGroupIdx(recs, sortIndexByKey(recs, 1), fn)
+	forEachGroupIdx(recs, sortIndexByKey(recs), fn)
 }
 
 // forEachGroupIdx walks a sorted index (from sortIndexByKey) as key runs
@@ -169,7 +163,7 @@ func packRecords(recs []record) []record {
 	if len(recs) == 0 {
 		return recs
 	}
-	idx := sortIndexByKey(recs, 1)
+	idx := sortIndexByKey(recs)
 	out := make([]record, 0, len(recs))
 	// One message arena per task: every packed run is a sub-slice, so
 	// packing costs two allocations per map task however many keys the

@@ -114,6 +114,52 @@ type taskPartition struct {
 	sketch *keySketch
 }
 
+// count returns the capacity a reduce task should reserve for this
+// partition's share of slot s: exact for in-memory records (a sub-range
+// task allocates its own share, not the whole partition's), the
+// segment's record count — an upper bound under a sub-range — for a
+// spilled partition, which is range-filtered only while decoding.
+func (tp *taskPartition) count(s reduceSlot) int {
+	if tp.spill != nil {
+		return int(tp.spill.segs[s.ri].count)
+	}
+	recs := tp.parts[s.ri]
+	if !s.split() {
+		return len(recs)
+	}
+	n := 0
+	for i := range recs {
+		if keyInRange(recs[i].key, s.lo, s.hi) {
+			n++
+		}
+	}
+	return n
+}
+
+// appendTo appends this partition's records of reducer s.ri whose key
+// falls in the slot's range, in the order the shuffle placed them, and
+// returns their modelled bytes — the slot's share of the partition
+// load. In memory or streamed back from the spill file, whole or
+// sub-range, the reducer sees the same record sequence; the whole
+// in-memory case (every default-config run) is one bulk append.
+func (tp *taskPartition) appendTo(dst []record, s reduceSlot, b *Budget) ([]record, int64, error) {
+	if tp.spill != nil {
+		return tp.spill.appendSegment(dst, s.ri, s.lo, s.hi, b)
+	}
+	recs := tp.parts[s.ri]
+	if !s.split() {
+		return append(dst, recs...), tp.loads[s.ri], nil
+	}
+	var load int64
+	for i := range recs {
+		if keyInRange(recs[i].key, s.lo, s.hi) {
+			dst = append(dst, recs[i])
+			load += recs[i].size
+		}
+	}
+	return dst, load, nil
+}
+
 // newJobRun prepares the task-graph state for one job. The job must
 // already have passed (*Job).validate.
 func (e *Engine) newJobRun(job *Job, gov govern,
@@ -379,7 +425,7 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 	jr.slots = slots
 	jr.slotLoads = make([]int64, len(slots))
 	for _, s := range slots {
-		if s.split {
+		if s.split() {
 			jr.stats.SplitReduceTasks++
 		}
 	}
@@ -398,75 +444,30 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 // partition in declared part/task order (so the records it sees — and
 // the measured load — are identical to a serial pass over the tasks),
 // sorts the records by key and walks key runs through the user
-// Reducer. A full-range slot takes the whole partition; a split slot
-// keeps only the records whose key falls in its [lo, hi) sub-range —
-// the same declared-order scan, filtered, so concatenating the
-// sub-slots' inputs in slot order reproduces the unsplit sequence.
-// When the pool has parked workers (fewer runnable tasks than width),
-// they parallelize the key sort's top radix level — sized from actual
-// pool idleness, so overlapping jobs' reduce tasks don't each assume
-// they own the machine; the sorted order is identical either way.
+// Reducer. What "its share" means — a whole partition or a [lo, hi)
+// key sub-range of it, held in memory or spilled — is taskPartition's
+// business (count, appendTo): this loop is the one ordered-fold reader
+// of docs/INVARIANTS.md.
 func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 	start := time.Now()
 	slot := jr.slots[si]
-	ri := slot.ri
 	n := 0
 	for part := range jr.taskParts {
 		for ti := range jr.taskParts[part] {
-			tp := &jr.taskParts[part][ti]
-			switch {
-			case tp.spill != nil:
-				// Upper bound: spilled segments are range-filtered only
-				// while decoding.
-				n += int(tp.spill.segs[ri].count)
-			case slot.split:
-				// Exact count, so each sub-range task allocates its own
-				// share rather than the whole partition's.
-				for _, r := range tp.parts[ri] {
-					if keyInRange(r.key, slot.lo, slot.hi) {
-						n++
-					}
-				}
-			default:
-				n += len(tp.parts[ri])
-			}
+			n += jr.taskParts[part][ti].count(slot)
 		}
 	}
 	partRecs := make([]record, 0, n)
 	var load int64
 	for part := range jr.taskParts {
 		for ti := range jr.taskParts[part] {
-			tp := &jr.taskParts[part][ti]
-			switch {
-			case tp.spill != nil && !slot.split:
-				// Stream the spilled segment back in the same declared
-				// (part, task) slot the in-memory path concatenates in:
-				// the reducer sees an identical record sequence.
-				var err error
-				partRecs, err = tp.spill.appendSegment(partRecs, ri, jr.gov.budget)
-				if err != nil {
-					panic(taskAbort{err: err})
-				}
-				load += tp.loads[ri]
-			case tp.spill != nil:
-				var kept int64
-				var err error
-				partRecs, kept, err = tp.spill.appendSegmentRange(partRecs, ri, slot.lo, slot.hi, jr.gov.budget)
-				if err != nil {
-					panic(taskAbort{err: err})
-				}
-				load += kept
-			case !slot.split:
-				partRecs = append(partRecs, tp.parts[ri]...)
-				load += tp.loads[ri]
-			default:
-				for _, r := range tp.parts[ri] {
-					if keyInRange(r.key, slot.lo, slot.hi) {
-						partRecs = append(partRecs, r)
-						load += r.size
-					}
-				}
+			var kept int64
+			var err error
+			partRecs, kept, err = jr.taskParts[part][ti].appendTo(partRecs, slot, jr.gov.budget)
+			if err != nil {
+				panic(taskAbort{err: err})
 			}
+			load += kept
 		}
 	}
 	jr.slotLoads[si] = load
@@ -478,7 +479,7 @@ func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 		// already a single group in arrival order, no sort needed.
 		idx = identityIndex(len(partRecs))
 	} else {
-		idx = sortIndexByKey(partRecs, c.spare())
+		idx = sortIndexByKey(partRecs)
 	}
 	forEachGroupIdx(partRecs, idx, func(key []byte, msgs []Message) {
 		jr.job.Reducer.Reduce(key, msgs, out)
@@ -486,7 +487,7 @@ func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 	dur := time.Since(start).Seconds()
 	jr.mu.Lock()
 	jr.timing.ReduceSeconds += dur
-	if slot.split {
+	if slot.split() {
 		jr.timing.SplitSeconds += dur
 	}
 	jr.redsLeft--
@@ -562,11 +563,7 @@ func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 			srcs = append(srcs, r)
 		}
 	}
-	// Shard the merge across the pool's parked workers only: under the
-	// pipelined scheduler several jobs' merge tasks can run at once,
-	// and each sizing itself at full pool width would oversubscribe the
-	// host. Merge results are identical at every width.
-	merged := relation.Merge(name, jr.job.Outputs[name], srcs, c.spare())
+	merged := relation.Merge(name, jr.job.Outputs[name], srcs)
 	// The merge-shard accounting site: the merged relation is charged
 	// before it is published to downstream consumers.
 	jr.gov.budget.charge(merged.Bytes())

@@ -42,22 +42,6 @@ func (c *poolCtx) spawn(fn poolTask) {
 	c.pool.spawn(c.id, fn)
 }
 
-// spare returns 1 + the number of currently parked workers: the width
-// a task may use for nested fine-grained fan-out (the radix sort's top
-// level, relation.Merge's shards) without oversubscribing the pool.
-// With other jobs' tasks runnable the pool is busy and spare is 1 —
-// nested work stays serial; a lone reduce partition on an otherwise
-// idle pool gets the whole width, as the barriered engine gave it. The
-// count is an instantaneous hint, not a reservation (overlapping tasks
-// may observe the same idle workers); results never depend on it.
-func (c *poolCtx) spare() int {
-	p := c.pool
-	p.mu.Lock()
-	n := p.idle
-	p.mu.Unlock()
-	return n + 1
-}
-
 // taskDeque is one worker's task queue. A plain mutex-guarded slice:
 // pool tasks are coarse (thousands of records each), so queue traffic
 // is far too low for the lock to matter.

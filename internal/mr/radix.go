@@ -10,8 +10,7 @@ import (
 // heavy duplication — exactly the shape where a byte-histogram radix
 // pass beats comparison sorting: one pass buckets the whole partition by
 // its leading key byte, long duplicate-key runs collapse into single
-// buckets after a few levels, and the top-level pass parallelizes
-// cleanly across the pool's spare workers.
+// buckets after a few levels.
 //
 // Both the radix path and the comparison fallback realize the same total
 // order — plain lexicographic byte order on keys. The comparison
@@ -88,71 +87,4 @@ func msdRadix(recs []record, refs, tmp []keyRef, level int) {
 			msdRadix(recs, refs[lo:hi], tmp[lo:hi], level+1)
 		}
 	}
-}
-
-// msdRadixParallel is msdRadix with the top level fanned out across up
-// to `workers` goroutines: per-chunk histograms, a deterministic
-// partitioned scatter (chunk c's share of bucket b lands at a
-// precomputed offset, so the layout is independent of goroutine
-// scheduling), then one goroutine per non-trivial bucket for the
-// remaining levels. tmp is scratch of the same length as refs.
-func msdRadixParallel(recs []record, refs, tmp []keyRef, workers int) {
-	n := len(refs)
-	nchunks := workers
-	if nchunks > n {
-		nchunks = n
-	}
-	chunk := (n + nchunks - 1) / nchunks
-	// Rounding chunk up can make trailing chunks empty (workers² > n);
-	// drop them so every chunk's lower bound stays inside refs.
-	nchunks = (n + chunk - 1) / chunk
-	bounds := func(c int) (int, int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return lo, hi
-	}
-	hist := make([][256]int, nchunks)
-	parallelFor(workers, nchunks, func(c int) error {
-		lo, hi := bounds(c)
-		h := &hist[c]
-		for _, r := range refs[lo:hi] {
-			h[byte(r.prefix>>56)]++
-		}
-		return nil
-	})
-	var bucketLo [257]int
-	starts := make([][256]int, nchunks)
-	off := 0
-	for b := 0; b < 256; b++ {
-		bucketLo[b] = off
-		for c := 0; c < nchunks; c++ {
-			starts[c][b] = off
-			off += hist[c][b]
-		}
-	}
-	bucketLo[256] = off
-	parallelFor(workers, nchunks, func(c int) error {
-		lo, hi := bounds(c)
-		pos := &starts[c]
-		for _, r := range refs[lo:hi] {
-			b := byte(r.prefix >> 56)
-			tmp[pos[b]] = r
-			pos[b]++
-		}
-		return nil
-	})
-	parallelFor(workers, 256, func(b int) error {
-		lo, hi := bucketLo[b], bucketLo[b+1]
-		if lo == hi {
-			return nil
-		}
-		copy(refs[lo:hi], tmp[lo:hi])
-		if hi-lo > 1 {
-			msdRadix(recs, refs[lo:hi], tmp[lo:hi], 1)
-		}
-		return nil
-	})
 }

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzRadixSort differentially checks the MSD radix sort (serial and
-// parallel top level) and the comparison fallback against a stdlib
-// oracle: all three must realize plain lexicographic byte order on keys
-// and permute the record indices. Fuzz data decodes into
+// FuzzRadixSort differentially checks the MSD radix sort and the
+// comparison fallback against a stdlib oracle: both must realize plain
+// lexicographic byte order on keys and permute the record indices. Fuzz data decodes into
 // length-prefixed keys, which are then tiled to duplicate-heavy inputs
 // at the sizes where the sort changes regime: radixBucketCutoff (96)
 // ±1, where a radix level hands buckets to the comparison sort, and
@@ -69,8 +68,8 @@ func decodeFuzzKeys(data []byte) [][]byte {
 	return keys
 }
 
-// checkRadixAgainstOracle runs sortRefs, msdRadix and msdRadixParallel
-// over the same records and verifies each against slices.SortStableFunc
+// checkRadixAgainstOracle runs sortRefs and msdRadix over the same
+// records and verifies each against slices.SortStableFunc
 // with bytes.Compare: the key sequence must match the oracle's exactly
 // (the paths are unstable within one key, so indices are checked only
 // for being a permutation — position-wise key equality plus a
@@ -107,5 +106,4 @@ func checkRadixAgainstOracle(t *testing.T, recs []record) {
 	}
 	check("sortRefs", func(refs, tmp []keyRef) { sortRefs(recs, refs) })
 	check("msdRadix", func(refs, tmp []keyRef) { msdRadix(recs, refs, tmp, 0) })
-	check("msdRadixParallel", func(refs, tmp []keyRef) { msdRadixParallel(recs, refs, tmp, 3) })
 }

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"bytes"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sort"
@@ -45,8 +44,7 @@ func recsFromKeys(keys [][]byte) []record {
 }
 
 // TestRadixMatchesComparisonSort is the old-vs-new differential for the
-// sort itself: the radix path (serial and parallel) must visit keys in
-// exactly the order of the string-key implementation it replaced —
+// sort itself: the radix path must visit keys in exactly the order of the string-key implementation it replaced —
 // plain lexicographic order, pinned here by sort.Strings — and must be
 // a permutation of the input.
 func TestRadixMatchesComparisonSort(t *testing.T) {
@@ -63,24 +61,18 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 		}
 		sort.Strings(want)
 
-		// Worker counts above sqrt(n) cover the empty-trailing-chunk
-		// case in msdRadixParallel (chunk rounding used to leave chunks
-		// whose lower bound fell past the end of refs).
-		for _, workers := range []int{1, 4, 16, 100, radixMinLen * 5} {
-			idx := sortIndexByKey(recs, workers)
-			if len(idx) != n {
-				t.Fatalf("trial %d workers %d: index len %d, want %d", trial, workers, len(idx), n)
+		idx := sortIndexByKey(recs)
+		if len(idx) != n {
+			t.Fatalf("trial %d: index len %d, want %d", trial, len(idx), n)
+		}
+		seen := make([]bool, n)
+		for pos, id := range idx {
+			if seen[id] {
+				t.Fatalf("trial %d: index %d visited twice", trial, id)
 			}
-			seen := make([]bool, n)
-			for pos, id := range idx {
-				if seen[id] {
-					t.Fatalf("trial %d workers %d: index %d visited twice", trial, workers, id)
-				}
-				seen[id] = true
-				if got := string(recs[id].key); got != want[pos] {
-					t.Fatalf("trial %d workers %d: key %d = %q, want %q",
-						trial, workers, pos, got, want[pos])
-				}
+			seen[id] = true
+			if got := string(recs[id].key); got != want[pos] {
+				t.Fatalf("trial %d: key %d = %q, want %q", trial, pos, got, want[pos])
 			}
 		}
 	}
@@ -107,20 +99,7 @@ func TestForEachGroupBoundariesAdversarialKeys(t *testing.T) {
 		want := groupTrace(refGroup, append([]record(nil), recs...))
 		got := groupTrace(forEachGroup, append([]record(nil), recs...))
 		if got != want {
-			t.Fatalf("trial %d: serial grouping diverged:\n got %s\nwant %s", trial, got, want)
-		}
-		// The engine's parallel-sort path must walk identical runs.
-		parallel := append([]record(nil), recs...)
-		var ptrace string
-		forEachGroupIdx(parallel, sortIndexByKey(parallel, 8), func(key []byte, msgs []Message) {
-			ptrace += fmt.Sprintf("%q:", key)
-			for _, m := range msgs {
-				ptrace += fmt.Sprintf("%v,", m)
-			}
-			ptrace += ";"
-		})
-		if ptrace != want {
-			t.Fatalf("trial %d: parallel grouping diverged:\n got %s\nwant %s", trial, ptrace, want)
+			t.Fatalf("trial %d: grouping diverged:\n got %s\nwant %s", trial, got, want)
 		}
 	}
 }

@@ -12,12 +12,13 @@ import (
 // the shuffle stage. When a map task's shuffle partition crosses the
 // run's spill threshold, shuffleTask serializes the partition's
 // per-reducer runs into one temp file — reducer segments in reducer
-// order — and drops the in-memory records; reduceTask streams each
-// task's segment back in the same declared (part, task) order the
-// in-memory path concatenates in, so the records a reducer sees — and
-// therefore outputs and JobStats — are bit-for-bit identical to the
-// in-memory run (pinned by the spill differential tests and the CI
-// spill gate, which re-runs the whole mr suite with a tiny threshold).
+// order — and drops the in-memory records; the reduce stage's one
+// reader (taskPartition.appendTo) streams each task's segment back in
+// the same declared (part, task) position the in-memory records would
+// occupy, so the records a reducer sees — and therefore outputs and
+// JobStats — are bit-for-bit identical to the in-memory run (pinned by
+// TestOrderedFoldDifferential and CI's reader-configuration loop, which
+// re-runs the whole mr suite with a tiny threshold).
 //
 // Spilling is opt-in per message type: the engine cannot serialize an
 // arbitrary Message, so messages implement SpillMessage and register a
@@ -99,7 +100,13 @@ func init() {
 	})
 }
 
-var errSpillCorrupt = errors.New("mr: spill: corrupt record encoding")
+// ErrSpill is the sentinel matched (via errors.Is) by every error of
+// the spill path — a temp file that cannot be created, written or read
+// back, a segment that does not decode. These are faults of the host
+// (spill directory missing, disk full), never of the query.
+var ErrSpill = errors.New("mr: spill")
+
+var errSpillCorrupt = fmt.Errorf("%w: corrupt record encoding", ErrSpill)
 
 // spillableLeaf reports whether one message can travel through a spill
 // file: it implements SpillMessage and its tag has a decoder.
@@ -178,7 +185,7 @@ func decodeSpillMessage(b []byte) (Message, []byte, error) {
 	}
 	dec := spillDecoders[b[0]]
 	if dec == nil {
-		return nil, nil, fmt.Errorf("mr: spill: no decoder for tag %d", b[0])
+		return nil, nil, fmt.Errorf("%w: no decoder for tag %d", ErrSpill, b[0])
 	}
 	return dec(b[1:])
 }
@@ -251,7 +258,7 @@ func newSpillSet(dir string) *spillSet {
 func (s *spillSet) create() (*os.File, error) {
 	f, err := os.CreateTemp(s.dir, "gumbo-spill-*")
 	if err != nil {
-		return nil, fmt.Errorf("mr: spill: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrSpill, err)
 	}
 	s.mu.Lock()
 	s.files[f] = struct{}{}
@@ -328,7 +335,7 @@ func (s *spillSet) writePartition(tp *taskPartition, b *Budget) (*spillPartition
 		}
 		if _, err := f.Write(scratch); err != nil {
 			s.drop(f)
-			return nil, fmt.Errorf("mr: spill write: %w", err)
+			return nil, fmt.Errorf("%w: write: %w", ErrSpill, err)
 		}
 		sp.segs[p] = spillSeg{off: off, len: int64(len(scratch)), count: int32(len(recs))}
 		off += int64(len(scratch))
@@ -337,49 +344,23 @@ func (s *spillSet) writePartition(tp *taskPartition, b *Budget) (*spillPartition
 	return sp, nil
 }
 
-// appendSegment reads reducer ri's segment back and decodes its
-// records onto dst. The read buffer is charged to the budget; keys
-// alias it. Concurrent reduce tasks may read different segments of one
-// file (ReadAt is positional and thread-safe).
-func (sp *spillPartition) appendSegment(dst []record, ri int, b *Budget) ([]record, error) {
-	seg := sp.segs[ri]
-	if seg.count == 0 {
-		return dst, nil
-	}
-	buf := grabBytes(b, int(seg.len))
-	if _, err := sp.f.ReadAt(buf, seg.off); err != nil {
-		return dst, fmt.Errorf("mr: spill read: %w", err)
-	}
-	for i := 0; i < int(seg.count); i++ {
-		r, rest, err := decodeSpillRecord(buf)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, r)
-		buf = rest
-	}
-	if len(buf) != 0 {
-		return dst, errSpillCorrupt
-	}
-	return dst, nil
-}
-
-// appendSegmentRange is appendSegment keeping only the records whose
-// key falls in [lo, hi) — the spill path of a split sub-range reduce
-// task (split.go). It also returns the modelled bytes of the kept
-// records, the sub-task's share of the partition load. The whole
-// segment is read and decoded per sub-task: redundant work, but
-// deterministic and budget-charged per task, and bounded by the
-// sub-range cap (splitMaxKeys) on how many sub-tasks one partition
-// can become.
-func (sp *spillPartition) appendSegmentRange(dst []record, ri int, lo, hi []byte, b *Budget) ([]record, int64, error) {
+// appendSegment reads reducer ri's segment back and decodes onto dst the
+// records whose key falls in [lo, hi) (nil bounds = all of them),
+// returning their modelled bytes. The read buffer is charged to the
+// budget; keys alias it. Concurrent reduce tasks may read different
+// segments of one file (ReadAt is positional and thread-safe). Each
+// sub-range task of a split partition reads and decodes the whole
+// segment: redundant work, but deterministic and budget-charged per
+// task, and bounded by the sub-range cap (splitMaxKeys) on how many
+// sub-tasks one partition can become.
+func (sp *spillPartition) appendSegment(dst []record, ri int, lo, hi []byte, b *Budget) ([]record, int64, error) {
 	seg := sp.segs[ri]
 	if seg.count == 0 {
 		return dst, 0, nil
 	}
 	buf := grabBytes(b, int(seg.len))
 	if _, err := sp.f.ReadAt(buf, seg.off); err != nil {
-		return dst, 0, fmt.Errorf("mr: spill read: %w", err)
+		return dst, 0, fmt.Errorf("%w: read: %w", ErrSpill, err)
 	}
 	var kept int64
 	for i := 0; i < int(seg.count); i++ {

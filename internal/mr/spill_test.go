@@ -6,7 +6,6 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/cost"
@@ -16,9 +15,10 @@ import (
 // Spill support for the test message type: intMsg travels under tag 250
 // as a varint. Registered at package init exactly like production
 // message types (internal/core registers its tags the same way) — which
-// also makes the whole mr test suite spill-capable under the CI spill
-// gate's GUMBO_SPILL_THRESHOLD override, so every golden and
-// differential test in the package re-runs with partitions spilling.
+// also makes the whole mr test suite spill-capable under the CI
+// reader-configuration loop's GUMBO_SPILL_THRESHOLD override, so every
+// golden and differential test in the package re-runs with partitions
+// spilling.
 const spillTagIntMsg = 250
 
 func (m intMsg) SpillTag() byte { return spillTagIntMsg }
@@ -49,63 +49,6 @@ func spillFilesIn(t *testing.T, dir string) []string {
 		names = append(names, filepath.Base(m))
 	}
 	return names
-}
-
-// TestSpillDifferential is the spill correctness contract: with a
-// 1-byte threshold (every non-empty spillable partition goes to disk)
-// the golden diamond program's outputs and deep per-job stats are
-// bit-for-bit identical to a spill-disabled run, at pool widths 1, 4
-// and GOMAXPROCS — and the run actually spilled, with all temp files
-// retired by the time it returns.
-func TestSpillDifferential(t *testing.T) {
-	p, db := diamondProgram()
-	oracle := newTestEngine(cost.Default().Scaled(0.001))
-	oracle.cfg.Workers = 1
-	oracle.cfg.SpillThreshold = -1 // spill off even under the CI gate's env override
-	wantOuts, wantStats, _, err := oracle.Run(context.Background(), p, db, RunOptions{})
-	if err != nil {
-		t.Fatalf("oracle run failed: %v", err)
-	}
-	wantSig := programSignature(t, wantOuts)
-
-	seen := map[int]bool{}
-	for _, width := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		if width < 1 || seen[width] {
-			continue
-		}
-		seen[width] = true
-		dir := t.TempDir()
-		e := newTestEngine(cost.Default().Scaled(0.001))
-		e.cfg.Workers = width
-		e.cfg.SpillThreshold = 1
-		e.cfg.SpillDir = dir
-		budget := NewBudget(0) // count-only: MemStats without a limit
-		outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
-		if err != nil {
-			t.Fatalf("width %d: spill run failed: %v", width, err)
-		}
-		if sig := programSignature(t, outs); sig != wantSig {
-			t.Errorf("width %d: spilled outputs differ from in-memory run", width)
-		}
-		if !reflect.DeepEqual(stats, wantStats) {
-			t.Errorf("width %d: spilled stats differ:\n%+v\nvs\n%+v", width, stats, wantStats)
-		}
-		mem := budget.Stats()
-		if mem.SpilledParts == 0 {
-			t.Errorf("width %d: threshold 1 spilled no partitions", width)
-		}
-		if mem.SpilledBytes <= 0 {
-			t.Errorf("width %d: spilled %d partitions but 0 bytes", width, mem.SpilledParts)
-		}
-		if mem.ChargedBytes <= 0 {
-			t.Errorf("width %d: run charged no bytes", width)
-		}
-		// Consumed spill files are dropped the moment the reduce stage
-		// finishes with them — a completed run leaves nothing behind.
-		if files := spillFilesIn(t, dir); len(files) != 0 {
-			t.Errorf("width %d: completed run left spill files %v", width, files)
-		}
-	}
 }
 
 // TestSpillRecordRoundTrip pins the record wire form directly: single,

@@ -38,14 +38,18 @@ import "bytes"
 // JobStats.StripSplitInfo normalizes them for differential comparison.
 
 // reduceSlot is one scheduled reduce task: a whole reduce partition
-// (lo and hi nil, split false), or one key sub-range [lo, hi) of a
-// split partition. Slots are ordered reducer-major, sub-range-minor —
-// the order the output merge folds them in.
+// (lo and hi nil), or one key sub-range [lo, hi) of a split partition.
+// Slots are ordered reducer-major, sub-range-minor — the order the
+// output merge folds them in.
 type reduceSlot struct {
 	ri     int
 	lo, hi []byte // key range [lo, hi); nil bound = unbounded
-	split  bool
 }
+
+// split reports whether the slot is a sub-range of a split partition:
+// every such slot has at least one bound (planReduceSlots cuts only at
+// non-nil boundaries), a whole partition has none.
+func (s reduceSlot) split() bool { return s.lo != nil || s.hi != nil }
 
 // singleKey reports whether the slot's range can contain at most one
 // distinct key: hi is lo's immediate successor lo·0x00 — the range a
@@ -54,7 +58,7 @@ type reduceSlot struct {
 // order, and its reduce task skips the key sort: the serial work the
 // dominant key would otherwise pay, on top of the scheduling benefit.
 func (s reduceSlot) singleKey() bool {
-	return s.split && s.lo != nil && len(s.hi) == len(s.lo)+1 &&
+	return s.lo != nil && len(s.hi) == len(s.lo)+1 &&
 		s.hi[len(s.lo)] == 0 && bytes.HasPrefix(s.hi, s.lo)
 }
 
@@ -137,10 +141,10 @@ func (jr *jobRun) planReduceSlots() []reduceSlot {
 		}
 		var lo []byte
 		for _, b := range bounds {
-			slots = append(slots, reduceSlot{ri: ri, lo: lo, hi: b, split: true})
+			slots = append(slots, reduceSlot{ri: ri, lo: lo, hi: b})
 			lo = b
 		}
-		slots = append(slots, reduceSlot{ri: ri, lo: lo, split: true})
+		slots = append(slots, reduceSlot{ri: ri, lo: lo})
 	}
 	return slots
 }

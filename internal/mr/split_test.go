@@ -34,80 +34,122 @@ func skewedProgram() (*Program, *relation.Database) {
 	return &Program{Jobs: []*Job{sj}}, db
 }
 
-// TestSkewSplitDifferential is the tentpole contract: with runtime
-// splitting on, the skewed program's outputs and deep per-job stats
-// are bit-for-bit identical to a split-disabled sequential oracle at
-// pool widths 1, 4 and GOMAXPROCS — up to the split observability
-// fields, which StripSplitInfo removes and which must themselves be
-// identical at every width. The "spill" subtest re-runs the same
-// differential with a 1-byte spill threshold so split sub-range tasks
-// stream their share back through appendSegmentRange.
-func TestSkewSplitDifferential(t *testing.T) {
-	for _, mode := range []struct {
+// TestOrderedFoldDifferential is the contract of the one ordered-fold
+// reader (taskPartition.count/appendTo, docs/INVARIANTS.md): however a
+// reduce slot's input is held — in memory or spilled — and whatever it
+// covers — a whole partition or a key sub-range of a split one — the
+// run's outputs and deep per-job stats are bit-for-bit those of a
+// split-off, spill-off, width-1 oracle, at pool widths 1, 4 and
+// GOMAXPROCS. The split observability fields (removed by
+// StripSplitInfo) and the charged bytes are the only quantities allowed
+// to differ from the oracle, and both must be identical at every width.
+func TestOrderedFoldDifferential(t *testing.T) {
+	shapes := []struct {
+		name    string
+		program func() (*Program, *relation.Database)
+		split   float64
+	}{
+		{"whole", diamondProgram, -1},
+		{"sub-range", skewedProgram, 1.3},
+	}
+	stores := []struct {
 		name  string
 		spill int64
-	}{{"memory", -1}, {"spill", 1}} {
-		t.Run(mode.name, func(t *testing.T) {
-			p, db := skewedProgram()
-			oracle := newTestEngine(cost.Default().Scaled(0.001))
-			oracle.cfg.Workers = 1
-			oracle.cfg.SkewSplit = -1 // splitting off even under the CI gate's env override
-			oracle.cfg.SpillThreshold = -1
-			wantOuts, wantStats, _, err := oracle.Run(context.Background(), p, db, RunOptions{})
-			if err != nil {
-				t.Fatalf("oracle run failed: %v", err)
-			}
-			wantSig := programSignature(t, wantOuts)
-			if n := wantStats[0].SplitReduceTasks; n != 0 {
-				t.Fatalf("oracle split %d tasks with splitting off", n)
-			}
-
-			seen := map[int]bool{}
-			splitTasks := -1
-			for _, width := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				if width < 1 || seen[width] {
-					continue
-				}
-				seen[width] = true
-				e := newTestEngine(cost.Default().Scaled(0.001))
-				e.cfg.Workers = width
-				e.cfg.SkewSplit = 1.3
-				e.cfg.SpillThreshold = mode.spill
-				e.cfg.SpillDir = t.TempDir()
-				budget := NewBudget(0)
-				outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
+	}{{"memory", -1}, {"spill", 1}} // 1 byte: every non-empty spillable partition goes to disk
+	for _, store := range stores {
+		for _, shape := range shapes {
+			t.Run(store.name+"/"+shape.name, func(t *testing.T) {
+				p, db := shape.program()
+				oracle := newTestEngine(cost.Default().Scaled(0.001))
+				oracle.cfg.Workers = 1
+				oracle.cfg.SkewSplit = -1 // off even under the CI reader-configuration loop
+				oracle.cfg.SpillThreshold = -1
+				wantOuts, wantStats, _, err := oracle.Run(context.Background(), p, db, RunOptions{})
 				if err != nil {
-					t.Fatalf("width %d: split run failed: %v", width, err)
+					t.Fatalf("oracle run failed: %v", err)
 				}
-				if sig := programSignature(t, outs); sig != wantSig {
-					t.Errorf("width %d: split outputs differ from unsplit oracle", width)
+				wantSig := programSignature(t, wantOuts)
+
+				seen := map[int]bool{}
+				var splitTasks []int // per job, from the first width
+				charged := int64(-1)
+				for _, width := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+					if seen[width] {
+						continue
+					}
+					seen[width] = true
+					dir := t.TempDir()
+					e := newTestEngine(cost.Default().Scaled(0.001))
+					e.cfg.Workers = width
+					e.cfg.SkewSplit = shape.split
+					e.cfg.SpillThreshold = store.spill
+					e.cfg.SpillDir = dir
+					budget := NewBudget(0) // count-only: MemStats without a limit
+					outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
+					if err != nil {
+						t.Fatalf("width %d: run failed: %v", width, err)
+					}
+					if sig := programSignature(t, outs); sig != wantSig {
+						t.Errorf("width %d: outputs differ from the oracle", width)
+					}
+					if len(stats) != len(wantStats) {
+						t.Fatalf("width %d: %d job stats, want %d", width, len(stats), len(wantStats))
+					}
+					var tasks []int
+					splitTotal := 0
+					for i, s := range stats {
+						if got, want := s.StripSplitInfo(), wantStats[i].StripSplitInfo(); !reflect.DeepEqual(got, want) {
+							t.Errorf("width %d job %d: stats differ:\n%+v\nvs\n%+v", width, i, got, want)
+						}
+						tasks = append(tasks, s.SplitReduceTasks)
+						splitTotal += s.SplitReduceTasks
+						if s.SplitReduceTasks == 0 {
+							// Unsplit jobs owe the oracle the observability fields too.
+							if s.MaxReduceTaskMB != wantStats[i].MaxReduceTaskMB {
+								t.Errorf("width %d job %d: unsplit MaxReduceTaskMB %v, oracle %v",
+									width, i, s.MaxReduceTaskMB, wantStats[i].MaxReduceTaskMB)
+							}
+						} else if s.MaxReduceTaskMB >= s.MaxReduceLoadMB() {
+							t.Errorf("width %d job %d: MaxReduceTaskMB %.4f did not drop below MaxReduceLoadMB %.4f",
+								width, i, s.MaxReduceTaskMB, s.MaxReduceLoadMB())
+						}
+					}
+					if shape.split > 0 && splitTotal < 2 {
+						t.Errorf("width %d: SplitReduceTasks = %d, want >= 2", width, splitTotal)
+					}
+					if shape.split <= 0 && splitTotal != 0 {
+						t.Errorf("width %d: %d split tasks with splitting off", width, splitTotal)
+					}
+					if splitTasks == nil {
+						splitTasks = tasks
+					} else if !reflect.DeepEqual(tasks, splitTasks) {
+						t.Errorf("width %d: SplitReduceTasks %v, differs from %v at another width", width, tasks, splitTasks)
+					}
+
+					mem := budget.Stats()
+					if mem.ChargedBytes <= 0 {
+						t.Errorf("width %d: run charged no bytes", width)
+					}
+					if charged == -1 {
+						charged = mem.ChargedBytes
+					} else if mem.ChargedBytes != charged {
+						t.Errorf("width %d: charged %d bytes, %d at another width", width, mem.ChargedBytes, charged)
+					}
+					if store.spill > 0 {
+						if mem.SpilledParts == 0 || mem.SpilledBytes <= 0 {
+							t.Errorf("width %d: threshold 1 spilled %d partitions, %d bytes", width, mem.SpilledParts, mem.SpilledBytes)
+						}
+					} else if mem.SpilledParts != 0 {
+						t.Errorf("width %d: spilled %d partitions with spill off", width, mem.SpilledParts)
+					}
+					// Consumed spill files are dropped the moment the reduce stage
+					// finishes with them — a completed run leaves nothing behind.
+					if files := spillFilesIn(t, dir); len(files) != 0 {
+						t.Errorf("width %d: completed run left spill files %v", width, files)
+					}
 				}
-				got, want := stats[0].StripSplitInfo(), wantStats[0].StripSplitInfo()
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("width %d: split stats differ:\n%+v\nvs\n%+v", width, got, want)
-				}
-				s := stats[0]
-				if s.SplitReduceTasks < 2 {
-					t.Errorf("width %d: SplitReduceTasks = %d, want >= 2", width, s.SplitReduceTasks)
-				}
-				if splitTasks == -1 {
-					splitTasks = s.SplitReduceTasks
-				} else if s.SplitReduceTasks != splitTasks {
-					t.Errorf("width %d: SplitReduceTasks = %d, differs from %d at another width",
-						width, s.SplitReduceTasks, splitTasks)
-				}
-				if s.MaxReduceTaskMB >= s.MaxReduceLoadMB() {
-					t.Errorf("width %d: MaxReduceTaskMB %.4f did not drop below MaxReduceLoadMB %.4f",
-						width, s.MaxReduceTaskMB, s.MaxReduceLoadMB())
-				}
-				if budget.Stats().ChargedBytes <= 0 {
-					t.Errorf("width %d: split run charged no bytes", width)
-				}
-				if mode.spill > 0 && budget.Stats().SpilledParts == 0 {
-					t.Errorf("width %d: spill threshold 1 spilled no partitions", width)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -201,11 +243,11 @@ func TestSkewSplitPlanLayout(t *testing.T) {
 			if s.hi != nil {
 				t.Errorf("slot %d: partition %d ends at hi %q, want unbounded", si, s.ri, s.hi)
 			}
-			if !s.split && s.lo != nil {
+			if !s.split() && s.lo != nil {
 				t.Errorf("slot %d: unsplit slot has a bound", si)
 			}
 		} else {
-			if !s.split || !slots[si+1].split {
+			if !s.split() || !slots[si+1].split() {
 				t.Errorf("slot %d: multi-slot partition %d has unsplit slots", si, s.ri)
 			}
 			if string(slots[si+1].lo) != string(s.hi) || s.hi == nil {

@@ -1,21 +1,17 @@
 package relation
 
-import "sync"
-
 // Merge returns a relation of the given name and arity containing the
 // union of srcs' tuples with first-occurrence dedup in source order:
 // the result is bit-for-bit identical — tuple order included — to
 // adding every tuple of every source, in order, to a fresh relation
 // with Add. It is the job-output merge of the MapReduce engine (reduce
 // tasks each produce a private output relation; the job's result is
-// their ordered union), built to not be the serial tail of a job:
+// their ordered union), built to do less than that Add loop would:
 //
 //   - keys are not recomputed: each source's key→position index is
-//     inverted (in parallel across sources) to recover its keys in
-//     insertion order;
-//   - cross-source dedup runs in parallel over hash shards of the key
-//     space, each shard scanning the precomputed hashes in global
-//     order so a key's first occurrence wins regardless of scheduling;
+//     inverted to recover its keys in insertion order;
+//   - one pass over the keys in global (source, position) order marks
+//     each key's first occurrence;
 //   - the surviving tuples and the result's index are assembled with
 //     exact pre-sizing (see Grow for why that matters).
 //
@@ -23,9 +19,8 @@ import "sync"
 // source the result shares its storage (as Rename does), and in
 // general the result shares tuple and key storage with the sources.
 // Empty or nil sources are skipped; non-empty sources of a different
-// arity panic, as Add would. workers bounds the goroutines used
-// (values below 2 merge serially).
-func Merge(name string, arity int, srcs []*Relation, workers int) *Relation {
+// arity panic, as Add would.
+func Merge(name string, arity int, srcs []*Relation) *Relation {
 	live := make([]*Relation, 0, len(srcs))
 	total := 0
 	for _, s := range srcs {
@@ -45,54 +40,26 @@ func Merge(name string, arity int, srcs []*Relation, workers int) *Relation {
 		return live[0].Rename(name)
 	}
 
-	offs := make([]int, len(live)+1)
-	for i, s := range live {
-		offs[i+1] = offs[i] + len(s.tuples)
-	}
 	// Recover each source's keys in insertion order by inverting its
-	// index, and hash them for sharding. Sources write disjoint ranges.
+	// index.
 	keys := make([]string, total)
-	hashes := make([]uint32, total)
-	runParallel(workers, len(live), func(i int) {
-		base := offs[i]
-		for k, pos := range live[i].index {
+	base := 0
+	for _, s := range live {
+		for k, pos := range s.index {
 			keys[base+pos] = k
-			hashes[base+pos] = fnv32a(k)
 		}
-	})
+		base += len(s.tuples)
+	}
 
-	// Shard-parallel first-occurrence dedup: shard s owns the keys whose
-	// hash lands on it and scans them in global (source, position) order.
-	shards := workers
-	if shards > 16 {
-		shards = 16
-	}
-	if shards < 1 {
-		shards = 1
-	}
 	keep := make([]bool, total)
-	counts := make([]int, shards)
-	runParallel(shards, shards, func(s int) {
-		seen := make(map[string]struct{}, total/shards+1)
-		kept := 0
-		for g, h := range hashes {
-			if int(h%uint32(shards)) != s {
-				continue
-			}
-			k := keys[g]
-			if _, dup := seen[k]; dup {
-				continue
-			}
+	seen := make(map[string]struct{}, total+1)
+	for g, k := range keys {
+		if _, dup := seen[k]; !dup {
 			seen[k] = struct{}{}
 			keep[g] = true
-			kept++
 		}
-		counts[s] = kept
-	})
-	kept := 0
-	for _, c := range counts {
-		kept += c
 	}
+	kept := len(seen)
 
 	// Assemble with exact pre-sizing, reusing the sources' key strings.
 	out := &Relation{
@@ -101,57 +68,15 @@ func Merge(name string, arity int, srcs []*Relation, workers int) *Relation {
 		tuples: make([]Tuple, 0, kept),
 		index:  make(map[string]int, kept),
 	}
-	for i, s := range live {
-		base := offs[i]
+	base = 0
+	for _, s := range live {
 		for j, t := range s.tuples {
 			if keep[base+j] {
 				out.index[keys[base+j]] = len(out.tuples)
 				out.tuples = append(out.tuples, t)
 			}
 		}
+		base += len(s.tuples)
 	}
 	return out
-}
-
-// fnv32a is FNV-1a over the key bytes: the same hash the MR engine
-// shuffles with, reused here only to shard the dedup (any fixed hash
-// would preserve the merge's determinism).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// runParallel runs fn(0..n-1) on up to `workers` goroutines; with one
-// worker (or one item) it runs inline. Used by Merge, whose work items
-// are few and coarse (sources, shards).
-func runParallel(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // refMerge is the serial merge Merge must reproduce bit for bit: every
-// source's tuples added in order to a fresh relation (the MR engine's
-// pre-parallel job epilogue).
+// source's tuples added in order to a fresh relation.
 func refMerge(name string, arity int, srcs []*Relation) *Relation {
 	out := New(name, arity)
 	for _, s := range srcs {
@@ -39,9 +38,9 @@ func sameOrdered(a, b *Relation) error {
 }
 
 // TestMergeMatchesSerialAdd drives Merge over randomized source sets —
-// overlapping tuple sets, empty and nil sources, skewed sizes — at
-// several worker counts and requires the exact tuple order and index
-// behaviour of the serial Add loop.
+// overlapping tuple sets, empty and nil sources, skewed sizes — and
+// requires the exact tuple order and index behaviour of the serial Add
+// loop.
 func TestMergeMatchesSerialAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
@@ -66,27 +65,25 @@ func TestMergeMatchesSerialAdd(t *testing.T) {
 			srcs[i] = r
 		}
 		want := refMerge("Z", 2, srcs)
-		for _, workers := range []int{0, 1, 2, 8} {
-			got := Merge("Z", 2, srcs, workers)
-			if err := sameOrdered(got, want); err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-			}
-			// The index must agree too: membership and positions.
-			for i := 0; i < want.Size(); i++ {
-				if !got.Contains(want.Tuple(i)) {
-					t.Fatalf("trial %d workers %d: merged relation lost %v", trial, workers, want.Tuple(i))
-				}
+		got := Merge("Z", 2, srcs)
+		if err := sameOrdered(got, want); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		// The index must agree too: membership and positions.
+		for i := 0; i < want.Size(); i++ {
+			if !got.Contains(want.Tuple(i)) {
+				t.Fatalf("trial %d: merged relation lost %v", trial, want.Tuple(i))
 			}
 		}
 	}
 }
 
 func TestMergeEmptyAndSingle(t *testing.T) {
-	if m := Merge("Z", 3, nil, 4); m.Size() != 0 || m.Arity() != 3 || m.Name() != "Z" {
+	if m := Merge("Z", 3, nil); m.Size() != 0 || m.Arity() != 3 || m.Name() != "Z" {
 		t.Errorf("empty merge = %s", m)
 	}
 	src := FromTuples("part", 1, []Tuple{{Value(1)}, {Value(2)}})
-	m := Merge("Z", 1, []*Relation{nil, New("e", 1), src}, 4)
+	m := Merge("Z", 1, []*Relation{nil, New("e", 1), src})
 	if m.Name() != "Z" || m.Size() != 2 || !m.Tuple(0).Equal(src.Tuple(0)) {
 		t.Errorf("single-source merge = %s", m)
 	}
@@ -104,7 +101,7 @@ func TestMergeArityMismatchPanics(t *testing.T) {
 			t.Fatal("arity mismatch did not panic")
 		}
 	}()
-	Merge("Z", 2, []*Relation{FromTuples("p", 1, []Tuple{{Value(1)}})}, 1)
+	Merge("Z", 2, []*Relation{FromTuples("p", 1, []Tuple{{Value(1)}})})
 }
 
 func TestClonePresizedAndDeep(t *testing.T) {

@@ -93,8 +93,8 @@ func (s *Server) unregister(qi *queryInfo) {
 // queryErrorStatus maps a run error to its HTTP status: a query that
 // outgrew its memory budget asked for too much (413), a query shed at
 // admission hit a transient capacity limit (503, with Retry-After set
-// by the handler), a recovered execution panic is the server's fault
-// (500), an expired per-query deadline is the gateway's (504), an
+// by the handler), a recovered execution panic or a failed spill file
+// is the server's fault (500), an expired per-query deadline is the gateway's (504), an
 // aborted or disconnected client is the client's (499), anything else
 // is a query the engine rejected (422). The memory/panic cases are
 // checked first: they are definite diagnoses, while a context error
@@ -105,7 +105,7 @@ func queryErrorStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, errServerBusy):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, errQueryPanicked):
+	case errors.Is(err, errQueryPanicked), errors.Is(err, gumbo.ErrSpill):
 		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

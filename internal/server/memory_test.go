@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	gumbo "repro"
 	"repro/internal/mr"
 )
 
@@ -84,6 +87,30 @@ func TestQueryBudgetExceeded413(t *testing.T) {
 	c2.loadBookstore("shop")
 	if code := c2.do("POST", "/v1/db/shop/query", map[string]any{"query": queryZ}, nil); code != http.StatusOK {
 		t.Fatalf("same query without a budget: status %d, want 200", code)
+	}
+}
+
+// TestQuerySpillFailure500: a spill file that cannot be created (the
+// spill directory is gone) is the host's fault, not the query's — 500,
+// not 422 — and fails only that query: the registry drains, the
+// database is untouched, and the same query succeeds once the
+// directory exists.
+func TestQuerySpillFailure500(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	_, c := newTestClient(t, Config{Options: []gumbo.Option{gumbo.WithSpill(1, dir)}})
+	c.loadBookstore("shop")
+	if code := c.do("POST", "/v1/db/shop/query", map[string]any{"query": queryZ}, nil); code != http.StatusInternalServerError {
+		t.Fatalf("query with a missing spill dir: status %d, want 500", code)
+	}
+	pollUntil(t, "registry to drain after the spill failure", func() bool {
+		s := getStats(c)
+		return statInt(t, s, "inflight_queries") == 0 && statInt(t, s, "active_runs") == 0
+	})
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if code := c.do("POST", "/v1/db/shop/query", map[string]any{"query": queryZ}, nil); code != http.StatusOK {
+		t.Fatalf("same query with the spill dir present: status %d, want 200", code)
 	}
 }
 
