@@ -98,29 +98,27 @@ func newSemiJoinFullJob(name, out string, q *sgf.BSGF, atom sgf.Atom, k Knobs) *
 		Name:    name,
 		Inputs:  inputs,
 		Outputs: map[string]int{out: q.Guard.Arity()},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 			var kb [48]byte // append-style shuffle keys, see core.NewMSJJob
 			if input == q.Guard.Rel && guardMatcher.Matches(t) {
-				emit(guardProj.AppendKey(kb[:0], t), core.TupleVal{T: t})
+				core.TupleVal{T: t}.Emit(emit, guardProj.AppendKey(kb[:0], t))
 			}
 			if input == atom.Rel && condMatcher.Matches(t) {
-				emit(condProj.AppendKey(kb[:0], t), core.Assert{Class: 0})
+				core.Assert{Class: 0}.Emit(emit, condProj.AppendKey(kb[:0], t))
 			}
 		}),
-		Reducer: mr.ReducerFunc(func(key []byte, msgs []mr.Message, o *mr.Output) {
+		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
 			asserted := false
-			for _, m := range msgs {
-				if _, ok := m.(core.Assert); ok {
-					asserted = true
-					break
-				}
+			for i := 0; i < msgs.Len() && !asserted; i++ {
+				tag, _ := msgs.At(i)
+				asserted = tag == core.TagAssert
 			}
 			if !asserted {
 				return
 			}
-			for _, m := range msgs {
-				if tv, ok := m.(core.TupleVal); ok {
-					o.Add(out, tv.T)
+			for i := 0; i < msgs.Len(); i++ {
+				if tag, p := msgs.At(i); tag == core.TagTupleVal {
+					o.Add(out, core.DecodeTupleVal(nil, p).T)
 				}
 			}
 		}),
@@ -150,21 +148,22 @@ func newCombineFullJob(name string, q *sgf.BSGF, xNames []string, k Knobs) *mr.J
 		Name:    name,
 		Inputs:  inputs,
 		Outputs: map[string]int{q.Name: q.OutArity()},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 			var kb [48]byte // whole-tuple join keys, built append-style
 			if input == q.Guard.Rel {
 				if guardMatcher.Matches(t) {
-					emit(t.AppendKey(kb[:0]), core.XIndex{Atom: -1})
+					core.XIndex{Atom: -1}.Emit(emit, t.AppendKey(kb[:0]))
 				}
 				return
 			}
-			emit(t.AppendKey(kb[:0]), core.XIndex{Atom: roleOf[input]})
+			core.XIndex{Atom: roleOf[input]}.Emit(emit, t.AppendKey(kb[:0]))
 		}),
-		Reducer: mr.ReducerFunc(func(key []byte, msgs []mr.Message, o *mr.Output) {
+		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
 			truth := make(map[string]bool, len(atomKeys))
 			guardPresent := false
-			for _, m := range msgs {
-				x := m.(core.XIndex)
+			for i := 0; i < msgs.Len(); i++ {
+				_, p := msgs.At(i)
+				x := core.DecodeXIndex(p)
 				if x.Atom < 0 {
 					guardPresent = true
 				} else {

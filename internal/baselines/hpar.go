@@ -116,37 +116,35 @@ func hparStageJob(name string, q *sgf.BSGF, stageAtoms []sgf.Atom, inRel, outRel
 		Name:    name,
 		Inputs:  inputs,
 		Outputs: map[string]int{outRel: outArity},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 			var kb [48]byte // append-style shuffle keys, see core.NewMSJJob
 			if input == inRel && len(t) == inArity {
 				if first && !guardMatcher.Matches(t) {
 					return
 				}
 				key := t.Project(keyPositions)
-				emit(key.AppendKey(kb[:0]), core.TupleVal{T: t})
+				core.TupleVal{T: t}.Emit(emit, key.AppendKey(kb[:0]))
 			}
 			for _, cr := range condRoles[input] {
 				if cr.matcher.Matches(t) {
-					emit(cr.proj.AppendKey(kb[:0], t), core.Assert{Class: cr.class})
+					core.Assert{Class: cr.class}.Emit(emit, cr.proj.AppendKey(kb[:0], t))
 				}
 			}
 		}),
-		Reducer: mr.ReducerFunc(func(key []byte, msgs []mr.Message, o *mr.Output) {
+		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
 			flags := make([]relation.Value, len(stageAtoms))
-			for _, m := range msgs {
-				if a, ok := m.(core.Assert); ok {
-					flags[a.Class] = relation.Value(1)
+			for i := 0; i < msgs.Len(); i++ {
+				if tag, p := msgs.At(i); tag == core.TagAssert {
+					flags[core.DecodeAssert(p).Class] = relation.Value(1)
 				}
 			}
-			for _, m := range msgs {
-				tv, ok := m.(core.TupleVal)
-				if !ok {
+			for i := 0; i < msgs.Len(); i++ {
+				tag, p := msgs.At(i)
+				if tag != core.TagTupleVal {
 					continue
 				}
-				out := make(relation.Tuple, 0, len(tv.T)+len(flags))
-				out = append(out, tv.T...)
-				out = append(out, flags...)
-				o.Add(outRel, out)
+				out := core.DecodeTupleVal(make(relation.Tuple, 0, outArity), p).T
+				o.Add(outRel, append(out, flags...))
 			}
 		}),
 	}
@@ -171,7 +169,7 @@ func hparFilterJob(name string, q *sgf.BSGF, inRel string, inArity int, flagPos 
 		Name:    name,
 		Inputs:  []string{inRel},
 		Outputs: map[string]int{q.Name: q.OutArity()},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 			if len(t) != inArity {
 				return
 			}
@@ -187,11 +185,12 @@ func hparFilterJob(name string, q *sgf.BSGF, inRel string, inArity int, flagPos 
 			}
 			p := project.Apply(t)
 			var kb [48]byte
-			emit(p.AppendKey(kb[:0]), core.TupleVal{T: p})
+			core.TupleVal{T: p}.Emit(emit, p.AppendKey(kb[:0]))
 		}),
-		Reducer: mr.ReducerFunc(func(key []byte, msgs []mr.Message, o *mr.Output) {
-			if len(msgs) > 0 {
-				o.Add(q.Name, msgs[0].(core.TupleVal).T)
+		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
+			if msgs.Len() > 0 {
+				_, p := msgs.At(0)
+				o.Add(q.Name, core.DecodeTupleVal(nil, p).T)
 			}
 		}),
 	}

@@ -114,32 +114,35 @@ func NewEvalJob(name string, specs []EvalSpec) (*mr.Job, error) {
 		qspecs[qi] = spec
 	}
 
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 		var kb [24]byte // append-style shuffle keys, see NewMSJJob
 		for _, g := range guardRoles[input] {
 			if g.matcher.Matches(t) {
-				emit(appendEvalKey(kb[:0], g.q, int64(id)), TupleVal{T: t})
+				TupleVal{T: t}.Emit(emit, appendEvalKey(kb[:0], g.q, int64(id)))
 			}
 		}
 		if xr, ok := xRoles[input]; ok {
-			emit(appendEvalKey(kb[:0], xr.q, int64(t[0])), XIndex{Atom: xr.atom})
+			XIndex{Atom: xr.atom}.Emit(emit, appendEvalKey(kb[:0], xr.q, int64(t[0])))
 		}
 	})
 
-	reducer := mr.ReducerFunc(func(key []byte, msgs []mr.Message, out *mr.Output) {
+	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
 		q, _ := parseEvalKey(key)
 		spec := &qspecs[q]
+		// The guard is decoded into stack scratch: it is only projected
+		// from, never kept.
+		var gb [8]relation.Value
 		var guard relation.Tuple
 		if spec.condBits != nil {
 			// Hot path: collect verdicts as an atom-index bitmask and
 			// evaluate the compiled condition — no per-key allocations.
 			var mask uint64
-			for _, m := range msgs {
-				switch v := m.(type) {
-				case TupleVal:
-					guard = v.T
-				case XIndex:
-					mask |= uint64(1) << uint(v.Atom)
+			for i := 0; i < msgs.Len(); i++ {
+				switch tag, p := msgs.At(i); tag {
+				case TagTupleVal:
+					guard = DecodeTupleVal(gb[:0], p).T
+				case TagXIndex:
+					mask |= uint64(1) << uint(DecodeXIndex(p).Atom)
 				}
 			}
 			if guard == nil {
@@ -153,12 +156,12 @@ func NewEvalJob(name string, specs []EvalSpec) (*mr.Job, error) {
 			return
 		}
 		truth := make(map[string]bool, len(spec.atomKeys))
-		for _, m := range msgs {
-			switch v := m.(type) {
-			case TupleVal:
-				guard = v.T
-			case XIndex:
-				truth[spec.atomKeys[v.Atom]] = true
+		for i := 0; i < msgs.Len(); i++ {
+			switch tag, p := msgs.At(i); tag {
+			case TagTupleVal:
+				guard = DecodeTupleVal(gb[:0], p).T
+			case TagXIndex:
+				truth[spec.atomKeys[DecodeXIndex(p).Atom]] = true
 			}
 		}
 		if guard == nil {

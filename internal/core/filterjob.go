@@ -50,34 +50,32 @@ func NewFilterJob(name string, step FilterStep) (*mr.Job, error) {
 		inputs = append(inputs, step.Cond.Rel)
 	}
 
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 		var kb [32]byte // append-style shuffle keys, see NewMSJJob
 		if input == step.GuardRel && guardMatcher.Matches(t) {
 			out := t
 			if projectSet {
 				out = project.Apply(t)
 			}
-			emit(guardProj.AppendKey(kb[:0], t), ReqTuple{Q: 0, Disjunct: -1, Out: out})
+			ReqTuple{Q: 0, Disjunct: -1, Out: out}.Emit(emit, guardProj.AppendKey(kb[:0], t))
 		}
 		if input == step.Cond.Rel && condMatcher.Matches(t) {
-			emit(condProj.AppendKey(kb[:0], t), Assert{Class: 0})
+			Assert{Class: 0}.Emit(emit, condProj.AppendKey(kb[:0], t))
 		}
 	})
 
-	reducer := mr.ReducerFunc(func(key []byte, msgs []mr.Message, out *mr.Output) {
+	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
 		asserted := false
-		for _, m := range msgs {
-			if _, ok := m.(Assert); ok {
-				asserted = true
-				break
-			}
+		for i := 0; i < msgs.Len() && !asserted; i++ {
+			tag, _ := msgs.At(i)
+			asserted = tag == TagAssert
 		}
 		if asserted == step.Negated {
 			return
 		}
-		for _, m := range msgs {
-			if r, ok := m.(ReqTuple); ok {
-				out.Add(step.Out, r.Out)
+		for i := 0; i < msgs.Len(); i++ {
+			if tag, p := msgs.At(i); tag == TagReqTuple {
+				out.Add(step.Out, DecodeReqTuple(p).Out)
 			}
 		}
 	})
@@ -102,7 +100,7 @@ func NewUnionProjectJob(name, out string, guard sgf.Atom, selectVars []string, b
 	project := sgf.NewProjector(guard, selectVars)
 	matcher := sgf.NewMatcher(guard)
 	inputs := append([]string(nil), branchRels...)
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 		// Branches produced by filter chains always conform; the guard
 		// relation itself (a TRUE disjunct) may not.
 		if !matcher.Matches(t) {
@@ -110,11 +108,12 @@ func NewUnionProjectJob(name, out string, guard sgf.Atom, selectVars []string, b
 		}
 		var kb [32]byte
 		p := project.Apply(t)
-		emit(p.AppendKey(kb[:0]), TupleVal{T: p})
+		TupleVal{T: p}.Emit(emit, p.AppendKey(kb[:0]))
 	})
-	reducer := mr.ReducerFunc(func(key []byte, msgs []mr.Message, o *mr.Output) {
-		if len(msgs) > 0 {
-			o.Add(out, msgs[0].(TupleVal).T)
+	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
+		if msgs.Len() > 0 {
+			_, p := msgs.At(0)
+			o.Add(out, DecodeTupleVal(nil, p).T)
 		}
 	})
 	return &mr.Job{

@@ -96,21 +96,21 @@ func NewMSJJob(name string, eqs []Equation) (*mr.Job, error) {
 		assertRoles[c.rel] = append(assertRoles[c.rel], int32(ci))
 	}
 
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 		// Shuffle keys are built append-style into one stack buffer,
 		// skipping the projected tuple and builder allocations of
-		// proj.Apply(t).Key(); the engine copies the key into its arena
-		// at emit, so the buffer is reusable immediately.
+		// proj.Apply(t).Key(); the engine copies key and payload into its
+		// arena at emit, so the buffer is reusable immediately.
 		var kb [32]byte
 		for _, g := range guardRoles[input] {
 			if g.matcher.Matches(t) {
-				emit(g.proj.AppendKey(kb[:0], t), ReqID{Eq: g.eq, ID: int64(id)})
+				ReqID{Eq: g.eq, ID: int64(id)}.Emit(emit, g.proj.AppendKey(kb[:0], t))
 			}
 		}
 		for _, ci := range assertRoles[input] {
-			c := classes[ci]
+			c := &classes[ci]
 			if c.matcher.Matches(t) {
-				emit(c.proj.AppendKey(kb[:0], t), Assert{Class: ci})
+				Assert{Class: ci}.Emit(emit, c.proj.AppendKey(kb[:0], t))
 			}
 		}
 	})
@@ -127,41 +127,43 @@ func NewMSJJob(name string, eqs []Equation) (*mr.Job, error) {
 		}
 	}
 
-	reducer := mr.ReducerFunc(func(key []byte, msgs []mr.Message, out *mr.Output) {
+	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
 		if classBit != nil {
 			var asserted uint64
-			seen := false
-			for _, m := range msgs {
-				if a, ok := m.(Assert); ok {
-					asserted |= uint64(1) << uint(a.Class)
-					seen = true
+			for i := 0; i < msgs.Len(); i++ {
+				if tag, p := msgs.At(i); tag == TagAssert {
+					asserted |= uint64(1) << uint(DecodeAssert(p).Class)
 				}
 			}
-			if !seen {
+			if asserted == 0 {
 				return
 			}
-			for _, m := range msgs {
-				if r, ok := m.(ReqID); ok && asserted&classBit[r.Eq] != 0 {
-					out.Add(eqs[r.Eq].Out, idTuple(r.ID))
+			for i := 0; i < msgs.Len(); i++ {
+				if tag, p := msgs.At(i); tag == TagReqID {
+					if r := DecodeReqID(p); asserted&classBit[r.Eq] != 0 {
+						out.Add(eqs[r.Eq].Out, idTuple(r.ID))
+					}
 				}
 			}
 			return
 		}
 		var asserted map[int32]bool
-		for _, m := range msgs {
-			if a, ok := m.(Assert); ok {
+		for i := 0; i < msgs.Len(); i++ {
+			if tag, p := msgs.At(i); tag == TagAssert {
 				if asserted == nil {
 					asserted = make(map[int32]bool, 4)
 				}
-				asserted[a.Class] = true
+				asserted[DecodeAssert(p).Class] = true
 			}
 		}
 		if asserted == nil {
 			return
 		}
-		for _, m := range msgs {
-			if r, ok := m.(ReqID); ok && asserted[classOf[r.Eq]] {
-				out.Add(eqs[r.Eq].Out, idTuple(r.ID))
+		for i := 0; i < msgs.Len(); i++ {
+			if tag, p := msgs.At(i); tag == TagReqID {
+				if r := DecodeReqID(p); asserted[classOf[r.Eq]] {
+					out.Add(eqs[r.Eq].Out, idTuple(r.ID))
+				}
 			}
 		}
 	})

@@ -243,7 +243,7 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 		assertRoles[c.rel] = append(assertRoles[c.rel], int32(ci))
 	}
 
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 		var kb [32]byte // append-style shuffle keys, see NewMSJJob
 		for _, gr := range guardRoles[input] {
 			spec := &qspecs[gr.q]
@@ -252,14 +252,13 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 			}
 			out := spec.project.Apply(t)
 			for di := range spec.groups {
-				emit(spec.groups[di].proj.AppendKey(kb[:0], t),
-					ReqTuple{Q: gr.q, Disjunct: int32(di), Out: out})
+				ReqTuple{Q: gr.q, Disjunct: int32(di), Out: out}.Emit(emit, spec.groups[di].proj.AppendKey(kb[:0], t))
 			}
 		}
 		for _, ci := range assertRoles[input] {
-			c := classes[ci]
+			c := &classes[ci]
 			if c.matcher.Matches(t) {
-				emit(c.proj.AppendKey(kb[:0], t), Assert{Class: ci})
+				Assert{Class: ci}.Emit(emit, c.proj.AppendKey(kb[:0], t))
 			}
 		}
 	})
@@ -285,19 +284,20 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 		}
 	}
 
-	reducer := mr.ReducerFunc(func(key []byte, msgs []mr.Message, out *mr.Output) {
+	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
 		if useBits {
 			var asserted uint64
-			for _, m := range msgs {
-				if a, ok := m.(Assert); ok {
-					asserted |= uint64(1) << uint(a.Class)
+			for i := 0; i < msgs.Len(); i++ {
+				if tag, p := msgs.At(i); tag == TagAssert {
+					asserted |= uint64(1) << uint(DecodeAssert(p).Class)
 				}
 			}
-			for _, m := range msgs {
-				r, ok := m.(ReqTuple)
-				if !ok {
+			for i := 0; i < msgs.Len(); i++ {
+				tag, p := msgs.At(i)
+				if tag != TagReqTuple {
 					continue
 				}
+				r := DecodeReqTuple(p)
 				spec := &qspecs[r.Q]
 				if spec.mode == OneRoundShared {
 					if spec.condBits(asserted) {
@@ -316,19 +316,20 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 			return
 		}
 		var asserted map[int32]bool
-		for _, m := range msgs {
-			if a, ok := m.(Assert); ok {
+		for i := 0; i < msgs.Len(); i++ {
+			if tag, p := msgs.At(i); tag == TagAssert {
 				if asserted == nil {
 					asserted = make(map[int32]bool, 4)
 				}
-				asserted[a.Class] = true
+				asserted[DecodeAssert(p).Class] = true
 			}
 		}
-		for _, m := range msgs {
-			r, ok := m.(ReqTuple)
-			if !ok {
+		for i := 0; i < msgs.Len(); i++ {
+			tag, p := msgs.At(i)
+			if tag != TagReqTuple {
 				continue
 			}
+			r := DecodeReqTuple(p)
 			spec := &qspecs[r.Q]
 			if spec.mode == OneRoundShared {
 				ok := sgf.EvalCondition(spec.cond, truthOf(spec.classOf, asserted))

@@ -102,27 +102,26 @@ func NewMSJJobSkew(name string, eqs []Equation, heavy map[string]bool) (*mr.Job,
 		return base, nil
 	}
 	inner := base.Mapper
-	base.Mapper = mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
-		// sb holds the salted key; the inner mapper's key buffer must not
-		// be appended to in place (the engine only copies keys at emit,
-		// and the replicated-assert loop reuses the same base key).
+	base.Mapper = mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
+		// sb holds the salted key: key is the wrapping emitter's scratch,
+		// valid only inside the callback, and the replicated-assert loop
+		// reuses the same base key.
 		var sb [48]byte
-		inner.Map(input, id, t, func(key []byte, msg mr.Message) {
-			if !heavy[string(key)] { // map lookup, no allocation
-				emit(key, msg)
-				return
-			}
-			switch m := msg.(type) {
-			case ReqID:
-				emit(appendSalt(append(sb[:0], key...), saltOf(m.ID, saltFactor)), msg)
-			case Assert:
+		inner.Map(input, id, t, mr.WrapEmit(func(key []byte, tag byte, size int64, payload []byte) {
+			switch {
+			case !heavy[string(key)]: // map lookup, no allocation
+				emit.Emit(key, tag, size, payload)
+			case tag == TagReqID:
+				salt := saltOf(DecodeReqID(payload).ID, saltFactor)
+				emit.Emit(appendSalt(append(sb[:0], key...), salt), tag, size, payload)
+			case tag == TagAssert:
 				for s := 0; s < saltFactor; s++ {
-					emit(appendSalt(append(sb[:0], key...), s), msg)
+					emit.Emit(appendSalt(append(sb[:0], key...), s), tag, size, payload)
 				}
 			default:
-				emit(key, msg)
+				emit.Emit(key, tag, size, payload)
 			}
-		})
+		}))
 	})
 	base.Name = name + "+skew"
 	return base, nil

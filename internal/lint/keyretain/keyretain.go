@@ -1,24 +1,27 @@
-// Package keyretain flags reducer and emit callbacks that retain the
-// engine-owned key []byte or the reused msgs []Message beyond the
-// callback.
+// Package keyretain flags reducer and emit-wrapper callbacks that retain
+// engine-owned shuffle bytes — the key, a payload, or the message view
+// that hands payloads out — beyond the callback.
 //
-// Contract (see docs/INVARIANTS.md and the mr.Reducer/mr.Emit godoc):
-// the key bytes live in a per-task engine arena and the msgs slice is
-// reused across Reduce calls, so neither may be stored past the
-// callback's return without an explicit copy — string(key),
-// append([]byte(nil), key...), bytes.Clone — while individual Message
-// values are immutable after emission and may be retained freely.
+// Contract (see docs/INVARIANTS.md and the mr.Reducer/mr.Emitter
+// godoc): the key and payload bytes live in shuffle buffers the engine
+// reuses or releases when the callback returns, and the *mr.Group view
+// is re-pointed at the next key group, so none of them may be stored
+// past the callback's return without an explicit copy — string(key),
+// append([]byte(nil), key...), bytes.Clone — while decoded values
+// (core.DecodeReqID(p), a tuple decoded with a nil destination) are
+// copies and may be retained freely.
 //
 // The analyzer identifies callbacks by signature: any function or
-// literal with parameters ([]byte, []mr.Message, *mr.Output) is
-// reducer-shaped, and any with ([]byte, mr.Message) outside the engine
-// package itself is emit-shaped (a mapper-side emit wrapper; the
-// engine's own implementation owns the arena and is exempt). Within a
-// callback it taints the owned parameters and every local alias, then
-// reports stores that outlive the call: assignment to a captured,
-// package-level, receiver-field or otherwise non-local location,
-// append of an uncopied alias into a non-local slice, goroutine
-// capture, and channel sends.
+// literal with parameters ([]byte, *mr.Group, *mr.Output) is
+// reducer-shaped, and any with ([]byte, byte, int64, []byte) outside
+// the engine package itself is emit-wrapper-shaped (an mr.EmitFunc; the
+// engine's own Emitter.Emit owns the arena and is exempt). Within a
+// callback it taints the owned parameters, every []byte a method of the
+// tainted view returns, and every local alias, then reports stores that
+// outlive the call: assignment to a captured, package-level,
+// receiver-field or otherwise non-local location, append of an
+// uncopied alias into a non-local slice, goroutine capture, and channel
+// sends.
 package keyretain
 
 import (
@@ -32,7 +35,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "keyretain",
-	Doc:  "flags reducer/emit callbacks that retain the arena-owned key or reused msgs slice beyond the callback",
+	Doc:  "flags reducer/emit-wrapper callbacks that retain the engine-owned key, payload bytes or message view beyond the callback",
 	Run:  run,
 }
 
@@ -62,9 +65,9 @@ func run(pass *analysis.Pass) error {
 }
 
 // ownedParams returns the engine-owned parameters of a callback-shaped
-// function type: {key, msgs} for reducer shapes, {key} for emit
-// shapes, nil for everything else. The map value names the parameter
-// in diagnostics.
+// function type: {key, msgs} for reducer shapes, {key, payload} for
+// emit-wrapper shapes, nil for everything else. The map value names
+// the parameter in diagnostics.
 func ownedParams(pass *analysis.Pass, ftype *ast.FuncType) map[types.Object]string {
 	var params []*ast.Ident
 	var ptypes []types.Type
@@ -87,11 +90,12 @@ func ownedParams(pass *analysis.Pass, ftype *ast.FuncType) map[types.Object]stri
 	}
 	reducerShaped := len(ptypes) == 3 &&
 		lintutil.IsByteSlice(ptypes[0]) &&
-		lintutil.SliceOfNamed(ptypes[1], "mr", "Message") &&
+		lintutil.PtrToNamed(ptypes[1], "mr", "Group") &&
 		lintutil.PtrToNamed(ptypes[2], "mr", "Output")
-	emitShaped := len(ptypes) == 2 &&
+	emitShaped := len(ptypes) == 4 &&
 		lintutil.IsByteSlice(ptypes[0]) &&
-		lintutil.NamedType(ptypes[1], "mr", "Message") &&
+		isBasic(ptypes[1], types.Uint8) && isBasic(ptypes[2], types.Int64) &&
+		lintutil.IsByteSlice(ptypes[3]) &&
 		pass.Pkg.Name() != "mr" // the engine implements Emit and owns the arena
 	if !reducerShaped && !emitShaped {
 		return nil
@@ -108,8 +112,15 @@ func ownedParams(pass *analysis.Pass, ftype *ast.FuncType) map[types.Object]stri
 	add(params[0], "key")
 	if reducerShaped {
 		add(params[1], "msgs")
+	} else {
+		add(params[3], "payload")
 	}
 	return owned
+}
+
+func isBasic(t types.Type, kind types.BasicKind) bool {
+	b, ok := types.Unalias(t).(*types.Basic)
+	return ok && b.Kind() == kind
 }
 
 // checker tracks the taint state for one callback body.
@@ -167,11 +178,20 @@ func (c *checker) scan(report bool) {
 // local variables and reporting stores into locations that outlive
 // the callback.
 func (c *checker) assign(stmt *ast.AssignStmt, report bool) {
-	if len(stmt.Lhs) != len(stmt.Rhs) {
-		return // multi-value call results are never tainted
+	// tag, p := msgs.At(i): every []byte a method of the tainted view
+	// returns points into the shuffle buffer. Other multi-value results
+	// are never tainted.
+	viewCall := len(stmt.Rhs) == 1 && len(stmt.Lhs) > 1 && c.viewCall(stmt.Rhs[0])
+	if len(stmt.Lhs) != len(stmt.Rhs) && !viewCall {
+		return
 	}
 	for i, lhs := range stmt.Lhs {
-		label := c.taintLabel(stmt.Rhs[i])
+		label := ""
+		if !viewCall {
+			label = c.taintLabel(stmt.Rhs[i])
+		} else if t := c.pass.TypesInfo.TypeOf(lhs); t != nil && lintutil.IsByteSlice(t) {
+			label = "payload"
+		}
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 			obj := c.pass.TypesInfo.Defs[id]
 			if obj == nil {
@@ -201,6 +221,16 @@ func (c *checker) assign(stmt *ast.AssignStmt, report bool) {
 			c.escape(stmt.Pos(), label, "stored in a location that outlives the callback")
 		}
 	}
+}
+
+// viewCall reports whether e calls a method on a tainted message view.
+func (c *checker) viewCall(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && c.taintLabel(sel.X) == "msgs"
 }
 
 // goStmt reports owned slices crossing into a goroutine, which
@@ -304,11 +334,11 @@ func (c *checker) localVar(obj types.Object) bool {
 }
 
 func (c *checker) escape(pos token.Pos, label, how string) {
-	what := "the arena-owned key []byte"
-	fix := "copy it first (string(key) or append([]byte(nil), key...))"
+	what := "the engine-owned " + label + " []byte"
+	fix := "copy it first (string(" + label + ") or append([]byte(nil), " + label + "...))"
 	if label == "msgs" {
-		what = "the reused msgs []Message slice"
-		fix = "copy the slice (append([]Message(nil), msgs...)); individual Message values may be retained"
+		what = "the engine-owned msgs *Group view"
+		fix = "decode what you need inside the callback; decoded values are copies"
 	}
-	c.pass.Reportf(pos, "%s %s: it is engine-owned and reused after the callback returns; %s", what, how, fix)
+	c.pass.Reportf(pos, "%s %s: it points into shuffle buffers the engine reuses after the callback returns; %s", what, how, fix)
 }

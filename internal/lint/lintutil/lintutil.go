@@ -2,7 +2,7 @@
 // analyzers share.
 //
 // Analyzers match engine types by package *name* plus type name
-// ("mr".Message, "relation".Relation) rather than full import path, so
+// ("mr".Emitter, "relation".Relation) rather than full import path, so
 // the same analyzer runs unchanged against the real repro/internal
 // packages and against the small stub packages in
 // internal/lint/testdata. Within this repository the names are
@@ -31,13 +31,6 @@ func NamedType(t types.Type, pkgName, typeName string) bool {
 func PtrToNamed(t types.Type, pkgName, typeName string) bool {
 	ptr, ok := types.Unalias(t).(*types.Pointer)
 	return ok && NamedType(ptr.Elem(), pkgName, typeName)
-}
-
-// SliceOfNamed reports whether t is []E for defined type E named
-// typeName in a package named pkgName.
-func SliceOfNamed(t types.Type, pkgName, typeName string) bool {
-	sl, ok := t.Underlying().(*types.Slice)
-	return ok && NamedType(sl.Elem(), pkgName, typeName)
 }
 
 // IsByteSlice reports whether t's underlying type is []byte.

@@ -5,7 +5,7 @@
 // determinism contract (same outputs and stats at every pool width;
 // docs/ARCHITECTURE.md "Determinism contract") requires every
 // order-sensitive fold to run in a declared order. A `range` over a
-// map that feeds mr.Emit, mr.Output.Add, relation.Relation.Add/AddAll,
+// map that feeds mr.Emitter, mr.Output.Add, relation.Relation.Add/AddAll,
 // or a JobStats/PartStats accumulation therefore silently breaks the
 // reproducibility guarantee — the #1 historical cause. The fix recipe
 // (docs/INVARIANTS.md): collect the keys, sort them, then iterate the
@@ -81,13 +81,18 @@ func checkBody(pass *analysis.Pass, rng *ast.RangeStmt) {
 // callSink classifies call as an order-sensitive output call, returning
 // a description or "".
 func callSink(pass *analysis.Pass, call *ast.CallExpr) string {
-	// emit(key, msg): a call through a value of the named func type
-	// mr.Emit.
-	if t := pass.TypesInfo.Types[call.Fun].Type; t != nil && lintutil.NamedType(t, "mr", "Emit") {
-		return "map-ordered emit"
+	// Emitting: any call handed the map task's *mr.Emitter — the typed
+	// encoders (core.ReqID{...}.Emit(emit, key)), a wrapped mapper — or
+	// Emitter.Emit itself.
+	for _, arg := range call.Args {
+		if t := pass.TypesInfo.TypeOf(arg); t != nil && lintutil.PtrToNamed(t, "mr", "Emitter") {
+			return "map-ordered emit"
+		}
 	}
 	f := lintutil.FuncObj(pass.TypesInfo, call)
 	switch {
+	case lintutil.IsMethodOn(f, "mr", "Emitter", "Emit"):
+		return "map-ordered emit"
 	case lintutil.IsMethodOn(f, "mr", "Output", "Add"):
 		return "map-ordered Output.Add"
 	case lintutil.IsMethodOn(f, "relation", "Relation", "Add"),

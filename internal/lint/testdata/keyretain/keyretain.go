@@ -1,36 +1,43 @@
-// Testdata for the keyretain analyzer: reducer- and emit-shaped
-// callbacks retaining the engine-owned key/msgs slices.
+// Testdata for the keyretain analyzer: reducer- and emit-wrapper-shaped
+// callbacks retaining the engine-owned key, payload bytes or message
+// view.
 package keyretain
 
 import "lintest/mr"
 
 type sink struct {
 	last []byte
-	msgs []mr.Message
+	msgs *mr.Group
+	tag  byte
 	keys [][]byte
 	byID map[string][]byte
 }
 
-// Reduce has the reducer shape: ([]byte, []mr.Message, *mr.Output).
-func (s *sink) Reduce(key []byte, msgs []mr.Message, out *mr.Output) {
-	s.last = key                         // want `arena-owned key \[\]byte stored`
-	s.msgs = msgs                        // want `reused msgs \[\]Message slice stored`
-	s.keys = append(s.keys, key)         // want `arena-owned key \[\]byte stored`
-	s.last = append([]byte(nil), key...) // copies: the sanctioned idiom
-	s.msgs = append([]mr.Message(nil), msgs...)
+// Reduce has the reducer shape: ([]byte, *mr.Group, *mr.Output).
+func (s *sink) Reduce(key []byte, msgs *mr.Group, out *mr.Output) {
+	s.last = key                                      // want `engine-owned key \[\]byte stored`
+	s.msgs = msgs                                     // want `engine-owned msgs \*Group view stored`
+	s.keys = append(s.keys, key)                      // want `engine-owned key \[\]byte stored`
+	s.last = append([]byte(nil), key...)              // copies: the sanctioned idiom
 	s.byID[string(key)] = append([]byte(nil), key...) // string(key) copies too
 
-	k2 := key[1:] // a slice of the key still aliases the arena
-	s.last = k2   // want `arena-owned key \[\]byte stored`
+	k2 := key[1:] // a slice of the key still aliases the shuffle buffer
+	s.last = k2   // want `engine-owned key \[\]byte stored`
 
-	one := msgs[0] // individual messages are immutable and retainable
-	_ = one
+	tag, p := msgs.At(0) // a payload aliases the shuffle buffer, a tag is a value
+	s.tag = tag
+	s.last = p                         // want `engine-owned payload \[\]byte stored`
+	s.keys = append(s.keys, p[1:])     // want `engine-owned payload \[\]byte stored`
+	s.last = append([]byte(nil), p...) // copied
+	s.byID[string(p)] = decode(p)      // a decoded value is a copy
+	s.tag, s.last = msgs.At(1)         // want `engine-owned payload \[\]byte stored`
 
-	go logKey(key)           // want `arena-owned key \[\]byte passed to a goroutine`
-	go func() { use(key) }() // want `arena-owned key \[\]byte captured by a goroutine`
+	go logKey(key)           // want `engine-owned key \[\]byte passed to a goroutine`
+	go func() { use(key) }() // want `engine-owned key \[\]byte captured by a goroutine`
+	go func() { use(p) }()   // want `engine-owned payload \[\]byte captured by a goroutine`
 
 	ch := make(chan []byte, 1)
-	ch <- key // want `arena-owned key \[\]byte sent on a channel`
+	ch <- key // want `engine-owned key \[\]byte sent on a channel`
 
 	local := map[string][]byte{}
 	local[string(key)] = key // local map dies with the callback
@@ -38,28 +45,32 @@ func (s *sink) Reduce(key []byte, msgs []mr.Message, out *mr.Output) {
 }
 
 // reducerFuncLit exercises the ReducerFunc literal form.
-var reducerFuncLit = mr.ReducerFunc(func(key []byte, msgs []mr.Message, out *mr.Output) {
-	retained = key // want `arena-owned key \[\]byte assigned`
+var reducerFuncLit = mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
+	retained = key // want `engine-owned key \[\]byte assigned`
 	use(string(key))
 })
 
 var retained []byte
 
-// wrapEmit exercises the emit shape ([]byte, mr.Message): a mapper-side
-// emit wrapper may not retain the caller's reused key buffer.
-func wrapEmit(emit mr.Emit, seen *[][]byte) mr.Emit {
-	return func(key []byte, msg mr.Message) {
-		*seen = append(*seen, key) // want `arena-owned key \[\]byte stored`
-		emit(key, msg)             // synchronous passthrough is fine
-	}
+// wrapEmit exercises the emit-wrapper shape ([]byte, byte, int64,
+// []byte): a mapper-side wrapper may retain neither the key nor the
+// payload — both are the wrapping emitter's reused scratch.
+func wrapEmit(emit *mr.Emitter, seen *[][]byte) *mr.Emitter {
+	return mr.WrapEmit(func(key []byte, tag byte, size int64, payload []byte) {
+		*seen = append(*seen, key)         // want `engine-owned key \[\]byte stored`
+		*seen = append(*seen, payload)     // want `engine-owned payload \[\]byte stored`
+		emit.Emit(key, tag, size, payload) // synchronous passthrough is fine
+	})
 }
 
 // suppressed pins the //lint:ignore machinery: no want comment, so an
 // unsuppressed diagnostic here fails the suite.
-var suppressed = mr.ReducerFunc(func(key []byte, msgs []mr.Message, out *mr.Output) {
+var suppressed = mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
 	retained = key //lint:ignore keyretain testdata: pins that suppression silences the finding
 })
 
 func use(any) {}
 
 func logKey([]byte) {}
+
+func decode(p []byte) []byte { return append([]byte(nil), p...) }

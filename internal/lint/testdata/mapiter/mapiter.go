@@ -9,13 +9,14 @@ import (
 	"lintest/relation"
 )
 
-func sinks(m map[string]relation.Tuple, out *mr.Output, emit mr.Emit, rel *relation.Relation, other *relation.Relation, stats *mr.JobStats) {
+func sinks(m map[string]relation.Tuple, out *mr.Output, emit *mr.Emitter, rel *relation.Relation, other *relation.Relation, stats *mr.JobStats) {
 	for k, t := range m {
-		out.Add(k, t)        // want `map-ordered Output.Add`
-		emit([]byte(k), nil) // want `map-ordered emit`
-		rel.Add(t)           // want `map-ordered Relation.Add`
-		rel.AddAll(other)    // want `map-ordered Relation.AddAll`
-		stats.OutputMB += 1  // want `map-ordered stats fold \(OutputMB\)`
+		out.Add(k, t)                   // want `map-ordered Output.Add`
+		emit.Emit([]byte(k), 0, 0, nil) // want `map-ordered emit`
+		encode(emit, []byte(k))         // want `map-ordered emit`
+		rel.Add(t)                      // want `map-ordered Relation.Add`
+		rel.AddAll(other)               // want `map-ordered Relation.AddAll`
+		stats.OutputMB += 1             // want `map-ordered stats fold \(OutputMB\)`
 		if len(t) > 0 {
 			out.Add(k, t) // want `map-ordered Output.Add`
 		}
@@ -48,6 +49,8 @@ func sinks(m map[string]relation.Tuple, out *mr.Output, emit mr.Emit, rel *relat
 	}
 	_ = records
 }
+
+func encode(emit *mr.Emitter, key []byte) { emit.Emit(key, 0, 0, nil) }
 
 func statsByName(stats *mr.JobStats) map[string]mr.PartStats {
 	byName := make(map[string]mr.PartStats)

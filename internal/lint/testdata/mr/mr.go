@@ -7,29 +7,39 @@ package mr
 
 import "lintest/relation"
 
-type Message interface{ SizeBytes() int64 }
+type Emitter struct{}
 
-type Emit func(key []byte, msg Message)
+func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {}
+
+type EmitFunc func(key []byte, tag byte, size int64, payload []byte)
+
+func WrapEmit(fn EmitFunc) *Emitter { return &Emitter{} }
+
+type Group struct{}
+
+func (g *Group) Len() int { return 0 }
+
+func (g *Group) At(i int) (tag byte, payload []byte) { return 0, nil }
 
 type Output struct{}
 
 func (o *Output) Add(name string, t relation.Tuple) {}
 
 type Mapper interface {
-	Map(input string, id int, t relation.Tuple, emit Emit)
+	Map(input string, id int, t relation.Tuple, emit *Emitter)
 }
 
-type MapperFunc func(input string, id int, t relation.Tuple, emit Emit)
+type MapperFunc func(input string, id int, t relation.Tuple, emit *Emitter)
 
-func (f MapperFunc) Map(input string, id int, t relation.Tuple, emit Emit) { f(input, id, t, emit) }
+func (f MapperFunc) Map(input string, id int, t relation.Tuple, emit *Emitter) { f(input, id, t, emit) }
 
 type Reducer interface {
-	Reduce(key []byte, msgs []Message, out *Output)
+	Reduce(key []byte, msgs *Group, out *Output)
 }
 
-type ReducerFunc func(key []byte, msgs []Message, out *Output)
+type ReducerFunc func(key []byte, msgs *Group, out *Output)
 
-func (f ReducerFunc) Reduce(key []byte, msgs []Message, out *Output) { f(key, msgs, out) }
+func (f ReducerFunc) Reduce(key []byte, msgs *Group, out *Output) { f(key, msgs, out) }
 
 type Job struct {
 	Name    string

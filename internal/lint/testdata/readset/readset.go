@@ -7,7 +7,7 @@ import (
 	"lintest/relation"
 )
 
-func passThrough(input string, id int, t relation.Tuple, emit mr.Emit) {}
+func passThrough(input string, id int, t relation.Tuple, emit *mr.Emitter) {}
 
 func noInputs() mr.Job {
 	return mr.Job{ // want `mr.Job declares a Mapper but no Inputs`
@@ -34,9 +34,9 @@ func capturesRelation(guard *relation.Relation) mr.Job {
 	return mr.Job{
 		Name:   "q3",
 		Inputs: []string{"R"},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
+		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 			if guard.Contains(t) { // want `mapper/reducer closure captures relation "guard" at plan time`
-				emit(nil, nil)
+				emit.Emit(nil, 0, 0, nil)
 			}
 		}),
 	}
@@ -46,7 +46,7 @@ func capturesDatabase(db *relation.Database) mr.Job {
 	return mr.Job{
 		Name:   "q4",
 		Inputs: []string{"R"},
-		Reducer: mr.ReducerFunc(func(key []byte, msgs []mr.Message, out *mr.Output) {
+		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
 			_ = db.Get("S") // want `mapper/reducer closure captures database "db" at plan time`
 		}),
 	}
@@ -57,8 +57,8 @@ func good() mr.Job {
 	return mr.Job{
 		Name:   "q5",
 		Inputs: []string{"R", "S"},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit mr.Emit) {
-			emit([]byte(input), nil)
+		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
+			emit.Emit([]byte(input), 0, 0, nil)
 		}),
 	}
 }

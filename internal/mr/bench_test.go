@@ -40,25 +40,22 @@ func benchShuffleJob(packing bool) *Job {
 	for v := range keys {
 		keys[v] = []byte(tup(int64(v)).Key())
 	}
-	// Preconstructed messages and output tuple: emitting boxes no
-	// interface value and reducing builds no tuples, so allocs/op counts
-	// only what the engine itself does per record.
-	var req Message = intMsg(1000)
-	var assert Message = intMsg(-1)
+	// Preconstructed output tuple: reducing builds no tuples, so
+	// allocs/op counts only what the engine itself does per record.
 	zOut := tup(0, 0)
 	job := semijoinJob(packing)
-	job.Mapper = MapperFunc(func(input string, id int, t relation.Tuple, emit Emit) {
+	job.Mapper = MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
 		switch input {
 		case "R":
-			emit(keys[t[1]], req)
+			emitInt(emit, keys[t[1]], 1000)
 		case "S":
-			emit(keys[t[0]], assert)
+			emitInt(emit, keys[t[0]], -1)
 		}
 	})
-	job.Reducer = ReducerFunc(func(key []byte, msgs []Message, out *Output) {
+	job.Reducer = ReducerFunc(func(key []byte, msgs *Group, out *Output) {
 		hasAssert := false
-		for _, m := range msgs {
-			if m.(intMsg) == -1 {
+		for i := 0; i < msgs.Len(); i++ {
+			if intAt(msgs, i) == -1 {
 				hasAssert = true
 				break
 			}
@@ -66,8 +63,8 @@ func benchShuffleJob(packing bool) *Job {
 		if !hasAssert {
 			return
 		}
-		for _, m := range msgs {
-			if m.(intMsg) >= 1000 {
+		for i := 0; i < msgs.Len(); i++ {
+			if intAt(msgs, i) >= 1000 {
 				out.Add("Z", zOut)
 			}
 		}
@@ -93,22 +90,14 @@ func BenchmarkRunJobShuffle(b *testing.B) {
 }
 
 // benchPartition builds one reduce partition: n records spread over k
-// distinct keys, every eighth record packed (as the packing optimization
-// produces), in round-robin key order.
-func benchPartition(n, k int) []record {
-	keys := make([][]byte, k)
-	for i := range keys {
-		keys[i] = []byte(relation.Tuple{relation.Value(i)}.Key())
-	}
-	recs := make([]record, 0, n)
+// distinct keys in round-robin key order.
+func benchPartition(n, k int) *recordSet {
+	var em Emitter
+	var kb [12]byte
 	for i := 0; i < n; i++ {
-		var msg Message = intMsg(i)
-		if i%8 == 0 {
-			msg = Packed{Msgs: []Message{intMsg(i), intMsg(i + 1)}}
-		}
-		recs = append(recs, record{key: keys[i%k], msg: msg})
+		emitInt(&em, relation.Value(i%k).AppendKey(kb[:0]), int64(i))
 	}
-	return recs
+	return &em.set
 }
 
 // BenchmarkReduceGrouping measures grouping one reduce partition by key
@@ -116,17 +105,13 @@ func benchPartition(n, k int) []record {
 // from the rest of the engine.
 func BenchmarkReduceGrouping(b *testing.B) {
 	recs := benchPartition(1<<16, 1<<10)
-	want := len(recs) + len(recs)/8 // packed records carry two messages
-	if len(recs)%8 != 0 {
-		want++
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		forEachGroup(recs, func(key []byte, msgs []Message) { n += len(msgs) })
-		if n != want {
-			b.Fatalf("flattened %d messages, want %d", n, want)
+		forEachGroup(recs, sortIndexByKey(recs), func(key []byte, msgs *Group) { n += msgs.Len() })
+		if n != len(recs.recs) {
+			b.Fatalf("walked %d messages, want %d", n, len(recs.recs))
 		}
 	}
 }

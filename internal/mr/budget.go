@@ -8,7 +8,7 @@ import (
 
 // Memory governance for one query run. A Budget is an atomic byte
 // ledger charged at the engine's bulk allocation sites — arena chunks
-// (keyArena.hold), shuffle partitions (shuffleTask), merge shards
+// (Emitter.Emit), shuffle partition buffers (shuffleTask), merge shards
 // (mergeTask) and spill read-back buffers — before the memory is used.
 //
 // Charges are cumulative and never released mid-run: the total charged

@@ -1,0 +1,44 @@
+package mr
+
+// arenaChunk is the size of one chunk of a map task's byte arena. The
+// arena is grow-only: a full chunk stays alive through the records that
+// point into it and a fresh one is started, so emitting allocates one
+// chunk per ~arenaChunk bytes of key and payload data and nothing per
+// record. Chunks are charged to the run's budget before use — the arena
+// is one of the three accounted allocation sites of the
+// memory-governance contract — and their size never depends on the
+// schedule, so neither does the charge.
+const arenaChunk = 1 << 16
+
+// Emit outputs one record: payload, of type tag and modelled size, under
+// key. See Emitter for the ownership and accounting rules.
+func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
+	if e.wrap != nil {
+		// The wrapper sees a copy: handing it the caller's slices
+		// through a function value would force every mapper's stack
+		// buffers onto the heap, wrapped or not.
+		e.scratch = append(append(e.scratch[:0], key...), payload...)
+		e.wrap(e.scratch[:len(key):len(key)], tag, size, e.scratch[len(key):])
+		return
+	}
+	size += KeyBytes(key) // the one place a record's modelled size is fixed
+	if e.counting {
+		e.records++
+		e.bytes += size
+		return
+	}
+	need := len(key) + len(payload)
+	if len(e.set.bufs) == 0 || e.used+need > len(e.set.bufs[len(e.set.bufs)-1]) {
+		e.set.bufs = append(e.set.bufs, grabBytes(e.budget, max(arenaChunk, need)))
+		e.used = 0
+	}
+	src := len(e.set.bufs) - 1
+	chunk := e.set.bufs[src]
+	copy(chunk[e.used:], key)
+	copy(chunk[e.used+len(key):], payload)
+	e.set.recs = append(e.set.recs, record{
+		size: size, src: uint32(src), off: uint32(e.used),
+		klen: uint32(len(key)), plen: uint32(len(payload)), tag: tag,
+	})
+	e.used += need
+}

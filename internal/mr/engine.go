@@ -27,20 +27,23 @@ import (
 // paper's per-job schedule; host scheduling only shortens wall-clock
 // time.
 //
-// The per-record hot path is allocation-lean by design: record sizes are
-// computed once at emit time, shuffle keys are byte slices carved from a
-// grow-only per-map-task arena (a map task performs zero per-record key
-// allocations), keys are hashed with an inlined FNV-1a (no hasher
-// object), shuffle partitions are built with counted two-pass placement
-// into one backing array per task, reduce-side grouping is sort-based
-// with an MSD radix sort on the key bytes (see group.go and radix.go),
-// and job outputs merge through a counted, pre-sized merge
-// (relation.Merge). Every goroutine a run starts is a pool worker (or
-// the pool's cancellation watcher): tasks never fan out on their own,
-// so panic containment and cancellation cover all of the engine's
-// concurrency. None of this changes what the engine computes —
-// outputs and stats are bit-for-bit identical at every parallelism
-// setting and to the earlier barriered, phase-at-a-time engine.
+// The per-record hot path moves bytes, not objects: a shuffle record is
+// its key and payload bytes plus a pointer-free reference to them
+// (group.go). Mappers emit both into a grow-only per-map-task arena
+// through the concrete Emitter (zero allocations per record, sizes
+// fixed once at emit), keys are hashed with an inlined FNV-1a, a
+// shuffle task lays its records out as per-reducer byte segments in one
+// buffer with counted two-pass placement (spill.go — the layout a spill
+// file has, so spilling is one write), reduce-side grouping is
+// sort-based with an MSD radix sort on the key bytes (group.go,
+// radix.go), reducers walk a view over the segment bytes, and job
+// outputs merge through a counted, pre-sized merge (relation.Merge).
+// Every goroutine a run starts is a pool worker (or the pool's
+// cancellation watcher): tasks never fan out on their own, so panic
+// containment and cancellation cover all of the engine's concurrency.
+// None of this changes what the engine computes — outputs and stats are
+// bit-for-bit identical at every parallelism setting and to the earlier
+// barriered, phase-at-a-time engine.
 type Engine struct {
 	cfg Config
 }
@@ -111,52 +114,13 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// mapTaskResult is the output of one map task.
+// mapTaskResult is the output of one map task: its records (packed runs
+// adjacent when the job packs), how many shuffle records they count as
+// (one per packed run) and their modelled bytes (keys + payloads).
 type mapTaskResult struct {
-	records []record
-	bytes   int64 // modelled record bytes (keys + payloads)
-}
-
-// keyArena is the grow-only byte arena holding one map task's shuffle
-// keys. Emitted keys are copied into the current chunk and referenced as
-// sub-slices; when a chunk fills, a fresh one is started and the full
-// chunk stays alive through the records that point into it. Emitting a
-// record therefore allocates nothing per key — only one chunk per
-// ~keyArenaChunk bytes of key data. Chunks are charged to the run's
-// budget (nil = unaccounted) before use: the arena is one of the three
-// accounted allocation sites of the memory-governance contract.
-type keyArena struct {
-	buf    []byte // current chunk; len grows monotonically within a chunk
-	budget *Budget
-}
-
-const keyArenaChunk = 1 << 16
-
-// hold copies key into the arena and returns the arena-backed copy,
-// capped so later appends cannot clobber neighbouring keys.
-func (a *keyArena) hold(key []byte) []byte {
-	if len(a.buf)+len(key) > cap(a.buf) {
-		n := keyArenaChunk
-		if len(key) > n {
-			n = len(key)
-		}
-		a.buf = grabBytes(a.budget, n)[:0]
-	}
-	start := len(a.buf)
-	a.buf = append(a.buf, key...)
-	return a.buf[start:len(a.buf):len(a.buf)]
-}
-
-// emitInto builds the engine's map-task emit function: the key is copied
-// into the task arena (the Emit key-ownership contract) and the record's
-// modelled size is computed once. Factored out of the map task so the
-// zero-allocation guarantee is testable on the exact production path
-// (TestEmitPathZeroKeyAllocs).
-func emitInto(arena *keyArena, recs *[]record) Emit {
-	return func(key []byte, msg Message) {
-		k := arena.hold(key)
-		*recs = append(*recs, record{key: k, msg: msg, size: KeyBytes(k) + msg.SizeBytes()})
-	}
+	set     recordSet
+	records int64
+	bytes   int64
 }
 
 // RunJob executes the job against db and returns its output relations
@@ -228,10 +192,10 @@ func hashKey(key []byte) uint32 {
 // Sample runs the job's mapper over every sampleStride-th tuple of each
 // input and extrapolates the intermediate size per input: the sampling
 // step Gumbo uses to estimate M_i before running a job (§5.1 opt (3)).
-// Sampling only counts — it never materializes records, so it allocates
-// nothing beyond what the mapper itself emits. The running record and
-// byte counters are shared by one emit closure across inputs and reset
-// per input: each returned PartStats reflects exactly one input.
+// Sampling drives the production Emitter in counting mode — the size
+// rule is the one Emit applies — so it materializes no records. The
+// counters are reset per input: each returned PartStats reflects exactly
+// one input.
 func (e *Engine) Sample(job *Job, db *relation.Database) ([]PartStats, error) {
 	return e.sample(job, db, sampleStride)
 }
@@ -241,21 +205,16 @@ const sampleStride = 100
 
 func (e *Engine) sample(job *Job, db *relation.Database, stride int) ([]PartStats, error) {
 	parts := make([]PartStats, 0, len(job.Inputs))
-	var records int64
-	var bytes int64
-	emit := func(key []byte, msg Message) {
-		records++
-		bytes += KeyBytes(key) + msg.SizeBytes()
-	}
+	em := Emitter{counting: true}
 	for _, name := range job.Inputs {
 		rel := db.Relation(name)
 		if rel == nil {
 			return nil, fmt.Errorf("mr: sample: unknown input relation %q", name)
 		}
-		records, bytes = 0, 0 // counters are per input
+		em.records, em.bytes = 0, 0 // counters are per input
 		sampled := 0
 		for i := 0; i < rel.Size(); i += stride {
-			job.Mapper.Map(name, i, rel.Tuple(i), emit)
+			job.Mapper.Map(name, i, rel.Tuple(i), &em)
 			sampled++
 		}
 		scale := 0.0
@@ -266,8 +225,8 @@ func (e *Engine) sample(job *Job, db *relation.Database, stride int) ([]PartStat
 		parts = append(parts, PartStats{
 			Input:   name,
 			InputMB: inputMB,
-			InterMB: mbOf(bytes) * scale,
-			Records: int64(float64(records) * scale),
+			InterMB: mbOf(em.bytes) * scale,
+			Records: int64(float64(em.records) * scale),
 			Mappers: e.cfg.Cost.Mappers(inputMB),
 		})
 	}

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -9,10 +10,21 @@ import (
 	"repro/internal/relation"
 )
 
-// intMsg is a trivial message for tests.
-type intMsg int64
+// The tests' message type: an int64 travelling under tagInt as a varint
+// payload, modelled at 8 bytes.
+const tagInt = 250
 
-func (m intMsg) SizeBytes() int64 { return 8 }
+func emitInt(em *Emitter, key []byte, v int64) {
+	var b [binary.MaxVarintLen64]byte
+	em.Emit(key, tagInt, 8, binary.AppendVarint(b[:0], v))
+}
+
+// intAt decodes the group's i-th message.
+func intAt(g *Group, i int) int64 {
+	_, p := g.At(i)
+	v, _ := binary.Varint(p)
+	return v
+}
 
 func tup(vals ...int64) relation.Tuple {
 	t := make(relation.Tuple, len(vals))
@@ -40,19 +52,19 @@ func semijoinJob(packing bool) *Job {
 		Inputs:  []string{"R", "S"},
 		Outputs: map[string]int{"Z": 2},
 		Packing: packing,
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit Emit) {
+		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
 			var kb [12]byte
 			switch input {
 			case "R":
-				emit(t[1].AppendKey(kb[:0]), intMsg(int64(id)+1000))
+				emitInt(emit, t[1].AppendKey(kb[:0]), int64(id)+1000)
 			case "S":
-				emit(t[0].AppendKey(kb[:0]), intMsg(-1))
+				emitInt(emit, t[0].AppendKey(kb[:0]), -1)
 			}
 		}),
-		Reducer: ReducerFunc(func(key []byte, msgs []Message, out *Output) {
+		Reducer: ReducerFunc(func(key []byte, msgs *Group, out *Output) {
 			hasAssert := false
-			for _, m := range msgs {
-				if m.(intMsg) == -1 {
+			for i := 0; i < msgs.Len(); i++ {
+				if intAt(msgs, i) == -1 {
 					hasAssert = true
 					break
 				}
@@ -60,9 +72,9 @@ func semijoinJob(packing bool) *Job {
 			if !hasAssert {
 				return
 			}
-			for _, m := range msgs {
-				if v := m.(intMsg); v >= 1000 {
-					out.Add("Z", tup(int64(v)-1000, 0))
+			for i := 0; i < msgs.Len(); i++ {
+				if v := intAt(msgs, i); v >= 1000 {
+					out.Add("Z", tup(v-1000, 0))
 				}
 			}
 		}),
@@ -212,10 +224,10 @@ func TestUndeclaredOutputPanics(t *testing.T) {
 		Name:    "bad",
 		Inputs:  []string{"R"},
 		Outputs: map[string]int{"Z": 1},
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit Emit) {
-			emit([]byte("k"), intMsg(1))
+		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
+			emitInt(emit, []byte("k"), 1)
 		}),
-		Reducer: ReducerFunc(func(key []byte, msgs []Message, out *Output) {
+		Reducer: ReducerFunc(func(key []byte, msgs *Group, out *Output) {
 			out.Add("Undeclared", tup(1))
 		}),
 	}
@@ -270,7 +282,7 @@ func TestSampleEstimates(t *testing.T) {
 }
 
 // TestSamplePerInputIsolation guards against the sampling counters
-// leaking across inputs: Sample shares one emit closure over all inputs,
+// leaking across inputs: Sample shares one counting emitter over all inputs,
 // so a missing reset would fold every earlier input's records and bytes
 // into each later input's PartStats.
 func TestSamplePerInputIsolation(t *testing.T) {
@@ -309,11 +321,11 @@ func TestProgramDepsAndRounds(t *testing.T) {
 		Name:    "consume",
 		Inputs:  []string{"Z"},
 		Outputs: map[string]int{"W": 2},
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit Emit) {
+		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
 			var kb [32]byte
-			emit(t.AppendKey(kb[:0]), intMsg(int64(id)))
+			emitInt(emit, t.AppendKey(kb[:0]), int64(id))
 		}),
-		Reducer: ReducerFunc(func(key []byte, msgs []Message, out *Output) {
+		Reducer: ReducerFunc(func(key []byte, msgs *Group, out *Output) {
 			out.Add("W", relation.TupleFromKeyBytes(key))
 		}),
 	}
@@ -379,12 +391,5 @@ func TestCostSpecConversion(t *testing.T) {
 	c := cost.Default()
 	if c.JobCost(cost.Gumbo, spec) <= 0 {
 		t.Error("job cost not positive")
-	}
-}
-
-func TestPackedSizeBytes(t *testing.T) {
-	p := Packed{Msgs: []Message{intMsg(1), intMsg(2), intMsg(3)}}
-	if p.SizeBytes() != 24 {
-		t.Errorf("SizeBytes = %d", p.SizeBytes())
 	}
 }

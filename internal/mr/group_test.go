@@ -7,218 +7,149 @@ import (
 	"testing"
 )
 
-// mkrec builds a record the way the engine's emit does, with the size
-// computed up front.
-func mkrec(key string, msg Message) record {
-	k := []byte(key)
-	return record{key: k, msg: msg, size: KeyBytes(k) + msg.SizeBytes()}
+// kv is one test record: a key and an int message (see emitInt).
+type kv struct {
+	key string
+	v   int64
 }
 
-// refGroup is the engine's pre-sort-based reduce grouping (hash map +
-// sorted key list), kept as the oracle the sort-based grouping must
-// reproduce byte for byte. It works on string keys — the engine's
-// original key representation — so it also serves as the string-keyed
-// oracle for the byte-slice key differential tests in radix_test.go.
-func refGroup(recs []record, fn func(key []byte, msgs []Message)) {
-	groups := make(map[string][]Message)
-	var keys []string
-	for _, r := range recs {
-		msgs, seen := groups[string(r.key)]
-		if !seen {
-			keys = append(keys, string(r.key))
-		}
-		if packed, ok := r.msg.(Packed); ok {
-			msgs = append(msgs, packed.Msgs...)
-		} else {
-			msgs = append(msgs, r.msg)
-		}
-		groups[string(r.key)] = msgs
+// setOf builds a record set the way a map task does: through the
+// production Emitter, sizes fixed at emit.
+func setOf(kvs []kv) *recordSet {
+	var em Emitter
+	for _, r := range kvs {
+		emitInt(&em, []byte(r.key), r.v)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fn([]byte(k), groups[k])
-	}
+	return &em.set
 }
 
-// groupTrace renders a grouping pass as one string: key, then each
-// message in delivery order. Comparing traces compares key order, group
-// boundaries and message order at once.
-func groupTrace(group func([]record, func([]byte, []Message)), recs []record) string {
+// groupTrace renders the sort-based grouping of s as one string: key,
+// then each message in delivery order. Comparing traces compares key
+// order, group boundaries and message order at once.
+func groupTrace(s *recordSet) string {
 	var out string
-	group(recs, func(key []byte, msgs []Message) {
+	forEachGroup(s, sortIndexByKey(s), func(key []byte, msgs *Group) {
 		out += fmt.Sprintf("%q:", key)
-		for _, m := range msgs {
-			out += fmt.Sprintf("%v,", m)
+		for i := 0; i < msgs.Len(); i++ {
+			out += fmt.Sprintf("%v,", intAt(msgs, i))
 		}
 		out += ";"
 	})
 	return out
 }
 
+// refTrace is the engine's pre-sort-based reduce grouping (hash map +
+// sorted key list) rendered like groupTrace: the oracle the sort-based
+// grouping must reproduce byte for byte. It works on string keys — the
+// engine's original key representation — so it also serves as the
+// string-keyed oracle for the byte-slice key differential tests in
+// radix_test.go.
+func refTrace(kvs []kv) string {
+	groups := make(map[string][]int64)
+	var keys []string
+	for _, r := range kvs {
+		if _, seen := groups[r.key]; !seen {
+			keys = append(keys, r.key)
+		}
+		groups[r.key] = append(groups[r.key], r.v)
+	}
+	sort.Strings(keys)
+	var out string
+	for _, k := range keys {
+		out += fmt.Sprintf("%q:", k)
+		for _, v := range groups[k] {
+			out += fmt.Sprintf("%v,", v)
+		}
+		out += ";"
+	}
+	return out
+}
+
 func TestForEachGroupEmptyPartition(t *testing.T) {
-	called := false
-	forEachGroup(nil, func([]byte, []Message) { called = true })
-	forEachGroup([]record{}, func([]byte, []Message) { called = true })
-	if called {
-		t.Error("forEachGroup called fn on an empty partition")
+	if got := groupTrace(&recordSet{}); got != "" {
+		t.Errorf("forEachGroup called fn on an empty partition: %s", got)
 	}
 }
 
 func TestForEachGroupSingleKeyRun(t *testing.T) {
-	recs := []record{
-		mkrec("k", intMsg(1)),
-		mkrec("k", intMsg(2)),
-		mkrec("k", intMsg(3)),
-	}
-	got := groupTrace(forEachGroup, recs)
+	got := groupTrace(setOf([]kv{{"k", 1}, {"k", 2}, {"k", 3}}))
 	if want := `"k":1,2,3,;`; got != want {
 		t.Errorf("trace = %s, want %s", got, want)
 	}
 }
 
-func TestForEachGroupFlattensPacked(t *testing.T) {
-	recs := []record{
-		mkrec("b", Packed{Msgs: []Message{intMsg(10), intMsg(11)}}),
-		mkrec("a", intMsg(1)),
-		mkrec("b", intMsg(12)),
-		mkrec("a", Packed{Msgs: []Message{intMsg(2)}}),
+// randomKVs draws n records over the given number of distinct keys.
+func randomKVs(rng *rand.Rand, n, keys int) []kv {
+	kvs := make([]kv, n)
+	for i := range kvs {
+		kvs[i] = kv{fmt.Sprintf("k%03d", rng.Intn(keys)), int64(i)}
 	}
-	got := groupTrace(forEachGroup, recs)
-	if want := `"a":1,2,;"b":10,11,12,;`; got != want {
-		t.Errorf("trace = %s, want %s", got, want)
-	}
+	return kvs
 }
 
 // TestForEachGroupMatchesMapGrouping drives both groupings over
-// randomized partitions — skewed keys, packed and plain messages — and
-// requires identical traces: same key order, same group boundaries,
-// same message order.
+// randomized skewed-key partitions and requires identical traces: same
+// key order, same group boundaries, same message order.
 func TestForEachGroupMatchesMapGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(400)
-		keys := rng.Intn(20) + 1
-		recs := make([]record, 0, n)
-		for i := 0; i < n; i++ {
-			key := fmt.Sprintf("k%03d", rng.Intn(keys))
-			var msg Message = intMsg(i)
-			if rng.Intn(4) == 0 {
-				packed := make([]Message, rng.Intn(3)+1)
-				for j := range packed {
-					packed[j] = intMsg(1000*i + j)
-				}
-				msg = Packed{Msgs: packed}
-			}
-			recs = append(recs, mkrec(key, msg))
-		}
-		// forEachGroup sorts in place; hand each grouping its own copy.
-		mine := make([]record, len(recs))
-		copy(mine, recs)
-		got := groupTrace(forEachGroup, mine)
-		want := groupTrace(refGroup, recs)
-		if got != want {
+		kvs := randomKVs(rng, rng.Intn(400), rng.Intn(20)+1)
+		if got, want := groupTrace(setOf(kvs)), refTrace(kvs); got != want {
 			t.Fatalf("trial %d: sort-based grouping diverged:\n got %s\nwant %s", trial, got, want)
 		}
 	}
 }
 
-// refPack is the engine's pre-sort-based packing (first-occurrence key
-// order). packRecords now emits ascending key order, so the comparison
-// normalizes both sides through a grouping pass.
-func refPack(recs []record) []record {
-	groups := make(map[string][]Message, len(recs))
-	var order []string
-	for _, r := range recs {
-		if _, seen := groups[string(r.key)]; !seen {
-			order = append(order, string(r.key))
-		}
-		groups[string(r.key)] = append(groups[string(r.key)], r.msg)
-	}
-	out := make([]record, 0, len(order))
-	for _, k := range order {
-		msgs := groups[k]
-		if len(msgs) == 1 {
-			out = append(out, mkrec(k, msgs[0]))
-		} else {
-			out = append(out, mkrec(k, Packed{Msgs: msgs}))
-		}
-	}
-	return out
-}
-
+// TestPackRecordsMatchesMapPacking checks packing against the map-based
+// definition: one run per distinct key, the key charged once per run,
+// payload bytes all kept, and the groups a reducer sees unchanged.
 func TestPackRecordsMatchesMapPacking(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(300)
-		keys := rng.Intn(15) + 1
-		recs := make([]record, 0, n)
-		for i := 0; i < n; i++ {
-			recs = append(recs, mkrec(fmt.Sprintf("k%03d", rng.Intn(keys)), intMsg(i)))
-		}
-		want := refPack(append([]record(nil), recs...))
-		got := packRecords(append([]record(nil), recs...))
-
-		// Same packed bytes and record count.
-		var wantBytes, gotBytes int64
-		for _, r := range want {
-			wantBytes += KeyBytes(r.key) + r.msg.SizeBytes()
-		}
-		for _, r := range got {
-			gotBytes += r.size
-			recomputed := KeyBytes(r.key)
-			if r.packed != nil {
-				for _, m := range r.packed {
-					recomputed += m.SizeBytes()
-				}
-			} else {
-				recomputed += r.msg.SizeBytes()
+		kvs := randomKVs(rng, rng.Intn(300), rng.Intn(15)+1)
+		perKey := make(map[string]int64)
+		var wantBytes int64
+		for _, r := range kvs {
+			if perKey[r.key] == 0 {
+				wantBytes += KeyBytes([]byte(r.key))
 			}
-			if r.size != recomputed {
-				t.Fatalf("trial %d: key %q: stored size %d != recomputed %d",
-					trial, r.key, r.size, recomputed)
-			}
+			perKey[r.key]++
+			wantBytes += 8
 		}
-		if len(got) != len(want) || gotBytes != wantBytes {
-			t.Fatalf("trial %d: packed %d records/%d bytes, want %d/%d",
-				trial, len(got), gotBytes, len(want), wantBytes)
+		s := setOf(kvs)
+		runs := packRecords(s)
+		var gotBytes int64
+		for i := range s.recs {
+			want := int64(8) // a run's later records carry payload bytes only
+			if i == 0 || string(s.key(i-1)) != string(s.key(i)) {
+				want += KeyBytes(s.key(i))
+			}
+			if s.recs[i].size != want {
+				t.Fatalf("trial %d: record %d (key %q): size %d, want %d", trial, i, s.key(i), s.recs[i].size, want)
+			}
+			gotBytes += s.recs[i].size
+		}
+		if runs != int64(len(perKey)) || gotBytes != wantBytes || len(s.recs) != len(kvs) {
+			t.Fatalf("trial %d: packed %d runs/%d bytes/%d messages, want %d/%d/%d",
+				trial, runs, gotBytes, len(s.recs), len(perKey), wantBytes, len(kvs))
 		}
 		// Same groups in the same per-key message order once grouped —
 		// the only property the reduce phase observes.
-		gt := groupTrace(forEachGroup, got)
-		wt := groupTrace(forEachGroup, want)
-		if gt != wt {
+		if gt, wt := groupTrace(s), refTrace(kvs); gt != wt {
 			t.Fatalf("trial %d: packing diverged after grouping:\n got %s\nwant %s", trial, gt, wt)
 		}
 	}
 }
 
-// TestPackedFlattensInsidePackedRun pins the flattening contract of
-// types.go (Reducer/Packed docs): a mapper-emitted Packed message is
-// flattened for the reducer whether its record stays a singleton or is
-// folded into an engine-packed run with other same-key records.
-func TestPackedFlattensInsidePackedRun(t *testing.T) {
-	recs := []record{
-		mkrec("k", Packed{Msgs: []Message{intMsg(1), intMsg(2)}}),
-		mkrec("k", intMsg(3)),
-		mkrec("solo", Packed{Msgs: []Message{intMsg(7), intMsg(8)}}),
-	}
-	packed := packRecords(append([]record(nil), recs...))
-	got := groupTrace(forEachGroup, packed)
-	if want := `"k":1,2,3,;"solo":7,8,;`; got != want {
-		t.Errorf("trace = %s, want %s", got, want)
-	}
-}
-
 func TestPackRecordsEmptyAndSingle(t *testing.T) {
-	if out := packRecords(nil); len(out) != 0 {
-		t.Errorf("packRecords(nil) = %v", out)
+	if runs := packRecords(&recordSet{}); runs != 0 {
+		t.Errorf("packRecords(empty) = %d runs", runs)
 	}
-	one := []record{mkrec("k", intMsg(1))}
-	out := packRecords(append([]record(nil), one...))
-	if len(out) != 1 || string(out[0].key) != "k" || out[0].msg.(intMsg) != 1 {
-		t.Errorf("packRecords(single) = %+v", out)
+	s := setOf([]kv{{"k", 1}})
+	if runs := packRecords(s); runs != 1 || len(s.recs) != 1 || s.recs[0].size != KeyBytes([]byte("k"))+8 {
+		t.Errorf("packRecords(single) = %d runs, records %+v", runs, s.recs)
 	}
-	if out[0].packed != nil {
-		t.Error("single record was packed")
+	if got := groupTrace(s); got != `"k":1,;` {
+		t.Errorf("packRecords(single) changed the record: %s", got)
 	}
 }

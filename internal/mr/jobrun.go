@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,64 +103,6 @@ type mapTaskSpec struct {
 	from, to int
 }
 
-// taskPartition is one map task's output partitioned by reducer. A
-// spilled partition has parts == nil and its records in spill; loads
-// are computed before the spill decision and kept either way. sketch
-// is the task's heavy-key sketch, collected only when runtime skew
-// splitting is enabled (split.go).
-type taskPartition struct {
-	parts  [][]record
-	loads  []int64
-	spill  *spillPartition
-	sketch *keySketch
-}
-
-// count returns the capacity a reduce task should reserve for this
-// partition's share of slot s: exact for in-memory records (a sub-range
-// task allocates its own share, not the whole partition's), the
-// segment's record count — an upper bound under a sub-range — for a
-// spilled partition, which is range-filtered only while decoding.
-func (tp *taskPartition) count(s reduceSlot) int {
-	if tp.spill != nil {
-		return int(tp.spill.segs[s.ri].count)
-	}
-	recs := tp.parts[s.ri]
-	if !s.split() {
-		return len(recs)
-	}
-	n := 0
-	for i := range recs {
-		if keyInRange(recs[i].key, s.lo, s.hi) {
-			n++
-		}
-	}
-	return n
-}
-
-// appendTo appends this partition's records of reducer s.ri whose key
-// falls in the slot's range, in the order the shuffle placed them, and
-// returns their modelled bytes — the slot's share of the partition
-// load. In memory or streamed back from the spill file, whole or
-// sub-range, the reducer sees the same record sequence; the whole
-// in-memory case (every default-config run) is one bulk append.
-func (tp *taskPartition) appendTo(dst []record, s reduceSlot, b *Budget) ([]record, int64, error) {
-	if tp.spill != nil {
-		return tp.spill.appendSegment(dst, s.ri, s.lo, s.hi, b)
-	}
-	recs := tp.parts[s.ri]
-	if !s.split() {
-		return append(dst, recs...), tp.loads[s.ri], nil
-	}
-	var load int64
-	for i := range recs {
-		if keyInRange(recs[i].key, s.lo, s.hi) {
-			dst = append(dst, recs[i])
-			load += recs[i].size
-		}
-	}
-	return dst, load, nil
-}
-
 // newJobRun prepares the task-graph state for one job. The job must
 // already have passed (*Job).validate.
 func (e *Engine) newJobRun(job *Job, gov govern,
@@ -228,8 +171,9 @@ func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 	}
 }
 
-// mapTask runs the mapper over one split, with the allocation-lean emit
-// path (arena-held keys, sizes computed once) and optional packing.
+// mapTask runs the mapper over one split through the production
+// Emitter (arena-held keys and payloads, sizes fixed at emit), with
+// optional packing.
 func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	start := time.Now()
 	job := jr.job
@@ -240,23 +184,22 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	if est := jr.est[part].Load(); est > 0 {
 		capHint = int(est*int64(n)/1024) + 8
 	}
-	recs := make([]record, 0, capHint)
-	arena := keyArena{budget: jr.gov.budget}
-	emit := emitInto(&arena, &recs)
+	em := Emitter{budget: jr.gov.budget}
+	em.set.recs = make([]record, 0, capHint)
 	for i := ts.from; i < ts.to; i++ {
-		job.Mapper.Map(input, i, ts.rel.Tuple(i), emit)
+		job.Mapper.Map(input, i, ts.rel.Tuple(i), &em)
 	}
+	res := mapTaskResult{set: em.set, records: int64(len(em.set.recs))}
 	if n > 0 {
-		jr.est[part].Store(int64(len(recs)) * 1024 / int64(n))
+		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
 	if job.Packing {
-		recs = packRecords(recs)
+		res.records = packRecords(&res.set)
 	}
-	var bytes int64
-	for _, r := range recs {
-		bytes += r.size
+	for i := range res.set.recs {
+		res.bytes += res.set.recs[i].size
 	}
-	jr.results[part][ti] = mapTaskResult{records: recs, bytes: bytes}
+	jr.results[part][ti] = res
 	jr.mu.Lock()
 	jr.timing.MapSeconds += time.Since(start).Seconds()
 	jr.mapsLeft--
@@ -279,7 +222,7 @@ func (jr *jobRun) mapsDone(c *poolCtx) {
 		for ti := range jr.tasks[part] {
 			res := &jr.results[part][ti]
 			p.InterMB += mbOf(res.bytes) * jr.inflate
-			p.Records += int64(len(res.records))
+			p.Records += res.records
 			total++
 		}
 	}
@@ -343,62 +286,67 @@ func (jr *jobRun) computeReducers() int {
 }
 
 // shuffleTask partitions one map task's records by key hash with the
-// counted two-pass placement: count each reducer's records, carve
-// per-reducer sub-slices out of one backing array, then place — three
-// allocations per task regardless of the reducer count. The
-// partition's modelled bytes are charged to the run's budget (the
-// shuffle-partition accounting site); a partition at or past the spill
-// threshold is then serialized to a temp file and its in-memory
-// records dropped, provided every message is spillable (see spill.go).
+// counted two-pass placement: size each reducer's segment, allocate one
+// buffer for all of them (charged to the run's budget — the
+// shuffle-partition accounting site), then encode every record into its
+// segment. A packed run — adjacent same-key records of a packing job —
+// is one unit of the first pass: one hash, one load entry, one sketch
+// observation, exactly what the run counted as when it was one record.
+// A partition at or past the spill threshold is then written to a temp
+// file and its buffer dropped (see spill.go).
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	start := time.Now()
-	recs := jr.results[part][ti].records
+	set := &jr.results[part][ti].set
 	taskBytes := jr.results[part][ti].bytes
-	jr.gov.budget.charge(taskBytes)
 	reducers := jr.reducers
 	tp := taskPartition{
-		parts: make([][]record, reducers),
+		segs:  make([]segment, reducers),
 		loads: make([]int64, reducers),
 	}
-	if len(recs) > 0 {
-		var sk *keySketch
+	if n := len(set.recs); n > 0 {
 		if jr.e.cfg.SkewSplit > 0 {
-			sk = newKeySketch(jr.gov.budget)
+			tp.sketch = newKeySketch(jr.gov.budget)
 		}
-		tc := make([]int32, len(recs)+reducers) // targets and counts, one allocation
-		target, counts := tc[:len(recs)], tc[len(recs):]
-		for i, r := range recs {
-			p := int32(hashKey(r.key) % uint32(reducers))
-			target[i] = p
-			counts[p]++
-			tp.loads[p] += r.size
-			if sk != nil && i%sketchSampleEvery == 0 {
-				sk.observe(r.key, p, r.size*sketchSampleEvery)
+		target := make([]int32, n)
+		for i, run := 0, 0; i < n; run++ {
+			key := set.key(i)
+			j, size := i+1, set.recs[i].size
+			if jr.job.Packing {
+				for ; j < n && bytes.Equal(set.key(j), key); j++ {
+					size += set.recs[j].size
+				}
+			}
+			p := int32(hashKey(key) % uint32(reducers))
+			tp.loads[p] += size
+			if tp.sketch != nil && run%sketchSampleEvery == 0 {
+				tp.sketch.observe(key, p, size*sketchSampleEvery)
+			}
+			for ; i < j; i++ {
+				target[i] = p
+				tp.segs[p].len += recordLen(&set.recs[i])
+				tp.segs[p].count++
 			}
 		}
-		tp.sketch = sk
-		buf := make([]record, len(recs))
-		off := 0
-		for p := 0; p < reducers; p++ {
-			cnt := int(counts[p])
-			tp.parts[p] = buf[off : off : off+cnt]
-			off += cnt
+		pos := make([]int64, reducers)
+		var total int64
+		for p := range tp.segs {
+			tp.segs[p].off, pos[p] = total, total
+			total += tp.segs[p].len
 		}
-		for i, r := range recs {
-			p := target[i]
-			tp.parts[p] = append(tp.parts[p], r)
+		tp.buf = grabBytes(jr.gov.budget, int(total))
+		for i := range set.recs {
+			r, p := &set.recs[i], target[i]
+			enc := appendRecord(tp.buf[pos[p]:pos[p]], set.key(i), r.tag, r.size, set.payload(i))
+			pos[p] += int64(len(enc))
 		}
-	}
-	if jr.gov.spill != nil && taskBytes >= jr.e.cfg.SpillThreshold && len(recs) > 0 && partitionSpillable(tp.parts) {
-		sp, err := jr.gov.spill.writePartition(&tp, jr.gov.budget)
-		if err != nil {
-			panic(taskAbort{err: err})
+		if jr.gov.spill != nil && taskBytes >= jr.e.cfg.SpillThreshold {
+			if err := tp.spill(jr.gov.spill, jr.gov.budget); err != nil {
+				panic(taskAbort{err: err})
+			}
 		}
-		tp.parts = nil // the spill file owns the records now
-		tp.spill = sp
 	}
 	jr.taskParts[part][ti] = tp
-	jr.results[part][ti].records = nil // the partitioned copies own the records now
+	jr.results[part][ti].set = recordSet{} // the segments own the bytes now
 	jr.mu.Lock()
 	jr.timing.ShuffleSeconds += time.Since(start).Seconds()
 	jr.shufsLeft--
@@ -414,8 +362,8 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 // reducer, plus sub-range tasks for partitions the skew splitter cut
 // (split.go) — and spawns one reduce task per slot.
 func (jr *jobRun) shufflesDone(c *poolCtx) {
-	// The map results are fully consumed (each task's records were
-	// nil'ed as its shuffle partition copied them); drop the scaffolding
+	// The map results are fully consumed (each task's arena was
+	// released as its shuffle partition copied it); drop the scaffolding
 	// so a finished stage doesn't hold memory for the program's whole
 	// duration — the per-job engine freed it when RunJob returned.
 	jr.results = nil
@@ -446,8 +394,8 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 // sorts the records by key and walks key runs through the user
 // Reducer. What "its share" means — a whole partition or a [lo, hi)
 // key sub-range of it, held in memory or spilled — is taskPartition's
-// business (count, appendTo): this loop is the one ordered-fold reader
-// of docs/INVARIANTS.md.
+// business (count, appendTo in spill.go): this loop is the one
+// ordered-fold reader of docs/INVARIANTS.md.
 func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 	start := time.Now()
 	slot := jr.slots[si]
@@ -457,13 +405,11 @@ func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 			n += jr.taskParts[part][ti].count(slot)
 		}
 	}
-	partRecs := make([]record, 0, n)
+	set := recordSet{recs: make([]record, 0, n)}
 	var load int64
 	for part := range jr.taskParts {
 		for ti := range jr.taskParts[part] {
-			var kept int64
-			var err error
-			partRecs, kept, err = jr.taskParts[part][ti].appendTo(partRecs, slot, jr.gov.budget)
+			kept, err := jr.taskParts[part][ti].appendTo(&set, slot, jr.gov.budget)
 			if err != nil {
 				panic(taskAbort{err: err})
 			}
@@ -477,11 +423,11 @@ func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 	if slot.singleKey() {
 		// The sub-range holds one key by construction: the records are
 		// already a single group in arrival order, no sort needed.
-		idx = identityIndex(len(partRecs))
+		idx = identityIndex(len(set.recs))
 	} else {
-		idx = sortIndexByKey(partRecs)
+		idx = sortIndexByKey(&set)
 	}
-	forEachGroupIdx(partRecs, idx, func(key []byte, msgs []Message) {
+	forEachGroup(&set, idx, func(key []byte, msgs *Group) {
 		jr.job.Reducer.Reduce(key, msgs, out)
 	})
 	dur := time.Since(start).Seconds()
@@ -524,8 +470,8 @@ func (jr *jobRun) reducesDone(c *poolCtx) {
 	// sweep them in the entry points' deferred spillSet.cleanup).
 	for part := range jr.taskParts {
 		for ti := range jr.taskParts[part] {
-			if sp := jr.taskParts[part][ti].spill; sp != nil {
-				jr.gov.spill.drop(sp.f)
+			if f := jr.taskParts[part][ti].f; f != nil {
+				jr.gov.spill.drop(f)
 			}
 		}
 	}

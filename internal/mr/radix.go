@@ -33,14 +33,14 @@ const (
 
 // cmpRef compares two keyRefs in lexicographic key-byte order, prefix
 // first.
-func cmpRef(recs []record, a, b keyRef) int {
+func cmpRef(s *recordSet, a, b keyRef) int {
 	if a.prefix != b.prefix {
 		if a.prefix < b.prefix {
 			return -1
 		}
 		return 1
 	}
-	ka, kb := recs[a.idx].key, recs[b.idx].key
+	ka, kb := s.key(int(a.idx)), s.key(int(b.idx))
 	if len(ka) <= 8 && len(kb) <= 8 {
 		return len(ka) - len(kb)
 	}
@@ -50,8 +50,8 @@ func cmpRef(recs []record, a, b keyRef) int {
 // sortRefs is the comparison sort over refs (pdqsort; its equal-element
 // handling collapses the long duplicate-key runs a shuffle partition is
 // made of).
-func sortRefs(recs []record, refs []keyRef) {
-	slices.SortFunc(refs, func(a, b keyRef) int { return cmpRef(recs, a, b) })
+func sortRefs(s *recordSet, refs []keyRef) {
+	slices.SortFunc(refs, func(a, b keyRef) int { return cmpRef(s, a, b) })
 }
 
 // msdRadix sorts refs in place by the key-prefix byte at the given level
@@ -60,9 +60,9 @@ func sortRefs(recs []record, refs []keyRef) {
 // and buckets whose 8-byte prefix is exhausted at level 8, where only
 // same-prefix stragglers longer than eight bytes remain — finish with
 // the comparison sort.
-func msdRadix(recs []record, refs, tmp []keyRef, level int) {
+func msdRadix(s *recordSet, refs, tmp []keyRef, level int) {
 	if len(refs) < radixBucketCutoff || level == 8 {
-		sortRefs(recs, refs)
+		sortRefs(s, refs)
 		return
 	}
 	shift := uint(56 - 8*level)
@@ -84,7 +84,7 @@ func msdRadix(recs []record, refs, tmp []keyRef, level int) {
 	for b := 0; b < 256; b++ {
 		lo, hi := offs[b], offs[b+1]
 		if hi-lo > 1 {
-			msdRadix(recs, refs[lo:hi], tmp[lo:hi], level+1)
+			msdRadix(s, refs[lo:hi], tmp[lo:hi], level+1)
 		}
 	}
 }

@@ -41,11 +41,11 @@ func FuzzRadixSort(f *testing.F) {
 			keys = [][]byte{nil}
 		}
 		for _, n := range []int{len(keys), 95, 97, 511, 513} {
-			recs := make([]record, n)
-			for i := range recs {
-				recs[i] = record{key: keys[i%len(keys)]}
+			var em Emitter
+			for i := 0; i < n; i++ {
+				em.Emit(keys[i%len(keys)], tagInt, 8, nil)
 			}
-			checkRadixAgainstOracle(t, recs)
+			checkRadixAgainstOracle(t, &em.set)
 		}
 	})
 }
@@ -74,20 +74,20 @@ func decodeFuzzKeys(data []byte) [][]byte {
 // (the paths are unstable within one key, so indices are checked only
 // for being a permutation — position-wise key equality plus a
 // permutation forces the per-key index multisets to agree).
-func checkRadixAgainstOracle(t *testing.T, recs []record) {
+func checkRadixAgainstOracle(t *testing.T, recs *recordSet) {
 	t.Helper()
-	n := len(recs)
+	n := len(recs.recs)
 	want := make([][]byte, n)
-	for i := range recs {
-		want[i] = recs[i].key
+	for i := range want {
+		want[i] = recs.key(i)
 	}
 	slices.SortStableFunc(want, bytes.Compare)
 
 	check := func(name string, sort func(refs, tmp []keyRef)) {
 		refs := make([]keyRef, n)
 		tmp := make([]keyRef, n)
-		for i := range recs {
-			refs[i] = keyRef{prefix: keyPrefix(recs[i].key), idx: int32(i)}
+		for i := range refs {
+			refs[i] = keyRef{prefix: keyPrefix(recs.key(i)), idx: int32(i)}
 		}
 		sort(refs, tmp)
 		seen := make([]bool, n)
@@ -96,11 +96,11 @@ func checkRadixAgainstOracle(t *testing.T, recs []record) {
 				t.Fatalf("%s (n=%d): position %d holds invalid or duplicate index %d", name, n, i, r.idx)
 			}
 			seen[r.idx] = true
-			if !bytes.Equal(recs[r.idx].key, want[i]) {
-				t.Fatalf("%s (n=%d): position %d has key %q, oracle wants %q", name, n, i, recs[r.idx].key, want[i])
+			if !bytes.Equal(recs.key(int(r.idx)), want[i]) {
+				t.Fatalf("%s (n=%d): position %d has key %q, oracle wants %q", name, n, i, recs.key(int(r.idx)), want[i])
 			}
-			if r.prefix != keyPrefix(recs[r.idx].key) {
-				t.Fatalf("%s (n=%d): position %d prefix %#x does not match its key %q", name, n, i, r.prefix, recs[r.idx].key)
+			if r.prefix != keyPrefix(recs.key(int(r.idx))) {
+				t.Fatalf("%s (n=%d): position %d prefix %#x does not match its key %q", name, n, i, r.prefix, recs.key(int(r.idx)))
 			}
 		}
 	}

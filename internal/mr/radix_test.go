@@ -35,12 +35,12 @@ func genAdversarialKeys(rng *rand.Rand, n int) [][]byte {
 	return keys
 }
 
-func recsFromKeys(keys [][]byte) []record {
-	recs := make([]record, len(keys))
+func kvsFromKeys(keys [][]byte) []kv {
+	kvs := make([]kv, len(keys))
 	for i, k := range keys {
-		recs[i] = record{key: k, msg: intMsg(i), size: KeyBytes(k) + 8}
+		kvs[i] = kv{string(k), int64(i)}
 	}
-	return recs
+	return kvs
 }
 
 // TestRadixMatchesComparisonSort is the old-vs-new differential for the
@@ -53,7 +53,7 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 		// Mix sizes straddling radixMinLen so both entry paths run.
 		n := rng.Intn(radixMinLen * 4)
 		keys := genAdversarialKeys(rng, n)
-		recs := recsFromKeys(keys)
+		recs := setOf(kvsFromKeys(keys))
 
 		want := make([]string, n)
 		for i, k := range keys {
@@ -71,7 +71,7 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 				t.Fatalf("trial %d: index %d visited twice", trial, id)
 			}
 			seen[id] = true
-			if got := string(recs[id].key); got != want[pos] {
+			if got := string(recs.key(int(id))); got != want[pos] {
 				t.Fatalf("trial %d: key %d = %q, want %q", trial, pos, got, want[pos])
 			}
 		}
@@ -88,16 +88,9 @@ func TestForEachGroupBoundariesAdversarialKeys(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := radixMinLen + rng.Intn(radixMinLen*2)
 		keys := genAdversarialKeys(rng, n)
-		recs := make([]record, n)
-		for i, k := range keys {
-			var msg Message = intMsg(i)
-			if rng.Intn(5) == 0 {
-				msg = Packed{Msgs: []Message{intMsg(1000 * i), intMsg(1000*i + 1)}}
-			}
-			recs[i] = record{key: k, msg: msg, size: KeyBytes(k) + 8}
-		}
-		want := groupTrace(refGroup, append([]record(nil), recs...))
-		got := groupTrace(forEachGroup, append([]record(nil), recs...))
+		kvs := kvsFromKeys(keys)
+		want := refTrace(kvs)
+		got := groupTrace(setOf(kvs))
 		if got != want {
 			t.Fatalf("trial %d: grouping diverged:\n got %s\nwant %s", trial, got, want)
 		}
@@ -128,54 +121,27 @@ func TestHashKeyPartitionMatchesStringImpl(t *testing.T) {
 	}
 }
 
-// TestEmitPathZeroKeyAllocs is the allocation regression guard for the
-// tentpole: emitting a record on the engine's production emit path
-// (emitInto — arena key copy, sized record append) must allocate
-// nothing per record once the task's arena chunk and record buffer
-// exist.
-func TestEmitPathZeroKeyAllocs(t *testing.T) {
-	var arena keyArena
-	recs := make([]record, 0, 4)
-	emit := emitInto(&arena, &recs)
-	var msg Message = intMsg(7)
-	key := []byte(tup(42, 7).Key())
-	emit(key, msg) // warm: allocates the first arena chunk
-	recs = recs[:0]
-	allocs := testing.AllocsPerRun(5000, func() {
-		recs = recs[:0]
-		emit(key, msg)
-	})
-	if allocs != 0 {
-		t.Errorf("emit path allocates %v per record, want 0", allocs)
+// TestArenaIsolation guards the arena's chunk-rollover contract: bytes
+// handed out earlier must stay intact when later records force new
+// chunks, neighbours must not overlap, and a record larger than the
+// chunk size gets a chunk of its own.
+func TestArenaIsolation(t *testing.T) {
+	var em Emitter
+	big := bytes.Repeat([]byte{0xab}, arenaChunk/2+1)
+	huge := bytes.Repeat([]byte{0x01}, arenaChunk+17)
+	keys := [][]byte{[]byte("first-key"), big, big, big, []byte("aa"), []byte("bb"), huge}
+	for i, k := range keys {
+		em.Emit(k, tagInt, 8, []byte{byte(i)})
 	}
-}
-
-// TestKeyArenaIsolation guards the arena's chunk-rollover contract:
-// keys handed out earlier must stay intact when later keys force new
-// chunks, and held keys must be capped so appends cannot clobber a
-// neighbour.
-func TestKeyArenaIsolation(t *testing.T) {
-	var arena keyArena
-	first := arena.hold([]byte("first-key"))
-	// Force several chunk rollovers with large keys.
-	big := bytes.Repeat([]byte{0xab}, keyArenaChunk/2+1)
-	for i := 0; i < 5; i++ {
-		if got := arena.hold(big); !bytes.Equal(got, big) {
-			t.Fatalf("rollover %d corrupted the held key", i)
+	if len(em.set.bufs) < 4 {
+		t.Fatalf("%d chunks: the large keys did not roll the arena over", len(em.set.bufs))
+	}
+	for i, k := range keys {
+		if !bytes.Equal(em.set.key(i), k) || !bytes.Equal(em.set.payload(i), []byte{byte(i)}) {
+			t.Fatalf("record %d corrupted: key %q payload %v", i, em.set.key(i), em.set.payload(i))
 		}
-	}
-	if string(first) != "first-key" {
-		t.Fatalf("chunk rollover corrupted an earlier key: %q", first)
-	}
-	a := arena.hold([]byte("aa"))
-	_ = append(a, 'X') // must not touch the next key's bytes
-	b := arena.hold([]byte("bb"))
-	if string(b) != "bb" {
-		t.Fatalf("append through a held key clobbered its neighbour: %q", b)
-	}
-	// A key larger than the chunk size gets its own chunk.
-	huge := bytes.Repeat([]byte{0x01}, keyArenaChunk+17)
-	if got := arena.hold(huge); !bytes.Equal(got, huge) {
-		t.Fatal("oversized key corrupted")
+		if want := KeyBytes(k) + 8; em.set.recs[i].size != want {
+			t.Errorf("record %d: size %d, want %d", i, em.set.recs[i].size, want)
+		}
 	}
 }

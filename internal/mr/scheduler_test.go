@@ -20,11 +20,11 @@ func identityJob(name, in, out string, arity int) *Job {
 		Name:    name,
 		Inputs:  []string{in},
 		Outputs: map[string]int{out: arity},
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit Emit) {
+		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
 			var kb [32]byte
-			emit(t.AppendKey(kb[:0]), intMsg(int64(id)))
+			emitInt(emit, t.AppendKey(kb[:0]), int64(id))
 		}),
-		Reducer: ReducerFunc(func(key []byte, msgs []Message, o *Output) {
+		Reducer: ReducerFunc(func(key []byte, msgs *Group, o *Output) {
 			o.Add(out, relation.TupleFromKeyBytes(key))
 		}),
 	}
@@ -36,11 +36,11 @@ func unionJob(name string, ins []string, out string, arity int) *Job {
 		Name:    name,
 		Inputs:  ins,
 		Outputs: map[string]int{out: arity},
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit Emit) {
+		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
 			var kb [32]byte
-			emit(t.AppendKey(kb[:0]), intMsg(int64(id)))
+			emitInt(emit, t.AppendKey(kb[:0]), int64(id))
 		}),
-		Reducer: ReducerFunc(func(key []byte, msgs []Message, o *Output) {
+		Reducer: ReducerFunc(func(key []byte, msgs *Group, o *Output) {
 			o.Add(out, relation.TupleFromKeyBytes(key))
 		}),
 	}
@@ -189,7 +189,7 @@ func TestRunProgramJobsOverlap(t *testing.T) {
 		var once sync.Once
 		j := identityJob(name, in, out, 1)
 		inner := j.Mapper
-		j.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit Emit) {
+		j.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit *Emitter) {
 			once.Do(func() {
 				started <- name
 				select {
@@ -368,7 +368,7 @@ func TestRunProgramPipelinesAcrossJobBarrier(t *testing.T) {
 	// task has demonstrably started.
 	upstream := identityJob("up", "A", "Z", 1)
 	innerUp := upstream.Mapper
-	upstream.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit Emit) {
+	upstream.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit *Emitter) {
 		select {
 		case <-bStarted:
 		case <-time.After(10 * time.Second):
@@ -381,7 +381,7 @@ func TestRunProgramPipelinesAcrossJobBarrier(t *testing.T) {
 	// Downstream: reads base B and produced Z.
 	downstream := unionJob("down", []string{"B", "Z"}, "W", 1)
 	innerDown := downstream.Mapper
-	downstream.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit Emit) {
+	downstream.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit *Emitter) {
 		if input == "B" {
 			bOnce.Do(func() { close(bStarted) })
 		}

@@ -38,9 +38,9 @@ const (
 	// the redundant per-sub segment scans.
 	splitMaxKeys = 4
 	// sketchSampleEvery is the shuffle feed's sampling stride: the
-	// placement loop observes every Nth record (by position in the
-	// task's record stream, so the sample is schedule-independent) with
-	// the record's size scaled by N. Sampling keeps the sketch off the
+	// placement loop observes every Nth record — a packed run counts as
+	// one — by position in the task's record stream, so the sample is
+	// schedule-independent, with the record's size scaled by N. Sampling keeps the sketch off the
 	// per-record hot path; a key heavy enough to split on is far too
 	// frequent to hide from a 1-in-8 sample.
 	sketchSampleEvery = 8

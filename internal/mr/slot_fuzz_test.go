@@ -2,6 +2,7 @@ package mr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/cost"
@@ -52,30 +53,37 @@ func checkSlotLayout(t *testing.T, keys [][]byte, reducers, hot int, spill bool)
 		defer gov.spill.cleanup()
 	}
 	const parts, tasks, perTask = 2, 2, 150
-	jr := &jobRun{e: e, gov: gov, reducers: reducers, shufsLeft: parts*tasks + 1} // +1: never the last shuffle, so nothing spawns
+	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, shufsLeft: parts*tasks + 1} // +1: never the last shuffle, so nothing spawns
 	jr.results = make([][]mapTaskResult, parts)
 	jr.taskParts = make([][]taskPartition, parts)
 	// streams[ri] is reducer ri's declared-order record stream, built
 	// independently of the engine's shuffle.
-	streams := make([][]record, reducers)
+	type streamRec struct {
+		key  []byte
+		v    int64
+		size int64
+	}
+	streams := make([][]streamRec, reducers)
 	id := 0
 	for part := 0; part < parts; part++ {
 		jr.results[part] = make([]mapTaskResult, tasks)
 		jr.taskParts[part] = make([]taskPartition, tasks)
 		for ti := 0; ti < tasks; ti++ {
 			res := &jr.results[part][ti]
+			var em Emitter
 			for i := 0; i < perTask; i++ {
 				k := keys[id%len(keys)]
 				if (id*97)%256 < hot {
 					k = keys[0]
 				}
-				r := record{key: k, msg: intMsg(id), size: KeyBytes(k) + 8}
-				res.records = append(res.records, r)
+				emitInt(&em, k, int64(id))
+				r := streamRec{key: k, v: int64(id), size: KeyBytes(k) + 8}
 				res.bytes += r.size
 				ri := hashKey(k) % uint32(reducers)
 				streams[ri] = append(streams[ri], r)
 				id++
 			}
+			res.set = em.set
 		}
 	}
 	for part := 0; part < parts; part++ {
@@ -95,56 +103,55 @@ func checkSlotLayout(t *testing.T, keys [][]byte, reducers, hot int, spill bool)
 		havePrev := false
 		for ; si < len(slots) && slots[si].ri == ri; si++ {
 			slot := slots[si]
-			var want []record
+			var want []streamRec
 			for _, r := range streams[ri] {
 				if keyInRange(r.key, slot.lo, slot.hi) {
 					want = append(want, r)
 				}
 			}
-			var got []record
+			var got recordSet
 			var load, wantLoad int64
 			reserve := 0
 			for part := range jr.taskParts {
 				for ti := range jr.taskParts[part] {
 					tp := &jr.taskParts[part][ti]
 					reserve += tp.count(slot)
-					var kept int64
-					var err error
-					got, kept, err = tp.appendTo(got, slot, nil)
+					kept, err := tp.appendTo(&got, slot, nil)
 					if err != nil {
 						t.Fatalf("slot %d: appendTo: %v", si, err)
 					}
 					load += kept
 				}
 			}
-			if len(got) != len(want) {
-				t.Fatalf("slot %d (reducer %d, [%q,%q)): %d records, want %d", si, ri, slot.lo, slot.hi, len(got), len(want))
+			if len(got.recs) != len(want) {
+				t.Fatalf("slot %d (reducer %d, [%q,%q)): %d records, want %d", si, ri, slot.lo, slot.hi, len(got.recs), len(want))
 			}
-			if reserve < len(got) || (!spill && reserve != len(got)) {
-				t.Errorf("slot %d: count reserved %d for %d records", si, reserve, len(got))
+			if reserve < len(got.recs) || (!spill && reserve != len(got.recs)) {
+				t.Errorf("slot %d: count reserved %d for %d records", si, reserve, len(got.recs))
 			}
 			for i := range want {
-				if !bytes.Equal(got[i].key, want[i].key) || got[i].msg != want[i].msg {
+				v, _ := binary.Varint(got.payload(i))
+				if !bytes.Equal(got.key(i), want[i].key) || got.recs[i].tag != tagInt || v != want[i].v {
 					t.Fatalf("slot %d: record %d is %q/%v, stream order wants %q/%v",
-						si, i, got[i].key, got[i].msg, want[i].key, want[i].msg)
+						si, i, got.key(i), v, want[i].key, want[i].v)
 				}
 				wantLoad += want[i].size
 				// Ascending, disjoint ranges: every key here sorts strictly
 				// after every key of ri's earlier slots, so no key group
 				// can straddle two slots.
-				if havePrev && bytes.Compare(got[i].key, prevMax) <= 0 {
-					t.Fatalf("slot %d: key %q does not sort after earlier slots' %q", si, got[i].key, prevMax)
+				if havePrev && bytes.Compare(got.key(i), prevMax) <= 0 {
+					t.Fatalf("slot %d: key %q does not sort after earlier slots' %q", si, got.key(i), prevMax)
 				}
 			}
 			if load != wantLoad {
 				t.Errorf("slot %d: load %d, records sum to %d", si, load, wantLoad)
 			}
-			for _, r := range got {
-				if !havePrev || bytes.Compare(r.key, prevMax) > 0 {
-					prevMax, havePrev = r.key, true
+			for i := range got.recs {
+				if !havePrev || bytes.Compare(got.key(i), prevMax) > 0 {
+					prevMax, havePrev = got.key(i), true
 				}
 			}
-			placed += len(got)
+			placed += len(got.recs)
 		}
 		// Slot inputs are range-filtered sub-sequences of the stream over
 		// disjoint ranges; together they must account for all of it.

@@ -4,239 +4,81 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"os"
 	"sync"
 )
 
-// Shuffle spill-to-disk: the out-of-core step of the ROADMAP, scoped to
-// the shuffle stage. When a map task's shuffle partition crosses the
-// run's spill threshold, shuffleTask serializes the partition's
-// per-reducer runs into one temp file — reducer segments in reducer
-// order — and drops the in-memory records; the reduce stage's one
-// reader (taskPartition.appendTo) streams each task's segment back in
-// the same declared (part, task) position the in-memory records would
-// occupy, so the records a reducer sees — and therefore outputs and
-// JobStats — are bit-for-bit identical to the in-memory run (pinned by
-// TestOrderedFoldDifferential and CI's reader-configuration loop, which
-// re-runs the whole mr suite with a tiny threshold).
+// The shuffle byte form, resident or spilled. A shuffle task lays one map
+// task's records out as per-reducer segments of encoded records in one
+// buffer (shuffleTask); that buffer is the partition. When the
+// partition's modelled bytes reach the run's spill threshold the buffer
+// is written to a temp file as is and dropped — spilling encodes
+// nothing — and the reduce stage's one reader (taskPartition.appendTo)
+// decodes a segment the same way wherever its bytes are, a slice of the
+// resident buffer or a ReadAt into a fresh one, in the same declared
+// (part, task) position. The records a reducer sees — and therefore
+// outputs and JobStats — are bit-for-bit identical in both stores
+// (pinned by TestOrderedFoldDifferential and CI's reader-configuration
+// loop, which re-runs the whole mr suite with a tiny threshold).
 //
-// Spilling is opt-in per message type: the engine cannot serialize an
-// arbitrary Message, so messages implement SpillMessage and register a
-// decoder under their tag. A partition containing any non-spillable
-// message simply stays in memory — correctness never depends on
-// spilling. Spill files live in the run's spillSet and are removed the
-// moment the reduce stage has consumed them (reducesDone); the run
-// entry points defer spillSet.cleanup, so canceled, over-budget and
-// panicked runs leave no temp files behind either.
-
-// SpillMessage is a Message the engine can serialize into a shuffle
-// spill file and decode back. Implementations append a self-delimiting
-// encoding (the decoder returns the unconsumed rest) and register a
-// SpillDecoder for their tag from an init function. Spill files never
-// outlive the process, so the encoding only needs in-process fidelity
-// (interned string handles, for example, round-trip as their int64
-// values).
-type SpillMessage interface {
-	Message
-	// SpillTag identifies the message's registered decoder. Tag 0 is
-	// reserved for mr.Packed.
-	SpillTag() byte
-	// AppendSpill appends the message's encoding to dst and returns the
-	// extended slice. The encoding must be self-delimiting.
-	AppendSpill(dst []byte) []byte
-}
-
-// SpillDecoder decodes one message from the front of b, returning the
-// message and the unconsumed rest.
-type SpillDecoder func(b []byte) (Message, []byte, error)
-
-// spillDecoders is the tag → decoder registry. Written only by
-// RegisterSpillDecoder during package initialization, read by reduce
-// tasks; init happens-before any run, so no locking is needed.
-var spillDecoders [256]SpillDecoder
-
-// RegisterSpillDecoder installs the decoder for a SpillMessage tag.
-// Must be called from an init function (the registry is read without
-// locks once runs start); registering a tag twice panics.
-func RegisterSpillDecoder(tag byte, dec SpillDecoder) {
-	if spillDecoders[tag] != nil {
-		panic(fmt.Sprintf("mr: spill decoder tag %d registered twice", tag))
-	}
-	spillDecoders[tag] = dec
-}
-
-const spillTagPacked = 0
-
-// SpillTag implements SpillMessage: Packed values travel under the
-// reserved tag 0 as a counted run of tagged elements.
-func (p Packed) SpillTag() byte { return spillTagPacked }
-
-// AppendSpill implements SpillMessage.
-func (p Packed) AppendSpill(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(p.Msgs)))
-	for _, m := range p.Msgs {
-		dst = appendSpillMessage(dst, m)
-	}
-	return dst
-}
-
-func init() {
-	RegisterSpillDecoder(spillTagPacked, func(b []byte) (Message, []byte, error) {
-		n, w := binary.Uvarint(b)
-		if w <= 0 {
-			return nil, nil, errSpillCorrupt
-		}
-		b = b[w:]
-		msgs := make([]Message, 0, n)
-		for i := uint64(0); i < n; i++ {
-			m, rest, err := decodeSpillMessage(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			msgs = append(msgs, m)
-			b = rest
-		}
-		return Packed{Msgs: msgs}, b, nil
-	})
-}
+// Spill files live in the run's spillSet and are removed the moment the
+// reduce stage has consumed them (reducesDone); the run entry points
+// defer spillSet.cleanup, so canceled, over-budget and panicked runs
+// leave no temp files behind either.
 
 // ErrSpill is the sentinel matched (via errors.Is) by every error of
 // the spill path — a temp file that cannot be created, written or read
-// back, a segment that does not decode. These are faults of the host
-// (spill directory missing, disk full), never of the query.
+// back, a segment or payload that does not decode. These are faults of
+// the host (spill directory missing, disk full, damaged file), never of
+// the query.
 var ErrSpill = errors.New("mr: spill")
 
-var errSpillCorrupt = fmt.Errorf("%w: corrupt record encoding", ErrSpill)
+var errCorrupt = fmt.Errorf("%w: corrupt record encoding", ErrSpill)
 
-// spillableLeaf reports whether one message can travel through a spill
-// file: it implements SpillMessage and its tag has a decoder.
-func spillableLeaf(m Message) bool {
-	sm, ok := m.(SpillMessage)
-	return ok && spillDecoders[sm.SpillTag()] != nil
+// Record wire form: uvarint key length, uvarint payload length, uvarint
+// modelled size, the tag byte, then the key and payload bytes. It only
+// needs in-process fidelity — a segment never outlives its run.
+
+// recordLen is the encoded length of r.
+func recordLen(r *record) int64 {
+	return int64(uvarintLen(uint64(r.klen))+uvarintLen(uint64(r.plen))+uvarintLen(uint64(r.size))) +
+		1 + int64(r.klen) + int64(r.plen)
 }
 
-// spillable reports whether m — including the elements of a Packed
-// value — can spill.
-func spillable(m Message) bool {
-	if p, ok := m.(Packed); ok {
-		for _, e := range p.Msgs {
-			if !spillableLeaf(e) {
-				return false
-			}
-		}
-		return true
-	}
-	return spillableLeaf(m)
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// appendRecord is the record encoder.
+func appendRecord(dst, key []byte, tag byte, size int64, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = binary.AppendUvarint(dst, uint64(size))
+	dst = append(dst, tag)
+	dst = append(dst, key...)
+	return append(dst, payload...)
 }
 
-// partitionSpillable reports whether every message of a task partition
-// can spill (engine-packed runs included).
-func partitionSpillable(parts [][]record) bool {
-	for _, recs := range parts {
-		for i := range recs {
-			r := &recs[i]
-			if r.packed != nil {
-				for _, m := range r.packed {
-					if !spillable(m) {
-						return false
-					}
-				}
-			} else if !spillable(r.msg) {
-				return false
-			}
+// readRecord is the record decoder: it decodes the record starting at
+// b[pos] into a reference into b (src left 0) and returns the position
+// after it. Every length is checked against the bytes remaining before
+// it is used, so arbitrary input yields errCorrupt, never a panic.
+func readRecord(b []byte, pos int) (record, int, error) {
+	var h [3]uint64 // key length, payload length, modelled size
+	for i := range h {
+		v, n := binary.Uvarint(b[pos:])
+		if n <= 0 {
+			return record{}, 0, errCorrupt
 		}
+		h[i] = v
+		pos += n
 	}
-	return true
-}
-
-// Record wire form: uvarint key length, key bytes, varint modelled
-// size, a form byte (0 = single message, 1 = engine-packed run), then
-// the tagged message payload(s); packed runs carry a uvarint count.
-const (
-	spillFormSingle = 0
-	spillFormPacked = 1
-)
-
-func appendSpillMessage(dst []byte, m Message) []byte {
-	sm := m.(SpillMessage) // partitionSpillable vetted the whole partition
-	dst = append(dst, sm.SpillTag())
-	return sm.AppendSpill(dst)
-}
-
-func appendSpillRecord(dst []byte, r *record) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(r.key)))
-	dst = append(dst, r.key...)
-	dst = binary.AppendVarint(dst, r.size)
-	if r.packed != nil {
-		dst = append(dst, spillFormPacked)
-		dst = binary.AppendUvarint(dst, uint64(len(r.packed)))
-		for _, m := range r.packed {
-			dst = appendSpillMessage(dst, m)
-		}
-		return dst
+	rest := uint64(len(b) - pos)
+	if rest == 0 || h[0] > rest-1 || h[1] > rest-1-h[0] || h[2] > math.MaxInt64 {
+		return record{}, 0, errCorrupt
 	}
-	dst = append(dst, spillFormSingle)
-	return appendSpillMessage(dst, r.msg)
-}
-
-func decodeSpillMessage(b []byte) (Message, []byte, error) {
-	if len(b) == 0 {
-		return nil, nil, errSpillCorrupt
-	}
-	dec := spillDecoders[b[0]]
-	if dec == nil {
-		return nil, nil, fmt.Errorf("%w: no decoder for tag %d", ErrSpill, b[0])
-	}
-	return dec(b[1:])
-}
-
-// decodeSpillRecord decodes one record from the front of b. The key
-// aliases b (zero-copy, like arena-held keys): the read buffer stays
-// alive exactly as long as records reference it.
-func decodeSpillRecord(b []byte) (record, []byte, error) {
-	kl, w := binary.Uvarint(b)
-	if w <= 0 || uint64(len(b)-w) < kl {
-		return record{}, nil, errSpillCorrupt
-	}
-	end := w + int(kl)
-	key := b[w:end:end]
-	b = b[end:]
-	size, w := binary.Varint(b)
-	if w <= 0 {
-		return record{}, nil, errSpillCorrupt
-	}
-	b = b[w:]
-	if len(b) == 0 {
-		return record{}, nil, errSpillCorrupt
-	}
-	form := b[0]
-	b = b[1:]
-	switch form {
-	case spillFormSingle:
-		m, rest, err := decodeSpillMessage(b)
-		if err != nil {
-			return record{}, nil, err
-		}
-		return record{key: key, msg: m, size: size}, rest, nil
-	case spillFormPacked:
-		n, w := binary.Uvarint(b)
-		if w <= 0 {
-			return record{}, nil, errSpillCorrupt
-		}
-		b = b[w:]
-		msgs := make([]Message, 0, n)
-		for i := uint64(0); i < n; i++ {
-			m, rest, err := decodeSpillMessage(b)
-			if err != nil {
-				return record{}, nil, err
-			}
-			msgs = append(msgs, m)
-			b = rest
-		}
-		return record{key: key, packed: msgs, size: size}, b, nil
-	default:
-		return record{}, nil, errSpillCorrupt
-	}
+	r := record{size: int64(h[2]), off: uint32(pos + 1), klen: uint32(h[0]), plen: uint32(h[1]), tag: b[pos]}
+	return r, pos + 1 + int(h[0]+h[1]), nil
 }
 
 // spillSet owns one run's spill files. Files are registered at
@@ -297,85 +139,121 @@ func (s *spillSet) cleanup() {
 	}
 }
 
-// spillPartition is one spilled task partition: reducer segments laid
-// out consecutively in one temp file.
-type spillPartition struct {
-	f    *os.File
-	segs []spillSeg // per reducer
-}
-
-// spillSeg locates one reducer's records within the file.
-type spillSeg struct {
+// segment locates one reducer's records within a task partition's
+// buffer or spill file.
+type segment struct {
 	off, len int64
 	count    int32
 }
 
-// writePartition serializes tp's per-reducer runs into a fresh spill
-// file, reducer segments in reducer order, charging the encode scratch
-// to the budget. The caller owns dropping tp.parts on success.
-func (s *spillSet) writePartition(tp *taskPartition, b *Budget) (*spillPartition, error) {
-	f, err := s.create()
-	if err != nil {
-		return nil, err
-	}
-	sp := &spillPartition{f: f, segs: make([]spillSeg, len(tp.parts))}
-	var scratch []byte
-	var off int64
-	for p, recs := range tp.parts {
-		grown := cap(scratch)
-		scratch = scratch[:0]
-		for i := range recs {
-			scratch = appendSpillRecord(scratch, &recs[i])
-		}
-		// The scratch grows through append inside the encoders; charge
-		// the growth once it is known (cumulative, so the total stays
-		// schedule-independent).
-		if cap(scratch) > grown {
-			b.charge(int64(cap(scratch) - grown))
-		}
-		if _, err := f.Write(scratch); err != nil {
-			s.drop(f)
-			return nil, fmt.Errorf("%w: write: %w", ErrSpill, err)
-		}
-		sp.segs[p] = spillSeg{off: off, len: int64(len(scratch)), count: int32(len(recs))}
-		off += int64(len(scratch))
-	}
-	b.noteSpill(off)
-	return sp, nil
+// taskPartition is one map task's shuffle output: per-reducer segments
+// of encoded records, consecutive in reducer order, in buf or — once
+// spilled — at the same offsets of f. loads are the segments' modelled
+// bytes; sketch is the task's heavy-key sketch, collected only when
+// runtime skew splitting is enabled (split.go).
+type taskPartition struct {
+	buf    []byte
+	f      *os.File // non-nil = spilled: the file owns the bytes, buf is nil
+	segs   []segment
+	loads  []int64
+	sketch *keySketch
 }
 
-// appendSegment reads reducer ri's segment back and decodes onto dst the
-// records whose key falls in [lo, hi) (nil bounds = all of them),
-// returning their modelled bytes. The read buffer is charged to the
-// budget; keys alias it. Concurrent reduce tasks may read different
-// segments of one file (ReadAt is positional and thread-safe). Each
-// sub-range task of a split partition reads and decodes the whole
-// segment: redundant work, but deterministic and budget-charged per
-// task, and bounded by the sub-range cap (splitMaxKeys) on how many
-// sub-tasks one partition can become.
-func (sp *spillPartition) appendSegment(dst []record, ri int, lo, hi []byte, b *Budget) ([]record, int64, error) {
-	seg := sp.segs[ri]
-	if seg.count == 0 {
-		return dst, 0, nil
+// spill writes the partition's buffer to a fresh spill file and drops
+// it: the file now owns the bytes.
+func (tp *taskPartition) spill(s *spillSet, b *Budget) error {
+	f, err := s.create()
+	if err != nil {
+		return err
 	}
-	buf := grabBytes(b, int(seg.len))
-	if _, err := sp.f.ReadAt(buf, seg.off); err != nil {
-		return dst, 0, fmt.Errorf("%w: read: %w", ErrSpill, err)
+	if _, err := f.Write(tp.buf); err != nil {
+		s.drop(f)
+		return fmt.Errorf("%w: write: %w", ErrSpill, err)
 	}
-	var kept int64
-	for i := 0; i < int(seg.count); i++ {
-		r, rest, err := decodeSpillRecord(buf)
+	b.noteSpill(int64(len(tp.buf)))
+	tp.buf, tp.f = nil, f
+	return nil
+}
+
+// read returns reducer ri's segment bytes: a slice of the resident
+// buffer, or the file range read back into a budget-charged buffer.
+// Concurrent reduce tasks may read different segments of one file
+// (ReadAt is positional and thread-safe).
+func (tp *taskPartition) read(ri int, b *Budget) ([]byte, error) {
+	seg := tp.segs[ri]
+	if tp.f == nil {
+		return tp.buf[seg.off : seg.off+seg.len], nil
+	}
+	data := grabBytes(b, int(seg.len))
+	if _, err := tp.f.ReadAt(data, seg.off); err != nil {
+		return nil, fmt.Errorf("%w: read: %w", ErrSpill, err)
+	}
+	return data, nil
+}
+
+// count returns the capacity a reduce task should reserve for this
+// partition's share of slot s: exact for a resident partition (a
+// sub-range task allocates its own share, not the whole partition's),
+// the segment's record count — an upper bound under a sub-range — for a
+// spilled one, which is range-filtered only while it is read back.
+func (tp *taskPartition) count(s reduceSlot) int {
+	seg := tp.segs[s.ri]
+	if tp.f != nil || !s.split() {
+		return int(seg.count)
+	}
+	data := tp.buf[seg.off : seg.off+seg.len]
+	n := 0
+	for pos := 0; pos < len(data); {
+		r, next, err := readRecord(data, pos)
 		if err != nil {
-			return dst, kept, err
+			break // appendTo reports it
 		}
-		if keyInRange(r.key, lo, hi) {
-			dst = append(dst, r)
+		if keyInRange(data[r.off:r.off+r.klen], s.lo, s.hi) {
+			n++
+		}
+		pos = next
+	}
+	return n
+}
+
+// appendTo appends to dst this partition's records of reducer s.ri whose
+// key falls in the slot's range (nil bounds = all of them), in the order
+// the shuffle placed them, and returns their modelled bytes — the slot's
+// share of the partition load. Resident or streamed back from the spill
+// file, whole or sub-range, the segment goes through the same decode
+// loop and the reducer sees the same record sequence; the segment's
+// bytes become one more buffer of dst. Each sub-range task of a split
+// partition decodes the whole segment: redundant work, but
+// deterministic and budget-charged per task, and bounded by the
+// sub-range cap (splitMaxKeys) on how many sub-tasks one partition can
+// become.
+func (tp *taskPartition) appendTo(dst *recordSet, s reduceSlot, b *Budget) (int64, error) {
+	seg := tp.segs[s.ri]
+	if seg.count == 0 {
+		return 0, nil
+	}
+	data, err := tp.read(s.ri, b)
+	if err != nil {
+		return 0, err
+	}
+	src := uint32(len(dst.bufs))
+	dst.bufs = append(dst.bufs, data)
+	var kept int64
+	pos := 0
+	for i := int32(0); i < seg.count; i++ {
+		r, next, err := readRecord(data, pos)
+		if err != nil {
+			return kept, err
+		}
+		if keyInRange(data[r.off:r.off+r.klen], s.lo, s.hi) {
+			r.src = src
+			dst.recs = append(dst.recs, r)
 			kept += r.size
 		}
-		buf = rest
+		pos = next
 	}
-	if len(buf) != 0 {
-		return dst, kept, errSpillCorrupt
+	if pos != len(data) {
+		return kept, errCorrupt
 	}
-	return dst, kept, nil
+	return kept, nil
 }

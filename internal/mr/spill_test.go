@@ -1,41 +1,17 @@
 package mr
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/relation"
 )
-
-// Spill support for the test message type: intMsg travels under tag 250
-// as a varint. Registered at package init exactly like production
-// message types (internal/core registers its tags the same way) — which
-// also makes the whole mr test suite spill-capable under the CI
-// reader-configuration loop's GUMBO_SPILL_THRESHOLD override, so every
-// golden and differential test in the package re-runs with partitions
-// spilling.
-const spillTagIntMsg = 250
-
-func (m intMsg) SpillTag() byte { return spillTagIntMsg }
-
-func (m intMsg) AppendSpill(dst []byte) []byte {
-	return binary.AppendVarint(dst, int64(m))
-}
-
-func init() {
-	RegisterSpillDecoder(spillTagIntMsg, func(b []byte) (Message, []byte, error) {
-		v, w := binary.Varint(b)
-		if w <= 0 {
-			return nil, nil, errSpillCorrupt
-		}
-		return intMsg(v), b[w:], nil
-	})
-}
 
 // spillFilesIn lists the spill temp files currently present in dir.
 func spillFilesIn(t *testing.T, dir string) []string {
@@ -51,118 +27,139 @@ func spillFilesIn(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestSpillRecordRoundTrip pins the record wire form directly: single,
-// engine-packed and Packed-message records survive encode → decode
-// bit-for-bit, and a truncated buffer is rejected rather than
-// misdecoded.
-func TestSpillRecordRoundTrip(t *testing.T) {
-	rs := []record{
-		{key: []byte("a"), msg: intMsg(7), size: 9},
-		{key: []byte("bee"), msg: Packed{Msgs: []Message{intMsg(1), intMsg(-2), intMsg(1 << 40)}}, size: 27},
-		{key: []byte{}, packed: []Message{intMsg(3), intMsg(-4)}, size: 16},
+// shuffleOne runs the real shuffle task over one map task's records with
+// a single reducer — the segment writer — and returns the partition,
+// resident or spilled.
+func shuffleOne(t testing.TB, set recordSet, spill bool) *taskPartition {
+	t.Helper()
+	e := NewEngine(Config{Cost: cost.Default()})
+	gov := govern{}
+	if spill {
+		e.cfg.SpillThreshold = 1
+		e.cfg.SpillDir = t.TempDir()
+		gov = e.newGovern(nil)
+		t.Cleanup(gov.spill.cleanup)
 	}
-	var buf []byte
-	boundaries := map[int]bool{0: true}
-	for i := range rs {
-		buf = appendSpillRecord(buf, &rs[i])
-		boundaries[len(buf)] = true
+	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: 1, shufsLeft: 2} // never the last shuffle, so nothing spawns
+	jr.results = [][]mapTaskResult{{{set: set, bytes: 1}}}
+	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
+	jr.shuffleTask(nil, 0, 0)
+	tp := &jr.taskParts[0][0]
+	if (tp.f != nil) != spill {
+		t.Fatalf("partition spilled = %v, want %v", tp.f != nil, spill)
 	}
-	rest := buf
-	for i := range rs {
-		r, after, err := decodeSpillRecord(rest)
+	return tp
+}
+
+// readAll reads a whole single-reducer partition back through the one
+// reader.
+func readAll(tp *taskPartition) (recordSet, error) {
+	var got recordSet
+	_, err := tp.appendTo(&got, reduceSlot{}, nil)
+	return got, err
+}
+
+// rawPartition is a resident single-reducer partition over arbitrary
+// bytes claiming count records.
+func rawPartition(b []byte, count int32) *taskPartition {
+	return &taskPartition{buf: b, segs: []segment{{len: int64(len(b)), count: count}}}
+}
+
+// checkReadFails reads tp and requires a typed failure.
+func checkReadFails(t *testing.T, what string, tp *taskPartition) {
+	t.Helper()
+	if _, err := readAll(tp); !errors.Is(err, ErrSpill) {
+		t.Errorf("%s: err = %v, want ErrSpill", what, err)
+	}
+}
+
+// TestSegmentCorruption is the damaged-file table: whatever a spill file
+// comes back as, the one reader answers with the original records or an
+// error matching ErrSpill — never a panic, and never an allocation sized
+// by a length it has not checked against the bytes it holds.
+func TestSegmentCorruption(t *testing.T) {
+	kvs := []kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}}
+	tp := shuffleOne(t, *setOf(kvs), false)
+	good, count := tp.buf, tp.segs[0].count
+	if got, err := readAll(tp); err != nil || len(got.recs) != len(kvs) {
+		t.Fatalf("clean segment: %d records, err %v", len(got.recs), err)
+	}
+	for cut := 0; cut < len(good); cut++ {
+		checkReadFails(t, fmt.Sprintf("truncated to %d of %d bytes", cut, len(good)), rawPartition(good[:cut], count))
+	}
+	checkReadFails(t, "trailing byte", rawPartition(append(append([]byte(nil), good...), 0), count))
+	checkReadFails(t, "record count one too many", rawPartition(good, count+1))
+	checkReadFails(t, "record count one too few", rawPartition(good, count-1))
+	huge := binary.AppendUvarint(nil, 1<<62)
+	checkReadFails(t, "key length 1<<62", rawPartition(append(huge, good[1:]...), count))
+	checkReadFails(t, "payload length 1<<62", rawPartition(append(append([]byte{good[0]}, huge...), good[2:]...), count))
+	checkReadFails(t, "modelled size past int64", rawPartition(append(append(append([]byte(nil), good[:2]...),
+		binary.AppendUvarint(nil, 1<<63)...), good[3:]...), count))
+	for bit := 0; bit < 8*len(good); bit++ {
+		flipped := append([]byte(nil), good...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		got, err := readAll(rawPartition(flipped, count))
 		if err != nil {
-			t.Fatalf("record %d: decode: %v", i, err)
+			if !errors.Is(err, ErrSpill) {
+				t.Errorf("bit %d flipped: err = %v, want ErrSpill", bit, err)
+			}
+			continue
 		}
-		if !reflect.DeepEqual(r, rs[i]) {
-			t.Errorf("record %d round-tripped to %+v, want %+v", i, r, rs[i])
-		}
-		rest = after
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d bytes left after decoding all records", len(rest))
-	}
-	for cut := 1; cut < len(buf); cut++ {
-		if boundaries[len(buf)-cut] {
-			continue // a whole-record prefix decodes cleanly by design
-		}
-		if _, _, err := decodeAll(buf[:len(buf)-cut]); err == nil {
-			t.Errorf("truncating %d bytes decoded cleanly", cut)
+		for i := range got.recs { // a clean read hands out in-bounds references only
+			_, _ = got.key(i), got.payload(i)
 		}
 	}
 }
 
-// decodeAll decodes records until the buffer is exhausted or corrupt.
-func decodeAll(b []byte) ([]record, []byte, error) {
-	var rs []record
-	for len(b) > 0 {
-		r, rest, err := decodeSpillRecord(b)
-		if err != nil {
-			return nil, nil, err
+// FuzzRecordCodec round-trips records through the segment writer (the
+// real shuffle task) and the one reader, resident and spilled, and feeds
+// the reader arbitrary bytes. The engine never interprets a payload, so
+// the five message types of internal/core are five byte shapes here —
+// the seeds mirror their layouts (varint pairs, varint runs, empty) —
+// and every other shape the fuzzer finds must survive just the same.
+func FuzzRecordCodec(f *testing.F) {
+	vs := func(vals ...int64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.AppendVarint(b, v)
 		}
-		rs = append(rs, r)
-		b = rest
+		return b
 	}
-	return rs, b, nil
-}
-
-// TestNonSpillablePartitionStaysInMemory: spilling is opt-in per
-// message type. A job whose messages do not implement SpillMessage
-// runs correctly under a 1-byte threshold — its partitions simply stay
-// in memory (SpilledParts 0), with outputs identical to a
-// spill-disabled run.
-func TestNonSpillablePartitionStaysInMemory(t *testing.T) {
-	mkJob := func() *Job {
-		return &Job{
-			Name:    "opaque",
-			Inputs:  []string{"R"},
-			Outputs: map[string]int{"O": 2},
-			Mapper: MapperFunc(func(input string, id int, tpl relation.Tuple, emit Emit) {
-				var kb [32]byte
-				emit(tpl.AppendKey(kb[:0]), opaqueMsg(int64(id)))
-			}),
-			Reducer: ReducerFunc(func(key []byte, msgs []Message, o *Output) {
-				o.Add("O", relation.TupleFromKeyBytes(key))
-			}),
+	f.Add([]byte("k"), byte(1), int64(12), vs(3, 1<<40), []byte{})                          // ReqID: Eq, ID
+	f.Add(vs(7, -7), byte(2), int64(4), vs(63), []byte{1, 0, 0, 2})                         // Assert: Class
+	f.Add([]byte{}, byte(3), int64(36), vs(2, -1, 5, 6, 7), []byte{0x80})                   // ReqTuple: Q, Disjunct, Out...
+	f.Add(bytes.Repeat([]byte{0xff}, 70), byte(4), int64(42), vs(1, 2, 3, 4), []byte{9, 9}) // TupleVal: T...
+	f.Add([]byte{0}, byte(5), int64(4), vs(-1), binary.AppendUvarint(nil, 1<<62))           // XIndex: Atom
+	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
+		size &= math.MaxInt64 >> 1 // a modelled size is a byte count
+		var em Emitter
+		em.Emit([]byte("before"), tagInt, 8, []byte{1})
+		em.Emit(key, tag, size, payload)
+		em.Emit(key, tagInt, 0, nil)
+		for _, spill := range []bool{false, true} {
+			got, err := readAll(shuffleOne(t, em.set, spill))
+			if err != nil || len(got.recs) != len(em.set.recs) {
+				t.Fatalf("spill %v: read back %d records, err %v", spill, len(got.recs), err)
+			}
+			for i, want := range em.set.recs {
+				r := got.recs[i]
+				if !bytes.Equal(got.key(i), em.set.key(i)) || r.tag != want.tag || r.size != want.size ||
+					!bytes.Equal(got.payload(i), em.set.payload(i)) {
+					t.Fatalf("spill %v: record %d came back %q/%d/%d/%x", spill, i, got.key(i), r.tag, r.size, got.payload(i))
+				}
+			}
 		}
-	}
-	db := testDB()
-	ref := newTestEngine(cost.Default().Scaled(0.001))
-	ref.cfg.SpillThreshold = -1
-	wantOuts, wantStats, _, err := ref.Run(context.Background(),
-		&Program{Jobs: []*Job{mkJob()}}, db, RunOptions{})
-	if err != nil {
-		t.Fatalf("reference run failed: %v", err)
-	}
-
-	dir := t.TempDir()
-	e := newTestEngine(cost.Default().Scaled(0.001))
-	e.cfg.Workers = 4
-	e.cfg.SpillThreshold = 1
-	e.cfg.SpillDir = dir
-	budget := NewBudget(0)
-	outs, stats, _, err := e.Run(context.Background(),
-		&Program{Jobs: []*Job{mkJob()}}, db, RunOptions{Budget: budget})
-	if err != nil {
-		t.Fatalf("non-spillable run failed: %v", err)
-	}
-	if !outs.Relation("O").Equal(wantOuts.Relation("O")) {
-		t.Errorf("outputs differ from spill-disabled run")
-	}
-	if !reflect.DeepEqual(stats, wantStats) {
-		t.Errorf("stats differ:\n%+v\nvs\n%+v", stats, wantStats)
-	}
-	if mem := budget.Stats(); mem.SpilledParts != 0 {
-		t.Errorf("non-spillable messages spilled %d partitions", mem.SpilledParts)
-	}
-	if files := spillFilesIn(t, dir); len(files) != 0 {
-		t.Errorf("non-spillable run left spill files %v", files)
-	}
+		for count := int32(0); count < 4; count++ {
+			got, err := readAll(rawPartition(raw, count))
+			if err != nil && !errors.Is(err, ErrSpill) {
+				t.Fatalf("arbitrary bytes, count %d: err = %v, want ErrSpill", count, err)
+			}
+			for i := range got.recs {
+				_, _ = got.key(i), got.payload(i)
+			}
+		}
+	})
 }
-
-// opaqueMsg deliberately does not implement SpillMessage.
-type opaqueMsg int64
-
-func (m opaqueMsg) SizeBytes() int64 { return 8 }
 
 // TestSpillAbortLeavesNoTempFiles is the crash-safety contract: runs
 // that end early — canceled at a task boundary, or aborted by an

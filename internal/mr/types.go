@@ -17,83 +17,114 @@ import (
 	"repro/internal/relation"
 )
 
-// Message is a map-output value. Implementations must be immutable after
-// emission and must report their modelled serialized size, which drives
-// the intermediate-data accounting (M_i).
-type Message interface {
-	SizeBytes() int64
-}
-
-// Packed is a list of messages sharing one key: the wire form of the
-// message-packing optimization (§5.1 optimization (1)), under which all
-// request and assert messages with the same key emitted by one map task
-// travel as a single record, saving per-record metadata and repeated
-// keys. Mappers may emit a Packed value directly; the engine's own
-// packing (Job.Packing) carries packed runs internally without
-// materializing Packed values. Reducers see neither form: engine-packed
-// runs and mapper-emitted Packed values (one level — Packed must not be
-// nested inside Packed) are flattened before Reduce is called.
-type Packed struct {
-	Msgs []Message
-}
-
-// SizeBytes is the sum of the packed payloads (the key and the record
-// metadata are accounted once at the record level).
-func (p Packed) SizeBytes() int64 {
-	var n int64
-	for _, m := range p.Msgs {
-		n += m.SizeBytes()
-	}
-	return n
-}
-
-// Emit is the map-side output function: key → message. Keys are byte
-// slices so mappers can build them in a reused stack buffer (see
-// Tuple.AppendKey / sgf.Projector.AppendKey) without converting to a
-// string per record.
+// Emitter is the map-side output sink, one per map task. Emit copies
+// key and payload into the task's grow-only byte arena and appends a
+// pointer-free record referencing them, so a mapper builds both in
+// reused stack buffers (Tuple.AppendKey / sgf.Projector.AppendKey for
+// keys, the typed encoders of internal/core for payloads) and emitting
+// allocates nothing per record. The method is concrete — no interface
+// value, no function value on the storing path — so neither buffer
+// escapes to the heap.
 //
-// Key ownership: the key is engine-owned after emit — the engine copies
-// it into a per-map-task arena before Emit returns, so the mapper may
-// (and should) reuse its key buffer for the next record. msg, by
-// contrast, is retained by reference and must be immutable after
-// emission (see Message). The mirror-image rule for emit-shaped
-// wrappers — do not retain the caller's key buffer — is enforced by
+// tag names the payload's type to the job's reducer; the engine never
+// interprets tag or payload. size is the message's modelled serialized
+// size in bytes, the unit of the intermediate-data accounting (M_i):
+// the record is charged KeyBytes(key) + size, whatever its encoded
+// length.
+//
+// Ownership: both slices are the caller's again when Emit returns.
+// The mirror-image rule for emit wrappers (EmitFunc) — the key and
+// payload they receive are engine-owned and reused — is enforced by
 // the keyretain analyzer (docs/INVARIANTS.md).
-type Emit func(key []byte, msg Message)
+type Emitter struct {
+	set    recordSet // stored records and the arena chunks they point into
+	used   int       // bytes taken from the last chunk
+	budget *Budget
+
+	// counting is Engine.Sample's mode: tally records and modelled
+	// bytes, store nothing.
+	counting       bool
+	records, bytes int64
+
+	// wrap, when set, receives every record instead (WrapEmit).
+	wrap    EmitFunc
+	scratch []byte
+}
+
+// EmitFunc is the shape of an emit wrapper: a mapper-side function that
+// inspects or rewrites records on their way to an Emitter (see
+// WrapEmit). key and payload are engine-owned scratch, valid only
+// until the function returns.
+type EmitFunc func(key []byte, tag byte, size int64, payload []byte)
+
+// WrapEmit returns an emitter that hands every record to fn instead of
+// storing it; fn forwards what it keeps to the emitter it wraps. This
+// is how one mapper decorates another's output (core's salted MSJ
+// mapper).
+func WrapEmit(fn EmitFunc) *Emitter { return &Emitter{wrap: fn} }
 
 // Mapper processes one input fact. The same Mapper instance is used
 // concurrently by multiple map tasks and must be stateless or internally
 // synchronized.
 type Mapper interface {
-	Map(input string, id int, t relation.Tuple, emit Emit)
+	Map(input string, id int, t relation.Tuple, emit *Emitter)
 }
 
 // MapperFunc adapts a function to the Mapper interface.
-type MapperFunc func(input string, id int, t relation.Tuple, emit Emit)
+type MapperFunc func(input string, id int, t relation.Tuple, emit *Emitter)
 
 // Map implements Mapper.
-func (f MapperFunc) Map(input string, id int, t relation.Tuple, emit Emit) { f(input, id, t, emit) }
+func (f MapperFunc) Map(input string, id int, t relation.Tuple, emit *Emitter) {
+	f(input, id, t, emit)
+}
+
+// Group is a reducer's view of one key group: the (tag, payload) pairs
+// of the key's messages in arrival order. It is an index over the
+// reduce task's shuffle buffers — walking it allocates nothing and can
+// be restarted any number of times.
+type Group struct {
+	set *recordSet
+	run []int32 // the group's records, ascending = arrival order
+}
+
+// Len returns the number of messages in the group.
+func (g *Group) Len() int { return len(g.run) }
+
+// At returns the i-th message. The payload aliases the shuffle buffer:
+// decode it (internal/core's typed decoders return copies), never
+// retain it.
+func (g *Group) At(i int) (tag byte, payload []byte) {
+	id := int(g.run[i])
+	return g.set.recs[id].tag, g.set.payload(id)
+}
+
+// Corrupt aborts the calling task: the run fails with an error wrapping
+// ErrSpill. Payload decoders call it on bytes that do not decode — a
+// payload is written and read by the same process, so this is a damaged
+// spill file, never a fault of the query.
+func Corrupt(what string) {
+	panic(taskAbort{err: fmt.Errorf("%w: corrupt %s", ErrSpill, what)})
+}
 
 // Reducer processes one key group. Reduce is called once per distinct
 // key of a reduce partition, in ascending key order, with the key's
-// messages in arrival order; Packed messages are transparently unpacked
-// before Reduce is called. The same Reducer instance is used
-// concurrently by multiple reduce tasks. Both key and msgs are owned by
-// the engine: the msgs slice is reused across keys and the key bytes
-// live in an engine arena, so implementations must not mutate the key
-// or retain either slice after Reduce returns (copy the key if needed;
-// individual messages are immutable after emission and may be
-// retained). This contract is enforced by the keyretain analyzer —
-// see docs/INVARIANTS.md for the catalog and fix recipes.
+// messages in arrival order. The same Reducer instance is used
+// concurrently by multiple reduce tasks. The key, the group and every
+// payload it hands out are owned by the engine: they point into shuffle
+// buffers that are reused or released after Reduce returns, so
+// implementations must not mutate or retain them (copy the key if
+// needed; decoded values are copies and may be kept). This contract is
+// enforced by the keyretain analyzer — see docs/INVARIANTS.md for the
+// catalog and fix recipes.
 type Reducer interface {
-	Reduce(key []byte, msgs []Message, out *Output)
+	Reduce(key []byte, msgs *Group, out *Output)
 }
 
 // ReducerFunc adapts a function to the Reducer interface.
-type ReducerFunc func(key []byte, msgs []Message, out *Output)
+type ReducerFunc func(key []byte, msgs *Group, out *Output)
 
 // Reduce implements Reducer.
-func (f ReducerFunc) Reduce(key []byte, msgs []Message, out *Output) { f(key, msgs, out) }
+func (f ReducerFunc) Reduce(key []byte, msgs *Group, out *Output) { f(key, msgs, out) }
 
 // Output collects reducer output facts into named relations. One Output
 // is private to each reduce task; task outputs are merged in task order
@@ -147,7 +178,9 @@ type Job struct {
 	// §5.1 optimization (3).
 	Reducers int
 
-	// Packing enables the message-packing optimization (§5.1 opt (1)).
+	// Packing enables the message-packing optimization (§5.1 opt (1)):
+	// the messages one map task emits under one key travel as one
+	// record, the key charged once.
 	Packing bool
 
 	// ReducerInputMB overrides the per-reducer data allocation used when
