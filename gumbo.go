@@ -47,9 +47,13 @@ import (
 type (
 	// Value is a single data value.
 	Value = relation.Value
-	// Tuple is an ordered sequence of values.
+	// Tuple is an ordered sequence of values. A Tuple obtained from a
+	// Relation (Tuple, Tuples, Each, Sorted) is a read-only view into
+	// the relation's storage: valid for the relation's lifetime, to be
+	// copied (Clone) before being modified.
 	Tuple = relation.Tuple
-	// Relation is a named set of tuples of fixed arity.
+	// Relation is a named set of tuples of fixed arity, in insertion
+	// order. Add, AddAll and FromTuples copy the values in.
 	Relation = relation.Relation
 	// Database is a named collection of relations.
 	Database = relation.Database
@@ -137,7 +141,8 @@ func NewDatabase() *Database { return relation.NewDatabase() }
 // NewRelation returns an empty relation with the given name and arity.
 func NewRelation(name string, arity int) *Relation { return relation.New(name, arity) }
 
-// FromTuples builds a relation from tuples (set semantics).
+// FromTuples builds a relation from tuples (set semantics). The values
+// are copied; the relation does not alias the tuples it was built from.
 func FromTuples(name string, arity int, tuples []Tuple) *Relation {
 	return relation.FromTuples(name, arity, tuples)
 }

@@ -129,9 +129,9 @@ func NewEvalJob(name string, specs []EvalSpec) (*mr.Job, error) {
 	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
 		q, _ := parseEvalKey(key)
 		spec := &qspecs[q]
-		// The guard is decoded into stack scratch: it is only projected
-		// from, never kept.
-		var gb [8]relation.Value
+		// The guard and its projection live in stack scratch: the guard
+		// is only projected from, and Output.Add copies the projection.
+		var gb, ob [8]relation.Value
 		var guard relation.Tuple
 		if spec.condBits != nil {
 			// Hot path: collect verdicts as an atom-index bitmask and
@@ -151,7 +151,7 @@ func NewEvalJob(name string, specs []EvalSpec) (*mr.Job, error) {
 				return
 			}
 			if spec.condBits(mask) {
-				out.Add(spec.outName, spec.project.Apply(guard))
+				out.Add(spec.outName, spec.project.AppendTo(ob[:0], guard))
 			}
 			return
 		}
@@ -168,7 +168,7 @@ func NewEvalJob(name string, specs []EvalSpec) (*mr.Job, error) {
 			return
 		}
 		if sgf.EvalCondition(spec.cond, truth) {
-			out.Add(spec.outName, spec.project.Apply(guard))
+			out.Add(spec.outName, spec.project.AppendTo(ob[:0], guard))
 		}
 	})
 

@@ -53,9 +53,10 @@ func NewFilterJob(name string, step FilterStep) (*mr.Job, error) {
 	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 		var kb [32]byte // append-style shuffle keys, see NewMSJJob
 		if input == step.GuardRel && guardMatcher.Matches(t) {
+			var ob [8]relation.Value // the projected output; Emit copies it
 			out := t
 			if projectSet {
-				out = project.Apply(t)
+				out = project.AppendTo(ob[:0], t)
 			}
 			ReqTuple{Q: 0, Disjunct: -1, Out: out}.Emit(emit, guardProj.AppendKey(kb[:0], t))
 		}
@@ -73,9 +74,10 @@ func NewFilterJob(name string, step FilterStep) (*mr.Job, error) {
 		if asserted == step.Negated {
 			return
 		}
+		var ob [8]relation.Value // each output fact; Output.Add copies it
 		for i := 0; i < msgs.Len(); i++ {
 			if tag, p := msgs.At(i); tag == TagReqTuple {
-				out.Add(step.Out, DecodeReqTuple(p).Out)
+				out.Add(step.Out, DecodeReqTuple(ob[:0], p).Out)
 			}
 		}
 	})
@@ -107,13 +109,15 @@ func NewUnionProjectJob(name, out string, guard sgf.Atom, selectVars []string, b
 			return
 		}
 		var kb [32]byte
-		p := project.Apply(t)
+		var ob [8]relation.Value
+		p := project.AppendTo(ob[:0], t)
 		TupleVal{T: p}.Emit(emit, p.AppendKey(kb[:0]))
 	})
 	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
 		if msgs.Len() > 0 {
+			var ob [8]relation.Value
 			_, p := msgs.At(0)
-			o.Add(out, DecodeTupleVal(nil, p).T)
+			o.Add(out, DecodeTupleVal(ob[:0], p).T)
 		}
 	})
 	return &mr.Job{

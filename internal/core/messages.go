@@ -68,9 +68,10 @@ func appendTuple(dst []byte, t relation.Tuple) []byte {
 
 // decodeTuple decodes the tuple that ends payload p into dst[:0],
 // allocating — once, at the exact arity — only when dst is too small:
-// pass a stack array's slice for a tuple that is read and dropped, nil
-// for one that is kept. The arity is checked against the bytes that
-// remain (a value takes at least one) before it sizes anything.
+// pass a stack array's slice for a tuple that is read and dropped — an
+// output fact included, since Relation.Add copies — and nil for one
+// that is kept. The arity is checked against the bytes that remain (a
+// value takes at least one) before it sizes anything.
 func decodeTuple(dst relation.Tuple, p []byte, what string) relation.Tuple {
 	n, w := binary.Uvarint(p)
 	if w <= 0 || n > uint64(len(p)-w) {
@@ -146,12 +147,12 @@ func (m ReqTuple) Emit(em *mr.Emitter, key []byte) {
 	em.Emit(key, TagReqTuple, tupleTagByte+4+int64(len(m.Out))*relation.BytesPerField, appendTuple(p, m.Out))
 }
 
-// DecodeReqTuple decodes a TagReqTuple payload; Out is a fresh tuple the
-// caller may keep.
-func DecodeReqTuple(p []byte) ReqTuple {
+// DecodeReqTuple decodes a TagReqTuple payload, Out into dst (see
+// decodeTuple: nil for a tuple the caller keeps).
+func DecodeReqTuple(dst relation.Tuple, p []byte) ReqTuple {
 	q, p := varint(p, "ReqTuple")
 	d, p := varint(p, "ReqTuple")
-	return ReqTuple{Q: int32(q), Disjunct: int32(d), Out: decodeTuple(nil, p, "ReqTuple")}
+	return ReqTuple{Q: int32(q), Disjunct: int32(d), Out: decodeTuple(dst, p, "ReqTuple")}
 }
 
 // TupleVal carries a full guard tuple into an EVAL reducer (the guard
@@ -204,7 +205,8 @@ func parseEvalKey(key []byte) (q int32, id int64) {
 }
 
 // idTuple wraps a guard tuple id as a unary relation tuple: the X_i
-// output relations of an MSJ job hold these references.
+// output relations of an MSJ job hold these references. Output.Add
+// copies it, so it never leaves the reducer's stack.
 func idTuple(id int64) relation.Tuple { return relation.Tuple{relation.Value(id)} }
 
 // sanitizeName makes a string usable inside generated relation names.

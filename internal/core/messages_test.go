@@ -44,7 +44,7 @@ func codecJob() *mr.Job {
 				case TagAssert:
 					fact[1] = relation.Value(DecodeAssert(p).Class)
 				case TagReqTuple:
-					m := DecodeReqTuple(p)
+					m := DecodeReqTuple(nil, p)
 					fact[1], fact[2], fact[3] = relation.Value(m.Q), relation.Value(m.Disjunct), m.Out[0]
 				case TagTupleVal:
 					m := DecodeTupleVal(nil, p)
@@ -187,5 +187,62 @@ func TestMSJHotPathAllocatesNothing(t *testing.T) {
 	}
 	if want := 2*64 + 2*4; walked != want { // two requests per guard fact, one assert per distinct S and T fact
 		t.Errorf("reduce walked %d messages, want %d", walked, want)
+	}
+}
+
+// TestReducersAllocateNothingPerOutputFact is the reduce-side sibling
+// of TestMSJHotPathAllocatesNothing for the facts a reducer writes: the
+// real MSJ, EVAL, 1-ROUND and filter reducers, re-run on the group and
+// the Output the engine handed them. The first call has stored every
+// fact, so the output relations need no growth, and what is left is
+// decode, projection and Output.Add — a tuple built per output fact
+// (Tuple.Project, a fresh decode, an idTuple that escapes) reads as
+// ≥ 1 allocation per call.
+func TestReducersAllocateNothingPerOutputFact(t *testing.T) {
+	prog := sgf.MustParse(`Z := SELECT y, x FROM R(x, y) WHERE S(x) AND T(y);`)
+	db := relation.NewDatabase()
+	r, s := relation.New("R", 2), relation.New("S", 1)
+	for i := int64(0); i < 64; i++ {
+		r.Add(relation.Tuple{relation.Value(i % 4), relation.Value(i)})
+		s.Add(relation.Tuple{relation.Value(i)})
+	}
+	db.Put(r)
+	db.Put(s)
+	db.Put(s.Rename("T"))
+
+	par, err := ParPlan("par", prog.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := OneRoundPlan("one", sgf.MustParse(`Z := SELECT y, x FROM R(x, y) WHERE S(x) AND T(x);`).Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := SeqPlan("seq", prog.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []*Plan{par, one, seq} {
+		facts := 0
+		for _, job := range plan.Jobs {
+			name, real := job.Name, job.Reducer
+			job.Reducer = mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
+				real.Reduce(key, msgs, out)
+				if allocs := testing.AllocsPerRun(100, func() { real.Reduce(key, msgs, out) }); allocs != 0 {
+					t.Errorf("%s: reducing a group of %d messages allocates %v, want 0", name, msgs.Len(), allocs)
+				}
+			})
+		}
+		e := mr.NewEngine(mr.Config{Cost: cost.Default(), Workers: 1})
+		outs, _, _, err := e.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rel := range outs.Relations() {
+			facts += rel.Size()
+		}
+		if facts == 0 {
+			t.Errorf("%s: no output facts, nothing was measured", plan.Name)
+		}
 	}
 }

@@ -244,13 +244,14 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 	}
 
 	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
-		var kb [32]byte // append-style shuffle keys, see NewMSJJob
+		var kb [32]byte          // append-style shuffle keys, see NewMSJJob
+		var ob [8]relation.Value // the projected output; Emit copies it
 		for _, gr := range guardRoles[input] {
 			spec := &qspecs[gr.q]
 			if !spec.matcher.Matches(t) {
 				continue
 			}
-			out := spec.project.Apply(t)
+			out := spec.project.AppendTo(ob[:0], t)
 			for di := range spec.groups {
 				ReqTuple{Q: gr.q, Disjunct: int32(di), Out: out}.Emit(emit, spec.groups[di].proj.AppendKey(kb[:0], t))
 			}
@@ -285,6 +286,7 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 	}
 
 	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
+		var ob [8]relation.Value // each request's output fact; Output.Add copies it
 		if useBits {
 			var asserted uint64
 			for i := 0; i < msgs.Len(); i++ {
@@ -297,7 +299,7 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 				if tag != TagReqTuple {
 					continue
 				}
-				r := DecodeReqTuple(p)
+				r := DecodeReqTuple(ob[:0], p)
 				spec := &qspecs[r.Q]
 				if spec.mode == OneRoundShared {
 					if spec.condBits(asserted) {
@@ -329,7 +331,7 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 			if tag != TagReqTuple {
 				continue
 			}
-			r := DecodeReqTuple(p)
+			r := DecodeReqTuple(ob[:0], p)
 			spec := &qspecs[r.Q]
 			if spec.mode == OneRoundShared {
 				ok := sgf.EvalCondition(spec.cond, truthOf(spec.classOf, asserted))

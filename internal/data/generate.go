@@ -156,13 +156,13 @@ func (s CondSpec) Generate() *relation.Relation {
 func (s CondSpec) guardColumnValues() []relation.Value {
 	seen := make(map[relation.Value]bool)
 	var vals []relation.Value
-	for _, t := range s.Guard.Tuples() {
+	s.Guard.Each(func(_ int, t relation.Tuple) {
 		v := t[s.Col]
 		if !seen[v] {
 			seen[v] = true
 			vals = append(vals, v)
 		}
-	}
+	})
 	return vals
 }
 
@@ -294,15 +294,13 @@ func MatchRate(guard *relation.Relation, col int, cond *relation.Relation, joinA
 		return 0
 	}
 	present := make(map[relation.Value]bool)
-	for _, t := range cond.Tuples() {
-		present[t[joinAt]] = true
-	}
+	cond.Each(func(_ int, t relation.Tuple) { present[t[joinAt]] = true })
 	n := 0
-	for _, t := range guard.Tuples() {
+	guard.Each(func(_ int, t relation.Tuple) {
 		if present[t[col]] {
 			n++
 		}
-	}
+	})
 	return float64(n) / float64(guard.Size())
 }
 
@@ -313,14 +311,12 @@ func CondMatchRate(guard *relation.Relation, col int, cond *relation.Relation, j
 		return 0
 	}
 	present := make(map[relation.Value]bool)
-	for _, t := range guard.Tuples() {
-		present[t[col]] = true
-	}
+	guard.Each(func(_ int, t relation.Tuple) { present[t[col]] = true })
 	n := 0
-	for _, t := range cond.Tuples() {
+	cond.Each(func(_ int, t relation.Tuple) {
 		if present[t[joinAt]] {
 			n++
 		}
-	}
+	})
 	return float64(n) / float64(cond.Size())
 }

@@ -99,8 +99,8 @@ func correlateOutputRefs(p *sgf.Program, db *relation.Database, seed int64) {
 		rng := rand.New(rand.NewSource(seed ^ 0x7ca1ee ^ int64(qi)*0x9e3779b9))
 		rebuilt := relation.New(guard.Name(), guard.Arity())
 		grown := map[string]*relation.Relation{} // cond relations gaining match tuples
-		for _, t := range guard.Tuples() {
-			nt := append(relation.Tuple(nil), t...)
+		for gi, gn := 0, guard.Size(); gi < gn; gi++ {
+			nt := guard.Tuple(gi).Clone()
 			if rng.Float64() < correlateFrac {
 				copied := false
 				for _, a := range refs {
@@ -108,7 +108,7 @@ func correlateOutputRefs(p *sgf.Program, db *relation.Database, seed int64) {
 					if src == nil || src.Size() == 0 {
 						continue
 					}
-					o := src.Tuples()[rng.Intn(src.Size())]
+					o := src.Tuple(rng.Intn(src.Size()))
 					for j, arg := range a.Args {
 						if pos, ok := varPos[arg.Var]; arg.IsVar() && ok {
 							nt[pos] = o[j]
@@ -127,10 +127,7 @@ func correlateOutputRefs(p *sgf.Program, db *relation.Database, seed int64) {
 							if base == nil {
 								continue
 							}
-							rel = relation.New(base.Name(), base.Arity())
-							for _, bt := range base.Tuples() {
-								rel.Add(bt)
-							}
+							rel = base.Clone()
 							grown[a.Rel] = rel
 						}
 						match := make(relation.Tuple, len(a.Args))

@@ -291,13 +291,12 @@ func diffTupleOrder(a, b *relation.Relation) string {
 	if a.Arity() != b.Arity() {
 		return fmt.Sprintf("arity %d vs %d", a.Arity(), b.Arity())
 	}
-	at, bt := a.Tuples(), b.Tuples()
-	if len(at) != len(bt) {
-		return fmt.Sprintf("%d tuples vs %d", len(at), len(bt))
+	if a.Size() != b.Size() {
+		return fmt.Sprintf("%d tuples vs %d", a.Size(), b.Size())
 	}
-	for i := range at {
-		if at[i].Compare(bt[i]) != 0 {
-			return fmt.Sprintf("tuple %d: %s vs %s", i, at[i], bt[i])
+	for i, n := 0, a.Size(); i < n; i++ {
+		if at, bt := a.Tuple(i), b.Tuple(i); !at.Equal(bt) {
+			return fmt.Sprintf("tuple %d: %s vs %s", i, at, bt)
 		}
 	}
 	return ""

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cost"
+	"repro/internal/mr"
 	"repro/internal/sgf"
 )
 
@@ -48,25 +50,51 @@ func TestSweepSmallSeeds(t *testing.T) {
 }
 
 // TestSweepCalibrates: calibration over sweep records fits constants
-// and reports errors no worse than the defaults on its own data.
+// and reports errors no worse than the defaults on its own data. The
+// asserted fit runs over seconds synthesised from each job's own
+// CostSpec under a known perturbed config, so it tests the fitter; the
+// sweep's host wall-clock timings (under -race as much scheduler noise
+// as signal) only have to go through.
 func TestSweepCalibrates(t *testing.T) {
 	scfg := DefaultScenarioConfig()
 	scfg.GuardTuples, scfg.CondTuples = 300, 300
 	swcfg := smallSweepConfig()
 	res := RunSweep(GenScenarios(3, scfg), swcfg)
 	base := swcfg.BaseCostConfig()
-	cal, err := Calibrate(res.Runs, base)
+	smoke, err := Calibrate(res.Runs, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cal.Observations == 0 {
-		t.Fatal("no observations")
+	if smoke.Observations == 0 || len(smoke.Rows) == 0 {
+		t.Fatalf("host timings: %d observations, %d per-scenario rows", smoke.Observations, len(smoke.Rows))
 	}
-	if cal.FittedErr > cal.DefaultErr {
-		t.Errorf("fitted error %.4f worse than default %.4f", cal.FittedErr, cal.DefaultErr)
+
+	truth := base
+	truth.JobOverhead *= 0.5
+	truth.HDFSRead *= 1.7
+	truth.LocalWrite *= 0.6
+	truth.Transfer *= 1.3
+	truth.HDFSWrite *= 2
+	runs := append([]RunRecord(nil), res.Runs...)
+	for ri, r := range runs {
+		runs[ri].Timings = make([]mr.JobTiming, len(r.Stats))
+		for i, st := range r.Stats {
+			runs[ri].Timings[i].MapSeconds = truth.JobCost(cost.Gumbo, st.CostSpec())
+		}
 	}
-	if len(cal.Rows) == 0 {
-		t.Error("no per-scenario rows")
+	cal, err := Calibrate(runs, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal.Observations != smoke.Observations || len(cal.Rows) != len(smoke.Rows) {
+		t.Errorf("synthesised timings: %d observations in %d rows, host timings %d in %d",
+			cal.Observations, len(cal.Rows), smoke.Observations, len(smoke.Rows))
+	}
+	if cal.DefaultErr < 0.05 {
+		t.Errorf("base config already within %.4f of the perturbed one: the fit is not tested", cal.DefaultErr)
+	}
+	if cal.FittedErr > cal.DefaultErr || cal.FittedErr > 0.01 {
+		t.Errorf("fitted error %.4f (default %.4f), want ≤ 0.01 on noiseless data", cal.FittedErr, cal.DefaultErr)
 	}
 }
 

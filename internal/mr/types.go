@@ -65,7 +65,9 @@ func WrapEmit(fn EmitFunc) *Emitter { return &Emitter{wrap: fn} }
 
 // Mapper processes one input fact. The same Mapper instance is used
 // concurrently by multiple map tasks and must be stateless or internally
-// synchronized.
+// synchronized. The tuple is a read-only view into the input relation
+// (see relation.Relation.Tuple): it may be kept, and must be copied
+// before being modified.
 type Mapper interface {
 	Map(input string, id int, t relation.Tuple, emit *Emitter)
 }
@@ -139,8 +141,9 @@ func newOutput(arities map[string]int) *Output {
 	return &Output{arities: arities, rels: make(map[string]*relation.Relation)}
 }
 
-// Add appends a fact to the named output relation. The relation must be
-// declared in the job's Outputs map.
+// Add appends a copy of the fact to the named output relation, so t may
+// be scratch the reducer reuses. The relation must be declared in the
+// job's Outputs map.
 func (o *Output) Add(name string, t relation.Tuple) {
 	r, ok := o.rels[name]
 	if !ok {

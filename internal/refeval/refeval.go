@@ -37,7 +37,8 @@ func EvalBSGF(q *sgf.BSGF, db *relation.Database) (*relation.Relation, error) {
 	guardMatcher := sgf.NewMatcher(q.Guard)
 	project := sgf.NewProjector(q.Guard, q.Select)
 	truth := make(map[string]bool, len(atoms))
-	for _, f := range guardRel.Tuples() {
+	for i, n := 0, guardRel.Size(); i < n; i++ {
+		f := guardRel.Tuple(i)
 		if !guardMatcher.Matches(f) {
 			continue
 		}
@@ -74,22 +75,19 @@ func buildCondIndex(q *sgf.BSGF, atom sgf.Atom, db *relation.Database) (*condInd
 	idx := &condIndex{emptyKey: len(shared) == 0}
 	matcher := sgf.NewMatcher(atom)
 	if idx.emptyKey {
-		for _, g := range rel.Tuples() {
-			if matcher.Matches(g) {
-				idx.anyFact = true
-				break
-			}
+		for i, n := 0, rel.Size(); i < n && !idx.anyFact; i++ {
+			idx.anyFact = matcher.Matches(rel.Tuple(i))
 		}
 		return idx, nil
 	}
 	idx.guardProj = sgf.NewProjector(q.Guard, shared)
 	condProj := sgf.NewProjector(atom, shared)
 	idx.keys = make(map[string]bool)
-	for _, g := range rel.Tuples() {
+	rel.Each(func(_ int, g relation.Tuple) {
 		if matcher.Matches(g) {
 			idx.keys[condProj.Apply(g).Key()] = true
 		}
-	}
+	})
 	return idx, nil
 }
 

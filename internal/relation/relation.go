@@ -2,6 +2,8 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,14 +15,25 @@ import (
 // tuples occupies 1 GB (10 bytes/tuple).
 const BytesPerField = 10
 
+// maxRows bounds a relation's size: the index stores row id + 1 in an
+// int32. It is a variable only so that the overflow test can lower it.
+var maxRows = 1<<31 - 2
+
 // Relation is a named, fixed-arity set of tuples. Relations have set
 // semantics: Add ignores duplicates. Iteration order is insertion order,
 // which keeps runs deterministic.
+//
+// Storage is two pointer-free arrays and nothing per tuple: vals holds
+// the rows back to back in insertion order, and idx is an
+// open-addressing, linear-probing hash table over the rows' values that
+// stores row ids (a hit is confirmed against the slab; there is no key
+// string and no map). The slab is append-only and growing it copies, so
+// a Tuple view handed out once stays valid for good.
 type Relation struct {
-	name   string
-	arity  int
-	tuples []Tuple
-	index  map[string]int // Tuple.Key() -> position in tuples
+	name  string
+	arity int
+	vals  []Value // row i is vals[i*arity : (i+1)*arity]
+	idx   []int32 // row id + 1, 0 = empty; length 0 or a power of two, load ≤ 3/4
 }
 
 // New returns an empty relation with the given name and arity.
@@ -29,15 +42,14 @@ func New(name string, arity int) *Relation {
 	if arity <= 0 {
 		panic(fmt.Sprintf("relation.New: non-positive arity %d for %s", arity, name))
 	}
-	return &Relation{name: name, arity: arity, index: make(map[string]int)}
+	return &Relation{name: name, arity: arity}
 }
 
-// FromTuples builds a relation from the given tuples (duplicates removed).
+// FromTuples builds a relation from the given tuples (duplicates
+// removed). The values are copied: the relation does not alias tuples.
 func FromTuples(name string, arity int, tuples []Tuple) *Relation {
 	r := New(name, arity)
-	for _, t := range tuples {
-		r.Add(t)
-	}
+	r.AddAll(tuples)
 	return r
 }
 
@@ -48,103 +60,132 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Arity() int { return r.arity }
 
 // Size returns the number of tuples.
-func (r *Relation) Size() int { return len(r.tuples) }
+func (r *Relation) Size() int { return len(r.vals) / r.arity }
 
 // Bytes returns the modelled serialized size of the relation in bytes
 // (Size × arity × BytesPerField). This drives the cost model's N_i values.
-func (r *Relation) Bytes() int64 {
-	return int64(len(r.tuples)) * int64(r.arity) * BytesPerField
-}
+func (r *Relation) Bytes() int64 { return int64(len(r.vals)) * BytesPerField }
 
 // TupleBytes returns the modelled serialized size of one tuple of this
 // relation's arity.
 func (r *Relation) TupleBytes() int64 { return int64(r.arity) * BytesPerField }
 
-// Add inserts t, returning true if it was not already present.
-// It panics if the arity does not match. The duplicate check is
-// allocation-free: the key is built in a stack buffer and looked up
-// without a string conversion, so re-adding existing tuples (the common
-// case in reducer outputs with heavy overlap) costs no garbage; only an
-// actual insert materializes the key string.
+// hashRow hashes a row's values for the index: a 64×64→128-bit
+// multiply folded per value and once more at the end, without which
+// dense ids and rows differing in one column probe measurably longer
+// than uniform hashing would (TestIndexProbeLength).
+func hashRow(t Tuple) int {
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, v := range t {
+		hi, lo := bits.Mul64(h^uint64(v), 0xD6E8FEB86659FD93)
+		h = hi ^ lo
+	}
+	hi, lo := bits.Mul64(h, 0x9E3779B97F4A7C15)
+	return int(hi ^ lo)
+}
+
+// reindex rebuilds the index at the given length from the slab.
+func (r *Relation) reindex(slots int) {
+	r.idx = make([]int32, slots)
+	for id, n := 0, r.Size(); id < n; id++ {
+		r.idx[r.find(r.Tuple(id))] = int32(id + 1)
+	}
+}
+
+// find probes the index, which must not be empty, for t, which has r's
+// arity: it returns the slot that holds t's row id, or else the empty
+// slot ending t's probe sequence, where that id belongs.
+func (r *Relation) find(t Tuple) int {
+	mask := len(r.idx) - 1
+	i := hashRow(t) & mask
+	for r.idx[i] != 0 && !r.Tuple(int(r.idx[i])-1).Equal(t) {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// Add inserts a copy of t's values, returning true if t was not already
+// present. It panics if the arity does not match or the relation is
+// full (2³¹−2 tuples). Re-adding a present tuple — the common case in
+// reducer outputs with heavy overlap — allocates nothing, and an insert
+// allocates only when the slab or the index grows.
 func (r *Relation) Add(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation %s: adding tuple of arity %d to relation of arity %d", r.name, len(t), r.arity))
 	}
-	var kb [32]byte
-	k := t.AppendKey(kb[:0])
-	if _, dup := r.index[string(k)]; dup { // no-alloc map lookup
+	if len(r.idx) == 0 {
+		r.idx = make([]int32, 8)
+	}
+	slot := r.find(t)
+	if r.idx[slot] != 0 {
 		return false
 	}
-	r.index[string(k)] = len(r.tuples)
-	r.tuples = append(r.tuples, t)
+	n := r.Size()
+	if n >= maxRows {
+		panic(fmt.Sprintf("relation %s: full at %d tuples (row ids are int32)", r.name, n))
+	}
+	r.idx[slot] = int32(n + 1)
+	r.vals = append(r.vals, t...)
+	if (n+1)*4 > len(r.idx)*3 { // past load 3/4
+		r.reindex(2 * len(r.idx))
+	}
 	return true
 }
 
-// Contains reports whether t is present. Like Add's duplicate check it
-// allocates nothing.
+// Contains reports whether t is present; a tuple of another arity is
+// not. It allocates nothing.
 func (r *Relation) Contains(t Tuple) bool {
-	var kb [32]byte
-	_, ok := r.index[string(t.AppendKey(kb[:0]))]
-	return ok
+	return len(t) == r.arity && len(r.idx) > 0 && r.idx[r.find(t)] != 0
 }
 
-// Tuple returns the i-th tuple in insertion order.
-func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
+// Tuple returns the i-th tuple in insertion order as a read-only view
+// into the slab: it stays valid for the relation's lifetime, must be
+// copied (Tuple.Clone) before being modified, and is capacity-capped,
+// so appending to it copies instead of overwriting the next row.
+func (r *Relation) Tuple(i int) Tuple {
+	lo, hi := i*r.arity, (i+1)*r.arity
+	return r.vals[lo:hi:hi]
+}
 
-// Tuples returns the underlying tuple slice in insertion order. The caller
-// must not mutate it.
-func (r *Relation) Tuples() []Tuple { return r.tuples }
+// Tuples returns the tuples in insertion order as a fresh slice of
+// views (see Tuple). It costs a slice header per tuple; loops should
+// use Each, or Size and Tuple.
+func (r *Relation) Tuples() []Tuple {
+	out := make([]Tuple, r.Size())
+	for i := range out {
+		out[i] = r.Tuple(i)
+	}
+	return out
+}
 
-// Each calls fn for every tuple with its stable id (insertion position).
+// Each calls fn for every tuple with its stable id (insertion
+// position). The tuples are views, see Tuple.
 func (r *Relation) Each(fn func(id int, t Tuple)) {
-	for i, t := range r.tuples {
-		fn(i, t)
+	for i, n := 0, r.Size(); i < n; i++ {
+		fn(i, r.Tuple(i))
 	}
 }
 
-// Clone returns a deep copy of r. Both the tuple slice and the index
-// map are allocated at their final size up front — cloning never
-// re-grows through incremental Add — and the index is copied entry for
-// entry (positions are identical in a clone) rather than re-encoding
-// every tuple's key.
+// Clone returns a deep copy of r: one copy of the slab and one of the
+// index.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{
-		name:   r.name,
-		arity:  r.arity,
-		tuples: make([]Tuple, len(r.tuples)),
-		index:  make(map[string]int, len(r.index)),
-	}
-	for i, t := range r.tuples {
-		c.tuples[i] = t.Clone()
-	}
-	for k, pos := range r.index {
-		c.index[k] = pos
-	}
-	return c
+	return &Relation{name: r.name, arity: r.arity, vals: slices.Clone(r.vals), idx: slices.Clone(r.idx)}
 }
 
-// Grow pre-sizes r's internal storage for n additional tuples, so a
-// bulk load of n tuples performs no incremental slice growth and no
-// map rehashing. It never changes the relation's contents. A Go map
-// cannot be grown in place, so the index is rebuilt with the target
-// size hint when the pending bulk dominates the existing entries
-// (copying the existing entries once is cheaper than rehashing them
-// repeatedly during the load).
+// Grow pre-sizes r's storage for n additional tuples, so a bulk load
+// of n tuples grows neither the slab nor the index on the way. It never
+// changes the relation's contents; n ≤ 0 does nothing.
 func (r *Relation) Grow(n int) {
-	if n <= 0 {
-		return
+	rows := min(r.Size()+n, maxRows)
+	if need := rows * r.arity; cap(r.vals) < need {
+		r.vals = append(make([]Value, 0, need), r.vals...)
 	}
-	if cap(r.tuples)-len(r.tuples) < n {
-		grown := make([]Tuple, len(r.tuples), len(r.tuples)+n)
-		copy(grown, r.tuples)
-		r.tuples = grown
+	slots := len(r.idx)
+	for slots*3 < rows*4 { // the least power of two, 8 or more, at load ≤ 3/4
+		slots = max(8, 2*slots)
 	}
-	if n > len(r.index) {
-		idx := make(map[string]int, len(r.index)+n)
-		for k, pos := range r.index {
-			idx[k] = pos
-		}
-		r.index = idx
+	if slots > len(r.idx) {
+		r.reindex(slots)
 	}
 }
 
@@ -163,36 +204,36 @@ func (r *Relation) AddAll(ts []Tuple) int {
 }
 
 // Rename returns a shallow view of r under a different name, sharing
-// tuple storage.
+// its storage; neither may be added to afterwards.
 func (r *Relation) Rename(name string) *Relation {
-	return &Relation{name: name, arity: r.arity, tuples: r.tuples, index: r.index}
+	return &Relation{name: name, arity: r.arity, vals: r.vals, idx: r.idx}
 }
 
 // Equal reports whether r and o contain exactly the same tuple set
 // (names may differ).
 func (r *Relation) Equal(o *Relation) bool {
-	if r.arity != o.arity || len(r.tuples) != len(o.tuples) {
+	if r.arity != o.arity || len(r.vals) != len(o.vals) {
 		return false
 	}
-	for _, t := range r.tuples {
-		if !o.Contains(t) {
+	for i, n := 0, r.Size(); i < n; i++ {
+		if !o.Contains(r.Tuple(i)) {
 			return false
 		}
 	}
 	return true
 }
 
-// Sorted returns the tuples in lexicographic order (a fresh slice).
+// Sorted returns the tuples in lexicographic order (a fresh slice of
+// views, see Tuple).
 func (r *Relation) Sorted() []Tuple {
-	out := make([]Tuple, len(r.tuples))
-	copy(out, r.tuples)
+	out := r.Tuples()
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
 // String renders the relation as "Name/arity{n tuples}".
 func (r *Relation) String() string {
-	return fmt.Sprintf("%s/%d{%d tuples}", r.name, r.arity, len(r.tuples))
+	return fmt.Sprintf("%s/%d{%d tuples}", r.name, r.arity, r.Size())
 }
 
 // Dump renders the full contents, sorted, for debugging and golden tests.

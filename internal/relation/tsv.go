@@ -11,8 +11,8 @@ import (
 // line, in insertion order.
 func (r *Relation) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, t := range r.tuples {
-		for i, v := range t {
+	for ti, n := 0, r.Size(); ti < n; ti++ {
+		for i, v := range r.Tuple(ti) {
 			if i > 0 {
 				if err := bw.WriteByte('\t'); err != nil {
 					return err
@@ -37,6 +37,7 @@ func ReadTSV(name string, arity int, rd io.Reader) (*Relation, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
+	t := make(Tuple, arity) // scratch: Add copies
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
@@ -47,7 +48,6 @@ func ReadTSV(name string, arity int, rd io.Reader) (*Relation, error) {
 		if len(fields) != arity {
 			return nil, fmt.Errorf("relation %s line %d: got %d fields, want %d", name, lineNo, len(fields), arity)
 		}
-		t := make(Tuple, arity)
 		for i, f := range fields {
 			t[i] = ParseValue(f)
 		}

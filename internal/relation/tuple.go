@@ -6,6 +6,12 @@ import (
 )
 
 // Tuple is an ordered sequence of data values: the ā in a fact R(ā).
+//
+// A Tuple obtained from a Relation (Tuple, Tuples, Each, Sorted) or
+// handed to a mapper is a read-only view into the relation's slab: it
+// is valid for the relation's lifetime and must be copied (Clone)
+// before being modified. A Tuple passed to Relation.Add is copied, so
+// it may be scratch.
 type Tuple []Value
 
 // Equal reports whether t and u have the same length and values.

@@ -1,6 +1,12 @@
 // Package relation provides the relational substrate used throughout the
 // repository: data values, tuples, set-semantics relations, and databases.
 //
+// A Relation stores its tuples flat — one row-major slab of values and
+// one int32 open-addressing index of row ids, both pointer-free, and no
+// object per tuple — so what the garbage collector traces does not grow
+// with the data. Tuples read from a relation are views into that slab
+// (see Tuple).
+//
 // Values are compact int64 handles. Non-negative handles denote integer
 // data values directly; negative handles denote interned strings (see
 // String and ValueText). This keeps tuples flat and hashable while still

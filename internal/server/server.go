@@ -446,6 +446,14 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "relation needs a name and a positive arity (got %q/%d)", rp.Name, rp.Arity)
 			return
 		}
+		// Widths first, so nothing below is sized from the declared arity
+		// alone: rows × arity is then what the body itself held.
+		for ti, raw := range rp.Tuples {
+			if len(raw) != rp.Arity {
+				writeError(w, http.StatusBadRequest, "relation %s tuple %d: got %d values, want %d", rp.Name, ti, len(raw), rp.Arity)
+				return
+			}
+		}
 		rel, seen := pending[rp.Name]
 		if seen {
 			if rel.Arity() != rp.Arity {
@@ -453,23 +461,30 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		} else {
-			rel = gumbo.NewRelation(rp.Name, rp.Arity)
-			if old := dbe.db.Relation(rp.Name); old != nil {
-				if old.Arity() != rp.Arity {
-					writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.Name, old.Arity(), rp.Arity)
-					return
-				}
-				for _, t := range old.Tuples() {
-					rel.Add(t)
-				}
+			switch old := dbe.db.Relation(rp.Name); {
+			case old == nil:
+				rel = gumbo.NewRelation(rp.Name, rp.Arity)
+			case old.Arity() != rp.Arity:
+				writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.Name, old.Arity(), rp.Arity)
+				return
+			default:
+				// The Grow below copies the slab a second time. Kept: a
+				// relation built at final size has to re-hash every old
+				// row, which costs more than copying the index unless the
+				// load about doubles the relation.
+				rel = old.Clone()
 			}
 			pending[rp.Name] = rel
 			order = append(order, rp.Name)
 		}
 		added := 0
+		var t gumbo.Tuple // scratch: Add copies
+		if len(rp.Tuples) > 0 {
+			rel.Grow(len(rp.Tuples))
+			t = make(gumbo.Tuple, rp.Arity)
+		}
 		for ti, raw := range rp.Tuples {
-			t, err := decodeTuple(raw, rp.Arity)
-			if err != nil {
+			if err := decodeTuple(t, raw); err != nil {
 				writeError(w, http.StatusBadRequest, "relation %s tuple %d: %v", rp.Name, ti, err)
 				return
 			}
@@ -654,11 +669,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // independent of insertion order, scheduling, batching, caching, and of
 // what other requests the process served earlier.
 func encodeTuples(rel *gumbo.Relation) [][]any {
-	tuples := rel.Tuples()
-	out := make([][]any, len(tuples))
-	for i, t := range tuples {
-		row := make([]any, len(t))
-		for j, v := range t {
+	out := make([][]any, rel.Size())
+	for i := range out {
+		row := make([]any, rel.Arity())
+		for j, v := range rel.Tuple(i) {
 			if v.IsString() {
 				row[j] = v.Text()
 			} else {
@@ -708,16 +722,13 @@ func compareRows(a, b []any) int {
 	return 0
 }
 
-// decodeTuple converts a JSON row into a Tuple: non-negative integral
+// decodeTuple converts a JSON row into t, the caller's scratch of the
+// row's own length, reused row after row: non-negative integral
 // numbers map to integer values, strings to interned strings. Negative
 // numbers are rejected rather than silently interned as strings
 // (relation.Value reserves negative handles for interned text, so a
 // negative integer could not round-trip back as a JSON number).
-func decodeTuple(raw []any, arity int) (gumbo.Tuple, error) {
-	if len(raw) != arity {
-		return nil, fmt.Errorf("got %d values, want %d", len(raw), arity)
-	}
-	t := make(gumbo.Tuple, arity)
+func decodeTuple(t gumbo.Tuple, raw []any) error {
 	for i, v := range raw {
 		switch x := v.(type) {
 		case string:
@@ -725,17 +736,17 @@ func decodeTuple(raw []any, arity int) (gumbo.Tuple, error) {
 		case json.Number:
 			n, err := x.Int64()
 			if err != nil {
-				return nil, fmt.Errorf("value %d: %q is not an integer", i, x.String())
+				return fmt.Errorf("value %d: %q is not an integer", i, x.String())
 			}
 			if n < 0 {
-				return nil, fmt.Errorf("value %d: negative integer %d is not representable; send it as a string", i, n)
+				return fmt.Errorf("value %d: negative integer %d is not representable; send it as a string", i, n)
 			}
 			t[i] = gumbo.Int(n)
 		default:
-			return nil, fmt.Errorf("value %d: unsupported JSON type %T (want integer or string)", i, v)
+			return fmt.Errorf("value %d: unsupported JSON type %T (want integer or string)", i, v)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 func encodeMetrics(m gumbo.Metrics) metricsInfo {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -542,6 +543,41 @@ func TestBatchingDeduplicatesIdenticalQueries(t *testing.T) {
 	}
 	if shared < 2 {
 		t.Fatalf("identical queries were not answered by a shared run (batch sizes %v)", resps)
+	}
+}
+
+// TestLoadSizesNothingFromDeclaredArity: a declared arity far beyond what
+// the body holds costs no memory — an empty relation of it loads, rows
+// narrower than it are a 400, and neither sizes storage from the number.
+func TestLoadSizesNothingFromDeclaredArity(t *testing.T) {
+	_, c := newTestClient(t, Config{})
+	c.do("PUT", "/v1/db/a", nil, nil)
+	narrow := make([][]any, 1000)
+	for i := range narrow {
+		narrow[i] = []any{i}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, tc := range []struct {
+		arity  int64
+		tuples [][]any
+		want   int
+	}{
+		{20_000_000_000, [][]any{}, http.StatusOK},
+		{20_000_000_000, [][]any{{1}}, http.StatusBadRequest},
+		{1_000_000, narrow, http.StatusBadRequest},
+		{1_000_000, make([][]any, 1000), http.StatusBadRequest}, // rows of width 0
+	} {
+		body := map[string]any{"relations": []map[string]any{
+			{"name": fmt.Sprintf("W%d", tc.arity), "arity": tc.arity, "tuples": tc.tuples},
+		}}
+		if code := c.do("POST", "/v1/db/a/load", body, nil); code != tc.want {
+			t.Errorf("arity %d, %d tuples: %d, want %d", tc.arity, len(tc.tuples), code, tc.want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Errorf("four small loads allocated %d MB; storage is sized from the declared arity", got>>20)
 	}
 }
 

@@ -125,6 +125,17 @@ func NewProjector(a Atom, vars []string) Projector {
 // Apply projects t. The result is a fresh tuple.
 func (p Projector) Apply(t relation.Tuple) relation.Tuple { return t.Project(p.positions) }
 
+// AppendTo appends t's projection to dst and returns the extended
+// slice: Apply into caller scratch, for a projection that is handed
+// straight to something that copies it (relation.Relation.Add, a
+// message encoder).
+func (p Projector) AppendTo(dst, t relation.Tuple) relation.Tuple {
+	for _, pos := range p.positions {
+		dst = append(dst, t[pos])
+	}
+	return dst
+}
+
 // AppendKey appends the shuffle key of t's projection to dst and returns
 // the extended slice. It is the mapper fast path equivalent to
 // p.Apply(t).Key(): the projected tuple is never materialized and the
