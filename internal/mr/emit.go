@@ -1,17 +1,24 @@
 package mr
 
-// arenaChunk is the size of one chunk of a map task's byte arena. The
-// arena is grow-only: a full chunk stays alive through the records that
-// point into it and a fresh one is started, so emitting allocates one
-// chunk per ~arenaChunk bytes of key and payload data and nothing per
-// record. Chunks are charged to the run's budget before use — the arena
-// is one of the three accounted allocation sites of the
-// memory-governance contract — and their size never depends on the
-// schedule, so neither does the charge.
+// arenaChunk is the full size of one chunk of a map task's byte arena,
+// and arenaLadder the sizes of a task's first chunks: most map tasks
+// emit a few kilobytes of key and payload data, so the arena opens at
+// 4 KiB and reaches arenaChunk with its third chunk (a record larger
+// than the chunk due gets one of its own size). The arena is grow-only:
+// a full chunk stays alive through the records that point into it and a
+// fresh one is started, so emitting allocates nothing per record. Chunks
+// are charged to the run's budget before use — the arena is one of the
+// three accounted allocation sites of the memory-governance contract —
+// and never recycled; their sizes are a function of the bytes the task
+// emitted and nothing else, never of the schedule, so neither is the
+// charge.
 const arenaChunk = 1 << 16
 
+var arenaLadder = [...]int{4 << 10, 16 << 10}
+
 // Emit outputs one record: payload, of type tag and modelled size, under
-// key. See Emitter for the ownership and accounting rules.
+// key, opening the next chunk of the ladder when the current one cannot
+// hold it. See Emitter for the ownership and accounting rules.
 func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	if e.wrap != nil {
 		// The wrapper sees a copy: handing it the caller's slices
@@ -29,7 +36,11 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	}
 	need := len(key) + len(payload)
 	if len(e.set.bufs) == 0 || e.used+need > len(e.set.bufs[len(e.set.bufs)-1]) {
-		e.set.bufs = append(e.set.bufs, grabBytes(e.budget, max(arenaChunk, need)))
+		size := arenaChunk
+		if n := len(e.set.bufs); n < len(arenaLadder) {
+			size = arenaLadder[n]
+		}
+		e.set.bufs = append(e.set.bufs, grabBytes(e.budget, max(size, need)))
 		e.used = 0
 	}
 	src := len(e.set.bufs) - 1

@@ -69,14 +69,16 @@ func keyPrefix(key []byte) uint64 {
 // radix.go). Both paths produce the same total key order — plain
 // lexicographic byte order — and both are unstable within one key
 // (duplicate-key runs collapse); arrival order within each run is
-// restored afterwards with a cheap integer sort by the callers.
-func sortIndexByKey(s *recordSet) []int32 {
+// restored afterwards with a cheap integer sort by the callers. The
+// refs, the radix scatter scratch and the index itself are sc's: the
+// result is valid, and the caller's to reorder, until sc's next sort.
+func sortIndexByKey(sc *taskScratch, s *recordSet) []int32 {
 	n := len(s.recs)
 	size := n
 	if n >= radixMinLen {
-		size = 2 * n // refs plus the radix scatter scratch, one allocation
+		size = 2 * n // refs plus the radix scatter scratch
 	}
-	buf := make([]keyRef, size)
+	buf := grow(&sc.refs, size)
 	refs := buf[:n]
 	for i := range refs {
 		refs[i] = keyRef{prefix: keyPrefix(s.key(i)), idx: int32(i)}
@@ -86,7 +88,7 @@ func sortIndexByKey(s *recordSet) []int32 {
 	} else {
 		msdRadix(s, refs, buf[n:], 0)
 	}
-	idx := make([]int32, n)
+	idx := grow(&sc.idx, n)
 	for i, r := range refs {
 		idx[i] = r.idx
 	}
@@ -129,10 +131,12 @@ func forEachGroup(s *recordSet, idx []int32, fn func(key []byte, msgs *Group)) {
 // what the job's record count measures. Keys come out in ascending
 // rather than first-occurrence order; the engine's accounting and the
 // reduce phase are insensitive to record order (bytes are summed,
-// reducers re-sort), so measured stats and outputs are unchanged.
-func packRecords(s *recordSet) int64 {
-	idx := sortIndexByKey(s)
-	out := make([]record, len(idx))
+// reducers re-sort), so measured stats and outputs are unchanged. The
+// permuted array comes from sc's free list and the one it replaces goes
+// back there once the copy is complete.
+func packRecords(sc *taskScratch, s *recordSet) int64 {
+	idx := sortIndexByKey(sc, s)
+	out := sc.takeRecords(len(idx))[:len(idx)]
 	var runs int64
 	for i := 0; i < len(idx); runs++ {
 		j := runEnd(s, idx, i)
@@ -147,6 +151,7 @@ func packRecords(s *recordSet) int64 {
 		}
 		i = j
 	}
+	sc.putRecords(s.recs) // a swap, not a copy: the permuted array replaces it
 	s.recs = out
 	return runs
 }

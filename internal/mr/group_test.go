@@ -28,7 +28,7 @@ func setOf(kvs []kv) *recordSet {
 // order, group boundaries and message order at once.
 func groupTrace(s *recordSet) string {
 	var out string
-	forEachGroup(s, sortIndexByKey(s), func(key []byte, msgs *Group) {
+	forEachGroup(s, sortIndexByKey(&taskScratch{}, s), func(key []byte, msgs *Group) {
 		out += fmt.Sprintf("%q:", key)
 		for i := 0; i < msgs.Len(); i++ {
 			out += fmt.Sprintf("%v,", intAt(msgs, i))
@@ -117,7 +117,7 @@ func TestPackRecordsMatchesMapPacking(t *testing.T) {
 			wantBytes += 8
 		}
 		s := setOf(kvs)
-		runs := packRecords(s)
+		runs := packRecords(&taskScratch{}, s)
 		var gotBytes int64
 		for i := range s.recs {
 			want := int64(8) // a run's later records carry payload bytes only
@@ -142,11 +142,11 @@ func TestPackRecordsMatchesMapPacking(t *testing.T) {
 }
 
 func TestPackRecordsEmptyAndSingle(t *testing.T) {
-	if runs := packRecords(&recordSet{}); runs != 0 {
+	if runs := packRecords(&taskScratch{}, &recordSet{}); runs != 0 {
 		t.Errorf("packRecords(empty) = %d runs", runs)
 	}
 	s := setOf([]kv{{"k", 1}})
-	if runs := packRecords(s); runs != 1 || len(s.recs) != 1 || s.recs[0].size != KeyBytes([]byte("k"))+8 {
+	if runs := packRecords(&taskScratch{}, s); runs != 1 || len(s.recs) != 1 || s.recs[0].size != KeyBytes([]byte("k"))+8 {
 		t.Errorf("packRecords(single) = %d runs, records %+v", runs, s.recs)
 	}
 	if got := groupTrace(s); got != `"k":1,;` {

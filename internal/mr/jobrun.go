@@ -185,7 +185,7 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 		capHint = int(est*int64(n)/1024) + 8
 	}
 	em := Emitter{budget: jr.gov.budget}
-	em.set.recs = make([]record, 0, capHint)
+	em.set.recs = c.scratch.takeRecords(capHint) // returned by the shuffle task that consumes it
 	for i := ts.from; i < ts.to; i++ {
 		job.Mapper.Map(input, i, ts.rel.Tuple(i), &em)
 	}
@@ -194,7 +194,7 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
 	if job.Packing {
-		res.records = packRecords(&res.set)
+		res.records = packRecords(&c.scratch, &res.set)
 	}
 	for i := range res.set.recs {
 		res.bytes += res.set.recs[i].size
@@ -307,7 +307,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		if jr.e.cfg.SkewSplit > 0 {
 			tp.sketch = newKeySketch(jr.gov.budget)
 		}
-		target := make([]int32, n)
+		target := grow(&c.scratch.target, n)
 		for i, run := 0, 0; i < n; run++ {
 			key := set.key(i)
 			j, size := i+1, set.recs[i].size
@@ -327,7 +327,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 				tp.segs[p].count++
 			}
 		}
-		pos := make([]int64, reducers)
+		pos := grow(&c.scratch.pos, reducers)
 		var total int64
 		for p := range tp.segs {
 			tp.segs[p].off, pos[p] = total, total
@@ -346,6 +346,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		}
 	}
 	jr.taskParts[part][ti] = tp
+	c.scratch.putRecords(set.recs)         // the map task's array, now this worker's
 	jr.results[part][ti].set = recordSet{} // the segments own the bytes now
 	jr.mu.Lock()
 	jr.timing.ShuffleSeconds += time.Since(start).Seconds()
@@ -405,7 +406,7 @@ func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 			n += jr.taskParts[part][ti].count(slot)
 		}
 	}
-	set := recordSet{recs: make([]record, 0, n)}
+	set := recordSet{recs: c.scratch.takeRecords(n)}
 	var load int64
 	for part := range jr.taskParts {
 		for ti := range jr.taskParts[part] {
@@ -423,13 +424,14 @@ func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 	if slot.singleKey() {
 		// The sub-range holds one key by construction: the records are
 		// already a single group in arrival order, no sort needed.
-		idx = identityIndex(len(set.recs))
+		idx = identityIndex(&c.scratch, len(set.recs))
 	} else {
-		idx = sortIndexByKey(&set)
+		idx = sortIndexByKey(&c.scratch, &set)
 	}
 	forEachGroup(&set, idx, func(key []byte, msgs *Group) {
 		jr.job.Reducer.Reduce(key, msgs, out)
 	})
+	c.scratch.putRecords(set.recs) // after the last group: Group views index it
 	dur := time.Since(start).Seconds()
 	jr.mu.Lock()
 	jr.timing.ReduceSeconds += dur

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -31,10 +32,67 @@ import (
 // deque.
 type poolTask func(c *poolCtx)
 
-// poolCtx is the execution context handed to every task.
+// poolCtx is the execution context handed to every task: one per pool
+// worker, created by that worker's loop in runTasks and touched by no
+// other goroutine, so the scratch it carries needs no lock.
 type poolCtx struct {
-	pool *taskPool
-	id   int // worker index owning the local deque
+	pool    *taskPool
+	id      int // worker index owning the local deque
+	scratch taskScratch
+}
+
+// scratchArrays bounds a worker's free list of record arrays.
+const scratchArrays = 8
+
+// taskScratch is one worker's reusable task memory: the pointer-free
+// arrays a task needs only until it returns (a map task's record array
+// until the shuffle task that consumes it hands it to its own worker's
+// list — ownership moves with the data). It is run-scoped — garbage
+// when runTasks returns — never holds a []byte (arena chunks and
+// shuffle buffers stay charged, single-use grabBytes allocations) and
+// is bounded: the sort and shuffle buffers grow to the largest task the
+// worker has run, free keeps the scratchArrays largest record arrays
+// returned to it. Every buffer is handed out to be overwritten before
+// any read; an aborted task leaves its arrays to the collector.
+type taskScratch struct {
+	refs   []keyRef   // sortIndexByKey: sort refs + radix scatter scratch
+	idx    []int32    // sortIndexByKey / identityIndex: the sorted index
+	target []int32    // shuffleTask: each record's reducer
+	pos    []int64    // shuffleTask: per-reducer write cursors
+	free   [][]record // returned record arrays, ascending capacity
+}
+
+// grow returns *buf resized to n elements of unspecified content,
+// reallocating only past the largest n seen.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+func cmpCap(a []record, n int) int { return cap(a) - n }
+
+// takeRecords returns an empty record array of capacity ≥ n: the
+// smallest free one that fits, else a fresh one.
+func (sc *taskScratch) takeRecords(n int) []record {
+	i, _ := slices.BinarySearchFunc(sc.free, n, cmpCap)
+	if i == len(sc.free) {
+		return make([]record, 0, n)
+	}
+	a := sc.free[i]
+	sc.free = slices.Delete(sc.free, i, i+1)
+	return a[:0]
+}
+
+// putRecords gives a back after its holder's last use of it; a full
+// list drops its smallest array, possibly a itself.
+func (sc *taskScratch) putRecords(a []record) {
+	i, _ := slices.BinarySearchFunc(sc.free, cap(a), cmpCap)
+	sc.free = slices.Insert(sc.free, i, a)
+	if len(sc.free) > scratchArrays {
+		sc.free = slices.Delete(sc.free, 0, 1)
+	}
 }
 
 // spawn schedules fn onto the current worker's deque.

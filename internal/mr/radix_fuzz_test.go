@@ -35,6 +35,7 @@ func FuzzRadixSort(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	var sc taskScratch // one worker's scratch, reused across every input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		keys := decodeFuzzKeys(data)
 		if len(keys) == 0 {
@@ -45,7 +46,7 @@ func FuzzRadixSort(f *testing.F) {
 			for i := 0; i < n; i++ {
 				em.Emit(keys[i%len(keys)], tagInt, 8, nil)
 			}
-			checkRadixAgainstOracle(t, &em.set)
+			checkRadixAgainstOracle(t, &sc, &em.set)
 		}
 	})
 }
@@ -69,12 +70,14 @@ func decodeFuzzKeys(data []byte) [][]byte {
 }
 
 // checkRadixAgainstOracle runs sortRefs and msdRadix over the same
-// records and verifies each against slices.SortStableFunc
+// records, in sc's buffers exactly as sortIndexByKey lays them out
+// (whatever an earlier, possibly longer input left there), and verifies
+// each against slices.SortStableFunc
 // with bytes.Compare: the key sequence must match the oracle's exactly
 // (the paths are unstable within one key, so indices are checked only
 // for being a permutation — position-wise key equality plus a
 // permutation forces the per-key index multisets to agree).
-func checkRadixAgainstOracle(t *testing.T, recs *recordSet) {
+func checkRadixAgainstOracle(t *testing.T, sc *taskScratch, recs *recordSet) {
 	t.Helper()
 	n := len(recs.recs)
 	want := make([][]byte, n)
@@ -84,8 +87,8 @@ func checkRadixAgainstOracle(t *testing.T, recs *recordSet) {
 	slices.SortStableFunc(want, bytes.Compare)
 
 	check := func(name string, sort func(refs, tmp []keyRef)) {
-		refs := make([]keyRef, n)
-		tmp := make([]keyRef, n)
+		buf := grow(&sc.refs, 2*n)
+		refs, tmp := buf[:n], buf[n:]
 		for i := range refs {
 			refs[i] = keyRef{prefix: keyPrefix(recs.key(i)), idx: int32(i)}
 		}

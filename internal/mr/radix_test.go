@@ -49,6 +49,7 @@ func kvsFromKeys(keys [][]byte) []kv {
 // a permutation of the input.
 func TestRadixMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var sc taskScratch // reused: a warm scratch must sort like a cold one
 	for trial := 0; trial < 30; trial++ {
 		// Mix sizes straddling radixMinLen so both entry paths run.
 		n := rng.Intn(radixMinLen * 4)
@@ -61,7 +62,7 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 		}
 		sort.Strings(want)
 
-		idx := sortIndexByKey(recs)
+		idx := sortIndexByKey(&sc, recs)
 		if len(idx) != n {
 			t.Fatalf("trial %d: index len %d, want %d", trial, len(idx), n)
 		}

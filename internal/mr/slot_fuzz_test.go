@@ -29,20 +29,22 @@ func FuzzSlotLayout(f *testing.F) {
 	f.Add([]byte{0, 1, 0x00, 2, 0x00, 0x00, 1, 0xff}, uint8(1), uint8(0), true)
 	f.Add([]byte{3, 'h', 'o', 't'}, uint8(5), uint8(255), true)
 	f.Add([]byte{}, uint8(7), uint8(90), false)
+	c := &poolCtx{} // one worker's scratch, reused across every input
 	f.Fuzz(func(t *testing.T, data []byte, reducers, hot uint8, spill bool) {
 		keys := decodeFuzzKeys(data)
 		if len(keys) == 0 {
 			keys = [][]byte{nil}
 		}
-		checkSlotLayout(t, keys, 1+int(reducers)%8, int(hot), spill)
+		checkSlotLayout(t, c, keys, 1+int(reducers)%8, int(hot), spill)
 	})
 }
 
 // checkSlotLayout shuffles 600 records over 2 parts × 2 tasks — keys
 // cycled from the given set, with hot/256 of the records on keys[0] so
 // some partition is heavy enough to split — and checks the slot-layout
-// property above. It returns the number of slots planned.
-func checkSlotLayout(t *testing.T, keys [][]byte, reducers, hot int, spill bool) int {
+// property above, the shuffle tasks running on worker context c. It
+// returns the number of slots planned.
+func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int, spill bool) int {
 	t.Helper()
 	e := NewEngine(Config{Cost: cost.Default(), SkewSplit: 1.01})
 	gov := govern{}
@@ -88,7 +90,7 @@ func checkSlotLayout(t *testing.T, keys [][]byte, reducers, hot int, spill bool)
 	}
 	for part := 0; part < parts; part++ {
 		for ti := 0; ti < tasks; ti++ {
-			jr.shuffleTask(nil, part, ti)
+			jr.shuffleTask(c, part, ti)
 		}
 	}
 	slots := jr.planReduceSlots()
@@ -170,8 +172,9 @@ func checkSlotLayout(t *testing.T, keys [][]byte, reducers, hot int, spill bool)
 // partitions in both stores rather than only whatever the seeds reach.
 func TestSlotLayoutSplits(t *testing.T) {
 	keys := [][]byte{[]byte("hot"), []byte("a"), []byte("hotter"), {}, []byte("zz"), bytes.Repeat([]byte{'p'}, sketchKeyBytes+5)}
+	c := &poolCtx{}
 	for _, spill := range []bool{false, true} {
-		if n := checkSlotLayout(t, keys, 4, 160, spill); n <= 4 {
+		if n := checkSlotLayout(t, c, keys, 4, 160, spill); n <= 4 {
 			t.Errorf("spill %v: %d slots for 4 reducers: nothing split", spill, n)
 		}
 	}

@@ -43,7 +43,7 @@ func shuffleOne(t testing.TB, set recordSet, spill bool) *taskPartition {
 	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: 1, shufsLeft: 2} // never the last shuffle, so nothing spawns
 	jr.results = [][]mapTaskResult{{{set: set, bytes: 1}}}
 	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
-	jr.shuffleTask(nil, 0, 0)
+	jr.shuffleTask(&poolCtx{}, 0, 0)
 	tp := &jr.taskParts[0][0]
 	if (tp.f != nil) != spill {
 		t.Fatalf("partition spilled = %v, want %v", tp.f != nil, spill)

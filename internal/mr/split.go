@@ -64,9 +64,10 @@ func (s reduceSlot) singleKey() bool {
 
 // identityIndex is the sorted index of records already known to share
 // one key (forEachGroupIdx then walks them as a single run in arrival
-// order, exactly what sorting equal keys would produce).
-func identityIndex(n int) []int32 {
-	idx := make([]int32, n)
+// order, exactly what sorting equal keys would produce), in sc's index
+// buffer like sortIndexByKey's.
+func identityIndex(sc *taskScratch, n int) []int32 {
+	idx := grow(&sc.idx, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}

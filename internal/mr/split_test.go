@@ -42,7 +42,8 @@ func skewedProgram() (*Program, *relation.Database) {
 // split-off, spill-off, width-1 oracle, at pool widths 1, 4 and
 // GOMAXPROCS. The split observability fields (removed by
 // StripSplitInfo) and the charged bytes are the only quantities allowed
-// to differ from the oracle, and both must be identical at every width.
+// to differ from the oracle, and both must be identical at every width;
+// the charged bytes also between two runs on one engine.
 func TestOrderedFoldDifferential(t *testing.T) {
 	shapes := []struct {
 		name    string
@@ -134,6 +135,15 @@ func TestOrderedFoldDifferential(t *testing.T) {
 						charged = mem.ChargedBytes
 					} else if mem.ChargedBytes != charged {
 						t.Errorf("width %d: charged %d bytes, %d at another width", width, mem.ChargedBytes, charged)
+					}
+					// ... and between runs: worker scratch and arena sizing carry
+					// nothing from one run of an engine to its next.
+					again := NewBudget(0)
+					if _, _, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: again}); err != nil {
+						t.Fatalf("width %d: second run failed: %v", width, err)
+					}
+					if got := again.Stats(); got != mem {
+						t.Errorf("width %d: second run on the same engine: memory stats %+v, first run %+v", width, got, mem)
 					}
 					if store.spill > 0 {
 						if mem.SpilledParts == 0 || mem.SpilledBytes <= 0 {
