@@ -1,25 +1,25 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5), one benchmark per artifact (see DESIGN.md §3), plus
-// micro-benchmarks of the core operators. The experiment benchmarks run
-// at a reduced scale controlled by the GUMBO_BENCH_SCALE environment
-// variable (default 0.0002); per-iteration simulated results are
-// identical, so b.N loops measure harness wall-clock cost while the
-// reported custom metrics carry the paper-equivalent simulated times.
+// evaluation (§5), one benchmark per artifact, plus micro-benchmarks of
+// the parser, the planners, the reference evaluator and the end-to-end
+// Greedy query. The experiment benchmarks run at a reduced scale
+// controlled by the GUMBO_BENCH_SCALE environment variable (default
+// 0.0002); per-iteration simulated results are identical, so b.N loops
+// measure harness wall-clock cost while the reported custom metrics
+// carry the paper-equivalent simulated times. The single-job engine
+// benchmarks live in internal/core and internal/mr; the repeatable
+// end-to-end benchmark is bench/.
 package gumbo
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/experiments"
-	"repro/internal/mr"
 	"repro/internal/relation"
 	"repro/internal/sgf"
 	"repro/internal/workload"
@@ -190,156 +190,7 @@ func BenchmarkOptimal_VsGreedy(b *testing.B) {
 	runExperiment(b, experiments.OptimalVsGreedy, nil)
 }
 
-// ---- Micro-benchmarks of the core machinery ----
-
-func benchDB(tuples int) *relation.Database {
-	wl := workload.A1()
-	return wl.Build(float64(tuples) / float64(workload.PaperGuardTuples))
-}
-
-// BenchmarkMSJJob measures the multi-semi-join job on A1 (4 semi-joins,
-// one guard, 50k-tuple relations).
-func BenchmarkMSJJob(b *testing.B) {
-	db := benchDB(50000)
-	wl := workload.A1()
-	eqs := core.ExtractEquations(wl.Program.Queries)
-	job, err := core.NewMSJJob("bench", eqs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := mr.NewEngine(mr.Config{Cost: cost.Default().Scaled(0.0005)})
-	b.ReportAllocs() // tracks mapper-side key building + engine record flow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.RunJob(context.Background(), job, db); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(5 * 50000 * 10)
-}
-
-// BenchmarkOneRoundJob measures the fused MSJ+EVAL job on A3.
-func BenchmarkOneRoundJob(b *testing.B) {
-	wl := workload.A3()
-	db := wl.Build(0.0005)
-	job, err := core.NewOneRoundJob("bench", wl.Program.Queries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := mr.NewEngine(mr.Config{Cost: cost.Default().Scaled(0.0005)})
-	b.ReportAllocs() // tracks mapper-side key building + engine record flow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.RunJob(context.Background(), job, db); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// schedulerWorkload builds k independent subqueries over disjoint
-// relations: Greedy-SGF compiles them into a multi-job plan whose MR
-// dependency graph is k parallel two-job chains, a shape with ample
-// independent work for the task pool.
-func schedulerWorkload(k int, guardTuples int64) (*Query, *Database) {
-	var src strings.Builder
-	db := NewDatabase()
-	for i := 0; i < k; i++ {
-		fmt.Fprintf(&src, "Z%d := SELECT x, y FROM R%d(x, y) WHERE S%d(x) AND T%d(y);\n", i, i, i, i)
-		g := NewRelation(fmt.Sprintf("R%d", i), 2)
-		s := NewRelation(fmt.Sprintf("S%d", i), 1)
-		u := NewRelation(fmt.Sprintf("T%d", i), 1)
-		for j := int64(0); j < guardTuples; j++ {
-			g.Add(Tuple{Int(j), Int(j % 997)})
-		}
-		for j := int64(0); j < guardTuples/2; j++ {
-			s.Add(Tuple{Int(j * 2)})
-		}
-		for j := int64(0); j < 499; j++ {
-			u.Add(Tuple{Int(j)})
-		}
-		db.Put(g)
-		db.Put(s)
-		db.Put(u)
-	}
-	return MustParse(src.String()), db
-}
-
-// benchProgramPool runs a Greedy-SGF plan of independent subqueries at
-// the given unified-pool width. Compare the two widths for the task
-// scheduler's wall-clock scaling; simulated metrics are identical in
-// both.
-func benchProgramPool(b *testing.B, workers int) {
-	q, db := schedulerWorkload(6, 20000)
-	s := New(WithScale(0.001), WithHostWorkers(workers))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(q, db, GreedySGF); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProgramPoolSequential runs every task on one worker.
-func BenchmarkProgramPoolSequential(b *testing.B) { benchProgramPool(b, 1) }
-
-// BenchmarkProgramPoolParallel runs the same plan on a GOMAXPROCS-wide
-// pool.
-func BenchmarkProgramPoolParallel(b *testing.B) { benchProgramPool(b, 0) }
-
-// pipelineWorkload builds a deep nested SGF program — a `levels`-long
-// chain where each subquery's guard is the previous subquery's output
-// and each level filters by its own large base conditional relation:
-//
-//	Z1 := SELECT x, y FROM R(x, y) WHERE S1(x);
-//	Zk := SELECT x, y FROM Z(k-1)(x, y) WHERE Sk(x);
-//
-// Under GreedySGF this compiles to a 2·levels-job MR program whose
-// dependency graph is one long chain (MSJ_k → EVAL_k → MSJ_k+1 → ...),
-// the worst case for whole-job barriers: the only work a barriered
-// scheduler can ever overlap is within one job, while the base
-// conditionals S1..Sk — the bulk of the map input — are all readable
-// from the start.
-func pipelineWorkload(levels int, guardTuples int64) (*Query, *Database) {
-	var src strings.Builder
-	db := NewDatabase()
-	g := NewRelation("R", 2)
-	for j := int64(0); j < guardTuples; j++ {
-		g.Add(Tuple{Int(j), Int(j % 997)})
-	}
-	db.Put(g)
-	prev := "R"
-	for k := 1; k <= levels; k++ {
-		fmt.Fprintf(&src, "Z%d := SELECT x, y FROM %s(x, y) WHERE S%d(x);\n", k, prev, k)
-		s := NewRelation(fmt.Sprintf("S%d", k), 1)
-		// ~97% of guard ids survive each level: every level keeps
-		// substantial map/shuffle work while the chain output shrinks.
-		for j := int64(0); j < guardTuples; j++ {
-			if j%32 != int64(k%32) {
-				s.Add(Tuple{Int(j)})
-			}
-		}
-		db.Put(s)
-		prev = fmt.Sprintf("Z%d", k)
-	}
-	return MustParse(src.String()), db
-}
-
-// BenchmarkProgramPipelined measures wall-clock time of a deep-DAG
-// nested program end to end (GreedySGF planning + execution) at full
-// host parallelism. This is the benchmark behind the partition-level
-// pipelined scheduler: a dependent job's map tasks over base relations
-// start while upstream jobs are still reducing, so the chain's job
-// barriers stop costing idle workers.
-func BenchmarkProgramPipelined(b *testing.B) {
-	q, db := pipelineWorkload(8, 30000)
-	s := New(WithScale(0.001))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(q, db, GreedySGF); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// ---- Micro-benchmarks ----
 
 // BenchmarkGreedyBSGFQuery drives the full public pipeline — parse,
 // Greedy-BSGF planning (with sampling), MSJ+EVAL execution, output
@@ -358,97 +209,6 @@ func BenchmarkGreedyBSGFQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// skewedWorkload builds the adaptive-skew benchmark input: a semi-join
-// whose guard's join column follows a harmonic (zipf-like) frequency
-// law over `keys` distinct values — value k carries ~1/k of the hot
-// mass. The handful of heavy values land in whichever reduce
-// partitions their hashes pick, making those partitions cross the
-// split threshold while still holding many separable key groups (the
-// shape runtime splitting exists for: a single dominant key is one
-// atomic group and can only be isolated, not divided).
-func skewedWorkload(tuples, keys int64) (*Query, *Database) {
-	q := MustParse("Z := SELECT x, y FROM R(x, y) WHERE S(x);")
-	db := NewDatabase()
-	g := NewRelation("R", 2)
-	j := int64(0)
-	for j < tuples {
-		for k := int64(1); k <= keys && j < tuples; k++ {
-			n := tuples / (k * 6)
-			if n == 0 {
-				n = 1
-			}
-			for i := int64(0); i < n && j < tuples; i++ {
-				g.Add(Tuple{Int(k), Int(j)})
-				j++
-			}
-		}
-	}
-	s := NewRelation("S", 1)
-	for k := int64(0); k <= keys; k++ {
-		s.Add(Tuple{Int(k)})
-	}
-	db.Put(g)
-	db.Put(s)
-	return q, db
-}
-
-// benchSkewedQuery runs the skewed semi-join end to end on a 4-wide
-// pool with runtime skew splitting at the given threshold ratio
-// (negative = off). One untimed warm-up run asserts the configuration
-// actually does what the sub-benchmark name claims — the on-run must
-// split the hot partition, the off-run must not split anything — and
-// feeds the balance metrics: max-task-mb is the heaviest single reduce
-// task the pool had to schedule (with splitting off this equals the
-// heaviest partition), split-tasks the number of sub-range reduce
-// tasks.
-func benchSkewedQuery(b *testing.B, ratio float64) {
-	q, db := skewedWorkload(120000, 32)
-	s := New(WithScale(0.001), WithHostWorkers(4), WithSkewSplit(ratio))
-	res, err := s.Run(q, db, Greedy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	split := 0
-	var maxTask float64
-	for i := range res.JobStats {
-		split += res.JobStats[i].SplitReduceTasks
-		if m := res.JobStats[i].MaxReduceTaskMB; m > maxTask {
-			maxTask = m
-		}
-	}
-	if ratio > 0 && split == 0 {
-		b.Fatal("splitting on but no reduce partition split")
-	}
-	if ratio <= 0 && split != 0 {
-		b.Fatalf("splitting off but %d split tasks reported", split)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(q, db, Greedy); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(maxTask, "max-task-mb")
-	b.ReportMetric(float64(split), "split-tasks")
-}
-
-// BenchmarkSkewedQuery measures what the runtime reduce-partition
-// splitter buys on a hot-key workload: with splitting off the dominant
-// key's partition reduces as one serial task the rest of the job waits
-// behind; with it on, the partition splits at sketch-derived key
-// boundaries into independently scheduled sub-tasks and the heaviest
-// schedulable unit (the max-task-mb metric) shrinks by the skew
-// factor. The ns/op comparison doubles as the overhead gate: on a
-// single-CPU host the scheduling win cannot show up in wall-clock, so
-// off vs on must be parity — the sampled sketch feed and split
-// bookkeeping are free — while multi-core hosts convert the balance
-// into wall-clock directly.
-func BenchmarkSkewedQuery(b *testing.B) {
-	b.Run("split=off", func(b *testing.B) { benchSkewedQuery(b, -1) })
-	b.Run("split=on", func(b *testing.B) { benchSkewedQuery(b, 1.5) })
 }
 
 // BenchmarkParser measures SGF parsing+validation throughput.

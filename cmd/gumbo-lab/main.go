@@ -45,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 
+	gumbo "repro"
 	"repro/internal/lab"
 )
 
@@ -129,7 +130,7 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("sweeping %d scenarios × %d strategies\n", len(scenarios), len(lab.AllStrategies()))
+	fmt.Printf("sweeping %d scenarios × %d strategies\n", len(scenarios), len(gumbo.Strategies()))
 	res := lab.RunSweep(scenarios, swcfg)
 
 	cal, err := lab.Calibrate(res.Runs, swcfg.BaseCostConfig())

@@ -3,24 +3,12 @@
 // scheduling contracts (see docs/INVARIANTS.md for the catalogue and
 // internal/lint for the analyzers).
 //
-// Two modes share one driver:
-//
-// Multichecker (the CI gate and local entry point):
-//
 //	go run ./cmd/gumbo-lint ./...
 //	go run ./cmd/gumbo-lint -list
 //
 // loads the named packages (test files included) and reports every
 // finding as file:line:col: [analyzer] message, exiting 1 when
 // anything is found and 0 on a clean tree.
-//
-// Vet tool: when invoked by `go vet -vettool=<binary>`, the go command
-// drives the same analyzers through vet's unit-checker protocol
-// (-V=full for the build cache, -flags for flag discovery, then one
-// JSON .cfg file per package):
-//
-//	go build -o /tmp/gumbo-lint ./cmd/gumbo-lint
-//	go vet -vettool=/tmp/gumbo-lint ./...
 //
 // Findings may be suppressed line-by-line with
 // //lint:ignore <analyzer> <reason>; a directive without a reason is
@@ -39,16 +27,9 @@ import (
 )
 
 func main() {
-	// Vet protocol flags must be inspected before flag.Parse so the
-	// tool responds to the go command's probes exactly as a vettool
-	// must (see unitchecker.go).
-	if handleVetProtocol(os.Args[1:]) {
-		return
-	}
-
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gumbo-lint [-list] <packages>\n       (as vettool) gumbo-lint <file.cfg>\n")
+		fmt.Fprintf(os.Stderr, "usage: gumbo-lint [-list] <packages>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -61,9 +42,6 @@ func main() {
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
 	if len(args) == 0 {
 		flag.Usage()
 		os.Exit(2)

@@ -34,7 +34,7 @@ func main() {
 		tuples    = flag.Int("tuples", 100000, "tuples per generated relation")
 		match     = flag.Float64("match", 0.5, "fraction of generated conditional tuples matching the guard")
 		seed      = flag.Int64("seed", 1, "generator seed")
-		strategy  = flag.String("strategy", "auto", "SEQ|PAR|GREEDY|OPT|1-ROUND|SEQUNIT|PARUNIT|GREEDY-SGF|HPAR|HPARS|PPAR|auto")
+		strategy  = flag.String("strategy", "auto", strategyHelp())
 		nodes     = flag.Int("nodes", 10, "simulated cluster nodes")
 		slots     = flag.Int("slots", 10, "container slots per node")
 		scale     = flag.Float64("scale", 0.001, "cost-model scale factor (buffers, splits)")
@@ -125,6 +125,16 @@ func main() {
 		}
 		fmt.Printf("wrote %d relations to %s\n", written, *outDir)
 	}
+}
+
+// strategyHelp lists the -strategy values: the library's strategies and
+// auto.
+func strategyHelp() string {
+	var b strings.Builder
+	for _, s := range gumbo.Strategies() {
+		b.WriteString(string(s) + "|")
+	}
+	return b.String() + "auto"
 }
 
 func loadDir(q *gumbo.Query, dir string) (*gumbo.Database, error) {

@@ -35,7 +35,7 @@ func main() {
 		eqs := core.ExtractEquations(wl.Program.Queries)
 		partition := est.GreedyBSGF(eqs)
 		plan, err := core.BasicPlan(fmt.Sprintf("cm-%v", model), core.StrategyGreedy,
-			wl.Program.Queries, eqs, partition)
+			wl.Program.Queries, eqs, partition, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

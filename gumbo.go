@@ -112,6 +112,10 @@ const (
 	PPAR      = baselines.StrategyPPAR
 )
 
+// Strategies returns every strategy Plan and Run accept, in the order
+// the documentation lists them.
+func Strategies() []Strategy { return exec.Strategies() }
+
 // ErrBudgetExceeded is the sentinel a run's error matches (errors.Is)
 // when the run charged past its memory budget. The concrete error also
 // carries the limit and the charged/requested totals.
@@ -303,82 +307,11 @@ func (p *Plan) String() string {
 // Plan builds the MapReduce plan for q under the strategy without
 // running it. Cost-based strategies sample db to estimate job costs.
 func (s *System) Plan(q *Query, db *Database, strategy Strategy) (*Plan, error) {
-	inner, err := s.plan(q, db, strategy)
+	inner, err := exec.BuildPlan(strategy, fmt.Sprintf("%s-%s", q.Name(), strategy), s.cfg.Cost, q.prog, db)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{inner: inner, output: q.Name()}, nil
-}
-
-func (s *System) plan(q *Query, db *Database, strategy Strategy) (*core.Plan, error) {
-	prog := q.prog
-	queries := prog.Queries
-	name := fmt.Sprintf("%s-%s", q.Name(), strategy)
-	est := func() *core.Estimator {
-		return core.NewEstimator(s.cfg.Cost, cost.Gumbo, db, prog)
-	}
-	flat := func() error {
-		if err := sgf.CheckForwardRefs(prog); err != nil {
-			return err
-		}
-		g := sgf.BuildDepGraph(prog)
-		for i := 0; i < g.N; i++ {
-			if len(g.Pred[i]) > 0 {
-				return fmt.Errorf("gumbo: strategy %s requires dependency-free queries; use SeqUnit, ParUnit or GreedySGF", strategy)
-			}
-		}
-		return nil
-	}
-	switch strategy {
-	case core.StrategySEQ:
-		if err := flat(); err != nil {
-			return nil, err
-		}
-		return core.SeqPlanMulti(name, queries)
-	case core.StrategyPAR:
-		if err := flat(); err != nil {
-			return nil, err
-		}
-		return core.ParPlan(name, queries)
-	case core.StrategyGreedy:
-		if err := flat(); err != nil {
-			return nil, err
-		}
-		return est().GreedyPlan(name, queries)
-	case core.StrategyOpt:
-		if err := flat(); err != nil {
-			return nil, err
-		}
-		return est().OptPlan(name, queries)
-	case core.StrategyOneRound:
-		if err := flat(); err != nil {
-			return nil, err
-		}
-		return core.OneRoundPlan(name, queries)
-	case core.StrategySeqUnit:
-		return core.SeqUnitPlan(name, prog)
-	case core.StrategyParUnit:
-		return core.ParUnitPlan(name, prog)
-	case core.StrategyGreedySGF:
-		return est().GreedySGFPlan(name, prog)
-	case baselines.StrategyHPAR:
-		if err := flat(); err != nil {
-			return nil, err
-		}
-		return baselines.HParPlan(name, queries)
-	case baselines.StrategyHPARS:
-		if err := flat(); err != nil {
-			return nil, err
-		}
-		return baselines.HParSPlan(name, queries)
-	case baselines.StrategyPPAR:
-		if err := flat(); err != nil {
-			return nil, err
-		}
-		return baselines.PParPlan(name, queries)
-	default:
-		return nil, fmt.Errorf("gumbo: unknown strategy %q", strategy)
-	}
 }
 
 // Run plans and executes q against db under the strategy. It is
@@ -468,28 +401,14 @@ func (s *System) PredictBytes(plan *Plan, db *Database) int64 {
 // choice is stable across databases; use Plan with an explicit strategy
 // to compare alternatives under the cost model.
 func (s *System) Auto(q *Query) Strategy {
-	g := sgf.BuildDepGraph(q.prog)
-	nested := false
-	for i := 0; i < g.N; i++ {
-		if len(g.Pred[i]) > 0 {
-			nested = true
-			break
-		}
-	}
-	if nested {
+	switch {
+	case !sgf.Flat(q.prog):
 		return GreedySGF
-	}
-	allOneRound := true
-	for _, bq := range q.prog.Queries {
-		if core.OneRoundApplicable(bq) == core.OneRoundInapplicable {
-			allOneRound = false
-			break
-		}
-	}
-	if allOneRound {
+	case core.AllOneRound(q.prog.Queries):
 		return OneRound
+	default:
+		return Greedy
 	}
-	return Greedy
 }
 
 // Eval evaluates q directly in memory (the reference evaluator), without

@@ -217,7 +217,7 @@ func PParPlan(name string, queries []*sgf.BSGF) (*core.Plan, error) {
 // optimization but with every other Gumbo optimization enabled (message
 // packing, no engine handicaps): per-atom semi-join jobs output full
 // guard tuples and the combine job joins on whole tuples. Used by the
-// tuple-id ablation (DESIGN.md, optimization (2)).
+// tuple-id ablation (E11b; §5.1 optimization (2)).
 func FullTuplePlan(name string, queries []*sgf.BSGF) (*core.Plan, error) {
 	plan, err := mergeIndependent(name, "FULL-TUPLE", queries, func(n string, q *sgf.BSGF) (*core.Plan, error) {
 		return parallelSemiJoinPlan(n, "FULL-TUPLE", q, "FX", Knobs{Inflate: 1, TimeFactor: 1})

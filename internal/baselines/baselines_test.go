@@ -1,9 +1,12 @@
-package baselines
+// Package baselines_test is external so that it may run plans through
+// internal/exec, which imports baselines for the strategy table.
+package baselines_test
 
 import (
 	"context"
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -38,9 +41,9 @@ type builder func(string, []*sgf.BSGF) (*core.Plan, error)
 
 func allBaselines() map[string]builder {
 	return map[string]builder{
-		"HPAR":  HParPlan,
-		"HPARS": HParSPlan,
-		"PPAR":  PParPlan,
+		"HPAR":  baselines.HParPlan,
+		"HPARS": baselines.HParSPlan,
+		"PPAR":  baselines.PParPlan,
 	}
 }
 
@@ -101,7 +104,7 @@ func TestHParMergesSameKeyJoins(t *testing.T) {
 	// A3 shape: all atoms on one key -> one join stage + filter = 2 jobs
 	// (the paper's observed Hive behaviour for A3).
 	prog := sgf.MustParse(`Z := SELECT x, y FROM R(x, y) WHERE S(x) AND U(x);`)
-	plan, err := HParPlan("hpar", prog.Queries)
+	plan, err := baselines.HParPlan("hpar", prog.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestHParMergesSameKeyJoins(t *testing.T) {
 	}
 	// A1 shape: distinct keys -> one stage per atom, sequential.
 	prog2 := sgf.MustParse(`Z := SELECT x, y FROM R(x, y) WHERE S(x) AND T(y);`)
-	plan2, err := HParPlan("hpar", prog2.Queries)
+	plan2, err := baselines.HParPlan("hpar", prog2.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +147,7 @@ func TestBaselinesCostlierThanGumbo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parRes.Output().Equal(want) {
+	if !parRes.Outputs.Relation("Z").Equal(want) {
 		t.Fatal("PAR output wrong")
 	}
 	for name, build := range allBaselines() {
@@ -156,7 +159,7 @@ func TestBaselinesCostlierThanGumbo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Output().Equal(want) {
+		if !res.Outputs.Relation("Z").Equal(want) {
 			t.Fatalf("%s output wrong", name)
 		}
 		if res.Metrics.CommMB <= parRes.Metrics.CommMB {
@@ -168,7 +171,7 @@ func TestBaselinesCostlierThanGumbo(t *testing.T) {
 				name, res.Metrics.NetTime, parRes.Metrics.NetTime)
 		}
 	}
-	hpar, _ := HParPlan("hpar", prog.Queries)
+	hpar, _ := baselines.HParPlan("hpar", prog.Queries)
 	if hpar.Rounds() <= parPlan.Rounds() {
 		t.Errorf("HPAR rounds %d should exceed PAR rounds %d", hpar.Rounds(), parPlan.Rounds())
 	}

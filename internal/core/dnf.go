@@ -127,28 +127,3 @@ func dedupeLiterals(lits []Literal) ([]Literal, bool) {
 	}
 	return out, true
 }
-
-// ConditionOfDNF rebuilds a condition from DNF form (used in tests to
-// verify the transformation preserves semantics).
-func ConditionOfDNF(d [][]Literal) sgf.Condition {
-	var ors []sgf.Condition
-	for _, disjunct := range d {
-		var ands []sgf.Condition
-		for _, l := range disjunct {
-			var c sgf.Condition = sgf.AtomCond{Atom: l.Atom}
-			if l.Negated {
-				c = sgf.Not{C: c}
-			}
-			ands = append(ands, c)
-		}
-		if len(ands) == 0 {
-			// Empty conjunction is TRUE; representable only trivially.
-			return nil
-		}
-		ors = append(ors, sgf.AndOf(ands...))
-	}
-	if len(ors) == 0 {
-		return nil
-	}
-	return sgf.OrOf(ors...)
-}

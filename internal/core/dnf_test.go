@@ -96,7 +96,7 @@ func TestDNFPreservesSemantics(t *testing.T) {
 		if err != nil {
 			return true // explosion guard is allowed to fire
 		}
-		back := ConditionOfDNF(d)
+		back := conditionOfDNF(d)
 		for mask := 0; mask < 8; mask++ {
 			truth := map[string]bool{}
 			for i, a := range atoms {
@@ -123,4 +123,29 @@ func TestDedupeLiterals(t *testing.T) {
 	if _, sat := dedupeLiterals([]Literal{s, notS}); sat {
 		t.Error("contradiction not detected")
 	}
+}
+
+// conditionOfDNF rebuilds a condition from DNF form, to verify the
+// transformation preserves semantics.
+func conditionOfDNF(d [][]Literal) sgf.Condition {
+	var ors []sgf.Condition
+	for _, disjunct := range d {
+		var ands []sgf.Condition
+		for _, l := range disjunct {
+			var c sgf.Condition = sgf.AtomCond{Atom: l.Atom}
+			if l.Negated {
+				c = sgf.Not{C: c}
+			}
+			ands = append(ands, c)
+		}
+		if len(ands) == 0 {
+			// Empty conjunction is TRUE; representable only trivially.
+			return nil
+		}
+		ors = append(ors, sgf.AndOf(ands...))
+	}
+	if len(ors) == 0 {
+		return nil
+	}
+	return sgf.OrOf(ors...)
 }

@@ -28,8 +28,7 @@ type EvalSpec struct {
 // Inputs is the job's complete read set: the guard relations (usually
 // base relations) and the MSJ output X relations. Declaring them
 // per-relation is what lets the pipelined scheduler re-read the guards
-// while the MSJ jobs producing the X inputs are still running — the
-// EVAL job's guard map tasks no longer wait behind the MSJ barrier.
+// while the MSJ jobs producing the X inputs are still running.
 func NewEvalJob(name string, specs []EvalSpec) (*mr.Job, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: EVAL job %s has no specs", name)

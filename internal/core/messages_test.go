@@ -81,7 +81,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	}
 	for _, threshold := range []int64{-1, 1} {
 		e := mr.NewEngine(mr.Config{Cost: cost.Default(), SpillThreshold: threshold, SpillDir: t.TempDir()})
-		out, _, err := e.RunJob(context.Background(), codecJob(), codecDB())
+		out, _, err := runJob(context.Background(), e, codecJob(), codecDB())
 		if err != nil {
 			t.Fatalf("spill threshold %d: %v", threshold, err)
 		}
@@ -116,7 +116,7 @@ func TestCorruptPayloadIsErrSpill(t *testing.T) {
 				}))
 			})
 			e := mr.NewEngine(mr.Config{Cost: cost.Default()})
-			_, _, err := e.RunJob(context.Background(), job, codecDB())
+			_, _, err := runJob(context.Background(), e, job, codecDB())
 			if !errors.Is(err, mr.ErrSpill) {
 				t.Errorf("tag %d, %s payload: err = %v, want mr.ErrSpill", tag, name, err)
 			}
@@ -182,7 +182,7 @@ func TestMSJHotPathAllocatesNothing(t *testing.T) {
 		walked += msgs.Len()
 	})
 	e := mr.NewEngine(mr.Config{Cost: cost.Default(), Workers: 1})
-	if _, _, err := e.RunJob(context.Background(), job, db); err != nil {
+	if _, _, err := runJob(context.Background(), e, job, db); err != nil {
 		t.Fatal(err)
 	}
 	if want := 2*64 + 2*4; walked != want { // two requests per guard fact, one assert per distinct S and T fact

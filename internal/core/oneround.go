@@ -66,6 +66,17 @@ func OneRoundApplicable(q *sgf.BSGF) OneRoundMode {
 	return OneRoundInapplicable
 }
 
+// AllOneRound reports whether every query can run as one job — the
+// precondition of the 1-ROUND strategy.
+func AllOneRound(queries []*sgf.BSGF) bool {
+	for _, q := range queries {
+		if OneRoundApplicable(q) == OneRoundInapplicable {
+			return false
+		}
+	}
+	return true
+}
+
 // isLiteralDisjunction reports whether c is a single literal or a
 // disjunction of literals (atoms or negated atoms).
 func isLiteralDisjunction(c sgf.Condition) bool {
@@ -265,8 +276,7 @@ func NewOneRoundJob(name string, queries []*sgf.BSGF) (*mr.Job, error) {
 	})
 
 	// Compile shared-mode conditions over the class-index bitmask; with
-	// at most 64 assert classes the reducer reconciles without a map (or
-	// the per-request truth map truthOf used to build).
+	// at most 64 assert classes the reducer reconciles without a map.
 	useBits := len(classes) <= 64
 	if useBits {
 		for qi := range qspecs {

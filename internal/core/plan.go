@@ -133,8 +133,10 @@ func SeqPlanMulti(name string, queries []*sgf.BSGF) (*Plan, error) {
 // independent BSGF queries: one MSJ job per partition group of the
 // semi-join set, plus a single EVAL job computing every query's Boolean
 // combination. The partition groups index into eqs (ExtractEquations
-// order).
-func BasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equation, partition [][]int) (*Plan, error) {
+// order). heavy is the set of join keys the MSJ jobs salt (see
+// NewMSJJobSkew); nil builds the plain jobs — the EVAL job's keys are
+// guard-tuple ids and skew-free by construction.
+func BasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equation, partition [][]int, heavy map[string]bool) (*Plan, error) {
 	if !ValidPartition(partition, len(eqs)) {
 		return nil, fmt.Errorf("core: %s: invalid partition %s over %d equations", name, PartitionString(partition), len(eqs))
 	}
@@ -148,7 +150,7 @@ func BasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equati
 		for k, i := range group {
 			sub[k] = eqs[i]
 		}
-		job, err := NewMSJJob(fmt.Sprintf("%s/msj%d", name, gi), sub)
+		job, err := NewMSJJobSkew(fmt.Sprintf("%s/msj%d", name, gi), sub, heavy)
 		if err != nil {
 			return nil, err
 		}
@@ -176,21 +178,21 @@ func BasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equati
 // job (the PAR strategy).
 func ParPlan(name string, queries []*sgf.BSGF) (*Plan, error) {
 	eqs := ExtractEquations(queries)
-	return BasicPlan(name, StrategyPAR, queries, eqs, Singletons(len(eqs)))
+	return BasicPlan(name, StrategyPAR, queries, eqs, Singletons(len(eqs)), nil)
 }
 
 // GreedyPlan is BasicPlan with the Greedy-BSGF partition (the GREEDY
 // strategy / GOPT of §4.4).
 func (e *Estimator) GreedyPlan(name string, queries []*sgf.BSGF) (*Plan, error) {
 	eqs := ExtractEquations(queries)
-	return BasicPlan(name, StrategyGreedy, queries, eqs, e.GreedyBSGF(eqs))
+	return BasicPlan(name, StrategyGreedy, queries, eqs, e.GreedyBSGF(eqs), nil)
 }
 
 // OptPlan is BasicPlan with the brute-force optimal partition (OPT).
 func (e *Estimator) OptPlan(name string, queries []*sgf.BSGF) (*Plan, error) {
 	eqs := ExtractEquations(queries)
 	part, _ := e.BruteForceBSGF(eqs)
-	return BasicPlan(name, StrategyOpt, queries, eqs, part)
+	return BasicPlan(name, StrategyOpt, queries, eqs, part, nil)
 }
 
 // OneRoundPlan builds the fused single-job plan for the queries; every

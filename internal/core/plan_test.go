@@ -73,7 +73,7 @@ func allStrategyPlans(t *testing.T, q *sgf.BSGF, db *relation.Database, prog *sg
 			plans = append(plans, p)
 		}
 	}
-	if p, err := BasicPlan("onejob", StrategyGreedy, queries, eqs, OneGroup(len(eqs))); err == nil {
+	if p, err := BasicPlan("onejob", StrategyGreedy, queries, eqs, OneGroup(len(eqs)), nil); err == nil {
 		plans = append(plans, p)
 	}
 	if p, err := SeqPlan("seq", q); err == nil {
@@ -187,7 +187,8 @@ func TestStrategiesEmptyJoinKey(t *testing.T) {
 
 func TestStrategiesProjectionSensitive(t *testing.T) {
 	// Two guard facts with equal projections but different verdicts: the
-	// tuple-id mode must keep them apart (DESIGN.md semantics note).
+	// tuple-id mode must keep them apart (a verdict belongs to the guard
+	// fact, not to its projection).
 	db := relation.NewDatabase()
 	db.Put(relation.FromTuples("R", 2, []relation.Tuple{tup(1, 2), tup(1, 3)}))
 	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(2)}))
@@ -218,7 +219,7 @@ func TestMultiQueryBasicPlan(t *testing.T) {
 		func() (*Plan, error) { return est.GreedyPlan("greedy", prog.Queries) },
 		func() (*Plan, error) {
 			eqs := ExtractEquations(prog.Queries)
-			return BasicPlan("onejob", StrategyGreedy, prog.Queries, eqs, OneGroup(len(eqs)))
+			return BasicPlan("onejob", StrategyGreedy, prog.Queries, eqs, OneGroup(len(eqs)), nil)
 		},
 	} {
 		plan, err := build()
@@ -384,7 +385,7 @@ func TestExecRunnerMetrics(t *testing.T) {
 	jobs := make([]cluster.Job, len(stats))
 	cfg := cost.Default()
 	for i, st := range stats {
-		jobs[i] = cluster.Job{Name: st.Name, Plan: cfg.Tasks(st.CostSpec()), Deps: plan.Deps[i]}
+		jobs[i] = cluster.Job{Name: st.Name, Plan: cfg.TasksLoaded(st.CostSpec(), nil), Deps: plan.Deps[i]}
 	}
 	res := cluster.Simulate(cluster.DefaultConfig(), jobs)
 	if res.NetTime <= 0 || res.TotalTime < res.NetTime {

@@ -184,7 +184,7 @@ func TestEstimatorSampledVsMeasured(t *testing.T) {
 	// map output, before packing.
 	job.Packing = false
 	engine := newTestEngine(cost.Default())
-	_, stats, err := engine.RunJob(context.Background(), job, db)
+	_, stats, err := runJob(context.Background(), engine, job, db)
 	if err != nil {
 		t.Fatal(err)
 	}

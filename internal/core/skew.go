@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 
 	"repro/internal/mr"
@@ -127,44 +126,8 @@ func NewMSJJobSkew(name string, eqs []Equation, heavy map[string]bool) (*mr.Job,
 	return base, nil
 }
 
-// SkewAwareBasicPlan is BasicPlan with skew mitigation applied to every
-// MSJ job (the EVAL job's keys are guard-tuple ids and are skew-free by
-// construction).
+// SkewAwareBasicPlan is BasicPlan salting the heavy join keys it
+// detects in db.
 func SkewAwareBasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equation, partition [][]int, db *relation.Database) (*Plan, error) {
-	if !ValidPartition(partition, len(eqs)) {
-		return nil, fmt.Errorf("core: %s: invalid partition over %d equations", name, len(eqs))
-	}
-	heavy := DetectHeavyKeys(eqs, db)
-	plan := &Plan{Name: name, Strategy: strategy}
-	var msjIdxs []int
-	for gi, group := range partition {
-		if len(group) == 0 {
-			continue
-		}
-		sub := make([]Equation, len(group))
-		for k, i := range group {
-			sub[k] = eqs[i]
-		}
-		job, err := NewMSJJobSkew(fmt.Sprintf("%s/msj%d", name, gi), sub, heavy)
-		if err != nil {
-			return nil, err
-		}
-		msjIdxs = append(msjIdxs, plan.AddJob(job))
-	}
-	specs := make([]EvalSpec, len(queries))
-	for qi, q := range queries {
-		atoms := q.CondAtoms()
-		xnames := make([]string, len(atoms))
-		for ai := range atoms {
-			xnames[ai] = XName(q.Name, ai)
-		}
-		specs[qi] = EvalSpec{Query: q, XNames: xnames}
-		plan.Outputs = append(plan.Outputs, q.Name)
-	}
-	eval, err := NewEvalJob(name+"/eval", specs)
-	if err != nil {
-		return nil, err
-	}
-	plan.AddJob(eval, msjIdxs...)
-	return plan, nil
+	return BasicPlan(name, strategy, queries, eqs, partition, DetectHeavyKeys(eqs, db))
 }

@@ -95,7 +95,7 @@ func TestSkewMitigationBalancesReducers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plainStats, err := engine.RunJob(context.Background(), plain, db)
+	_, plainStats, err := runJob(context.Background(), engine, plain, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSkewMitigationBalancesReducers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, saltedStats, err := engine.RunJob(context.Background(), salted, db)
+	_, saltedStats, err := runJob(context.Background(), engine, salted, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,18 +309,14 @@ type TaskPlan struct {
 	Overhead    float64   // job startup (cost_h)
 }
 
-// Tasks converts a job spec into per-task durations. The per-task cost is
-// the partition (resp. reduce) cost divided evenly across its tasks, plus
-// the fixed task overhead; this is the granularity at which the cluster
-// simulator schedules waves.
-func (c Config) Tasks(j JobSpec) TaskPlan {
-	return c.TasksLoaded(j, nil)
-}
-
-// TasksLoaded is Tasks with measured per-reducer loads: the total reduce
-// cost is apportioned proportionally to each reducer's shuffled bytes, so
-// key skew stretches the reduce wave exactly as it would on a real
-// cluster. A nil or mismatching loads slice falls back to even division.
+// TasksLoaded converts a job spec into per-task durations. The per-task
+// cost is the partition (resp. reduce) cost divided across its tasks,
+// plus the fixed task overhead; this is the granularity at which the
+// cluster simulator schedules waves. reduceLoadsMB are the measured
+// per-reducer loads: the total reduce cost is apportioned proportionally
+// to each reducer's shuffled bytes, so key skew stretches the reduce
+// wave exactly as it would on a real cluster. A nil or mismatching loads
+// slice falls back to even division.
 func (c Config) TasksLoaded(j JobSpec, reduceLoadsMB []float64) TaskPlan {
 	plan := TaskPlan{Overhead: c.JobOverhead}
 	for _, p := range j.Partitions {

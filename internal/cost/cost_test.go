@@ -182,7 +182,7 @@ func TestTasksSumToJobCost(t *testing.T) {
 		},
 		OutputMB: 50,
 	}
-	plan := c.Tasks(job)
+	plan := c.TasksLoaded(job, nil)
 	var sum float64
 	for _, d := range plan.MapTasks {
 		sum += d
@@ -202,7 +202,7 @@ func TestTasksSumToJobCost(t *testing.T) {
 func TestTaskOverheadAdds(t *testing.T) {
 	c := Default()
 	job := JobSpec{Partitions: []Partition{{InputMB: 1, InterMB: 1, Records: 10}}}
-	plan := c.Tasks(job)
+	plan := c.TasksLoaded(job, nil)
 	if len(plan.MapTasks) != 1 || len(plan.ReduceTasks) != 1 {
 		t.Fatalf("task counts: %d maps %d reds", len(plan.MapTasks), len(plan.ReduceTasks))
 	}

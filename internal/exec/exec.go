@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/mr"
 	"repro/internal/relation"
 )
@@ -53,15 +52,6 @@ type Result struct {
 	Metrics mr.Metrics
 }
 
-// Output returns the relation for the plan's final SGF output (the last
-// declared output), or nil.
-func (r *Result) Output() *relation.Relation {
-	if len(r.Plan.Outputs) == 0 {
-		return nil
-	}
-	return r.Outputs.Relation(r.Plan.Outputs[len(r.Plan.Outputs)-1])
-}
-
 // Run executes the plan against db, honoring ctx: the engine stops at
 // the next task boundary after cancellation and the returned error
 // wraps ctx.Err() (errors.Is-compatible with context.Canceled /
@@ -89,15 +79,15 @@ func (r *Runner) Run(ctx context.Context, plan *core.Plan, db *relation.Database
 		JobStats: stats,
 		Timings:  timings,
 		Mem:      opts.Budget.Stats(),
-		Metrics:  r.metrics(plan, stats),
+		Metrics:  r.Metrics(plan, stats),
 	}, nil
 }
 
-// metrics derives a run's §5.1 metrics: the measured byte volumes of
+// Metrics derives a run's §5.1 metrics: the measured byte volumes of
 // stats, and the modelled net/total times of replaying each job's
 // per-task costs through the cluster simulator on plan's dependency
 // graph (plan.Jobs and plan.Deps are index-aligned with stats).
-func (r *Runner) metrics(plan *core.Plan, stats []mr.JobStats) mr.Metrics {
+func (r *Runner) Metrics(plan *core.Plan, stats []mr.JobStats) mr.Metrics {
 	costCfg := r.Engine.Config().Cost
 	scale := costCfg.Scale
 	if scale <= 0 {
@@ -160,18 +150,6 @@ func (r *Runner) PredictPlanBytes(plan *core.Plan, db *relation.Database) int64 
 				total += int64(p.InterMB * (1 << 20))
 			}
 		}
-	}
-	return total
-}
-
-// ModelledPlanCost prices an executed plan after the fact with measured
-// sizes under the chosen cost model (used by the §5.2 cost-model
-// comparison to rank jobs).
-func (r *Runner) ModelledPlanCost(model cost.Model, res *Result) float64 {
-	costCfg := r.Engine.Config().Cost
-	total := 0.0
-	for _, st := range res.JobStats {
-		total += costCfg.JobCost(model, st.CostSpec())
 	}
 	return total
 }

@@ -44,8 +44,8 @@ func TestRunProducesCorrectOutputAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Output().Equal(want) {
-		t.Errorf("output mismatch:\n%s\nvs\n%s", res.Output().Dump(), want.Dump())
+	if !res.Outputs.Relation("Z").Equal(want) {
+		t.Errorf("output mismatch:\n%s\nvs\n%s", res.Outputs.Relation("Z").Dump(), want.Dump())
 	}
 	m := res.Metrics
 	if m.NetTime <= 0 || m.TotalTime <= 0 || m.InputMB <= 0 || m.CommMB <= 0 {
@@ -84,7 +84,7 @@ func TestSeqVsParShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seqRes.Output().Equal(want) || !parRes.Output().Equal(want) {
+	if !seqRes.Outputs.Relation("Z").Equal(want) || !parRes.Outputs.Relation("Z").Equal(want) {
 		t.Fatal("outputs wrong")
 	}
 	if parRes.Metrics.NetTime >= seqRes.Metrics.NetTime {
@@ -106,10 +106,17 @@ func TestModelledPlanCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gumbo := runner.ModelledPlanCost(cost.Gumbo, res)
-	wang := runner.ModelledPlanCost(cost.Wang, res)
-	if gumbo <= 0 || wang <= 0 {
-		t.Errorf("plan costs: gumbo=%v wang=%v", gumbo, wang)
+	// The measured job specs of an executed plan price under both cost
+	// models (what the §5.2 cost-model comparison ranks jobs by).
+	costCfg := runner.Engine.Config().Cost
+	for _, model := range []cost.Model{cost.Gumbo, cost.Wang} {
+		total := 0.0
+		for _, st := range res.JobStats {
+			total += costCfg.JobCost(model, st.CostSpec())
+		}
+		if total <= 0 {
+			t.Errorf("plan cost under %v = %v", model, total)
+		}
 	}
 }
 

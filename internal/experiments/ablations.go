@@ -147,7 +147,7 @@ func AblationSkew(ctx context.Context, cfg Config) (*Table, error) {
 	db := skewedDatabase(int(float64(workload.PaperGuardTuples)*cfg.Scale), 0.4, 11)
 	prog := sgf.MustParse(`Z := SELECT x, y FROM R(x, y) WHERE S(x);`)
 	eqs := core.ExtractEquations(prog.Queries)
-	plain, err := core.BasicPlan("plain", core.StrategyGreedy, prog.Queries, eqs, core.OneGroup(len(eqs)))
+	plain, err := core.BasicPlan("plain", core.StrategyGreedy, prog.Queries, eqs, core.OneGroup(len(eqs)), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +201,7 @@ func AblationDynamic(ctx context.Context, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dres, err := runner.RunDynamicSGF(ctx, wl.Program, db)
+	dres, err := runDynamicSGF(ctx, runner, wl.Program, db)
 	if err != nil {
 		return nil, err
 	}
@@ -218,6 +218,104 @@ func AblationDynamic(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	t.AddNote("dynamic planning re-runs Greedy-SGF after each group against materialized intermediate sizes")
 	return t, nil
+}
+
+// strategyDynamic labels the dynamic evaluation strategy of §4.6's
+// closing note: "a naive dynamic evaluation strategy may consist of
+// re-running Greedy-SGF after each BSGF evaluation in order to obtain an
+// updated MR query plan". runDynamicSGF implements it at group
+// granularity: after each executed group the remaining program is
+// re-planned against the *materialized* intermediate relations, so the
+// estimator works from real sizes instead of upper bounds.
+const strategyDynamic core.Strategy = "DYNAMIC"
+
+// runDynamicSGF evaluates prog with iterative re-planning. Each
+// iteration runs Greedy-SGF on the not-yet-evaluated queries (whose
+// dependencies are now materialized), executes the first group with a
+// Greedy-BSGF plan, and folds the outputs back into the database. The
+// groups' jobs are stitched into one plan whose dependency graph is the
+// simulated schedule, so the result's metrics come from one cluster
+// simulation of the whole run.
+func runDynamicSGF(ctx context.Context, r *exec.Runner, prog *sgf.Program, db *relation.Database) (*exec.Result, error) {
+	if err := sgf.Validate(prog); err != nil {
+		return nil, err
+	}
+	working := relation.NewDatabase()
+	for _, rel := range db.Relations() {
+		working.Put(rel)
+	}
+	outputs := relation.NewDatabase()
+	var allStats []mr.JobStats
+	prevGroupEnd := -1 // index of the previous group's last job in resultPlan
+
+	remaining := append([]*sgf.BSGF(nil), prog.Queries...)
+	round := 0
+	resultPlan := &core.Plan{Name: "dynamic", Strategy: strategyDynamic}
+	costCfg := r.Engine.Config().Cost
+	for len(remaining) > 0 {
+		round++
+		sub := &sgf.Program{Queries: remaining}
+		// Re-plan against current materialized state.
+		est := core.NewEstimator(costCfg, cost.Gumbo, working, sub)
+		sort := core.GreedySGF(sub)
+		if len(sort) == 0 {
+			return nil, fmt.Errorf("experiments: dynamic planning produced no groups")
+		}
+		group := sort[0]
+		queries := make([]*sgf.BSGF, len(group))
+		for i, qi := range group {
+			queries[i] = remaining[qi]
+		}
+		plan, err := est.GreedyPlan(fmt.Sprintf("dynamic/r%d", round), queries)
+		if err != nil {
+			return nil, err
+		}
+		outs, stats, _, err := r.Engine.Run(ctx, plan.Program(), working, mr.RunOptions{})
+		if err != nil {
+			return nil, err
+		}
+		for _, rel := range outs.Relations() {
+			working.Put(rel)
+			outputs.Put(rel)
+		}
+		// Intra-group deps shift by the current offset; every job of the
+		// group also waits for the previous group's last job — not for all
+		// of its jobs, so this is no full barrier and the run's time is
+		// not the sum of per-group times.
+		offset := len(resultPlan.Jobs)
+		for ji := range stats {
+			deps := make([]int, 0, len(plan.Deps[ji])+1)
+			for _, d := range plan.Deps[ji] {
+				deps = append(deps, d+offset)
+			}
+			if prevGroupEnd >= 0 {
+				deps = append(deps, prevGroupEnd)
+			}
+			resultPlan.AddJob(plan.Jobs[ji], deps...)
+		}
+		allStats = append(allStats, stats...)
+		prevGroupEnd = len(resultPlan.Jobs) - 1
+		resultPlan.Outputs = append(resultPlan.Outputs, plan.Outputs...)
+
+		// Drop the executed queries.
+		executed := make(map[int]bool, len(group))
+		for _, qi := range group {
+			executed[qi] = true
+		}
+		var next []*sgf.BSGF
+		for qi, q := range remaining {
+			if !executed[qi] {
+				next = append(next, q)
+			}
+		}
+		remaining = next
+	}
+	return &exec.Result{
+		Plan:     resultPlan,
+		Outputs:  outputs,
+		JobStats: allStats,
+		Metrics:  r.Metrics(resultPlan, allStats),
+	}, nil
 }
 
 // skewedDatabase builds the skewed guard + conditional pair used by the

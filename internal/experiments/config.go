@@ -4,10 +4,10 @@
 // same rows/series the paper reports; cmd/gumbo-bench drives the full
 // set and bench_test.go exposes one benchmark per artifact.
 //
-// Experiments run at a configurable fraction of the paper's data sizes
-// (DESIGN.md §1): cost-model buffers, split sizes and per-reducer
-// allocations are scaled by the same factor, so merge passes and task
-// waves behave as at full scale.
+// Experiments run at a configurable fraction of the paper's data sizes:
+// cost-model buffers, split sizes and per-reducer allocations are
+// scaled by the same factor (cost.Config.Scaled), so merge passes and
+// task waves behave as at full scale.
 package experiments
 
 import (
@@ -120,7 +120,7 @@ func (c Config) runStrategies(ctx context.Context, wl workload.Workload, db *rel
 	runner := c.runner()
 	out := make([]runResult, 0, len(strategies))
 	for _, strat := range strategies {
-		plan, err := BuildPlan(c, strat, wl, db)
+		plan, err := exec.BuildPlan(strat, fmt.Sprintf("%s-%s", wl.Name, strat), c.CostCfg, wl.Program, db)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s/%s: %w", wl.Name, strat, err)
 		}

@@ -106,14 +106,14 @@ func RankingAccuracy(ctx context.Context, cfg Config, jobCount int) (*Table, err
 		if err != nil {
 			return nil, err
 		}
-		_, stats, err := runner.Engine.RunJob(ctx, mjob, db)
+		_, stats, _, err := runner.Engine.Run(ctx, &mr.Program{Jobs: []*mr.Job{mjob}}, db, mr.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
 		jobs = append(jobs, job{
 			gumboEst: gumboEst.MSJCost(eqs, group),
 			wangEst:  wangEst.MSJCost(eqs, group),
-			actual:   cfg.CostCfg.JobCost(cost.Gumbo, stats.CostSpec()),
+			actual:   cfg.CostCfg.JobCost(cost.Gumbo, stats[0].CostSpec()),
 		})
 		cfg.logf("rank job %d: est g=%.1f w=%.1f actual=%.1f", len(jobs), jobs[len(jobs)-1].gumboEst, jobs[len(jobs)-1].wangEst, jobs[len(jobs)-1].actual)
 	}

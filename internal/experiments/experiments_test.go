@@ -302,7 +302,7 @@ func TestBuildPlanUnknownStrategy(t *testing.T) {
 	cfg := testConfig(t)
 	wl := workload.A1()
 	db := wl.Build(cfg.Scale)
-	if _, err := BuildPlan(cfg, core.Strategy("NOPE"), wl, db); err == nil {
+	if _, err := cfg.runStrategies(context.Background(), wl, db, []core.Strategy{"NOPE"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }

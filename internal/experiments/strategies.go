@@ -1,51 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/relation"
 	"repro/internal/workload"
 )
-
-// BuildPlan constructs the plan for a named strategy over a workload.
-// Gumbo strategies that need cost estimates (GREEDY, GREEDY-SGF) sample
-// the database exactly as §5.1's optimization (3) describes.
-func BuildPlan(cfg Config, strat core.Strategy, wl workload.Workload, db *relation.Database) (*core.Plan, error) {
-	queries := wl.Program.Queries
-	name := fmt.Sprintf("%s-%s", wl.Name, strat)
-	est := func() *core.Estimator {
-		return core.NewEstimator(cfg.CostCfg, cost.Gumbo, db, wl.Program)
-	}
-	switch strat {
-	case core.StrategySEQ:
-		return core.SeqPlanMulti(name, queries)
-	case core.StrategyPAR:
-		return core.ParPlan(name, queries)
-	case core.StrategyGreedy:
-		return est().GreedyPlan(name, queries)
-	case core.StrategyOpt:
-		return est().OptPlan(name, queries)
-	case core.StrategyOneRound:
-		return core.OneRoundPlan(name, queries)
-	case core.StrategySeqUnit:
-		return core.SeqUnitPlan(name, wl.Program)
-	case core.StrategyParUnit:
-		return core.ParUnitPlan(name, wl.Program)
-	case core.StrategyGreedySGF:
-		return est().GreedySGFPlan(name, wl.Program)
-	case baselines.StrategyHPAR:
-		return baselines.HParPlan(name, queries)
-	case baselines.StrategyHPARS:
-		return baselines.HParSPlan(name, queries)
-	case baselines.StrategyPPAR:
-		return baselines.PParPlan(name, queries)
-	default:
-		return nil, fmt.Errorf("experiments: unknown strategy %q", strat)
-	}
-}
 
 // bsgfStrategies are the §5.2 contenders (1-ROUND added per workload
 // when applicable).
@@ -58,13 +17,7 @@ func bsgfStrategies(wl workload.Workload) []core.Strategy {
 		baselines.StrategyHPARS,
 		baselines.StrategyPPAR,
 	}
-	applicable := true
-	for _, q := range wl.Program.Queries {
-		if core.OneRoundApplicable(q) == core.OneRoundInapplicable {
-			applicable = false
-		}
-	}
-	if applicable {
+	if core.AllOneRound(wl.Program.Queries) {
 		s = append(s, core.StrategyOneRound)
 	}
 	return s

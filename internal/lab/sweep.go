@@ -12,21 +12,10 @@ import (
 	"repro/internal/relation"
 )
 
-// AllStrategies returns every evaluation strategy the sweep exercises:
-// the paper's flat strategies, the unit/program strategies, and the
-// Hive/Pig baselines.
-func AllStrategies() []gumbo.Strategy {
-	return []gumbo.Strategy{
-		gumbo.SEQ, gumbo.PAR, gumbo.Greedy, gumbo.Opt, gumbo.OneRound,
-		gumbo.SeqUnit, gumbo.ParUnit, gumbo.GreedySGF,
-		gumbo.HPAR, gumbo.HPARS, gumbo.PPAR,
-	}
-}
-
 // SweepConfig configures a sweep run.
 type SweepConfig struct {
 	Widths       []int            // pool widths; default {1, 4, GOMAXPROCS}, deduped
-	Strategies   []gumbo.Strategy // default AllStrategies
+	Strategies   []gumbo.Strategy // default gumbo.Strategies()
 	Scale        float64          // cost-config scale (default 1e-4: makes lab-sized data cross split/buffer boundaries)
 	OptAtomLimit int              // skip OPT above this many conditional atoms (default 6; Bell-number blowup)
 	Shrink       bool             // shrink failing scenarios to a minimal reproduction
@@ -55,7 +44,7 @@ func (c SweepConfig) normalized() SweepConfig {
 	sort.Ints(widths)
 	c.Widths = widths
 	if len(c.Strategies) == 0 {
-		c.Strategies = AllStrategies()
+		c.Strategies = gumbo.Strategies()
 	}
 	if c.Scale <= 0 {
 		c.Scale = 1e-4

@@ -85,8 +85,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Run applies every analyzer to the package described by pass-level
 // inputs and returns the surviving diagnostics (suppressions applied)
-// in source order. It is the single driver used by the command, the
-// vettool mode and the test harness.
+// in source order. It is the single driver used by the command and the
+// test harness.
 func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, reportFiles map[string]bool) ([]Diagnostic, error) {
 	ignores := collectIgnores(fset, files)
 	var diags []Diagnostic

@@ -4,10 +4,9 @@
 // (docs/INVARIANTS.md maps each contract to its analyzer and fix
 // recipe).
 //
-// The suite runs three ways, all over the same driver:
+// The suite runs two ways, both over the same driver:
 //
 //	go run ./cmd/gumbo-lint ./...          # multichecker, CI gate
-//	go vet -vettool=$(bin) ./...           # vet integration
 //	go test ./internal/lint/...            # analysistest suites
 package lint
 

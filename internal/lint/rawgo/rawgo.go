@@ -3,7 +3,7 @@
 // All engine concurrency must flow through the work-stealing taskPool
 // (internal/mr/pool.go): the pool's quiescence detection counts
 // spawned tasks, and its abort path re-raises the first task panic on
-// the RunJob/Run caller. A raw goroutine is invisible to both —
+// the Run caller. A raw goroutine is invisible to both —
 // work it performs can outlive the run (racing the next job's reuse of
 // shared buffers) and a panic in it crashes the process instead of
 // surfacing as an error. The two go statements that *implement* the

@@ -8,7 +8,7 @@ import (
 	"repro/internal/relation"
 )
 
-// benchShuffleDB builds a semi-join input large enough that RunJob's
+// benchShuffleDB builds a semi-join input large enough that the job's
 // map/shuffle/reduce hot path dominates: 50k guard tuples over 509 join
 // keys plus a small, selective conditional relation (8 matching keys, so
 // reducer output stays tiny and the measurement tracks record flow, not
@@ -33,8 +33,8 @@ func benchShuffleDB() *relation.Database {
 // preconstructed: emitting allocates nothing on either side, so the
 // benchmark isolates the engine's per-record work (record handling,
 // packing, shuffle partitioning, grouping, output dedup, accounting)
-// from key and tuple construction, which BenchmarkMSJJob at the repo
-// root covers.
+// from key and tuple construction, which internal/core's BenchmarkMSJJob
+// covers.
 func benchShuffleJob(packing bool) *Job {
 	keys := make([][]byte, 509)
 	for v := range keys {
@@ -72,18 +72,18 @@ func benchShuffleJob(packing bool) *Job {
 	return job
 }
 
-// BenchmarkRunJobShuffle measures one full packed semi-join job — map,
+// BenchmarkJobShuffle measures one full packed semi-join job — map,
 // pack, shuffle partitioning, sort-based reduce, merge — end to end.
 // allocs/op is the headline number: the engine's hot path should stay
 // allocation-lean as records flow through every phase.
-func BenchmarkRunJobShuffle(b *testing.B) {
+func BenchmarkJobShuffle(b *testing.B) {
 	db := benchShuffleDB()
 	e := newTestEngine(cost.Default().Scaled(0.001))
 	job := benchShuffleJob(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunJob(context.Background(), job, db); err != nil {
+		if _, _, err := runJob(context.Background(), e, job, db); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -200,9 +200,9 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestRunJobCancel checks the single-job entry point honors its
-// context: canceled mid-run it returns a nil database and an error
-// wrapping context.Canceled, leaving the input untouched.
+// TestRunJobCancel checks a one-job program honors its context:
+// canceled mid-run it returns a nil database and an error wrapping
+// context.Canceled, leaving the input untouched.
 func TestRunJobCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -216,15 +216,15 @@ func TestRunJobCancel(t *testing.T) {
 	before := dbSignature(db)
 	e := newTestEngine(cost.Default().Scaled(0.001))
 	e.cfg.Workers = 2
-	outs, _, err := e.RunJob(ctx, semijoinJob(false), db)
+	outs, _, err := runJob(ctx, e, semijoinJob(false), db)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunJob err = %v, want context.Canceled", err)
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if outs != nil {
-		t.Fatalf("canceled RunJob returned an output database")
+		t.Fatalf("canceled run returned an output database")
 	}
 	if dbSignature(db) != before {
-		t.Fatalf("canceled RunJob mutated the input database")
+		t.Fatalf("canceled run mutated the input database")
 	}
 }
 

@@ -28,7 +28,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		e := newTestEngine(cost.Default().Scaled(0.001))
 		e.cfg.Workers = workers
-		out, stats, err := e.RunJob(context.Background(), semijoinJob(true), db)
+		out, stats, err := runJob(context.Background(), e, semijoinJob(true), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestReduceLoadAccounting(t *testing.T) {
 	db.Put(relation.FromTuples("R", 2, tuples))
 	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(7)}))
 	e := newTestEngine(cost.Default().Scaled(0.0002))
-	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), db)
+	_, stats, err := runJob(context.Background(), e, semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestGoldenStatsUnchanged(t *testing.T) {
 			e.cfg.Workers = workers
 			job := semijoinJob(packing)
 			job.Reducers = 7
-			out, stats, err := e.RunJob(context.Background(), job, db)
+			out, stats, err := runJob(context.Background(), e, job, db)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,6 @@
 package mr
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -11,8 +9,8 @@ import (
 	"repro/internal/relation"
 )
 
-// Engine executes jobs. It is safe for concurrent use: RunJob and Run
-// only read the database they are given (relation.Database is
+// Engine executes programs of jobs. It is safe for concurrent use: Run
+// only reads the database it is given (relation.Database is
 // internally locked), and all per-run state is private — each run
 // builds its own task graph and worker pool.
 //
@@ -42,8 +40,7 @@ import (
 // cancellation watcher): tasks never fan out on their own, so panic
 // containment and cancellation cover all of the engine's concurrency.
 // None of this changes what the engine computes — outputs and stats are
-// bit-for-bit identical at every parallelism setting and to the earlier
-// barriered, phase-at-a-time engine.
+// bit-for-bit identical at every parallelism setting.
 type Engine struct {
 	cfg Config
 }
@@ -123,44 +120,6 @@ type mapTaskResult struct {
 	bytes   int64
 }
 
-// RunJob executes the job against db and returns its output relations
-// and measured statistics. The job runs as its own task graph on a
-// pool of Config.Workers workers; Run schedules many jobs onto one
-// shared pool instead of calling RunJob per job. On cancellation the
-// job's task graph stops at the next task boundary, the returned
-// database is nil, and the error wraps ctx.Err() (context.Canceled or
-// context.DeadlineExceeded via errors.Is). The input database is never
-// modified either way.
-func (e *Engine) RunJob(ctx context.Context, job *Job, db *relation.Database) (*relation.Database, JobStats, error) {
-	if err := job.validate(); err != nil {
-		return nil, JobStats{}, err
-	}
-	rels := make([]*relation.Relation, len(job.Inputs))
-	for i, name := range job.Inputs {
-		rel := db.Relation(name)
-		if rel == nil {
-			return nil, JobStats{}, fmt.Errorf("mr: job %s: unknown input relation %q", job.Name, name)
-		}
-		rels[i] = rel
-	}
-	gov := e.newGovern(nil)
-	defer gov.spill.cleanup()
-	jr := e.newJobRun(job, gov, nil, nil)
-	err := runTasks(ctx, e.workers(), func(c *poolCtx) {
-		jr.seed(c)
-		for part, rel := range rels {
-			jr.inputReady(c, part, rel)
-		}
-	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, JobStats{}, fmt.Errorf("mr: job %s canceled: %w", job.Name, err)
-		}
-		return nil, JobStats{}, fmt.Errorf("mr: job %s aborted: %w", job.Name, err)
-	}
-	return jr.outputDB(), jr.stats, nil
-}
-
 // outputOrder returns declared output names sorted for determinism.
 func outputOrder(outputs map[string]int) []string {
 	names := make([]string, 0, len(outputs))
@@ -172,10 +131,9 @@ func outputOrder(outputs map[string]int) []string {
 }
 
 // hashKey is FNV-1a over the key bytes, inlined so hashing a record
-// costs no hasher object. It is bit-identical to hash/fnv's New32a over
-// the same bytes, which earlier engine versions used (first via a hasher
-// object, then inlined over string keys): shuffle partition assignments
-// — and therefore per-reducer loads — are unchanged.
+// costs no hasher object. It must stay bit-identical to hash/fnv's
+// New32a over the same bytes: shuffle partition assignments — and
+// therefore the per-reducer loads the goldens pin — depend on it.
 func hashKey(key []byte) uint32 {
 	const (
 		offset32 = 2166136261

@@ -83,7 +83,7 @@ func semijoinJob(packing bool) *Job {
 
 func TestRunJobSemiJoin(t *testing.T) {
 	e := newTestEngine(cost.Default())
-	out, stats, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
+	out, stats, err := runJob(context.Background(), e, semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +107,12 @@ func TestRunJobSemiJoin(t *testing.T) {
 func TestRunJobDeterministic(t *testing.T) {
 	e := newTestEngine(cost.Default())
 	db := testDB()
-	_, s1, err := e.RunJob(context.Background(), semijoinJob(false), db)
+	_, s1, err := runJob(context.Background(), e, semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		_, s2, err := e.RunJob(context.Background(), semijoinJob(false), db)
+		_, s2, err := runJob(context.Background(), e, semijoinJob(false), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +135,11 @@ func TestPackingReducesRecordsAndBytes(t *testing.T) {
 
 	e := newTestEngine(cost.Default())
 	e.cfg.Workers = 1 // one map task per split; splits are size-based
-	outPlain, statsPlain, err := e.RunJob(context.Background(), semijoinJob(false), db)
+	outPlain, statsPlain, err := runJob(context.Background(), e, semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outPacked, statsPacked, err := e.RunJob(context.Background(), semijoinJob(true), db)
+	outPacked, statsPacked, err := runJob(context.Background(), e, semijoinJob(true), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPackingReducesRecordsAndBytes(t *testing.T) {
 
 func TestReducerCountFromIntermediate(t *testing.T) {
 	e := newTestEngine(cost.Default().Scaled(0.0001)) // tiny buffers: forces multiple reducers
-	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
+	_, stats, err := runJob(context.Background(), e, semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestReducerCountFromIntermediate(t *testing.T) {
 	}
 	fixed := semijoinJob(false)
 	fixed.Reducers = 7
-	_, stats2, err := e.RunJob(context.Background(), fixed, testDB())
+	_, stats2, err := runJob(context.Background(), e, fixed, testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestReducersFromInputPigPolicy(t *testing.T) {
 	job := semijoinJob(false)
 	job.ReducersFromInput = true
 	job.ReducerInputMB = 0.00001 // absurdly small per-reducer input
-	_, stats, err := e.RunJob(context.Background(), job, testDB())
+	_, stats, err := runJob(context.Background(), e, job, testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,13 @@ func TestReducersFromInputPigPolicy(t *testing.T) {
 
 func TestInflateIntermediate(t *testing.T) {
 	e := newTestEngine(cost.Default())
-	plain, stats1, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
+	plain, stats1, err := runJob(context.Background(), e, semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
 	job := semijoinJob(false)
 	job.InflateIntermediate = 2.0
-	inflated, stats2, err := e.RunJob(context.Background(), job, testDB())
+	inflated, stats2, err := runJob(context.Background(), e, job, testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestUnknownInputRelation(t *testing.T) {
 	e := newTestEngine(cost.Default())
 	job := semijoinJob(false)
 	job.Inputs = []string{"R", "Missing"}
-	if _, _, err := e.RunJob(context.Background(), job, testDB()); err == nil || !strings.Contains(err.Error(), "Missing") {
+	if _, _, err := runJob(context.Background(), e, job, testDB()); err == nil || !strings.Contains(err.Error(), "Missing") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -236,7 +236,7 @@ func TestUndeclaredOutputPanics(t *testing.T) {
 			t.Fatal("undeclared output did not panic")
 		}
 	}()
-	e.RunJob(context.Background(), job, testDB())
+	runJob(context.Background(), e, job, testDB())
 }
 
 func TestEmptyInputRelation(t *testing.T) {
@@ -244,7 +244,7 @@ func TestEmptyInputRelation(t *testing.T) {
 	db.Put(relation.New("R", 2))
 	db.Put(relation.New("S", 1))
 	e := newTestEngine(cost.Default())
-	out, stats, err := e.RunJob(context.Background(), semijoinJob(false), db)
+	out, stats, err := runJob(context.Background(), e, semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestSampleEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), db)
+	_, stats, err := runJob(context.Background(), e, semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestProgramValidate(t *testing.T) {
 
 func TestMetricsAccumulate(t *testing.T) {
 	e := newTestEngine(cost.Default())
-	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
+	_, stats, err := runJob(context.Background(), e, semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestMetricsAccumulate(t *testing.T) {
 
 func TestCostSpecConversion(t *testing.T) {
 	e := newTestEngine(cost.Default())
-	_, stats, err := e.RunJob(context.Background(), semijoinJob(false), testDB())
+	_, stats, err := runJob(context.Background(), e, semijoinJob(false), testDB())
 	if err != nil {
 		t.Fatal(err)
 	}

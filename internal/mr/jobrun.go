@@ -30,8 +30,7 @@ import (
 // writes into a pre-indexed slot and all order-sensitive folds (float
 // accumulation of per-part MB, OutputMB) walk those slots in declared
 // part/task/name order, so outputs and stats are bit-for-bit identical
-// to the barriered per-phase engine at every pool width (pinned by the
-// golden and determinism tests).
+// at every pool width (pinned by the golden and determinism tests).
 type jobRun struct {
 	e       *Engine
 	job     *Job
@@ -139,10 +138,9 @@ func (jr *jobRun) seed(c *poolCtx) {
 
 // inputReady is called exactly once per input part, as soon as that
 // relation exists: immediately for base relations, from the producer's
-// merge task for produced ones. It computes the input's splits (the
-// same size-based policy as the barriered engine: Cost.Mappers of the
-// input MB, clamped to the tuple count, one task for empty inputs) and
-// spawns the map tasks.
+// merge task for produced ones. It computes the input's splits
+// (Cost.Mappers of the input MB, clamped to the tuple count, one task
+// for empty inputs) and spawns the map tasks.
 func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 	inputMB := mbOf(rel.Bytes())
 	m := jr.e.cfg.Cost.Mappers(inputMB)
@@ -366,7 +364,7 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 	// The map results are fully consumed (each task's arena was
 	// released as its shuffle partition copied it); drop the scaffolding
 	// so a finished stage doesn't hold memory for the program's whole
-	// duration — the per-job engine freed it when RunJob returned.
+	// duration.
 	jr.results = nil
 	r := jr.reducers
 	jr.stats.ReduceLoadMB = make([]float64, r)
@@ -531,12 +529,12 @@ func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 	}
 }
 
-// finishJob folds the per-output sizes in sorted name order (the same
-// accumulation order as the barriered epilogue) and reports completion.
+// finishJob folds the per-output sizes in sorted name order (float
+// accumulation order is part of the determinism contract) and reports
+// completion.
 func (jr *jobRun) finishJob(c *poolCtx) {
 	// Merge shards have consumed the per-reducer outputs; keep only the
-	// merged relations (which may alias their storage, exactly as the
-	// per-job engine's results did).
+	// merged relations (which may alias their storage).
 	jr.outs = nil
 	for _, mb := range jr.outMB {
 		jr.stats.OutputMB += mb

@@ -375,8 +375,7 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 // first task, and returns once the pool is quiescent (seed and every
 // transitively spawned task finished) or ctx is canceled. A panic in
 // any task aborts the pool and is re-raised on the caller's goroutine,
-// so user map/reduce panics surface to the RunJob/Run caller
-// exactly as they did when phases ran inline.
+// so user map/reduce panics surface to the Run caller.
 //
 // Cancellation is task-boundary-granular: a watcher goroutine (joined
 // before return — runTasks leaks nothing) stops the pool when

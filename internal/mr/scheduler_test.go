@@ -133,8 +133,7 @@ func TestRunProgramDeterminismAcrossWorkers(t *testing.T) {
 // TestRunProgramMatchesSequentialOracle is the differential contract of
 // the pipelined scheduler: outputs (content and iteration order) and
 // deep per-job stats at several pool widths are bit-for-bit identical
-// to runSequential, the whole-job-at-a-time reference schedule the old
-// barriered scheduler matched.
+// to runSequential, the whole-job-at-a-time reference schedule.
 func TestRunProgramMatchesSequentialOracle(t *testing.T) {
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		p, db := diamondProgram()
@@ -274,12 +273,12 @@ func TestRunProgramErrorDeterministic(t *testing.T) {
 }
 
 // TestConcurrentRunJobShared exercises the Engine doc-comment claim
-// under the race detector: concurrent RunJob calls over one shared
+// under the race detector: concurrent one-job runs over one shared
 // database are safe and produce the sequential results.
 func TestConcurrentRunJobShared(t *testing.T) {
 	db := testDB()
 	e := newTestEngine(cost.Default())
-	want, wantStats, err := e.RunJob(context.Background(), semijoinJob(false), db)
+	want, wantStats, err := runJob(context.Background(), e, semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +292,7 @@ func TestConcurrentRunJobShared(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
-			outs[g], stats[g], errs[g] = e.RunJob(context.Background(), semijoinJob(false), db)
+			outs[g], stats[g], errs[g] = runJob(context.Background(), e, semijoinJob(false), db)
 		}(g)
 	}
 	wg.Wait()

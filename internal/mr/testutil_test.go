@@ -2,7 +2,6 @@ package mr
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"strconv"
 
@@ -23,15 +22,25 @@ func newTestEngine(c cost.Config) *Engine {
 	return NewEngine(cfg)
 }
 
+// runJob executes one job as a one-job Program through Engine.Run, the
+// engine's only door.
+func runJob(ctx context.Context, e *Engine, job *Job, db *relation.Database) (*relation.Database, JobStats, error) {
+	outs, stats, _, err := e.Run(ctx, &Program{Jobs: []*Job{job}}, db, RunOptions{})
+	if err != nil {
+		return nil, JobStats{}, err
+	}
+	return outs, stats[0], nil
+}
+
 // runSequential executes the jobs strictly in declared order, one
 // whole job at a time: the reference schedule the pipelined scheduler
 // must match bit for bit (the differential tests compare against it).
 func (e *Engine) runSequential(p *Program, working *relation.Database) ([]progResult, error) {
 	results := make([]progResult, len(p.Jobs))
 	for i, job := range p.Jobs {
-		outs, st, err := e.RunJob(context.Background(), job, working)
+		outs, st, err := runJob(context.Background(), e, job, working)
 		if err != nil {
-			return results, fmt.Errorf("mr: job %s: %w", job.Name, err)
+			return results, err
 		}
 		for _, r := range outs.Relations() {
 			working.Put(r)

@@ -7,8 +7,9 @@
 // bytes; net/total time are derived by internal/cluster from the cost
 // model applied to these measurements).
 //
-// This engine is the substitute for the paper's 10-node Hadoop cluster;
-// see DESIGN.md §1 for the substitution argument.
+// This engine is the substitute for the paper's 10-node Hadoop cluster:
+// byte volumes are measured, times are modelled (docs/ARCHITECTURE.md
+// maps each paper section to the package standing in for it).
 package mr
 
 import (

@@ -127,12 +127,3 @@ func EvalOutput(p *sgf.Program, db *relation.Database) (*relation.Relation, erro
 	}
 	return outs.Relation(p.OutputName()), nil
 }
-
-// SemiJoin computes π_vars(guard ⋉ cond) directly: the set of projections
-// of guard-conforming facts that have a matching cond-conforming fact on
-// the shared variables. It is the reference semantics for a single
-// semi-join equation (§4.1).
-func SemiJoin(guard, cond sgf.Atom, vars []string, db *relation.Database) (*relation.Relation, error) {
-	q := &sgf.BSGF{Name: "semijoin", Select: vars, Guard: guard, Where: sgf.AtomCond{Atom: cond}}
-	return EvalBSGF(q, db)
-}

@@ -209,10 +209,12 @@ func TestSemiJoinHelper(t *testing.T) {
 		relation.FromTuples("R", 2, []relation.Tuple{tup(1, 2), tup(4, 5)}),
 		relation.FromTuples("S", 2, []relation.Tuple{tup(2, 3)}),
 	)
-	out, err := SemiJoin(
-		sgf.NewAtom("R", sgf.V("x"), sgf.V("z")),
-		sgf.NewAtom("S", sgf.V("z"), sgf.V("y")),
-		[]string{"x"}, d)
+	out, err := EvalBSGF(&sgf.BSGF{
+		Name:   "semijoin",
+		Select: []string{"x"},
+		Guard:  sgf.NewAtom("R", sgf.V("x"), sgf.V("z")),
+		Where:  sgf.AtomCond{Atom: sgf.NewAtom("S", sgf.V("z"), sgf.V("y"))},
+	}, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,20 +47,8 @@ import (
 // strategyAuto asks runQuery to resolve the strategy with System.Auto.
 const strategyAuto gumbo.Strategy = "auto"
 
-// strategies maps the wire names accepted by the query endpoint.
-var strategies = map[string]gumbo.Strategy{
-	"SEQ":        gumbo.SEQ,
-	"PAR":        gumbo.PAR,
-	"GREEDY":     gumbo.Greedy,
-	"OPT":        gumbo.Opt,
-	"1-ROUND":    gumbo.OneRound,
-	"SEQUNIT":    gumbo.SeqUnit,
-	"PARUNIT":    gumbo.ParUnit,
-	"GREEDY-SGF": gumbo.GreedySGF,
-	"HPAR":       gumbo.HPAR,
-	"HPARS":      gumbo.HPARS,
-	"PPAR":       gumbo.PPAR,
-}
+// strategies are the wire names the query endpoint accepts.
+var strategies = gumbo.Strategies()
 
 // Config configures a Server.
 type Config struct {
@@ -576,12 +565,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	strategy := strategyAuto
 	if req.Strategy != "" && req.Strategy != "auto" {
-		st, ok := strategies[req.Strategy]
-		if !ok {
+		strategy = gumbo.Strategy(req.Strategy)
+		if !slices.Contains(strategies, strategy) {
 			writeError(w, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
 			return
 		}
-		strategy = st
 	}
 	s.queries.Add(1)
 

@@ -2,20 +2,11 @@ package sgf
 
 import "repro/internal/relation"
 
-// Conforms reports whether the fact rel(t) conforms to atom a (written
-// rel(t) ⊨ a in the paper): the relation symbols and arities match,
-// repeated variables bind equal values, and constant positions match
-// exactly.
-func Conforms(rel string, t relation.Tuple, a Atom) bool {
-	if rel != a.Rel || len(t) != len(a.Args) {
-		return false
-	}
-	return ConformsTuple(t, a)
-}
-
-// ConformsTuple checks conformance of a tuple against an atom's argument
-// pattern, ignoring the relation symbol (the caller has already matched
-// it). Tuples of the wrong arity do not conform.
+// ConformsTuple reports whether tuple t conforms to atom a's argument
+// pattern (written rel(t) ⊨ a in the paper, the relation symbol being
+// the caller's to match): repeated variables bind equal values and
+// constant positions match exactly. Tuples of the wrong arity do not
+// conform.
 func ConformsTuple(t relation.Tuple, a Atom) bool {
 	if len(t) != len(a.Args) {
 		return false

@@ -48,6 +48,18 @@ func BuildDepGraph(p *Program) *DepGraph {
 	return g
 }
 
+// Flat reports whether no query of p reads another query's output: the
+// dependency graph has no edge, so the program is a set of independent
+// BSGF queries.
+func Flat(p *Program) bool {
+	for _, pred := range BuildDepGraph(p).Pred {
+		if len(pred) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Levels assigns each node its longest-path depth from the sources:
 // level(v) = 0 if v has no predecessors, else 1 + max(level(pred)).
 // Queries on the same level are independent and can run in parallel

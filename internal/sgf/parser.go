@@ -29,19 +29,6 @@ func Parse(src string) (*Program, error) {
 	return p, nil
 }
 
-// ParseBSGF parses a single basic query (with or without trailing ';')
-// and validates it as a one-query program.
-func ParseBSGF(src string) (*BSGF, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(prog.Queries) != 1 {
-		return nil, fmt.Errorf("sgf: expected exactly one query, got %d", len(prog.Queries))
-	}
-	return prog.Queries[0], nil
-}
-
 // MustParse is Parse that panics on error, for tests and examples.
 func MustParse(src string) *Program {
 	p, err := Parse(src)

@@ -42,12 +42,6 @@ func Validate(p *Program) error {
 	return CheckForwardRefs(p)
 }
 
-// ValidateBSGF validates a single basic query in isolation (no defined
-// outputs in scope).
-func ValidateBSGF(q *BSGF) error {
-	return validateBSGF(q, map[string]int{})
-}
-
 func validateBSGF(q *BSGF, relArity map[string]int) error {
 	if len(q.Select) == 0 {
 		return fmt.Errorf("sgf: %s: empty select list", q.Name)

@@ -4,7 +4,8 @@
 // (4 GB at 4-ary, 10 bytes/field) and equally many conditional tuples
 // (1 GB at unary) with 50% of conditional tuples matching the guard; a
 // Scale of 1.0 reproduces those cardinalities, and experiments default
-// to Scale 1/1000 with cost-model buffers scaled alike (DESIGN.md §1).
+// to Scale 1/1000 with cost-model buffers scaled alike
+// (cost.Config.Scaled).
 package workload
 
 import (

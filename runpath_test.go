@@ -85,3 +85,37 @@ func TestEnvironmentDoesNotConfigure(t *testing.T) {
 		}
 	}
 }
+
+// skewedWorkload builds a skewed input for the run-path tests: a semi-join
+// whose guard's join column follows a harmonic (zipf-like) frequency
+// law over `keys` distinct values — value k carries ~1/k of the hot
+// mass. The handful of heavy values land in whichever reduce
+// partitions their hashes pick, making those partitions cross the
+// split threshold while still holding many separable key groups (the
+// shape runtime splitting exists for: a single dominant key is one
+// atomic group and can only be isolated, not divided).
+func skewedWorkload(tuples, keys int64) (*Query, *Database) {
+	q := MustParse("Z := SELECT x, y FROM R(x, y) WHERE S(x);")
+	db := NewDatabase()
+	g := NewRelation("R", 2)
+	j := int64(0)
+	for j < tuples {
+		for k := int64(1); k <= keys && j < tuples; k++ {
+			n := tuples / (k * 6)
+			if n == 0 {
+				n = 1
+			}
+			for i := int64(0); i < n && j < tuples; i++ {
+				g.Add(Tuple{Int(k), Int(j)})
+				j++
+			}
+		}
+	}
+	s := NewRelation("S", 1)
+	for k := int64(0); k <= keys; k++ {
+		s.Add(Tuple{Int(k)})
+	}
+	db.Put(g)
+	db.Put(s)
+	return q, db
+}
