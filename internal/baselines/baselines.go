@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mr"
-	"repro/internal/relation"
 	"repro/internal/sgf"
 )
 
@@ -81,121 +80,32 @@ func hxName(prefix, qname string, ai int) string {
 	return fmt.Sprintf("%s_%s_%d", prefix, qname, ai)
 }
 
-// newSemiJoinFullJob builds a per-atom semi-join job that outputs the
-// full matching guard tuples (no tuple-id optimization): the HPARS /
-// PPAR building block.
-func newSemiJoinFullJob(name, out string, q *sgf.BSGF, atom sgf.Atom, k Knobs) *mr.Job {
-	joinVars := sgf.SharedVars(q.Guard, atom)
-	guardMatcher := sgf.NewMatcher(q.Guard)
-	guardProj := sgf.NewProjector(q.Guard, joinVars)
-	condMatcher := sgf.NewMatcher(atom)
-	condProj := sgf.NewProjector(atom, joinVars)
-	inputs := []string{q.Guard.Rel}
-	if atom.Rel != q.Guard.Rel {
-		inputs = append(inputs, atom.Rel)
-	}
-	job := &mr.Job{
-		Name:    name,
-		Inputs:  inputs,
-		Outputs: map[string]int{out: q.Guard.Arity()},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
-			var kb [48]byte // append-style shuffle keys, see core.NewMSJJob
-			if input == q.Guard.Rel && guardMatcher.Matches(t) {
-				core.TupleVal{T: t}.Emit(emit, guardProj.AppendKey(kb[:0], t))
-			}
-			if input == atom.Rel && condMatcher.Matches(t) {
-				core.Assert{Class: 0}.Emit(emit, condProj.AppendKey(kb[:0], t))
-			}
-		}),
-		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
-			asserted := false
-			for i := 0; i < msgs.Len() && !asserted; i++ {
-				tag, _ := msgs.At(i)
-				asserted = tag == core.TagAssert
-			}
-			if !asserted {
-				return
-			}
-			for i := 0; i < msgs.Len(); i++ {
-				if tag, p := msgs.At(i); tag == core.TagTupleVal {
-					o.Add(out, core.DecodeTupleVal(nil, p).T)
-				}
-			}
-		}),
-	}
-	k.apply(job)
-	return job
-}
-
-// newCombineFullJob joins the guard with the full-tuple X relations on
-// the whole guard tuple, evaluates the Boolean condition, projects, and
-// deduplicates: the final job of HPARS / PPAR plans.
-func newCombineFullJob(name string, q *sgf.BSGF, xNames []string, k Knobs) *mr.Job {
-	atoms := q.CondAtoms()
-	atomKeys := make([]string, len(atoms))
-	for i, a := range atoms {
-		atomKeys[i] = a.Key()
-	}
-	guardMatcher := sgf.NewMatcher(q.Guard)
-	project := sgf.NewProjector(q.Guard, q.Select)
-	inputs := []string{q.Guard.Rel}
-	roleOf := make(map[string]int32, len(xNames))
-	for i, xn := range xNames {
-		roleOf[xn] = int32(i)
-		inputs = append(inputs, xn)
-	}
-	job := &mr.Job{
-		Name:    name,
-		Inputs:  inputs,
-		Outputs: map[string]int{q.Name: q.OutArity()},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
-			var kb [48]byte // whole-tuple join keys, built append-style
-			if input == q.Guard.Rel {
-				if guardMatcher.Matches(t) {
-					core.XIndex{Atom: -1}.Emit(emit, t.AppendKey(kb[:0]))
-				}
-				return
-			}
-			core.XIndex{Atom: roleOf[input]}.Emit(emit, t.AppendKey(kb[:0]))
-		}),
-		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
-			truth := make(map[string]bool, len(atomKeys))
-			guardPresent := false
-			for i := 0; i < msgs.Len(); i++ {
-				_, p := msgs.At(i)
-				x := core.DecodeXIndex(p)
-				if x.Atom < 0 {
-					guardPresent = true
-				} else {
-					truth[atomKeys[x.Atom]] = true
-				}
-			}
-			if !guardPresent {
-				return
-			}
-			if sgf.EvalCondition(q.Where, truth) {
-				o.Add(q.Name, project.Apply(relation.TupleFromKeyBytes(key)))
-			}
-		}),
-	}
-	k.apply(job)
-	return job
-}
-
 // parallelSemiJoinPlan builds the HPARS / PPAR plan for one query: one
-// full-tuple semi-join job per atom (parallel) plus the combine job.
+// full-tuple semi-join job per atom (parallel, no tuple-id
+// optimization: the X relations hold whole guard tuples) plus the
+// combine job that joins the guard with them on the whole tuple,
+// evaluates the Boolean condition, projects and deduplicates.
 func parallelSemiJoinPlan(name string, strategy core.Strategy, q *sgf.BSGF, prefix string, k Knobs) (*core.Plan, error) {
-	atoms := q.CondAtoms()
 	plan := &core.Plan{Name: name, Strategy: strategy, Outputs: []string{q.Name}}
 	var xNames []string
 	var deps []int
-	for ai, atom := range atoms {
+	for ai, atom := range q.CondAtoms() {
 		out := hxName(prefix, q.Name, ai)
 		xNames = append(xNames, out)
-		job := newSemiJoinFullJob(fmt.Sprintf("%s/sj%d", name, ai), out, q, atom, k)
+		job, err := core.NewSemiJoinFullJob(fmt.Sprintf("%s/sj%d", name, ai),
+			core.FilterStep{Out: out, GuardRel: q.Guard.Rel, Guard: q.Guard, Cond: atom})
+		if err != nil {
+			return nil, err
+		}
+		k.apply(job)
 		deps = append(deps, plan.AddJob(job))
 	}
-	plan.AddJob(newCombineFullJob(name+"/combine", q, xNames, k), deps...)
+	combine, err := core.NewCombineFullJob(name+"/combine", core.EvalSpec{Query: q, XNames: xNames})
+	if err != nil {
+		return nil, err
+	}
+	k.apply(combine)
+	plan.AddJob(combine, deps...)
 	return plan, nil
 }
 

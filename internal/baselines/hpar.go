@@ -77,7 +77,10 @@ func hparSingle(name string, q *sgf.BSGF) (*core.Plan, error) {
 			col++
 		}
 	}
-	filter := hparFilterJob(name+"/filter", q, prevRel, guardArity+len(atoms), flagPos, k)
+	filter, err := hparFilterJob(name+"/filter", q, prevRel, guardArity+len(atoms), flagPos, k)
+	if err != nil {
+		return nil, err
+	}
 	if prevJob >= 0 {
 		plan.AddJob(filter, prevJob)
 	} else {
@@ -132,19 +135,23 @@ func hparStageJob(name string, q *sgf.BSGF, stageAtoms []sgf.Atom, inRel, outRel
 			}
 		}),
 		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
-			flags := make([]relation.Value, len(stageAtoms))
+			// Flags and each output fact live in stack scratch:
+			// Output.Add copies.
+			var fb, ob [16]relation.Value
+			flags := append(fb[:0], make([]relation.Value, len(stageAtoms))...)
 			for i := 0; i < msgs.Len(); i++ {
 				if tag, p := msgs.At(i); tag == core.TagAssert {
-					flags[core.DecodeAssert(p).Class] = relation.Value(1)
+					c := core.DecodeAssert(p).Class
+					if c < 0 || int(c) >= len(flags) {
+						mr.Corrupt("Assert class")
+					}
+					flags[c] = 1
 				}
 			}
 			for i := 0; i < msgs.Len(); i++ {
-				tag, p := msgs.At(i)
-				if tag != core.TagTupleVal {
-					continue
+				if tag, p := msgs.At(i); tag == core.TagTupleVal {
+					o.Add(outRel, append(core.DecodeTupleVal(ob[:0], p).T, flags...))
 				}
-				out := core.DecodeTupleVal(make(relation.Tuple, 0, outArity), p).T
-				o.Add(outRel, append(out, flags...))
 			}
 		}),
 	}
@@ -154,12 +161,21 @@ func hparStageJob(name string, q *sgf.BSGF, stageAtoms []sgf.Atom, inRel, outRel
 
 // hparFilterJob evaluates the Boolean condition on the flag columns,
 // projects onto the select variables, and deduplicates.
-func hparFilterJob(name string, q *sgf.BSGF, inRel string, inArity int, flagPos []int, k Knobs) *mr.Job {
-	atoms := q.CondAtoms()
-	atomKeys := make([]string, len(atoms))
-	for i, a := range atoms {
-		atomKeys[i] = a.Key()
+func hparFilterJob(name string, q *sgf.BSGF, inRel string, inArity int, flagPos []int, k Knobs) (*mr.Job, error) {
+	// The condition is compiled over the flags as bits: atom i of the
+	// query is bit i, set when column flagPos[i] holds 1.
+	atomIdx := make(map[string]int, len(flagPos))
+	for ai, a := range q.CondAtoms() {
+		atomIdx[a.Key()] = ai
 	}
+	cond, err := sgf.CompileCondition(q.Where, func(k string) (int, bool) {
+		ai, ok := atomIdx[k]
+		return ai, ok
+	})
+	if err != nil {
+		return nil, fmt.Errorf("baselines: filter job %s: %w", name, err)
+	}
+	words := (len(flagPos) + 63) / 64
 	project := sgf.NewProjector(q.Guard, q.Select)
 	// When the query has no conditional atoms, the filter reads the raw
 	// guard relation and must still apply the guard pattern.
@@ -176,24 +192,32 @@ func hparFilterJob(name string, q *sgf.BSGF, inRel string, inArity int, flagPos 
 			if rawGuard && !guardMatcher.Matches(t) {
 				return
 			}
-			truth := make(map[string]bool, len(atoms))
-			for ai, pos := range flagPos {
-				truth[atomKeys[ai]] = t[pos] == relation.Value(1)
+			var stack [2]uint64
+			bits := stack[:]
+			if words > len(stack) {
+				bits = make([]uint64, words)
 			}
-			if !sgf.EvalCondition(q.Where, truth) {
+			for ai, pos := range flagPos {
+				if t[pos] == 1 {
+					bits[ai>>6] |= 1 << (uint(ai) & 63)
+				}
+			}
+			if !cond.Eval(bits) {
 				return
 			}
-			p := project.Apply(t)
 			var kb [48]byte
+			var ob [8]relation.Value
+			p := project.AppendTo(ob[:0], t)
 			core.TupleVal{T: p}.Emit(emit, p.AppendKey(kb[:0]))
 		}),
 		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
 			if msgs.Len() > 0 {
+				var ob [8]relation.Value
 				_, p := msgs.At(0)
-				o.Add(q.Name, core.DecodeTupleVal(nil, p).T)
+				o.Add(q.Name, core.DecodeTupleVal(ob[:0], p).T)
 			}
 		}),
 	}
 	k.apply(job)
-	return job
+	return job, nil
 }

@@ -30,9 +30,16 @@ func (e Equation) Key() string {
 // κ's positions). Two equations with equal class keys share assert
 // messages in a combined MSJ job — the "conditional name sharing"
 // commonality of Table 2.
-func (e Equation) AssertClassKey() string {
-	k := e.Cond.Key() + "@"
-	for _, p := range e.Cond.VarPositions(e.JoinVars) {
+func (e Equation) AssertClassKey() string { return streamKey(e.Cond, e.JoinVars) }
+
+// streamKey identifies the record stream "facts of atom a keyed by
+// their projection on vars": the atom's canonical key and the projected
+// positions. Equal stream keys mean identical (key, fact) pairs, which
+// is what assert sharing (AssertClassKey) and request packing (packKey)
+// both rest on.
+func streamKey(a sgf.Atom, vars []string) string {
+	k := a.Key() + "@"
+	for _, p := range a.VarPositions(vars) {
 		k += fmt.Sprintf("%d,", p)
 	}
 	return k

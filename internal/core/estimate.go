@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cost"
 	"repro/internal/mr"
 	"repro/internal/relation"
@@ -144,13 +142,7 @@ func (e *Estimator) reqStat(eq Equation) emitStat {
 // equations with the same guard pattern and join-key projection emit
 // records under identical keys, which the message-packing optimization
 // collapses into one record per fact (§5.1 opt (1)).
-func (eq Equation) packKey() string {
-	k := eq.Guard.Key() + "@"
-	for _, p := range eq.Guard.VarPositions(eq.JoinVars) {
-		k += fmt.Sprintf("%d,", p)
-	}
-	return k
-}
+func (eq Equation) packKey() string { return streamKey(eq.Guard, eq.JoinVars) }
 
 // reqKeyStat estimates the key-only stream of a packing group: one
 // record (and one key) per conforming guard fact.
@@ -264,12 +256,12 @@ func (e *Estimator) EvalSpec(queries []*sgf.BSGF) cost.JobSpec {
 		p := touch(q.Guard.Rel, info.mb)
 		p.InterMB += conform * tupleMB
 		p.Records += int64(conform)
-		for ai := range q.CondAtoms() {
-			eq := Equation{Guard: q.Guard, Cond: q.CondAtoms()[ai], JoinVars: sgf.SharedVars(q.Guard, q.CondAtoms()[ai])}
+		for ai, atom := range q.CondAtoms() {
+			eq := Equation{Guard: q.Guard, Cond: atom, JoinVars: sgf.SharedVars(q.Guard, atom)}
 			rs := e.reqStat(eq)
 			xMB := rs.records * relation.BytesPerField / mr.MB
 			xp := touch(XName(q.Name, ai), xMB)
-			xp.InterMB += rs.records * float64(evalKeyBytes+xIndexBytes) / mr.MB
+			xp.InterMB += rs.records * float64(evalKeyBytes+assertBytes) / mr.MB
 			xp.Records += int64(rs.records)
 		}
 		spec.OutputMB += conform * float64(q.OutArity()) * relation.BytesPerField / mr.MB

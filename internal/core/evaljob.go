@@ -33,150 +33,82 @@ func NewEvalJob(name string, specs []EvalSpec) (*mr.Job, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: EVAL job %s has no specs", name)
 	}
-	outs := make(map[string]int, len(specs))
-	var inputs []string
-	seen := make(map[string]bool)
-	addInput := func(rel string) {
-		if !seen[rel] {
-			seen[rel] = true
-			inputs = append(inputs, rel)
-		}
-	}
-
-	type guardRole struct {
-		q       int32
-		matcher sgf.Matcher
-	}
-	guardRoles := make(map[string][]guardRole)
-	type xRole struct {
-		q    int32
-		atom int32
-	}
-	xRoles := make(map[string]xRole)
-
-	// Per-query compiled data for the reducer.
-	type querySpec struct {
-		cond sgf.Condition
-		// condBits is the compiled allocation-free evaluator over the
-		// atom-index truth mask (bit i = atom i of atomKeys matched);
-		// nil for queries with more than 64 distinct atoms, which fall
-		// back to the truth-map path.
-		condBits func(mask uint64) bool
-		atomKeys []string // canonical keys of the distinct atoms, by index
-		project  sgf.Projector
-		outName  string
-	}
-	qspecs := make([]querySpec, len(specs))
-
+	t := newReconcile("EVAL job", name)
+	t.keyed = true
+	marks := make(map[string]bool)
+	id := sgf.NewAtom("", sgf.V("id")) // an X fact: one guard tuple id
 	for qi, spec := range specs {
 		q := spec.Query
-		if _, dup := outs[q.Name]; dup {
-			return nil, fmt.Errorf("core: EVAL job %s: output %s defined twice", name, q.Name)
+		bits, err := t.evalOutput(spec)
+		if err != nil {
+			return nil, err
 		}
-		outs[q.Name] = q.OutArity()
-		atoms := q.CondAtoms()
-		if len(atoms) != len(spec.XNames) {
-			return nil, fmt.Errorf("core: EVAL job %s: query %s has %d atoms but %d X relations",
-				name, q.Name, len(atoms), len(spec.XNames))
-		}
-		addInput(q.Guard.Rel)
-		guardRoles[q.Guard.Rel] = append(guardRoles[q.Guard.Rel], guardRole{
-			q:       int32(qi),
-			matcher: sgf.NewMatcher(q.Guard),
+		// The guard re-read: the whole tuple in the paper's accounting,
+		// its projection on the wire — the reducer writes nothing else.
+		err = t.request(request{
+			input: q.Guard.Rel, guard: q.Guard,
+			key:   fields{id: true},
+			carry: on(q.Guard, q.Select),
+			size:  tupleTagByte + int64(q.Guard.Arity())*relation.BytesPerField,
+			cond:  q.Where, bits: bits, out: q.Name,
 		})
-		keys := make([]string, len(atoms))
-		for ai, a := range atoms {
-			keys[ai] = a.Key()
-			xn := spec.XNames[ai]
-			if _, dup := xRoles[xn]; dup {
+		if err != nil {
+			return nil, err
+		}
+		for ai, xn := range spec.XNames {
+			if marks[xn] {
 				return nil, fmt.Errorf("core: EVAL job %s: X relation %s used twice", name, xn)
 			}
-			xRoles[xn] = xRole{q: int32(qi), atom: int32(ai)}
-			addInput(xn)
+			marks[xn] = true
+			t.assert(xn, assertRole{matcher: sgf.NewMatcher(id), key: on(id, []string{"id"}), class: int32(ai), of: int32(qi)})
 		}
-		spec := querySpec{
-			cond:     q.Where,
-			atomKeys: keys,
-			project:  sgf.NewProjector(q.Guard, q.Select),
-			outName:  q.Name,
-		}
-		if len(keys) <= 64 {
-			bitIdx := make(map[string]int, len(keys))
-			for i, k := range keys {
-				bitIdx[k] = i
-			}
-			spec.condBits = sgf.CompileCondition(q.Where, func(k string) (int, bool) {
-				i, ok := bitIdx[k]
-				return i, ok
-			})
-		}
-		qspecs[qi] = spec
 	}
+	return t.job(), nil
+}
 
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
-		var kb [24]byte // append-style shuffle keys, see NewMSJJob
-		for _, g := range guardRoles[input] {
-			if g.matcher.Matches(t) {
-				TupleVal{T: t}.Emit(emit, appendEvalKey(kb[:0], g.q, int64(id)))
-			}
-		}
-		if xr, ok := xRoles[input]; ok {
-			XIndex{Atom: xr.atom}.Emit(emit, appendEvalKey(kb[:0], xr.q, int64(t[0])))
-		}
+// evalOutput declares spec's output and returns its condition's bits:
+// atom i of the query is class i, the mark of X relation XNames[i].
+func (t *reconcile) evalOutput(spec EvalSpec) (map[string]int32, error) {
+	q := spec.Query
+	if err := t.output(q.Name, q.OutArity()); err != nil {
+		return nil, err
+	}
+	atoms := q.CondAtoms()
+	if len(atoms) != len(spec.XNames) {
+		return nil, fmt.Errorf("core: %s %s: query %s has %d atoms but %d X relations",
+			t.kind, t.name, q.Name, len(atoms), len(spec.XNames))
+	}
+	bits := make(map[string]int32, len(atoms))
+	for ai, a := range atoms {
+		bits[a.Key()] = int32(ai)
+	}
+	return bits, nil
+}
+
+// NewCombineFullJob builds EVAL with optimization (2) off — the final
+// job of the Hive / Pig semi-join plans and of the tuple-id ablation:
+// the X relations hold whole guard tuples rather than ids, so the guard
+// is joined with them on the whole tuple, the Boolean condition
+// evaluated, and the projection written. One query per job.
+func NewCombineFullJob(name string, spec EvalSpec) (*mr.Job, error) {
+	q := spec.Query
+	t := newReconcile("combine job", name)
+	bits, err := t.evalOutput(spec)
+	if err != nil {
+		return nil, err
+	}
+	whole := wholeTuple(q.Guard.Arity())
+	err = t.request(request{
+		input: q.Guard.Rel, guard: q.Guard,
+		key:   whole,
+		carry: on(q.Guard, q.Select), size: assertBytes, // a bare presence mark
+		cond: q.Where, bits: bits, out: q.Name,
 	})
-
-	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
-		q, _ := parseEvalKey(key)
-		spec := &qspecs[q]
-		// The guard and its projection live in stack scratch: the guard
-		// is only projected from, and Output.Add copies the projection.
-		var gb, ob [8]relation.Value
-		var guard relation.Tuple
-		if spec.condBits != nil {
-			// Hot path: collect verdicts as an atom-index bitmask and
-			// evaluate the compiled condition — no per-key allocations.
-			var mask uint64
-			for i := 0; i < msgs.Len(); i++ {
-				switch tag, p := msgs.At(i); tag {
-				case TagTupleVal:
-					guard = DecodeTupleVal(gb[:0], p).T
-				case TagXIndex:
-					mask |= uint64(1) << uint(DecodeXIndex(p).Atom)
-				}
-			}
-			if guard == nil {
-				// An X record without its guard re-read cannot happen in
-				// a well-formed plan; ignore defensively.
-				return
-			}
-			if spec.condBits(mask) {
-				out.Add(spec.outName, spec.project.AppendTo(ob[:0], guard))
-			}
-			return
-		}
-		truth := make(map[string]bool, len(spec.atomKeys))
-		for i := 0; i < msgs.Len(); i++ {
-			switch tag, p := msgs.At(i); tag {
-			case TagTupleVal:
-				guard = DecodeTupleVal(gb[:0], p).T
-			case TagXIndex:
-				truth[spec.atomKeys[DecodeXIndex(p).Atom]] = true
-			}
-		}
-		if guard == nil {
-			return
-		}
-		if sgf.EvalCondition(spec.cond, truth) {
-			out.Add(spec.outName, spec.project.AppendTo(ob[:0], guard))
-		}
-	})
-
-	return &mr.Job{
-		Name:    name,
-		Inputs:  inputs,
-		Outputs: outs,
-		Mapper:  mapper,
-		Reducer: reducer,
-		Packing: true,
-	}, nil
+	if err != nil {
+		return nil, err
+	}
+	for ai, xn := range spec.XNames {
+		t.assert(xn, assertRole{matcher: sgf.NewMatcher(q.Guard), key: whole, class: int32(ai)})
+	}
+	return t.job(), nil
 }

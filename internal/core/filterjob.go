@@ -28,68 +28,48 @@ type FilterStep struct {
 // NewFilterJob builds the one-round repartition (anti-)semi-join job of
 // §4.1 for a single step.
 func NewFilterJob(name string, step FilterStep) (*mr.Job, error) {
+	// A request is modelled like 1-ROUND's: the tuple behind a 4-byte
+	// query / disjunct tag.
+	return semiJoinJob("filter job", name, step, 4)
+}
+
+// NewSemiJoinFullJob builds step's job as Hive and Pig run it, and as
+// MSJ runs with optimization (2) off: the surviving guard tuples
+// themselves are shuffled and written, modelled as bare tuples.
+func NewSemiJoinFullJob(name string, step FilterStep) (*mr.Job, error) {
+	return semiJoinJob("semi-join job", name, step, 0)
+}
+
+func semiJoinJob(kind, name string, step FilterStep, tagBytes int64) (*mr.Job, error) {
 	if step.Out == step.GuardRel || step.Out == step.Cond.Rel {
-		return nil, fmt.Errorf("core: filter job %s: output %s occurs in a right-hand side", name, step.Out)
+		return nil, fmt.Errorf("core: %s %s: output %s occurs in a right-hand side", kind, name, step.Out)
 	}
+	t := newReconcile(kind, name)
+	carry := wholeTuple(step.Guard.Arity())
+	if step.Project != nil {
+		carry = on(step.Guard, step.Project)
+	}
+	if err := t.output(step.Out, carry.arity()); err != nil {
+		return nil, err
+	}
+	t.input(step.GuardRel) // the guard leads the read set
 	joinVars := sgf.SharedVars(step.Guard, step.Cond)
-	guardMatcher := sgf.NewMatcher(step.Guard)
-	guardProj := sgf.NewProjector(step.Guard, joinVars)
-	condMatcher := sgf.NewMatcher(step.Cond)
-	condProj := sgf.NewProjector(step.Cond, joinVars)
-
-	outArity := step.Guard.Arity()
-	var project sgf.Projector
-	projectSet := step.Project != nil
-	if projectSet {
-		project = sgf.NewProjector(step.Guard, step.Project)
-		outArity = len(step.Project)
+	var cond sgf.Condition = sgf.AtomCond{Atom: step.Cond}
+	if step.Negated {
+		cond = sgf.Not{C: cond}
 	}
-
-	inputs := []string{step.GuardRel}
-	if step.Cond.Rel != step.GuardRel {
-		inputs = append(inputs, step.Cond.Rel)
+	err := t.request(request{
+		input: step.GuardRel, guard: step.Guard,
+		key:   on(step.Guard, joinVars),
+		carry: carry, size: tupleTagByte + tagBytes + int64(carry.arity())*relation.BytesPerField,
+		cond: cond,
+		bits: map[string]int32{step.Cond.Key(): t.class(step.Cond, joinVars)},
+		out:  step.Out,
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
-		var kb [32]byte // append-style shuffle keys, see NewMSJJob
-		if input == step.GuardRel && guardMatcher.Matches(t) {
-			var ob [8]relation.Value // the projected output; Emit copies it
-			out := t
-			if projectSet {
-				out = project.AppendTo(ob[:0], t)
-			}
-			ReqTuple{Q: 0, Disjunct: -1, Out: out}.Emit(emit, guardProj.AppendKey(kb[:0], t))
-		}
-		if input == step.Cond.Rel && condMatcher.Matches(t) {
-			Assert{Class: 0}.Emit(emit, condProj.AppendKey(kb[:0], t))
-		}
-	})
-
-	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
-		asserted := false
-		for i := 0; i < msgs.Len() && !asserted; i++ {
-			tag, _ := msgs.At(i)
-			asserted = tag == TagAssert
-		}
-		if asserted == step.Negated {
-			return
-		}
-		var ob [8]relation.Value // each output fact; Output.Add copies it
-		for i := 0; i < msgs.Len(); i++ {
-			if tag, p := msgs.At(i); tag == TagReqTuple {
-				out.Add(step.Out, DecodeReqTuple(ob[:0], p).Out)
-			}
-		}
-	})
-
-	return &mr.Job{
-		Name:    name,
-		Inputs:  inputs,
-		Outputs: map[string]int{step.Out: outArity},
-		Mapper:  mapper,
-		Reducer: reducer,
-		Packing: true,
-	}, nil
+	return t.job(), nil
 }
 
 // NewUnionProjectJob builds the final job of a disjunctive SEQ plan: the

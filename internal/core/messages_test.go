@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -13,11 +14,12 @@ import (
 )
 
 // codecJob emits, for every input tuple (a, b), one message of each of
-// the five types under the key of (a), and its reducer decodes them
+// the three types under the key of (a), and its reducer decodes them
 // back into one output fact per message: the message's tag followed by
 // every decoded field. What comes out is exactly what went in iff the
 // typed encoders and decoders — and the engine's record form between
-// them — round-trip.
+// them — round-trip. (A Request is decoded in two steps, as the kernel
+// does: the verdict index, then the tuple at the arity the table gives.)
 func codecJob() *mr.Job {
 	return &mr.Job{
 		Name:    "codec",
@@ -26,31 +28,24 @@ func codecJob() *mr.Job {
 		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
 			var kb [16]byte
 			key := t[:1].AppendKey(kb[:0])
-			a, b := int64(t[0]), int64(t[1])
-			ReqID{Eq: int32(a), ID: b}.Emit(emit, key)
-			Assert{Class: int32(a)}.Emit(emit, key)
-			ReqTuple{Q: int32(a), Disjunct: -1, Out: relation.Tuple{t[1]}}.Emit(emit, key)
+			Request{Verdict: int32(t[0]), Tuple: t}.Emit(emit, key, reqIDBytes)
+			Assert{Class: int32(t[0])}.Emit(emit, key)
 			TupleVal{T: t}.Emit(emit, key)
-			XIndex{Atom: int32(b)}.Emit(emit, key)
 		}),
 		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
 			for i := 0; i < msgs.Len(); i++ {
 				tag, p := msgs.At(i)
 				fact := relation.Tuple{relation.Value(tag), 0, 0, 0}
 				switch tag {
-				case TagReqID:
-					m := DecodeReqID(p)
-					fact[1], fact[2] = relation.Value(m.Eq), relation.Value(m.ID)
+				case TagRequest:
+					v, rest := varint(p, "Request")
+					m := decodeValues(nil, rest, 2, "Request")
+					fact[1], fact[2], fact[3] = relation.Value(v), m[0], m[1]
 				case TagAssert:
 					fact[1] = relation.Value(DecodeAssert(p).Class)
-				case TagReqTuple:
-					m := DecodeReqTuple(nil, p)
-					fact[1], fact[2], fact[3] = relation.Value(m.Q), relation.Value(m.Disjunct), m.Out[0]
 				case TagTupleVal:
 					m := DecodeTupleVal(nil, p)
 					fact[1], fact[2] = m.T[0], m.T[1]
-				case TagXIndex:
-					fact[1] = relation.Value(DecodeXIndex(p).Atom)
 				}
 				out.Add("Out", fact)
 			}
@@ -73,11 +68,9 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	want := relation.New("Out", 4)
 	for _, r := range codecDB().Relation("R").Tuples() {
 		a, b := r[0], r[1]
-		want.Add(relation.Tuple{relation.Value(TagReqID), a, b, 0})
+		want.Add(relation.Tuple{relation.Value(TagRequest), a, a, b})
 		want.Add(relation.Tuple{relation.Value(TagAssert), a, 0, 0})
-		want.Add(relation.Tuple{relation.Value(TagReqTuple), a, -1, b})
 		want.Add(relation.Tuple{relation.Value(TagTupleVal), a, b, 0})
-		want.Add(relation.Tuple{relation.Value(TagXIndex), relation.Value(int32(b)), 0, 0})
 	}
 	for _, threshold := range []int64{-1, 1} {
 		e := mr.NewEngine(mr.Config{Cost: cost.Default(), SpillThreshold: threshold, SpillDir: t.TempDir()})
@@ -91,49 +84,147 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptPayloadIsErrSpill: a payload that does not decode fails the
-// run with an error matching mr.ErrSpill — the host's fault (500 at the
-// server), whichever of the five decoders met it — rather than an
-// untyped error or a panic. The damage is injected where a damaged
-// spill file would put it: between a real mapper and the real reducer.
+// vs encodes values as the signed varints every payload is made of.
+func vs(vals ...int64) []byte {
+	var p []byte
+	for _, v := range vals {
+		p = binary.AppendVarint(p, v)
+	}
+	return p
+}
+
+// shuffled is one hand-encoded shuffle record.
+type shuffled struct {
+	key     []byte
+	tag     byte
+	payload []byte
+}
+
+// reduceRecords runs job's real reducer over recs, which a stand-in
+// mapper emits for the one fact of the job's first input.
+func reduceRecords(job *mr.Job, recs []shuffled) error {
+	fed := *job
+	fed.Mapper = mr.MapperFunc(func(input string, id int, _ relation.Tuple, emit *mr.Emitter) {
+		if input == job.Inputs[0] {
+			for _, r := range recs {
+				emit.Emit(r.key, r.tag, 4, r.payload)
+			}
+		}
+	})
+	db := relation.NewDatabase()
+	for i, in := range job.Inputs {
+		rel := relation.New(in, 1)
+		if i == 0 {
+			rel.Add(relation.Tuple{0})
+		}
+		db.Put(rel)
+	}
+	_, _, err := runJob(context.Background(), mr.NewEngine(mr.Config{Cost: cost.Default()}), &fed, db)
+	return err
+}
+
+// TestCorruptPayloadIsErrSpill: a record that does not decode, or
+// decodes to an index its job's role table does not have, fails the run
+// with an error matching mr.ErrSpill — the host's fault (500 at the
+// server) — rather than an untyped error or an index-out-of-range panic
+// on the caller. The damage is injected where a damaged spill file
+// would put it: hand-encoded records in front of the real reducers of a
+// two-equation MSJ job, an EVAL job and a union job. Every group holds
+// a sound assert beside its request, so the verdict holds and the
+// carried tuple is decoded too.
 func TestCorruptPayloadIsErrSpill(t *testing.T) {
+	prog := sgf.MustParse(`Z := SELECT x FROM R(x, y) WHERE S(x) AND T(y);`)
+	q := prog.Queries[0]
+	msj, err := NewMSJJob("msj", ExtractEquations(prog.Queries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := NewEvalJob("eval", []EvalSpec{{Query: q, XNames: []string{"X0", "X1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	union, err := NewUnionProjectJob("union", "U", q.Guard, q.Select, []string{"R"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := vs(5)
+	request := shuffled{key, TagRequest, vs(0, 9)} // verdict 0, guard tuple id 9
+	assert := shuffled{key, TagAssert, vs(0)}
+	tupleVal := shuffled{key, TagTupleVal, append([]byte{1}, vs(5)...)} // arity 1, then the value
+	evalKey := vs(0, 9)                                                 // query 0, guard tuple id 9
+	evalRequest := shuffled{evalKey, TagRequest, vs(0, 5)}
+
+	type row struct {
+		name string
+		job  *mr.Job
+		recs []shuffled
+	}
+	// The harness is not what fails below: sound records run clean.
+	for _, r := range []row{
+		{"MSJ", msj, []shuffled{assert, request}},
+		{"EVAL", eval, []shuffled{{evalKey, TagAssert, vs(1)}, evalRequest}},
+		{"union", union, []shuffled{tupleVal}},
+	} {
+		if err := reduceRecords(r.job, r.recs); err != nil {
+			t.Fatalf("sound %s records: %v", r.name, err)
+		}
+	}
+
+	var rows []row
 	damages := map[string]func(p []byte) []byte{
 		"truncated":        func(p []byte) []byte { return p[:len(p)-1] },
 		"continuation bit": func(p []byte) []byte { p[len(p)-1] |= 0x80; return p },
 		"emptied":          func(p []byte) []byte { return nil },
 		"trailing byte":    func(p []byte) []byte { return append(p, 0) },
 	}
-	for tag := TagReqID; tag <= TagXIndex; tag++ {
-		for name, damage := range damages {
-			job := codecJob()
-			inner := job.Mapper
-			job.Mapper = mr.MapperFunc(func(input string, id int, tp relation.Tuple, emit *mr.Emitter) {
-				inner.Map(input, id, tp, mr.WrapEmit(func(key []byte, tg byte, size int64, payload []byte) {
-					if tg == tag {
-						payload = damage(payload)
-					}
-					emit.Emit(key, tg, size, payload)
-				}))
-			})
-			e := mr.NewEngine(mr.Config{Cost: cost.Default()})
-			_, _, err := runJob(context.Background(), e, job, codecDB())
-			if !errors.Is(err, mr.ErrSpill) {
-				t.Errorf("tag %d, %s payload: err = %v, want mr.ErrSpill", tag, name, err)
-			}
+	for name, damage := range damages {
+		bad := func(r shuffled) shuffled {
+			r.payload = damage(append([]byte(nil), r.payload...))
+			return r
+		}
+		rows = append(rows,
+			row{"Request payload " + name, msj, []shuffled{assert, bad(request)}},
+			row{"Assert payload " + name, msj, []shuffled{bad(assert), request}},
+			row{"TupleVal payload " + name, union, []shuffled{bad(tupleVal)}},
+		)
+	}
+	// Valid varints, indexes the table does not have. 7e 02 is verdict
+	// 63 — of a two-equation job.
+	rows = append(rows,
+		row{"Request verdict 63 of 2", msj, []shuffled{assert, {key, TagRequest, []byte{0x7e, 0x02}}}},
+		row{"Request verdict -1", msj, []shuffled{assert, {key, TagRequest, vs(-1, 9)}}},
+		row{"Request of two values for a unary output", msj, []shuffled{assert, {key, TagRequest, vs(0, 9, 9)}}},
+		row{"Assert class 2 of 2", msj, []shuffled{{key, TagAssert, vs(2)}, request}},
+		row{"Assert class 63 of 2", msj, []shuffled{{key, TagAssert, vs(63)}, request}},
+		row{"Assert class -1", msj, []shuffled{{key, TagAssert, vs(-1)}, request}},
+		// EVAL keys are (query, guard tuple id) and lead with the
+		// request's own verdict index; this job has one query.
+		row{"EVAL request verdict 1 of 1", eval, []shuffled{{vs(1, 9), TagRequest, vs(1, 5)}}},
+		row{"EVAL key of another query", eval, []shuffled{{vs(1, 9), TagRequest, vs(0, 5)}}},
+		row{"EVAL key emptied", eval, []shuffled{{nil, TagRequest, vs(0, 5)}}},
+		row{"EVAL key unterminated", eval, []shuffled{{[]byte{0x80}, TagRequest, vs(0, 5)}}},
+		row{"EVAL mark 2 of 2", eval, []shuffled{{evalKey, TagAssert, vs(2)}, evalRequest}},
+	)
+	for _, r := range rows {
+		if err := reduceRecords(r.job, r.recs); !errors.Is(err, mr.ErrSpill) {
+			t.Errorf("%s: err = %v, want mr.ErrSpill", r.name, err)
 		}
 	}
 }
 
 // TestMSJHotPathAllocatesNothing is the allocation guard of the one
-// record form, on the production path end to end: NewMSJJob's real
-// mapper emitting ReqID and Assert through the real Emitter, and its
-// messages walked and decoded through the real Group view inside a real
-// reduce task. Nothing is pre-boxed or pre-built: a per-record
-// interface box, an escaping key or payload buffer, or a per-message
-// decode allocation each show up as ≥ 1 allocation per call.
+// record form, on the production path end to end: the kernel's real
+// mapper — as MSJ plain and salted, EVAL, 1-ROUND in both modes and the
+// SEQ filter fill its table — emitting Request and Assert through the
+// real Emitter, and an MSJ job's messages walked and decoded through
+// the real Group view inside a real reduce task. Nothing is pre-boxed
+// or pre-built: a per-record interface box, an escaping key or payload
+// buffer, a closure built per fact, or a per-message decode allocation
+// each show up as ≥ 1 allocation per call.
 func TestMSJHotPathAllocatesNothing(t *testing.T) {
 	prog := sgf.MustParse(`Z := SELECT x FROM R(x, y) WHERE S(x) AND T(y);`)
-	job, err := NewMSJJob("msj", ExtractEquations(prog.Queries))
+	eqs := ExtractEquations(prog.Queries)
+	job, err := NewMSJJob("msj", eqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,19 +237,54 @@ func TestMSJHotPathAllocatesNothing(t *testing.T) {
 	db.Put(relation.FromTuples("R", 2, r))
 	db.Put(relation.FromTuples("S", 1, s))
 	db.Put(relation.FromTuples("T", 1, s))
+	guard, cond := db.Relation("R").Tuple(5), db.Relation("S").Tuple(1)
 
 	// Map side. The record slice doubles and the arena rolls over now
 	// and then; AllocsPerRun reports whole allocations per call, so that
 	// amortized growth reads 0 and anything per record reads ≥ 1.
-	var em mr.Emitter
-	guard := db.Relation("R").Tuple(5)
-	job.Mapper.Map("R", 5, guard, &em) // warm: the first arena chunk
-	if allocs := testing.AllocsPerRun(2000, func() { job.Mapper.Map("R", 5, guard, &em) }); allocs != 0 {
-		t.Errorf("MSJ mapper allocates %v per guard fact (2 ReqID emitted), want 0", allocs)
+	salted, err := NewMSJJobSkew("msj", eqs, map[string]bool{string(guard[:1].AppendKey(nil)): true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cond := db.Relation("S").Tuple(1)
-	if allocs := testing.AllocsPerRun(2000, func() { job.Mapper.Map("S", 1, cond, &em) }); allocs != 0 {
-		t.Errorf("MSJ mapper allocates %v per conditional fact (1 Assert emitted), want 0", allocs)
+	par, err := ParPlan("par", prog.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewOneRoundJob("shared", sgf.MustParse(`Z := SELECT y FROM R(x, y) WHERE S(x) AND NOT T(x);`).Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disjunctive, err := NewOneRoundJob("disjunctive", sgf.MustParse(`Z := SELECT y FROM R(x, y) WHERE S(x) OR T(y);`).Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := SeqPlan("seq", prog.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what  string
+		job   *mr.Job
+		input string
+		fact  relation.Tuple
+	}{
+		{"MSJ guard fact", job, "R", guard},
+		{"MSJ conditional fact", job, "S", cond},
+		{"salted MSJ guard fact on a heavy key", salted, "R", guard},
+		{"salted MSJ conditional fact on a heavy key", salted, "S", cond},
+		{"EVAL guard fact", par.Jobs[2], "R", guard},
+		{"EVAL mark", par.Jobs[2], XName("Z", 1), relation.Tuple{5}},
+		{"shared-key 1-ROUND guard fact", shared, "R", guard},
+		{"disjunctive 1-ROUND guard fact", disjunctive, "R", guard},
+		{"1-ROUND conditional fact", disjunctive, "T", cond},
+		{"filter guard fact", seq.Jobs[0], "R", guard},
+		{"filter conditional fact", seq.Jobs[0], "S", cond},
+	} {
+		var em mr.Emitter
+		c.job.Mapper.Map(c.input, 5, c.fact, &em) // warm: the first arena chunk
+		if allocs := testing.AllocsPerRun(2000, func() { c.job.Mapper.Map(c.input, 5, c.fact, &em) }); allocs != 0 {
+			t.Errorf("%s: mapper allocates %v per fact, want 0", c.what, allocs)
+		}
 	}
 
 	// Reduce side: measured from inside the reduce task, on the group
@@ -169,8 +295,9 @@ func TestMSJHotPathAllocatesNothing(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() {
 			for i := 0; i < msgs.Len(); i++ {
 				switch tag, p := msgs.At(i); tag {
-				case TagReqID:
-					sum += DecodeReqID(p).ID
+				case TagRequest:
+					v, _ := varint(p, "Request")
+					sum += v
 				case TagAssert:
 					sum += int64(DecodeAssert(p).Class)
 				}
@@ -192,12 +319,12 @@ func TestMSJHotPathAllocatesNothing(t *testing.T) {
 
 // TestReducersAllocateNothingPerOutputFact is the reduce-side sibling
 // of TestMSJHotPathAllocatesNothing for the facts a reducer writes: the
-// real MSJ, EVAL, 1-ROUND and filter reducers, re-run on the group and
-// the Output the engine handed them. The first call has stored every
-// fact, so the output relations need no growth, and what is left is
-// decode, projection and Output.Add — a tuple built per output fact
-// (Tuple.Project, a fresh decode, an idTuple that escapes) reads as
-// ≥ 1 allocation per call.
+// kernel's real reducer as MSJ, EVAL, 1-ROUND in both modes and the
+// filter fill its table, re-run on the group and the Output the engine
+// handed it. The first call has stored every fact, so the output
+// relations need no growth, and what is left is the bit set, decode and
+// Output.Add — a set that escapes, or a tuple built per output fact (a
+// fresh decode), reads as ≥ 1 allocation per call.
 func TestReducersAllocateNothingPerOutputFact(t *testing.T) {
 	prog := sgf.MustParse(`Z := SELECT y, x FROM R(x, y) WHERE S(x) AND T(y);`)
 	db := relation.NewDatabase()
@@ -218,11 +345,15 @@ func TestReducersAllocateNothingPerOutputFact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dis, err := OneRoundPlan("dis", sgf.MustParse(`Z := SELECT y, x FROM R(x, y) WHERE S(x) OR NOT T(y);`).Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seq, err := SeqPlan("seq", prog.Queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, plan := range []*Plan{par, one, seq} {
+	for _, plan := range []*Plan{par, one, dis, seq} {
 		facts := 0
 		for _, job := range plan.Jobs {
 			name, real := job.Name, job.Reducer

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 
-	"repro/internal/mr"
 	"repro/internal/relation"
 	"repro/internal/sgf"
 )
@@ -13,10 +12,12 @@ import (
 // [to skew] when information on so-called heavy hitters is available or
 // can be computed at the expense of an additional round." This file
 // implements that adaptation for MSJ jobs: heavy join keys are detected
-// by sampling the guard relations; requests on a heavy key are salted
-// across saltFactor sub-keys (spreading the hot reducer's load), and the
-// small assert messages are replicated to every salt — semantics are
-// unchanged, reduce-side balance improves. Salting divides a hot key's
+// by sampling the guard relations and handed to the job's role table
+// (NewMSJJobSkew); where the kernel's mapper emits (reconcile.Map),
+// requests on a heavy key are salted across saltFactor sub-keys
+// (spreading the hot reducer's load), and the small assert messages are
+// replicated to every salt — semantics are unchanged, reduce-side
+// balance improves. Salting divides a hot key's
 // group, which the engine's runtime range splitting (mr/split.go) cannot
 // — a key group is one Reduce call — so the two are independent: a
 // salted plan runs the same under any engine configuration.
@@ -86,44 +87,6 @@ func saltOf(id int64, factor int) int {
 	binary.LittleEndian.PutUint64(b[:], uint64(id))
 	h.Write(b[:])
 	return int(h.Sum32() % uint32(factor))
-}
-
-// NewMSJJobSkew builds an MSJ job with heavy-hitter mitigation: for
-// requests whose join key is heavy, the key is salted by the guard
-// tuple id; asserts on a heavy key are replicated to every salt. Keys
-// outside the heavy set behave exactly as in NewMSJJob.
-func NewMSJJobSkew(name string, eqs []Equation, heavy map[string]bool) (*mr.Job, error) {
-	base, err := NewMSJJob(name, eqs)
-	if err != nil {
-		return nil, err
-	}
-	if len(heavy) == 0 {
-		return base, nil
-	}
-	inner := base.Mapper
-	base.Mapper = mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
-		// sb holds the salted key: key is the wrapping emitter's scratch,
-		// valid only inside the callback, and the replicated-assert loop
-		// reuses the same base key.
-		var sb [48]byte
-		inner.Map(input, id, t, mr.WrapEmit(func(key []byte, tag byte, size int64, payload []byte) {
-			switch {
-			case !heavy[string(key)]: // map lookup, no allocation
-				emit.Emit(key, tag, size, payload)
-			case tag == TagReqID:
-				salt := saltOf(DecodeReqID(payload).ID, saltFactor)
-				emit.Emit(appendSalt(append(sb[:0], key...), salt), tag, size, payload)
-			case tag == TagAssert:
-				for s := 0; s < saltFactor; s++ {
-					emit.Emit(appendSalt(append(sb[:0], key...), s), tag, size, payload)
-				}
-			default:
-				emit.Emit(key, tag, size, payload)
-			}
-		}))
-	})
-	base.Name = name + "+skew"
-	return base, nil
 }
 
 // SkewAwareBasicPlan is BasicPlan salting the heavy join keys it

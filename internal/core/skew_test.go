@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/refeval"
 	"repro/internal/relation"
 	"repro/internal/sgf"
+	"repro/internal/workload"
 )
 
 // skewedDB builds a guard whose join column has one dominant value
@@ -176,6 +178,132 @@ func TestSaltedPlanIgnoresEngineSplit(t *testing.T) {
 	}
 	if !reflect.DeepEqual(onStats, offStats) {
 		t.Errorf("salted plan stats depend on the engine's split setting:\n%+v\nvs\n%+v", onStats, offStats)
+	}
+}
+
+// keyGroup is what a recording reducer saw in one Reduce call.
+type keyGroup struct {
+	requests int
+	asserts  map[int32]int // class → assert messages
+}
+
+// recordGroups runs job with a recording reducer in place of the real
+// one and returns every key group it was handed.
+func recordGroups(t *testing.T, job *mr.Job, db *relation.Database) map[string]keyGroup {
+	t.Helper()
+	var mu sync.Mutex
+	groups := make(map[string]keyGroup)
+	recording := *job
+	recording.Reducer = mr.ReducerFunc(func(key []byte, msgs *mr.Group, _ *mr.Output) {
+		g := keyGroup{asserts: make(map[int32]int)}
+		for i := 0; i < msgs.Len(); i++ {
+			switch tag, p := msgs.At(i); tag {
+			case TagRequest:
+				g.requests++
+			case TagAssert:
+				g.asserts[DecodeAssert(p).Class]++
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := groups[string(key)]; dup {
+			t.Errorf("%s: key %x reduced twice", job.Name, key)
+		}
+		groups[string(key)] = g
+	})
+	if _, _, err := runJob(context.Background(), newTestEngine(cost.Default().Scaled(0.0003)), &recording, db); err != nil {
+		t.Fatal(err)
+	}
+	return groups
+}
+
+// TestSaltingIsParallelCorrect checks the redistribution argument of
+// the reconcile kernel on the salted plan, in the sense of Geck et al.
+// (parallel-correctness): every fact a Reduce call needs to decide a
+// request meets it at one reducer. What each join key's group must
+// hold is computed from the data, what it does hold is recorded from
+// the real mapper's output: every group holding a request of a heavy
+// join key holds each assert class of that key exactly once, the heavy
+// key's requests are spread over more than one group, and the light
+// keys' groups are the plain job's, untouched.
+func TestSaltingIsParallelCorrect(t *testing.T) {
+	for _, wl := range []workload.Workload{workload.A1(), workload.A2()} {
+		wl.Zipf = 0.8
+		db := wl.Build(0.0003)
+		eqs := ExtractEquations(wl.Program.Queries)
+		heavy := DetectHeavyKeys(eqs, db)
+		if len(heavy) == 0 {
+			t.Fatalf("%s: no heavy key in a Zipf(0.8) guard", wl.Name)
+		}
+		plain, err := NewMSJJob("plain", eqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		salted, err := NewMSJJobSkew("salted", eqs, heavy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := recordGroups(t, plain, db), recordGroups(t, salted, db)
+
+		// classesAt[k]: the assert classes with a conditional fact at
+		// join key k, classes numbered in order of first mention.
+		classesAt := make(map[string]map[int32]bool)
+		classOf := make(map[string]int32)
+		for _, e := range eqs {
+			ck := e.AssertClassKey()
+			if _, seen := classOf[ck]; seen {
+				continue
+			}
+			classOf[ck] = int32(len(classOf))
+			matcher, proj := sgf.NewMatcher(e.Cond), sgf.NewProjector(e.Cond, e.JoinVars)
+			for _, f := range db.Relation(e.Cond.Rel).Tuples() {
+				if matcher.Matches(f) {
+					k := proj.Apply(f).Key()
+					if classesAt[k] == nil {
+						classesAt[k] = make(map[int32]bool)
+					}
+					classesAt[k][classOf[ck]] = true
+				}
+			}
+		}
+
+		for k := range heavy {
+			if _, ok := got[k]; ok {
+				t.Errorf("%s: heavy key %x still has an unsalted group", wl.Name, k)
+			}
+			requests, spread := 0, 0
+			for s := 0; s < saltFactor; s++ {
+				sk := string(appendSalt([]byte(k), s))
+				g, ok := got[sk]
+				delete(got, sk)
+				if !ok {
+					continue
+				}
+				if g.requests > 0 {
+					spread++
+					requests += g.requests
+				}
+				for c := range classesAt[k] {
+					if g.asserts[c] != 1 {
+						t.Errorf("%s: heavy key %x, salt %d: class %d asserted %d times, want once", wl.Name, k, s, c, g.asserts[c])
+					}
+				}
+				if len(g.asserts) != len(classesAt[k]) {
+					t.Errorf("%s: heavy key %x, salt %d: asserts %v, want exactly the classes %v", wl.Name, k, s, g.asserts, classesAt[k])
+				}
+			}
+			if requests != want[k].requests {
+				t.Errorf("%s: heavy key %x: %d requests over its salts, the plain job sends %d", wl.Name, k, requests, want[k].requests)
+			}
+			if want[k].requests > 1 && spread < 2 {
+				t.Errorf("%s: heavy key %x: %d requests in %d group(s), not spread", wl.Name, k, requests, spread)
+			}
+			delete(want, k)
+		}
+		// What is left are the light keys: no group gained, lost or changed.
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: salting changed the light keys' groups: %d groups, the plain job has %d", wl.Name, len(got), len(want))
+		}
 	}
 }
 

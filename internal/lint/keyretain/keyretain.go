@@ -1,22 +1,18 @@
-// Package keyretain flags reducer and emit-wrapper callbacks that retain
-// engine-owned shuffle bytes — the key, a payload, or the message view
-// that hands payloads out — beyond the callback.
+// Package keyretain flags reducer callbacks that retain engine-owned
+// shuffle bytes — the key, a payload, or the message view that hands
+// payloads out — beyond the callback.
 //
-// Contract (see docs/INVARIANTS.md and the mr.Reducer/mr.Emitter
-// godoc): the key and payload bytes live in shuffle buffers the engine
+// Contract (see docs/INVARIANTS.md and the mr.Reducer godoc): the key and payload bytes live in shuffle buffers the engine
 // reuses or releases when the callback returns, and the *mr.Group view
 // is re-pointed at the next key group, so none of them may be stored
 // past the callback's return without an explicit copy — string(key),
 // append([]byte(nil), key...), bytes.Clone — while decoded values
-// (core.DecodeReqID(p), a tuple decoded with a nil destination) are
+// (core.DecodeAssert(p), a tuple decoded with a nil destination) are
 // copies and may be retained freely.
 //
 // The analyzer identifies callbacks by signature: any function or
 // literal with parameters ([]byte, *mr.Group, *mr.Output) is
-// reducer-shaped, and any with ([]byte, byte, int64, []byte) outside
-// the engine package itself is emit-wrapper-shaped (an mr.EmitFunc; the
-// engine's own Emitter.Emit owns the arena and is exempt). Within a
-// callback it taints the owned parameters, every []byte a method of the
+// reducer-shaped. Within a callback it taints the owned parameters, every []byte a method of the
 // tainted view returns, and every local alias, then reports stores that
 // outlive the call: assignment to a captured, package-level,
 // receiver-field or otherwise non-local location, append of an
@@ -35,7 +31,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "keyretain",
-	Doc:  "flags reducer/emit-wrapper callbacks that retain the engine-owned key, payload bytes or message view beyond the callback",
+	Doc:  "flags reducer callbacks that retain the engine-owned key, payload bytes or message view beyond the callback",
 	Run:  run,
 }
 
@@ -64,10 +60,9 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// ownedParams returns the engine-owned parameters of a callback-shaped
-// function type: {key, msgs} for reducer shapes, {key, payload} for
-// emit-wrapper shapes, nil for everything else. The map value names
-// the parameter in diagnostics.
+// ownedParams returns the engine-owned parameters of a reducer-shaped
+// function type, {key, msgs}, and nil for everything else. The map
+// value names the parameter in diagnostics.
 func ownedParams(pass *analysis.Pass, ftype *ast.FuncType) map[types.Object]string {
 	var params []*ast.Ident
 	var ptypes []types.Type
@@ -92,12 +87,7 @@ func ownedParams(pass *analysis.Pass, ftype *ast.FuncType) map[types.Object]stri
 		lintutil.IsByteSlice(ptypes[0]) &&
 		lintutil.PtrToNamed(ptypes[1], "mr", "Group") &&
 		lintutil.PtrToNamed(ptypes[2], "mr", "Output")
-	emitShaped := len(ptypes) == 4 &&
-		lintutil.IsByteSlice(ptypes[0]) &&
-		isBasic(ptypes[1], types.Uint8) && isBasic(ptypes[2], types.Int64) &&
-		lintutil.IsByteSlice(ptypes[3]) &&
-		pass.Pkg.Name() != "mr" // the engine implements Emit and owns the arena
-	if !reducerShaped && !emitShaped {
+	if !reducerShaped {
 		return nil
 	}
 	owned := make(map[types.Object]string)
@@ -110,17 +100,8 @@ func ownedParams(pass *analysis.Pass, ftype *ast.FuncType) map[types.Object]stri
 		}
 	}
 	add(params[0], "key")
-	if reducerShaped {
-		add(params[1], "msgs")
-	} else {
-		add(params[3], "payload")
-	}
+	add(params[1], "msgs")
 	return owned
-}
-
-func isBasic(t types.Type, kind types.BasicKind) bool {
-	b, ok := types.Unalias(t).(*types.Basic)
-	return ok && b.Kind() == kind
 }
 
 // checker tracks the taint state for one callback body.
@@ -149,7 +130,7 @@ func (c *checker) scan(report bool) {
 		case *ast.FuncLit:
 			// Nested literals run synchronously unless launched by a
 			// go statement (handled at the GoStmt below); don't
-			// descend — their own reducer/emit shapes are matched
+			// descend — their own reducer shapes are matched
 			// independently by run.
 			return false
 		case *ast.AssignStmt:

@@ -82,8 +82,8 @@ func checkBody(pass *analysis.Pass, rng *ast.RangeStmt) {
 // a description or "".
 func callSink(pass *analysis.Pass, call *ast.CallExpr) string {
 	// Emitting: any call handed the map task's *mr.Emitter — the typed
-	// encoders (core.ReqID{...}.Emit(emit, key)), a wrapped mapper — or
-	// Emitter.Emit itself.
+	// encoders (core.Assert{...}.Emit(emit, key)), a mapper called by
+	// another — or Emitter.Emit itself.
 	for _, arg := range call.Args {
 		if t := pass.TypesInfo.TypeOf(arg); t != nil && lintutil.PtrToNamed(t, "mr", "Emitter") {
 			return "map-ordered emit"

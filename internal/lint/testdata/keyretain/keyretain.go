@@ -52,17 +52,6 @@ var reducerFuncLit = mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Out
 
 var retained []byte
 
-// wrapEmit exercises the emit-wrapper shape ([]byte, byte, int64,
-// []byte): a mapper-side wrapper may retain neither the key nor the
-// payload — both are the wrapping emitter's reused scratch.
-func wrapEmit(emit *mr.Emitter, seen *[][]byte) *mr.Emitter {
-	return mr.WrapEmit(func(key []byte, tag byte, size int64, payload []byte) {
-		*seen = append(*seen, key)         // want `engine-owned key \[\]byte stored`
-		*seen = append(*seen, payload)     // want `engine-owned payload \[\]byte stored`
-		emit.Emit(key, tag, size, payload) // synchronous passthrough is fine
-	})
-}
-
 // suppressed pins the //lint:ignore machinery: no want comment, so an
 // unsuppressed diagnostic here fails the suite.
 var suppressed = mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {

@@ -11,10 +11,6 @@ type Emitter struct{}
 
 func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {}
 
-type EmitFunc func(key []byte, tag byte, size int64, payload []byte)
-
-func WrapEmit(fn EmitFunc) *Emitter { return &Emitter{} }
-
 type Group struct{}
 
 func (g *Group) Len() int { return 0 }

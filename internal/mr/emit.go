@@ -20,14 +20,6 @@ var arenaLadder = [...]int{4 << 10, 16 << 10}
 // key, opening the next chunk of the ladder when the current one cannot
 // hold it. See Emitter for the ownership and accounting rules.
 func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
-	if e.wrap != nil {
-		// The wrapper sees a copy: handing it the caller's slices
-		// through a function value would force every mapper's stack
-		// buffers onto the heap, wrapped or not.
-		e.scratch = append(append(e.scratch[:0], key...), payload...)
-		e.wrap(e.scratch[:len(key):len(key)], tag, size, e.scratch[len(key):])
-		return
-	}
 	size += KeyBytes(key) // the one place a record's modelled size is fixed
 	if e.counting {
 		e.records++

@@ -114,8 +114,8 @@ func TestSegmentCorruption(t *testing.T) {
 // FuzzRecordCodec round-trips records through the segment writer (the
 // real shuffle task) and the one reader, resident and spilled, and feeds
 // the reader arbitrary bytes. The engine never interprets a payload, so
-// the five message types of internal/core are five byte shapes here —
-// the seeds mirror their layouts (varint pairs, varint runs, empty) —
+// the message types of internal/core are byte shapes here — the seeds
+// mirror their layouts (varint pairs, varint runs, empty) —
 // and every other shape the fuzzer finds must survive just the same.
 func FuzzRecordCodec(f *testing.F) {
 	vs := func(vals ...int64) []byte {
@@ -125,11 +125,11 @@ func FuzzRecordCodec(f *testing.F) {
 		}
 		return b
 	}
-	f.Add([]byte("k"), byte(1), int64(12), vs(3, 1<<40), []byte{})                          // ReqID: Eq, ID
+	f.Add([]byte("k"), byte(1), int64(12), vs(3, 1<<40), []byte{})                          // Request: verdict, tuple id
 	f.Add(vs(7, -7), byte(2), int64(4), vs(63), []byte{1, 0, 0, 2})                         // Assert: Class
-	f.Add([]byte{}, byte(3), int64(36), vs(2, -1, 5, 6, 7), []byte{0x80})                   // ReqTuple: Q, Disjunct, Out...
-	f.Add(bytes.Repeat([]byte{0xff}, 70), byte(4), int64(42), vs(1, 2, 3, 4), []byte{9, 9}) // TupleVal: T...
-	f.Add([]byte{0}, byte(5), int64(4), vs(-1), binary.AppendUvarint(nil, 1<<62))           // XIndex: Atom
+	f.Add([]byte{}, byte(3), int64(36), vs(2, -1, 5, 6, 7), []byte{0x80})                   // Request: verdict, tuple...
+	f.Add(bytes.Repeat([]byte{0xff}, 70), byte(4), int64(42), vs(1, 2, 3, 4), []byte{9, 9}) // TupleVal: arity, T...
+	f.Add([]byte{0}, byte(5), int64(4), vs(-1), binary.AppendUvarint(nil, 1<<62))           // Assert: a class out of range
 	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
 		size &= math.MaxInt64 >> 1 // a modelled size is a byte count
 		var em Emitter

@@ -34,9 +34,6 @@ import (
 // length.
 //
 // Ownership: both slices are the caller's again when Emit returns.
-// The mirror-image rule for emit wrappers (EmitFunc) — the key and
-// payload they receive are engine-owned and reused — is enforced by
-// the keyretain analyzer (docs/INVARIANTS.md).
 type Emitter struct {
 	set    recordSet // stored records and the arena chunks they point into
 	used   int       // bytes taken from the last chunk
@@ -46,23 +43,7 @@ type Emitter struct {
 	// bytes, store nothing.
 	counting       bool
 	records, bytes int64
-
-	// wrap, when set, receives every record instead (WrapEmit).
-	wrap    EmitFunc
-	scratch []byte
 }
-
-// EmitFunc is the shape of an emit wrapper: a mapper-side function that
-// inspects or rewrites records on their way to an Emitter (see
-// WrapEmit). key and payload are engine-owned scratch, valid only
-// until the function returns.
-type EmitFunc func(key []byte, tag byte, size int64, payload []byte)
-
-// WrapEmit returns an emitter that hands every record to fn instead of
-// storing it; fn forwards what it keeps to the emitter it wraps. This
-// is how one mapper decorates another's output (core's salted MSJ
-// mapper).
-func WrapEmit(fn EmitFunc) *Emitter { return &Emitter{wrap: fn} }
 
 // Mapper processes one input fact. The same Mapper instance is used
 // concurrently by multiple map tasks and must be stateless or internally

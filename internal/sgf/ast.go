@@ -338,69 +338,88 @@ func EvalCondition(c Condition, truth map[string]bool) bool {
 	return c.eval(func(k string) bool { return truth[k] })
 }
 
-// CompileCondition compiles c into an allocation-free evaluator over a
-// uint64 truth mask: bit positions are assigned by bitOf, which maps an
-// atom's canonical Key to its position (0–63). This is the reducer-side
-// hot path of the EVAL and one-round jobs — EvalCondition allocates a
-// truth map per key group, the compiled closure tree allocates nothing
-// per call. Returns nil (callers fall back to EvalCondition) when any
-// atom is unmapped or a position falls outside the mask; a nil
-// condition compiles to constantly true. The two evaluators agree on
-// every condition and mask (TestCompileConditionMatchesEval).
-func CompileCondition(c Condition, bitOf func(atomKey string) (int, bool)) func(mask uint64) bool {
-	if c == nil {
-		return func(uint64) bool { return true }
-	}
-	return compileCond(c, bitOf)
+// CompiledCondition is a condition compiled over a bit set: every atom
+// is a bit position, and Eval walks the node tree with a concrete
+// method, so the words a caller keeps on its stack stay there. This is
+// the reducer-side form of every job that reconciles verdicts —
+// EvalCondition allocates a truth map per call and is the reference the
+// compiled form is checked against (TestCompileConditionMatchesEval).
+type CompiledCondition struct {
+	op   condOp
+	bit  int                 // opAtom: the atom's position in the bit set
+	subs []CompiledCondition // opNot: one; opAnd, opOr: the operands
 }
 
-func compileCond(c Condition, bitOf func(string) (int, bool)) func(uint64) bool {
+type condOp byte
+
+const (
+	opTrue condOp = iota
+	opAtom
+	opNot
+	opAnd
+	opOr
+)
+
+// CompileCondition compiles c over the bit positions bitOf assigns to
+// its atoms' canonical keys. An atom bitOf does not map, or maps below
+// zero, is an error: the caller built the wrong table. A nil condition
+// (absent WHERE clause) compiles to constantly true.
+func CompileCondition(c Condition, bitOf func(atomKey string) (int, bool)) (CompiledCondition, error) {
 	switch x := c.(type) {
+	case nil:
+		return CompiledCondition{op: opTrue}, nil
 	case AtomCond:
 		pos, ok := bitOf(x.Atom.Key())
-		if !ok || pos < 0 || pos > 63 {
-			return nil
+		if !ok || pos < 0 {
+			return CompiledCondition{}, fmt.Errorf("sgf: atom %s has no bit position", x.Atom)
 		}
-		m := uint64(1) << uint(pos)
-		return func(mask uint64) bool { return mask&m != 0 }
+		return CompiledCondition{op: opAtom, bit: pos}, nil
 	case Not:
-		inner := compileCond(x.C, bitOf)
-		if inner == nil {
-			return nil
-		}
-		return func(mask uint64) bool { return !inner(mask) }
+		return compileNary(opNot, []Condition{x.C}, bitOf)
 	case And:
-		subs := make([]func(uint64) bool, len(x.Cs))
-		for i, sc := range x.Cs {
-			if subs[i] = compileCond(sc, bitOf); subs[i] == nil {
-				return nil
-			}
-		}
-		return func(mask uint64) bool {
-			for _, s := range subs {
-				if !s(mask) {
-					return false
-				}
-			}
-			return true
-		}
+		return compileNary(opAnd, x.Cs, bitOf)
 	case Or:
-		subs := make([]func(uint64) bool, len(x.Cs))
-		for i, sc := range x.Cs {
-			if subs[i] = compileCond(sc, bitOf); subs[i] == nil {
-				return nil
-			}
-		}
-		return func(mask uint64) bool {
-			for _, s := range subs {
-				if s(mask) {
-					return true
-				}
-			}
-			return false
+		return compileNary(opOr, x.Cs, bitOf)
+	}
+	return CompiledCondition{}, fmt.Errorf("sgf: cannot compile condition %T", c)
+}
+
+func compileNary(op condOp, cs []Condition, bitOf func(string) (int, bool)) (CompiledCondition, error) {
+	n := CompiledCondition{op: op, subs: make([]CompiledCondition, len(cs))}
+	for i, c := range cs {
+		var err error
+		if n.subs[i], err = CompileCondition(c, bitOf); err != nil {
+			return CompiledCondition{}, err
 		}
 	}
-	return nil
+	return n, nil
+}
+
+// Eval computes the condition over bits, where atom position p is bit
+// p%64 of word p/64. bits must span every position the condition was
+// compiled over.
+func (c *CompiledCondition) Eval(bits []uint64) bool {
+	switch c.op {
+	case opAtom:
+		return bits[c.bit>>6]>>(uint(c.bit)&63)&1 != 0
+	case opNot:
+		return !c.subs[0].Eval(bits)
+	case opAnd:
+		for i := range c.subs {
+			if !c.subs[i].Eval(bits) {
+				return false
+			}
+		}
+		return true
+	case opOr:
+		for i := range c.subs {
+			if c.subs[i].Eval(bits) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // Relations returns the distinct relation symbols mentioned in c.

@@ -182,10 +182,12 @@ func TestMatcherTrivial(t *testing.T) {
 	}
 }
 
-// TestCompileConditionMatchesEval checks the compiled bitmask evaluator
-// agrees with EvalCondition on every truth assignment of a set of
+// TestCompileConditionMatchesEval checks the compiled evaluator agrees
+// with EvalCondition on every truth assignment of a set of
 // representative conditions (the reducer hot path must be a pure
-// strength reduction).
+// strength reduction), wherever the atoms' bits sit: at the start of
+// the set, and spread over positions 63, 64, 127 and 128 — either side
+// of the first two word boundaries.
 func TestCompileConditionMatchesEval(t *testing.T) {
 	conds := []string{
 		`Z := SELECT x FROM R(x, y) WHERE S(x);`,
@@ -196,42 +198,48 @@ func TestCompileConditionMatchesEval(t *testing.T) {
 		`Z := SELECT x FROM R(x, y) WHERE (S(x) AND NOT T(x) AND NOT U(x)) OR (NOT S(x) AND T(x) AND NOT U(x)) OR (NOT S(x) AND NOT T(x) AND U(x));`,
 		`Z := SELECT x FROM R(x, y) WHERE S(x) AND S(y) AND NOT (T(x) OR U(y));`,
 	}
+	layouts := [][]int{{0, 1, 2, 3}, {63, 64, 127, 128}, {128, 63, 0, 64}}
 	for _, src := range conds {
 		q := MustParse(src).Queries[0]
 		atoms := q.CondAtoms()
-		bitIdx := make(map[string]int, len(atoms))
-		keys := make([]string, len(atoms))
-		for i, a := range atoms {
-			bitIdx[a.Key()] = i
-			keys[i] = a.Key()
-		}
-		compiled := CompileCondition(q.Where, func(k string) (int, bool) {
-			i, ok := bitIdx[k]
-			return i, ok
-		})
-		if compiled == nil {
-			t.Fatalf("%s: CompileCondition returned nil", src)
-		}
-		for mask := uint64(0); mask < 1<<len(atoms); mask++ {
-			truth := make(map[string]bool, len(atoms))
-			for i, k := range keys {
-				truth[k] = mask&(1<<i) != 0
+		for _, layout := range layouts {
+			bitIdx := make(map[string]int, len(atoms))
+			for i, a := range atoms {
+				bitIdx[a.Key()] = layout[i]
 			}
-			if got, want := compiled(mask), EvalCondition(q.Where, truth); got != want {
-				t.Errorf("%s: mask %b: compiled=%v eval=%v", src, mask, got, want)
+			compiled, err := CompileCondition(q.Where, func(k string) (int, bool) {
+				i, ok := bitIdx[k]
+				return i, ok
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			for mask := 0; mask < 1<<len(atoms); mask++ {
+				truth := make(map[string]bool, len(atoms))
+				bits := make([]uint64, 3)
+				for i, a := range atoms {
+					if mask&(1<<i) != 0 {
+						truth[a.Key()] = true
+						bits[layout[i]/64] |= 1 << (layout[i] % 64)
+					}
+				}
+				if got, want := compiled.Eval(bits), EvalCondition(q.Where, truth); got != want {
+					t.Errorf("%s: layout %v, mask %b: compiled=%v eval=%v", src, layout, mask, got, want)
+				}
 			}
 		}
 	}
-	// Nil condition (absent WHERE) is constantly true.
-	if f := CompileCondition(nil, func(string) (int, bool) { return 0, false }); !f(0) {
-		t.Error("nil condition should compile to true")
+	// Nil condition (absent WHERE) is constantly true, over no bits at all.
+	if c, err := CompileCondition(nil, func(string) (int, bool) { return 0, false }); err != nil || !c.Eval(nil) {
+		t.Errorf("nil condition: err %v, want constantly true", err)
 	}
-	// Unmapped atoms refuse to compile (callers fall back).
-	q := MustParse(`Z := SELECT x FROM R(x, y) WHERE S(x);`).Queries[0]
-	if f := CompileCondition(q.Where, func(string) (int, bool) { return 0, false }); f != nil {
-		t.Error("unmapped atom should fail compilation")
+	// An atom without a position is a build error, not a silent fallback.
+	q := MustParse(`Z := SELECT x FROM R(x, y) WHERE S(x) AND NOT T(y);`).Queries[0]
+	sOnly := func(k string) (int, bool) { return 0, k == q.CondAtoms()[0].Key() }
+	if _, err := CompileCondition(q.Where, sOnly); err == nil {
+		t.Error("unmapped atom compiled")
 	}
-	if f := CompileCondition(q.Where, func(string) (int, bool) { return 64, true }); f != nil {
-		t.Error("out-of-range bit should fail compilation")
+	if _, err := CompileCondition(q.Where, func(string) (int, bool) { return -1, true }); err == nil {
+		t.Error("negative bit position compiled")
 	}
 }

@@ -73,25 +73,27 @@ func (c wideCase) build() (*Query, *Database) {
 	return MustParse("Z := SELECT x, y FROM R(x, y) WHERE " + strings.Join(lits, op) + ";"), db
 }
 
-// TestWideConditions is the differential test of the reducers' paths
-// for conditions past 64 atoms: EVAL and the 1-ROUND job reconcile
-// verdicts through a 64-bit mask up to 64 atoms / assert classes and
-// through maps beyond, and MSJ does the same once GREEDY groups more
-// than 64 equations into one job (at the default scale it groups them
-// all). Both sides of the boundary must agree with the reference
-// evaluator under every strategy that applies.
+// TestWideConditions is the differential test of the reconcile
+// reducer's one path across the word boundaries of its bit set: EVAL and
+// the 1-ROUND job collect verdicts into one uint64 word up to 64 atoms /
+// assert classes, two up to 128 (both on the stack) and a heap slice
+// beyond, and MSJ does the same once GREEDY groups more than 64
+// equations into one job (at the default scale it groups them all).
+// Every side of both boundaries must agree with the reference evaluator
+// under every strategy that applies.
 //
 // Greedy-BSGF planning is cubic in the number of atoms — 0.2 s at 64,
 // 1.8 s at 130, whatever the relation sizes — and the MSJ job it builds
 // sees neither the connectives nor the negations (EVAL does), so GREEDY
-// runs on the plain AND case either side of the boundary only. Auto's
-// choice is checked everywhere; where it is 1-ROUND it is also run.
+// runs on the plain AND case either side of the first boundary only.
+// Auto's choice is checked everywhere; where it is 1-ROUND it is also
+// run.
 func TestWideConditions(t *testing.T) {
 	sys := New()
-	for _, n := range []int{63, 64, 65, 130} {
-		boundary := n == 64 || n == 65
+	for _, n := range []int{63, 64, 65, 128, 129, 130} {
+		boundary := n == 64 || n == 65 || n == 128 || n == 129
 		cases := []wideCase{
-			{n: n, greedy: boundary}, {n: n, negate: true},
+			{n: n, greedy: n == 64 || n == 65}, {n: n, negate: true},
 			{n: n, or: true}, {n: n, or: true, negate: true},
 		}
 		if boundary {
