@@ -95,7 +95,10 @@ func TestGadgetBruteForceOptimum(t *testing.T) {
 	a := []int{2, 3, 4}
 	g := SubsetSumGadget(a)
 	est := g.Estimator()
-	_, best := est.BruteForceSGF(g.Program)
+	_, best, err := est.BruteForceSGF(g.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(best/g.Unit-float64(g.Gamma)) > 1e-6 {
 		t.Errorf("optimal sort cost = %v units, want γ=%d", best/g.Unit, g.Gamma)
 	}

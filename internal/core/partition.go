@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -77,17 +78,32 @@ func OneGroup(n int) [][]int {
 	return [][]int{g}
 }
 
+// ErrPlanTooLarge is returned by the exact planners (BruteForceBSGF,
+// BruteForceSGF and OptPlan, built on the first) for an input past their
+// enumeration limit; the message states the limit and the size. Both
+// problems are NP-complete (Theorems 1 and 2), so the limit is
+// principled, and on the server the size is a client's choice.
+var ErrPlanTooLarge = errors.New("core: too large to plan by exhaustive enumeration")
+
+// The exact planners' limits: Bell(12) is 4.2 million set partitions.
+const (
+	maxBruteForceEquations = 12
+	maxBruteForceQueries   = 10
+)
+
 // BruteForceBSGF solves BSGF-Opt exactly by enumerating every set
 // partition of the equations (Bell-number many; the decision problem is
 // NP-complete, Theorem 1) and returning a minimum-cost partition. It is
-// intended for small n (tests and the optimal baselines of §5).
-func (e *Estimator) BruteForceBSGF(eqs []Equation) ([][]int, float64) {
+// intended for small n (tests and the optimal baselines of §5) and
+// returns ErrPlanTooLarge past maxBruteForceEquations.
+func (e *Estimator) BruteForceBSGF(eqs []Equation) ([][]int, float64, error) {
 	n := len(eqs)
 	if n == 0 {
-		return nil, 0
+		return nil, 0, nil
 	}
-	if n > 12 {
-		panic(fmt.Sprintf("core: BruteForceBSGF on %d equations would enumerate too many partitions", n))
+	if n > maxBruteForceEquations {
+		return nil, 0, fmt.Errorf("%w: OPT enumerates every grouping of at most %d semi-joins, this query has %d",
+			ErrPlanTooLarge, maxBruteForceEquations, n)
 	}
 	var best [][]int
 	bestCost := 0.0
@@ -128,7 +144,7 @@ func (e *Estimator) BruteForceBSGF(eqs []Equation) ([][]int, float64) {
 	}
 	rec(0, 0)
 	sortPartition(best)
-	return best, bestCost
+	return best, bestCost, nil
 }
 
 // PartitionCost prices a partition: Σ over groups of the MSJ job cost.

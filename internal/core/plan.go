@@ -188,10 +188,14 @@ func (e *Estimator) GreedyPlan(name string, queries []*sgf.BSGF) (*Plan, error) 
 	return BasicPlan(name, StrategyGreedy, queries, eqs, e.GreedyBSGF(eqs), nil)
 }
 
-// OptPlan is BasicPlan with the brute-force optimal partition (OPT).
+// OptPlan is BasicPlan with the brute-force optimal partition (OPT); it
+// fails with ErrPlanTooLarge where BruteForceBSGF does.
 func (e *Estimator) OptPlan(name string, queries []*sgf.BSGF) (*Plan, error) {
 	eqs := ExtractEquations(queries)
-	part, _ := e.BruteForceBSGF(eqs)
+	part, _, err := e.BruteForceBSGF(eqs)
+	if err != nil {
+		return nil, err
+	}
 	return BasicPlan(name, StrategyOpt, queries, eqs, part, nil)
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -138,7 +141,10 @@ func TestGreedyVsBruteForce(t *testing.T) {
 		if !ValidPartition(greedyPart, len(eqs)) {
 			t.Fatalf("trial %d: invalid greedy partition %s", trial, PartitionString(greedyPart))
 		}
-		optPart, optCost := est.BruteForceBSGF(eqs)
+		optPart, optCost, err := est.BruteForceBSGF(eqs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ValidPartition(optPart, len(eqs)) {
 			t.Fatalf("trial %d: invalid opt partition", trial)
 		}
@@ -288,7 +294,10 @@ func TestGreedySGFMatchesBruteForceOnSmallPrograms(t *testing.T) {
 		t.Fatal("invalid greedy sort")
 	}
 	greedyCost := est.SortCost(prog, greedySort)
-	_, optCost := est.BruteForceSGF(prog)
+	_, optCost, err := est.BruteForceSGF(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if optCost > greedyCost+1e-9 {
 		t.Errorf("brute force %v worse than greedy %v", optCost, greedyCost)
 	}
@@ -304,5 +313,34 @@ func TestGreedySGFMatchesBruteForceOnSmallPrograms(t *testing.T) {
 	// H); so the sort has at most 4 groups.
 	if len(greedySort) > 4 {
 		t.Errorf("greedy sort %v did not merge overlapping queries", greedySort)
+	}
+}
+
+// TestBruteForceLimitsAreErrors: past their enumeration limits the exact
+// planners return ErrPlanTooLarge, naming the limit and the size, where
+// they used to panic — on the server the size is a client's choice.
+func TestBruteForceLimitsAreErrors(t *testing.T) {
+	var conds []string
+	var prog strings.Builder
+	for i := 0; i <= maxBruteForceEquations; i++ {
+		conds = append(conds, fmt.Sprintf("S(x, a%d)", i))
+	}
+	for i := 0; i <= maxBruteForceQueries; i++ {
+		fmt.Fprintf(&prog, "Z%d := SELECT x FROM R(x, y) WHERE S(x, y);\n", i)
+	}
+	db := relation.NewDatabase()
+	est := NewEstimator(cost.Default(), cost.Gumbo, db, nil)
+
+	q := sgf.MustParse("Z := SELECT x FROM R(x, y) WHERE " + strings.Join(conds, " OR ") + ";").Queries
+	for _, call := range []func() error{
+		func() error { _, _, err := est.BruteForceBSGF(ExtractEquations(q)); return err },
+		func() error { _, err := est.OptPlan("opt", q); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrPlanTooLarge) || !strings.Contains(err.Error(), "at most 12 semi-joins, this query has 13") {
+			t.Errorf("13 equations: %v, want ErrPlanTooLarge stating 12 and 13", err)
+		}
+	}
+	if _, _, err := est.BruteForceSGF(sgf.MustParse(prog.String())); !errors.Is(err, ErrPlanTooLarge) || !strings.Contains(err.Error(), "at most 10 queries, this program has 11") {
+		t.Errorf("11 queries: %v, want ErrPlanTooLarge stating 10 and 11", err)
 	}
 }

@@ -96,11 +96,12 @@ func (e *Estimator) SortCost(p *sgf.Program, s sgf.MultiwaySort) float64 {
 // BruteForceSGF solves SGF-Opt exactly: it enumerates every multiway
 // topological sort (as partitions; Theorem 2 shows the decision problem
 // is NP-complete) and returns one with minimal cost. Intended for small
-// programs.
-func (e *Estimator) BruteForceSGF(p *sgf.Program) (sgf.MultiwaySort, float64) {
+// programs: past maxBruteForceQueries it returns ErrPlanTooLarge.
+func (e *Estimator) BruteForceSGF(p *sgf.Program) (sgf.MultiwaySort, float64, error) {
 	g := sgf.BuildDepGraph(p)
-	if g.N > 10 {
-		panic(fmt.Sprintf("core: BruteForceSGF on %d queries would enumerate too many sorts", g.N))
+	if g.N > maxBruteForceQueries {
+		return nil, 0, fmt.Errorf("%w: the exact planner enumerates every multiway sort of at most %d queries, this program has %d",
+			ErrPlanTooLarge, maxBruteForceQueries, g.N)
 	}
 	var best sgf.MultiwaySort
 	bestCost := 0.0
@@ -112,7 +113,7 @@ func (e *Estimator) BruteForceSGF(p *sgf.Program) (sgf.MultiwaySort, float64) {
 		}
 		return true
 	})
-	return best, bestCost
+	return best, bestCost, nil
 }
 
 // SeqUnitSort places every query in its own group, in definition order

@@ -186,7 +186,10 @@ func OptimalVsGreedy(ctx context.Context, cfg Config) (*Table, error) {
 		eqs := core.ExtractEquations(wl.Program.Queries)
 		greedyPart := est.GreedyBSGF(eqs)
 		greedyCost := est.PartitionCost(eqs, greedyPart)
-		_, optCost := est.BruteForceBSGF(eqs)
+		_, optCost, err := est.BruteForceBSGF(eqs)
+		if err != nil {
+			return nil, err
+		}
 		ratio := 1.0
 		if optCost > 0 {
 			ratio = greedyCost / optCost

@@ -76,7 +76,10 @@ func Figure5(ctx context.Context, cfg Config) (*Table, error) {
 		est := coreEstimator(cfg, wl, db)
 		greedy := core.GreedySGF(wl.Program)
 		greedyCost := est.SortCost(wl.Program, greedy)
-		_, optCost := est.BruteForceSGF(wl.Program)
+		_, optCost, err := est.BruteForceSGF(wl.Program)
+		if err != nil {
+			return nil, err
+		}
 		t.AddNote("%s: Greedy-SGF sort cost %.1f vs brute-force optimal %.1f (ratio %.3f)",
 			wl.Name, greedyCost, optCost, greedyCost/optCost)
 	}

@@ -69,7 +69,7 @@ func cancelScenario(sys *gumbo.System, sc Scenario, width int) (int, string) {
 
 	// Golden run, counting task grants (deterministic per plan+data).
 	var grants atomic.Int64
-	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(int) { grants.Add(1) }})
+	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(context.Context, int) { grants.Add(1) }})
 	golden, err := sys.RunPlan(plan, db)
 	restore()
 	if err != nil {
@@ -87,7 +87,7 @@ func cancelScenario(sys *gumbo.System, sc Scenario, width int) (int, string) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var n atomic.Int64
-	restore = mr.SetFaultHooks(mr.FaultHooks{Grant: func(i int) {
+	restore = mr.SetFaultHooks(mr.FaultHooks{Grant: func(_ context.Context, i int) {
 		n.Add(1)
 		if i == k {
 			cancel()

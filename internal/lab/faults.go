@@ -102,7 +102,7 @@ func faultScenario(sys *gumbo.System, sc Scenario, spillDir string) (checks int,
 
 	// Golden run: grant count, charged total, reference result.
 	var grants atomic.Int64
-	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(int) { grants.Add(1) }})
+	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(context.Context, int) { grants.Add(1) }})
 	golden, err := sys.RunPlan(plan, db)
 	restore()
 	if err != nil {
@@ -148,7 +148,7 @@ func faultScenario(sys *gumbo.System, sc Scenario, spillDir string) (checks int,
 	checks++
 	k := rnd.Intn(total)
 	sentinel := fmt.Sprintf("lab: injected fault %s@%d", sc.Name, k)
-	restore = mr.SetFaultHooks(mr.FaultHooks{Grant: func(i int) {
+	restore = mr.SetFaultHooks(mr.FaultHooks{Grant: func(_ context.Context, i int) {
 		if i == k {
 			panic(sentinel)
 		}

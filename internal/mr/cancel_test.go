@@ -19,7 +19,7 @@ import (
 func countTaskGrants(t *testing.T, width int) int {
 	t.Helper()
 	var grants atomic.Int64
-	restore := SetFaultHooks(FaultHooks{Grant: func(int) { grants.Add(1) }})
+	restore := SetFaultHooks(FaultHooks{Grant: func(context.Context, int) { grants.Add(1) }})
 	defer restore()
 	p, db := diamondProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
@@ -117,7 +117,7 @@ func TestCancelAtEveryTaskBoundary(t *testing.T) {
 			var canceled atomic.Bool
 			var late atomic.Int64
 			ctx, cancel := context.WithCancel(context.Background())
-			restore := SetFaultHooks(FaultHooks{Grant: func(n int) {
+			restore := SetFaultHooks(FaultHooks{Grant: func(_ context.Context, n int) {
 				if canceled.Load() {
 					late.Add(1)
 				}
@@ -186,7 +186,7 @@ func TestCancelAtEveryTaskBoundary(t *testing.T) {
 // the run begins grants zero tasks and returns context.Canceled.
 func TestCancelBeforeStart(t *testing.T) {
 	var grants atomic.Int64
-	restore := SetFaultHooks(FaultHooks{Grant: func(int) { grants.Add(1) }})
+	restore := SetFaultHooks(FaultHooks{Grant: func(context.Context, int) { grants.Add(1) }})
 	defer restore()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -206,7 +206,7 @@ func TestCancelBeforeStart(t *testing.T) {
 func TestRunJobCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	restore := SetFaultHooks(FaultHooks{Grant: func(n int) {
+	restore := SetFaultHooks(FaultHooks{Grant: func(_ context.Context, n int) {
 		if n == 1 {
 			cancel()
 		}
@@ -234,7 +234,7 @@ func TestRunJobCancel(t *testing.T) {
 func TestDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	restore := SetFaultHooks(FaultHooks{Grant: func(n int) {
+	restore := SetFaultHooks(FaultHooks{Grant: func(_ context.Context, n int) {
 		if n == 0 {
 			<-ctx.Done() // park until the deadline fires
 		}
@@ -291,7 +291,7 @@ func TestProgressCounters(t *testing.T) {
 	// and never report done > total within a stage.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	restore := SetFaultHooks(FaultHooks{Grant: func(n int) {
+	restore := SetFaultHooks(FaultHooks{Grant: func(_ context.Context, n int) {
 		if n == wantMaps/2 {
 			cancel()
 		}

@@ -29,12 +29,14 @@ import (
 // its key and payload bytes plus a pointer-free reference to them
 // (group.go). Mappers emit both into a grow-only per-map-task arena
 // through the concrete Emitter (zero allocations per record, sizes
-// fixed once at emit), keys are hashed with an inlined FNV-1a, a
-// shuffle task lays its records out as per-reducer byte segments in one
-// buffer with counted two-pass placement (spill.go — the layout a spill
-// file has, so spilling is one write), reduce-side grouping is
-// sort-based with an MSD radix sort on the key bytes (group.go,
-// radix.go), reducers walk a view over the segment bytes, and job
+// fixed once at emit), keys are hashed with an inlined FNV-1a, message
+// packing is an accounting pass over a per-worker key set that moves no
+// record (packRecords), a shuffle task lays its records out as
+// per-reducer byte segments in one buffer with counted two-pass
+// placement (spill.go — the layout a spill file has, so spilling is one
+// write), records are ordered once, in the reduce task — sort-based
+// grouping with an MSD radix sort on the key bytes (group.go,
+// radix.go) — reducers walk a view over the segment bytes, and job
 // outputs merge through a counted, pre-sized merge (relation.Merge).
 // Every goroutine a run starts is a pool worker (or the pool's
 // cancellation watcher): tasks never fan out on their own, so panic

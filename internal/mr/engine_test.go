@@ -3,7 +3,10 @@ package mr
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
+	"maps"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -122,35 +125,89 @@ func TestRunJobDeterministic(t *testing.T) {
 	}
 }
 
+// TestPackingReducesRecordsAndBytes is the packing differential at the
+// engine: the same job with Packing on and off hands its reducers the
+// same groups and writes the same output, and the measured Records and
+// InterMB differ by exactly what the map-based definition says — per
+// map task, one record per distinct key and each key's bytes once.
 func TestPackingReducesRecordsAndBytes(t *testing.T) {
-	// Many tuples share few keys: packing shrinks records and bytes but
-	// must not change the output.
-	var tuples []relation.Tuple
-	for i := int64(0); i < 500; i++ {
-		tuples = append(tuples, tup(i, i%5))
+	var r, s []relation.Tuple
+	for i := int64(0); i < 3000; i++ {
+		r = append(r, tup(i, i%40*100)) // many tuples share few keys
+		if i < 30 {
+			s = append(s, tup(i*200))
+		}
 	}
 	db := relation.NewDatabase()
-	db.Put(relation.FromTuples("R", 2, tuples))
-	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(0), tup(1)}))
+	db.Put(relation.FromTuples("R", 2, r))
+	db.Put(relation.FromTuples("S", 1, s))
+	keyCol := []int{1, 0} // semijoinJob's key column per input
 
-	e := newTestEngine(cost.Default())
-	e.cfg.Workers = 1 // one map task per split; splits are size-based
-	outPlain, statsPlain, err := runJob(context.Background(), e, semijoinJob(false), db)
-	if err != nil {
-		t.Fatal(err)
+	e := newTestEngine(cost.Default().Scaled(0.00005)) // several map tasks over R
+	run := func(packing bool) (*relation.Database, JobStats, map[string]string) {
+		job := semijoinJob(packing)
+		reduce := job.Reducer
+		var mu sync.Mutex
+		groups := make(map[string]string)
+		job.Reducer = ReducerFunc(func(key []byte, msgs *Group, out *Output) {
+			var trace string
+			for i := 0; i < msgs.Len(); i++ {
+				trace += fmt.Sprintf("%d,", intAt(msgs, i))
+			}
+			mu.Lock()
+			groups[string(key)] = trace
+			mu.Unlock()
+			reduce.Reduce(key, msgs, out)
+		})
+		out, stats, err := runJob(context.Background(), e, job, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, stats, groups
 	}
-	outPacked, statsPacked, err := runJob(context.Background(), e, semijoinJob(true), db)
-	if err != nil {
-		t.Fatal(err)
+	outPlain, plain, groupsPlain := run(false)
+	outPacked, packed, groupsPacked := run(true)
+	if !outPlain.Relation("Z").Equal(outPacked.Relation("Z")) || outPlain.Relation("Z").Size() == 0 {
+		t.Error("packing changed the job output (or the job selects nothing)")
 	}
-	if !outPlain.Relation("Z").Equal(outPacked.Relation("Z")) {
-		t.Error("packing changed the job output")
+	if !maps.Equal(groupsPlain, groupsPacked) {
+		t.Error("packing changed the groups the reducers saw")
 	}
-	if statsPacked.Records() >= statsPlain.Records() {
-		t.Errorf("packing did not reduce records: %d vs %d", statsPacked.Records(), statsPlain.Records())
+	if plain.Parts[0].Mappers < 3 {
+		t.Fatalf("R ran as %d map tasks: the oracle below needs several", plain.Parts[0].Mappers)
 	}
-	if statsPacked.InterMB() >= statsPlain.InterMB() {
-		t.Errorf("packing did not reduce bytes: %v vs %v", statsPacked.InterMB(), statsPlain.InterMB())
+	for part, rel := range []*relation.Relation{db.Relation("R"), db.Relation("S")} {
+		var wantRecords int64
+		var wantPlainMB, wantPackedMB float64
+		n, m := rel.Size(), plain.Parts[part].Mappers
+		for task := 0; task < m; task++ {
+			seen := make(map[relation.Value]bool)
+			var plainBytes, packedBytes int64
+			for i := n * task / m; i < n*(task+1)/m; i++ {
+				v := rel.Tuple(i)[keyCol[part]]
+				kb := KeyBytes(v.AppendKey(nil))
+				plainBytes += kb + 8
+				packedBytes += 8
+				if !seen[v] {
+					seen[v] = true
+					packedBytes += kb
+				}
+			}
+			wantRecords += int64(len(seen))
+			wantPlainMB += mbOf(plainBytes)
+			wantPackedMB += mbOf(packedBytes)
+		}
+		pl, pk := plain.Parts[part], packed.Parts[part]
+		if pl.Records != int64(n) || pl.InterMB != wantPlainMB {
+			t.Errorf("%s unpacked: %d records, %v MB; oracle %d, %v", pl.Input, pl.Records, pl.InterMB, n, wantPlainMB)
+		}
+		if pk.Records != wantRecords || pk.InterMB != wantPackedMB {
+			t.Errorf("%s packed: %d records, %v MB; oracle %d, %v", pk.Input, pk.Records, pk.InterMB, wantRecords, wantPackedMB)
+		}
+	}
+	if packed.Records() >= plain.Records() || packed.InterMB() >= plain.InterMB() {
+		t.Errorf("packing saved nothing: %d records / %v MB against %d / %v",
+			packed.Records(), packed.InterMB(), plain.Records(), plain.InterMB())
 	}
 }
 

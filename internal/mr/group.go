@@ -69,7 +69,7 @@ func keyPrefix(key []byte) uint64 {
 // radix.go). Both paths produce the same total key order — plain
 // lexicographic byte order — and both are unstable within one key
 // (duplicate-key runs collapse); arrival order within each run is
-// restored afterwards with a cheap integer sort by the callers. The
+// restored afterwards with a cheap integer sort by forEachGroup. The
 // refs, the radix scatter scratch and the index itself are sc's: the
 // result is valid, and the caller's to reorder, until sc's next sort.
 func sortIndexByKey(sc *taskScratch, s *recordSet) []int32 {
@@ -95,16 +95,6 @@ func sortIndexByKey(sc *taskScratch, s *recordSet) []int32 {
 	return idx
 }
 
-// runEnd returns the end of the key run starting at idx[i].
-func runEnd(s *recordSet, idx []int32, i int) int {
-	key := s.key(int(idx[i]))
-	j := i + 1
-	for j < len(idx) && bytes.Equal(s.key(int(idx[j])), key) {
-		j++
-	}
-	return j
-}
-
 // forEachGroup walks a sorted index (from sortIndexByKey) as key runs
 // and calls fn once per distinct key, in ascending key order, with a
 // view of the key's messages in arrival order. Grouping a whole
@@ -114,44 +104,57 @@ func runEnd(s *recordSet, idx []int32, i int) int {
 func forEachGroup(s *recordSet, idx []int32, fn func(key []byte, msgs *Group)) {
 	g := Group{set: s}
 	for i := 0; i < len(idx); {
-		j := runEnd(s, idx, i)
+		key := s.key(int(idx[i]))
+		j := i + 1
+		for j < len(idx) && bytes.Equal(s.key(int(idx[j])), key) {
+			j++
+		}
 		g.run = idx[i:j]
 		slices.Sort(g.run) // arrival order within the key
-		fn(s.key(int(g.run[0])), &g)
+		fn(key, &g)
 		i = j
 	}
 }
 
 // packRecords applies the message-packing optimization (§5.1 opt (1)) to
-// one map task's output: the records are reordered by key (arrival order
-// within a key), so the messages sharing a key are adjacent — that
-// adjacency is the packed run, there is no other representation — and
-// the run's key is charged once: every record after a run's first drops
-// its key bytes from its size. It returns the number of runs, which is
-// what the job's record count measures. Keys come out in ascending
-// rather than first-occurrence order; the engine's accounting and the
-// reduce phase are insensitive to record order (bytes are summed,
-// reducers re-sort), so measured stats and outputs are unchanged. The
-// permuted array comes from sc's free list and the one it replaces goes
-// back there once the copy is complete.
+// one map task's output. Packing needs to know which messages share a
+// key, not where they sit, so it is an accounting pass in arrival order
+// over a key set: the first record of each key keeps its key bytes in
+// its size, every later one drops them, and the number of distinct keys
+// — what the job's record count measures — is returned. No record
+// moves; the reduce task's sort is the engine's only ordering.
+//
+// The set is sc.keys, open addressing with linear probing at load ≤ 1/2
+// in the shape of relation.find: a slot holds the index + 1 of the first
+// record carrying its key, 0 when empty, and a probe that lands on a
+// used slot compares key bytes. Its hash is hashKey, fixed and unkeyed
+// over client-chosen values exactly as relation.hashRow and the reducer
+// partitioning are: crafted collisions lengthen the probes of the
+// crafting query's own map tasks (one input split each, under its
+// deadline) and nothing else. A keyed hash/maphash variant measured
+// 1.2–3.3× slower on this pass (CHANGES.md, PR 21) and protects nothing
+// those two leave open, so it was not taken.
 func packRecords(sc *taskScratch, s *recordSet) int64 {
-	idx := sortIndexByKey(sc, s)
-	out := sc.takeRecords(len(idx))[:len(idx)]
-	var runs int64
-	for i := 0; i < len(idx); runs++ {
-		j := runEnd(s, idx, i)
-		run := idx[i:j]
-		slices.Sort(run) // arrival order within the key
-		kb := KeyBytes(s.key(int(run[0])))
-		for k, id := range run {
-			out[i+k] = s.recs[id]
-			if k > 0 {
-				out[i+k].size -= kb
-			}
-		}
-		i = j
+	size := 1
+	for size < 2*len(s.recs) {
+		size <<= 1
 	}
-	sc.putRecords(s.recs) // a swap, not a copy: the permuted array replaces it
-	s.recs = out
+	slots := grow(&sc.keys, size)
+	clear(slots)
+	mask := uint32(size - 1)
+	var runs int64
+	for i := range s.recs {
+		key := s.key(i)
+		h := hashKey(key) & mask
+		for slots[h] != 0 && !bytes.Equal(s.key(int(slots[h])-1), key) {
+			h = (h + 1) & mask
+		}
+		if slots[h] == 0 {
+			slots[h] = int32(i + 1)
+			runs++
+		} else {
+			s.recs[i].size -= KeyBytes(key)
+		}
+	}
 	return runs
 }

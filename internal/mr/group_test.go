@@ -3,8 +3,11 @@ package mr
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // kv is one test record: a key and an int message (see emitInt).
@@ -100,56 +103,148 @@ func TestForEachGroupMatchesMapGrouping(t *testing.T) {
 	}
 }
 
-// TestPackRecordsMatchesMapPacking checks packing against the map-based
-// definition: one run per distinct key, the key charged once per run,
-// payload bytes all kept, and the groups a reducer sees unchanged.
+// checkPacking runs packRecords over kvs on sc and holds it to the
+// map-based definition of packing in first-occurrence terms: record
+// order untouched, exactly the first record of each key keeps its key
+// bytes, runs = distinct keys, and the groups a reducer sees unchanged.
+func checkPacking(t *testing.T, sc *taskScratch, kvs []kv) {
+	t.Helper()
+	s := setOf(kvs)
+	before := slices.Clone(s.recs)
+	runs := packRecords(sc, s)
+	if len(s.recs) != len(kvs) {
+		t.Fatalf("packing left %d records of %d", len(s.recs), len(kvs))
+	}
+	seen := make(map[string]bool)
+	for i, r := range kvs {
+		want := before[i]
+		if seen[r.key] {
+			want.size -= KeyBytes([]byte(r.key))
+		}
+		seen[r.key] = true
+		if s.recs[i] != want {
+			t.Fatalf("record %d (key %q): %+v, want %+v", i, r.key, s.recs[i], want)
+		}
+	}
+	if runs != int64(len(seen)) {
+		t.Fatalf("packed %d runs, want %d distinct keys", runs, len(seen))
+	}
+	if gt, wt := groupTrace(s), refTrace(kvs); gt != wt {
+		t.Fatalf("packing diverged after grouping:\n got %s\nwant %s", gt, wt)
+	}
+}
+
 func TestPackRecordsMatchesMapPacking(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var warm taskScratch
 	for trial := 0; trial < 50; trial++ {
 		kvs := randomKVs(rng, rng.Intn(300), rng.Intn(15)+1)
-		perKey := make(map[string]int64)
-		var wantBytes int64
-		for _, r := range kvs {
-			if perKey[r.key] == 0 {
-				wantBytes += KeyBytes([]byte(r.key))
-			}
-			perKey[r.key]++
-			wantBytes += 8
-		}
-		s := setOf(kvs)
-		runs := packRecords(&taskScratch{}, s)
-		var gotBytes int64
-		for i := range s.recs {
-			want := int64(8) // a run's later records carry payload bytes only
-			if i == 0 || string(s.key(i-1)) != string(s.key(i)) {
-				want += KeyBytes(s.key(i))
-			}
-			if s.recs[i].size != want {
-				t.Fatalf("trial %d: record %d (key %q): size %d, want %d", trial, i, s.key(i), s.recs[i].size, want)
-			}
-			gotBytes += s.recs[i].size
-		}
-		if runs != int64(len(perKey)) || gotBytes != wantBytes || len(s.recs) != len(kvs) {
-			t.Fatalf("trial %d: packed %d runs/%d bytes/%d messages, want %d/%d/%d",
-				trial, runs, gotBytes, len(s.recs), len(perKey), wantBytes, len(kvs))
-		}
-		// Same groups in the same per-key message order once grouped —
-		// the only property the reduce phase observes.
-		if gt, wt := groupTrace(s), refTrace(kvs); gt != wt {
-			t.Fatalf("trial %d: packing diverged after grouping:\n got %s\nwant %s", trial, gt, wt)
-		}
+		checkPacking(t, &taskScratch{}, kvs)
+		checkPacking(t, &warm, kvs)
 	}
 }
 
 func TestPackRecordsEmptyAndSingle(t *testing.T) {
-	if runs := packRecords(&taskScratch{}, &recordSet{}); runs != 0 {
-		t.Errorf("packRecords(empty) = %d runs", runs)
+	checkPacking(t, &taskScratch{}, nil)
+	checkPacking(t, &taskScratch{}, []kv{{"k", 1}})
+}
+
+// searchKeys returns the first n keys "c0", "c1", … that keep accepts.
+func searchKeys(n int, keep func(key string) bool) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		if k := fmt.Sprintf("c%d", i); keep(k) {
+			keys = append(keys, k)
+		}
 	}
-	s := setOf([]kv{{"k", 1}})
-	if runs := packRecords(&taskScratch{}, s); runs != 1 || len(s.recs) != 1 || s.recs[0].size != KeyBytes([]byte("k"))+8 {
-		t.Errorf("packRecords(single) = %d runs, records %+v", runs, s.recs)
+	return keys
+}
+
+// TestPackRecordsCollidingKeys feeds the key set distinct keys that
+// share a home slot — equal low hash bits at the table size their task
+// gets, and pairs equal in all 32 bits of hashKey — each repeated, so
+// only the key comparison on a hit tells them apart.
+func TestPackRecordsCollidingKeys(t *testing.T) {
+	repeated := func(keys []string) []kv {
+		var kvs []kv
+		for rep := 0; rep < 3; rep++ {
+			for _, k := range keys {
+				kvs = append(kvs, kv{k, int64(len(kvs))})
+			}
+		}
+		return kvs
 	}
-	if got := groupTrace(s); got != `"k":1,;` {
-		t.Errorf("packRecords(single) changed the record: %s", got)
+	// 6 records get the minimum 16 slots for their count, 12 get 32;
+	// all four keys have home slot 5 in both.
+	low := searchKeys(4, func(k string) bool { return hashKey([]byte(k))&31 == 5 })
+	checkPacking(t, &taskScratch{}, repeated(low[:2]))
+	checkPacking(t, &taskScratch{}, repeated(low))
+
+	byHash := make(map[uint32]string)
+	var full []string
+	searchKeys(4, func(k string) bool {
+		h := hashKey([]byte(k))
+		if other, dup := byHash[h]; dup {
+			full = append(full, other, k)
+			return true
+		}
+		byHash[h] = k
+		return false
+	})
+	for i := 0; i < len(full); i += 2 {
+		if full[i] == full[i+1] || hashKey([]byte(full[i])) != hashKey([]byte(full[i+1])) {
+			t.Fatalf("search returned a non-collision: %q, %q", full[i], full[i+1])
+		}
+	}
+	checkPacking(t, &taskScratch{}, repeated(full))
+}
+
+// TestPackRecordsProbeLength holds hashKey's low bits against dense
+// integer keys, the shape a guard relation's key column has: tuple keys
+// are varints, so consecutive ids differ in a byte or two. Uniform
+// hashing at the set's load (n records in ≥ 2n slots) gives at most 1.5
+// probes per hit; the bound is 2.
+func TestPackRecordsProbeLength(t *testing.T) {
+	const n = 24_500
+	for _, g := range []struct {
+		name string
+		gen  func(i int64) relation.Tuple
+	}{
+		{"dense", func(i int64) relation.Tuple { return tup(i) }},
+		{"table-multiple", func(i int64) relation.Tuple { return tup(i << 16) }},
+		{"negative", func(i int64) relation.Tuple { return tup(-i - 1) }},
+		{"first-of-two", func(i int64) relation.Tuple { return tup(i, 7) }},
+		{"last-of-three", func(i int64) relation.Tuple { return tup(7, 7, i) }},
+	} {
+		name, gen := g.name, g.gen
+		var em Emitter
+		for i := int64(0); i < n; i++ {
+			emitInt(&em, []byte(gen(i).Key()), i)
+		}
+		var sc taskScratch
+		if runs := packRecords(&sc, &em.set); runs != n {
+			t.Fatalf("%s: %d runs over %d distinct keys", name, runs, n)
+		}
+		mask := uint32(len(sc.keys) - 1)
+		probes := 0
+		for i := range em.set.recs {
+			h := hashKey(em.set.key(i)) & mask
+			for probes++; sc.keys[h] != int32(i+1); probes++ {
+				h = (h + 1) & mask
+			}
+		}
+		if got := float64(probes) / n; got > 2 {
+			t.Errorf("%s: %.2f probes per hit in %d slots, want ≤ 2", name, got, len(sc.keys))
+		}
+	}
+}
+
+// TestPackRecordsWarmAllocatesNothing: on a scratch that has seen a
+// task of the size, the accounting pass allocates nothing.
+func TestPackRecordsWarmAllocatesNothing(t *testing.T) {
+	s := setOf(randomKVs(rand.New(rand.NewSource(4)), 2000, 300))
+	var sc taskScratch
+	if got := testing.AllocsPerRun(10, func() { packRecords(&sc, s) }); got != 0 {
+		t.Errorf("packRecords allocates %v times per task on a warm scratch, want 0", got)
 	}
 }

@@ -1,7 +1,6 @@
 package mr
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,11 +286,10 @@ func (jr *jobRun) computeReducers() int {
 // counted two-pass placement: size each reducer's segment, allocate one
 // buffer for all of them (charged to the run's budget — the
 // shuffle-partition accounting site), then encode every record into its
-// segment. A packed run — adjacent same-key records of a packing job —
-// is one unit of the first pass: one hash, one load entry, one sketch
-// observation, exactly what the run counted as when it was one record.
-// A partition at or past the spill threshold is then written to a temp
-// file and its buffer dropped (see spill.go).
+// segment. Whether the job packs does not matter here: a record's size
+// already says whether it carries its key. A partition at or past the
+// spill threshold is then written to a temp file and its buffer dropped
+// (see spill.go).
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	start := time.Now()
 	set := &jr.results[part][ti].set
@@ -306,24 +304,16 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			tp.sketch = newKeySketch(jr.gov.budget)
 		}
 		target := grow(&c.scratch.target, n)
-		for i, run := 0, 0; i < n; run++ {
-			key := set.key(i)
-			j, size := i+1, set.recs[i].size
-			if jr.job.Packing {
-				for ; j < n && bytes.Equal(set.key(j), key); j++ {
-					size += set.recs[j].size
-				}
-			}
+		for i := range set.recs {
+			r, key := &set.recs[i], set.key(i)
 			p := int32(hashKey(key) % uint32(reducers))
-			tp.loads[p] += size
-			if tp.sketch != nil && run%sketchSampleEvery == 0 {
-				tp.sketch.observe(key, p, size*sketchSampleEvery)
+			tp.loads[p] += r.size
+			if tp.sketch != nil && i%sketchSampleEvery == 0 {
+				tp.sketch.observe(key, p, r.size*sketchSampleEvery)
 			}
-			for ; i < j; i++ {
-				target[i] = p
-				tp.segs[p].len += recordLen(&set.recs[i])
-				tp.segs[p].count++
-			}
+			target[i] = p
+			tp.segs[p].len += recordLen(r)
+			tp.segs[p].count++
 		}
 		pos := grow(&c.scratch.pos, reducers)
 		var total int64

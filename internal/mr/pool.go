@@ -50,13 +50,15 @@ const scratchArrays = 8
 // list — ownership moves with the data). It is run-scoped — garbage
 // when runTasks returns — never holds a []byte (arena chunks and
 // shuffle buffers stay charged, single-use grabBytes allocations) and
-// is bounded: the sort and shuffle buffers grow to the largest task the
-// worker has run, free keeps the scratchArrays largest record arrays
-// returned to it. Every buffer is handed out to be overwritten before
-// any read; an aborted task leaves its arrays to the collector.
+// is bounded: the sort, key-set and shuffle buffers grow to the largest
+// task the worker has run, free keeps the scratchArrays largest record
+// arrays returned to it. Every buffer is handed out to be overwritten —
+// the key set, to be cleared — before any read; an aborted task leaves
+// its arrays to the collector.
 type taskScratch struct {
 	refs   []keyRef   // sortIndexByKey: sort refs + radix scatter scratch
 	idx    []int32    // sortIndexByKey / identityIndex: the sorted index
+	keys   []int32    // packRecords: the key set's slots
 	target []int32    // shuffleTask: each record's reducer
 	pos    []int64    // shuffleTask: per-reducer write cursors
 	free   [][]record // returned record arrays, ascending capacity
@@ -177,17 +179,19 @@ type taskPool struct {
 
 // FaultHooks instruments the task pool for fault-injection tests. The
 // zero value observes nothing. Hooks run on worker goroutines on the
-// task-grant path, so they can delay (sleep), park (block on a
-// channel), or cancel (cancel the run's context) at chosen task
-// indices; see SetFaultHooks.
+// task-grant path, so they can delay (sleep), park (block on a channel,
+// or on ctx.Done() to hold a task until its run is provably canceled),
+// or cancel (cancel the run's context) at chosen task indices; see
+// SetFaultHooks.
 type FaultHooks struct {
 	// Grant, when non-nil, is called immediately before a granted task
-	// executes, with the pool-wide 0-based grant index (the order in
-	// which workers were handed tasks — schedule-dependent, but its
-	// range is deterministic: a full run grants every task exactly
-	// once). Blocking stalls that worker; canceling the run's context
-	// from inside the hook stops the pool at the next task boundary.
-	Grant func(n int)
+	// executes, with the run's context and the pool-wide 0-based grant
+	// index (the order in which workers were handed tasks —
+	// schedule-dependent, but its range is deterministic: a full run
+	// grants every task exactly once). Blocking stalls that worker;
+	// canceling the run's context from inside the hook stops the pool at
+	// the next task boundary.
+	Grant func(ctx context.Context, n int)
 }
 
 // poolHooks holds the installed fault seam; nil means uninstrumented
@@ -366,7 +370,7 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 		p.finish()
 	}()
 	if h := p.hooks; h != nil && h.Grant != nil {
-		h.Grant(int(p.grants.Add(1) - 1))
+		h.Grant(p.ctx, int(p.grants.Add(1)-1))
 	}
 	t(c)
 }

@@ -15,8 +15,9 @@ import (
 // traceOnWorker runs one whole job over kvs — the real map task (with
 // or without packing), shuffle task and reduce task, one reducer — on
 // worker context c and returns what the reducer saw, rendered like
-// groupTrace. The stage counters never reach zero, so nothing spawns
-// and the pool is not needed.
+// groupTrace. The map task's record count is held to the oracle on the
+// way: distinct keys under packing, messages without. The stage counters
+// never reach zero, so nothing spawns and the pool is not needed.
 func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 	t.Helper()
 	tuples := make([]relation.Tuple, len(kvs))
@@ -43,6 +44,17 @@ func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 	jr.results[0] = make([]mapTaskResult, 1)
 	jr.mapsLeft, jr.shufsLeft, jr.redsLeft = 2, 2, 2
 	jr.mapTask(c, 0, 0)
+	want := len(kvs)
+	if packing {
+		distinct := make(map[string]bool)
+		for _, r := range kvs {
+			distinct[r.key] = true
+		}
+		want = len(distinct)
+	}
+	if got := jr.results[0][0].records; got != int64(want) {
+		t.Fatalf("map task over %d messages (packing %v) counted %d records, want %d", len(kvs), packing, got, want)
+	}
 	jr.reducers = 1
 	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
 	jr.shuffleTask(c, 0, 0)
@@ -54,10 +66,12 @@ func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 }
 
 // TestScratchRecycledArraysLeakNoRecords is the ownership contract of
-// the record free list: a task that takes an array a longer task
-// returned sees its own records and nothing else. Task A's keys all
-// sort after task B's, so a stale tail entry of A's array that B's sort
-// or grouping could reach would show up as a trailing group.
+// the record free list and the key set: a task that takes an array a
+// longer task returned, and probes slots that task filled, sees its own
+// records and nothing else. Task A's keys all sort after task B's, so a
+// stale tail entry of A's array that B's sort or grouping could reach
+// would show up as a trailing group; a stale slot of A's key set would
+// index past B's records or miscount B's keys.
 func TestScratchRecycledArraysLeakNoRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, packing := range []bool{false, true} {
@@ -66,7 +80,7 @@ func TestScratchRecycledArraysLeakNoRecords(t *testing.T) {
 			kvs := randomKVs(rng, n, 40)
 			if i == 0 {
 				for j := range kvs {
-					kvs[j].key = "zzzz-stale-" + kvs[j].key
+					kvs[j].key = fmt.Sprintf("zzzz-stale-%04d", j) // distinct: A fills its key set
 				}
 			}
 			if got, want := traceOnWorker(t, c, kvs, packing), refTrace(kvs); got != want {
@@ -79,9 +93,10 @@ func TestScratchRecycledArraysLeakNoRecords(t *testing.T) {
 	}
 }
 
-// TestScratchWarmEqualsCold: sortIndexByKey and packRecords on a scratch
-// that has served a longer, different input give exactly what they give
-// on a fresh one — over the adversarial key mix, at the sizes of
+// TestScratchWarmEqualsCold: sortIndexByKey on a scratch that has
+// served a longer, different input gives exactly what it gives on a
+// fresh one, and packRecords on it still meets its oracle — over the
+// adversarial key mix, at the sizes of
 // TestForEachGroupBoundariesAdversarialKeys and across the radixMinLen
 // boundary, where the refs buffer changes layout (n vs 2n).
 func TestScratchWarmEqualsCold(t *testing.T) {
@@ -91,20 +106,15 @@ func TestScratchWarmEqualsCold(t *testing.T) {
 		sizes = append(sizes, radixMinLen+rng.Intn(radixMinLen*2))
 	}
 	var warm taskScratch
-	packRecords(&warm, setOf(kvsFromKeys(genAdversarialKeys(rng, radixMinLen*4))))
+	long := setOf(kvsFromKeys(genAdversarialKeys(rng, radixMinLen*4)))
+	sortIndexByKey(&warm, long)
+	packRecords(&warm, long)
 	for _, n := range sizes {
 		kvs := kvsFromKeys(genAdversarialKeys(rng, n))
 		if got, want := sortIndexByKey(&warm, setOf(kvs)), sortIndexByKey(&taskScratch{}, setOf(kvs)); !slices.Equal(got, want) {
 			t.Fatalf("n=%d: sortIndexByKey on a warm scratch differs from a cold one", n)
 		}
-		ws, cs := setOf(kvs), setOf(kvs)
-		wr, cr := packRecords(&warm, ws), packRecords(&taskScratch{}, cs)
-		if wr != cr || !slices.Equal(ws.recs, cs.recs) {
-			t.Fatalf("n=%d: packRecords on a warm scratch: %d runs, cold %d (or records differ)", n, wr, cr)
-		}
-		if got, want := groupTrace(ws), refTrace(kvs); got != want {
-			t.Fatalf("n=%d: warm-packed records group wrongly:\n got %s\nwant %s", n, got, want)
-		}
+		checkPacking(t, &warm, kvs)
 	}
 }
 

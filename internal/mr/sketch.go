@@ -38,11 +38,12 @@ const (
 	// the redundant per-sub segment scans.
 	splitMaxKeys = 4
 	// sketchSampleEvery is the shuffle feed's sampling stride: the
-	// placement loop observes every Nth record — a packed run counts as
-	// one — by position in the task's record stream, so the sample is
-	// schedule-independent, with the record's size scaled by N. Sampling keeps the sketch off the
-	// per-record hot path; a key heavy enough to split on is far too
-	// frequent to hide from a 1-in-8 sample.
+	// placement loop observes every Nth record by position in the task's
+	// record stream — per record, whether or not the job packs — so the
+	// sample is schedule-independent, with the record's size scaled by
+	// N. Sampling keeps the sketch off the per-record hot path; a key
+	// heavy enough to split on is far too frequent to hide from a 1-in-8
+	// sample (TestSkewSketchFedPerRecord).
 	sketchSampleEvery = 8
 )
 
@@ -85,7 +86,7 @@ func (s *keySketch) observe(key []byte, red int32, size int64) {
 
 // add is observe after truncation; absorb reuses it for merging.
 func (s *keySketch) add(stored []byte, full bool, red int32, size int64) {
-	if s.n > 0 { // a heavy key hits the same entry run after run
+	if s.n > 0 { // a heavy key hits the same entry time after time
 		if e := &s.entries[s.last]; e.full == full && bytes.Equal(s.slot(s.last), stored) {
 			e.vol += size
 			return

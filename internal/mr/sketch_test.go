@@ -3,7 +3,11 @@ package mr
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/cost"
+	"repro/internal/relation"
 )
 
 // TestSkewSketchHeavyKey: the space-saving guarantee splitting relies
@@ -37,6 +41,57 @@ func TestSkewSketchHeavyKey(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("dominant key absent from sketch")
+	}
+}
+
+// TestSkewSketchFedPerRecord: the shuffle feeds the sketch every
+// sketchSampleEvery-th record by position, packing or not, so a key
+// that holds a third of a packing task's bytes, spread over arrival
+// positions, is reported by every task's sketch. (Fed per packed run it
+// was one observation per task at best, and seven tasks in eight never
+// made it.)
+func TestSkewSketchFedPerRecord(t *testing.T) {
+	const tasks, perTask = 16, 640
+	rng := rand.New(rand.NewSource(21))
+	hot := []byte("hot")
+	isHot := make([]bool, tasks*perTask)
+	tuples := make([]relation.Tuple, len(isHot))
+	for i := range tuples {
+		// Half the records: 8 bytes each once packed against a cold
+		// record's 16, a third of the bytes.
+		isHot[i] = rng.Intn(2) == 0
+		tuples[i] = tup(int64(i))
+	}
+	job := &Job{
+		Inputs:  []string{"R"},
+		Packing: true,
+		Mapper: MapperFunc(func(_ string, id int, _ relation.Tuple, em *Emitter) {
+			if isHot[id] {
+				emitInt(em, hot, int64(id))
+			} else {
+				emitInt(em, []byte(fmt.Sprintf("cold%04d", id)), int64(id))
+			}
+		}),
+	}
+	jr := NewEngine(Config{Cost: cost.Default(), SkewSplit: 1.3}).newJobRun(job, govern{}, nil, nil)
+	rel := relation.FromTuples("R", 1, tuples)
+	jr.results[0] = make([]mapTaskResult, tasks)
+	jr.taskParts = [][]taskPartition{make([]taskPartition, tasks)}
+	jr.mapsLeft, jr.shufsLeft = tasks+1, tasks+1 // never zero: nothing spawns
+	jr.reducers = 4
+	c := &poolCtx{}
+	for ti := 0; ti < tasks; ti++ {
+		jr.tasks[0] = append(jr.tasks[0], mapTaskSpec{rel: rel, from: ti * perTask, to: (ti + 1) * perTask})
+		jr.mapTask(c, 0, ti)
+		jr.shuffleTask(c, 0, ti)
+		sk := jr.taskParts[0][ti].sketch
+		found := false
+		for i := 0; i < sk.n; i++ {
+			found = found || bytes.Equal(sk.slot(i), hot)
+		}
+		if !found {
+			t.Errorf("task %d: the key holding a third of the task's bytes is absent from its sketch", ti)
+		}
 	}
 }
 

@@ -205,7 +205,7 @@ func TestSpillAbortLeavesNoTempFiles(t *testing.T) {
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		restore := SetFaultHooks(FaultHooks{Grant: func(n int) {
+		restore := SetFaultHooks(FaultHooks{Grant: func(_ context.Context, n int) {
 			if n == 5 {
 				cancel()
 			}

@@ -21,7 +21,7 @@ type PartStats struct {
 	Input   string
 	InputMB float64 // N_i
 	InterMB float64 // M_i: map output bytes (keys + payloads), after packing
-	Records int64   // map output records after packing (drives M̂_i)
+	Records int64   // map output records after packing: distinct keys per map task (drives M̂_i)
 	Mappers int     // m_i: map tasks run for this part
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -174,7 +175,7 @@ func TestInflightRegistryAndAbort(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(int) {
+	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(context.Context, int) {
 		once.Do(func() { close(started) })
 		<-release
 	}})
@@ -298,12 +299,18 @@ func TestQueryTimeoutGatewayTimeout(t *testing.T) {
 	_, c := newTestClient(t, Config{ConcurrentJobs: 1, QueryTimeout: 75 * time.Millisecond})
 	c.loadBookstore("shop")
 
+	// The first query's first task parks until the second query has been
+	// answered and — whatever the wall clock says — its own run's
+	// deadline has fired: the two queries' timers sit on different Ps
+	// and fire up to a preemption quantum apart, so the second query's
+	// 504 does not prove the first one's context is dead yet.
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(int) {
+	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(ctx context.Context, _ int) {
 		once.Do(func() { close(started) })
 		<-release
+		<-ctx.Done()
 	}})
 	defer restore()
 	defer func() {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -29,7 +30,7 @@ func TestQueryPanicContainment(t *testing.T) {
 	_, c := newTestClient(t, Config{})
 	c.loadBookstore("shop")
 
-	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(n int) {
+	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(_ context.Context, n int) {
 		if n == 0 {
 			panic("injected task fault")
 		}
@@ -126,7 +127,7 @@ func TestGlobalMemoryShed503(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(int) {
+	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(context.Context, int) {
 		once.Do(func() { close(started) })
 		<-release
 	}})

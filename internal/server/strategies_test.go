@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"os"
 	"reflect"
@@ -76,5 +77,41 @@ func TestStrategyNamesAgree(t *testing.T) {
 		if code := status(s); code != http.StatusBadRequest {
 			t.Errorf("strategy %q: status %d, want 400", s, code)
 		}
+	}
+}
+
+// optQuery is a query over the bookstore with n distinct semi-joins.
+func optQuery(n int) string {
+	var atoms []string
+	for _, args := range []string{"x, y", "y, x", "x, ?", "y, ?", "?, x", "?, y", "x, x"} {
+		for _, rel := range []string{"S", "T"} {
+			// An unguarded variable may occur in one atom only.
+			fresh := fmt.Sprintf("a%d", len(atoms))
+			atoms = append(atoms, rel+"("+strings.Replace(args, "?", fresh, 1)+")")
+		}
+	}
+	return "Z := SELECT x FROM R(x, y) WHERE " + strings.Join(atoms[:n], " OR ") + ";"
+}
+
+// TestOptPlanTooLargeIsClientError: OPT enumerates every grouping of
+// the semi-joins (BSGF-Opt is NP-complete, Theorem 1), so past the
+// planner's limit the query is refused as the client's error — 422 with
+// the limit in the body, nothing counted as a panic — and under it OPT
+// still plans and runs. (At the limit itself, 12 semi-joins, planning is
+// Bell(12) = 4.2 million cost probes, over a minute: too slow to keep
+// here.)
+func TestOptPlanTooLargeIsClientError(t *testing.T) {
+	_, c := newTestClient(t, Config{})
+	c.loadBookstore("shop")
+	var body struct{ Error string }
+	code := c.do("POST", "/v1/db/shop/query", map[string]any{"query": optQuery(13), "strategy": "OPT"}, &body)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(body.Error, "at most 12 semi-joins") || !strings.Contains(body.Error, "has 13") {
+		t.Errorf("OPT over 13 semi-joins: status %d, body %q; want 422 stating the limit and the size", code, body.Error)
+	}
+	if code := c.do("POST", "/v1/db/shop/query", map[string]any{"query": optQuery(8), "strategy": "OPT"}, nil); code != http.StatusOK {
+		t.Errorf("OPT over 8 semi-joins: status %d, want 200", code)
+	}
+	if got := statInt(t, getStats(c), "queries_panicked"); got != 0 {
+		t.Errorf("queries_panicked %d, want 0", got)
 	}
 }
