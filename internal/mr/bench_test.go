@@ -100,19 +100,40 @@ func benchPartition(n, k int) *recordSet {
 	return &em.set
 }
 
-// BenchmarkReduceGrouping measures grouping one reduce partition by key
-// (the per-reducer work between shuffle and the user Reducer), isolated
-// from the rest of the engine.
+// BenchmarkReduceGrouping measures what a reduce task does between the
+// shuffle and the user Reducer — gather one partition through the key
+// set, order its distinct keys, lay the records out — isolated from the
+// rest of the engine, over the partition shapes that bracket it: dup64
+// (65 536 records of 1 024 keys) and onekey where the key set folds
+// nearly everything away, nested (the 2 400 / 900 of a nested-sgf reduce
+// task), small, and the two all-distinct shapes, which pay for the set
+// and get nothing from it.
 func BenchmarkReduceGrouping(b *testing.B) {
-	recs := benchPartition(1<<16, 1<<10)
-	var sc taskScratch // one worker's, warm after the first iteration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		forEachGroup(recs, sortIndexByKey(&sc, recs), func(key []byte, msgs *Group) { n += msgs.Len() })
-		if n != len(recs.recs) {
-			b.Fatalf("walked %d messages, want %d", n, len(recs.recs))
-		}
+	for _, shape := range []struct {
+		name string
+		n, k int
+	}{
+		{"dup64", 1 << 16, 1 << 10},
+		{"nested", 2400, 900},
+		{"distinct", 2400, 2400},
+		{"distinct64", 1 << 16, 1 << 16},
+		{"onekey", 1 << 16, 1},
+		{"small", 200, 70},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			parts := partitionOf(b, benchPartition(shape.n, shape.k))
+			var sc taskScratch // one worker's, warm after the first iteration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func(_ []byte, msgs *Group) { n += msgs.Len() }); err != nil {
+					b.Fatal(err)
+				}
+				if n != shape.n {
+					b.Fatalf("walked %d messages, want %d", n, shape.n)
+				}
+			}
+		})
 	}
 }

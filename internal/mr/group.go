@@ -1,9 +1,6 @@
 package mr
 
-import (
-	"bytes"
-	"slices"
-)
+import "bytes"
 
 // record is one shuffle record — one message under one key — in the only
 // form the engine moves it: a pointer-free reference to the key and
@@ -11,11 +8,15 @@ import (
 // record's recordSet, plus the payload's type tag and the record's
 // modelled size in bytes (key + payload). The size is fixed once, at
 // emit, so every later phase sums a plain field; the collector has
-// nothing to trace in a slice of records.
+// nothing to trace in a slice of records. group is set by the reduce
+// task's gather alone (taskPartition.appendTo): the index, in the
+// gathered set, of the first record carrying this record's key. It sits
+// in what was padding — a record stays 32 bytes.
 type record struct {
 	size       int64
 	src, off   uint32
 	klen, plen uint32
+	group      int32
 	tag        byte
 }
 
@@ -40,9 +41,10 @@ func (s *recordSet) payload(i int) []byte {
 
 // keyRef pairs a record index with the first eight bytes of its key,
 // packed big-endian so uint64 order equals lexicographic order. Sorting
-// keyRefs instead of records keeps the sort's data moves small and makes
-// most comparisons (and every radix pass) operate on a register instead
-// of the key bytes through a buffer lookup.
+// keyRefs — one per distinct key, see groupRecords — instead of records
+// keeps the sort's data moves small and makes most comparisons (and every
+// radix pass) operate on a register instead of the key bytes through a
+// buffer lookup.
 type keyRef struct {
 	prefix uint64
 	idx    int32
@@ -62,99 +64,174 @@ func keyPrefix(key []byte) uint64 {
 	return p
 }
 
-// sortIndexByKey returns record indices ordered so that walking them
-// visits keys in ascending byte order. Large inputs are sorted by an MSD
-// radix sort over the key bytes; small inputs (and small radix buckets)
-// fall back to a comparison sort on the packed key prefix (see
-// radix.go). Both paths produce the same total key order — plain
-// lexicographic byte order — and both are unstable within one key
-// (duplicate-key runs collapse); arrival order within each run is
-// restored afterwards with a cheap integer sort by forEachGroup. The
-// refs, the radix scatter scratch and the index itself are sc's: the
-// result is valid, and the caller's to reorder, until sc's next sort.
-func sortIndexByKey(sc *taskScratch, s *recordSet) []int32 {
-	n := len(s.recs)
-	size := n
-	if n >= radixMinLen {
-		size = 2 * n // refs plus the radix scatter scratch
-	}
-	buf := grow(&sc.refs, size)
-	refs := buf[:n]
-	for i := range refs {
-		refs[i] = keyRef{prefix: keyPrefix(s.key(i)), idx: int32(i)}
-	}
-	if n < radixMinLen {
-		sortRefs(s, refs)
-	} else {
-		msdRadix(s, refs, buf[n:], 0)
-	}
-	idx := grow(&sc.idx, n)
-	for i, r := range refs {
-		idx[i] = r.idx
-	}
-	return idx
+// keySet answers, record by record, "which earlier record of this set
+// carries this key": open addressing with linear probing at load ≤ 1/2 in
+// the shape of relation.find — a slot holds the index + 1 of the first
+// record carrying its key, 0 when empty, and a probe that lands on a used
+// slot compares key bytes. One set serves both passes that need the
+// answer: packRecords on the map side (first occurrence keeps its key
+// bytes) and the reduce task's gather (taskPartition.appendTo stores the
+// answer in record.group). A worker runs one task at a time, so both use
+// its one slot buffer, taskScratch.keys.
+//
+// The two sides differ in the home slot alone. A map task's keys take the
+// hash's low bits, as PR 21 had them: FNV-1a's last step puts the dense varint ids of a
+// guard column in nearly consecutive slots, which beats a uniform index
+// (TestPackRecordsProbeLength; 24 500 distinct keys pack in 0.28 ms so,
+// 0.32 ms under the multiply below). A reduce task's keys must not: all of
+// them satisfy hashKey(key) % R == ri — the partitioner consumed those
+// bits — so the low bits leave size/gcd(size, R) home slots (2 400 dense
+// keys of one reducer in 8 192 slots: 1.3 probes per insert at R = 42, 9.9
+// at R = 64, 150 at R = 1 024). They take the top bits of the hash × 2³²/φ
+// (Fibonacci hashing), which fold every bit of it in whatever R is: ≤ 1.5
+// probes at every R tried (TestReduceGroupingProbeLength). Indexing by
+// hashKey(key) / R — the bits the partitioner left — probes as well and
+// measured the same end to end, at a division per record and R threaded
+// through the gather; CHANGES.md, PR 22, has both sets of numbers.
+//
+// The hash itself is fixed and unkeyed over client-chosen bytes, exactly
+// as relation.hashRow and the reducer partitioning are: keys crafted to
+// collide in all 32 bits lengthen the probes of the crafting query's own
+// tasks (under its deadline) and nothing else, but they make one task's
+// pass quadratic in its record count — a map task's input split, a reduce
+// task's partition — which is the exposure relation.find already has at
+// relation size on every load. A keyed hash/maphash variant measured
+// 1.2–3.3× slower on the packing pass (CHANGES.md, PR 21) and protects
+// nothing those two leave open, so it was not taken.
+type keySet struct {
+	slots       []int32
+	partitioned bool   // the keys are one reducer's share
+	shift       uint32 // 32 − log2(len(slots))
+	n           int    // distinct keys seen
 }
 
-// forEachGroup walks a sorted index (from sortIndexByKey) as key runs
-// and calls fn once per distinct key, in ascending key order, with a
-// view of the key's messages in arrival order. Grouping a whole
-// partition allocates nothing beyond the index: the view is one Group
-// re-pointed at each run — fn must not retain it (the engine's Reducer
-// contract, see Reducer).
-func forEachGroup(s *recordSet, idx []int32, fn func(key []byte, msgs *Group)) {
-	g := Group{set: s}
-	for i := 0; i < len(idx); {
-		key := s.key(int(idx[i]))
-		j := i + 1
-		for j < len(idx) && bytes.Equal(s.key(int(idx[j])), key) {
-			j++
+// keySet returns the worker's key set emptied and sized for n records;
+// partitioned says they are one reducer's share of the keys.
+func (sc *taskScratch) keySet(n int, partitioned bool) keySet {
+	size, shift := 2, uint32(31)
+	for size < 2*n {
+		size, shift = size<<1, shift-1
+	}
+	slots := grow(&sc.keys, size)
+	clear(slots)
+	return keySet{slots: slots, partitioned: partitioned, shift: shift}
+}
+
+// home is key's first probe position.
+func (ks *keySet) home(key []byte) uint32 {
+	h := hashKey(key)
+	if ks.partitioned {
+		return h * 0x9E3779B1 >> ks.shift
+	}
+	return h & uint32(len(ks.slots)-1)
+}
+
+// first returns the index of the first record of s that carries key and
+// went through the set: i itself — which the set then remembers — when
+// none did. Record i need not be in s yet.
+func (ks *keySet) first(s *recordSet, i int, key []byte) int32 {
+	mask := uint32(len(ks.slots) - 1)
+	for h := ks.home(key); ; h = (h + 1) & mask {
+		switch at := ks.slots[h]; {
+		case at == 0:
+			ks.slots[h] = int32(i + 1)
+			ks.n++
+			return int32(i)
+		case bytes.Equal(s.key(int(at)-1), key):
+			return at - 1
 		}
-		g.run = idx[i:j]
-		slices.Sort(g.run) // arrival order within the key
-		fn(key, &g)
-		i = j
+	}
+}
+
+// grouping is a gathered record set laid out by key: what forEachGroup
+// walks. All three slices are the worker's scratch, valid until its next
+// groupRecords.
+type grouping struct {
+	refs []keyRef // one per distinct key — its first record — in ascending key order
+	ends []int32  // ends[ref.idx]: where that key's run of idx ends; it starts where the previous ref's ends
+	idx  []int32  // record indices, key-major, arrival order within a key
+}
+
+// groupRecords lays out a gathered set by key. Every record already
+// carries its key group (record.group, the index of the first record with
+// its key, from the gather's keySet), so nothing here compares two records
+// of one key — hash aggregation with a sorted emit: one pass counts each
+// group and takes a sort ref for its first record, only those refs — one
+// per distinct key, groups of them — are sorted (MSD radix sort over the
+// key bytes, comparison sort below radixMinLen groups and in small
+// buckets; radix.go), and one stable counting scatter places the record
+// indices, so arrival order inside a group costs nothing. The all-distinct
+// partition is the shape this loses on: it pays for the set and sorts as
+// many refs as the record sort it replaced did. Gather included, one
+// core, against that sort: 65 536 distinct keys 5.2 → 6.0 ms, 2 400
+// distinct 123 → 121 µs; 2 400 records of 900 keys 160 → 116 µs, 65 536 of
+// 1 024 keys 5.4 → 3.6 ms, of one key 6.0 → 3.4 ms, 200 of 70 keys 15 →
+// 10 µs (BenchmarkReduceGrouping; CHANGES.md, PR 22).
+func groupRecords(sc *taskScratch, s *recordSet, groups int) grouping {
+	n := len(s.recs)
+	size := groups
+	if groups >= radixMinLen {
+		size = 2 * groups // refs plus the radix scatter scratch
+	}
+	buf := grow(&sc.refs, size)
+	refs := buf[:0:groups]
+	ends := grow(&sc.target, n) // a group's count, then its write cursor, at its first record's index
+	for i := range s.recs {
+		if g := s.recs[i].group; int(g) != i {
+			ends[g]++
+		} else {
+			ends[i] = 1
+			refs = append(refs, keyRef{prefix: keyPrefix(s.key(i)), idx: g})
+		}
+	}
+	if groups < radixMinLen {
+		sortRefs(s, refs)
+	} else {
+		msdRadix(s, refs, buf[groups:], 0)
+	}
+	var at int32
+	for _, r := range refs {
+		ends[r.idx], at = at, at+ends[r.idx]
+	}
+	idx := grow(&sc.idx, n)
+	for i := range s.recs {
+		g := s.recs[i].group
+		idx[ends[g]] = int32(i)
+		ends[g]++
+	}
+	return grouping{refs: refs, ends: ends, idx: idx}
+}
+
+// forEachGroup calls fn once per distinct key of a grouped set, in
+// ascending key order, with a view of the key's messages in arrival
+// order. It allocates nothing: the view is one Group re-pointed at each
+// run — fn must not retain it (the engine's Reducer contract, see
+// Reducer).
+func forEachGroup(s *recordSet, gr grouping, fn func(key []byte, msgs *Group)) {
+	g := Group{set: s}
+	var start int32
+	for _, r := range gr.refs {
+		end := gr.ends[r.idx]
+		g.run = gr.idx[start:end]
+		fn(s.key(int(r.idx)), &g)
+		start = end
 	}
 }
 
 // packRecords applies the message-packing optimization (§5.1 opt (1)) to
 // one map task's output. Packing needs to know which messages share a
 // key, not where they sit, so it is an accounting pass in arrival order
-// over a key set: the first record of each key keeps its key bytes in
-// its size, every later one drops them, and the number of distinct keys
-// — what the job's record count measures — is returned. No record
-// moves; the reduce task's sort is the engine's only ordering.
-//
-// The set is sc.keys, open addressing with linear probing at load ≤ 1/2
-// in the shape of relation.find: a slot holds the index + 1 of the first
-// record carrying its key, 0 when empty, and a probe that lands on a
-// used slot compares key bytes. Its hash is hashKey, fixed and unkeyed
-// over client-chosen values exactly as relation.hashRow and the reducer
-// partitioning are: crafted collisions lengthen the probes of the
-// crafting query's own map tasks (one input split each, under its
-// deadline) and nothing else. A keyed hash/maphash variant measured
-// 1.2–3.3× slower on this pass (CHANGES.md, PR 21) and protects nothing
-// those two leave open, so it was not taken.
+// over the worker's key set: the first record of each key keeps its key
+// bytes in its size, every later one drops them, and the number of
+// distinct keys — what the job's record count measures — is returned. No
+// record moves; the reduce task's grouping is the engine's only ordering.
 func packRecords(sc *taskScratch, s *recordSet) int64 {
-	size := 1
-	for size < 2*len(s.recs) {
-		size <<= 1
-	}
-	slots := grow(&sc.keys, size)
-	clear(slots)
-	mask := uint32(size - 1)
-	var runs int64
+	ks := sc.keySet(len(s.recs), false)
 	for i := range s.recs {
 		key := s.key(i)
-		h := hashKey(key) & mask
-		for slots[h] != 0 && !bytes.Equal(s.key(int(slots[h])-1), key) {
-			h = (h + 1) & mask
-		}
-		if slots[h] == 0 {
-			slots[h] = int32(i + 1)
-			runs++
-		} else {
+		if int(ks.first(s, i, key)) != i {
 			s.recs[i].size -= KeyBytes(key)
 		}
 	}
-	return runs
+	return int64(ks.n)
 }

@@ -15,8 +15,8 @@ import (
 //	all maps    ──▶ reducer count, then shuffle partition tasks
 //	              (one per map task: counted two-pass placement)
 //	all shuffles ─▶ reduce partition tasks (one per reducer:
-//	              concatenate in task order, radix sort, walk key
-//	              runs, Reducer.Reduce)
+//	              concatenate in task order through the key set,
+//	              sort the distinct keys, Reducer.Reduce per group)
 //	all reduces ──▶ output merge shards (one per declared output
 //	              relation, relation.Merge inside)
 //	all merges  ──▶ final stats fold, done callback
@@ -377,49 +377,54 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 	}
 }
 
-// reduceTask concatenates its slot's share of every map task's
-// partition in declared part/task order (so the records it sees — and
-// the measured load — are identical to a serial pass over the tasks),
-// sorts the records by key and walks key runs through the user
-// Reducer. What "its share" means — a whole partition or a [lo, hi)
-// key sub-range of it, held in memory or spilled — is taskPartition's
-// business (count, appendTo in spill.go): this loop is the one
-// ordered-fold reader of docs/INVARIANTS.md.
-func (jr *jobRun) reduceTask(c *poolCtx, si int) {
-	start := time.Now()
-	slot := jr.slots[si]
+// reduceGroups is a reduce task's work on worker scratch sc: it
+// concatenates slot's share of every map task's partition in declared
+// part/task order (so the records it sees — and the load it returns —
+// are identical to a serial pass over the tasks), sizing the worker's key
+// set for them first so that every record is gathered with its key group,
+// lays the records out by key (groupRecords) and calls fn once per
+// distinct key, ascending, with the key's messages in arrival order.
+// What "its share" means — a whole partition or a [lo, hi) key sub-range
+// of it, held in memory or spilled — is taskPartition's business (count,
+// appendTo in spill.go): this loop is the one ordered-fold reader of
+// docs/INVARIANTS.md.
+func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *Budget, fn func(key []byte, msgs *Group)) (int64, error) {
 	n := 0
-	for part := range jr.taskParts {
-		for ti := range jr.taskParts[part] {
-			n += jr.taskParts[part][ti].count(slot)
+	for part := range parts {
+		for ti := range parts[part] {
+			n += parts[part][ti].count(slot)
 		}
 	}
-	set := recordSet{recs: c.scratch.takeRecords(n)}
+	set := recordSet{recs: sc.takeRecords(n)}
+	ks := sc.keySet(n, true)
 	var load int64
-	for part := range jr.taskParts {
-		for ti := range jr.taskParts[part] {
-			kept, err := jr.taskParts[part][ti].appendTo(&set, slot, jr.gov.budget)
+	for part := range parts {
+		for ti := range parts[part] {
+			kept, err := parts[part][ti].appendTo(&set, &ks, slot, b)
 			if err != nil {
-				panic(taskAbort{err: err})
+				return load, err // an aborted task leaves its array to the collector
 			}
 			load += kept
 		}
 	}
-	jr.slotLoads[si] = load
+	forEachGroup(&set, groupRecords(sc, &set, ks.n), fn)
+	sc.putRecords(set.recs) // after the last group: Group views index it
+	return load, nil
+}
+
+// reduceTask runs one reduce slot through the user Reducer.
+func (jr *jobRun) reduceTask(c *poolCtx, si int) {
+	start := time.Now()
+	slot := jr.slots[si]
 	out := newOutput(jr.job.Outputs)
 	jr.outs[si] = out
-	var idx []int32
-	if slot.singleKey() {
-		// The sub-range holds one key by construction: the records are
-		// already a single group in arrival order, no sort needed.
-		idx = identityIndex(&c.scratch, len(set.recs))
-	} else {
-		idx = sortIndexByKey(&c.scratch, &set)
-	}
-	forEachGroup(&set, idx, func(key []byte, msgs *Group) {
+	load, err := reduceGroups(&c.scratch, jr.taskParts, slot, jr.gov.budget, func(key []byte, msgs *Group) {
 		jr.job.Reducer.Reduce(key, msgs, out)
 	})
-	c.scratch.putRecords(set.recs) // after the last group: Group views index it
+	if err != nil {
+		panic(taskAbort{err: err})
+	}
+	jr.slotLoads[si] = load
 	dur := time.Since(start).Seconds()
 	jr.mu.Lock()
 	jr.timing.ReduceSeconds += dur

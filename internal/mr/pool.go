@@ -50,16 +50,16 @@ const scratchArrays = 8
 // list — ownership moves with the data). It is run-scoped — garbage
 // when runTasks returns — never holds a []byte (arena chunks and
 // shuffle buffers stay charged, single-use grabBytes allocations) and
-// is bounded: the sort, key-set and shuffle buffers grow to the largest
-// task the worker has run, free keeps the scratchArrays largest record
-// arrays returned to it. Every buffer is handed out to be overwritten —
-// the key set, to be cleared — before any read; an aborted task leaves
-// its arrays to the collector.
+// is bounded: the grouping, key-set and shuffle buffers grow to the
+// largest task the worker has run, free keeps the scratchArrays largest
+// record arrays returned to it. Every buffer is handed out to be
+// overwritten — the key set, to be cleared — before any read; an aborted
+// task leaves its arrays to the collector.
 type taskScratch struct {
-	refs   []keyRef   // sortIndexByKey: sort refs + radix scatter scratch
-	idx    []int32    // sortIndexByKey / identityIndex: the sorted index
-	keys   []int32    // packRecords: the key set's slots
-	target []int32    // shuffleTask: each record's reducer
+	refs   []keyRef   // groupRecords: one sort ref per distinct key + radix scatter scratch
+	idx    []int32    // groupRecords: record indices laid out by key
+	keys   []int32    // keySet: the slots, for a map task's packing pass or a reduce task's gather
+	target []int32    // shuffleTask: each record's reducer; groupRecords: each group's count, cursor, end
 	pos    []int64    // shuffleTask: per-reducer write cursors
 	free   [][]record // returned record arrays, ascending capacity
 }

@@ -5,12 +5,11 @@ import (
 	"slices"
 )
 
-// MSD radix sort over shuffle-key bytes, used by sortIndexByKey for
-// large partitions. Shuffle keys are short byte-encoded tuples with
-// heavy duplication — exactly the shape where a byte-histogram radix
-// pass beats comparison sorting: one pass buckets the whole partition by
-// its leading key byte, long duplicate-key runs collapse into single
-// buckets after a few levels.
+// MSD radix sort over shuffle-key bytes, used by groupRecords to order
+// the distinct keys of a large partition (one ref per key: the gather's
+// key set has already folded the duplicates away). Shuffle keys are short
+// byte-encoded tuples — the shape where a byte-histogram radix pass beats
+// comparison sorting: one pass buckets every key by its leading byte.
 //
 // Both the radix path and the comparison fallback realize the same total
 // order — plain lexicographic byte order on keys. The comparison
@@ -23,8 +22,8 @@ import (
 // prefix-exhausted bucket with the same comparison fallback, so the two
 // paths are interchangeable (pinned by TestRadixMatchesComparisonSort).
 const (
-	// radixMinLen is the whole-partition cutoff below which
-	// sortIndexByKey uses the comparison sort outright.
+	// radixMinLen is the cutoff, in distinct keys of a partition, below
+	// which groupRecords uses the comparison sort outright.
 	radixMinLen = 512
 	// radixBucketCutoff is the bucket size below which a radix level
 	// hands off to the comparison sort.
@@ -47,9 +46,7 @@ func cmpRef(s *recordSet, a, b keyRef) int {
 	return bytes.Compare(ka, kb)
 }
 
-// sortRefs is the comparison sort over refs (pdqsort; its equal-element
-// handling collapses the long duplicate-key runs a shuffle partition is
-// made of).
+// sortRefs is the comparison sort over refs (pdqsort).
 func sortRefs(s *recordSet, refs []keyRef) {
 	slices.SortFunc(refs, func(a, b keyRef) int { return cmpRef(s, a, b) })
 }

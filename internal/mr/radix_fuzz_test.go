@@ -1,18 +1,21 @@
 package mr
 
-import (
-	"bytes"
-	"slices"
-	"testing"
-)
+import "testing"
 
-// FuzzRadixSort differentially checks the MSD radix sort and the
-// comparison fallback against a stdlib oracle: both must realize plain
-// lexicographic byte order on keys and permute the record indices. Fuzz data decodes into
-// length-prefixed keys, which are then tiled to duplicate-heavy inputs
-// at the sizes where the sort changes regime: radixBucketCutoff (96)
-// ±1, where a radix level hands buckets to the comparison sort, and
-// radixMinLen (512) ±1, the whole-partition cutoff in sortIndexByKey.
+// FuzzRadixSort differentially checks the reduce task's grouping and
+// group order — the gather's key set, the sort of the distinct keys (MSD
+// radix sort or comparison sort) and the counting scatter — against a
+// stdlib oracle: the records must come out in plain lexicographic byte
+// order of their keys and, inside one key, in arrival order. Fuzz data
+// decodes into length-prefixed keys, which are then laid out two ways at
+// the sizes where the sort changes regime — radixBucketCutoff (96) ±1,
+// where a radix level hands buckets to the comparison sort, and
+// radixMinLen (512) ±1, the cutoff in distinct keys in groupRecords:
+// tiled, the duplicate-heavy shape of a real shuffle partition (at most
+// 64 groups, so the comparison sort), and spread, every lap of the tiling
+// under its own two-byte suffix, so the distinct keys number about the
+// size and the radix sort runs — with the first half delivered a second
+// time, so that arrival order has something to say.
 func FuzzRadixSort(f *testing.F) {
 	seeds := [][]byte{
 		{},        // no keys
@@ -41,12 +44,19 @@ func FuzzRadixSort(f *testing.F) {
 		if len(keys) == 0 {
 			keys = [][]byte{nil}
 		}
-		for _, n := range []int{len(keys), 95, 97, 511, 513} {
-			var em Emitter
-			for i := 0; i < n; i++ {
-				em.Emit(keys[i%len(keys)], tagInt, 8, nil)
+		var kb []byte
+		for _, n := range []int{len(keys), 95, 97, 511, 513, 1100} {
+			var tiled, spread Emitter
+			for i := 0; i < n+n/2; i++ {
+				key, lap := keys[i%n%len(keys)], i%n/len(keys)
+				tiled.Emit(key, tagInt, 8, nil)
+				if lap > 0 {
+					key = append(append(kb[:0], key...), byte(lap>>8), byte(lap))
+				}
+				spread.Emit(key, tagInt, 8, nil)
 			}
-			checkRadixAgainstOracle(t, &sc, &em.set)
+			checkRadixAgainstOracle(t, &sc, &tiled.set)
+			checkRadixAgainstOracle(t, &sc, &spread.set)
 		}
 	})
 }
@@ -69,44 +79,21 @@ func decodeFuzzKeys(data []byte) [][]byte {
 	return keys
 }
 
-// checkRadixAgainstOracle runs sortRefs and msdRadix over the same
-// records, in sc's buffers exactly as sortIndexByKey lays them out
-// (whatever an earlier, possibly longer input left there), and verifies
-// each against slices.SortStableFunc
-// with bytes.Compare: the key sequence must match the oracle's exactly
-// (the paths are unstable within one key, so indices are checked only
-// for being a permutation — position-wise key equality plus a
-// permutation forces the per-key index multisets to agree).
+// checkRadixAgainstOracle runs the production reduce path over recs on
+// sc (whatever an earlier, possibly longer input left in its buffers) and
+// requires exactly the record sequence of slices.SortStableFunc with
+// bytes.Compare: the oracle's key order, and ascending record index
+// inside every key.
 func checkRadixAgainstOracle(t *testing.T, sc *taskScratch, recs *recordSet) {
 	t.Helper()
-	n := len(recs.recs)
-	want := make([][]byte, n)
+	got, want := groupOrder(t, sc, recs), stableOrder(recs)
+	if len(got) != len(want) {
+		t.Fatalf("n=%d: %d records delivered", len(want), len(got))
+	}
 	for i := range want {
-		want[i] = recs.key(i)
-	}
-	slices.SortStableFunc(want, bytes.Compare)
-
-	check := func(name string, sort func(refs, tmp []keyRef)) {
-		buf := grow(&sc.refs, 2*n)
-		refs, tmp := buf[:n], buf[n:]
-		for i := range refs {
-			refs[i] = keyRef{prefix: keyPrefix(recs.key(i)), idx: int32(i)}
-		}
-		sort(refs, tmp)
-		seen := make([]bool, n)
-		for i, r := range refs {
-			if r.idx < 0 || int(r.idx) >= n || seen[r.idx] {
-				t.Fatalf("%s (n=%d): position %d holds invalid or duplicate index %d", name, n, i, r.idx)
-			}
-			seen[r.idx] = true
-			if !bytes.Equal(recs.key(int(r.idx)), want[i]) {
-				t.Fatalf("%s (n=%d): position %d has key %q, oracle wants %q", name, n, i, recs.key(int(r.idx)), want[i])
-			}
-			if r.prefix != keyPrefix(recs.key(int(r.idx))) {
-				t.Fatalf("%s (n=%d): position %d prefix %#x does not match its key %q", name, n, i, r.prefix, recs.key(int(r.idx)))
-			}
+		if got[i] != want[i] {
+			t.Fatalf("n=%d: position %d delivers record %d (key %q), the stable sort wants record %d (key %q)",
+				len(want), i, got[i], recs.key(int(got[i])), want[i], recs.key(int(want[i])))
 		}
 	}
-	check("sortRefs", func(refs, tmp []keyRef) { sortRefs(recs, refs) })
-	check("msdRadix", func(refs, tmp []keyRef) { msdRadix(recs, refs, tmp, 0) })
 }

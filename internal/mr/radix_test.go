@@ -44,14 +44,18 @@ func kvsFromKeys(keys [][]byte) []kv {
 }
 
 // TestRadixMatchesComparisonSort is the old-vs-new differential for the
-// sort itself: the radix path must visit keys in exactly the order of the string-key implementation it replaced —
-// plain lexicographic order, pinned here by sort.Strings — and must be
-// a permutation of the input.
+// key order itself: a reduce task must visit keys in exactly the order of
+// the string-key implementation it replaced — plain lexicographic order,
+// pinned here by sort.Strings — whichever sort orders its distinct keys,
+// deliver every record once, and deliver each key's records in arrival
+// order.
 func TestRadixMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var sc taskScratch // reused: a warm scratch must sort like a cold one
+	var sc taskScratch // reused: a warm scratch must group like a cold one
+	radix := 0
 	for trial := 0; trial < 30; trial++ {
-		// Mix sizes straddling radixMinLen so both entry paths run.
+		// Mix sizes so the distinct keys straddle radixMinLen and both
+		// sorts run.
 		n := rng.Intn(radixMinLen * 4)
 		keys := genAdversarialKeys(rng, n)
 		recs := setOf(kvsFromKeys(keys))
@@ -62,20 +66,32 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 		}
 		sort.Strings(want)
 
-		idx := sortIndexByKey(&sc, recs)
+		idx := groupOrder(t, &sc, recs)
 		if len(idx) != n {
-			t.Fatalf("trial %d: index len %d, want %d", trial, len(idx), n)
+			t.Fatalf("trial %d: %d records delivered, want %d", trial, len(idx), n)
 		}
 		seen := make([]bool, n)
+		groups := 0
 		for pos, id := range idx {
 			if seen[id] {
-				t.Fatalf("trial %d: index %d visited twice", trial, id)
+				t.Fatalf("trial %d: record %d delivered twice", trial, id)
 			}
 			seen[id] = true
 			if got := string(recs.key(int(id))); got != want[pos] {
 				t.Fatalf("trial %d: key %d = %q, want %q", trial, pos, got, want[pos])
 			}
+			if pos == 0 || want[pos] != want[pos-1] {
+				groups++
+			} else if id < idx[pos-1] {
+				t.Fatalf("trial %d: key %q delivers record %d after record %d: not arrival order", trial, want[pos], id, idx[pos-1])
+			}
 		}
+		if groups >= radixMinLen {
+			radix++
+		}
+	}
+	if radix == 0 || radix == 30 {
+		t.Errorf("%d of 30 trials had radixMinLen distinct keys: one of the two sorts never ran", radix)
 	}
 }
 
@@ -91,7 +107,7 @@ func TestForEachGroupBoundariesAdversarialKeys(t *testing.T) {
 		keys := genAdversarialKeys(rng, n)
 		kvs := kvsFromKeys(keys)
 		want := refTrace(kvs)
-		got := groupTrace(setOf(kvs))
+		got := groupTrace(t, setOf(kvs))
 		if got != want {
 			t.Fatalf("trial %d: grouping diverged:\n got %s\nwant %s", trial, got, want)
 		}

@@ -93,12 +93,12 @@ func TestScratchRecycledArraysLeakNoRecords(t *testing.T) {
 	}
 }
 
-// TestScratchWarmEqualsCold: sortIndexByKey on a scratch that has
-// served a longer, different input gives exactly what it gives on a
-// fresh one, and packRecords on it still meets its oracle — over the
-// adversarial key mix, at the sizes of
+// TestScratchWarmEqualsCold: a reduce task on a scratch that has served
+// a longer, different input delivers exactly what it delivers on a fresh
+// one — the stable sort of its records — and packRecords on it still
+// meets its oracle — over the adversarial key mix, at the sizes of
 // TestForEachGroupBoundariesAdversarialKeys and across the radixMinLen
-// boundary, where the refs buffer changes layout (n vs 2n).
+// boundary, where the refs buffer changes layout (groups vs 2 × groups).
 func TestScratchWarmEqualsCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	sizes := []int{radixMinLen - 1, radixMinLen, radixMinLen + 1, 0, 1, radixBucketCutoff}
@@ -107,12 +107,14 @@ func TestScratchWarmEqualsCold(t *testing.T) {
 	}
 	var warm taskScratch
 	long := setOf(kvsFromKeys(genAdversarialKeys(rng, radixMinLen*4)))
-	sortIndexByKey(&warm, long)
+	groupOrder(t, &warm, long)
 	packRecords(&warm, long)
 	for _, n := range sizes {
 		kvs := kvsFromKeys(genAdversarialKeys(rng, n))
-		if got, want := sortIndexByKey(&warm, setOf(kvs)), sortIndexByKey(&taskScratch{}, setOf(kvs)); !slices.Equal(got, want) {
-			t.Fatalf("n=%d: sortIndexByKey on a warm scratch differs from a cold one", n)
+		s := setOf(kvs)
+		got, cold := groupOrder(t, &warm, s), groupOrder(t, &taskScratch{}, s)
+		if !slices.Equal(got, cold) || !slices.Equal(got, stableOrder(s)) {
+			t.Fatalf("n=%d: a reduce task on a warm scratch delivers\n%v, on a cold one\n%v, the stable sort is\n%v", n, got, cold, stableOrder(s))
 		}
 		checkPacking(t, &warm, kvs)
 	}

@@ -116,9 +116,13 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 			reserve := 0
 			for part := range jr.taskParts {
 				for ti := range jr.taskParts[part] {
-					tp := &jr.taskParts[part][ti]
-					reserve += tp.count(slot)
-					kept, err := tp.appendTo(&got, slot, nil)
+					reserve += jr.taskParts[part][ti].count(slot)
+				}
+			}
+			ks := c.scratch.keySet(reserve, true)
+			for part := range jr.taskParts {
+				for ti := range jr.taskParts[part] {
+					kept, err := jr.taskParts[part][ti].appendTo(&got, &ks, slot, nil)
 					if err != nil {
 						t.Fatalf("slot %d: appendTo: %v", si, err)
 					}

@@ -218,16 +218,17 @@ func (tp *taskPartition) count(s reduceSlot) int {
 
 // appendTo appends to dst this partition's records of reducer s.ri whose
 // key falls in the slot's range (nil bounds = all of them), in the order
-// the shuffle placed them, and returns their modelled bytes — the slot's
-// share of the partition load. Resident or streamed back from the spill
-// file, whole or sub-range, the segment goes through the same decode
-// loop and the reducer sees the same record sequence; the segment's
-// bytes become one more buffer of dst. Each sub-range task of a split
-// partition decodes the whole segment: redundant work, but
-// deterministic and budget-charged per task, and bounded by the
-// sub-range cap (splitMaxKeys) on how many sub-tasks one partition can
-// become.
-func (tp *taskPartition) appendTo(dst *recordSet, s reduceSlot, b *Budget) (int64, error) {
+// the shuffle placed them, each stamped with its key group — the index in
+// dst of the first record carrying its key, from the task's key set — and
+// returns their modelled bytes: the slot's share of the partition load.
+// Resident or streamed back from the spill file, whole or sub-range, the
+// segment goes through the same decode loop and the reducer sees the same
+// record sequence; the segment's bytes become one more buffer of dst.
+// Each sub-range task of a split partition decodes the whole segment:
+// redundant work, but deterministic and budget-charged per task, and
+// bounded by the sub-range cap (splitMaxKeys) on how many sub-tasks one
+// partition can become.
+func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, s reduceSlot, b *Budget) (int64, error) {
 	seg := tp.segs[s.ri]
 	if seg.count == 0 {
 		return 0, nil
@@ -245,8 +246,9 @@ func (tp *taskPartition) appendTo(dst *recordSet, s reduceSlot, b *Budget) (int6
 		if err != nil {
 			return kept, err
 		}
-		if keyInRange(data[r.off:r.off+r.klen], s.lo, s.hi) {
+		if key := data[r.off : r.off+r.klen]; keyInRange(key, s.lo, s.hi) {
 			r.src = src
+			r.group = ks.first(dst, len(dst.recs), key)
 			dst.recs = append(dst.recs, r)
 			kept += r.size
 		}

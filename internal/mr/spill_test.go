@@ -55,7 +55,8 @@ func shuffleOne(t testing.TB, set recordSet, spill bool) *taskPartition {
 // reader.
 func readAll(tp *taskPartition) (recordSet, error) {
 	var got recordSet
-	_, err := tp.appendTo(&got, reduceSlot{}, nil)
+	ks := new(taskScratch).keySet(tp.count(reduceSlot{}), true)
+	_, err := tp.appendTo(&got, &ks, reduceSlot{}, nil)
 	return got, err
 }
 

@@ -10,8 +10,10 @@ import "bytes"
 // that ratio × the mean partition load, the partition is split at key
 // boundaries derived from the shuffle-time heavy-key sketch
 // (sketch.go) into sub-partition reduce tasks that the work-stealing
-// pool schedules independently — the hot partition's sort and the
-// reduces of its non-dominant keys stop serializing the run.
+// pool schedules independently — the hot partition's grouping and the
+// reduces of its non-dominant keys stop serializing the run. A sub-range
+// a dominant key has to itself needs no special case: its records are one
+// group after the gather's one pass over them.
 //
 // The bit-for-bit contract survives splitting because:
 //
@@ -50,29 +52,6 @@ type reduceSlot struct {
 // every such slot has at least one bound (planReduceSlots cuts only at
 // non-nil boundaries), a whole partition has none.
 func (s reduceSlot) split() bool { return s.lo != nil || s.hi != nil }
-
-// singleKey reports whether the slot's range can contain at most one
-// distinct key: hi is lo's immediate successor lo·0x00 — the range a
-// fully-stored sketch key contributes — so every key in [lo, hi) is
-// exactly lo. Such a slot's records are already one group in arrival
-// order, and its reduce task skips the key sort: the serial work the
-// dominant key would otherwise pay, on top of the scheduling benefit.
-func (s reduceSlot) singleKey() bool {
-	return s.lo != nil && len(s.hi) == len(s.lo)+1 &&
-		s.hi[len(s.lo)] == 0 && bytes.HasPrefix(s.hi, s.lo)
-}
-
-// identityIndex is the sorted index of records already known to share
-// one key (forEachGroupIdx then walks them as a single run in arrival
-// order, exactly what sorting equal keys would produce), in sc's index
-// buffer like sortIndexByKey's.
-func identityIndex(sc *taskScratch, n int) []int32 {
-	idx := grow(&sc.idx, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	return idx
-}
 
 // keyInRange reports whether key falls in [lo, hi); nil bounds are
 // unbounded.
