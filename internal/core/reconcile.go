@@ -28,8 +28,8 @@ import (
 // request to one salt and replicating its asserts to all of them.
 type reconcile struct {
 	kind, name string
-	inputs     []string              // the read set, in first-mention order
-	roles      map[string]inputRoles // what a fact of each input sends
+	inputs     []string     // the read set, in first-mention order
+	roles      []inputRoles // what a fact of each input sends, by the input's place in inputs
 	outs       map[string]int
 	verdicts   []verdict        // by request verdict index
 	streams    map[string]int32 // streamKey → class of the assert roles added through class
@@ -135,19 +135,34 @@ type assertRole struct {
 func newReconcile(kind, name string) *reconcile {
 	return &reconcile{
 		kind: kind, name: name,
-		roles:   make(map[string]inputRoles),
 		outs:    make(map[string]int),
 		streams: make(map[string]int32),
 	}
 }
 
-// input adds rel to the read set. Roles add their own input; calling
-// it first fixes the relation's place in Job.Inputs.
-func (t *reconcile) input(rel string) {
-	if _, ok := t.roles[rel]; !ok {
-		t.roles[rel] = inputRoles{}
-		t.inputs = append(t.inputs, rel)
+// rolesOf returns the roles of rel's facts, nil when rel is not in the
+// read set. The read set is a handful of names, so finding one is a scan
+// — and for Map, which the engine hands Job.Inputs' own strings, a length
+// and a pointer compare per name: nothing is hashed per fact.
+func (t *reconcile) rolesOf(rel string) *inputRoles {
+	for i, name := range t.inputs {
+		if name == rel {
+			return &t.roles[i]
+		}
 	}
+	return nil
+}
+
+// input returns the roles of rel's facts, adding rel to the read set on
+// first mention. Roles add their own input; calling it first fixes the
+// relation's place in Job.Inputs.
+func (t *reconcile) input(rel string) *inputRoles {
+	if roles := t.rolesOf(rel); roles != nil {
+		return roles
+	}
+	t.inputs = append(t.inputs, rel)
+	t.roles = append(t.roles, inputRoles{})
+	return &t.roles[len(t.roles)-1]
 }
 
 // output declares an output relation.
@@ -172,8 +187,7 @@ func (t *reconcile) request(r request) error {
 	if arity, ok := t.outs[r.out]; !ok || arity != r.carry.arity() {
 		return fmt.Errorf("core: %s %s: request carries %d fields to output %s", t.kind, t.name, r.carry.arity(), r.out)
 	}
-	t.input(r.input)
-	roles := t.roles[r.input]
+	roles := t.input(r.input)
 	roles.requests = append(roles.requests, requestRole{
 		matcher: sgf.NewMatcher(r.guard),
 		key:     r.key,
@@ -181,17 +195,14 @@ func (t *reconcile) request(r request) error {
 		carry:   r.carry,
 		size:    r.size,
 	})
-	t.roles[r.input] = roles
 	t.verdicts = append(t.verdicts, verdict{cond: cond, out: r.out, arity: uint64(r.carry.arity())})
 	return nil
 }
 
 // assert adds an assert role for the facts of input.
 func (t *reconcile) assert(input string, a assertRole) {
-	t.input(input)
-	roles := t.roles[input]
+	roles := t.input(input)
 	roles.asserts = append(roles.asserts, a)
-	t.roles[input] = roles
 	t.classes = max(t.classes, int(a.class)+1)
 }
 
@@ -233,7 +244,10 @@ func (t *reconcile) job() *mr.Job {
 // engine copies key and payload into its arena at emit, so they are
 // reusable immediately and mapping allocates nothing per fact.
 func (t *reconcile) Map(input string, id int, f relation.Tuple, emit *mr.Emitter) {
-	roles := t.roles[input]
+	roles := t.rolesOf(input)
+	if roles == nil {
+		return
+	}
 	var kb [48]byte
 	var ob [8]relation.Value
 	for i := range roles.requests {

@@ -91,13 +91,13 @@ func BenchmarkJobShuffle(b *testing.B) {
 
 // benchPartition builds one reduce partition: n records spread over k
 // distinct keys in round-robin key order.
-func benchPartition(n, k int) *recordSet {
-	var em Emitter
+func benchPartition(n, k int) *Emitter {
+	em := new(Emitter)
 	var kb [12]byte
 	for i := 0; i < n; i++ {
-		emitInt(&em, relation.Value(i%k).AppendKey(kb[:0]), int64(i))
+		emitInt(em, relation.Value(i%k).AppendKey(kb[:0]), int64(i))
 	}
-	return &em.set
+	return em
 }
 
 // BenchmarkReduceGrouping measures what a reduce task does between the

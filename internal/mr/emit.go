@@ -1,47 +1,63 @@
 package mr
 
-// arenaChunk is the full size of one chunk of a map task's byte arena,
-// and arenaLadder the sizes of a task's first chunks: most map tasks
-// emit a few kilobytes of key and payload data, so the arena opens at
-// 4 KiB and reaches arenaChunk with its third chunk (a record larger
-// than the chunk due gets one of its own size). The arena is grow-only:
-// a full chunk stays alive through the records that point into it and a
-// fresh one is started, so emitting allocates nothing per record. Chunks
-// are charged to the run's budget before use — the arena is one of the
-// three accounted allocation sites of the memory-governance contract —
-// and never recycled; their sizes are a function of the bytes the task
-// emitted and nothing else, never of the schedule, so neither is the
-// charge.
-const arenaChunk = 1 << 16
+import "encoding/binary"
 
-var arenaLadder = [...]int{4 << 10, 16 << 10}
+// A map task's byte arena is a list of chunks that double in size:
+// arenaFirst for the first, arenaChunk from the seventh on (a record
+// larger than the chunk due gets one of its own size). Most map tasks
+// emit a few kilobytes of encoded records and many only a few hundred
+// bytes, so a task holds at most about twice what it wrote, whatever it
+// wrote (CHANGES.md, PR 23, has the ladders measured). The arena is
+// grow-only: a full chunk is kept as it is and a fresh one is started, so
+// emitting allocates nothing per record. Chunks are charged to the run's
+// budget before use — the arena is one of the three accounted allocation
+// sites of the memory-governance contract — and never recycled; their
+// sizes are a function of the bytes the task emitted and nothing else,
+// never of the schedule, so neither is the charge.
+const (
+	arenaFirst = 1 << 10
+	arenaChunk = 1 << 16
+	arenaRungs = 6 // doublings from arenaFirst to arenaChunk
+)
 
 // Emit outputs one record: payload, of type tag and modelled size, under
 // key, opening the next chunk of the ladder when the current one cannot
 // hold it. See Emitter for the ownership and accounting rules.
 func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	size += KeyBytes(key) // the one place a record's modelled size is fixed
+	var fresh *keyLoc
+	if e.keys != nil { // packing: a key is charged with its first record only
+		loc, made := e.keys.entry(e.chunks, key)
+		if made {
+			fresh = loc
+		} else {
+			size -= KeyBytes(key)
+		}
+	}
+	e.records++
+	e.bytes += size
 	if e.counting {
-		e.records++
-		e.bytes += size
 		return
 	}
-	need := len(key) + len(payload)
-	if len(e.set.bufs) == 0 || e.used+need > len(e.set.bufs[len(e.set.bufs)-1]) {
-		size := arenaChunk
-		if n := len(e.set.bufs); n < len(arenaLadder) {
-			size = arenaLadder[n]
+	need := uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) +
+		1 + len(key) + len(payload)
+	last := len(e.chunks) - 1
+	if last < 0 || need > cap(e.chunks[last])-len(e.chunks[last]) {
+		next := arenaChunk
+		if n := len(e.chunks); n < arenaRungs {
+			next = arenaFirst << n
 		}
-		e.set.bufs = append(e.set.bufs, grabBytes(e.budget, max(size, need)))
-		e.used = 0
+		e.chunks = append(e.chunks, grabBytes(e.budget, max(next, need))[:0])
+		last++
 	}
-	src := len(e.set.bufs) - 1
-	chunk := e.set.bufs[src]
-	copy(chunk[e.used:], key)
-	copy(chunk[e.used+len(key):], payload)
-	e.set.recs = append(e.set.recs, record{
-		size: size, src: uint32(src), off: uint32(e.used),
-		klen: uint32(len(key)), plen: uint32(len(payload)), tag: tag,
-	})
-	e.used += need
+	b := e.chunks[last]
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = binary.AppendUvarint(b, uint64(size))
+	b = append(b, tag)
+	if fresh != nil {
+		*fresh = keyLoc{src: uint32(last), off: uint32(len(b)), klen: uint32(len(key))}
+	}
+	b = append(b, key...)
+	e.chunks[last] = append(b, payload...)
 }

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -9,21 +10,36 @@ import (
 // ladderSize is the size the i-th chunk of a task's arena has unless a
 // record larger than that opens it.
 func ladderSize(i int) int {
-	if i < len(arenaLadder) {
-		return arenaLadder[i]
-	}
-	return arenaChunk
+	return min(arenaFirst<<min(i, arenaRungs), arenaChunk)
+}
+
+// recLen is the encoded length of a record of the given key and payload
+// lengths and stored size.
+func recLen(klen, plen int, size int64) int {
+	return len(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, uint64(klen)), uint64(plen)), uint64(size))) + 1 + klen + plen
 }
 
 // TestArenaLadder walks the arena's edges: for every emit sequence all
-// stored keys and payloads read back, chunk i has its ladder size (or
-// exactly the size of the oversize record that opened it), records fill
-// a chunk to the last byte before the next one opens, and the budget was
-// charged the sum of the chunk lengths — the charge contract, a function
-// of the bytes emitted alone.
+// stored keys, payloads, tags and sizes read back through the record
+// decoder, chunk i has its ladder size (or exactly the size of the
+// oversize record that opened it), records fill a chunk to the last byte
+// before the next one opens, and the budget was charged the sum of the
+// chunk sizes — the charge contract, a function of the bytes emitted
+// alone.
 func TestArenaLadder(t *testing.T) {
 	type rec struct{ klen, plen int }
-	fill := func(n int) rec { return rec{n / 3, n - n/3} }
+	// fill is a record that takes n bytes of arena, header included.
+	fill := func(n int) rec {
+		for klen := 3; klen < 8; klen++ {
+			for plen := n - klen - 8; plen < n-klen; plen++ {
+				if plen >= 0 && recLen(klen, plen, 8+int64(klen)) == n {
+					return rec{klen, plen}
+				}
+			}
+		}
+		t.Fatalf("no record encodes to %d bytes", n)
+		return rec{}
+	}
 	small := make([]rec, 100_000)
 	for i := range small {
 		small[i] = rec{1 + i%11, i % 5}
@@ -31,18 +47,18 @@ func TestArenaLadder(t *testing.T) {
 	cases := []struct {
 		name   string
 		recs   []rec
-		chunks []int // expected chunk lengths
+		chunks []int // expected chunk sizes
 	}{
-		{"exactly fills the first chunk", []rec{fill(1000), fill(arenaLadder[0] - 1000)}, []int{arenaLadder[0]}},
-		{"one byte more", []rec{fill(1000), fill(arenaLadder[0] - 1000 + 1)}, []int{arenaLadder[0], arenaLadder[1]}},
-		{"exactly fills the second chunk", []rec{fill(arenaLadder[0]), fill(arenaLadder[1]), {0, 1}},
-			[]int{arenaLadder[0], arenaLadder[1], arenaChunk}},
-		{"oversize first", []rec{fill(arenaChunk + 17), {2, 3}}, []int{arenaChunk + 17, arenaLadder[1]}},
+		{"exactly fills the first chunk", []rec{fill(300), fill(ladderSize(0) - 300)}, []int{ladderSize(0)}},
+		{"one byte more", []rec{fill(300), fill(ladderSize(0) - 300 + 1)}, []int{ladderSize(0), ladderSize(1)}},
+		{"exactly fills the second chunk", []rec{fill(ladderSize(0)), fill(ladderSize(1)), {0, 1}},
+			[]int{ladderSize(0), ladderSize(1), ladderSize(2)}},
+		{"oversize first", []rec{fill(arenaChunk + 17), {2, 3}}, []int{arenaChunk + 17, ladderSize(1)}},
 		{"oversize later", []rec{{2, 3}, fill(arenaChunk + 17), {2, 3}, fill(arenaChunk + 1)},
-			[]int{arenaLadder[0], arenaChunk + 17, arenaChunk, arenaChunk + 1}},
-		{"larger than its rung only", []rec{fill(arenaLadder[0] + 1), fill(arenaLadder[1] + 1)},
-			[]int{arenaLadder[0] + 1, arenaLadder[1] + 1}},
-		{"zero-length key and payload", []rec{{0, 0}, {0, 0}, {0, 4}, {4, 0}, {0, 0}}, []int{arenaLadder[0]}},
+			[]int{ladderSize(0), arenaChunk + 17, ladderSize(2), arenaChunk + 1}},
+		{"larger than its rung only", []rec{fill(ladderSize(0) + 1), fill(ladderSize(1) + 1)},
+			[]int{ladderSize(0) + 1, ladderSize(1) + 1}},
+		{"zero-length key and payload", []rec{{0, 0}, {0, 0}, {0, 4}, {4, 0}, {0, 0}}, []int{ladderSize(0)}},
 		{"1e5 small records", small, nil}, // sizes checked against the ladder below
 	}
 	for _, tc := range cases {
@@ -53,27 +69,35 @@ func TestArenaLadder(t *testing.T) {
 				return bytes.Repeat([]byte{byte(i)*7 + salt}, n)
 			}
 			for i, r := range tc.recs {
-				em.Emit(content(i, r.klen, 1), tagInt, 8, content(i, r.plen, 2))
+				em.Emit(content(i, r.klen, 1), byte(i), 8, content(i, r.plen, 2))
 			}
-			if len(em.set.recs) != len(tc.recs) {
-				t.Fatalf("%d records stored, want %d", len(em.set.recs), len(tc.recs))
+			set := arenaRecords(t, &em)
+			if len(set.recs) != len(tc.recs) {
+				t.Fatalf("%d records stored, want %d", len(set.recs), len(tc.recs))
 			}
 			first := make(map[uint32]int) // chunk → bytes of the record that opened it
 			for i, r := range tc.recs {
-				if !bytes.Equal(em.set.key(i), content(i, r.klen, 1)) || !bytes.Equal(em.set.payload(i), content(i, r.plen, 2)) {
+				key := content(i, r.klen, 1)
+				got := set.recs[i]
+				if !bytes.Equal(set.key(i), key) || !bytes.Equal(set.payload(i), content(i, r.plen, 2)) ||
+					got.tag != byte(i) || got.size != 8+KeyBytes(key) {
 					t.Fatalf("record %d does not read back", i)
 				}
-				if src := em.set.recs[i].src; em.set.recs[i].off == 0 {
-					first[src] = r.klen + r.plen
+				n := recLen(r.klen, r.plen, got.size)
+				if start := int(got.off) - (n - r.klen - r.plen); start == 0 {
+					first[got.src] = n
+					if prev := int(got.src) - 1; prev >= 0 && len(em.chunks[prev])+n <= cap(em.chunks[prev]) {
+						t.Errorf("record %d (%d bytes) opened chunk %d with %d bytes left in chunk %d", i, n, got.src, cap(em.chunks[prev])-len(em.chunks[prev]), prev)
+					}
 				}
 			}
 			var sum int64
-			got := make([]int, len(em.set.bufs))
-			for i, b := range em.set.bufs {
-				got[i] = len(b)
-				sum += int64(len(b))
-				if want := max(ladderSize(i), first[uint32(i)]); len(b) != want {
-					t.Errorf("chunk %d is %d bytes, ladder wants %d", i, len(b), want)
+			got := make([]int, len(em.chunks))
+			for i, b := range em.chunks {
+				got[i] = cap(b)
+				sum += int64(cap(b))
+				if want := max(ladderSize(i), first[uint32(i)]); cap(b) != want {
+					t.Errorf("chunk %d is %d bytes, ladder wants %d", i, cap(b), want)
 				}
 			}
 			if tc.chunks != nil && fmt.Sprint(got) != fmt.Sprint(tc.chunks) {

@@ -25,19 +25,20 @@ import (
 // paper's per-job schedule; host scheduling only shortens wall-clock
 // time.
 //
-// The per-record hot path moves bytes, not objects: a shuffle record is
-// its key and payload bytes plus a pointer-free reference to them
-// (group.go). Mappers emit both into a grow-only per-map-task arena
-// through the concrete Emitter (zero allocations per record, sizes
-// fixed once at emit), keys are hashed with an inlined FNV-1a, message
-// packing is an accounting pass over a per-worker key set that moves no
-// record (packRecords), a shuffle task lays its records out as
-// per-reducer byte segments in one buffer with counted two-pass
-// placement (spill.go — the layout a spill file has, so spilling is one
-// write), records are ordered once, in the reduce task — sort-based
-// grouping with an MSD radix sort on the key bytes (group.go,
-// radix.go) — reducers walk a view over the segment bytes, and job
-// outputs merge through a counted, pre-sized merge (relation.Merge).
+// The per-record hot path moves bytes, not objects: from the mapper to
+// the reduce task's gather a shuffle record is its wire form (spill.go)
+// and nothing else. Mappers emit through the concrete Emitter, which
+// encodes each record once into a grow-only per-map-task arena (zero
+// allocations per record) with its modelled size already final — message
+// packing is decided there, against a per-worker key set — keys are
+// hashed with an inlined FNV-1a, a shuffle task copies the encoded
+// records into per-reducer byte segments of one buffer with counted
+// two-pass placement (the layout a spill file has, so spilling is one
+// write), records are decoded and ordered once, in the reduce task —
+// grouped through the same key set, then an MSD radix sort over the
+// distinct keys (group.go, radix.go) — reducers walk a view over the
+// segment bytes, and job outputs merge through a counted, pre-sized
+// merge (relation.Merge).
 // Every goroutine a run starts is a pool worker (or the pool's
 // cancellation watcher): tasks never fan out on their own, so panic
 // containment and cancellation cover all of the engine's concurrency.
@@ -113,11 +114,13 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// mapTaskResult is the output of one map task: its records (packed runs
-// adjacent when the job packs), how many shuffle records they count as
-// (one per packed run) and their modelled bytes (keys + payloads).
+// mapTaskResult is the output of one map task: its arena chunks — the
+// messages it emitted, in wire form, back to back — how many there are,
+// how many shuffle records they count as (one per distinct key when the
+// job packs) and their modelled bytes (keys + payloads).
 type mapTaskResult struct {
-	set     recordSet
+	chunks  [][]byte
+	msgs    int64
 	records int64
 	bytes   int64
 }

@@ -2,16 +2,17 @@ package mr
 
 import "bytes"
 
-// record is one shuffle record — one message under one key — in the only
-// form the engine moves it: a pointer-free reference to the key and
-// payload bytes, stored adjacent (key first) in buffer src of the
-// record's recordSet, plus the payload's type tag and the record's
-// modelled size in bytes (key + payload). The size is fixed once, at
-// emit, so every later phase sums a plain field; the collector has
-// nothing to trace in a slice of records. group is set by the reduce
-// task's gather alone (taskPartition.appendTo): the index, in the
-// gathered set, of the first record carrying this record's key. It sits
-// in what was padding — a record stays 32 bytes.
+// record is one shuffle record — one message under one key — as the
+// reduce task holds it once decoded (readRecord; on the map side and in
+// the shuffle a record is its wire bytes and nothing else): a
+// pointer-free reference to the key and payload bytes, stored adjacent
+// (key first) in buffer src of the record's recordSet, plus the payload's
+// type tag and the record's modelled size in bytes (key + payload), fixed
+// at emit. The collector has nothing to trace in a slice of records.
+// group is set by the reduce task's gather alone
+// (taskPartition.appendTo): the index, in the gathered set, of the first
+// record carrying this record's key. It sits in what was padding — a
+// record stays 32 bytes.
 type record struct {
 	size       int64
 	src, off   uint32
@@ -21,9 +22,9 @@ type record struct {
 }
 
 // recordSet is a slice of records with the byte buffers they point
-// into: a map task's arena chunks, or the shuffle segments a reduce task
-// gathered (taskPartition.appendTo). The buffers stay alive exactly as
-// long as the set does.
+// into: the shuffle segments a reduce task gathered
+// (taskPartition.appendTo). The buffers stay alive exactly as long as the
+// set does.
 type recordSet struct {
 	bufs [][]byte
 	recs []record
@@ -64,15 +65,28 @@ func keyPrefix(key []byte) uint64 {
 	return p
 }
 
-// keySet answers, record by record, "which earlier record of this set
-// carries this key": open addressing with linear probing at load ≤ 1/2 in
-// the shape of relation.find — a slot holds the index + 1 of the first
-// record carrying its key, 0 when empty, and a probe that lands on a used
-// slot compares key bytes. One set serves both passes that need the
-// answer: packRecords on the map side (first occurrence keeps its key
-// bytes) and the reduce task's gather (taskPartition.appendTo stores the
-// answer in record.group). A worker runs one task at a time, so both use
-// its one slot buffer, taskScratch.keys.
+// keyLoc is one entry of a keySet: where the bytes of a distinct key sit —
+// buffer src of the task's buffer list, at off, klen long — and, for the
+// reduce task's gather, the index of the first record that carried it.
+// Pointer-free, so a worker's entries are nothing the collector traces.
+type keyLoc struct {
+	src, off, klen uint32
+	first          int32
+}
+
+// keySet answers, record by record, "has this task seen this key, and
+// where": open addressing with linear probing at load ≤ 1/2 in the shape
+// of relation.find — a slot holds the index + 1 of the key's entry in
+// locs, 0 when empty, and a probe that lands on a used slot compares key
+// bytes, which it reaches through the entry's locator into the task's own
+// buffers: a map task's arena chunks, a reduce task's segments. One set
+// serves both sides that need the answer: Emit under packing (a key's
+// first record keeps its key bytes in its size) and the reduce task's
+// gather (taskPartition.appendTo stores the entry's first record in
+// record.group). A worker runs one task at a time, so both use its one
+// set, taskScratch.keys. A reduce task knows its record count and sizes
+// the set once; a map task sizes it from its part's running estimate and
+// the set doubles, rehashing its entries, when a task emits past that.
 //
 // The two sides differ in the home slot alone. A map task's keys take the
 // hash's low bits, as PR 21 had them: FNV-1a's last step puts the dense varint ids of a
@@ -100,21 +114,31 @@ func keyPrefix(key []byte) uint64 {
 // nothing those two leave open, so it was not taken.
 type keySet struct {
 	slots       []int32
-	partitioned bool   // the keys are one reducer's share
-	shift       uint32 // 32 − log2(len(slots))
-	n           int    // distinct keys seen
+	locs        []keyLoc // one per distinct key seen, in first-arrival order
+	partitioned bool     // the keys are one reducer's share
+	shift       uint32   // 32 − log2(len(slots))
 }
 
-// keySet returns the worker's key set emptied and sized for n records;
-// partitioned says they are one reducer's share of the keys.
-func (sc *taskScratch) keySet(n int, partitioned bool) keySet {
+// keySet returns the worker's key set emptied and sized for n keys — a
+// reduce task's record count, a map task's estimate; partitioned says
+// they are one reducer's share of the keys.
+func (sc *taskScratch) keySet(n int, partitioned bool) *keySet {
+	ks := &sc.keys
+	ks.partitioned = partitioned
+	ks.locs = grow(&ks.locs, n)[:0]
+	ks.resize(n)
+	return ks
+}
+
+// resize empties the slots, sized for n keys at load ≤ 1/2.
+func (ks *keySet) resize(n int) {
 	size, shift := 2, uint32(31)
 	for size < 2*n {
 		size, shift = size<<1, shift-1
 	}
-	slots := grow(&sc.keys, size)
-	clear(slots)
-	return keySet{slots: slots, partitioned: partitioned, shift: shift}
+	ks.shift = shift
+	ks.slots = grow(&ks.slots, size)
+	clear(ks.slots)
 }
 
 // home is key's first probe position.
@@ -126,20 +150,37 @@ func (ks *keySet) home(key []byte) uint32 {
 	return h & uint32(len(ks.slots)-1)
 }
 
-// first returns the index of the first record of s that carries key and
-// went through the set: i itself — which the set then remembers — when
-// none did. Record i need not be in s yet.
-func (ks *keySet) first(s *recordSet, i int, key []byte) int32 {
+// entry returns the set's entry for key and whether this call made it. A
+// new entry is the caller's to fill in, before its next call, with where
+// in bufs — the buffers the set's entries point into — the key's bytes are.
+func (ks *keySet) entry(bufs [][]byte, key []byte) (*keyLoc, bool) {
 	mask := uint32(len(ks.slots) - 1)
 	for h := ks.home(key); ; h = (h + 1) & mask {
-		switch at := ks.slots[h]; {
-		case at == 0:
-			ks.slots[h] = int32(i + 1)
-			ks.n++
-			return int32(i)
-		case bytes.Equal(s.key(int(at)-1), key):
-			return at - 1
+		at := ks.slots[h]
+		if at == 0 {
+			if 2*(len(ks.locs)+1) > len(ks.slots) { // a map task past its estimate
+				ks.double(bufs)
+				return ks.entry(bufs, key)
+			}
+			ks.locs = append(ks.locs, keyLoc{})
+			ks.slots[h] = int32(len(ks.locs))
+			return &ks.locs[len(ks.locs)-1], true
 		}
+		if l := &ks.locs[at-1]; bytes.Equal(bufs[l.src][l.off:l.off+l.klen], key) {
+			return l, false
+		}
+	}
+}
+
+// double doubles the slots and enters every key again, in arrival order,
+// so each entry is made where it was: in place.
+func (ks *keySet) double(bufs [][]byte) {
+	old := ks.locs
+	ks.locs = old[:0]
+	ks.resize(len(ks.slots))
+	for _, l := range old {
+		loc, _ := ks.entry(bufs, bufs[l.src][l.off:l.off+l.klen])
+		*loc = l
 	}
 }
 
@@ -216,22 +257,4 @@ func forEachGroup(s *recordSet, gr grouping, fn func(key []byte, msgs *Group)) {
 		fn(s.key(int(r.idx)), &g)
 		start = end
 	}
-}
-
-// packRecords applies the message-packing optimization (§5.1 opt (1)) to
-// one map task's output. Packing needs to know which messages share a
-// key, not where they sit, so it is an accounting pass in arrival order
-// over the worker's key set: the first record of each key keeps its key
-// bytes in its size, every later one drops them, and the number of
-// distinct keys — what the job's record count measures — is returned. No
-// record moves; the reduce task's grouping is the engine's only ordering.
-func packRecords(sc *taskScratch, s *recordSet) int64 {
-	ks := sc.keySet(len(s.recs), false)
-	for i := range s.recs {
-		key := s.key(i)
-		if int(ks.first(s, i, key)) != i {
-			s.recs[i].size -= KeyBytes(key)
-		}
-	}
-	return int64(ks.n)
 }

@@ -2,7 +2,9 @@ package mr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -17,28 +19,51 @@ type kv struct {
 	v   int64
 }
 
-// setOf builds a record set the way a map task does: through the
-// production Emitter, sizes fixed at emit.
-func setOf(kvs []kv) *recordSet {
-	var em Emitter
+// setOf emits kvs the way a map task does: through the production
+// Emitter, into its arena, sizes fixed at emit.
+func setOf(kvs []kv) *Emitter {
+	em := new(Emitter)
 	for _, r := range kvs {
-		emitInt(&em, []byte(r.key), r.v)
+		emitInt(em, []byte(r.key), r.v)
 	}
-	return &em.set
+	return em
+}
+
+// arenaRecords reads a map task's output back: every record of em's
+// chunks, in emit order, through the production decoder — what the
+// shuffle task sees.
+func arenaRecords(t testing.TB, em *Emitter) *recordSet {
+	t.Helper()
+	set := &recordSet{bufs: em.chunks}
+	for src, chunk := range em.chunks {
+		for pos := 0; pos < len(chunk); {
+			r, next, err := readRecord(chunk, pos)
+			if err != nil {
+				t.Fatalf("chunk %d does not decode at byte %d: %v", src, pos, err)
+			}
+			r.src = uint32(src)
+			set.recs = append(set.recs, r)
+			pos = next
+		}
+	}
+	if int64(len(set.recs)) != em.records {
+		t.Fatalf("arena holds %d records, the emitter counted %d", len(set.recs), em.records)
+	}
+	return set
 }
 
 // partitionOf lays s out the way a reduce task finds it: the real shuffle
-// task encodes it as the one segment of a single-reducer partition.
-func partitionOf(t testing.TB, s *recordSet) [][]taskPartition {
+// task copies it into the one segment of a single-reducer partition.
+func partitionOf(t testing.TB, s *Emitter) [][]taskPartition {
 	t.Helper()
-	return [][]taskPartition{{*shuffleOne(t, *s, false)}}
+	return [][]taskPartition{{*shuffleOne(t, s, false)}}
 }
 
 // reduceOn is the one door the grouping tests go through: the production
 // reduce path — reduceGroups, the code reduceTask calls — over s on
 // worker scratch sc. The whole-partition slot gathers s's records in s's
 // order, so the record indices a Group carries are then s's own.
-func reduceOn(t testing.TB, sc *taskScratch, s *recordSet, slot reduceSlot, fn func(key []byte, msgs *Group)) {
+func reduceOn(t testing.TB, sc *taskScratch, s *Emitter, slot reduceSlot, fn func(key []byte, msgs *Group)) {
 	t.Helper()
 	if _, err := reduceGroups(sc, partitionOf(t, s), slot, nil, fn); err != nil {
 		t.Fatal(err)
@@ -47,17 +72,19 @@ func reduceOn(t testing.TB, sc *taskScratch, s *recordSet, slot reduceSlot, fn f
 
 // groupOrder returns the record indices of s in the order a reduce task
 // on sc delivers them: group after group, each group's messages in turn.
-func groupOrder(t testing.TB, sc *taskScratch, s *recordSet) []int32 {
+func groupOrder(t testing.TB, sc *taskScratch, s *Emitter) []int32 {
 	t.Helper()
-	order := make([]int32, 0, len(s.recs))
+	order := make([]int32, 0, s.records)
 	reduceOn(t, sc, s, reduceSlot{}, func(_ []byte, msgs *Group) { order = append(order, msgs.run...) })
 	return order
 }
 
-// stableOrder is the oracle for groupOrder: s's record indices stably
-// sorted by key bytes — ascending keys, and ascending record index
-// (arrival order) inside every key.
-func stableOrder(s *recordSet) []int32 {
+// stableOrder is the oracle for groupOrder: the indices of s's records,
+// as read back from its arena, stably sorted by key bytes — ascending
+// keys, and ascending record index (arrival order) inside every key.
+func stableOrder(t testing.TB, em *Emitter) []int32 {
+	t.Helper()
+	s := arenaRecords(t, em)
 	want := make([]int32, len(s.recs))
 	for i := range want {
 		want[i] = int32(i)
@@ -70,7 +97,7 @@ func stableOrder(s *recordSet) []int32 {
 // reducer as one string: key, then each message in delivery order.
 // Comparing traces compares key order, group boundaries and message order
 // at once.
-func slotTrace(t testing.TB, s *recordSet, slot reduceSlot) string {
+func slotTrace(t testing.TB, s *Emitter, slot reduceSlot) string {
 	t.Helper()
 	var out string
 	reduceOn(t, &taskScratch{}, s, slot, func(key []byte, msgs *Group) {
@@ -84,7 +111,7 @@ func slotTrace(t testing.TB, s *recordSet, slot reduceSlot) string {
 }
 
 // groupTrace is slotTrace over the whole partition.
-func groupTrace(t testing.TB, s *recordSet) string {
+func groupTrace(t testing.TB, s *Emitter) string {
 	t.Helper()
 	return slotTrace(t, s, reduceSlot{})
 }
@@ -117,7 +144,7 @@ func refTrace(kvs []kv) string {
 }
 
 func TestForEachGroupEmptyPartition(t *testing.T) {
-	if got := groupTrace(t, &recordSet{}); got != "" {
+	if got := groupTrace(t, &Emitter{}); got != "" {
 		t.Errorf("forEachGroup called fn on an empty partition: %s", got)
 	}
 }
@@ -151,33 +178,41 @@ func TestForEachGroupMatchesMapGrouping(t *testing.T) {
 	}
 }
 
-// checkPacking runs packRecords over kvs on sc and holds it to the
-// map-based definition of packing in first-occurrence terms: record
-// order untouched, exactly the first record of each key keeps its key
-// bytes, runs = distinct keys, and the groups a reducer sees unchanged.
-func checkPacking(t *testing.T, sc *taskScratch, kvs []kv) {
+// checkPacking emits kvs with packing on — a map task on sc whose key set
+// was sized for hint keys — and holds the emit-time decision to the
+// map-based definition of packing, PR 21's accounting rule replayed over
+// a test-local map from key to first arrival: records in arrival order
+// with their bytes untouched, exactly the first record of each key
+// charged its key bytes, the distinct-key count and the byte total those
+// sizes sum to, and the groups a reducer sees unchanged.
+func checkPacking(t *testing.T, sc *taskScratch, kvs []kv, hint int) {
 	t.Helper()
-	s := setOf(kvs)
-	before := slices.Clone(s.recs)
-	runs := packRecords(sc, s)
+	em := &Emitter{keys: sc.keySet(hint, false)}
+	for _, r := range kvs {
+		emitInt(em, []byte(r.key), r.v)
+	}
+	s := arenaRecords(t, em)
 	if len(s.recs) != len(kvs) {
 		t.Fatalf("packing left %d records of %d", len(s.recs), len(kvs))
 	}
 	seen := make(map[string]bool)
+	var total int64
 	for i, r := range kvs {
-		want := before[i]
-		if seen[r.key] {
-			want.size -= KeyBytes([]byte(r.key))
+		want := int64(8)
+		if !seen[r.key] {
+			want += KeyBytes([]byte(r.key))
 		}
 		seen[r.key] = true
-		if s.recs[i] != want {
-			t.Fatalf("record %d (key %q): %+v, want %+v", i, r.key, s.recs[i], want)
+		total += want
+		if v, _ := binary.Varint(s.payload(i)); string(s.key(i)) != r.key || v != r.v || s.recs[i].tag != tagInt || s.recs[i].size != want {
+			t.Fatalf("record %d (key %q): %q/%d/%d of size %d, want value %d, size %d",
+				i, r.key, s.key(i), s.recs[i].tag, v, s.recs[i].size, r.v, want)
 		}
 	}
-	if runs != int64(len(seen)) {
-		t.Fatalf("packed %d runs, want %d distinct keys", runs, len(seen))
+	if len(em.keys.locs) != len(seen) || em.bytes != total {
+		t.Fatalf("packed %d keys in %d bytes, want %d distinct keys, %d bytes", len(em.keys.locs), em.bytes, len(seen), total)
 	}
-	if gt, wt := groupTrace(t, s), refTrace(kvs); gt != wt {
+	if gt, wt := groupTrace(t, em), refTrace(kvs); gt != wt {
 		t.Fatalf("packing diverged after grouping:\n got %s\nwant %s", gt, wt)
 	}
 }
@@ -187,14 +222,37 @@ func TestPackRecordsMatchesMapPacking(t *testing.T) {
 	var warm taskScratch
 	for trial := 0; trial < 50; trial++ {
 		kvs := randomKVs(rng, rng.Intn(300), rng.Intn(15)+1)
-		checkPacking(t, &taskScratch{}, kvs)
-		checkPacking(t, &warm, kvs)
+		checkPacking(t, &taskScratch{}, kvs, len(kvs))
+		checkPacking(t, &warm, kvs, len(kvs))
+	}
+}
+
+// TestPackRecordsPastEstimate: a map task does not know its key count
+// when it starts. Tasks that emit 20 times the keys their set was sized
+// for — it doubles, rehashing what it holds, more than once on the way —
+// decide exactly as a task sized right does, colliding keys included.
+func TestPackRecordsPastEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var warm taskScratch
+	for trial := 0; trial < 20; trial++ {
+		keys := 20 * (1 + rng.Intn(60))
+		kvs := randomKVs(rng, keys+rng.Intn(4*keys), keys)
+		checkPacking(t, &taskScratch{}, kvs, keys/20)
+		checkPacking(t, &warm, kvs, keys/20)
+		if got := len(warm.keys.slots); got < 2*len(warm.keys.locs) || got < 8*(keys/20) {
+			t.Fatalf("trial %d: %d keys in %d slots from an estimate of %d: the set did not double twice at load ≤ 1/2",
+				trial, len(warm.keys.locs), got, keys/20)
+		}
+	}
+	low, full := collidingKVs(t, false)
+	for _, kvs := range [][]kv{low, full} {
+		checkPacking(t, &taskScratch{}, kvs, 0)
 	}
 }
 
 func TestPackRecordsEmptyAndSingle(t *testing.T) {
-	checkPacking(t, &taskScratch{}, nil)
-	checkPacking(t, &taskScratch{}, []kv{{"k", 1}})
+	checkPacking(t, &taskScratch{}, nil, 0)
+	checkPacking(t, &taskScratch{}, []kv{{"k", 1}}, 1)
 }
 
 // searchKeys returns the first n keys "c0", "c1", … that keep accepts.
@@ -211,7 +269,7 @@ func searchKeys(n int, keep func(key string) bool) []string {
 // collidingKVs returns two record lists over distinct keys that only the
 // key comparison on a hit tells apart, each key three times: keys that
 // share a home slot at the table sizes their task — a reduce task's
-// gather if partitioned, else a packing pass — gets, and pairs equal in
+// gather if partitioned, else a packing map task — gets, and pairs equal in
 // all 32 bits of hashKey.
 func collidingKVs(t *testing.T, partitioned bool) (low, full []kv) {
 	t.Helper()
@@ -249,13 +307,13 @@ func collidingKVs(t *testing.T, partitioned bool) (low, full []kv) {
 	return low, repeated(pairs)
 }
 
-// TestPackRecordsCollidingKeys feeds the packing pass's key set the
+// TestPackRecordsCollidingKeys feeds a packing map task's key set the
 // colliding keys.
 func TestPackRecordsCollidingKeys(t *testing.T) {
 	low, full := collidingKVs(t, false)
-	checkPacking(t, &taskScratch{}, low[:6]) // two keys, three times each
-	checkPacking(t, &taskScratch{}, low)
-	checkPacking(t, &taskScratch{}, full)
+	checkPacking(t, &taskScratch{}, low[:6], 6) // two keys, three times each
+	checkPacking(t, &taskScratch{}, low, 12)
+	checkPacking(t, &taskScratch{}, full, len(full))
 }
 
 // TestReduceGroupingCollidingKeys feeds them to the reduce task's gather:
@@ -270,20 +328,18 @@ func TestReduceGroupingCollidingKeys(t *testing.T) {
 }
 
 // probesPerHit returns the mean number of slots looked at to find each
-// of s's records, all of distinct keys, from its key's home slot, in the
-// key set a task over them filled. ks is that set as the test took it
-// from the task's scratch before the task ran: the task's own, taken for
-// as many records, is the same slots under the same index.
-func probesPerHit(ks *keySet, s *recordSet) float64 {
+// of the distinct keys ks holds, from the key's home slot. bufs are the
+// buffers of the task that filled the set.
+func probesPerHit(ks *keySet, bufs [][]byte) float64 {
 	mask := uint32(len(ks.slots) - 1)
 	probes := 0
-	for i := range s.recs {
-		h := ks.home(s.key(i))
+	for i, l := range ks.locs {
+		h := ks.home(bufs[l.src][l.off : l.off+l.klen])
 		for probes++; ks.slots[h] != int32(i+1); probes++ {
 			h = (h + 1) & mask
 		}
 	}
-	return float64(probes) / float64(len(s.recs))
+	return float64(probes) / float64(len(ks.locs))
 }
 
 // denseKeyShapes are integer-keyed tuples of the shapes a guard
@@ -301,22 +357,25 @@ var denseKeyShapes = []struct {
 }
 
 // TestPackRecordsProbeLength holds hashKey's low bits, a map task's home
-// slots, against dense integer keys. Uniform hashing at the set's load (n
-// records in ≥ 2n slots) gives at most 1.5 probes per hit; the bound is 2.
+// slots, against dense integer keys — in a set sized for them, and in one
+// that started at a twentieth and doubled its way there. Uniform hashing
+// at the set's load (n keys in ≥ 2n slots) gives at most 1.5 probes per
+// hit; the bound is 2.
 func TestPackRecordsProbeLength(t *testing.T) {
 	const n = 24_500
 	for _, g := range denseKeyShapes {
-		var em Emitter
-		for i := int64(0); i < n; i++ {
-			emitInt(&em, []byte(g.gen(i).Key()), i)
-		}
-		var sc taskScratch
-		ks := sc.keySet(n, false)
-		if runs := packRecords(&sc, &em.set); runs != n {
-			t.Fatalf("%s: %d runs over %d distinct keys", g.name, runs, n)
-		}
-		if got := probesPerHit(&ks, &em.set); got > 2 {
-			t.Errorf("%s: %.2f probes per hit in %d slots, want ≤ 2", g.name, got, len(ks.slots))
+		for _, hint := range []int{n, n / 20} {
+			var sc taskScratch
+			em := Emitter{keys: sc.keySet(hint, false)}
+			for i := int64(0); i < n; i++ {
+				emitInt(&em, []byte(g.gen(i).Key()), i)
+			}
+			if keys := len(sc.keys.locs); keys != n || len(sc.keys.slots) < 2*n {
+				t.Fatalf("%s: %d keys in %d slots over %d distinct keys", g.name, keys, len(sc.keys.slots), n)
+			}
+			if got := probesPerHit(&sc.keys, em.chunks); got > 2 {
+				t.Errorf("%s, sized for %d: %.2f probes per hit in %d slots, want ≤ 2", g.name, hint, got, len(sc.keys.slots))
+			}
 		}
 	}
 }
@@ -325,38 +384,70 @@ func TestPackRecordsProbeLength(t *testing.T) {
 // gathers: the same dense keys, but only those the partitioner sent to
 // one reducer — hashKey(key) % R == ri, so the map side's index, the
 // hash's low bits, would have size/gcd(size, R) home slots to offer (at
-// R = 64, 128 of the 8 192 these 2 400 keys get). The bound is the
-// packing pass's.
+// R = 64, 128 of the 8 192 these 2 400 keys get). The bound is the map
+// side's.
 func TestReduceGroupingProbeLength(t *testing.T) {
 	const n = 2400
 	for _, reducers := range []uint32{2, 42, 64, 1024} {
 		ri := reducers / 3
 		for _, g := range denseKeyShapes {
 			var em Emitter
-			for i := int64(0); len(em.set.recs) < n; i++ {
+			for i := int64(0); em.records < n; i++ {
 				if key := []byte(g.gen(i).Key()); hashKey(key)%reducers == ri {
 					emitInt(&em, key, i)
 				}
 			}
 			var sc taskScratch
-			ks := sc.keySet(n, true)
-			if got := groupOrder(t, &sc, &em.set); len(got) != n {
-				t.Fatalf("R=%d %s: %d of %d records delivered", reducers, g.name, len(got), n)
+			parts := partitionOf(t, &em)
+			if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func([]byte, *Group) {}); err != nil {
+				t.Fatal(err)
 			}
-			if got := probesPerHit(&ks, &em.set); got > 2 {
-				t.Errorf("R=%d %s: %.2f probes per hit in %d slots, want ≤ 2", reducers, g.name, got, len(ks.slots))
+			if keys := len(sc.keys.locs); keys != n {
+				t.Fatalf("R=%d %s: %d of %d keys gathered", reducers, g.name, keys, n)
+			}
+			if got := probesPerHit(&sc.keys, [][]byte{parts[0][0].buf}); got > 2 {
+				t.Errorf("R=%d %s: %.2f probes per hit in %d slots, want ≤ 2", reducers, g.name, got, len(sc.keys.slots))
 			}
 		}
 	}
 }
 
-// TestPackRecordsWarmAllocatesNothing: on a scratch that has seen a
-// task of the size, the accounting pass allocates nothing.
+// TestPackRecordsWarmAllocatesNothing: on a worker that has run a longer
+// task, Emit allocates nothing per record — packing on or off, a key's
+// first record or a later one. What a map task allocates is its arena:
+// the emitter here is past the doubling, in a 64 KiB chunk the measured
+// records fit in.
 func TestPackRecordsWarmAllocatesNothing(t *testing.T) {
-	s := setOf(randomKVs(rand.New(rand.NewSource(4)), 2000, 300))
-	var sc taskScratch
-	if got := testing.AllocsPerRun(10, func() { packRecords(&sc, s) }); got != 0 {
-		t.Errorf("packRecords allocates %v times per task on a warm scratch, want 0", got)
+	for _, packing := range []bool{false, true} {
+		var sc taskScratch
+		var kb [12]byte
+		next := int64(0)
+		emit := func(em *Emitter, n int) {
+			for i := 0; i < n; i++ {
+				next++
+				emitInt(em, relation.Value(next).AppendKey(kb[:0]), next)    // a new key
+				emitInt(em, relation.Value(next/2).AppendKey(kb[:0]), -next) // one seen before
+			}
+		}
+		var longer, em Emitter
+		if packing {
+			longer.keys = sc.keySet(0, false)
+		}
+		emit(&longer, 10_000)
+		if packing {
+			em.keys = sc.keySet(5000, false)
+		}
+		next = 0
+		for len(em.chunks) <= arenaRungs {
+			emit(&em, 100)
+		}
+		const records = 2 * 500
+		if room := cap(em.chunks[len(em.chunks)-1]) - len(em.chunks[len(em.chunks)-1]); room < 4*records*12 { // AllocsPerRun warms up once: four runs of records ≤ 12 bytes
+			t.Fatalf("packing %v: %d bytes left in the current chunk: the measured records would open another", packing, room)
+		}
+		if got := testing.AllocsPerRun(3, func() { emit(&em, records/2) }); got != 0 {
+			t.Errorf("packing %v: %v allocations per %d records on a warm worker, want 0", packing, got, records)
+		}
 	}
 }
 
@@ -415,7 +506,8 @@ func TestReduceGroupingShapes(t *testing.T) {
 		shapes[fmt.Sprintf("%d groups, short keys", groups)] = distinct(groups, short)
 		shapes[fmt.Sprintf("%d groups past one prefix", groups)] = distinct(groups, long)
 	}
-	for name, kvs := range shapes {
+	for _, name := range slices.Sorted(maps.Keys(shapes)) {
+		kvs := shapes[name]
 		if got, want := groupTrace(t, setOf(kvs)), refTrace(kvs); got != want {
 			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
 		}

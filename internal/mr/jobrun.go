@@ -63,12 +63,13 @@ type jobRun struct {
 
 	tasks   [][]mapTaskSpec   // per input part: that input's splits
 	results [][]mapTaskResult // per input part, per map task
-	// est[part] is the running map-output estimate (records per 1024
-	// input tuples) published by finished tasks of the part and used to
-	// pre-size later tasks' record buffers. Gumbo's mappers are near
-	// uniform per input (the property Engine.Sample relies on), so the
-	// estimate converges after the part's first task; it only sets
-	// capacity — results never depend on it.
+	// est[part] is the running estimate of the distinct keys a map task
+	// of the part emits per 1024 input tuples, published by its finished
+	// tasks and used to size later tasks' key sets when the job packs.
+	// Gumbo's mappers are near uniform per input (the property
+	// Engine.Sample relies on), so the estimate converges after the
+	// part's first task; it only sets capacity — the set doubles past it
+	// and results never depend on it.
 	est []atomic.Int64
 
 	reducers  int
@@ -169,32 +170,31 @@ func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 }
 
 // mapTask runs the mapper over one split through the production
-// Emitter (arena-held keys and payloads, sizes fixed at emit), with
-// optional packing.
+// Emitter: records encoded into the task's arena, sizes fixed — packing
+// decided — at emit.
 func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	start := time.Now()
 	job := jr.job
 	input := job.Inputs[part]
 	ts := jr.tasks[part][ti]
 	n := ts.to - ts.from
-	capHint := n
-	if est := jr.est[part].Load(); est > 0 {
-		capHint = int(est*int64(n)/1024) + 8
-	}
 	em := Emitter{budget: jr.gov.budget}
-	em.set.recs = c.scratch.takeRecords(capHint) // returned by the shuffle task that consumes it
+	if job.Packing {
+		keys := n
+		if est := jr.est[part].Load(); est > 0 {
+			keys = int(est*int64(n)/1024) + 8
+		}
+		em.keys = c.scratch.keySet(keys, false)
+	}
 	for i := ts.from; i < ts.to; i++ {
 		job.Mapper.Map(input, i, ts.rel.Tuple(i), &em)
 	}
-	res := mapTaskResult{set: em.set, records: int64(len(em.set.recs))}
-	if n > 0 {
-		jr.est[part].Store(res.records * 1024 / int64(n))
-	}
+	res := mapTaskResult{chunks: em.chunks, msgs: em.records, records: em.records, bytes: em.bytes}
 	if job.Packing {
-		res.records = packRecords(&c.scratch, &res.set)
-	}
-	for i := range res.set.recs {
-		res.bytes += res.set.recs[i].size
+		res.records = int64(len(em.keys.locs))
+		if n > 0 {
+			jr.est[part].Store(res.records * 1024 / int64(n))
+		}
 	}
 	jr.results[part][ti] = res
 	jr.mu.Lock()
@@ -283,37 +283,51 @@ func (jr *jobRun) computeReducers() int {
 }
 
 // shuffleTask partitions one map task's records by key hash with the
-// counted two-pass placement: size each reducer's segment, allocate one
-// buffer for all of them (charged to the run's budget — the
-// shuffle-partition accounting site), then encode every record into its
-// segment. Whether the job packs does not matter here: a record's size
-// already says whether it carries its key. A partition at or past the
-// spill threshold is then written to a temp file and its buffer dropped
-// (see spill.go).
+// counted two-pass placement: decode the task's arena once — hash each
+// key, add the record to its reducer's load and segment, note its reducer
+// and encoded length in worker scratch — allocate one buffer for all the
+// segments (charged to the run's budget — the shuffle-partition
+// accounting site), then copy every record, encoded as Emit left it, into
+// its segment. Whether the job packs does not matter here: a record's
+// size already says whether it carries its key. An arena that does not
+// decode aborts the task like a damaged spill file. A partition at or
+// past the spill threshold is then written to a temp file and its buffer
+// dropped (see spill.go).
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	start := time.Now()
-	set := &jr.results[part][ti].set
-	taskBytes := jr.results[part][ti].bytes
+	res := &jr.results[part][ti]
 	reducers := jr.reducers
 	tp := taskPartition{
 		segs:  make([]segment, reducers),
 		loads: make([]int64, reducers),
 	}
-	if n := len(set.recs); n > 0 {
+	if n := int(res.msgs); n > 0 {
 		if jr.e.cfg.SkewSplit > 0 {
 			tp.sketch = newKeySketch(jr.gov.budget)
 		}
 		target := grow(&c.scratch.target, n)
-		for i := range set.recs {
-			r, key := &set.recs[i], set.key(i)
-			p := int32(hashKey(key) % uint32(reducers))
-			tp.loads[p] += r.size
-			if tp.sketch != nil && i%sketchSampleEvery == 0 {
-				tp.sketch.observe(key, p, r.size*sketchSampleEvery)
+		lens := grow(&c.scratch.idx, n)
+		i := 0
+		for _, chunk := range res.chunks {
+			for at := 0; at < len(chunk); i++ {
+				r, next, err := readRecord(chunk, at)
+				if err != nil || i == n {
+					panic(taskAbort{err: errCorrupt})
+				}
+				key := chunk[r.off : r.off+r.klen]
+				p := int32(hashKey(key) % uint32(reducers))
+				tp.loads[p] += r.size
+				if tp.sketch != nil && i%sketchSampleEvery == 0 {
+					tp.sketch.observe(key, p, r.size*sketchSampleEvery)
+				}
+				target[i], lens[i] = p, int32(next-at)
+				tp.segs[p].len += int64(next - at)
+				tp.segs[p].count++
+				at = next
 			}
-			target[i] = p
-			tp.segs[p].len += recordLen(r)
-			tp.segs[p].count++
+		}
+		if i != n {
+			panic(taskAbort{err: errCorrupt})
 		}
 		pos := grow(&c.scratch.pos, reducers)
 		var total int64
@@ -322,20 +336,22 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			total += tp.segs[p].len
 		}
 		tp.buf = grabBytes(jr.gov.budget, int(total))
-		for i := range set.recs {
-			r, p := &set.recs[i], target[i]
-			enc := appendRecord(tp.buf[pos[p]:pos[p]], set.key(i), r.tag, r.size, set.payload(i))
-			pos[p] += int64(len(enc))
+		i = 0
+		for _, chunk := range res.chunks {
+			for at := 0; at < len(chunk); i++ {
+				p, next := target[i], at+int(lens[i])
+				pos[p] += int64(copy(tp.buf[pos[p]:], chunk[at:next]))
+				at = next
+			}
 		}
-		if jr.gov.spill != nil && taskBytes >= jr.e.cfg.SpillThreshold {
+		if jr.gov.spill != nil && res.bytes >= jr.e.cfg.SpillThreshold {
 			if err := tp.spill(jr.gov.spill, jr.gov.budget); err != nil {
 				panic(taskAbort{err: err})
 			}
 		}
 	}
 	jr.taskParts[part][ti] = tp
-	c.scratch.putRecords(set.recs)         // the map task's array, now this worker's
-	jr.results[part][ti].set = recordSet{} // the segments own the bytes now
+	res.chunks = nil // the segments own the bytes now
 	jr.mu.Lock()
 	jr.timing.ShuffleSeconds += time.Since(start).Seconds()
 	jr.shufsLeft--
@@ -395,20 +411,19 @@ func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *
 			n += parts[part][ti].count(slot)
 		}
 	}
-	set := recordSet{recs: sc.takeRecords(n)}
+	set := recordSet{recs: grow(&sc.recs, n)[:0]}
 	ks := sc.keySet(n, true)
 	var load int64
 	for part := range parts {
 		for ti := range parts[part] {
-			kept, err := parts[part][ti].appendTo(&set, &ks, slot, b)
+			kept, err := parts[part][ti].appendTo(&set, ks, slot, b)
 			if err != nil {
-				return load, err // an aborted task leaves its array to the collector
+				return load, err
 			}
 			load += kept
 		}
 	}
-	forEachGroup(&set, groupRecords(sc, &set, ks.n), fn)
-	sc.putRecords(set.recs) // after the last group: Group views index it
+	forEachGroup(&set, groupRecords(sc, &set, len(ks.locs)), fn)
 	return load, nil
 }
 

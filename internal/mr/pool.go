@@ -2,7 +2,6 @@ package mr
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -41,27 +40,20 @@ type poolCtx struct {
 	scratch taskScratch
 }
 
-// scratchArrays bounds a worker's free list of record arrays.
-const scratchArrays = 8
-
 // taskScratch is one worker's reusable task memory: the pointer-free
-// arrays a task needs only until it returns (a map task's record array
-// until the shuffle task that consumes it hands it to its own worker's
-// list — ownership moves with the data). It is run-scoped — garbage
-// when runTasks returns — never holds a []byte (arena chunks and
-// shuffle buffers stay charged, single-use grabBytes allocations) and
-// is bounded: the grouping, key-set and shuffle buffers grow to the
-// largest task the worker has run, free keeps the scratchArrays largest
-// record arrays returned to it. Every buffer is handed out to be
-// overwritten — the key set, to be cleared — before any read; an aborted
-// task leaves its arrays to the collector.
+// arrays a task needs only until it returns. It is run-scoped — garbage
+// when runTasks returns — never holds a []byte (arena chunks and shuffle
+// buffers stay charged, single-use grabBytes allocations) and is bounded:
+// every buffer grows to the largest task the worker has run and nothing
+// is kept per task. Every buffer is handed out to be overwritten — the
+// key set's slots, to be cleared — before any read.
 type taskScratch struct {
-	refs   []keyRef   // groupRecords: one sort ref per distinct key + radix scatter scratch
-	idx    []int32    // groupRecords: record indices laid out by key
-	keys   []int32    // keySet: the slots, for a map task's packing pass or a reduce task's gather
-	target []int32    // shuffleTask: each record's reducer; groupRecords: each group's count, cursor, end
-	pos    []int64    // shuffleTask: per-reducer write cursors
-	free   [][]record // returned record arrays, ascending capacity
+	recs   []record // reduceGroups: the gathered records
+	refs   []keyRef // groupRecords: one sort ref per distinct key + radix scatter scratch
+	idx    []int32  // shuffleTask: each record's encoded length; groupRecords: record indices laid out by key
+	keys   keySet   // a map task's packing decisions under Emit, or a reduce task's gather
+	target []int32  // shuffleTask: each record's reducer; groupRecords: each group's count, cursor, end
+	pos    []int64  // shuffleTask: per-reducer write cursors
 }
 
 // grow returns *buf resized to n elements of unspecified content,
@@ -71,30 +63,6 @@ func grow[T any](buf *[]T, n int) []T {
 		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
-}
-
-func cmpCap(a []record, n int) int { return cap(a) - n }
-
-// takeRecords returns an empty record array of capacity ≥ n: the
-// smallest free one that fits, else a fresh one.
-func (sc *taskScratch) takeRecords(n int) []record {
-	i, _ := slices.BinarySearchFunc(sc.free, n, cmpCap)
-	if i == len(sc.free) {
-		return make([]record, 0, n)
-	}
-	a := sc.free[i]
-	sc.free = slices.Delete(sc.free, i, i+1)
-	return a[:0]
-}
-
-// putRecords gives a back after its holder's last use of it; a full
-// list drops its smallest array, possibly a itself.
-func (sc *taskScratch) putRecords(a []record) {
-	i, _ := slices.BinarySearchFunc(sc.free, cap(a), cmpCap)
-	sc.free = slices.Insert(sc.free, i, a)
-	if len(sc.free) > scratchArrays {
-		sc.free = slices.Delete(sc.free, 0, 1)
-	}
 }
 
 // spawn schedules fn onto the current worker's deque.

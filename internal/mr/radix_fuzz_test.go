@@ -55,8 +55,8 @@ func FuzzRadixSort(f *testing.F) {
 				}
 				spread.Emit(key, tagInt, 8, nil)
 			}
-			checkRadixAgainstOracle(t, &sc, &tiled.set)
-			checkRadixAgainstOracle(t, &sc, &spread.set)
+			checkRadixAgainstOracle(t, &sc, &tiled)
+			checkRadixAgainstOracle(t, &sc, &spread)
 		}
 	})
 }
@@ -84,9 +84,10 @@ func decodeFuzzKeys(data []byte) [][]byte {
 // requires exactly the record sequence of slices.SortStableFunc with
 // bytes.Compare: the oracle's key order, and ascending record index
 // inside every key.
-func checkRadixAgainstOracle(t *testing.T, sc *taskScratch, recs *recordSet) {
+func checkRadixAgainstOracle(t *testing.T, sc *taskScratch, em *Emitter) {
 	t.Helper()
-	got, want := groupOrder(t, sc, recs), stableOrder(recs)
+	recs := arenaRecords(t, em)
+	got, want := groupOrder(t, sc, em), stableOrder(t, em)
 	if len(got) != len(want) {
 		t.Fatalf("n=%d: %d records delivered", len(want), len(got))
 	}

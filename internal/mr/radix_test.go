@@ -58,7 +58,8 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 		// sorts run.
 		n := rng.Intn(radixMinLen * 4)
 		keys := genAdversarialKeys(rng, n)
-		recs := setOf(kvsFromKeys(keys))
+		em := setOf(kvsFromKeys(keys))
+		recs := arenaRecords(t, em)
 
 		want := make([]string, n)
 		for i, k := range keys {
@@ -66,7 +67,7 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 		}
 		sort.Strings(want)
 
-		idx := groupOrder(t, &sc, recs)
+		idx := groupOrder(t, &sc, em)
 		if len(idx) != n {
 			t.Fatalf("trial %d: %d records delivered, want %d", trial, len(idx), n)
 		}
@@ -150,15 +151,16 @@ func TestArenaIsolation(t *testing.T) {
 	for i, k := range keys {
 		em.Emit(k, tagInt, 8, []byte{byte(i)})
 	}
-	if len(em.set.bufs) < 4 {
-		t.Fatalf("%d chunks: the large keys did not roll the arena over", len(em.set.bufs))
+	if len(em.chunks) < 4 {
+		t.Fatalf("%d chunks: the large keys did not roll the arena over", len(em.chunks))
 	}
+	set := arenaRecords(t, &em)
 	for i, k := range keys {
-		if !bytes.Equal(em.set.key(i), k) || !bytes.Equal(em.set.payload(i), []byte{byte(i)}) {
-			t.Fatalf("record %d corrupted: key %q payload %v", i, em.set.key(i), em.set.payload(i))
+		if !bytes.Equal(set.key(i), k) || !bytes.Equal(set.payload(i), []byte{byte(i)}) {
+			t.Fatalf("record %d corrupted: key %q payload %v", i, set.key(i), set.payload(i))
 		}
-		if want := KeyBytes(k) + 8; em.set.recs[i].size != want {
-			t.Errorf("record %d: size %d, want %d", i, em.set.recs[i].size, want)
+		if want := KeyBytes(k) + 8; set.recs[i].size != want {
+			t.Errorf("record %d: size %d, want %d", i, set.recs[i].size, want)
 		}
 	}
 }

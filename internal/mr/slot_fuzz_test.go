@@ -85,7 +85,7 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 				streams[ri] = append(streams[ri], r)
 				id++
 			}
-			res.set = em.set
+			res.chunks, res.msgs = em.chunks, em.records
 		}
 	}
 	for part := 0; part < parts; part++ {
@@ -122,7 +122,7 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 			ks := c.scratch.keySet(reserve, true)
 			for part := range jr.taskParts {
 				for ti := range jr.taskParts[part] {
-					kept, err := jr.taskParts[part][ti].appendTo(&got, &ks, slot, nil)
+					kept, err := jr.taskParts[part][ti].appendTo(&got, ks, slot, nil)
 					if err != nil {
 						t.Fatalf("slot %d: appendTo: %v", si, err)
 					}

@@ -27,10 +27,21 @@ func spillFilesIn(t *testing.T, dir string) []string {
 	return names
 }
 
-// shuffleOne runs the real shuffle task over one map task's records with
+// shuffleOne runs the real shuffle task over one map task's output with
 // a single reducer — the segment writer — and returns the partition,
 // resident or spilled.
-func shuffleOne(t testing.TB, set recordSet, spill bool) *taskPartition {
+func shuffleOne(t testing.TB, em *Emitter, spill bool) *taskPartition {
+	t.Helper()
+	tp, err := shuffleArena(t, em.chunks, em.records, spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
+// shuffleArena is shuffleOne over raw arena chunks said to hold msgs
+// records; an arena the shuffle task rejects is the error.
+func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, spill bool) (tp *taskPartition, err error) {
 	t.Helper()
 	e := NewEngine(Config{Cost: cost.Default()})
 	gov := govern{}
@@ -41,14 +52,19 @@ func shuffleOne(t testing.TB, set recordSet, spill bool) *taskPartition {
 		t.Cleanup(gov.spill.cleanup)
 	}
 	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: 1, shufsLeft: 2} // never the last shuffle, so nothing spawns
-	jr.results = [][]mapTaskResult{{{set: set, bytes: 1}}}
+	jr.results = [][]mapTaskResult{{{chunks: chunks, msgs: msgs, bytes: 1}}}
 	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
+	defer func() { // as the pool's runOne does
+		if ta, ok := recover().(taskAbort); ok {
+			tp, err = nil, ta.err
+		}
+	}()
 	jr.shuffleTask(&poolCtx{}, 0, 0)
-	tp := &jr.taskParts[0][0]
+	tp = &jr.taskParts[0][0]
 	if (tp.f != nil) != spill {
 		t.Fatalf("partition spilled = %v, want %v", tp.f != nil, spill)
 	}
-	return tp
+	return tp, nil
 }
 
 // readAll reads a whole single-reducer partition back through the one
@@ -56,7 +72,7 @@ func shuffleOne(t testing.TB, set recordSet, spill bool) *taskPartition {
 func readAll(tp *taskPartition) (recordSet, error) {
 	var got recordSet
 	ks := new(taskScratch).keySet(tp.count(reduceSlot{}), true)
-	_, err := tp.appendTo(&got, &ks, reduceSlot{}, nil)
+	_, err := tp.appendTo(&got, ks, reduceSlot{}, nil)
 	return got, err
 }
 
@@ -80,7 +96,7 @@ func checkReadFails(t *testing.T, what string, tp *taskPartition) {
 // by a length it has not checked against the bytes it holds.
 func TestSegmentCorruption(t *testing.T) {
 	kvs := []kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}}
-	tp := shuffleOne(t, *setOf(kvs), false)
+	tp := shuffleOne(t, setOf(kvs), false)
 	good, count := tp.buf, tp.segs[0].count
 	if got, err := readAll(tp); err != nil || len(got.recs) != len(kvs) {
 		t.Fatalf("clean segment: %d records, err %v", len(got.recs), err)
@@ -112,12 +128,103 @@ func TestSegmentCorruption(t *testing.T) {
 	}
 }
 
-// FuzzRecordCodec round-trips records through the segment writer (the
-// real shuffle task) and the one reader, resident and spilled, and feeds
-// the reader arbitrary bytes. The engine never interprets a payload, so
-// the message types of internal/core are byte shapes here — the seeds
-// mirror their layouts (varint pairs, varint runs, empty) —
-// and every other shape the fuzzer finds must survive just the same.
+// refReadRecord is the record decoder as the wire form defines it, with
+// no short cut: the oracle for readRecord.
+func refReadRecord(b []byte, pos int) (record, int, bool) {
+	var h [3]uint64
+	for i := range h {
+		v, n := binary.Uvarint(b[pos:])
+		if n <= 0 {
+			return record{}, 0, false
+		}
+		h[i], pos = v, pos+n
+	}
+	if pos >= len(b) || h[0] > uint64(len(b)-pos-1) || h[1] > uint64(len(b)-pos-1)-h[0] || h[2] > math.MaxInt64 {
+		return record{}, 0, false
+	}
+	return record{size: int64(h[2]), off: uint32(pos + 1), klen: uint32(h[0]), plen: uint32(h[1]), tag: b[pos]}, pos + 1 + int(h[0]+h[1]), true
+}
+
+// TestReadRecordMatchesReference holds the decoder, one-byte headers read
+// directly and the rest through the varint loop, to the plain decoder at
+// every header shape around the one-byte boundary, whole and truncated at
+// every length.
+func TestReadRecordMatchesReference(t *testing.T) {
+	lens := []int{0, 1, 126, 127, 128, 129, 300}
+	sizes := []uint64{0, 1, 127, 128, 1 << 20, math.MaxInt64, 1 << 63}
+	for _, klen := range lens {
+		for _, plen := range lens {
+			for _, size := range sizes {
+				enc := []byte{0xee} // the record starts at 1
+				enc = binary.AppendUvarint(enc, uint64(klen))
+				enc = binary.AppendUvarint(enc, uint64(plen))
+				enc = binary.AppendUvarint(enc, size)
+				enc = append(enc, 9)
+				enc = append(enc, bytes.Repeat([]byte{'k'}, klen)...)
+				enc = append(enc, bytes.Repeat([]byte{'p'}, plen)...)
+				for cut := 1; cut <= len(enc); cut++ {
+					want, wantNext, ok := refReadRecord(enc[:cut], 1)
+					got, next, err := readRecord(enc[:cut], 1)
+					if (err == nil) != ok || got != want || next != wantNext || (err != nil && !errors.Is(err, ErrSpill)) {
+						t.Fatalf("klen %d plen %d size %d cut at %d of %d: %+v, %d, %v; the reference reads %+v, %d, %v",
+							klen, plen, size, cut, len(enc), got, next, err, want, wantNext, ok)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkArenaDamage hands the shuffle task chunks — a damaged copy of an
+// arena of msgs records — and requires what a damaged spill file gets:
+// the task aborts with an error matching ErrSpill, or it places records
+// the one reader then answers for the same way — never a panic.
+func checkArenaDamage(t *testing.T, what string, chunks [][]byte, msgs int64) {
+	t.Helper()
+	tp, err := shuffleArena(t, chunks, msgs, false)
+	if err == nil {
+		var got recordSet
+		if got, err = readAll(tp); err == nil {
+			for i := range got.recs {
+				_, _ = got.key(i), got.payload(i)
+			}
+			return
+		}
+	}
+	if !errors.Is(err, ErrSpill) {
+		t.Errorf("%s: err = %v, want ErrSpill", what, err)
+	}
+}
+
+// TestArenaCorruption is TestSegmentCorruption one stage earlier: the
+// shuffle task decodes what Emit wrote, so every bit of a map task's
+// arena, flipped, must abort it cleanly or leave it a partition that
+// reads back, and a record count the arena does not hold must abort it.
+func TestArenaCorruption(t *testing.T) {
+	em := setOf([]kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}})
+	good := em.chunks[0]
+	for bit := 0; bit < 8*len(good); bit++ {
+		flipped := append([]byte(nil), good...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		checkArenaDamage(t, fmt.Sprintf("bit %d flipped", bit), [][]byte{flipped}, em.records)
+	}
+	for _, msgs := range []int64{em.records - 1, em.records + 1} {
+		if _, err := shuffleArena(t, em.chunks, msgs, false); !errors.Is(err, ErrSpill) {
+			t.Errorf("%d records claimed of %d: err = %v, want ErrSpill", msgs, em.records, err)
+		}
+	}
+}
+
+// FuzzRecordCodec round-trips records through the encoder (Emit, into a
+// map task's arena), the decoder over that arena, the segment writer
+// (the real shuffle task) and the one reader, resident and spilled; it
+// damages a byte of the arena under the shuffle task, and feeds the
+// reader arbitrary bytes. The engine never interprets a payload, so the
+// message types of internal/core are byte shapes here — the seeds mirror
+// their layouts (varint pairs, varint runs, empty) and the arena's edges
+// (nothing but a header, a record larger than the rung it opens, one that
+// fills its chunk to the last byte) — and every other shape the fuzzer
+// finds must survive just the same.
 func FuzzRecordCodec(f *testing.F) {
 	vs := func(vals ...int64) []byte {
 		var b []byte
@@ -131,24 +238,47 @@ func FuzzRecordCodec(f *testing.F) {
 	f.Add([]byte{}, byte(3), int64(36), vs(2, -1, 5, 6, 7), []byte{0x80})                   // Request: verdict, tuple...
 	f.Add(bytes.Repeat([]byte{0xff}, 70), byte(4), int64(42), vs(1, 2, 3, 4), []byte{9, 9}) // TupleVal: arity, T...
 	f.Add([]byte{0}, byte(5), int64(4), vs(-1), binary.AppendUvarint(nil, 1<<62))           // Assert: a class out of range
+	f.Add([]byte{}, byte(0), int64(0), []byte{}, []byte{3, 1})                              // a header and nothing else
+	f.Add([]byte("k"), byte(6), int64(12), make([]byte, arenaFirst+1), []byte{0, 0x80})     // larger than the rung it opens
+	// The 11 bytes of "before", then 1 + 2 + 1 + 1 + 1 of header, tag and key: this payload ends its chunk.
+	f.Add([]byte("k"), byte(7), int64(12), make([]byte, arenaFirst-11-6), []byte{0xff, 0x1f})
 	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
 		size &= math.MaxInt64 >> 1 // a modelled size is a byte count
 		var em Emitter
 		em.Emit([]byte("before"), tagInt, 8, []byte{1})
 		em.Emit(key, tag, size, payload)
 		em.Emit(key, tagInt, 0, nil)
+		want := arenaRecords(t, &em)
+		if r := want.recs[1]; len(want.recs) != 3 || !bytes.Equal(want.key(1), key) || r.tag != tag ||
+			r.size != size+KeyBytes(key) || !bytes.Equal(want.payload(1), payload) ||
+			!bytes.Equal(want.key(2), key) || want.recs[2].size != KeyBytes(key) || len(want.payload(2)) != 0 {
+			t.Fatalf("the arena reads back %d records, the emitted one as %q/%d/%d/%x", len(want.recs), want.key(1), r.tag, r.size, want.payload(1))
+		}
 		for _, spill := range []bool{false, true} {
-			got, err := readAll(shuffleOne(t, em.set, spill))
-			if err != nil || len(got.recs) != len(em.set.recs) {
+			got, err := readAll(shuffleOne(t, &em, spill))
+			if err != nil || len(got.recs) != len(want.recs) {
 				t.Fatalf("spill %v: read back %d records, err %v", spill, len(got.recs), err)
 			}
-			for i, want := range em.set.recs {
+			for i, w := range want.recs {
 				r := got.recs[i]
-				if !bytes.Equal(got.key(i), em.set.key(i)) || r.tag != want.tag || r.size != want.size ||
-					!bytes.Equal(got.payload(i), em.set.payload(i)) {
+				if !bytes.Equal(got.key(i), want.key(i)) || r.tag != w.tag || r.size != w.size ||
+					!bytes.Equal(got.payload(i), want.payload(i)) {
 					t.Fatalf("spill %v: record %d came back %q/%d/%d/%x", spill, i, got.key(i), r.tag, r.size, got.payload(i))
 				}
 			}
+		}
+		if len(raw) >= 2 && raw[1] != 0 { // raw picks the arena byte to damage, and how
+			damaged := make([][]byte, len(em.chunks))
+			for i, c := range em.chunks {
+				damaged[i] = append([]byte(nil), c...)
+			}
+			c := damaged[int(raw[0])%len(damaged)]
+			c[(int(raw[0])<<8|int(raw[1]))%len(c)] ^= raw[1]
+			checkArenaDamage(t, "a damaged arena byte", damaged, em.records)
+		}
+		wantRec, wantNext, ok := refReadRecord(raw, 0)
+		if r, next, err := readRecord(raw, 0); (err == nil) != ok || r != wantRec || next != wantNext {
+			t.Fatalf("arbitrary bytes decode as %+v, %d, %v; the reference reads %+v, %d, %v", r, next, err, wantRec, wantNext, ok)
 		}
 		for count := int32(0); count < 4; count++ {
 			got, err := readAll(rawPartition(raw, count))

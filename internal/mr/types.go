@@ -18,31 +18,36 @@ import (
 	"repro/internal/relation"
 )
 
-// Emitter is the map-side output sink, one per map task. Emit copies
-// key and payload into the task's grow-only byte arena and appends a
-// pointer-free record referencing them, so a mapper builds both in
-// reused stack buffers (Tuple.AppendKey / sgf.Projector.AppendKey for
-// keys, the typed encoders of internal/core for payloads) and emitting
-// allocates nothing per record. The method is concrete — no interface
-// value, no function value on the storing path — so neither buffer
-// escapes to the heap.
+// Emitter is the map-side output sink, one per map task. Emit writes
+// each record straight into the task's grow-only byte arena in the
+// shuffle wire form (spill.go: lengths, modelled size, tag, key,
+// payload) — the form the shuffle task copies into a reducer's segment
+// and the reduce task decodes — so a map task's output is its chunks and
+// three counters, and no per-record object exists before the reduce
+// task's gather. A mapper builds key and payload in reused stack buffers
+// (Tuple.AppendKey / sgf.Projector.AppendKey for keys, the typed
+// encoders of internal/core for payloads) and emitting allocates nothing
+// per record. The method is concrete — no interface value, no function
+// value on the storing path — so neither buffer escapes to the heap.
 //
 // tag names the payload's type to the job's reducer; the engine never
 // interprets tag or payload. size is the message's modelled serialized
 // size in bytes, the unit of the intermediate-data accounting (M_i):
 // the record is charged KeyBytes(key) + size, whatever its encoded
-// length.
+// length — or, when the job packs (§5.1 opt. 1), size alone unless it is
+// the first the task emits under its key: Emit asks the worker's key set
+// before it encodes, so the size on the wire is final.
 //
 // Ownership: both slices are the caller's again when Emit returns.
 type Emitter struct {
-	set    recordSet // stored records and the arena chunks they point into
-	used   int       // bytes taken from the last chunk
+	chunks [][]byte // the arena: encoded records back to back, len = bytes used
 	budget *Budget
+	keys   *keySet // the keys emitted so far, when the job packs; else nil
 
 	// counting is Engine.Sample's mode: tally records and modelled
 	// bytes, store nothing.
 	counting       bool
-	records, bytes int64
+	records, bytes int64 // emitted so far; the keys among them are len(keys.locs)
 }
 
 // Mapper processes one input fact. The same Mapper instance is used

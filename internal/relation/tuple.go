@@ -60,9 +60,7 @@ func (t Tuple) Clone() Tuple {
 // AppendKey appends v's key encoding (a signed varint) to dst and
 // returns the extended slice.
 func (v Value) AppendKey(dst []byte) []byte {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(b[:], int64(v))
-	return append(dst, b[:n]...)
+	return binary.AppendVarint(dst, int64(v))
 }
 
 // AppendKey appends t's Key encoding to dst and returns the extended
