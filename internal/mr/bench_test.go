@@ -89,6 +89,26 @@ func BenchmarkJobShuffle(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineRunWarm runs a served-size program — diamondProgram's
+// five jobs over a few hundred tuples — again and again on one Engine,
+// after an untimed run that grows its workers' scratch: B/op is the warm
+// path's allocation, what a server's queries pay, even at -benchtime 1x.
+func BenchmarkEngineRunWarm(b *testing.B) {
+	p, db := diamondProgram()
+	e := newTestEngine(cost.Default().Scaled(0.001))
+	run := func() {
+		if _, _, _, err := e.Run(context.Background(), p, db, RunOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // benchPartition builds one reduce partition: n records spread over k
 // distinct keys in round-robin key order.
 func benchPartition(n, k int) *Emitter {

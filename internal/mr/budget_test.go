@@ -173,7 +173,7 @@ func TestBudgetErrorIs(t *testing.T) {
 // still propagates to the caller with its original payload.
 func TestPoolTaskAbort(t *testing.T) {
 	sentinel := errors.New("boom")
-	err := runTasks(context.Background(), 4, func(c *poolCtx) {
+	err := NewEngine(Config{}).runTasks(context.Background(), 4, func(c *poolCtx) {
 		for i := 0; i < 8; i++ {
 			c.spawn(func(c *poolCtx) {})
 		}
@@ -186,7 +186,7 @@ func TestPoolTaskAbort(t *testing.T) {
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		_ = runTasks(context.Background(), 4, func(c *poolCtx) {
+		_ = NewEngine(Config{}).runTasks(context.Background(), 4, func(c *poolCtx) {
 			c.spawn(func(c *poolCtx) { panic("kaboom") })
 		})
 	}()
@@ -200,7 +200,7 @@ func TestPoolTaskAbort(t *testing.T) {
 // converts into a run failure matching the sentinel.
 func TestBudgetChargeAbortsFromTask(t *testing.T) {
 	b := NewBudget(1)
-	err := runTasks(context.Background(), 2, func(c *poolCtx) {
+	err := NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) {
 		c.spawn(func(c *poolCtx) { b.charge(100) })
 	})
 	if !errors.Is(err, ErrBudgetExceeded) {

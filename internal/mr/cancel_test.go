@@ -325,7 +325,7 @@ func TestPoolCancelQuiesces(t *testing.T) {
 		// spawning.
 		var canceled atomic.Bool
 		var ran atomic.Int64
-		err := runTasks(ctx, width, func(c *poolCtx) {
+		err := NewEngine(Config{}).runTasks(ctx, width, func(c *poolCtx) {
 			for i := 0; i < 64; i++ {
 				c.spawn(func(c *poolCtx) {
 					if canceled.Load() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
@@ -12,7 +13,12 @@ import (
 // Engine executes programs of jobs. It is safe for concurrent use: Run
 // only reads the database it is given (relation.Database is
 // internally locked), and all per-run state is private — each run
-// builds its own task graph and worker pool.
+// builds its own task graph and worker goroutines. The one thing runs
+// share is the workers' task scratch (taskScratch): pointer-free arrays
+// holding no key, payload or relation byte, which a run's workers borrow
+// from the Engine and return, so they start at the sizes earlier runs
+// grew them to. The collector empties the Engine's pool of them within
+// two cycles.
 //
 // Execution is task-granular: a job is decomposed into map tasks,
 // shuffle partition tasks, reduce partition tasks and output merge
@@ -46,6 +52,9 @@ import (
 // bit-for-bit identical at every parallelism setting.
 type Engine struct {
 	cfg Config
+	// scratch holds the *taskScratch of workers between runs: a runTasks
+	// worker takes one when it starts and puts it back when it exits.
+	scratch sync.Pool
 }
 
 // Config is the engine's whole configuration: an immutable value fixed
@@ -75,7 +84,9 @@ type Config struct {
 }
 
 // NewEngine returns an engine running under cfg.
-func NewEngine(cfg Config) *Engine { return &Engine{cfg: cfg} }
+func NewEngine(cfg Config) *Engine {
+	return &Engine{cfg: cfg, scratch: sync.Pool{New: func() any { return new(taskScratch) }}}
+}
 
 // Config returns the configuration the engine was built with.
 func (e *Engine) Config() Config { return e.cfg }

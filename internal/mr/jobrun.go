@@ -403,15 +403,20 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 // What "its share" means — a whole partition or a [lo, hi) key sub-range
 // of it, held in memory or spilled — is taskPartition's business (count,
 // appendTo in spill.go): this loop is the one ordered-fold reader of
-// docs/INVARIANTS.md.
+// docs/INVARIANTS.md. The buffer list is sized by the same walk: one
+// buffer per non-empty segment, appendTo's one append each.
 func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *Budget, fn func(key []byte, msgs *Group)) (int64, error) {
-	n := 0
+	n, segs := 0, 0
 	for part := range parts {
 		for ti := range parts[part] {
-			n += parts[part][ti].count(slot)
+			tp := &parts[part][ti]
+			n += tp.count(slot)
+			if tp.segs[slot.ri].count > 0 {
+				segs++
+			}
 		}
 	}
-	set := recordSet{recs: grow(&sc.recs, n)[:0]}
+	set := recordSet{bufs: make([][]byte, 0, segs), recs: grow(&sc.recs, n)[:0]}
 	ks := sc.keySet(n, true)
 	var load int64
 	for part := range parts {
@@ -433,7 +438,7 @@ func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 	slot := jr.slots[si]
 	out := newOutput(jr.job.Outputs)
 	jr.outs[si] = out
-	load, err := reduceGroups(&c.scratch, jr.taskParts, slot, jr.gov.budget, func(key []byte, msgs *Group) {
+	load, err := reduceGroups(c.scratch, jr.taskParts, slot, jr.gov.budget, func(key []byte, msgs *Group) {
 		jr.job.Reducer.Reduce(key, msgs, out)
 	})
 	if err != nil {

@@ -33,20 +33,24 @@ type poolTask func(c *poolCtx)
 
 // poolCtx is the execution context handed to every task: one per pool
 // worker, created by that worker's loop in runTasks and touched by no
-// other goroutine, so the scratch it carries needs no lock.
+// other goroutine, so the scratch it borrows from the Engine for as long
+// as the loop runs needs no lock.
 type poolCtx struct {
 	pool    *taskPool
 	id      int // worker index owning the local deque
-	scratch taskScratch
+	scratch *taskScratch
 }
 
 // taskScratch is one worker's reusable task memory: the pointer-free
-// arrays a task needs only until it returns. It is run-scoped — garbage
-// when runTasks returns — never holds a []byte (arena chunks and shuffle
-// buffers stay charged, single-use grabBytes allocations) and is bounded:
-// every buffer grows to the largest task the worker has run and nothing
-// is kept per task. Every buffer is handed out to be overwritten — the
-// key set's slots, to be cleared — before any read.
+// arrays a task needs only until it returns. Between runs it is the
+// Engine's (Engine.scratch), so a run's workers start with arrays sized
+// by earlier runs. It never holds a []byte or anything else that points
+// (TestScratchPointerFree; arena chunks and shuffle buffers stay
+// charged, single-use grabBytes allocations), so no query can read
+// another's keys, payloads or relations through it, and it is bounded:
+// every buffer grows to the largest task run on it and nothing is kept
+// per task. Every buffer is handed out to be overwritten — the key set's
+// slots, to be cleared — before any read.
 type taskScratch struct {
 	recs   []record // reduceGroups: the gathered records
 	refs   []keyRef // groupRecords: one sort ref per distinct key + radix scatter scratch
@@ -347,7 +351,9 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 // first task, and returns once the pool is quiescent (seed and every
 // transitively spawned task finished) or ctx is canceled. A panic in
 // any task aborts the pool and is re-raised on the caller's goroutine,
-// so user map/reduce panics surface to the Run caller.
+// so user map/reduce panics surface to the Run caller. Each worker takes
+// one taskScratch from the Engine when it starts and puts it back when it
+// exits.
 //
 // Cancellation is task-boundary-granular: a watcher goroutine (joined
 // before return — runTasks leaks nothing) stops the pool when
@@ -357,7 +363,7 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 // ctx.Err(), i.e. context.Canceled or context.DeadlineExceeded — even
 // when the pool raced to quiescence first, so callers observe a
 // deterministic error for a canceled run.
-func runTasks(ctx context.Context, workers int, seed poolTask) error {
+func (e *Engine) runTasks(ctx context.Context, workers int, seed poolTask) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -387,7 +393,8 @@ func runTasks(ctx context.Context, workers int, seed poolTask) error {
 		//lint:ignore rawgo runTasks IS the sanctioned primitive: these are the pool's worker loops, wg-joined below, with task panics re-raised by the abort path
 		go func(id int) {
 			defer wg.Done()
-			c := &poolCtx{pool: p, id: id}
+			c := &poolCtx{pool: p, id: id, scratch: e.scratch.Get().(*taskScratch)}
+			defer e.scratch.Put(c.scratch)
 			for {
 				t := p.next(id)
 				if t == nil {

@@ -24,7 +24,7 @@ func TestPoolRunsEveryTask(t *testing.T) {
 				c.spawn(func(c *poolCtx) { spawnTree(c, d) })
 			}
 		}
-		runTasks(context.Background(), workers, func(c *poolCtx) { spawnTree(c, 5) })
+		NewEngine(Config{}).runTasks(context.Background(), workers, func(c *poolCtx) { spawnTree(c, 5) })
 		// Nodes of a 3-ary tree of depth 5: (3^6 - 1) / 2.
 		if want := int64(364); ran.Load() != want {
 			t.Errorf("workers=%d: ran %d tasks, want %d", workers, ran.Load(), want)
@@ -37,7 +37,7 @@ func TestPoolRunsEveryTask(t *testing.T) {
 // takes the sibling from the first worker's deque.
 func TestPoolStealing(t *testing.T) {
 	release := make(chan struct{})
-	runTasks(context.Background(), 2, func(c *poolCtx) {
+	NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) {
 		c.spawn(func(c *poolCtx) { close(release) }) // stolen by the idle worker
 		c.spawn(func(c *poolCtx) {})                 // keeps LIFO pop busy
 		<-release                                    //lint:ignore taskblock the deliberate block IS the test: it deadlocks unless the idle worker steals the sibling task
@@ -52,7 +52,7 @@ func TestPoolPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want boom", v)
 		}
 	}()
-	runTasks(context.Background(), 4, func(c *poolCtx) {
+	NewEngine(Config{}).runTasks(context.Background(), 4, func(c *poolCtx) {
 		for i := 0; i < 8; i++ {
 			c.spawn(func(c *poolCtx) {})
 		}
@@ -68,7 +68,7 @@ func TestPoolPanicAbandonsQueuedTasks(t *testing.T) {
 	var ran atomic.Int64
 	func() {
 		defer func() { recover() }()
-		runTasks(context.Background(), 1, func(c *poolCtx) {
+		NewEngine(Config{}).runTasks(context.Background(), 1, func(c *poolCtx) {
 			for i := 0; i < 8; i++ {
 				c.spawn(func(c *poolCtx) { ran.Add(1) })
 			}
@@ -93,7 +93,7 @@ func TestPoolPanicValueAcrossSteal(t *testing.T) {
 			t.Fatalf("recovered %#v, want the original panic value %p", v, val)
 		}
 	}()
-	runTasks(context.Background(), 2, func(c *poolCtx) {
+	NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) {
 		c.spawn(func(c *poolCtx) {
 			started.Store(true)
 			panic(val)
@@ -112,7 +112,7 @@ func TestPoolPanicValueAcrossSteal(t *testing.T) {
 // pool silently — the workers are gone and the task would never run.
 func TestPoolSpawnAfterQuiescencePanics(t *testing.T) {
 	var leaked *poolCtx
-	runTasks(context.Background(), 2, func(c *poolCtx) { leaked = c })
+	NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) { leaked = c })
 	defer func() {
 		v := recover()
 		s, ok := v.(string)

@@ -90,7 +90,7 @@ func (e *Engine) runPipelined(ctx context.Context, p *Program, working *relation
 			})
 		runs[i].progress = prog
 	}
-	err := runTasks(ctx, workers, func(c *poolCtx) {
+	err := e.runTasks(ctx, workers, func(c *poolCtx) {
 		for i := 0; i < limit; i++ {
 			runs[i].seed(c)
 			for part, prod := range reads[i] {

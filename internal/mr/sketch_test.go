@@ -79,7 +79,7 @@ func TestSkewSketchFedPerRecord(t *testing.T) {
 	jr.taskParts = [][]taskPartition{make([]taskPartition, tasks)}
 	jr.mapsLeft, jr.shufsLeft = tasks+1, tasks+1 // never zero: nothing spawns
 	jr.reducers = 4
-	c := &poolCtx{}
+	c := &poolCtx{scratch: new(taskScratch)}
 	for ti := 0; ti < tasks; ti++ {
 		jr.tasks[0] = append(jr.tasks[0], mapTaskSpec{rel: rel, from: ti * perTask, to: (ti + 1) * perTask})
 		jr.mapTask(c, 0, ti)

@@ -29,7 +29,7 @@ func FuzzSlotLayout(f *testing.F) {
 	f.Add([]byte{0, 1, 0x00, 2, 0x00, 0x00, 1, 0xff}, uint8(1), uint8(0), true)
 	f.Add([]byte{3, 'h', 'o', 't'}, uint8(5), uint8(255), true)
 	f.Add([]byte{}, uint8(7), uint8(90), false)
-	c := &poolCtx{} // one worker's scratch, reused across every input
+	c := &poolCtx{scratch: new(taskScratch)} // one worker's scratch, reused across every input
 	f.Fuzz(func(t *testing.T, data []byte, reducers, hot uint8, spill bool) {
 		keys := decodeFuzzKeys(data)
 		if len(keys) == 0 {
@@ -176,7 +176,7 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 // partitions in both stores rather than only whatever the seeds reach.
 func TestSlotLayoutSplits(t *testing.T) {
 	keys := [][]byte{[]byte("hot"), []byte("a"), []byte("hotter"), {}, []byte("zz"), bytes.Repeat([]byte{'p'}, sketchKeyBytes+5)}
-	c := &poolCtx{}
+	c := &poolCtx{scratch: new(taskScratch)}
 	for _, spill := range []bool{false, true} {
 		if n := checkSlotLayout(t, c, keys, 4, 160, spill); n <= 4 {
 			t.Errorf("spill %v: %d slots for 4 reducers: nothing split", spill, n)

@@ -59,7 +59,7 @@ func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, spill bool) (tp *ta
 			tp, err = nil, ta.err
 		}
 	}()
-	jr.shuffleTask(&poolCtx{}, 0, 0)
+	jr.shuffleTask(&poolCtx{scratch: new(taskScratch)}, 0, 0)
 	tp = &jr.taskParts[0][0]
 	if (tp.f != nil) != spill {
 		t.Fatalf("partition spilled = %v, want %v", tp.f != nil, spill)

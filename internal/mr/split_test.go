@@ -224,7 +224,7 @@ func TestSkewSplitPlanLayout(t *testing.T) {
 	jr := e.newJobRun(p.Jobs[0], gov, nil, func(c *poolCtx, jr *jobRun) {
 		slots = jr.slots
 	})
-	err := runTasks(context.Background(), 4, func(c *poolCtx) {
+	err := e.runTasks(context.Background(), 4, func(c *poolCtx) {
 		jr.seed(c)
 		for part, name := range p.Jobs[0].Inputs {
 			jr.inputReady(c, part, db.Relation(name))

@@ -10,7 +10,17 @@
 #     and the data, so a difference is a change of answer, or
 #   - alloc_mb_per_op exceeds its checked-in ceiling, the median of the
 #     PR that last lowered it × 1.10. One-sided: allocating less never
-#     fails, so a change that lowers it also lowers the ceiling.
+#     fails, so a change that lowers it also lowers the ceiling, or
+#   - heap_live_mb — the heap after two runtime.GC() calls, data and
+#     server still live — exceeds its checked-in ceiling, the median of
+#     the PR that last set it × 1.10: memory retained across operations
+#     (the Engine's scratch pool must be empty by then). One-sided, like
+#     allocation.
+#
+# Ceilings, nested-sgf / skew-spill / serve-hot / serve-churn:
+# alloc_mb_per_op 30.19 / 28.86 / 1.859 / 8.604 (PR 23), 25.85 / 18.95 /
+# 0.6096 / 4.273 (PR 25: the Engine's scratch pool); heap_live_mb 5.444 /
+# 4.619 / 26.77 / 28.38 (PR 25). PR 25's are its ten-pair medians × 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
@@ -40,10 +50,12 @@ for name, want in gate.items():
     for k in ("model_net_s", "model_total_s"):
         if abs(m[k] - want[k]) > 1e-9 * abs(want[k]):
             bad.append(f"{name}: {k} = {m[k]!r}, checked in {want[k]!r}")
-    if m["alloc_mb_per_op"] > want["alloc_mb_per_op_max"]:
-        bad.append(f"{name}: alloc_mb_per_op = {m['alloc_mb_per_op']:.2f}, ceiling {want['alloc_mb_per_op_max']}")
+    for k in ("alloc_mb_per_op", "heap_live_mb"):
+        if m[k] > want[k + "_max"]:
+            bad.append(f"{name}: {k} = {m[k]:.2f}, ceiling {want[k + '_max']}")
     print(f"bench-gate: {name}: model {m['model_net_s']:.6g} / {m['model_total_s']:.6g} sim_s, "
-          f"{m['alloc_mb_per_op']:.2f} MB/op (ceiling {want['alloc_mb_per_op_max']})")
+          f"{m['alloc_mb_per_op']:.2f} MB/op (ceiling {want['alloc_mb_per_op_max']}), "
+          f"{m['heap_live_mb']:.2f} MB live (ceiling {want['heap_live_mb_max']})")
 for name in passes.keys() - gate.keys():
     bad.append(f"{name}: no entry in scripts/bench-gate.json")
 for line in bad:
