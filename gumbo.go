@@ -375,9 +375,10 @@ func (s *System) RunPlanCtx(ctx context.Context, plan *Plan, db *Database, opts 
 }
 
 // PredictBytes estimates how many bytes executing plan against db will
-// charge against its budget: deduplicated base-input bytes plus sampled
-// intermediate sizes for first-round jobs (later rounds read produced
-// relations, unknowable before the run). A planning-time figure for
+// charge against its budget: deduplicated base-input bytes plus the
+// sampled intermediate bytes, packing included, of every job whose
+// inputs are all in db (a job reading a relation the plan produces
+// cannot be sampled before the run). A planning-time figure for
 // admission control — same order as the real charge, not a bound.
 func (s *System) PredictBytes(plan *Plan, db *Database) int64 {
 	return s.runner.PredictPlanBytes(plan.inner, db)

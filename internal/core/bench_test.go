@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/mr"
+	"repro/internal/relation"
+	"repro/internal/sgf"
 	"repro/internal/workload"
 )
 
@@ -46,4 +48,41 @@ func BenchmarkOneRoundJob(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchJob(b, job, wl)
+}
+
+// The planner benchmarks: one plan per op, each with a fresh Estimator,
+// so every stream is sampled again — what a plan-cache miss pays.
+
+// BenchmarkPlanGreedySGF plans C3 under Greedy-SGF at 15 000 guard
+// tuples: seven queries in three groups, the nested-sgf workload's size.
+func BenchmarkPlanGreedySGF(b *testing.B) {
+	benchPlan(b, 15000, []workload.Workload{workload.C3()}, func(e *Estimator, p *sgf.Program) (*Plan, error) {
+		return e.GreedySGFPlan("bench", p)
+	})
+}
+
+// BenchmarkPlanGreedy plans A1 and A2 under GREEDY at 2 000 guard tuples:
+// the served corpus's GREEDY queries.
+func BenchmarkPlanGreedy(b *testing.B) {
+	benchPlan(b, 2000, []workload.Workload{workload.A1(), workload.A2()}, func(e *Estimator, p *sgf.Program) (*Plan, error) {
+		return e.GreedyPlan("bench", p.Queries)
+	})
+}
+
+func benchPlan(b *testing.B, guard int, wls []workload.Workload, plan func(*Estimator, *sgf.Program) (*Plan, error)) {
+	scale := float64(guard) / workload.PaperGuardTuples
+	cfg := cost.Default().Scaled(scale)
+	dbs := make([]*relation.Database, len(wls))
+	for i, wl := range wls {
+		dbs[i] = wl.Build(scale)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, wl := range wls {
+			if _, err := plan(NewEstimator(cfg, cost.Gumbo, dbs[k], wl.Program), wl.Program); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

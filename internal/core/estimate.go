@@ -9,8 +9,8 @@ import (
 
 // Estimator predicts MR job costs for candidate plans before execution,
 // the way Gumbo does (§5.1 optimization (3)): map output sizes M_i are
-// estimated by simulating the map function on a sample of the input
-// relations, and job costs follow Eq. 5 (grouped MSJ), Eq. 6 (separate
+// estimated by running the map function on a sample of the input
+// relations (mr.Sample), and job costs follow Eq. 5 (grouped MSJ), Eq. 6 (separate
 // MSJ jobs, as the degenerate case of singleton groups), Eq. 7 (EVAL)
 // and Eq. 9/10 (plans).
 //
@@ -20,14 +20,23 @@ import (
 // upper-bound reasoning the paper applies to output sizes ("K can be
 // approximated by its upper bound N1").
 type Estimator struct {
-	CostCfg     cost.Config
-	Model       cost.Model
-	DB          *relation.Database
-	Program     *sgf.Program // optional: provides bounds for derived relations
-	SampleEvery int          // sampling stride; 0 = 100
+	CostCfg cost.Config
+	Model   cost.Model
+	DB      *relation.Database
+	Program *sgf.Program // optional: provides bounds for derived relations
 
-	emitCache map[string]emitStat
-	relCache  map[string]relInfo
+	samples  map[stream]mr.SampleCounts
+	relCache map[string]relInfo
+}
+
+// stream names one map-output stream the estimator samples by its
+// streamKey: the requests of a guard pattern or, with asserts set, the
+// asserts of a conditional one. A self-join's guard and conditional atom
+// can share a stream key and still send different messages, hence the
+// flag.
+type stream struct {
+	asserts bool
+	key     string
 }
 
 // emitStat is a sampled (extrapolated) map-output contribution.
@@ -47,20 +56,13 @@ type relInfo struct {
 // base relations are referenced.
 func NewEstimator(cfg cost.Config, model cost.Model, db *relation.Database, prog *sgf.Program) *Estimator {
 	return &Estimator{
-		CostCfg:   cfg,
-		Model:     model,
-		DB:        db,
-		Program:   prog,
-		emitCache: make(map[string]emitStat),
-		relCache:  make(map[string]relInfo),
+		CostCfg:  cfg,
+		Model:    model,
+		DB:       db,
+		Program:  prog,
+		samples:  make(map[stream]mr.SampleCounts),
+		relCache: make(map[string]relInfo),
 	}
-}
-
-func (e *Estimator) stride() int {
-	if e.SampleEvery > 0 {
-		return e.SampleEvery
-	}
-	return 100
 }
 
 // relInfo resolves a relation's cardinality and size, falling back to
@@ -93,49 +95,36 @@ func (e *Estimator) rel(name string) relInfo {
 	return info
 }
 
-// sampleEmit estimates the records and bytes emitted for facts of rel
-// conforming to matcher, where each emission costs keyOf+payload bytes.
-func (e *Estimator) sampleEmit(cacheKey, relName string, atom sgf.Atom, joinVars []string, payload int64) emitStat {
-	if s, ok := e.emitCache[cacheKey]; ok {
-		return s
-	}
-	var s emitStat
-	r := e.DB.Relation(relName)
-	if r == nil || r.Size() == 0 {
-		// Derived or empty relation: assume full conformance with an
-		// analytic key size.
-		info := e.rel(relName)
-		keyBytes := float64(2 + 3*len(joinVars))
-		s = emitStat{records: info.count, mb: info.count * (keyBytes + float64(payload)) / mr.MB}
-		e.emitCache[cacheKey] = s
-		return s
-	}
-	matcher := sgf.NewMatcher(atom)
-	proj := sgf.NewProjector(atom, joinVars)
-	stride := e.stride()
-	sampled, conforming := 0, 0
-	var bytes int64
-	var kb [32]byte
-	for i := 0; i < r.Size(); i += stride {
-		sampled++
-		t := r.Tuple(i)
-		if matcher.Matches(t) {
-			conforming++
-			bytes += mr.KeyBytes(proj.AppendKey(kb[:0], t)) + payload
+// emitStat extrapolates stream k — a's facts keyed on their projection
+// on vars — to all of a's relation: the records it sends and their
+// modelled MB, a request's key alone (MSJSpec prices each equation's
+// payload itself), an assert's key and payload. A relation in the
+// database is sampled once per stream by mr.Sample, through the one-role
+// reconcile job that sends exactly that stream (streamJob). A derived or
+// empty relation has no sample: every fact is assumed to conform, with an
+// analytic key size.
+func (e *Estimator) emitStat(k stream, a sgf.Atom, vars []string) emitStat {
+	s, ok := e.samples[k]
+	if !ok {
+		if counts, err := mr.Sample(streamJob(k.asserts, a, vars), e.DB); err == nil { // err: a relation no query has produced yet
+			s = counts[0]
 		}
+		e.samples[k] = s
 	}
-	if sampled > 0 {
-		scale := float64(r.Size()) / float64(sampled)
-		s = emitStat{records: float64(conforming) * scale, mb: float64(bytes) / mr.MB * scale}
+	if s.Sampled == 0 {
+		info := e.rel(a.Rel)
+		size := float64(2 + 3*len(vars))
+		if k.asserts {
+			size += assertBytes
+		}
+		return emitStat{records: info.count, mb: info.count * size / mr.MB}
 	}
-	e.emitCache[cacheKey] = s
-	return s
-}
-
-// reqStat estimates the request stream of one equation: one ReqID per
-// conforming guard fact.
-func (e *Estimator) reqStat(eq Equation) emitStat {
-	return e.sampleEmit("req:"+eq.Key(), eq.Guard.Rel, eq.Guard, eq.JoinVars, reqIDBytes)
+	bytes := s.Bytes
+	if !k.asserts {
+		bytes -= reqIDBytes * s.Records
+	}
+	scale := float64(s.Tuples) / float64(s.Sampled)
+	return emitStat{records: float64(s.Records) * scale, mb: float64(bytes) / mr.MB * scale}
 }
 
 // packKey identifies the packing group of an equation's requests: all
@@ -143,25 +132,6 @@ func (e *Estimator) reqStat(eq Equation) emitStat {
 // records under identical keys, which the message-packing optimization
 // collapses into one record per fact (§5.1 opt (1)).
 func (eq Equation) packKey() string { return streamKey(eq.Guard, eq.JoinVars) }
-
-// reqKeyStat estimates the key-only stream of a packing group: one
-// record (and one key) per conforming guard fact.
-func (e *Estimator) reqKeyStat(eq Equation) emitStat {
-	return e.sampleEmit("reqkey:"+eq.packKey(), eq.Guard.Rel, eq.Guard, eq.JoinVars, 0)
-}
-
-// assertStat estimates the assert stream of one equation's assert class:
-// one Assert per conforming conditional fact.
-func (e *Estimator) assertStat(eq Equation) emitStat {
-	return e.sampleEmit("assert:"+eq.AssertClassKey(), eq.Cond.Rel, eq.Cond, eq.JoinVars, assertBytes)
-}
-
-// guardConform estimates the number of facts of the guard relation
-// conforming to the guard atom.
-func (e *Estimator) guardConform(a sgf.Atom) float64 {
-	s := e.sampleEmit("conform:"+a.Key(), a.Rel, a, nil, 0)
-	return s.records
-}
 
 // MSJSpec builds the cost.JobSpec estimate for MSJ over the selected
 // equations (by index into eqs). Shared input relations contribute one
@@ -191,27 +161,27 @@ func (e *Estimator) MSJSpec(eqs []Equation, idxs []int) cost.JobSpec {
 	seenPack := make(map[string]bool)
 	for _, i := range idxs {
 		eq := eqs[i]
-		rs := e.reqStat(eq)
+		req := stream{key: eq.packKey()}
+		rs := e.emitStat(req, eq.Guard, eq.JoinVars)
 		g := touch(eq.Guard.Rel)
 		// Request payload per equation; key bytes and record count once
 		// per packing group.
 		g.inter += rs.records * reqIDBytes / mr.MB
-		if pk := eq.packKey(); !seenPack[pk] {
-			seenPack[pk] = true
-			ks := e.reqKeyStat(eq)
-			g.inter += ks.mb
-			g.records += ks.records
+		if !seenPack[req.key] {
+			seenPack[req.key] = true
+			g.inter += rs.mb
+			g.records += rs.records
 		}
 		// Output X_i: one id tuple per matching guard fact (upper bound:
 		// all requests match).
 		outMB += rs.records * relation.BytesPerField / mr.MB
-		ck := eq.AssertClassKey()
-		if !seenClass[ck] {
-			seenClass[ck] = true
-			as := e.assertStat(eq)
+		as := stream{asserts: true, key: eq.AssertClassKey()}
+		if !seenClass[as.key] {
+			seenClass[as.key] = true
+			st := e.emitStat(as, eq.Cond, eq.JoinVars)
 			c := touch(eq.Cond.Rel)
-			c.inter += as.mb
-			c.records += as.records
+			c.inter += st.mb
+			c.records += st.records
 		}
 	}
 	spec := cost.JobSpec{OutputMB: outMB}
@@ -250,7 +220,7 @@ func (e *Estimator) EvalSpec(queries []*sgf.BSGF) cost.JobSpec {
 	}
 	const evalKeyBytes = 8
 	for _, q := range queries {
-		conform := e.guardConform(q.Guard)
+		conform := e.emitStat(stream{key: streamKey(q.Guard, nil)}, q.Guard, nil).records
 		info := e.rel(q.Guard.Rel)
 		tupleMB := float64(tupleTagByte+info.arity*relation.BytesPerField+evalKeyBytes) / mr.MB
 		p := touch(q.Guard.Rel, info.mb)
@@ -258,7 +228,7 @@ func (e *Estimator) EvalSpec(queries []*sgf.BSGF) cost.JobSpec {
 		p.Records += int64(conform)
 		for ai, atom := range q.CondAtoms() {
 			eq := Equation{Guard: q.Guard, Cond: atom, JoinVars: sgf.SharedVars(q.Guard, atom)}
-			rs := e.reqStat(eq)
+			rs := e.emitStat(stream{key: eq.packKey()}, eq.Guard, eq.JoinVars)
 			xMB := rs.records * relation.BytesPerField / mr.MB
 			xp := touch(XName(q.Name, ai), xMB)
 			xp.InterMB += rs.records * float64(evalKeyBytes+assertBytes) / mr.MB

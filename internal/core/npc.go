@@ -84,11 +84,10 @@ func SubsetSumGadget(a []int) *Gadget {
 	return &Gadget{Program: prog, DB: db, Cost: cfg, Unit: unit, Gamma: gamma}
 }
 
-// Estimator returns a gadget-configured estimator (exact sampling).
+// Estimator returns a gadget-configured estimator. No S_i fact conforms
+// to its atom, so sampling is exact at any stride.
 func (g *Gadget) Estimator() *Estimator {
-	e := NewEstimator(g.Cost, cost.Gumbo, g.DB, g.Program)
-	e.SampleEvery = 1
-	return e
+	return NewEstimator(g.Cost, cost.Gumbo, g.DB, g.Program)
 }
 
 // SubsetSums returns the set of achievable Σ_B b values for all subsets

@@ -238,6 +238,23 @@ func (t *reconcile) job() *mr.Job {
 	}
 }
 
+// streamJob is the one-role reconcile job whose map output is a single
+// stream: the requests of guard pattern a keyed on vars, each carrying a
+// tuple id as MSJ's do or, with asserts set, the asserts of conditional
+// pattern a keyed on vars. It does not pack; the estimator composes
+// packing across a group's equations itself (MSJSpec).
+func streamJob(asserts bool, a sgf.Atom, vars []string) *mr.Job {
+	t := newReconcile("stream", a.Rel)
+	if asserts {
+		t.class(a, vars)
+	} else {
+		t.input(a.Rel).requests = []requestRole{{matcher: sgf.NewMatcher(a), key: on(a, vars), carry: fields{id: true}, size: reqIDBytes}}
+	}
+	job := t.job()
+	job.Packing = false
+	return job
+}
+
 // Map sends what fact f (tuple id id) of input sends in each of its
 // roles: requests, then asserts, each in table order. Keys, carried
 // tuples and payloads are built append-style in stack buffers — the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 
+	"repro/internal/mr"
 	"repro/internal/relation"
 	"repro/internal/sgf"
 )
@@ -27,15 +28,13 @@ const (
 	heavyFraction = 0.01
 	// saltFactor is the number of sub-keys a heavy key is spread over.
 	saltFactor = 16
-	// heavySampleEvery is the detection sampling stride.
-	heavySampleEvery = 100
 )
 
 // DetectHeavyKeys samples the guard relations of eqs and returns the
 // set of join-key strings whose frequency exceeds heavyFraction of
 // their relation ("heavy hitters"). This is the paper's extra sampling
 // pass; it costs one scan of a sample per distinct (guard, join key)
-// projection.
+// projection, over the tuples mr.Sample maps.
 func DetectHeavyKeys(eqs []Equation, db *relation.Database) map[string]bool {
 	heavy := make(map[string]bool)
 	seen := make(map[string]bool) // packing groups already sampled
@@ -53,7 +52,7 @@ func DetectHeavyKeys(eqs []Equation, db *relation.Database) map[string]bool {
 		proj := sgf.NewProjector(eq.Guard, eq.JoinVars)
 		counts := make(map[string]int)
 		sampled := 0
-		for i := 0; i < rel.Size(); i += heavySampleEvery {
+		for i := 0; i < rel.Size(); i += mr.SampleStride {
 			sampled++
 			t := rel.Tuple(i)
 			if matcher.Matches(t) {

@@ -120,34 +120,29 @@ func (r *Runner) Metrics(plan *core.Plan, stats []mr.JobStats) mr.Metrics {
 
 // PredictPlanBytes estimates, before running, how many bytes a plan's
 // execution will charge against its budget: the deduplicated base-input
-// bytes (shuffle partitions hold roughly what the mappers read) plus
-// the sampled intermediate sizes of every job whose inputs all exist in
-// db (later-round jobs read produced relations, unknowable before the
-// run; the admission ladder only needs a same-order figure, not a
-// bound). Used by the server to size a query's initial reservation
-// against the global memory budget.
+// bytes (shuffle partitions hold roughly what the mappers read) plus the
+// sampled intermediate bytes (mr.Sample), packing included, of every job
+// whose inputs are all in db (a job reading a relation the plan produces
+// cannot be sampled before the run; the admission ladder only needs a
+// same-order figure, not a bound). Used by the server to size a query's
+// initial reservation against the global memory budget.
 func (r *Runner) PredictPlanBytes(plan *core.Plan, db *relation.Database) int64 {
 	var total int64
 	seen := make(map[string]bool)
 	for _, job := range plan.Jobs {
-		known := true
 		for _, name := range job.Inputs {
-			rel := db.Relation(name)
-			if rel == nil {
-				known = false
-				continue
-			}
-			if !seen[name] {
+			if rel := db.Relation(name); rel != nil && !seen[name] {
 				seen[name] = true
 				total += rel.Bytes()
 			}
 		}
-		if !known {
+		counts, err := mr.Sample(job, db) // err: an input is produced by the plan
+		if err != nil {
 			continue
 		}
-		if parts, err := r.Engine.Sample(job, db); err == nil {
-			for _, p := range parts {
-				total += int64(p.InterMB * (1 << 20))
+		for _, c := range counts {
+			if c.Sampled > 0 {
+				total += int64(float64(c.Bytes) * float64(c.Tuples) / float64(c.Sampled))
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/refeval"
 	"repro/internal/relation"
 	"repro/internal/sgf"
+	"repro/internal/workload"
 )
 
 func testSetup(t *testing.T) (*Runner, *relation.Database, *sgf.Program) {
@@ -129,5 +132,59 @@ func TestRunErrorOnBrokenPlan(t *testing.T) {
 	plan.Jobs[0].Inputs = append(plan.Jobs[0].Inputs, "NoSuchRelation")
 	if _, err := runner.Run(context.Background(), plan, db, mr.RunOptions{}); err == nil {
 		t.Error("broken plan accepted")
+	}
+}
+
+// TestSampleTracksMeasuredInter holds the sampler to the engine: under
+// the GREEDY and PAR partitions of the paper's A and B queries and the
+// GREEDY-SGF and PARUNIT plans of its C queries, every MSJ job input's
+// intermediate MB as mr.Sample extrapolates it — what PredictPlanBytes
+// sums — is within a q-error of 1.02 of what the run measured
+// (JobStats.Parts), packing included. A job reading a relation an
+// earlier job produces is left out, as PredictPlanBytes leaves it out.
+func TestSampleTracksMeasuredInter(t *testing.T) {
+	scale := 1e-3
+	if testing.Short() {
+		scale = 1e-4
+	}
+	runner := NewRunner(mr.Config{Cost: cost.Default().Scaled(scale)}, cluster.DefaultConfig())
+	flat := append(append(workload.AQueries(), workload.BQueries()...), workload.A3K(8))
+	for _, c := range []struct {
+		wls        []workload.Workload
+		strategies []core.Strategy
+	}{
+		{flat, []core.Strategy{core.StrategyGreedy, core.StrategyPAR}},
+		{workload.CQueries(), []core.Strategy{core.StrategyGreedySGF, core.StrategyParUnit}},
+	} {
+		for _, wl := range c.wls {
+			db := wl.Build(scale)
+			for _, strat := range c.strategies {
+				plan, err := BuildPlan(strat, wl.Name, runner.Engine.Config().Cost, wl.Program, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := runner.Run(context.Background(), plan, db, mr.RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ji, job := range plan.Jobs {
+					counts, err := mr.Sample(job, db)
+					if err != nil || !strings.Contains(job.Name, "/msj") {
+						continue
+					}
+					for k, cnt := range counts {
+						measured := res.JobStats[ji].Parts[k].InterMB
+						sampled := 0.0
+						if cnt.Sampled > 0 {
+							sampled = float64(cnt.Bytes) / mr.MB * float64(cnt.Tuples) / float64(cnt.Sampled)
+						}
+						if q := math.Max(sampled/measured, measured/sampled); measured+sampled > 0 && !(q <= 1.02) {
+							t.Errorf("%s %s, job %s, input %s: sampled %.6f MB, measured %.6f MB (q %.3f)",
+								wl.Name, strat, job.Name, job.Inputs[k], sampled, measured, q)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -158,10 +158,10 @@ func TestHashKeyMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestKeyBytesMinimum covers the KeyBytes floor.
+// TestKeyBytesMinimum covers the keyBytes floor.
 func TestKeyBytesMinimum(t *testing.T) {
-	if KeyBytes(nil) != 2 || KeyBytes([]byte("a")) != 2 || KeyBytes([]byte("abc")) != 3 {
-		t.Errorf("KeyBytes floor wrong: %d %d %d",
-			KeyBytes(nil), KeyBytes([]byte("a")), KeyBytes([]byte("abc")))
+	if keyBytes(nil) != 2 || keyBytes([]byte("a")) != 2 || keyBytes([]byte("abc")) != 3 {
+		t.Errorf("keyBytes floor wrong: %d %d %d",
+			keyBytes(nil), keyBytes([]byte("a")), keyBytes([]byte("abc")))
 	}
 }

@@ -24,21 +24,18 @@ const (
 // key, opening the next chunk of the ladder when the current one cannot
 // hold it. See Emitter for the ownership and accounting rules.
 func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
-	size += KeyBytes(key) // the one place a record's modelled size is fixed
+	size += keyBytes(key) // the one place a record's modelled size is fixed
 	var fresh *keyLoc
 	if e.keys != nil { // packing: a key is charged with its first record only
 		loc, made := e.keys.entry(e.chunks, key)
 		if made {
 			fresh = loc
 		} else {
-			size -= KeyBytes(key)
+			size -= keyBytes(key)
 		}
 	}
 	e.records++
 	e.bytes += size
-	if e.counting {
-		return
-	}
 	need := uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) +
 		1 + len(key) + len(payload)
 	last := len(e.chunks) - 1

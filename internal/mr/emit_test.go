@@ -80,7 +80,7 @@ func TestArenaLadder(t *testing.T) {
 				key := content(i, r.klen, 1)
 				got := set.recs[i]
 				if !bytes.Equal(set.key(i), key) || !bytes.Equal(set.payload(i), content(i, r.plen, 2)) ||
-					got.tag != byte(i) || got.size != 8+KeyBytes(key) {
+					got.tag != byte(i) || got.size != 8+keyBytes(key) {
 					t.Fatalf("record %d does not read back", i)
 				}
 				n := recLen(r.klen, r.plen, got.size)

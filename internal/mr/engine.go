@@ -163,46 +163,42 @@ func hashKey(key []byte) uint32 {
 	return h
 }
 
-// Sample runs the job's mapper over every sampleStride-th tuple of each
-// input and extrapolates the intermediate size per input: the sampling
-// step Gumbo uses to estimate M_i before running a job (§5.1 opt (3)).
-// Sampling drives the production Emitter in counting mode — the size
-// rule is the one Emit applies — so it materializes no records. The
-// counters are reset per input: each returned PartStats reflects exactly
-// one input.
-func (e *Engine) Sample(job *Job, db *relation.Database) ([]PartStats, error) {
-	return e.sample(job, db, sampleStride)
+// SampleStride is the sampler's stride: Sample maps every
+// SampleStride-th tuple of an input.
+const SampleStride = 100
+
+// SampleCounts is what Sample read of one input: its size in tuples, the
+// tuples it mapped, and the shuffle records and modelled bytes those
+// emitted. Scaling them to the whole input (by Tuples / Sampled) is the
+// caller's, so every float a caller derives from them is its own.
+type SampleCounts struct {
+	Tuples, Sampled, Records, Bytes int64
 }
 
-// sampleStride is Sample's stride: every 100th tuple.
-const sampleStride = 100
-
-func (e *Engine) sample(job *Job, db *relation.Database, stride int) ([]PartStats, error) {
-	parts := make([]PartStats, 0, len(job.Inputs))
-	em := Emitter{counting: true}
-	for _, name := range job.Inputs {
-		rel := db.Relation(name)
-		if rel == nil {
+// Sample runs the job's mapper over every SampleStride-th tuple of each
+// input through a map task's own emit loop (mapTuples): the sampling
+// step Gumbo uses to estimate M_i before running a job (§5.1 opt (3)).
+// Records and bytes are therefore what the job's map tasks emit, size
+// rule and packing included — when the job packs, an input's sample
+// shares one key set, so Records counts its distinct keys. Sampling
+// charges no budget. It fails on an input db does not hold.
+func Sample(job *Job, db *relation.Database) ([]SampleCounts, error) {
+	rels := make([]*relation.Relation, len(job.Inputs))
+	for k, name := range job.Inputs {
+		if rels[k] = db.Relation(name); rels[k] == nil {
 			return nil, fmt.Errorf("mr: sample: unknown input relation %q", name)
 		}
-		em.records, em.bytes = 0, 0 // counters are per input
-		sampled := 0
-		for i := 0; i < rel.Size(); i += stride {
-			job.Mapper.Map(name, i, rel.Tuple(i), &em)
-			sampled++
-		}
-		scale := 0.0
-		if sampled > 0 {
-			scale = float64(rel.Size()) / float64(sampled)
-		}
-		inputMB := mbOf(rel.Bytes())
-		parts = append(parts, PartStats{
-			Input:   name,
-			InputMB: inputMB,
-			InterMB: mbOf(em.bytes) * scale,
-			Records: int64(float64(em.records) * scale),
-			Mappers: e.cfg.Cost.Mappers(inputMB),
-		})
 	}
-	return parts, nil
+	var sc *taskScratch
+	if job.Packing {
+		sc = new(taskScratch) // one key set, emptied input by input
+	}
+	counts := make([]SampleCounts, len(rels))
+	for k, rel := range rels {
+		n := rel.Size()
+		sampled := (n + SampleStride - 1) / SampleStride
+		res := mapTuples(sc, job, job.Inputs[k], mapTaskSpec{rel: rel, to: n}, SampleStride, sampled, nil)
+		counts[k] = SampleCounts{Tuples: int64(n), Sampled: int64(sampled), Records: res.records, Bytes: res.bytes}
+	}
+	return counts, nil
 }

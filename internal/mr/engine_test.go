@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -185,7 +186,7 @@ func TestPackingReducesRecordsAndBytes(t *testing.T) {
 			var plainBytes, packedBytes int64
 			for i := n * task / m; i < n*(task+1)/m; i++ {
 				v := rel.Tuple(i)[keyCol[part]]
-				kb := KeyBytes(v.AppendKey(nil))
+				kb := keyBytes(v.AppendKey(nil))
 				plainBytes += kb + 8
 				packedBytes += 8
 				if !seen[v] {
@@ -321,54 +322,54 @@ func TestSampleEstimates(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Put(relation.FromTuples("R", 2, tuples))
 	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(0)}))
-	e := newTestEngine(cost.Default())
-	parts, err := e.Sample(semijoinJob(false), db)
+	counts, err := Sample(semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := runJob(context.Background(), e, semijoinJob(false), db)
+	_, stats, err := runJob(context.Background(), newTestEngine(cost.Default()), semijoinJob(false), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The mapper is perfectly uniform, so the estimate should be close.
-	estimate := parts[0].InterMB
+	c := counts[0]
+	estimate := mbOf(c.Bytes) * float64(c.Tuples) / float64(c.Sampled)
 	actual := stats.Parts[0].InterMB
 	if estimate < actual*0.9 || estimate > actual*1.1 {
 		t.Errorf("sampled estimate %v vs actual %v", estimate, actual)
 	}
 }
 
-// TestSamplePerInputIsolation guards against the sampling counters
-// leaking across inputs: Sample shares one counting emitter over all inputs,
-// so a missing reset would fold every earlier input's records and bytes
-// into each later input's PartStats.
+// TestSamplePerInputIsolation checks Sample's counts exactly: every
+// input's are its own, it maps every SampleStride-th tuple, and when the
+// job packs an input's sample shares one key set — Records counts its
+// distinct keys and each key is charged once, as a map task charges it.
 func TestSamplePerInputIsolation(t *testing.T) {
 	var tuples []relation.Tuple
 	for i := int64(0); i < 400; i++ {
-		tuples = append(tuples, tup(i, i%7))
+		tuples = append(tuples, tup(i, i/200)) // sampled: ids 0, 100, 200, 300 under keys 0, 0, 1, 1
 	}
 	db := relation.NewDatabase()
-	db.Put(relation.FromTuples("R", 2, tuples)) // sampled first, 400 emits
+	db.Put(relation.FromTuples("R", 2, tuples))
 	db.Put(relation.FromTuples("S", 1, []relation.Tuple{tup(0), tup(3), tup(6)}))
-	e := newTestEngine(cost.Default())
-	parts, err := e.sample(semijoinJob(false), db, 1) // exact: every tuple sampled, scale 1
-	if err != nil {
-		t.Fatal(err)
+	kb := keyBytes([]byte(tup(0).Key()))
+	for _, c := range []struct {
+		packing bool
+		want    []SampleCounts
+	}{
+		{false, []SampleCounts{{400, 4, 4, 4 * (kb + 8)}, {3, 1, 1, kb + 8}}},
+		{true, []SampleCounts{{400, 4, 2, 2*kb + 4*8}, {3, 1, 1, kb + 8}}},
+	} {
+		got, err := Sample(semijoinJob(c.packing), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("packing %v: counts %+v, want %+v", c.packing, got, c.want)
+		}
 	}
-	if len(parts) != 2 {
-		t.Fatalf("parts = %d", len(parts))
-	}
-	if parts[0].Records != 400 {
-		t.Errorf("R records = %d, want 400", parts[0].Records)
-	}
-	// The semijoin mapper emits exactly one record per S tuple; if R's
-	// 400 records leaked into S's counters this would be 403.
-	if parts[1].Records != 3 {
-		t.Errorf("S records = %d, want 3 (counter leaked across inputs?)", parts[1].Records)
-	}
-	wantMB := float64(3*(KeyBytes([]byte(tup(0).Key()))+8)) / MB
-	if parts[1].InterMB != wantMB {
-		t.Errorf("S InterMB = %v, want %v", parts[1].InterMB, wantMB)
+	db.Drop("S")
+	if _, err := Sample(semijoinJob(false), db); err == nil {
+		t.Error("sampled a job over a missing input")
 	}
 }
 

@@ -200,7 +200,7 @@ func checkPacking(t *testing.T, sc *taskScratch, kvs []kv, hint int) {
 	for i, r := range kvs {
 		want := int64(8)
 		if !seen[r.key] {
-			want += KeyBytes([]byte(r.key))
+			want += keyBytes([]byte(r.key))
 		}
 		seen[r.key] = true
 		total += want

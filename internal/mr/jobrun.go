@@ -66,10 +66,10 @@ type jobRun struct {
 	// est[part] is the running estimate of the distinct keys a map task
 	// of the part emits per 1024 input tuples, published by its finished
 	// tasks and used to size later tasks' key sets when the job packs.
-	// Gumbo's mappers are near uniform per input (the property
-	// Engine.Sample relies on), so the estimate converges after the
-	// part's first task; it only sets capacity — the set doubles past it
-	// and results never depend on it.
+	// Gumbo's mappers are near uniform per input (the property Sample's
+	// one stride relies on), so the estimate converges after the part's
+	// first task; it only sets capacity — the set doubles past it and
+	// results never depend on it.
 	est []atomic.Int64
 
 	reducers  int
@@ -174,27 +174,15 @@ func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 // decided — at emit.
 func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	start := time.Now()
-	job := jr.job
-	input := job.Inputs[part]
 	ts := jr.tasks[part][ti]
 	n := ts.to - ts.from
-	em := Emitter{budget: jr.gov.budget}
-	if job.Packing {
-		keys := n
-		if est := jr.est[part].Load(); est > 0 {
-			keys = int(est*int64(n)/1024) + 8
-		}
-		em.keys = c.scratch.keySet(keys, false)
+	keys := n
+	if est := jr.est[part].Load(); est > 0 {
+		keys = int(est*int64(n)/1024) + 8
 	}
-	for i := ts.from; i < ts.to; i++ {
-		job.Mapper.Map(input, i, ts.rel.Tuple(i), &em)
-	}
-	res := mapTaskResult{chunks: em.chunks, msgs: em.records, records: em.records, bytes: em.bytes}
-	if job.Packing {
-		res.records = int64(len(em.keys.locs))
-		if n > 0 {
-			jr.est[part].Store(res.records * 1024 / int64(n))
-		}
+	res := mapTuples(c.scratch, jr.job, jr.job.Inputs[part], ts, 1, keys, jr.gov.budget)
+	if jr.job.Packing && n > 0 {
+		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
 	jr.results[part][ti] = res
 	jr.mu.Lock()
@@ -206,6 +194,25 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	if last {
 		jr.mapsDone(c)
 	}
+}
+
+// mapTuples runs job's mapper over every step-th tuple of ts through a
+// fresh Emitter charging b — with the worker's key set, sized for keys,
+// when the job packs — and returns what it emitted. It is the map side of
+// a map task (step 1) and of Sample (step SampleStride).
+func mapTuples(sc *taskScratch, job *Job, input string, ts mapTaskSpec, step, keys int, b *Budget) mapTaskResult {
+	em := Emitter{budget: b}
+	if job.Packing {
+		em.keys = sc.keySet(keys, false)
+	}
+	for i := ts.from; i < ts.to; i += step {
+		job.Mapper.Map(input, i, ts.rel.Tuple(i), &em)
+	}
+	res := mapTaskResult{chunks: em.chunks, msgs: em.records, records: em.records, bytes: em.bytes}
+	if job.Packing {
+		res.records = int64(len(em.keys.locs))
+	}
+	return res
 }
 
 // mapsDone (run by the last finishing map task) folds the per-task

@@ -159,7 +159,7 @@ func TestArenaIsolation(t *testing.T) {
 		if !bytes.Equal(set.key(i), k) || !bytes.Equal(set.payload(i), []byte{byte(i)}) {
 			t.Fatalf("record %d corrupted: key %q payload %v", i, set.key(i), set.payload(i))
 		}
-		if want := KeyBytes(k) + 8; set.recs[i].size != want {
+		if want := keyBytes(k) + 8; set.recs[i].size != want {
 			t.Errorf("record %d: size %d, want %d", i, set.recs[i].size, want)
 		}
 	}

@@ -79,7 +79,7 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 					k = keys[0]
 				}
 				emitInt(&em, k, int64(id))
-				r := streamRec{key: k, v: int64(id), size: KeyBytes(k) + 8}
+				r := streamRec{key: k, v: int64(id), size: keyBytes(k) + 8}
 				res.bytes += r.size
 				ri := hashKey(k) % uint32(reducers)
 				streams[ri] = append(streams[ri], r)

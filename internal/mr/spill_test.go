@@ -250,8 +250,8 @@ func FuzzRecordCodec(f *testing.F) {
 		em.Emit(key, tagInt, 0, nil)
 		want := arenaRecords(t, &em)
 		if r := want.recs[1]; len(want.recs) != 3 || !bytes.Equal(want.key(1), key) || r.tag != tag ||
-			r.size != size+KeyBytes(key) || !bytes.Equal(want.payload(1), payload) ||
-			!bytes.Equal(want.key(2), key) || want.recs[2].size != KeyBytes(key) || len(want.payload(2)) != 0 {
+			r.size != size+keyBytes(key) || !bytes.Equal(want.payload(1), payload) ||
+			!bytes.Equal(want.key(2), key) || want.recs[2].size != keyBytes(key) || len(want.payload(2)) != 0 {
 			t.Fatalf("the arena reads back %d records, the emitted one as %q/%d/%d/%x", len(want.recs), want.key(1), r.tag, r.size, want.payload(1))
 		}
 		for _, spill := range []bool{false, true} {

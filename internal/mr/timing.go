@@ -14,9 +14,9 @@ package mr
 // golden and differential tests pin.
 type JobTiming struct {
 	Name           string
-	MapSeconds     float64 // map tasks (mapper over one split, emit, packing's accounting pass)
+	MapSeconds     float64 // map tasks (mapper over one split; Emit encodes and packs)
 	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement)
-	ReduceSeconds  float64 // reduce partition tasks (concatenate, the one sort, reduce)
+	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, sort the distinct keys, scatter, reduce)
 	MergeSeconds   float64 // output merge shards (relation.Merge, publish)
 	// SplitSeconds is the share of ReduceSeconds spent in sub-range
 	// reduce tasks created by the runtime skew splitter — a subset, not

@@ -18,9 +18,9 @@ import (
 	"repro/internal/relation"
 )
 
-// Emitter is the map-side output sink, one per map task. Emit writes
-// each record straight into the task's grow-only byte arena in the
-// shuffle wire form (spill.go: lengths, modelled size, tag, key,
+// Emitter is the map-side output sink, one per map task (and per input
+// Sample maps). Emit writes each record straight into the task's
+// grow-only byte arena in the shuffle wire form (spill.go: lengths, modelled size, tag, key,
 // payload) — the form the shuffle task copies into a reducer's segment
 // and the reduce task decodes — so a map task's output is its chunks and
 // three counters, and no per-record object exists before the reduce
@@ -33,7 +33,7 @@ import (
 // tag names the payload's type to the job's reducer; the engine never
 // interprets tag or payload. size is the message's modelled serialized
 // size in bytes, the unit of the intermediate-data accounting (M_i):
-// the record is charged KeyBytes(key) + size, whatever its encoded
+// the record is charged keyBytes(key) + size, whatever its encoded
 // length — or, when the job packs (§5.1 opt. 1), size alone unless it is
 // the first the task emits under its key: Emit asks the worker's key set
 // before it encodes, so the size on the wire is final.
@@ -44,9 +44,6 @@ type Emitter struct {
 	budget *Budget
 	keys   *keySet // the keys emitted so far, when the job packs; else nil
 
-	// counting is Engine.Sample's mode: tally records and modelled
-	// bytes, store nothing.
-	counting       bool
 	records, bytes int64 // emitted so far; the keys among them are len(keys.locs)
 }
 
@@ -208,12 +205,12 @@ func (j *Job) validate() error {
 	return nil
 }
 
-// KeyBytes is the modelled size of a shuffle key. Keys are encoded
+// keyBytes is the modelled size of a shuffle key. Keys are encoded
 // tuples (relation.Tuple.Key), whose physical encoding is compact; the
 // cost model charges the same 10 bytes/field the relations use, which we
 // approximate by the actual encoded key length rounded up to at least
 // 2 bytes.
-func KeyBytes(key []byte) int64 {
+func keyBytes(key []byte) int64 {
 	n := int64(len(key))
 	if n < 2 {
 		n = 2
