@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	gumbo "repro"
@@ -291,5 +293,230 @@ func TestLoadContractPinned(t *testing.T) {
 				t.Errorf("database\n got %s\nwant %s", got, c.db)
 			}
 		})
+	}
+}
+
+// ---- the oracle: the load path as it was before the one-pass parser ----
+
+// oracleLoadRequest is the load body as encoding/json decoded it.
+type oracleLoadRequest struct {
+	Relations []struct {
+		Name   string  `json:"name"`
+		Arity  int     `json:"arity"`
+		Tuples [][]any `json:"tuples"`
+	} `json:"relations"`
+}
+
+// decodeTuple converts a JSON row into t, the caller's scratch of the
+// row's own length, reused row after row: non-negative integral
+// numbers map to integer values, strings to interned strings. Negative
+// numbers are rejected rather than silently interned as strings
+// (relation.Value reserves negative handles for interned text, so a
+// negative integer could not round-trip back as a JSON number).
+func decodeTuple(t gumbo.Tuple, raw []any) error {
+	for i, v := range raw {
+		switch x := v.(type) {
+		case string:
+			t[i] = gumbo.Str(x)
+		case json.Number:
+			n, err := x.Int64()
+			if err != nil {
+				return fmt.Errorf("value %d: %q is not an integer", i, x.String())
+			}
+			if n < 0 {
+				return fmt.Errorf("value %d: negative integer %d is not representable; send it as a string", i, n)
+			}
+			t[i] = gumbo.Int(n)
+		default:
+			return fmt.Errorf("value %d: unsupported JSON type %T (want integer or string)", i, v)
+		}
+	}
+	return nil
+}
+
+// oracleLoad is handleLoad as it was, loading body into db (named
+// name): the response it wrote.
+func oracleLoad(db *gumbo.Database, name string, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	var req oracleLoadRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad load request: %v", err)
+		return w
+	}
+	if len(req.Relations) == 0 {
+		writeError(w, http.StatusBadRequest, "load request names no relations")
+		return w
+	}
+	pending := make(map[string]*gumbo.Relation, len(req.Relations))
+	var order []string
+	infos := make([]relationInfo, 0, len(req.Relations))
+	for _, rp := range req.Relations {
+		if rp.Name == "" || rp.Arity <= 0 {
+			writeError(w, http.StatusBadRequest, "relation needs a name and a positive arity (got %q/%d)", rp.Name, rp.Arity)
+			return w
+		}
+		for ti, raw := range rp.Tuples {
+			if len(raw) != rp.Arity {
+				writeError(w, http.StatusBadRequest, "relation %s tuple %d: got %d values, want %d", rp.Name, ti, len(raw), rp.Arity)
+				return w
+			}
+		}
+		rel, seen := pending[rp.Name]
+		if seen {
+			if rel.Arity() != rp.Arity {
+				writeError(w, http.StatusBadRequest, "relation %s listed twice with arities %d and %d", rp.Name, rel.Arity(), rp.Arity)
+				return w
+			}
+		} else {
+			switch old := db.Relation(rp.Name); {
+			case old == nil:
+				rel = gumbo.NewRelation(rp.Name, rp.Arity)
+			case old.Arity() != rp.Arity:
+				writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.Name, old.Arity(), rp.Arity)
+				return w
+			default:
+				rel = old.Clone()
+			}
+			pending[rp.Name] = rel
+			order = append(order, rp.Name)
+		}
+		added := 0
+		var t gumbo.Tuple
+		if len(rp.Tuples) > 0 {
+			rel.Grow(len(rp.Tuples))
+			t = make(gumbo.Tuple, rp.Arity)
+		}
+		for ti, raw := range rp.Tuples {
+			if err := decodeTuple(t, raw); err != nil {
+				writeError(w, http.StatusBadRequest, "relation %s tuple %d: %v", rp.Name, ti, err)
+				return w
+			}
+			if rel.Add(t) {
+				added++
+			}
+		}
+		infos = append(infos, relationInfo{Name: rp.Name, Arity: rp.Arity, Size: rel.Size(), Added: added})
+	}
+	for _, n := range order {
+		db.Put(pending[n])
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"db":         name,
+		"generation": db.Generation(),
+		"relations":  infos,
+	})
+	return w
+}
+
+// FuzzLoadBody holds handleLoad to the oracle on arbitrary bodies: the
+// same status always; on 200 the same response bytes and the same
+// database; on a handler-level 400 the same message. A syntax or type
+// error must be one on both sides, whatever its wording.
+func FuzzLoadBody(f *testing.F) {
+	for _, c := range loadContract {
+		if len(c.body) < 1024 { // the depth cases would make minimizing slow
+			f.Add([]byte(c.body))
+		}
+	}
+	fx := newLoadFixture()
+	var mu sync.Mutex
+	f.Fuzz(func(t *testing.T, body []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		db := fx.reset(t)
+		got := fx.serve("POST", "/v1/db/d/load", body)
+		odb := gumbo.NewDatabase()
+		odb.Put(gumbo.FromTuples("Old", 2, []gumbo.Tuple{{gumbo.Int(1), gumbo.Int(2)}}))
+		want := oracleLoad(odb, "d", body)
+		if got.Code != want.Code {
+			t.Fatalf("status %d, oracle %d\n got %s\nwant %s", got.Code, want.Code, got.Body, want.Body)
+		}
+		if got.Code == http.StatusOK {
+			if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("response\n got %s\nwant %s", got.Body, want.Body)
+			}
+			if g, w := dumpDB(db), dumpDB(odb); g != w {
+				t.Fatalf("database\n got %s\nwant %s", g, w)
+			}
+			return
+		}
+		var g, w struct{ Error string }
+		if json.Unmarshal(got.Body.Bytes(), &g) != nil || json.Unmarshal(want.Body.Bytes(), &w) != nil {
+			t.Fatalf("error bodies %q, %q", got.Body, want.Body)
+		}
+		if strings.HasPrefix(w.Error, badLoad) != strings.HasPrefix(g.Error, badLoad) ||
+			!strings.HasPrefix(w.Error, badLoad) && g.Error != w.Error {
+			t.Fatalf("message %q, oracle %q", g.Error, w.Error)
+		}
+		if g := dumpDB(db); g != oldOnly {
+			t.Fatalf("rejected load changed the database: %s", g)
+		}
+	})
+}
+
+// TestBodyOverCapIs413: a body past -max-body answers 413 on load and
+// query, and a rejected load leaves the database as it was. A first
+// value that ends within the cap is read as it always was: the bytes
+// after it are never needed.
+func TestBodyOverCapIs413(t *testing.T) {
+	const maxBody = 100
+	s := New(Config{MaxBodyBytes: maxBody})
+	fx := &loadFixture{s: s, h: s.Handler()}
+	db := fx.reset(t)
+	gen := db.Generation()
+	for _, c := range []struct {
+		name, body string
+		status     int
+		msg        string
+	}{
+		{"over the cap", rels(rel("R", 1, "["+strings.Repeat("[1],", 30)+"[1]]")), 413, "bad load request: http: request body too large"},
+		{"a scalar cut at the cap", strings.Repeat(" ", maxBody-4) + "null ", 413, "bad load request: http: request body too large"},
+		{"a scalar ending before the cap", strings.Repeat(" ", maxBody-5) + "null" + strings.Repeat(" ", 10), 400, noRelations},
+		{"a bad value within the cap, the body past it", rels(rel("R", 1, `[[-1]]`)) + strings.Repeat(" ", maxBody), 400, "relation R tuple 0: value 0: negative integer -1 is not representable; send it as a string"},
+	} {
+		rec := fx.serve("POST", "/v1/db/d/load", []byte(c.body))
+		var resp struct{ Error string }
+		if rec.Code != c.status || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Error != c.msg {
+			t.Errorf("%s: %d %s, want %d %q", c.name, rec.Code, rec.Body, c.status, c.msg)
+		}
+		if db.Generation() != gen || dumpDB(db) != oldOnly {
+			t.Fatalf("%s: the rejected load changed the database: %s", c.name, dumpDB(db))
+		}
+	}
+	body := rels(rel("R", 1, `[[1]]`)) + strings.Repeat(" ", maxBody)
+	if rec := fx.serve("POST", "/v1/db/d/load", []byte(body)); rec.Code != http.StatusOK {
+		t.Fatalf("first value within the cap: %d %s", rec.Code, rec.Body)
+	}
+	query, err := json.Marshal(map[string]string{"query": `Q := SELECT x FROM R(x);` + strings.Repeat(" ", maxBody)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fx.serve("POST", "/v1/db/d/query", query)
+	var resp struct{ Error string }
+	if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &resp) != nil ||
+		resp.Error != "bad query request: http: request body too large" {
+		t.Errorf("query over the cap: %d %s, want 413", rec.Code, rec.Body)
+	}
+}
+
+// TestLoadSizesNothingFromContentLength: a request that claims the
+// whole body cap and sends ten bytes costs what ten bytes cost.
+func TestLoadSizesNothingFromContentLength(t *testing.T) {
+	fx := newLoadFixture()
+	fx.reset(t)
+	req := httptest.NewRequest("POST", "/v1/db/d/load", strings.NewReader(`{"x":true}`))
+	req.ContentLength = 32 << 20
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fx.h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("a ten-byte body claiming 32 MiB allocated %d KB", got>>10)
 	}
 }

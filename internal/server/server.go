@@ -30,13 +30,18 @@
 package server
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -391,28 +396,29 @@ func (s *Server) handleDBInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// loadRequest is the bulk-load payload. Tuple values are JSON numbers
-// (integers) or strings.
-type loadRequest struct {
-	Relations []struct {
-		Name   string  `json:"name"`
-		Arity  int     `json:"arity"`
-		Tuples [][]any `json:"tuples"`
-	} `json:"relations"`
-}
-
+// handleLoad bulk-loads the relations of a load body (see load.go for
+// its grammar). Tuple values are JSON integers or strings.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	dbe := s.lookup(r.PathValue("db"))
 	if dbe == nil {
 		writeError(w, http.StatusNotFound, "database %q not found", r.PathValue("db"))
 		return
 	}
-	var req loadRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad load request: %v", err)
+	// The body buffer grows with the bytes actually read, up to the cap:
+	// nothing is sized from Content-Length.
+	buf := loadPool.Get().(*loadBuffers)
+	defer loadPool.Put(buf)
+	buf.body.Reset()
+	_, readErr := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	req, err := parseLoad(buf, readErr == nil)
+	if readErr != nil && errors.Is(err, errTruncated) {
+		err = readErr
+	}
+	if err != nil {
+		writeError(w, bodyErrorStatus(err), "bad load request: %v", err)
 		return
 	}
-	if len(req.Relations) == 0 {
+	if len(req) == 0 {
 		writeError(w, http.StatusBadRequest, "load request names no relations")
 		return
 	}
@@ -427,34 +433,32 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	// guarantees the database is untouched. pending accumulates per name
 	// so a relation listed twice in one request merges instead of the
 	// later entry overwriting the earlier one.
-	pending := make(map[string]*gumbo.Relation, len(req.Relations))
+	pending := make(map[string]*gumbo.Relation, len(req))
 	var order []string
-	infos := make([]relationInfo, 0, len(req.Relations))
-	for _, rp := range req.Relations {
-		if rp.Name == "" || rp.Arity <= 0 {
-			writeError(w, http.StatusBadRequest, "relation needs a name and a positive arity (got %q/%d)", rp.Name, rp.Arity)
+	infos := make([]relationInfo, 0, len(req))
+	for _, rp := range req {
+		if rp.name == "" || rp.arity <= 0 {
+			writeError(w, http.StatusBadRequest, "relation needs a name and a positive arity (got %q/%d)", rp.name, rp.arity)
 			return
 		}
 		// Widths first, so nothing below is sized from the declared arity
 		// alone: rows × arity is then what the body itself held.
-		for ti, raw := range rp.Tuples {
-			if len(raw) != rp.Arity {
-				writeError(w, http.StatusBadRequest, "relation %s tuple %d: got %d values, want %d", rp.Name, ti, len(raw), rp.Arity)
-				return
-			}
+		if ti, width := rp.misfit(); ti >= 0 {
+			writeError(w, http.StatusBadRequest, "relation %s tuple %d: got %d values, want %d", rp.name, ti, width, rp.arity)
+			return
 		}
-		rel, seen := pending[rp.Name]
+		rel, seen := pending[rp.name]
 		if seen {
-			if rel.Arity() != rp.Arity {
-				writeError(w, http.StatusBadRequest, "relation %s listed twice with arities %d and %d", rp.Name, rel.Arity(), rp.Arity)
+			if rel.Arity() != rp.arity {
+				writeError(w, http.StatusBadRequest, "relation %s listed twice with arities %d and %d", rp.name, rel.Arity(), rp.arity)
 				return
 			}
 		} else {
-			switch old := dbe.db.Relation(rp.Name); {
+			switch old := dbe.db.Relation(rp.name); {
 			case old == nil:
-				rel = gumbo.NewRelation(rp.Name, rp.Arity)
-			case old.Arity() != rp.Arity:
-				writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.Name, old.Arity(), rp.Arity)
+				rel = gumbo.NewRelation(rp.name, rp.arity)
+			case old.Arity() != rp.arity:
+				writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.name, old.Arity(), rp.arity)
 				return
 			default:
 				// The Grow below copies the slab a second time. Kept: a
@@ -463,25 +467,23 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 				// load about doubles the relation.
 				rel = old.Clone()
 			}
-			pending[rp.Name] = rel
-			order = append(order, rp.Name)
+			pending[rp.name] = rel
+			order = append(order, rp.name)
+		}
+		if rp.bad != nil {
+			writeError(w, http.StatusBadRequest, "relation %s tuple %d: %v", rp.name, rp.badRow, rp.bad)
+			return
 		}
 		added := 0
-		var t gumbo.Tuple // scratch: Add copies
-		if len(rp.Tuples) > 0 {
-			rel.Grow(len(rp.Tuples))
-			t = make(gumbo.Tuple, rp.Arity)
+		if rp.rows > 0 {
+			rel.Grow(rp.rows)
 		}
-		for ti, raw := range rp.Tuples {
-			if err := decodeTuple(t, raw); err != nil {
-				writeError(w, http.StatusBadRequest, "relation %s tuple %d: %v", rp.Name, ti, err)
-				return
-			}
-			if rel.Add(t) {
+		for lo := 0; lo < len(rp.vals); lo += rp.arity {
+			if rel.Add(rp.vals[lo : lo+rp.arity]) {
 				added++
 			}
 		}
-		infos = append(infos, relationInfo{Name: rp.Name, Arity: rp.Arity, Size: rel.Size(), Added: added})
+		infos = append(infos, relationInfo{Name: rp.name, Arity: rp.arity, Size: rel.Size(), Added: added})
 	}
 	for _, name := range order {
 		dbe.db.Put(pending[name])
@@ -504,19 +506,20 @@ type queryRequest struct {
 }
 
 // queryResponse is the query result. Tuples are in sorted order — the
-// canonical rendering, identical to a direct library run.
+// canonical rendering, identical to a direct library run — and already
+// JSON (encodeTuples).
 type queryResponse struct {
-	Output       string      `json:"output"`
-	Arity        int         `json:"arity"`
-	Tuples       [][]any     `json:"tuples"`
-	Strategy     string      `json:"strategy"`
-	Plan         planInfo    `json:"plan"`
-	Metrics      metricsInfo `json:"metrics"`
-	Jobs         []jobInfo   `json:"jobs"`
-	Cache        string      `json:"cache"` // "hit" | "miss"
-	BatchSize    int         `json:"batch_size"`
-	BatchOutputs []string    `json:"batch_outputs,omitempty"`
-	Fingerprint  string      `json:"fingerprint"`
+	Output       string          `json:"output"`
+	Arity        int             `json:"arity"`
+	Tuples       json.RawMessage `json:"tuples"`
+	Strategy     string          `json:"strategy"`
+	Plan         planInfo        `json:"plan"`
+	Metrics      metricsInfo     `json:"metrics"`
+	Jobs         []jobInfo       `json:"jobs"`
+	Cache        string          `json:"cache"` // "hit" | "miss"
+	BatchSize    int             `json:"batch_size"`
+	BatchOutputs []string        `json:"batch_outputs,omitempty"`
+	Fingerprint  string          `json:"fingerprint"`
 }
 
 // planInfo summarizes the executed plan.
@@ -555,7 +558,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req queryRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad query request: %v", err)
+		writeError(w, bodyErrorStatus(err), "bad query request: %v", err)
 		return
 	}
 	q, err := gumbo.Parse(req.Query)
@@ -648,93 +651,88 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // ---- encoding helpers ----
 
-// encodeTuples renders a relation's tuples in sorted order: integers as
-// JSON numbers, interned strings as JSON strings. Rows are sorted by
-// their encoded values (integers before strings per column, integers
-// numerically, strings lexicographically) — NOT by raw Value handles,
-// whose string portion depends on process-global intern order — so the
-// wire form is canonical: a function of relation contents only,
-// independent of insertion order, scheduling, batching, caching, and of
-// what other requests the process served earlier.
-func encodeTuples(rel *gumbo.Relation) [][]any {
-	out := make([][]any, rel.Size())
-	for i := range out {
-		row := make([]any, rel.Arity())
+// encodeTuples writes a relation's tuples as a JSON array in sorted
+// order: integers as JSON numbers, interned strings as JSON strings.
+// Rows are sorted by their encoded values (integers before strings per
+// column, integers numerically, strings by text) — NOT by raw Value
+// handles, whose string portion depends on process-global intern order
+// — so the wire form is canonical: a function of relation contents
+// only, independent of insertion order, scheduling, batching, caching,
+// and of what other requests the process served earlier.
+func encodeTuples(rel *gumbo.Relation) json.RawMessage {
+	n, arity := rel.Size(), rel.Arity()
+	// texts[i*arity+j] is the text of string value j of row i, looked up
+	// once; nil while the relation holds integers only.
+	var texts []string
+	for i := 0; i < n; i++ {
 		for j, v := range rel.Tuple(i) {
 			if v.IsString() {
-				row[j] = v.Text()
+				if texts == nil {
+					texts = make([]string, n*arity)
+				}
+				texts[i*arity+j] = v.Text()
+			}
+		}
+	}
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	slices.SortFunc(rows, func(a, b int) int {
+		ta, tb := rel.Tuple(a), rel.Tuple(b)
+		for j, va := range ta {
+			switch vb := tb[j]; {
+			case va == vb:
+			case !va.IsString() && !vb.IsString():
+				return cmp.Compare(va, vb)
+			case !va.IsString():
+				return -1 // integers sort before strings
+			case !vb.IsString():
+				return 1
+			default:
+				return strings.Compare(texts[a*arity+j], texts[b*arity+j])
+			}
+		}
+		return 0
+	})
+	out := append(make([]byte, 0, 2+n*(1+4*arity)), '[')
+	for k, i := range rows {
+		if k > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, '[')
+		for j, v := range rel.Tuple(i) {
+			if j > 0 {
+				out = append(out, ',')
+			}
+			if v.IsString() {
+				out = appendJSONString(out, texts[i*arity+j])
 			} else {
-				row[j] = int64(v)
+				out = strconv.AppendInt(out, int64(v), 10)
 			}
 		}
-		out[i] = row
+		out = append(out, ']')
 	}
-	sort.Slice(out, func(i, j int) bool { return compareRows(out[i], out[j]) < 0 })
-	return out
+	return append(out, ']')
 }
 
-// compareRows orders encoded rows column by column: int64 before
-// string, ints numerically, strings lexicographically.
-func compareRows(a, b []any) int {
-	for i := range a {
-		if i >= len(b) {
-			return 1
-		}
-		ai, aInt := a[i].(int64)
-		bi, bInt := b[i].(int64)
-		switch {
-		case aInt && bInt:
-			if ai != bi {
-				if ai < bi {
-					return -1
-				}
-				return 1
-			}
-		case aInt:
-			return -1 // ints sort before strings
-		case bInt:
-			return 1
-		default:
-			as, bs := a[i].(string), b[i].(string)
-			if as != bs {
-				if as < bs {
-					return -1
-				}
-				return 1
-			}
+// appendJSONString appends s as writeJSON's encoder writes it
+// (encoding/json with SetEscapeHTML(false)): printable ASCII other than
+// the quote and the backslash is copied, and a string holding anything
+// else is written by encoding/json itself.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetEscapeHTML(false)
+			_ = enc.Encode(s)
+			return append(dst, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
 		}
 	}
-	if len(a) < len(b) {
-		return -1
-	}
-	return 0
-}
-
-// decodeTuple converts a JSON row into t, the caller's scratch of the
-// row's own length, reused row after row: non-negative integral
-// numbers map to integer values, strings to interned strings. Negative
-// numbers are rejected rather than silently interned as strings
-// (relation.Value reserves negative handles for interned text, so a
-// negative integer could not round-trip back as a JSON number).
-func decodeTuple(t gumbo.Tuple, raw []any) error {
-	for i, v := range raw {
-		switch x := v.(type) {
-		case string:
-			t[i] = gumbo.Str(x)
-		case json.Number:
-			n, err := x.Int64()
-			if err != nil {
-				return fmt.Errorf("value %d: %q is not an integer", i, x.String())
-			}
-			if n < 0 {
-				return fmt.Errorf("value %d: negative integer %d is not representable; send it as a string", i, n)
-			}
-			t[i] = gumbo.Int(n)
-		default:
-			return fmt.Errorf("value %d: unsupported JSON type %T (want integer or string)", i, v)
-		}
-	}
-	return nil
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 func encodeMetrics(m gumbo.Metrics) metricsInfo {
@@ -765,13 +763,23 @@ func encodeJobs(stats []gumbo.JobStats) []jobInfo {
 	return out
 }
 
-// decodeJSON decodes the request body into dst, capped at the server's
-// body limit (an over-limit body fails decoding with a "request body
-// too large" error rather than being materialized).
+// decodeJSON decodes the request body into dst, reading at most the
+// server's body limit (past it, decoding fails with an
+// *http.MaxBytesError).
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.UseNumber()
 	return dec.Decode(dst)
+}
+
+// bodyErrorStatus is the status of a request whose body failed to read
+// or decode: 413 past the body limit, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

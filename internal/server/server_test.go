@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -679,5 +682,129 @@ func TestPlanCacheLRUAndPurge(t *testing.T) {
 	// Generation changes the key even for identical text.
 	if planKey("a", 1, gumbo.Greedy, "q") == planKey("a", 2, gumbo.Greedy, "q") {
 		t.Fatal("generation not part of the key")
+	}
+}
+
+// compareRows orders encoded rows column by column: int64 before
+// string, ints numerically, strings lexicographically.
+func compareRows(a, b []any) int {
+	for i := range a {
+		if i >= len(b) {
+			return 1
+		}
+		ai, aInt := a[i].(int64)
+		bi, bInt := b[i].(int64)
+		switch {
+		case aInt && bInt:
+			if ai != bi {
+				if ai < bi {
+					return -1
+				}
+				return 1
+			}
+		case aInt:
+			return -1 // ints sort before strings
+		case bInt:
+			return 1
+		default:
+			as, bs := a[i].(string), b[i].(string)
+			if as != bs {
+				if as < bs {
+					return -1
+				}
+				return 1
+			}
+		}
+	}
+	if len(a) < len(b) {
+		return -1
+	}
+	return 0
+}
+
+// oracleRows is encodeTuples as it was: the rows as [][]any, sorted by
+// compareRows, for writeJSON's encoder to write.
+func oracleRows(rel *gumbo.Relation) [][]any {
+	out := make([][]any, rel.Size())
+	for i := range out {
+		row := make([]any, rel.Arity())
+		for j, v := range rel.Tuple(i) {
+			if v.IsString() {
+				row[j] = v.Text()
+			} else {
+				row[j] = int64(v)
+			}
+		}
+		out[i] = row
+	}
+	sort.Slice(out, func(i, j int) bool { return compareRows(out[i], out[j]) < 0 })
+	return out
+}
+
+// encodeAsWriteJSON encodes v as writeJSON does, without the newline.
+func encodeAsWriteJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+}
+
+// TestEncodeTuplesMatchesEncodingJSON: the tuples a query response
+// carries are, byte for byte, what encoding the rows as [][]any with
+// writeJSON's encoder wrote — alone and inside the response.
+func TestEncodeTuplesMatchesEncodingJSON(t *testing.T) {
+	texts := []string{
+		"", "a", "b", "<b>&c</b>", `say "hi"`, `back\slash`, "\x00", "\x01\x1f", "\t\n\r\b\f",
+		"\x7f", "line\xe2\x80\xa8sep\xe2\x80\xa9", "\xff", "a\xc0b", "\xed\xa0\x80", "é", "\xf0\x9f\x98\x80",
+		"10", "-1", "tag-3-7", "ZZ", "z",
+		`<"&">`, "é<>&", "<\n>", "\xff&",
+	}
+	ints := []int64{0, 1, 2, 9, 10, 1 << 40, math.MaxInt64}
+	var values []gumbo.Value
+	for _, s := range texts {
+		values = append(values, gumbo.Str(s))
+	}
+	for _, n := range ints {
+		values = append(values, gumbo.Int(n))
+	}
+	cases := []*gumbo.Relation{
+		gumbo.NewRelation("Empty", 2),
+		gumbo.FromTuples("Ints", 1, []gumbo.Tuple{{gumbo.Int(math.MaxInt64)}, {gumbo.Int(0)}, {gumbo.Int(10)}, {gumbo.Int(9)}}),
+	}
+	texts1 := gumbo.NewRelation("Texts", 1)
+	for _, s := range texts {
+		texts1.Add(gumbo.Tuple{gumbo.Str(s)})
+	}
+	cases = append(cases, texts1)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for arity := 1; arity <= 4; arity++ {
+		mixed := gumbo.NewRelation(fmt.Sprintf("Mixed%d", arity), arity)
+		for i := 0; i < 300; i++ {
+			row := make(gumbo.Tuple, arity)
+			for j := range row {
+				row[j] = values[rng.IntN(len(values))]
+			}
+			mixed.Add(row)
+		}
+		cases = append(cases, mixed)
+	}
+	for _, rel := range cases {
+		got, rows := encodeTuples(rel), oracleRows(rel)
+		if want := encodeAsWriteJSON(t, rows); !bytes.Equal(got, want) {
+			t.Errorf("%s: encodeTuples\n got %s\nwant %s", rel.Name(), got, want)
+		}
+		resp := encodeAsWriteJSON(t, queryResponse{Output: rel.Name(), Tuples: got})
+		oracle := encodeAsWriteJSON(t, struct {
+			Output string  `json:"output"`
+			Arity  int     `json:"arity"`
+			Tuples [][]any `json:"tuples"`
+		}{rel.Name(), 0, rows})
+		if !bytes.HasPrefix(resp, oracle[:len(oracle)-1]) {
+			t.Errorf("%s: in a response\n got %s\nwant %s...", rel.Name(), resp, oracle[:len(oracle)-1])
+		}
 	}
 }
