@@ -16,6 +16,8 @@ package relation
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"strconv"
 	"sync"
 )
@@ -28,32 +30,73 @@ type Value int64
 // internTable maps strings to negative Value handles, process-wide.
 // Interning is global (rather than per-database) so that values remain
 // comparable across databases, relations, and parsed queries.
+//
+// The table only grows, so what an entry costs is what a process that
+// keeps loading new strings keeps. Each text is held once, in byValue;
+// idx is an open-addressing, linear-probing hash table over it, like a
+// Relation's index, storing text index + 1 (0 = empty; length 0 or a
+// power of two, load ≤ 3/4): 5–11 bytes an entry, where a
+// map[string]Value spends 29–57.
 type internTable struct {
 	mu      sync.RWMutex
-	byText  map[string]Value
+	idx     []int32
 	byValue []string // index i holds text for Value(-(i + 1))
 }
 
-var interned = &internTable{byText: make(map[string]Value)}
+var (
+	interned   = &internTable{}
+	internSeed = maphash.MakeSeed()
+)
 
 // String interns s and returns its Value handle. Repeated calls with the
 // same string return the same handle.
 func String(s string) Value {
-	interned.mu.RLock()
-	v, ok := interned.byText[s]
-	interned.mu.RUnlock()
+	t := interned
+	t.mu.RLock()
+	v, ok := t.lookup(s)
+	t.mu.RUnlock()
 	if ok {
 		return v
 	}
-	interned.mu.Lock()
-	defer interned.mu.Unlock()
-	if v, ok := interned.byText[s]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v, ok := t.lookup(s); ok {
 		return v
 	}
-	v = Value(-(len(interned.byValue) + 1))
-	interned.byText[s] = v
-	interned.byValue = append(interned.byValue, s)
-	return v
+	n := len(t.byValue)
+	if n >= math.MaxInt32-1 {
+		panic(fmt.Sprintf("relation.String: the intern table is full at %d strings", n))
+	}
+	if (n+1)*4 > len(t.idx)*3 {
+		t.idx = make([]int32, max(8, 2*len(t.idx)))
+		for i, text := range t.byValue {
+			t.idx[t.find(text)] = int32(i + 1)
+		}
+	}
+	t.idx[t.find(s)] = int32(n + 1)
+	t.byValue = append(t.byValue, s)
+	return Value(-(n + 1))
+}
+
+// lookup returns s's handle, if s is interned.
+func (t *internTable) lookup(s string) (Value, bool) {
+	if len(t.idx) == 0 {
+		return 0, false
+	}
+	id := t.idx[t.find(s)]
+	return Value(-id), id != 0
+}
+
+// find probes the index, which must not be empty, for s: it returns the
+// slot that holds s's id, or else the empty slot ending s's probe
+// sequence, where that id belongs.
+func (t *internTable) find(s string) int {
+	mask := len(t.idx) - 1
+	i := int(maphash.String(internSeed, s)) & mask
+	for t.idx[i] != 0 && t.byValue[t.idx[i]-1] != s {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // Int returns the Value for integer i. It panics if i is negative, since

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -139,4 +140,55 @@ func TestQuickIntIdentity(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestInternManyStrings interns enough strings to grow the index many
+// times: every handle is new, round-trips its text, and comes back on a
+// second call.
+func TestInternManyStrings(t *testing.T) {
+	const n = 20000
+	first := make([]Value, n)
+	for i := range first {
+		first[i] = String(fmt.Sprintf("many-%d", i))
+	}
+	seen := make(map[Value]bool, n)
+	for i, v := range first {
+		if !v.IsString() || seen[v] {
+			t.Fatalf("many-%d: handle %d is not a new string handle", i, v)
+		}
+		seen[v] = true
+		if got := v.Text(); got != fmt.Sprintf("many-%d", i) {
+			t.Fatalf("handle %d reads %q, want many-%d", v, got, i)
+		}
+		if again := String(fmt.Sprintf("many-%d", i)); again != v {
+			t.Fatalf("many-%d interned twice: %d vs %d", i, v, again)
+		}
+	}
+}
+
+// TestInternEntryBytes: a process that keeps interning new strings
+// keeps what each entry costs, so the table's own share stays small. An
+// 11-byte string takes 16 bytes of text and 16 of string header; the
+// index adds 5–11 more, where a map[string]Value added 29–57.
+func TestInternEntryBytes(t *testing.T) {
+	const n = 100000
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("entry-%05d", i)
+	}
+	before := liveHeap()
+	for _, k := range keys {
+		String(k)
+	}
+	keys = nil
+	if per := float64(liveHeap()-before) / n; per > 56 {
+		t.Errorf("an interned 11-byte string holds %.1f bytes, want at most 56", per)
+	}
+}
+
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
