@@ -79,6 +79,7 @@ func BenchmarkLoad(b *testing.B) {
 	prefix := appendRelations([]byte(`{"relations":[`), serveData())
 	body := prefix
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		loadSessions++
 		body = append(body[:len(prefix)], `,{"name":"Tag","arity":1,"tuples":[`...)

@@ -14,12 +14,13 @@ import (
 )
 
 // A load body is parsed in one pass, straight into the values a relation
-// stores. It accepts exactly what decoding it with encoding/json
-// (numbers kept as json.Number) into
+// stores. It accepts exactly what encoding/json accepted when it decoded
+// the body into a struct of this shape, each tuple value into an
+// interface and numbers into json.Number:
 //
-//	{"relations": [{"name": string, "arity": int, "tuples": [][]any}]}
+//	{"relations": [{"name": string, "arity": int, "tuples": [[value, ...], ...]}]}
 //
-// accepted:
+// That is:
 //
 //   - the whole first JSON value is checked, its syntax and nesting
 //     depth as encoding/json's scanner checks them; bytes after it are
@@ -263,7 +264,9 @@ func (p *loadParser) row(r *loadRelation) error {
 // value decodes value col of r's current row: a string is interned, a
 // non-negative integer taken as it is, and anything else recorded as
 // r's bad value, if it is the first, with the message handleLoad has
-// always given for it.
+// always given for it. A negative integer is bad rather than interned
+// as text: relation.Value reserves negative handles for strings, so it
+// could not round-trip back as a JSON number.
 func (p *loadParser) value(r *loadRelation, col int) error {
 	c, err := p.peek()
 	if err != nil {

@@ -520,3 +520,48 @@ func TestLoadSizesNothingFromContentLength(t *testing.T) {
 		t.Errorf("a ten-byte body claiming 32 MiB allocated %d KB", got>>10)
 	}
 }
+
+// TestConcurrentLoads: loads into different databases run at once, each
+// parsing on buffers from the shared pool, with rejected loads between
+// them; every database ends up holding exactly its own bodies' tuples.
+func TestConcurrentLoads(t *testing.T) {
+	fx := newLoadFixture()
+	const loaders, loads = 8, 20
+	var wg sync.WaitGroup
+	want := make([]string, loaders)
+	for g := 0; g < loaders; g++ {
+		path := fmt.Sprintf("/v1/db/g%d", g)
+		if rec := fx.serve("PUT", path, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("create %s: %d", path, rec.Code)
+		}
+		ref := gumbo.NewRelation("R", 2)
+		for i := 0; i < loads; i++ {
+			ref.Add(gumbo.Tuple{gumbo.Int(int64(g)), gumbo.Str(fmt.Sprintf("g%d-%d", g, i))})
+			ref.Add(gumbo.Tuple{gumbo.Int(int64(i)), gumbo.Int(int64(g))})
+		}
+		refDB := gumbo.NewDatabase()
+		refDB.Put(ref)
+		want[g] = dumpDB(refDB)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < loads; i++ {
+				body := rels(rel("R", 2, fmt.Sprintf(`[[%d,"g%d-%d"],[%d,%d]]`, g, g, i, i, g)))
+				if rec := fx.serve("POST", path+"/load", []byte(body)); rec.Code != http.StatusOK {
+					t.Errorf("%s load %d: %d %s", path, i, rec.Code, rec.Body)
+					return
+				}
+				if rec := fx.serve("POST", path+"/load", []byte(rels(rel("R", 2, `[[1,"x"],[-1,2]]`)))); rec.Code != http.StatusBadRequest {
+					t.Errorf("%s rejected load %d: %d %s", path, i, rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < loaders; g++ {
+		if got := dumpDB(fx.s.lookup(fmt.Sprintf("g%d", g)).db); got != want[g] {
+			t.Errorf("g%d holds\n%s\nwant\n%s", g, got, want[g])
+		}
+	}
+}

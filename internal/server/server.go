@@ -475,9 +475,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		added := 0
-		if rp.rows > 0 {
-			rel.Grow(rp.rows)
-		}
+		rel.Grow(rp.rows)
 		for lo := 0; lo < len(rp.vals); lo += rp.arity {
 			if rel.Add(rp.vals[lo : lo+rp.arity]) {
 				added++
