@@ -21,6 +21,9 @@
 # alloc_mb_per_op 30.19 / 28.86 / 1.859 / 8.604 (PR 23), 25.85 / 18.95 /
 # 0.6096 / 4.273 (PR 25: the Engine's scratch pool); heap_live_mb 5.444 /
 # 4.619 / 26.77 / 28.38 (PR 25). PR 25's are its ten-pair medians × 1.10.
+# Then alloc_mb_per_op serve-hot 0.5938 and serve-churn 2.092, when load
+# bodies came to be parsed in one pass: that change's ten-pair medians ×
+# 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
