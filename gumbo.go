@@ -337,7 +337,7 @@ func (s *System) Run(q *Query, db *Database, strategy Strategy) (*Result, error)
 // changes, so cache plans keyed by Database.Generation (see
 // internal/server) when plan optimality matters.
 func (s *System) RunPlan(plan *Plan, db *Database) (*Result, error) {
-	//lint:ignore ctxpass RunPlan is the library's documented no-cancellation entry point; RunPlanCtx is the context-aware form
+	// RunPlan is the library's documented no-cancellation entry point; RunPlanCtx is the context-aware form.
 	return s.RunPlanCtx(context.Background(), plan, db, RunOptions{})
 }
 

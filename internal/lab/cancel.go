@@ -83,7 +83,7 @@ func cancelScenario(sys *gumbo.System, sc Scenario, width int) (int, string) {
 	// Cancel at a seeded random task boundary.
 	k := rand.New(rand.NewSource(sc.Seed ^ 0xcab005e)).Intn(total)
 	gen := db.Generation()
-	//lint:ignore ctxpass the cancel sweep owns the lifetime of the run it cancels; it manufactures the very context under test
+	// The cancel sweep owns the lifetime of the run it cancels; it manufactures the very context under test.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var n atomic.Int64

@@ -172,7 +172,7 @@ func faultScenario(sys *gumbo.System, sc Scenario, spillDir string) (checks int,
 	}
 	checks++
 	limit := 1 + rnd.Int63n(charged-1)
-	//lint:ignore ctxpass the fault sweep owns the run it aborts; there is no caller context to thread
+	// The fault sweep owns the run it aborts; there is no caller context to thread.
 	_, err = sys.RunPlanCtx(context.Background(), plan, db, gumbo.RunOptions{Budget: gumbo.NewBudget(limit)})
 	if !errors.Is(err, gumbo.ErrBudgetExceeded) {
 		fail("budget", int(limit), "over-budget run returned %v, want ErrBudgetExceeded", err)

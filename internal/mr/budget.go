@@ -118,9 +118,8 @@ func (b *Budget) Stats() MemStats {
 
 // grabBytes is the engine's accounted byte-slice allocator: every bulk
 // []byte the engine allocates is charged to the run's budget before
-// use (the accounting contract, docs/INVARIANTS.md). Direct
-// make([]byte, ...) in this package is forbidden by the memcharge
-// analyzer; this helper is the sanctioned site.
+// use (the accounting contract; docs/INVARIANTS.md names the test that
+// pins each call site).
 func grabBytes(b *Budget, n int) []byte {
 	b.charge(int64(n))
 	return make([]byte, n)

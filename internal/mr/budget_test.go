@@ -56,6 +56,61 @@ func TestBudgetChargedDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
+// TestSpillReadBackCharged pins the spill side of the accounting
+// contract: a reduce task is charged for every segment it reads back
+// from a spill file, and spilling changes no other charge. With skew
+// splitting off every non-empty segment is read back exactly once, so a
+// run with every partition spilled charges its spill-off total plus
+// exactly the bytes it spilled.
+func TestSpillReadBackCharged(t *testing.T) {
+	run := func(width int, threshold int64) MemStats {
+		t.Helper()
+		p, db := diamondProgram()
+		e := NewEngine(Config{Cost: cost.Default().Scaled(0.001), Workers: width,
+			SpillThreshold: threshold, SpillDir: t.TempDir(), SkewSplit: -1})
+		budget := NewBudget(0)
+		if _, _, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget}); err != nil {
+			t.Fatalf("width %d, spill threshold %d: %v", width, threshold, err)
+		}
+		return budget.Stats()
+	}
+	for _, width := range []int{1, 4} {
+		off, on := run(width, -1), run(width, 1)
+		if on.SpilledParts == 0 || on.SpilledBytes == 0 {
+			t.Fatalf("width %d: nothing spilled (%+v)", width, on)
+		}
+		if got := on.ChargedBytes - off.ChargedBytes; got != on.SpilledBytes {
+			t.Errorf("width %d: spilling every partition added %d charged bytes, want the %d bytes read back", width, got, on.SpilledBytes)
+		}
+	}
+}
+
+// TestShuffleBufferCharged pins the shuffle-partition site of the
+// accounting contract: a shuffle task charges the one buffer holding its
+// segments, which is exactly the encoded bytes of its map task's
+// records, whatever the reducer count.
+func TestShuffleBufferCharged(t *testing.T) {
+	em := new(Emitter)
+	for i := 0; i < 500; i++ {
+		emitInt(em, []byte(fmt.Sprint("key", i%37)), int64(i))
+	}
+	var encoded int64
+	for _, c := range em.chunks {
+		encoded += int64(len(c))
+	}
+	for _, reducers := range []int{1, 7} {
+		budget := NewBudget(0)
+		jr := &jobRun{e: NewEngine(Config{Cost: cost.Default()}), job: &Job{}, gov: govern{budget: budget},
+			reducers: reducers, shufsLeft: 2} // never the last shuffle, so nothing spawns
+		jr.results = [][]mapTaskResult{{{chunks: em.chunks, msgs: em.records, bytes: em.bytes}}}
+		jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
+		jr.shuffleTask(&poolCtx{scratch: new(taskScratch)}, 0, 0)
+		if got := budget.Stats().ChargedBytes; got != encoded {
+			t.Errorf("%d reducers: shuffle task charged %d bytes, want the %d encoded bytes", reducers, got, encoded)
+		}
+	}
+}
+
 // TestBudgetExceeded is the over-budget differential: a limit below a
 // clean run's total charge aborts the run at every pool width with an
 // error matching ErrBudgetExceeded, a nil outputs database, completed

@@ -28,7 +28,7 @@ import (
 
 // poolTask is one unit of schedulable work. The context identifies the
 // executing worker so the task can spawn follow-up work onto the local
-// deque.
+// deque; the task must never block that worker (docs/INVARIANTS.md).
 type poolTask func(c *poolCtx)
 
 // poolCtx is the execution context handed to every task: one per pool
@@ -353,7 +353,7 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 // any task aborts the pool and is re-raised on the caller's goroutine,
 // so user map/reduce panics surface to the Run caller. Each worker takes
 // one taskScratch from the Engine when it starts and puts it back when it
-// exits.
+// exits; these workers and the watcher are the package's only goroutines.
 //
 // Cancellation is task-boundary-granular: a watcher goroutine (joined
 // before return — runTasks leaks nothing) stops the pool when
@@ -376,7 +376,7 @@ func (e *Engine) runTasks(ctx context.Context, workers int, seed poolTask) error
 	var watch sync.WaitGroup
 	if done := ctx.Done(); done != nil {
 		watch.Add(1)
-		//lint:ignore rawgo the pool's cancellation watcher: wg-joined below via close(stopWatch), it only signals the pool's own stop protocol
+		// The pool's cancellation watcher: wg-joined below via close(stopWatch), it only signals the pool's own stop protocol.
 		go func() {
 			defer watch.Done()
 			select {
@@ -390,7 +390,7 @@ func (e *Engine) runTasks(ctx context.Context, workers int, seed poolTask) error
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//lint:ignore rawgo runTasks IS the sanctioned primitive: these are the pool's worker loops, wg-joined below, with task panics re-raised by the abort path
+		// The pool's worker loops, wg-joined below, with task panics re-raised by the abort path.
 		go func(id int) {
 			defer wg.Done()
 			c := &poolCtx{pool: p, id: id, scratch: e.scratch.Get().(*taskScratch)}

@@ -40,7 +40,7 @@ func TestPoolStealing(t *testing.T) {
 	NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) {
 		c.spawn(func(c *poolCtx) { close(release) }) // stolen by the idle worker
 		c.spawn(func(c *poolCtx) {})                 // keeps LIFO pop busy
-		<-release                                    //lint:ignore taskblock the deliberate block IS the test: it deadlocks unless the idle worker steals the sibling task
+		<-release                                    // the deliberate block is the test: it deadlocks unless the idle worker steals the sibling task
 	})
 }
 

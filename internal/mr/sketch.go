@@ -25,7 +25,7 @@ import (
 //
 // Key storage is a fixed arena obtained through grabBytes, so the
 // sketch's memory is charged to the run's budget like every other bulk
-// engine buffer (the memcharge analyzer enforces the seam).
+// engine buffer (TestSkewSketchBudgetCharged pins the charge).
 const (
 	// sketchEntries is the number of tracked heavy-key candidates.
 	sketchEntries = 16

@@ -100,8 +100,8 @@ func Corrupt(what string) {
 // buffers that are reused or released after Reduce returns, so
 // implementations must not mutate or retain them (copy the key if
 // needed; decoded values are copies and may be kept). This contract is
-// enforced by the keyretain analyzer — see docs/INVARIANTS.md for the
-// catalog and fix recipes.
+// guarded for every production reducer by TestReducersRetainNothing
+// (internal/exec); docs/INVARIANTS.md has the fix recipes.
 type Reducer interface {
 	Reduce(key []byte, msgs *Group, out *Output)
 }
@@ -154,7 +154,7 @@ type Job struct {
 	// are still being produced. A mapper or reducer must therefore
 	// never consult relations outside the declared set (closures over
 	// relation data captured at plan time would break the scheduling
-	// contract).
+	// contract; the strategy suites and TestReducersRetainNothing catch both).
 	Inputs  []string
 	Outputs map[string]int // declared output relations: name → arity
 

@@ -117,7 +117,7 @@ func (b *batcher) flush() {
 	// request's: batch=true queries are not canceled by client
 	// disconnects, only by the per-query deadline and the abort
 	// endpoint, both of which runQuery applies itself.
-	//lint:ignore ctxpass a merged batch run is shared by many requests; no single request context can own it (see comment above)
+	// A merged batch run is shared by many requests; no single request context can own it.
 	ctx := context.Background()
 
 	// runGroup evaluates one distinct query on behalf of all of its

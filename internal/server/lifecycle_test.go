@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -303,16 +304,24 @@ func TestQueryTimeoutGatewayTimeout(t *testing.T) {
 	// answered and — whatever the wall clock says — its own run's
 	// deadline has fired: the two queries' timers sit on different Ps
 	// and fire up to a preemption quantum apart, so the second query's
-	// 504 does not prove the first one's context is dead yet.
+	// 504 does not prove the first one's context is dead yet. If the
+	// run's context is not the query's, it never fires: the test fails
+	// below, and closing ended on exit unparks the task so the server
+	// can shut down.
 	started := make(chan struct{})
 	release := make(chan struct{})
+	ended := make(chan struct{})
 	var once sync.Once
 	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(ctx context.Context, _ int) {
 		once.Do(func() { close(started) })
 		<-release
-		<-ctx.Done()
+		select {
+		case <-ctx.Done():
+		case <-ended:
+		}
 	}})
 	defer restore()
+	defer close(ended)
 	defer func() {
 		select {
 		case <-release:
@@ -341,4 +350,64 @@ func TestQueryTimeoutGatewayTimeout(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("expired query did not return")
 	}
+}
+
+// TestClientDisconnectCancelsRun: a client that hangs up cancels its
+// query's engine run, so the run's context must be the request's. The
+// first task parks until its run's context is done; if that context is
+// not the request's it never is, the test fails, and closing ended on
+// exit unparks the task so the server can shut down.
+func TestClientDisconnectCancelsRun(t *testing.T) {
+	_, c := newTestClient(t, Config{ConcurrentJobs: 1})
+	c.loadBookstore("shop")
+
+	started := make(chan struct{})
+	canceled := make(chan struct{})
+	ended := make(chan struct{})
+	var startOnce, cancelOnce sync.Once
+	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(ctx context.Context, _ int) {
+		startOnce.Do(func() { close(started) })
+		select {
+		case <-ctx.Done():
+			cancelOnce.Do(func() { close(canceled) })
+		case <-ended:
+		}
+	}})
+	defer restore()
+	defer close(ended)
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	body, err := json.Marshal(map[string]any{"query": queryZ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequestWithContext(ctx, "POST", c.srv.URL+"/v1/db/shop/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := c.srv.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("query never started")
+	}
+	hangUp()
+	select {
+	case <-canceled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("client hang-up did not cancel the engine run")
+	}
+	<-done
+	var rows queriesResponse
+	pollUntil(t, "the canceled query to unregister", func() bool {
+		c.do("GET", "/v1/db/shop/queries", nil, &rows)
+		return len(rows.Queries) == 0
+	})
 }

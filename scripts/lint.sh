@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # lint.sh — the repo's static-analysis gate, exactly what CI's lint job
-# runs: gofmt (no unformatted files), go vet, and the project's own
-# gumbo-lint analyzer suite (see docs/INVARIANTS.md for the contracts
-# it enforces and the //lint:ignore suppression protocol). It ends by
-# printing the non-test line count (scripts/loc.sh), so the figure a
-# simplicity PR quotes is in the job's log.
+# runs: gofmt (no unformatted files) and go vet. The engine's contracts
+# are guarded by tests that run with the rest of the suite
+# (docs/INVARIANTS.md names the guard of each). It ends by printing the
+# non-test line count (scripts/loc.sh), so the figure a simplicity PR
+# quotes is in the job's log.
 #
 # Usage:
 #   scripts/lint.sh
@@ -20,7 +20,6 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-go run ./cmd/gumbo-lint ./...
 
 echo "non-test Go lines: $(scripts/loc.sh)"
 echo "lint: OK"
