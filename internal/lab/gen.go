@@ -1,8 +1,8 @@
 // Package lab is the generative workload laboratory: seeded random SGF
 // programs over a shape grammar, composed with seeded data scenarios,
 // swept under every evaluation strategy at several pool widths with a
-// differential output oracle, and mined for cost-model calibration
-// (docs/LAB.md). The paper's §5 evaluation fixes a handful of
+// differential output oracle and through the engine's split, spill and
+// lifecycle paths, and mined for cost-model calibration (docs/LAB.md). The paper's §5 evaluation fixes a handful of
 // hand-written queries; the lab exercises query shapes and data
 // distributions no one wrote by hand.
 package lab

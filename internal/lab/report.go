@@ -6,27 +6,6 @@ import (
 	"io"
 )
 
-// Report bundles everything one sweep produced, for serialization.
-type Report struct {
-	Scenarios   int
-	Runs        []RunRecord
-	Skips       []Skip
-	Divergences []Divergence
-	Calibration *Calibration `json:",omitempty"`
-}
-
-// NewReport assembles a report from a sweep and an optional
-// calibration.
-func NewReport(res *SweepResult, cal *Calibration) *Report {
-	return &Report{
-		Scenarios:   res.Scenarios,
-		Runs:        res.Runs,
-		Skips:       res.Skips,
-		Divergences: res.Divergences,
-		Calibration: cal,
-	}
-}
-
 // WriteJSON writes the full report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -72,8 +51,8 @@ func (r *Report) WriteCalibrationTSV(w io.Writer) error {
 
 // Summary renders a short human-readable outcome line.
 func (r *Report) Summary() string {
-	s := fmt.Sprintf("%d scenarios, %d runs, %d skips, %d divergences",
-		r.Scenarios, len(r.Runs), len(r.Skips), len(r.Divergences))
+	s := fmt.Sprintf("%d scenarios, %d runs, %d skips, %d lifecycle injections, %d split runs, %d failures",
+		r.Scenarios, len(r.Runs), len(r.Skips), r.Injections, r.SplitRuns, len(r.Failures))
 	if r.Calibration != nil {
 		s += fmt.Sprintf("; calibration over %d jobs: mean error %.3f (default) -> %.3f (fitted)",
 			r.Calibration.Observations, r.Calibration.DefaultErr, r.Calibration.FittedErr)

@@ -2,7 +2,6 @@ package lab
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/relation"
 	"repro/internal/sgf"
@@ -72,14 +71,14 @@ func (c ScenarioConfig) normalized() ScenarioConfig {
 	return c
 }
 
-// GenScenario generates the scenario for one seed: the program shape
-// and the data profile are both drawn from the seed.
+// GenScenario generates the scenario for seed ≥ 1: the program shape is
+// drawn from the seed, and the data profile rotates with it, so any
+// len(Profiles()) consecutive seeds cover every profile.
 func GenScenario(seed int64, cfg ScenarioConfig) Scenario {
 	cfg = cfg.normalized()
 	prog, shape := GenProgram(seed, cfg.Gen)
 	profiles := Profiles()
-	rng := rand.New(rand.NewSource(seed ^ 0x5ab0))
-	prof := profiles[rng.Intn(len(profiles))]
+	prof := profiles[(seed-1)%int64(len(profiles))]
 	return Scenario{
 		Name:        fmt.Sprintf("s%d-%s-%s", seed, shape, prof.Name),
 		Seed:        seed,

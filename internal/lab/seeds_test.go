@@ -2,6 +2,7 @@ package lab
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	gumbo "repro"
@@ -17,13 +18,7 @@ import (
 // separate strategies: nested output guards, disjunction with negation,
 // output relations as (possibly negated) conditional atoms, constants
 // in atoms, skewed join columns, and an unsatisfiable conjunction.
-var frozenScenarios = []struct {
-	name    string
-	seed    int64
-	shape   Shape
-	profile string
-	src     string
-}{
+var frozenScenarios = []frozenScenario{
 	{"union-negation-nomatch", 1, ShapeUnion, "nomatch", `
 Z1 := SELECT x1, x3 FROM R0(x0, x1, x2, x3) WHERE NOT S0(x1, x0) OR S0(x1, x2) OR S1(x3, x0) OR S2(x2, x3) OR S2(4, x1);
 Z2 := SELECT x1 FROM R1(x0, x1) WHERE S3(x1) OR S4(x0, x1) OR NOT S3(x1);`},
@@ -72,6 +67,20 @@ Z4 := SELECT x0 FROM Z1(x0, x1) WHERE Z3(x1);`},
 Z1 := SELECT x0, x1 FROM R0(x0, x1) WHERE S0(x0) OR NOT S1(x1);`},
 }
 
+type frozenScenario struct {
+	name    string
+	seed    int64
+	shape   Shape
+	profile string
+	src     string
+}
+
+// scenario builds the frozen scenario with tuples per relation.
+func (f frozenScenario) scenario(t *testing.T, tuples int) Scenario {
+	return Scenario{Name: f.name, Seed: f.seed, Shape: f.shape, Profile: profileByName(t, f.profile),
+		Program: sgf.MustParse(f.src), GuardTuples: tuples, CondTuples: tuples}
+}
+
 func profileByName(t *testing.T, name string) DataProfile {
 	t.Helper()
 	for _, p := range Profiles() {
@@ -83,10 +92,10 @@ func profileByName(t *testing.T, name string) DataProfile {
 	return DataProfile{}
 }
 
-// TestFrozenScenarioSweep runs the full differential oracle over the
-// frozen scenario table at widths {1, GOMAXPROCS}: every applicable
-// strategy must agree with the reference evaluator, and every width
-// must reproduce width 1 bit for bit.
+// TestFrozenScenarioSweep runs every check over the frozen scenario
+// table at widths {1, 2, GOMAXPROCS}: every applicable strategy must
+// agree with the reference evaluator, every width must reproduce width 1
+// bit for bit, and the split and lifecycle checks must pass.
 func TestFrozenScenarioSweep(t *testing.T) {
 	cfg := DefaultSweepConfig()
 	// Width 2 is explicit so single-CPU machines still cross-check two
@@ -95,20 +104,10 @@ func TestFrozenScenarioSweep(t *testing.T) {
 	cfg.Shrink = false
 	var scenarios []Scenario
 	for _, f := range frozenScenarios {
-		scenarios = append(scenarios, Scenario{
-			Name:        f.name,
-			Seed:        f.seed,
-			Shape:       f.shape,
-			Profile:     profileByName(t, f.profile),
-			Program:     sgf.MustParse(f.src),
-			GuardTuples: 300,
-			CondTuples:  300,
-		})
+		scenarios = append(scenarios, f.scenario(t, 300))
 	}
 	res := RunSweep(scenarios, cfg)
-	for _, d := range res.Divergences {
-		t.Errorf("divergence: %s/%s width %d: %s", d.Scenario, d.Strategy, d.Width, d.Detail)
-	}
+	checkClean(t, res)
 	if res.Scenarios != len(frozenScenarios) {
 		t.Fatalf("swept %d scenarios, want %d", res.Scenarios, len(frozenScenarios))
 	}
@@ -140,15 +139,7 @@ func TestChainCorrelationSelective(t *testing.T) {
 		if f.shape != ShapeChain {
 			continue
 		}
-		sc := Scenario{
-			Name:        f.name,
-			Seed:        f.seed,
-			Shape:       f.shape,
-			Profile:     profileByName(t, f.profile),
-			Program:     sgf.MustParse(f.src),
-			GuardTuples: 300,
-			CondTuples:  300,
-		}
+		sc := f.scenario(t, 300)
 		q, err := gumbo.Parse(sc.Source())
 		if err != nil {
 			t.Fatalf("%s: parse: %v", f.name, err)
@@ -180,65 +171,21 @@ func TestChainCorrelationSelective(t *testing.T) {
 
 // TestFrozenSkewScenarioSplits pins the skew fixture's reason for
 // existing: at full lab scale its zipf-hot reduce partition must
-// actually cross the split threshold, and the split run must match the
-// unsplit run bit for bit (up to the split observability fields) at
-// every width.
+// actually cross the split threshold at every width, and the sweep's
+// checks — the split run bit for bit against the unsplit one up to the
+// split observability fields, and across widths — must pass.
 func TestFrozenSkewScenarioSplits(t *testing.T) {
-	var fixture Scenario
-	for _, f := range frozenScenarios {
-		if f.name != "skew-hot-union-zipf" {
-			continue
-		}
-		fixture = Scenario{
-			Name:        f.name,
-			Seed:        f.seed,
-			Shape:       f.shape,
-			Profile:     profileByName(t, f.profile),
-			Program:     sgf.MustParse(f.src),
-			GuardTuples: 2000,
-			CondTuples:  2000,
-		}
-	}
-	if fixture.Name == "" {
+	i := slices.IndexFunc(frozenScenarios, func(f frozenScenario) bool { return f.name == "skew-hot-union-zipf" })
+	if i < 0 {
 		t.Fatal("skew-hot-union-zipf missing from the frozen table")
 	}
-	q, err := gumbo.Parse(fixture.Source())
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	db := fixture.Build()
-	widths := []int{1, 2, runtime.GOMAXPROCS(0)}
-	var base *gumbo.Result
-	for _, w := range widths {
-		run := func(ratio float64) *gumbo.Result {
-			sys := gumbo.New(gumbo.WithHostWorkers(w), gumbo.WithScale(1e-4),
-				gumbo.WithSkewSplit(ratio))
-			plan, err := sys.Plan(q, db, sys.Auto(q))
-			if err != nil {
-				t.Fatalf("width %d: plan: %v", w, err)
-			}
-			res, err := sys.RunPlan(plan, db)
-			if err != nil {
-				t.Fatalf("width %d: run: %v", w, err)
-			}
-			return res
-		}
-		off, on := run(-1), run(skewSplitRatio)
-		split := 0
-		for i := range on.JobStats {
-			split += on.JobStats[i].SplitReduceTasks
-		}
-		if split == 0 {
-			t.Errorf("width %d: fixture did not split; threshold or data drifted", w)
-		}
-		if d := diffSplitOffOn(off, on); d != "" {
-			t.Errorf("width %d: %s", w, d)
-		}
-		if base == nil {
-			base = on
-		} else if d := diffBitForBit(base, on); d != "" {
-			t.Errorf("width %d vs %d: %s", w, widths[0], d)
-		}
+	cfg := DefaultSweepConfig()
+	cfg.Widths = []int{1, 2, runtime.GOMAXPROCS(0)}
+	cfg.Shrink = false
+	rep := RunSweep([]Scenario{frozenScenarios[i].scenario(t, 2000)}, cfg)
+	checkClean(t, rep)
+	if want := len(cfg.normalized().Widths); rep.SplitRuns != want {
+		t.Errorf("fixture split at %d of %d widths; threshold or data drifted", rep.SplitRuns, want)
 	}
 }
 
@@ -263,15 +210,7 @@ func TestFrozenScenarioGoldenSizes(t *testing.T) {
 		"skew-hot-union-zipf":    {300},
 	}
 	for _, f := range frozenScenarios {
-		sc := Scenario{
-			Name:        f.name,
-			Seed:        f.seed,
-			Shape:       f.shape,
-			Profile:     profileByName(t, f.profile),
-			Program:     sgf.MustParse(f.src),
-			GuardTuples: 300,
-			CondTuples:  300,
-		}
+		sc := f.scenario(t, 300)
 		q, err := gumbo.Parse(sc.Source())
 		if err != nil {
 			t.Fatalf("%s: parse: %v", f.name, err)

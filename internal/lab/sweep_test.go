@@ -16,27 +16,31 @@ func smallSweepConfig() SweepConfig {
 	return cfg
 }
 
-// TestSweepSmallSeeds runs the full differential oracle over a handful
-// of generated scenarios: every strategy and width must agree, with no
-// divergences.
-func TestSweepSmallSeeds(t *testing.T) {
-	n := 6
-	if testing.Short() {
-		n = 2
+func checkClean(t *testing.T, rep *Report) {
+	t.Helper()
+	for _, f := range rep.Failures {
+		t.Errorf("%s [%s] %s width %d boundary %d: %s", f.Scenario, f.Check, f.Strategy, f.Width, f.Boundary, f.Detail)
 	}
+}
+
+// TestSweepClean runs every check over a few generated scenarios: none
+// may fail, and the lifecycle injections must actually run. It is the
+// guard of the context thread from RunPlanCtx down to the engine's
+// task grants: a fresh root context anywhere on it fails the cancel
+// check. Not parallel — the sweep owns the process-wide fault seam.
+func TestSweepClean(t *testing.T) {
+	const n = 3
 	scfg := DefaultScenarioConfig()
 	scfg.GuardTuples, scfg.CondTuples = 300, 300
-	res := RunSweep(GenScenarios(n, scfg), smallSweepConfig())
-	for _, d := range res.Divergences {
-		t.Errorf("divergence: %s/%s width %d: %s", d.Scenario, d.Strategy, d.Width, d.Detail)
-	}
-	if len(res.Runs) == 0 {
-		t.Fatal("no runs recorded")
+	rep := RunSweep(GenScenarios(n, scfg), smallSweepConfig())
+	checkClean(t, rep)
+	if rep.Injections == 0 {
+		t.Error("no lifecycle injections ran")
 	}
 	// Every scenario must execute under at least the three any-program
 	// strategies (they never plan-reject).
 	byScenario := map[string]int{}
-	for _, r := range res.Runs {
+	for _, r := range rep.Runs {
 		byScenario[r.Scenario]++
 	}
 	if len(byScenario) != n {
@@ -135,12 +139,11 @@ func TestReportWriters(t *testing.T) {
 	scfg.GuardTuples, scfg.CondTuples = 200, 200
 	swcfg := smallSweepConfig()
 	swcfg.Widths = []int{1}
-	res := RunSweep(GenScenarios(2, scfg), swcfg)
-	cal, err := Calibrate(res.Runs, swcfg.BaseCostConfig())
-	if err != nil {
+	rep := RunSweep(GenScenarios(2, scfg), swcfg)
+	var err error
+	if rep.Calibration, err = Calibrate(rep.Runs, swcfg.BaseCostConfig()); err != nil {
 		t.Fatal(err)
 	}
-	rep := NewReport(res, cal)
 	var tsv, ctsv, js strings.Builder
 	if err := rep.WriteRunsTSV(&tsv); err != nil {
 		t.Fatal(err)

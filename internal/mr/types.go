@@ -161,8 +161,10 @@ type Job struct {
 	Mapper  Mapper
 	Reducer Reducer
 
-	// Reducers fixes r; 0 derives it from sampled intermediate size per
-	// §5.1 optimization (3).
+	// Reducers fixes r; 0 derives it per §5.1 optimization (3) from the
+	// intermediate size measured after the job's last map task, not from
+	// a sample as Gumbo does (ROADMAP: "The reducer count is decided
+	// before the map phase" makes it sampled).
 	Reducers int
 
 	// Packing enables the message-packing optimization (§5.1 opt (1)):

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -176,11 +178,7 @@ func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
 	}
 	s.qmu.Unlock()
 	// Map iteration order is random; present a stable listing.
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j].ID < rows[j-1].ID; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
+	slices.SortFunc(rows, func(a, b inflightInfo) int { return cmp.Compare(a.ID, b.ID) })
 	writeJSON(w, http.StatusOK, map[string]any{"db": dbe.name, "queries": rows})
 }
 
