@@ -23,20 +23,15 @@ func checkClean(t *testing.T, rep *Report) {
 	}
 }
 
-// TestSweepClean runs every check over a few generated scenarios: none
-// may fail, and the lifecycle injections must actually run. It is the
-// guard of the context thread from RunPlanCtx down to the engine's
-// task grants: a fresh root context anywhere on it fails the cancel
-// check. Not parallel — the sweep owns the process-wide fault seam.
-func TestSweepClean(t *testing.T) {
-	const n = 3
+// TestSweepSmallSeeds runs every check over the first six generated
+// scenarios (every shape and data profile): none may fail. Not parallel
+// — the sweep owns the process-wide fault seam.
+func TestSweepSmallSeeds(t *testing.T) {
+	const n = 6
 	scfg := DefaultScenarioConfig()
 	scfg.GuardTuples, scfg.CondTuples = 300, 300
 	rep := RunSweep(GenScenarios(n, scfg), smallSweepConfig())
 	checkClean(t, rep)
-	if rep.Injections == 0 {
-		t.Error("no lifecycle injections ran")
-	}
 	// Every scenario must execute under at least the three any-program
 	// strategies (they never plan-reject).
 	byScenario := map[string]int{}
@@ -50,6 +45,27 @@ func TestSweepClean(t *testing.T) {
 		if count < 3*2 {
 			t.Errorf("scenario %s has only %d runs", sc, count)
 		}
+	}
+}
+
+// TestCancelSweepClean sweeps a few generated scenarios and requires
+// every one to reach the lifecycle checks and tear down cleanly after
+// each injection. It is the guard of the context thread from RunPlanCtx
+// down to the engine's task grants: a fresh root context anywhere on it
+// fails the cancel check. Not parallel — the sweep owns the
+// process-wide fault seam.
+func TestCancelSweepClean(t *testing.T) {
+	const n = 3
+	scfg := DefaultScenarioConfig()
+	scfg.GuardTuples, scfg.CondTuples = 300, 300
+	rep := RunSweep(GenScenarios(n, scfg), smallSweepConfig())
+	if rep.Scenarios != n {
+		t.Fatalf("swept %d scenarios, want %d", rep.Scenarios, n)
+	}
+	checkClean(t, rep)
+	// Every scenario gets at least a cancel and a panic injection.
+	if rep.Injections < 2*n {
+		t.Errorf("%d lifecycle injections over %d scenarios, want at least %d", rep.Injections, n, 2*n)
 	}
 }
 

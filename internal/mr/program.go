@@ -141,7 +141,7 @@ func (p *Program) Validate(base []string) error {
 // completion first. A run that charges past opts.Budget's limit stops
 // on the same path with the same guarantees — no goroutines or temp
 // files left — and an error matching ErrBudgetExceeded via errors.Is.
-// ctx passes unchanged down to runTasks (guard: TestSweepClean).
+// ctx passes unchanged down to runTasks (guard: TestCancelSweepClean).
 func (e *Engine) Run(ctx context.Context, p *Program, db *relation.Database, opts RunOptions) (*relation.Database, []JobStats, []JobTiming, error) {
 	if err := p.Validate(db.Names()); err != nil {
 		return nil, nil, nil, err
