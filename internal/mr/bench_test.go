@@ -73,19 +73,30 @@ func benchShuffleJob(packing bool) *Job {
 }
 
 // BenchmarkJobShuffle measures one full packed semi-join job — map,
-// pack, shuffle partitioning, sort-based reduce, merge — end to end.
-// allocs/op is the headline number: the engine's hot path should stay
-// allocation-lean as records flow through every phase.
+// pack, shuffle partitioning, sort-based reduce, merge — end to end, at
+// each of the shuffle's two paths: r=1, where a map task's arena is its
+// partition as it is, and r=derived, the job's own reducer count (2),
+// where the shuffle task places every record. allocs/op is the headline
+// number: the engine's hot path should stay allocation-lean as records
+// flow through every phase.
 func BenchmarkJobShuffle(b *testing.B) {
 	db := benchShuffleDB()
-	e := newTestEngine(cost.Default().Scaled(0.001))
-	job := benchShuffleJob(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := runJob(context.Background(), e, job, db); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name     string
+		reducers int
+	}{{"r=1", 1}, {"r=derived", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			e := newTestEngine(cost.Default().Scaled(0.001))
+			job := benchShuffleJob(true)
+			job.Reducers = c.reducers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := runJob(context.Background(), e, job, db); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

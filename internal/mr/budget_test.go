@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -86,27 +87,43 @@ func TestSpillReadBackCharged(t *testing.T) {
 }
 
 // TestShuffleBufferCharged pins the shuffle-partition site of the
-// accounting contract: a shuffle task charges the one buffer holding its
-// segments, which is exactly the encoded bytes of its map task's
-// records, whatever the reducer count.
+// accounting contract, per reducer count. At r = 7 a shuffle task
+// charges the one buffer holding its segments, which is exactly the
+// encoded bytes of its map task's records. At r = 1 it charges nothing:
+// the partition is the map task's arena chunks themselves, charged once,
+// when Emit started them.
 func TestShuffleBufferCharged(t *testing.T) {
-	em := new(Emitter)
-	for i := 0; i < 500; i++ {
-		emitInt(em, []byte(fmt.Sprint("key", i%37)), int64(i))
-	}
-	var encoded int64
+	arena := NewBudget(0)
+	em := multiChunkArena(arena)
+	var encoded, capacity int64
 	for _, c := range em.chunks {
 		encoded += int64(len(c))
+		capacity += int64(cap(c))
+	}
+	if got := arena.Stats().ChargedBytes; got != capacity || len(em.chunks) < 3 {
+		t.Fatalf("the arena's %d chunks charged %d bytes, want their %d bytes of capacity, over at least 3 chunks", len(em.chunks), got, capacity)
 	}
 	for _, reducers := range []int{1, 7} {
 		budget := NewBudget(0)
 		jr := &jobRun{e: NewEngine(Config{Cost: cost.Default()}), job: &Job{}, gov: govern{budget: budget},
 			reducers: reducers, shufsLeft: 2} // never the last shuffle, so nothing spawns
-		jr.results = [][]mapTaskResult{{{chunks: em.chunks, msgs: em.records, bytes: em.bytes}}}
+		jr.results = [][]mapTaskResult{{{chunks: slices.Clone(em.chunks), msgs: em.records, bytes: em.bytes}}}
 		jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
 		jr.shuffleTask(&poolCtx{scratch: new(taskScratch)}, 0, 0)
-		if got := budget.Stats().ChargedBytes; got != encoded {
-			t.Errorf("%d reducers: shuffle task charged %d bytes, want the %d encoded bytes", reducers, got, encoded)
+		want := encoded
+		if reducers == 1 {
+			want = 0
+			bufs := jr.taskParts[0][0].bufs
+			same := len(bufs) == len(em.chunks)
+			for i := 0; same && i < len(bufs); i++ {
+				same = &bufs[i][0] == &em.chunks[i][0] && len(bufs[i]) == len(em.chunks[i])
+			}
+			if !same {
+				t.Fatalf("1 reducer: the partition is not the arena's %d chunks as Emit left them", len(em.chunks))
+			}
+		}
+		if got := budget.Stats().ChargedBytes; got != want {
+			t.Errorf("%d reducers: shuffle task charged %d bytes, want %d (%d encoded)", reducers, got, want, encoded)
 		}
 	}
 }

@@ -40,7 +40,8 @@ import (
 // hashed with an inlined FNV-1a, a shuffle task copies the encoded
 // records into per-reducer byte segments of one buffer with counted
 // two-pass placement (the layout a spill file has, so spilling is one
-// write), records are decoded and ordered once, in the reduce task —
+// write) — or, when the job has one reducer, hands the arena over as
+// the partition — records are ordered once, in the reduce task —
 // grouped through the same key set, then an MSD radix sort over the
 // distinct keys (group.go, radix.go) — reducers walk a view over the
 // segment bytes, and job outputs merge through a counted, pre-sized

@@ -53,7 +53,8 @@ func arenaRecords(t testing.TB, em *Emitter) *recordSet {
 }
 
 // partitionOf lays s out the way a reduce task finds it: the real shuffle
-// task copies it into the one segment of a single-reducer partition.
+// task hands its arena over as the one segment of a single-reducer
+// partition.
 func partitionOf(t testing.TB, s *Emitter) [][]taskPartition {
 	t.Helper()
 	return [][]taskPartition{{*shuffleOne(t, s, false)}}
@@ -405,7 +406,7 @@ func TestReduceGroupingProbeLength(t *testing.T) {
 			if keys := len(sc.keys.locs); keys != n {
 				t.Fatalf("R=%d %s: %d of %d keys gathered", reducers, g.name, keys, n)
 			}
-			if got := probesPerHit(&sc.keys, [][]byte{parts[0][0].buf}); got > 2 {
+			if got := probesPerHit(&sc.keys, parts[0][0].bufs); got > 2 {
 				t.Errorf("R=%d %s: %.2f probes per hit in %d slots, want ≤ 2", reducers, g.name, got, len(sc.keys.slots))
 			}
 		}

@@ -13,7 +13,8 @@ import (
 //
 //	input ready ──▶ map tasks (one per split of that input)
 //	all maps    ──▶ reducer count, then shuffle partition tasks
-//	              (one per map task: counted two-pass placement)
+//	              (one per map task: counted two-pass placement;
+//	              at r = 1 the arena is the partition as it is)
 //	all shuffles ─▶ reduce partition tasks (one per reducer:
 //	              concatenate in task order through the key set,
 //	              sort the distinct keys, Reducer.Reduce per group)
@@ -289,17 +290,22 @@ func (jr *jobRun) computeReducers() int {
 	return reducers
 }
 
-// shuffleTask partitions one map task's records by key hash with the
-// counted two-pass placement: decode the task's arena once — hash each
-// key, add the record to its reducer's load and segment, note its reducer
-// and encoded length in worker scratch — allocate one buffer for all the
+// shuffleTask partitions one map task's records by key hash. With one
+// reducer placement is the identity: the task's arena chunks become the
+// partition's lone segment untouched, its load the modelled bytes the map
+// task summed, and nothing is decoded, hashed, copied or charged (the
+// reduce task's reader checks the arena). With more, it runs the counted
+// two-pass placement: decode the task's arena once — hash each key, add
+// the record to its reducer's load and segment, note its reducer and
+// encoded length in worker scratch — allocate one buffer for all the
 // segments (charged to the run's budget — the shuffle-partition
 // accounting site), then copy every record, encoded as Emit left it, into
-// its segment. Whether the job packs does not matter here: a record's
-// size already says whether it carries its key. An arena that does not
-// decode aborts the task like a damaged spill file. A partition at or
-// past the spill threshold is then written to a temp file and its buffer
-// dropped (see spill.go).
+// its segment; the arena's chunk list is reused to hold that one buffer.
+// Whether the job packs does not matter here: a record's size already
+// says whether it carries its key. An arena that does not decode aborts
+// the task like a damaged spill file. A partition at or past the spill
+// threshold is then written to a temp file and its chunks dropped (see
+// spill.go).
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	start := time.Now()
 	res := &jr.results[part][ti]
@@ -308,7 +314,23 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		segs:  make([]segment, reducers),
 		loads: make([]int64, reducers),
 	}
-	if n := int(res.msgs); n > 0 {
+	n := int(res.msgs)
+	switch {
+	case n == 0:
+	case reducers == 1:
+		var total int64
+		for _, chunk := range res.chunks {
+			total += int64(len(chunk))
+		}
+		tp.bufs = res.chunks
+		tp.segs[0] = segment{len: total, count: int32(n)}
+		tp.loads[0] = res.bytes
+		// The lone partition holds the job's whole load, so it is over
+		// SkewSplit × the mean exactly when SkewSplit < 1.
+		if split := jr.e.cfg.SkewSplit; split > 0 && split < 1 {
+			tp.sketch = sketchArena(res.chunks, jr.gov.budget)
+		}
+	default:
 		if jr.e.cfg.SkewSplit > 0 {
 			tp.sketch = newKeySketch(jr.gov.budget)
 		}
@@ -342,23 +364,25 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			tp.segs[p].off, pos[p] = total, total
 			total += tp.segs[p].len
 		}
-		tp.buf = grabBytes(jr.gov.budget, int(total))
+		buf := grabBytes(jr.gov.budget, int(total))
 		i = 0
 		for _, chunk := range res.chunks {
 			for at := 0; at < len(chunk); i++ {
 				p, next := target[i], at+int(lens[i])
-				pos[p] += int64(copy(tp.buf[pos[p]:], chunk[at:next]))
+				pos[p] += int64(copy(buf[pos[p]:], chunk[at:next]))
 				at = next
 			}
 		}
-		if jr.gov.spill != nil && res.bytes >= jr.e.cfg.SpillThreshold {
-			if err := tp.spill(jr.gov.spill, jr.gov.budget); err != nil {
-				panic(taskAbort{err: err})
-			}
+		clear(res.chunks[1:]) // release the arena's other chunks
+		tp.bufs = append(res.chunks[:0], buf)
+	}
+	if n > 0 && jr.gov.spill != nil && res.bytes >= jr.e.cfg.SpillThreshold {
+		if err := tp.spill(jr.gov.spill, jr.gov.budget); err != nil {
+			panic(taskAbort{err: err})
 		}
 	}
 	jr.taskParts[part][ti] = tp
-	res.chunks = nil // the segments own the bytes now
+	res.chunks = nil // the partition owns the bytes now
 	jr.mu.Lock()
 	jr.timing.ShuffleSeconds += time.Since(start).Seconds()
 	jr.shufsLeft--
@@ -370,12 +394,35 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	}
 }
 
+// sketchArena feeds a fresh sketch from a single-reducer arena: every
+// sketchSampleEvery-th record, the sample the placement loop takes at
+// r > 1. An arena that does not decode stops the feed; the reduce task's
+// reader reports it.
+func sketchArena(chunks [][]byte, b *Budget) *keySketch {
+	sk := newKeySketch(b)
+	i := 0
+	for _, chunk := range chunks {
+		for at := 0; at < len(chunk); i++ {
+			r, next, err := readRecord(chunk, at)
+			if err != nil {
+				return sk
+			}
+			if i%sketchSampleEvery == 0 {
+				sk.observe(chunk[r.off:r.off+r.klen], 0, r.size*sketchSampleEvery)
+			}
+			at = next
+		}
+	}
+	return sk
+}
+
 // shufflesDone plans the reduce slot layout — one full-range task per
 // reducer, plus sub-range tasks for partitions the skew splitter cut
 // (split.go) — and spawns one reduce task per slot.
 func (jr *jobRun) shufflesDone(c *poolCtx) {
 	// The map results are fully consumed (each task's arena was
-	// released as its shuffle partition copied it); drop the scaffolding
+	// released as its shuffle partition copied it, or became that
+	// partition at r = 1); drop the scaffolding
 	// so a finished stage doesn't hold memory for the program's whole
 	// duration.
 	jr.results = nil
@@ -411,19 +458,17 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 // of it, held in memory or spilled — is taskPartition's business (count,
 // appendTo in spill.go): this loop is the one ordered-fold reader of
 // docs/INVARIANTS.md. The buffer list is sized by the same walk: one
-// buffer per non-empty segment, appendTo's one append each.
+// buffer per chunk of each non-empty segment, appendTo's one append each.
 func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *Budget, fn func(key []byte, msgs *Group)) (int64, error) {
-	n, segs := 0, 0
+	n, bufs := 0, 0
 	for part := range parts {
 		for ti := range parts[part] {
 			tp := &parts[part][ti]
 			n += tp.count(slot)
-			if tp.segs[slot.ri].count > 0 {
-				segs++
-			}
+			bufs += tp.bufCount(slot.ri)
 		}
 	}
-	set := recordSet{bufs: make([][]byte, 0, segs), recs: grow(&sc.recs, n)[:0]}
+	set := recordSet{bufs: make([][]byte, 0, bufs), recs: grow(&sc.recs, n)[:0]}
 	ks := sc.keySet(n, true)
 	var load int64
 	for part := range parts {

@@ -29,6 +29,10 @@ func FuzzSlotLayout(f *testing.F) {
 	f.Add([]byte{0, 1, 0x00, 2, 0x00, 0x00, 1, 0xff}, uint8(1), uint8(0), true)
 	f.Add([]byte{3, 'h', 'o', 't'}, uint8(5), uint8(255), true)
 	f.Add([]byte{}, uint8(7), uint8(90), false)
+	// One reducer and a 12-byte key: each task's 150 records take two
+	// chunks of arena, which become its partition as they are.
+	f.Add([]byte("\x0cmulti-chunks"), uint8(0), uint8(0), false)
+	f.Add([]byte("\x0cmulti-chunks"), uint8(8), uint8(0), true)
 	c := &poolCtx{scratch: new(taskScratch)} // one worker's scratch, reused across every input
 	f.Fuzz(func(t *testing.T, data []byte, reducers, hot uint8, spill bool) {
 		keys := decodeFuzzKeys(data)

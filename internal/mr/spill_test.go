@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -28,20 +29,22 @@ func spillFilesIn(t *testing.T, dir string) []string {
 }
 
 // shuffleOne runs the real shuffle task over one map task's output with
-// a single reducer — the segment writer — and returns the partition,
-// resident or spilled.
+// a single reducer — the arena becomes the partition's one segment — and
+// returns the partition, resident or spilled.
 func shuffleOne(t testing.TB, em *Emitter, spill bool) *taskPartition {
 	t.Helper()
-	tp, err := shuffleArena(t, em.chunks, em.records, spill)
+	tp, err := shuffleArena(t, em.chunks, em.records, 1, spill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tp
 }
 
-// shuffleArena is shuffleOne over raw arena chunks said to hold msgs
-// records; an arena the shuffle task rejects is the error.
-func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, spill bool) (tp *taskPartition, err error) {
+// shuffleArena runs the real shuffle task over raw arena chunks said to
+// hold msgs records, into a partition of the given reducer count; an
+// arena the shuffle task rejects is the error. The task gets its own copy
+// of the chunk list, which at r > 1 it reuses, as it does a map task's.
+func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, reducers int, spill bool) (tp *taskPartition, err error) {
 	t.Helper()
 	e := NewEngine(Config{Cost: cost.Default()})
 	gov := govern{}
@@ -51,8 +54,8 @@ func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, spill bool) (tp *ta
 		gov = e.newGovern(nil)
 		t.Cleanup(gov.spill.cleanup)
 	}
-	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: 1, shufsLeft: 2} // never the last shuffle, so nothing spawns
-	jr.results = [][]mapTaskResult{{{chunks: chunks, msgs: msgs, bytes: 1}}}
+	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, shufsLeft: 2} // never the last shuffle, so nothing spawns
+	jr.results = [][]mapTaskResult{{{chunks: slices.Clone(chunks), msgs: msgs, bytes: 1}}}
 	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
 	defer func() { // as the pool's runOne does
 		if ta, ok := recover().(taskAbort); ok {
@@ -67,19 +70,48 @@ func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, spill bool) (tp *ta
 	return tp, nil
 }
 
-// readAll reads a whole single-reducer partition back through the one
-// reader.
+// readAll reads a whole partition back through the one reader, segment
+// by segment in reducer order.
 func readAll(tp *taskPartition) (recordSet, error) {
 	var got recordSet
-	ks := new(taskScratch).keySet(tp.count(reduceSlot{}), true)
-	_, err := tp.appendTo(&got, ks, reduceSlot{}, nil)
-	return got, err
+	n := 0
+	for ri := range tp.segs {
+		n += tp.count(reduceSlot{ri: ri})
+	}
+	ks := new(taskScratch).keySet(n, true)
+	for ri := range tp.segs {
+		if _, err := tp.appendTo(&got, ks, reduceSlot{ri: ri}, nil); err != nil {
+			return got, err
+		}
+	}
+	return got, nil
+}
+
+// shuffleRead is shuffleArena, then readAll over the partition: the
+// shuffle task's error, else the reader's.
+func shuffleRead(t testing.TB, chunks [][]byte, msgs int64, reducers int, spill bool) (recordSet, error) {
+	t.Helper()
+	tp, err := shuffleArena(t, chunks, msgs, reducers, spill)
+	if err != nil {
+		return recordSet{}, err
+	}
+	return readAll(tp)
+}
+
+// multiChunkArena emits 500 records over 37 keys through an Emitter
+// charging b: about 5 KiB of records, an arena of three chunks.
+func multiChunkArena(b *Budget) *Emitter {
+	em := &Emitter{budget: b}
+	for i := 0; i < 500; i++ {
+		emitInt(em, []byte(fmt.Sprint("key", i%37)), int64(i))
+	}
+	return em
 }
 
 // rawPartition is a resident single-reducer partition over arbitrary
 // bytes claiming count records.
 func rawPartition(b []byte, count int32) *taskPartition {
-	return &taskPartition{buf: b, segs: []segment{{len: int64(len(b)), count: count}}}
+	return &taskPartition{bufs: [][]byte{b}, segs: []segment{{len: int64(len(b)), count: count}}}
 }
 
 // checkReadFails reads tp and requires a typed failure.
@@ -97,7 +129,10 @@ func checkReadFails(t *testing.T, what string, tp *taskPartition) {
 func TestSegmentCorruption(t *testing.T) {
 	kvs := []kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}}
 	tp := shuffleOne(t, setOf(kvs), false)
-	good, count := tp.buf, tp.segs[0].count
+	if len(tp.bufs) != 1 {
+		t.Fatalf("%d records in %d chunks, want one", len(kvs), len(tp.bufs))
+	}
+	good, count := tp.bufs[0], tp.segs[0].count
 	if got, err := readAll(tp); err != nil || len(got.recs) != len(kvs) {
 		t.Fatalf("clean segment: %d records, err %v", len(got.recs), err)
 	}
@@ -176,55 +211,69 @@ func TestReadRecordMatchesReference(t *testing.T) {
 }
 
 // checkArenaDamage hands the shuffle task chunks — a damaged copy of an
-// arena of msgs records — and requires what a damaged spill file gets:
-// the task aborts with an error matching ErrSpill, or it places records
-// the one reader then answers for the same way — never a panic.
-func checkArenaDamage(t *testing.T, what string, chunks [][]byte, msgs int64) {
+// arena of msgs records — and reads its partition back, requiring what a
+// damaged spill file gets: an error matching ErrSpill, from the task or
+// from the one reader, or records the reader hands out in-bounds
+// references to — never a panic.
+func checkArenaDamage(t *testing.T, what string, chunks [][]byte, msgs int64, reducers int, spill bool) {
 	t.Helper()
-	tp, err := shuffleArena(t, chunks, msgs, false)
-	if err == nil {
-		var got recordSet
-		if got, err = readAll(tp); err == nil {
-			for i := range got.recs {
-				_, _ = got.key(i), got.payload(i)
-			}
-			return
+	got, err := shuffleRead(t, chunks, msgs, reducers, spill)
+	if err != nil {
+		if !errors.Is(err, ErrSpill) {
+			t.Errorf("%s, r = %d, spill %v: err = %v, want ErrSpill", what, reducers, spill, err)
 		}
+		return
 	}
-	if !errors.Is(err, ErrSpill) {
-		t.Errorf("%s: err = %v, want ErrSpill", what, err)
+	for i := range got.recs {
+		_, _ = got.key(i), got.payload(i)
 	}
 }
 
-// TestArenaCorruption is TestSegmentCorruption one stage earlier: the
-// shuffle task decodes what Emit wrote, so every bit of a map task's
-// arena, flipped, must abort it cleanly or leave it a partition that
-// reads back, and a record count the arena does not hold must abort it.
+// TestArenaCorruption is TestSegmentCorruption one stage earlier, in
+// memory and spilled. Every bit of a map task's arena, flipped, must
+// give ErrSpill or a partition that reads back, and a record count the
+// arena does not hold must give ErrSpill — from the shuffle task at
+// r = 7, which decodes the arena to place it, and from the reader at
+// r = 1, where the arena is the partition, undecoded, over one chunk or
+// several.
 func TestArenaCorruption(t *testing.T) {
-	em := setOf([]kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}})
-	good := em.chunks[0]
-	for bit := 0; bit < 8*len(good); bit++ {
-		flipped := append([]byte(nil), good...)
-		flipped[bit/8] ^= 1 << (bit % 8)
-		checkArenaDamage(t, fmt.Sprintf("bit %d flipped", bit), [][]byte{flipped}, em.records)
+	small := setOf([]kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}})
+	multi := multiChunkArena(nil)
+	if len(small.chunks) != 1 || len(multi.chunks) < 3 {
+		t.Fatalf("arenas of %d and %d chunks, want 1 and at least 3", len(small.chunks), len(multi.chunks))
 	}
-	for _, msgs := range []int64{em.records - 1, em.records + 1} {
-		if _, err := shuffleArena(t, em.chunks, msgs, false); !errors.Is(err, ErrSpill) {
-			t.Errorf("%d records claimed of %d: err = %v, want ErrSpill", msgs, em.records, err)
+	good := small.chunks[0]
+	for _, reducers := range []int{1, 7} {
+		for _, spill := range []bool{false, true} {
+			for bit := 0; bit < 8*len(good); bit++ {
+				flipped := append([]byte(nil), good...)
+				flipped[bit/8] ^= 1 << (bit % 8)
+				checkArenaDamage(t, fmt.Sprintf("bit %d flipped", bit), [][]byte{flipped}, small.records, reducers, spill)
+			}
+			for _, em := range []*Emitter{small, multi} {
+				for _, msgs := range []int64{em.records - 1, em.records + 1} {
+					if _, err := shuffleRead(t, em.chunks, msgs, reducers, spill); !errors.Is(err, ErrSpill) {
+						t.Errorf("r = %d, spill %v: %d records claimed of %d in %d chunks: err = %v, want ErrSpill",
+							reducers, spill, msgs, em.records, len(em.chunks), err)
+					}
+				}
+			}
 		}
 	}
 }
 
 // FuzzRecordCodec round-trips records through the encoder (Emit, into a
-// map task's arena), the decoder over that arena, the segment writer
-// (the real shuffle task) and the one reader, resident and spilled; it
-// damages a byte of the arena under the shuffle task, and feeds the
-// reader arbitrary bytes. The engine never interprets a payload, so the
-// message types of internal/core are byte shapes here — the seeds mirror
-// their layouts (varint pairs, varint runs, empty) and the arena's edges
-// (nothing but a header, a record larger than the rung it opens, one that
-// fills its chunk to the last byte) — and every other shape the fuzzer
-// finds must survive just the same.
+// map task's arena), the decoder over that arena, the real shuffle task
+// of a single-reducer job (which hands the arena over as the partition)
+// and the one reader, resident and spilled; it damages a byte of the
+// arena under the shuffle task and the reader at r = 1 and r = 7, and
+// feeds the reader arbitrary bytes. The engine never interprets a
+// payload, so the message types of internal/core are byte shapes here —
+// the seeds mirror their layouts (varint pairs, varint runs, empty) and
+// the arena's edges (nothing but a header, a record larger than the rung
+// it opens, one that fills its chunk to the last byte, an arena of three
+// chunks) — and every other shape the fuzzer finds must survive just the
+// same.
 func FuzzRecordCodec(f *testing.F) {
 	vs := func(vals ...int64) []byte {
 		var b []byte
@@ -242,6 +291,9 @@ func FuzzRecordCodec(f *testing.F) {
 	f.Add([]byte("k"), byte(6), int64(12), make([]byte, arenaFirst+1), []byte{0, 0x80})     // larger than the rung it opens
 	// The 11 bytes of "before", then 1 + 2 + 1 + 1 + 1 of header, tag and key: this payload ends its chunk.
 	f.Add([]byte("k"), byte(7), int64(12), make([]byte, arenaFirst-11-6), []byte{0xff, 0x1f})
+	// 1 + 2 + 1 + 1 + 1 bytes of header, tag and key: this record fills the second rung to the
+	// last byte, so the third opens a third chunk, and the arena is a multi-chunk partition.
+	f.Add([]byte("k"), byte(8), int64(12), make([]byte, 2*arenaFirst-6), []byte{0x01, 0x40})
 	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
 		size &= math.MaxInt64 >> 1 // a modelled size is a byte count
 		var em Emitter
@@ -274,7 +326,11 @@ func FuzzRecordCodec(f *testing.F) {
 			}
 			c := damaged[int(raw[0])%len(damaged)]
 			c[(int(raw[0])<<8|int(raw[1]))%len(c)] ^= raw[1]
-			checkArenaDamage(t, "a damaged arena byte", damaged, em.records)
+			for _, reducers := range []int{1, 7} {
+				for _, spill := range []bool{false, true} {
+					checkArenaDamage(t, "a damaged arena byte", damaged, em.records, reducers, spill)
+				}
+			}
 		}
 		wantRec, wantNext, ok := refReadRecord(raw, 0)
 		if r, next, err := readRecord(raw, 0); (err == nil) != ok || r != wantRec || next != wantNext {

@@ -15,9 +15,13 @@ import (
 // reduce partition carries several times the mean load and the runtime
 // splitter has something real to cut. Reducers is fixed so the skew
 // ratio doesn't depend on the cost model's reducer derivation.
-func skewedProgram() (*Program, *relation.Database) {
+func skewedProgram() (*Program, *relation.Database) { return skewedProgramOf(2000, 8) }
+
+// skewedProgramOf is skewedProgram over n tuples of R, with Job.Reducers
+// set to reducers (0 = derived from the intermediate size).
+func skewedProgramOf(n int64, reducers int) (*Program, *relation.Database) {
 	var tuples []relation.Tuple
-	for i := int64(0); i < 2000; i++ {
+	for i := int64(0); i < n; i++ {
 		v := i % 97
 		if i%5 < 2 { // 40% hot
 			v = 7
@@ -30,7 +34,7 @@ func skewedProgram() (*Program, *relation.Database) {
 		tup(7), tup(11), tup(42),
 	}))
 	sj := semijoinJob(false)
-	sj.Reducers = 8
+	sj.Reducers = reducers
 	return &Program{Jobs: []*Job{sj}}, db
 }
 
@@ -43,15 +47,24 @@ func skewedProgram() (*Program, *relation.Database) {
 // GOMAXPROCS. The split observability fields (removed by
 // StripSplitInfo) and the charged bytes are the only quantities allowed
 // to differ from the oracle, and both must be identical at every width;
-// the charged bytes also between two runs on one engine.
+// the charged bytes also between two runs on one engine. The
+// single-reducer rows hold the partition that is its map task's arena to
+// the same contract — 30 000 tuples over 6 map tasks, so every R arena
+// spans 6 chunks — and their outputs to those of the same program at its
+// derived reducer count, which is 2.
 func TestOrderedFoldDifferential(t *testing.T) {
+	singleReducer := func() (*Program, *relation.Database) { return skewedProgramOf(30000, 1) }
+	derivedReducers := func() (*Program, *relation.Database) { return skewedProgramOf(30000, 0) }
 	shapes := []struct {
 		name    string
 		program func() (*Program, *relation.Database)
 		split   float64
+		derived func() (*Program, *relation.Database) // non-nil: outputs must equal this program's
 	}{
-		{"whole", diamondProgram, -1},
-		{"sub-range", skewedProgram, 1.3},
+		{"whole", diamondProgram, -1, nil},
+		{"sub-range", skewedProgram, 1.3, nil},
+		{"single-reducer", singleReducer, -1, derivedReducers},
+		{"single-reducer-sub-range", singleReducer, 0.5, derivedReducers},
 	}
 	stores := []struct {
 		name  string
@@ -70,6 +83,19 @@ func TestOrderedFoldDifferential(t *testing.T) {
 					t.Fatalf("oracle run failed: %v", err)
 				}
 				wantSig := programSignature(t, wantOuts)
+				if shape.derived != nil {
+					dp, ddb := shape.derived()
+					outs, stats, _, err := oracle.Run(context.Background(), dp, ddb, RunOptions{})
+					if err != nil {
+						t.Fatalf("derived-r run failed: %v", err)
+					}
+					if stats[0].Reducers < 2 {
+						t.Fatalf("derived r = %d: the comparison needs more than one reducer", stats[0].Reducers)
+					}
+					if programSignature(t, outs) != wantSig {
+						t.Errorf("outputs at r = 1 differ from those at the derived r = %d", stats[0].Reducers)
+					}
+				}
 
 				seen := map[int]bool{}
 				var splitTasks []int // per job, from the first width

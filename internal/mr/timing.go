@@ -15,7 +15,7 @@ package mr
 type JobTiming struct {
 	Name           string
 	MapSeconds     float64 // map tasks (mapper over one split; Emit encodes and packs)
-	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement)
+	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement; near zero at r = 1, where the arena is handed over)
 	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, sort the distinct keys, scatter, reduce)
 	MergeSeconds   float64 // output merge shards (relation.Merge, publish)
 	// SplitSeconds is the share of ReduceSeconds spent in sub-range

@@ -23,7 +23,9 @@
 # 4.619 / 26.77 / 28.38 (PR 25). PR 25's are its ten-pair medians × 1.10.
 # Then alloc_mb_per_op serve-hot 0.5938 and serve-churn 2.092, when load
 # bodies came to be parsed in one pass: that change's ten-pair medians ×
-# 1.10.
+# 1.10. Then serve-hot 0.4294 and serve-churn 1.648, when a
+# single-reducer job's map arenas became its shuffle partition, with no
+# second copy: that change's ten-pair medians (0.3904 / 1.498) × 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
