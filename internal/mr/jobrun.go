@@ -294,8 +294,9 @@ func (jr *jobRun) computeReducers() int {
 // reducer placement is the identity: the task's arena chunks become the
 // partition's lone segment untouched, its load the modelled bytes the map
 // task summed, and nothing is decoded, hashed, copied or charged (the
-// reduce task's reader checks the arena). With more, it runs the counted
-// two-pass placement: decode the task's arena once — hash each key, add
+// reduce task's reader checks the arena). With more, or with one whose
+// partition may split (0 < SkewSplit < 1), it runs the counted two-pass
+// placement: decode the task's arena once — hash each key, add
 // the record to its reducer's load and segment, note its reducer and
 // encoded length in worker scratch — allocate one buffer for all the
 // segments (charged to the run's budget — the shuffle-partition
@@ -315,9 +316,13 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		loads: make([]int64, reducers),
 	}
 	n := int(res.msgs)
+	// A lone partition holds the job's whole load, so it is over
+	// SkewSplit × the mean, and needs the sketch the placement loop
+	// feeds, exactly when SkewSplit < 1.
+	split := jr.e.cfg.SkewSplit
 	switch {
 	case n == 0:
-	case reducers == 1:
+	case reducers == 1 && !(split > 0 && split < 1):
 		var total int64
 		for _, chunk := range res.chunks {
 			total += int64(len(chunk))
@@ -325,13 +330,8 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		tp.bufs = res.chunks
 		tp.segs[0] = segment{len: total, count: int32(n)}
 		tp.loads[0] = res.bytes
-		// The lone partition holds the job's whole load, so it is over
-		// SkewSplit × the mean exactly when SkewSplit < 1.
-		if split := jr.e.cfg.SkewSplit; split > 0 && split < 1 {
-			tp.sketch = sketchArena(res.chunks, jr.gov.budget)
-		}
 	default:
-		if jr.e.cfg.SkewSplit > 0 {
+		if split > 0 {
 			tp.sketch = newKeySketch(jr.gov.budget)
 		}
 		target := grow(&c.scratch.target, n)
@@ -392,28 +392,6 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	if last {
 		jr.shufflesDone(c)
 	}
-}
-
-// sketchArena feeds a fresh sketch from a single-reducer arena: every
-// sketchSampleEvery-th record, the sample the placement loop takes at
-// r > 1. An arena that does not decode stops the feed; the reduce task's
-// reader reports it.
-func sketchArena(chunks [][]byte, b *Budget) *keySketch {
-	sk := newKeySketch(b)
-	i := 0
-	for _, chunk := range chunks {
-		for at := 0; at < len(chunk); i++ {
-			r, next, err := readRecord(chunk, at)
-			if err != nil {
-				return sk
-			}
-			if i%sketchSampleEvery == 0 {
-				sk.observe(chunk[r.off:r.off+r.klen], 0, r.size*sketchSampleEvery)
-			}
-			at = next
-		}
-	}
-	return sk
 }
 
 // shufflesDone plans the reduce slot layout — one full-range task per

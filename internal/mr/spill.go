@@ -13,9 +13,9 @@ import (
 // The shuffle byte form, resident or spilled. A shuffle task lays one map
 // task's records — encoded by Emit — out as per-reducer segments over an
 // ordered list of byte chunks (shuffleTask); that list is the partition.
-// With more than one reducer it is the one buffer the task fills; with
-// one, placement is the identity and it is the map task's arena chunks,
-// handed over as Emit left them. When the partition's modelled bytes
+// With more than one reducer, or a lone partition that may split, it is
+// the one buffer the task fills; otherwise placement is the identity and
+// it is the map task's arena chunks, handed over as Emit left them. When the partition's modelled bytes
 // reach the run's spill threshold its chunks are written to a temp file
 // back to back and dropped — spilling encodes nothing — and the reduce
 // stage's one reader (taskPartition.appendTo) decodes a segment the same
@@ -54,7 +54,8 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // after it. Every length is checked against the bytes remaining before
 // it is used, so arbitrary input yields errCorrupt, never a panic. A
 // record is decoded in its reduce task, and in its shuffle task too when
-// the job has more than one reducer (once at r = 1), and nearly every
+// that places it (r > 1, or a lone partition that may split; once
+// otherwise at r = 1), and nearly every
 // header is three one-byte varints, so those are read without the varint
 // loop (measured in CHANGES.md).
 func readRecord(b []byte, pos int) (record, int, error) {
@@ -150,12 +151,12 @@ type segment struct {
 
 // taskPartition is one map task's shuffle output: per-reducer segments
 // of encoded records, consecutive in reducer order, in the concatenation
-// of bufs or — once spilled — at the same offsets of f. With more than
-// one reducer bufs is the one buffer the shuffle task filled, and every
-// segment is a slice of it. With one it is the map task's arena chunks
-// and the lone segment is all of them; no record straddles two chunks
-// (Emit starts a fresh chunk for a record that does not fit), so each
-// chunk decodes on its own. loads are the segments' modelled bytes;
+// of bufs or — once spilled — at the same offsets of f. When the shuffle
+// task placed the records (shuffleTask) bufs is the one buffer it filled,
+// and every segment is a slice of it. Otherwise it is the map task's
+// arena chunks and the lone segment is all of them; no record straddles
+// two chunks (Emit starts a fresh chunk for a record that does not fit),
+// so each chunk decodes on its own. loads are the segments' modelled bytes;
 // sketch is the task's heavy-key sketch, collected only when a partition
 // can split (split.go).
 type taskPartition struct {

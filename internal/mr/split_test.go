@@ -48,9 +48,10 @@ func skewedProgramOf(n int64, reducers int) (*Program, *relation.Database) {
 // StripSplitInfo) and the charged bytes are the only quantities allowed
 // to differ from the oracle, and both must be identical at every width;
 // the charged bytes also between two runs on one engine. The
-// single-reducer rows hold the partition that is its map task's arena to
-// the same contract — 30 000 tuples over 6 map tasks, so every R arena
-// spans 6 chunks — and their outputs to those of the same program at its
+// single-reducer rows — 30 000 tuples over 6 map tasks, so every R arena
+// spans 6 chunks — hold the partition that is its map task's arena (split
+// off) and the placed lone partition that splits (0.5) to the same
+// contract, and their outputs to those of the same program at its
 // derived reducer count, which is 2.
 func TestOrderedFoldDifferential(t *testing.T) {
 	singleReducer := func() (*Program, *relation.Database) { return skewedProgramOf(30000, 1) }
