@@ -64,13 +64,18 @@ type (
 	// per-reducer loads).
 	JobStats = mr.JobStats
 	// JobTiming carries the measured host wall-clock spent in one job's
-	// tasks, by kind. Unlike JobStats it is a measurement of the host and
-	// outside the determinism contract.
+	// tasks, by kind: a fold over the run's task record. Unlike JobStats
+	// it is a measurement of the host and outside the determinism
+	// contract.
 	JobTiming = mr.JobTiming
-	// Progress accumulates live task-completion counters for one run:
-	// pass a fresh *Progress in RunOptions and poll Snapshot from any
-	// goroutine while the run executes. The zero value is ready to use.
+	// Progress is the task record of one run: every task's measured
+	// span and the spawned and finished task counts. Pass a fresh
+	// *Progress in RunOptions to poll Snapshot from any goroutine while
+	// the run executes, or to read CriticalPath once it returns. The
+	// zero value is ready to use.
 	Progress = mr.Progress
+	// CriticalPath is a run's work and span (see Progress.CriticalPath).
+	CriticalPath = mr.CriticalPath
 	// ProgressSnapshot is a point-in-time copy of a run's task counters.
 	ProgressSnapshot = mr.ProgressSnapshot
 	// Budget is a per-query memory budget: the engine charges a run's
@@ -83,10 +88,11 @@ type (
 	Budget = mr.Budget
 	// MemStats is the memory accounting of one run (see Result.Mem).
 	MemStats = mr.MemStats
-	// RunOptions observes and bounds one RunPlanCtx call: Progress (live
-	// task counters) and Budget (memory cap), each one fresh value per
-	// run. The zero value runs unobserved and unlimited but still
-	// accounted, so Result.Mem is always populated.
+	// RunOptions observes and bounds one RunPlanCtx call: Progress (the
+	// run's task record, to poll or fold) and Budget (memory cap), each
+	// one fresh value per run. The zero value runs unlimited, into a
+	// record of the engine's own, and accounted, so Result.JobTimings and
+	// Result.Mem are always populated.
 	RunOptions = mr.RunOptions
 	// CostConfig holds the MapReduce cost-model constants (Table 1/5).
 	CostConfig = cost.Config
@@ -345,12 +351,13 @@ func (s *System) RunPlan(plan *Plan, db *Database) (*Result, error) {
 // next task boundary after ctx is canceled or its deadline passes, and
 // the returned error wraps ctx.Err() — errors.Is(err, context.Canceled)
 // or errors.Is(err, context.DeadlineExceeded) holds. opts.Progress,
-// when non-nil, mirrors live task-completion counters: poll its
-// Snapshot from any goroutine while the run executes (the progress
-// hook internal/server's queries endpoint reads). opts.Budget, when
-// non-nil, caps what the run may charge: a run that charges past its
-// limit aborts like a cancellation with an error matching
-// ErrBudgetExceeded via errors.Is — the admission-control hook
+// when non-nil, is the run's task record: poll its Snapshot from any
+// goroutine while the run executes (the progress internal/server's
+// queries endpoint reads), or read its CriticalPath once the run
+// returns; Result.JobTimings is a fold over the same record.
+// opts.Budget, when non-nil, caps what the run may charge: a run that
+// charges past its limit aborts like a cancellation with an error
+// matching ErrBudgetExceeded via errors.Is — the admission-control hook
 // internal/server builds its degradation ladder on. Either way the
 // Result is nil, the input database untouched, and no goroutines or
 // temp files are left.

@@ -22,8 +22,9 @@ import (
 )
 
 // Observation pairs one executed job's measured size spec with its
-// measured cost in seconds (for the in-process engine: the summed
-// per-task wall-clock, mr.JobTiming.TotalSeconds).
+// measured cost in seconds (for the in-process engine: the job's task
+// spans summed from the run's task record, mr.JobTiming.TotalSeconds,
+// each span including the stage-join work its task ran).
 type Observation struct {
 	Spec    JobSpec
 	Seconds float64

@@ -56,8 +56,8 @@ type Result struct {
 // the next task boundary after cancellation and the returned error
 // wraps ctx.Err() (errors.Is-compatible with context.Canceled /
 // DeadlineExceeded; see mr.Engine.Run for the full contract).
-// opts.Progress, when non-nil, mirrors live task-completion counters;
-// opts.Budget is charged the run's bulk allocations. A nil budget runs
+// opts.Progress, when non-nil, is the run's task record (Result.Timings
+// is a fold over it); opts.Budget is charged the run's bulk allocations. A nil budget runs
 // unlimited but still accounted, so Result.Mem is always populated.
 // When the run charges past the budget's limit it aborts with an error
 // matching mr.ErrBudgetExceeded (errors.Is), nil Result, and the input

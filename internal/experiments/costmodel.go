@@ -61,7 +61,10 @@ func CostModelExperiment(ctx context.Context, cfg Config) (*Table, error) {
 // highest cost job in 72.28% (cost_gumbo) and 69.37% (cost_wang) of the
 // cases". Candidate MSJ jobs are random equation groups drawn from the
 // A-queries; each model's *estimated* cost (from sampled sizes) ranks
-// job pairs, scored against the measured cost of the executed jobs.
+// job pairs, scored against two ground truths of the executed jobs: the
+// modelled cost of their measured sizes (cost_gumbo's JobCost) and
+// their measured work (JobTiming.TotalSeconds, the summed task seconds
+// of this engine — the paper's Hadoop seconds stand-in).
 func RankingAccuracy(ctx context.Context, cfg Config, jobCount int) (*Table, error) {
 	if jobCount <= 1 {
 		jobCount = 24
@@ -75,7 +78,8 @@ func RankingAccuracy(ctx context.Context, cfg Config, jobCount int) (*Table, err
 	runner := cfg.runner()
 
 	type job struct {
-		gumboEst, wangEst, actual float64
+		est   [2]float64 // cost_gumbo's and cost_wang's estimate
+		truth [2]float64 // modelled cost of the measured sizes, measured work
 	}
 	var jobs []job
 	// The pool mixes the proportional A/B queries (where the paper notes
@@ -106,54 +110,16 @@ func RankingAccuracy(ctx context.Context, cfg Config, jobCount int) (*Table, err
 		if err != nil {
 			return nil, err
 		}
-		_, stats, _, err := runner.Engine.Run(ctx, &mr.Program{Jobs: []*mr.Job{mjob}}, db, mr.RunOptions{})
+		_, stats, timings, err := runner.Engine.Run(ctx, &mr.Program{Jobs: []*mr.Job{mjob}}, db, mr.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, job{
-			gumboEst: gumboEst.MSJCost(eqs, group),
-			wangEst:  wangEst.MSJCost(eqs, group),
-			actual:   cfg.CostCfg.JobCost(cost.Gumbo, stats[0].CostSpec()),
-		})
-		cfg.logf("rank job %d: est g=%.1f w=%.1f actual=%.1f", len(jobs), jobs[len(jobs)-1].gumboEst, jobs[len(jobs)-1].wangEst, jobs[len(jobs)-1].actual)
-	}
-	// Pairs of wildly different jobs are ranked correctly by any model;
-	// the models' quality shows on close pairs (actual costs within 2×),
-	// which are also the pairs that decide groupings.
-	var pairs, gumboOK, wangOK int
-	var closePairs, gumboCloseOK, wangCloseOK int
-	for i := 0; i < len(jobs); i++ {
-		for j := i + 1; j < len(jobs); j++ {
-			if jobs[i].actual == jobs[j].actual {
-				continue
-			}
-			pairs++
-			actualGreater := jobs[i].actual > jobs[j].actual
-			gOK := (jobs[i].gumboEst > jobs[j].gumboEst) == actualGreater
-			wOK := (jobs[i].wangEst > jobs[j].wangEst) == actualGreater
-			if gOK {
-				gumboOK++
-			}
-			if wOK {
-				wangOK++
-			}
-			hi, lo := jobs[i].actual, jobs[j].actual
-			if lo > hi {
-				hi, lo = lo, hi
-			}
-			if lo > 0 && hi/lo < 2 {
-				closePairs++
-				if gOK {
-					gumboCloseOK++
-				}
-				if wOK {
-					wangCloseOK++
-				}
-			}
+		j := job{
+			est:   [2]float64{gumboEst.MSJCost(eqs, group), wangEst.MSJCost(eqs, group)},
+			truth: [2]float64{cfg.CostCfg.JobCost(cost.Gumbo, stats[0].CostSpec()), timings[0].TotalSeconds()},
 		}
-	}
-	if pairs == 0 {
-		return nil, fmt.Errorf("experiments: no comparable job pairs")
+		jobs = append(jobs, j)
+		cfg.logf("rank job %d: est g=%.1f w=%.1f modelled=%.1f work=%.6fs", len(jobs), j.est[0], j.est[1], j.truth[0], j.truth[1])
 	}
 	pct := func(ok, n int) string {
 		if n == 0 {
@@ -161,12 +127,52 @@ func RankingAccuracy(ctx context.Context, cfg Config, jobCount int) (*Table, err
 		}
 		return fmtPct(float64(ok) / float64(n))
 	}
-	t.Header = []string{"model", "all pairs", "accuracy", "close pairs (<2x)", "accuracy"}
-	t.AddRow("cost_gumbo", fmt.Sprintf("%d/%d", gumboOK, pairs), pct(gumboOK, pairs),
-		fmt.Sprintf("%d/%d", gumboCloseOK, closePairs), pct(gumboCloseOK, closePairs))
-	t.AddRow("cost_wang", fmt.Sprintf("%d/%d", wangOK, pairs), pct(wangOK, pairs),
-		fmt.Sprintf("%d/%d", wangCloseOK, closePairs), pct(wangCloseOK, closePairs))
-	t.AddNote("paper: 72.28%% (gumbo) vs 69.37%% (wang); ground truth here is the measured-size job cost, see EXPERIMENTS.md")
+	rows := [2][]string{{"cost_gumbo"}, {"cost_wang"}}
+	for k := 0; k < 2; k++ {
+		// Pairs of wildly different jobs are ranked correctly by any
+		// model; the models' quality shows on close pairs (truths within
+		// 2×), which are also the pairs that decide groupings.
+		var pairs, closePairs int
+		var ok, closeOK [2]int
+		for i := 0; i < len(jobs); i++ {
+			for j := i + 1; j < len(jobs); j++ {
+				hi, lo := jobs[i].truth[k], jobs[j].truth[k]
+				if hi == lo {
+					continue
+				}
+				pairs++
+				greater := hi > lo
+				if lo > hi {
+					hi, lo = lo, hi
+				}
+				near := lo > 0 && hi/lo < 2
+				if near {
+					closePairs++
+				}
+				for m := range ok {
+					if (jobs[i].est[m] > jobs[j].est[m]) == greater {
+						ok[m]++
+						if near {
+							closeOK[m]++
+						}
+					}
+				}
+			}
+		}
+		if pairs == 0 {
+			return nil, fmt.Errorf("experiments: no comparable job pairs")
+		}
+		for m := range rows {
+			rows[m] = append(rows[m], fmt.Sprintf("%d/%d", ok[m], pairs), pct(ok[m], pairs),
+				fmt.Sprintf("%d/%d", closeOK[m], closePairs), pct(closeOK[m], closePairs))
+		}
+	}
+	t.Header = []string{"model", "all pairs", "accuracy", "close pairs (<2x)", "accuracy",
+		"all pairs (work)", "accuracy", "close pairs (<2x, work)", "accuracy"}
+	t.AddRow(rows[0]...)
+	t.AddRow(rows[1]...)
+	t.AddNote("paper: 72.28%% (gumbo) vs 69.37%% (wang), graded against Hadoop seconds")
+	t.AddNote("columns 2-5 grade against each job's modelled cost of its measured sizes (cost_gumbo's JobCost, so cost_gumbo partly grades itself); columns 6-9 against its measured work, the summed task seconds of this engine (JobTiming.TotalSeconds: a host measurement that varies run to run)")
 	return t, nil
 }
 

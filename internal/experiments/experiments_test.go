@@ -283,6 +283,19 @@ func TestRankingAccuracyShape(t *testing.T) {
 	if g < 60 {
 		t.Errorf("gumbo accuracy %v%% implausibly low", g)
 	}
+	// The measured-work columns are a host measurement: only their shape
+	// is checked.
+	for _, row := range tbl.Rows {
+		if len(row) != len(tbl.Header) {
+			t.Fatalf("row %v has %d cells for %d columns", row, len(row), len(tbl.Header))
+		}
+		if acc := cell(t, row[6]); acc < 0 || acc > 100 {
+			t.Errorf("%s: measured-work accuracy %v%% outside [0, 100]", row[0], acc)
+		}
+		if !strings.Contains(row[5], "/") {
+			t.Errorf("%s: measured-work pairs %q are not a count", row[0], row[5])
+		}
+	}
 }
 
 func TestOptimalVsGreedyShape(t *testing.T) {

@@ -106,7 +106,7 @@ func TestShuffleBufferCharged(t *testing.T) {
 	for _, reducers := range []int{1, 7} {
 		budget := NewBudget(0)
 		jr := &jobRun{e: NewEngine(Config{Cost: cost.Default()}), job: &Job{}, gov: govern{budget: budget},
-			reducers: reducers, shufsLeft: 2} // never the last shuffle, so nothing spawns
+			reducers: reducers, left: 2} // never the last shuffle, so nothing spawns
 		jr.results = [][]mapTaskResult{{{chunks: slices.Clone(em.chunks), msgs: em.records, bytes: em.bytes}}}
 		jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
 		jr.shuffleTask(&poolCtx{scratch: new(taskScratch)}, 0, 0)
@@ -245,11 +245,11 @@ func TestBudgetErrorIs(t *testing.T) {
 // still propagates to the caller with its original payload.
 func TestPoolTaskAbort(t *testing.T) {
 	sentinel := errors.New("boom")
-	err := NewEngine(Config{}).runTasks(context.Background(), 4, func(c *poolCtx) {
+	err := NewEngine(Config{}).runTasks(context.Background(), 4, new(Progress), func(c *poolCtx) {
 		for i := 0; i < 8; i++ {
-			c.spawn(func(c *poolCtx) {})
+			c.spawn(taskLabel{}, func(c *poolCtx) {})
 		}
-		c.spawn(func(c *poolCtx) { panic(taskAbort{err: sentinel}) })
+		c.spawn(taskLabel{}, func(c *poolCtx) { panic(taskAbort{err: sentinel}) })
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("runTasks err = %v, want the taskAbort payload", err)
@@ -258,8 +258,8 @@ func TestPoolTaskAbort(t *testing.T) {
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		_ = NewEngine(Config{}).runTasks(context.Background(), 4, func(c *poolCtx) {
-			c.spawn(func(c *poolCtx) { panic("kaboom") })
+		_ = NewEngine(Config{}).runTasks(context.Background(), 4, new(Progress), func(c *poolCtx) {
+			c.spawn(taskLabel{}, func(c *poolCtx) { panic("kaboom") })
 		})
 	}()
 	if recovered != "kaboom" {
@@ -272,8 +272,8 @@ func TestPoolTaskAbort(t *testing.T) {
 // converts into a run failure matching the sentinel.
 func TestBudgetChargeAbortsFromTask(t *testing.T) {
 	b := NewBudget(1)
-	err := NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) {
-		c.spawn(func(c *poolCtx) { b.charge(100) })
+	err := NewEngine(Config{}).runTasks(context.Background(), 2, new(Progress), func(c *poolCtx) {
+		c.spawn(taskLabel{}, func(c *poolCtx) { b.charge(100) })
 	})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("charge past limit inside a task: err = %v, want ErrBudgetExceeded", err)

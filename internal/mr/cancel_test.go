@@ -41,13 +41,13 @@ func oracleStats(t *testing.T) map[string]JobStats {
 	for _, r := range db.Relations() {
 		working.Put(r)
 	}
-	results, err := e.runSequential(p, working)
+	_, stats, err := e.runSequential(p, working)
 	if err != nil {
 		t.Fatalf("oracle run failed: %v", err)
 	}
-	oracle := make(map[string]JobStats, len(results))
-	for _, res := range results {
-		oracle[res.stats.Name] = res.stats
+	oracle := make(map[string]JobStats, len(stats))
+	for _, st := range stats {
+		oracle[st.Name] = st
 	}
 	return oracle
 }
@@ -249,17 +249,25 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestProgressCounters checks the exported progress observer: after an
-// uncanceled run every stage's done count equals its total, the totals
-// agree with the run's own stats (map tasks, reduce tasks, one shuffle
-// task per map task, one merge shard per declared output, one job per
-// job), and a canceled run's snapshot never exceeds those totals.
+// TestProgressCounters checks the task record's three folds. After an
+// uncanceled run every stage's done count equals its total and the
+// totals agree with the run's own stats (map tasks, reduce tasks, one
+// shuffle task per map task, one merge shard per declared output, one
+// job per job); the JobTimings Run returns and CriticalPath().Work sum
+// the same spans, so they agree exactly; and the span lies within the
+// work. A canceled run's snapshot never reports done > total, and its
+// JobTimings name exactly the jobs its stats report. The record is a
+// zero-value Progress, as the server passes.
 func TestProgressCounters(t *testing.T) {
 	p, db := diamondProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
 	e.cfg.Workers = 4
+	var idle Progress
+	if snap, cp := idle.Snapshot(), idle.CriticalPath(); snap != (ProgressSnapshot{}) || cp != (CriticalPath{}) {
+		t.Errorf("unused Progress reports %+v, %+v", snap, cp)
+	}
 	var prog Progress
-	_, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Progress: &prog})
+	_, stats, timings, err := e.Run(context.Background(), p, db, RunOptions{Progress: &prog})
 	if err != nil {
 		t.Fatalf("observed run failed: %v", err)
 	}
@@ -286,6 +294,23 @@ func TestProgressCounters(t *testing.T) {
 	if snap.JobsDone != len(p.Jobs) || snap.JobsTotal != len(p.Jobs) {
 		t.Errorf("job counters %d/%d, want %d/%d", snap.JobsDone, snap.JobsTotal, len(p.Jobs), len(p.Jobs))
 	}
+	var work float64
+	for i, tm := range timings {
+		if tm.Name != stats[i].Name {
+			t.Errorf("timing %d is job %q, stats name %q", i, tm.Name, stats[i].Name)
+		}
+		if tm.SplitSeconds > tm.ReduceSeconds {
+			t.Errorf("job %s: SplitSeconds %v > ReduceSeconds %v", tm.Name, tm.SplitSeconds, tm.ReduceSeconds)
+		}
+		work += tm.TotalSeconds()
+	}
+	cp := prog.CriticalPath()
+	if cp.Work != work {
+		t.Errorf("CriticalPath().Work = %v, Σ JobTiming.TotalSeconds() = %v: two sums of one record", cp.Work, work)
+	}
+	if cp.Seconds <= 0 || cp.Seconds > cp.Work*(1+1e-9) {
+		t.Errorf("span %v s outside (0, work %v s]", cp.Seconds, cp.Work)
+	}
 
 	// Canceled run: the snapshot must stay within the full-run totals
 	// and never report done > total within a stage.
@@ -299,7 +324,8 @@ func TestProgressCounters(t *testing.T) {
 	defer restore()
 	p2, db2 := diamondProgram()
 	var prog2 Progress
-	if _, _, _, err := e.Run(ctx, p2, db2, RunOptions{Progress: &prog2}); !errors.Is(err, context.Canceled) {
+	_, stats2, timings2, err := e.Run(ctx, p2, db2, RunOptions{Progress: &prog2})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled observed run err = %v, want context.Canceled", err)
 	}
 	s2 := prog2.Snapshot()
@@ -310,6 +336,14 @@ func TestProgressCounters(t *testing.T) {
 	}
 	if s2.JobsTotal != len(p.Jobs) {
 		t.Errorf("canceled snapshot JobsTotal = %d, want %d", s2.JobsTotal, len(p.Jobs))
+	}
+	if len(timings2) != len(stats2) || s2.JobsDone != len(stats2) {
+		t.Fatalf("canceled run: %d timings, %d stats, %d jobs done", len(timings2), len(stats2), s2.JobsDone)
+	}
+	for i := range stats2 {
+		if timings2[i].Name != stats2[i].Name {
+			t.Errorf("canceled run: timing %d is job %q, stats name %q", i, timings2[i].Name, stats2[i].Name)
+		}
 	}
 }
 
@@ -325,9 +359,9 @@ func TestPoolCancelQuiesces(t *testing.T) {
 		// spawning.
 		var canceled atomic.Bool
 		var ran atomic.Int64
-		err := NewEngine(Config{}).runTasks(ctx, width, func(c *poolCtx) {
+		err := NewEngine(Config{}).runTasks(ctx, width, new(Progress), func(c *poolCtx) {
 			for i := 0; i < 64; i++ {
-				c.spawn(func(c *poolCtx) {
+				c.spawn(taskLabel{}, func(c *poolCtx) {
 					if canceled.Load() {
 						ran.Add(1)
 					}

@@ -25,11 +25,11 @@ import (
 // shards (see jobrun.go), all scheduled on one work-stealing pool of
 // Config.Workers workers (pool.go). Run extends the same graph across
 // jobs at relation granularity: a job's map tasks over an input start
-// the moment the merge shard producing that relation completes
-// (scheduler.go), so phases of dependent jobs overlap instead of
-// meeting at per-job barriers. The cluster simulator still models the
-// paper's per-job schedule; host scheduling only shortens wall-clock
-// time.
+// the moment the merge shard producing that relation completes, so
+// phases of dependent jobs overlap instead of meeting at per-job
+// barriers. The cluster simulator still models the paper's per-job
+// schedule; host scheduling only shortens wall-clock time. The pool
+// times every task once, into the run's task record (progress.go).
 //
 // The per-record hot path moves bytes, not objects: from the mapper to
 // the reduce task's gather a shuffle record is its wire form (spill.go)
@@ -94,8 +94,10 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // RunOptions observes and bounds one run; the zero value does neither.
 type RunOptions struct {
-	// Progress, when non-nil, mirrors live task-completion counters (one
-	// fresh Progress per run).
+	// Progress, when non-nil, is the run's task record, to poll live
+	// (Snapshot) or fold once the run returns (CriticalPath); one fresh
+	// Progress per run. Run records every run, into a Progress of its
+	// own when this is nil.
 	Progress *Progress
 	// Budget, when non-nil, is charged the run's bulk allocations — arena
 	// chunks, shuffle partitions, merge shards, spill buffers (one fresh

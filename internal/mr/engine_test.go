@@ -388,9 +388,8 @@ func TestProgramDepsAndRounds(t *testing.T) {
 		}),
 	}
 	p := &Program{Jobs: []*Job{j1, j2}}
-	deps := p.Deps()
-	if len(deps[0]) != 0 || len(deps[1]) != 1 || deps[1][0] != 0 {
-		t.Errorf("Deps = %v", deps)
+	if deps := p.ReadSets(); deps[0][0] != -1 || len(deps[1]) != 1 || deps[1][0] != 0 {
+		t.Errorf("ReadSets = %v", deps)
 	}
 	if p.Rounds() != 2 {
 		t.Errorf("Rounds = %d", p.Rounds())

@@ -3,7 +3,6 @@ package mr
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/relation"
 )
@@ -26,24 +25,22 @@ import (
 // input relation exists (inputReady), which is what lets the program
 // scheduler start a downstream job's map work over base relations — or
 // over an upstream output that merged early — while other producers are
-// still running. Stage joins are plain counters under jr.mu; every task
+// still running. Stage joins are one counter (jobRun.left); every task
 // writes into a pre-indexed slot and all order-sensitive folds (float
 // accumulation of per-part MB, OutputMB) walk those slots in declared
 // part/task/name order, so outputs and stats are bit-for-bit identical
 // at every pool width (pinned by the golden and determinism tests).
+// Every task is spawned under a label naming its job, kind and place
+// (label), which is all the run's task record needs to time it.
 type jobRun struct {
 	e       *Engine
+	idx     int // the job's index in its program
 	job     *Job
 	inflate float64
 	// gov is the run's resource governance: budget charges at the arena
 	// / shuffle-partition / merge-shard sites, and the shuffle spill
 	// configuration (shared across all jobs of a program run).
 	gov govern
-
-	// progress, when set, mirrors the stage counters into the run's
-	// live Progress observer (nil methods are no-ops, so the unobserved
-	// path pays one nil check per stage event).
-	progress *Progress
 
 	// onOutput, when set, is invoked once per merged output relation,
 	// from the merge task itself — the program scheduler's publish hook
@@ -52,15 +49,13 @@ type jobRun struct {
 	onOutput func(c *poolCtx, name string, rel *relation.Relation)
 	done     func(c *poolCtx, jr *jobRun)
 
-	// Stage join state, guarded by mu. inputsLeft counts inputs whose
-	// relation has not arrived yet; the remaining counters count
-	// spawned-but-unfinished tasks of the current stage.
-	mu         sync.Mutex
-	inputsLeft int
-	mapsLeft   int
-	shufsLeft  int
-	redsLeft   int
-	mergesLeft int
+	// left is the stage join: the current stage's unfinished tasks plus,
+	// in the map stage, the inputs whose relation has not arrived, under
+	// mu. A job's stages never overlap, so one counter serves them all;
+	// the stage's last task sets the next stage's count before spawning
+	// it, while no other task of the job is in flight.
+	mu   sync.Mutex
+	left int
 
 	tasks   [][]mapTaskSpec   // per input part: that input's splits
 	results [][]mapTaskResult // per input part, per map task
@@ -90,11 +85,6 @@ type jobRun struct {
 	merged    []*relation.Relation
 
 	stats JobStats
-	// timing accumulates measured per-task wall-clock by kind, under mu
-	// (each task adds its duration in the same critical section that
-	// decrements its stage counter). Unlike stats it is a host
-	// measurement, excluded from the bit-for-bit determinism contract.
-	timing JobTiming
 }
 
 // mapTaskSpec is one map task: a contiguous tuple range of one input.
@@ -103,9 +93,9 @@ type mapTaskSpec struct {
 	from, to int
 }
 
-// newJobRun prepares the task-graph state for one job. The job must
-// already have passed (*Job).validate.
-func (e *Engine) newJobRun(job *Job, gov govern,
+// newJobRun prepares the task-graph state for job idx of its program.
+// The job must already have passed (*Job).validate.
+func (e *Engine) newJobRun(idx int, job *Job, gov govern,
 	onOutput func(c *poolCtx, name string, rel *relation.Relation),
 	done func(c *poolCtx, jr *jobRun)) *jobRun {
 	inflate := job.InflateIntermediate
@@ -113,19 +103,25 @@ func (e *Engine) newJobRun(job *Job, gov govern,
 		inflate = 1.0
 	}
 	return &jobRun{
-		e:          e,
-		job:        job,
-		inflate:    inflate,
-		gov:        gov,
-		onOutput:   onOutput,
-		done:       done,
-		inputsLeft: len(job.Inputs),
-		tasks:      make([][]mapTaskSpec, len(job.Inputs)),
-		results:    make([][]mapTaskResult, len(job.Inputs)),
-		est:        make([]atomic.Int64, len(job.Inputs)),
-		stats:      JobStats{Name: job.Name, Parts: make([]PartStats, len(job.Inputs))},
-		timing:     JobTiming{Name: job.Name},
+		e:        e,
+		idx:      idx,
+		job:      job,
+		inflate:  inflate,
+		gov:      gov,
+		onOutput: onOutput,
+		done:     done,
+		left:     len(job.Inputs),
+		tasks:    make([][]mapTaskSpec, len(job.Inputs)),
+		results:  make([][]mapTaskResult, len(job.Inputs)),
+		est:      make([]atomic.Int64, len(job.Inputs)),
+		stats:    JobStats{Name: job.Name, Parts: make([]PartStats, len(job.Inputs))},
 	}
+}
+
+// label names the job's task of kind k at part and index to the task
+// record.
+func (jr *jobRun) label(k taskKind, part, index int) taskLabel {
+	return taskLabel{job: int32(jr.idx), part: int32(part), index: int32(index), kind: k}
 }
 
 // seed starts a job that has no inputs (its map phase is empty, so no
@@ -160,13 +156,11 @@ func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 	jr.stats.Parts[part] = PartStats{Input: jr.job.Inputs[part], InputMB: inputMB, Mappers: m}
 	jr.tasks[part] = specs
 	jr.results[part] = make([]mapTaskResult, m)
-	jr.inputsLeft--
-	jr.mapsLeft += m
+	jr.left += m - 1 // the input arrived; its m tasks are pending
 	jr.mu.Unlock()
-	jr.progress.addMapTotal(m)
 	for ti := range specs {
 		ti := ti
-		c.spawn(func(c *poolCtx) { jr.mapTask(c, part, ti) })
+		c.spawn(jr.label(kindMap, part, ti), func(c *poolCtx) { jr.mapTask(c, part, ti) })
 	}
 }
 
@@ -174,7 +168,6 @@ func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 // Emitter: records encoded into the task's arena, sizes fixed — packing
 // decided — at emit.
 func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
-	start := time.Now()
 	ts := jr.tasks[part][ti]
 	n := ts.to - ts.from
 	keys := n
@@ -186,15 +179,18 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
 	jr.results[part][ti] = res
-	jr.mu.Lock()
-	jr.timing.MapSeconds += time.Since(start).Seconds()
-	jr.mapsLeft--
-	last := jr.mapsLeft == 0 && jr.inputsLeft == 0
-	jr.mu.Unlock()
-	jr.progress.mapTaskDone()
-	if last {
+	if jr.stageDone() {
 		jr.mapsDone(c)
 	}
+}
+
+// stageDone counts one task of the current stage finished and reports
+// whether it was the stage's last.
+func (jr *jobRun) stageDone() bool {
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	jr.left--
+	return jr.left == 0
 }
 
 // mapTuples runs job's mapper over every step-th tuple of ts through a
@@ -240,10 +236,7 @@ func (jr *jobRun) mapsDone(c *poolCtx) {
 	for part := range jr.tasks {
 		jr.taskParts[part] = make([]taskPartition, len(jr.tasks[part]))
 	}
-	jr.mu.Lock()
-	jr.shufsLeft = total
-	jr.mu.Unlock()
-	jr.progress.addShuffleTotal(total)
+	jr.left = total
 	if total == 0 {
 		jr.shufflesDone(c)
 		return
@@ -251,7 +244,7 @@ func (jr *jobRun) mapsDone(c *poolCtx) {
 	for part := range jr.tasks {
 		for ti := range jr.tasks[part] {
 			part, ti := part, ti
-			c.spawn(func(c *poolCtx) { jr.shuffleTask(c, part, ti) })
+			c.spawn(jr.label(kindShuffle, part, ti), func(c *poolCtx) { jr.shuffleTask(c, part, ti) })
 		}
 	}
 }
@@ -308,7 +301,6 @@ func (jr *jobRun) computeReducers() int {
 // threshold is then written to a temp file and its chunks dropped (see
 // spill.go).
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
-	start := time.Now()
 	res := &jr.results[part][ti]
 	reducers := jr.reducers
 	tp := taskPartition{
@@ -383,13 +375,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	}
 	jr.taskParts[part][ti] = tp
 	res.chunks = nil // the partition owns the bytes now
-	jr.mu.Lock()
-	jr.timing.ShuffleSeconds += time.Since(start).Seconds()
-	jr.shufsLeft--
-	last := jr.shufsLeft == 0
-	jr.mu.Unlock()
-	jr.progress.shuffleTaskDone()
-	if last {
+	if jr.stageDone() {
 		jr.shufflesDone(c)
 	}
 }
@@ -415,13 +401,12 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 		}
 	}
 	jr.outs = make([]*Output, len(slots))
-	jr.mu.Lock()
-	jr.redsLeft = len(slots)
-	jr.mu.Unlock()
-	jr.progress.addReduceTotal(len(slots))
+	jr.left = len(slots)
 	for si := range slots {
 		si := si
-		c.spawn(func(c *poolCtx) { jr.reduceTask(c, si) })
+		l := jr.label(kindReduce, 0, si)
+		l.split = slots[si].split()
+		c.spawn(l, func(c *poolCtx) { jr.reduceTask(c, si) })
 	}
 }
 
@@ -464,7 +449,6 @@ func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *
 
 // reduceTask runs one reduce slot through the user Reducer.
 func (jr *jobRun) reduceTask(c *poolCtx, si int) {
-	start := time.Now()
 	slot := jr.slots[si]
 	out := newOutput(jr.job.Outputs)
 	jr.outs[si] = out
@@ -475,17 +459,7 @@ func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 		panic(taskAbort{err: err})
 	}
 	jr.slotLoads[si] = load
-	dur := time.Since(start).Seconds()
-	jr.mu.Lock()
-	jr.timing.ReduceSeconds += dur
-	if slot.split() {
-		jr.timing.SplitSeconds += dur
-	}
-	jr.redsLeft--
-	last := jr.redsLeft == 0
-	jr.mu.Unlock()
-	jr.progress.reduceTaskDone()
-	if last {
+	if jr.stageDone() {
 		jr.reducesDone(c)
 	}
 }
@@ -524,17 +498,14 @@ func (jr *jobRun) reducesDone(c *poolCtx) {
 	jr.outNames = outputOrder(jr.job.Outputs)
 	jr.merged = make([]*relation.Relation, len(jr.outNames))
 	jr.outMB = make([]float64, len(jr.outNames))
-	jr.mu.Lock()
-	jr.mergesLeft = len(jr.outNames)
-	jr.mu.Unlock()
-	jr.progress.addMergeTotal(len(jr.outNames))
+	jr.left = len(jr.outNames)
 	if len(jr.outNames) == 0 {
 		jr.finishJob(c)
 		return
 	}
 	for ni := range jr.outNames {
 		ni := ni
-		c.spawn(func(c *poolCtx) { jr.mergeTask(c, ni) })
+		c.spawn(jr.label(kindMerge, 0, ni), func(c *poolCtx) { jr.mergeTask(c, ni) })
 	}
 }
 
@@ -546,7 +517,6 @@ func (jr *jobRun) reducesDone(c *poolCtx) {
 // merged relation through onOutput, releasing any map tasks of
 // downstream jobs waiting on this relation.
 func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
-	start := time.Now()
 	name := jr.outNames[ni]
 	srcs := make([]*relation.Relation, 0, len(jr.outs))
 	for _, o := range jr.outs {
@@ -563,13 +533,7 @@ func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 	if jr.onOutput != nil {
 		jr.onOutput(c, name, merged)
 	}
-	jr.mu.Lock()
-	jr.timing.MergeSeconds += time.Since(start).Seconds()
-	jr.mergesLeft--
-	last := jr.mergesLeft == 0
-	jr.mu.Unlock()
-	jr.progress.mergeShardDone()
-	if last {
+	if jr.stageDone() {
 		jr.finishJob(c)
 	}
 }
@@ -584,18 +548,7 @@ func (jr *jobRun) finishJob(c *poolCtx) {
 	for _, mb := range jr.outMB {
 		jr.stats.OutputMB += mb
 	}
-	jr.progress.jobDone()
 	if jr.done != nil {
 		jr.done(c, jr)
 	}
-}
-
-// outputDB assembles the job's output database: merged relations in
-// sorted output-name order.
-func (jr *jobRun) outputDB() *relation.Database {
-	db := relation.NewDatabase()
-	for _, rel := range jr.merged {
-		db.Put(rel)
-	}
-	return db
 }

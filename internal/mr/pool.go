@@ -12,9 +12,9 @@ import (
 // fixed set of worker goroutines. There is no per-phase or per-job
 // fan-out/fan-in: a worker that finishes a reduce partition of one job
 // immediately picks up whatever is runnable, typically a map task of a
-// downstream or independent job. This is what lets the partition-level
-// program scheduler (scheduler.go) overlap phases of dependent jobs
-// instead of idling workers at job barriers.
+// downstream or independent job. This is what lets Engine.Run's
+// partition-level scheduling overlap phases of dependent jobs instead of
+// idling workers at job barriers.
 //
 // Scheduling policy: each worker owns a private deque. Tasks spawned
 // while running on a worker push onto that worker's deque; the owner
@@ -26,10 +26,14 @@ import (
 // and joins phases with counters, so observable results never depend on
 // the order (see jobrun.go and the determinism tests).
 
-// poolTask is one unit of schedulable work. The context identifies the
+// poolTask is one unit of schedulable work and its label for the run's
+// task record (progress.go). The context handed to fn identifies the
 // executing worker so the task can spawn follow-up work onto the local
 // deque; the task must never block that worker (docs/INVARIANTS.md).
-type poolTask func(c *poolCtx)
+type poolTask struct {
+	taskLabel
+	fn func(c *poolCtx)
+}
 
 // poolCtx is the execution context handed to every task: one per pool
 // worker, created by that worker's loop in runTasks and touched by no
@@ -69,9 +73,9 @@ func grow[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// spawn schedules fn onto the current worker's deque.
-func (c *poolCtx) spawn(fn poolTask) {
-	c.pool.spawn(c.id, fn)
+// spawn schedules fn, labelled l, onto the current worker's deque.
+func (c *poolCtx) spawn(l taskLabel, fn func(c *poolCtx)) {
+	c.pool.spawn(c.id, poolTask{l, fn})
 }
 
 // taskDeque is one worker's task queue. A plain mutex-guarded slice:
@@ -88,29 +92,30 @@ func (d *taskDeque) push(t poolTask) {
 	d.mu.Unlock()
 }
 
-// pop removes the newest task (owner side, LIFO).
-func (d *taskDeque) pop() poolTask {
+// pop removes the newest task (owner side, LIFO); an empty deque
+// yields the zero task, whose fn is nil.
+func (d *taskDeque) pop() (t poolTask) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := len(d.q)
 	if n == 0 {
-		return nil
+		return t
 	}
-	t := d.q[n-1]
-	d.q[n-1] = nil
+	t = d.q[n-1]
+	d.q[n-1] = poolTask{}
 	d.q = d.q[:n-1]
 	return t
 }
 
 // steal removes the oldest task (thief side, FIFO).
-func (d *taskDeque) steal() poolTask {
+func (d *taskDeque) steal() (t poolTask) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.q) == 0 {
-		return nil
+		return t
 	}
-	t := d.q[0]
-	d.q[0] = nil
+	t = d.q[0]
+	d.q[0] = poolTask{}
 	d.q = d.q[1:]
 	return t
 }
@@ -121,6 +126,7 @@ func (d *taskDeque) steal() poolTask {
 // at the next task boundary, exactly like the abort path).
 type taskPool struct {
 	deques []taskDeque
+	rec    *Progress // the run's task record: spawn counts, run times
 	// ctx is the run's context. next polls it directly on every grant
 	// (on top of the async watcher that wakes parked workers), so the
 	// number of tasks granted after a cancel is strictly bounded: at
@@ -190,7 +196,7 @@ func SetFaultHooks(h FaultHooks) (restore func()) {
 // panics rather than losing the task silently. (Detection is
 // best-effort: it cannot race with a legitimate spawn, because those
 // happen inside a running task, which holds pending > 0.)
-func (p *taskPool) spawn(from int, fn poolTask) {
+func (p *taskPool) spawn(from int, t poolTask) {
 	p.pendingMu.Lock()
 	if p.pending == 0 && p.stopped.Load() {
 		p.pendingMu.Unlock()
@@ -198,7 +204,8 @@ func (p *taskPool) spawn(from int, fn poolTask) {
 	}
 	p.pending++
 	p.pendingMu.Unlock()
-	p.deques[from].push(fn)
+	p.rec.spawn(t.kind)
+	p.deques[from].push(t)
 	p.mu.Lock()
 	if p.idle > 0 {
 		p.cond.Signal()
@@ -221,9 +228,9 @@ func (p *taskPool) finish() {
 	}
 }
 
-// next returns a runnable task for worker id, or nil when the pool has
-// stopped. The fast path pops the local deque, then steals; the slow
-// path re-scans every deque under p.mu and parks. Spawners signal under
+// next returns a runnable task for worker id, or the zero task (nil fn)
+// when the pool has stopped. The fast path pops the local deque, then
+// steals; the slow path re-scans every deque under p.mu and parks. Spawners signal under
 // the same lock after pushing, so a task pushed after the scan wakes
 // the parked worker — no lost wakeups.
 func (p *taskPool) next(id int) poolTask {
@@ -231,24 +238,24 @@ func (p *taskPool) next(id int) poolTask {
 		// Quiescence (queues empty), abort (queued tasks abandoned,
 		// panic pending re-raise) or cancellation: either way, stop
 		// taking work.
-		return nil
+		return poolTask{}
 	}
-	if t := p.deques[id].pop(); t != nil {
+	if t := p.deques[id].pop(); t.fn != nil {
 		return t
 	}
-	if t := p.stealFrom(id); t != nil {
+	if t := p.stealFrom(id); t.fn != nil {
 		return t
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.stopped.Load() || p.canceled() {
-			return nil
+			return poolTask{}
 		}
-		if t := p.deques[id].pop(); t != nil {
+		if t := p.deques[id].pop(); t.fn != nil {
 			return t
 		}
-		if t := p.stealFrom(id); t != nil {
+		if t := p.stealFrom(id); t.fn != nil {
 			return t
 		}
 		p.idle++
@@ -269,11 +276,11 @@ func (p *taskPool) canceled() bool {
 func (p *taskPool) stealFrom(id int) poolTask {
 	n := len(p.deques)
 	for k := 1; k < n; k++ {
-		if t := p.deques[(id+k)%n].steal(); t != nil {
+		if t := p.deques[(id+k)%n].steal(); t.fn != nil {
 			return t
 		}
 	}
-	return nil
+	return poolTask{}
 }
 
 // abort records a task panic and stops the pool: workers finish their
@@ -323,12 +330,14 @@ func (p *taskPool) cancel(err error) {
 	p.mu.Unlock()
 }
 
-// runOne executes t, converting a task panic into an abort so the
-// panic can be re-raised on the runTasks caller's goroutine — except a
-// taskAbort payload, which fails the run with its error through the
-// cancellation machinery instead (budget exhaustion, spill I/O). The
-// Grant fault hook fires inside the recovered scope, so an injected
-// hook panic behaves exactly like a panic of the granted task itself.
+// runOne executes t through the run's task record, which times it,
+// converting a task panic into an abort so the panic can be re-raised
+// on the runTasks caller's goroutine — except a taskAbort payload, which
+// fails the run with its error through the cancellation machinery
+// instead (budget exhaustion, spill I/O). The Grant fault hook fires
+// inside the recovered scope, so an injected hook panic behaves exactly
+// like a panic of the granted task itself; a task that panics leaves no
+// span.
 func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -344,11 +353,11 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 	if h := p.hooks; h != nil && h.Grant != nil {
 		h.Grant(p.ctx, int(p.grants.Add(1)-1))
 	}
-	t(c)
+	p.rec.run(c, t)
 }
 
-// runTasks creates a pool of `workers` goroutines, runs seed as the
-// first task, and returns once the pool is quiescent (seed and every
+// runTasks creates a pool of `workers` goroutines recording into rec,
+// runs seed as the first task (unlabelled: no job's), and returns once the pool is quiescent (seed and every
 // transitively spawned task finished) or ctx is canceled. A panic in
 // any task aborts the pool and is re-raised on the caller's goroutine,
 // so user map/reduce panics surface to the Run caller. Each worker takes
@@ -363,14 +372,14 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 // ctx.Err(), i.e. context.Canceled or context.DeadlineExceeded — even
 // when the pool raced to quiescence first, so callers observe a
 // deterministic error for a canceled run.
-func (e *Engine) runTasks(ctx context.Context, workers int, seed poolTask) error {
+func (e *Engine) runTasks(ctx context.Context, workers int, rec *Progress, seed func(c *poolCtx)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	p := &taskPool{deques: make([]taskDeque, workers), ctx: ctx, hooks: poolHooks.Load()}
+	p := &taskPool{deques: make([]taskDeque, workers), rec: rec, ctx: ctx, hooks: poolHooks.Load()}
 	p.cond = sync.NewCond(&p.mu)
 	stopWatch := make(chan struct{})
 	var watch sync.WaitGroup
@@ -386,7 +395,7 @@ func (e *Engine) runTasks(ctx context.Context, workers int, seed poolTask) error
 			}
 		}()
 	}
-	p.spawn(0, seed)
+	p.spawn(0, poolTask{fn: seed})
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -397,7 +406,7 @@ func (e *Engine) runTasks(ctx context.Context, workers int, seed poolTask) error
 			defer e.scratch.Put(c.scratch)
 			for {
 				t := p.next(id)
-				if t == nil {
+				if t.fn == nil {
 					return
 				}
 				p.runOne(c, t)

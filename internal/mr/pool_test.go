@@ -21,10 +21,10 @@ func TestPoolRunsEveryTask(t *testing.T) {
 			}
 			for k := 0; k < 3; k++ {
 				d := depth - 1
-				c.spawn(func(c *poolCtx) { spawnTree(c, d) })
+				c.spawn(taskLabel{}, func(c *poolCtx) { spawnTree(c, d) })
 			}
 		}
-		NewEngine(Config{}).runTasks(context.Background(), workers, func(c *poolCtx) { spawnTree(c, 5) })
+		NewEngine(Config{}).runTasks(context.Background(), workers, new(Progress), func(c *poolCtx) { spawnTree(c, 5) })
 		// Nodes of a 3-ary tree of depth 5: (3^6 - 1) / 2.
 		if want := int64(364); ran.Load() != want {
 			t.Errorf("workers=%d: ran %d tasks, want %d", workers, ran.Load(), want)
@@ -37,10 +37,10 @@ func TestPoolRunsEveryTask(t *testing.T) {
 // takes the sibling from the first worker's deque.
 func TestPoolStealing(t *testing.T) {
 	release := make(chan struct{})
-	NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) {
-		c.spawn(func(c *poolCtx) { close(release) }) // stolen by the idle worker
-		c.spawn(func(c *poolCtx) {})                 // keeps LIFO pop busy
-		<-release                                    // the deliberate block is the test: it deadlocks unless the idle worker steals the sibling task
+	NewEngine(Config{}).runTasks(context.Background(), 2, new(Progress), func(c *poolCtx) {
+		c.spawn(taskLabel{}, func(c *poolCtx) { close(release) }) // stolen by the idle worker
+		c.spawn(taskLabel{}, func(c *poolCtx) {})                 // keeps LIFO pop busy
+		<-release                                                 // the deliberate block is the test: it deadlocks unless the idle worker steals the sibling task
 	})
 }
 
@@ -52,9 +52,9 @@ func TestPoolPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want boom", v)
 		}
 	}()
-	NewEngine(Config{}).runTasks(context.Background(), 4, func(c *poolCtx) {
+	NewEngine(Config{}).runTasks(context.Background(), 4, new(Progress), func(c *poolCtx) {
 		for i := 0; i < 8; i++ {
-			c.spawn(func(c *poolCtx) {})
+			c.spawn(taskLabel{}, func(c *poolCtx) {})
 		}
 		panic("boom")
 	})
@@ -68,9 +68,9 @@ func TestPoolPanicAbandonsQueuedTasks(t *testing.T) {
 	var ran atomic.Int64
 	func() {
 		defer func() { recover() }()
-		NewEngine(Config{}).runTasks(context.Background(), 1, func(c *poolCtx) {
+		NewEngine(Config{}).runTasks(context.Background(), 1, new(Progress), func(c *poolCtx) {
 			for i := 0; i < 8; i++ {
-				c.spawn(func(c *poolCtx) { ran.Add(1) })
+				c.spawn(taskLabel{}, func(c *poolCtx) { ran.Add(1) })
 			}
 			panic("boom")
 		})
@@ -93,8 +93,8 @@ func TestPoolPanicValueAcrossSteal(t *testing.T) {
 			t.Fatalf("recovered %#v, want the original panic value %p", v, val)
 		}
 	}()
-	NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) {
-		c.spawn(func(c *poolCtx) {
+	NewEngine(Config{}).runTasks(context.Background(), 2, new(Progress), func(c *poolCtx) {
+		c.spawn(taskLabel{}, func(c *poolCtx) {
 			started.Store(true)
 			panic(val)
 		})
@@ -112,7 +112,7 @@ func TestPoolPanicValueAcrossSteal(t *testing.T) {
 // pool silently — the workers are gone and the task would never run.
 func TestPoolSpawnAfterQuiescencePanics(t *testing.T) {
 	var leaked *poolCtx
-	NewEngine(Config{}).runTasks(context.Background(), 2, func(c *poolCtx) { leaked = c })
+	NewEngine(Config{}).runTasks(context.Background(), 2, new(Progress), func(c *poolCtx) { leaked = c })
 	defer func() {
 		v := recover()
 		s, ok := v.(string)
@@ -120,6 +120,6 @@ func TestPoolSpawnAfterQuiescencePanics(t *testing.T) {
 			t.Fatalf("recovered %#v, want the spawn-after-quiescence panic", v)
 		}
 	}()
-	leaked.spawn(func(c *poolCtx) {})
+	leaked.spawn(taskLabel{}, func(c *poolCtx) {})
 	t.Fatal("spawn on a quiescent pool returned normally")
 }

@@ -45,38 +45,20 @@ func (p *Program) ReadSets() [][]int {
 	return sets
 }
 
-// Deps derives, for each job, the indices of the jobs it depends on: the
-// job-granular projection of ReadSets (first occurrence order, deduped).
-func (p *Program) Deps() [][]int {
-	deps := make([][]int, len(p.Jobs))
-	for i, set := range p.ReadSets() {
-		seen := make(map[int]bool)
-		for _, pi := range set {
-			if pi >= 0 && !seen[pi] {
-				seen[pi] = true
-				deps[i] = append(deps[i], pi)
-			}
-		}
-	}
-	return deps
-}
-
 // Rounds returns the length of the longest dependency chain (the number
 // of rounds of the MR program).
 func (p *Program) Rounds() int {
-	deps := p.Deps()
 	depth := make([]int, len(p.Jobs))
 	max := 0
-	for i := range p.Jobs {
-		d := 1
-		for _, pi := range deps[i] {
-			if depth[pi]+1 > d {
-				d = depth[pi] + 1
+	for i, set := range p.ReadSets() {
+		depth[i] = 1
+		for _, pi := range set {
+			if pi >= 0 && depth[pi]+1 > depth[i] {
+				depth[i] = depth[pi] + 1
 			}
 		}
-		depth[i] = d
-		if d > max {
-			max = d
+		if depth[i] > max {
+			max = depth[i]
 		}
 	}
 	return max
@@ -108,21 +90,26 @@ func (p *Program) Validate(base []string) error {
 	return nil
 }
 
-// Run executes the program as one unified task graph, feeding outputs
-// forward, and returns the database of all job outputs together with
-// per-job stats and measured task timings (see JobTiming), index-aligned
-// in declared job order. The input database is never modified: runs
-// mutate only a private working copy. opts observes and bounds the run
-// (see RunOptions).
+// Run executes the program as one task graph on a single work-stealing
+// pool of Config.Workers workers, and returns the database of all job
+// outputs together with per-job stats and measured task timings (see
+// JobTiming), index-aligned in declared job order. The input database
+// is never modified. opts observes and bounds the run (see RunOptions);
+// the timings are a fold over the run's task record, opts.Progress or,
+// when that is nil, one Run makes itself.
 //
-// Scheduling is partition-granular on a single pool of Config.Workers
-// workers (see runPipelined): a job's map tasks over an input start as
-// soon as that relation exists, so phases of dependent jobs overlap
-// instead of meeting at per-job barriers. Because each relation has a
+// There are no job barriers: producer→consumer edges are wired at
+// relation granularity from the jobs' declared read sets (ReadSets). A
+// job's map tasks over a base input spawn at seed time, and over a
+// produced input from the merge shard that produces it, so a downstream
+// job's map work (e.g. an EVAL job re-reading its guard relations)
+// overlaps the upstream jobs still computing its other inputs, and
+// whatever is runnable keeps the pool busy. Because each relation has a
 // unique producer (Validate forbids overwrites) and a consumer part
 // waits for exactly that producer's merge, every job sees the inputs it
 // would see under sequential execution — outputs and stats are
-// bit-for-bit identical at every parallelism level.
+// bit-for-bit identical at every parallelism level (the tests'
+// runSequential oracle), folded in declared job order.
 //
 // Failure semantics are deterministic: the only execution-time job
 // failures are per-job validation failures (Validate above excludes
@@ -146,10 +133,6 @@ func (e *Engine) Run(ctx context.Context, p *Program, db *relation.Database, opt
 	if err := p.Validate(db.Names()); err != nil {
 		return nil, nil, nil, err
 	}
-	working := relation.NewDatabase()
-	for _, r := range db.Relations() {
-		working.Put(r)
-	}
 	limit := len(p.Jobs)
 	var failErr error
 	for i, job := range p.Jobs {
@@ -158,25 +141,61 @@ func (e *Engine) Run(ctx context.Context, p *Program, db *relation.Database, opt
 			break
 		}
 	}
+	rec := opts.Progress
+	if rec == nil {
+		rec = new(Progress)
+	}
+	rec.begin(p, limit)
 	gov := e.newGovern(opts.Budget)
 	// Sweep unconsumed spill files however the run ends — completion,
 	// cancel, budget abort, or a task panic unwinding through us.
 	defer gov.spill.cleanup()
-	results, runErr := e.runPipelined(ctx, p, working, e.workers(), limit, opts.Progress, gov)
-	// Fold completed jobs in declared order so the outputs database and
-	// the stats slice are independent of the schedule.
+	reads := p.ReadSets()
+	runs := make([]*jobRun, limit)
+	done := make([]bool, limit) // job i ran to completion
+	for i := range runs {
+		i := i
+		runs[i] = e.newJobRun(i, p.Jobs[i], gov,
+			// Release the input parts reading the merged relation. A
+			// producer precedes its consumers, so the jobs below limit
+			// form a closed graph that drains fully.
+			func(c *poolCtx, name string, rel *relation.Relation) {
+				for j := i + 1; j < limit; j++ {
+					for part, prod := range reads[j] {
+						if prod == i && p.Jobs[j].Inputs[part] == name {
+							runs[j].inputReady(c, part, rel)
+						}
+					}
+				}
+			},
+			func(c *poolCtx, jr *jobRun) {
+				done[i] = true
+				rec.jobDone()
+			})
+	}
+	runErr := e.runTasks(ctx, e.workers(), rec, func(c *poolCtx) {
+		for i, jr := range runs {
+			jr.seed(c)
+			for part, prod := range reads[i] {
+				if prod < 0 {
+					jr.inputReady(c, part, db.Relation(p.Jobs[i].Inputs[part]))
+				}
+			}
+		}
+	})
 	outputs := relation.NewDatabase()
-	stats := make([]JobStats, 0, len(p.Jobs))
-	timings := make([]JobTiming, 0, len(p.Jobs))
-	for _, res := range results {
-		if !res.done {
+	stats := make([]JobStats, 0, limit)
+	timings := make([]JobTiming, 0, limit)
+	all := rec.timings()
+	for i, jr := range runs {
+		if !done[i] {
 			continue
 		}
-		for _, r := range res.outs.Relations() {
-			outputs.Put(r)
+		for _, rel := range jr.merged {
+			outputs.Put(rel)
 		}
-		stats = append(stats, res.stats)
-		timings = append(timings, res.timing)
+		stats = append(stats, jr.stats)
+		timings = append(timings, all[i])
 	}
 	if runErr != nil {
 		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {

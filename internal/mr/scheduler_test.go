@@ -144,17 +144,9 @@ func TestRunProgramMatchesSequentialOracle(t *testing.T) {
 		for _, r := range db.Relations() {
 			working.Put(r)
 		}
-		seqResults, err := e.runSequential(p, working)
+		wantOuts, wantStats, err := e.runSequential(p, working)
 		if err != nil {
 			t.Fatal(err)
-		}
-		wantOuts := relation.NewDatabase()
-		var wantStats []JobStats
-		for _, res := range seqResults {
-			for _, r := range res.outs.Relations() {
-				wantOuts.Put(r)
-			}
-			wantStats = append(wantStats, res.stats)
 		}
 
 		outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{})

@@ -73,11 +73,11 @@ func TestSkewSketchFedPerRecord(t *testing.T) {
 			}
 		}),
 	}
-	jr := NewEngine(Config{Cost: cost.Default(), SkewSplit: 1.3}).newJobRun(job, govern{}, nil, nil)
+	jr := NewEngine(Config{Cost: cost.Default(), SkewSplit: 1.3}).newJobRun(0, job, govern{}, nil, nil)
 	rel := relation.FromTuples("R", 1, tuples)
 	jr.results[0] = make([]mapTaskResult, tasks)
 	jr.taskParts = [][]taskPartition{make([]taskPartition, tasks)}
-	jr.mapsLeft, jr.shufsLeft = tasks+1, tasks+1 // never zero: nothing spawns
+	jr.left = 2*tasks + 1 // never zero: nothing spawns
 	jr.reducers = 4
 	c := &poolCtx{scratch: new(taskScratch)}
 	for ti := 0; ti < tasks; ti++ {

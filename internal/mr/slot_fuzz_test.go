@@ -59,7 +59,7 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 		defer gov.spill.cleanup()
 	}
 	const parts, tasks, perTask = 2, 2, 150
-	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, shufsLeft: parts*tasks + 1} // +1: never the last shuffle, so nothing spawns
+	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, left: parts*tasks + 1} // +1: never the last shuffle, so nothing spawns
 	jr.results = make([][]mapTaskResult, parts)
 	jr.taskParts = make([][]taskPartition, parts)
 	// streams[ri] is reducer ri's declared-order record stream, built

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// The engine's source rules: the two contract violations no run can
+// The engine's source rules: the three contract violations no run can
 // show, checked on the source with go/parser alone (docs/INVARIANTS.md).
 
 // sourceFile is one parsed non-test Go file, its text and its directory.
@@ -223,5 +223,48 @@ func TestNoMapRange(t *testing.T) {
 		if !used[name] {
 			t.Errorf("mapRangeAllowed lists %s, which ranges over no map: drop the entry", name)
 		}
+	}
+}
+
+// clockSite is the one function of the package's non-test files that
+// reads the clock: the task record's run, which times every granted
+// task.
+const clockSite = "*Progress.run"
+
+// TestOneTimingSource: no non-test file of this package calls time.Now
+// or time.Since outside clockSite. Every measured second is a span of
+// the task record, and the folds over it (JobTiming, CriticalPath) agree
+// because they sum the same spans. A second clock disagrees with them —
+// one inside a task misses the stage-join work the task runs — yet no
+// output or statistic shows it.
+func TestOneTimingSource(t *testing.T) {
+	fset := token.NewFileSet()
+	reads := 0
+	for _, f := range parseSources(t, fset, ".") {
+		for _, d := range f.ast.Decls {
+			site := ""
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				site = string(f.src[fset.Position(recv.Pos()).Offset:fset.Position(recv.End()).Offset]) + "." + fn.Name.Name
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Now" && sel.Sel.Name != "Since" {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "time" {
+					return true
+				}
+				if site == clockSite {
+					reads++
+				} else {
+					t.Errorf("%s: time.%s outside %s: time the work as a pool task, through the task record", fset.Position(sel.Pos()), sel.Sel.Name, clockSite)
+				}
+				return true
+			})
+		}
+	}
+	if reads == 0 {
+		t.Errorf("%s reads no clock: update clockSite", clockSite)
 	}
 }

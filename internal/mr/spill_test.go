@@ -54,7 +54,7 @@ func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, reducers int, spill
 		gov = e.newGovern(nil)
 		t.Cleanup(gov.spill.cleanup)
 	}
-	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, shufsLeft: 2} // never the last shuffle, so nothing spawns
+	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, left: 2} // never the last shuffle, so nothing spawns
 	jr.results = [][]mapTaskResult{{{chunks: slices.Clone(chunks), msgs: msgs, bytes: 1}}}
 	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
 	defer func() { // as the pool's runOne does

@@ -248,10 +248,10 @@ func TestSkewSplitPlanLayout(t *testing.T) {
 	e.cfg.SkewSplit = 1.3
 	gov := e.newGovern(nil)
 	var slots []reduceSlot
-	jr := e.newJobRun(p.Jobs[0], gov, nil, func(c *poolCtx, jr *jobRun) {
+	jr := e.newJobRun(0, p.Jobs[0], gov, nil, func(c *poolCtx, jr *jobRun) {
 		slots = jr.slots
 	})
-	err := e.runTasks(context.Background(), 4, func(c *poolCtx) {
+	err := e.runTasks(context.Background(), 4, new(Progress), func(c *poolCtx) {
 		jr.seed(c)
 		for part, name := range p.Jobs[0].Inputs {
 			jr.inputReady(c, part, db.Relation(name))

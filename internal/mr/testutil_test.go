@@ -35,17 +35,20 @@ func runJob(ctx context.Context, e *Engine, job *Job, db *relation.Database) (*r
 // runSequential executes the jobs strictly in declared order, one
 // whole job at a time: the reference schedule the pipelined scheduler
 // must match bit for bit (the differential tests compare against it).
-func (e *Engine) runSequential(p *Program, working *relation.Database) ([]progResult, error) {
-	results := make([]progResult, len(p.Jobs))
-	for i, job := range p.Jobs {
+// It returns every job's outputs and its stats in job order.
+func (e *Engine) runSequential(p *Program, working *relation.Database) (*relation.Database, []JobStats, error) {
+	all := relation.NewDatabase()
+	var stats []JobStats
+	for _, job := range p.Jobs {
 		outs, st, err := runJob(context.Background(), e, job, working)
 		if err != nil {
-			return results, err
+			return all, stats, err
 		}
 		for _, r := range outs.Relations() {
 			working.Put(r)
+			all.Put(r)
 		}
-		results[i] = progResult{outs: outs, stats: st, done: true}
+		stats = append(stats, st)
 	}
-	return results, nil
+	return all, stats, nil
 }
