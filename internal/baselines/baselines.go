@@ -88,7 +88,6 @@ func hxName(prefix, qname string, ai int) string {
 func parallelSemiJoinPlan(name string, strategy core.Strategy, q *sgf.BSGF, prefix string, k Knobs) (*core.Plan, error) {
 	plan := &core.Plan{Name: name, Strategy: strategy, Outputs: []string{q.Name}}
 	var xNames []string
-	var deps []int
 	for ai, atom := range q.CondAtoms() {
 		out := hxName(prefix, q.Name, ai)
 		xNames = append(xNames, out)
@@ -98,14 +97,14 @@ func parallelSemiJoinPlan(name string, strategy core.Strategy, q *sgf.BSGF, pref
 			return nil, err
 		}
 		k.apply(job)
-		deps = append(deps, plan.AddJob(job))
+		plan.AddJob(job)
 	}
 	combine, err := core.NewCombineFullJob(name+"/combine", core.EvalSpec{Query: q, XNames: xNames})
 	if err != nil {
 		return nil, err
 	}
 	k.apply(combine)
-	plan.AddJob(combine, deps...)
+	plan.AddJob(combine)
 	return plan, nil
 }
 

@@ -52,17 +52,12 @@ func hparSingle(name string, q *sgf.BSGF) (*core.Plan, error) {
 	}
 
 	prevRel := q.Guard.Rel
-	prevJob := -1
 	flagsSoFar := 0
 	for si, st := range stages {
 		out := fmt.Sprintf("HJ_%s_%d", q.Name, si)
 		job := hparStageJob(fmt.Sprintf("%s/join%d", name, si), q, st.atoms, prevRel, out,
 			si == 0, guardArity+flagsSoFar, k)
-		deps := []int{}
-		if prevJob >= 0 {
-			deps = append(deps, prevJob)
-		}
-		prevJob = plan.AddJob(job, deps...)
+		plan.AddJob(job)
 		prevRel = out
 		flagsSoFar += len(st.atoms)
 	}
@@ -81,11 +76,7 @@ func hparSingle(name string, q *sgf.BSGF) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if prevJob >= 0 {
-		plan.AddJob(filter, prevJob)
-	} else {
-		plan.AddJob(filter)
-	}
+	plan.AddJob(filter)
 	return plan, nil
 }
 

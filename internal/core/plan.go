@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mr"
 	"repro/internal/sgf"
@@ -33,82 +34,93 @@ const (
 	StrategyGreedySGF Strategy = "GREEDY-SGF"
 )
 
-// Plan is an executable MR program together with explicit scheduling
-// dependencies (a superset of the data dependencies, so that strategy
-// barriers such as SEQUNIT's query ordering reach the cluster
-// simulator).
+// Plan is an executable MR program (§3.2). Its job dependency graph is
+// not stored but derived by Deps: the data edges of the jobs' declared
+// read sets, plus the group barriers of a multiway topological sort,
+// which SEQUNIT, PARUNIT and GREEDY-SGF impose on top of the data flow.
 type Plan struct {
 	Name     string
 	Strategy Strategy
 	Jobs     []*mr.Job
-	Deps     [][]int
+	// Barriers lists, ascending, the indices of the jobs that open a new
+	// group of a multiway sort (SGFPlan): every job of a group waits for
+	// every job of the group before it. Nil for a plan of one group.
+	Barriers []int
 	// Outputs lists the SGF output relations the plan produces.
 	Outputs []string
 }
 
-// InputDeps derives the relation-granular read structure of the plan:
-// for each job, one entry per declared input (in Job.Inputs order)
-// holding the plan job index producing that relation, or -1 for a base
-// relation. These are exactly the producer→consumer edges the engine's
-// pipelined task scheduler wires at execution time
-// (mr.Program.ReadSets over the same jobs): map tasks over input k of
-// job i are released by job InputDeps()[i][k]'s merge of that relation,
-// or run immediately when the entry is -1.
-//
-// This is why every job constructor in this package must declare its
-// read set completely and exactly — a mapper or reducer that consulted
-// a relation outside Job.Inputs (say, an index captured from the
-// database at plan time) could observe it before its producer ran.
-// Plan.Deps always covers these data edges and may add strategy
-// barriers on top (e.g. SEQUNIT's query ordering) for the cluster
-// simulation; TestPlanDepsCoverInputDeps asserts the containment for
-// every strategy.
-func (p *Plan) InputDeps() [][]int {
-	return (&mr.Program{Jobs: p.Jobs}).ReadSets()
-}
-
-// Rounds returns the longest dependency chain.
-func (p *Plan) Rounds() int {
-	depth := make([]int, len(p.Jobs))
-	max := 0
-	for i := range p.Jobs {
-		d := 1
-		for _, pi := range p.Deps[i] {
-			if depth[pi]+1 > d {
-				d = depth[pi] + 1
+// Deps derives the plan's job dependency graph: for each job, the
+// ascending, duplicate-free indices of the jobs it waits for. These are
+// the producer of each relation the job reads — mr.Program.ReadSets, the
+// very edges the engine's pipelined scheduler wires, so every job
+// constructor in this package must declare its read set completely and
+// exactly in Job.Inputs — and, for a job past a barrier, every job of
+// the previous group. Barrier edges reach only the cluster simulator:
+// the engine runs on the data edges alone.
+func (p *Plan) Deps() [][]int {
+	reads := p.Program().ReadSets()
+	deps := make([][]int, len(p.Jobs))
+	b := 0 // barriers at or before job i
+	for i, set := range reads {
+		for b < len(p.Barriers) && p.Barriers[b] <= i {
+			b++
+		}
+		var d []int
+		if b > 0 {
+			lo := 0
+			if b > 1 {
+				lo = p.Barriers[b-2]
+			}
+			for j := lo; j < p.Barriers[b-1]; j++ {
+				d = append(d, j)
 			}
 		}
-		depth[i] = d
-		if d > max {
-			max = d
+		for _, pi := range set {
+			if pi >= 0 {
+				d = append(d, pi)
+			}
+		}
+		slices.Sort(d)
+		deps[i] = slices.Compact(d)
+	}
+	return deps
+}
+
+// Rounds returns the number of rounds of a dependency graph in Deps's
+// form: the length of its longest chain.
+func Rounds(deps [][]int) int {
+	depth := make([]int, len(deps))
+	max := 0
+	for i, d := range deps {
+		depth[i] = 1
+		for _, pi := range d {
+			if depth[pi]+1 > depth[i] {
+				depth[i] = depth[pi] + 1
+			}
+		}
+		if depth[i] > max {
+			max = depth[i]
 		}
 	}
 	return max
 }
 
+// Rounds returns the plan's number of rounds, the longest chain of Deps.
+func (p *Plan) Rounds() int { return Rounds(p.Deps()) }
+
 // Program converts the plan to an mr.Program.
 func (p *Plan) Program() *mr.Program { return &mr.Program{Jobs: p.Jobs} }
 
-// AddJob appends a job with explicit dependencies, returning its index.
-func (p *Plan) AddJob(j *mr.Job, deps ...int) int {
-	p.Jobs = append(p.Jobs, j)
-	p.Deps = append(p.Deps, append([]int(nil), deps...))
-	return len(p.Jobs) - 1
-}
+// AddJob appends a job.
+func (p *Plan) AddJob(j *mr.Job) { p.Jobs = append(p.Jobs, j) }
 
-// MergePlans concatenates independent sub-plans (no cross-plan
-// barriers; data dependencies, if any, remain name-based only).
+// MergePlans concatenates independent sub-plans: no barriers, and any
+// data dependency between them follows from their jobs' read sets.
 func MergePlans(name string, strategy Strategy, subs []*Plan) *Plan {
 	plan := &Plan{Name: name, Strategy: strategy}
 	for _, sub := range subs {
-		offset := len(plan.Jobs)
-		for ji, job := range sub.Jobs {
-			deps := make([]int, len(sub.Deps[ji]))
-			for di, d := range sub.Deps[ji] {
-				deps[di] = d + offset
-			}
-			plan.AddJob(job, deps...)
-		}
+		plan.Jobs = append(plan.Jobs, sub.Jobs...)
 		plan.Outputs = append(plan.Outputs, sub.Outputs...)
 	}
 	return plan
@@ -141,7 +153,6 @@ func BasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equati
 		return nil, fmt.Errorf("core: %s: invalid partition %s over %d equations", name, PartitionString(partition), len(eqs))
 	}
 	plan := &Plan{Name: name, Strategy: strategy}
-	var msjIdxs []int
 	for gi, group := range partition {
 		if len(group) == 0 {
 			continue
@@ -154,7 +165,7 @@ func BasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equati
 		if err != nil {
 			return nil, err
 		}
-		msjIdxs = append(msjIdxs, plan.AddJob(job))
+		plan.AddJob(job)
 	}
 	specs := make([]EvalSpec, len(queries))
 	for qi, q := range queries {
@@ -170,7 +181,7 @@ func BasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equati
 	if err != nil {
 		return nil, err
 	}
-	plan.AddJob(eval, msjIdxs...)
+	plan.AddJob(eval)
 	return plan, nil
 }
 
@@ -227,7 +238,6 @@ func SeqPlan(name string, q *sgf.BSGF) (*Plan, error) {
 	}
 	plan := &Plan{Name: name, Strategy: StrategySEQ, Outputs: []string{q.Name}}
 	var branchRels []string // final relation of each disjunct chain
-	var branchEnds []int    // job index producing it
 	var satDisjuncts [][]Literal
 	for _, disjunct := range dnfForm {
 		lits, sat := dedupeLiterals(disjunct)
@@ -244,11 +254,9 @@ func SeqPlan(name string, q *sgf.BSGF) (*Plan, error) {
 
 	for di, lits := range satDisjuncts {
 		prevRel := q.Guard.Rel
-		prevJob := -1
 		if len(lits) == 0 {
 			// TRUE disjunct: the branch is the guard relation itself.
 			branchRels = append(branchRels, q.Guard.Rel)
-			branchEnds = append(branchEnds, -1)
 			continue
 		}
 		for li, lit := range lits {
@@ -271,28 +279,17 @@ func SeqPlan(name string, q *sgf.BSGF) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			deps := []int{}
-			if prevJob >= 0 {
-				deps = append(deps, prevJob)
-			}
-			prevJob = plan.AddJob(job, deps...)
+			plan.AddJob(job)
 			prevRel = out
 		}
 		branchRels = append(branchRels, prevRel)
-		branchEnds = append(branchEnds, prevJob)
 	}
 	if !singleDisjunct {
 		union, err := NewUnionProjectJob(name+"/union", q.Name, q.Guard, q.Select, branchRels)
 		if err != nil {
 			return nil, err
 		}
-		var deps []int
-		for _, b := range branchEnds {
-			if b >= 0 {
-				deps = append(deps, b)
-			}
-		}
-		plan.AddJob(union, deps...)
+		plan.AddJob(union)
 	}
 	return plan, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -350,8 +352,8 @@ func TestPlanRoundsAndDeps(t *testing.T) {
 	if plan.Rounds() != 2 {
 		t.Errorf("rounds = %d", plan.Rounds())
 	}
-	if len(plan.Deps[2]) != 2 {
-		t.Errorf("eval deps = %v", plan.Deps[2])
+	if deps := plan.Deps(); len(deps[2]) != 2 {
+		t.Errorf("eval deps = %v", deps[2])
 	}
 	seq, err := SeqPlan("seq", prog.Queries[0])
 	if err != nil {
@@ -384,8 +386,9 @@ func TestExecRunnerMetrics(t *testing.T) {
 	}
 	jobs := make([]cluster.Job, len(stats))
 	cfg := cost.Default()
+	deps := plan.Deps()
 	for i, st := range stats {
-		jobs[i] = cluster.Job{Name: st.Name, Plan: cfg.TasksLoaded(st.CostSpec(), nil), Deps: plan.Deps[i]}
+		jobs[i] = cluster.Job{Name: st.Name, Plan: cfg.TasksLoaded(st.CostSpec(), nil), Deps: deps[i]}
 	}
 	res := cluster.Simulate(cluster.DefaultConfig(), jobs)
 	if res.NetTime <= 0 || res.TotalTime < res.NetTime {
@@ -393,36 +396,66 @@ func TestExecRunnerMetrics(t *testing.T) {
 	}
 }
 
-// TestPlanDepsCoverInputDeps pins the contract the engine's pipelined
-// task scheduler relies on: every plan's explicit Deps (which may add
-// strategy barriers, and may express a data edge through a chain of
-// barriers) transitively cover all relation-granular data edges derived
-// from the jobs' declared read sets (InputDeps). A constructor that
-// under-declared Job.Inputs — or wired Deps below the data edges —
-// would let the cluster simulation schedule a consumer before its
-// producer.
-func TestPlanDepsCoverInputDeps(t *testing.T) {
+// TestPlanDepsBarriers pins the dependency graph Plan.Deps derives:
+// every job waits for the producer of each relation it reads (the edges
+// the engine's pipelined scheduler wires from mr.Program.ReadSets, so
+// the cluster simulation never schedules a consumer before its
+// producer), a one-group plan adds nothing to those, and under
+// SEQUNIT, PARUNIT and GREEDY-SGF every job of a group waits for every
+// job of the group before it. Groups are read off the job names
+// SGFPlan gives them ("<plan>/g<i>/..."), not off Barriers.
+func TestPlanDepsBarriers(t *testing.T) {
 	check := func(plan *Plan) {
 		t.Helper()
-		// ancestors[i] = jobs reachable from i through Deps edges.
-		ancestors := make([]map[int]bool, len(plan.Jobs))
-		for i := range plan.Jobs { // Deps point to earlier jobs only
-			anc := make(map[int]bool)
-			for _, d := range plan.Deps[i] {
-				anc[d] = true
-				for a := range ancestors[d] {
-					anc[a] = true
+		deps := plan.Deps()
+		for i, set := range plan.Program().ReadSets() {
+			if !slices.IsSorted(deps[i]) || len(slices.Compact(slices.Clone(deps[i]))) != len(deps[i]) {
+				t.Errorf("plan %s: job %d deps %v not ascending and distinct", plan.Name, i, deps[i])
+			}
+			var producers []int
+			for k, prod := range set {
+				if prod < 0 {
+					continue
+				}
+				producers = append(producers, prod)
+				if !slices.Contains(deps[i], prod) {
+					t.Errorf("plan %s [%s]: job %d (%s) reads %q from job %d, missing from Deps %v",
+						plan.Name, plan.Strategy, i, plan.Jobs[i].Name, plan.Jobs[i].Inputs[k], prod, deps[i])
 				}
 			}
-			ancestors[i] = anc
+			slices.Sort(producers)
+			if plan.Barriers == nil && !slices.Equal(slices.Compact(producers), deps[i]) {
+				t.Errorf("plan %s: one-group job %d deps %v, want its producers %v", plan.Name, i, deps[i], producers)
+			}
 		}
-		inputDeps := plan.InputDeps()
-		for i := range plan.Jobs {
-			for k, prod := range inputDeps[i] {
-				if prod >= 0 && !ancestors[i][prod] {
-					t.Errorf("plan %s [%s]: job %d (%s) reads %q from job %d, not covered by Deps %v",
-						plan.Name, plan.Strategy, i, plan.Jobs[i].Name,
-						plan.Jobs[i].Inputs[k], prod, plan.Deps[i])
+	}
+	checkBarriers := func(plan *Plan) {
+		t.Helper()
+		var groups [][]int
+		for i, job := range plan.Jobs {
+			var g int
+			if _, err := fmt.Sscanf(strings.TrimPrefix(job.Name, plan.Name+"/g"), "%d", &g); err != nil {
+				t.Fatalf("plan %s: job %d name %q has no group", plan.Name, i, job.Name)
+			}
+			if g == len(groups) {
+				groups = append(groups, nil)
+			}
+			if g != len(groups)-1 {
+				t.Fatalf("plan %s: job %d (%s) out of group order", plan.Name, i, job.Name)
+			}
+			groups[g] = append(groups[g], i)
+		}
+		if len(plan.Barriers) != len(groups)-1 {
+			t.Errorf("plan %s: %d barriers for %d groups", plan.Name, len(plan.Barriers), len(groups))
+		}
+		deps := plan.Deps()
+		for g := 1; g < len(groups); g++ {
+			for _, i := range groups[g] {
+				for _, prev := range groups[g-1] {
+					if !slices.Contains(deps[i], prev) {
+						t.Errorf("plan %s [%s]: job %d (group %d) does not wait for job %d (group %d): deps %v",
+							plan.Name, plan.Strategy, i, g, prev, g-1, deps[i])
+					}
 				}
 			}
 		}
@@ -451,6 +484,7 @@ func TestPlanDepsCoverInputDeps(t *testing.T) {
 				t.Fatalf("iter %d %s: %v", iter, name, err)
 			}
 			check(plan)
+			checkBarriers(plan)
 		}
 	}
 }

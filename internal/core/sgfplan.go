@@ -137,16 +137,16 @@ func ParUnitSort(p *sgf.Program) sgf.MultiwaySort {
 type GroupPlanner func(name string, queries []*sgf.BSGF) (*Plan, error)
 
 // SGFPlan assembles the full plan for an SGF program given a multiway
-// topological sort: each group is planned by groupPlan, groups are
-// sequenced with explicit barriers (every job of group i+1 depends on
-// every job of group i), and job indices are stitched into one Plan.
+// topological sort: each group is planned by groupPlan, its jobs are
+// appended in group order, and the first job of every group after the
+// first is a barrier (every job of group i+1 waits for every job of
+// group i; see Plan.Deps).
 func SGFPlan(name string, strategy Strategy, p *sgf.Program, s sgf.MultiwaySort, groupPlan GroupPlanner) (*Plan, error) {
 	g := sgf.BuildDepGraph(p)
 	if !s.Valid(g) {
 		return nil, fmt.Errorf("core: %s: invalid multiway topological sort %v", name, s)
 	}
 	plan := &Plan{Name: name, Strategy: strategy}
-	var prevGroup []int
 	for gi, group := range s {
 		queries := make([]*sgf.BSGF, len(group))
 		for i, qi := range group {
@@ -156,18 +156,11 @@ func SGFPlan(name string, strategy Strategy, p *sgf.Program, s sgf.MultiwaySort,
 		if err != nil {
 			return nil, err
 		}
-		offset := len(plan.Jobs)
-		var thisGroup []int
-		for ji, job := range sub.Jobs {
-			deps := make([]int, 0, len(sub.Deps[ji])+len(prevGroup))
-			for _, d := range sub.Deps[ji] {
-				deps = append(deps, d+offset)
-			}
-			deps = append(deps, prevGroup...)
-			thisGroup = append(thisGroup, plan.AddJob(job, deps...))
+		if gi > 0 {
+			plan.Barriers = append(plan.Barriers, len(plan.Jobs))
 		}
+		plan.Jobs = append(plan.Jobs, sub.Jobs...)
 		plan.Outputs = append(plan.Outputs, sub.Outputs...)
-		prevGroup = thisGroup
 	}
 	return plan, nil
 }

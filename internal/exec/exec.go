@@ -86,13 +86,15 @@ func (r *Runner) Run(ctx context.Context, plan *core.Plan, db *relation.Database
 // Metrics derives a run's §5.1 metrics: the measured byte volumes of
 // stats, and the modelled net/total times of replaying each job's
 // per-task costs through the cluster simulator on plan's dependency
-// graph (plan.Jobs and plan.Deps are index-aligned with stats).
+// graph, derived once (plan.Deps; plan.Jobs is index-aligned with
+// stats), which also gives the rounds.
 func (r *Runner) Metrics(plan *core.Plan, stats []mr.JobStats) mr.Metrics {
 	costCfg := r.Engine.Config().Cost
 	scale := costCfg.Scale
 	if scale <= 0 {
 		scale = 1
 	}
+	deps := plan.Deps()
 	jobs := make([]cluster.Job, len(stats))
 	var m mr.Metrics
 	for i, st := range stats {
@@ -108,13 +110,13 @@ func (r *Runner) Metrics(plan *core.Plan, stats []mr.JobStats) mr.Metrics {
 			}
 		}
 		taskPlan.Overhead += plan.Jobs[i].ExtraOverheadSec * scale
-		jobs[i] = cluster.Job{Name: st.Name, Plan: taskPlan, Deps: plan.Deps[i]}
+		jobs[i] = cluster.Job{Name: st.Name, Plan: taskPlan, Deps: deps[i]}
 		m.Add(st)
 	}
 	sim := cluster.Simulate(r.Cluster, jobs)
 	m.NetTime = sim.NetTime
 	m.TotalTime = sim.TotalTime
-	m.Rounds = plan.Rounds()
+	m.Rounds = core.Rounds(deps)
 	return m
 }
 

@@ -246,7 +246,6 @@ func runDynamicSGF(ctx context.Context, r *exec.Runner, prog *sgf.Program, db *r
 	}
 	outputs := relation.NewDatabase()
 	var allStats []mr.JobStats
-	prevGroupEnd := -1 // index of the previous group's last job in resultPlan
 
 	remaining := append([]*sgf.BSGF(nil), prog.Queries...)
 	round := 0
@@ -278,23 +277,14 @@ func runDynamicSGF(ctx context.Context, r *exec.Runner, prog *sgf.Program, db *r
 			working.Put(rel)
 			outputs.Put(rel)
 		}
-		// Intra-group deps shift by the current offset; every job of the
-		// group also waits for the previous group's last job — not for all
-		// of its jobs, so this is no full barrier and the run's time is
-		// not the sum of per-group times.
-		offset := len(resultPlan.Jobs)
-		for ji := range stats {
-			deps := make([]int, 0, len(plan.Deps[ji])+1)
-			for _, d := range plan.Deps[ji] {
-				deps = append(deps, d+offset)
-			}
-			if prevGroupEnd >= 0 {
-				deps = append(deps, prevGroupEnd)
-			}
-			resultPlan.AddJob(plan.Jobs[ji], deps...)
+		// Every group after the first opens at a barrier: its jobs wait
+		// for every job of the previous group, which is no longer than
+		// waiting for that group's EVAL job, since EVAL waits for the rest.
+		if round > 1 {
+			resultPlan.Barriers = append(resultPlan.Barriers, len(resultPlan.Jobs))
 		}
+		resultPlan.Jobs = append(resultPlan.Jobs, plan.Jobs...)
 		allStats = append(allStats, stats...)
-		prevGroupEnd = len(resultPlan.Jobs) - 1
 		resultPlan.Outputs = append(resultPlan.Outputs, plan.Outputs...)
 
 		// Drop the executed queries.

@@ -391,9 +391,6 @@ func TestProgramDepsAndRounds(t *testing.T) {
 	if deps := p.ReadSets(); deps[0][0] != -1 || len(deps[1]) != 1 || deps[1][0] != 0 {
 		t.Errorf("ReadSets = %v", deps)
 	}
-	if p.Rounds() != 2 {
-		t.Errorf("Rounds = %d", p.Rounds())
-	}
 	e := newTestEngine(cost.Default())
 	outs, stats, _, err := e.Run(context.Background(), p, testDB(), RunOptions{})
 	if err != nil {

@@ -45,25 +45,6 @@ func (p *Program) ReadSets() [][]int {
 	return sets
 }
 
-// Rounds returns the length of the longest dependency chain (the number
-// of rounds of the MR program).
-func (p *Program) Rounds() int {
-	depth := make([]int, len(p.Jobs))
-	max := 0
-	for i, set := range p.ReadSets() {
-		depth[i] = 1
-		for _, pi := range set {
-			if pi >= 0 && depth[pi]+1 > depth[i] {
-				depth[i] = depth[pi] + 1
-			}
-		}
-		if depth[i] > max {
-			max = depth[i]
-		}
-	}
-	return max
-}
-
 // Validate checks that each job's inputs are satisfied by the base
 // database names or earlier jobs, and that no job overwrites a base
 // relation or an earlier job's output.

@@ -605,7 +605,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Arity:       rel.Arity(),
 		Tuples:      encodeTuples(rel),
 		Strategy:    string(out.res.Plan.Strategy()),
-		Plan:        planInfo{Jobs: out.res.Plan.Jobs(), Rounds: out.res.Plan.Rounds()},
+		Plan:        planInfo{Jobs: out.res.Plan.Jobs(), Rounds: out.res.Metrics.Rounds},
 		Metrics:     encodeMetrics(out.res.Metrics),
 		Jobs:        encodeJobs(out.res.JobStats),
 		Cache:       cache,
