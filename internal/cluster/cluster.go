@@ -77,11 +77,12 @@ type jobState struct {
 	started     bool
 }
 
-// event is a running task completion.
+// event is a running task completion, or a job's gate opening (its
+// readyAt), which frees no slot but lets launch see the job.
 type event struct {
 	time float64
 	job  int
-	kind int // 0 = map, 1 = reduce
+	kind int // 0 = map, 1 = reduce, 2 = gate
 	seq  int // tiebreaker for determinism
 }
 
@@ -132,16 +133,21 @@ func Simulate(cfg Config, jobs []Job) Result {
 			succ[d] = append(succ[d], i)
 		}
 	}
-	now := 0.0
-	for i, s := range states {
-		if s.depsLeft == 0 {
-			s.readyAt = now + jobs[i].Plan.Overhead
-		}
-	}
-
 	slotsFree := cfg.Slots()
 	events := newEventQueue()
 	seq := 0
+	// gate opens job ji's gate at readyAt = now + its overhead.
+	gate := func(ji int, now float64) {
+		states[ji].readyAt = now + jobs[ji].Plan.Overhead
+		events.pushEv(event{time: states[ji].readyAt, job: ji, kind: 2, seq: seq})
+		seq++
+	}
+	now := 0.0
+	for i, s := range states {
+		if s.depsLeft == 0 {
+			gate(i, now)
+		}
+	}
 	totalTime := 0.0
 	for _, j := range jobs {
 		totalTime += j.Plan.Overhead
@@ -206,7 +212,7 @@ func Simulate(cfg Config, jobs []Job) Result {
 		for _, si := range succ[ji] {
 			states[si].depsLeft--
 			if states[si].depsLeft == 0 {
-				states[si].readyAt = now + jobs[si].Plan.Overhead
+				gate(si, now)
 			}
 		}
 	}
@@ -229,17 +235,13 @@ func Simulate(cfg Config, jobs []Job) Result {
 		completeEmpty(now)
 		launch(now)
 		if events.empty() {
-			// Nothing running: either jump time forward to the next
-			// overhead gate, or we are done.
-			next := nextReadyAt(states, jobs, now)
-			if next > now {
-				now = next
-				continue
-			}
 			break
 		}
 		e := events.popMin()
 		now = e.time
+		if e.kind == 2 {
+			continue
+		}
 		slotsFree++
 		s := states[e.job]
 		plan := &jobs[e.job].Plan
@@ -267,22 +269,4 @@ func Simulate(cfg Config, jobs []Job) Result {
 		res.Jobs = append(res.Jobs, JobTimes{Name: jobs[i].Name, Start: s.start, End: s.end})
 	}
 	return res
-}
-
-func nextReadyAt(states []*jobState, jobs []Job, now float64) float64 {
-	next := now
-	for i, s := range states {
-		if s.done || s.depsLeft > 0 {
-			continue
-		}
-		plan := &jobs[i].Plan
-		pending := s.nextMap < len(plan.MapTasks) || (s.mapsDone && s.nextRed < len(plan.ReduceTasks)) ||
-			(len(plan.MapTasks) == 0 && len(plan.ReduceTasks) == 0)
-		if pending && s.readyAt > now {
-			if next == now || s.readyAt < next {
-				next = s.readyAt
-			}
-		}
-	}
-	return next
 }

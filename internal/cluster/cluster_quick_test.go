@@ -96,3 +96,23 @@ func TestRandomDAGInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomDAGStartsAtGate: with more slots than tasks nothing queues,
+// so every job starts exactly when its gate opens — the latest End
+// among its dependencies plus its own overhead.
+func TestRandomDAGStartsAtGate(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 20; trial++ {
+		jobs := randomDAG(rng, 50)
+		res := Simulate(Config{Nodes: 1, SlotsPerNode: 1000}, jobs)
+		for i, j := range jobs {
+			gate := 0.0
+			for _, d := range j.Deps {
+				gate = max(gate, res.Jobs[d].End)
+			}
+			if want := gate + j.Plan.Overhead; !almostEq(res.Jobs[i].Start, want) {
+				t.Fatalf("trial %d: job %d started at %v, want %v", trial, i, res.Jobs[i].Start, want)
+			}
+		}
+	}
+}

@@ -109,6 +109,25 @@ func TestOverheadDelaysDependentJobs(t *testing.T) {
 	}
 }
 
+// TestOverheadGateOpensWhileOthersRun: a dependent job's gate opens
+// while an unrelated long task runs, with slots free. It starts at its
+// gate, not at the next task completion.
+func TestOverheadGateOpensWhileOthersRun(t *testing.T) {
+	jobs := []Job{
+		{Name: "a", Plan: planOf(0, []float64{1}, nil)},
+		{Name: "b", Plan: planOf(1, []float64{1}, nil), Deps: []int{0}},
+		{Name: "c", Plan: planOf(0, []float64{10}, nil)},
+	}
+	res := Simulate(Config{Nodes: 1, SlotsPerNode: 10}, jobs)
+	// a: map to 1. b: gate to 2, map to 3. c: map to 10.
+	if !almostEq(res.Jobs[1].Start, 2) {
+		t.Errorf("b started at %v, want 2", res.Jobs[1].Start)
+	}
+	if !almostEq(res.NetTime, 10) {
+		t.Errorf("NetTime = %v, want 10", res.NetTime)
+	}
+}
+
 func TestEmptyJobCompletes(t *testing.T) {
 	jobs := []Job{
 		{Name: "empty", Plan: planOf(2, nil, nil)},
