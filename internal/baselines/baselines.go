@@ -69,10 +69,7 @@ func (k Knobs) apply(j *mr.Job) {
 	j.InflateIntermediate = k.Inflate
 	j.TimeFactor = k.TimeFactor
 	j.ExtraOverheadSec = k.ExtraOverheadSec
-	if k.ReducerInputMB > 0 {
-		j.ReducersFromInput = true
-		j.ReducerInputMB = k.ReducerInputMB
-	}
+	j.ReducerInputMB = k.ReducerInputMB
 }
 
 // hxName is the intermediate relation name for query q's atom ai.

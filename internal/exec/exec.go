@@ -17,9 +17,10 @@ import (
 // Runner executes plans under one configuration.
 //
 // A Runner is immutable and safe for concurrent use: Run keeps all
-// per-run state on its own stack (the engine copies the input database
-// into a private working database, and jobs/stats/simulation are local),
-// so any number of goroutines may call Run on one Runner simultaneously.
+// per-run state on its own stack (the engine only reads the input
+// database and returns a fresh one of outputs, and jobs/stats/simulation
+// are local), so any number of goroutines may call Run on one Runner
+// simultaneously.
 // gumbo.System relies on this to serve concurrent System.Run calls over
 // a single shared Runner.
 type Runner struct {

@@ -103,18 +103,15 @@ func AblationReducerAllocation(ctx context.Context, cfg Config) (*Table, error) 
 	runner := cfg.runner()
 	est := core.NewEstimator(cfg.CostCfg, cost.Gumbo, db, wl.Program)
 	for _, c := range []struct {
-		name      string
-		fromInput bool
-	}{{"intermediate-based (Gumbo)", false}, {"input-based 1GB (Pig)", true}} {
+		name    string
+		inputMB float64 // mr.Job.ReducerInputMB; 0 = intermediate-based
+	}{{"intermediate-based (Gumbo)", 0}, {"input-based 1GB (Pig)", 1024}} {
 		plan, err := est.GreedyPlan(c.name, wl.Program.Queries)
 		if err != nil {
 			return nil, err
 		}
 		for _, j := range plan.Jobs {
-			j.ReducersFromInput = c.fromInput
-			if c.fromInput {
-				j.ReducerInputMB = 1024
-			}
+			j.ReducerInputMB = c.inputMB
 		}
 		res, err := runner.Run(ctx, plan, db, mr.RunOptions{})
 		if err != nil {

@@ -235,7 +235,6 @@ func TestReducerCountFromIntermediate(t *testing.T) {
 func TestReducersFromInputPigPolicy(t *testing.T) {
 	e := newTestEngine(cost.Default())
 	job := semijoinJob(false)
-	job.ReducersFromInput = true
 	job.ReducerInputMB = 0.00001 // absurdly small per-reducer input
 	_, stats, err := runJob(context.Background(), e, job, testDB())
 	if err != nil {

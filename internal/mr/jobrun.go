@@ -255,7 +255,7 @@ func (jr *jobRun) computeReducers() int {
 	job, e := jr.job, jr.e
 	reducers := job.Reducers
 	if reducers <= 0 {
-		perReducer := e.cfg.Cost.ReducerDataMB
+		perReducer, basis := e.cfg.Cost.ReducerDataMB, jr.stats.InterMB()
 		if job.ReducerInputMB > 0 {
 			// ReducerInputMB is expressed at full scale (Pig's 1 GB of
 			// map input per reducer); convert to the running scale.
@@ -263,11 +263,7 @@ func (jr *jobRun) computeReducers() int {
 			if scale <= 0 {
 				scale = 1
 			}
-			perReducer = job.ReducerInputMB * scale
-		}
-		basis := jr.stats.InterMB()
-		if job.ReducersFromInput {
-			basis = jr.stats.InputMB()
+			perReducer, basis = job.ReducerInputMB*scale, jr.stats.InputMB()
 		}
 		if perReducer <= 0 {
 			reducers = 1

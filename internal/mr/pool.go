@@ -133,7 +133,7 @@ type taskPool struct {
 	// most one per worker already past its poll.
 	ctx context.Context
 
-	mu   sync.Mutex // guards idle, panicked, cancelErr and the wakeup protocol
+	mu   sync.Mutex // guards idle, panicked and the wakeup protocol
 	cond *sync.Cond
 	idle int
 	// stopped flips once, on quiescence, abort or cancellation. It is
@@ -145,7 +145,6 @@ type taskPool struct {
 	pendingMu sync.Mutex
 	pending   int   // spawned but unfinished tasks
 	panicked  any   // first task panic, re-raised on the runTasks caller
-	cancelErr error // context error that stopped the pool, under mu
 	failErr   error // first task-raised abort error (taskAbort), under mu
 
 	// hooks is the fault-injection seam installed via SetFaultHooks,
@@ -320,11 +319,9 @@ func (p *taskPool) fail(err error) {
 // workers finish their current task and exit at the next task boundary
 // (never mid-task, so a task's writes into its pre-indexed slot are
 // either complete or never started), queued tasks are abandoned.
-func (p *taskPool) cancel(err error) {
+// runTasks returns ctx.Err() itself, so cancel records no error.
+func (p *taskPool) cancel() {
 	p.mu.Lock()
-	if p.cancelErr == nil {
-		p.cancelErr = err
-	}
 	p.stopped.Store(true)
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -390,7 +387,7 @@ func (e *Engine) runTasks(ctx context.Context, workers int, rec *Progress, seed 
 			defer watch.Done()
 			select {
 			case <-done:
-				p.cancel(ctx.Err())
+				p.cancel()
 			case <-stopWatch:
 			}
 		}()

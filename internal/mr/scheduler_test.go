@@ -213,8 +213,8 @@ func TestRunProgramJobsOverlap(t *testing.T) {
 }
 
 // TestRunProgramRespectsDependencies checks a dependent job never starts
-// before its producer publishes: the consumer reads the producer's
-// output through the shared working database.
+// before its producer publishes: the producer's merge hands each
+// consumer its output relation, never a partial one.
 func TestRunProgramRespectsDependencies(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		p, db := diamondProgram()

@@ -172,15 +172,11 @@ type Job struct {
 	// record, the key charged once.
 	Packing bool
 
-	// ReducerInputMB overrides the per-reducer data allocation used when
-	// deriving the reducer count (0 = engine config). Pig's input-based
-	// allocation (1 GB of *map input* per reducer) is modelled by the
-	// baselines with ReducersFromInput.
+	// ReducerInputMB, when positive, derives the reducer count from map
+	// input size at this many full-scale MB per reducer, rather than
+	// from intermediate size at the engine config's allocation: Pig's
+	// policy of 1 GB of map input per reducer (§5.2).
 	ReducerInputMB float64
-
-	// ReducersFromInput derives the reducer count from map input size
-	// rather than intermediate size (Pig's allocation policy, §5.2).
-	ReducersFromInput bool
 
 	// InflateIntermediate multiplies modelled intermediate sizes
 	// (serialization overhead of baseline systems; 1.0 = none, 0 = 1.0).

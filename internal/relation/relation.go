@@ -252,9 +252,8 @@ func (r *Relation) Dump() string {
 // set of facts grouped by relation symbol.
 //
 // A Database is safe for concurrent use: Put and the read accessors may
-// be called from multiple goroutines (the mr package's DAG scheduler
-// publishes job outputs into a shared working database while dependent
-// jobs read their inputs from it). Individual Relations are not locked;
+// be called from multiple goroutines (the server loads relations into a
+// database while queries read it). Individual Relations are not locked;
 // callers must not mutate a relation after publishing it with Put.
 type Database struct {
 	mu    sync.RWMutex
