@@ -34,9 +34,6 @@ func TestFigureGolden(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "figures.golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
