@@ -92,7 +92,7 @@ func main() {
 		return
 	}
 
-	res, err := sys.Run(q, db, strat)
+	res, err := sys.RunPlan(plan, db)
 	fatalIf(err)
 	fmt.Printf("metrics: %s\n", res.Metrics)
 	fmt.Printf("output %s: %d tuples\n", q.Name(), res.Relation.Size())

@@ -64,11 +64,29 @@ func PigKnobs() Knobs {
 	return Knobs{Inflate: 1.1, TimeFactor: 1.25, ExtraOverheadSec: 15, ReducerInputMB: 1024}
 }
 
+// Handicap returns the execution-speed factor and per-job startup
+// latency (full-scale seconds) of the engine that strategy emulates:
+// Hive's for HPAR and HPARS, Pig's for PPAR, and none (1, 0) for every
+// other strategy. They shape only modelled times, never the run, so the
+// engine's jobs do not carry them.
+func Handicap(strategy core.Strategy) (timeFactor, extraOverheadSec float64) {
+	var k Knobs
+	switch strategy {
+	case StrategyHPAR, StrategyHPARS:
+		k = HiveKnobs()
+	case StrategyPPAR:
+		k = PigKnobs()
+	default:
+		return 1, 0
+	}
+	return k.TimeFactor, k.ExtraOverheadSec
+}
+
+// apply sets the knobs that shape a job's run; Handicap supplies the
+// rest to the time model.
 func (k Knobs) apply(j *mr.Job) {
 	j.Packing = false
 	j.InflateIntermediate = k.Inflate
-	j.TimeFactor = k.TimeFactor
-	j.ExtraOverheadSec = k.ExtraOverheadSec
 	j.ReducerInputMB = k.ReducerInputMB
 }
 
@@ -126,7 +144,7 @@ func PParPlan(name string, queries []*sgf.BSGF) (*core.Plan, error) {
 // tuple-id ablation (E11b; §5.1 optimization (2)).
 func FullTuplePlan(name string, queries []*sgf.BSGF) (*core.Plan, error) {
 	plan, err := mergeIndependent(name, "FULL-TUPLE", queries, func(n string, q *sgf.BSGF) (*core.Plan, error) {
-		return parallelSemiJoinPlan(n, "FULL-TUPLE", q, "FX", Knobs{Inflate: 1, TimeFactor: 1})
+		return parallelSemiJoinPlan(n, "FULL-TUPLE", q, "FX", Knobs{Inflate: 1})
 	})
 	if err != nil {
 		return nil, err

@@ -19,12 +19,6 @@ type Equation struct {
 	AtomIdx  int      // index of κ among the query's distinct atoms
 }
 
-// Key identifies the semantics of the equation's semi-join: guard atom,
-// conditional atom and join key.
-func (e Equation) Key() string {
-	return e.Guard.Key() + "⋉" + e.Cond.Key()
-}
-
 // AssertClassKey identifies the assert message stream this equation
 // consumes: conditional facts of atom κ projected on z̄ (as ordered by
 // κ's positions). Two equations with equal class keys share assert

@@ -234,24 +234,6 @@ func (j JobSpec) InterMB() float64 {
 	return m
 }
 
-// InputMB returns Σ N_i.
-func (j JobSpec) InputMB() float64 {
-	var n float64
-	for _, p := range j.Partitions {
-		n += p.InputMB
-	}
-	return n
-}
-
-// records returns total map output records.
-func (j JobSpec) records() int64 {
-	var r int64
-	for _, p := range j.Partitions {
-		r += p.Records
-	}
-	return r
-}
-
 // mappersFor resolves m_i.
 func (c Config) mappersFor(p Partition) int {
 	if p.Mappers > 0 {

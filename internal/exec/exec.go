@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mr"
@@ -71,9 +72,6 @@ func (r *Runner) Run(ctx context.Context, plan *core.Plan, db *relation.Database
 	if err != nil {
 		return nil, fmt.Errorf("exec: plan %s: %w", plan.Name, err)
 	}
-	if len(stats) != len(plan.Jobs) {
-		return nil, fmt.Errorf("exec: plan %s: %d jobs but %d stats", plan.Name, len(plan.Jobs), len(stats))
-	}
 	return &Result{
 		Plan:     plan,
 		Outputs:  outputs,
@@ -96,13 +94,14 @@ func (r *Runner) Metrics(plan *core.Plan, stats []mr.JobStats) mr.Metrics {
 		scale = 1
 	}
 	deps := plan.Deps()
+	// Baseline engine handicaps: slower tasks and extra per-job startup
+	// latency.
+	f, extra := baselines.Handicap(plan.Strategy)
 	jobs := make([]cluster.Job, len(stats))
 	var m mr.Metrics
 	for i, st := range stats {
 		taskPlan := costCfg.TasksLoaded(st.CostSpec(), st.ReduceLoadMB)
-		// Baseline engine handicaps: slower tasks and extra per-job
-		// startup latency (mr.Job.TimeFactor / ExtraOverheadSec).
-		if f := plan.Jobs[i].TimeFactor; f > 0 && f != 1 {
+		if f != 1 {
 			for ti := range taskPlan.MapTasks {
 				taskPlan.MapTasks[ti] *= f
 			}
@@ -110,7 +109,7 @@ func (r *Runner) Metrics(plan *core.Plan, stats []mr.JobStats) mr.Metrics {
 				taskPlan.ReduceTasks[ti] *= f
 			}
 		}
-		taskPlan.Overhead += plan.Jobs[i].ExtraOverheadSec * scale
+		taskPlan.Overhead += extra * scale
 		jobs[i] = cluster.Job{Name: st.Name, Plan: taskPlan, Deps: deps[i]}
 		m.Add(st)
 	}

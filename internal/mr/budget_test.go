@@ -130,10 +130,10 @@ func TestShuffleBufferCharged(t *testing.T) {
 
 // TestBudgetExceeded is the over-budget differential: a limit below a
 // clean run's total charge aborts the run at every pool width with an
-// error matching ErrBudgetExceeded, a nil outputs database, completed
-// jobs' stats bit-for-bit identical to the sequential oracle, and the
-// input database untouched. A clean re-run afterwards and a settled
-// goroutine count pin that nothing leaks across the aborts.
+// error matching ErrBudgetExceeded, nil outputs, nil stats and nil
+// timings, and the input database untouched. A clean re-run afterwards
+// matching the sequential oracle and a settled goroutine count pin that
+// nothing leaks across the aborts.
 func TestBudgetExceeded(t *testing.T) {
 	oracle := oracleStats(t)
 	baseline := runtime.NumGoroutine()
@@ -155,7 +155,7 @@ func TestBudgetExceeded(t *testing.T) {
 		e.cfg.Workers = width
 		e.cfg.SpillThreshold = -1
 		budget := NewBudget(limit)
-		outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
+		outs, stats, timings, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("width %d: err = %v, want ErrBudgetExceeded", width, err)
 		}
@@ -166,18 +166,9 @@ func TestBudgetExceeded(t *testing.T) {
 		if be.Limit != limit || be.Charged <= be.Limit || be.Requested <= 0 {
 			t.Errorf("width %d: implausible abort detail %+v (limit %d)", width, be, limit)
 		}
-		if outs != nil {
-			t.Fatalf("width %d: over-budget run returned an outputs database", width)
-		}
-		for _, st := range stats {
-			want, ok := oracle[st.Name]
-			if !ok {
-				t.Fatalf("width %d: completed job %q unknown to the oracle", width, st.Name)
-			}
-			if !statsEqual(st, want) {
-				t.Errorf("width %d: job %s stats diverge from oracle:\n%+v\nvs\n%+v",
-					width, st.Name, st, want)
-			}
+		if outs != nil || stats != nil || timings != nil {
+			t.Fatalf("width %d: over-budget run returned outputs %v, stats %v, timings %v; want all nil",
+				width, outs, stats, timings)
 		}
 		if dbSignature(db) != before {
 			t.Fatalf("width %d: over-budget run mutated the input database", width)
@@ -195,6 +186,11 @@ func TestBudgetExceeded(t *testing.T) {
 	}
 	if len(stats) != len(oracle) {
 		t.Fatalf("clean re-run completed %d jobs, oracle has %d", len(stats), len(oracle))
+	}
+	for _, st := range stats {
+		if !statsEqual(st, oracle[st.Name]) {
+			t.Errorf("clean re-run job %s stats diverge from oracle", st.Name)
+		}
 	}
 	waitGoroutinesSettle(t, baseline)
 }

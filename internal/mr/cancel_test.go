@@ -18,8 +18,7 @@ import (
 // exactly once on an uncanceled run, at any width).
 func countTaskGrants(t *testing.T, width int) int {
 	t.Helper()
-	var grants atomic.Int64
-	restore := SetFaultHooks(FaultHooks{Grant: func(context.Context, int) { grants.Add(1) }})
+	grants, restore := countGrants()
 	defer restore()
 	p, db := diamondProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
@@ -86,11 +85,10 @@ func dbSignature(db *relation.Database) string {
 // program at every task-grant index k and asserts, for each k:
 //
 //   - the run returns an error satisfying errors.Is(context.Canceled)
-//     with a nil outputs database (no partial writes escape);
+//     with nil outputs, nil stats and nil timings: a run completes or
+//     fails whole, so nothing of a canceled one escapes;
 //   - task grants after the cancel are strictly bounded: at most one
 //     per worker already past its context poll, so ≤ width;
-//   - every job the canceled run reports as completed has stats
-//     bit-for-bit identical to the sequential oracle's for that job;
 //   - the input database is untouched.
 //
 // Afterwards a clean re-run must still match the oracle exactly (no
@@ -131,7 +129,7 @@ func TestCancelAtEveryTaskBoundary(t *testing.T) {
 			before := dbSignature(db)
 			e := newTestEngine(cost.Default().Scaled(0.001))
 			e.cfg.Workers = width
-			outs, stats, _, err := e.Run(ctx, p, db, RunOptions{})
+			outs, stats, timings, err := e.Run(ctx, p, db, RunOptions{})
 			restore()
 			cancel()
 
@@ -141,21 +139,12 @@ func TestCancelAtEveryTaskBoundary(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("width %d cancel@%d: error %v does not wrap context.Canceled", width, k, err)
 			}
-			if outs != nil {
-				t.Fatalf("width %d cancel@%d: canceled run returned an outputs database", width, k)
+			if outs != nil || stats != nil || timings != nil {
+				t.Fatalf("width %d cancel@%d: canceled run returned outputs %v, stats %v, timings %v; want all nil",
+					width, k, outs, stats, timings)
 			}
 			if g := int(late.Load()); g > width {
 				t.Errorf("width %d cancel@%d: %d tasks granted after the cancel, want ≤ %d", width, k, g, width)
-			}
-			for _, st := range stats {
-				want, ok := oracle[st.Name]
-				if !ok {
-					t.Fatalf("width %d cancel@%d: completed job %q unknown to the oracle", width, k, st.Name)
-				}
-				if !statsEqual(st, want) {
-					t.Errorf("width %d cancel@%d: job %s stats diverge from oracle:\n%+v\nvs\n%+v",
-						width, k, st.Name, st, want)
-				}
 			}
 			if after := dbSignature(db); after != before {
 				t.Fatalf("width %d cancel@%d: canceled run mutated the input database", width, k)
@@ -183,17 +172,21 @@ func TestCancelAtEveryTaskBoundary(t *testing.T) {
 }
 
 // TestCancelBeforeStart pins the fast path: a context canceled before
-// the run begins grants zero tasks and returns context.Canceled.
+// the run begins grants zero tasks and returns context.Canceled with
+// nil outputs, stats and timings.
 func TestCancelBeforeStart(t *testing.T) {
-	var grants atomic.Int64
-	restore := SetFaultHooks(FaultHooks{Grant: func(context.Context, int) { grants.Add(1) }})
+	grants, restore := countGrants()
 	defer restore()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p, db := diamondProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
-	if _, _, _, err := e.Run(ctx, p, db, RunOptions{}); !errors.Is(err, context.Canceled) {
+	outs, stats, timings, err := e.Run(ctx, p, db, RunOptions{})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run: err = %v, want context.Canceled", err)
+	}
+	if outs != nil || stats != nil || timings != nil {
+		t.Fatalf("pre-canceled run returned outputs %v, stats %v, timings %v; want all nil", outs, stats, timings)
 	}
 	if g := grants.Load(); g != 0 {
 		t.Fatalf("pre-canceled run granted %d tasks, want 0", g)
@@ -229,8 +222,9 @@ func TestRunJobCancel(t *testing.T) {
 }
 
 // TestDeadlineExceeded checks an expired deadline surfaces as
-// context.DeadlineExceeded: a fault hook parks the first task until
-// the deadline has passed, so the run cannot finish in time.
+// context.DeadlineExceeded with nil outputs, stats and timings: a fault
+// hook parks the first task until the deadline has passed, so the run
+// cannot finish in time.
 func TestDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -243,9 +237,12 @@ func TestDeadlineExceeded(t *testing.T) {
 	p, db := diamondProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
 	e.cfg.Workers = 4
-	_, _, _, err := e.Run(ctx, p, db, RunOptions{})
+	outs, stats, timings, err := e.Run(ctx, p, db, RunOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline run err = %v, want context.DeadlineExceeded", err)
+	}
+	if outs != nil || stats != nil || timings != nil {
+		t.Fatalf("deadline run returned outputs %v, stats %v, timings %v; want all nil", outs, stats, timings)
 	}
 }
 
@@ -255,9 +252,9 @@ func TestDeadlineExceeded(t *testing.T) {
 // shuffle task per map task, one merge shard per declared output, one
 // job per job); the JobTimings Run returns and CriticalPath().Work sum
 // the same spans, so they agree exactly; and the span lies within the
-// work. A canceled run's snapshot never reports done > total, and its
-// JobTimings name exactly the jobs its stats report. The record is a
-// zero-value Progress, as the server passes.
+// work. A canceled run returns nil stats and nil timings, while its
+// record still counts what ran: its snapshot never reports done > total.
+// The record is a zero-value Progress, as the server passes.
 func TestProgressCounters(t *testing.T) {
 	p, db := diamondProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
@@ -337,13 +334,11 @@ func TestProgressCounters(t *testing.T) {
 	if s2.JobsTotal != len(p.Jobs) {
 		t.Errorf("canceled snapshot JobsTotal = %d, want %d", s2.JobsTotal, len(p.Jobs))
 	}
-	if len(timings2) != len(stats2) || s2.JobsDone != len(stats2) {
-		t.Fatalf("canceled run: %d timings, %d stats, %d jobs done", len(timings2), len(stats2), s2.JobsDone)
+	if stats2 != nil || timings2 != nil {
+		t.Fatalf("canceled run returned stats %v and timings %v, want both nil", stats2, timings2)
 	}
-	for i := range stats2 {
-		if timings2[i].Name != stats2[i].Name {
-			t.Errorf("canceled run: timing %d is job %q, stats name %q", i, timings2[i].Name, stats2[i].Name)
-		}
+	if s2.MapTasksDone == 0 {
+		t.Errorf("canceled snapshot counts no finished map task: %+v", s2)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 //	              sort the distinct keys, Reducer.Reduce per group)
 //	all reduces ──▶ output merge shards (one per declared output
 //	              relation, relation.Merge inside)
-//	all merges  ──▶ final stats fold, done callback
+//	all merges  ──▶ final stats fold, job counted done
 //
 // Each input's map tasks are spawned independently the moment that
 // input relation exists (inputReady), which is what lets the program
@@ -44,10 +44,8 @@ type jobRun struct {
 
 	// onOutput, when set, is invoked once per merged output relation,
 	// from the merge task itself — the program scheduler's publish hook
-	// (it releases dependent jobs' map tasks). done fires once when the
-	// job's stats are final.
+	// (it releases dependent jobs' map tasks).
 	onOutput func(c *poolCtx, name string, rel *relation.Relation)
-	done     func(c *poolCtx, jr *jobRun)
 
 	// left is the stage join: the current stage's unfinished tasks plus,
 	// in the map stage, the inputs whose relation has not arrived, under
@@ -94,10 +92,9 @@ type mapTaskSpec struct {
 }
 
 // newJobRun prepares the task-graph state for job idx of its program.
-// The job must already have passed (*Job).validate.
+// The program must already have passed Validate.
 func (e *Engine) newJobRun(idx int, job *Job, gov govern,
-	onOutput func(c *poolCtx, name string, rel *relation.Relation),
-	done func(c *poolCtx, jr *jobRun)) *jobRun {
+	onOutput func(c *poolCtx, name string, rel *relation.Relation)) *jobRun {
 	inflate := job.InflateIntermediate
 	if inflate <= 0 {
 		inflate = 1.0
@@ -109,7 +106,6 @@ func (e *Engine) newJobRun(idx int, job *Job, gov govern,
 		inflate:  inflate,
 		gov:      gov,
 		onOutput: onOutput,
-		done:     done,
 		left:     len(job.Inputs),
 		tasks:    make([][]mapTaskSpec, len(job.Inputs)),
 		results:  make([][]mapTaskResult, len(job.Inputs)),
@@ -122,15 +118,6 @@ func (e *Engine) newJobRun(idx int, job *Job, gov govern,
 // record.
 func (jr *jobRun) label(k taskKind, part, index int) taskLabel {
 	return taskLabel{job: int32(jr.idx), part: int32(part), index: int32(index), kind: k}
-}
-
-// seed starts a job that has no inputs (its map phase is empty, so no
-// inputReady call will ever fire). Jobs with inputs are driven entirely
-// by inputReady.
-func (jr *jobRun) seed(c *poolCtx) {
-	if len(jr.job.Inputs) == 0 {
-		jr.mapsDone(c)
-	}
 }
 
 // inputReady is called exactly once per input part, as soon as that
@@ -237,10 +224,6 @@ func (jr *jobRun) mapsDone(c *poolCtx) {
 		jr.taskParts[part] = make([]taskPartition, len(jr.tasks[part]))
 	}
 	jr.left = total
-	if total == 0 {
-		jr.shufflesDone(c)
-		return
-	}
 	for part := range jr.tasks {
 		for ti := range jr.tasks[part] {
 			part, ti := part, ti
@@ -495,10 +478,6 @@ func (jr *jobRun) reducesDone(c *poolCtx) {
 	jr.merged = make([]*relation.Relation, len(jr.outNames))
 	jr.outMB = make([]float64, len(jr.outNames))
 	jr.left = len(jr.outNames)
-	if len(jr.outNames) == 0 {
-		jr.finishJob(c)
-		return
-	}
 	for ni := range jr.outNames {
 		ni := ni
 		c.spawn(jr.label(kindMerge, 0, ni), func(c *poolCtx) { jr.mergeTask(c, ni) })
@@ -535,8 +514,8 @@ func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 }
 
 // finishJob folds the per-output sizes in sorted name order (float
-// accumulation order is part of the determinism contract) and reports
-// completion.
+// accumulation order is part of the determinism contract) and counts
+// the job done in the run's task record.
 func (jr *jobRun) finishJob(c *poolCtx) {
 	// Merge shards have consumed the per-reducer outputs; keep only the
 	// merged relations (which may alias their storage).
@@ -544,7 +523,5 @@ func (jr *jobRun) finishJob(c *poolCtx) {
 	for _, mb := range jr.outMB {
 		jr.stats.OutputMB += mb
 	}
-	if jr.done != nil {
-		jr.done(c, jr)
-	}
+	c.pool.rec.jobDone()
 }

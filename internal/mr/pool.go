@@ -122,8 +122,9 @@ func (d *taskDeque) steal() (t poolTask) {
 
 // taskPool runs tasks to quiescence: runTasks returns when every
 // spawned task — including tasks spawned by tasks — has finished, or
-// until the run's context is canceled (queued tasks are then abandoned
-// at the next task boundary, exactly like the abort path).
+// once the pool stops early (stop: a task panic, a task-raised error
+// or the run's context canceled), queued tasks then abandoned at the
+// next task boundary.
 type taskPool struct {
 	deques []taskDeque
 	rec    *Progress // the run's task record: spawn counts, run times
@@ -133,19 +134,19 @@ type taskPool struct {
 	// most one per worker already past its poll.
 	ctx context.Context
 
-	mu   sync.Mutex // guards idle, panicked and the wakeup protocol
+	mu   sync.Mutex // guards idle, panicked, failErr and the wakeup protocol
 	cond *sync.Cond
 	idle int
-	// stopped flips once, on quiescence, abort or cancellation. It is
-	// atomic so the dequeue fast path can observe a stop without taking
-	// mu: after a task panic or a context cancellation, workers must
-	// abandon queued tasks promptly, not drain them.
-	stopped atomic.Bool
+	// stopped flips once, on quiescence or an early stop. It is atomic
+	// so the dequeue fast path can observe a stop without taking mu:
+	// after a task panic or a context cancellation, workers must abandon
+	// queued tasks promptly, not drain them.
+	stopped  atomic.Bool
+	panicked any   // first task panic, re-raised on the runTasks caller
+	failErr  error // first task-raised run error (taskAbort)
 
 	pendingMu sync.Mutex
-	pending   int   // spawned but unfinished tasks
-	panicked  any   // first task panic, re-raised on the runTasks caller
-	failErr   error // first task-raised abort error (taskAbort), under mu
+	pending   int // spawned but unfinished tasks
 
 	// hooks is the fault-injection seam installed via SetFaultHooks,
 	// captured once at pool construction; grants numbers the task grants
@@ -220,11 +221,28 @@ func (p *taskPool) finish() {
 	done := p.pending == 0
 	p.pendingMu.Unlock()
 	if done {
-		p.mu.Lock()
-		p.stopped.Store(true)
-		p.cond.Broadcast()
-		p.mu.Unlock()
+		p.stop(nil, nil)
 	}
+}
+
+// stop is the pool's one stop path — quiescence, a task panic v, a
+// task-raised run error err, or the run's context canceled: workers
+// finish their current task and exit at the next task boundary (never
+// mid-task, so a task's writes into its pre-indexed slot are either
+// complete or never started), and queued tasks are abandoned. The first
+// non-nil v and the first non-nil err are each kept; a cancellation
+// records neither, since runTasks returns ctx.Err() itself.
+func (p *taskPool) stop(v any, err error) {
+	p.mu.Lock()
+	if p.panicked == nil {
+		p.panicked = v
+	}
+	if p.failErr == nil {
+		p.failErr = err
+	}
+	p.stopped.Store(true)
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }
 
 // next returns a runnable task for worker id, or the zero task (nil fn)
@@ -234,9 +252,8 @@ func (p *taskPool) finish() {
 // the parked worker — no lost wakeups.
 func (p *taskPool) next(id int) poolTask {
 	if p.stopped.Load() || p.canceled() {
-		// Quiescence (queues empty), abort (queued tasks abandoned,
-		// panic pending re-raise) or cancellation: either way, stop
-		// taking work.
+		// Quiescence (queues empty) or an early stop (queued tasks
+		// abandoned): either way, stop taking work.
 		return poolTask{}
 	}
 	if t := p.deques[id].pop(); t.fn != nil {
@@ -282,66 +299,27 @@ func (p *taskPool) stealFrom(id int) poolTask {
 	return poolTask{}
 }
 
-// abort records a task panic and stops the pool: workers finish their
-// current task and exit, queued tasks are abandoned. The first panic
-// wins.
-func (p *taskPool) abort(v any) {
-	p.mu.Lock()
-	if p.panicked == nil {
-		p.panicked = v
-	}
-	p.stopped.Store(true)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
 // taskAbort is the panic payload a task raises to fail the whole run
 // with an error instead of a programming-bug panic: the budget's
 // over-limit charge and the spill path's I/O failures use it. runOne
-// recognizes it and routes it to fail rather than abort, so runTasks
+// stops the pool with its err rather than as a panic, so runTasks
 // returns err to its caller instead of re-panicking.
 type taskAbort struct{ err error }
 
-// fail records a task-raised run error and stops the pool exactly like
-// cancel: workers finish their current task and exit at the next task
-// boundary, queued tasks are abandoned. The first error wins.
-func (p *taskPool) fail(err error) {
-	p.mu.Lock()
-	if p.failErr == nil {
-		p.failErr = err
-	}
-	p.stopped.Store(true)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// cancel stops the pool on context cancellation, mirroring abort:
-// workers finish their current task and exit at the next task boundary
-// (never mid-task, so a task's writes into its pre-indexed slot are
-// either complete or never started), queued tasks are abandoned.
-// runTasks returns ctx.Err() itself, so cancel records no error.
-func (p *taskPool) cancel() {
-	p.mu.Lock()
-	p.stopped.Store(true)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
 // runOne executes t through the run's task record, which times it,
-// converting a task panic into an abort so the panic can be re-raised
-// on the runTasks caller's goroutine — except a taskAbort payload, which
-// fails the run with its error through the cancellation machinery
-// instead (budget exhaustion, spill I/O). The Grant fault hook fires
-// inside the recovered scope, so an injected hook panic behaves exactly
-// like a panic of the granted task itself; a task that panics leaves no
-// span.
+// and stops the pool on a task panic so the panic can be re-raised on
+// the runTasks caller's goroutine — or, for a taskAbort payload, so
+// the run fails with its error (budget exhaustion, spill I/O). The
+// Grant fault hook fires inside the recovered scope, so an injected
+// hook panic behaves exactly like a panic of the granted task itself;
+// a task that panics leaves no span.
 func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 	defer func() {
 		if v := recover(); v != nil {
 			if ta, ok := v.(taskAbort); ok {
-				p.fail(ta.err)
+				p.stop(nil, ta.err)
 			} else {
-				p.abort(v)
+				p.stop(v, nil)
 			}
 			return
 		}
@@ -354,12 +332,14 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 }
 
 // runTasks creates a pool of `workers` goroutines recording into rec,
-// runs seed as the first task (unlabelled: no job's), and returns once the pool is quiescent (seed and every
-// transitively spawned task finished) or ctx is canceled. A panic in
-// any task aborts the pool and is re-raised on the caller's goroutine,
-// so user map/reduce panics surface to the Run caller. Each worker takes
-// one taskScratch from the Engine when it starts and puts it back when it
-// exits; these workers and the watcher are the package's only goroutines.
+// runs seed as the first task (unlabelled: no job's), and returns once
+// the pool is quiescent (seed and every transitively spawned task
+// finished) or stopped. A panic in any task stops the pool and is
+// re-raised on the caller's goroutine, so user map/reduce panics
+// surface to the Run caller; it wins over a task-raised error, which
+// wins over a cancellation. Each worker takes one taskScratch from the
+// Engine when it starts and puts it back when it exits; these workers
+// and the watcher are the package's only goroutines.
 //
 // Cancellation is task-boundary-granular: a watcher goroutine (joined
 // before return — runTasks leaks nothing) stops the pool when
@@ -387,7 +367,7 @@ func (e *Engine) runTasks(ctx context.Context, workers int, rec *Progress, seed 
 			defer watch.Done()
 			select {
 			case <-done:
-				p.cancel()
+				p.stop(nil, nil)
 			case <-stopWatch:
 			}
 		}()
@@ -396,7 +376,7 @@ func (e *Engine) runTasks(ctx context.Context, workers int, rec *Progress, seed 
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		// The pool's worker loops, wg-joined below, with task panics re-raised by the abort path.
+		// The pool's worker loops, wg-joined below, with task panics re-raised after the join.
 		go func(id int) {
 			defer wg.Done()
 			c := &poolCtx{pool: p, id: id, scratch: e.scratch.Get().(*taskScratch)}

@@ -45,15 +45,25 @@ func (p *Program) ReadSets() [][]int {
 	return sets
 }
 
-// Validate checks that each job's inputs are satisfied by the base
-// database names or earlier jobs, and that no job overwrites a base
-// relation or an earlier job's output.
+// Validate is the one definition of a runnable program: every job has a
+// mapper, a reducer, at least one input and at least one declared
+// output; each input is a base relation (a name in base) or an earlier
+// job's output; and no job overwrites a base relation or an earlier
+// job's output. The error names the lowest-indexed job at fault.
 func (p *Program) Validate(base []string) error {
 	avail := make(map[string]bool)
 	for _, n := range base {
 		avail[n] = true
 	}
 	for i, j := range p.Jobs {
+		switch {
+		case j.Mapper == nil || j.Reducer == nil:
+			return fmt.Errorf("mr: job %d (%s) lacks a mapper or reducer", i, j.Name)
+		case len(j.Inputs) == 0:
+			return fmt.Errorf("mr: job %d (%s) reads no input", i, j.Name)
+		case len(j.Outputs) == 0:
+			return fmt.Errorf("mr: job %d (%s) declares no output", i, j.Name)
+		}
 		for _, in := range j.Inputs {
 			if !avail[in] {
 				return fmt.Errorf("mr: job %d (%s) reads %q, which no base relation or earlier job provides", i, j.Name, in)
@@ -92,100 +102,67 @@ func (p *Program) Validate(base []string) error {
 // bit-for-bit identical at every parallelism level (the tests'
 // runSequential oracle), folded in declared job order.
 //
-// Failure semantics are deterministic: the only execution-time job
-// failures are per-job validation failures (Validate above excludes
-// unknown inputs), so jobs are validated up front. When the
-// lowest-indexed broken job is f, jobs 0..f-1 run to completion and
-// report stats, jobs from f on are not started, and the returned error
-// names job f.
-//
-// Cancellation semantics: the pool stops at the next task boundary —
-// never mid-task, so no partially folded state is ever observable.
-// Jobs that completed before the cancel report their stats and timings
-// (bit-for-bit identical to an uncanceled run's), the outputs database
-// is nil, and the returned error wraps ctx.Err(), so
-// errors.Is(err, context.Canceled) (or DeadlineExceeded) holds. A
-// canceled ctx always yields that error, even when the run raced to
-// completion first. A run that charges past opts.Budget's limit stops
-// on the same path with the same guarantees — no goroutines or temp
-// files left — and an error matching ErrBudgetExceeded via errors.Is.
-// ctx passes unchanged down to runTasks (guard: TestCancelSweepClean).
+// A run completes or fails whole. An invalid program fails Validate
+// before any task is granted. A run that is canceled, passes its
+// deadline, charges past opts.Budget's limit or fails to spill stops at
+// the next task boundary — never mid-task — and returns nil outputs,
+// nil stats and nil timings with an error that errors.Is matches to
+// context.Canceled, context.DeadlineExceeded, ErrBudgetExceeded or
+// ErrSpill; a canceled ctx always yields its error, even when the run
+// raced to completion first. A task panic is re-raised on the caller.
+// Every exit leaves no goroutine or temp file behind, and the task
+// record keeps what finished (Progress.Snapshot, CriticalPath). ctx
+// passes unchanged down to runTasks (guard: TestCancelSweepClean).
 func (e *Engine) Run(ctx context.Context, p *Program, db *relation.Database, opts RunOptions) (*relation.Database, []JobStats, []JobTiming, error) {
 	if err := p.Validate(db.Names()); err != nil {
 		return nil, nil, nil, err
-	}
-	limit := len(p.Jobs)
-	var failErr error
-	for i, job := range p.Jobs {
-		if err := job.validate(); err != nil {
-			limit, failErr = i, err
-			break
-		}
 	}
 	rec := opts.Progress
 	if rec == nil {
 		rec = new(Progress)
 	}
-	rec.begin(p, limit)
+	rec.begin(p)
 	gov := e.newGovern(opts.Budget)
 	// Sweep unconsumed spill files however the run ends — completion,
 	// cancel, budget abort, or a task panic unwinding through us.
 	defer gov.spill.cleanup()
 	reads := p.ReadSets()
-	runs := make([]*jobRun, limit)
-	done := make([]bool, limit) // job i ran to completion
-	for i := range runs {
+	runs := make([]*jobRun, len(p.Jobs))
+	for i, job := range p.Jobs {
 		i := i
-		runs[i] = e.newJobRun(i, p.Jobs[i], gov,
-			// Release the input parts reading the merged relation. A
-			// producer precedes its consumers, so the jobs below limit
-			// form a closed graph that drains fully.
-			func(c *poolCtx, name string, rel *relation.Relation) {
-				for j := i + 1; j < limit; j++ {
-					for part, prod := range reads[j] {
-						if prod == i && p.Jobs[j].Inputs[part] == name {
-							runs[j].inputReady(c, part, rel)
-						}
+		// Release the input parts reading the merged relation. A
+		// producer precedes its consumers.
+		runs[i] = e.newJobRun(i, job, gov, func(c *poolCtx, name string, rel *relation.Relation) {
+			for j := i + 1; j < len(runs); j++ {
+				for part, prod := range reads[j] {
+					if prod == i && p.Jobs[j].Inputs[part] == name {
+						runs[j].inputReady(c, part, rel)
 					}
 				}
-			},
-			func(c *poolCtx, jr *jobRun) {
-				done[i] = true
-				rec.jobDone()
-			})
+			}
+		})
 	}
-	runErr := e.runTasks(ctx, e.workers(), rec, func(c *poolCtx) {
+	if err := e.runTasks(ctx, e.workers(), rec, func(c *poolCtx) {
 		for i, jr := range runs {
-			jr.seed(c)
 			for part, prod := range reads[i] {
 				if prod < 0 {
 					jr.inputReady(c, part, db.Relation(p.Jobs[i].Inputs[part]))
 				}
 			}
 		}
-	})
-	outputs := relation.NewDatabase()
-	stats := make([]JobStats, 0, limit)
-	timings := make([]JobTiming, 0, limit)
-	all := rec.timings()
-	for i, jr := range runs {
-		if !done[i] {
-			continue
+	}); err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, nil, nil, fmt.Errorf("mr: program canceled: %w", err)
 		}
+		return nil, nil, nil, fmt.Errorf("mr: program aborted: %w", err)
+	}
+	outputs := relation.NewDatabase()
+	stats := make([]JobStats, len(runs))
+	for i, jr := range runs {
 		for _, rel := range jr.merged {
 			outputs.Put(rel)
 		}
-		stats = append(stats, jr.stats)
-		timings = append(timings, all[i])
+		stats[i] = jr.stats
 	}
-	if runErr != nil {
-		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
-			return nil, stats, timings, fmt.Errorf("mr: program canceled: %w", runErr)
-		}
-		return nil, stats, timings, fmt.Errorf("mr: program aborted: %w", runErr)
-	}
-	if failErr != nil {
-		return nil, stats, timings, fmt.Errorf("mr: job %s: %w", p.Jobs[limit].Name, failErr)
-	}
-	return outputs, stats, timings, nil
+	return outputs, stats, rec.timings(), nil
 }

@@ -59,11 +59,10 @@ type span struct {
 	ns int64
 }
 
-// begin binds the record to the program and the number of its jobs the
-// run schedules.
-func (p *Progress) begin(prog *Program, jobs int) {
+// begin binds the record to the program the run schedules.
+func (p *Progress) begin(prog *Program) {
 	p.mu.Lock()
-	p.prog, p.jobs = prog, jobs
+	p.prog, p.jobs = prog, len(prog.Jobs)
 	p.mu.Unlock()
 }
 

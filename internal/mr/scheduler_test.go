@@ -231,10 +231,13 @@ func TestRunProgramRespectsDependencies(t *testing.T) {
 	}
 }
 
-// TestRunProgramErrorDeterministic: with several independently failing
-// jobs the reported error belongs to the lowest-indexed one, regardless
-// of goroutine scheduling, and completed jobs still report stats.
+// TestRunProgramErrorDeterministic: with several broken jobs behind a
+// sound one the run fails before any task is granted, whole — nil
+// outputs, stats and timings — and the error names the lowest-indexed
+// broken job, regardless of goroutine scheduling.
 func TestRunProgramErrorDeterministic(t *testing.T) {
+	grants, restore := countGrants()
+	defer restore()
 	broken := func(name, out string) *Job {
 		return &Job{Name: name, Inputs: []string{"R"}, Outputs: map[string]int{out: 2}}
 	}
@@ -246,18 +249,58 @@ func TestRunProgramErrorDeterministic(t *testing.T) {
 		}}
 		e := newTestEngine(cost.Default())
 		e.cfg.Workers = 4
-		_, stats, _, err := e.Run(context.Background(), p, testDB(), RunOptions{})
+		outs, stats, timings, err := e.Run(context.Background(), p, testDB(), RunOptions{})
 		if err == nil {
 			t.Fatal("broken program succeeded")
 		}
 		if !strings.Contains(err.Error(), "broken1") {
 			t.Fatalf("iter %d: err = %v, want lowest-indexed job broken1", iter, err)
 		}
-		for _, st := range stats {
-			if st.Name == "broken1" || st.Name == "broken2" {
-				t.Fatalf("iter %d: failed job reported stats", iter)
-			}
+		if outs != nil || stats != nil || timings != nil {
+			t.Fatalf("iter %d: invalid program returned outputs %v, stats %v, timings %v; want all nil",
+				iter, outs, stats, timings)
 		}
+	}
+	if g := grants.Load(); g != 0 {
+		t.Fatalf("invalid programs were granted %d tasks, want 0", g)
+	}
+}
+
+// TestValidateRejectsUnrunnableJobs: Validate is the one definition of
+// a runnable job. A job without a mapper, a reducer, an input or a
+// declared output is rejected by name, behind a sound job, before any
+// task of the run is granted.
+func TestValidateRejectsUnrunnableJobs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(j *Job)
+	}{
+		{"nil mapper", func(j *Job) { j.Mapper = nil }},
+		{"nil reducer", func(j *Job) { j.Reducer = nil }},
+		{"no inputs", func(j *Job) { j.Inputs = nil }},
+		{"no outputs", func(j *Job) { j.Outputs = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			grants, restore := countGrants()
+			defer restore()
+			bad := identityJob("bad", "Z", "W", 2)
+			tc.mutate(bad)
+			p := &Program{Jobs: []*Job{semijoinJob(false), bad}}
+			db := testDB()
+			if err := p.Validate(db.Names()); err == nil || !strings.Contains(err.Error(), "job 1 (bad)") {
+				t.Fatalf("Validate = %v, want an error naming job 1 (bad)", err)
+			}
+			outs, stats, timings, err := newTestEngine(cost.Default()).Run(context.Background(), p, db, RunOptions{})
+			if err == nil || !strings.Contains(err.Error(), "job 1 (bad)") {
+				t.Fatalf("Run err = %v, want an error naming job 1 (bad)", err)
+			}
+			if outs != nil || stats != nil || timings != nil {
+				t.Fatalf("rejected program returned outputs %v, stats %v, timings %v; want all nil", outs, stats, timings)
+			}
+			if g := grants.Load(); g != 0 {
+				t.Fatalf("rejected program was granted %d tasks, want 0", g)
+			}
+		})
 	}
 }
 

@@ -41,7 +41,7 @@ func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 			trace += ";"
 		}),
 	}
-	jr := NewEngine(Config{Cost: cost.Default()}).newJobRun(0, job, govern{}, nil, nil)
+	jr := NewEngine(Config{Cost: cost.Default()}).newJobRun(0, job, govern{}, nil)
 	jr.tasks[0] = []mapTaskSpec{{rel: relation.FromTuples("R", 1, tuples), to: len(kvs)}}
 	jr.results[0] = make([]mapTaskResult, 1)
 	jr.left = 4 // never zero over the three tasks: nothing spawns

@@ -73,7 +73,7 @@ func TestSkewSketchFedPerRecord(t *testing.T) {
 			}
 		}),
 	}
-	jr := NewEngine(Config{Cost: cost.Default(), SkewSplit: 1.3}).newJobRun(0, job, govern{}, nil, nil)
+	jr := NewEngine(Config{Cost: cost.Default(), SkewSplit: 1.3}).newJobRun(0, job, govern{}, nil)
 	rel := relation.FromTuples("R", 1, tuples)
 	jr.results[0] = make([]mapTaskResult, tasks)
 	jr.taskParts = [][]taskPartition{make([]taskPartition, tasks)}

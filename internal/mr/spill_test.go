@@ -350,8 +350,11 @@ func FuzzRecordCodec(f *testing.F) {
 
 // TestSpillAbortLeavesNoTempFiles is the crash-safety contract: runs
 // that end early — canceled at a task boundary, or aborted by an
-// exhausted budget — remove every spill file on the unwind (the run
-// entry points defer spillSet.cleanup).
+// exhausted budget — fail whole and remove every spill file on the
+// unwind (the run entry points defer spillSet.cleanup).
+//
+// A spill that cannot be written fails the run the same way, with an
+// error matching ErrSpill.
 func TestSpillAbortLeavesNoTempFiles(t *testing.T) {
 	// Measure a clean spill-on run's total charge so the budget case can
 	// pick a limit that is guaranteed to trip mid-run.
@@ -376,12 +379,12 @@ func TestSpillAbortLeavesNoTempFiles(t *testing.T) {
 		e.cfg.SpillThreshold = 1
 		e.cfg.SpillDir = dir
 		p, db := diamondProgram()
-		outs, _, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: NewBudget(charged / 2)})
+		outs, stats, timings, err := e.Run(context.Background(), p, db, RunOptions{Budget: NewBudget(charged / 2)})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 		}
-		if outs != nil {
-			t.Fatalf("over-budget run returned an outputs database")
+		if outs != nil || stats != nil || timings != nil {
+			t.Fatalf("over-budget run returned outputs %v, stats %v, timings %v; want all nil", outs, stats, timings)
 		}
 		if files := spillFilesIn(t, dir); len(files) != 0 {
 			t.Errorf("over-budget run left spill files %v", files)
@@ -403,15 +406,30 @@ func TestSpillAbortLeavesNoTempFiles(t *testing.T) {
 		e.cfg.SpillThreshold = 1
 		e.cfg.SpillDir = dir
 		p, db := diamondProgram()
-		outs, _, _, err := e.Run(ctx, p, db, RunOptions{})
+		outs, stats, timings, err := e.Run(ctx, p, db, RunOptions{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if outs != nil {
-			t.Fatalf("canceled run returned an outputs database")
+		if outs != nil || stats != nil || timings != nil {
+			t.Fatalf("canceled run returned outputs %v, stats %v, timings %v; want all nil", outs, stats, timings)
 		}
 		if files := spillFilesIn(t, dir); len(files) != 0 {
 			t.Errorf("canceled run left spill files %v", files)
+		}
+	})
+
+	t.Run("spill failure", func(t *testing.T) {
+		e := newTestEngine(cost.Default().Scaled(0.001))
+		e.cfg.Workers = 4
+		e.cfg.SpillThreshold = 1
+		e.cfg.SpillDir = filepath.Join(t.TempDir(), "missing")
+		p, db := diamondProgram()
+		outs, stats, timings, err := e.Run(context.Background(), p, db, RunOptions{})
+		if !errors.Is(err, ErrSpill) {
+			t.Fatalf("err = %v, want ErrSpill", err)
+		}
+		if outs != nil || stats != nil || timings != nil {
+			t.Fatalf("failed spill returned outputs %v, stats %v, timings %v; want all nil", outs, stats, timings)
 		}
 	})
 }

@@ -247,12 +247,8 @@ func TestSkewSplitPlanLayout(t *testing.T) {
 	e := newTestEngine(cost.Default().Scaled(0.001))
 	e.cfg.SkewSplit = 1.3
 	gov := e.newGovern(nil)
-	var slots []reduceSlot
-	jr := e.newJobRun(0, p.Jobs[0], gov, nil, func(c *poolCtx, jr *jobRun) {
-		slots = jr.slots
-	})
+	jr := e.newJobRun(0, p.Jobs[0], gov, nil)
 	err := e.runTasks(context.Background(), 4, new(Progress), func(c *poolCtx) {
-		jr.seed(c)
 		for part, name := range p.Jobs[0].Inputs {
 			jr.inputReady(c, part, db.Relation(name))
 		}
@@ -260,6 +256,7 @@ func TestSkewSplitPlanLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots := jr.slots
 	if len(slots) <= jr.reducers {
 		t.Fatalf("%d slots for %d reducers: nothing split", len(slots), jr.reducers)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
@@ -30,6 +31,13 @@ func runJob(ctx context.Context, e *Engine, job *Job, db *relation.Database) (*r
 		return nil, JobStats{}, err
 	}
 	return outs, stats[0], nil
+}
+
+// countGrants installs a fault hook counting task grants until the
+// returned restore is called.
+func countGrants() (grants *atomic.Int64, restore func()) {
+	grants = new(atomic.Int64)
+	return grants, SetFaultHooks(FaultHooks{Grant: func(context.Context, int) { grants.Add(1) }})
 }
 
 // runSequential executes the jobs strictly in declared order, one

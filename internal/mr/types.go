@@ -181,26 +181,6 @@ type Job struct {
 	// InflateIntermediate multiplies modelled intermediate sizes
 	// (serialization overhead of baseline systems; 1.0 = none, 0 = 1.0).
 	InflateIntermediate float64
-
-	// TimeFactor multiplies the derived task durations (execution-speed
-	// handicap of baseline engines; 1.0 = none, 0 = 1.0). It does not
-	// affect byte metrics.
-	TimeFactor float64
-
-	// ExtraOverheadSec adds per-job startup latency in full-scale
-	// seconds (e.g. Hive query compilation); it is multiplied by the
-	// cost configuration's Scale at simulation time.
-	ExtraOverheadSec float64
-}
-
-// validate checks the job is runnable. The program scheduler validates
-// every job before building the task graph, so failures are
-// deterministic (lowest declared index) rather than schedule-dependent.
-func (j *Job) validate() error {
-	if j.Mapper == nil || j.Reducer == nil {
-		return fmt.Errorf("mr: job %s lacks a mapper or reducer", j.Name)
-	}
-	return nil
 }
 
 // keyBytes is the modelled size of a shuffle key. Keys are encoded

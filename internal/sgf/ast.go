@@ -166,11 +166,6 @@ func SharedVars(a, b Atom) []string {
 // Equal reports structural equality of atoms.
 func (a Atom) Equal(b Atom) bool { return a.Key() == b.Key() }
 
-// Rename returns a copy of the atom with the relation symbol replaced.
-func (a Atom) Rename(rel string) Atom {
-	return Atom{Rel: rel, Args: append([]Term(nil), a.Args...)}
-}
-
 // Condition is a Boolean combination of atoms: the WHERE clause C of a
 // basic SGF query. The concrete types are AtomCond, Not, And and Or; a
 // nil Condition means an absent WHERE clause (always true). String

@@ -103,15 +103,7 @@ func (q *Query) BaseRelationArities() map[string]int {
 }
 
 // Nested reports whether any subquery depends on another's output.
-func (q *Query) Nested() bool {
-	g := sgf.BuildDepGraph(q.prog)
-	for i := 0; i < g.N; i++ {
-		if len(g.Pred[i]) > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (q *Query) Nested() bool { return !sgf.Flat(q.prog) }
 
 // Describe renders a human-readable summary of the query structure:
 // subqueries, dependency levels, semi-joins and 1-round applicability.
