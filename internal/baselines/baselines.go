@@ -70,14 +70,12 @@ func PigKnobs() Knobs {
 // other strategy. They shape only modelled times, never the run, so the
 // engine's jobs do not carry them.
 func Handicap(strategy core.Strategy) (timeFactor, extraOverheadSec float64) {
-	var k Knobs
+	k := Knobs{TimeFactor: 1}
 	switch strategy {
 	case StrategyHPAR, StrategyHPARS:
 		k = HiveKnobs()
 	case StrategyPPAR:
 		k = PigKnobs()
-	default:
-		return 1, 0
 	}
 	return k.TimeFactor, k.ExtraOverheadSec
 }
