@@ -290,9 +290,8 @@ type Result struct {
 // may be executed any number of times and concurrently (see RunPlan).
 type Plan struct {
 	inner *core.Plan
-	// output is the source program's final output relation (set when the
-	// plan is built through System.Plan; unit-based plans may list
-	// inner.Outputs in level order rather than declaration order).
+	// output is the source program's final output relation (unit-based
+	// plans may list inner.Outputs in level order, not declaration order).
 	output string
 }
 
@@ -362,22 +361,18 @@ func (s *System) RunPlan(plan *Plan, db *Database) (*Result, error) {
 // Result is nil, the input database untouched, and no goroutines or
 // temp files are left.
 func (s *System) RunPlanCtx(ctx context.Context, plan *Plan, db *Database, opts RunOptions) (*Result, error) {
-	output := plan.output
-	if output == "" && len(plan.inner.Outputs) > 0 {
-		output = plan.inner.Outputs[len(plan.inner.Outputs)-1]
-	}
 	res, err := s.runner.Run(ctx, plan.inner, db, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
-		Relation:   res.Outputs.Relation(output),
+		Relation:   res.Outputs.Relation(plan.output),
 		Outputs:    res.Outputs,
 		Metrics:    res.Metrics,
 		JobStats:   res.JobStats,
 		JobTimings: res.Timings,
 		Mem:        res.Mem,
-		Plan:       &Plan{inner: plan.inner, output: output},
+		Plan:       plan,
 	}, nil
 }
 

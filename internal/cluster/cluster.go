@@ -9,14 +9,15 @@
 //     tasks (plus per-job overhead, modelling the application master).
 //
 // The simulator is a deterministic discrete-event list scheduler: ready
-// tasks are assigned to free slots in job-index order (maps before the
-// owning job's reduces). This reproduces the paper's wave effects — e.g.
+// tasks are assigned to free slots in job-index order, a job's maps
+// first and its reduces once its maps have all completed. Job states are
+// plain values and pending events sit in a typed binary min-heap ordered
+// by (time, job, seq). This reproduces the paper's wave effects — e.g.
 // PAR's map demand exceeding cluster capacity at large data sizes
 // (Figure 7a) shows up as extra waves and a net-time jump.
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/cost"
@@ -65,16 +66,23 @@ type Result struct {
 
 // jobState tracks scheduling progress for one job.
 type jobState struct {
-	readyAt     float64 // when dependencies are done + overhead elapsed
-	depsLeft    int
-	nextMap     int
-	mapsRunning int
-	mapsDone    bool
-	nextRed     int
-	redsRunning int
-	done        bool
-	start, end  float64
-	started     bool
+	readyAt          float64 // when dependencies are done + overhead elapsed
+	depsLeft         int
+	nextMap, nextRed int // tasks launched so far
+	running          int // tasks launched and not yet completed
+	done             bool
+	start, end       float64
+}
+
+// ready reports whether the job's gate is open at now and it is not done.
+func (s *jobState) ready(now float64) bool {
+	return !s.done && s.depsLeft == 0 && s.readyAt <= now
+}
+
+// idle reports whether the job has launched every task and has none
+// running: the one condition that completes a job.
+func (s *jobState) idle(p *cost.TaskPlan) bool {
+	return s.running == 0 && s.nextMap == len(p.MapTasks) && s.nextRed == len(p.ReduceTasks)
 }
 
 // event is a running task completion, or a job's gate opening (its
@@ -82,47 +90,72 @@ type jobState struct {
 type event struct {
 	time float64
 	job  int
-	kind int // 0 = map, 1 = reduce, 2 = gate
 	seq  int // tiebreaker for determinism
+	gate bool
 }
 
+func (a event) before(b event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.job != b.job {
+		return a.job < b.job
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap of events under before.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
-	if q[i].job != q[j].job {
-		return q[i].job < q[j].job
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].before(h[j]) {
+			j++
+		}
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
-	return q[i].seq < q[j].seq
+	*q = h[:n]
+	return h[n]
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-func (q *eventQueue) popMin() event  { return heap.Pop(q).(event) }
-func (q *eventQueue) pushEv(e event) { heap.Push(q, e) }
-func newEventQueue() *eventQueue     { q := &eventQueue{}; heap.Init(q); return q }
-func (q eventQueue) empty() bool     { return len(q) == 0 }
 
 // Simulate schedules jobs on the cluster and returns the time metrics.
 // Dependencies must be acyclic and refer to smaller or larger indices
-// freely; a job's reduce tasks start only after its own maps finish and
-// its maps start only after all dependency jobs fully finish plus the
-// job overhead (startup).
+// freely; a job's maps start only after all dependency jobs fully finish
+// plus the job overhead (startup), and its reduce tasks only after its
+// own maps have all completed. A job with reduce tasks and no map tasks
+// runs its reduces at its gate.
 func Simulate(cfg Config, jobs []Job) Result {
 	n := len(jobs)
-	states := make([]*jobState, n)
+	states := make([]jobState, n)
 	succ := make([][]int, n)
+	tasks := 0
+	totalTime := 0.0
 	for i, j := range jobs {
-		states[i] = &jobState{depsLeft: len(j.Deps)}
+		states[i].depsLeft = len(j.Deps)
 		for _, d := range j.Deps {
 			if d < 0 || d >= n {
 				panic(fmt.Sprintf("cluster: job %d has out-of-range dep %d", i, d))
@@ -132,141 +165,101 @@ func Simulate(cfg Config, jobs []Job) Result {
 			}
 			succ[d] = append(succ[d], i)
 		}
+		tasks += len(j.Plan.MapTasks) + len(j.Plan.ReduceTasks)
+		totalTime += j.Plan.Overhead
 	}
 	slotsFree := cfg.Slots()
-	events := newEventQueue()
+	// At most one task per slot runs and each job's gate is pushed once.
+	events := make(eventQueue, 0, min(slotsFree, tasks)+n)
 	seq := 0
 	// gate opens job ji's gate at readyAt = now + its overhead.
 	gate := func(ji int, now float64) {
 		states[ji].readyAt = now + jobs[ji].Plan.Overhead
-		events.pushEv(event{time: states[ji].readyAt, job: ji, kind: 2, seq: seq})
+		events.push(event{time: states[ji].readyAt, job: ji, seq: seq, gate: true})
 		seq++
 	}
-	now := 0.0
-	for i, s := range states {
-		if s.depsLeft == 0 {
-			gate(i, now)
+	for i := range states {
+		if states[i].depsLeft == 0 {
+			gate(i, 0)
 		}
 	}
-	totalTime := 0.0
-	for _, j := range jobs {
-		totalTime += j.Plan.Overhead
-	}
-
-	// launch assigns as many ready tasks as slots allow at time `now`.
-	launch := func(now float64) {
-		for slotsFree > 0 {
-			scheduled := false
-			for ji := range jobs {
-				s := states[ji]
-				if s.done || s.depsLeft > 0 || s.readyAt > now {
-					continue
-				}
-				plan := &jobs[ji].Plan
-				if s.nextMap < len(plan.MapTasks) {
-					d := plan.MapTasks[s.nextMap]
-					s.nextMap++
-					s.mapsRunning++
-					if !s.started {
-						s.started = true
-						s.start = now
-					}
-					totalTime += d
-					events.pushEv(event{time: now + d, job: ji, kind: 0, seq: seq})
-					seq++
-					slotsFree--
-					scheduled = true
-					break
-				}
-				if s.mapsDone && s.nextRed < len(plan.ReduceTasks) {
-					d := plan.ReduceTasks[s.nextRed]
-					s.nextRed++
-					s.redsRunning++
-					if !s.started {
-						s.started = true
-						s.start = now
-					}
-					totalTime += d
-					events.pushEv(event{time: now + d, job: ji, kind: 1, seq: seq})
-					seq++
-					slotsFree--
-					scheduled = true
-					break
-				}
-			}
-			if !scheduled {
-				return
-			}
-		}
-	}
-
-	// finishJob marks a job complete and releases dependents.
 	var lastEnd float64
-	finishJob := func(ji int, now float64) {
-		s := states[ji]
-		s.done = true
-		s.end = now
-		if now > lastEnd {
-			lastEnd = now
-		}
+	finish := func(ji int, now float64) {
+		states[ji].done = true
+		states[ji].end = now
+		lastEnd = max(lastEnd, now)
 		for _, si := range succ[ji] {
-			states[si].depsLeft--
-			if states[si].depsLeft == 0 {
+			if states[si].depsLeft--; states[si].depsLeft == 0 {
 				gate(si, now)
 			}
 		}
 	}
 
-	// Zero-task jobs complete immediately when ready.
-	completeEmpty := func(now float64) {
-		for ji := range jobs {
-			s := states[ji]
-			plan := &jobs[ji].Plan
-			if !s.done && s.depsLeft == 0 && s.readyAt <= now &&
-				len(plan.MapTasks) == 0 && len(plan.ReduceTasks) == 0 {
-				s.started = true
+	now := 0.0
+	for {
+		// A job without tasks is idle, and so complete, once ready; any
+		// other job completes at its last task's completion event.
+		for ji := range states {
+			if s := &states[ji]; s.ready(now) && s.idle(&jobs[ji].Plan) {
 				s.start = now
-				finishJob(ji, now)
+				finish(ji, now)
 			}
 		}
-	}
-
-	for {
-		completeEmpty(now)
-		launch(now)
-		if events.empty() {
+		// Assign free slots one task at a time, each to the lowest-indexed
+		// ready job with a task to launch: its next map, or once its maps
+		// have all completed, its next reduce.
+	launch:
+		for slotsFree > 0 {
+			for ji := range states {
+				s := &states[ji]
+				if !s.ready(now) {
+					continue
+				}
+				plan := &jobs[ji].Plan
+				var d float64
+				switch {
+				case s.nextMap < len(plan.MapTasks):
+					d = plan.MapTasks[s.nextMap]
+					s.nextMap++
+				case s.nextRed < len(plan.ReduceTasks) && (s.nextRed > 0 || s.running == 0):
+					d = plan.ReduceTasks[s.nextRed]
+					s.nextRed++
+				default:
+					continue
+				}
+				if s.nextMap+s.nextRed == 1 {
+					s.start = now
+				}
+				s.running++
+				totalTime += d
+				events.push(event{time: now + d, job: ji, seq: seq})
+				seq++
+				slotsFree--
+				continue launch
+			}
 			break
 		}
-		e := events.popMin()
+		if len(events) == 0 {
+			break
+		}
+		e := events.pop()
 		now = e.time
-		if e.kind == 2 {
+		if e.gate {
 			continue
 		}
 		slotsFree++
-		s := states[e.job]
-		plan := &jobs[e.job].Plan
-		if e.kind == 0 {
-			s.mapsRunning--
-			if s.nextMap == len(plan.MapTasks) && s.mapsRunning == 0 {
-				s.mapsDone = true
-				if len(plan.ReduceTasks) == 0 {
-					finishJob(e.job, now)
-				}
-			}
-		} else {
-			s.redsRunning--
-			if s.nextRed == len(plan.ReduceTasks) && s.redsRunning == 0 {
-				finishJob(e.job, now)
-			}
+		s := &states[e.job]
+		if s.running--; s.idle(&jobs[e.job].Plan) {
+			finish(e.job, now)
 		}
 	}
 
-	res := Result{NetTime: lastEnd, TotalTime: totalTime}
+	res := Result{NetTime: lastEnd, TotalTime: totalTime, Jobs: make([]JobTimes, n)}
 	for i, s := range states {
 		if !s.done {
 			panic(fmt.Sprintf("cluster: job %d (%s) never completed; dependency cycle?", i, jobs[i].Name))
 		}
-		res.Jobs = append(res.Jobs, JobTimes{Name: jobs[i].Name, Start: s.start, End: s.end})
+		res.Jobs[i] = JobTimes{Name: jobs[i].Name, Start: s.start, End: s.end}
 	}
 	return res
 }

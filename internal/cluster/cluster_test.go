@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,5 +202,82 @@ func TestQuickTotalTimeInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScheduleTieOrder pins, with hand-computed per-job start and end
+// times, the tie rules the schedule rests on: events at one instant are
+// handled one at a time in job-index order with a launch pass after
+// each, a job counts as ready from its gate time on, and a job's reduces
+// wait for its last map to complete.
+func TestScheduleTieOrder(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		slots int
+		jobs  []Job
+		want  []JobTimes
+		net   float64
+	}{
+		{
+			// At 2 a and b complete together. a's slot is filled first,
+			// before b's completion gates c, so d gets it; b's slot then
+			// goes to c. c's second map waits for its first.
+			name:  "two completions at one instant",
+			slots: 2,
+			jobs: []Job{
+				{Name: "a", Plan: planOf(0, []float64{2}, nil)},
+				{Name: "b", Plan: planOf(0, []float64{2}, nil)},
+				{Name: "c", Plan: planOf(0, []float64{1, 1}, nil), Deps: []int{1}},
+				{Name: "d", Plan: planOf(0, []float64{3, 3}, nil)},
+			},
+			want: []JobTimes{{"a", 0, 2}, {"b", 0, 2}, {"c", 2, 4}, {"d", 2, 7}},
+			net:  7,
+		},
+		{
+			// g's gate opens at 2, the instant a's map completes: g is
+			// ready for the freed slot and, lower-indexed, takes it from z.
+			name:  "gate opens as a task completes",
+			slots: 1,
+			jobs: []Job{
+				{Name: "a", Plan: planOf(0, []float64{2}, nil)},
+				{Name: "g", Plan: planOf(2, []float64{1}, nil)},
+				{Name: "z", Plan: planOf(0, []float64{1}, nil)},
+			},
+			want: []JobTimes{{"a", 0, 2}, {"g", 2, 3}, {"z", 3, 4}},
+			net:  4,
+		},
+		{
+			// Slots are free from 1 on, but a's reduce waits for its last
+			// map at 3.
+			name:  "reduces wait for the last map",
+			slots: 3,
+			jobs: []Job{
+				{Name: "a", Plan: planOf(0, []float64{1, 3}, []float64{2})},
+				{Name: "b", Plan: planOf(0, []float64{2, 2}, nil)},
+			},
+			want: []JobTimes{{"a", 0, 5}, {"b", 0, 3}},
+			net:  5,
+		},
+		{
+			// A job with reduces and no maps runs its reduces at its gate.
+			name:  "reduce-only job",
+			slots: 1,
+			jobs: []Job{
+				{Name: "r", Plan: planOf(1, nil, []float64{2, 3})},
+				{Name: "b", Plan: planOf(0, []float64{1}, nil), Deps: []int{0}},
+			},
+			want: []JobTimes{{"r", 1, 6}, {"b", 6, 7}},
+			net:  7,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := Simulate(Config{Nodes: 1, SlotsPerNode: c.slots}, c.jobs)
+			if res.NetTime != c.net {
+				t.Errorf("NetTime = %v, want %v", res.NetTime, c.net)
+			}
+			if !slices.Equal(res.Jobs, c.want) {
+				t.Errorf("Jobs = %v, want %v", res.Jobs, c.want)
+			}
+		})
 	}
 }

@@ -297,8 +297,8 @@ type TaskPlan struct {
 // cluster simulator schedules waves. reduceLoadsMB are the measured
 // per-reducer loads: the total reduce cost is apportioned proportionally
 // to each reducer's shuffled bytes, so key skew stretches the reduce
-// wave exactly as it would on a real cluster. A nil or mismatching loads
-// slice falls back to even division.
+// wave exactly as it would on a real cluster. Nil loads, loads of the
+// wrong length and all-zero loads fall back to even division.
 func (c Config) TasksLoaded(j JobSpec, reduceLoadsMB []float64) TaskPlan {
 	plan := TaskPlan{Overhead: c.JobOverhead}
 	for _, p := range j.Partitions {
@@ -310,24 +310,16 @@ func (c Config) TasksLoaded(j JobSpec, reduceLoadsMB []float64) TaskPlan {
 	}
 	r := c.reducersFor(j)
 	total := c.RedCost(j.InterMB(), j.OutputMB, r)
-	shares := make([]float64, r)
-	even := true
+	var sum float64
 	if len(reduceLoadsMB) == r {
-		var sum float64
 		for _, l := range reduceLoadsMB {
 			sum += l
-		}
-		if sum > 0 {
-			even = false
-			for i, l := range reduceLoadsMB {
-				shares[i] = l / sum
-			}
 		}
 	}
 	for i := 0; i < r; i++ {
 		share := 1 / float64(r)
-		if !even {
-			share = shares[i]
+		if sum > 0 {
+			share = reduceLoadsMB[i] / sum
 		}
 		plan.ReduceTasks = append(plan.ReduceTasks, total*share+c.TaskOverhead)
 	}

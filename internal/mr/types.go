@@ -118,7 +118,6 @@ func (f ReducerFunc) Reduce(key []byte, msgs *Group, out *Output) { f(key, msgs,
 type Output struct {
 	arities map[string]int
 	rels    map[string]*relation.Relation
-	order   []string
 }
 
 func newOutput(arities map[string]int) *Output {
@@ -137,7 +136,6 @@ func (o *Output) Add(name string, t relation.Tuple) {
 		}
 		r = relation.New(name, arity)
 		o.rels[name] = r
-		o.order = append(o.order, name)
 	}
 	r.Add(t)
 }

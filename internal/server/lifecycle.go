@@ -36,7 +36,7 @@ const statusClientClosedRequest = 499
 // for state, which flips queued → running under the registry lock.
 type queryInfo struct {
 	id       uint64
-	db       string
+	db       *dbEntry // the instance, not its name: a re-created database is a new entry
 	query    string
 	strategy string
 	started  time.Time
@@ -65,7 +65,7 @@ func (qi *queryInfo) state() string {
 // register allocates a query id, wraps ctx so the abort endpoint can
 // cancel the run, and publishes the entry. The caller must unregister
 // it (runQuery defers this) — entries never outlive their run.
-func (s *Server) register(ctx context.Context, db string, q *gumbo.Query, strategy gumbo.Strategy) (context.Context, *queryInfo) {
+func (s *Server) register(ctx context.Context, db *dbEntry, q *gumbo.Query, strategy gumbo.Strategy) (context.Context, *queryInfo) {
 	ctx, cancel := context.WithCancel(ctx)
 	qi := &queryInfo{
 		id:       s.qSeq.Add(1),
@@ -164,7 +164,7 @@ func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
 	s.qmu.Lock()
 	rows := make([]inflightInfo, 0, len(s.inflight))
 	for _, qi := range s.inflight {
-		if qi.db != dbe.name {
+		if qi.db != dbe {
 			continue
 		}
 		rows = append(rows, inflightInfo{
@@ -200,7 +200,7 @@ func (s *Server) handleAbortQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.qmu.Lock()
 	qi := s.inflight[id]
-	if qi != nil && qi.db != dbe.name {
+	if qi != nil && qi.db != dbe {
 		qi = nil
 	}
 	s.qmu.Unlock()

@@ -292,6 +292,63 @@ func TestInflightRegistryAndAbort(t *testing.T) {
 	}
 }
 
+// TestInflightRegistryIsPerDatabaseInstance: a query parked mid-run on
+// a database that is then dropped and re-created under the same name
+// belongs to the dropped instance. The new database neither lists nor
+// aborts it, and the parked run still finishes normally.
+func TestInflightRegistryIsPerDatabaseInstance(t *testing.T) {
+	_, c := newTestClient(t, Config{ConcurrentJobs: 1})
+	c.loadBookstore("shop")
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	restore := mr.SetFaultHooks(mr.FaultHooks{Grant: func(context.Context, int) {
+		once.Do(func() { close(started) })
+		<-release
+	}})
+	defer restore()
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	running := make(chan int, 1)
+	go func() { running <- c.do("POST", "/v1/db/shop/query", map[string]any{"query": queryZ}, nil) }()
+	<-started
+	var rows queriesResponse
+	if code := c.do("GET", "/v1/db/shop/queries", nil, &rows); code != http.StatusOK || len(rows.Queries) != 1 {
+		t.Fatalf("queries before drop: status %d, %d rows, want 200 and 1", code, len(rows.Queries))
+	}
+	id := rows.Queries[0].ID
+
+	if code := c.do("DELETE", "/v1/db/shop", nil, nil); code != http.StatusNoContent {
+		t.Fatalf("drop db: status %d", code)
+	}
+	if code := c.do("PUT", "/v1/db/shop", nil, nil); code != http.StatusCreated {
+		t.Fatalf("re-create db: status %d", code)
+	}
+	if code := c.do("GET", "/v1/db/shop/queries", nil, &rows); code != http.StatusOK || len(rows.Queries) != 0 {
+		t.Errorf("queries on re-created db: status %d, rows %+v, want 200 and none", code, rows.Queries)
+	}
+	if code := c.do("DELETE", fmt.Sprintf("/v1/db/shop/query/%d", id), nil, nil); code != http.StatusNotFound {
+		t.Errorf("abort via re-created db: status %d, want 404", code)
+	}
+
+	close(release)
+	select {
+	case code := <-running:
+		if code != http.StatusOK {
+			t.Errorf("query on dropped db: status %d, want 200", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("query on dropped db did not return")
+	}
+}
+
 // TestQueryTimeoutGatewayTimeout: with a per-query deadline configured,
 // a query that cannot be admitted in time fails with 504 — the
 // deadline covers the admission wait, so this path is deterministic

@@ -270,7 +270,7 @@ func (s *Server) runQuery(ctx context.Context, dbe *dbEntry, q *gumbo.Query, str
 		ctx, cancelTimeout = context.WithTimeout(ctx, s.timeout)
 		defer cancelTimeout()
 	}
-	ctx, qi := s.register(ctx, dbe.name, q, strategy)
+	ctx, qi := s.register(ctx, dbe, q, strategy)
 	defer s.unregister(qi)
 	// The admission slot covers planning too: on a cache miss,
 	// cost-based planning samples the database (real engine work that
