@@ -211,8 +211,8 @@ func WithScale(f float64) Option {
 // their tuple iteration order, per-job stats, and simulated metrics —
 // is bit-for-bit identical at every pool width; only host wall-clock
 // time and memory change. The engine guarantees this by partitioning
-// shuffle output in map-task order, reducing keys in sorted order with
-// messages in arrival order, merging job outputs in
+// shuffle output in map-task order, reducing keys in the order they
+// first arrive with messages in arrival order, merging job outputs in
 // sorted-name/reducer-index order, and publishing each merged relation
 // before releasing the map tasks that read it (see
 // docs/ARCHITECTURE.md, "Determinism contract").
@@ -266,7 +266,9 @@ type Result struct {
 	// jobs in plan-declared order, and within one job its output
 	// relations in sorted-name order. Tuples within each relation are
 	// likewise in a deterministic order (reduce tasks merge in reducer
-	// index order, each reducer emits keys in ascending key order).
+	// index order, each reducer emits keys in the order of their first
+	// message in its input). It is not key or value order; sort a
+	// relation's tuples where a sorted listing is wanted.
 	Outputs *Database
 	// Metrics are the measured/simulated performance metrics.
 	Metrics Metrics

@@ -133,8 +133,8 @@ func benchPartition(n, k int) *Emitter {
 
 // BenchmarkReduceGrouping measures what a reduce task does between the
 // shuffle and the user Reducer — gather one partition through the key
-// set, order its distinct keys, lay the records out — isolated from the
-// rest of the engine, over the partition shapes that bracket it: dup64
+// set, lay the records out by key — isolated from the rest of the
+// engine, over the partition shapes that bracket it: dup64
 // (65 536 records of 1 024 keys) and onekey where the key set folds
 // nearly everything away, nested (the 2 400 / 900 of a nested-sgf reduce
 // task), small, and the two all-distinct shapes, which pay for the set
@@ -158,7 +158,7 @@ func BenchmarkReduceGrouping(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func(_ []byte, msgs *Group) { n += msgs.Len() }); err != nil {
+				if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func(_ int, _ []byte, msgs *Group) { n += msgs.Len() }); err != nil {
 					b.Fatal(err)
 				}
 				if n != shape.n {

@@ -1,9 +1,11 @@
 package mr
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cost"
@@ -154,6 +156,30 @@ func TestHashKeyMatchesFNV(t *testing.T) {
 		h.Write([]byte(k))
 		if want := h.Sum32(); hashKey([]byte(k)) != want {
 			t.Errorf("hashKey(%q) = %d, want %d", k, hashKey([]byte(k)), want)
+		}
+	}
+}
+
+// TestHashKeyPartitionMatchesStringImpl pins shuffle partition
+// assignment across the string→[]byte key migration: FNV-1a over the
+// key bytes — and therefore hash%reducers for every reducer count —
+// must match the string-key implementation (hash/fnv over the same
+// bytes) on the adversarial key mix.
+func TestHashKeyPartitionMatchesStringImpl(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	keys := genAdversarialKeys(rng, 2000)
+	keys = append(keys, nil, []byte{}, bytes.Repeat([]byte{0xff}, 40))
+	for _, k := range keys {
+		h := fnv.New32a()
+		h.Write(k)
+		want := h.Sum32()
+		if got := hashKey(k); got != want {
+			t.Fatalf("hashKey(%q) = %d, want %d", k, got, want)
+		}
+		for _, reducers := range []uint32{1, 2, 7, 33, 509} {
+			if hashKey(k)%reducers != want%reducers {
+				t.Fatalf("partition of %q drifted at r=%d", k, reducers)
+			}
 		}
 	}
 }

@@ -109,3 +109,29 @@ func TestArenaLadder(t *testing.T) {
 		})
 	}
 }
+
+// TestArenaIsolation guards the arena's chunk-rollover contract: bytes
+// handed out earlier must stay intact when later records force new
+// chunks, neighbours must not overlap, and a record larger than the
+// chunk size gets a chunk of its own.
+func TestArenaIsolation(t *testing.T) {
+	var em Emitter
+	big := bytes.Repeat([]byte{0xab}, arenaChunk/2+1)
+	huge := bytes.Repeat([]byte{0x01}, arenaChunk+17)
+	keys := [][]byte{[]byte("first-key"), big, big, big, []byte("aa"), []byte("bb"), huge}
+	for i, k := range keys {
+		em.Emit(k, tagInt, 8, []byte{byte(i)})
+	}
+	if len(em.chunks) < 4 {
+		t.Fatalf("%d chunks: the large keys did not roll the arena over", len(em.chunks))
+	}
+	set := arenaRecords(t, &em)
+	for i, k := range keys {
+		if !bytes.Equal(set.key(i), k) || !bytes.Equal(set.payload(i), []byte{byte(i)}) {
+			t.Fatalf("record %d corrupted: key %q payload %v", i, set.key(i), set.payload(i))
+		}
+		if want := keyBytes(k) + 8; set.recs[i].size != want {
+			t.Errorf("record %d: size %d, want %d", i, set.recs[i].size, want)
+		}
+	}
+}

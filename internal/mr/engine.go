@@ -41,11 +41,11 @@ import (
 // records into per-reducer byte segments of one buffer with counted
 // two-pass placement (the layout a spill file has, so spilling is one
 // write) — or, when the job has one reducer, hands the arena over as
-// the partition — records are ordered once, in the reduce task —
-// grouped through the same key set, then an MSD radix sort over the
-// distinct keys (group.go, radix.go) — reducers walk a view over the
-// segment bytes, and job outputs merge through a counted, pre-sized
-// merge (relation.Merge).
+// the partition — records are grouped once, in the reduce task, through
+// the same key set, the groups in the order their keys first arrived and
+// no key sorted (group.go) — reducers walk a view over the segment
+// bytes, and job outputs merge through a counted, pre-sized merge
+// (relation.Merge).
 // Every goroutine a run starts is a pool worker (or the pool's
 // cancellation watcher): tasks never fan out on their own, so panic
 // containment and cancellation cover all of the engine's concurrency.

@@ -40,31 +40,6 @@ func (s *recordSet) payload(i int) []byte {
 	return s.bufs[r.src][r.off+r.klen : r.off+r.klen+r.plen]
 }
 
-// keyRef pairs a record index with the first eight bytes of its key,
-// packed big-endian so uint64 order equals lexicographic order. Sorting
-// keyRefs — one per distinct key, see groupRecords — instead of records
-// keeps the sort's data moves small and makes most comparisons (and every
-// radix pass) operate on a register instead of the key bytes through a
-// buffer lookup.
-type keyRef struct {
-	prefix uint64
-	idx    int32
-}
-
-// keyPrefix packs up to the first eight bytes of key big-endian,
-// zero-padded on the right.
-func keyPrefix(key []byte) uint64 {
-	n := len(key)
-	if n > 8 {
-		n = 8
-	}
-	var p uint64
-	for i := 0; i < n; i++ {
-		p |= uint64(key[i]) << (56 - 8*uint(i))
-	}
-	return p
-}
-
 // keyLoc is one entry of a keySet: where the bytes of a distinct key sit —
 // buffer src of the task's buffer list, at off, klen long — and, for the
 // reduce task's gather, the index of the first record that carried it.
@@ -185,54 +160,41 @@ func (ks *keySet) double(bufs [][]byte) {
 }
 
 // grouping is a gathered record set laid out by key: what forEachGroup
-// walks. All three slices are the worker's scratch, valid until its next
-// groupRecords.
+// walks. ends and idx are the worker's scratch, locs its key set's
+// entries; all three are valid until the worker's next task.
 type grouping struct {
-	refs []keyRef // one per distinct key — its first record — in ascending key order
-	ends []int32  // ends[ref.idx]: where that key's run of idx ends; it starts where the previous ref's ends
+	locs []keyLoc // one per distinct key — its first record — in first-arrival order
+	ends []int32  // ends[loc.first]: where that key's run of idx ends; it starts where the previous loc's ends
 	idx  []int32  // record indices, key-major, arrival order within a key
 }
 
-// groupRecords lays out a gathered set by key. Every record already
-// carries its key group (record.group, the index of the first record with
-// its key, from the gather's keySet), so nothing here compares two records
-// of one key — hash aggregation with a sorted emit: one pass counts each
-// group and takes a sort ref for its first record, only those refs — one
-// per distinct key, groups of them — are sorted (MSD radix sort over the
-// key bytes, comparison sort below radixMinLen groups and in small
-// buckets; radix.go), and one stable counting scatter places the record
-// indices, so arrival order inside a group costs nothing. The all-distinct
-// partition is the shape this loses on: it pays for the set and sorts as
-// many refs as the record sort it replaced did. Gather included, one
-// core, against that sort: 65 536 distinct keys 5.2 → 6.0 ms, 2 400
-// distinct 123 → 121 µs; 2 400 records of 900 keys 160 → 116 µs, 65 536 of
-// 1 024 keys 5.4 → 3.6 ms, of one key 6.0 → 3.4 ms, 200 of 70 keys 15 →
-// 10 µs (BenchmarkReduceGrouping; CHANGES.md, PR 22).
-func groupRecords(sc *taskScratch, s *recordSet, groups int) grouping {
+// groupRecords lays out a gathered set by key, in the order its keys
+// first arrived (locs, the gather's key set entries). Every record
+// already carries its key group (record.group, the index of the first
+// record with its key), so nothing here compares two keys — hash
+// aggregation: one pass counts each group, one walk over locs turns the
+// counts into offsets, and one stable counting scatter places the record
+// indices, so arrival order inside a group costs nothing. Nothing orders
+// the keys: no reader of a reduce task's output needs key order (split
+// runs interleave their sub-outputs by first arrival instead, split.go).
+// Gather included, one core (BenchmarkReduceGrouping, medians of 5 on a
+// 2-vCPU Xeon; CHANGES.md has the sorted layout's figures beside them):
+// 65 536 distinct keys 6.4 ms, 2 400 distinct 153 µs; 2 400 records of 900
+// keys 149 µs, 65 536 of 1 024 keys 4.4 ms, of one key 4.3 ms, 200 of 70
+// keys 12.3 µs.
+func groupRecords(sc *taskScratch, s *recordSet, locs []keyLoc) grouping {
 	n := len(s.recs)
-	size := groups
-	if groups >= radixMinLen {
-		size = 2 * groups // refs plus the radix scatter scratch
-	}
-	buf := grow(&sc.refs, size)
-	refs := buf[:0:groups]
 	ends := grow(&sc.target, n) // a group's count, then its write cursor, at its first record's index
 	for i := range s.recs {
 		if g := s.recs[i].group; int(g) != i {
 			ends[g]++
 		} else {
 			ends[i] = 1
-			refs = append(refs, keyRef{prefix: keyPrefix(s.key(i)), idx: g})
 		}
 	}
-	if groups < radixMinLen {
-		sortRefs(s, refs)
-	} else {
-		msdRadix(s, refs, buf[groups:], 0)
-	}
 	var at int32
-	for _, r := range refs {
-		ends[r.idx], at = at, at+ends[r.idx]
+	for _, l := range locs {
+		ends[l.first], at = at, at+ends[l.first]
 	}
 	idx := grow(&sc.idx, n)
 	for i := range s.recs {
@@ -240,21 +202,21 @@ func groupRecords(sc *taskScratch, s *recordSet, groups int) grouping {
 		idx[ends[g]] = int32(i)
 		ends[g]++
 	}
-	return grouping{refs: refs, ends: ends, idx: idx}
+	return grouping{locs: locs, ends: ends, idx: idx}
 }
 
 // forEachGroup calls fn once per distinct key of a grouped set, in
-// ascending key order, with a view of the key's messages in arrival
-// order. It allocates nothing: the view is one Group re-pointed at each
-// run — fn must not retain it (the engine's Reducer contract, see
-// Reducer).
-func forEachGroup(s *recordSet, gr grouping, fn func(key []byte, msgs *Group)) {
-	g := Group{set: s}
+// first-arrival order, with the key's number in that order (its index in
+// gr.locs) and a view of its messages in arrival order. It allocates
+// nothing: the view is one Group re-pointed at each run — fn must not
+// retain it (the engine's Reducer contract, see Reducer).
+func forEachGroup(s *recordSet, gr grouping, fn func(g int, key []byte, msgs *Group)) {
+	grp := Group{set: s}
 	var start int32
-	for _, r := range gr.refs {
-		end := gr.ends[r.idx]
-		g.run = gr.idx[start:end]
-		fn(s.key(int(r.idx)), &g)
+	for g, l := range gr.locs {
+		end := gr.ends[l.first]
+		grp.run = gr.idx[start:end]
+		fn(g, s.bufs[l.src][l.off:l.off+l.klen], &grp)
 		start = end
 	}
 }

@@ -2,37 +2,33 @@ package mr
 
 import "testing"
 
-// FuzzRadixSort differentially checks the reduce task's grouping and
-// group order — the gather's key set, the sort of the distinct keys (MSD
-// radix sort or comparison sort) and the counting scatter — against a
-// stdlib oracle: the records must come out in plain lexicographic byte
-// order of their keys and, inside one key, in arrival order. Fuzz data
-// decodes into length-prefixed keys, which are then laid out two ways at
-// the sizes where the sort changes regime — radixBucketCutoff (96) ±1,
-// where a radix level hands buckets to the comparison sort, and
-// radixMinLen (512) ±1, the cutoff in distinct keys in groupRecords:
-// tiled, the duplicate-heavy shape of a real shuffle partition (at most
-// 64 groups, so the comparison sort), and spread, every lap of the tiling
-// under its own two-byte suffix, so the distinct keys number about the
-// size and the radix sort runs — with the first half delivered a second
-// time, so that arrival order has something to say.
-func FuzzRadixSort(f *testing.F) {
+// FuzzGroupOrder differentially checks the reduce task's grouping and
+// group order — the gather's key set, the walk over its entries and the
+// counting scatter — against a map-based oracle: the records must come
+// out key by key in the order each key first arrived and, inside one key,
+// in arrival order. Fuzz data decodes into length-prefixed keys, which
+// are then laid out two ways at several sizes: tiled, the
+// duplicate-heavy shape of a real shuffle partition (at most 64 groups),
+// and spread, every lap of the tiling under its own two-byte suffix, so
+// the distinct keys number about the size — with the first half delivered
+// a second time, so that arrival order has something to say. One
+// worker's scratch serves every input, so each runs on what longer ones
+// left.
+func FuzzGroupOrder(f *testing.F) {
 	seeds := [][]byte{
 		{},        // no keys
 		{0, 0, 0}, // three empty keys
-		// Shared 'a'-prefixes straddling the packed 8-byte boundary:
-		// lengths 7, 8 and 9 with equal leading bytes exercise the
-		// prefix-equal branches of cmpRef and radix level 8.
+		// Shared 'a'-prefixes of lengths 7, 8 and 9: keys that differ
+		// only in length or in their last byte.
 		{7, 'a', 'a', 'a', 'a', 'a', 'a', 'a',
 			8, 'a', 'a', 'a', 'a', 'a', 'a', 'a', 'a',
 			9, 'a', 'a', 'a', 'a', 'a', 'a', 'a', 'a', 'b',
 			8, 'a', 'a', 'a', 'a', 'a', 'a', 'a', 'b'},
-		// Keys longer than the prefix with equal first eight bytes:
-		// order is decided by the full byte compare past the prefix.
+		// Keys with equal first eight bytes that differ past them.
 		{12, 'p', 'p', 'p', 'p', 'p', 'p', 'p', 'p', 'q', 'r', 's', 't',
 			12, 'p', 'p', 'p', 'p', 'p', 'p', 'p', 'p', 'a', 'b', 'c', 'd',
 			9, 'p', 'p', 'p', 'p', 'p', 'p', 'p', 'p', 0},
-		// Distinct leading bytes, including the histogram extremes.
+		// Distinct leading bytes, the byte extremes among them.
 		{1, 'z', 1, 'a', 1, 'm', 1, 0x00, 1, 0xff, 2, 0xff, 0x00},
 	}
 	for _, s := range seeds {
@@ -55,8 +51,8 @@ func FuzzRadixSort(f *testing.F) {
 				}
 				spread.Emit(key, tagInt, 8, nil)
 			}
-			checkRadixAgainstOracle(t, &sc, &tiled)
-			checkRadixAgainstOracle(t, &sc, &spread)
+			checkGroupOrder(t, &sc, &tiled)
+			checkGroupOrder(t, &sc, &spread)
 		}
 	})
 }
@@ -79,21 +75,20 @@ func decodeFuzzKeys(data []byte) [][]byte {
 	return keys
 }
 
-// checkRadixAgainstOracle runs the production reduce path over recs on
+// checkGroupOrder runs the production reduce path over em's records on
 // sc (whatever an earlier, possibly longer input left in its buffers) and
-// requires exactly the record sequence of slices.SortStableFunc with
-// bytes.Compare: the oracle's key order, and ascending record index
-// inside every key.
-func checkRadixAgainstOracle(t *testing.T, sc *taskScratch, em *Emitter) {
+// requires exactly the record sequence of arrivalOrder: keys in the order
+// of their first record, and ascending record index inside every key.
+func checkGroupOrder(t *testing.T, sc *taskScratch, em *Emitter) {
 	t.Helper()
 	recs := arenaRecords(t, em)
-	got, want := groupOrder(t, sc, em), stableOrder(t, em)
+	got, want := groupOrder(t, sc, em), arrivalOrder(t, em)
 	if len(got) != len(want) {
 		t.Fatalf("n=%d: %d records delivered", len(want), len(got))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("n=%d: position %d delivers record %d (key %q), the stable sort wants record %d (key %q)",
+			t.Fatalf("n=%d: position %d delivers record %d (key %q), first-arrival order wants record %d (key %q)",
 				len(want), i, got[i], recs.key(int(got[i])), want[i], recs.key(int(want[i])))
 		}
 	}

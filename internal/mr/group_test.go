@@ -1,13 +1,11 @@
 package mr
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/relation"
@@ -66,7 +64,7 @@ func partitionOf(t testing.TB, s *Emitter) [][]taskPartition {
 // order, so the record indices a Group carries are then s's own.
 func reduceOn(t testing.TB, sc *taskScratch, s *Emitter, slot reduceSlot, fn func(key []byte, msgs *Group)) {
 	t.Helper()
-	if _, err := reduceGroups(sc, partitionOf(t, s), slot, nil, fn); err != nil {
+	if _, err := reduceGroups(sc, partitionOf(t, s), slot, nil, func(_ int, key []byte, msgs *Group) { fn(key, msgs) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,17 +78,26 @@ func groupOrder(t testing.TB, sc *taskScratch, s *Emitter) []int32 {
 	return order
 }
 
-// stableOrder is the oracle for groupOrder: the indices of s's records,
-// as read back from its arena, stably sorted by key bytes — ascending
-// keys, and ascending record index (arrival order) inside every key.
-func stableOrder(t testing.TB, em *Emitter) []int32 {
+// arrivalOrder is the oracle for groupOrder: the indices of s's records,
+// as read back from its arena, grouped by key through a map — keys in the
+// order of their first record, and ascending record index (arrival order)
+// inside every key.
+func arrivalOrder(t testing.TB, em *Emitter) []int32 {
 	t.Helper()
 	s := arenaRecords(t, em)
-	want := make([]int32, len(s.recs))
-	for i := range want {
-		want[i] = int32(i)
+	groups := make(map[string][]int32)
+	var keys []string
+	for i := range s.recs {
+		k := string(s.key(i))
+		if _, seen := groups[k]; !seen {
+			keys = append(keys, k)
+		}
+		groups[k] = append(groups[k], int32(i))
 	}
-	slices.SortStableFunc(want, func(a, b int32) int { return bytes.Compare(s.key(int(a)), s.key(int(b))) })
+	want := make([]int32, 0, len(s.recs))
+	for _, k := range keys {
+		want = append(want, groups[k]...)
+	}
 	return want
 }
 
@@ -117,12 +124,12 @@ func groupTrace(t testing.TB, s *Emitter) string {
 	return slotTrace(t, s, reduceSlot{})
 }
 
-// refTrace is the engine's original reduce grouping (hash map + sorted
-// key list) rendered like groupTrace: the oracle the reduce task's
-// grouping must reproduce byte for byte. It works on string keys — the
-// engine's original key representation — so it also serves as the
-// string-keyed oracle for the byte-slice key differential tests in
-// radix_test.go.
+// refTrace is the reduce grouping done with a hash map — keys in the
+// order of their first record, messages in arrival order — rendered like
+// groupTrace: the oracle the reduce task's grouping must reproduce byte
+// for byte. It works on string keys, the engine's original key
+// representation, so it is also the string-keyed oracle for the
+// byte-slice keys of the adversarial key mix.
 func refTrace(kvs []kv) string {
 	groups := make(map[string][]int64)
 	var keys []string
@@ -132,7 +139,6 @@ func refTrace(kvs []kv) string {
 		}
 		groups[r.key] = append(groups[r.key], r.v)
 	}
-	sort.Strings(keys)
 	var out string
 	for _, k := range keys {
 		out += fmt.Sprintf("%q:", k)
@@ -168,7 +174,7 @@ func randomKVs(rng *rand.Rand, n, keys int) []kv {
 
 // TestForEachGroupMatchesMapGrouping drives both groupings over
 // randomized skewed-key partitions and requires identical traces: same
-// key order, same group boundaries, same message order.
+// key order (first arrival), same group boundaries, same message order.
 func TestForEachGroupMatchesMapGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
@@ -400,7 +406,7 @@ func TestReduceGroupingProbeLength(t *testing.T) {
 			}
 			var sc taskScratch
 			parts := partitionOf(t, &em)
-			if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func([]byte, *Group) {}); err != nil {
+			if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func(int, []byte, *Group) {}); err != nil {
 				t.Fatal(err)
 			}
 			if keys := len(sc.keys.locs); keys != n {
@@ -460,7 +466,7 @@ const taskAllocs = 3
 
 // TestReduceGroupingWarmAllocatesNothing: on a scratch that has seen a
 // task of the size, a reduce task's grouping allocates nothing — the key
-// set, the refs, the counts and the index are all the worker's — so the
+// set, the counts and the index are all the worker's — so the
 // whole task allocates its taskAllocs fixed objects and no more, at any
 // partition size.
 func TestReduceGroupingWarmAllocatesNothing(t *testing.T) {
@@ -469,7 +475,7 @@ func TestReduceGroupingWarmAllocatesNothing(t *testing.T) {
 	for _, shape := range []struct{ n, keys int }{{20_000, 3000}, {2000, 300}, {2000, 2000}, {1, 1}} {
 		parts := partitionOf(t, setOf(randomKVs(rng, shape.n, shape.keys)))
 		got := testing.AllocsPerRun(10, func() {
-			if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func([]byte, *Group) {}); err != nil {
+			if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func(int, []byte, *Group) {}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -485,7 +491,7 @@ func TestReduceGroupingShapes(t *testing.T) {
 	distinct := func(n int, key func(i int) string) []kv {
 		kvs := make([]kv, 0, 2*n)
 		for i := 0; i < n; i++ {
-			kvs = append(kvs, kv{key(n - 1 - i), int64(i)}) // descending: nothing arrives sorted
+			kvs = append(kvs, kv{key(n - 1 - i), int64(i)}) // descending: arrival order is not key order
 		}
 		for i := 0; i < n; i += 3 {
 			kvs = append(kvs, kv{key(i), int64(n + i)}) // a late second message for every third key
@@ -503,7 +509,7 @@ func TestReduceGroupingShapes(t *testing.T) {
 			{"12345678", 1}, {"", 2}, {"123456789", 3}, {"12345678\x00", 4}, {"1234567", 5},
 			{"12345678", 6}, {"", 7}, {"123456789", 8}, {"12345678\x00", 9}, {"1234567\x00", 10}},
 	}
-	for _, groups := range []int{radixBucketCutoff, radixMinLen - 1, radixMinLen, radixMinLen + 1, 3 * radixMinLen} {
+	for _, groups := range []int{96, 511, 512, 513, 1536} {
 		shapes[fmt.Sprintf("%d groups, short keys", groups)] = distinct(groups, short)
 		shapes[fmt.Sprintf("%d groups past one prefix", groups)] = distinct(groups, long)
 	}
@@ -523,12 +529,66 @@ func TestReduceGroupingShapes(t *testing.T) {
 		slot reduceSlot
 		want string
 	}{
-		{reduceSlot{hi: []byte("hot")}, `"a":5,;"hos":1,;`},
+		{reduceSlot{hi: []byte("hot")}, `"hos":1,;"a":5,;`},
 		{reduceSlot{lo: []byte("hot"), hi: []byte("hot\x00")}, `"hot":2,4,6,8,;`},
 		{reduceSlot{lo: []byte("hot\x00")}, `"hot\x00":3,;"hou":7,;`},
 	} {
 		if got := slotTrace(t, s, c.slot); got != c.want {
 			t.Errorf("slot [%q, %q): trace %s, want %s", c.slot.lo, c.slot.hi, got, c.want)
+		}
+	}
+}
+
+// genAdversarialKeys builds shuffle keys that stress every branch of the
+// key order: empty keys, keys straddling the packed 8-byte prefix
+// (lengths 7, 8 and 9+), long shared prefixes that differ only past the
+// prefix, zero bytes that collide with the prefix's right-padding, and
+// heavy duplication (the small suffix alphabet guarantees repeats).
+func genAdversarialKeys(rng *rand.Rand, n int) [][]byte {
+	prefixes := [][]byte{
+		nil, // empty / suffix-only keys
+		{0x00},
+		{0x00, 0x00},
+		[]byte("shared"), // 6 bytes
+		{0x80, 0xff, 0x00, 0x01, 0x7f, 0xfe, 0x02},       // 7 bytes
+		{0x80, 0xff, 0x00, 0x01, 0x7f, 0xfe, 0x02, 0x81}, // exactly 8
+		[]byte("shared-prefix-longer-than-8"),
+	}
+	alphabet := []byte{0x00, 0x01, 0x7f, 0x80, 0xff}
+	keys := make([][]byte, n)
+	for i := range keys {
+		k := append([]byte(nil), prefixes[rng.Intn(len(prefixes))]...)
+		for j := rng.Intn(4); j > 0; j-- {
+			k = append(k, alphabet[rng.Intn(len(alphabet))])
+		}
+		keys[i] = k
+	}
+	return keys
+}
+
+func kvsFromKeys(keys [][]byte) []kv {
+	kvs := make([]kv, len(keys))
+	for i, k := range keys {
+		kvs[i] = kv{string(k), int64(i)}
+	}
+	return kvs
+}
+
+// TestForEachGroupBoundariesAdversarialKeys extends the grouping
+// differential to the adversarial key mix: run boundaries, key order and
+// per-key message arrival order must match the map-based string-key
+// oracle on empty keys, 8-byte-boundary lengths and shared prefixes, over
+// 512 to 1 535 records.
+func TestForEachGroupBoundariesAdversarialKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 15; trial++ {
+		n := 512 + rng.Intn(1024)
+		keys := genAdversarialKeys(rng, n)
+		kvs := kvsFromKeys(keys)
+		want := refTrace(kvs)
+		got := groupTrace(t, setOf(kvs))
+		if got != want {
+			t.Fatalf("trial %d: grouping diverged:\n got %s\nwant %s", trial, got, want)
 		}
 	}
 }

@@ -16,9 +16,10 @@ import (
 //	              at r = 1 the arena is the partition as it is)
 //	all shuffles ─▶ reduce partition tasks (one per reducer:
 //	              concatenate in task order through the key set,
-//	              sort the distinct keys, Reducer.Reduce per group)
+//	              Reducer.Reduce per group in first-arrival order)
 //	all reduces ──▶ output merge shards (one per declared output
-//	              relation, relation.Merge inside)
+//	              relation, relation.Merge inside; a split
+//	              partition's sub-outputs interleaved by first arrival)
 //	all merges  ──▶ final stats fold, job counted done
 //
 // Each input's map tasks are spawned independently the moment that
@@ -71,10 +72,10 @@ type jobRun struct {
 	// slots is the reduce-stage task layout, reducer-major and
 	// sub-range-minor: one full-range slot per reducer normally; a heavy
 	// partition under runtime splitting contributes one slot per key
-	// sub-range (split.go). outs and slotLoads are indexed by slot, and
-	// every order-sensitive fold over them walks slot order — the
-	// ordered sub-partition fold that keeps split runs bit-for-bit
-	// identical to unsplit ones.
+	// sub-range (split.go). outs and slotLoads are indexed by slot; the
+	// loads fold in slot order and a split partition's outputs
+	// interleave by first arrival (mergeTask), which keeps split runs
+	// bit-for-bit identical to unsplit ones.
 	slots     []reduceSlot
 	slotLoads []int64   // per slot: modelled bytes the task consumed
 	outs      []*Output // per reduce slot
@@ -395,13 +396,16 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 // are identical to a serial pass over the tasks), sizing the worker's key
 // set for them first so that every record is gathered with its key group,
 // lays the records out by key (groupRecords) and calls fn once per
-// distinct key, ascending, with the key's messages in arrival order.
-// What "its share" means — a whole partition or a [lo, hi) key sub-range
-// of it, held in memory or spilled — is taskPartition's business (count,
-// appendTo in spill.go): this loop is the one ordered-fold reader of
+// distinct key, in first-arrival order, with the key's number g in that
+// order and its messages in arrival order. On a split slot it also fills
+// sc.arrival: arrival[g] is the index of group g's first record in the
+// reducer's whole, unsplit stream, ascending in g. What "its share" means
+// — a whole partition or a [lo, hi) key sub-range of it, held in memory
+// or spilled — is taskPartition's business (count, appendTo in
+// spill.go): this loop is the one ordered-fold reader of
 // docs/INVARIANTS.md. The buffer list is sized by the same walk: one
 // buffer per chunk of each non-empty segment, appendTo's one append each.
-func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *Budget, fn func(key []byte, msgs *Group)) (int64, error) {
+func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *Budget, fn func(g int, key []byte, msgs *Group)) (int64, error) {
 	n, bufs := 0, 0
 	for part := range parts {
 		for ti := range parts[part] {
@@ -412,26 +416,39 @@ func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *
 	}
 	set := recordSet{bufs: make([][]byte, 0, bufs), recs: grow(&sc.recs, n)[:0]}
 	ks := sc.keySet(n, true)
+	var arrival []int32
+	if slot.split() {
+		arrival = grow(&sc.arrival, n)
+	}
 	var load int64
+	var at int32
 	for part := range parts {
 		for ti := range parts[part] {
-			kept, err := parts[part][ti].appendTo(&set, ks, slot, b)
+			tp := &parts[part][ti]
+			kept, err := tp.appendTo(&set, ks, slot, at, arrival, b)
 			if err != nil {
 				return load, err
 			}
 			load += kept
+			at += tp.segs[slot.ri].count
 		}
 	}
-	forEachGroup(&set, groupRecords(sc, &set, len(ks.locs)), fn)
+	forEachGroup(&set, groupRecords(sc, &set, ks.locs), fn)
 	return load, nil
 }
 
-// reduceTask runs one reduce slot through the user Reducer.
+// reduceTask runs one reduce slot through the user Reducer. On a split
+// slot the Output records which group added which tuples, each group
+// under its first-arrival index, for mergeTask's interleave.
 func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 	slot := jr.slots[si]
-	out := newOutput(jr.job.Outputs)
+	split := slot.split()
+	out := newOutput(jr.job.Outputs, split)
 	jr.outs[si] = out
-	load, err := reduceGroups(c.scratch, jr.taskParts, slot, jr.gov.budget, func(key []byte, msgs *Group) {
+	load, err := reduceGroups(c.scratch, jr.taskParts, slot, jr.gov.budget, func(g int, key []byte, msgs *Group) {
+		if split {
+			out.group = c.scratch.arrival[g]
+		}
 		jr.job.Reducer.Reduce(key, msgs, out)
 	})
 	if err != nil {
@@ -485,21 +502,29 @@ func (jr *jobRun) reducesDone(c *poolCtx) {
 }
 
 // mergeTask unions one output relation's reduce-task pieces in reduce
-// slot order (reducer-major, ascending sub-range under splitting — the
-// ordered sub-partition fold) with first-occurrence dedup
-// (relation.Merge — bit-for-bit the order a serial Relation.Add loop
-// over the unsplit reducers would produce) and publishes the
-// merged relation through onOutput, releasing any map tasks of
-// downstream jobs waiting on this relation.
+// slot order (reducer-major) with first-occurrence dedup (relation.Merge)
+// and publishes the merged relation through onOutput, releasing any map
+// tasks of downstream jobs waiting on this relation. A whole partition's
+// task contributes its relation as one run; a split partition's sub-range
+// tasks contribute their group runs interleaved by first arrival
+// (interleave), so the merge adds tuples in exactly the order a serial
+// Relation.Add loop over the unsplit reducers would.
 func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 	name := jr.outNames[ni]
-	srcs := make([]*relation.Relation, 0, len(jr.outs))
-	for _, o := range jr.outs {
-		if r := o.rels[name]; r != nil {
-			srcs = append(srcs, r)
+	runs := make([]relation.Run, 0, len(jr.outs))
+	for lo := 0; lo < len(jr.slots); {
+		hi := lo + 1
+		for hi < len(jr.slots) && jr.slots[hi].ri == jr.slots[lo].ri {
+			hi++
 		}
+		if hi-lo > 1 {
+			runs = interleave(runs, jr.outs[lo:hi], name)
+		} else if r := jr.outs[lo].rels[name]; r != nil {
+			runs = append(runs, relation.Run{Rel: r, Hi: r.Size()})
+		}
+		lo = hi
 	}
-	merged := relation.Merge(name, jr.job.Outputs[name], srcs)
+	merged := relation.Merge(name, jr.job.Outputs[name], runs)
 	// The merge-shard accounting site: the merged relation is charged
 	// before it is published to downstream consumers.
 	jr.gov.budget.charge(merged.Bytes())
@@ -510,6 +535,44 @@ func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 	}
 	if jr.stageDone() {
 		jr.finishJob(c)
+	}
+}
+
+// interleave appends to runs the group runs that one split partition's
+// sub-range tasks (outs, in slot order) added to relation name, merged by
+// first-arrival index: a k-way merge of lists each ascending in it, with
+// no ties, since a key's group lies in one sub-range. Adjacent runs of
+// one relation are joined, so a partition whose output comes from one
+// sub-range task yields that relation whole.
+func interleave(runs []relation.Run, outs []*Output, name string) []relation.Run {
+	type cursor struct {
+		rel    *relation.Relation
+		runs   []groupRun // the runs not yet taken
+		offset int        // where the first of them starts in rel
+	}
+	cur := make([]cursor, 0, len(outs))
+	for _, o := range outs {
+		if r := o.rels[name]; r != nil {
+			cur = append(cur, cursor{rel: r, runs: o.runs[name]})
+		}
+	}
+	for {
+		var c *cursor
+		for i := range cur {
+			if k := &cur[i]; len(k.runs) > 0 && (c == nil || k.runs[0].first < c.runs[0].first) {
+				c = k
+			}
+		}
+		if c == nil {
+			return runs
+		}
+		end := int(c.runs[0].end)
+		if last := len(runs) - 1; last >= 0 && runs[last].Rel == c.rel && runs[last].Hi == c.offset {
+			runs[last].Hi = end
+		} else {
+			runs = append(runs, relation.Run{Rel: c.rel, Lo: c.offset, Hi: end})
+		}
+		c.runs, c.offset = c.runs[1:], end
 	}
 }
 

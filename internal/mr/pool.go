@@ -56,12 +56,12 @@ type poolCtx struct {
 // per task. Every buffer is handed out to be overwritten — the key set's
 // slots, to be cleared — before any read.
 type taskScratch struct {
-	recs   []record // reduceGroups: the gathered records
-	refs   []keyRef // groupRecords: one sort ref per distinct key + radix scatter scratch
-	idx    []int32  // shuffleTask: each record's encoded length; groupRecords: record indices laid out by key
-	keys   keySet   // a map task's packing decisions under Emit, or a reduce task's gather
-	target []int32  // shuffleTask: each record's reducer; groupRecords: each group's count, cursor, end
-	pos    []int64  // shuffleTask: per-reducer write cursors
+	recs    []record // reduceGroups: the gathered records
+	idx     []int32  // shuffleTask: each record's encoded length; groupRecords: record indices laid out by key
+	keys    keySet   // a map task's packing decisions under Emit, or a reduce task's gather
+	target  []int32  // shuffleTask: each record's reducer; groupRecords: each group's count, cursor, end
+	pos     []int64  // shuffleTask: per-reducer write cursors
+	arrival []int32  // reduceGroups, split slots only: each group's first record's index in the unsplit stream
 }
 
 // grow returns *buf resized to n elements of unspecified content,

@@ -127,7 +127,7 @@ type JobTiming struct {
 	Name           string
 	MapSeconds     float64 // map tasks (mapper over one split; Emit encodes and packs)
 	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement; near zero at r = 1, where the arena is handed over)
-	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, sort the distinct keys, scatter, reduce)
+	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, scatter, reduce)
 	MergeSeconds   float64 // output merge shards (relation.Merge, publish)
 	// SplitSeconds is the share of ReduceSeconds spent in sub-range
 	// reduce tasks created by the runtime skew splitter — a subset, not

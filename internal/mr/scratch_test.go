@@ -70,16 +70,15 @@ func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 // TestScratchRecycledArraysLeakNoRecords is the ownership contract of
 // the reduce side's record buffer and the key set: a task that gathers
 // into the array a longer task filled, and probes slots and entries that
-// task left, sees its own records and nothing else. Task A's keys all
-// sort after task B's, so a stale tail entry of A's array that B's sort
-// or grouping could reach would show up as a trailing group; a stale slot
-// or entry of A's key set would index past B's records or miscount B's
-// keys.
+// task left, sees its own records and nothing else. Task A's keys are
+// none of task B's, so a stale tail entry of A's array that B's grouping
+// could reach would show up as a group of its own; a stale slot or entry
+// of A's key set would index past B's records or miscount B's keys.
 func TestScratchRecycledArraysLeakNoRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, packing := range []bool{false, true} {
 		c := &poolCtx{scratch: new(taskScratch)}
-		for i, n := range []int{3000, 37, radixMinLen + 1, 0, 1, 900} {
+		for i, n := range []int{3000, 37, 513, 0, 1, 900} {
 			kvs := randomKVs(rng, n, 40)
 			if i == 0 {
 				for j := range kvs {
@@ -98,26 +97,25 @@ func TestScratchRecycledArraysLeakNoRecords(t *testing.T) {
 
 // TestScratchWarmEqualsCold: a reduce task on a scratch that has served
 // a longer, different input delivers exactly what it delivers on a fresh
-// one — the stable sort of its records — and a packing map task on it
-// still meets its oracle — over the adversarial key mix, at the sizes of
-// TestForEachGroupBoundariesAdversarialKeys and across the radixMinLen
-// boundary, where the refs buffer changes layout (groups vs 2 × groups).
+// one — its records in first-arrival order of their keys — and a packing
+// map task on it still meets its oracle — over the adversarial key mix,
+// at the sizes of TestForEachGroupBoundariesAdversarialKeys and below.
 func TestScratchWarmEqualsCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	sizes := []int{radixMinLen - 1, radixMinLen, radixMinLen + 1, 0, 1, radixBucketCutoff}
+	sizes := []int{511, 512, 513, 0, 1, 96}
 	for trial := 0; trial < 15; trial++ {
-		sizes = append(sizes, radixMinLen+rng.Intn(radixMinLen*2))
+		sizes = append(sizes, 512+rng.Intn(1024))
 	}
 	var warm taskScratch
-	long := kvsFromKeys(genAdversarialKeys(rng, radixMinLen*4))
+	long := kvsFromKeys(genAdversarialKeys(rng, 2048))
 	groupOrder(t, &warm, setOf(long))
 	checkPacking(t, &warm, long, len(long))
 	for _, n := range sizes {
 		kvs := kvsFromKeys(genAdversarialKeys(rng, n))
 		s := setOf(kvs)
 		got, cold := groupOrder(t, &warm, s), groupOrder(t, &taskScratch{}, s)
-		if !slices.Equal(got, cold) || !slices.Equal(got, stableOrder(t, s)) {
-			t.Fatalf("n=%d: a reduce task on a warm scratch delivers\n%v, on a cold one\n%v, the stable sort is\n%v", n, got, cold, stableOrder(t, s))
+		if !slices.Equal(got, cold) || !slices.Equal(got, arrivalOrder(t, s)) {
+			t.Fatalf("n=%d: a reduce task on a warm scratch delivers\n%v, on a cold one\n%v, first-arrival order is\n%v", n, got, cold, arrivalOrder(t, s))
 		}
 		checkPacking(t, &warm, kvs, n/3)
 	}

@@ -23,7 +23,10 @@ import (
 //   - each slot's input is the stream filtered to its range in stream
 //     order — so concatenating the slots' inputs in slot order is the
 //     stream stably partitioned by range, the ordered sub-partition
-//     fold's premise.
+//     fold's premise;
+//   - each key group of a slot carries the index of the key's first
+//     record in ri's whole stream, ascending in the slot's group order —
+//     the first-arrival index the merge interleaves split outputs by.
 func FuzzSlotLayout(f *testing.F) {
 	f.Add([]byte{1, 'a', 1, 'b', 2, 'a', 'b', 9, 'l', 'o', 'n', 'g', 'e', 'r', 'k', 'e', 'y'}, uint8(3), uint8(200), false)
 	f.Add([]byte{0, 1, 0x00, 2, 0x00, 0x00, 1, 0xff}, uint8(1), uint8(0), true)
@@ -124,13 +127,29 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 				}
 			}
 			ks := c.scratch.keySet(reserve, true)
+			arrival := make([]int32, reserve)
+			var at int32
 			for part := range jr.taskParts {
 				for ti := range jr.taskParts[part] {
-					kept, err := jr.taskParts[part][ti].appendTo(&got, ks, slot, nil)
+					tp := &jr.taskParts[part][ti]
+					kept, err := tp.appendTo(&got, ks, slot, at, arrival, nil)
 					if err != nil {
 						t.Fatalf("slot %d: appendTo: %v", si, err)
 					}
 					load += kept
+					at += tp.segs[ri].count
+				}
+			}
+			for g, l := range ks.locs {
+				key, first := got.key(int(l.first)), -1
+				for i, r := range streams[ri] {
+					if bytes.Equal(r.key, key) {
+						first = i
+						break
+					}
+				}
+				if int(arrival[g]) != first || (g > 0 && arrival[g] <= arrival[g-1]) {
+					t.Fatalf("slot %d: group %d (key %q) arrived at %d, its first record is at %d of the stream", si, g, key, arrival[g], first)
 				}
 			}
 			if len(got.recs) != len(want) {

@@ -255,6 +255,10 @@ func (tp *taskPartition) count(s reduceSlot) int {
 // the shuffle placed them, each stamped with its key group — the index in
 // dst of the first record carrying its key, from the task's key set — and
 // returns their modelled bytes: the slot's share of the partition load.
+// at is the index of the segment's first record in reducer s.ri's whole
+// stream (every segment before it, in declared order, counted); when
+// arrival is non-nil — a split slot — each new key's entry k records
+// there, at arrival[k], the index of its first record in that stream.
 // Resident or streamed back from the spill file, whole or sub-range, the
 // segment goes through the same decode loop and the reducer sees the same
 // record sequence; each chunk of the segment becomes one more buffer of
@@ -264,7 +268,7 @@ func (tp *taskPartition) count(s reduceSlot) int {
 // decodes the whole segment: redundant work, but deterministic and
 // budget-charged per task, and bounded by the sub-range cap
 // (splitMaxKeys) on how many sub-tasks one partition can become.
-func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, s reduceSlot, b *Budget) (int64, error) {
+func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, s reduceSlot, at int32, arrival []int32, b *Budget) (int64, error) {
 	seg := tp.segs[s.ri]
 	if seg.count == 0 {
 		return 0, nil
@@ -289,6 +293,9 @@ func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, s reduceSlot, b *B
 				loc, made := ks.entry(dst.bufs, key)
 				if made {
 					*loc = keyLoc{src: src, off: r.off, klen: r.klen, first: int32(len(dst.recs))}
+					if arrival != nil {
+						arrival[len(ks.locs)-1] = at + n
+					}
 				}
 				r.group = loc.first
 				dst.recs = append(dst.recs, r)

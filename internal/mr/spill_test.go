@@ -80,7 +80,7 @@ func readAll(tp *taskPartition) (recordSet, error) {
 	}
 	ks := new(taskScratch).keySet(n, true)
 	for ri := range tp.segs {
-		if _, err := tp.appendTo(&got, ks, reduceSlot{ri: ri}, nil); err != nil {
+		if _, err := tp.appendTo(&got, ks, reduceSlot{ri: ri}, 0, nil, nil); err != nil {
 			return got, err
 		}
 	}

@@ -24,11 +24,17 @@ import "bytes"
 //     concatenation of the sub-tasks' inputs in sub order is a
 //     permutation-by-range of the unsplit sequence with arrival order
 //     preserved inside every range;
-//   - reducers emit keys in ascending order, so concatenating the
-//     sub-outputs in ascending sub-range order (the ordered
-//     sub-partition fold: reduce slots are laid out reducer-major,
-//     sub-range-minor, and the merge stage walks them in slot order)
-//     reproduces the exact serial Add sequence of the unsplit reducer;
+//   - the unsplit reducer reduces its groups in first-arrival order, the
+//     order of each key's first record in that sequence. Each sub-task
+//     reduces its own groups in the same relative order and knows, for
+//     each, the index of its first record in the unsplit sequence
+//     (reduceGroups' arrival). Its Output records, per relation, one run
+//     of tuples per group that added any, under that index. The merge
+//     stage interleaves a split partition's sub-outputs by it — a k-way
+//     merge of ascending runs, with no ties, since no group spans two
+//     sub-tasks (mergeTask, interleave) — which reproduces the unsplit
+//     reducer's Add sequence less only the repeats inside one sub-task,
+//     which relation.Merge's first-occurrence dedup drops anyway;
 //   - per-reducer loads are folded as int64 sums over slots in slot
 //     order, bit-identical to the unsplit accumulation.
 //
@@ -41,8 +47,9 @@ import "bytes"
 
 // reduceSlot is one scheduled reduce task: a whole reduce partition
 // (lo and hi nil), or one key sub-range [lo, hi) of a split partition.
-// Slots are ordered reducer-major, sub-range-minor — the order the
-// output merge folds them in.
+// Slots are ordered reducer-major, sub-range-minor: the output merge
+// takes reducers in that order and interleaves a split reducer's
+// sub-range slots by first arrival.
 type reduceSlot struct {
 	ri     int
 	lo, hi []byte // key range [lo, hi); nil bound = unbounded

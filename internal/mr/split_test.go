@@ -2,6 +2,7 @@ package mr
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -289,5 +290,72 @@ func TestSkewSplitPlanLayout(t *testing.T) {
 			}
 		}
 		prevRi = s.ri
+	}
+}
+
+// TestSplitOutputOrder is split invariance at the engine level, on the
+// shape that separates first-arrival order from key order: keys arrive
+// "z…" before "hot" before "a…", so the skew splitter's sub-ranges —
+// [.., "hot"), ["hot", "hot\x00"), ["hot\x00", ..) and whatever other
+// cuts the sketch picks — hold the groups in the opposite order to their
+// arrival. Every group adds two tuples of its own, and every group adds
+// one shared tuple, which groups in different sub-ranges therefore both
+// add. The merged relation must be the split-off run's tuple for tuple:
+// the sub-outputs interleave by first arrival, not in slot order.
+func TestSplitOutputOrder(t *testing.T) {
+	const n = 3000
+	keys := make([][]byte, n)
+	prefixes := []string{"z", "a", "m"}
+	for i := range keys {
+		if i%2 == 1 {
+			keys[i] = []byte("hot")
+		} else {
+			keys[i] = fmt.Appendf(nil, "%s%03d", prefixes[i/2%3], i/6%97)
+		}
+	}
+	db := relation.NewDatabase()
+	db.Put(relation.FromTuples("R", 1, tuples(n)))
+	job := func(reducers int) *Job {
+		return &Job{
+			Name:     "order",
+			Inputs:   []string{"R"},
+			Outputs:  map[string]int{"Z": 2},
+			Reducers: reducers,
+			Mapper: MapperFunc(func(_ string, id int, _ relation.Tuple, em *Emitter) {
+				emitInt(em, keys[id], int64(id))
+			}),
+			Reducer: ReducerFunc(func(_ []byte, msgs *Group, out *Output) {
+				first, last := intAt(msgs, 0), intAt(msgs, msgs.Len()-1)
+				out.Add("Z", tup(first, int64(msgs.Len())))
+				out.Add("Z", tup(-1, -1))
+				out.Add("Z", tup(first, last))
+			}),
+		}
+	}
+	for _, c := range []struct {
+		reducers int
+		split    float64
+	}{{1, 0.5}, {3, 1.3}} {
+		run := func(split float64) (*relation.Relation, JobStats) {
+			e := NewEngine(Config{Cost: cost.Default().Scaled(0.001), Workers: 2, SkewSplit: split})
+			outs, stats, _, err := e.Run(context.Background(), &Program{Jobs: []*Job{job(c.reducers)}}, db, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return outs.Relation("Z"), stats[0]
+		}
+		want, _ := run(-1)
+		got, stats := run(c.split)
+		if stats.SplitReduceTasks < 3 {
+			t.Fatalf("r = %d: %d split reduce tasks, want the hot key's partition cut in three or more", c.reducers, stats.SplitReduceTasks)
+		}
+		if got.Size() != want.Size() {
+			t.Fatalf("r = %d: split run has %d tuples, unsplit %d", c.reducers, got.Size(), want.Size())
+		}
+		for i := 0; i < want.Size(); i++ {
+			if !got.Tuple(i).Equal(want.Tuple(i)) {
+				t.Fatalf("r = %d: tuple %d is %v split, %v unsplit", c.reducers, i, got.Tuple(i), want.Tuple(i))
+			}
+		}
 	}
 }

@@ -93,15 +93,17 @@ func Corrupt(what string) {
 }
 
 // Reducer processes one key group. Reduce is called once per distinct
-// key of a reduce partition, in ascending key order, with the key's
-// messages in arrival order. The same Reducer instance is used
-// concurrently by multiple reduce tasks. The key, the group and every
-// payload it hands out are owned by the engine: they point into shuffle
-// buffers that are reused or released after Reduce returns, so
-// implementations must not mutate or retain them (copy the key if
-// needed; decoded values are copies and may be kept). This contract is
-// guarded for every production reducer by TestReducersRetainNothing
-// (internal/exec); docs/INVARIANTS.md has the fix recipes.
+// key of a reduce partition, in first-arrival order — the order in which
+// each key's first message appears in the partition's stream, map tasks
+// in declared (input, task) order — with the key's messages in arrival
+// order. The same Reducer instance is used concurrently by multiple
+// reduce tasks. The key, the group and every payload it hands out are
+// owned by the engine: they point into shuffle buffers that are reused or
+// released after Reduce returns, so implementations must not mutate or
+// retain them (copy the key if needed; decoded values are copies and may
+// be kept). This contract is guarded for every production reducer by
+// TestReducersRetainNothing (internal/exec); docs/INVARIANTS.md has the
+// fix recipes.
 type Reducer interface {
 	Reduce(key []byte, msgs *Group, out *Output)
 }
@@ -113,15 +115,34 @@ type ReducerFunc func(key []byte, msgs *Group, out *Output)
 func (f ReducerFunc) Reduce(key []byte, msgs *Group, out *Output) { f(key, msgs, out) }
 
 // Output collects reducer output facts into named relations. One Output
-// is private to each reduce task; task outputs are merged in task order
-// after the job, keeping runs deterministic.
+// is private to each reduce task; task outputs are merged in reducer
+// order after the job, keeping runs deterministic. The Output of a split
+// partition's sub-range task also records, per relation, which group
+// added which tuples, so the merge can interleave the sub-range tasks'
+// outputs back into the unsplit order (split.go).
 type Output struct {
 	arities map[string]int
 	rels    map[string]*relation.Relation
+	// runs, on a split slot's task only, is per relation its group runs
+	// in reduce order: the tuples of runs[name][i] are rels[name]'s
+	// [runs[name][i-1].end, runs[name][i].end). group is the
+	// first-arrival index (reduceGroups) of the group being reduced.
+	runs  map[string][]groupRun
+	group int32
 }
 
-func newOutput(arities map[string]int) *Output {
-	return &Output{arities: arities, rels: make(map[string]*relation.Relation)}
+// groupRun is the tuples one group added to one output relation: its
+// first-arrival index and the relation's size after its last tuple.
+type groupRun struct{ first, end int32 }
+
+// newOutput returns a reduce task's Output; split says the task is a
+// split partition's sub-range task, which records group runs.
+func newOutput(arities map[string]int, split bool) *Output {
+	o := &Output{arities: arities, rels: make(map[string]*relation.Relation)}
+	if split {
+		o.runs = make(map[string][]groupRun)
+	}
+	return o
 }
 
 // Add appends a copy of the fact to the named output relation, so t may
@@ -137,7 +158,15 @@ func (o *Output) Add(name string, t relation.Tuple) {
 		r = relation.New(name, arity)
 		o.rels[name] = r
 	}
-	r.Add(t)
+	if !r.Add(t) || o.runs == nil {
+		return
+	}
+	runs, end := o.runs[name], int32(r.Size())
+	if n := len(runs); n > 0 && runs[n-1].first == o.group {
+		runs[n-1].end = end
+	} else {
+		o.runs[name] = append(runs, groupRun{first: o.group, end: end})
+	}
 }
 
 // Job describes one MapReduce job.

@@ -7,15 +7,51 @@ import (
 )
 
 // refMerge is the serial merge Merge must reproduce bit for bit: every
-// source's tuples added in order to a fresh relation.
-func refMerge(name string, arity int, srcs []*Relation) *Relation {
+// run's tuples added in order to a fresh relation.
+func refMerge(name string, arity int, runs []Run) *Relation {
 	out := New(name, arity)
-	for _, s := range srcs {
-		if s == nil {
-			continue
+	for _, r := range runs {
+		for i := r.Lo; i < r.Hi; i++ {
+			out.Add(r.Rel.Tuple(i))
 		}
-		for _, t := range s.Tuples() {
-			out.Add(t)
+	}
+	return out
+}
+
+// wholeRuns is srcs as Merge runs, one whole relation each; a nil source
+// is an empty run.
+func wholeRuns(srcs []*Relation) []Run {
+	runs := make([]Run, len(srcs))
+	for i, s := range srcs {
+		if s != nil {
+			runs[i] = Run{Rel: s, Hi: s.Size()}
+		}
+	}
+	return runs
+}
+
+// cutRuns cuts every non-empty run of runs at random points and deals the
+// pieces out in a random interleaving that keeps each source's pieces in
+// order: the shape of a split partition's group runs.
+func cutRuns(rng *rand.Rand, runs []Run) []Run {
+	var pieces [][]Run
+	for _, r := range runs {
+		var ps []Run
+		for lo := r.Lo; lo < r.Hi; {
+			hi := min(r.Hi, lo+1+rng.Intn(20))
+			ps = append(ps, Run{Rel: r.Rel, Lo: lo, Hi: hi})
+			lo = hi
+		}
+		if len(ps) > 0 {
+			pieces = append(pieces, ps)
+		}
+	}
+	var out []Run
+	for len(pieces) > 0 {
+		i := rng.Intn(len(pieces))
+		out = append(out, pieces[i][0])
+		if pieces[i] = pieces[i][1:]; len(pieces[i]) == 0 {
+			pieces = append(pieces[:i], pieces[i+1:]...)
 		}
 	}
 	return out
@@ -38,9 +74,9 @@ func sameOrdered(a, b *Relation) error {
 }
 
 // TestMergeMatchesSerialAdd drives Merge over randomized source sets —
-// overlapping tuple sets, empty and nil sources, skewed sizes — and
-// requires the exact tuple order and index behaviour of the serial Add
-// loop.
+// overlapping tuple sets, empty and nil sources, skewed sizes — as whole
+// runs and cut into interleaved pieces, and requires the exact tuple
+// order and index behaviour of the serial Add loop.
 func TestMergeMatchesSerialAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
@@ -64,15 +100,17 @@ func TestMergeMatchesSerialAdd(t *testing.T) {
 			}
 			srcs[i] = r
 		}
-		want := refMerge("Z", 2, srcs)
-		got := Merge("Z", 2, srcs)
-		if err := sameOrdered(got, want); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// The index must agree too: membership and positions.
-		for i := 0; i < want.Size(); i++ {
-			if !got.Contains(want.Tuple(i)) {
-				t.Fatalf("trial %d: merged relation lost %v", trial, want.Tuple(i))
+		for _, runs := range [][]Run{wholeRuns(srcs), cutRuns(rng, wholeRuns(srcs))} {
+			want := refMerge("Z", 2, runs)
+			got := Merge("Z", 2, runs)
+			if err := sameOrdered(got, want); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			// The index must agree too: membership and positions.
+			for i := 0; i < want.Size(); i++ {
+				if !got.Contains(want.Tuple(i)) {
+					t.Fatalf("trial %d: merged relation lost %v", trial, want.Tuple(i))
+				}
 			}
 		}
 	}
@@ -83,7 +121,7 @@ func TestMergeEmptyAndSingle(t *testing.T) {
 		t.Errorf("empty merge = %s", m)
 	}
 	src := FromTuples("part", 1, []Tuple{{Value(1)}, {Value(2)}})
-	m := Merge("Z", 1, []*Relation{nil, New("e", 1), src})
+	m := Merge("Z", 1, wholeRuns([]*Relation{nil, New("e", 1), src}))
 	if m.Name() != "Z" || m.Size() != 2 || !m.Tuple(0).Equal(src.Tuple(0)) {
 		t.Errorf("single-source merge = %s", m)
 	}
@@ -101,7 +139,7 @@ func TestMergeArityMismatchPanics(t *testing.T) {
 			t.Fatal("arity mismatch did not panic")
 		}
 	}()
-	Merge("Z", 2, []*Relation{FromTuples("p", 1, []Tuple{{Value(1)}})})
+	Merge("Z", 2, wholeRuns([]*Relation{FromTuples("p", 1, []Tuple{{Value(1)}})}))
 }
 
 func TestClonePresizedAndDeep(t *testing.T) {

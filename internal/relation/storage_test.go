@@ -170,7 +170,7 @@ func FuzzRelationOps(f *testing.F) {
 						}
 					}
 				}
-				merged := Merge("M", arity, srcs)
+				merged := Merge("M", arity, wholeRuns(srcs))
 				if merged.Name() != "M" {
 					t.Fatalf("step %d: Merge named its result %q", step, merged.Name())
 				}
@@ -361,7 +361,8 @@ func TestStorageAllocations(t *testing.T) {
 		for i := range srcs {
 			srcs[i] = FromTuples("part", 2, seqTuples(300+100*i, 2)) // heavy overlap
 		}
-		if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, srcs) }); allocs > 3 {
+		runs := wholeRuns(srcs)
+		if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, runs) }); allocs > 3 {
 			t.Errorf("Merge of %d sources allocates %v, want ≤ 3", k, allocs)
 		}
 	}
@@ -415,10 +416,11 @@ func BenchmarkRelationMerge(b *testing.B) {
 			}
 			srcs[i] = r
 		}
+		runs := wholeRuns(srcs)
 		b.Run(fmt.Sprintf("overlap%d", overlap), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = Merge("Z", 2, srcs)
+				benchSink = Merge("Z", 2, runs)
 			}
 		})
 	}

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	gumbo "repro"
 	"repro/internal/workload"
@@ -116,5 +118,43 @@ func BenchmarkQueryHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mustServe(b, h, "POST", "/v1/db/hot/query", bodies[i%len(bodies)], http.StatusOK)
+	}
+}
+
+// BenchmarkWorkOverEval is the engine's work-efficiency on the serving
+// corpus: each text, planned as the server plans it, runs at one worker
+// (System.RunPlan) alternately with the reference evaluator (gumbo.Eval)
+// on the same data, so the host's speed cancels out of their ratio. It
+// reports work/eval, the engine's time over the evaluator's (below 1, the
+// engine is the faster), and span-us, the run's span as its task record
+// folds it (Progress.CriticalPath).
+func BenchmarkWorkOverEval(b *testing.B) {
+	db := serveData()
+	sys := gumbo.New(gumbo.WithHostWorkers(1))
+	for k, src := range serveCorpus {
+		q := gumbo.MustParse(src)
+		plan, err := sys.Plan(q, db, sys.Auto(q))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("S%d", k+1), func(b *testing.B) {
+			var run, eval time.Duration
+			var span float64
+			for i := 0; i < b.N; i++ {
+				var rec gumbo.Progress
+				start := time.Now()
+				if _, err := sys.RunPlanCtx(context.Background(), plan, db, gumbo.RunOptions{Progress: &rec}); err != nil {
+					b.Fatal(err)
+				}
+				mid := time.Now()
+				if _, err := gumbo.Eval(q, db); err != nil {
+					b.Fatal(err)
+				}
+				run, eval = run+mid.Sub(start), eval+time.Since(mid)
+				span += rec.CriticalPath().Seconds
+			}
+			b.ReportMetric(float64(run)/float64(eval), "work/eval")
+			b.ReportMetric(span*1e6/float64(b.N), "span-us")
+		})
 	}
 }
