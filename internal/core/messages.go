@@ -52,7 +52,7 @@ func varint(p []byte, what string) (int64, []byte) {
 // decodeValues decodes the n values that make up payload p into
 // dst[:0], allocating — once, at the exact arity — only when dst is too
 // small: pass a stack array's slice for a tuple that is read and
-// dropped — an output fact included, since Relation.Add copies — and
+// dropped — an output fact included, since Output.Add copies — and
 // nil for one that is kept. n is checked against the bytes that remain
 // (a value takes at least one) before it sizes anything.
 func decodeValues(dst relation.Tuple, p []byte, n uint64, what string) relation.Tuple {

@@ -321,10 +321,11 @@ func TestMSJHotPathAllocatesNothing(t *testing.T) {
 // of TestMSJHotPathAllocatesNothing for the facts a reducer writes: the
 // kernel's real reducer as MSJ, EVAL, 1-ROUND in both modes and the
 // filter fill its table, re-run on the group and the Output the engine
-// handed it. The first call has stored every fact, so the output
-// relations need no growth, and what is left is the bit set, decode and
-// Output.Add — a set that escapes, or a tuple built per output fact (a
-// fresh decode), reads as ≥ 1 allocation per call.
+// handed it. Output.Add appends every call's facts again, so the row
+// buffers grow by doubling — a handful of allocations over the 100
+// calls, under one per call — and what is left is the bit set, decode
+// and Output.Add: a set that escapes, or a tuple built per output fact
+// (a fresh decode), reads as ≥ 1 allocation per call.
 func TestReducersAllocateNothingPerOutputFact(t *testing.T) {
 	prog := sgf.MustParse(`Z := SELECT y, x FROM R(x, y) WHERE S(x) AND T(y);`)
 	db := relation.NewDatabase()

@@ -44,8 +44,9 @@ import (
 // the partition — records are grouped once, in the reduce task, through
 // the same key set, the groups in the order their keys first arrived and
 // no key sorted (group.go) — reducers walk a view over the segment
-// bytes, and job outputs merge through a counted, pre-sized merge
-// (relation.Merge).
+// bytes and append output facts to unindexed row buffers, and job
+// outputs merge through relation.Merge, the one place an output tuple is
+// hashed and deduplicated.
 // Every goroutine a run starts is a pool worker (or the pool's
 // cancellation watcher): tasks never fan out on their own, so panic
 // containment and cancellation cover all of the engine's concurrency.

@@ -80,6 +80,7 @@ type jobRun struct {
 	slotLoads []int64   // per slot: modelled bytes the task consumed
 	outs      []*Output // per reduce slot
 	outNames  []string  // declared outputs, sorted
+	outArity  []int     // per output
 	outMB     []float64 // per output, folded in name order
 	merged    []*relation.Relation
 
@@ -100,6 +101,11 @@ func (e *Engine) newJobRun(idx int, job *Job, gov govern,
 	if inflate <= 0 {
 		inflate = 1.0
 	}
+	names := outputOrder(job.Outputs)
+	arity := make([]int, len(names))
+	for i, n := range names {
+		arity[i] = job.Outputs[n]
+	}
 	return &jobRun{
 		e:        e,
 		idx:      idx,
@@ -111,6 +117,8 @@ func (e *Engine) newJobRun(idx int, job *Job, gov govern,
 		tasks:    make([][]mapTaskSpec, len(job.Inputs)),
 		results:  make([][]mapTaskResult, len(job.Inputs)),
 		est:      make([]atomic.Int64, len(job.Inputs)),
+		outNames: names,
+		outArity: arity,
 		stats:    JobStats{Name: job.Name, Parts: make([]PartStats, len(job.Inputs))},
 	}
 }
@@ -443,7 +451,7 @@ func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *
 func (jr *jobRun) reduceTask(c *poolCtx, si int) {
 	slot := jr.slots[si]
 	split := slot.split()
-	out := newOutput(jr.job.Outputs, split)
+	out := newOutput(jr.outNames, jr.outArity, split)
 	jr.outs[si] = out
 	load, err := reduceGroups(c.scratch, jr.taskParts, slot, jr.gov.budget, func(g int, key []byte, msgs *Group) {
 		if split {
@@ -491,7 +499,6 @@ func (jr *jobRun) reducesDone(c *poolCtx) {
 		}
 	}
 	jr.taskParts = nil
-	jr.outNames = outputOrder(jr.job.Outputs)
 	jr.merged = make([]*relation.Relation, len(jr.outNames))
 	jr.outMB = make([]float64, len(jr.outNames))
 	jr.left = len(jr.outNames)
@@ -501,14 +508,16 @@ func (jr *jobRun) reducesDone(c *poolCtx) {
 	}
 }
 
-// mergeTask unions one output relation's reduce-task pieces in reduce
-// slot order (reducer-major) with first-occurrence dedup (relation.Merge)
-// and publishes the merged relation through onOutput, releasing any map
-// tasks of downstream jobs waiting on this relation. A whole partition's
-// task contributes its relation as one run; a split partition's sub-range
-// tasks contribute their group runs interleaved by first arrival
-// (interleave), so the merge adds tuples in exactly the order a serial
-// Relation.Add loop over the unsplit reducers would.
+// mergeTask unions one output relation's reduce-task buffers in reduce
+// slot order (reducer-major) with first-occurrence dedup (relation.Merge,
+// the one place a job-output tuple is hashed) and publishes the merged
+// relation through onOutput, releasing any map tasks of downstream jobs
+// waiting on this relation. A whole partition's task contributes its
+// buffer as one run; a split partition's sub-range tasks contribute their
+// group runs interleaved by first arrival (interleave), so the merge sees
+// rows in exactly the order the unsplit reducers appended them. The merge
+// consumes the buffers: a lone whole one becomes the merged relation's
+// slab.
 func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 	name := jr.outNames[ni]
 	runs := make([]relation.Run, 0, len(jr.outs))
@@ -518,13 +527,13 @@ func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 			hi++
 		}
 		if hi-lo > 1 {
-			runs = interleave(runs, jr.outs[lo:hi], name)
-		} else if r := jr.outs[lo].rels[name]; r != nil {
-			runs = append(runs, relation.Run{Rel: r, Hi: r.Size()})
+			runs = interleave(runs, jr.outs[lo:hi], ni)
+		} else if b := jr.outs[lo].rows[ni]; b != nil {
+			runs = append(runs, relation.Run{Rows: b, Hi: b.Size()})
 		}
 		lo = hi
 	}
-	merged := relation.Merge(name, jr.job.Outputs[name], runs)
+	merged := relation.Merge(name, jr.outArity[ni], runs)
 	// The merge-shard accounting site: the merged relation is charged
 	// before it is published to downstream consumers.
 	jr.gov.budget.charge(merged.Bytes())
@@ -539,21 +548,21 @@ func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 }
 
 // interleave appends to runs the group runs that one split partition's
-// sub-range tasks (outs, in slot order) added to relation name, merged by
+// sub-range tasks (outs, in slot order) added to output ni, merged by
 // first-arrival index: a k-way merge of lists each ascending in it, with
 // no ties, since a key's group lies in one sub-range. Adjacent runs of
-// one relation are joined, so a partition whose output comes from one
-// sub-range task yields that relation whole.
-func interleave(runs []relation.Run, outs []*Output, name string) []relation.Run {
+// one buffer are joined, so a partition whose output comes from one
+// sub-range task yields that buffer whole.
+func interleave(runs []relation.Run, outs []*Output, ni int) []relation.Run {
 	type cursor struct {
-		rel    *relation.Relation
+		rows   *relation.Rows
 		runs   []groupRun // the runs not yet taken
-		offset int        // where the first of them starts in rel
+		offset int        // where the first of them starts in rows
 	}
 	cur := make([]cursor, 0, len(outs))
 	for _, o := range outs {
-		if r := o.rels[name]; r != nil {
-			cur = append(cur, cursor{rel: r, runs: o.runs[name]})
+		if b := o.rows[ni]; b != nil {
+			cur = append(cur, cursor{rows: b, runs: o.runs[ni]})
 		}
 	}
 	for {
@@ -567,10 +576,10 @@ func interleave(runs []relation.Run, outs []*Output, name string) []relation.Run
 			return runs
 		}
 		end := int(c.runs[0].end)
-		if last := len(runs) - 1; last >= 0 && runs[last].Rel == c.rel && runs[last].Hi == c.offset {
+		if last := len(runs) - 1; last >= 0 && runs[last].Rows == c.rows && runs[last].Hi == c.offset {
 			runs[last].Hi = end
 		} else {
-			runs = append(runs, relation.Run{Rel: c.rel, Lo: c.offset, Hi: end})
+			runs = append(runs, relation.Run{Rows: c.rows, Lo: c.offset, Hi: end})
 		}
 		c.runs, c.offset = c.runs[1:], end
 	}
@@ -581,7 +590,7 @@ func interleave(runs []relation.Run, outs []*Output, name string) []relation.Run
 // the job done in the run's task record.
 func (jr *jobRun) finishJob(c *poolCtx) {
 	// Merge shards have consumed the per-reducer outputs; keep only the
-	// merged relations (which may alias their storage).
+	// merged relations (which may own their buffers' slabs).
 	jr.outs = nil
 	for _, mb := range jr.outMB {
 		jr.stats.OutputMB += mb

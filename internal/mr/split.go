@@ -29,12 +29,13 @@ import "bytes"
 //     reduces its own groups in the same relative order and knows, for
 //     each, the index of its first record in the unsplit sequence
 //     (reduceGroups' arrival). Its Output records, per relation, one run
-//     of tuples per group that added any, under that index. The merge
+//     of rows per group that added any, under that index. The merge
 //     stage interleaves a split partition's sub-outputs by it — a k-way
 //     merge of ascending runs, with no ties, since no group spans two
 //     sub-tasks (mergeTask, interleave) — which reproduces the unsplit
-//     reducer's Add sequence less only the repeats inside one sub-task,
-//     which relation.Merge's first-occurrence dedup drops anyway;
+//     reducer's Add sequence row for row (Output.Add only appends), so
+//     relation.Merge's first-occurrence dedup keeps the same tuples in
+//     the same order;
 //   - per-reducer loads are folded as int64 sums over slots in slot
 //     order, bit-identical to the unsplit accumulation.
 //

@@ -14,6 +14,7 @@ package mr
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relation"
 )
@@ -114,58 +115,71 @@ type ReducerFunc func(key []byte, msgs *Group, out *Output)
 // Reduce implements Reducer.
 func (f ReducerFunc) Reduce(key []byte, msgs *Group, out *Output) { f(key, msgs, out) }
 
-// Output collects reducer output facts into named relations. One Output
-// is private to each reduce task; task outputs are merged in reducer
-// order after the job, keeping runs deterministic. The Output of a split
-// partition's sub-range task also records, per relation, which group
-// added which tuples, so the merge can interleave the sub-range tasks'
-// outputs back into the unsplit order (split.go).
+// Output collects reducer output facts for the job's declared
+// relations. One Output is private to each reduce task; task outputs are
+// merged in reducer order after the job, keeping runs deterministic.
+// A task's Output is a bag: Add appends each fact to an unindexed
+// buffer (relation.Rows), duplicates included, and the job's output
+// merge (mergeTask, relation.Merge) is the one place facts are hashed
+// and deduplicated, so set semantics hold at the job output. The Output
+// of a split partition's sub-range task also records, per relation,
+// which group added which rows, so the merge can interleave the
+// sub-range tasks' outputs back into the unsplit order (split.go).
 type Output struct {
-	arities map[string]int
-	rels    map[string]*relation.Relation
-	// runs, on a split slot's task only, is per relation its group runs
-	// in reduce order: the tuples of runs[name][i] are rels[name]'s
-	// [runs[name][i-1].end, runs[name][i].end). group is the
-	// first-arrival index (reduceGroups) of the group being reduced.
-	runs  map[string][]groupRun
+	names []string         // the job's declared outputs, sorted
+	arity []int            // per name
+	rows  []*relation.Rows // per name; nil until the first Add to it
+	last  int              // the name the previous Add went to
+	// runs, on a split slot's task only, is per name its group runs in
+	// reduce order: the rows of runs[i][j] are rows[i]'s
+	// [runs[i][j-1].end, runs[i][j].end). group is the first-arrival
+	// index (reduceGroups) of the group being reduced.
+	runs  [][]groupRun
 	group int32
 }
 
-// groupRun is the tuples one group added to one output relation: its
-// first-arrival index and the relation's size after its last tuple.
+// groupRun is the rows one group added to one output buffer: its
+// first-arrival index and the buffer's size after its last row.
 type groupRun struct{ first, end int32 }
 
-// newOutput returns a reduce task's Output; split says the task is a
-// split partition's sub-range task, which records group runs.
-func newOutput(arities map[string]int, split bool) *Output {
-	o := &Output{arities: arities, rels: make(map[string]*relation.Relation)}
+// newOutput returns a reduce task's Output for the declared outputs
+// names (sorted) of the given arities; split says the task is a split
+// partition's sub-range task, which records group runs.
+func newOutput(names []string, arity []int, split bool) *Output {
+	o := &Output{names: names, arity: arity, rows: make([]*relation.Rows, len(names))}
 	if split {
-		o.runs = make(map[string][]groupRun)
+		o.runs = make([][]groupRun, len(names))
 	}
 	return o
 }
 
-// Add appends a copy of the fact to the named output relation, so t may
-// be scratch the reducer reuses. The relation must be declared in the
-// job's Outputs map.
+// Add appends a copy of the fact to the named output relation's buffer,
+// so t may be scratch the reducer reuses. The relation must be declared
+// in the job's Outputs map. Add hashes nothing: it finds the buffer by
+// comparing name with the one the previous Add used, then by a scan of
+// the declared names.
 func (o *Output) Add(name string, t relation.Tuple) {
-	r, ok := o.rels[name]
-	if !ok {
-		arity, declared := o.arities[name]
-		if !declared {
+	i := o.last // a valid program declares at least one output
+	if o.names[i] != name {
+		if i = slices.Index(o.names, name); i < 0 {
 			panic(fmt.Sprintf("mr: output relation %q not declared by the job", name))
 		}
-		r = relation.New(name, arity)
-		o.rels[name] = r
+		o.last = i
 	}
-	if !r.Add(t) || o.runs == nil {
+	rows := o.rows[i]
+	if rows == nil {
+		rows = relation.NewRows(o.arity[i])
+		o.rows[i] = rows
+	}
+	rows.Append(t)
+	if o.runs == nil {
 		return
 	}
-	runs, end := o.runs[name], int32(r.Size())
+	runs, end := o.runs[i], int32(rows.Size())
 	if n := len(runs); n > 0 && runs[n-1].first == o.group {
 		runs[n-1].end = end
 	} else {
-		o.runs[name] = append(runs, groupRun{first: o.group, end: end})
+		o.runs[i] = append(runs, groupRun{first: o.group, end: end})
 	}
 }
 

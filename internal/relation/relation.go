@@ -180,13 +180,45 @@ func (r *Relation) Grow(n int) {
 	if need := rows * r.arity; cap(r.vals) < need {
 		r.vals = append(make([]Value, 0, need), r.vals...)
 	}
-	slots := len(r.idx)
-	for slots*3 < rows*4 { // the least power of two, 8 or more, at load ≤ 3/4
-		slots = max(8, 2*slots)
-	}
-	if slots > len(r.idx) {
+	if slots := indexSlots(rows); slots > len(r.idx) {
 		r.reindex(slots)
 	}
+}
+
+// indexSlots is the index length for rows rows: the least power of two,
+// 8 or more, at load ≤ 3/4 (0 for no rows).
+func indexSlots(rows int) int {
+	slots := 0
+	for slots*3 < rows*4 {
+		slots = max(8, 2*slots)
+	}
+	return slots
+}
+
+// dedup makes r's slab, rows in any order with duplicates, a set: it
+// builds the index once, sized for every row, and keeps each row's
+// first occurrence, moving it down over the rows dropped before it. It
+// panics as Add does if more than 2³¹−2 rows are kept.
+func (r *Relation) dedup() {
+	a, n := r.arity, r.Size()
+	r.idx = make([]int32, indexSlots(n))
+	k := 0
+	for i := 0; i < n; i++ {
+		t := r.vals[i*a : (i+1)*a]
+		slot := r.find(t)
+		if r.idx[slot] != 0 {
+			continue
+		}
+		if k >= maxRows {
+			panic(fmt.Sprintf("relation %s: full at %d tuples (row ids are int32)", r.name, k))
+		}
+		if k < i {
+			copy(r.vals[k*a:], t)
+		}
+		r.idx[slot] = int32(k + 1)
+		k++
+	}
+	r.vals = r.vals[:k*a]
 }
 
 // AddAll inserts every tuple of ts in order (set semantics, like Add)

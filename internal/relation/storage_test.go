@@ -83,14 +83,18 @@ func agree(r *Relation, m *model) error {
 }
 
 // FuzzRelationOps runs a random op sequence — Add, AddAll, Grow, Clone,
-// Rename, Merge of 0–5 sources (nil and empty ones included), Contains,
-// Equal — against the model, and requires identical return values,
-// size and insertion order after every op.
+// Rename, append-then-Merge of 0–5 buffers (nil and empty ones
+// included; duplicates within and across them; whole or cut into
+// interleaved runs), Contains, Equal — against the model, and requires
+// identical return values, size and insertion order after every op, and
+// Merge's storage bound.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 2, 1, 3, 9, 9, 9, 9, 9, 9, 5, 0, 1, 2, 3})
 	f.Add([]byte{1, 2, 200, 4, 4, 1, 0, 5, 3, 0, 1, 2, 6, 0, 1, 7, 0, 250, 251})
 	f.Add([]byte{2, 1, 6, 3, 255, 254, 253, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 5, 5, 1, 0, 0, 3, 1})
 	f.Add([]byte(strings.Repeat("\x00\x01\x07\x03\x05\x02", 40)))
+	// One whole buffer of duplicates merged in place, then added to.
+	f.Add([]byte{0, 6, 0, 1, 1, 0, 5, 3, 3, 3, 4, 4, 1, 0, 1, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -153,31 +157,61 @@ func FuzzRelationOps(f *testing.F) {
 					t.Fatalf("step %d: Rename: %v", step, err)
 				}
 			case 6:
-				srcs := make([]*Relation, next()%6)
-				want, live := newModel(arity), 0
+				// Append-then-Merge: 0–5 buffers, some seeded with a slot's
+				// tuples, all with random ones appended (duplicates within
+				// and across buffers are common), merged whole or cut
+				// into pieces dealt out in a data-driven interleaving.
+				srcs := make([]*Rows, next()%6)
 				for i := range srcs {
 					switch k := next() % (slots + 2); k {
 					case slots: // nil
 					case slots + 1:
-						srcs[i] = New("empty", arity+1) // an empty source's arity is not looked at
+						srcs[i] = NewRows(arity + 1) // an empty source's arity is not looked at
 					default:
-						srcs[i] = rels[k]
+						srcs[i] = NewRows(arity)
 						for _, tp := range mods[k].tuples {
-							want.add(tp)
+							srcs[i].Append(tp)
 						}
-						if len(mods[k].tuples) > 0 {
-							live++
+						for j := next() % 16; j > 0; j-- {
+							srcs[i].Append(tuple(arity))
 						}
 					}
 				}
-				merged := Merge("M", arity, wholeRuns(srcs))
+				runs := wholeRuns(srcs)
+				if next()%2 == 0 {
+					var pieces [][]Run
+					for _, r := range runs {
+						var ps []Run
+						for lo := r.Lo; lo < r.Hi; {
+							hi := min(r.Hi, lo+1+next()%8)
+							ps = append(ps, Run{Rows: r.Rows, Lo: lo, Hi: hi})
+							lo = hi
+						}
+						if len(ps) > 0 {
+							pieces = append(pieces, ps)
+						}
+					}
+					runs = runs[:0]
+					for len(pieces) > 0 {
+						i := next() % len(pieces)
+						runs = append(runs, pieces[i][0])
+						if pieces[i] = pieces[i][1:]; len(pieces[i]) == 0 {
+							pieces = append(pieces[:i], pieces[i+1:]...)
+						}
+					}
+				}
+				want := newModel(arity)
+				for _, r := range runs {
+					for i := r.Lo; i < r.Hi; i++ {
+						want.add(r.Rows.Tuple(i))
+					}
+				}
+				merged := Merge("M", arity, runs)
 				if merged.Name() != "M" {
 					t.Fatalf("step %d: Merge named its result %q", step, merged.Name())
 				}
-				if live == 1 {
-					// The result shares its one live source's storage, so it
-					// is not added to: go on with a copy.
-					merged = merged.Clone()
+				if err := tight(merged); err != nil {
+					t.Fatalf("step %d: Merge: %v", step, err)
 				}
 				rels[b], mods[b] = merged, want
 			case 7:
@@ -356,15 +390,26 @@ func TestStorageAllocations(t *testing.T) {
 			t.Errorf("FromTuples of %d tuples allocates %v, want ≤ 3", n, allocs)
 		}
 	}
+	// A merge of several buffers allocates the relation's header, slab
+	// and index, and a tight slab and index when it trims (here k ≥ 5:
+	// the heavy overlap keeps under half of the rows).
 	for _, k := range []int{2, 5, 40} {
-		srcs := make([]*Relation, k)
+		srcs := make([]*Rows, k)
 		for i := range srcs {
-			srcs[i] = FromTuples("part", 2, seqTuples(300+100*i, 2)) // heavy overlap
+			srcs[i] = rowsOf(2, seqTuples(300+100*i, 2)) // heavy overlap
 		}
-		runs := wholeRuns(srcs)
-		if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, runs) }); allocs > 3 {
-			t.Errorf("Merge of %d sources allocates %v, want ≤ 3", k, allocs)
+		runs, want := wholeRuns(srcs), 3.0
+		if k >= 5 {
+			want = 5
 		}
+		if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, runs) }); allocs > want {
+			t.Errorf("Merge of %d sources allocates %v, want ≤ %v", k, allocs, want)
+		}
+	}
+	// A lone whole buffer becomes the slab: header and index only.
+	lone := rowsOf(2, seqTuples(1000, 2))
+	if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, []Run{{Rows: lone, Hi: lone.Size()}}) }); allocs > 2 {
+		t.Errorf("Merge of one buffer allocates %v, want ≤ 2", allocs)
 	}
 }
 
@@ -407,12 +452,12 @@ func BenchmarkRelationBuild(b *testing.B) {
 
 func BenchmarkRelationMerge(b *testing.B) {
 	for _, overlap := range []int{0, 50} { // percent of each source shared with the one before
-		srcs := make([]*Relation, 8)
+		srcs := make([]*Rows, 8)
 		for i := range srcs {
-			r := New("part", 2)
+			r := NewRows(2)
 			base := int64(i * 20_000 * (100 - overlap) / 100)
 			for j := int64(0); j < 20_000; j++ {
-				r.Add(Tuple{Value(base + j), Value(j % 7)})
+				r.Append(Tuple{Value(base + j), Value(j % 7)})
 			}
 			srcs[i] = r
 		}

@@ -121,13 +121,19 @@ func BenchmarkQueryHit(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkOverEval is the engine's work-efficiency on the serving
-// corpus: each text, planned as the server plans it, runs at one worker
-// (System.RunPlan) alternately with the reference evaluator (gumbo.Eval)
-// on the same data, so the host's speed cancels out of their ratio. It
-// reports work/eval, the engine's time over the evaluator's (below 1, the
-// engine is the faster), and span-us, the run's span as its task record
-// folds it (Progress.CriticalPath).
+// BenchmarkWorkOverEval is the engine's work-efficiency: each text,
+// planned as it is served or benchmarked, runs at one worker
+// (System.RunPlan) alternately with the reference evaluator on the same
+// data, so the host's speed cancels out of their ratio. S1–S6 are the
+// serving corpus on the serving data, planned as the server plans them
+// and held against gumbo.Eval; C3 is the nested-sgf benchmark workload —
+// paper query C3 at 15 000 guard tuples, seed 1, at that size's scale —
+// planned under GREEDY-SGF and held against gumbo.EvalAll, since all
+// seven of its outputs are computed. It reports work/eval, the engine's
+// time over the evaluator's (below 1, the engine is the faster); span-us,
+// the run's span as its task record folds it (Progress.CriticalPath);
+// and the run's summed map, shuffle, reduce and merge task time in ms
+// (Result.JobTimings).
 func BenchmarkWorkOverEval(b *testing.B) {
 	db := serveData()
 	sys := gumbo.New(gumbo.WithHostWorkers(1))
@@ -138,23 +144,54 @@ func BenchmarkWorkOverEval(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("S%d", k+1), func(b *testing.B) {
-			var run, eval time.Duration
-			var span float64
-			for i := 0; i < b.N; i++ {
-				var rec gumbo.Progress
-				start := time.Now()
-				if _, err := sys.RunPlanCtx(context.Background(), plan, db, gumbo.RunOptions{Progress: &rec}); err != nil {
-					b.Fatal(err)
-				}
-				mid := time.Now()
-				if _, err := gumbo.Eval(q, db); err != nil {
-					b.Fatal(err)
-				}
-				run, eval = run+mid.Sub(start), eval+time.Since(mid)
-				span += rec.CriticalPath().Seconds
-			}
-			b.ReportMetric(float64(run)/float64(eval), "work/eval")
-			b.ReportMetric(span*1e6/float64(b.N), "span-us")
+			workOverEval(b, sys, plan, db, func() error { _, err := gumbo.Eval(q, db); return err })
 		})
 	}
+	const guard = 15000
+	c3, scale := workload.C3().WithSeed(1), float64(guard)/workload.PaperGuardTuples
+	c3db := c3.Build(scale)
+	c3sys := gumbo.New(gumbo.WithHostWorkers(1), gumbo.WithScale(scale))
+	q := gumbo.MustParse(c3.Program.String())
+	plan, err := c3sys.Plan(q, c3db, gumbo.GreedySGF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("C3", func(b *testing.B) {
+		workOverEval(b, c3sys, plan, c3db, func() error { _, err := gumbo.EvalAll(q, c3db); return err })
+	})
+}
+
+// workOverEval is one BenchmarkWorkOverEval case: b.N runs of plan on
+// sys, each followed by eval, and the metrics that compare them.
+func workOverEval(b *testing.B, sys *gumbo.System, plan *gumbo.Plan, db *gumbo.Database, eval func() error) {
+	var run, evalled time.Duration
+	var span float64
+	var work gumbo.JobTiming
+	for i := 0; i < b.N; i++ {
+		var rec gumbo.Progress
+		start := time.Now()
+		res, err := sys.RunPlanCtx(context.Background(), plan, db, gumbo.RunOptions{Progress: &rec})
+		if err != nil {
+			b.Fatal(err)
+		}
+		mid := time.Now()
+		if err := eval(); err != nil {
+			b.Fatal(err)
+		}
+		run, evalled = run+mid.Sub(start), evalled+time.Since(mid)
+		span += rec.CriticalPath().Seconds
+		for _, jt := range res.JobTimings {
+			work.MapSeconds += jt.MapSeconds
+			work.ShuffleSeconds += jt.ShuffleSeconds
+			work.ReduceSeconds += jt.ReduceSeconds
+			work.MergeSeconds += jt.MergeSeconds
+		}
+	}
+	perOp := 1e3 / float64(b.N)
+	b.ReportMetric(float64(run)/float64(evalled), "work/eval")
+	b.ReportMetric(span*1e6/float64(b.N), "span-us")
+	b.ReportMetric(work.MapSeconds*perOp, "map-ms")
+	b.ReportMetric(work.ShuffleSeconds*perOp, "shuffle-ms")
+	b.ReportMetric(work.ReduceSeconds*perOp, "reduce-ms")
+	b.ReportMetric(work.MergeSeconds*perOp, "merge-ms")
 }

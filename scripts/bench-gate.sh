@@ -26,6 +26,9 @@
 # 1.10. Then serve-hot 0.4294 and serve-churn 1.648, when a
 # single-reducer job's map arenas became its shuffle partition, with no
 # second copy: that change's ten-pair medians (0.3904 / 1.498) × 1.10.
+# Then nested-sgf 23.76 and skew-spill 17.61, when reduce tasks came to
+# append output facts unindexed and the output merge to be the one place
+# they are hashed: that change's ten-pair medians (21.60 / 16.01) × 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
