@@ -17,7 +17,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,6 +48,9 @@ func main() {
 		skewSplit    = flag.Float64("skew-split", 0, "split reduce partitions heavier than this ratio x the mean load (0 = off)")
 	)
 	flag.Parse()
+	if err := checkSkewSplit(*skewSplit); err != nil {
+		log.Fatalf("gumbo-serve: -skew-split: %v", err)
+	}
 	if *spillThresh > 0 {
 		// Fail at start-up, not with a 500 on the first query that spills.
 		if err := checkSpillDir(*spillDir); err != nil {
@@ -99,6 +104,16 @@ func main() {
 			log.Fatalf("gumbo-serve: shutdown: %v", err)
 		}
 	}
+}
+
+// checkSkewSplit rejects a non-finite -skew-split ratio: flag.Float64
+// parses NaN and Inf, and neither is a ratio a partition load can be
+// compared with.
+func checkSkewSplit(ratio float64) error {
+	if math.IsNaN(ratio) || math.IsInf(ratio, 0) {
+		return fmt.Errorf("ratio %v is not finite", ratio)
+	}
+	return nil
 }
 
 // checkSpillDir reports whether spill files can be created in dir

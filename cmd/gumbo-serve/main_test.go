@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,5 +26,21 @@ func TestCheckSpillDir(t *testing.T) {
 	}
 	if err := checkSpillDir(file); err == nil {
 		t.Error("plain file accepted as a spill directory")
+	}
+}
+
+// TestCheckSkewSplit: the start-up check accepts every finite ratio —
+// off, on, and the negatives the engine reads as off — and rejects what
+// flag.Float64 parses from "NaN", "Inf" and "-Inf".
+func TestCheckSkewSplit(t *testing.T) {
+	for _, ratio := range []float64{0, 1.5, 0.5, -1} {
+		if err := checkSkewSplit(ratio); err != nil {
+			t.Errorf("ratio %v rejected: %v", ratio, err)
+		}
+	}
+	for _, ratio := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := checkSkewSplit(ratio); err == nil {
+			t.Errorf("ratio %v accepted", ratio)
+		}
 	}
 }

@@ -233,9 +233,10 @@ func WithSpill(threshold int64, dir string) Option {
 
 // WithSkewSplit enables runtime skew splitting: after a job's shuffle,
 // a reduce partition whose modelled bytes exceed ratio × the mean
-// partition load is split at heavy-key boundaries (detected by a
-// shuffle-time sketch) into sub-tasks the pool schedules
-// independently, so one hot key no longer serializes the reduce wave.
+// partition load is cut at group boundaries after one gather: its one
+// reduce task groups it as usual, then hands contiguous pieces of whole
+// key groups to further tasks the pool schedules independently, so one
+// hot key's partition no longer serializes the reduce wave.
 // Outputs, stats and metrics are bit-for-bit identical to the unsplit
 // run; only JobStats.SplitReduceTasks / MaxReduceTaskMB report the
 // splitting, deterministically. A ratio ≤ 0 leaves splitting off; 1.5

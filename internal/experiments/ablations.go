@@ -129,8 +129,9 @@ func AblationReducerAllocation(ctx context.Context, cfg Config) (*Table, error) 
 
 // AblationSkew compares the two answers to a heavy reduce partition on
 // a guard with one hot join value: the paper's §6 plan-level salting
-// and the engine's runtime range splitting, against the plain MSJ
-// plan. A range cut can isolate the hot key but never divide it (a key
+// and the engine's runtime splitting, which cuts the heavy partition at
+// group boundaries after one gather, against the plain MSJ plan. A cut
+// can give the hot key a piece of its own but never divide it (a key
 // group is one Reduce call), so splitting shrinks the heaviest task
 // only down to the hot key's own group and leaves the per-reducer
 // loads — and with them the modelled net time — untouched; salting
@@ -173,7 +174,7 @@ func AblationSkew(ctx context.Context, cfg Config) (*Table, error) {
 			fmt.Sprintf("%.2fx", msj.ReduceImbalance()),
 			fmt.Sprintf("%.3fMB", msj.MaxReduceTaskMB))
 	}
-	t.AddNote("salting spreads a heavy key's requests over sub-keys and replicates the small asserts (§6); runtime splitting cuts the hot partition into key sub-range tasks")
+	t.AddNote("salting spreads a heavy key's requests over sub-keys and replicates the small asserts (§6); runtime splitting cuts the hot partition at group boundaries after one gather, into pieces of whole key groups")
 	return t, nil
 }
 

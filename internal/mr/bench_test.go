@@ -158,9 +158,11 @@ func BenchmarkReduceGrouping(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func(_ int, _ []byte, msgs *Group) { n += msgs.Len() }); err != nil {
+				g, err := reduceGroups(&sc, parts, 0, nil)
+				if err != nil {
 					b.Fatal(err)
 				}
+				g.each(0, len(g.locs), func(_ []byte, msgs *Group) { n += msgs.Len() })
 				if n != shape.n {
 					b.Fatalf("walked %d messages, want %d", n, shape.n)
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/relation"
 )
 
 // chargedBytes runs the golden diamond program to completion under a
@@ -59,29 +60,40 @@ func TestBudgetChargedDeterministicAcrossWidths(t *testing.T) {
 
 // TestSpillReadBackCharged pins the spill side of the accounting
 // contract: a reduce task is charged for every segment it reads back
-// from a spill file, and spilling changes no other charge. With skew
-// splitting off every non-empty segment is read back exactly once, so a
-// run with every partition spilled charges its spill-off total plus
-// exactly the bytes it spilled.
+// from a spill file, and spilling changes no other charge. Every
+// non-empty segment is read back exactly once — with skew splitting off,
+// and with it on, where a heavy partition is gathered once and cut into
+// pieces after — so a run with every partition spilled charges its
+// spill-off total plus exactly the bytes it spilled.
 func TestSpillReadBackCharged(t *testing.T) {
-	run := func(width int, threshold int64) MemStats {
-		t.Helper()
-		p, db := diamondProgram()
-		e := NewEngine(Config{Cost: cost.Default().Scaled(0.001), Workers: width,
-			SpillThreshold: threshold, SpillDir: t.TempDir(), SkewSplit: -1})
-		budget := NewBudget(0)
-		if _, _, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget}); err != nil {
-			t.Fatalf("width %d, spill threshold %d: %v", width, threshold, err)
+	for _, c := range []struct {
+		name    string
+		program func() (*Program, *relation.Database)
+		split   float64
+	}{{"split off", diamondProgram, -1}, {"split on", skewedProgram, 1.3}} {
+		run := func(width int, threshold int64) MemStats {
+			t.Helper()
+			p, db := c.program()
+			e := NewEngine(Config{Cost: cost.Default().Scaled(0.001), Workers: width,
+				SpillThreshold: threshold, SpillDir: t.TempDir(), SkewSplit: c.split})
+			budget := NewBudget(0)
+			_, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Budget: budget})
+			if err != nil {
+				t.Fatalf("%s, width %d, spill threshold %d: %v", c.name, width, threshold, err)
+			}
+			if split := stats[0].SplitReduceTasks; (split > 0) != (c.split > 0) {
+				t.Fatalf("%s, width %d: %d split reduce tasks", c.name, width, split)
+			}
+			return budget.Stats()
 		}
-		return budget.Stats()
-	}
-	for _, width := range []int{1, 4} {
-		off, on := run(width, -1), run(width, 1)
-		if on.SpilledParts == 0 || on.SpilledBytes == 0 {
-			t.Fatalf("width %d: nothing spilled (%+v)", width, on)
-		}
-		if got := on.ChargedBytes - off.ChargedBytes; got != on.SpilledBytes {
-			t.Errorf("width %d: spilling every partition added %d charged bytes, want the %d bytes read back", width, got, on.SpilledBytes)
+		for _, width := range []int{1, 4} {
+			off, on := run(width, -1), run(width, 1)
+			if on.SpilledParts == 0 || on.SpilledBytes == 0 {
+				t.Fatalf("%s, width %d: nothing spilled (%+v)", c.name, width, on)
+			}
+			if got := on.ChargedBytes - off.ChargedBytes; got != on.SpilledBytes {
+				t.Errorf("%s, width %d: spilling every partition added %d charged bytes, want the %d bytes read back", c.name, width, got, on.SpilledBytes)
+			}
 		}
 	}
 }

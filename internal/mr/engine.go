@@ -43,8 +43,10 @@ import (
 // write) — or, when the job has one reducer, hands the arena over as
 // the partition — records are grouped once, in the reduce task, through
 // the same key set, the groups in the order their keys first arrived and
-// no key sorted (group.go) — reducers walk a view over the segment
-// bytes and append output facts to unindexed row buffers, and job
+// no key sorted (group.go), a heavy partition's groups then cut at group
+// boundaries into pieces reduced as tasks of their own (split.go) —
+// reducers walk a view over the segment bytes and append output facts to
+// unindexed row buffers, and job
 // outputs merge through relation.Merge, the one place an output tuple is
 // hashed and deduplicated.
 // Every goroutine a run starts is a pool worker (or the pool's
@@ -55,7 +57,9 @@ import (
 type Engine struct {
 	cfg Config
 	// scratch holds the *taskScratch of workers between runs: a runTasks
-	// worker takes one when it starts and puts it back when it exits.
+	// worker takes one when it starts and puts back the one it holds when
+	// it exits; a reduce task that lends its scratch to its pieces takes
+	// another, and the run returns the lent ones once its pool stops.
 	scratch sync.Pool
 }
 
@@ -78,10 +82,11 @@ type Config struct {
 	SpillDir       string
 	// SkewSplit enables runtime skew splitting: after shuffle, a reduce
 	// partition whose modelled bytes exceed SkewSplit × the mean
-	// partition load is split at sketch-derived heavy-key boundaries
-	// into sub-range reduce tasks scheduled independently (see
-	// split.go). ≤ 0 = splitting off; 1.5 is a reasonable start (split
-	// anything half again heavier than the mean).
+	// partition load is cut at group boundaries after one gather into
+	// pieces of whole key groups, one reduce task each, scheduled
+	// independently (see split.go). ≤ 0, NaN or ±Inf = splitting off;
+	// 1.5 is a reasonable start (split anything half again heavier than
+	// the mean).
 	SkewSplit float64
 }
 

@@ -1,6 +1,9 @@
 package mr
 
-import "bytes"
+import (
+	"bytes"
+	"sync/atomic"
+)
 
 // record is one shuffle record — one message under one key — as the
 // reduce task holds it once decoded (readRecord; on the map side and in
@@ -159,13 +162,26 @@ func (ks *keySet) double(bufs [][]byte) {
 	}
 }
 
-// grouping is a gathered record set laid out by key: what forEachGroup
-// walks. ends and idx are the worker's scratch, locs its key set's
-// entries; all three are valid until the worker's next task.
+// grouping is a gathered record set laid out by key: what a reduce
+// task walks. ends and idx are the worker's scratch, locs its key set's
+// entries; all three are valid until the scratch serves its next task.
 type grouping struct {
 	locs []keyLoc // one per distinct key — its first record — in first-arrival order
 	ends []int32  // ends[loc.first]: where that key's run of idx ends; it starts where the previous loc's ends
 	idx  []int32  // record indices, key-major, arrival order within a key
+}
+
+// groupedSet is one reducer's partition gathered and laid out by key
+// (reduceGroups), with its modelled bytes: what its reduce task walks,
+// or, for a partition cut at group boundaries, each of its pieces. Its
+// arrays are worker scratch; when pieces share the set, sc is that
+// scratch, which the last of the left pieces to finish gives back.
+type groupedSet struct {
+	recordSet
+	grouping
+	load int64
+	sc   *taskScratch
+	left atomic.Int32
 }
 
 // groupRecords lays out a gathered set by key, in the order its keys
@@ -175,8 +191,8 @@ type grouping struct {
 // aggregation: one pass counts each group, one walk over locs turns the
 // counts into offsets, and one stable counting scatter places the record
 // indices, so arrival order inside a group costs nothing. Nothing orders
-// the keys: no reader of a reduce task's output needs key order (split
-// runs interleave their sub-outputs by first arrival instead, split.go).
+// the keys: no reader of a reduce task's output needs key order (a split
+// partition's pieces are runs of this order, split.go).
 // Gather included, one core (BenchmarkReduceGrouping, medians of 5 on a
 // 2-vCPU Xeon; CHANGES.md has the sorted layout's figures beside them):
 // 65 536 distinct keys 6.4 ms, 2 400 distinct 153 µs; 2 400 records of 900
@@ -205,18 +221,21 @@ func groupRecords(sc *taskScratch, s *recordSet, locs []keyLoc) grouping {
 	return grouping{locs: locs, ends: ends, idx: idx}
 }
 
-// forEachGroup calls fn once per distinct key of a grouped set, in
-// first-arrival order, with the key's number in that order (its index in
-// gr.locs) and a view of its messages in arrival order. It allocates
-// nothing: the view is one Group re-pointed at each run — fn must not
-// retain it (the engine's Reducer contract, see Reducer).
-func forEachGroup(s *recordSet, gr grouping, fn func(g int, key []byte, msgs *Group)) {
-	grp := Group{set: s}
+// each calls fn once per group of [lo, hi), in first-arrival order, with
+// the group's key and a view of its messages in arrival order. It
+// allocates nothing per group: the view is one Group re-pointed at each
+// run — fn must not retain it (the engine's Reducer contract, see
+// Reducer).
+func (g *groupedSet) each(lo, hi int, fn func(key []byte, msgs *Group)) {
+	grp := Group{set: &g.recordSet}
 	var start int32
-	for g, l := range gr.locs {
-		end := gr.ends[l.first]
-		grp.run = gr.idx[start:end]
-		fn(g, s.bufs[l.src][l.off:l.off+l.klen], &grp)
+	if lo > 0 {
+		start = g.ends[g.locs[lo-1].first]
+	}
+	for _, l := range g.locs[lo:hi] {
+		end := g.ends[l.first]
+		grp.run = g.idx[start:end]
+		fn(g.bufs[l.src][l.off:l.off+l.klen], &grp)
 		start = end
 	}
 }

@@ -59,14 +59,16 @@ func partitionOf(t testing.TB, s *Emitter) [][]taskPartition {
 }
 
 // reduceOn is the one door the grouping tests go through: the production
-// reduce path — reduceGroups, the code reduceTask calls — over s on
-// worker scratch sc. The whole-partition slot gathers s's records in s's
-// order, so the record indices a Group carries are then s's own.
-func reduceOn(t testing.TB, sc *taskScratch, s *Emitter, slot reduceSlot, fn func(key []byte, msgs *Group)) {
+// reduce path — reduceGroups, the gather reduceTask calls — over s on
+// worker scratch sc. The partition's lone reducer gathers s's records in
+// s's order, so the record indices a Group carries are then s's own.
+func reduceOn(t testing.TB, sc *taskScratch, s *Emitter) *groupedSet {
 	t.Helper()
-	if _, err := reduceGroups(sc, partitionOf(t, s), slot, nil, func(_ int, key []byte, msgs *Group) { fn(key, msgs) }); err != nil {
+	g, err := reduceGroups(sc, partitionOf(t, s), 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return g
 }
 
 // groupOrder returns the record indices of s in the order a reduce task
@@ -74,7 +76,8 @@ func reduceOn(t testing.TB, sc *taskScratch, s *Emitter, slot reduceSlot, fn fun
 func groupOrder(t testing.TB, sc *taskScratch, s *Emitter) []int32 {
 	t.Helper()
 	order := make([]int32, 0, s.records)
-	reduceOn(t, sc, s, reduceSlot{}, func(_ []byte, msgs *Group) { order = append(order, msgs.run...) })
+	g := reduceOn(t, sc, s)
+	g.each(0, len(g.locs), func(_ []byte, msgs *Group) { order = append(order, msgs.run...) })
 	return order
 }
 
@@ -101,14 +104,12 @@ func arrivalOrder(t testing.TB, em *Emitter) []int32 {
 	return want
 }
 
-// slotTrace renders what a reduce task of the given slot over s hands its
-// reducer as one string: key, then each message in delivery order.
-// Comparing traces compares key order, group boundaries and message order
-// at once.
-func slotTrace(t testing.TB, s *Emitter, slot reduceSlot) string {
-	t.Helper()
+// traceGroups renders what groups [lo, hi) of g hand their reducer as
+// one string: key, then each message in delivery order. Comparing traces
+// compares key order, group boundaries and message order at once.
+func traceGroups(g *groupedSet, lo, hi int) string {
 	var out string
-	reduceOn(t, &taskScratch{}, s, slot, func(key []byte, msgs *Group) {
+	g.each(lo, hi, func(key []byte, msgs *Group) {
 		out += fmt.Sprintf("%q:", key)
 		for i := 0; i < msgs.Len(); i++ {
 			out += fmt.Sprintf("%v,", intAt(msgs, i))
@@ -118,10 +119,11 @@ func slotTrace(t testing.TB, s *Emitter, slot reduceSlot) string {
 	return out
 }
 
-// groupTrace is slotTrace over the whole partition.
+// groupTrace is traceGroups over every group of a reduce task over s.
 func groupTrace(t testing.TB, s *Emitter) string {
 	t.Helper()
-	return slotTrace(t, s, reduceSlot{})
+	g := reduceOn(t, &taskScratch{}, s)
+	return traceGroups(g, 0, len(g.locs))
 }
 
 // refTrace is the reduce grouping done with a hash map — keys in the
@@ -152,7 +154,7 @@ func refTrace(kvs []kv) string {
 
 func TestForEachGroupEmptyPartition(t *testing.T) {
 	if got := groupTrace(t, &Emitter{}); got != "" {
-		t.Errorf("forEachGroup called fn on an empty partition: %s", got)
+		t.Errorf("each called fn on an empty partition: %s", got)
 	}
 }
 
@@ -406,7 +408,7 @@ func TestReduceGroupingProbeLength(t *testing.T) {
 			}
 			var sc taskScratch
 			parts := partitionOf(t, &em)
-			if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func(int, []byte, *Group) {}); err != nil {
+			if _, err := reduceGroups(&sc, parts, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			if keys := len(sc.keys.locs); keys != n {
@@ -459,7 +461,7 @@ func TestPackRecordsWarmAllocatesNothing(t *testing.T) {
 }
 
 // taskAllocs is what a reduce task over one segment allocates whatever the
-// segment holds: its record set's header, that set's one-entry buffer
+// segment holds: its grouped set's header, that set's one-entry buffer
 // list and the Group view — the three objects that carry pointers and so
 // cannot be the worker's scratch.
 const taskAllocs = 3
@@ -475,9 +477,11 @@ func TestReduceGroupingWarmAllocatesNothing(t *testing.T) {
 	for _, shape := range []struct{ n, keys int }{{20_000, 3000}, {2000, 300}, {2000, 2000}, {1, 1}} {
 		parts := partitionOf(t, setOf(randomKVs(rng, shape.n, shape.keys)))
 		got := testing.AllocsPerRun(10, func() {
-			if _, err := reduceGroups(&sc, parts, reduceSlot{}, nil, func(int, []byte, *Group) {}); err != nil {
+			g, err := reduceGroups(&sc, parts, 0, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
+			g.each(0, len(g.locs), func([]byte, *Group) {})
 		})
 		if got != taskAllocs {
 			t.Errorf("%d records over %d keys: %v allocations per reduce task on a warm scratch, want %d", shape.n, shape.keys, got, taskAllocs)
@@ -520,21 +524,27 @@ func TestReduceGroupingShapes(t *testing.T) {
 		}
 	}
 
-	// A sub-range slot a heavy key has to itself — [key, key·0x00), what
-	// the skew splitter cuts around a fully-stored sketch key — between
-	// its neighbours' slots: one group, in arrival order, after one pass.
+	// A heavy partition cut at group boundaries (cut): its pieces split
+	// the group sequence in first-arrival order, a piece never past L / k
+	// unless it is one group. The records weigh 11, 11, 12, 11, 10, 11, 11
+	// and 11 bytes (key, at least 2, + 8), L = 88: k = 2 gives the hot key
+	// a piece to itself, k = 8 every group one.
 	kvs := []kv{{"hos", 1}, {"hot", 2}, {"hot\x00", 3}, {"hot", 4}, {"a", 5}, {"hot", 6}, {"hou", 7}, {"hot", 8}}
-	s := setOf(kvs)
 	for _, c := range []struct {
-		slot reduceSlot
-		want string
+		k    int64
+		want []string
 	}{
-		{reduceSlot{hi: []byte("hot")}, `"hos":1,;"a":5,;`},
-		{reduceSlot{lo: []byte("hot"), hi: []byte("hot\x00")}, `"hot":2,4,6,8,;`},
-		{reduceSlot{lo: []byte("hot\x00")}, `"hot\x00":3,;"hou":7,;`},
+		{1, []string{`"hos":1,;"hot":2,4,6,8,;"hot\x00":3,;"a":5,;"hou":7,;`}},
+		{2, []string{`"hos":1,;`, `"hot":2,4,6,8,;`, `"hot\x00":3,;"a":5,;"hou":7,;`}},
+		{8, []string{`"hos":1,;`, `"hot":2,4,6,8,;`, `"hot\x00":3,;`, `"a":5,;`, `"hou":7,;`}},
 	} {
-		if got := slotTrace(t, s, c.slot); got != c.want {
-			t.Errorf("slot [%q, %q): trace %s, want %s", c.slot.lo, c.slot.hi, got, c.want)
+		g := reduceOn(t, &taskScratch{}, setOf(kvs))
+		var got []string
+		for _, p := range g.cut(c.k) {
+			got = append(got, traceGroups(g, p.lo, p.hi))
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("k = %d: pieces %q, want %q", c.k, got, c.want)
 		}
 	}
 }

@@ -16,10 +16,12 @@ import (
 //	              at r = 1 the arena is the partition as it is)
 //	all shuffles ─▶ reduce partition tasks (one per reducer:
 //	              concatenate in task order through the key set,
-//	              Reducer.Reduce per group in first-arrival order)
+//	              Reducer.Reduce per group in first-arrival order;
+//	              a heavy partition cut at group boundaries after
+//	              one gather, one task per further piece)
 //	all reduces ──▶ output merge shards (one per declared output
-//	              relation, relation.Merge inside; a split
-//	              partition's sub-outputs interleaved by first arrival)
+//	              relation, relation.Merge over the tasks' buffers
+//	              in reducer and piece order)
 //	all merges  ──▶ final stats fold, job counted done
 //
 // Each input's map tasks are spawned independently the moment that
@@ -69,20 +71,16 @@ type jobRun struct {
 
 	reducers  int
 	taskParts [][]taskPartition // per input part, per map task
-	// slots is the reduce-stage task layout, reducer-major and
-	// sub-range-minor: one full-range slot per reducer normally; a heavy
-	// partition under runtime splitting contributes one slot per key
-	// sub-range (split.go). outs and slotLoads are indexed by slot; the
-	// loads fold in slot order and a split partition's outputs
-	// interleave by first arrival (mergeTask), which keeps split runs
-	// bit-for-bit identical to unsplit ones.
-	slots     []reduceSlot
-	slotLoads []int64   // per slot: modelled bytes the task consumed
-	outs      []*Output // per reduce slot
-	outNames  []string  // declared outputs, sorted
-	outArity  []int     // per output
-	outMB     []float64 // per output, folded in name order
-	merged    []*relation.Relation
+	// pieces is the reduce stage's work, per reducer: its reduce task's
+	// share, or, for a partition cut at group boundaries, its pieces in
+	// group order (split.go), each with its load and Output. Loads fold
+	// and outputs merge reducer by reducer and piece by piece, which
+	// keeps split runs bit-for-bit identical to unsplit ones.
+	pieces   [][]piece
+	outNames []string  // declared outputs, sorted
+	outArity []int     // per output
+	outMB    []float64 // per output, folded in name order
+	merged   []*relation.Relation
 
 	stats JobStats
 }
@@ -275,9 +273,8 @@ func (jr *jobRun) computeReducers() int {
 // reducer placement is the identity: the task's arena chunks become the
 // partition's lone segment untouched, its load the modelled bytes the map
 // task summed, and nothing is decoded, hashed, copied or charged (the
-// reduce task's reader checks the arena). With more, or with one whose
-// partition may split (0 < SkewSplit < 1), it runs the counted two-pass
-// placement: decode the task's arena once — hash each key, add
+// reduce task's reader checks the arena). With more it runs the counted
+// two-pass placement: decode the task's arena once — hash each key, add
 // the record to its reducer's load and segment, note its reducer and
 // encoded length in worker scratch — allocate one buffer for all the
 // segments (charged to the run's budget — the shuffle-partition
@@ -296,13 +293,9 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		loads: make([]int64, reducers),
 	}
 	n := int(res.msgs)
-	// A lone partition holds the job's whole load, so it is over
-	// SkewSplit × the mean, and needs the sketch the placement loop
-	// feeds, exactly when SkewSplit < 1.
-	split := jr.e.cfg.SkewSplit
 	switch {
 	case n == 0:
-	case reducers == 1 && !(split > 0 && split < 1):
+	case reducers == 1:
 		var total int64
 		for _, chunk := range res.chunks {
 			total += int64(len(chunk))
@@ -311,9 +304,6 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		tp.segs[0] = segment{len: total, count: int32(n)}
 		tp.loads[0] = res.bytes
 	default:
-		if split > 0 {
-			tp.sketch = newKeySketch(jr.gov.budget)
-		}
 		target := grow(&c.scratch.target, n)
 		lens := grow(&c.scratch.idx, n)
 		i := 0
@@ -323,12 +313,8 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 				if err != nil || i == n {
 					panic(taskAbort{err: errCorrupt})
 				}
-				key := chunk[r.off : r.off+r.klen]
-				p := int32(hashKey(key) % uint32(reducers))
+				p := int32(hashKey(chunk[r.off:r.off+r.klen]) % uint32(reducers))
 				tp.loads[p] += r.size
-				if tp.sketch != nil && i%sketchSampleEvery == 0 {
-					tp.sketch.observe(key, p, r.size*sketchSampleEvery)
-				}
 				target[i], lens[i] = p, int32(next-at)
 				tp.segs[p].len += int64(next - at)
 				tp.segs[p].count++
@@ -368,9 +354,8 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	}
 }
 
-// shufflesDone plans the reduce slot layout — one full-range task per
-// reducer, plus sub-range tasks for partitions the skew splitter cut
-// (split.go) — and spawns one reduce task per slot.
+// shufflesDone spawns one reduce task per reducer, a heavy partition's
+// (split.go) with the split label, like every piece it spawns.
 func (jr *jobRun) shufflesDone(c *poolCtx) {
 	// The map results are fully consumed (each task's arena was
 	// released as its shuffle partition copied it, or became that
@@ -380,110 +365,118 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 	jr.results = nil
 	r := jr.reducers
 	jr.stats.ReduceLoadMB = make([]float64, r)
-	slots := jr.planReduceSlots()
-	jr.slots = slots
-	jr.slotLoads = make([]int64, len(slots))
-	for _, s := range slots {
-		if s.split() {
-			jr.stats.SplitReduceTasks++
-		}
+	jr.pieces = make([][]piece, r)
+	whole := make([]piece, r) // one piece per reducer until a cut says otherwise
+	for ri := range whole {
+		jr.pieces[ri] = whole[ri : ri+1 : ri+1]
 	}
-	jr.outs = make([]*Output, len(slots))
-	jr.left = len(slots)
-	for si := range slots {
-		si := si
-		l := jr.label(kindReduce, 0, si)
-		l.split = slots[si].split()
-		c.spawn(l, func(c *poolCtx) { jr.reduceTask(c, si) })
+	jr.left = r
+	for ri, k := range jr.splitWays() {
+		l := jr.label(kindReduce, 0, ri)
+		l.split = k > 0
+		c.spawn(l, func(c *poolCtx) { jr.reduceTask(c, ri, k) })
 	}
 }
 
-// reduceGroups is a reduce task's work on worker scratch sc: it
-// concatenates slot's share of every map task's partition in declared
-// part/task order (so the records it sees — and the load it returns —
-// are identical to a serial pass over the tasks), sizing the worker's key
-// set for them first so that every record is gathered with its key group,
-// lays the records out by key (groupRecords) and calls fn once per
-// distinct key, in first-arrival order, with the key's number g in that
-// order and its messages in arrival order. On a split slot it also fills
-// sc.arrival: arrival[g] is the index of group g's first record in the
-// reducer's whole, unsplit stream, ascending in g. What "its share" means
-// — a whole partition or a [lo, hi) key sub-range of it, held in memory
-// or spilled — is taskPartition's business (count, appendTo in
-// spill.go): this loop is the one ordered-fold reader of
-// docs/INVARIANTS.md. The buffer list is sized by the same walk: one
-// buffer per chunk of each non-empty segment, appendTo's one append each.
-func reduceGroups(sc *taskScratch, parts [][]taskPartition, slot reduceSlot, b *Budget, fn func(g int, key []byte, msgs *Group)) (int64, error) {
+// reduceGroups is a reduce task's gather on worker scratch sc: it
+// concatenates reducer ri's segment of every map task's partition in
+// declared part/task order (so the records it sees — and the load it
+// returns — are identical to a serial pass over the tasks), sizing the
+// worker's key set for them first so that every record is gathered with
+// its key group, and lays the records out by key (groupRecords), groups
+// in first-arrival order. Whether a segment is held in memory or spilled
+// is taskPartition's business (appendTo in spill.go): this loop is the
+// one ordered-fold reader of docs/INVARIANTS.md. The buffer list is
+// sized by the same walk: one buffer per chunk of each non-empty
+// segment, appendTo's one append each.
+func reduceGroups(sc *taskScratch, parts [][]taskPartition, ri int, b *Budget) (*groupedSet, error) {
 	n, bufs := 0, 0
 	for part := range parts {
 		for ti := range parts[part] {
 			tp := &parts[part][ti]
-			n += tp.count(slot)
-			bufs += tp.bufCount(slot.ri)
+			n += int(tp.segs[ri].count)
+			bufs += tp.bufCount(ri)
 		}
 	}
-	set := recordSet{bufs: make([][]byte, 0, bufs), recs: grow(&sc.recs, n)[:0]}
+	g := &groupedSet{recordSet: recordSet{bufs: make([][]byte, 0, bufs), recs: grow(&sc.recs, n)[:0]}}
 	ks := sc.keySet(n, true)
-	var arrival []int32
-	if slot.split() {
-		arrival = grow(&sc.arrival, n)
-	}
-	var load int64
-	var at int32
 	for part := range parts {
 		for ti := range parts[part] {
-			tp := &parts[part][ti]
-			kept, err := tp.appendTo(&set, ks, slot, at, arrival, b)
+			kept, err := parts[part][ti].appendTo(&g.recordSet, ks, ri, b)
 			if err != nil {
-				return load, err
+				return nil, err
 			}
-			load += kept
-			at += tp.segs[slot.ri].count
+			g.load += kept
 		}
 	}
-	forEachGroup(&set, groupRecords(sc, &set, ks.locs), fn)
-	return load, nil
+	g.grouping = groupRecords(sc, &g.recordSet, ks.locs)
+	return g, nil
 }
 
-// reduceTask runs one reduce slot through the user Reducer. On a split
-// slot the Output records which group added which tuples, each group
-// under its first-arrival index, for mergeTask's interleave.
-func (jr *jobRun) reduceTask(c *poolCtx, si int) {
-	slot := jr.slots[si]
-	split := slot.split()
-	out := newOutput(jr.outNames, jr.outArity, split)
-	jr.outs[si] = out
-	load, err := reduceGroups(c.scratch, jr.taskParts, slot, jr.gov.budget, func(g int, key []byte, msgs *Group) {
-		if split {
-			out.group = c.scratch.arrival[g]
-		}
-		jr.job.Reducer.Reduce(key, msgs, out)
-	})
+// reduceTask gathers and groups reducer ri's partition and reduces it.
+// A heavy partition's task (k > 0) first cuts its groups into pieces;
+// past one piece it lends the grouped set, and the worker scratch that
+// holds it, to the pieces and takes another scratch, counts the further
+// pieces into the stage while it is itself still counted, spawns one
+// reduce task per further piece and reduces the first itself.
+func (jr *jobRun) reduceTask(c *poolCtx, ri int, k int64) {
+	g, err := reduceGroups(c.scratch, jr.taskParts, ri, jr.gov.budget)
 	if err != nil {
 		panic(taskAbort{err: err})
 	}
-	jr.slotLoads[si] = load
+	pieces := jr.pieces[ri]
+	pieces[0] = piece{hi: len(g.locs), load: g.load}
+	if k > 0 {
+		pieces = g.cut(k)
+		jr.pieces[ri] = pieces
+	}
+	if len(pieces) > 1 {
+		g.sc = c.lend(jr.e)
+		g.left.Store(int32(len(pieces)))
+		jr.mu.Lock()
+		jr.left += len(pieces) - 1
+		jr.mu.Unlock()
+		for pi := 1; pi < len(pieces); pi++ {
+			l, p := jr.label(kindReduce, pi, ri), &pieces[pi]
+			l.split = true
+			c.spawn(l, func(c *poolCtx) { jr.reducePiece(c, g, p) })
+		}
+	}
+	jr.reducePiece(c, g, &pieces[0])
+}
+
+// reducePiece runs the user Reducer over one piece's groups into the
+// piece's own Output. The last piece of a shared set to finish gives its
+// scratch back to the run; a canceled run simply drops it.
+func (jr *jobRun) reducePiece(c *poolCtx, g *groupedSet, p *piece) {
+	out := newOutput(jr.outNames, jr.outArity)
+	p.out = out
+	g.each(p.lo, p.hi, func(key []byte, msgs *Group) { jr.job.Reducer.Reduce(key, msgs, out) })
+	if g.sc != nil && g.left.Add(-1) == 0 {
+		c.giveBack(g.sc)
+	}
 	if jr.stageDone() {
 		jr.reducesDone(c)
 	}
 }
 
-// reducesDone folds the per-slot loads into the per-reducer stats —
-// int64 sums over slots in slot order, so a split partition's
+// reducesDone folds the piece loads into the per-reducer stats — int64
+// sums, reducer by reducer and piece by piece, so a split partition's
 // ReduceLoadMB is bit-identical to the unsplit accumulation — then
 // spawns one output merge shard per declared output relation (sorted
 // name order).
 func (jr *jobRun) reducesDone(c *poolCtx) {
-	loads := make([]int64, jr.reducers)
 	var maxTask int64
-	for si := range jr.slots {
-		loads[jr.slots[si].ri] += jr.slotLoads[si]
-		if jr.slotLoads[si] > maxTask {
-			maxTask = jr.slotLoads[si]
+	for ri, pieces := range jr.pieces {
+		var load int64
+		for _, p := range pieces {
+			load += p.load
+			maxTask = max(maxTask, p.load)
 		}
-	}
-	for ri, l := range loads {
-		jr.stats.ReduceLoadMB[ri] = mbOf(l) * jr.inflate
+		if len(pieces) > 1 {
+			jr.stats.SplitReduceTasks += len(pieces)
+		}
+		jr.stats.ReduceLoadMB[ri] = mbOf(load) * jr.inflate
 	}
 	jr.stats.MaxReduceTaskMB = mbOf(maxTask) * jr.inflate
 	// Every reduce task has concatenated its share; release the whole
@@ -503,37 +496,27 @@ func (jr *jobRun) reducesDone(c *poolCtx) {
 	jr.outMB = make([]float64, len(jr.outNames))
 	jr.left = len(jr.outNames)
 	for ni := range jr.outNames {
-		ni := ni
 		c.spawn(jr.label(kindMerge, 0, ni), func(c *poolCtx) { jr.mergeTask(c, ni) })
 	}
 }
 
-// mergeTask unions one output relation's reduce-task buffers in reduce
-// slot order (reducer-major) with first-occurrence dedup (relation.Merge,
-// the one place a job-output tuple is hashed) and publishes the merged
-// relation through onOutput, releasing any map tasks of downstream jobs
-// waiting on this relation. A whole partition's task contributes its
-// buffer as one run; a split partition's sub-range tasks contribute their
-// group runs interleaved by first arrival (interleave), so the merge sees
-// rows in exactly the order the unsplit reducers appended them. The merge
-// consumes the buffers: a lone whole one becomes the merged relation's
-// slab.
+// mergeTask unions one output relation's reduce-task buffers in reducer
+// order, a split partition's in piece order, with first-occurrence dedup
+// (relation.Merge, the one place a job-output tuple is hashed) and
+// publishes the merged relation through onOutput, releasing any map
+// tasks of downstream jobs waiting on this relation. The pieces split
+// their reducer's group sequence in order, so the merge sees rows in
+// exactly the order the unsplit reducers appended them. The merge
+// consumes the buffers: a lone one becomes the merged relation's slab.
 func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 	name := jr.outNames[ni]
-	runs := make([]relation.Run, 0, len(jr.outs))
-	for lo := 0; lo < len(jr.slots); {
-		hi := lo + 1
-		for hi < len(jr.slots) && jr.slots[hi].ri == jr.slots[lo].ri {
-			hi++
+	bufs := make([]*relation.Rows, 0, len(jr.pieces))
+	for _, pieces := range jr.pieces {
+		for _, p := range pieces {
+			bufs = append(bufs, p.out.rows[ni])
 		}
-		if hi-lo > 1 {
-			runs = interleave(runs, jr.outs[lo:hi], ni)
-		} else if b := jr.outs[lo].rows[ni]; b != nil {
-			runs = append(runs, relation.Run{Rows: b, Hi: b.Size()})
-		}
-		lo = hi
 	}
-	merged := relation.Merge(name, jr.outArity[ni], runs)
+	merged := relation.Merge(name, jr.outArity[ni], bufs)
 	// The merge-shard accounting site: the merged relation is charged
 	// before it is published to downstream consumers.
 	jr.gov.budget.charge(merged.Bytes())
@@ -547,51 +530,13 @@ func (jr *jobRun) mergeTask(c *poolCtx, ni int) {
 	}
 }
 
-// interleave appends to runs the group runs that one split partition's
-// sub-range tasks (outs, in slot order) added to output ni, merged by
-// first-arrival index: a k-way merge of lists each ascending in it, with
-// no ties, since a key's group lies in one sub-range. Adjacent runs of
-// one buffer are joined, so a partition whose output comes from one
-// sub-range task yields that buffer whole.
-func interleave(runs []relation.Run, outs []*Output, ni int) []relation.Run {
-	type cursor struct {
-		rows   *relation.Rows
-		runs   []groupRun // the runs not yet taken
-		offset int        // where the first of them starts in rows
-	}
-	cur := make([]cursor, 0, len(outs))
-	for _, o := range outs {
-		if b := o.rows[ni]; b != nil {
-			cur = append(cur, cursor{rows: b, runs: o.runs[ni]})
-		}
-	}
-	for {
-		var c *cursor
-		for i := range cur {
-			if k := &cur[i]; len(k.runs) > 0 && (c == nil || k.runs[0].first < c.runs[0].first) {
-				c = k
-			}
-		}
-		if c == nil {
-			return runs
-		}
-		end := int(c.runs[0].end)
-		if last := len(runs) - 1; last >= 0 && runs[last].Rows == c.rows && runs[last].Hi == c.offset {
-			runs[last].Hi = end
-		} else {
-			runs = append(runs, relation.Run{Rows: c.rows, Lo: c.offset, Hi: end})
-		}
-		c.runs, c.offset = c.runs[1:], end
-	}
-}
-
 // finishJob folds the per-output sizes in sorted name order (float
 // accumulation order is part of the determinism contract) and counts
 // the job done in the run's task record.
 func (jr *jobRun) finishJob(c *poolCtx) {
-	// Merge shards have consumed the per-reducer outputs; keep only the
+	// Merge shards have consumed the reduce tasks' outputs; keep only the
 	// merged relations (which may own their buffers' slabs).
-	jr.outs = nil
+	jr.pieces = nil
 	for _, mb := range jr.outMB {
 		jr.stats.OutputMB += mb
 	}

@@ -38,7 +38,8 @@ type poolTask struct {
 // poolCtx is the execution context handed to every task: one per pool
 // worker, created by that worker's loop in runTasks and touched by no
 // other goroutine, so the scratch it borrows from the Engine for as long
-// as the loop runs needs no lock.
+// as the loop runs needs no lock. A reduce task may swap that scratch for
+// a fresh one (reduceTask).
 type poolCtx struct {
 	pool    *taskPool
 	id      int // worker index owning the local deque
@@ -46,22 +47,23 @@ type poolCtx struct {
 }
 
 // taskScratch is one worker's reusable task memory: the pointer-free
-// arrays a task needs only until it returns. Between runs it is the
-// Engine's (Engine.scratch), so a run's workers start with arrays sized
-// by earlier runs. It never holds a []byte or anything else that points
-// (TestScratchPointerFree; arena chunks and shuffle buffers stay
-// charged, single-use grabBytes allocations), so no query can read
-// another's keys, payloads or relations through it, and it is bounded:
-// every buffer grows to the largest task run on it and nothing is kept
-// per task. Every buffer is handed out to be overwritten — the key set's
+// arrays a task needs only until it returns — or, for a reduce task that
+// cuts its partition into pieces, until the last piece does: that task
+// lends its scratch to the pieces and takes another (reduceTask, lend).
+// Between runs it is the Engine's (Engine.scratch), so a run's workers
+// start with arrays sized by earlier runs. It never holds a []byte or
+// anything else that points (TestScratchPointerFree; arena chunks and
+// shuffle buffers stay charged, single-use grabBytes allocations), so no
+// query can read another's keys, payloads or relations through it, and
+// it is bounded: every buffer grows to the largest task run on it and
+// nothing is kept per task. Every buffer is handed out to be overwritten — the key set's
 // slots, to be cleared — before any read.
 type taskScratch struct {
-	recs    []record // reduceGroups: the gathered records
-	idx     []int32  // shuffleTask: each record's encoded length; groupRecords: record indices laid out by key
-	keys    keySet   // a map task's packing decisions under Emit, or a reduce task's gather
-	target  []int32  // shuffleTask: each record's reducer; groupRecords: each group's count, cursor, end
-	pos     []int64  // shuffleTask: per-reducer write cursors
-	arrival []int32  // reduceGroups, split slots only: each group's first record's index in the unsplit stream
+	recs   []record // reduceGroups: the gathered records
+	idx    []int32  // shuffleTask: each record's encoded length; groupRecords: record indices laid out by key
+	keys   keySet   // a map task's packing decisions under Emit, or a reduce task's gather
+	target []int32  // shuffleTask: each record's reducer; groupRecords: each group's count, cursor, end
+	pos    []int64  // shuffleTask: per-reducer write cursors
 }
 
 // grow returns *buf resized to n elements of unspecified content,
@@ -71,6 +73,30 @@ func grow[T any](buf *[]T, n int) []T {
 		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
+}
+
+// lend takes the worker's scratch for a task to hand on — a split
+// partition's grouped set, to its pieces — and gives the worker another:
+// one of the run's spares, else one of e's.
+func (c *poolCtx) lend(e *Engine) *taskScratch {
+	sc, p := c.scratch, c.pool
+	p.spareMu.Lock()
+	if n := len(p.spare); n > 0 {
+		c.scratch, p.spare = p.spare[n-1], p.spare[:n-1]
+	}
+	p.spareMu.Unlock()
+	if c.scratch == sc {
+		c.scratch = e.scratch.Get().(*taskScratch)
+	}
+	return sc
+}
+
+// giveBack returns a lent scratch to the run's spares.
+func (c *poolCtx) giveBack(sc *taskScratch) {
+	p := c.pool
+	p.spareMu.Lock()
+	p.spare = append(p.spare, sc)
+	p.spareMu.Unlock()
 }
 
 // spawn schedules fn, labelled l, onto the current worker's deque.
@@ -147,6 +173,16 @@ type taskPool struct {
 
 	pendingMu sync.Mutex
 	pending   int // spawned but unfinished tasks
+
+	// spare holds, under spareMu, the scratches split partitions lent
+	// their pieces and got back (reduceTask). A run's next lend takes one
+	// before it asks the Engine, whose sync.Pool cannot hand a task a
+	// scratch put back on another P's private slot: asking it every time
+	// found a cold scratch for 66 of 150 lends in a 5 s skew-spill run on
+	// 2 vCPUs, each regrown at the size of a heavy partition. runTasks
+	// returns the spares to the Engine when the pool stops.
+	spareMu sync.Mutex
+	spare   []*taskScratch
 
 	// hooks is the fault-injection seam installed via SetFaultHooks,
 	// captured once at pool construction; grants numbers the task grants
@@ -338,8 +374,9 @@ func (p *taskPool) runOne(c *poolCtx, t poolTask) {
 // re-raised on the caller's goroutine, so user map/reduce panics
 // surface to the Run caller; it wins over a task-raised error, which
 // wins over a cancellation. Each worker takes one taskScratch from the
-// Engine when it starts and puts it back when it exits; these workers
-// and the watcher are the package's only goroutines.
+// Engine when it starts and puts back the one it holds when it exits, and
+// the run's spare scratches go back with them; these workers and the
+// watcher are the package's only goroutines.
 //
 // Cancellation is task-boundary-granular: a watcher goroutine (joined
 // before return — runTasks leaks nothing) stops the pool when
@@ -380,7 +417,7 @@ func (e *Engine) runTasks(ctx context.Context, workers int, rec *Progress, seed 
 		go func(id int) {
 			defer wg.Done()
 			c := &poolCtx{pool: p, id: id, scratch: e.scratch.Get().(*taskScratch)}
-			defer e.scratch.Put(c.scratch)
+			defer func() { e.scratch.Put(c.scratch) }() // whichever scratch the worker holds when it exits
 			for {
 				t := p.next(id)
 				if t.fn == nil {
@@ -391,6 +428,9 @@ func (e *Engine) runTasks(ctx context.Context, workers int, rec *Progress, seed 
 		}(w)
 	}
 	wg.Wait()
+	for _, sc := range p.spare {
+		e.scratch.Put(sc)
+	}
 	close(stopWatch)
 	watch.Wait()
 	if p.panicked != nil {

@@ -37,16 +37,16 @@ const (
 	kindNone    taskKind = iota // no job's task: a run's seed
 	kindMap                     // mapper over one split
 	kindShuffle                 // shuffle partition of one map task
-	kindReduce                  // one reduce slot
+	kindReduce                  // one reduce partition, or one piece of a cut one
 	kindMerge                   // one output merge shard
 	numKinds
 )
 
 // taskLabel names a task to the record: its job's index in the program,
 // its kind, and its place in the job's stage — input part and map task
-// for map and shuffle tasks, slot for reduce tasks, output (sorted name
-// order) for merge shards — and whether a reduce slot is a skew-split
-// sub-range.
+// for map and shuffle tasks, piece and reducer for reduce tasks, output
+// (sorted name order) for merge shards — and whether a reduce task is
+// one of a heavy partition's, which the skew splitter cuts.
 type taskLabel struct {
 	job, part, index int32
 	kind             taskKind
@@ -129,9 +129,10 @@ type JobTiming struct {
 	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement; near zero at r = 1, where the arena is handed over)
 	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, scatter, reduce)
 	MergeSeconds   float64 // output merge shards (relation.Merge, publish)
-	// SplitSeconds is the share of ReduceSeconds spent in sub-range
-	// reduce tasks created by the runtime skew splitter — a subset, not
-	// an additional kind, so TotalSeconds is unaffected by splitting.
+	// SplitSeconds is the share of ReduceSeconds spent in the reduce
+	// tasks of heavy partitions, which the runtime skew splitter cuts
+	// into pieces — a subset, not an additional kind, so TotalSeconds is
+	// unaffected by splitting.
 	SplitSeconds float64
 }
 

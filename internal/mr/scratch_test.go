@@ -60,10 +60,8 @@ func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 	jr.reducers = 1
 	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
 	jr.shuffleTask(c, 0, 0)
-	jr.slots = unsplitSlots(1)
-	jr.slotLoads = make([]int64, 1)
-	jr.outs = make([]*Output, 1)
-	jr.reduceTask(c, 0)
+	jr.pieces = [][]piece{make([]piece, 1)}
+	jr.reduceTask(c, 0, 0)
 	return trace
 }
 

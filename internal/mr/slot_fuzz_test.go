@@ -3,30 +3,29 @@ package mr
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
 )
 
 // FuzzSlotLayout is the parallel-correctness property of the reduce
-// slot layout, in the sense of Geck et al. (PAPERS.md): re-partitioning
-// cannot change the answer when every group of records one Reduce call
-// needs reaches some single task whole. For a random key multiset,
-// reducer count and the boundaries the real sketch derives from it, the
-// test runs the real shuffle tasks, the real slot planner and the real
-// reader (taskPartition.count/appendTo, in memory or spilled) and
-// checks, per reducer ri:
+// stage's task layout, in the sense of Geck et al. (PAPERS.md):
+// re-partitioning cannot change the answer when every group of records
+// one Reduce call needs reaches some single task whole. For a random key
+// multiset and reducer count the test runs the real shuffle tasks, the
+// real heaviness test (splitWays), the real gather (reduceGroups, in
+// memory or spilled) and the real cut, and checks, per reducer ri:
 //
-//   - every record of ri's declared (part, task)-order stream lands in
-//     exactly one of ri's slots;
-//   - no key group straddles two slots, and slots ascend by key range;
-//   - each slot's input is the stream filtered to its range in stream
-//     order — so concatenating the slots' inputs in slot order is the
-//     stream stably partitioned by range, the ordered sub-partition
-//     fold's premise;
-//   - each key group of a slot carries the index of the key's first
-//     record in ri's whole stream, ascending in the slot's group order —
-//     the first-arrival index the merge interleaves split outputs by.
+//   - the gather holds ri's declared (part, task)-order stream, record
+//     for record, and its load is the stream's modelled bytes;
+//   - every group reaches exactly one piece, whole, its messages in
+//     arrival order;
+//   - the pieces are contiguous and in first-arrival order, so
+//     concatenating their groups gives the unsplit reducer's group
+//     sequence — the order the merge concatenates their outputs in;
+//   - each piece is at most L / k unless it is one group, the pieces'
+//     loads sum to L, and there are at most 2k − 1 of them.
 func FuzzSlotLayout(f *testing.F) {
 	f.Add([]byte{1, 'a', 1, 'b', 2, 'a', 'b', 9, 'l', 'o', 'n', 'g', 'e', 'r', 'k', 'e', 'y'}, uint8(3), uint8(200), false)
 	f.Add([]byte{0, 1, 0x00, 2, 0x00, 0x00, 1, 0xff}, uint8(1), uint8(0), true)
@@ -48,9 +47,9 @@ func FuzzSlotLayout(f *testing.F) {
 
 // checkSlotLayout shuffles 600 records over 2 parts × 2 tasks — keys
 // cycled from the given set, with hot/256 of the records on keys[0] so
-// some partition is heavy enough to split — and checks the slot-layout
-// property above, the shuffle tasks running on worker context c. It
-// returns the number of slots planned.
+// some partition is heavy enough to split — and checks the layout
+// property above, every task running on worker context c. It returns the
+// number of reduce tasks the layout makes: one per piece.
 func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int, spill bool) int {
 	t.Helper()
 	e := NewEngine(Config{Cost: cost.Default(), SkewSplit: 1.01})
@@ -100,109 +99,100 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 			jr.shuffleTask(c, part, ti)
 		}
 	}
-	slots := jr.planReduceSlots()
+	ways := jr.splitWays()
 
-	si := 0
+	tasksMade := 0
 	for ri := 0; ri < reducers; ri++ {
-		if si >= len(slots) || slots[si].ri != ri {
-			t.Fatalf("reducer %d has no slot at position %d (layout not reducer-major): %+v", ri, si, slots)
+		g, err := reduceGroups(c.scratch, jr.taskParts, ri, nil)
+		if err != nil {
+			t.Fatalf("reducer %d: gather: %v", ri, err)
 		}
-		placed := 0
-		var prevMax []byte // largest key any earlier slot of ri received
-		havePrev := false
-		for ; si < len(slots) && slots[si].ri == ri; si++ {
-			slot := slots[si]
-			var want []streamRec
-			for _, r := range streams[ri] {
-				if keyInRange(r.key, slot.lo, slot.hi) {
-					want = append(want, r)
-				}
-			}
-			var got recordSet
-			var load, wantLoad int64
-			reserve := 0
-			for part := range jr.taskParts {
-				for ti := range jr.taskParts[part] {
-					reserve += jr.taskParts[part][ti].count(slot)
-				}
-			}
-			ks := c.scratch.keySet(reserve, true)
-			arrival := make([]int32, reserve)
-			var at int32
-			for part := range jr.taskParts {
-				for ti := range jr.taskParts[part] {
-					tp := &jr.taskParts[part][ti]
-					kept, err := tp.appendTo(&got, ks, slot, at, arrival, nil)
-					if err != nil {
-						t.Fatalf("slot %d: appendTo: %v", si, err)
-					}
-					load += kept
-					at += tp.segs[ri].count
-				}
-			}
-			for g, l := range ks.locs {
-				key, first := got.key(int(l.first)), -1
-				for i, r := range streams[ri] {
-					if bytes.Equal(r.key, key) {
-						first = i
-						break
-					}
-				}
-				if int(arrival[g]) != first || (g > 0 && arrival[g] <= arrival[g-1]) {
-					t.Fatalf("slot %d: group %d (key %q) arrived at %d, its first record is at %d of the stream", si, g, key, arrival[g], first)
-				}
-			}
-			if len(got.recs) != len(want) {
-				t.Fatalf("slot %d (reducer %d, [%q,%q)): %d records, want %d", si, ri, slot.lo, slot.hi, len(got.recs), len(want))
-			}
-			if reserve < len(got.recs) || (!spill && reserve != len(got.recs)) {
-				t.Errorf("slot %d: count reserved %d for %d records", si, reserve, len(got.recs))
-			}
-			for i := range want {
-				v, _ := binary.Varint(got.payload(i))
-				if !bytes.Equal(got.key(i), want[i].key) || got.recs[i].tag != tagInt || v != want[i].v {
-					t.Fatalf("slot %d: record %d is %q/%v, stream order wants %q/%v",
-						si, i, got.key(i), v, want[i].key, want[i].v)
-				}
-				wantLoad += want[i].size
-				// Ascending, disjoint ranges: every key here sorts strictly
-				// after every key of ri's earlier slots, so no key group
-				// can straddle two slots.
-				if havePrev && bytes.Compare(got.key(i), prevMax) <= 0 {
-					t.Fatalf("slot %d: key %q does not sort after earlier slots' %q", si, got.key(i), prevMax)
-				}
-			}
-			if load != wantLoad {
-				t.Errorf("slot %d: load %d, records sum to %d", si, load, wantLoad)
-			}
-			for i := range got.recs {
-				if !havePrev || bytes.Compare(got.key(i), prevMax) > 0 {
-					prevMax, havePrev = got.key(i), true
-				}
-			}
-			placed += len(got.recs)
+		stream := streams[ri]
+		if len(g.recs) != len(stream) {
+			t.Fatalf("reducer %d: gathered %d records, its stream has %d", ri, len(g.recs), len(stream))
 		}
-		// Slot inputs are range-filtered sub-sequences of the stream over
-		// disjoint ranges; together they must account for all of it.
-		if placed != len(streams[ri]) {
-			t.Fatalf("reducer %d: slots received %d of %d records", ri, placed, len(streams[ri]))
+		var load int64
+		for i, r := range stream {
+			v, _ := binary.Varint(g.payload(i))
+			if !bytes.Equal(g.key(i), r.key) || g.recs[i].tag != tagInt || v != r.v {
+				t.Fatalf("reducer %d: record %d is %q/%v, stream order wants %q/%v", ri, i, g.key(i), v, r.key, r.v)
+			}
+			load += r.size
+		}
+		if g.load != load {
+			t.Errorf("reducer %d: load %d, records sum to %d", ri, g.load, load)
+		}
+		// The unsplit group sequence, from the stream through a map: keys
+		// in first-arrival order, each with its messages in arrival order.
+		var order []string
+		msgs, loads := map[string][]int64{}, map[string]int64{}
+		for _, r := range stream {
+			if _, seen := msgs[string(r.key)]; !seen {
+				order = append(order, string(r.key))
+			}
+			msgs[string(r.key)] = append(msgs[string(r.key)], r.v)
+			loads[string(r.key)] += r.size
+		}
+
+		pieces := []piece{{hi: len(g.locs), load: g.load}}
+		k := ways[ri]
+		if k > 0 {
+			pieces = g.cut(k)
+			if int64(len(pieces)) > 2*k-1 {
+				t.Errorf("reducer %d: %d pieces for k = %d, want at most 2k − 1", ri, len(pieces), k)
+			}
+		}
+		tasksMade += len(pieces)
+		next, at := 0, 0 // the next group index a piece must start at; the next key of order
+		var sum int64
+		for pi, p := range pieces {
+			if p.lo != next || p.hi < p.lo {
+				t.Fatalf("reducer %d: piece %d covers groups [%d, %d) after %d: not contiguous", ri, pi, p.lo, p.hi, next)
+			}
+			next = p.hi
+			var pload int64
+			g.each(p.lo, p.hi, func(key []byte, grp *Group) {
+				if at >= len(order) || string(key) != order[at] {
+					t.Fatalf("reducer %d: piece %d delivers key %q as group %d of the unsplit sequence", ri, pi, key, at)
+				}
+				want := msgs[order[at]]
+				got := make([]int64, grp.Len())
+				for i := range got {
+					got[i] = intAt(grp, i)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("reducer %d: piece %d: key %q delivers %v, its messages are %v", ri, pi, key, got, want)
+				}
+				pload += loads[order[at]]
+				at++
+			})
+			if p.load != pload {
+				t.Errorf("reducer %d: piece %d has load %d, its groups sum to %d", ri, pi, p.load, pload)
+			}
+			if k > 0 && p.hi-p.lo > 1 && p.load*k > g.load {
+				t.Errorf("reducer %d: piece %d of %d groups weighs %d, past L / k = %d / %d", ri, pi, p.hi-p.lo, p.load, g.load, k)
+			}
+			sum += p.load
+		}
+		if next != len(g.locs) || at != len(order) {
+			t.Fatalf("reducer %d: pieces cover %d of %d groups, deliver %d of %d keys", ri, next, len(g.locs), at, len(order))
+		}
+		if sum != g.load {
+			t.Errorf("reducer %d: pieces weigh %d together, the partition %d", ri, sum, g.load)
 		}
 	}
-	if si != len(slots) {
-		t.Fatalf("%d slots beyond the last reducer", len(slots)-si)
-	}
-	return len(slots)
+	return tasksMade
 }
 
 // TestSlotLayoutSplits runs the property on inputs known to split, so
-// the plain test run (no -fuzz) is guaranteed to cover multi-slot
+// the plain test run (no -fuzz) is guaranteed to cover multi-piece
 // partitions in both stores rather than only whatever the seeds reach.
 func TestSlotLayoutSplits(t *testing.T) {
-	keys := [][]byte{[]byte("hot"), []byte("a"), []byte("hotter"), {}, []byte("zz"), bytes.Repeat([]byte{'p'}, sketchKeyBytes+5)}
+	keys := [][]byte{[]byte("hot"), []byte("a"), []byte("hotter"), {}, []byte("zz"), bytes.Repeat([]byte{'p'}, 53)}
 	c := &poolCtx{scratch: new(taskScratch)}
 	for _, spill := range []bool{false, true} {
 		if n := checkSlotLayout(t, c, keys, 4, 160, spill); n <= 4 {
-			t.Errorf("spill %v: %d slots for 4 reducers: nothing split", spill, n)
+			t.Errorf("spill %v: %d reduce tasks for 4 reducers: nothing split", spill, n)
 		}
 	}
 }

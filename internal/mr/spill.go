@@ -13,9 +13,9 @@ import (
 // The shuffle byte form, resident or spilled. A shuffle task lays one map
 // task's records — encoded by Emit — out as per-reducer segments over an
 // ordered list of byte chunks (shuffleTask); that list is the partition.
-// With more than one reducer, or a lone partition that may split, it is
-// the one buffer the task fills; otherwise placement is the identity and
-// it is the map task's arena chunks, handed over as Emit left them. When the partition's modelled bytes
+// With more than one reducer it is the one buffer the task fills; with
+// one, placement is the identity and it is the map task's arena chunks,
+// handed over as Emit left them. When the partition's modelled bytes
 // reach the run's spill threshold its chunks are written to a temp file
 // back to back and dropped — spilling encodes nothing — and the reduce
 // stage's one reader (taskPartition.appendTo) decodes a segment the same
@@ -53,11 +53,10 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // b[pos] into a reference into b (src left 0) and returns the position
 // after it. Every length is checked against the bytes remaining before
 // it is used, so arbitrary input yields errCorrupt, never a panic. A
-// record is decoded in its reduce task, and in its shuffle task too when
-// that places it (r > 1, or a lone partition that may split; once
-// otherwise at r = 1), and nearly every
-// header is three one-byte varints, so those are read without the varint
-// loop (measured in CHANGES.md).
+// record is decoded once in its reduce task, and in its shuffle task too
+// when that places it (r > 1), and nearly every header is three one-byte
+// varints, so those are read without the varint loop (measured in
+// CHANGES.md).
 func readRecord(b []byte, pos int) (record, int, error) {
 	if pos+4 <= len(b) && b[pos]|b[pos+1]|b[pos+2] < 0x80 {
 		klen, plen := int(b[pos]), int(b[pos+1])
@@ -156,15 +155,13 @@ type segment struct {
 // and every segment is a slice of it. Otherwise it is the map task's
 // arena chunks and the lone segment is all of them; no record straddles
 // two chunks (Emit starts a fresh chunk for a record that does not fit),
-// so each chunk decodes on its own. loads are the segments' modelled bytes;
-// sketch is the task's heavy-key sketch, collected only when a partition
-// can split (split.go).
+// so each chunk decodes on its own. loads are the segments' modelled
+// bytes.
 type taskPartition struct {
-	bufs   [][]byte
-	f      *os.File // non-nil = spilled: the file owns the bytes, bufs is nil
-	segs   []segment
-	loads  []int64
-	sketch *keySketch
+	bufs  [][]byte
+	f     *os.File // non-nil = spilled: the file owns the bytes, bufs is nil
+	segs  []segment
+	loads []int64
 }
 
 // spill writes the partition's chunks back to back to a fresh spill
@@ -222,59 +219,23 @@ func (tp *taskPartition) bufCount(ri int) int {
 	return len(tp.bufs)
 }
 
-// count returns the capacity a reduce task should reserve for this
-// partition's share of slot s: exact for a resident partition (a
-// sub-range task allocates its own share, not the whole partition's),
-// the segment's record count — an upper bound under a sub-range — for a
-// spilled one, which is range-filtered only while it is read back.
-func (tp *taskPartition) count(s reduceSlot) int {
-	seg := tp.segs[s.ri]
-	if tp.f != nil || !s.split() {
-		return int(seg.count)
-	}
-	var one [1][]byte
-	chunks, _ := tp.read(s.ri, nil, &one) // resident: no read-back, no error
-	n := 0
-	for _, data := range chunks {
-		for pos := 0; pos < len(data); {
-			r, next, err := readRecord(data, pos)
-			if err != nil {
-				return n // appendTo reports it
-			}
-			if keyInRange(data[r.off:r.off+r.klen], s.lo, s.hi) {
-				n++
-			}
-			pos = next
-		}
-	}
-	return n
-}
-
-// appendTo appends to dst this partition's records of reducer s.ri whose
-// key falls in the slot's range (nil bounds = all of them), in the order
-// the shuffle placed them, each stamped with its key group — the index in
-// dst of the first record carrying its key, from the task's key set — and
-// returns their modelled bytes: the slot's share of the partition load.
-// at is the index of the segment's first record in reducer s.ri's whole
-// stream (every segment before it, in declared order, counted); when
-// arrival is non-nil — a split slot — each new key's entry k records
-// there, at arrival[k], the index of its first record in that stream.
-// Resident or streamed back from the spill file, whole or sub-range, the
-// segment goes through the same decode loop and the reducer sees the same
+// appendTo appends to dst this partition's records of reducer ri, in the
+// order the shuffle placed them, each stamped with its key group — the
+// index in dst of the first record carrying its key, from the task's key
+// set — and returns their modelled bytes: the partition's share of ri's
+// load. Resident or streamed back from the spill file, the segment goes
+// through the same decode loop, once, and the reducer sees the same
 // record sequence; each chunk of the segment becomes one more buffer of
 // dst. The segment must decode to exactly its record count with no bytes
 // left over: at r = 1 no shuffle task has decoded the arena, so this is
-// where a damaged one is caught. Each sub-range task of a split partition
-// decodes the whole segment: redundant work, but deterministic and
-// budget-charged per task, and bounded by the sub-range cap
-// (splitMaxKeys) on how many sub-tasks one partition can become.
-func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, s reduceSlot, at int32, arrival []int32, b *Budget) (int64, error) {
-	seg := tp.segs[s.ri]
+// where a damaged one is caught.
+func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, ri int, b *Budget) (int64, error) {
+	seg := tp.segs[ri]
 	if seg.count == 0 {
 		return 0, nil
 	}
 	var one [1][]byte
-	chunks, err := tp.read(s.ri, b, &one)
+	chunks, err := tp.read(ri, b, &one)
 	if err != nil {
 		return 0, err
 	}
@@ -288,19 +249,14 @@ func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, s reduceSlot, at i
 			if err != nil || n == seg.count {
 				return kept, errCorrupt
 			}
-			if key := data[r.off : r.off+r.klen]; keyInRange(key, s.lo, s.hi) {
-				r.src = src
-				loc, made := ks.entry(dst.bufs, key)
-				if made {
-					*loc = keyLoc{src: src, off: r.off, klen: r.klen, first: int32(len(dst.recs))}
-					if arrival != nil {
-						arrival[len(ks.locs)-1] = at + n
-					}
-				}
-				r.group = loc.first
-				dst.recs = append(dst.recs, r)
-				kept += r.size
+			r.src = src
+			loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
+			if made {
+				*loc = keyLoc{src: src, off: r.off, klen: r.klen, first: int32(len(dst.recs))}
 			}
+			r.group = loc.first
+			dst.recs = append(dst.recs, r)
+			kept += r.size
 			pos = next
 		}
 	}

@@ -75,12 +75,12 @@ func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, reducers int, spill
 func readAll(tp *taskPartition) (recordSet, error) {
 	var got recordSet
 	n := 0
-	for ri := range tp.segs {
-		n += tp.count(reduceSlot{ri: ri})
+	for _, seg := range tp.segs {
+		n += int(seg.count)
 	}
 	ks := new(taskScratch).keySet(n, true)
 	for ri := range tp.segs {
-		if _, err := tp.appendTo(&got, ks, reduceSlot{ri: ri}, 0, nil, nil); err != nil {
+		if _, err := tp.appendTo(&got, ks, ri, nil); err != nil {
 			return got, err
 		}
 	}

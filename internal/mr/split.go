@@ -1,138 +1,116 @@
 package mr
 
-import "bytes"
+import "math"
 
 // Adaptive skew handling: runtime splitting of heavy reduce partitions.
 //
 // After the shuffle stage the engine knows every reduce partition's
 // modelled byte load (taskPartition.loads, summed in declared order).
-// When Config.SkewSplit is active and a partition's load exceeds
-// that ratio × the mean partition load, the partition is split at key
-// boundaries derived from the shuffle-time heavy-key sketch
-// (sketch.go) into sub-partition reduce tasks that the work-stealing
-// pool schedules independently — the hot partition's grouping and the
-// reduces of its non-dominant keys stop serializing the run. A sub-range
-// a dominant key has to itself needs no special case: its records are one
-// group after the gather's one pass over them.
+// When Config.SkewSplit is active and a partition's load L exceeds that
+// ratio × the mean partition load, the partition is cut at group
+// boundaries after one gather: its one reduce task gathers and groups it
+// exactly as it would an unsplit partition (reduceGroups), cuts the
+// groups — already in first-arrival order — into contiguous pieces of
+// whole groups (cut), reduces the first piece itself and spawns one
+// reduce task per further piece over the same grouped set, which the
+// work-stealing pool schedules independently. The hot partition's
+// reduces stop serializing the run; its gather and grouping stay in one
+// task, so each of its records is decoded, and each spilled segment read
+// back, once.
+//
+// The cut has no knob. A heavy partition gets k = ⌈L / (ratio × mean)⌉
+// and a piece ends before the group that would take it past L / k, so
+// every piece is at most L / k unless it is a single group — a hot key's
+// group gets a piece to itself — and any two consecutive pieces together
+// exceed L / k, so a partition ends with at most 2k − 1 pieces and a job
+// with O(r / ratio) reduce tasks. A heavy partition of one group stays
+// whole.
 //
 // The bit-for-bit contract survives splitting because:
 //
-//   - boundaries partition the key space, so a key group (one
-//     Reducer.Reduce call) can never straddle two sub-tasks;
-//   - each sub-task scans the partition's record stream in the same
-//     declared (part, task) order and keeps its [lo, hi) share, so the
-//     concatenation of the sub-tasks' inputs in sub order is a
-//     permutation-by-range of the unsplit sequence with arrival order
-//     preserved inside every range;
-//   - the unsplit reducer reduces its groups in first-arrival order, the
-//     order of each key's first record in that sequence. Each sub-task
-//     reduces its own groups in the same relative order and knows, for
-//     each, the index of its first record in the unsplit sequence
-//     (reduceGroups' arrival). Its Output records, per relation, one run
-//     of rows per group that added any, under that index. The merge
-//     stage interleaves a split partition's sub-outputs by it — a k-way
-//     merge of ascending runs, with no ties, since no group spans two
-//     sub-tasks (mergeTask, interleave) — which reproduces the unsplit
-//     reducer's Add sequence row for row (Output.Add only appends), so
-//     relation.Merge's first-occurrence dedup keeps the same tuples in
-//     the same order;
-//   - per-reducer loads are folded as int64 sums over slots in slot
+//   - every group lies whole in one piece, so one Reducer.Reduce call
+//     sees all of its key's messages — the one condition a split must
+//     keep (Geck et al., PAPERS.md);
+//   - the pieces split the unsplit group sequence in order, so the merge
+//     stage, concatenating their Outputs in piece order (mergeTask), sees
+//     the unsplit reducer's Add sequence row for row, and relation.Merge's
+//     first-occurrence dedup keeps the same tuples in the same order;
+//   - per-reducer loads are folded as int64 sums over pieces in piece
 //     order, bit-identical to the unsplit accumulation.
 //
-// The split plan itself is deterministic: it is computed once at
-// shufflesDone from loads and sketches merged in declared order, so
-// the same job over the same data splits identically at every pool
-// width. The only JobStats fields that differ from an unsplit run are
-// the split observability fields (SplitReduceTasks, MaxReduceTaskMB);
-// JobStats.StripSplitInfo normalizes them for differential comparison.
+// The cut is a function of the job and the data alone — k comes from
+// loads folded in declared (part, task) order, the groups are the
+// unsplit ones — so the same job over the same data splits identically
+// at every pool width. The only JobStats fields that differ from an
+// unsplit run are the split observability fields (SplitReduceTasks,
+// MaxReduceTaskMB); JobStats.StripSplitInfo normalizes them for
+// differential comparison.
 
-// reduceSlot is one scheduled reduce task: a whole reduce partition
-// (lo and hi nil), or one key sub-range [lo, hi) of a split partition.
-// Slots are ordered reducer-major, sub-range-minor: the output merge
-// takes reducers in that order and interleaves a split reducer's
-// sub-range slots by first arrival.
-type reduceSlot struct {
-	ri     int
-	lo, hi []byte // key range [lo, hi); nil bound = unbounded
+// piece is one reduce task's share of a reducer: groups [lo, hi) of the
+// reducer's grouped set, in first-arrival order, their modelled bytes,
+// and the Output the task filled.
+type piece struct {
+	lo, hi int
+	load   int64
+	out    *Output
 }
 
-// split reports whether the slot is a sub-range of a split partition:
-// every such slot has at least one bound (planReduceSlots cuts only at
-// non-nil boundaries), a whole partition has none.
-func (s reduceSlot) split() bool { return s.lo != nil || s.hi != nil }
-
-// keyInRange reports whether key falls in [lo, hi); nil bounds are
-// unbounded.
-func keyInRange(key, lo, hi []byte) bool {
-	if lo != nil && bytes.Compare(key, lo) < 0 {
-		return false
+// splitWays returns, per reducer, the k its partition is cut for: 0 for
+// a partition that is not heavy, as every partition is with splitting
+// off. A partition is heavy when its load exceeds SkewSplit × the mean,
+// a test no NaN or infinite ratio passes. k is capped at the partition's
+// record count, which no cut can exceed, so a ratio so small that
+// ratio × mean rounds to zero still yields a finite k.
+func (jr *jobRun) splitWays() []int64 {
+	ratio, r := jr.e.cfg.SkewSplit, jr.reducers
+	ways := make([]int64, r)
+	if ratio <= 0 {
+		return ways
 	}
-	if hi != nil && bytes.Compare(key, hi) >= 0 {
-		return false
-	}
-	return true
-}
-
-// unsplitSlots is the slot layout with runtime splitting off: one
-// full-range slot per reducer.
-func unsplitSlots(r int) []reduceSlot {
-	slots := make([]reduceSlot, r)
-	for i := range slots {
-		slots[i].ri = i
-	}
-	return slots
-}
-
-// planReduceSlots decides, once per job at shufflesDone, which reduce
-// partitions split and at which boundaries. Every input — per-reducer
-// loads and the merged sketch — is folded in declared (part, task)
-// order, so the plan is a function of the job and the data alone.
-func (jr *jobRun) planReduceSlots() []reduceSlot {
-	r := jr.reducers
-	if jr.e.cfg.SkewSplit <= 0 || r == 0 {
-		return unsplitSlots(r)
-	}
-	loads := make([]int64, r)
+	loads, counts := make([]int64, r), make([]int64, r)
 	var total int64
 	for part := range jr.taskParts {
 		for ti := range jr.taskParts[part] {
-			for ri, l := range jr.taskParts[part][ti].loads {
+			tp := &jr.taskParts[part][ti]
+			for ri, l := range tp.loads {
 				loads[ri] += l
 				total += l
+				counts[ri] += int64(tp.segs[ri].count)
 			}
 		}
 	}
-	if total == 0 {
-		return unsplitSlots(r)
-	}
-	merged := newKeySketch(jr.gov.budget)
-	for part := range jr.taskParts {
-		for ti := range jr.taskParts[part] {
-			if sk := jr.taskParts[part][ti].sketch; sk != nil {
-				merged.absorb(sk)
-			}
+	limit := ratio * (float64(total) / float64(r))
+	for ri, l := range loads {
+		if float64(l) > limit {
+			ways[ri] = int64(min(math.Ceil(float64(l)/limit), float64(counts[ri])))
 		}
 	}
-	mean := float64(total) / float64(r)
-	slots := make([]reduceSlot, 0, r)
-	for ri := 0; ri < r; ri++ {
-		if float64(loads[ri]) <= jr.e.cfg.SkewSplit*mean {
-			slots = append(slots, reduceSlot{ri: ri})
-			continue
+	return ways
+}
+
+// cut divides the set's groups, in first-arrival order, into contiguous
+// pieces of whole groups for a k-way split of its load L: a new piece
+// starts before a group when the current one is not empty and the group
+// would take it past L / k — (cur + l)·k > L, in int64 — and each piece
+// carries its groups' modelled bytes.
+func (g *groupedSet) cut(k int64) []piece {
+	var pieces []piece
+	var p piece
+	var start int32
+	for gi, l := range g.locs {
+		end := g.ends[l.first]
+		var gl int64
+		for _, i := range g.idx[start:end] {
+			gl += g.recs[i].size
 		}
-		bounds := merged.splitBoundaries(int32(ri), jr.gov.budget)
-		if len(bounds) == 0 {
-			// The sketch saw no key of this reducer (possible when other
-			// tasks' keys crowded it out): nothing to cut at.
-			slots = append(slots, reduceSlot{ri: ri})
-			continue
+		start = end
+		if gi > p.lo && (p.load+gl)*k > g.load {
+			p.hi = gi
+			pieces = append(pieces, p)
+			p = piece{lo: gi}
 		}
-		var lo []byte
-		for _, b := range bounds {
-			slots = append(slots, reduceSlot{ri: ri, lo: lo, hi: b})
-			lo = b
-		}
-		slots = append(slots, reduceSlot{ri: ri, lo: lo})
+		p.load += gl
 	}
-	return slots
+	p.hi = len(g.locs)
+	return append(pieces, p)
 }

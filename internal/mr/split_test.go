@@ -3,8 +3,10 @@ package mr
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -40,20 +42,22 @@ func skewedProgramOf(n int64, reducers int) (*Program, *relation.Database) {
 }
 
 // TestOrderedFoldDifferential is the contract of the one ordered-fold
-// reader (taskPartition.count/appendTo, docs/INVARIANTS.md): however a
-// reduce slot's input is held — in memory or spilled — and whatever it
-// covers — a whole partition or a key sub-range of a split one — the
-// run's outputs and deep per-job stats are bit-for-bit those of a
-// split-off, spill-off, width-1 oracle, at pool widths 1, 4 and
-// GOMAXPROCS. The split observability fields (removed by
-// StripSplitInfo) and the charged bytes are the only quantities allowed
+// reader (taskPartition.appendTo, docs/INVARIANTS.md): however a reduce
+// partition's input is held — in memory or spilled — and however its
+// groups are reduced — by one task or cut into pieces after one gather
+// (the "sub-range" shapes, named for the key ranges the split used to
+// cut at) — the run's outputs and deep per-job stats are bit-for-bit
+// those of a split-off, spill-off, width-1 oracle, at pool widths 1, 4
+// and GOMAXPROCS. The split observability fields (removed by
+// StripSplitInfo) and the memory stats are the only quantities allowed
 // to differ from the oracle, and both must be identical at every width;
-// the charged bytes also between two runs on one engine. The
-// single-reducer rows — 30 000 tuples over 6 map tasks, so every R arena
-// spans 6 chunks — hold the partition that is its map task's arena (split
-// off) and the placed lone partition that splits (0.5) to the same
-// contract, and their outputs to those of the same program at its
-// derived reducer count, which is 2.
+// the memory stats also between two runs on one engine, and, since a
+// split partition is gathered, and its spilled segments read back, once,
+// with those of a split-off run in the same store. The single-reducer
+// rows — 30 000 tuples over 6 map tasks, so every R arena spans 6 chunks
+// — hold the partition that is its map task's arena, split off and cut
+// into pieces (0.5), to the same contract, and their outputs to those of
+// the same program at its derived reducer count, which is 2.
 func TestOrderedFoldDifferential(t *testing.T) {
 	singleReducer := func() (*Program, *relation.Database) { return skewedProgramOf(30000, 1) }
 	derivedReducers := func() (*Program, *relation.Database) { return skewedProgramOf(30000, 0) }
@@ -173,6 +177,20 @@ func TestOrderedFoldDifferential(t *testing.T) {
 					if got := again.Stats(); got != mem {
 						t.Errorf("width %d: second run on the same engine: memory stats %+v, first run %+v", width, got, mem)
 					}
+					if shape.split > 0 {
+						off := newTestEngine(cost.Default().Scaled(0.001))
+						off.cfg.Workers = width
+						off.cfg.SkewSplit = -1
+						off.cfg.SpillThreshold = store.spill
+						off.cfg.SpillDir = dir
+						unsplit := NewBudget(0)
+						if _, _, _, err := off.Run(context.Background(), p, db, RunOptions{Budget: unsplit}); err != nil {
+							t.Fatalf("width %d: split-off run failed: %v", width, err)
+						}
+						if got := unsplit.Stats(); got != mem {
+							t.Errorf("width %d: memory stats %+v split, %+v split off", width, mem, got)
+						}
+					}
 					if store.spill > 0 {
 						if mem.SpilledParts == 0 || mem.SpilledBytes <= 0 {
 							t.Errorf("width %d: threshold 1 spilled %d partitions, %d bytes", width, mem.SpilledParts, mem.SpilledBytes)
@@ -212,8 +230,8 @@ func TestSkewSplitOffMatchesLoads(t *testing.T) {
 	}
 }
 
-// TestSkewSplitTiming: split sub-task time is recorded as a subset of
-// reduce time, leaving TotalSeconds the sum of the four task kinds.
+// TestSkewSplitTiming: the time of a heavy partition's reduce tasks is
+// recorded as a subset of reduce time, leaving TotalSeconds the sum of the four task kinds.
 func TestSkewSplitTiming(t *testing.T) {
 	p, db := skewedProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
@@ -239,16 +257,19 @@ func TestSkewSplitTiming(t *testing.T) {
 	}
 }
 
-// TestSkewSplitPlanLayout unit-tests planReduceSlots' slot geometry
-// directly: slots are reducer-major, a split partition's sub-ranges
-// are ascending and contiguous (each slot's hi is the next slot's lo,
-// with unbounded outer edges), and light partitions stay whole.
+// TestSkewSplitPlanLayout checks the piece geometry of a real run:
+// every reducer's pieces cover its groups contiguously from the first, in
+// order; the hot key's partition — the one heavy one — is cut, into
+// pieces no heavier than L / k unless they are one group; light
+// partitions stay whole; and the loads the pieces carry fold into
+// ReduceLoadMB as the pieces' sum.
 func TestSkewSplitPlanLayout(t *testing.T) {
 	p, db := skewedProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
 	e.cfg.SkewSplit = 1.3
-	gov := e.newGovern(nil)
-	jr := e.newJobRun(0, p.Jobs[0], gov, nil)
+	var jr *jobRun
+	var pieces [][]piece // as the merge stage finds them
+	jr = e.newJobRun(0, p.Jobs[0], e.newGovern(nil), func(*poolCtx, string, *relation.Relation) { pieces = jr.pieces })
 	err := e.runTasks(context.Background(), 4, new(Progress), func(c *poolCtx) {
 		for part, name := range p.Jobs[0].Inputs {
 			jr.inputReady(c, part, db.Relation(name))
@@ -257,51 +278,60 @@ func TestSkewSplitPlanLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := jr.slots
-	if len(slots) <= jr.reducers {
-		t.Fatalf("%d slots for %d reducers: nothing split", len(slots), jr.reducers)
+	if len(pieces) != jr.reducers {
+		t.Fatalf("%d reducers' pieces for %d reducers", len(pieces), jr.reducers)
 	}
-	prevRi := -1
-	for si := 0; si < len(slots); si++ {
-		s := slots[si]
-		if s.ri < prevRi {
-			t.Fatalf("slot %d: reducer %d after %d (not reducer-major)", si, s.ri, prevRi)
+	var total int64
+	for _, ps := range pieces {
+		for _, pc := range ps {
+			total += pc.load
 		}
-		if s.ri != prevRi {
-			// First slot of a partition: unbounded low edge.
-			if s.lo != nil {
-				t.Errorf("slot %d: partition %d starts at lo %q, want unbounded", si, s.ri, s.lo)
+	}
+	mean := float64(total) / float64(jr.reducers)
+	split := 0
+	for ri, ps := range pieces {
+		var load int64
+		next := 0
+		for pi, pc := range ps {
+			if pc.lo != next || pc.hi <= pc.lo {
+				t.Errorf("reducer %d piece %d: groups [%d, %d) after %d", ri, pi, pc.lo, pc.hi, next)
+			}
+			next = pc.hi
+			load += pc.load
+		}
+		heavy := float64(load) > 1.3*mean
+		k := int64(math.Ceil(float64(load) / (1.3 * mean)))
+		switch {
+		case !heavy && len(ps) != 1:
+			t.Errorf("reducer %d: light partition (%d of mean %.0f) cut into %d pieces", ri, load, mean, len(ps))
+		case heavy && len(ps) < 2:
+			t.Errorf("reducer %d: heavy partition (%d of mean %.0f) not cut", ri, load, mean)
+		case heavy:
+			split++
+			for pi, pc := range ps {
+				if pc.hi-pc.lo > 1 && pc.load*k > load {
+					t.Errorf("reducer %d piece %d: %d groups weigh %d, past L / k = %d / %d", ri, pi, pc.hi-pc.lo, pc.load, load, k)
+				}
 			}
 		}
-		last := si+1 == len(slots) || slots[si+1].ri != s.ri
-		if last {
-			if s.hi != nil {
-				t.Errorf("slot %d: partition %d ends at hi %q, want unbounded", si, s.ri, s.hi)
-			}
-			if !s.split() && s.lo != nil {
-				t.Errorf("slot %d: unsplit slot has a bound", si)
-			}
-		} else {
-			if !s.split() || !slots[si+1].split() {
-				t.Errorf("slot %d: multi-slot partition %d has unsplit slots", si, s.ri)
-			}
-			if string(slots[si+1].lo) != string(s.hi) || s.hi == nil {
-				t.Errorf("slot %d: hi %q does not chain to next lo %q", si, s.hi, slots[si+1].lo)
-			}
+		if got, want := jr.stats.ReduceLoadMB[ri], mbOf(load)*jr.inflate; got != want {
+			t.Errorf("reducer %d: ReduceLoadMB %v, its pieces fold to %v", ri, got, want)
 		}
-		prevRi = s.ri
+	}
+	if split != 1 {
+		t.Errorf("%d partitions cut, want the hot key's one", split)
 	}
 }
 
 // TestSplitOutputOrder is split invariance at the engine level, on the
 // shape that separates first-arrival order from key order: keys arrive
-// "z…" before "hot" before "a…", so the skew splitter's sub-ranges —
-// [.., "hot"), ["hot", "hot\x00"), ["hot\x00", ..) and whatever other
-// cuts the sketch picks — hold the groups in the opposite order to their
-// arrival. Every group adds two tuples of its own, and every group adds
-// one shared tuple, which groups in different sub-ranges therefore both
-// add. The merged relation must be the split-off run's tuple for tuple:
-// the sub-outputs interleave by first arrival, not in slot order.
+// "z…" before "hot" before "a…". Every group adds two tuples of its own,
+// and every group adds one shared tuple, which groups in different pieces
+// therefore both add. The merged relation must be the split-off run's
+// tuple for tuple: the pieces' outputs concatenate in piece order, which
+// is first-arrival order. The hot key's partition is cut into three
+// pieces at r = 1 (k = ⌈1 / 0.5⌉ = 2: the groups before "hot", "hot"'s
+// group alone, the groups after it) and two at r = 3 (ratio 1.3).
 func TestSplitOutputOrder(t *testing.T) {
 	const n = 3000
 	keys := make([][]byte, n)
@@ -335,7 +365,8 @@ func TestSplitOutputOrder(t *testing.T) {
 	for _, c := range []struct {
 		reducers int
 		split    float64
-	}{{1, 0.5}, {3, 1.3}} {
+		pieces   int
+	}{{1, 0.5, 3}, {3, 1.3, 2}} {
 		run := func(split float64) (*relation.Relation, JobStats) {
 			e := NewEngine(Config{Cost: cost.Default().Scaled(0.001), Workers: 2, SkewSplit: split})
 			outs, stats, _, err := e.Run(context.Background(), &Program{Jobs: []*Job{job(c.reducers)}}, db, RunOptions{})
@@ -346,8 +377,8 @@ func TestSplitOutputOrder(t *testing.T) {
 		}
 		want, _ := run(-1)
 		got, stats := run(c.split)
-		if stats.SplitReduceTasks < 3 {
-			t.Fatalf("r = %d: %d split reduce tasks, want the hot key's partition cut in three or more", c.reducers, stats.SplitReduceTasks)
+		if stats.SplitReduceTasks != c.pieces {
+			t.Fatalf("r = %d: %d split reduce tasks, want the hot key's partition cut in %d", c.reducers, stats.SplitReduceTasks, c.pieces)
 		}
 		if got.Size() != want.Size() {
 			t.Fatalf("r = %d: split run has %d tuples, unsplit %d", c.reducers, got.Size(), want.Size())
@@ -357,5 +388,62 @@ func TestSplitOutputOrder(t *testing.T) {
 				t.Fatalf("r = %d: tuple %d is %v split, %v unsplit", c.reducers, i, got.Tuple(i), want.Tuple(i))
 			}
 		}
+	}
+}
+
+// TestSplitWays pins the heaviness test and k: a partition is heavy when
+// its load exceeds ratio × the mean — a test no NaN or infinite ratio
+// passes — and is cut k = ⌈L / (ratio × mean)⌉ ways, capped at its
+// record count, which also bounds a ratio so small that k overflows.
+func TestSplitWays(t *testing.T) {
+	jr := &jobRun{reducers: 3, taskParts: [][]taskPartition{{ // loads 10, 20 and 90: a mean of 40
+		{loads: []int64{10, 10, 60}, segs: []segment{{count: 1}, {count: 1}, {count: 6}}},
+		{loads: []int64{0, 10, 30}, segs: []segment{{}, {count: 1}, {count: 3}}},
+	}}}
+	for _, c := range []struct {
+		ratio float64
+		want  []int64
+	}{
+		{0, []int64{0, 0, 0}},
+		{-1, []int64{0, 0, 0}},
+		{math.NaN(), []int64{0, 0, 0}},
+		{math.Inf(1), []int64{0, 0, 0}},
+		{math.Inf(-1), []int64{0, 0, 0}},
+		{1.5, []int64{0, 0, 2}},    // 90 > 60
+		{0.5, []int64{0, 0, 5}},    // 20 is not over 20; ⌈90 / 20⌉
+		{1e-320, []int64{1, 2, 9}}, // every load over the limit, k past every record count
+	} {
+		jr.e = NewEngine(Config{SkewSplit: c.ratio})
+		if got := jr.splitWays(); !slices.Equal(got, c.want) {
+			t.Errorf("ratio %v: ways %v, want %v", c.ratio, got, c.want)
+		}
+	}
+}
+
+// TestSplitReusesLentScratch: the scratch a split partition lends its
+// pieces comes back to the run, and the run's next split takes it rather
+// than asking the Engine. Two jobs on one worker, each cutting its lone
+// partition: the Engine's pool makes two scratches — the worker's and the
+// first lend's — not three.
+func TestSplitReusesLentScratch(t *testing.T) {
+	p, db := skewedProgramOf(2000, 1)
+	count := *p.Jobs[0]
+	count.Name, count.Outputs = "count", map[string]int{"W": 1}
+	count.Reducer = ReducerFunc(func(_ []byte, msgs *Group, out *Output) { out.Add("W", tup(int64(msgs.Len()))) })
+	p.Jobs = append(p.Jobs, &count)
+	e := NewEngine(Config{Cost: cost.Default().Scaled(0.001), Workers: 1, SkewSplit: 0.5})
+	made := 0
+	e.scratch.New = func() any { made++; return new(taskScratch) }
+	_, stats, _, err := e.Run(context.Background(), p, db, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stats {
+		if s.SplitReduceTasks < 2 {
+			t.Fatalf("job %s: %d split reduce tasks, want its partition cut", s.Name, s.SplitReduceTasks)
+		}
+	}
+	if made != 2 {
+		t.Errorf("the run made %d scratches, want 2: the worker's and the first lend's", made)
 	}
 }

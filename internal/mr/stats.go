@@ -36,17 +36,19 @@ type JobStats struct {
 	// ReduceLoadMB holds the shuffled bytes received by each reduce
 	// partition. Uneven loads (key skew) stretch the reduce wave's
 	// makespan in the cluster simulation. Under runtime skew splitting
-	// the per-partition loads are folded from the sub-task loads in
-	// slot order, so the values match the unsplit run bit for bit.
+	// the per-partition loads are folded from the piece loads in piece
+	// order, so the values match the unsplit run bit for bit.
 	ReduceLoadMB []float64
-	// SplitReduceTasks counts the sub-range reduce tasks the runtime
-	// skew splitter scheduled (0 when splitting is off or nothing was
-	// heavy). The split plan is computed from declared-order folds, so
+	// SplitReduceTasks counts the reduce tasks of partitions the runtime
+	// skew splitter cut into two or more pieces (0 when splitting is off
+	// or no heavy partition had two groups to cut between). The cut is a
+	// function of declared-order folds and the unsplit group order, so
 	// the count is identical at every pool width.
 	SplitReduceTasks int
-	// MaxReduceTaskMB is the heaviest single reduce task's input. With
-	// splitting off it equals MaxReduceLoadMB(); with splitting on it
-	// drops below it when a heavy partition was cut.
+	// MaxReduceTaskMB is the heaviest single reduce task's input — a
+	// whole partition or one piece of a cut one. With splitting off it
+	// equals MaxReduceLoadMB(); with splitting on it drops below it when
+	// the heaviest partition was cut.
 	MaxReduceTaskMB float64
 }
 

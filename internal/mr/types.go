@@ -117,40 +117,23 @@ func (f ReducerFunc) Reduce(key []byte, msgs *Group, out *Output) { f(key, msgs,
 
 // Output collects reducer output facts for the job's declared
 // relations. One Output is private to each reduce task; task outputs are
-// merged in reducer order after the job, keeping runs deterministic.
-// A task's Output is a bag: Add appends each fact to an unindexed
-// buffer (relation.Rows), duplicates included, and the job's output
-// merge (mergeTask, relation.Merge) is the one place facts are hashed
-// and deduplicated, so set semantics hold at the job output. The Output
-// of a split partition's sub-range task also records, per relation,
-// which group added which rows, so the merge can interleave the
-// sub-range tasks' outputs back into the unsplit order (split.go).
+// merged in reducer order — a split partition's in piece order — after
+// the job, keeping runs deterministic. A task's Output is a bag: Add
+// appends each fact to an unindexed buffer (relation.Rows), duplicates
+// included, and the job's output merge (mergeTask, relation.Merge) is
+// the one place facts are hashed and deduplicated, so set semantics hold
+// at the job output.
 type Output struct {
 	names []string         // the job's declared outputs, sorted
 	arity []int            // per name
 	rows  []*relation.Rows // per name; nil until the first Add to it
 	last  int              // the name the previous Add went to
-	// runs, on a split slot's task only, is per name its group runs in
-	// reduce order: the rows of runs[i][j] are rows[i]'s
-	// [runs[i][j-1].end, runs[i][j].end). group is the first-arrival
-	// index (reduceGroups) of the group being reduced.
-	runs  [][]groupRun
-	group int32
 }
 
-// groupRun is the rows one group added to one output buffer: its
-// first-arrival index and the buffer's size after its last row.
-type groupRun struct{ first, end int32 }
-
 // newOutput returns a reduce task's Output for the declared outputs
-// names (sorted) of the given arities; split says the task is a split
-// partition's sub-range task, which records group runs.
-func newOutput(names []string, arity []int, split bool) *Output {
-	o := &Output{names: names, arity: arity, rows: make([]*relation.Rows, len(names))}
-	if split {
-		o.runs = make([][]groupRun, len(names))
-	}
-	return o
+// names (sorted) of the given arities.
+func newOutput(names []string, arity []int) *Output {
+	return &Output{names: names, arity: arity, rows: make([]*relation.Rows, len(names))}
 }
 
 // Add appends a copy of the fact to the named output relation's buffer,
@@ -172,15 +155,6 @@ func (o *Output) Add(name string, t relation.Tuple) {
 		o.rows[i] = rows
 	}
 	rows.Append(t)
-	if o.runs == nil {
-		return
-	}
-	runs, end := o.runs[i], int32(rows.Size())
-	if n := len(runs); n > 0 && runs[n-1].first == o.group {
-		runs[n-1].end = end
-	} else {
-		o.runs[i] = append(runs, groupRun{first: o.group, end: end})
-	}
 }
 
 // Job describes one MapReduce job.

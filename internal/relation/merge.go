@@ -41,27 +41,20 @@ func (b *Rows) Tuple(i int) Tuple {
 	return b.vals[lo:hi:hi]
 }
 
-// Run is the rows [Lo, Hi) of Rows: one piece of a Merge. An empty run
-// (Hi ≤ Lo) may leave Rows nil.
-type Run struct {
-	Rows   *Rows
-	Lo, Hi int
-}
-
 // Merge returns a relation of the given name and arity containing the
-// tuples of runs, in run order, with first-occurrence dedup. It is the
+// rows of bufs, in buffer order, with first-occurrence dedup. It is the
 // job-output merge of the MapReduce engine and the only place a job's
 // output tuples are hashed: reduce tasks append to unindexed buffers,
-// and the job's result is their ordered union — a whole buffer per
-// reduce task, or, for a split partition, its sub-range tasks' group
-// runs interleaved. Done the plain way, in one pass over one slab: the
-// runs' rows, concatenated in run order into a slab sized once for
-// their total — or, when the only non-empty run is a whole buffer, that
-// buffer's slab itself — are deduplicated in place, each row's first
-// occurrence kept and moved down over the rows dropped before it, under
-// an index built once.
+// and the job's result is their ordered union — one buffer per reduce
+// task, in reducer order and, for a partition cut at group boundaries,
+// piece order. Done the plain way, in one pass over one slab: the
+// buffers' rows, concatenated in buffer order into a slab sized once for
+// their total — or, when only one buffer holds rows, that buffer's slab
+// itself — are deduplicated in place, each row's first occurrence kept
+// and moved down over the rows dropped before it, under an index built
+// once.
 //
-// Merge consumes its runs: the result may own a run's slab, whose rows
+// Merge consumes its buffers: the result may own one's slab, whose rows
 // it has moved, so the caller must not read or append to the buffers
 // afterwards. The result itself is an ordinary relation and may be
 // added to.
@@ -69,38 +62,38 @@ type Run struct {
 // Duplicates reach the merge, so the storage it sized for its input can
 // far exceed what the kept rows need. The benchmark's merges keep
 // 84–100 % of their rows where r > 1 (nested-sgf, skew-spill) and
-// 31–100 % on the serving workloads, whose merges are all one whole
-// buffer; serving text S4's output, 1 584 tuples of 5 042 appended, is
-// the one under half. Whenever the slab's capacity would be more than
-// twice its rows, Merge copies them to a tight slab, and whenever the
-// index would be more than twice the length its rows need, it rebuilds
-// the index at that length, so a merged relation never retains more than
-// twice the storage its rows need.
+// 31–100 % on the serving workloads, whose merges are all one buffer;
+// serving text S4's output, 1 584 tuples of 5 042 appended, is the one
+// under half. Whenever the slab's capacity would be more than twice its
+// rows, Merge copies them to a tight slab, and whenever the index would
+// be more than twice the length its rows need, it rebuilds the index at
+// that length, so a merged relation never retains more than twice the
+// storage its rows need.
 //
-// Empty runs are skipped; non-empty runs over a different arity panic,
-// as Add would.
-func Merge(name string, arity int, runs []Run) *Relation {
-	var only Run
+// Nil and empty buffers are skipped; non-empty buffers of a different
+// arity panic, as Add would.
+func Merge(name string, arity int, bufs []*Rows) *Relation {
+	var only *Rows
 	live, total := 0, 0
-	for _, r := range runs {
-		if r.Hi <= r.Lo {
+	for _, b := range bufs {
+		if b == nil || len(b.vals) == 0 {
 			continue
 		}
-		if r.Rows.arity != arity {
+		if b.arity != arity {
 			panic("relation.Merge: source arity mismatch")
 		}
-		only = r
+		only = b
 		live++
-		total += r.Hi - r.Lo
+		total += b.Size()
 	}
 	out := New(name, arity)
-	if live == 1 && only.Lo == 0 && only.Hi == only.Rows.Size() {
-		out.vals = only.Rows.vals
+	if live == 1 {
+		out.vals = only.vals
 	} else {
 		out.vals = make([]Value, 0, total*arity)
-		for _, r := range runs {
-			if r.Hi > r.Lo {
-				out.vals = append(out.vals, r.Rows.vals[r.Lo*arity:r.Hi*arity]...)
+		for _, b := range bufs {
+			if b != nil {
+				out.vals = append(out.vals, b.vals...)
 			}
 		}
 	}

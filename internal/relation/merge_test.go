@@ -7,13 +7,13 @@ import (
 )
 
 // refMerge is the serial merge Merge must reproduce bit for bit: every
-// run's tuples added in order to a fresh relation. It reads the runs
-// only, so it must run before Merge consumes them.
-func refMerge(name string, arity int, runs []Run) *Relation {
+// buffer's tuples added in order to a fresh relation. It reads the
+// buffers only, so it must run before Merge consumes them.
+func refMerge(name string, arity int, bufs []*Rows) *Relation {
 	out := New(name, arity)
-	for _, r := range runs {
-		for i := r.Lo; i < r.Hi; i++ {
-			out.Add(r.Rows.Tuple(i))
+	for _, b := range bufs {
+		for i := 0; b != nil && i < b.Size(); i++ {
+			out.Add(b.Tuple(i))
 		}
 	}
 	return out
@@ -31,40 +31,24 @@ func rowsOf(arity int, ts []Tuple) *Rows {
 	return b
 }
 
-// wholeRuns is srcs as Merge runs, one whole buffer each; a nil source
-// is an empty run.
-func wholeRuns(srcs []*Rows) []Run {
-	runs := make([]Run, len(srcs))
-	for i, s := range srcs {
-		if s != nil {
-			runs[i] = Run{Rows: s, Hi: s.Size()}
+// cutRows cuts every non-empty buffer of bufs at random points into
+// consecutive buffers, kept in order: the shape of a split partition's
+// pieces, whose buffers concatenate to the unsplit reducer's.
+func cutRows(next func(n int) int, bufs []*Rows) []*Rows {
+	var out []*Rows
+	for _, b := range bufs {
+		if b == nil || b.Size() == 0 {
+			out = append(out, b)
+			continue
 		}
-	}
-	return runs
-}
-
-// cutRuns cuts every non-empty run of runs at random points and deals the
-// pieces out in a random interleaving that keeps each source's pieces in
-// order: the shape of a split partition's group runs.
-func cutRuns(rng *rand.Rand, runs []Run) []Run {
-	var pieces [][]Run
-	for _, r := range runs {
-		var ps []Run
-		for lo := r.Lo; lo < r.Hi; {
-			hi := min(r.Hi, lo+1+rng.Intn(20))
-			ps = append(ps, Run{Rows: r.Rows, Lo: lo, Hi: hi})
+		for lo := 0; lo < b.Size(); {
+			hi := min(b.Size(), lo+1+next(20))
+			p := NewRows(b.arity)
+			for i := lo; i < hi; i++ {
+				p.Append(b.Tuple(i))
+			}
+			out = append(out, p)
 			lo = hi
-		}
-		if len(ps) > 0 {
-			pieces = append(pieces, ps)
-		}
-	}
-	var out []Run
-	for len(pieces) > 0 {
-		i := rng.Intn(len(pieces))
-		out = append(out, pieces[i][0])
-		if pieces[i] = pieces[i][1:]; len(pieces[i]) == 0 {
-			pieces = append(pieces[:i], pieces[i+1:]...)
 		}
 	}
 	return out
@@ -102,8 +86,8 @@ func tight(r *Relation) error {
 // TestMergeMatchesSerialAdd drives Merge over randomized source buffers —
 // duplicates within and across sources, empty and nil sources, skewed
 // sizes, a lone live source (the in-place path), a tiny universe that
-// makes most rows duplicates (the trim) — as whole runs and cut into
-// interleaved pieces, and requires the exact tuple order, index
+// makes most rows duplicates (the trim) — whole and cut into
+// consecutive pieces, and requires the exact tuple order, index
 // behaviour and storage bound of the serial Add loop.
 func TestMergeMatchesSerialAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -138,9 +122,9 @@ func TestMergeMatchesSerialAdd(t *testing.T) {
 			}
 			return out
 		}
-		for _, runs := range [][]Run{wholeRuns(fresh()), cutRuns(rng, wholeRuns(fresh()))} {
-			want := refMerge("Z", 2, runs)
-			got := Merge("Z", 2, runs)
+		for _, bufs := range [][]*Rows{fresh(), cutRows(rng.Intn, fresh())} {
+			want := refMerge("Z", 2, bufs)
+			got := Merge("Z", 2, bufs)
 			if err := sameOrdered(got, want); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -168,7 +152,7 @@ func TestMergeEmptyAndSingle(t *testing.T) {
 		t.Errorf("empty merge = %s", m)
 	}
 	src := []Tuple{{Value(1)}, {Value(2)}}
-	m := Merge("Z", 1, wholeRuns([]*Rows{nil, NewRows(1), rowsOf(1, src)}))
+	m := Merge("Z", 1, []*Rows{nil, NewRows(1), rowsOf(1, src)})
 	if m.Name() != "Z" || m.Size() != 2 || !m.Tuple(0).Equal(src[0]) || !m.Equal(FromTuples("S", 1, src)) {
 		t.Errorf("single-source merge = %s", m.Dump())
 	}
@@ -180,7 +164,7 @@ func TestMergeArityMismatchPanics(t *testing.T) {
 			t.Fatal("arity mismatch did not panic")
 		}
 	}()
-	Merge("Z", 2, wholeRuns([]*Rows{rowsOf(1, []Tuple{{Value(1)}})}))
+	Merge("Z", 2, []*Rows{rowsOf(1, []Tuple{{Value(1)}})})
 }
 
 func TestRowsAppendArityPanics(t *testing.T) {

@@ -85,7 +85,7 @@ func agree(r *Relation, m *model) error {
 // FuzzRelationOps runs a random op sequence — Add, AddAll, Grow, Clone,
 // Rename, append-then-Merge of 0–5 buffers (nil and empty ones
 // included; duplicates within and across them; whole or cut into
-// interleaved runs), Contains, Equal — against the model, and requires
+// consecutive pieces), Contains, Equal — against the model, and requires
 // identical return values, size and insertion order after every op, and
 // Merge's storage bound.
 func FuzzRelationOps(f *testing.F) {
@@ -160,7 +160,7 @@ func FuzzRelationOps(f *testing.F) {
 				// Append-then-Merge: 0–5 buffers, some seeded with a slot's
 				// tuples, all with random ones appended (duplicates within
 				// and across buffers are common), merged whole or cut
-				// into pieces dealt out in a data-driven interleaving.
+				// into consecutive pieces at data-driven points.
 				srcs := make([]*Rows, next()%6)
 				for i := range srcs {
 					switch k := next() % (slots + 2); k {
@@ -177,36 +177,16 @@ func FuzzRelationOps(f *testing.F) {
 						}
 					}
 				}
-				runs := wholeRuns(srcs)
 				if next()%2 == 0 {
-					var pieces [][]Run
-					for _, r := range runs {
-						var ps []Run
-						for lo := r.Lo; lo < r.Hi; {
-							hi := min(r.Hi, lo+1+next()%8)
-							ps = append(ps, Run{Rows: r.Rows, Lo: lo, Hi: hi})
-							lo = hi
-						}
-						if len(ps) > 0 {
-							pieces = append(pieces, ps)
-						}
-					}
-					runs = runs[:0]
-					for len(pieces) > 0 {
-						i := next() % len(pieces)
-						runs = append(runs, pieces[i][0])
-						if pieces[i] = pieces[i][1:]; len(pieces[i]) == 0 {
-							pieces = append(pieces[:i], pieces[i+1:]...)
-						}
-					}
+					srcs = cutRows(func(n int) int { return next() % n }, srcs)
 				}
 				want := newModel(arity)
-				for _, r := range runs {
-					for i := r.Lo; i < r.Hi; i++ {
-						want.add(r.Rows.Tuple(i))
+				for _, buf := range srcs {
+					for i := 0; buf != nil && i < buf.Size(); i++ {
+						want.add(buf.Tuple(i))
 					}
 				}
-				merged := Merge("M", arity, runs)
+				merged := Merge("M", arity, srcs)
 				if merged.Name() != "M" {
 					t.Fatalf("step %d: Merge named its result %q", step, merged.Name())
 				}
@@ -398,17 +378,17 @@ func TestStorageAllocations(t *testing.T) {
 		for i := range srcs {
 			srcs[i] = rowsOf(2, seqTuples(300+100*i, 2)) // heavy overlap
 		}
-		runs, want := wholeRuns(srcs), 3.0
+		want := 3.0
 		if k >= 5 {
 			want = 5
 		}
-		if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, runs) }); allocs > want {
+		if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, srcs) }); allocs > want {
 			t.Errorf("Merge of %d sources allocates %v, want ≤ %v", k, allocs, want)
 		}
 	}
 	// A lone whole buffer becomes the slab: header and index only.
 	lone := rowsOf(2, seqTuples(1000, 2))
-	if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, []Run{{Rows: lone, Hi: lone.Size()}}) }); allocs > 2 {
+	if allocs := testing.AllocsPerRun(5, func() { Merge("Z", 2, []*Rows{lone}) }); allocs > 2 {
 		t.Errorf("Merge of one buffer allocates %v, want ≤ 2", allocs)
 	}
 }
@@ -461,11 +441,10 @@ func BenchmarkRelationMerge(b *testing.B) {
 			}
 			srcs[i] = r
 		}
-		runs := wholeRuns(srcs)
 		b.Run(fmt.Sprintf("overlap%d", overlap), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = Merge("Z", 2, runs)
+				benchSink = Merge("Z", 2, srcs)
 			}
 		})
 	}

@@ -81,7 +81,7 @@ func TestEnvironmentDoesNotConfigure(t *testing.T) {
 	}
 	for _, st := range res.JobStats {
 		if st.SplitReduceTasks != 0 {
-			t.Errorf("default System split job %s into %d sub-range tasks", st.Name, st.SplitReduceTasks)
+			t.Errorf("default System split job %s into %d split reduce tasks", st.Name, st.SplitReduceTasks)
 		}
 	}
 }
