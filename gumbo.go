@@ -293,8 +293,7 @@ type Result struct {
 // may be executed any number of times and concurrently (see RunPlan).
 type Plan struct {
 	inner *core.Plan
-	// output is the source program's final output relation (unit-based
-	// plans may list inner.Outputs in level order, not declaration order).
+	// output is the source program's final output relation.
 	output string
 }
 

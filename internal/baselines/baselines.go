@@ -18,6 +18,12 @@
 //
 // None of the baselines use message packing, and their serialization
 // overhead is modelled with an intermediate-data inflation factor.
+//
+// The package holds plan shapes and knobs only: every job is built by a
+// constructor of internal/core — HPAR's stages are reconcile tables
+// (core.NewOuterJoinJob), its filter the one distinct job
+// (core.NewDistinctJob) — and Knobs.apply shapes it; no mapper or
+// reducer lives here.
 package baselines
 
 import (
@@ -99,7 +105,7 @@ func hxName(prefix, qname string, ai int) string {
 // combine job that joins the guard with them on the whole tuple,
 // evaluates the Boolean condition, projects and deduplicates.
 func parallelSemiJoinPlan(name string, strategy core.Strategy, q *sgf.BSGF, prefix string, k Knobs) (*core.Plan, error) {
-	plan := &core.Plan{Name: name, Strategy: strategy, Outputs: []string{q.Name}}
+	plan := &core.Plan{Name: name, Strategy: strategy}
 	var xNames []string
 	for ai, atom := range q.CondAtoms() {
 		out := hxName(prefix, q.Name, ai)

@@ -15,8 +15,6 @@ type Equation struct {
 	Guard    sgf.Atom // α
 	Cond     sgf.Atom // κ
 	JoinVars []string // z̄: variables shared by α and κ, ordered by α
-	QueryIdx int      // index of the owning BSGF query within the plan
-	AtomIdx  int      // index of κ among the query's distinct atoms
 }
 
 // AssertClassKey identifies the assert message stream this equation
@@ -45,19 +43,17 @@ func (e Equation) String() string {
 
 // ExtractEquations derives the semi-join set S of §4.4 for a list of
 // BSGF queries: one equation per (query, distinct conditional atom).
-// Queries without a WHERE clause contribute no equations. queryIdx
-// offsets follow the slice order.
+// Queries without a WHERE clause contribute no equations; equations
+// follow the slice order.
 func ExtractEquations(queries []*sgf.BSGF) []Equation {
 	var eqs []Equation
-	for qi, q := range queries {
+	for _, q := range queries {
 		for ai, atom := range q.CondAtoms() {
 			eqs = append(eqs, Equation{
 				Out:      XName(q.Name, ai),
 				Guard:    q.Guard,
 				Cond:     atom,
 				JoinVars: sgf.SharedVars(q.Guard, atom),
-				QueryIdx: qi,
-				AtomIdx:  ai,
 			})
 		}
 	}

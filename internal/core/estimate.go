@@ -49,7 +49,6 @@ type relInfo struct {
 	count float64
 	mb    float64
 	arity int
-	known bool // false for derived relations bounded via the program
 }
 
 // NewEstimator builds an estimator over db; prog may be nil when only
@@ -79,7 +78,6 @@ func (e *Estimator) rel(name string) relInfo {
 			count: float64(r.Size()),
 			mb:    float64(r.Bytes()) / mr.MB,
 			arity: r.Arity(),
-			known: true,
 		}
 	} else if e.Program != nil {
 		if q := e.Program.QueryByName(name); q != nil {

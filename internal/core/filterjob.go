@@ -72,6 +72,35 @@ func semiJoinJob(kind, name string, step FilterStep, tagBytes int64) (*mr.Job, e
 	return t.job(), nil
 }
 
+// NewOuterJoinJob builds one left-outer-join stage as Hive runs it
+// (HPAR): every fact of in conforming to pattern is shuffled whole,
+// keyed on guard's variables shared with atoms[0], and written to out
+// followed by one 0/1 column per stage atom — 1 when a fact of that
+// atom meets it at the key. pattern is the query's guard at the first
+// stage; a later stage reads the previous one's output, whose leading
+// columns are a guard tuple, so guard's projections key it too.
+func NewOuterJoinJob(name, in, out string, pattern, guard sgf.Atom, atoms []sgf.Atom) (*mr.Job, error) {
+	t := newReconcile("outer-join job", name)
+	carry := wholeTuple(pattern.Arity())
+	if err := t.output(out, carry.arity()+len(atoms)); err != nil {
+		return nil, err
+	}
+	err := t.request(request{
+		input: in, guard: pattern,
+		key:   on(guard, sgf.SharedVars(guard, atoms[0])),
+		carry: carry, size: tupleTagByte + int64(carry.arity())*relation.BytesPerField,
+		flags: len(atoms),
+		out:   out,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range atoms {
+		t.assert(a.Rel, assertRole{matcher: sgf.NewMatcher(a), key: on(a, sgf.SharedVars(guard, a)), class: int32(i)})
+	}
+	return t.job(), nil
+}
+
 // NewUnionProjectJob builds the final job of a disjunctive SEQ plan: the
 // union of several filtered branches, each projected onto the query's
 // select variables and deduplicated.
@@ -79,33 +108,51 @@ func NewUnionProjectJob(name, out string, guard sgf.Atom, selectVars []string, b
 	if len(branchRels) == 0 {
 		return nil, fmt.Errorf("core: union job %s has no branches", name)
 	}
-	project := sgf.NewProjector(guard, selectVars)
-	matcher := sgf.NewMatcher(guard)
-	inputs := append([]string(nil), branchRels...)
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
-		// Branches produced by filter chains always conform; the guard
-		// relation itself (a TRUE disjunct) may not.
-		if !matcher.Matches(t) {
-			return
-		}
-		var kb [32]byte
-		var ob [8]relation.Value
-		p := project.AppendTo(ob[:0], t)
-		TupleVal{T: p}.Emit(emit, p.AppendKey(kb[:0]))
-	})
-	reducer := mr.ReducerFunc(func(key []byte, msgs *mr.Group, o *mr.Output) {
-		if msgs.Len() > 0 {
-			var ob [8]relation.Value
-			_, p := msgs.At(0)
-			o.Add(out, DecodeTupleVal(ob[:0], p).T)
-		}
-	})
+	// Branches produced by filter chains always conform; the guard
+	// relation itself (a TRUE disjunct) may not.
+	return NewDistinctJob(name, out, branchRels, sgf.NewProjector(guard, selectVars), sgf.NewMatcher(guard).Matches), nil
+}
+
+// distinct is the one project-and-deduplicate job: every fact accept
+// admits is shuffled under its projection, and each key group writes
+// that projection once.
+type distinct struct {
+	out     string
+	project sgf.Projector
+	accept  func(relation.Tuple) bool
+}
+
+// NewDistinctJob builds the distinct job writing to out the projections
+// of the facts of inputs that accept admits: SEQ's union and HPAR's
+// filter.
+func NewDistinctJob(name, out string, inputs []string, project sgf.Projector, accept func(relation.Tuple) bool) *mr.Job {
+	d := &distinct{out: out, project: project, accept: accept}
 	return &mr.Job{
 		Name:    name,
-		Inputs:  inputs,
-		Outputs: map[string]int{out: len(selectVars)},
-		Mapper:  mapper,
-		Reducer: reducer,
+		Inputs:  append([]string(nil), inputs...),
+		Outputs: map[string]int{out: project.Arity()},
+		Mapper:  d,
+		Reducer: d,
 		Packing: true,
-	}, nil
+	}
+}
+
+// Map sends f's projection under itself when accept admits f.
+func (d *distinct) Map(input string, id int, f relation.Tuple, emit *mr.Emitter) {
+	if !d.accept(f) {
+		return
+	}
+	var kb [48]byte
+	var ob [8]relation.Value
+	p := d.project.AppendTo(ob[:0], f)
+	TupleVal{T: p}.Emit(emit, p.AppendKey(kb[:0]))
+}
+
+// Reduce writes the group's projection once.
+func (d *distinct) Reduce(key []byte, msgs *mr.Group, out *mr.Output) {
+	if msgs.Len() > 0 {
+		var ob [8]relation.Value
+		_, p := msgs.At(0)
+		out.Add(d.out, DecodeTupleVal(ob[:0], p).T)
+	}
 }

@@ -46,8 +46,6 @@ type Plan struct {
 	// group of a multiway sort (SGFPlan): every job of a group waits for
 	// every job of the group before it. Nil for a plan of one group.
 	Barriers []int
-	// Outputs lists the SGF output relations the plan produces.
-	Outputs []string
 }
 
 // Deps derives the plan's job dependency graph: for each job, the
@@ -121,7 +119,6 @@ func MergePlans(name string, strategy Strategy, subs []*Plan) *Plan {
 	plan := &Plan{Name: name, Strategy: strategy}
 	for _, sub := range subs {
 		plan.Jobs = append(plan.Jobs, sub.Jobs...)
-		plan.Outputs = append(plan.Outputs, sub.Outputs...)
 	}
 	return plan
 }
@@ -175,7 +172,6 @@ func BasicPlan(name string, strategy Strategy, queries []*sgf.BSGF, eqs []Equati
 			xnames[ai] = XName(q.Name, ai)
 		}
 		specs[qi] = EvalSpec{Query: q, XNames: xnames}
-		plan.Outputs = append(plan.Outputs, q.Name)
 	}
 	eval, err := NewEvalJob(name+"/eval", specs)
 	if err != nil {
@@ -217,12 +213,7 @@ func OneRoundPlan(name string, queries []*sgf.BSGF) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{Name: name, Strategy: StrategyOneRound}
-	plan.AddJob(job)
-	for _, q := range queries {
-		plan.Outputs = append(plan.Outputs, q.Name)
-	}
-	return plan, nil
+	return &Plan{Name: name, Strategy: StrategyOneRound, Jobs: []*mr.Job{job}}, nil
 }
 
 // SeqPlan builds the sequential plan for one BSGF query: the condition
@@ -236,7 +227,7 @@ func SeqPlan(name string, q *sgf.BSGF) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: SEQ plan for %s: %w", q.Name, err)
 	}
-	plan := &Plan{Name: name, Strategy: StrategySEQ, Outputs: []string{q.Name}}
+	plan := &Plan{Name: name, Strategy: StrategySEQ}
 	var branchRels []string // final relation of each disjunct chain
 	var satDisjuncts [][]Literal
 	for _, disjunct := range dnfForm {

@@ -26,7 +26,7 @@ func tup(vals ...int64) relation.Tuple {
 }
 
 // runPlan executes a plan and returns the final output relation.
-func runPlan(t *testing.T, plan *Plan, db *relation.Database) *relation.Relation {
+func runPlan(t *testing.T, plan *Plan, db *relation.Database, name string) *relation.Relation {
 	t.Helper()
 	engine := newTestEngine(cost.Default())
 	outs, stats, _, err := engine.Run(context.Background(), plan.Program(), db, mr.RunOptions{})
@@ -36,7 +36,7 @@ func runPlan(t *testing.T, plan *Plan, db *relation.Database) *relation.Relation
 	if len(stats) != len(plan.Jobs) {
 		t.Fatalf("plan %s: stats mismatch", plan.Name)
 	}
-	out := outs.Relation(plan.Outputs[len(plan.Outputs)-1])
+	out := outs.Relation(name)
 	if out == nil {
 		t.Fatalf("plan %s: output relation missing", plan.Name)
 	}
@@ -103,7 +103,7 @@ func checkAllStrategies(t *testing.T, src string, db *relation.Database) {
 		t.Fatal("checkAllStrategies expects a single-query program")
 	}
 	for _, plan := range allStrategyPlans(t, q, db, prog) {
-		got := runPlan(t, plan, db)
+		got := runPlan(t, plan, db, q.Name)
 		wantSame(t, fmt.Sprintf("%s[%s]", q.Name, plan.Strategy), got, want)
 	}
 }
@@ -330,7 +330,7 @@ func TestRandomQueriesAllStrategies(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, plan := range allStrategyPlans(t, q, db, prog) {
-			got := runPlan(t, plan, db)
+			got := runPlan(t, plan, db, q.Name)
 			if !got.Equal(want) {
 				t.Fatalf("trial %d strategy %s query %s: mismatch\ngot:\n%s\nwant:\n%s",
 					trial, plan.Strategy, q, got.Dump(), want.Dump())

@@ -15,9 +15,11 @@ import (
 // in an assert role states, under its key, that a conditional fact of
 // its class exists; the reducer ORs a key group's asserts into a bit
 // set and writes the carried tuple of every request whose condition
-// holds over it. MSJ, EVAL, 1-ROUND, the SEQ filter and the full-tuple
-// jobs are this table filled differently (their constructors); the
-// mapper and the reducer below never ask which one filled it.
+// holds over it, followed by its verdict's flag classes (the set's
+// first flags bits) as 0/1 values. MSJ, EVAL, 1-ROUND, the SEQ filter,
+// the full-tuple jobs and Hive's outer-join stages are this table
+// filled differently (their constructors); the mapper and the reducer
+// below never ask which one filled it.
 //
 // Redistribution argument, in one place: a Reduce call decides a
 // request from the asserts of its own key group alone, so the table is
@@ -63,14 +65,20 @@ type fields struct {
 // on is the projection of atom a's facts on vars.
 func on(a sgf.Atom, vars []string) fields { return fields{proj: sgf.NewProjector(a, vars)} }
 
+// AnyTuple is the conformance pattern every tuple of the given arity
+// matches: distinct variables v0, v1, … and no relation symbol.
+func AnyTuple(arity int) sgf.Atom {
+	args := make([]sgf.Term, arity)
+	for i := range args {
+		args[i] = sgf.V(fmt.Sprint("v", i))
+	}
+	return sgf.NewAtom("", args...)
+}
+
 // wholeTuple is the identity projection at the given arity.
 func wholeTuple(arity int) fields {
-	args, vars := make([]sgf.Term, arity), make([]string, arity)
-	for i := range args {
-		vars[i] = fmt.Sprint("v", i)
-		args[i] = sgf.V(vars[i])
-	}
-	return on(sgf.NewAtom("", args...), vars)
+	a := AnyTuple(arity)
+	return on(a, a.Vars())
 }
 
 func (f fields) arity() int {
@@ -97,7 +105,8 @@ func (f fields) appendTo(dst relation.Tuple, id int, t relation.Tuple) relation.
 // request describes one request role and its verdict: facts of input
 // conforming to guard send, under key, the carry fields at modelled
 // size bytes; the reducer writes them to out when cond holds over the
-// group's asserts, bits mapping cond's atoms (by Atom.Key) to classes.
+// group's asserts, bits mapping cond's atoms (by Atom.Key) to classes,
+// followed by one 0/1 value for each of classes 0..flags-1.
 type request struct {
 	input string
 	guard sgf.Atom // conformance pattern; its relation symbol is ignored
@@ -106,6 +115,7 @@ type request struct {
 	size  int64
 	cond  sgf.Condition
 	bits  map[string]int32
+	flags int
 	out   string
 }
 
@@ -121,6 +131,7 @@ type verdict struct {
 	cond  sgf.CompiledCondition
 	out   string
 	arity uint64 // of the carried tuple, which travels without it
+	flags int    // classes written after it, as 0/1 values
 }
 
 // assertRole is one assert role: facts conforming to matcher send class
@@ -184,8 +195,8 @@ func (t *reconcile) request(r request) error {
 	if err != nil {
 		return fmt.Errorf("core: %s %s: %w", t.kind, t.name, err)
 	}
-	if arity, ok := t.outs[r.out]; !ok || arity != r.carry.arity() {
-		return fmt.Errorf("core: %s %s: request carries %d fields to output %s", t.kind, t.name, r.carry.arity(), r.out)
+	if arity, ok := t.outs[r.out]; !ok || arity != r.carry.arity()+r.flags {
+		return fmt.Errorf("core: %s %s: request writes %d fields to output %s", t.kind, t.name, r.carry.arity()+r.flags, r.out)
 	}
 	roles := t.input(r.input)
 	roles.requests = append(roles.requests, requestRole{
@@ -195,7 +206,7 @@ func (t *reconcile) request(r request) error {
 		carry:   r.carry,
 		size:    r.size,
 	})
-	t.verdicts = append(t.verdicts, verdict{cond: cond, out: r.out, arity: uint64(r.carry.arity())})
+	t.verdicts = append(t.verdicts, verdict{cond: cond, out: r.out, arity: uint64(r.carry.arity()), flags: r.flags})
 	return nil
 }
 
@@ -303,7 +314,8 @@ func (t *reconcile) lead(dst []byte, verdict int32) []byte {
 }
 
 // Reduce reconciles one key group: the asserts into a bit set, then
-// every request against it, in arrival order.
+// every request against it, in arrival order, writing its carried tuple
+// and its verdict's flag classes.
 func (t *reconcile) Reduce(key []byte, msgs *mr.Group, out *mr.Output) {
 	// The set lives on the stack up to 128 classes; one class per
 	// distinct conditional atom makes more a rarity.
@@ -325,7 +337,11 @@ func (t *reconcile) Reduce(key []byte, msgs *mr.Group, out *mr.Output) {
 		if tag, p := msgs.At(i); tag == TagRequest {
 			v, tuple := t.requestVerdict(key, p)
 			if v.cond.Eval(bits) {
-				out.Add(v.out, decodeValues(ob[:0], tuple, v.arity, "Request"))
+				fact := decodeValues(ob[:0], tuple, v.arity, "Request")
+				for c := range v.flags {
+					fact = append(fact, relation.Value(bits[c>>6]>>(c&63)&1))
+				}
+				out.Add(v.out, fact)
 			}
 		}
 	}

@@ -160,7 +160,6 @@ func SGFPlan(name string, strategy Strategy, p *sgf.Program, s sgf.MultiwaySort,
 			plan.Barriers = append(plan.Barriers, len(plan.Jobs))
 		}
 		plan.Jobs = append(plan.Jobs, sub.Jobs...)
-		plan.Outputs = append(plan.Outputs, sub.Outputs...)
 	}
 	return plan, nil
 }

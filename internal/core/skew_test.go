@@ -81,7 +81,7 @@ func TestSkewMitigationPreservesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runPlan(t, plan, db)
+	got := runPlan(t, plan, db, prog.Queries[0].Name)
 	if !got.Equal(want) {
 		t.Errorf("skew-aware plan output wrong:\n%s\nvs\n%s", got.Dump(), want.Dump())
 	}

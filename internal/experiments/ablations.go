@@ -283,7 +283,6 @@ func runDynamicSGF(ctx context.Context, r *exec.Runner, prog *sgf.Program, db *r
 		}
 		resultPlan.Jobs = append(resultPlan.Jobs, plan.Jobs...)
 		allStats = append(allStats, stats...)
-		resultPlan.Outputs = append(resultPlan.Outputs, plan.Outputs...)
 
 		// Drop the executed queries.
 		executed := make(map[int]bool, len(group))

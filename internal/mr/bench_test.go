@@ -88,7 +88,7 @@ func BenchmarkJobShuffle(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			e := newTestEngine(cost.Default().Scaled(0.001))
 			job := benchShuffleJob(true)
-			job.Reducers = c.reducers
+			job.reducers = c.reducers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

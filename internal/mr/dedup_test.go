@@ -86,7 +86,7 @@ func TestOutputDedupOnce(t *testing.T) {
 			Name:     "dedup",
 			Inputs:   []string{"R"},
 			Outputs:  outputs,
-			Reducers: c.reducers,
+			reducers: c.reducers,
 			Mapper: MapperFunc(func(_ string, id int, _ relation.Tuple, em *Emitter) {
 				emitInt(em, keys[id], int64(id))
 			}),

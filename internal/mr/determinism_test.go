@@ -110,7 +110,7 @@ func TestGoldenStatsUnchanged(t *testing.T) {
 			e := newTestEngine(cost.Default().Scaled(0.0002))
 			e.cfg.Workers = workers
 			job := semijoinJob(packing)
-			job.Reducers = 7
+			job.reducers = 7
 			out, stats, err := runJob(context.Background(), e, job, db)
 			if err != nil {
 				t.Fatal(err)

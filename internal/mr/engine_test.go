@@ -222,7 +222,7 @@ func TestReducerCountFromIntermediate(t *testing.T) {
 		t.Errorf("Reducers = %d", stats.Reducers)
 	}
 	fixed := semijoinJob(false)
-	fixed.Reducers = 7
+	fixed.reducers = 7
 	_, stats2, err := runJob(context.Background(), e, fixed, testDB())
 	if err != nil {
 		t.Fatal(err)

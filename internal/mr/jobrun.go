@@ -18,7 +18,7 @@ import (
 //	              concatenate in task order through the key set,
 //	              Reducer.Reduce per group in first-arrival order;
 //	              a heavy partition cut at group boundaries after
-//	              one gather, one task per further piece)
+//	              one gather, one task per piece)
 //	all reduces ──▶ output merge shards (one per declared output
 //	              relation, relation.Merge over the tasks' buffers
 //	              in reducer and piece order)
@@ -243,7 +243,7 @@ func (jr *jobRun) mapsDone(c *poolCtx) {
 // job's fixed count / Pig-style input-based allocation).
 func (jr *jobRun) computeReducers() int {
 	job, e := jr.job, jr.e
-	reducers := job.Reducers
+	reducers := job.reducers
 	if reducers <= 0 {
 		perReducer, basis := e.cfg.Cost.ReducerDataMB, jr.stats.InterMB()
 		if job.ReducerInputMB > 0 {
@@ -416,9 +416,10 @@ func reduceGroups(sc *taskScratch, parts [][]taskPartition, ri int, b *Budget) (
 // reduceTask gathers and groups reducer ri's partition and reduces it.
 // A heavy partition's task (k > 0) first cuts its groups into pieces;
 // past one piece it lends the grouped set, and the worker scratch that
-// holds it, to the pieces and takes another scratch, counts the further
-// pieces into the stage while it is itself still counted, spawns one
-// reduce task per further piece and reduces the first itself.
+// holds it, to the pieces and takes another scratch, counts the pieces
+// into the stage in its own place, and spawns one reduce task per piece
+// (labels 1..n, the gather keeping 0): its own span is then the gather
+// and the cut alone, and CriticalPath chains every piece after it.
 func (jr *jobRun) reduceTask(c *poolCtx, ri int, k int64) {
 	g, err := reduceGroups(c.scratch, jr.taskParts, ri, jr.gov.budget)
 	if err != nil {
@@ -430,19 +431,20 @@ func (jr *jobRun) reduceTask(c *poolCtx, ri int, k int64) {
 		pieces = g.cut(k)
 		jr.pieces[ri] = pieces
 	}
-	if len(pieces) > 1 {
-		g.sc = c.lend(jr.e)
-		g.left.Store(int32(len(pieces)))
-		jr.mu.Lock()
-		jr.left += len(pieces) - 1
-		jr.mu.Unlock()
-		for pi := 1; pi < len(pieces); pi++ {
-			l, p := jr.label(kindReduce, pi, ri), &pieces[pi]
-			l.split = true
-			c.spawn(l, func(c *poolCtx) { jr.reducePiece(c, g, p) })
-		}
+	if len(pieces) == 1 {
+		jr.reducePiece(c, g, &pieces[0])
+		return
 	}
-	jr.reducePiece(c, g, &pieces[0])
+	g.sc = c.lend(jr.e)
+	g.left.Store(int32(len(pieces)))
+	jr.mu.Lock()
+	jr.left += len(pieces) - 1
+	jr.mu.Unlock()
+	for pi := range pieces {
+		l, p := jr.label(kindReduce, pi+1, ri), &pieces[pi]
+		l.split = true
+		c.spawn(l, func(c *poolCtx) { jr.reducePiece(c, g, p) })
+	}
 }
 
 // reducePiece runs the user Reducer over one piece's groups into the

@@ -37,16 +37,18 @@ const (
 	kindNone    taskKind = iota // no job's task: a run's seed
 	kindMap                     // mapper over one split
 	kindShuffle                 // shuffle partition of one map task
-	kindReduce                  // one reduce partition, or one piece of a cut one
+	kindReduce                  // one reduce partition's gather, or one piece of a cut one
 	kindMerge                   // one output merge shard
 	numKinds
 )
 
 // taskLabel names a task to the record: its job's index in the program,
 // its kind, and its place in the job's stage — input part and map task
-// for map and shuffle tasks, piece and reducer for reduce tasks, output
-// (sorted name order) for merge shards — and whether a reduce task is
-// one of a heavy partition's, which the skew splitter cuts.
+// for map and shuffle tasks; for reduce tasks, the reducer and 0 for the
+// task that gathers its partition (and reduces it when uncut) or 1..n
+// for the pieces of a cut one; output (sorted name order) for merge
+// shards — and whether a reduce task is one of a heavy partition's,
+// which the skew splitter cuts.
 type taskLabel struct {
 	job, part, index int32
 	kind             taskKind
@@ -205,11 +207,12 @@ func longer(a, b chain) chain {
 
 // CriticalPath folds the record over the program's structure: a map
 // task waits for the merge shard that publishes its input (a base input
-// is ready at the start), and each later stage of a job waits for every
-// task of the stages before it. It does not follow spawn edges: a stage
-// is spawned by whichever task of the stage before finished last, which
-// need not end the longest chain. A canceled run's path runs over the
-// tasks that finished.
+// is ready at the start), each piece of a cut reduce partition waits for
+// the task that gathered and cut it, and every other task of a job waits
+// for every task of the stages before it. It does not follow spawn
+// edges: a stage is spawned by whichever task of the stage before
+// finished last, which need not end the longest chain. A canceled run's
+// path runs over the tasks that finished.
 func (p *Progress) CriticalPath() CriticalPath {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -223,20 +226,31 @@ func (p *Progress) CriticalPath() CriticalPath {
 	for j, js := range jobs {
 		job := p.prog.Jobs[j]
 		outs := outputOrder(job.Outputs)
-		var sum tally // the job's spans, summed as timings sums them
-		var end chain // the longest chain through the job so far
-		for _, k := range []taskKind{kindMap, kindShuffle, kindReduce, kindMerge} {
+		var sum tally                 // the job's spans, summed as timings sums them
+		var end chain                 // the longest chain through the job so far
+		gathered := map[int32]chain{} // per reducer: the chain ending at its gather
+		// The pieces of cut partitions (reduce part > 0) are folded as a
+		// stage of their own after the gathers, whatever order they
+		// finished in.
+		for si, k := range []taskKind{kindMap, kindShuffle, kindReduce, kindReduce, kindMerge} {
+			pieces := si == 3
 			ready := end
 			for _, s := range js {
-				if s.kind != k {
+				if s.kind != k || k == kindReduce && (s.part > 0) != pieces {
 					continue
 				}
 				sum.add(s)
-				if k == kindMap {
+				switch {
+				case k == kindMap:
 					ready = merged[job.Inputs[s.part]]
+				case pieces:
+					ready = gathered[s.index]
 				}
 				c := ready.then(s)
-				if k == kindMerge {
+				switch {
+				case k == kindReduce && !pieces:
+					gathered[s.index] = c
+				case k == kindMerge:
 					merged[outs[s.index]] = c
 				}
 				end = longer(end, c)

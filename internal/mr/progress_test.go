@@ -19,7 +19,7 @@ func sleepJob(name string, ins []string, out string, nap func(input string)) *Jo
 		Name:     name,
 		Inputs:   ins,
 		Outputs:  map[string]int{out: 1},
-		Reducers: 1,
+		reducers: 1,
 		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
 			nap(input)
 			var kb [32]byte
@@ -125,5 +125,34 @@ func TestCriticalPathLongTaskNotLast(t *testing.T) {
 			t.Errorf("width %d: span %.2f ms (maps %.2f ms), want it through the %v task",
 				width, 1e3*cp.Seconds, 1e3*cp.Kinds.MapSeconds, long)
 		}
+	}
+}
+
+// TestCriticalPathPieceAfterGather folds a synthetic record of one job
+// whose reducer 0 was cut into two pieces: map 1 ms, shuffle 1 ms, the
+// gather 5 ms, pieces of 1 and 3 ms, an uncut reducer of 2 ms, merge
+// 1 ms. A piece runs only once its partition is gathered and cut, so
+// the span is map, shuffle, gather, the 3 ms piece and merge: 11 ms —
+// not the 8 ms of chaining the pieces beside the gather. The pieces are
+// recorded first, as a piece can finish before its gather's span is.
+func TestCriticalPathPieceAfterGather(t *testing.T) {
+	var p Progress
+	p.begin(&Program{Jobs: []*Job{{Name: "j", Inputs: []string{"R"}, Outputs: map[string]int{"Z": 1}}}})
+	ms := int64(time.Millisecond)
+	for _, s := range []span{
+		{taskLabel{part: 1, kind: kindReduce, split: true}, 1 * ms},
+		{taskLabel{part: 2, kind: kindReduce, split: true}, 3 * ms},
+		{taskLabel{kind: kindMap}, 1 * ms},
+		{taskLabel{kind: kindShuffle}, 1 * ms},
+		{taskLabel{kind: kindReduce, split: true}, 5 * ms},
+		{taskLabel{index: 1, kind: kindReduce}, 2 * ms},
+		{taskLabel{kind: kindMerge}, 1 * ms},
+	} {
+		p.spans = append(p.spans, s)
+	}
+	cp := p.CriticalPath()
+	want := JobTiming{MapSeconds: 0.001, ShuffleSeconds: 0.001, ReduceSeconds: 0.008, MergeSeconds: 0.001, SplitSeconds: 0.008}
+	if cp.Seconds != 0.011 || cp.Kinds != want {
+		t.Errorf("CriticalPath() span %v s by kind %+v, want 0.011 s by kind %+v", cp.Seconds, cp.Kinds, want)
 	}
 }

@@ -11,9 +11,8 @@ import "math"
 // boundaries after one gather: its one reduce task gathers and groups it
 // exactly as it would an unsplit partition (reduceGroups), cuts the
 // groups — already in first-arrival order — into contiguous pieces of
-// whole groups (cut), reduces the first piece itself and spawns one
-// reduce task per further piece over the same grouped set, which the
-// work-stealing pool schedules independently. The hot partition's
+// whole groups (cut) and spawns one reduce task per piece over the same
+// grouped set, which the work-stealing pool schedules independently. The hot partition's
 // reduces stop serializing the run; its gather and grouping stay in one
 // task, so each of its records is decoded, and each spilled segment read
 // back, once.

@@ -16,11 +16,11 @@ import (
 // skewedProgram builds a one-job program with one dominant key: 40% of
 // R's tuples share join value 7, the rest spread over 0..96, so one
 // reduce partition carries several times the mean load and the runtime
-// splitter has something real to cut. Reducers is fixed so the skew
+// splitter has something real to cut. Job.reducers is fixed so the skew
 // ratio doesn't depend on the cost model's reducer derivation.
 func skewedProgram() (*Program, *relation.Database) { return skewedProgramOf(2000, 8) }
 
-// skewedProgramOf is skewedProgram over n tuples of R, with Job.Reducers
+// skewedProgramOf is skewedProgram over n tuples of R, with Job.reducers
 // set to reducers (0 = derived from the intermediate size).
 func skewedProgramOf(n int64, reducers int) (*Program, *relation.Database) {
 	var tuples []relation.Tuple
@@ -37,7 +37,7 @@ func skewedProgramOf(n int64, reducers int) (*Program, *relation.Database) {
 		tup(7), tup(11), tup(42),
 	}))
 	sj := semijoinJob(false)
-	sj.Reducers = reducers
+	sj.reducers = reducers
 	return &Program{Jobs: []*Job{sj}}, db
 }
 
@@ -350,7 +350,7 @@ func TestSplitOutputOrder(t *testing.T) {
 			Name:     "order",
 			Inputs:   []string{"R"},
 			Outputs:  map[string]int{"Z": 2},
-			Reducers: reducers,
+			reducers: reducers,
 			Mapper: MapperFunc(func(_ string, id int, _ relation.Tuple, em *Emitter) {
 				emitInt(em, keys[id], int64(id))
 			}),

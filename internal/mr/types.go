@@ -176,12 +176,6 @@ type Job struct {
 	Mapper  Mapper
 	Reducer Reducer
 
-	// Reducers fixes r; 0 derives it per §5.1 optimization (3) from the
-	// intermediate size measured after the job's last map task, not from
-	// a sample as Gumbo does (ROADMAP: "The reducer count is decided
-	// before the map phase" makes it sampled).
-	Reducers int
-
 	// Packing enables the message-packing optimization (§5.1 opt (1)):
 	// the messages one map task emits under one key travel as one
 	// record, the key charged once.
@@ -196,6 +190,13 @@ type Job struct {
 	// InflateIntermediate multiplies modelled intermediate sizes
 	// (serialization overhead of baseline systems; 1.0 = none, 0 = 1.0).
 	InflateIntermediate float64
+
+	// reducers fixes r, which only this package's tests do; 0 derives it
+	// per §5.1 optimization (3) from the intermediate size measured after
+	// the job's last map task, not from a sample as Gumbo does (ROADMAP:
+	// "The reducer count is decided before the map phase" makes it
+	// sampled).
+	reducers int
 }
 
 // keyBytes is the modelled size of a shuffle key. Keys are encoded

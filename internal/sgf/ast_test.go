@@ -170,18 +170,6 @@ func TestBinding(t *testing.T) {
 	}
 }
 
-func TestMatcherTrivial(t *testing.T) {
-	if !NewMatcher(NewAtom("R", V("x"), V("y"))).Trivial() {
-		t.Error("plain atom should be trivial")
-	}
-	if NewMatcher(NewAtom("R", V("x"), V("x"))).Trivial() {
-		t.Error("repeated-var atom should not be trivial")
-	}
-	if NewMatcher(NewAtom("R", CInt(1))).Trivial() {
-		t.Error("constant atom should not be trivial")
-	}
-}
-
 // TestCompileConditionMatchesEval checks the compiled evaluator agrees
 // with EvalCondition on every truth assignment of a set of
 // representative conditions (the reducer hot path must be a pure

@@ -100,10 +100,6 @@ func (m Matcher) Matches(t relation.Tuple) bool {
 	return true
 }
 
-// Trivial reports whether every same-arity tuple matches (no constants, no
-// repeated variables).
-func (m Matcher) Trivial() bool { return len(m.consts) == 0 && len(m.eqs) == 0 }
-
 // Projector is a precompiled projection π_{a;vars}, avoiding repeated
 // position lookups in inner loops.
 type Projector struct{ positions []int }
