@@ -246,15 +246,20 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestProgressCounters checks the task record's three folds. After an
-// uncanceled run every stage's done count equals its total and the
-// totals agree with the run's own stats (map tasks, reduce tasks, one
-// shuffle task per map task, one merge shard per declared output, one
-// job per job); the JobTimings Run returns and CriticalPath().Work sum
-// the same spans, so they agree exactly; and the span lies within the
-// work. A canceled run returns nil stats and nil timings, while its
-// record still counts what ran: its snapshot never reports done > total.
-// The record is a zero-value Progress, as the server passes.
+// TestProgressCounters checks the task record's three folds, in both
+// shapes of the diamond program's jobs. After an uncanceled run every
+// stage's done count equals its total and the totals agree with the
+// run's own stats (map tasks — a one-reducer task's mapping counted as
+// the splits it mapped — reduce tasks, one merge shard per declared
+// output, one job per job). Shuffle tasks are one per map task when the
+// jobs run staged (FaultHooks.Staged, or spilling) and none when, as
+// here by default, every job has one reducer and its reduce task maps
+// its splits. The
+// JobTimings Run returns and CriticalPath().Work sum the same spans, so
+// they agree exactly; and the span lies within the work. A canceled run
+// returns nil stats and nil timings, while its record still counts what
+// ran: its snapshot never reports done > total. The record is a
+// zero-value Progress, as the server passes.
 func TestProgressCounters(t *testing.T) {
 	p, db := diamondProgram()
 	e := newTestEngine(cost.Default().Scaled(0.001))
@@ -263,50 +268,60 @@ func TestProgressCounters(t *testing.T) {
 	if snap, cp := idle.Snapshot(), idle.CriticalPath(); snap != (ProgressSnapshot{}) || cp != (CriticalPath{}) {
 		t.Errorf("unused Progress reports %+v, %+v", snap, cp)
 	}
-	var prog Progress
-	_, stats, timings, err := e.Run(context.Background(), p, db, RunOptions{Progress: &prog})
-	if err != nil {
-		t.Fatalf("observed run failed: %v", err)
-	}
-	snap := prog.Snapshot()
-	wantMaps, wantReds, wantMerges := 0, 0, 0
-	for i, st := range stats {
-		wantMaps += st.MapTasks
-		wantReds += st.ReduceTasks
-		wantMerges += len(p.Jobs[i].Outputs)
-	}
-	if snap.MapTasksDone != wantMaps || snap.MapTasksTotal != wantMaps {
-		t.Errorf("map counters %d/%d, want %d/%d", snap.MapTasksDone, snap.MapTasksTotal, wantMaps, wantMaps)
-	}
-	if snap.ShuffleTasksDone != wantMaps || snap.ShuffleTasksTotal != wantMaps {
-		t.Errorf("shuffle counters %d/%d, want %d/%d (one per map task)",
-			snap.ShuffleTasksDone, snap.ShuffleTasksTotal, wantMaps, wantMaps)
-	}
-	if snap.ReduceTasksDone != wantReds || snap.ReduceTasksTotal != wantReds {
-		t.Errorf("reduce counters %d/%d, want %d/%d", snap.ReduceTasksDone, snap.ReduceTasksTotal, wantReds, wantReds)
-	}
-	if snap.MergeShardsDone != wantMerges || snap.MergeShardsTotal != wantMerges {
-		t.Errorf("merge counters %d/%d, want %d/%d", snap.MergeShardsDone, snap.MergeShardsTotal, wantMerges, wantMerges)
-	}
-	if snap.JobsDone != len(p.Jobs) || snap.JobsTotal != len(p.Jobs) {
-		t.Errorf("job counters %d/%d, want %d/%d", snap.JobsDone, snap.JobsTotal, len(p.Jobs), len(p.Jobs))
-	}
-	var work float64
-	for i, tm := range timings {
-		if tm.Name != stats[i].Name {
-			t.Errorf("timing %d is job %q, stats name %q", i, tm.Name, stats[i].Name)
+	wantMaps := 0
+	for _, staged := range []bool{false, true} {
+		restore := SetFaultHooks(FaultHooks{Staged: staged})
+		var prog Progress
+		_, stats, timings, err := e.Run(context.Background(), p, db, RunOptions{Progress: &prog})
+		restore()
+		if err != nil {
+			t.Fatalf("observed run failed: %v", err)
 		}
-		if tm.SplitSeconds > tm.ReduceSeconds {
-			t.Errorf("job %s: SplitSeconds %v > ReduceSeconds %v", tm.Name, tm.SplitSeconds, tm.ReduceSeconds)
+		snap := prog.Snapshot()
+		wantReds, wantMerges := 0, 0
+		wantMaps = 0
+		for i, st := range stats {
+			wantMaps += st.MapTasks
+			wantReds += st.ReduceTasks
+			wantMerges += len(p.Jobs[i].Outputs)
 		}
-		work += tm.TotalSeconds()
-	}
-	cp := prog.CriticalPath()
-	if cp.Work != work {
-		t.Errorf("CriticalPath().Work = %v, Σ JobTiming.TotalSeconds() = %v: two sums of one record", cp.Work, work)
-	}
-	if cp.Seconds <= 0 || cp.Seconds > cp.Work*(1+1e-9) {
-		t.Errorf("span %v s outside (0, work %v s]", cp.Seconds, cp.Work)
+		wantShuffles := 0
+		if staged || e.cfg.SpillThreshold > 0 { // a spilling run runs every job staged
+			wantShuffles = wantMaps
+		}
+		if snap.MapTasksDone != wantMaps || snap.MapTasksTotal != wantMaps {
+			t.Errorf("staged %v: map counters %d/%d, want %d/%d", staged, snap.MapTasksDone, snap.MapTasksTotal, wantMaps, wantMaps)
+		}
+		if snap.ShuffleTasksDone != wantShuffles || snap.ShuffleTasksTotal != wantShuffles {
+			t.Errorf("staged %v: shuffle counters %d/%d, want %d/%d",
+				staged, snap.ShuffleTasksDone, snap.ShuffleTasksTotal, wantShuffles, wantShuffles)
+		}
+		if snap.ReduceTasksDone != wantReds || snap.ReduceTasksTotal != wantReds {
+			t.Errorf("staged %v: reduce counters %d/%d, want %d/%d", staged, snap.ReduceTasksDone, snap.ReduceTasksTotal, wantReds, wantReds)
+		}
+		if snap.MergeShardsDone != wantMerges || snap.MergeShardsTotal != wantMerges {
+			t.Errorf("staged %v: merge counters %d/%d, want %d/%d", staged, snap.MergeShardsDone, snap.MergeShardsTotal, wantMerges, wantMerges)
+		}
+		if snap.JobsDone != len(p.Jobs) || snap.JobsTotal != len(p.Jobs) {
+			t.Errorf("staged %v: job counters %d/%d, want %d/%d", staged, snap.JobsDone, snap.JobsTotal, len(p.Jobs), len(p.Jobs))
+		}
+		var work float64
+		for i, tm := range timings {
+			if tm.Name != stats[i].Name {
+				t.Errorf("timing %d is job %q, stats name %q", i, tm.Name, stats[i].Name)
+			}
+			if tm.SplitSeconds > tm.ReduceSeconds {
+				t.Errorf("job %s: SplitSeconds %v > ReduceSeconds %v", tm.Name, tm.SplitSeconds, tm.ReduceSeconds)
+			}
+			work += tm.TotalSeconds()
+		}
+		cp := prog.CriticalPath()
+		if cp.Work != work {
+			t.Errorf("staged %v: CriticalPath().Work = %v, Σ JobTiming.TotalSeconds() = %v: two sums of one record", staged, cp.Work, work)
+		}
+		if cp.Seconds <= 0 || cp.Seconds > cp.Work*(1+1e-9) {
+			t.Errorf("staged %v: span %v s outside (0, work %v s]", staged, cp.Seconds, cp.Work)
+		}
 	}
 
 	// Canceled run: the snapshot must stay within the full-run totals

@@ -23,13 +23,26 @@ const (
 // Emit outputs one record: payload, of type tag and modelled size, under
 // key, opening the next chunk of the ladder when the current one cannot
 // hold it. See Emitter for the ownership and accounting rules.
+//
+// In a one-reducer task (grouped set) the record is also entered as the
+// reduce task's gather would enter it: appended to the task's record
+// array with its key group, the key found or made in the task's key set,
+// which spans every split the task holds. A key is then charged with its
+// first record in the split when the job packs, as a map task's own key
+// set charges it: stamps holds, at the index of a key group's first
+// record, the last split that emitted under the key.
 func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	size += keyBytes(key) // the one place a record's modelled size is fixed
-	var fresh *keyLoc
-	if e.keys != nil { // packing: a key is charged with its first record only
-		loc, made := e.keys.entry(e.chunks, key)
-		if made {
-			fresh = loc
+	var loc *keyLoc
+	made := false
+	if e.keys != nil { // packing, or a one-reducer task's grouping
+		loc, made = e.keys.entry(e.chunks, key)
+		first := made
+		if e.grouped != nil {
+			first = e.firstInSplit(loc, made)
+		}
+		if first {
+			e.keyed++
 		} else {
 			size -= keyBytes(key)
 		}
@@ -39,9 +52,9 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	need := uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) +
 		1 + len(key) + len(payload)
 	last := len(e.chunks) - 1
-	if last < 0 || need > cap(e.chunks[last])-len(e.chunks[last]) {
+	if last < e.base || need > cap(e.chunks[last])-len(e.chunks[last]) {
 		next := arenaChunk
-		if n := len(e.chunks); n < arenaRungs {
+		if n := len(e.chunks) - e.base; n < arenaRungs {
 			next = arenaFirst << n
 		}
 		e.chunks = append(e.chunks, grabBytes(e.budget, max(next, need))[:0])
@@ -52,9 +65,50 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	b = binary.AppendUvarint(b, uint64(len(payload)))
 	b = binary.AppendUvarint(b, uint64(size))
 	b = append(b, tag)
-	if fresh != nil {
-		*fresh = keyLoc{src: uint32(last), off: uint32(len(b)), klen: uint32(len(key))}
+	off := uint32(len(b))
+	if made {
+		loc.src, loc.off, loc.klen = uint32(last), off, uint32(len(key))
 	}
 	b = append(b, key...)
 	e.chunks[last] = append(b, payload...)
+	if e.grouped != nil {
+		recs := *e.grouped
+		if len(recs) == cap(recs) { // past the task's estimate: double, as the stamps do
+			recs = append(make([]record, 0, 2*cap(recs)), recs...)
+		}
+		*e.grouped = append(recs, record{size: size, src: uint32(last), off: off,
+			klen: uint32(len(key)), plen: uint32(len(payload)), group: loc.first, tag: tag})
+	}
+}
+
+// firstInSplit reports whether a one-reducer task's split is to charge
+// the key of loc — made by this Emit when made — with this record: the
+// key's first record in the split when the job packs, every record when
+// it does not. A new key's group starts at the record about to be
+// appended; its stamp slot is grown with the record array.
+func (e *Emitter) firstInSplit(loc *keyLoc, made bool) bool {
+	if made {
+		loc.first = int32(len(*e.grouped))
+		e.stamps = cover(e.stamps, int(loc.first)+1)
+	} else if !e.pack {
+		return true
+	} else if e.stamps[loc.first] == e.split {
+		return false
+	}
+	e.stamps[loc.first] = e.split
+	return true
+}
+
+// cover returns stamps with at least n entries: itself, extended to its
+// capacity, or a copy in an array of twice that or n, whichever is more.
+func cover(stamps []int32, n int) []int32 {
+	if n <= len(stamps) {
+		return stamps
+	}
+	if n <= cap(stamps) {
+		return stamps[:cap(stamps)]
+	}
+	grown := make([]int32, max(2*cap(stamps), n))
+	copy(grown, stamps)
+	return grown
 }

@@ -24,6 +24,19 @@ import (
 //	              in reducer and piece order)
 //	all merges  ──▶ final stats fold, job counted done
 //
+// A job predicted to have one reducer (predictOne) has a second shape,
+// with no shuffle: once all its inputs exist and its early map tasks —
+// over the base inputs of a job that also reads a produced relation —
+// are done, one reduce task (reduceInline) takes the job's splits in
+// declared (part, task) order, gathering an early task's arena through
+// the key set and mapping every other split itself, Emit entering each
+// record straight into the task's key set and record array; the grouped
+// set then goes the staged reduce task's way (cut, pieces, merges). Its
+// per-split results are a map task's, so stats fold as mapsDone folds
+// them, and when r turns out not to be 1 — at the end, or once the bytes
+// mapped so far pass one reducer's allocation — the job continues staged
+// from those results, the splits not yet mapped spawning as map tasks.
+//
 // Each input's map tasks are spawned independently the moment that
 // input relation exists (inputReady), which is what lets the program
 // scheduler start a downstream job's map work over base relations — or
@@ -32,9 +45,12 @@ import (
 // writes into a pre-indexed slot and all order-sensitive folds (float
 // accumulation of per-part MB, OutputMB) walk those slots in declared
 // part/task/name order, so outputs and stats are bit-for-bit identical
-// at every pool width (pinned by the golden and determinism tests).
+// at every pool width and in both shapes (pinned by the golden,
+// determinism and one-reducer differential tests).
 // Every task is spawned under a label naming its job, kind and place
-// (label), which is all the run's task record needs to time it.
+// (label), which is all the run's task record needs to time it; the
+// one-reducer task is a map task of the record (part −1) whose reduce
+// work runs as its next phase under a reduce label (poolCtx.then).
 type jobRun struct {
 	e       *Engine
 	idx     int // the job's index in its program
@@ -57,6 +73,11 @@ type jobRun struct {
 	// it, while no other task of the job is in flight.
 	mu   sync.Mutex
 	left int
+
+	// one says the job is predicted to have one reducer (predictOne);
+	// inline[part] says its reduce task maps part's splits itself.
+	one    bool
+	inline []bool
 
 	tasks   [][]mapTaskSpec   // per input part: that input's splits
 	results [][]mapTaskResult // per input part, per map task
@@ -127,11 +148,42 @@ func (jr *jobRun) label(k taskKind, part, index int) taskLabel {
 	return taskLabel{job: int32(jr.idx), part: int32(part), index: int32(index), kind: k}
 }
 
+// predictOne decides, before any of the job's tasks runs, whether the
+// job takes the one-reducer shape: the run does not spill, r is neither
+// fixed nor input-based, and the job's base inputs (reads[part] < 0)
+// alone fit one reducer's allocation. Its reduce task then maps the
+// produced inputs, and the base ones too unless the job reads a produced
+// relation, whose base inputs map early as ordinary tasks.
+func (jr *jobRun) predictOne(reads []int, db *relation.Database) {
+	job := jr.job
+	if jr.gov.spill != nil || job.reducers > 0 || job.ReducerInputMB > 0 {
+		return
+	}
+	var baseMB float64
+	produced := false
+	for part, prod := range reads {
+		if prod < 0 {
+			baseMB += mbOf(db.Relation(job.Inputs[part]).Bytes())
+		} else {
+			produced = true
+		}
+	}
+	if jr.e.cfg.Cost.Reducers(baseMB*jr.inflate) != 1 {
+		return
+	}
+	jr.one = true
+	jr.inline = make([]bool, len(reads))
+	for part, prod := range reads {
+		jr.inline[part] = prod >= 0 || !produced
+	}
+}
+
 // inputReady is called exactly once per input part, as soon as that
 // relation exists: immediately for base relations, from the producer's
 // merge task for produced ones. It computes the input's splits
 // (Cost.Mappers of the input MB, clamped to the tuple count, one task
-// for empty inputs) and spawns the map tasks.
+// for empty inputs) and spawns the map tasks — unless the one-reducer
+// task maps them, which the input's arrival may then release.
 func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 	inputMB := mbOf(rel.Bytes())
 	m := jr.e.cfg.Cost.Mappers(inputMB)
@@ -146,12 +198,24 @@ func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 	for t := 0; t < m; t++ {
 		specs[t] = mapTaskSpec{rel: rel, from: n * t / m, to: n * (t + 1) / m}
 	}
+	inline := jr.one && jr.inline[part]
 	jr.mu.Lock()
 	jr.stats.Parts[part] = PartStats{Input: jr.job.Inputs[part], InputMB: inputMB, Mappers: m}
 	jr.tasks[part] = specs
 	jr.results[part] = make([]mapTaskResult, m)
-	jr.left += m - 1 // the input arrived; its m tasks are pending
+	if inline {
+		jr.left-- // the input arrived; the one-reducer task maps it
+	} else {
+		jr.left += m - 1 // the input arrived; its m tasks are pending
+	}
+	joined := jr.left == 0
 	jr.mu.Unlock()
+	if inline {
+		if joined {
+			jr.mapsJoined(c)
+		}
+		return
+	}
 	for ti := range specs {
 		ti := ti
 		c.spawn(jr.label(kindMap, part, ti), func(c *poolCtx) { jr.mapTask(c, part, ti) })
@@ -168,14 +232,30 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	if est := jr.est[part].Load(); est > 0 {
 		keys = int(est*int64(n)/1024) + 8
 	}
-	res := mapTuples(c.scratch, jr.job, jr.job.Inputs[part], ts, 1, keys, jr.gov.budget)
-	if jr.job.Packing && n > 0 {
+	jr.mapped(part, ti, mapTuples(c.scratch, jr.job, jr.job.Inputs[part], ts, 1, keys, jr.gov.budget))
+	if jr.stageDone() {
+		jr.mapsJoined(c)
+	}
+}
+
+// mapped stores split ti of part's result and, when the job packs,
+// publishes the part's key estimate.
+func (jr *jobRun) mapped(part, ti int, res mapTaskResult) {
+	if n := jr.tasks[part][ti].to - jr.tasks[part][ti].from; jr.job.Packing && n > 0 {
 		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
 	jr.results[part][ti] = res
-	if jr.stageDone() {
-		jr.mapsDone(c)
+}
+
+// mapsJoined runs once every input has arrived and every map task
+// spawned so far has finished: it spawns the one-reducer task or —
+// staged — runs mapsDone.
+func (jr *jobRun) mapsJoined(c *poolCtx) {
+	if jr.one {
+		c.spawn(jr.label(kindMap, -1, 0), jr.reduceInline)
+		return
 	}
+	jr.mapsDone(c)
 }
 
 // stageDone counts one task of the current stage finished and reports
@@ -196,21 +276,50 @@ func mapTuples(sc *taskScratch, job *Job, input string, ts mapTaskSpec, step, ke
 	if job.Packing {
 		em.keys = sc.keySet(keys, false)
 	}
+	return em.mapSplit(job, input, ts, step)
+}
+
+// mapSplit runs job's mapper over every step-th tuple of ts through e and
+// returns what it emitted: e's arena from its base on, and its counts —
+// a map task's result, or a one-reducer task's for one of its splits.
+func (e *Emitter) mapSplit(job *Job, input string, ts mapTaskSpec, step int) mapTaskResult {
 	for i := ts.from; i < ts.to; i += step {
-		job.Mapper.Map(input, i, ts.rel.Tuple(i), &em)
+		job.Mapper.Map(input, i, ts.rel.Tuple(i), e)
 	}
-	res := mapTaskResult{chunks: em.chunks, msgs: em.records, records: em.records, bytes: em.bytes}
+	n := len(e.chunks)
+	res := mapTaskResult{chunks: e.chunks[e.base:n:n], msgs: e.records, records: e.records, bytes: e.bytes}
 	if job.Packing {
-		res.records = int64(len(em.keys.locs))
+		res.records = e.keyed
 	}
 	return res
 }
 
-// mapsDone (run by the last finishing map task) folds the per-task
-// measurements in declared part/task order — float accumulation order
-// is part of the bit-for-bit contract — derives the reducer count, and
-// spawns one shuffle partition task per map task.
+// mapsDone (run by the last finishing map task) folds the map results
+// and spawns the shuffle stage.
 func (jr *jobRun) mapsDone(c *poolCtx) {
+	jr.foldMaps()
+	jr.spawnShuffles(c)
+}
+
+// spawnShuffles spawns one shuffle partition task per map task.
+func (jr *jobRun) spawnShuffles(c *poolCtx) {
+	jr.taskParts = make([][]taskPartition, len(jr.tasks))
+	for part := range jr.tasks {
+		jr.taskParts[part] = make([]taskPartition, len(jr.tasks[part]))
+	}
+	jr.left = jr.stats.MapTasks
+	for part := range jr.tasks {
+		for ti := range jr.tasks[part] {
+			part, ti := part, ti
+			c.spawn(jr.label(kindShuffle, part, ti), func(c *poolCtx) { jr.shuffleTask(c, part, ti) })
+		}
+	}
+}
+
+// foldMaps folds the per-split results in declared part/task order —
+// float accumulation order is part of the bit-for-bit contract — and
+// derives the reducer count.
+func (jr *jobRun) foldMaps() {
 	total := 0
 	for part := range jr.tasks {
 		p := &jr.stats.Parts[part]
@@ -225,17 +334,114 @@ func (jr *jobRun) mapsDone(c *poolCtx) {
 	jr.reducers = jr.computeReducers()
 	jr.stats.Reducers = jr.reducers
 	jr.stats.ReduceTasks = jr.reducers
+}
 
-	jr.taskParts = make([][]taskPartition, len(jr.tasks))
+// reduceInline is a one-reducer job's reduce task. It sizes the worker's
+// record array, key set and stamps once for the records it expects — an
+// early task's messages, a tuple per split it maps — and walks the
+// job's splits in declared (part, task) order: an early map task's arena
+// is gathered through appendTo, any other split is mapped into the
+// task's own record set (Emit), its result kept as a map task would keep
+// it. When the bytes so far pass one reducer's allocation, or the folded
+// count is not 1 after the last split, the job goes on staged from those
+// results (fallBack). Otherwise the task hands the set on to its next
+// phase, which groups and reduces it as a staged reduce task does its
+// gather. The walk is the map task of the record, counted as the splits
+// it mapped; the next phase is the job's one reduce task (poolCtx.then).
+func (jr *jobRun) reduceInline(c *poolCtx) {
+	sc := c.scratch
+	n, bufs := 0, 0
 	for part := range jr.tasks {
-		jr.taskParts[part] = make([]taskPartition, len(jr.tasks[part]))
+		for ti, ts := range jr.tasks[part] {
+			if jr.inline[part] {
+				n += ts.to - ts.from
+				bufs += arenaRungs
+			} else {
+				n += int(jr.results[part][ti].msgs)
+				bufs += len(jr.results[part][ti].chunks)
+			}
+		}
 	}
-	jr.left = total
+	set := recordSet{bufs: make([][]byte, 0, bufs), recs: grow(&sc.recs, n)[:0]}
+	ks := sc.keySet(n, false)
+	stamps := grow(&sc.target, n)
+	defer func() { sc.recs, sc.target = set.recs, stamps }() // keep what the walk grew
+	var load int64
+	var split int32
 	for part := range jr.tasks {
 		for ti := range jr.tasks[part] {
-			part, ti := part, ti
-			c.spawn(jr.label(kindShuffle, part, ti), func(c *poolCtx) { jr.shuffleTask(c, part, ti) })
+			res := &jr.results[part][ti]
+			if !jr.inline[part] {
+				made := len(ks.locs)
+				tp := taskPartition{segs: make([]segment, 1), loads: make([]int64, 1)}
+				tp.fromArena(res)
+				kept, err := tp.appendTo(&set, ks, 0, jr.gov.budget)
+				if err != nil {
+					panic(taskAbort{err: err})
+				}
+				stamps = cover(stamps, len(set.recs))
+				for _, l := range ks.locs[made:] {
+					stamps[l.first] = -1 // charged in no split the task maps
+				}
+				load += kept
+				continue
+			}
+			em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
+				grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
+			jr.mapped(part, ti, em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1))
+			set.bufs, stamps = em.chunks, em.stamps
+			split++
+			c.countAs(int(split))
+			load += res.bytes
+			if jr.e.cfg.Cost.Reducers(mbOf(load)*jr.inflate) != 1 {
+				jr.fallBack(c, part, ti)
+				return
+			}
 		}
+	}
+	jr.foldMaps()
+	if jr.reducers != 1 {
+		jr.one = false
+		jr.spawnShuffles(c)
+		return
+	}
+	jr.results = nil // the record set holds the arenas now
+	jr.reduceStage()
+	k := jr.ways(load, int64(len(set.recs)), float64(load))
+	l := jr.label(kindReduce, 0, 0)
+	l.split = k > 0
+	c.then(l, func(c *poolCtx) {
+		g := &groupedSet{recordSet: set, load: load}
+		g.grouping = groupRecords(c.scratch, &g.recordSet, ks.locs)
+		jr.reduceGrouped(c, g, 0, k)
+	})
+}
+
+// fallBack puts a one-reducer job on the staged path once its task has
+// mapped through split ti of part: every inline split after that spawns
+// as an ordinary map task, and the last map to finish — this task, when
+// none is left — runs mapsDone over the results.
+func (jr *jobRun) fallBack(c *poolCtx, part, ti int) {
+	jr.one = false
+	type split struct{ part, ti int }
+	var rest []split
+	for p := part; p < len(jr.tasks); p++ {
+		if !jr.inline[p] {
+			continue
+		}
+		for t := range jr.tasks[p] {
+			if p > part || t > ti {
+				rest = append(rest, split{p, t})
+			}
+		}
+	}
+	jr.left = len(rest)
+	if len(rest) == 0 {
+		jr.mapsDone(c)
+		return
+	}
+	for _, s := range rest {
+		c.spawn(jr.label(kindMap, s.part, s.ti), func(c *poolCtx) { jr.mapTask(c, s.part, s.ti) })
 	}
 }
 
@@ -296,13 +502,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	switch {
 	case n == 0:
 	case reducers == 1:
-		var total int64
-		for _, chunk := range res.chunks {
-			total += int64(len(chunk))
-		}
-		tp.bufs = res.chunks
-		tp.segs[0] = segment{len: total, count: int32(n)}
-		tp.loads[0] = res.bytes
+		tp.fromArena(res)
 	default:
 		target := grow(&c.scratch.target, n)
 		lens := grow(&c.scratch.idx, n)
@@ -354,6 +554,19 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	}
 }
 
+// fromArena makes tp, of one segment, a map task's arena as a
+// one-reducer partition: the chunks as Emit left them, all of them the
+// lone segment, its load the modelled bytes the task summed.
+func (tp *taskPartition) fromArena(res *mapTaskResult) {
+	var total int64
+	for _, chunk := range res.chunks {
+		total += int64(len(chunk))
+	}
+	tp.bufs = res.chunks
+	tp.segs[0] = segment{len: total, count: int32(res.msgs)}
+	tp.loads[0] = res.bytes
+}
+
 // shufflesDone spawns one reduce task per reducer, a heavy partition's
 // (split.go) with the split label, like every piece it spawns.
 func (jr *jobRun) shufflesDone(c *poolCtx) {
@@ -363,19 +576,25 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 	// so a finished stage doesn't hold memory for the program's whole
 	// duration.
 	jr.results = nil
-	r := jr.reducers
-	jr.stats.ReduceLoadMB = make([]float64, r)
-	jr.pieces = make([][]piece, r)
-	whole := make([]piece, r) // one piece per reducer until a cut says otherwise
-	for ri := range whole {
-		jr.pieces[ri] = whole[ri : ri+1 : ri+1]
-	}
-	jr.left = r
+	jr.reduceStage()
 	for ri, k := range jr.splitWays() {
 		l := jr.label(kindReduce, 0, ri)
 		l.split = k > 0
 		c.spawn(l, func(c *poolCtx) { jr.reduceTask(c, ri, k) })
 	}
+}
+
+// reduceStage sets the reduce stage up: one piece per reducer until a
+// cut says otherwise, and a task per reducer to join.
+func (jr *jobRun) reduceStage() {
+	r := jr.reducers
+	jr.stats.ReduceLoadMB = make([]float64, r)
+	jr.pieces = make([][]piece, r)
+	whole := make([]piece, r)
+	for ri := range whole {
+		jr.pieces[ri] = whole[ri : ri+1 : ri+1]
+	}
+	jr.left = r
 }
 
 // reduceGroups is a reduce task's gather on worker scratch sc: it
@@ -414,17 +633,23 @@ func reduceGroups(sc *taskScratch, parts [][]taskPartition, ri int, b *Budget) (
 }
 
 // reduceTask gathers and groups reducer ri's partition and reduces it.
-// A heavy partition's task (k > 0) first cuts its groups into pieces;
-// past one piece it lends the grouped set, and the worker scratch that
-// holds it, to the pieces and takes another scratch, counts the pieces
-// into the stage in its own place, and spawns one reduce task per piece
-// (labels 1..n, the gather keeping 0): its own span is then the gather
-// and the cut alone, and CriticalPath chains every piece after it.
 func (jr *jobRun) reduceTask(c *poolCtx, ri int, k int64) {
 	g, err := reduceGroups(c.scratch, jr.taskParts, ri, jr.gov.budget)
 	if err != nil {
 		panic(taskAbort{err: err})
 	}
+	jr.reduceGrouped(c, g, ri, k)
+}
+
+// reduceGrouped reduces reducer ri's grouped partition, held in the
+// worker's scratch. A heavy partition's task (k > 0) first cuts its
+// groups into pieces; past one piece it lends the grouped set, and the
+// worker scratch that holds it, to the pieces and takes another scratch,
+// counts the pieces into the stage in its own place, and spawns one
+// reduce task per piece (labels 1..n, the gather keeping 0): its own
+// span is then the gather and the cut alone, and CriticalPath chains
+// every piece after it.
+func (jr *jobRun) reduceGrouped(c *poolCtx, g *groupedSet, ri int, k int64) {
 	pieces := jr.pieces[ri]
 	pieces[0] = piece{hi: len(g.locs), load: g.load}
 	if k > 0 {

@@ -39,17 +39,23 @@ type poolTask struct {
 // worker, created by that worker's loop in runTasks and touched by no
 // other goroutine, so the scratch it borrows from the Engine for as long
 // as the loop runs needs no lock. A reduce task may swap that scratch for
-// a fresh one (reduceTask).
+// a fresh one (reduceGrouped).
 type poolCtx struct {
 	pool    *taskPool
 	id      int // worker index owning the local deque
 	scratch *taskScratch
+	// count and next are the running task's: the tasks of its kind the
+	// record counts it as (countAs), and the phase it hands on (then).
+	count int
+	next  poolTask
 }
 
 // taskScratch is one worker's reusable task memory: the pointer-free
 // arrays a task needs only until it returns — or, for a reduce task that
 // cuts its partition into pieces, until the last piece does: that task
-// lends its scratch to the pieces and takes another (reduceTask, lend).
+// lends its scratch to the pieces and takes another (reduceGrouped,
+// lend). A one-reducer task's next phase runs on the same worker and
+// scratch (poolCtx.then), lending nothing.
 // Between runs it is the Engine's (Engine.scratch), so a run's workers
 // start with arrays sized by earlier runs. It never holds a []byte or
 // anything else that points (TestScratchPointerFree; arena chunks and
@@ -59,10 +65,10 @@ type poolCtx struct {
 // nothing is kept per task. Every buffer is handed out to be overwritten — the key set's
 // slots, to be cleared — before any read.
 type taskScratch struct {
-	recs   []record // reduceGroups: the gathered records
+	recs   []record // reduceGroups, reduceInline: the gathered records
 	idx    []int32  // shuffleTask: each record's encoded length; groupRecords: record indices laid out by key
-	keys   keySet   // a map task's packing decisions under Emit, or a reduce task's gather
-	target []int32  // shuffleTask: each record's reducer; groupRecords: each group's count, cursor, end
+	keys   keySet   // a map task's packing decisions under Emit, a reduce task's gather, or both in a one-reducer task
+	target []int32  // shuffleTask: each record's reducer; reduceInline: each key group's last split (Emit's stamps); groupRecords: each group's count, cursor, end
 	pos    []int64  // shuffleTask: per-reducer write cursors
 }
 
@@ -97,6 +103,20 @@ func (c *poolCtx) giveBack(sc *taskScratch) {
 	p.spareMu.Lock()
 	p.spare = append(p.spare, sc)
 	p.spareMu.Unlock()
+}
+
+// then makes fn, labelled l, the running task's next phase: the task
+// record runs it on this worker, with this scratch, once the task
+// returns, and times it as a task of its own (Progress.run). A one-
+// reducer task's reduce work follows its mapping this way.
+func (c *poolCtx) then(l taskLabel, fn func(c *poolCtx)) {
+	c.next = poolTask{l, fn}
+}
+
+// countAs makes the task record count the running task as n tasks of
+// its kind: a one-reducer task's mapping, as the splits it mapped.
+func (c *poolCtx) countAs(n int) {
+	c.count = n
 }
 
 // spawn schedules fn, labelled l, onto the current worker's deque.
@@ -175,7 +195,7 @@ type taskPool struct {
 	pending   int // spawned but unfinished tasks
 
 	// spare holds, under spareMu, the scratches split partitions lent
-	// their pieces and got back (reduceTask). A run's next lend takes one
+	// their pieces and got back (reduceGrouped). A run's next lend takes one
 	// before it asks the Engine, whose sync.Pool cannot hand a task a
 	// scratch put back on another P's private slot: asking it every time
 	// found a cold scratch for 66 of 150 lends in a 5 s skew-spill run on
@@ -206,6 +226,11 @@ type FaultHooks struct {
 	// canceling the run's context from inside the hook stops the pool at
 	// the next task boundary.
 	Grant func(ctx context.Context, n int)
+	// Staged, when set, runs every job on the staged path: no job is
+	// predicted to have one reducer (jobRun.predictOne), so map, shuffle
+	// and reduce are tasks of their own. The one-reducer differential
+	// tests hold the two shapes to each other with it.
+	Staged bool
 }
 
 // poolHooks holds the installed fault seam; nil means uninstrumented

@@ -143,6 +143,13 @@ func (e *Engine) Run(ctx context.Context, p *Program, db *relation.Database, opt
 		})
 	}
 	if err := e.runTasks(ctx, e.workers(), rec, func(c *poolCtx) {
+		// Every job's shape is decided before any input is released: a
+		// merge may publish a produced input while this seed still runs.
+		if h := c.pool.hooks; h == nil || !h.Staged {
+			for i, jr := range runs {
+				jr.predictOne(reads[i], db)
+			}
+		}
 		for i, jr := range runs {
 			for part, prod := range reads[i] {
 				if prod < 0 {

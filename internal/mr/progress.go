@@ -12,7 +12,8 @@ import (
 // returns (JobTiming) and the run's work and span (CriticalPath) are
 // folds over it. A span is a host measurement outside the determinism
 // contract, and includes any stage-join work its task runs as its
-// stage's last (mapsDone, shufflesDone, reducesDone, finishJob).
+// stage's last (mapsDone, shufflesDone, reducesDone, finishJob). A task
+// that hands on a next phase (poolCtx.then) leaves a span per phase.
 //
 // Totals grow as stages are planned (a job's shuffle-task total is only
 // known once its maps finish), so Done can briefly equal Total for a
@@ -44,11 +45,12 @@ const (
 
 // taskLabel names a task to the record: its job's index in the program,
 // its kind, and its place in the job's stage — input part and map task
-// for map and shuffle tasks; for reduce tasks, the reducer and 0 for the
-// task that gathers its partition (and reduces it when uncut) or 1..n
-// for the pieces of a cut one; output (sorted name order) for merge
-// shards — and whether a reduce task is one of a heavy partition's,
-// which the skew splitter cuts.
+// for map and shuffle tasks, part −1 for a one-reducer task's mapping;
+// for reduce tasks, the reducer and 0 for the task that gathers its
+// partition (and reduces it when uncut) or 1..n for the pieces of a cut
+// one; output (sorted name order) for merge shards — and whether a
+// reduce task is one of a heavy partition's, which the skew splitter
+// cuts.
 type taskLabel struct {
 	job, part, index int32
 	kind             taskKind
@@ -80,17 +82,28 @@ func (p *Progress) jobDone() {
 	p.mu.Unlock()
 }
 
-// run executes one granted task and records its span.
+// run executes one granted task and records its span, then runs and
+// records, phase by phase, the next phase each hands on (poolCtx.then):
+// spawned as it starts, on the same worker and scratch. A phase counted
+// as n tasks (poolCtx.countAs) is spawned n − 1 more times as it ends.
 func (p *Progress) run(c *poolCtx, t poolTask) {
-	start := time.Now()
-	t.fn(c)
-	ns := int64(time.Since(start))
-	p.mu.Lock()
-	p.finished[t.kind]++
-	if t.kind != kindNone {
-		p.spans = append(p.spans, span{t.taskLabel, ns})
+	for {
+		c.count, c.next = 1, poolTask{}
+		start := time.Now()
+		t.fn(c)
+		ns := int64(time.Since(start))
+		p.mu.Lock()
+		p.spawned[t.kind] += c.count - 1
+		p.finished[t.kind] += c.count
+		if t.kind != kindNone {
+			p.spans = append(p.spans, span{t.taskLabel, ns})
+		}
+		p.mu.Unlock()
+		if t = c.next; t.fn == nil {
+			return
+		}
+		p.spawn(t.kind)
 	}
-	p.mu.Unlock()
 }
 
 // ProgressSnapshot is a point-in-time copy of a run's task counters.
@@ -127,9 +140,9 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 // and differential tests pin.
 type JobTiming struct {
 	Name           string
-	MapSeconds     float64 // map tasks (mapper over one split; Emit encodes and packs)
-	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement; near zero at r = 1, where the arena is handed over)
-	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, scatter, reduce)
+	MapSeconds     float64 // map tasks (mapper over one split; Emit encodes and packs), and a one-reducer task's walk over the job's splits
+	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement; near zero at r = 1, where the arena is handed over; none for a one-reducer job)
+	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, scatter, reduce; a one-reducer task's scatter and reduce)
 	MergeSeconds   float64 // output merge shards (relation.Merge, publish)
 	// SplitSeconds is the share of ReduceSeconds spent in the reduce
 	// tasks of heavy partitions, which the runtime skew splitter cuts
@@ -207,9 +220,11 @@ func longer(a, b chain) chain {
 
 // CriticalPath folds the record over the program's structure: a map
 // task waits for the merge shard that publishes its input (a base input
-// is ready at the start), each piece of a cut reduce partition waits for
-// the task that gathered and cut it, and every other task of a job waits
-// for every task of the stages before it. It does not follow spawn
+// is ready at the start), a one-reducer task's mapping for the merges
+// that publish every input and for the job's early map tasks, each piece
+// of a cut reduce partition waits for the task that gathered and cut it,
+// and every other task of a job waits for every task of the stages
+// before it. It does not follow spawn
 // edges: a stage is spawned by whichever task of the stage before
 // finished last, which need not end the longest chain. A canceled run's
 // path runs over the tasks that finished.
@@ -229,18 +244,23 @@ func (p *Progress) CriticalPath() CriticalPath {
 		var sum tally                 // the job's spans, summed as timings sums them
 		var end chain                 // the longest chain through the job so far
 		gathered := map[int32]chain{} // per reducer: the chain ending at its gather
-		// The pieces of cut partitions (reduce part > 0) are folded as a
-		// stage of their own after the gathers, whatever order they
-		// finished in.
-		for si, k := range []taskKind{kindMap, kindShuffle, kindReduce, kindReduce, kindMerge} {
-			pieces := si == 3
+		// A one-reducer task's mapping (map part −1) is folded as a stage
+		// of its own after the early map tasks, and the pieces of cut
+		// partitions (reduce part > 0) after the gathers, whatever order
+		// they finished in.
+		for si, k := range []taskKind{kindMap, kindMap, kindShuffle, kindReduce, kindReduce, kindMerge} {
+			inline, pieces := si == 1, si == 4
 			ready := end
 			for _, s := range js {
-				if s.kind != k || k == kindReduce && (s.part > 0) != pieces {
+				if s.kind != k || k == kindMap && (s.part < 0) != inline || k == kindReduce && (s.part > 0) != pieces {
 					continue
 				}
 				sum.add(s)
 				switch {
+				case inline:
+					for _, in := range job.Inputs {
+						ready = longer(ready, merged[in])
+					}
 				case k == kindMap:
 					ready = merged[job.Inputs[s.part]]
 				case pieces:

@@ -156,3 +156,46 @@ func TestCriticalPathPieceAfterGather(t *testing.T) {
 		t.Errorf("CriticalPath() span %v s by kind %+v, want 0.011 s by kind %+v", cp.Seconds, cp.Kinds, want)
 	}
 }
+
+// TestCriticalPathOneReducer folds a synthetic record of two jobs: "p"
+// publishes P after map 2 ms, shuffle 1 ms, reduce 3 ms and merge 1 ms;
+// the one-reducer job "one" reads base B and P, maps B early as an
+// ordinary task, and its reduce task maps P itself (map part −1, 2 ms),
+// then gathers and reduces (3 ms) before its merge (1 ms). The task's
+// mapping waits for the merge that publishes P and for the early map
+// task of B, whichever ends later: after the merge, the span is 13 ms;
+// with a 9 ms early map task it is 15 ms, through that task.
+func TestCriticalPathOneReducer(t *testing.T) {
+	ms := int64(time.Millisecond)
+	for _, c := range []struct {
+		early int64
+		span  float64
+		kinds JobTiming
+	}{
+		{1 * ms, 0.013, JobTiming{MapSeconds: 0.004, ShuffleSeconds: 0.001, ReduceSeconds: 0.006, MergeSeconds: 0.002}},
+		{9 * ms, 0.015, JobTiming{MapSeconds: 0.011, ReduceSeconds: 0.003, MergeSeconds: 0.001}},
+	} {
+		var p Progress
+		p.begin(&Program{Jobs: []*Job{
+			{Name: "p", Inputs: []string{"R"}, Outputs: map[string]int{"P": 1}},
+			{Name: "one", Inputs: []string{"B", "P"}, Outputs: map[string]int{"Z": 1}},
+		}})
+		for _, s := range []span{
+			{taskLabel{kind: kindMap}, 2 * ms},
+			{taskLabel{kind: kindShuffle}, 1 * ms},
+			{taskLabel{kind: kindReduce}, 3 * ms},
+			{taskLabel{kind: kindMerge}, 1 * ms},
+			{taskLabel{job: 1, kind: kindMerge}, 1 * ms},
+			{taskLabel{job: 1, kind: kindReduce}, 3 * ms},
+			{taskLabel{job: 1, part: -1, kind: kindMap}, 2 * ms},
+			{taskLabel{job: 1, kind: kindMap}, c.early},
+		} {
+			p.spans = append(p.spans, s)
+		}
+		cp := p.CriticalPath()
+		if cp.Seconds != c.span || cp.Kinds != c.kinds {
+			t.Errorf("early map %d ms: CriticalPath() span %v s by kind %+v, want %v s by kind %+v",
+				c.early/ms, cp.Seconds, cp.Kinds, c.span, c.kinds)
+		}
+	}
+}

@@ -54,16 +54,13 @@ type piece struct {
 	out    *Output
 }
 
-// splitWays returns, per reducer, the k its partition is cut for: 0 for
-// a partition that is not heavy, as every partition is with splitting
-// off. A partition is heavy when its load exceeds SkewSplit × the mean,
-// a test no NaN or infinite ratio passes. k is capped at the partition's
-// record count, which no cut can exceed, so a ratio so small that
-// ratio × mean rounds to zero still yields a finite k.
+// splitWays returns, per reducer, the k its partition is cut for (ways),
+// from the loads and record counts the shuffle left, folded in declared
+// (part, task) order.
 func (jr *jobRun) splitWays() []int64 {
-	ratio, r := jr.e.cfg.SkewSplit, jr.reducers
+	r := jr.reducers
 	ways := make([]int64, r)
-	if ratio <= 0 {
+	if jr.e.cfg.SkewSplit <= 0 {
 		return ways
 	}
 	loads, counts := make([]int64, r), make([]int64, r)
@@ -78,13 +75,30 @@ func (jr *jobRun) splitWays() []int64 {
 			}
 		}
 	}
-	limit := ratio * (float64(total) / float64(r))
+	mean := float64(total) / float64(r)
 	for ri, l := range loads {
-		if float64(l) > limit {
-			ways[ri] = int64(min(math.Ceil(float64(l)/limit), float64(counts[ri])))
-		}
+		ways[ri] = jr.ways(l, counts[ri], mean)
 	}
 	return ways
+}
+
+// ways is the k a partition of load l and count records is cut for,
+// against the mean partition load: 0 for a partition that is not heavy,
+// as every partition is with splitting off. A partition is heavy when
+// its load exceeds SkewSplit × the mean, a test no NaN or infinite ratio
+// passes. k is capped at the partition's record count, which no cut can
+// exceed, so a ratio so small that ratio × mean rounds to zero still
+// yields a finite k.
+func (jr *jobRun) ways(l, count int64, mean float64) int64 {
+	ratio := jr.e.cfg.SkewSplit
+	if ratio <= 0 {
+		return 0
+	}
+	limit := ratio * mean
+	if float64(l) > limit {
+		return int64(min(math.Ceil(float64(l)/limit), float64(count)))
+	}
+	return 0
 }
 
 // cut divides the set's groups, in first-arrival order, into contiguous

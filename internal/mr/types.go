@@ -41,11 +41,25 @@ import (
 //
 // Ownership: both slices are the caller's again when Emit returns.
 type Emitter struct {
-	chunks [][]byte // the arena: encoded records back to back, len = bytes used
+	// chunks is the arena: encoded records back to back, len = bytes
+	// used. In a one-reducer task it is every buffer of the task's record
+	// set, and the split's arena is chunks[base:].
+	chunks [][]byte
+	base   int
 	budget *Budget
-	keys   *keySet // the keys emitted so far, when the job packs; else nil
+	keys   *keySet // the keys emitted so far, when the job packs or the task is a one-reducer one; else nil
 
-	records, bytes int64 // emitted so far; the keys among them are len(keys.locs)
+	// grouped, stamps, split and pack are a one-reducer task's (Emit):
+	// its record array, the last split each key group was charged in,
+	// this split's number, and whether the job packs. grouped is nil in
+	// a map task.
+	grouped *[]record
+	stamps  []int32
+	split   int32
+	pack    bool
+
+	records, bytes int64 // emitted so far
+	keyed          int64 // the records among them charged with their key's bytes, under packing
 }
 
 // Mapper processes one input fact. The same Mapper instance is used
