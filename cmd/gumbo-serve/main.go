@@ -1,14 +1,12 @@
 // Command gumbo-serve runs the gumbo query service: a long-running HTTP
 // JSON API for creating databases, bulk-loading relations and evaluating
 // SGF queries concurrently on one shared gumbo.System, with plan caching
-// and multi-query micro-batching (see docs/SERVER.md for the API
-// reference and a curl walkthrough).
+// (see docs/SERVER.md for the API reference and a curl walkthrough).
 //
 // Usage:
 //
-//	gumbo-serve [-addr :8080] [-workers N] [-jobs N]
-//	            [-cache 128] [-batch-window 2ms] [-max-batch 16]
-//	            [-query-timeout 0] [-scale 0.001]
+//	gumbo-serve [-addr :8080] [-workers N] [-jobs N] [-cache 128]
+//	            [-max-body N] [-query-timeout 0] [-scale 0.001]
 //	            [-mem-budget 0] [-query-mem 0]
 //	            [-spill-threshold 0] [-spill-dir DIR] [-skew-split 0]
 package main
@@ -36,8 +34,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "engine worker pool for all plan tasks (0 = GOMAXPROCS)")
 		jobs         = flag.Int("jobs", 0, "admission capacity: concurrently executing plans (0 = GOMAXPROCS)")
 		cacheSize    = flag.Int("cache", 128, "plan-cache capacity (entries)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window (negative disables batching)")
-		maxBatch     = flag.Int("max-batch", 16, "flush a micro-batch early at this many queries")
 		maxBody      = flag.Int64("max-body", 32<<20, "request body size cap in bytes")
 		queryTimeout = flag.Duration("query-timeout", 0, "per-query deadline incl. admission wait; expired runs return 504 (0 disables)")
 		scale        = flag.Float64("scale", 1, "cost-model scale factor (fraction of the paper's data sizes)")
@@ -61,8 +57,6 @@ func main() {
 	cfg := server.Config{
 		ConcurrentJobs: *jobs,
 		PlanCacheSize:  *cacheSize,
-		BatchWindow:    *batchWindow,
-		MaxBatch:       *maxBatch,
 		MaxBodyBytes:   *maxBody,
 		QueryTimeout:   *queryTimeout,
 		MemBudget:      *memBudget,
@@ -89,7 +83,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("gumbo-serve listening on %s (cache %d entries, batch window %s)", *addr, *cacheSize, *batchWindow)
+		log.Printf("gumbo-serve listening on %s (cache %d entries)", *addr, *cacheSize)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

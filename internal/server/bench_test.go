@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,10 +100,10 @@ func BenchmarkLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryHit posts the serving corpus, in turn, to a database
-// holding the serving data; every plan is cached before the timer
-// starts.
-func BenchmarkQueryHit(b *testing.B) {
+// hotServer is a server whose database "hot" holds the serving data,
+// with every plan of the serving corpus cached, and the corpus's query
+// request bodies.
+func hotServer(b *testing.B) (http.Handler, [][]byte) {
 	h := New(Config{}).Handler()
 	mustServe(b, h, "PUT", "/v1/db/hot", nil, http.StatusCreated)
 	body := append(appendRelations([]byte(`{"relations":[`), serveData()), "]}"...)
@@ -114,6 +116,14 @@ func BenchmarkQueryHit(b *testing.B) {
 		}
 		mustServe(b, h, "POST", "/v1/db/hot/query", bodies[k], http.StatusOK)
 	}
+	return h, bodies
+}
+
+// BenchmarkQueryHit posts the serving corpus, in turn, to a database
+// holding the serving data; every plan is cached before the timer
+// starts.
+func BenchmarkQueryHit(b *testing.B) {
+	h, bodies := hotServer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -194,4 +204,38 @@ func workOverEval(b *testing.B, sys *gumbo.System, plan *gumbo.Plan, db *gumbo.D
 	b.ReportMetric(work.ShuffleSeconds*perOp, "shuffle-ms")
 	b.ReportMetric(work.ReduceSeconds*perOp, "reduce-ms")
 	b.ReportMetric(work.MergeSeconds*perOp, "merge-ms")
+}
+
+// BenchmarkQueryClients is BenchmarkQueryHit under concurrency: exactly
+// n goroutines, closed loop, share b.N requests through one counter, so
+// the client count does not follow GOMAXPROCS as RunParallel's would.
+// It reports wall ms per request; a non-200 answer fails the run.
+func BenchmarkQueryClients(b *testing.B) {
+	h, bodies := hotServer(b)
+	for _, n := range []int{2, 8, 16, 32} {
+		b.Run(fmt.Sprintf("clients=%d", n), func(b *testing.B) {
+			var next, failed atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			start := time.Now()
+			for c := 0; c < n; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/db/hot/query", bytes.NewReader(bodies[i%int64(len(bodies))])))
+						if rec.Code != http.StatusOK {
+							failed.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(time.Since(start).Seconds()*1e3/float64(b.N), "ms/req")
+			if k := failed.Load(); k > 0 {
+				b.Errorf("%d of %d requests answered non-200", k, b.N)
+			}
+		})
+	}
 }

@@ -122,7 +122,8 @@ func TestDBInfoContents(t *testing.T) {
 }
 
 // TestStatsCounters: the stats endpoint reflects configuration
-// (admission capacity) and traffic (query and plan-cache counters).
+// (admission capacity) and traffic (query and plan-cache counters), and
+// still sends the micro-batcher's three counters, at 0.
 func TestStatsCounters(t *testing.T) {
 	_, c := newTestClient(t, Config{ConcurrentJobs: 3})
 	stats := getStats(c)
@@ -134,7 +135,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 	c.loadBookstore("shop")
 	for i := 0; i < 2; i++ {
-		if code := c.do("POST", "/v1/db/shop/query", map[string]any{"query": queryW}, nil); code != http.StatusOK {
+		if code := c.do("POST", "/v1/db/shop/query", map[string]any{"query": queryW, "batch": i == 1}, nil); code != http.StatusOK {
 			t.Fatalf("query %d: status %d", i, code)
 		}
 	}
@@ -160,6 +161,12 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if got := statInt(t, stats, "active_runs"); got != 0 {
 		t.Errorf("active_runs %d with nothing running", got)
+	}
+	// The micro-batcher's counters stay on the wire for old clients.
+	for _, key := range []string{"batch_runs", "batched_queries", "merge_fallbacks"} {
+		if got := statInt(t, stats, key); got != 0 {
+			t.Errorf("%s %d, want 0", key, got)
+		}
 	}
 }
 
@@ -410,11 +417,18 @@ func TestQueryTimeoutGatewayTimeout(t *testing.T) {
 }
 
 // TestClientDisconnectCancelsRun: a client that hangs up cancels its
-// query's engine run, so the run's context must be the request's. The
-// first task parks until its run's context is done; if that context is
-// not the request's it never is, the test fails, and closing ended on
-// exit unparks the task so the server can shut down.
+// query's engine run, so the run's context must be the request's — with
+// the ignored "batch" field set, too. The first task parks until its
+// run's context is done; if that context is not the request's it never
+// is, the test fails, and closing ended on exit unparks the task so the
+// server can shut down.
 func TestClientDisconnectCancelsRun(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) { clientDisconnectCancelsRun(t, batch) })
+	}
+}
+
+func clientDisconnectCancelsRun(t *testing.T, batch bool) {
 	_, c := newTestClient(t, Config{ConcurrentJobs: 1})
 	c.loadBookstore("shop")
 
@@ -435,7 +449,7 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 
 	ctx, hangUp := context.WithCancel(context.Background())
 	defer hangUp()
-	body, err := json.Marshal(map[string]any{"query": queryZ})
+	body, err := json.Marshal(map[string]any{"query": queryZ, "batch": batch})
 	if err != nil {
 		t.Fatal(err)
 	}

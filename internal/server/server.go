@@ -4,7 +4,7 @@
 //
 // The server manages named in-memory databases, bulk-loads relations
 // into them, and evaluates SGF queries against them on one shared
-// gumbo.System. Three mechanisms turn the library into a service:
+// gumbo.System. Two mechanisms turn the library into a service:
 //
 //   - Admission control: a semaphore (Config.ConcurrentJobs) bounds how
 //     many plan executions run at once; excess requests queue instead of
@@ -17,16 +17,16 @@
 //     canonical query text, so repeated query text skips parsing,
 //     validation and cost-model sampling. Any load or drop bumps the
 //     generation and thereby invalidates the database's cached plans.
-//   - Micro-batching: requests that opt in (batch=true) are collected
-//     for a short window and merged into a single SGF program
-//     (gumbo.Merge, §4.7), so overlapping semi-join atoms of concurrent
-//     queries are evaluated once (Greedy-BSGF grouping) and the whole
-//     batch consumes one admission slot.
+//
+// Every query runs alone, under its own request's context, strategy and
+// admission slot. The paper's §4.7 multi-query sharing is a library
+// operation (gumbo.Merge): a client that wants it merges its queries
+// into one program before sending it.
 //
 // Determinism contract: query responses list output tuples in sorted
 // order, so a response is bit-for-bit identical to encoding the relation
 // a direct library call (System.Run / gumbo.Eval) produces — regardless
-// of server concurrency, batching, or plan-cache state.
+// of server concurrency or plan-cache state.
 package server
 
 import (
@@ -65,13 +65,6 @@ type Config struct {
 	ConcurrentJobs int
 	// PlanCacheSize bounds the LRU plan cache (entries; 0 = 128).
 	PlanCacheSize int
-	// BatchWindow is how long a micro-batch collects queries before it
-	// runs (0 = 2ms; negative disables batching even for batch=true
-	// requests).
-	BatchWindow time.Duration
-	// MaxBatch flushes a micro-batch early once this many queries wait
-	// (0 = 16).
-	MaxBatch int
 	// MaxBodyBytes caps the size of a request body (0 = 32 MiB): one
 	// oversized load must not be able to exhaust the daemon's memory
 	// before validation even starts.
@@ -107,8 +100,6 @@ type Server struct {
 	sys      *gumbo.System
 	cache    *planCache
 	sem      chan struct{}
-	window   time.Duration
-	maxBatch int
 	maxBody  int64
 	timeout  time.Duration // per-query deadline (Config.QueryTimeout)
 	mem      *memLedger    // global memory budget (Config.MemBudget)
@@ -126,14 +117,11 @@ type Server struct {
 	inflight map[uint64]*queryInfo
 	qSeq     atomic.Uint64 // query id allocator
 
-	queries        atomic.Uint64 // client queries received
-	batchRuns      atomic.Uint64 // merged multi-query runs
-	batchedQueries atomic.Uint64 // client queries answered by merged runs
-	mergeFallbacks atomic.Uint64 // batches that could not run merged
-	aborted        atomic.Uint64 // queries canceled via the abort endpoint
-	shed           atomic.Uint64 // queries rejected by the memory ledger (503)
-	panicked       atomic.Uint64 // queries failed by a recovered panic (500)
-	active         atomic.Int64  // plan executions currently admitted
+	queries  atomic.Uint64 // client queries received
+	aborted  atomic.Uint64 // queries canceled via the abort endpoint
+	shed     atomic.Uint64 // queries rejected by the memory ledger (503)
+	panicked atomic.Uint64 // queries failed by a recovered panic (500)
+	active   atomic.Int64  // plan executions currently admitted
 }
 
 // dbEntry is one named database session. id is unique per creation
@@ -143,11 +131,10 @@ type Server struct {
 // after the drop's purge, the stale entry is unreachable under the new
 // id and simply ages out of the LRU.
 type dbEntry struct {
-	name    string
-	id      string
-	db      *gumbo.Database
-	loadMu  sync.Mutex // serializes read-modify-write bulk loads
-	batcher *batcher
+	name   string
+	id     string
+	db     *gumbo.Database
+	loadMu sync.Mutex // serializes read-modify-write bulk loads
 }
 
 // New returns a Server with its own gumbo.System.
@@ -155,14 +142,6 @@ func New(cfg Config) *Server {
 	admit := cfg.ConcurrentJobs
 	if admit <= 0 {
 		admit = runtime.GOMAXPROCS(0)
-	}
-	window := cfg.BatchWindow
-	if window == 0 {
-		window = 2 * time.Millisecond
-	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 16
 	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody <= 0 {
@@ -176,8 +155,6 @@ func New(cfg Config) *Server {
 		sys:      gumbo.New(cfg.Options...),
 		cache:    newPlanCache(cfg.PlanCacheSize),
 		sem:      make(chan struct{}, admit),
-		window:   window,
-		maxBatch: maxBatch,
 		maxBody:  maxBody,
 		timeout:  cfg.QueryTimeout,
 		mem:      newMemLedger(cfg.MemBudget),
@@ -252,9 +229,7 @@ func (s *Server) Handler() http.Handler {
 // spill files, and converted into errQueryPanicked (500). The deferred
 // unregister, admission release and ledger release all run on the
 // unwind, so a panicking query leaks nothing and the server keeps
-// serving. The recover lives here rather than in the HTTP handler
-// because batched queries execute on the batcher's flush goroutine,
-// where an unwinding panic would kill the process.
+// serving.
 func (s *Server) runQuery(ctx context.Context, dbe *dbEntry, q *gumbo.Query, strategy gumbo.Strategy) (res *gumbo.Result, hit bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -339,7 +314,6 @@ func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) {
 		id:   fmt.Sprintf("%s#%d", name, s.dbSeq.Add(1)),
 		db:   gumbo.NewDatabase(),
 	}
-	dbe.batcher = newBatcher(s, dbe, s.window, s.maxBatch)
 	s.dbs[name] = dbe
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]any{"db": name})
@@ -495,29 +469,27 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 
 // queryRequest is the query payload. Strategy is one of the names in the
 // strategy cheat-sheet ("GREEDY", "GREEDY-SGF", ...) or "auto"/empty for
-// System.Auto. Batch opts the request into micro-batching (batched
-// queries always run under auto; see batcher).
+// System.Auto. Older clients' "batch" field is accepted and ignored:
+// the decoder skips unknown fields.
 type queryRequest struct {
 	Query    string `json:"query"`
 	Strategy string `json:"strategy"`
-	Batch    bool   `json:"batch"`
 }
 
 // queryResponse is the query result. Tuples are in sorted order — the
 // canonical rendering, identical to a direct library run — and already
 // JSON (encodeTuples).
 type queryResponse struct {
-	Output       string          `json:"output"`
-	Arity        int             `json:"arity"`
-	Tuples       json.RawMessage `json:"tuples"`
-	Strategy     string          `json:"strategy"`
-	Plan         planInfo        `json:"plan"`
-	Metrics      metricsInfo     `json:"metrics"`
-	Jobs         []jobInfo       `json:"jobs"`
-	Cache        string          `json:"cache"` // "hit" | "miss"
-	BatchSize    int             `json:"batch_size"`
-	BatchOutputs []string        `json:"batch_outputs,omitempty"`
-	Fingerprint  string          `json:"fingerprint"`
+	Output      string          `json:"output"`
+	Arity       int             `json:"arity"`
+	Tuples      json.RawMessage `json:"tuples"`
+	Strategy    string          `json:"strategy"`
+	Plan        planInfo        `json:"plan"`
+	Metrics     metricsInfo     `json:"metrics"`
+	Jobs        []jobInfo       `json:"jobs"`
+	Cache       string          `json:"cache"`      // "hit" | "miss"
+	BatchSize   int             `json:"batch_size"` // always 1: every run answers one query
+	Fingerprint string          `json:"fingerprint"`
 }
 
 // planInfo summarizes the executed plan.
@@ -574,46 +546,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queries.Add(1)
 
-	var out batchOutcome
-	if req.Batch && s.window > 0 {
-		out = dbe.batcher.submit(q)
-	} else {
-		res, hit, err := s.runQuery(r.Context(), dbe, q, strategy)
-		out = batchOutcome{res: res, cacheHit: hit, batchSize: 1, outputs: []string{q.Name()}, err: err}
-	}
-	if out.err != nil {
-		status := queryErrorStatus(out.err)
+	res, hit, err := s.runQuery(r.Context(), dbe, q, strategy)
+	if err != nil {
+		status := queryErrorStatus(err)
 		if status == http.StatusServiceUnavailable {
 			// Shed load is transient: committed reservations drain as
 			// running queries finish.
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, status, "%v", out.err)
+		writeError(w, status, "%v", err)
 		return
 	}
-	rel := out.res.Outputs.Relation(q.Name())
+	rel := res.Outputs.Relation(q.Name())
 	if rel == nil {
 		writeError(w, http.StatusInternalServerError, "run produced no relation %q", q.Name())
 		return
 	}
 	cache := "miss"
-	if out.cacheHit {
+	if hit {
 		cache = "hit"
 	}
 	resp := queryResponse{
 		Output:      q.Name(),
 		Arity:       rel.Arity(),
 		Tuples:      encodeTuples(rel),
-		Strategy:    string(out.res.Plan.Strategy()),
-		Plan:        planInfo{Jobs: out.res.Plan.Jobs(), Rounds: out.res.Metrics.Rounds},
-		Metrics:     encodeMetrics(out.res.Metrics),
-		Jobs:        encodeJobs(out.res.JobStats),
+		Strategy:    string(res.Plan.Strategy()),
+		Plan:        planInfo{Jobs: res.Plan.Jobs(), Rounds: res.Metrics.Rounds},
+		Metrics:     encodeMetrics(res.Metrics),
+		Jobs:        encodeJobs(res.JobStats),
 		Cache:       cache,
-		BatchSize:   out.batchSize,
+		BatchSize:   1,
 		Fingerprint: fmt.Sprintf("%016x", q.Fingerprint()),
-	}
-	if out.batchSize > 1 {
-		resp.BatchOutputs = out.outputs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -629,9 +592,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"databases":          ndbs,
 		"queries":            s.queries.Load(),
-		"batch_runs":         s.batchRuns.Load(),
-		"batched_queries":    s.batchedQueries.Load(),
-		"merge_fallbacks":    s.mergeFallbacks.Load(),
+		"batch_runs":         0, // kept for old clients; see docs/SERVER.md
+		"batched_queries":    0,
+		"merge_fallbacks":    0,
 		"plan_cache_hits":    hits,
 		"plan_cache_misses":  misses,
 		"plan_cache_size":    size,
@@ -655,7 +618,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // column, integers numerically, strings by text) — NOT by raw Value
 // handles, whose string portion depends on process-global intern order
 // — so the wire form is canonical: a function of relation contents
-// only, independent of insertion order, scheduling, batching, caching,
+// only, independent of insertion order, scheduling, caching,
 // and of what other requests the process served earlier.
 func encodeTuples(rel *gumbo.Relation) json.RawMessage {
 	n, arity := rel.Size(), rel.Arity()

@@ -8,12 +8,10 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	gumbo "repro"
 )
@@ -159,97 +157,6 @@ func TestEndToEndConcurrentQueries(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("query %d: HTTP tuples %s != library tuples %s", i, got[i], want[i])
 		}
-	}
-}
-
-// TestBatchingMergesQueries posts overlapping queries with batch=true
-// and requires at least two of them to be answered by one merged run —
-// visible in the returned batch size, the shared job metrics, and a job
-// count below the sum of the individual plans.
-func TestBatchingMergesQueries(t *testing.T) {
-	// A long window and MaxBatch = number of queries: the batch flushes
-	// the moment the last query arrives.
-	s, c := newTestClient(t, Config{BatchWindow: 500 * time.Millisecond, MaxBatch: 4})
-	c.loadBookstore("shop")
-
-	srcs := []string{
-		`Z1 := SELECT x, y FROM R(x, y) WHERE S(x, y) AND T(x, z);`,
-		`Z2 := SELECT x FROM R(x, y) WHERE S(x, y);`,
-		`Z3 := SELECT y FROM R(x, y) WHERE T(x, z);`,
-		`Z4 := SELECT x, y FROM R(x, y) WHERE S(y, x);`,
-	}
-
-	db := libDB()
-	sumJobs := 0
-	want := make([]string, len(srcs))
-	for i, src := range srcs {
-		q := gumbo.MustParse(src)
-		res, err := s.System().Run(q, db, s.System().Auto(q))
-		if err != nil {
-			t.Fatalf("library run %d: %v", i, err)
-		}
-		want[i] = canonJSON(t, encodeTuples(res.Relation))
-		sumJobs += res.Plan.Jobs()
-	}
-
-	var wg sync.WaitGroup
-	resps := make([]queryResponse, len(srcs))
-	codes := make([]int, len(srcs))
-	for i, src := range srcs {
-		wg.Add(1)
-		go func(i int, src string) {
-			defer wg.Done()
-			codes[i] = c.do("POST", "/v1/db/shop/query", map[string]any{"query": src, "batch": true}, &resps[i])
-		}(i, src)
-	}
-	wg.Wait()
-
-	maxBatch := 0
-	for i := range srcs {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("query %d: status %d", i, codes[i])
-		}
-		if got := canonJSON(t, resps[i].Tuples); got != want[i] {
-			t.Errorf("query %d: batched tuples %s != library tuples %s", i, got, want[i])
-		}
-		if resps[i].BatchSize > maxBatch {
-			maxBatch = resps[i].BatchSize
-		}
-	}
-	if maxBatch < 2 {
-		t.Fatalf("no micro-batch formed: batch sizes all 1")
-	}
-	// Responses from the merged run share one program: same job metrics,
-	// fewer jobs than running each query alone.
-	var merged []queryResponse
-	for _, r := range resps {
-		if r.BatchSize == maxBatch {
-			merged = append(merged, r)
-		}
-	}
-	if len(merged) < 2 {
-		t.Fatalf("batch size %d reported by %d responses", maxBatch, len(merged))
-	}
-	first := merged[0]
-	if len(first.BatchOutputs) != maxBatch {
-		t.Errorf("batch_outputs %v, want %d names", first.BatchOutputs, maxBatch)
-	}
-	for _, r := range merged[1:] {
-		if !reflect.DeepEqual(r.Jobs, first.Jobs) {
-			t.Errorf("merged responses disagree on job metrics:\n%v\nvs\n%v", r.Jobs, first.Jobs)
-		}
-		if r.Metrics != first.Metrics {
-			t.Errorf("merged responses disagree on metrics: %+v vs %+v", r.Metrics, first.Metrics)
-		}
-	}
-	if maxBatch == len(srcs) && first.Plan.Jobs >= sumJobs {
-		t.Errorf("merged plan has %d jobs, expected sharing to beat %d (sum of solo plans)", first.Plan.Jobs, sumJobs)
-	}
-
-	var stats map[string]any
-	c.do("GET", "/v1/stats", nil, &stats)
-	if n, _ := stats["batch_runs"].(json.Number).Int64(); n < 1 {
-		t.Errorf("stats report %v batch runs, want >= 1", stats["batch_runs"])
 	}
 }
 
@@ -427,11 +334,12 @@ func TestLoadValidation(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedTraffic hammers one server with queries (batched
-// and direct) from many goroutines; run under -race this doubles as the
-// service-layer race test. Every response must match the library result.
+// TestConcurrentMixedTraffic hammers one server with queries from many
+// goroutines, every other one sent with the ignored "batch" field; run
+// under -race this doubles as the service-layer race test. Every
+// response must match the library result.
 func TestConcurrentMixedTraffic(t *testing.T) {
-	s, c := newTestClient(t, Config{BatchWindow: time.Millisecond, PlanCacheSize: 8})
+	s, c := newTestClient(t, Config{PlanCacheSize: 8})
 	c.loadBookstore("shop")
 
 	db := libDB()
@@ -480,6 +388,35 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
+// TestBatchFieldIgnored: a request that sets the old micro-batching
+// field runs alone, as any other: under the strategy it asked for, with
+// batch_size 1 and no batch_outputs.
+func TestBatchFieldIgnored(t *testing.T) {
+	s, c := newTestClient(t, Config{})
+	c.loadBookstore("shop")
+	q := gumbo.MustParse(queryZ)
+	lib, err := s.System().Run(q, libDB(), gumbo.SEQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp map[string]any
+	if code := c.do("POST", "/v1/db/shop/query", map[string]any{"query": queryZ, "strategy": "SEQ", "batch": true}, &resp); code != http.StatusOK {
+		t.Fatalf("status %d: %v", code, resp)
+	}
+	if resp["strategy"] != "SEQ" {
+		t.Errorf("strategy %v, want SEQ", resp["strategy"])
+	}
+	if resp["batch_size"] != json.Number("1") {
+		t.Errorf("batch_size %v, want 1", resp["batch_size"])
+	}
+	if _, ok := resp["batch_outputs"]; ok {
+		t.Errorf("batch_outputs sent: %v", resp["batch_outputs"])
+	}
+	if got, want := canonJSON(t, resp["tuples"]), canonJSON(t, encodeTuples(lib.Relation)); got != want {
+		t.Errorf("tuples %s, want the library's %s", got, want)
+	}
+}
+
 // TestStringTupleOrderIsContentOnly: the wire order of string values
 // must depend on relation contents only, not on process-global intern
 // order (raw Value handles order by interning sequence, so a
@@ -503,49 +440,6 @@ func TestStringTupleOrderIsContentOnly(t *testing.T) {
 	}
 	if got := canonJSON(t, resp.Tuples); got != `[["alpha"],["mid"],["zeta"]]` {
 		t.Fatalf("string tuples not in content order: %s", got)
-	}
-}
-
-// TestBatchingDeduplicatesIdenticalQueries: the hot case — many
-// clients sending the same query text — must be answered by one shared
-// run, not fall back to sequential individual runs.
-func TestBatchingDeduplicatesIdenticalQueries(t *testing.T) {
-	s, c := newTestClient(t, Config{BatchWindow: 500 * time.Millisecond, MaxBatch: 4})
-	c.loadBookstore("shop")
-
-	q := gumbo.MustParse(queryZ)
-	libRes, err := s.System().Run(q, libDB(), s.System().Auto(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonJSON(t, encodeTuples(libRes.Relation))
-
-	var wg sync.WaitGroup
-	resps := make([]queryResponse, 4)
-	for i := range resps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if code := c.do("POST", "/v1/db/shop/query", map[string]any{"query": queryZ, "batch": true}, &resps[i]); code != http.StatusOK {
-				t.Errorf("query %d: status %d", i, code)
-			}
-		}(i)
-	}
-	wg.Wait()
-	shared := 0
-	for i, r := range resps {
-		if got := canonJSON(t, r.Tuples); got != want {
-			t.Errorf("query %d: %s != %s", i, got, want)
-		}
-		if r.BatchSize >= 2 {
-			shared++
-			if len(r.BatchOutputs) != 1 || r.BatchOutputs[0] != "Z" {
-				t.Errorf("query %d: batch_outputs %v, want [Z]", i, r.BatchOutputs)
-			}
-		}
-	}
-	if shared < 2 {
-		t.Fatalf("identical queries were not answered by a shared run (batch sizes %v)", resps)
 	}
 }
 

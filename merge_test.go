@@ -4,34 +4,69 @@ import (
 	"testing"
 )
 
+// TestMergeQueries: a merged program's outputs equal each query's solo
+// Eval, under the reference evaluator, GREEDY-SGF and Auto's pick.
 func TestMergeQueries(t *testing.T) {
-	q1 := MustParse(`Z1 := SELECT x, y FROM R(x, y) WHERE S(x);`)
-	q2 := MustParse(`Z2 := SELECT x, y FROM R(x, y) WHERE T(y);`)
-	merged, err := Merge(q1, q2)
-	if err != nil {
-		t.Fatal(err)
+	// bookstore is R, S and T over pairs, so the queries below can share
+	// the binary atom S(x, y).
+	bookstore := NewDatabase()
+	bookstore.Put(FromTuples("R", 2, []Tuple{{Int(1), Int(2)}, {Int(2), Int(3)}, {Int(4), Int(5)}, {Int(6), Int(7)}}))
+	bookstore.Put(FromTuples("S", 2, []Tuple{{Int(1), Int(2)}, {Int(3), Int(2)}, {Int(5), Int(4)}}))
+	bookstore.Put(FromTuples("T", 2, []Tuple{{Int(1), Int(100)}, {Int(2), Int(200)}, {Int(6), Int(300)}}))
+	cases := []struct {
+		name    string
+		db      *Database
+		queries []string
+	}{
+		{"two guards", apiDB(), []string{
+			`Z1 := SELECT x, y FROM R(x, y) WHERE S(x);`,
+			`Z2 := SELECT x, y FROM R(x, y) WHERE T(y);`,
+		}},
+		{"four overlapping", bookstore, []string{
+			`Z1 := SELECT x, y FROM R(x, y) WHERE S(x, y) AND T(x, z);`,
+			`Z2 := SELECT x FROM R(x, y) WHERE S(x, y);`,
+			`Z3 := SELECT y FROM R(x, y) WHERE T(x, z);`,
+			`Z4 := SELECT x, y FROM R(x, y) WHERE S(y, x);`,
+		}},
 	}
-	if merged.Subqueries() != 2 {
-		t.Errorf("subqueries = %d", merged.Subqueries())
-	}
-	db := apiDB()
-	out, err := EvalAll(merged, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, _ := Eval(q1, db)
-	w2, _ := Eval(q2, db)
-	if !out.Relation("Z1").Equal(w1) || !out.Relation("Z2").Equal(w2) {
-		t.Error("merged evaluation deviates from separate evaluation")
-	}
-	// MR evaluation of the merged program, with sharing.
 	sys := New()
-	res, err := sys.Run(merged, db, GreedySGF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Outputs.Relation("Z1").Equal(w1) || !res.Outputs.Relation("Z2").Equal(w2) {
-		t.Error("merged MR evaluation wrong")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			qs := make([]*Query, len(tc.queries))
+			for i, src := range tc.queries {
+				qs[i] = MustParse(src)
+			}
+			merged, err := Merge(qs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if merged.Subqueries() != len(qs) {
+				t.Errorf("subqueries = %d, want %d", merged.Subqueries(), len(qs))
+			}
+			out, err := EvalAll(merged, tc.db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := map[string]*Database{"EvalAll": out}
+			for _, strat := range []Strategy{GreedySGF, sys.Auto(merged)} {
+				res, err := sys.Run(merged, tc.db, strat)
+				if err != nil {
+					t.Fatalf("%s: %v", strat, err)
+				}
+				runs[string(strat)] = res.Outputs
+			}
+			for _, q := range qs {
+				want, err := Eval(q, tc.db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for by, got := range runs {
+					if !got.Relation(q.Name()).Equal(want) {
+						t.Errorf("%s: merged %s deviates from its solo Eval", by, q.Name())
+					}
+				}
+			}
+		})
 	}
 }
 
