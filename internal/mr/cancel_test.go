@@ -246,15 +246,35 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// earlyStopProgram is one job predicted to have one reducer that does
+// not: the identity over R2, whose base input fits one reducer's
+// allocation, with records that model 100 bytes each, which pass it in
+// the second of the input's six or so splits. Its one-reducer task stops
+// there and the job goes staged, every split mapped again.
+func earlyStopProgram() (*Program, *relation.Database, cost.Config) {
+	_, db := diamondProgram()
+	job := identityJob("early", "R2", "E", 2)
+	job.Mapper = MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
+		var kb [32]byte
+		emit.Emit(t.AppendKey(kb[:0]), tagInt, 100, nil)
+	})
+	inputMB := mbOf(db.Relation("R2").Bytes())
+	c := cost.Default()
+	c.SplitMB, c.ReducerDataMB = inputMB/6, 1.5*inputMB
+	return &Program{Jobs: []*Job{job}}, db, c
+}
+
 // TestProgressCounters checks the task record's three folds, in both
-// shapes of the diamond program's jobs. After an uncanceled run every
-// stage's done count equals its total and the totals agree with the
-// run's own stats (map tasks — a one-reducer task's mapping counted as
-// the splits it mapped — reduce tasks, one merge shard per declared
-// output, one job per job). Shuffle tasks are one per map task when the
-// jobs run staged (FaultHooks.Staged, or spilling) and none when, as
-// here by default, every job has one reducer and its reduce task maps
-// its splits. The
+// shapes of the diamond program's jobs and on a job that stops early
+// (earlyStopProgram). After an uncanceled run every stage's done count
+// equals its total and the totals agree with the run's own stats and
+// what FaultHooks.Inline saw (map tasks — the splits a one-reducer task
+// mapped plus the map tasks, a fallback's re-maps included — reduce
+// tasks, one merge shard per declared output, one job per job). Shuffle
+// tasks are one per map task of a job that runs staged
+// (FaultHooks.Staged, spilling, or past one reducer) and none when, as
+// in the diamond by default, every job has one reducer and its reduce
+// task maps its splits. The
 // JobTimings Run returns and CriticalPath().Work sum the same spans, so
 // they agree exactly; and the span lies within the work. A canceled run
 // returns nil stats and nil timings, while its record still counts what
@@ -268,42 +288,67 @@ func TestProgressCounters(t *testing.T) {
 	if snap, cp := idle.Snapshot(), idle.CriticalPath(); snap != (ProgressSnapshot{}) || cp != (CriticalPath{}) {
 		t.Errorf("unused Progress reports %+v, %+v", snap, cp)
 	}
-	wantMaps := 0
-	for _, staged := range []bool{false, true} {
-		restore := SetFaultHooks(FaultHooks{Staged: staged})
+	early, earlyDB, earlyCost := earlyStopProgram()
+	earlyEngine := newTestEngine(earlyCost)
+	earlyEngine.cfg.Workers = 4
+	diamondMaps := 0
+	for _, run := range []struct {
+		name   string
+		p      *Program
+		db     *relation.Database
+		e      *Engine
+		staged bool
+	}{
+		{"diamond", p, db, e, false},
+		{"diamond staged", p, db, e, true},
+		{"early stop", early, earlyDB, earlyEngine, false},
+	} {
+		inline := make([]atomic.Int64, len(run.p.Jobs)) // per job, the splits its one-reducer task mapped
+		restore := SetFaultHooks(FaultHooks{Staged: run.staged, Inline: func(job int, _ InlineSplit) { inline[job].Add(1) }})
 		var prog Progress
-		_, stats, timings, err := e.Run(context.Background(), p, db, RunOptions{Progress: &prog})
+		_, stats, timings, err := run.e.Run(context.Background(), run.p, run.db, RunOptions{Progress: &prog})
 		restore()
 		if err != nil {
 			t.Fatalf("observed run failed: %v", err)
 		}
 		snap := prog.Snapshot()
-		wantReds, wantMerges := 0, 0
-		wantMaps = 0
+		wantMaps, wantShuffles, wantReds, wantMerges := 0, 0, 0, 0
 		for i, st := range stats {
+			// A one-reducer task counts as the splits it mapped, and the
+			// map tasks of its fallback count on top; a spilling run runs
+			// every job staged.
 			wantMaps += st.MapTasks
+			if run.staged || run.e.cfg.SpillThreshold > 0 || st.Reducers > 1 {
+				wantMaps += int(inline[i].Load())
+				wantShuffles += st.MapTasks
+			}
 			wantReds += st.ReduceTasks
-			wantMerges += len(p.Jobs[i].Outputs)
+			wantMerges += len(run.p.Jobs[i].Outputs)
 		}
-		wantShuffles := 0
-		if staged || e.cfg.SpillThreshold > 0 { // a spilling run runs every job staged
-			wantShuffles = wantMaps
+		if run.p == p {
+			diamondMaps = wantMaps
+		}
+		if run.p == early && run.e.cfg.SpillThreshold <= 0 {
+			if n := int(inline[0].Load()); n == 0 || n >= stats[0].MapTasks || stats[0].Reducers == 1 {
+				t.Errorf("the early-stop job mapped %d of its %d splits inline and has %d reducers: it did not stop early",
+					n, stats[0].MapTasks, stats[0].Reducers)
+			}
 		}
 		if snap.MapTasksDone != wantMaps || snap.MapTasksTotal != wantMaps {
-			t.Errorf("staged %v: map counters %d/%d, want %d/%d", staged, snap.MapTasksDone, snap.MapTasksTotal, wantMaps, wantMaps)
+			t.Errorf("%s: map counters %d/%d, want %d/%d", run.name, snap.MapTasksDone, snap.MapTasksTotal, wantMaps, wantMaps)
 		}
 		if snap.ShuffleTasksDone != wantShuffles || snap.ShuffleTasksTotal != wantShuffles {
-			t.Errorf("staged %v: shuffle counters %d/%d, want %d/%d",
-				staged, snap.ShuffleTasksDone, snap.ShuffleTasksTotal, wantShuffles, wantShuffles)
+			t.Errorf("%s: shuffle counters %d/%d, want %d/%d",
+				run.name, snap.ShuffleTasksDone, snap.ShuffleTasksTotal, wantShuffles, wantShuffles)
 		}
 		if snap.ReduceTasksDone != wantReds || snap.ReduceTasksTotal != wantReds {
-			t.Errorf("staged %v: reduce counters %d/%d, want %d/%d", staged, snap.ReduceTasksDone, snap.ReduceTasksTotal, wantReds, wantReds)
+			t.Errorf("%s: reduce counters %d/%d, want %d/%d", run.name, snap.ReduceTasksDone, snap.ReduceTasksTotal, wantReds, wantReds)
 		}
 		if snap.MergeShardsDone != wantMerges || snap.MergeShardsTotal != wantMerges {
-			t.Errorf("staged %v: merge counters %d/%d, want %d/%d", staged, snap.MergeShardsDone, snap.MergeShardsTotal, wantMerges, wantMerges)
+			t.Errorf("%s: merge counters %d/%d, want %d/%d", run.name, snap.MergeShardsDone, snap.MergeShardsTotal, wantMerges, wantMerges)
 		}
-		if snap.JobsDone != len(p.Jobs) || snap.JobsTotal != len(p.Jobs) {
-			t.Errorf("staged %v: job counters %d/%d, want %d/%d", staged, snap.JobsDone, snap.JobsTotal, len(p.Jobs), len(p.Jobs))
+		if snap.JobsDone != len(run.p.Jobs) || snap.JobsTotal != len(run.p.Jobs) {
+			t.Errorf("%s: job counters %d/%d, want %d/%d", run.name, snap.JobsDone, snap.JobsTotal, len(run.p.Jobs), len(run.p.Jobs))
 		}
 		var work float64
 		for i, tm := range timings {
@@ -317,10 +362,10 @@ func TestProgressCounters(t *testing.T) {
 		}
 		cp := prog.CriticalPath()
 		if cp.Work != work {
-			t.Errorf("staged %v: CriticalPath().Work = %v, Σ JobTiming.TotalSeconds() = %v: two sums of one record", staged, cp.Work, work)
+			t.Errorf("%s: CriticalPath().Work = %v, Σ JobTiming.TotalSeconds() = %v: two sums of one record", run.name, cp.Work, work)
 		}
 		if cp.Seconds <= 0 || cp.Seconds > cp.Work*(1+1e-9) {
-			t.Errorf("staged %v: span %v s outside (0, work %v s]", staged, cp.Seconds, cp.Work)
+			t.Errorf("%s: span %v s outside (0, work %v s]", run.name, cp.Seconds, cp.Work)
 		}
 	}
 
@@ -329,7 +374,7 @@ func TestProgressCounters(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	restore := SetFaultHooks(FaultHooks{Grant: func(_ context.Context, n int) {
-		if n == wantMaps/2 {
+		if n == diamondMaps/2 {
 			cancel()
 		}
 	}})

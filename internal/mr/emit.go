@@ -24,12 +24,14 @@ const (
 // key, opening the next chunk of the ladder when the current one cannot
 // hold it. See Emitter for the ownership and accounting rules.
 //
-// In a one-reducer task (grouped set) the record is also entered as the
+// In a one-reducer task (grouped set) the record is entered as the
 // reduce task's gather would enter it: appended to the task's record
 // array with its key group, the key found or made in the task's key set,
-// which spans every split the task holds. A key is then charged with its
-// first record in the split when the job packs, as a map task's own key
-// set charges it: stamps holds, at the index of a key group's first
+// which spans every split the task holds. That array entry is the
+// record's only header: the arena gets its key and payload bytes and
+// nothing else, and nothing ever decodes it. A key is then charged with
+// its first record in the split when the job packs, as a map task's own
+// key set charges it: stamps holds, at the index of a key group's first
 // record, the last split that emitted under the key.
 func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	size += keyBytes(key) // the one place a record's modelled size is fixed
@@ -49,8 +51,10 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	}
 	e.records++
 	e.bytes += size
-	need := uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) +
-		1 + len(key) + len(payload)
+	need := len(key) + len(payload)
+	if e.grouped == nil {
+		need += uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) + 1
+	}
 	last := len(e.chunks) - 1
 	if last < e.base || need > cap(e.chunks[last])-len(e.chunks[last]) {
 		next := arenaChunk
@@ -61,10 +65,12 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 		last++
 	}
 	b := e.chunks[last]
-	b = binary.AppendUvarint(b, uint64(len(key)))
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	b = binary.AppendUvarint(b, uint64(size))
-	b = append(b, tag)
+	if e.grouped == nil {
+		b = binary.AppendUvarint(b, uint64(len(key)))
+		b = binary.AppendUvarint(b, uint64(len(payload)))
+		b = binary.AppendUvarint(b, uint64(size))
+		b = append(b, tag)
+	}
 	off := uint32(len(b))
 	if made {
 		loc.src, loc.off, loc.klen = uint32(last), off, uint32(len(key))

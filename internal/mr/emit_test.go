@@ -19,6 +19,36 @@ func recLen(klen, plen int, size int64) int {
 	return len(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, uint64(klen)), uint64(plen)), uint64(size))) + 1 + klen + plen
 }
 
+// ladderCharge is what an arena is charged for records of the given
+// encoded lengths, in emit order: Emit's chunk ladder replayed.
+func ladderCharge(needs []int) int64 {
+	var charged int64
+	left, chunks := 0, 0
+	for _, need := range needs {
+		if chunks == 0 || need > left {
+			size := max(ladderSize(chunks), need)
+			charged += int64(size)
+			left = size
+			chunks++
+		}
+		left -= need
+	}
+	return charged
+}
+
+// Charges returns what the split's arena is charged in its one-reducer
+// task, which writes key and payload bytes alone (bare), and as a map
+// task's arena, which writes each record's header ahead of them
+// (headed): the ladder replayed over the records' lengths in each form.
+func (s InlineSplit) Charges() (bare, headed int64) {
+	b, h := make([]int, len(s)), make([]int, len(s))
+	for i, r := range s {
+		b[i] = int(r.klen + r.plen)
+		h[i] = recLen(int(r.klen), int(r.plen), r.size)
+	}
+	return ladderCharge(b), ladderCharge(h)
+}
+
 // TestArenaLadder walks the arena's edges: for every emit sequence all
 // stored keys, payloads, tags and sizes read back through the record
 // decoder, chunk i has its ladder size (or exactly the size of the
@@ -132,6 +162,72 @@ func TestArenaIsolation(t *testing.T) {
 		}
 		if want := keyBytes(k) + 8; set.recs[i].size != want {
 			t.Errorf("record %d: size %d, want %d", i, set.recs[i].size, want)
+		}
+	}
+}
+
+// TestGroupedEmit holds a one-reducer task's Emit, which writes no record
+// header, to its record array: over splits of small, repeated, empty and
+// oversize records, packing on and off, every record's (src, off, klen,
+// plen) reads back exactly the key and payload emitted, with its tag;
+// each split's arena holds exactly Σ(len(key)+len(payload)) bytes; and
+// the budget was charged the ladder over those lengths (ladderCharge).
+func TestGroupedEmit(t *testing.T) {
+	type rec struct {
+		key, payload []byte
+		tag          byte
+	}
+	content := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	var small, mixed, fill []rec
+	for i := 0; i < 500; i++ {
+		small = append(small, rec{[]byte(fmt.Sprint("k", i%37)), content(i%9, byte(i)), byte(i)})
+	}
+	mixed = []rec{{nil, nil, 1}, {[]byte("k1"), content(arenaChunk+5, 2), 2}, {nil, content(3, 3), 3},
+		{[]byte("k1"), nil, 4}, {content(arenaChunk, 5), content(1, 5), 5}, {[]byte("k2"), content(7, 6), 6}}
+	for i := 0; i < 3; i++ { // each fills its rung to the last byte
+		fill = append(fill, rec{[]byte{byte(i)}, content(ladderSize(i)-1, byte(i)), byte(i)})
+	}
+	splits := [][]rec{small, nil, mixed, fill, small}
+	for _, pack := range []bool{false, true} {
+		budget := NewBudget(0)
+		var sc taskScratch
+		ks := sc.keySet(4, false)
+		var recs []record
+		var bufs [][]byte
+		var stamps []int32
+		var want []rec
+		for si, split := range splits {
+			em := Emitter{chunks: bufs, base: len(bufs), budget: budget, keys: ks,
+				grouped: &recs, stamps: stamps, split: int32(si), pack: pack}
+			before := budget.Stats().ChargedBytes
+			needs := make([]int, len(split))
+			total := 0
+			for i, r := range split {
+				em.Emit(r.key, r.tag, 8, r.payload)
+				needs[i] = len(r.key) + len(r.payload)
+				total += needs[i]
+			}
+			held := 0
+			for _, b := range em.chunks[em.base:] {
+				held += len(b)
+			}
+			if held != total {
+				t.Errorf("pack %v split %d: arena holds %d bytes, want Σ(key+payload) = %d", pack, si, held, total)
+			}
+			if got, want := budget.Stats().ChargedBytes-before, ladderCharge(needs); got != want {
+				t.Errorf("pack %v split %d: charged %d bytes, the ladder over its records wants %d", pack, si, got, want)
+			}
+			bufs, stamps = em.chunks, em.stamps
+			want = append(want, split...)
+		}
+		if len(recs) != len(want) {
+			t.Fatalf("pack %v: %d records in the array, want %d", pack, len(recs), len(want))
+		}
+		set := recordSet{bufs: bufs, recs: recs}
+		for i, r := range want {
+			if !bytes.Equal(set.key(i), r.key) || !bytes.Equal(set.payload(i), r.payload) || recs[i].tag != r.tag {
+				t.Fatalf("pack %v: record %d does not read back", pack, i)
+			}
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 
 // record is one shuffle record — one message under one key — as the
 // reduce task holds it once decoded (readRecord; on the map side and in
-// the shuffle a record is its wire bytes and nothing else): a
+// the shuffle a record is its wire bytes and nothing else), or as Emit
+// enters it in a one-reducer task, where it is the record's only header
+// and the arena holds the key and payload bytes alone: a
 // pointer-free reference to the key and payload bytes, stored adjacent
 // (key first) in buffer src of the record's recordSet, plus the payload's
 // type tag and the record's modelled size in bytes (key + payload), fixed

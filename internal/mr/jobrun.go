@@ -30,12 +30,13 @@ import (
 // are done, one reduce task (reduceInline) takes the job's splits in
 // declared (part, task) order, gathering an early task's arena through
 // the key set and mapping every other split itself, Emit entering each
-// record straight into the task's key set and record array; the grouped
-// set then goes the staged reduce task's way (cut, pieces, merges). Its
-// per-split results are a map task's, so stats fold as mapsDone folds
-// them, and when r turns out not to be 1 — at the end, or once the bytes
-// mapped so far pass one reducer's allocation — the job continues staged
-// from those results, the splits not yet mapped spawning as map tasks.
+// record straight into the task's key set and record array, which is the
+// record's only header; the grouped set then goes the staged reduce
+// task's way (cut, pieces, merges). Its per-split results are a map
+// task's, so stats fold as mapsDone folds them, and once the bytes so
+// far pass one reducer's allocation — r is then not 1 — the job goes
+// staged: every split the task maps spawns as a map task, those it has
+// mapped included, since their arenas hold no record headers.
 //
 // Each input's map tasks are spawned independently the moment that
 // input relation exists (inputReady), which is what lets the program
@@ -318,17 +319,21 @@ func (jr *jobRun) spawnShuffles(c *poolCtx) {
 
 // foldMaps folds the per-split results in declared part/task order —
 // float accumulation order is part of the bit-for-bit contract — and
-// derives the reducer count.
+// derives the reducer count. It assigns each part's sums, so folding
+// again — after a one-reducer task's walk has folded as it went, and its
+// fallback has re-mapped the splits — folds afresh.
 func (jr *jobRun) foldMaps() {
 	total := 0
 	for part := range jr.tasks {
-		p := &jr.stats.Parts[part]
+		var interMB float64
+		var records int64
 		for ti := range jr.tasks[part] {
 			res := &jr.results[part][ti]
-			p.InterMB += mbOf(res.bytes) * jr.inflate
-			p.Records += res.records
+			interMB += mbOf(res.bytes) * jr.inflate
+			records += res.records
 			total++
 		}
+		jr.stats.Parts[part].InterMB, jr.stats.Parts[part].Records = interMB, records
 	}
 	jr.stats.MapTasks = total
 	jr.reducers = jr.computeReducers()
@@ -341,13 +346,15 @@ func (jr *jobRun) foldMaps() {
 // early task's messages, a tuple per split it maps — and walks the
 // job's splits in declared (part, task) order: an early map task's arena
 // is gathered through appendTo, any other split is mapped into the
-// task's own record set (Emit), its result kept as a map task would keep
-// it. When the bytes so far pass one reducer's allocation, or the folded
-// count is not 1 after the last split, the job goes on staged from those
-// results (fallBack). Otherwise the task hands the set on to its next
-// phase, which groups and reduces it as a staged reduce task does its
-// gather. The walk is the map task of the record, counted as the splits
-// it mapped; the next phase is the job's one reduce task (poolCtx.then).
+// task's own record set (Emit, which writes no record header there),
+// its result kept as a map task would keep it. After each split the
+// walk folds the split's bytes into its part's InterMB in foldMaps' own
+// order, so its running r is foldMaps' r over the splits so far, and
+// once that passes 1 the job goes staged (fallBack); after the last
+// split, then, r is 1. The task hands the set on to its next phase,
+// which groups and reduces it as a staged reduce task does its gather.
+// The walk is the map task of the record, counted as the splits it
+// mapped; the next phase is the job's one reduce task (poolCtx.then).
 func (jr *jobRun) reduceInline(c *poolCtx) {
 	sc := c.scratch
 	n, bufs := 0, 0
@@ -375,36 +382,34 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 				made := len(ks.locs)
 				tp := taskPartition{segs: make([]segment, 1), loads: make([]int64, 1)}
 				tp.fromArena(res)
-				kept, err := tp.appendTo(&set, ks, 0, jr.gov.budget)
-				if err != nil {
+				if _, err := tp.appendTo(&set, ks, 0, jr.gov.budget); err != nil {
 					panic(taskAbort{err: err})
 				}
 				stamps = cover(stamps, len(set.recs))
 				for _, l := range ks.locs[made:] {
 					stamps[l.first] = -1 // charged in no split the task maps
 				}
-				load += kept
-				continue
+			} else {
+				from := len(set.recs)
+				em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
+					grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
+				jr.mapped(part, ti, em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1))
+				set.bufs, stamps = em.chunks, em.stamps
+				split++
+				c.countAs(int(split))
+				if h := c.pool.hooks; h != nil && h.Inline != nil {
+					h.Inline(jr.idx, InlineSplit(set.recs[from:]))
+				}
 			}
-			em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
-				grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
-			jr.mapped(part, ti, em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1))
-			set.bufs, stamps = em.chunks, em.stamps
-			split++
-			c.countAs(int(split))
 			load += res.bytes
-			if jr.e.cfg.Cost.Reducers(mbOf(load)*jr.inflate) != 1 {
-				jr.fallBack(c, part, ti)
+			jr.stats.Parts[part].InterMB += mbOf(res.bytes) * jr.inflate
+			if jr.computeReducers() != 1 {
+				jr.fallBack(c)
 				return
 			}
 		}
 	}
 	jr.foldMaps()
-	if jr.reducers != 1 {
-		jr.one = false
-		jr.spawnShuffles(c)
-		return
-	}
 	jr.results = nil // the record set holds the arenas now
 	jr.reduceStage()
 	k := jr.ways(load, int64(len(set.recs)), float64(load))
@@ -417,31 +422,26 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 	})
 }
 
-// fallBack puts a one-reducer job on the staged path once its task has
-// mapped through split ti of part: every inline split after that spawns
-// as an ordinary map task, and the last map to finish — this task, when
-// none is left — runs mapsDone over the results.
-func (jr *jobRun) fallBack(c *poolCtx, part, ti int) {
+// fallBack puts a one-reducer job on the staged path: every split its
+// task maps spawns as an ordinary map task, those it has mapped already
+// included — their header-less arenas are dropped unread, and the
+// mapper, being deterministic, emits the same records again — and the
+// last map task to finish runs mapsDone, whose fold replaces the walk's.
+func (jr *jobRun) fallBack(c *poolCtx) {
 	jr.one = false
-	type split struct{ part, ti int }
-	var rest []split
-	for p := part; p < len(jr.tasks); p++ {
-		if !jr.inline[p] {
+	jr.left = 0
+	for part := range jr.tasks {
+		if jr.inline[part] {
+			jr.left += len(jr.tasks[part])
+		}
+	}
+	for part := range jr.tasks {
+		if !jr.inline[part] {
 			continue
 		}
-		for t := range jr.tasks[p] {
-			if p > part || t > ti {
-				rest = append(rest, split{p, t})
-			}
+		for ti := range jr.tasks[part] {
+			c.spawn(jr.label(kindMap, part, ti), func(c *poolCtx) { jr.mapTask(c, part, ti) })
 		}
-	}
-	jr.left = len(rest)
-	if len(rest) == 0 {
-		jr.mapsDone(c)
-		return
-	}
-	for _, s := range rest {
-		c.spawn(jr.label(kindMap, s.part, s.ti), func(c *poolCtx) { jr.mapTask(c, s.part, s.ti) })
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	gumbo "repro"
@@ -32,10 +33,12 @@ type shapeRun struct {
 }
 
 // runShape runs plan on sys, every job staged (mr.FaultHooks.Staged) or
-// in the shape the engine picks for it.
-func runShape(t *testing.T, sys *gumbo.System, plan *gumbo.Plan, db *gumbo.Database, staged bool) shapeRun {
+// in the shape the engine picks for it, with inline, when non-nil, seeing
+// every split a one-reducer task maps (mr.FaultHooks.Inline).
+func runShape(t *testing.T, sys *gumbo.System, plan *gumbo.Plan, db *gumbo.Database, staged bool,
+	inline func(job int, split mr.InlineSplit)) shapeRun {
 	t.Helper()
-	defer mr.SetFaultHooks(mr.FaultHooks{Staged: staged})()
+	defer mr.SetFaultHooks(mr.FaultHooks{Staged: staged, Inline: inline})()
 	var rec gumbo.Progress
 	res, err := sys.RunPlanCtx(context.Background(), plan, db, gumbo.RunOptions{Progress: &rec})
 	if err != nil {
@@ -78,7 +81,13 @@ func producedOnly(st gumbo.JobStats, db *gumbo.Database) bool {
 // TestOneReducerMatchesStaged holds the one-reducer job shape — no
 // shuffle, the reduce task mapping the splits into its own key set — to
 // the staged one (mr.FaultHooks.Staged): outputs equal tuple for tuple,
-// JobStats, MemStats and Metrics deep-equal. It runs, at widths 1 and 4,
+// JobStats and Metrics deep-equal, and MemStats equal but for the bytes
+// the two shapes' arenas are charged, which are derived from the
+// records: a split the one-reducer task maps is charged the chunk
+// ladder over its key and payload bytes (it writes no header) in place
+// of the staged map task's ladder over its headed records — and on top
+// of it when the job falls back, since the fallback maps the split again
+// as that map task (mr.InlineSplit.Charges). It runs, at widths 1 and 4,
 // with skew splitting off and at 0.5 (which cuts a lone reducer's
 // partition after its gather):
 //
@@ -90,7 +99,7 @@ func producedOnly(st gumbo.JobStats, db *gumbo.Database) bool {
 //     allocation the guard jobs' inputs already pass, so they run
 //     staged, while the union or filter job — which reads only produced
 //     relations and is predicted to have one reducer — passes it part
-//     way through its splits and goes on staged from there.
+//     way through its splits and goes staged, every split mapped again.
 //
 // It also asserts that each of those shapes occurred.
 func TestOneReducerMatchesStaged(t *testing.T) {
@@ -118,6 +127,7 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 	}
 
 	var oneReducer, producedOne, cutOne, stoppedEarly int
+	var fallbackBytes int64 // charged by the tight suites' fallbacks for splits mapped twice
 	for _, s := range suites {
 		q := gumbo.MustParse(s.src)
 		for _, width := range []int{1, 4} {
@@ -129,15 +139,35 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 						continue // the strategy does not apply
 					}
 					name := fmt.Sprintf("%s %s width %d split %v", s.name, strat, width, split)
-					staged, one := runShape(t, sys, plan, s.db, true), runShape(t, sys, plan, s.db, false)
+					var mu sync.Mutex
+					bare, headed := map[int]int64{}, map[int]int64{} // per job, over the splits mapped inline
+					mapped := map[int]int{}                          // per job, the splits mapped inline
+					staged := runShape(t, sys, plan, s.db, true, nil)
+					one := runShape(t, sys, plan, s.db, false, func(job int, split mr.InlineSplit) {
+						b, h := split.Charges()
+						mu.Lock()
+						bare[job] += b
+						headed[job] += h
+						mapped[job]++
+						mu.Unlock()
+					})
+					want := staged.res.Mem
+					for job, b := range bare {
+						want.ChargedBytes += b
+						if one.res.JobStats[job].Reducers == 1 {
+							want.ChargedBytes -= headed[job]
+						} else if s.scale == tight {
+							fallbackBytes += b
+						}
+					}
 					if err := sameOutputs(staged.res.Outputs, one.res.Outputs); err != nil {
 						t.Errorf("%s: one-reducer outputs differ from staged: %v", name, err)
 					}
 					if !reflect.DeepEqual(staged.res.JobStats, one.res.JobStats) {
 						t.Errorf("%s: JobStats differ:\nstaged %+v\n   one %+v", name, staged.res.JobStats, one.res.JobStats)
 					}
-					if staged.res.Mem != one.res.Mem {
-						t.Errorf("%s: MemStats differ: staged %+v, one %+v", name, staged.res.Mem, one.res.Mem)
+					if one.res.Mem != want {
+						t.Errorf("%s: MemStats %+v, want %+v (staged %+v)", name, one.res.Mem, want, staged.res.Mem)
 					}
 					if !reflect.DeepEqual(staged.res.Metrics, one.res.Metrics) {
 						t.Errorf("%s: Metrics differ: staged %+v, one %+v", name, staged.res.Metrics, one.res.Metrics)
@@ -148,24 +178,23 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 					if one.snap.ShuffleTasksTotal == 0 {
 						oneReducer++
 					}
-					for _, st := range one.res.JobStats {
+					for job, st := range one.res.JobStats {
 						po := producedOnly(st, s.db)
 						switch {
 						case st.Reducers == 1 && po && one.snap.ShuffleTasksTotal == 0:
 							producedOne++
 						case st.Reducers == 1 && st.SplitReduceTasks > 0 && one.snap.ShuffleTasksTotal == 0:
 							cutOne++
-						case st.Reducers > 1 && po && st.MapTasks > 1 &&
-							st.InterMB()*float64(st.MapTasks-1)/float64(st.MapTasks) > gumbo.DefaultCostConfig().ReducerDataMB*tight:
-							stoppedEarly++
+						case st.Reducers > 1 && po && mapped[job] > 0 && mapped[job] < st.MapTasks:
+							stoppedEarly++ // fell back before its last split
 						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d runs all one-reducer, %d produced-only one-reducer jobs, %d cut at r = 1, %d stopped early",
-		oneReducer, producedOne, cutOne, stoppedEarly)
+	t.Logf("%d runs all one-reducer, %d produced-only one-reducer jobs, %d cut at r = 1, %d stopped early (%d bytes charged for splits mapped twice)",
+		oneReducer, producedOne, cutOne, stoppedEarly, fallbackBytes)
 	if oneReducer == 0 || producedOne == 0 || cutOne == 0 || stoppedEarly == 0 {
 		t.Errorf("a shape the test must cover did not occur")
 	}

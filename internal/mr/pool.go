@@ -231,7 +231,17 @@ type FaultHooks struct {
 	// and reduce are tasks of their own. The one-reducer differential
 	// tests hold the two shapes to each other with it.
 	Staged bool
+	// Inline, when non-nil, is called as a one-reducer task finishes
+	// mapping a split, with the job's index in its program and the
+	// split's records in emit order, valid during the call only. The
+	// one-reducer differential test derives the task's arena charges
+	// from them.
+	Inline func(job int, split InlineSplit)
 }
+
+// InlineSplit is the records one split of a one-reducer task emitted,
+// as FaultHooks.Inline sees them.
+type InlineSplit []record
 
 // poolHooks holds the installed fault seam; nil means uninstrumented
 // (the production state). An atomic pointer so installing hooks in a

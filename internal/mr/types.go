@@ -21,11 +21,14 @@ import (
 
 // Emitter is the map-side output sink, one per map task (and per input
 // Sample maps). Emit writes each record straight into the task's
-// grow-only byte arena in the shuffle wire form (spill.go: lengths, modelled size, tag, key,
-// payload) — the form the shuffle task copies into a reducer's segment
-// and the reduce task decodes — so a map task's output is its chunks and
-// three counters, and no per-record object exists before the reduce
-// task's gather. A mapper builds key and payload in reused stack buffers
+// grow-only byte arena in the shuffle wire form (spill.go: lengths,
+// modelled size, tag, key, payload) — the form the shuffle task copies
+// into a reducer's segment and the reduce task decodes — so a map task's
+// output is its chunks and three counters, and no per-record object
+// exists before the reduce task's gather. In a one-reducer task Emit
+// also writes the record array the task reduces, and the arena gets key
+// and payload bytes alone: the array entry holds what the header would.
+// A mapper builds key and payload in reused stack buffers
 // (Tuple.AppendKey / sgf.Projector.AppendKey for keys, the typed
 // encoders of internal/core for payloads) and emitting allocates nothing
 // per record. The method is concrete — no interface value, no function

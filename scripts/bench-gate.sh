@@ -29,6 +29,9 @@
 # Then nested-sgf 23.76 and skew-spill 17.61, when reduce tasks came to
 # append output facts unindexed and the output merge to be the one place
 # they are hashed: that change's ten-pair medians (21.60 / 16.01) × 1.10.
+# Then serve-hot 0.3041 and serve-churn 1.240, when a one-reducer task
+# came to write no record headers into its arenas: that change's
+# ten-pair medians (0.2765 / 1.127) × 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
