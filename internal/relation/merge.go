@@ -57,18 +57,18 @@ func (b *Rows) Tuple(i int) Tuple {
 // Merge consumes its buffers: the result may own one's slab, whose rows
 // it has moved, so the caller must not read or append to the buffers
 // afterwards. The result itself is an ordinary relation and may be
-// added to.
+// added to; its first Add rebuilds the index.
 //
-// Duplicates reach the merge, so the storage it sized for its input can
+// Duplicates reach the merge, so the slab it sized for its input can
 // far exceed what the kept rows need. The benchmark's merges keep
 // 84–100 % of their rows where r > 1 (nested-sgf, skew-spill) and
 // 31–100 % on the serving workloads, whose merges are all one buffer;
 // serving text S4's output, 1 584 tuples of 5 042 appended, is the one
 // under half. Whenever the slab's capacity would be more than twice its
-// rows, Merge copies them to a tight slab, and whenever the index would
-// be more than twice the length its rows need, it rebuilds the index at
-// that length, so a merged relation never retains more than twice the
-// storage its rows need.
+// rows, Merge copies them to a tight slab. The dedup's index is dropped
+// before Merge returns: a job's output is scanned by the jobs that read
+// it, never probed, so a merged relation retains its values only, in
+// at most twice the storage they need.
 //
 // Nil and empty buffers are skipped; non-empty buffers of a different
 // arity panic, as Add would.
@@ -100,9 +100,6 @@ func Merge(name string, arity int, bufs []*Rows) *Relation {
 	out.dedup()
 	if cap(out.vals) > 2*len(out.vals) {
 		out.vals = slices.Clone(out.vals)
-	}
-	if slots := indexSlots(out.Size()); len(out.idx) > 2*slots {
-		out.reindex(slots)
 	}
 	return out
 }

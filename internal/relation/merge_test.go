@@ -70,15 +70,14 @@ func sameOrdered(a, b *Relation) error {
 	return nil
 }
 
-// tight checks Merge's storage bound: the slab's capacity is at most
-// twice its rows, and the index — at load ≤ 3/4, every row indexed
-// once (agree) — at most twice the length those rows need.
+// tight checks Merge's storage bound: no index is retained, and the
+// slab's capacity is at most twice its rows.
 func tight(r *Relation) error {
+	if idx := r.loadIndex(); idx != nil {
+		return fmt.Errorf("index of %d slots retained", len(idx))
+	}
 	if c, n := cap(r.vals), len(r.vals); c > 2*n {
 		return fmt.Errorf("slab capacity %d for %d values", c, n)
-	}
-	if n, need := len(r.idx), indexSlots(r.Size()); n > 2*need {
-		return fmt.Errorf("index of %d slots for %d rows, which need %d", n, r.Size(), need)
 	}
 	return nil
 }
@@ -128,10 +127,10 @@ func TestMergeMatchesSerialAdd(t *testing.T) {
 			if err := sameOrdered(got, want); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if err := agree(got, modelOf(want)); err != nil {
+			if err := tight(got); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if err := tight(got); err != nil {
+			if err := agree(got, modelOf(want)); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // BytesPerField is the assumed serialized size of one tuple field, chosen
@@ -23,17 +24,25 @@ var maxRows = 1<<31 - 2
 // semantics: Add ignores duplicates. Iteration order is insertion order,
 // which keeps runs deterministic.
 //
-// Storage is two pointer-free arrays and nothing per tuple: vals holds
-// the rows back to back in insertion order, and idx is an
+// Storage is one pointer-free array and nothing per tuple: vals holds
+// the rows back to back in insertion order. The slab is append-only and
+// growing it copies, so a Tuple view handed out once stays valid for
+// good. Beside it, while the relation is built or probed, sits idx: an
 // open-addressing, linear-probing hash table over the rows' values that
 // stores row ids (a hit is confirmed against the slab; there is no key
-// string and no map). The slab is append-only and growing it copies, so
-// a Tuple view handed out once stays valid for good.
+// string and no map). The index is a cache. Database.Put drops it, since
+// a published relation is only scanned, and the first Add, AddAll, Grow
+// or Contains that needs it rebuilds it from the slab.
 type Relation struct {
 	name  string
 	arity int
 	vals  []Value // row i is vals[i*arity : (i+1)*arity]
-	idx   []int32 // row id + 1, 0 = empty; length 0 or a power of two, load ≤ 3/4
+	// idx holds row id + 1, 0 = empty; a power-of-two length, load ≤ 3/4;
+	// nil when dropped or never built. It is read with one atomic load,
+	// so readers of a published relation may rebuild it while others
+	// probe it or Put drops it; mu lets one of them build it.
+	idx atomic.Pointer[[]int32]
+	mu  sync.Mutex
 }
 
 // New returns an empty relation with the given name and arity.
@@ -84,21 +93,45 @@ func hashRow(t Tuple) int {
 	return int(hi ^ lo)
 }
 
-// reindex rebuilds the index at the given length from the slab.
-func (r *Relation) reindex(slots int) {
-	r.idx = make([]int32, slots)
-	for id, n := 0, r.Size(); id < n; id++ {
-		r.idx[r.find(r.Tuple(id))] = int32(id + 1)
+// loadIndex returns r's index, nil if it has none.
+func (r *Relation) loadIndex() []int32 {
+	if p := r.idx.Load(); p != nil {
+		return *p
 	}
+	return nil
 }
 
-// find probes the index, which must not be empty, for t, which has r's
-// arity: it returns the slot that holds t's row id, or else the empty
-// slot ending t's probe sequence, where that id belongs.
-func (r *Relation) find(t Tuple) int {
-	mask := len(r.idx) - 1
+// buildIndex returns r's index, building it from the slab at the length
+// rows rows need if r has none. It is the slow path of Add and Contains,
+// behind their own loadIndex: under mu, so that concurrent readers of a
+// published relation build the index once.
+func (r *Relation) buildIndex(rows int) []int32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if idx := r.loadIndex(); idx != nil {
+		return idx
+	}
+	return r.reindex(indexSlots(rows))
+}
+
+// reindex builds an index of the given length from the slab, publishes
+// it and returns it.
+func (r *Relation) reindex(slots int) []int32 {
+	idx := make([]int32, slots)
+	for id, n := 0, r.Size(); id < n; id++ {
+		idx[r.find(idx, r.Tuple(id))] = int32(id + 1)
+	}
+	r.idx.Store(&idx)
+	return idx
+}
+
+// find probes idx, an index over r's slab that must not be empty, for
+// t, which has r's arity: it returns the slot that holds t's row id, or
+// else the empty slot ending t's probe sequence, where that id belongs.
+func (r *Relation) find(idx []int32, t Tuple) int {
+	mask := len(idx) - 1
 	i := hashRow(t) & mask
-	for r.idx[i] != 0 && !r.Tuple(int(r.idx[i])-1).Equal(t) {
+	for idx[i] != 0 && !r.Tuple(int(idx[i])-1).Equal(t) {
 		i = (i + 1) & mask
 	}
 	return i
@@ -108,34 +141,45 @@ func (r *Relation) find(t Tuple) int {
 // present. It panics if the arity does not match or the relation is
 // full (2³¹−2 tuples). Re-adding a present tuple — the common case in
 // reducer outputs with heavy overlap — allocates nothing, and an insert
-// allocates only when the slab or the index grows.
+// allocates only when the slab or the index grows, or when the relation
+// has no index and Add rebuilds it.
 func (r *Relation) Add(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation %s: adding tuple of arity %d to relation of arity %d", r.name, len(t), r.arity))
 	}
-	if len(r.idx) == 0 {
-		r.idx = make([]int32, 8)
+	n := r.Size()
+	idx := r.loadIndex()
+	if idx == nil {
+		idx = r.buildIndex(n + 1)
 	}
-	slot := r.find(t)
-	if r.idx[slot] != 0 {
+	slot := r.find(idx, t)
+	if idx[slot] != 0 {
 		return false
 	}
-	n := r.Size()
 	if n >= maxRows {
 		panic(fmt.Sprintf("relation %s: full at %d tuples (row ids are int32)", r.name, n))
 	}
-	r.idx[slot] = int32(n + 1)
+	idx[slot] = int32(n + 1)
 	r.vals = append(r.vals, t...)
-	if (n+1)*4 > len(r.idx)*3 { // past load 3/4
-		r.reindex(2 * len(r.idx))
+	if (n+1)*4 > len(idx)*3 { // past load 3/4
+		r.reindex(2 * len(idx))
 	}
 	return true
 }
 
 // Contains reports whether t is present; a tuple of another arity is
-// not. It allocates nothing.
+// not. It allocates nothing, except that on a non-empty relation with
+// no index it first rebuilds the index. Concurrent calls on a published
+// relation are safe and rebuild it once.
 func (r *Relation) Contains(t Tuple) bool {
-	return len(t) == r.arity && len(r.idx) > 0 && r.idx[r.find(t)] != 0
+	if len(t) != r.arity || len(r.vals) == 0 {
+		return false
+	}
+	idx := r.loadIndex()
+	if idx == nil {
+		idx = r.buildIndex(r.Size())
+	}
+	return idx[r.find(idx, t)] != 0
 }
 
 // Tuple returns the i-th tuple in insertion order as a read-only view
@@ -166,21 +210,22 @@ func (r *Relation) Each(fn func(id int, t Tuple)) {
 	}
 }
 
-// Clone returns a deep copy of r: one copy of the slab and one of the
-// index.
+// Clone returns a deep copy of r: one copy of the slab. The copy has no
+// index; the first Add or Contains on it builds one.
 func (r *Relation) Clone() *Relation {
-	return &Relation{name: r.name, arity: r.arity, vals: slices.Clone(r.vals), idx: slices.Clone(r.idx)}
+	return &Relation{name: r.name, arity: r.arity, vals: slices.Clone(r.vals)}
 }
 
 // Grow pre-sizes r's storage for n additional tuples, so a bulk load
-// of n tuples grows neither the slab nor the index on the way. It never
-// changes the relation's contents; n ≤ 0 does nothing.
+// of n tuples grows neither the slab nor the index on the way; a
+// relation with no index gets one built at that size. It never changes
+// the relation's contents.
 func (r *Relation) Grow(n int) {
 	rows := min(r.Size()+n, maxRows)
 	if need := rows * r.arity; cap(r.vals) < need {
 		r.vals = append(make([]Value, 0, need), r.vals...)
 	}
-	if slots := indexSlots(rows); slots > len(r.idx) {
+	if slots := indexSlots(rows); slots > len(r.loadIndex()) {
 		r.reindex(slots)
 	}
 }
@@ -195,18 +240,19 @@ func indexSlots(rows int) int {
 	return slots
 }
 
-// dedup makes r's slab, rows in any order with duplicates, a set: it
-// builds the index once, sized for every row, and keeps each row's
-// first occurrence, moving it down over the rows dropped before it. It
-// panics as Add does if more than 2³¹−2 rows are kept.
+// dedup makes r's slab, rows in any order with duplicates, a set: under
+// an index built once, sized for every row, and dropped when it
+// returns, it keeps each row's first occurrence, moving it down over
+// the rows dropped before it. It panics as Add does if more than
+// 2³¹−2 rows are kept.
 func (r *Relation) dedup() {
 	a, n := r.arity, r.Size()
-	r.idx = make([]int32, indexSlots(n))
+	idx := make([]int32, indexSlots(n))
 	k := 0
 	for i := 0; i < n; i++ {
 		t := r.vals[i*a : (i+1)*a]
-		slot := r.find(t)
-		if r.idx[slot] != 0 {
+		slot := r.find(idx, t)
+		if idx[slot] != 0 {
 			continue
 		}
 		if k >= maxRows {
@@ -215,7 +261,7 @@ func (r *Relation) dedup() {
 		if k < i {
 			copy(r.vals[k*a:], t)
 		}
-		r.idx[slot] = int32(k + 1)
+		idx[slot] = int32(k + 1)
 		k++
 	}
 	r.vals = r.vals[:k*a]
@@ -236,9 +282,12 @@ func (r *Relation) AddAll(ts []Tuple) int {
 }
 
 // Rename returns a shallow view of r under a different name, sharing
-// its storage; neither may be added to afterwards.
+// its slab and its index, if it has one; neither may be added to
+// afterwards.
 func (r *Relation) Rename(name string) *Relation {
-	return &Relation{name: name, arity: r.arity, vals: r.vals, idx: r.idx}
+	v := &Relation{name: name, arity: r.arity, vals: r.vals}
+	v.idx.Store(r.idx.Load())
+	return v
 }
 
 // Equal reports whether r and o contain exactly the same tuple set
@@ -285,8 +334,12 @@ func (r *Relation) Dump() string {
 //
 // A Database is safe for concurrent use: Put and the read accessors may
 // be called from multiple goroutines (the server loads relations into a
-// database while queries read it). Individual Relations are not locked;
-// callers must not mutate a relation after publishing it with Put.
+// database while queries read it). Individual Relations are not locked
+// against writers; callers must not mutate a relation after publishing
+// it with Put. Put drops the relation's hash index, which no plan reads;
+// a Contains or Equal that needs it rebuilds it, and that is safe under
+// concurrent readers, and under a Put of the same relation into another
+// database.
 type Database struct {
 	mu    sync.RWMutex
 	rels  map[string]*Relation
@@ -300,8 +353,9 @@ func NewDatabase() *Database {
 }
 
 // Put registers rel under its name, replacing any existing relation with
-// the same name.
+// the same name, and drops rel's index.
 func (db *Database) Put(rel *Relation) {
+	rel.idx.Store(nil)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, exists := db.rels[rel.Name()]; !exists {

@@ -435,11 +435,14 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.name, old.Arity(), rp.arity)
 				return
 			default:
-				// The Grow below copies the slab a second time. Kept: a
-				// relation built at final size has to re-hash every old
-				// row, which costs more than copying the index unless the
-				// load about doubles the relation.
-				rel = old.Clone()
+				// Built at its final size in one copy of the old rows: a
+				// published relation keeps no index, so they are re-hashed
+				// whichever way they are copied.
+				rel = gumbo.NewRelation(rp.name, rp.arity)
+				rel.Grow(old.Size() + rp.rows)
+				for i := 0; i < old.Size(); i++ {
+					rel.Add(old.Tuple(i))
+				}
 			}
 			pending[rp.name] = rel
 			order = append(order, rp.name)

@@ -32,6 +32,10 @@
 # Then serve-hot 0.3041 and serve-churn 1.240, when a one-reducer task
 # came to write no record headers into its arenas: that change's
 # ten-pair medians (0.2765 / 1.127) × 1.10.
+# Then heap_live_mb 4.349 / 3.527 / 15.61 / 18.21, when a published
+# relation came to keep no hash index (Database.Put and relation.Merge
+# drop it): that change's seed-1 ten-pair medians (3.953 / 3.206 /
+# 14.19 / 16.55) × 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
