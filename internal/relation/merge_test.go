@@ -225,6 +225,18 @@ func TestAddAllAndGrow(t *testing.T) {
 	if added := r.AddAll([]Tuple{{Value(3)}, {Value(4)}}); added != 1 {
 		t.Errorf("second AddAll added %d, want 1", added)
 	}
+	// A negative Grow on a relation with no index builds one for all of
+	// its rows: 10 rows need 16 slots, and sized for 10−5 it would get 8,
+	// too few to hold them.
+	p := FromTuples("P", 1, seqTuples(10, 1))
+	NewDatabase().Put(p)
+	p.Grow(-5)
+	if n := len(p.loadIndex()); n*3 < p.Size()*4 {
+		t.Errorf("Grow(-5) on %d published rows built %d slots", p.Size(), n)
+	}
+	if p.Size() != 10 || !p.Contains(Tuple{Value(9)}) || p.Add(Tuple{Value(0)}) {
+		t.Errorf("Grow(-5) after Put changed contents: %s", p)
+	}
 }
 
 func TestAddAllArityPanics(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // BytesPerField is the assumed serialized size of one tuple field, chosen
@@ -37,11 +38,15 @@ type Relation struct {
 	name  string
 	arity int
 	vals  []Value // row i is vals[i*arity : (i+1)*arity]
-	// idx holds row id + 1, 0 = empty; a power-of-two length, load ≤ 3/4;
-	// nil when dropped or never built. It is read with one atomic load,
-	// so readers of a published relation may rebuild it while others
-	// probe it or Put drops it; mu lets one of them build it.
-	idx atomic.Pointer[[]int32]
+	// idx points at the index's one allocation, nil when it was dropped
+	// or never built: element 0 holds the slot count − 1 as a uint32 (the
+	// count is a power of two), and the slots follow, each row id + 1 or
+	// 0 = empty, at load ≤ 3/4. It is read with one atomic load, so
+	// readers of a published relation may rebuild it while others probe
+	// it or Put drops it; mu lets one of them build it. The length lives
+	// in the array, not in a slice header, so publishing an index
+	// allocates nothing beside it.
+	idx atomic.Pointer[int32]
 	mu  sync.Mutex
 }
 
@@ -93,10 +98,10 @@ func hashRow(t Tuple) int {
 	return int(hi ^ lo)
 }
 
-// loadIndex returns r's index, nil if it has none.
+// loadIndex returns r's index slots, nil if it has none.
 func (r *Relation) loadIndex() []int32 {
 	if p := r.idx.Load(); p != nil {
-		return *p
+		return unsafe.Slice((*int32)(unsafe.Add(unsafe.Pointer(p), 4)), int(uint32(*p))+1)
 	}
 	return nil
 }
@@ -114,14 +119,16 @@ func (r *Relation) buildIndex(rows int) []int32 {
 	return r.reindex(indexSlots(rows))
 }
 
-// reindex builds an index of the given length from the slab, publishes
-// it and returns it.
+// reindex builds an index of the given length, a power of two, from the
+// slab, publishes it and returns its slots.
 func (r *Relation) reindex(slots int) []int32 {
-	idx := make([]int32, slots)
+	a := make([]int32, 1+slots)
+	a[0] = int32(uint32(slots - 1))
+	idx := a[1:]
 	for id, n := 0, r.Size(); id < n; id++ {
 		idx[r.find(idx, r.Tuple(id))] = int32(id + 1)
 	}
-	r.idx.Store(&idx)
+	r.idx.Store(&a[0])
 	return idx
 }
 
@@ -218,10 +225,10 @@ func (r *Relation) Clone() *Relation {
 
 // Grow pre-sizes r's storage for n additional tuples, so a bulk load
 // of n tuples grows neither the slab nor the index on the way; a
-// relation with no index gets one built at that size. It never changes
-// the relation's contents.
+// relation with no index gets one built at that size. n ≤ 0 sizes for
+// the rows r holds. It never changes the relation's contents.
 func (r *Relation) Grow(n int) {
-	rows := min(r.Size()+n, maxRows)
+	rows := min(r.Size()+max(n, 0), maxRows)
 	if need := rows * r.arity; cap(r.vals) < need {
 		r.vals = append(make([]Value, 0, need), r.vals...)
 	}
