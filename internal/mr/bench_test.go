@@ -73,10 +73,11 @@ func benchShuffleJob(packing bool) *Job {
 }
 
 // BenchmarkJobShuffle measures one full packed semi-join job — map,
-// pack, shuffle partitioning, sort-based reduce, merge — end to end, at
-// each of the shuffle's two paths: r=1, where a map task's arena is its
-// partition as it is, and r=derived, the job's own reducer count (2),
-// where the shuffle task places every record. allocs/op is the headline
+// pack, shuffle placement, grouping reduce, merge — end to end, staged,
+// at two reducer counts: r=1, fixed, where each shuffle task copies its
+// map task's arena into one segment — what a staged job at r = 1 pays
+// (Pig's input-based r, a spilling run, an r = 1 not predicted) — and
+// r=derived, the job's own reducer count (2). allocs/op is the headline
 // number: the engine's hot path should stay allocation-lean as records
 // flow through every phase.
 func BenchmarkJobShuffle(b *testing.B) {

@@ -40,13 +40,16 @@ func ladderCharge(needs []int) int64 {
 // task, which writes key and payload bytes alone (bare), and as a map
 // task's arena, which writes each record's header ahead of them
 // (headed): the ladder replayed over the records' lengths in each form.
-func (s InlineSplit) Charges() (bare, headed int64) {
+// encoded is the headed records' bytes, what the map task's shuffle
+// task charges for the buffer it copies them into.
+func (s InlineSplit) Charges() (bare, headed, encoded int64) {
 	b, h := make([]int, len(s)), make([]int, len(s))
 	for i, r := range s {
 		b[i] = int(r.klen + r.plen)
 		h[i] = recLen(int(r.klen), int(r.plen), r.size)
+		encoded += int64(h[i])
 	}
-	return ladderCharge(b), ladderCharge(h)
+	return ladderCharge(b), ladderCharge(h), encoded
 }
 
 // TestArenaLadder walks the arena's edges: for every emit sequence all

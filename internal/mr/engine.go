@@ -40,15 +40,15 @@ import (
 // hashed with an inlined FNV-1a, a shuffle task copies the encoded
 // records into per-reducer byte segments of one buffer with counted
 // two-pass placement (the layout a spill file has, so spilling is one
-// write) — or, when the job has one reducer, hands the arena over as
-// the partition — records are grouped once, in the reduce task, through
-// the same key set, the groups in the order their keys first arrived and
-// no key sorted (group.go), a heavy partition's groups then cut at group
-// boundaries into pieces reduced as tasks of their own (split.go) —
-// reducers walk a view over the segment bytes and append output facts to
-// unindexed row buffers, and job
-// outputs merge through relation.Merge, the one place an output tuple is
-// hashed and deduplicated.
+// write) — or, when the job is predicted to have one reducer, its one
+// reduce task maps every split into its own key set — records are
+// grouped once, in the reduce task, through the same key set, the groups
+// in the order their keys first arrived and no key sorted (group.go), a
+// heavy partition's groups then cut at group boundaries into pieces
+// reduced as tasks of their own (split.go) — reducers walk a view over
+// the segment bytes and append output facts to unindexed row buffers,
+// and job outputs merge through relation.Merge, the one place an output
+// tuple is hashed and deduplicated.
 // Every goroutine a run starts is a pool worker (or the pool's
 // cancellation watcher): tasks never fan out on their own, so panic
 // containment and cancellation cover all of the engine's concurrency.

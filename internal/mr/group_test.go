@@ -414,7 +414,7 @@ func TestReduceGroupingProbeLength(t *testing.T) {
 			if keys := len(sc.keys.locs); keys != n {
 				t.Fatalf("R=%d %s: %d of %d keys gathered", reducers, g.name, keys, n)
 			}
-			if got := probesPerHit(&sc.keys, parts[0][0].bufs); got > 2 {
+			if got := probesPerHit(&sc.keys, [][]byte{parts[0][0].buf}); got > 2 {
 				t.Errorf("R=%d %s: %.2f probes per hit in %d slots, want ≤ 2", reducers, g.name, got, len(sc.keys.slots))
 			}
 		}

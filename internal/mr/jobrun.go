@@ -12,8 +12,8 @@ import (
 //
 //	input ready ──▶ map tasks (one per split of that input)
 //	all maps    ──▶ reducer count, then shuffle partition tasks
-//	              (one per map task: counted two-pass placement;
-//	              at r = 1 the arena is the partition as it is)
+//	              (one per map task: counted two-pass placement
+//	              into one buffer)
 //	all shuffles ─▶ reduce partition tasks (one per reducer:
 //	              concatenate in task order through the key set,
 //	              Reducer.Reduce per group in first-arrival order;
@@ -25,24 +25,22 @@ import (
 //	all merges  ──▶ final stats fold, job counted done
 //
 // A job predicted to have one reducer (predictOne) has a second shape,
-// with no shuffle: once all its inputs exist and its early map tasks —
-// over the base inputs of a job that also reads a produced relation —
-// are done, one reduce task (reduceInline) takes the job's splits in
-// declared (part, task) order, gathering an early task's arena through
-// the key set and mapping every other split itself, Emit entering each
-// record straight into the task's key set and record array, which is the
-// record's only header; the grouped set then goes the staged reduce
-// task's way (cut, pieces, merges). Its per-split results are a map
-// task's, so stats fold as mapsDone folds them, and once the bytes so
-// far pass one reducer's allocation — r is then not 1 — the job goes
-// staged: every split the task maps spawns as a map task, those it has
-// mapped included, since their arenas hold no record headers.
+// with no map or shuffle task: once all its inputs exist, one reduce
+// task (reduceInline) maps every split of the job in declared
+// (part, task) order, Emit entering each record straight into the
+// task's key set and record array, which is the record's only header;
+// the grouped set then goes the staged reduce task's way (cut, pieces,
+// merges). Its per-split results are a map task's, so stats fold as
+// mapsDone folds them, and once the bytes so far pass one reducer's
+// allocation — r is then not 1 — the job goes staged: every split
+// spawns as a map task, those the task has mapped included, since their
+// arenas hold no record headers.
 //
-// Each input's map tasks are spawned independently the moment that
+// A staged job's map tasks over an input are spawned the moment that
 // input relation exists (inputReady), which is what lets the program
-// scheduler start a downstream job's map work over base relations — or
-// over an upstream output that merged early — while other producers are
-// still running. Stage joins are one counter (jobRun.left); every task
+// scheduler start its map work over base relations — or over an
+// upstream output that merged early — while other producers are still
+// running. Stage joins are one counter (jobRun.left); every task
 // writes into a pre-indexed slot and all order-sensitive folds (float
 // accumulation of per-part MB, OutputMB) walk those slots in declared
 // part/task/name order, so outputs and stats are bit-for-bit identical
@@ -75,10 +73,9 @@ type jobRun struct {
 	mu   sync.Mutex
 	left int
 
-	// one says the job is predicted to have one reducer (predictOne);
-	// inline[part] says its reduce task maps part's splits itself.
-	one    bool
-	inline []bool
+	// one says the job is predicted to have one reducer (predictOne):
+	// its reduce task maps every split itself.
+	one bool
 
 	tasks   [][]mapTaskSpec   // per input part: that input's splits
 	results [][]mapTaskResult // per input part, per map task
@@ -152,31 +149,19 @@ func (jr *jobRun) label(k taskKind, part, index int) taskLabel {
 // predictOne decides, before any of the job's tasks runs, whether the
 // job takes the one-reducer shape: the run does not spill, r is neither
 // fixed nor input-based, and the job's base inputs (reads[part] < 0)
-// alone fit one reducer's allocation. Its reduce task then maps the
-// produced inputs, and the base ones too unless the job reads a produced
-// relation, whose base inputs map early as ordinary tasks.
+// alone fit one reducer's allocation.
 func (jr *jobRun) predictOne(reads []int, db *relation.Database) {
 	job := jr.job
 	if jr.gov.spill != nil || job.reducers > 0 || job.ReducerInputMB > 0 {
 		return
 	}
 	var baseMB float64
-	produced := false
 	for part, prod := range reads {
 		if prod < 0 {
 			baseMB += mbOf(db.Relation(job.Inputs[part]).Bytes())
-		} else {
-			produced = true
 		}
 	}
-	if jr.e.cfg.Cost.Reducers(baseMB*jr.inflate) != 1 {
-		return
-	}
-	jr.one = true
-	jr.inline = make([]bool, len(reads))
-	for part, prod := range reads {
-		jr.inline[part] = prod >= 0 || !produced
-	}
+	jr.one = jr.e.cfg.Cost.Reducers(baseMB*jr.inflate) == 1
 }
 
 // inputReady is called exactly once per input part, as soon as that
@@ -199,21 +184,20 @@ func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 	for t := 0; t < m; t++ {
 		specs[t] = mapTaskSpec{rel: rel, from: n * t / m, to: n * (t + 1) / m}
 	}
-	inline := jr.one && jr.inline[part]
 	jr.mu.Lock()
 	jr.stats.Parts[part] = PartStats{Input: jr.job.Inputs[part], InputMB: inputMB, Mappers: m}
 	jr.tasks[part] = specs
 	jr.results[part] = make([]mapTaskResult, m)
-	if inline {
+	if jr.one {
 		jr.left-- // the input arrived; the one-reducer task maps it
 	} else {
 		jr.left += m - 1 // the input arrived; its m tasks are pending
 	}
 	joined := jr.left == 0
 	jr.mu.Unlock()
-	if inline {
+	if jr.one {
 		if joined {
-			jr.mapsJoined(c)
+			c.spawn(jr.label(kindMap, -1, 0), jr.reduceInline)
 		}
 		return
 	}
@@ -235,7 +219,7 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	}
 	jr.mapped(part, ti, mapTuples(c.scratch, jr.job, jr.job.Inputs[part], ts, 1, keys, jr.gov.budget))
 	if jr.stageDone() {
-		jr.mapsJoined(c)
+		jr.mapsDone(c)
 	}
 }
 
@@ -246,17 +230,6 @@ func (jr *jobRun) mapped(part, ti int, res mapTaskResult) {
 		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
 	jr.results[part][ti] = res
-}
-
-// mapsJoined runs once every input has arrived and every map task
-// spawned so far has finished: it spawns the one-reducer task or —
-// staged — runs mapsDone.
-func (jr *jobRun) mapsJoined(c *poolCtx) {
-	if jr.one {
-		c.spawn(jr.label(kindMap, -1, 0), jr.reduceInline)
-		return
-	}
-	jr.mapsDone(c)
 }
 
 // stageDone counts one task of the current stage finished and reports
@@ -342,34 +315,28 @@ func (jr *jobRun) foldMaps() {
 }
 
 // reduceInline is a one-reducer job's reduce task. It sizes the worker's
-// record array, key set and stamps once for the records it expects — an
-// early task's messages, a tuple per split it maps — and walks the
-// job's splits in declared (part, task) order: an early map task's arena
-// is gathered through appendTo, any other split is mapped into the
-// task's own record set (Emit, which writes no record header there),
-// its result kept as a map task would keep it. After each split the
-// walk folds the split's bytes into its part's InterMB in foldMaps' own
-// order, so its running r is foldMaps' r over the splits so far, and
-// once that passes 1 the job goes staged (fallBack); after the last
-// split, then, r is 1. The task hands the set on to its next phase,
-// which groups and reduces it as a staged reduce task does its gather.
+// record array, key set and stamps once for the records it expects — a
+// tuple per split — and walks the job's splits in declared (part, task)
+// order, mapping each into the task's own record set (Emit, which
+// writes no record header there), its result kept as a map task would
+// keep it. After each split the walk folds the split's bytes into its
+// part's InterMB in foldMaps' own order, so its running r is foldMaps' r
+// over the splits so far, and once that passes 1 the job goes staged
+// (fallBack); after the last split, then, r is 1. The task hands the set
+// on to its next phase, which groups and reduces it as a staged reduce
+// task does its gather.
 // The walk is the map task of the record, counted as the splits it
 // mapped; the next phase is the job's one reduce task (poolCtx.then).
 func (jr *jobRun) reduceInline(c *poolCtx) {
 	sc := c.scratch
-	n, bufs := 0, 0
+	n, splits := 0, 0
 	for part := range jr.tasks {
-		for ti, ts := range jr.tasks[part] {
-			if jr.inline[part] {
-				n += ts.to - ts.from
-				bufs += arenaRungs
-			} else {
-				n += int(jr.results[part][ti].msgs)
-				bufs += len(jr.results[part][ti].chunks)
-			}
+		for _, ts := range jr.tasks[part] {
+			n += ts.to - ts.from
+			splits++
 		}
 	}
-	set := recordSet{bufs: make([][]byte, 0, bufs), recs: grow(&sc.recs, n)[:0]}
+	set := recordSet{bufs: make([][]byte, 0, splits*arenaRungs), recs: grow(&sc.recs, n)[:0]}
 	ks := sc.keySet(n, false)
 	stamps := grow(&sc.target, n)
 	defer func() { sc.recs, sc.target = set.recs, stamps }() // keep what the walk grew
@@ -377,30 +344,17 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 	var split int32
 	for part := range jr.tasks {
 		for ti := range jr.tasks[part] {
-			res := &jr.results[part][ti]
-			if !jr.inline[part] {
-				made := len(ks.locs)
-				tp := taskPartition{segs: make([]segment, 1), loads: make([]int64, 1)}
-				tp.fromArena(res)
-				if _, err := tp.appendTo(&set, ks, 0, jr.gov.budget); err != nil {
-					panic(taskAbort{err: err})
-				}
-				stamps = cover(stamps, len(set.recs))
-				for _, l := range ks.locs[made:] {
-					stamps[l.first] = -1 // charged in no split the task maps
-				}
-			} else {
-				from := len(set.recs)
-				em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
-					grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
-				jr.mapped(part, ti, em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1))
-				set.bufs, stamps = em.chunks, em.stamps
-				split++
-				c.countAs(int(split))
-				if h := c.pool.hooks; h != nil && h.Inline != nil {
-					h.Inline(jr.idx, InlineSplit(set.recs[from:]))
-				}
+			from := len(set.recs)
+			em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
+				grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
+			jr.mapped(part, ti, em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1))
+			set.bufs, stamps = em.chunks, em.stamps
+			split++
+			c.countAs(int(split))
+			if h := c.pool.hooks; h != nil && h.Inline != nil {
+				h.Inline(jr.idx, InlineSplit(set.recs[from:]))
 			}
+			res := &jr.results[part][ti]
 			load += res.bytes
 			jr.stats.Parts[part].InterMB += mbOf(res.bytes) * jr.inflate
 			if jr.computeReducers() != 1 {
@@ -422,23 +376,19 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 	})
 }
 
-// fallBack puts a one-reducer job on the staged path: every split its
-// task maps spawns as an ordinary map task, those it has mapped already
-// included — their header-less arenas are dropped unread, and the
-// mapper, being deterministic, emits the same records again — and the
-// last map task to finish runs mapsDone, whose fold replaces the walk's.
+// fallBack puts a one-reducer job on the staged path: every split of
+// the job spawns as an ordinary map task, those the task has mapped
+// already included — their header-less arenas are dropped unread, and
+// the mapper, being deterministic, emits the same records again — and
+// the last map task to finish runs mapsDone, whose fold replaces the
+// walk's.
 func (jr *jobRun) fallBack(c *poolCtx) {
 	jr.one = false
 	jr.left = 0
 	for part := range jr.tasks {
-		if jr.inline[part] {
-			jr.left += len(jr.tasks[part])
-		}
+		jr.left += len(jr.tasks[part])
 	}
 	for part := range jr.tasks {
-		if !jr.inline[part] {
-			continue
-		}
 		for ti := range jr.tasks[part] {
 			c.spawn(jr.label(kindMap, part, ti), func(c *poolCtx) { jr.mapTask(c, part, ti) })
 		}
@@ -475,22 +425,17 @@ func (jr *jobRun) computeReducers() int {
 	return reducers
 }
 
-// shuffleTask partitions one map task's records by key hash. With one
-// reducer placement is the identity: the task's arena chunks become the
-// partition's lone segment untouched, its load the modelled bytes the map
-// task summed, and nothing is decoded, hashed, copied or charged (the
-// reduce task's reader checks the arena). With more it runs the counted
-// two-pass placement: decode the task's arena once — hash each key, add
-// the record to its reducer's load and segment, note its reducer and
-// encoded length in worker scratch — allocate one buffer for all the
-// segments (charged to the run's budget — the shuffle-partition
-// accounting site), then copy every record, encoded as Emit left it, into
-// its segment; the arena's chunk list is reused to hold that one buffer.
-// Whether the job packs does not matter here: a record's size already
-// says whether it carries its key. An arena that does not decode aborts
-// the task like a damaged spill file. A partition at or past the spill
-// threshold is then written to a temp file and its chunks dropped (see
-// spill.go).
+// shuffleTask partitions one map task's records by key hash with the
+// counted two-pass placement: decode the task's arena once — hash each
+// key, add the record to its reducer's load and segment, note its
+// reducer and encoded length in worker scratch — allocate one buffer for
+// all the segments (charged to the run's budget — the shuffle-partition
+// accounting site), then copy every record, encoded as Emit left it,
+// into its segment. Whether the job packs does not matter here: a
+// record's size already says whether it carries its key. An arena that
+// does not decode aborts the task like a damaged spill file. A
+// partition at or past the spill threshold is then written to a temp
+// file and its buffer dropped (see spill.go).
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	res := &jr.results[part][ti]
 	reducers := jr.reducers
@@ -499,11 +444,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		loads: make([]int64, reducers),
 	}
 	n := int(res.msgs)
-	switch {
-	case n == 0:
-	case reducers == 1:
-		tp.fromArena(res)
-	default:
+	if n > 0 {
 		target := grow(&c.scratch.target, n)
 		lens := grow(&c.scratch.idx, n)
 		i := 0
@@ -530,51 +471,35 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			tp.segs[p].off, pos[p] = total, total
 			total += tp.segs[p].len
 		}
-		buf := grabBytes(jr.gov.budget, int(total))
+		tp.buf = grabBytes(jr.gov.budget, int(total))
 		i = 0
 		for _, chunk := range res.chunks {
 			for at := 0; at < len(chunk); i++ {
 				p, next := target[i], at+int(lens[i])
-				pos[p] += int64(copy(buf[pos[p]:], chunk[at:next]))
+				pos[p] += int64(copy(tp.buf[pos[p]:], chunk[at:next]))
 				at = next
 			}
 		}
-		clear(res.chunks[1:]) // release the arena's other chunks
-		tp.bufs = append(res.chunks[:0], buf)
-	}
-	if n > 0 && jr.gov.spill != nil && res.bytes >= jr.e.cfg.SpillThreshold {
-		if err := tp.spill(jr.gov.spill, jr.gov.budget); err != nil {
-			panic(taskAbort{err: err})
+		if jr.gov.spill != nil && res.bytes >= jr.e.cfg.SpillThreshold {
+			if err := tp.spill(jr.gov.spill, jr.gov.budget); err != nil {
+				panic(taskAbort{err: err})
+			}
 		}
 	}
 	jr.taskParts[part][ti] = tp
-	res.chunks = nil // the partition owns the bytes now
+	res.chunks = nil // release the arena: the partition holds a copy
 	if jr.stageDone() {
 		jr.shufflesDone(c)
 	}
-}
-
-// fromArena makes tp, of one segment, a map task's arena as a
-// one-reducer partition: the chunks as Emit left them, all of them the
-// lone segment, its load the modelled bytes the task summed.
-func (tp *taskPartition) fromArena(res *mapTaskResult) {
-	var total int64
-	for _, chunk := range res.chunks {
-		total += int64(len(chunk))
-	}
-	tp.bufs = res.chunks
-	tp.segs[0] = segment{len: total, count: int32(res.msgs)}
-	tp.loads[0] = res.bytes
 }
 
 // shufflesDone spawns one reduce task per reducer, a heavy partition's
 // (split.go) with the split label, like every piece it spawns.
 func (jr *jobRun) shufflesDone(c *poolCtx) {
 	// The map results are fully consumed (each task's arena was
-	// released as its shuffle partition copied it, or became that
-	// partition at r = 1); drop the scaffolding
-	// so a finished stage doesn't hold memory for the program's whole
-	// duration.
+	// released as its shuffle partition copied it); drop the
+	// scaffolding so a finished stage doesn't hold memory for the
+	// program's whole duration.
 	jr.results = nil
 	jr.reduceStage()
 	for ri, k := range jr.splitWays() {
@@ -606,15 +531,16 @@ func (jr *jobRun) reduceStage() {
 // in first-arrival order. Whether a segment is held in memory or spilled
 // is taskPartition's business (appendTo in spill.go): this loop is the
 // one ordered-fold reader of docs/INVARIANTS.md. The buffer list is
-// sized by the same walk: one buffer per chunk of each non-empty
-// segment, appendTo's one append each.
+// sized by the same walk: one buffer per non-empty segment, appendTo's
+// one append.
 func reduceGroups(sc *taskScratch, parts [][]taskPartition, ri int, b *Budget) (*groupedSet, error) {
 	n, bufs := 0, 0
 	for part := range parts {
 		for ti := range parts[part] {
-			tp := &parts[part][ti]
-			n += int(tp.segs[ri].count)
-			bufs += tp.bufCount(ri)
+			if count := parts[part][ti].segs[ri].count; count > 0 {
+				n += int(count)
+				bufs++
+			}
 		}
 	}
 	g := &groupedSet{recordSet: recordSet{bufs: make([][]byte, 0, bufs), recs: grow(&sc.recs, n)[:0]}}

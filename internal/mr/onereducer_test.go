@@ -82,12 +82,14 @@ func producedOnly(st gumbo.JobStats, db *gumbo.Database) bool {
 // shuffle, the reduce task mapping the splits into its own key set — to
 // the staged one (mr.FaultHooks.Staged): outputs equal tuple for tuple,
 // JobStats and Metrics deep-equal, and MemStats equal but for the bytes
-// the two shapes' arenas are charged, which are derived from the
-// records: a split the one-reducer task maps is charged the chunk
-// ladder over its key and payload bytes (it writes no header) in place
-// of the staged map task's ladder over its headed records — and on top
-// of it when the job falls back, since the fallback maps the split again
-// as that map task (mr.InlineSplit.Charges). It runs, at widths 1 and 4,
+// the two shapes' arenas and shuffle buffers are charged, which are
+// derived from the records: a split the one-reducer task maps is charged
+// the chunk ladder over its key and payload bytes (it writes no header)
+// in place of the staged map task's ladder over its headed records and
+// of its shuffle task's buffer of those records — and on top of both
+// when the job falls back, since the fallback maps and shuffles the
+// split again as that map task (mr.InlineSplit.Charges). It runs, at
+// widths 1 and 4,
 // with skew splitting off and at 0.5 (which cuts a lone reducer's
 // partition after its gather):
 //
@@ -140,14 +142,14 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 					}
 					name := fmt.Sprintf("%s %s width %d split %v", s.name, strat, width, split)
 					var mu sync.Mutex
-					bare, headed := map[int]int64{}, map[int]int64{} // per job, over the splits mapped inline
-					mapped := map[int]int{}                          // per job, the splits mapped inline
+					bare, stagedBytes := map[int]int64{}, map[int]int64{} // per job, over the splits mapped inline
+					mapped := map[int]int{}                               // per job, the splits mapped inline
 					staged := runShape(t, sys, plan, s.db, true, nil)
 					one := runShape(t, sys, plan, s.db, false, func(job int, split mr.InlineSplit) {
-						b, h := split.Charges()
+						b, headed, encoded := split.Charges()
 						mu.Lock()
 						bare[job] += b
-						headed[job] += h
+						stagedBytes[job] += headed + encoded
 						mapped[job]++
 						mu.Unlock()
 					})
@@ -155,7 +157,7 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 					for job, b := range bare {
 						want.ChargedBytes += b
 						if one.res.JobStats[job].Reducers == 1 {
-							want.ChargedBytes -= headed[job]
+							want.ChargedBytes -= stagedBytes[job]
 						} else if s.scale == tight {
 							fallbackBytes += b
 						}

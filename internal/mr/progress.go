@@ -141,7 +141,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 type JobTiming struct {
 	Name           string
 	MapSeconds     float64 // map tasks (mapper over one split; Emit encodes and packs), and a one-reducer task's walk over the job's splits
-	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement; near zero at r = 1, where the arena is handed over; none for a one-reducer job)
+	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement; none for a one-reducer job)
 	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, scatter, reduce; a one-reducer task's scatter and reduce)
 	MergeSeconds   float64 // output merge shards (relation.Merge, publish)
 	// SplitSeconds is the share of ReduceSeconds spent in the reduce
@@ -218,14 +218,14 @@ func longer(a, b chain) chain {
 	return a
 }
 
-// CriticalPath folds the record over the program's structure: a map
-// task waits for the merge shard that publishes its input (a base input
-// is ready at the start), a one-reducer task's mapping for the merges
-// that publish every input and for the job's early map tasks, each piece
-// of a cut reduce partition waits for the task that gathered and cut it,
-// and every other task of a job waits for every task of the stages
-// before it. It does not follow spawn
-// edges: a stage is spawned by whichever task of the stage before
+// CriticalPath folds the record over the program's structure: a
+// one-reducer task's mapping waits for the merges that publish every
+// input of its job, a map task for the merge shard that publishes its
+// input (a base input is ready at the start) and for the one-reducer
+// task whose fallback spawned it, each piece of a cut reduce partition
+// waits for the task that gathered and cut it, and every other task of a
+// job waits for every task of the stages before it. It does not follow
+// spawn edges: a stage is spawned by whichever task of the stage before
 // finished last, which need not end the longest chain. A canceled run's
 // path runs over the tasks that finished.
 func (p *Progress) CriticalPath() CriticalPath {
@@ -243,13 +243,14 @@ func (p *Progress) CriticalPath() CriticalPath {
 		outs := outputOrder(job.Outputs)
 		var sum tally                 // the job's spans, summed as timings sums them
 		var end chain                 // the longest chain through the job so far
+		var walk chain                // the chain ending at the job's one-reducer task's mapping, if any
 		gathered := map[int32]chain{} // per reducer: the chain ending at its gather
 		// A one-reducer task's mapping (map part −1) is folded as a stage
-		// of its own after the early map tasks, and the pieces of cut
-		// partitions (reduce part > 0) after the gathers, whatever order
-		// they finished in.
+		// of its own before the map tasks its fallback spawns, and the
+		// pieces of cut partitions (reduce part > 0) after the gathers,
+		// whatever order they finished in.
 		for si, k := range []taskKind{kindMap, kindMap, kindShuffle, kindReduce, kindReduce, kindMerge} {
-			inline, pieces := si == 1, si == 4
+			inline, pieces := si == 0, si == 4
 			ready := end
 			for _, s := range js {
 				if s.kind != k || k == kindMap && (s.part < 0) != inline || k == kindReduce && (s.part > 0) != pieces {
@@ -262,12 +263,14 @@ func (p *Progress) CriticalPath() CriticalPath {
 						ready = longer(ready, merged[in])
 					}
 				case k == kindMap:
-					ready = merged[job.Inputs[s.part]]
+					ready = longer(merged[job.Inputs[s.part]], walk)
 				case pieces:
 					ready = gathered[s.index]
 				}
 				c := ready.then(s)
 				switch {
+				case inline:
+					walk = c
 				case k == kindReduce && !pieces:
 					gathered[s.index] = c
 				case k == kindMerge:

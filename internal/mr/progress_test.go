@@ -159,43 +159,50 @@ func TestCriticalPathPieceAfterGather(t *testing.T) {
 
 // TestCriticalPathOneReducer folds a synthetic record of two jobs: "p"
 // publishes P after map 2 ms, shuffle 1 ms, reduce 3 ms and merge 1 ms;
-// the one-reducer job "one" reads base B and P, maps B early as an
-// ordinary task, and its reduce task maps P itself (map part −1, 2 ms),
-// then gathers and reduces (3 ms) before its merge (1 ms). The task's
-// mapping waits for the merge that publishes P and for the early map
-// task of B, whichever ends later: after the merge, the span is 13 ms;
-// with a 9 ms early map task it is 15 ms, through that task.
+// the one-reducer job "one" reads base B and P, and its reduce task maps
+// both (map part −1, 2 ms) once the merge that publishes P is done. If r
+// stays 1 it then reduces (3 ms) before its merge (1 ms): the span is
+// 13 ms. If it falls back, the walk spawns the re-maps of B (9 ms) and P
+// (1 ms), which wait for it, and the job goes on staged — shuffle 1 ms,
+// reduce 3 ms, merge 1 ms: the span is 23 ms, through the walk and the
+// re-map of B.
 func TestCriticalPathOneReducer(t *testing.T) {
 	ms := int64(time.Millisecond)
 	for _, c := range []struct {
-		early int64
+		name  string
+		spans []span // job "one"'s
 		span  float64
 		kinds JobTiming
 	}{
-		{1 * ms, 0.013, JobTiming{MapSeconds: 0.004, ShuffleSeconds: 0.001, ReduceSeconds: 0.006, MergeSeconds: 0.002}},
-		{9 * ms, 0.015, JobTiming{MapSeconds: 0.011, ReduceSeconds: 0.003, MergeSeconds: 0.001}},
+		{"r = 1", []span{
+			{taskLabel{job: 1, kind: kindMerge}, 1 * ms},
+			{taskLabel{job: 1, kind: kindReduce}, 3 * ms},
+			{taskLabel{job: 1, part: -1, kind: kindMap}, 2 * ms},
+		}, 0.013, JobTiming{MapSeconds: 0.004, ShuffleSeconds: 0.001, ReduceSeconds: 0.006, MergeSeconds: 0.002}},
+		{"fallback", []span{
+			{taskLabel{job: 1, kind: kindMerge}, 1 * ms},
+			{taskLabel{job: 1, kind: kindReduce}, 3 * ms},
+			{taskLabel{job: 1, kind: kindShuffle}, 1 * ms},
+			{taskLabel{job: 1, part: 1, kind: kindMap}, 1 * ms},
+			{taskLabel{job: 1, kind: kindMap}, 9 * ms},
+			{taskLabel{job: 1, part: -1, kind: kindMap}, 2 * ms},
+		}, 0.023, JobTiming{MapSeconds: 0.013, ShuffleSeconds: 0.002, ReduceSeconds: 0.006, MergeSeconds: 0.002}},
 	} {
 		var p Progress
 		p.begin(&Program{Jobs: []*Job{
 			{Name: "p", Inputs: []string{"R"}, Outputs: map[string]int{"P": 1}},
 			{Name: "one", Inputs: []string{"B", "P"}, Outputs: map[string]int{"Z": 1}},
 		}})
-		for _, s := range []span{
-			{taskLabel{kind: kindMap}, 2 * ms},
-			{taskLabel{kind: kindShuffle}, 1 * ms},
-			{taskLabel{kind: kindReduce}, 3 * ms},
-			{taskLabel{kind: kindMerge}, 1 * ms},
-			{taskLabel{job: 1, kind: kindMerge}, 1 * ms},
-			{taskLabel{job: 1, kind: kindReduce}, 3 * ms},
-			{taskLabel{job: 1, part: -1, kind: kindMap}, 2 * ms},
-			{taskLabel{job: 1, kind: kindMap}, c.early},
-		} {
-			p.spans = append(p.spans, s)
-		}
+		p.spans = append(p.spans,
+			span{taskLabel{kind: kindMap}, 2 * ms},
+			span{taskLabel{kind: kindShuffle}, 1 * ms},
+			span{taskLabel{kind: kindReduce}, 3 * ms},
+			span{taskLabel{kind: kindMerge}, 1 * ms})
+		p.spans = append(p.spans, c.spans...)
 		cp := p.CriticalPath()
 		if cp.Seconds != c.span || cp.Kinds != c.kinds {
-			t.Errorf("early map %d ms: CriticalPath() span %v s by kind %+v, want %v s by kind %+v",
-				c.early/ms, cp.Seconds, cp.Kinds, c.span, c.kinds)
+			t.Errorf("%s: CriticalPath() span %v s by kind %+v, want %v s by kind %+v",
+				c.name, cp.Seconds, cp.Kinds, c.span, c.kinds)
 		}
 	}
 }

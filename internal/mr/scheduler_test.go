@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -380,13 +381,15 @@ func TestRunProgramEmpty(t *testing.T) {
 }
 
 // TestRunProgramPipelinesAcrossJobBarrier proves scheduling is
-// partition-granular, not job-granular: a downstream job's map tasks
-// over a *base* input run while the upstream job producing its other
-// input is still in its map phase. Under the whole-job barriered
+// partition-granular, not job-granular: a staged downstream job's map
+// tasks over a *base* input run while the upstream job producing its
+// other input is still in its map phase. Under the whole-job barriered
 // scheduler this program deadlocks until the 10s safety timeout (the
 // downstream job would not start before the upstream finished); under
 // the pipelined scheduler the base-input map task runs immediately and
-// releases the upstream mapper.
+// releases the upstream mapper. The downstream job's r is fixed at 2: a
+// job predicted to have one reducer maps every split in its one task,
+// once all its inputs exist (TestOneReducerMapsEverySplit).
 func TestRunProgramPipelinesAcrossJobBarrier(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Put(relation.FromTuples("A", 1, []relation.Tuple{tup(1), tup(2)}))
@@ -409,8 +412,9 @@ func TestRunProgramPipelinesAcrossJobBarrier(t *testing.T) {
 		innerUp.Map(input, id, tp, emit)
 	})
 
-	// Downstream: reads base B and produced Z.
+	// Downstream: reads base B and produced Z, staged.
 	downstream := unionJob("down", []string{"B", "Z"}, "W", 1)
+	downstream.reducers = 2
 	innerDown := downstream.Mapper
 	downstream.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit *Emitter) {
 		if input == "B" {
@@ -434,6 +438,48 @@ func TestRunProgramPipelinesAcrossJobBarrier(t *testing.T) {
 	want := relation.FromTuples("W", 1, []relation.Tuple{tup(1), tup(2), tup(3), tup(4)})
 	if !outs.Relation("W").Equal(want) {
 		t.Errorf("W = %s, want %s", outs.Relation("W").Dump(), want.Dump())
+	}
+}
+
+// TestOneReducerMapsEverySplit: a one-reducer job that reads a base
+// input and a produced one maps every split of both in its one task —
+// FaultHooks.Inline sees as many splits as the job has map tasks, and no
+// shuffle task runs — and its outputs and stats equal the staged run's.
+func TestOneReducerMapsEverySplit(t *testing.T) {
+	db := relation.NewDatabase()
+	db.Put(relation.FromTuples("A", 1, tuples(3)))
+	db.Put(relation.FromTuples("B", 1, []relation.Tuple{tup(3), tup(4), tup(5)}))
+	p := &Program{Jobs: []*Job{
+		identityJob("up", "A", "Z", 1),
+		unionJob("down", []string{"B", "Z"}, "W", 1),
+	}}
+	e := NewEngine(Config{Cost: splitEveryTuple(), Workers: 2})
+	run := func(staged bool) (*relation.Database, []JobStats, ProgressSnapshot, int64) {
+		t.Helper()
+		var inline atomic.Int64 // splits the downstream job's one-reducer task mapped
+		defer SetFaultHooks(FaultHooks{Staged: staged, Inline: func(job int, _ InlineSplit) {
+			if job == 1 {
+				inline.Add(1)
+			}
+		}})()
+		var prog Progress
+		outs, stats, _, err := e.Run(context.Background(), p, db, RunOptions{Progress: &prog})
+		if err != nil {
+			t.Fatalf("staged %v: %v", staged, err)
+		}
+		return outs, stats, prog.Snapshot(), inline.Load()
+	}
+	outs, stats, snap, inline := run(false)
+	if st := stats[1]; st.Reducers != 1 || st.MapTasks != 6 || inline != int64(st.MapTasks) || snap.ShuffleTasksTotal != 0 {
+		t.Errorf("the one-reducer job mapped %d of its %d splits inline at r = %d, %d shuffle tasks; want all 6 at r = 1, none",
+			inline, st.MapTasks, st.Reducers, snap.ShuffleTasksTotal)
+	}
+	stagedOuts, stagedStats, _, _ := run(true)
+	if got, want := programSignature(t, outs), programSignature(t, stagedOuts); got != want {
+		t.Errorf("outputs\n%s\nwant the staged run's\n%s", got, want)
+	}
+	if !reflect.DeepEqual(stats, stagedStats) {
+		t.Errorf("stats %+v, want the staged run's %+v", stats, stagedStats)
 	}
 }
 

@@ -32,7 +32,7 @@ func FuzzSlotLayout(f *testing.F) {
 	f.Add([]byte{3, 'h', 'o', 't'}, uint8(5), uint8(255), true)
 	f.Add([]byte{}, uint8(7), uint8(90), false)
 	// One reducer and a 12-byte key: each task's 150 records take two
-	// chunks of arena, which become its partition as they are.
+	// chunks of arena, which its shuffle task copies into one segment.
 	f.Add([]byte("\x0cmulti-chunks"), uint8(0), uint8(0), false)
 	f.Add([]byte("\x0cmulti-chunks"), uint8(8), uint8(0), true)
 	c := &poolCtx{scratch: new(taskScratch)} // one worker's scratch, reused across every input

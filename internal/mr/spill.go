@@ -11,18 +11,15 @@ import (
 )
 
 // The shuffle byte form, resident or spilled. A shuffle task lays one map
-// task's records — encoded by Emit — out as per-reducer segments over an
-// ordered list of byte chunks (shuffleTask); that list is the partition.
-// With more than one reducer it is the one buffer the task fills; with
-// one, placement is the identity and it is the map task's arena chunks,
-// handed over as Emit left them. When the partition's modelled bytes
-// reach the run's spill threshold its chunks are written to a temp file
-// back to back and dropped — spilling encodes nothing — and the reduce
-// stage's one reader (taskPartition.appendTo) decodes a segment the same
-// way wherever its bytes are, resident chunks or a ReadAt into a fresh
-// buffer, in the same declared (part, task) position. The records a
-// reducer sees — and therefore outputs and JobStats — are bit-for-bit
-// identical in both stores and at both placements (pinned by
+// task's records — encoded by Emit — out as per-reducer segments of one
+// buffer (shuffleTask); that buffer is the partition. When the
+// partition's modelled bytes reach the run's spill threshold the buffer
+// is written to a temp file and dropped — spilling encodes nothing — and
+// the reduce stage's one reader (taskPartition.appendTo) decodes a
+// segment the same way wherever its bytes are, a slice of the resident
+// buffer or a ReadAt into a fresh one, in the same declared (part, task)
+// position. The records a reducer sees — and therefore outputs and
+// JobStats — are bit-for-bit identical in both stores (pinned by
 // TestOrderedFoldDifferential and CI's reader-configuration loop, which
 // re-runs the whole mr suite with a tiny threshold).
 //
@@ -53,10 +50,9 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // b[pos] into a reference into b (src left 0) and returns the position
 // after it. Every length is checked against the bytes remaining before
 // it is used, so arbitrary input yields errCorrupt, never a panic. A
-// record is decoded once in its reduce task, and in its shuffle task too
-// when that places it (r > 1), and nearly every header is three one-byte
-// varints, so those are read without the varint loop (measured in
-// CHANGES.md).
+// shuffled record is decoded twice, in its shuffle task and in its
+// reduce task, and nearly every header is three one-byte varints, so
+// those are read without the varint loop (measured in CHANGES.md).
 func readRecord(b []byte, pos int) (record, int, error) {
 	if pos+4 <= len(b) && b[pos]|b[pos+1]|b[pos+2] < 0x80 {
 		klen, plen := int(b[pos]), int(b[pos+1])
@@ -141,82 +137,54 @@ func (s *spillSet) cleanup() {
 	}
 }
 
-// segment locates one reducer's records within the concatenation of a
-// task partition's chunks, or within its spill file.
+// segment locates one reducer's records within a task partition's
+// buffer, or within its spill file.
 type segment struct {
 	off, len int64
 	count    int32
 }
 
 // taskPartition is one map task's shuffle output: per-reducer segments
-// of encoded records, consecutive in reducer order, in the concatenation
-// of bufs or — once spilled — at the same offsets of f. When the shuffle
-// task placed the records (shuffleTask) bufs is the one buffer it filled,
-// and every segment is a slice of it. Otherwise it is the map task's
-// arena chunks and the lone segment is all of them; no record straddles
-// two chunks (Emit starts a fresh chunk for a record that does not fit),
-// so each chunk decodes on its own. loads are the segments' modelled
+// of encoded records, consecutive in reducer order, in buf or — once
+// spilled — at the same offsets of f. loads are the segments' modelled
 // bytes.
 type taskPartition struct {
-	bufs  [][]byte
-	f     *os.File // non-nil = spilled: the file owns the bytes, bufs is nil
+	buf   []byte
+	f     *os.File // non-nil = spilled: the file owns the bytes, buf is nil
 	segs  []segment
 	loads []int64
 }
 
-// spill writes the partition's chunks back to back to a fresh spill
-// file and drops them: the file now owns the bytes.
+// spill writes the partition's buffer to a fresh spill file and drops
+// it: the file now owns the bytes.
 func (tp *taskPartition) spill(s *spillSet, b *Budget) error {
 	f, err := s.create()
 	if err != nil {
 		return err
 	}
-	var n int64
-	for _, c := range tp.bufs {
-		if _, err := f.Write(c); err != nil {
-			s.drop(f)
-			return fmt.Errorf("%w: write: %w", ErrSpill, err)
-		}
-		n += int64(len(c))
+	if _, err := f.Write(tp.buf); err != nil {
+		s.drop(f)
+		return fmt.Errorf("%w: write: %w", ErrSpill, err)
 	}
-	b.noteSpill(n)
-	tp.bufs, tp.f = nil, f
+	b.noteSpill(int64(len(tp.buf)))
+	tp.buf, tp.f = nil, f
 	return nil
 }
 
-// read returns reducer ri's segment as the chunks that hold it, in
-// order: a slice of the one resident buffer, all of a single-reducer
-// partition's chunks, or the file range read back into one
-// budget-charged buffer. A one-chunk answer is built in *one, which the
-// caller keeps on its stack. Concurrent reduce tasks may read different
-// segments of one file (ReadAt is positional and thread-safe).
-func (tp *taskPartition) read(ri int, b *Budget, one *[1][]byte) ([][]byte, error) {
+// read returns reducer ri's segment: a slice of the resident buffer, or
+// the file range read back into one budget-charged buffer. Concurrent
+// reduce tasks may read different segments of one file (ReadAt is
+// positional and thread-safe).
+func (tp *taskPartition) read(ri int, b *Budget) ([]byte, error) {
 	seg := tp.segs[ri]
-	switch {
-	case tp.f != nil:
-		data := grabBytes(b, int(seg.len))
-		if _, err := tp.f.ReadAt(data, seg.off); err != nil {
-			return nil, fmt.Errorf("%w: read: %w", ErrSpill, err)
-		}
-		one[0] = data
-	case len(tp.bufs) == 1:
-		one[0] = tp.bufs[0][seg.off : seg.off+seg.len]
-	default: // a single-reducer partition: its segment is every chunk
-		return tp.bufs, nil
+	if tp.f == nil {
+		return tp.buf[seg.off : seg.off+seg.len], nil
 	}
-	return one[:], nil
-}
-
-// bufCount is the number of buffers appendTo adds to a reduce task's
-// list for reducer ri's segment.
-func (tp *taskPartition) bufCount(ri int) int {
-	switch {
-	case tp.segs[ri].count == 0:
-		return 0
-	case tp.f != nil:
-		return 1
+	data := grabBytes(b, int(seg.len))
+	if _, err := tp.f.ReadAt(data, seg.off); err != nil {
+		return nil, fmt.Errorf("%w: read: %w", ErrSpill, err)
 	}
-	return len(tp.bufs)
+	return data, nil
 }
 
 // appendTo appends to dst this partition's records of reducer ri, in the
@@ -225,40 +193,36 @@ func (tp *taskPartition) bufCount(ri int) int {
 // set — and returns their modelled bytes: the partition's share of ri's
 // load. Resident or streamed back from the spill file, the segment goes
 // through the same decode loop, once, and the reducer sees the same
-// record sequence; each chunk of the segment becomes one more buffer of
-// dst. The segment must decode to exactly its record count with no bytes
-// left over: at r = 1 no shuffle task has decoded the arena, so this is
-// where a damaged one is caught.
+// record sequence; the segment becomes one more buffer of dst. The
+// segment must decode to exactly its record count with no bytes left
+// over, which is where a damaged spill file is caught.
 func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, ri int, b *Budget) (int64, error) {
 	seg := tp.segs[ri]
 	if seg.count == 0 {
 		return 0, nil
 	}
-	var one [1][]byte
-	chunks, err := tp.read(ri, b, &one)
+	data, err := tp.read(ri, b)
 	if err != nil {
 		return 0, err
 	}
 	var kept int64
 	n := int32(0)
-	for _, data := range chunks {
-		src := uint32(len(dst.bufs))
-		dst.bufs = append(dst.bufs, data)
-		for pos := 0; pos < len(data); n++ {
-			r, next, err := readRecord(data, pos)
-			if err != nil || n == seg.count {
-				return kept, errCorrupt
-			}
-			r.src = src
-			loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
-			if made {
-				*loc = keyLoc{src: src, off: r.off, klen: r.klen, first: int32(len(dst.recs))}
-			}
-			r.group = loc.first
-			dst.recs = append(dst.recs, r)
-			kept += r.size
-			pos = next
+	src := uint32(len(dst.bufs))
+	dst.bufs = append(dst.bufs, data)
+	for pos := 0; pos < len(data); n++ {
+		r, next, err := readRecord(data, pos)
+		if err != nil || n == seg.count {
+			return kept, errCorrupt
 		}
+		r.src = src
+		loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
+		if made {
+			*loc = keyLoc{src: src, off: r.off, klen: r.klen, first: int32(len(dst.recs))}
+		}
+		r.group = loc.first
+		dst.recs = append(dst.recs, r)
+		kept += r.size
+		pos = next
 	}
 	if n != seg.count {
 		return kept, errCorrupt

@@ -29,8 +29,8 @@ func spillFilesIn(t *testing.T, dir string) []string {
 }
 
 // shuffleOne runs the real shuffle task over one map task's output with
-// a single reducer — the arena becomes the partition's one segment — and
-// returns the partition, resident or spilled.
+// a single reducer — the arena's records copied into the partition's one
+// segment — and returns the partition, resident or spilled.
 func shuffleOne(t testing.TB, em *Emitter, spill bool) *taskPartition {
 	t.Helper()
 	tp, err := shuffleArena(t, em.chunks, em.records, 1, spill)
@@ -43,7 +43,7 @@ func shuffleOne(t testing.TB, em *Emitter, spill bool) *taskPartition {
 // shuffleArena runs the real shuffle task over raw arena chunks said to
 // hold msgs records, into a partition of the given reducer count; an
 // arena the shuffle task rejects is the error. The task gets its own copy
-// of the chunk list, which at r > 1 it reuses, as it does a map task's.
+// of the chunk list, which it drops, as it does a map task's.
 func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, reducers int, spill bool) (tp *taskPartition, err error) {
 	t.Helper()
 	e := NewEngine(Config{Cost: cost.Default()})
@@ -111,7 +111,7 @@ func multiChunkArena(b *Budget) *Emitter {
 // rawPartition is a resident single-reducer partition over arbitrary
 // bytes claiming count records.
 func rawPartition(b []byte, count int32) *taskPartition {
-	return &taskPartition{bufs: [][]byte{b}, segs: []segment{{len: int64(len(b)), count: count}}}
+	return &taskPartition{buf: b, segs: []segment{{len: int64(len(b)), count: count}}}
 }
 
 // checkReadFails reads tp and requires a typed failure.
@@ -129,10 +129,7 @@ func checkReadFails(t *testing.T, what string, tp *taskPartition) {
 func TestSegmentCorruption(t *testing.T) {
 	kvs := []kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}}
 	tp := shuffleOne(t, setOf(kvs), false)
-	if len(tp.bufs) != 1 {
-		t.Fatalf("%d records in %d chunks, want one", len(kvs), len(tp.bufs))
-	}
-	good, count := tp.bufs[0], tp.segs[0].count
+	good, count := tp.buf, tp.segs[0].count
 	if got, err := readAll(tp); err != nil || len(got.recs) != len(kvs) {
 		t.Fatalf("clean segment: %d records, err %v", len(got.recs), err)
 	}
@@ -232,9 +229,8 @@ func checkArenaDamage(t *testing.T, what string, chunks [][]byte, msgs int64, re
 // TestArenaCorruption is TestSegmentCorruption one stage earlier, in
 // memory and spilled. Every bit of a map task's arena, flipped, must
 // give ErrSpill or a partition that reads back, and a record count the
-// arena does not hold must give ErrSpill — from the shuffle task at
-// r = 7, which decodes the arena to place it, and from the reader at
-// r = 1, where the arena is the partition, undecoded, over one chunk or
+// arena does not hold must give ErrSpill — from the shuffle task, which
+// decodes the arena to place it at r = 1 as at r = 7, over one chunk or
 // several.
 func TestArenaCorruption(t *testing.T) {
 	small := setOf([]kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}})
@@ -264,7 +260,7 @@ func TestArenaCorruption(t *testing.T) {
 
 // FuzzRecordCodec round-trips records through the encoder (Emit, into a
 // map task's arena), the decoder over that arena, the real shuffle task
-// of a single-reducer job (which hands the arena over as the partition)
+// of a single-reducer job (which copies the arena into its one segment)
 // and the one reader, resident and spilled; it damages a byte of the
 // arena under the shuffle task and the reader at r = 1 and r = 7, and
 // feeds the reader arbitrary bytes. The engine never interprets a
@@ -292,7 +288,7 @@ func FuzzRecordCodec(f *testing.F) {
 	// The 11 bytes of "before", then 1 + 2 + 1 + 1 + 1 of header, tag and key: this payload ends its chunk.
 	f.Add([]byte("k"), byte(7), int64(12), make([]byte, arenaFirst-11-6), []byte{0xff, 0x1f})
 	// 1 + 2 + 1 + 1 + 1 bytes of header, tag and key: this record fills the second rung to the
-	// last byte, so the third opens a third chunk, and the arena is a multi-chunk partition.
+	// last byte, so the third opens a third chunk, and the shuffle decodes a multi-chunk arena.
 	f.Add([]byte("k"), byte(8), int64(12), make([]byte, 2*arenaFirst-6), []byte{0x01, 0x40})
 	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
 		size &= math.MaxInt64 >> 1 // a modelled size is a byte count

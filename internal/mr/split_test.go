@@ -55,9 +55,10 @@ func skewedProgramOf(n int64, reducers int) (*Program, *relation.Database) {
 // split partition is gathered, and its spilled segments read back, once,
 // with those of a split-off run in the same store. The single-reducer
 // rows — 30 000 tuples over 6 map tasks, so every R arena spans 6 chunks
-// — hold the partition that is its map task's arena, split off and cut
-// into pieces (0.5), to the same contract, and their outputs to those of
-// the same program at its derived reducer count, which is 2.
+// and its shuffle task copies them all into one segment — hold a lone
+// reducer's partition, split off and cut into pieces (0.5), to the same
+// contract, and their outputs to those of the same program at its
+// derived reducer count, which is 2.
 func TestOrderedFoldDifferential(t *testing.T) {
 	singleReducer := func() (*Program, *relation.Database) { return skewedProgramOf(30000, 1) }
 	derivedReducers := func() (*Program, *relation.Database) { return skewedProgramOf(30000, 0) }

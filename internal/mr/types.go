@@ -211,8 +211,7 @@ type Job struct {
 	// reducers fixes r, which only this package's tests do; 0 derives it
 	// per §5.1 optimization (3) from the intermediate size measured after
 	// the job's last map task, not from a sample as Gumbo does (ROADMAP:
-	// "The reducer count is decided before the map phase" makes it
-	// sampled).
+	// "r is fixed before the maps" makes it sampled).
 	reducers int
 }
 
