@@ -246,12 +246,13 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// earlyStopProgram is one job predicted to have one reducer that does
-// not: the identity over R2, whose base input fits one reducer's
-// allocation, with records that model 100 bytes each, which pass it in
-// the second of the input's six or so splits. Its one-reducer task stops
-// there and the job goes staged, every split mapped again.
-func earlyStopProgram() (*Program, *relation.Database, cost.Config) {
+// sampledStagedProgram is one job predicted to have one reducer that
+// does not: the identity over R2, whose base input fits one reducer's
+// allocation, with records that model 100 bytes each, which pass it
+// about four times over. Its one task's sample says so, maps no split,
+// and spawns the input's six or so splits as map tasks: the job runs
+// staged.
+func sampledStagedProgram() (*Program, *relation.Database, cost.Config) {
 	_, db := diamondProgram()
 	job := identityJob("early", "R2", "E", 2)
 	job.Mapper = MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
@@ -265,12 +266,13 @@ func earlyStopProgram() (*Program, *relation.Database, cost.Config) {
 }
 
 // TestProgressCounters checks the task record's three folds, in both
-// shapes of the diamond program's jobs and on a job that stops early
-// (earlyStopProgram). After an uncanceled run every stage's done count
-// equals its total and the totals agree with the run's own stats and
-// what FaultHooks.Inline saw (map tasks — the splits a one-reducer task
-// mapped plus the map tasks, a fallback's re-maps included — reduce
-// tasks, one merge shard per declared output, one job per job). Shuffle
+// shapes of the diamond program's jobs and on a job its sample sends
+// staged (sampledStagedProgram). After an uncanceled run every stage's
+// done count equals its total and the totals agree with the run's own
+// stats (map tasks — each split counted once, whether a one-reducer task
+// or a map task mapped it — reduce tasks, one merge shard per declared
+// output, one job per job), and FaultHooks.Inline saw every split of a
+// job with one reducer that runs unstaged and none of any other. Shuffle
 // tasks are one per map task of a job that runs staged
 // (FaultHooks.Staged, spilling, or past one reducer) and none when, as
 // in the diamond by default, every job has one reducer and its reduce
@@ -288,9 +290,9 @@ func TestProgressCounters(t *testing.T) {
 	if snap, cp := idle.Snapshot(), idle.CriticalPath(); snap != (ProgressSnapshot{}) || cp != (CriticalPath{}) {
 		t.Errorf("unused Progress reports %+v, %+v", snap, cp)
 	}
-	early, earlyDB, earlyCost := earlyStopProgram()
-	earlyEngine := newTestEngine(earlyCost)
-	earlyEngine.cfg.Workers = 4
+	sent, sentDB, sentCost := sampledStagedProgram()
+	sentEngine := newTestEngine(sentCost)
+	sentEngine.cfg.Workers = 4
 	diamondMaps := 0
 	for _, run := range []struct {
 		name   string
@@ -301,7 +303,7 @@ func TestProgressCounters(t *testing.T) {
 	}{
 		{"diamond", p, db, e, false},
 		{"diamond staged", p, db, e, true},
-		{"early stop", early, earlyDB, earlyEngine, false},
+		{"sent staged", sent, sentDB, sentEngine, false},
 	} {
 		inline := make([]atomic.Int64, len(run.p.Jobs)) // per job, the splits its one-reducer task mapped
 		restore := SetFaultHooks(FaultHooks{Staged: run.staged, Inline: func(job int, _ InlineSplit) { inline[job].Add(1) }})
@@ -314,13 +316,17 @@ func TestProgressCounters(t *testing.T) {
 		snap := prog.Snapshot()
 		wantMaps, wantShuffles, wantReds, wantMerges := 0, 0, 0, 0
 		for i, st := range stats {
-			// A one-reducer task counts as the splits it mapped, and the
-			// map tasks of its fallback count on top; a spilling run runs
-			// every job staged.
+			// A one-reducer task counts as the splits it mapped: all of
+			// its job's at r = 1, none when its sample sent the job
+			// staged. A spilling run runs every job staged.
 			wantMaps += st.MapTasks
+			wantInline := st.MapTasks
 			if run.staged || run.e.cfg.SpillThreshold > 0 || st.Reducers > 1 {
-				wantMaps += int(inline[i].Load())
+				wantInline = 0
 				wantShuffles += st.MapTasks
+			}
+			if n := int(inline[i].Load()); n != wantInline {
+				t.Errorf("%s: job %s mapped %d splits inline, want %d", run.name, st.Name, n, wantInline)
 			}
 			wantReds += st.ReduceTasks
 			wantMerges += len(run.p.Jobs[i].Outputs)
@@ -328,11 +334,8 @@ func TestProgressCounters(t *testing.T) {
 		if run.p == p {
 			diamondMaps = wantMaps
 		}
-		if run.p == early && run.e.cfg.SpillThreshold <= 0 {
-			if n := int(inline[0].Load()); n == 0 || n >= stats[0].MapTasks || stats[0].Reducers == 1 {
-				t.Errorf("the early-stop job mapped %d of its %d splits inline and has %d reducers: it did not stop early",
-					n, stats[0].MapTasks, stats[0].Reducers)
-			}
+		if run.p == sent && stats[0].Reducers == 1 {
+			t.Errorf("the job its sample should send staged has 1 reducer")
 		}
 		if snap.MapTasksDone != wantMaps || snap.MapTasksTotal != wantMaps {
 			t.Errorf("%s: map counters %d/%d, want %d/%d", run.name, snap.MapTasksDone, snap.MapTasksTotal, wantMaps, wantMaps)

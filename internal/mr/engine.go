@@ -40,8 +40,8 @@ import (
 // hashed with an inlined FNV-1a, a shuffle task copies the encoded
 // records into per-reducer byte segments of one buffer with counted
 // two-pass placement (the layout a spill file has, so spilling is one
-// write) — or, when the job is predicted to have one reducer, its one
-// reduce task maps every split into its own key set — records are
+// write) — or, when a job predicted to have one reducer samples r = 1,
+// its one reduce task maps every split into its own key set — records are
 // grouped once, in the reduce task, through the same key set, the groups
 // in the order their keys first arrived and no key sorted (group.go), a
 // heavy partition's groups then cut at group boundaries into pieces
@@ -185,29 +185,38 @@ type SampleCounts struct {
 }
 
 // Sample runs the job's mapper over every SampleStride-th tuple of each
-// input through a map task's own emit loop (mapTuples): the sampling
-// step Gumbo uses to estimate M_i before running a job (§5.1 opt (3)).
-// Records and bytes are therefore what the job's map tasks emit, size
-// rule and packing included — when the job packs, an input's sample
-// shares one key set, so Records counts its distinct keys. Sampling
-// charges no budget. It fails on an input db does not hold.
+// input through a map task's own emit loop (Emitter.sample): the step
+// Gumbo uses to estimate M_i before running a job (§5.1 opt (3)). Records
+// and bytes are what the job's map tasks emit, size rule and packing
+// included — an input's sample shares one key set, so under packing
+// Records counts its distinct keys. It charges no budget and fails on an
+// input db does not hold.
 func Sample(job *Job, db *relation.Database) ([]SampleCounts, error) {
-	rels := make([]*relation.Relation, len(job.Inputs))
+	em, sc := Emitter{}, new(taskScratch)
+	counts := make([]SampleCounts, len(job.Inputs))
 	for k, name := range job.Inputs {
-		if rels[k] = db.Relation(name); rels[k] == nil {
+		rel := db.Relation(name)
+		if rel == nil {
 			return nil, fmt.Errorf("mr: sample: unknown input relation %q", name)
 		}
-	}
-	var sc *taskScratch
-	if job.Packing {
-		sc = new(taskScratch) // one key set, emptied input by input
-	}
-	counts := make([]SampleCounts, len(rels))
-	for k, rel := range rels {
-		n := rel.Size()
-		sampled := (n + SampleStride - 1) / SampleStride
-		res := mapTuples(sc, job, job.Inputs[k], mapTaskSpec{rel: rel, to: n}, SampleStride, sampled, nil)
-		counts[k] = SampleCounts{Tuples: int64(n), Sampled: int64(sampled), Records: res.records, Bytes: res.bytes}
+		counts[k] = em.sample(sc, job, name, mapTaskSpec{rel: rel, to: rel.Size()}, SampleStride)
 	}
 	return counts, nil
+}
+
+// sample maps every step-th tuple of ts, of input, through e — a
+// sampler's one Emitter, counts reset, arena scratch — charging nothing,
+// with sc's key set emptied first when the job packs.
+func (e *Emitter) sample(sc *taskScratch, job *Job, input string, ts mapTaskSpec, step int) SampleCounts {
+	n := ts.to - ts.from
+	sampled := (n + step - 1) / step
+	if job.Packing {
+		e.keys = sc.keySet(sampled, false)
+	}
+	e.records, e.bytes, e.keyed = 0, 0, 0
+	if n := len(e.chunks); n > 0 { // write over the last chunk
+		e.chunks = append(e.chunks[:0], e.chunks[n-1][:0])
+	}
+	res := e.mapSplit(job, input, ts, step)
+	return SampleCounts{Tuples: int64(n), Sampled: int64(sampled), Records: res.records, Bytes: res.bytes}
 }

@@ -24,17 +24,13 @@ import (
 //	              in reducer and piece order)
 //	all merges  ──▶ final stats fold, job counted done
 //
-// A job predicted to have one reducer (predictOne) has a second shape,
-// with no map or shuffle task: once all its inputs exist, one reduce
-// task (reduceInline) maps every split of the job in declared
-// (part, task) order, Emit entering each record straight into the
-// task's key set and record array, which is the record's only header;
-// the grouped set then goes the staged reduce task's way (cut, pieces,
-// merges). Its per-split results are a map task's, so stats fold as
-// mapsDone folds them, and once the bytes so far pass one reducer's
-// allocation — r is then not 1 — the job goes staged: every split
-// spawns as a map task, those the task has mapped included, since their
-// arenas hold no record headers.
+// A job predicted to have one reducer (predictOne) waits for all its
+// inputs; one task (reduceInline) samples them to fix r and, past one
+// reducer or near it, spawns the map tasks. At r = 1 it maps every split
+// itself, Emit entering each record straight into its key set and
+// record array, the record's only header, and the grouped set goes the
+// staged reduce task's way (cut, pieces, merges). No split is mapped
+// twice.
 //
 // A staged job's map tasks over an input are spawned the moment that
 // input relation exists (inputReady), which is what lets the program
@@ -73,8 +69,7 @@ type jobRun struct {
 	mu   sync.Mutex
 	left int
 
-	// one says the job is predicted to have one reducer (predictOne):
-	// its reduce task maps every split itself.
+	// one: the job is predicted to have one reducer (predictOne).
 	one bool
 
 	tasks   [][]mapTaskSpec   // per input part: that input's splits
@@ -146,10 +141,10 @@ func (jr *jobRun) label(k taskKind, part, index int) taskLabel {
 	return taskLabel{job: int32(jr.idx), part: int32(part), index: int32(index), kind: k}
 }
 
-// predictOne decides, before any of the job's tasks runs, whether the
-// job takes the one-reducer shape: the run does not spill, r is neither
-// fixed nor input-based, and the job's base inputs (reads[part] < 0)
-// alone fit one reducer's allocation.
+// predictOne decides, before any task runs, whether the job waits for
+// all its inputs for its one task (reduceInline): the run does not
+// spill, r is neither fixed nor input-based, and its base inputs
+// (reads[part] < 0) alone fit one reducer's allocation.
 func (jr *jobRun) predictOne(reads []int, db *relation.Database) {
 	job := jr.job
 	if jr.gov.spill != nil || job.reducers > 0 || job.ReducerInputMB > 0 {
@@ -168,8 +163,8 @@ func (jr *jobRun) predictOne(reads []int, db *relation.Database) {
 // relation exists: immediately for base relations, from the producer's
 // merge task for produced ones. It computes the input's splits
 // (Cost.Mappers of the input MB, clamped to the tuple count, one task
-// for empty inputs) and spawns the map tasks — unless the one-reducer
-// task maps them, which the input's arrival may then release.
+// for empty inputs) and spawns the map tasks — unless the job waits for
+// its one task, which the input's arrival may then release.
 func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 	inputMB := mbOf(rel.Bytes())
 	m := jr.e.cfg.Cost.Mappers(inputMB)
@@ -201,35 +196,39 @@ func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
 		}
 		return
 	}
-	for ti := range specs {
-		ti := ti
+	jr.spawnMaps(c, part)
+}
+
+// spawnMaps spawns a map task per split of part.
+func (jr *jobRun) spawnMaps(c *poolCtx, part int) {
+	for ti := range jr.tasks[part] {
 		c.spawn(jr.label(kindMap, part, ti), func(c *poolCtx) { jr.mapTask(c, part, ti) })
 	}
 }
 
 // mapTask runs the mapper over one split through the production
 // Emitter: records encoded into the task's arena, sizes fixed — packing
-// decided — at emit.
+// decided, against the worker's key set, sized by the part's estimate,
+// which the task then updates — at emit.
 func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	ts := jr.tasks[part][ti]
 	n := ts.to - ts.from
-	keys := n
-	if est := jr.est[part].Load(); est > 0 {
-		keys = int(est*int64(n)/1024) + 8
+	em := Emitter{budget: jr.gov.budget}
+	if jr.job.Packing {
+		keys := n
+		if est := jr.est[part].Load(); est > 0 {
+			keys = int(est*int64(n)/1024) + 8
+		}
+		em.keys = c.scratch.keySet(keys, false)
 	}
-	jr.mapped(part, ti, mapTuples(c.scratch, jr.job, jr.job.Inputs[part], ts, 1, keys, jr.gov.budget))
-	if jr.stageDone() {
-		jr.mapsDone(c)
-	}
-}
-
-// mapped stores split ti of part's result and, when the job packs,
-// publishes the part's key estimate.
-func (jr *jobRun) mapped(part, ti int, res mapTaskResult) {
-	if n := jr.tasks[part][ti].to - jr.tasks[part][ti].from; jr.job.Packing && n > 0 {
+	res := em.mapSplit(jr.job, jr.job.Inputs[part], ts, 1)
+	if jr.job.Packing && n > 0 {
 		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
 	jr.results[part][ti] = res
+	if jr.stageDone() {
+		jr.mapsDone(c)
+	}
 }
 
 // stageDone counts one task of the current stage finished and reports
@@ -241,21 +240,10 @@ func (jr *jobRun) stageDone() bool {
 	return jr.left == 0
 }
 
-// mapTuples runs job's mapper over every step-th tuple of ts through a
-// fresh Emitter charging b — with the worker's key set, sized for keys,
-// when the job packs — and returns what it emitted. It is the map side of
-// a map task (step 1) and of Sample (step SampleStride).
-func mapTuples(sc *taskScratch, job *Job, input string, ts mapTaskSpec, step, keys int, b *Budget) mapTaskResult {
-	em := Emitter{budget: b}
-	if job.Packing {
-		em.keys = sc.keySet(keys, false)
-	}
-	return em.mapSplit(job, input, ts, step)
-}
-
 // mapSplit runs job's mapper over every step-th tuple of ts through e and
 // returns what it emitted: e's arena from its base on, and its counts —
-// a map task's result, or a one-reducer task's for one of its splits.
+// a map task's result, a one-reducer task's for one of its splits, or a
+// sample's of one input.
 func (e *Emitter) mapSplit(job *Job, input string, ts mapTaskSpec, step int) mapTaskResult {
 	for i := ts.from; i < ts.to; i += step {
 		job.Mapper.Map(input, i, ts.rel.Tuple(i), e)
@@ -268,10 +256,11 @@ func (e *Emitter) mapSplit(job *Job, input string, ts mapTaskSpec, step int) map
 	return res
 }
 
-// mapsDone (run by the last finishing map task) folds the map results
-// and spawns the shuffle stage.
+// mapsDone (run by the last finishing map task) folds the map results,
+// derives r and spawns the shuffle stage.
 func (jr *jobRun) mapsDone(c *poolCtx) {
 	jr.foldMaps()
+	jr.reducers = jr.computeReducers()
 	jr.spawnShuffles(c)
 }
 
@@ -291,10 +280,7 @@ func (jr *jobRun) spawnShuffles(c *poolCtx) {
 }
 
 // foldMaps folds the per-split results in declared part/task order —
-// float accumulation order is part of the bit-for-bit contract — and
-// derives the reducer count. It assigns each part's sums, so folding
-// again — after a one-reducer task's walk has folded as it went, and its
-// fallback has re-mapped the splits — folds afresh.
+// float accumulation order is part of the bit-for-bit contract.
 func (jr *jobRun) foldMaps() {
 	total := 0
 	for part := range jr.tasks {
@@ -309,33 +295,31 @@ func (jr *jobRun) foldMaps() {
 		jr.stats.Parts[part].InterMB, jr.stats.Parts[part].Records = interMB, records
 	}
 	jr.stats.MapTasks = total
-	jr.reducers = jr.computeReducers()
-	jr.stats.Reducers = jr.reducers
-	jr.stats.ReduceTasks = jr.reducers
 }
 
-// reduceInline is a one-reducer job's reduce task. It sizes the worker's
-// record array, key set and stamps once for the records it expects — a
-// tuple per split — and walks the job's splits in declared (part, task)
-// order, mapping each into the task's own record set (Emit, which
-// writes no record header there), its result kept as a map task would
-// keep it. After each split the walk folds the split's bytes into its
-// part's InterMB in foldMaps' own order, so its running r is foldMaps' r
-// over the splits so far, and once that passes 1 the job goes staged
-// (fallBack); after the last split, then, r is 1. The task hands the set
-// on to its next phase, which groups and reduces it as a staged reduce
-// task does its gather.
-// The walk is the map task of the record, counted as the splits it
-// mapped; the next phase is the job's one reduce task (poolCtx.then).
+// reduceInline is a one-reducer job's task, run once its last input
+// arrives. Past one reducer as sampled (sampledReducers), it counts as
+// no map task and spawns every split as one. At r = 1 it sizes the
+// worker's record array, key set and stamps once, a record a tuple,
+// maps every split in declared (part, task) order into its own record
+// set (Emit writes no record header there), counting as that many map
+// tasks, and hands the set on to the job's one reduce task
+// (poolCtx.then), which groups and reduces it as a gather.
 func (jr *jobRun) reduceInline(c *poolCtx) {
 	sc := c.scratch
-	n, splits := 0, 0
-	for part := range jr.tasks {
-		for _, ts := range jr.tasks[part] {
-			n += ts.to - ts.from
-			splits++
-		}
+	n, splits := 0, 0 // tuples and splits
+	for _, specs := range jr.tasks {
+		n, splits = n+specs[0].rel.Size(), splits+len(specs)
 	}
+	if jr.sampledReducers(sc) > 1 {
+		c.countAs(0)
+		jr.left = splits
+		for part := range jr.tasks {
+			jr.spawnMaps(c, part)
+		}
+		return
+	}
+	c.countAs(splits)
 	set := recordSet{bufs: make([][]byte, 0, splits*arenaRungs), recs: grow(&sc.recs, n)[:0]}
 	ks := sc.keySet(n, false)
 	stamps := grow(&sc.target, n)
@@ -347,24 +331,18 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 			from := len(set.recs)
 			em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
 				grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
-			jr.mapped(part, ti, em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1))
+			res := em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1)
+			jr.results[part][ti], load = res, load+res.bytes
 			set.bufs, stamps = em.chunks, em.stamps
 			split++
-			c.countAs(int(split))
 			if h := c.pool.hooks; h != nil && h.Inline != nil {
 				h.Inline(jr.idx, InlineSplit(set.recs[from:]))
-			}
-			res := &jr.results[part][ti]
-			load += res.bytes
-			jr.stats.Parts[part].InterMB += mbOf(res.bytes) * jr.inflate
-			if jr.computeReducers() != 1 {
-				jr.fallBack(c)
-				return
 			}
 		}
 	}
 	jr.foldMaps()
 	jr.results = nil // the record set holds the arenas now
+	jr.reducers = 1
 	jr.reduceStage()
 	k := jr.ways(load, int64(len(set.recs)), float64(load))
 	l := jr.label(kindReduce, 0, 0)
@@ -376,53 +354,48 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 	})
 }
 
-// fallBack puts a one-reducer job on the staged path: every split of
-// the job spawns as an ordinary map task, those the task has mapped
-// already included — their header-less arenas are dropped unread, and
-// the mapper, being deterministic, emits the same records again — and
-// the last map task to finish runs mapsDone, whose fold replaces the
-// walk's.
-func (jr *jobRun) fallBack(c *poolCtx) {
-	jr.one = false
-	jr.left = 0
-	for part := range jr.tasks {
-		jr.left += len(jr.tasks[part])
-	}
-	for part := range jr.tasks {
-		for ti := range jr.tasks[part] {
-			c.spawn(jr.label(kindMap, part, ti), func(c *poolCtx) { jr.mapTask(c, part, ti) })
+// sampledReducers is r as the job's sample says (§5.1 opt. 3): every
+// SampleStride-th tuple of each input mapped through one Emitter and
+// sc's key set, the bytes extrapolated to the input, times inflate,
+// folded in part order. An estimate within a factor 2 of one reducer's
+// allocation, where such a sample could land on the wrong side of 1,
+// reads as 2: the job goes staged, whose maps measure r. Outside that
+// band r = 1 is the sample's decision, which the differential tests
+// hold to a staged run's (the worst miss seen is 1.75×, CHANGES.md).
+func (jr *jobRun) sampledReducers(sc *taskScratch) int {
+	var em Emitter
+	var interMB float64
+	for part, specs := range jr.tasks {
+		rel := specs[0].rel
+		if s := em.sample(sc, jr.job, jr.job.Inputs[part], mapTaskSpec{rel: rel, to: rel.Size()}, SampleStride); s.Sampled > 0 {
+			interMB += mbOf(s.Bytes) * float64(s.Tuples) / float64(s.Sampled) * jr.inflate
 		}
 	}
+	cost := jr.e.cfg.Cost
+	if alloc := cost.ReducerDataMB; interMB >= alloc/2 && interMB <= alloc*2 {
+		return 2
+	}
+	return cost.Reducers(interMB)
 }
 
 // computeReducers derives r per §5.1 optimization (3) (or honors the
 // job's fixed count / Pig-style input-based allocation).
 func (jr *jobRun) computeReducers() int {
-	job, e := jr.job, jr.e
-	reducers := job.reducers
-	if reducers <= 0 {
-		perReducer, basis := e.cfg.Cost.ReducerDataMB, jr.stats.InterMB()
-		if job.ReducerInputMB > 0 {
-			// ReducerInputMB is expressed at full scale (Pig's 1 GB of
-			// map input per reducer); convert to the running scale.
-			scale := e.cfg.Cost.Scale
-			if scale <= 0 {
-				scale = 1
-			}
-			perReducer, basis = job.ReducerInputMB*scale, jr.stats.InputMB()
-		}
-		if perReducer <= 0 {
-			reducers = 1
-		} else {
-			tmp := e.cfg.Cost
-			tmp.ReducerDataMB = perReducer
-			reducers = tmp.Reducers(basis)
-		}
+	job, cost := jr.job, jr.e.cfg.Cost
+	if job.reducers > 0 {
+		return job.reducers
 	}
-	if reducers < 1 {
-		reducers = 1
+	basis := jr.stats.InterMB()
+	if job.ReducerInputMB > 0 {
+		// ReducerInputMB is expressed at full scale (Pig's 1 GB of
+		// map input per reducer); convert to the running scale.
+		scale := cost.Scale
+		if scale <= 0 {
+			scale = 1
+		}
+		cost.ReducerDataMB, basis = job.ReducerInputMB*scale, jr.stats.InputMB()
 	}
-	return reducers
+	return cost.Reducers(basis)
 }
 
 // shuffleTask partitions one map task's records by key hash with the
@@ -513,6 +486,7 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 // cut says otherwise, and a task per reducer to join.
 func (jr *jobRun) reduceStage() {
 	r := jr.reducers
+	jr.stats.Reducers, jr.stats.ReduceTasks = r, r
 	jr.stats.ReduceLoadMB = make([]float64, r)
 	jr.pieces = make([][]piece, r)
 	whole := make([]piece, r)

@@ -86,10 +86,10 @@ func producedOnly(st gumbo.JobStats, db *gumbo.Database) bool {
 // derived from the records: a split the one-reducer task maps is charged
 // the chunk ladder over its key and payload bytes (it writes no header)
 // in place of the staged map task's ladder over its headed records and
-// of its shuffle task's buffer of those records — and on top of both
-// when the job falls back, since the fallback maps and shuffles the
-// split again as that map task (mr.InlineSplit.Charges). It runs, at
-// widths 1 and 4,
+// of its shuffle task's buffer of those records
+// (mr.InlineSplit.Charges). Every split is mapped once: a job's
+// one-reducer task maps all of its splits or none, and the record counts
+// Σ JobStats.MapTasks map tasks. It runs, at widths 1 and 4,
 // with skew splitting off and at 0.5 (which cuts a lone reducer's
 // partition after its gather):
 //
@@ -100,8 +100,8 @@ func producedOnly(st gumbo.JobStats, db *gumbo.Database) bool {
 //   - the corpus's disjunctions under SEQ and HPAR at a scale whose
 //     allocation the guard jobs' inputs already pass, so they run
 //     staged, while the union or filter job — which reads only produced
-//     relations and is predicted to have one reducer — passes it part
-//     way through its splits and goes staged, every split mapped again.
+//     relations and is predicted to have one reducer — is sent staged
+//     by its sample, no split mapped by its one-reducer task.
 //
 // It also asserts that each of those shapes occurred.
 func TestOneReducerMatchesStaged(t *testing.T) {
@@ -128,8 +128,7 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 			[]gumbo.Strategy{gumbo.SEQ, gumbo.HPAR}})
 	}
 
-	var oneReducer, producedOne, cutOne, stoppedEarly int
-	var fallbackBytes int64 // charged by the tight suites' fallbacks for splits mapped twice
+	var oneReducer, producedOne, cutOne, sentStaged int
 	for _, s := range suites {
 		q := gumbo.MustParse(s.src)
 		for _, width := range []int{1, 4} {
@@ -155,12 +154,7 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 					})
 					want := staged.res.Mem
 					for job, b := range bare {
-						want.ChargedBytes += b
-						if one.res.JobStats[job].Reducers == 1 {
-							want.ChargedBytes -= stagedBytes[job]
-						} else if s.scale == tight {
-							fallbackBytes += b
-						}
+						want.ChargedBytes += b - stagedBytes[job]
 					}
 					if err := sameOutputs(staged.res.Outputs, one.res.Outputs); err != nil {
 						t.Errorf("%s: one-reducer outputs differ from staged: %v", name, err)
@@ -177,27 +171,40 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 					if staged.snap.ShuffleTasksTotal != staged.snap.MapTasksTotal {
 						t.Errorf("%s: the staged run shuffled %d of %d map tasks", name, staged.snap.ShuffleTasksTotal, staged.snap.MapTasksTotal)
 					}
+					for _, r := range []shapeRun{staged, one} {
+						maps := 0
+						for _, st := range r.res.JobStats {
+							maps += st.MapTasks
+						}
+						if r.snap.MapTasksTotal != maps {
+							t.Errorf("%s: the record counts %d map tasks, Σ JobStats.MapTasks = %d", name, r.snap.MapTasksTotal, maps)
+						}
+					}
 					if one.snap.ShuffleTasksTotal == 0 {
 						oneReducer++
 					}
 					for job, st := range one.res.JobStats {
+						if n := mapped[job]; n != 0 && (n != st.MapTasks || st.Reducers != 1) {
+							t.Errorf("%s: job %s mapped %d of its %d splits inline at r = %d, want all at r = 1 or none",
+								name, st.Name, n, st.MapTasks, st.Reducers)
+						}
 						po := producedOnly(st, s.db)
 						switch {
 						case st.Reducers == 1 && po && one.snap.ShuffleTasksTotal == 0:
 							producedOne++
 						case st.Reducers == 1 && st.SplitReduceTasks > 0 && one.snap.ShuffleTasksTotal == 0:
 							cutOne++
-						case st.Reducers > 1 && po && mapped[job] > 0 && mapped[job] < st.MapTasks:
-							stoppedEarly++ // fell back before its last split
+						case st.Reducers > 1 && po && mapped[job] == 0:
+							sentStaged++ // a candidate its sample sent staged
 						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d runs all one-reducer, %d produced-only one-reducer jobs, %d cut at r = 1, %d stopped early (%d bytes charged for splits mapped twice)",
-		oneReducer, producedOne, cutOne, stoppedEarly, fallbackBytes)
-	if oneReducer == 0 || producedOne == 0 || cutOne == 0 || stoppedEarly == 0 {
+	t.Logf("%d runs all one-reducer, %d produced-only one-reducer jobs, %d cut at r = 1, %d sent staged by their sample",
+		oneReducer, producedOne, cutOne, sentStaged)
+	if oneReducer == 0 || producedOne == 0 || cutOne == 0 || sentStaged == 0 {
 		t.Errorf("a shape the test must cover did not occur")
 	}
 }

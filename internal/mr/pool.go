@@ -67,7 +67,7 @@ type poolCtx struct {
 type taskScratch struct {
 	recs   []record // reduceGroups, reduceInline: the gathered records
 	idx    []int32  // shuffleTask: each record's encoded length; groupRecords: record indices laid out by key
-	keys   keySet   // a map task's packing decisions under Emit, a reduce task's gather, or both in a one-reducer task
+	keys   keySet   // a map task's packing decisions under Emit, a sample's, a reduce task's gather, or both in a one-reducer task
 	target []int32  // shuffleTask: each record's reducer; reduceInline: each key group's last split (Emit's stamps); groupRecords: each group's count, cursor, end
 	pos    []int64  // shuffleTask: per-reducer write cursors
 }
@@ -232,11 +232,14 @@ type FaultHooks struct {
 	// tests hold the two shapes to each other with it.
 	Staged bool
 	// Inline, when non-nil, is called as a one-reducer task finishes
-	// mapping a split, with the job's index in its program and the
-	// split's records in emit order, valid during the call only. The
-	// one-reducer differential test derives the task's arena charges
-	// from them.
+	// mapping a split (every split of its job at r = 1), with the job's
+	// index in its program and the split's records in emit order, valid
+	// during the call only. The one-reducer differential test derives
+	// the task's arena charges from them.
 	Inline func(job int, split InlineSplit)
+	// Span, when non-nil, times each task as Span of its label, not as
+	// measured, so a span test asserts CriticalPath exactly.
+	Span func(l taskLabel) int64
 }
 
 // InlineSplit is the records one split of a one-reducer task emitted,

@@ -12,8 +12,8 @@ import (
 )
 
 // sleepJob maps each tuple of its inputs — one map task per tuple, under
-// splitEveryTuple — after calling nap, which sleeps, and copies the
-// tuples into out through one reducer.
+// splitEveryTuple — after calling nap, and copies the tuples into out
+// through one reducer.
 func sleepJob(name string, ins []string, out string, nap func(input string)) *Job {
 	return &Job{
 		Name:     name,
@@ -47,20 +47,30 @@ func tuples(n int) []relation.Tuple {
 	return ts
 }
 
+// sec is ns in seconds, as the task record converts it.
+func sec(ns int64) float64 { return float64(ns) / 1e9 }
+
 // TestCriticalPathChainBesideWideJob: a chain of k dependent one-task
-// jobs, each mapper sleeping d, runs beside an independent job of 32
-// map tasks sleeping d each. The wide job has far more work, but its
-// tasks do not depend on one another, so the span is the chain's: at
-// least k·d, and at most 2 ms a job more for its shuffle, reduce and
-// merge tasks and the timer's slack — at width 1, where every task
-// waits its turn, as at width 4.
+// jobs runs beside an independent job of 32 map tasks, the record
+// taking every map task as d and every other task as o
+// (FaultHooks.Span). The wide job has far more work, but its tasks do
+// not depend on one another, so the span is the chain's, exactly
+// k·(d + 3o) — each job's map, shuffle, reduce and merge — at width 1,
+// where every task waits its turn, as at width 4. The work is every
+// task's, summed as JobTiming sums it.
 func TestCriticalPathChainBesideWideJob(t *testing.T) {
-	const k, d = 4, 3 * time.Millisecond
-	nap := func(string) { time.Sleep(d) }
+	const k, d, o = 4, int64(3 * time.Millisecond), int64(10 * time.Microsecond)
+	defer SetFaultHooks(FaultHooks{Span: func(l taskLabel) int64 {
+		if l.kind == kindMap {
+			return d
+		}
+		return o
+	}})()
 	for _, width := range []int{1, 4} {
 		db := relation.NewDatabase()
 		db.Put(relation.FromTuples("C0", 1, tuples(1)))
 		db.Put(relation.FromTuples("W", 1, tuples(32)))
+		nap := func(string) {}
 		p := &Program{Jobs: []*Job{sleepJob("wide", []string{"W"}, "W2", nap)}}
 		for i := 0; i < k; i++ {
 			p.Jobs = append(p.Jobs, sleepJob(fmt.Sprintf("chain%d", i), []string{fmt.Sprintf("C%d", i)}, fmt.Sprintf("C%d", i+1), nap))
@@ -75,16 +85,20 @@ func TestCriticalPathChainBesideWideJob(t *testing.T) {
 			t.Fatalf("wide job ran %d map tasks, want 32", stats[0].MapTasks)
 		}
 		cp := rec.CriticalPath()
-		lo, hi := (k * d).Seconds(), (k*d + k*2*time.Millisecond).Seconds()
-		if cp.Seconds < lo || cp.Seconds > hi {
-			t.Errorf("width %d: span %.2f ms, want the chain's [%.0f, %.0f] ms (work %.2f ms, along the path %+v)",
-				width, 1e3*cp.Seconds, 1e3*lo, 1e3*hi, 1e3*cp.Work, cp.Kinds)
+		kinds := JobTiming{MapSeconds: sec(k * d), ShuffleSeconds: sec(k * o), ReduceSeconds: sec(k * o), MergeSeconds: sec(k * o)}
+		if cp.Seconds != sec(k*(d+3*o)) || cp.Kinds != kinds {
+			t.Errorf("width %d: span %v s by kind %+v, want the chain's %v s by kind %+v",
+				width, cp.Seconds, cp.Kinds, sec(k*(d+3*o)), kinds)
 		}
-		if cp.Kinds.MapSeconds < lo {
-			t.Errorf("width %d: maps add %.2f ms along the path, want ≥ %.0f", width, 1e3*cp.Kinds.MapSeconds, 1e3*lo)
+		job := func(maps int64) float64 { // a job's work: its maps, as many shuffles, a reduce and a merge
+			return JobTiming{MapSeconds: sec(maps * d), ShuffleSeconds: sec(maps * o), ReduceSeconds: sec(o), MergeSeconds: sec(o)}.TotalSeconds()
 		}
-		if minWork := (32 + k) * d; cp.Work < minWork.Seconds() {
-			t.Errorf("width %d: work %.2f ms, want ≥ %v", width, 1e3*cp.Work, minWork)
+		work := job(32)
+		for i := 0; i < k; i++ {
+			work += job(1)
+		}
+		if cp.Work != work {
+			t.Errorf("width %d: work %v s, want %v s", width, cp.Work, work)
 		}
 	}
 }
@@ -92,13 +106,25 @@ func TestCriticalPathChainBesideWideJob(t *testing.T) {
 // TestCriticalPathLongTaskNotLast: one map task of a job sleeps long
 // while 64 short ones of its other input finish after it, so the task
 // that ends the map stage — and spawns the shuffle — is a short one.
-// The span still runs through the long task: the shuffle waits for
-// every map task, not for the one that happened to finish last, which
-// is all a fold over spawn edges would see. The long input is the last
-// one seeded, so at width 1 its task is popped first; at width 4 the
-// other workers steal the short tasks meanwhile.
+// The sleeps fix that completion order; the record takes the long task
+// as long, the short ones as short and every other task as o
+// (FaultHooks.Span). The span still runs through the long task, exactly
+// long + 3o: the shuffle waits for every map task, not for the one that
+// happened to finish last, which is all a fold over spawn edges would
+// see. The long input is the last one seeded, so at width 1 its task is
+// popped first; at width 4 the other workers steal the short tasks
+// meanwhile.
 func TestCriticalPathLongTaskNotLast(t *testing.T) {
-	const long, short = 10 * time.Millisecond, 2 * time.Millisecond
+	const long, short, o = 10 * time.Millisecond, 2 * time.Millisecond, int64(10 * time.Microsecond)
+	defer SetFaultHooks(FaultHooks{Span: func(l taskLabel) int64 {
+		switch {
+		case l.kind != kindMap:
+			return o
+		case l.part == 1: // L's
+			return int64(long)
+		}
+		return int64(short)
+	}})()
 	for _, width := range []int{1, 4} {
 		db := relation.NewDatabase()
 		db.Put(relation.FromTuples("S", 1, tuples(64)))
@@ -121,9 +147,10 @@ func TestCriticalPathLongTaskNotLast(t *testing.T) {
 		if r := longRank.Load(); r == 65 {
 			t.Fatalf("width %d: the long task finished last; the test needs it not to", width)
 		}
-		if cp := rec.CriticalPath(); cp.Seconds < long.Seconds() || cp.Kinds.MapSeconds < long.Seconds() {
-			t.Errorf("width %d: span %.2f ms (maps %.2f ms), want it through the %v task",
-				width, 1e3*cp.Seconds, 1e3*cp.Kinds.MapSeconds, long)
+		kinds := JobTiming{MapSeconds: sec(int64(long)), ShuffleSeconds: sec(o), ReduceSeconds: sec(o), MergeSeconds: sec(o)}
+		if cp := rec.CriticalPath(); cp.Seconds != sec(int64(long)+3*o) || cp.Kinds != kinds {
+			t.Errorf("width %d: span %v s by kind %+v, want %v s by kind %+v through the %v task",
+				width, cp.Seconds, cp.Kinds, sec(int64(long)+3*o), kinds, long)
 		}
 	}
 }
@@ -159,13 +186,14 @@ func TestCriticalPathPieceAfterGather(t *testing.T) {
 
 // TestCriticalPathOneReducer folds a synthetic record of two jobs: "p"
 // publishes P after map 2 ms, shuffle 1 ms, reduce 3 ms and merge 1 ms;
-// the one-reducer job "one" reads base B and P, and its reduce task maps
-// both (map part −1, 2 ms) once the merge that publishes P is done. If r
-// stays 1 it then reduces (3 ms) before its merge (1 ms): the span is
-// 13 ms. If it falls back, the walk spawns the re-maps of B (9 ms) and P
-// (1 ms), which wait for it, and the job goes on staged — shuffle 1 ms,
-// reduce 3 ms, merge 1 ms: the span is 23 ms, through the walk and the
-// re-map of B.
+// the job "one", predicted to have one reducer, reads base B and P, and
+// its one task (map part −1, 2 ms) runs once the merge that publishes P
+// is done. If its sample says r = 1 the task samples and maps both
+// inputs, then reduces (3 ms) before its merge (1 ms): the span is
+// 13 ms. If the sample says more, the task is the sample alone and
+// spawns the map tasks of B (9 ms) and P (1 ms), which wait for it, and
+// the job goes on staged — shuffle 1 ms, reduce 3 ms, merge 1 ms: the
+// span is 23 ms, through the sample and the map of B.
 func TestCriticalPathOneReducer(t *testing.T) {
 	ms := int64(time.Millisecond)
 	for _, c := range []struct {
@@ -179,7 +207,7 @@ func TestCriticalPathOneReducer(t *testing.T) {
 			{taskLabel{job: 1, kind: kindReduce}, 3 * ms},
 			{taskLabel{job: 1, part: -1, kind: kindMap}, 2 * ms},
 		}, 0.013, JobTiming{MapSeconds: 0.004, ShuffleSeconds: 0.001, ReduceSeconds: 0.006, MergeSeconds: 0.002}},
-		{"fallback", []span{
+		{"sent staged", []span{
 			{taskLabel{job: 1, kind: kindMerge}, 1 * ms},
 			{taskLabel{job: 1, kind: kindReduce}, 3 * ms},
 			{taskLabel{job: 1, kind: kindShuffle}, 1 * ms},
