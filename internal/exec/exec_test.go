@@ -138,11 +138,10 @@ func TestRunErrorOnBrokenPlan(t *testing.T) {
 
 // runPaperPlans runs the GREEDY and PAR partitions of the paper's A and B
 // queries and the GREEDY-SGF and PARUNIT plans of its C queries over
-// their databases built at dataScale, under the cost configuration at
-// costScale, and hands check each plan, its database and its result,
-// run under cfg.
-func runPaperPlans(t *testing.T, dataScale, costScale float64, check func(name string, cfg cost.Config, plan *core.Plan, db *relation.Database, res *Result)) {
-	runner := NewRunner(mr.Config{Cost: cost.Default().Scaled(costScale)}, cluster.DefaultConfig())
+// their databases built at scale, under the cost configuration at the
+// same scale, and hands check each plan, its database and its result.
+func runPaperPlans(t *testing.T, scale float64, check func(name string, plan *core.Plan, db *relation.Database, res *Result)) {
+	runner := NewRunner(mr.Config{Cost: cost.Default().Scaled(scale)}, cluster.DefaultConfig())
 	flat := append(append(workload.AQueries(), workload.BQueries()...), workload.A3K(8))
 	for _, c := range []struct {
 		wls        []workload.Workload
@@ -152,7 +151,7 @@ func runPaperPlans(t *testing.T, dataScale, costScale float64, check func(name s
 		{workload.CQueries(), []core.Strategy{core.StrategyGreedySGF, core.StrategyParUnit}},
 	} {
 		for _, wl := range c.wls {
-			db := wl.Build(dataScale)
+			db := wl.Build(scale)
 			for _, strat := range c.strategies {
 				plan, err := BuildPlan(strat, wl.Name, runner.Engine.Config().Cost, wl.Program, db)
 				if err != nil {
@@ -162,7 +161,7 @@ func runPaperPlans(t *testing.T, dataScale, costScale float64, check func(name s
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(fmt.Sprintf("%s %s", wl.Name, strat), runner.Engine.Config().Cost, plan, db, res)
+				check(fmt.Sprintf("%s %s", wl.Name, strat), plan, db, res)
 			}
 		}
 	}
@@ -180,7 +179,7 @@ func TestSampleTracksMeasuredInter(t *testing.T) {
 	if testing.Short() {
 		scale = 1e-4
 	}
-	runPaperPlans(t, scale, scale, func(name string, _ cost.Config, plan *core.Plan, db *relation.Database, res *Result) {
+	runPaperPlans(t, scale, func(name string, plan *core.Plan, db *relation.Database, res *Result) {
 		for ji, job := range plan.Jobs {
 			counts, err := mr.Sample(job, db)
 			if err != nil || !strings.Contains(job.Name, "/msj") {
@@ -199,72 +198,4 @@ func TestSampleTracksMeasuredInter(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSampledOneReducerIsMeasured holds the one-reducer task's shape
-// decision to the run: every job whose r follows its intermediate data
-// is sampled after its run against the base relations and the run's
-// outputs — what its one-reducer task samples once its last input
-// arrives, produced inputs included — and its extrapolated intermediate
-// MB folded, times its inflation, part by part as that task folds it
-// (mr's sampledReducers). That estimate puts r on the side of 1 the run
-// measured, or lies within a factor 2 of one reducer's allocation, where
-// the task sends the job staged, whose maps measure r. It runs the paper plans at 1e-4,
-// whose jobs all pass one reducer — so do they at 1e-3, at twice
-// TestSampleTracksMeasuredInter's time — and over their databases at
-// 2 000 guard tuples, the serving data's size, under the cost at 3e-4,
-// where jobs lie on both sides; both occur.
-func TestSampledOneReducerIsMeasured(t *testing.T) {
-	const band = 2
-	// Jobs measured at r = 1 and past it; estimates in the band, and
-	// those of them on the wrong side of 1.
-	var one, more, near, crossed int
-	check := func(name string, cfg cost.Config, plan *core.Plan, db *relation.Database, res *Result) {
-		all := db.Clone()
-		for _, rel := range res.Outputs.Relations() {
-			all.Put(rel)
-		}
-		for ji, job := range plan.Jobs {
-			if job.ReducerInputMB > 0 {
-				continue
-			}
-			counts, err := mr.Sample(job, all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inflate := job.InflateIntermediate
-			if inflate <= 0 {
-				inflate = 1
-			}
-			var interMB float64
-			for _, cnt := range counts {
-				if cnt.Sampled > 0 {
-					interMB += float64(cnt.Bytes) / mr.MB * float64(cnt.Tuples) / float64(cnt.Sampled) * inflate
-				}
-			}
-			st := res.JobStats[ji]
-			if st.Reducers == 1 {
-				one++
-			} else {
-				more++
-			}
-			alloc, sampled := cfg.ReducerDataMB, cfg.Reducers(interMB)
-			wrong := (sampled == 1) != (st.Reducers == 1)
-			if interMB >= alloc/band && interMB <= alloc*band {
-				near++
-				if wrong {
-					crossed++
-				}
-			} else if wrong {
-				t.Errorf("%s, job %s: sampled r %d at %.6f MB, measured r %d at %.6f MB",
-					name, job.Name, sampled, interMB, st.Reducers, st.InterMB())
-			}
-		}
-	}
-	runPaperPlans(t, 1e-4, 1e-4, check)
-	runPaperPlans(t, 2000.0/workload.PaperGuardTuples, 3e-4, check)
-	t.Logf("%d jobs at r = 1, %d past it; %d sampled within the band, %d of them on the wrong side of 1", one, more, near, crossed)
-	if one == 0 || more == 0 {
-		t.Errorf("a side the test must cover did not occur")
-	}
 }

@@ -36,7 +36,6 @@ func All() []Experiment {
 func ByID(id string) *Experiment {
 	for _, e := range All() {
 		if e.ID == id {
-			e := e
 			return &e
 		}
 	}

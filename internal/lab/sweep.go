@@ -23,7 +23,8 @@ import (
 // failure names its check; docs/LAB.md lists them and what they guard):
 //
 //  1. differential: every strategy at every width is set-equal to the
-//     reference evaluator, and bit-for-bit equal across widths;
+//     reference evaluator, and bit-for-bit equal across widths and, at
+//     the widest, on a system that spills every partition (spill);
 //  2. split: the Auto plan under skew splitting, at every width, is
 //     bit-for-bit the plain Auto run up to the split observability
 //     fields, and bit-for-bit itself across widths;
@@ -257,6 +258,14 @@ func (t *trial) differential(q *gumbo.Query, want *gumbo.Database) map[int]*gumb
 			} else if d := diffBitForBit(base, res); d != "" {
 				t.fail(f, "width %d vs %d: %s", w, w0, d)
 				break
+			}
+			if w == t.widest() && strat != auto { // Auto's spill run is the lifecycle's golden run
+				f.Check = "spill"
+				if spilled, err := t.spill.RunPlan(plan, t.db); err != nil {
+					t.fail(f, "run failed: %v", err)
+				} else if d := diffBitForBit(res, spilled); d != "" {
+					t.fail(f, "%s", d)
+				}
 			}
 			t.rep.Runs = append(t.rep.Runs, RunRecord{
 				Scenario: t.sc.Name, Shape: t.sc.Shape.String(), Profile: t.sc.Profile.Name,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -246,28 +247,22 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// sampledStagedProgram is one job predicted to have one reducer that
-// does not: the identity over R2, whose base input fits one reducer's
-// allocation, with records that model 100 bytes each, which pass it
-// about four times over. Its one task's sample says so, maps no split,
-// and spawns the input's six or so splits as map tasks: the job runs
-// staged.
-func sampledStagedProgram() (*Program, *relation.Database, cost.Config) {
+// pastOneProgram is a chain of two identity jobs, R2 → G → E, under an
+// allocation half R2's size. The first runs staged from the start; the
+// second reads only G, so it is predicted to have one reducer, but its
+// one task finds G past the allocation, maps no split, and spawns G's
+// six or so splits as map tasks: it runs staged too.
+func pastOneProgram() (*Program, *relation.Database, cost.Config) {
 	_, db := diamondProgram()
-	job := identityJob("early", "R2", "E", 2)
-	job.Mapper = MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
-		var kb [32]byte
-		emit.Emit(t.AppendKey(kb[:0]), tagInt, 100, nil)
-	})
 	inputMB := mbOf(db.Relation("R2").Bytes())
 	c := cost.Default()
-	c.SplitMB, c.ReducerDataMB = inputMB/6, 1.5*inputMB
-	return &Program{Jobs: []*Job{job}}, db, c
+	c.SplitMB, c.ReducerDataMB = inputMB/6, inputMB/2
+	return &Program{Jobs: []*Job{identityJob("grow", "R2", "G", 2), identityJob("past", "G", "E", 2)}}, db, c
 }
 
 // TestProgressCounters checks the task record's three folds, in both
-// shapes of the diamond program's jobs and on a job its sample sends
-// staged (sampledStagedProgram). After an uncanceled run every stage's
+// shapes of the diamond program's jobs and on a candidate its one task
+// sends staged by its input size (pastOneProgram). After an uncanceled run every stage's
 // done count equals its total and the totals agree with the run's own
 // stats (map tasks — each split counted once, whether a one-reducer task
 // or a map task mapped it — reduce tasks, one merge shard per declared
@@ -290,9 +285,9 @@ func TestProgressCounters(t *testing.T) {
 	if snap, cp := idle.Snapshot(), idle.CriticalPath(); snap != (ProgressSnapshot{}) || cp != (CriticalPath{}) {
 		t.Errorf("unused Progress reports %+v, %+v", snap, cp)
 	}
-	sent, sentDB, sentCost := sampledStagedProgram()
-	sentEngine := newTestEngine(sentCost)
-	sentEngine.cfg.Workers = 4
+	past, pastDB, pastCost := pastOneProgram()
+	pastEngine := newTestEngine(pastCost)
+	pastEngine.cfg.Workers = 4
 	diamondMaps := 0
 	for _, run := range []struct {
 		name   string
@@ -303,7 +298,7 @@ func TestProgressCounters(t *testing.T) {
 	}{
 		{"diamond", p, db, e, false},
 		{"diamond staged", p, db, e, true},
-		{"sent staged", sent, sentDB, sentEngine, false},
+		{"past one allocation", past, pastDB, pastEngine, false},
 	} {
 		inline := make([]atomic.Int64, len(run.p.Jobs)) // per job, the splits its one-reducer task mapped
 		restore := SetFaultHooks(FaultHooks{Staged: run.staged, Inline: func(job int, _ InlineSplit) { inline[job].Add(1) }})
@@ -317,11 +312,12 @@ func TestProgressCounters(t *testing.T) {
 		wantMaps, wantShuffles, wantReds, wantMerges := 0, 0, 0, 0
 		for i, st := range stats {
 			// A one-reducer task counts as the splits it mapped: all of
-			// its job's at r = 1, none when its sample sent the job
-			// staged. A spilling run runs every job staged.
+			// its job's when its inputs fit one reducer, none when they
+			// pass it and it sends the job staged. A spilling run runs
+			// every job staged.
 			wantMaps += st.MapTasks
 			wantInline := st.MapTasks
-			if run.staged || run.e.cfg.SpillThreshold > 0 || st.Reducers > 1 {
+			if run.staged || run.e.cfg.SpillThreshold > 0 || run.p == past {
 				wantInline = 0
 				wantShuffles += st.MapTasks
 			}
@@ -334,8 +330,9 @@ func TestProgressCounters(t *testing.T) {
 		if run.p == p {
 			diamondMaps = wantMaps
 		}
-		if run.p == sent && stats[0].Reducers == 1 {
-			t.Errorf("the job its sample should send staged has 1 reducer")
+		// A spilling run predicts no job to have one reducer.
+		if run.p == past && run.e.cfg.SpillThreshold <= 0 && !slices.ContainsFunc(prog.spans, func(s span) bool { return s.job == 1 && s.part < 0 }) {
+			t.Errorf("the job past one allocation ran no one-reducer task")
 		}
 		if snap.MapTasksDone != wantMaps || snap.MapTasksTotal != wantMaps {
 			t.Errorf("%s: map counters %d/%d, want %d/%d", run.name, snap.MapTasksDone, snap.MapTasksTotal, wantMaps, wantMaps)

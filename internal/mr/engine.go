@@ -40,10 +40,12 @@ import (
 // hashed with an inlined FNV-1a, a shuffle task copies the encoded
 // records into per-reducer byte segments of one buffer with counted
 // two-pass placement (the layout a spill file has, so spilling is one
-// write) — or, when a job predicted to have one reducer samples r = 1,
-// its one reduce task maps every split into its own key set — records are
+// write) — or, when a job predicted to have one reducer finds its
+// inputs within one reducer's allocation, its one reduce task maps
+// every split into its own key set and measures r — records are
 // grouped once, in the reduce task, through the same key set, the groups
-// in the order their keys first arrived and no key sorted (group.go), a
+// in the order their keys first arrived — reducer-major in a one-reducer
+// task past r = 1 — and no key sorted (group.go), a
 // heavy partition's groups then cut at group boundaries into pieces
 // reduced as tasks of their own (split.go) — reducers walk a view over
 // the segment bytes and append output facts to unindexed row buffers,
@@ -185,12 +187,12 @@ type SampleCounts struct {
 }
 
 // Sample runs the job's mapper over every SampleStride-th tuple of each
-// input through a map task's own emit loop (Emitter.sample): the step
-// Gumbo uses to estimate M_i before running a job (§5.1 opt (3)). Records
-// and bytes are what the job's map tasks emit, size rule and packing
-// included — an input's sample shares one key set, so under packing
-// Records counts its distinct keys. It charges no budget and fails on an
-// input db does not hold.
+// input through a map task's own emit loop: the step Gumbo uses to
+// estimate M_i before running a job (§5.1 opt (3)), here the planner's
+// and admission's; the engine measures r. Records and bytes are what the
+// job's map tasks emit, size rule and packing included — an input's
+// sample shares one key set, so under packing Records counts its
+// distinct keys. It charges no budget; it fails on an input not in db.
 func Sample(job *Job, db *relation.Database) ([]SampleCounts, error) {
 	em, sc := Emitter{}, new(taskScratch)
 	counts := make([]SampleCounts, len(job.Inputs))
@@ -199,24 +201,16 @@ func Sample(job *Job, db *relation.Database) ([]SampleCounts, error) {
 		if rel == nil {
 			return nil, fmt.Errorf("mr: sample: unknown input relation %q", name)
 		}
-		counts[k] = em.sample(sc, job, name, mapTaskSpec{rel: rel, to: rel.Size()}, SampleStride)
+		n, sampled := rel.Size(), (rel.Size()+SampleStride-1)/SampleStride
+		if job.Packing {
+			em.keys = sc.keySet(sampled, false)
+		}
+		em.records, em.bytes, em.keyed = 0, 0, 0
+		if c := len(em.chunks); c > 0 { // write over the last chunk
+			em.chunks = append(em.chunks[:0], em.chunks[c-1][:0])
+		}
+		res := em.mapSplit(job, name, mapTaskSpec{rel: rel, to: n}, SampleStride)
+		counts[k] = SampleCounts{Tuples: int64(n), Sampled: int64(sampled), Records: res.records, Bytes: res.bytes}
 	}
 	return counts, nil
-}
-
-// sample maps every step-th tuple of ts, of input, through e — a
-// sampler's one Emitter, counts reset, arena scratch — charging nothing,
-// with sc's key set emptied first when the job packs.
-func (e *Emitter) sample(sc *taskScratch, job *Job, input string, ts mapTaskSpec, step int) SampleCounts {
-	n := ts.to - ts.from
-	sampled := (n + step - 1) / step
-	if job.Packing {
-		e.keys = sc.keySet(sampled, false)
-	}
-	e.records, e.bytes, e.keyed = 0, 0, 0
-	if n := len(e.chunks); n > 0 { // write over the last chunk
-		e.chunks = append(e.chunks[:0], e.chunks[n-1][:0])
-	}
-	res := e.mapSplit(job, input, ts, step)
-	return SampleCounts{Tuples: int64(n), Sampled: int64(sampled), Records: res.records, Bytes: res.bytes}
 }

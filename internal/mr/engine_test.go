@@ -5,11 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cost"
@@ -371,68 +369,6 @@ func TestSamplePerInputIsolation(t *testing.T) {
 	db.Drop("S")
 	if _, err := Sample(semijoinJob(false), db); err == nil {
 		t.Error("sampled a job over a missing input")
-	}
-}
-
-// TestSampledReducersNearOneReducer holds a one-reducer task's shape
-// decision to the measured r where its stride sample misleads: an
-// identity job over 1 000 tuples whose sampled tuples (every
-// SampleStride-th) emit records of another modelled size than the rest,
-// under a reducer allocation halfway between the stride estimate and
-// the measured bytes. The estimate is then within a factor 2 of the
-// allocation, on its wrong side, so the task sends the job staged: it
-// maps no split itself, and the job has the r a staged run measures —
-// 2 where the estimate says 1, 1 where it says 2 — and the staged run's
-// stats.
-func TestSampledReducersNearOneReducer(t *testing.T) {
-	var tuples []relation.Tuple
-	for i := int64(0); i < 1000; i++ {
-		tuples = append(tuples, tup(i))
-	}
-	db := relation.NewDatabase()
-	db.Put(relation.FromTuples("R", 1, tuples))
-	for _, c := range []struct {
-		sampledSize int64 // the other tuples' records model 100 bytes
-		reducers    int
-	}{{80, 2}, {120, 1}} {
-		job := identityJob("near", "R", "Z", 1)
-		job.Mapper = MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
-			size := int64(100)
-			if id%SampleStride == 0 {
-				size = c.sampledSize
-			}
-			var kb [32]byte
-			emit.Emit(t.AppendKey(kb[:0]), tagInt, size, nil)
-		})
-		counts, err := Sample(job, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		estimate := mbOf(counts[0].Bytes) * float64(counts[0].Tuples) / float64(counts[0].Sampled)
-		e := newTestEngine(cost.Default())
-		e.cfg.SpillThreshold = -1 // a spilling run has no one-reducer task
-		run := func(h FaultHooks) JobStats {
-			defer SetFaultHooks(h)()
-			_, st, err := runJob(context.Background(), e, job, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		}
-		e.cfg.Cost.ReducerDataMB = (estimate + run(FaultHooks{Staged: true}).InterMB()) / 2
-		staged := run(FaultHooks{Staged: true})
-		var inline atomic.Int64
-		one := run(FaultHooks{Inline: func(int, InlineSplit) { inline.Add(1) }})
-		if e.cfg.Cost.Reducers(estimate) == c.reducers || staged.Reducers != c.reducers {
-			t.Fatalf("sampled size %d: estimate %v MB and measured r %d, against an allocation of %v MB: not a misleading sample",
-				c.sampledSize, estimate, staged.Reducers, e.cfg.Cost.ReducerDataMB)
-		}
-		if !reflect.DeepEqual(one, staged) {
-			t.Errorf("sampled size %d: JobStats %+v, staged %+v", c.sampledSize, one, staged)
-		}
-		if inline.Load() != 0 {
-			t.Errorf("sampled size %d: %d splits mapped inline, want 0", c.sampledSize, inline.Load())
-		}
 	}
 }
 

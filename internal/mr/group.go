@@ -2,6 +2,7 @@ package mr
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 )
 
@@ -193,8 +194,9 @@ type groupedSet struct {
 	left atomic.Int32
 }
 
-// groupRecords lays out a gathered set by key, in the order its keys
-// first arrived (locs, the gather's key set entries). Every record
+// groupRecords lays out a gathered set by key, in the order of locs: the
+// order its keys first arrived (the gather's key set entries), or that
+// made reducer-major (byReducer). Every record
 // already carries its key group (record.group, the index of the first
 // record with its key), so nothing here compares two keys — hash
 // aggregation: one pass counts each group, one walk over locs turns the
@@ -230,6 +232,34 @@ func groupRecords(sc *taskScratch, s *recordSet, locs []keyLoc) grouping {
 	return grouping{locs: locs, ends: ends, idx: idx}
 }
 
+// byReducer returns locs in sc's scratch, stably sorted by hashKey(key)
+// % r, and where each reducer's keys start: a reducer's keys in the
+// order its staged gather meets them, so its groups hold that gather's
+// record sequence.
+func byReducer(sc *taskScratch, s *recordSet, locs []keyLoc, r int) ([]keyLoc, []int) {
+	of, bounds := grow(&sc.idx, len(locs)), make([]int, r+1)
+	for i, l := range locs {
+		of[i] = int32(hashKey(s.bufs[l.src][l.off:l.off+l.klen]) % uint32(r))
+		bounds[of[i]+1]++
+	}
+	for ri := range r {
+		bounds[ri+1] += bounds[ri]
+	}
+	out, at := grow(&sc.locs, len(locs)), slices.Clone(bounds)
+	for i, l := range locs {
+		out[at[of[i]]], at[of[i]] = l, at[of[i]]+1
+	}
+	return out, bounds
+}
+
+// start is where group gi's records begin in idx.
+func (g *groupedSet) start(gi int) int32 {
+	if gi == 0 {
+		return 0
+	}
+	return g.ends[g.locs[gi-1].first]
+}
+
 // each calls fn once per group of [lo, hi), in first-arrival order, with
 // the group's key and a view of its messages in arrival order. It
 // allocates nothing per group: the view is one Group re-pointed at each
@@ -237,10 +267,7 @@ func groupRecords(sc *taskScratch, s *recordSet, locs []keyLoc) grouping {
 // Reducer).
 func (g *groupedSet) each(lo, hi int, fn func(key []byte, msgs *Group)) {
 	grp := Group{set: &g.recordSet}
-	var start int32
-	if lo > 0 {
-		start = g.ends[g.locs[lo-1].first]
-	}
+	start := g.start(lo)
 	for _, l := range g.locs[lo:hi] {
 		end := g.ends[l.first]
 		grp.run = g.idx[start:end]

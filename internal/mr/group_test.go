@@ -540,7 +540,7 @@ func TestReduceGroupingShapes(t *testing.T) {
 	} {
 		g := reduceOn(t, &taskScratch{}, setOf(kvs))
 		var got []string
-		for _, p := range g.cut(c.k) {
+		for _, p := range g.cut(piece{hi: len(g.locs), load: g.load}, c.k) {
 			got = append(got, traceGroups(g, p.lo, p.hi))
 		}
 		if !slices.Equal(got, c.want) {

@@ -25,11 +25,12 @@ import (
 //	all merges  ──▶ final stats fold, job counted done
 //
 // A job predicted to have one reducer (predictOne) waits for all its
-// inputs; one task (reduceInline) samples them to fix r and, past one
-// reducer or near it, spawns the map tasks. At r = 1 it maps every split
+// inputs; one task (reduceInline) then measures them. Past one reducer's
+// allocation it spawns the map tasks. Otherwise it maps every split
 // itself, Emit entering each record straight into its key set and
-// record array, the record's only header, and the grouped set goes the
-// staged reduce task's way (cut, pieces, merges). No split is mapped
+// record array, the record's only header, and takes r from the measured
+// bytes as a staged job does; its groups, reducer-major past r = 1, go
+// the staged reduce tasks' way (cut, pieces, merges). No split is mapped
 // twice.
 //
 // A staged job's map tasks over an input are spawned the moment that
@@ -84,6 +85,7 @@ type jobRun struct {
 	est []atomic.Int64
 
 	reducers  int
+	load      int64             // the map results' modelled bytes (foldMaps)
 	taskParts [][]taskPartition // per input part, per map task
 	// pieces is the reduce stage's work, per reducer: its reduce task's
 	// share, or, for a partition cut at group boundaries, its pieces in
@@ -144,7 +146,7 @@ func (jr *jobRun) label(k taskKind, part, index int) taskLabel {
 // predictOne decides, before any task runs, whether the job waits for
 // all its inputs for its one task (reduceInline): the run does not
 // spill, r is neither fixed nor input-based, and its base inputs
-// (reads[part] < 0) alone fit one reducer's allocation.
+// (reads[part] < 0) alone fit one reducer's allocation (fitsOne).
 func (jr *jobRun) predictOne(reads []int, db *relation.Database) {
 	job := jr.job
 	if jr.gov.spill != nil || job.reducers > 0 || job.ReducerInputMB > 0 {
@@ -156,7 +158,13 @@ func (jr *jobRun) predictOne(reads []int, db *relation.Database) {
 			baseMB += mbOf(db.Relation(job.Inputs[part]).Bytes())
 		}
 	}
-	jr.one = jr.e.cfg.Cost.Reducers(baseMB*jr.inflate) == 1
+	jr.one = jr.fitsOne(baseMB)
+}
+
+// fitsOne reports whether inputs of mb MB, inflated as the job's
+// intermediate data is, fit one reducer's allocation.
+func (jr *jobRun) fitsOne(mb float64) bool {
+	return jr.e.cfg.Cost.Reducers(mb*jr.inflate) == 1
 }
 
 // inputReady is called exactly once per input part, as soon as that
@@ -166,15 +174,8 @@ func (jr *jobRun) predictOne(reads []int, db *relation.Database) {
 // for empty inputs) and spawns the map tasks — unless the job waits for
 // its one task, which the input's arrival may then release.
 func (jr *jobRun) inputReady(c *poolCtx, part int, rel *relation.Relation) {
-	inputMB := mbOf(rel.Bytes())
-	m := jr.e.cfg.Cost.Mappers(inputMB)
-	if m > rel.Size() && rel.Size() > 0 {
-		m = rel.Size()
-	}
-	if rel.Size() == 0 {
-		m = 1
-	}
-	n := rel.Size()
+	inputMB, n := mbOf(rel.Bytes()), rel.Size()
+	m := max(1, min(jr.e.cfg.Cost.Mappers(inputMB), n))
 	specs := make([]mapTaskSpec, m)
 	for t := 0; t < m; t++ {
 		specs[t] = mapTaskSpec{rel: rel, from: n * t / m, to: n * (t + 1) / m}
@@ -257,15 +258,10 @@ func (e *Emitter) mapSplit(job *Job, input string, ts mapTaskSpec, step int) map
 }
 
 // mapsDone (run by the last finishing map task) folds the map results,
-// derives r and spawns the shuffle stage.
+// derives r and spawns one shuffle partition task per map task.
 func (jr *jobRun) mapsDone(c *poolCtx) {
 	jr.foldMaps()
 	jr.reducers = jr.computeReducers()
-	jr.spawnShuffles(c)
-}
-
-// spawnShuffles spawns one shuffle partition task per map task.
-func (jr *jobRun) spawnShuffles(c *poolCtx) {
 	jr.taskParts = make([][]taskPartition, len(jr.tasks))
 	for part := range jr.tasks {
 		jr.taskParts[part] = make([]taskPartition, len(jr.tasks[part]))
@@ -273,7 +269,6 @@ func (jr *jobRun) spawnShuffles(c *poolCtx) {
 	jr.left = jr.stats.MapTasks
 	for part := range jr.tasks {
 		for ti := range jr.tasks[part] {
-			part, ti := part, ti
 			c.spawn(jr.label(kindShuffle, part, ti), func(c *poolCtx) { jr.shuffleTask(c, part, ti) })
 		}
 	}
@@ -290,6 +285,7 @@ func (jr *jobRun) foldMaps() {
 			res := &jr.results[part][ti]
 			interMB += mbOf(res.bytes) * jr.inflate
 			records += res.records
+			jr.load += res.bytes
 			total++
 		}
 		jr.stats.Parts[part].InterMB, jr.stats.Parts[part].Records = interMB, records
@@ -297,21 +293,21 @@ func (jr *jobRun) foldMaps() {
 	jr.stats.MapTasks = total
 }
 
-// reduceInline is a one-reducer job's task, run once its last input
-// arrives. Past one reducer as sampled (sampledReducers), it counts as
-// no map task and spawns every split as one. At r = 1 it sizes the
-// worker's record array, key set and stamps once, a record a tuple,
-// maps every split in declared (part, task) order into its own record
-// set (Emit writes no record header there), counting as that many map
-// tasks, and hands the set on to the job's one reduce task
-// (poolCtx.then), which groups and reduces it as a gather.
+// reduceInline is a one-reducer job's task (see the header), run once
+// its last input arrives. When it maps, it sizes the worker's record
+// array, key set and stamps once, a record a tuple, counts as one map
+// task a split, and hands the set on to its reduce phase
+// (poolCtx.then): at r = 1 the job's one reduce task, which groups and
+// reduces it as a gather; past it reduceRanges.
 func (jr *jobRun) reduceInline(c *poolCtx) {
 	sc := c.scratch
 	n, splits := 0, 0 // tuples and splits
-	for _, specs := range jr.tasks {
+	var inputMB float64
+	for part, specs := range jr.tasks {
 		n, splits = n+specs[0].rel.Size(), splits+len(specs)
+		inputMB += jr.stats.Parts[part].InputMB
 	}
-	if jr.sampledReducers(sc) > 1 {
+	if !jr.fitsOne(inputMB) {
 		c.countAs(0)
 		jr.left = splits
 		for part := range jr.tasks {
@@ -324,7 +320,6 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 	ks := sc.keySet(n, false)
 	stamps := grow(&sc.target, n)
 	defer func() { sc.recs, sc.target = set.recs, stamps }() // keep what the walk grew
-	var load int64
 	var split int32
 	for part := range jr.tasks {
 		for ti := range jr.tasks[part] {
@@ -332,7 +327,7 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 			em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
 				grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
 			res := em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1)
-			jr.results[part][ti], load = res, load+res.bytes
+			jr.results[part][ti] = res
 			set.bufs, stamps = em.chunks, em.stamps
 			split++
 			if h := c.pool.hooks; h != nil && h.Inline != nil {
@@ -342,40 +337,46 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 	}
 	jr.foldMaps()
 	jr.results = nil // the record set holds the arenas now
-	jr.reducers = 1
+	jr.reducers = jr.computeReducers()
 	jr.reduceStage()
-	k := jr.ways(load, int64(len(set.recs)), float64(load))
-	l := jr.label(kindReduce, 0, 0)
-	l.split = k > 0
-	c.then(l, func(c *poolCtx) {
-		g := &groupedSet{recordSet: set, load: load}
+	c.then(jr.label(kindReduce, 0, 0), func(c *poolCtx) {
+		g := &groupedSet{recordSet: set, load: jr.load}
+		if jr.reducers > 1 {
+			jr.reduceRanges(c, g, ks.locs)
+			return
+		}
 		g.grouping = groupRecords(c.scratch, &g.recordSet, ks.locs)
-		jr.reduceGrouped(c, g, 0, k)
+		jr.reduceGrouped(c, g, 0)
 	})
 }
 
-// sampledReducers is r as the job's sample says (§5.1 opt. 3): every
-// SampleStride-th tuple of each input mapped through one Emitter and
-// sc's key set, the bytes extrapolated to the input, times inflate,
-// folded in part order. An estimate within a factor 2 of one reducer's
-// allocation, where such a sample could land on the wrong side of 1,
-// reads as 2: the job goes staged, whose maps measure r. Outside that
-// band r = 1 is the sample's decision, which the differential tests
-// hold to a staged run's (the worst miss seen is 1.75×, CHANGES.md).
-func (jr *jobRun) sampledReducers(sc *taskScratch) int {
-	var em Emitter
-	var interMB float64
-	for part, specs := range jr.tasks {
-		rel := specs[0].rel
-		if s := em.sample(sc, jr.job, jr.job.Inputs[part], mapTaskSpec{rel: rel, to: rel.Size()}, SampleStride); s.Sampled > 0 {
-			interMB += mbOf(s.Bytes) * float64(s.Tuples) / float64(s.Sampled) * jr.inflate
+// reduceRanges is a one-reducer task's reduce phase past r = 1: it lays
+// g out reducer-major, so reducer ri's groups [bounds[ri], bounds[ri+1])
+// hold what its staged reduce task would gather, cuts each heavy range
+// as that task would (the phase is then recorded as split), and reduces
+// every piece in (reducer, piece) order, counting as that many tasks.
+func (jr *jobRun) reduceRanges(c *poolCtx, g *groupedSet, locs []keyLoc) {
+	locs, bounds := byReducer(c.scratch, &g.recordSet, locs, jr.reducers)
+	g.grouping = groupRecords(c.scratch, &g.recordSet, locs)
+	mean := float64(jr.load) / float64(jr.reducers)
+	for ri := range jr.pieces {
+		p := piece{lo: bounds[ri], hi: bounds[ri+1]}
+		from, to := g.start(p.lo), g.start(p.hi)
+		for _, i := range g.idx[from:to] {
+			p.load += g.recs[i].size
+		}
+		jr.pieces[ri][0] = p
+		if k := jr.ways(p.load, int64(to-from), mean); k > 0 {
+			c.split, jr.pieces[ri] = true, g.cut(p, k)
+			jr.left += len(jr.pieces[ri]) - 1
 		}
 	}
-	cost := jr.e.cfg.Cost
-	if alloc := cost.ReducerDataMB; interMB >= alloc/2 && interMB <= alloc*2 {
-		return 2
+	c.countAs(jr.left)
+	for _, pieces := range jr.pieces {
+		for pi := range pieces {
+			jr.reducePiece(c, g, &pieces[pi])
+		}
 	}
-	return cost.Reducers(interMB)
 }
 
 // computeReducers derives r per §5.1 optimization (3) (or honors the
@@ -400,7 +401,7 @@ func (jr *jobRun) computeReducers() int {
 
 // shuffleTask partitions one map task's records by key hash with the
 // counted two-pass placement: decode the task's arena once — hash each
-// key, add the record to its reducer's load and segment, note its
+// key, add the record to its reducer's segment, note its
 // reducer and encoded length in worker scratch — allocate one buffer for
 // all the segments (charged to the run's budget — the shuffle-partition
 // accounting site), then copy every record, encoded as Emit left it,
@@ -412,10 +413,7 @@ func (jr *jobRun) computeReducers() int {
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	res := &jr.results[part][ti]
 	reducers := jr.reducers
-	tp := taskPartition{
-		segs:  make([]segment, reducers),
-		loads: make([]int64, reducers),
-	}
+	tp := taskPartition{segs: make([]segment, reducers)}
 	n := int(res.msgs)
 	if n > 0 {
 		target := grow(&c.scratch.target, n)
@@ -428,7 +426,6 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 					panic(taskAbort{err: errCorrupt})
 				}
 				p := int32(hashKey(chunk[r.off:r.off+r.klen]) % uint32(reducers))
-				tp.loads[p] += r.size
 				target[i], lens[i] = p, int32(next-at)
 				tp.segs[p].len += int64(next - at)
 				tp.segs[p].count++
@@ -466,8 +463,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	}
 }
 
-// shufflesDone spawns one reduce task per reducer, a heavy partition's
-// (split.go) with the split label, like every piece it spawns.
+// shufflesDone spawns one reduce task per reducer.
 func (jr *jobRun) shufflesDone(c *poolCtx) {
 	// The map results are fully consumed (each task's arena was
 	// released as its shuffle partition copied it); drop the
@@ -475,10 +471,8 @@ func (jr *jobRun) shufflesDone(c *poolCtx) {
 	// program's whole duration.
 	jr.results = nil
 	jr.reduceStage()
-	for ri, k := range jr.splitWays() {
-		l := jr.label(kindReduce, 0, ri)
-		l.split = k > 0
-		c.spawn(l, func(c *poolCtx) { jr.reduceTask(c, ri, k) })
+	for ri := range jr.reducers {
+		c.spawn(jr.label(kindReduce, 0, ri), func(c *poolCtx) { jr.reduceTask(c, ri) })
 	}
 }
 
@@ -533,27 +527,28 @@ func reduceGroups(sc *taskScratch, parts [][]taskPartition, ri int, b *Budget) (
 }
 
 // reduceTask gathers and groups reducer ri's partition and reduces it.
-func (jr *jobRun) reduceTask(c *poolCtx, ri int, k int64) {
+func (jr *jobRun) reduceTask(c *poolCtx, ri int) {
 	g, err := reduceGroups(c.scratch, jr.taskParts, ri, jr.gov.budget)
 	if err != nil {
 		panic(taskAbort{err: err})
 	}
-	jr.reduceGrouped(c, g, ri, k)
+	jr.reduceGrouped(c, g, ri)
 }
 
 // reduceGrouped reduces reducer ri's grouped partition, held in the
-// worker's scratch. A heavy partition's task (k > 0) first cuts its
-// groups into pieces; past one piece it lends the grouped set, and the
+// worker's scratch. A heavy partition's task (split.go) is recorded as
+// split and first cuts its groups into pieces; past one piece it lends
+// the grouped set, and the
 // worker scratch that holds it, to the pieces and takes another scratch,
 // counts the pieces into the stage in its own place, and spawns one
 // reduce task per piece (labels 1..n, the gather keeping 0): its own
 // span is then the gather and the cut alone, and CriticalPath chains
 // every piece after it.
-func (jr *jobRun) reduceGrouped(c *poolCtx, g *groupedSet, ri int, k int64) {
+func (jr *jobRun) reduceGrouped(c *poolCtx, g *groupedSet, ri int) {
 	pieces := jr.pieces[ri]
 	pieces[0] = piece{hi: len(g.locs), load: g.load}
-	if k > 0 {
-		pieces = g.cut(k)
+	if k := jr.ways(g.load, int64(len(g.recs)), float64(jr.load)/float64(jr.reducers)); k > 0 {
+		c.split, pieces = true, g.cut(pieces[0], k)
 		jr.pieces[ri] = pieces
 	}
 	if len(pieces) == 1 {

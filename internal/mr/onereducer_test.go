@@ -4,14 +4,22 @@ package mr_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	gumbo "repro"
+	"repro/internal/baselines"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/exec"
 	"repro/internal/mr"
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -87,11 +95,14 @@ func producedOnly(st gumbo.JobStats, db *gumbo.Database) bool {
 // the chunk ladder over its key and payload bytes (it writes no header)
 // in place of the staged map task's ladder over its headed records and
 // of its shuffle task's buffer of those records
-// (mr.InlineSplit.Charges). Every split is mapped once: a job's
-// one-reducer task maps all of its splits or none, and the record counts
-// Σ JobStats.MapTasks map tasks. It runs, at widths 1 and 4,
-// with skew splitting off and at 0.5 (which cuts a lone reducer's
-// partition after its gather):
+// (mr.InlineSplit.Charges). Every split is mapped once, and the shape
+// follows the measured input: a candidate's one-reducer task — a job
+// whose base inputs fit one reducer's allocation — maps all of its
+// splits when all its inputs fit it too, at whatever r its intermediate
+// bytes then give, and none otherwise; no other job maps a split inline;
+// and the record counts Σ JobStats.MapTasks map tasks. It runs, at
+// widths 1 and 4, with skew splitting off and at 0.5 (which cuts a
+// reducer's partition or range after its gather):
 //
 //   - the serving corpus on the serving data under every applicable
 //     strategy, as served (scale 1, every job one reducer);
@@ -100,8 +111,12 @@ func producedOnly(st gumbo.JobStats, db *gumbo.Database) bool {
 //   - the corpus's disjunctions under SEQ and HPAR at a scale whose
 //     allocation the guard jobs' inputs already pass, so they run
 //     staged, while the union or filter job — which reads only produced
-//     relations and is predicted to have one reducer — is sent staged
-//     by its sample, no split mapped by its one-reducer task.
+//     relations and is predicted to have one reducer — finds its inputs
+//     past the allocation and is sent staged, no split mapped by its
+//     one-reducer task;
+//   - the corpus's first query under SEQ and HPAR at a scale whose
+//     allocation the guard relation fits but the first semi-join job's
+//     intermediate data does not: that job maps inline at r = 2.
 //
 // It also asserts that each of those shapes occurred.
 func TestOneReducerMatchesStaged(t *testing.T) {
@@ -127,10 +142,14 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 		suites = append(suites, suite{fmt.Sprintf("S%d-tight", k), servingCorpus[k-1], serving, tight,
 			[]gumbo.Strategy{gumbo.SEQ, gumbo.HPAR}})
 	}
+	// 0.1024 MB a reducer: R's 0.095 MB fit it, the 0.104–0.106 MB its
+	// first semi-join job emits do not.
+	suites = append(suites, suite{"S1-past", servingCorpus[0], serving, 4e-4, []gumbo.Strategy{gumbo.SEQ, gumbo.HPAR}})
 
-	var oneReducer, producedOne, cutOne, sentStaged int
+	var oneReducer, producedOne, cutOne, inlineMore, stagedBySize int
 	for _, s := range suites {
 		q := gumbo.MustParse(s.src)
+		cfg := cost.Default().Scaled(s.scale)
 		for _, width := range []int{1, 4} {
 			for _, split := range []float64{0, 0.5} {
 				sys := gumbo.New(gumbo.WithScale(s.scale), gumbo.WithHostWorkers(width), gumbo.WithSkewSplit(split))
@@ -138,6 +157,12 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 					plan, err := sys.Plan(q, s.db, strat)
 					if err != nil {
 						continue // the strategy does not apply
+					}
+					// A Pig job's r follows its input, so no job of PPAR is
+					// a candidate; Hive's inflate their intermediate data.
+					inflate, candidates := 1.0, strat != gumbo.PPAR
+					if strat == gumbo.HPAR || strat == gumbo.HPARS {
+						inflate = baselines.HiveKnobs().Inflate
 					}
 					name := fmt.Sprintf("%s %s width %d split %v", s.name, strat, width, split)
 					var mu sync.Mutex
@@ -184,27 +209,126 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 						oneReducer++
 					}
 					for job, st := range one.res.JobStats {
-						if n := mapped[job]; n != 0 && (n != st.MapTasks || st.Reducers != 1) {
-							t.Errorf("%s: job %s mapped %d of its %d splits inline at r = %d, want all at r = 1 or none",
-								name, st.Name, n, st.MapTasks, st.Reducers)
+						var baseMB float64
+						for _, p := range st.Parts {
+							if s.db.Has(p.Input) {
+								baseMB += p.InputMB
+							}
 						}
-						po := producedOnly(st, s.db)
-						switch {
-						case st.Reducers == 1 && po && one.snap.ShuffleTasksTotal == 0:
+						candidate := candidates && cfg.Reducers(baseMB*inflate) == 1
+						fits := cfg.Reducers(st.InputMB()*inflate) == 1
+						switch n := mapped[job]; {
+						case n != 0 && (n != st.MapTasks || !candidate || !fits):
+							t.Errorf("%s: job %s mapped %d of its %d splits inline over %v MB of input, want all of a candidate's within one allocation or none",
+								name, st.Name, n, st.MapTasks, st.InputMB())
+						case n == 0 && candidate && fits:
+							t.Errorf("%s: job %s, a candidate within one allocation, mapped no split inline", name, st.Name)
+						case n == 0 && candidate:
+							stagedBySize++
+						case n != 0 && st.Reducers > 1:
+							inlineMore++
+						case producedOnly(st, s.db) && one.snap.ShuffleTasksTotal == 0:
 							producedOne++
-						case st.Reducers == 1 && st.SplitReduceTasks > 0 && one.snap.ShuffleTasksTotal == 0:
+						case st.SplitReduceTasks > 0 && one.snap.ShuffleTasksTotal == 0:
 							cutOne++
-						case st.Reducers > 1 && po && mapped[job] == 0:
-							sentStaged++ // a candidate its sample sent staged
 						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d runs all one-reducer, %d produced-only one-reducer jobs, %d cut at r = 1, %d sent staged by their sample",
-		oneReducer, producedOne, cutOne, sentStaged)
-	if oneReducer == 0 || producedOne == 0 || cutOne == 0 || sentStaged == 0 {
+	t.Logf("%d runs all one-reducer, %d produced-only one-reducer jobs, %d cut at r = 1, %d inline past r = 1, %d candidates staged by input size",
+		oneReducer, producedOne, cutOne, inlineMore, stagedBySize)
+	if oneReducer == 0 || producedOne == 0 || cutOne == 0 || inlineMore == 0 || stagedBySize == 0 {
 		t.Errorf("a shape the test must cover did not occur")
+	}
+}
+
+// TestInlinePastOneReducerMatchesStaged holds a one-reducer task whose
+// job measures past one reducer to the staged run. The job's base input
+// fits one reducer's allocation, but its mapper emits three records a
+// tuple — under the tuple's own key, a shared one, and one hot key — of
+// about 3.4 times its input bytes, against an allocation of 1.25 times
+// them: the task maps all four splits itself (FaultHooks.Inline sees
+// every one, no shuffle task runs), measures r = 3, and reduces the
+// three reducer ranges of its reducer-major layout. Outputs, tuple for
+// tuple, JobStats and Metrics equal the staged run's at widths 1 and 4,
+// with skew splitting off and at 1.5, which cuts the hot key's range
+// alone.
+func TestInlinePastOneReducerMatchesStaged(t *testing.T) {
+	var tuples []relation.Tuple
+	for i := int64(0); i < 1000; i++ {
+		tuples = append(tuples, relation.Tuple{relation.Int(i), relation.Int(i * 7)})
+	}
+	db := relation.NewDatabase()
+	db.Put(relation.FromTuples("R", 2, tuples))
+	job := &mr.Job{
+		Name:    "past",
+		Inputs:  []string{"R"},
+		Outputs: map[string]int{"Z": 3},
+		Mapper: mr.MapperFunc(func(input string, id int, tu relation.Tuple, emit *mr.Emitter) {
+			var kb, pb [16]byte
+			payload := binary.AppendUvarint(pb[:0], uint64(id))
+			for _, k := range []int64{int64(id % 300), 1000 + int64(id%211), 5000} {
+				emit.Emit(relation.Tuple{relation.Int(k)}.AppendKey(kb[:0]), 1, 20, payload)
+			}
+		}),
+		Reducer: mr.ReducerFunc(func(key []byte, msgs *mr.Group, out *mr.Output) {
+			_, first := msgs.At(0)
+			id, _ := binary.Uvarint(first)
+			out.Add("Z", relation.Tuple{relation.TupleFromKeyBytes(key)[0], relation.Int(int64(msgs.Len())), relation.Int(int64(id))})
+		}),
+	}
+	plan := &core.Plan{Name: "past", Strategy: core.StrategySEQ, Jobs: []*mr.Job{job}}
+	inputMB := float64(db.Relation("R").Bytes()) / mr.MB
+	c := cost.Default()
+	c.SplitMB, c.ReducerDataMB = inputMB/4, 1.25*inputMB
+	run := func(width int, skew float64, h mr.FaultHooks) (*exec.Result, mr.ProgressSnapshot) {
+		defer mr.SetFaultHooks(h)()
+		var rec mr.Progress
+		res, err := exec.NewRunner(mr.Config{Cost: c, Workers: width, SkewSplit: skew}, cluster.DefaultConfig()).
+			Run(context.Background(), plan, db, mr.RunOptions{Progress: &rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rec.Snapshot()
+	}
+	for _, width := range []int{1, 4} {
+		for _, skew := range []float64{0, 1.5} {
+			name := fmt.Sprintf("width %d split %v", width, skew)
+			staged, _ := run(width, skew, mr.FaultHooks{Staged: true})
+			var inline atomic.Int64
+			one, snap := run(width, skew, mr.FaultHooks{Inline: func(int, mr.InlineSplit) { inline.Add(1) }})
+			st := one.JobStats[0]
+			if int(inline.Load()) != st.MapTasks || snap.ShuffleTasksTotal != 0 || st.MapTasks < 2 {
+				t.Errorf("%s: %d of %d splits mapped inline, %d shuffle tasks: want every split inline and no shuffle",
+					name, inline.Load(), st.MapTasks, snap.ShuffleTasksTotal)
+			}
+			if st.Reducers != 3 {
+				t.Errorf("%s: r = %d at %v MB of intermediate data, want 3", name, st.Reducers, st.InterMB())
+			}
+			var total float64
+			for _, mb := range st.ReduceLoadMB {
+				total += mb
+			}
+			heavy := 0
+			for _, mb := range st.ReduceLoadMB {
+				if mb > 1.5*total/float64(st.Reducers) {
+					heavy++
+				}
+			}
+			if heavy != 1 || (skew > 0) != (st.SplitReduceTasks > 0) {
+				t.Errorf("%s: %d heavy ranges, %d split reduce tasks: want one range cut when splitting", name, heavy, st.SplitReduceTasks)
+			}
+			if err := sameOutputs(staged.Outputs, one.Outputs); err != nil {
+				t.Errorf("%s: outputs differ from staged: %v", name, err)
+			}
+			if !reflect.DeepEqual(staged.JobStats, one.JobStats) {
+				t.Errorf("%s: JobStats differ:\nstaged %+v\n   one %+v", name, staged.JobStats, one.JobStats)
+			}
+			if !reflect.DeepEqual(staged.Metrics, one.Metrics) {
+				t.Errorf("%s: Metrics differ: staged %+v, one %+v", name, staged.Metrics, one.Metrics)
+			}
+		}
 	}
 }

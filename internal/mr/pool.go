@@ -44,10 +44,12 @@ type poolCtx struct {
 	pool    *taskPool
 	id      int // worker index owning the local deque
 	scratch *taskScratch
-	// count and next are the running task's: the tasks of its kind the
-	// record counts it as (countAs), and the phase it hands on (then).
+	// count, next and split are the running task's: the tasks of its
+	// kind the record counts it as (countAs), the phase it hands on
+	// (then), and whether it found a heavy partition to cut (ways).
 	count int
 	next  poolTask
+	split bool
 }
 
 // taskScratch is one worker's reusable task memory: the pointer-free
@@ -66,8 +68,9 @@ type poolCtx struct {
 // slots, to be cleared — before any read.
 type taskScratch struct {
 	recs   []record // reduceGroups, reduceInline: the gathered records
-	idx    []int32  // shuffleTask: each record's encoded length; groupRecords: record indices laid out by key
-	keys   keySet   // a map task's packing decisions under Emit, a sample's, a reduce task's gather, or both in a one-reducer task
+	idx    []int32  // shuffleTask: each record's encoded length; byReducer: each key's reducer; groupRecords: record indices laid out by key
+	keys   keySet   // a map task's packing decisions under Emit, a reduce task's gather, or both in a one-reducer task
+	locs   []keyLoc // byReducer: a one-reducer task's keys, reducer-major
 	target []int32  // shuffleTask: each record's reducer; reduceInline: each key group's last split (Emit's stamps); groupRecords: each group's count, cursor, end
 	pos    []int64  // shuffleTask: per-reducer write cursors
 }
@@ -232,10 +235,10 @@ type FaultHooks struct {
 	// tests hold the two shapes to each other with it.
 	Staged bool
 	// Inline, when non-nil, is called as a one-reducer task finishes
-	// mapping a split (every split of its job at r = 1), with the job's
-	// index in its program and the split's records in emit order, valid
-	// during the call only. The one-reducer differential test derives
-	// the task's arena charges from them.
+	// mapping a split (every split of its job, whatever r it measures),
+	// with the job's index in its program and the split's records in emit
+	// order, valid during the call only. The one-reducer differential
+	// test derives the task's arena charges from them.
 	Inline func(job int, split InlineSplit)
 	// Span, when non-nil, times each task as Span of its label, not as
 	// measured, so a span test asserts CriticalPath exactly.

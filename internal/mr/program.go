@@ -129,7 +129,6 @@ func (e *Engine) Run(ctx context.Context, p *Program, db *relation.Database, opt
 	reads := p.ReadSets()
 	runs := make([]*jobRun, len(p.Jobs))
 	for i, job := range p.Jobs {
-		i := i
 		// Release the input parts reading the merged relation. A
 		// producer precedes its consumers.
 		runs[i] = e.newJobRun(i, job, gov, func(c *poolCtx, name string, rel *relation.Relation) {

@@ -85,13 +85,15 @@ func (p *Progress) jobDone() {
 // run executes one granted task and records its span, then runs and
 // records, phase by phase, the next phase each hands on (poolCtx.then):
 // spawned as it starts, on the same worker and scratch. A phase counted
-// as n tasks (poolCtx.countAs) is spawned n − 1 more times as it ends.
+// as n tasks (poolCtx.countAs) is spawned n − 1 more times as it ends;
+// one that found a heavy partition to cut is recorded as split.
 func (p *Progress) run(c *poolCtx, t poolTask) {
 	for {
-		c.count, c.next = 1, poolTask{}
+		c.count, c.next, c.split = 1, poolTask{}, false
 		start := time.Now()
 		t.fn(c)
 		ns := int64(time.Since(start))
+		t.split = t.split || c.split
 		if h := c.pool.hooks; h != nil && h.Span != nil {
 			ns = h.Span(t.taskLabel)
 		}
@@ -143,9 +145,9 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 // and differential tests pin.
 type JobTiming struct {
 	Name           string
-	MapSeconds     float64 // map tasks (mapper over one split; Emit encodes and packs), and a one-reducer task's sample and its walk over the job's splits
+	MapSeconds     float64 // map tasks (mapper over one split; Emit encodes and packs), and a one-reducer task's walk over the job's splits, or its look at inputs past one reducer
 	ShuffleSeconds float64 // shuffle partition tasks (counted two-pass placement; none for a one-reducer job)
-	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, scatter, reduce; a one-reducer task's scatter and reduce)
+	ReduceSeconds  float64 // reduce partition tasks (gather through the key set, scatter, reduce; a one-reducer task's layout, scatter and reduce)
 	MergeSeconds   float64 // output merge shards (relation.Merge, publish)
 	// SplitSeconds is the share of ReduceSeconds spent in the reduce
 	// tasks of heavy partitions, which the runtime skew splitter cuts
@@ -222,10 +224,10 @@ func longer(a, b chain) chain {
 }
 
 // CriticalPath folds the record over the program's structure: a
-// one-reducer task's sample and mapping wait for the merges that publish
+// one-reducer task's mapping waits for the merges that publish
 // every input of its job, a map task for the merge shard that publishes
 // its input (a base input is ready at the start) and for the one-reducer
-// task whose sample spawned it, each piece of a cut reduce partition
+// task that spawned it, each piece of a cut reduce partition
 // waits for the task that gathered and cut it, and every other task of a
 // job waits for every task of the stages before it. It does not follow
 // spawn edges: a stage is spawned by whichever task of the stage before
@@ -249,7 +251,7 @@ func (p *Progress) CriticalPath() CriticalPath {
 		var walk chain                // the chain ending at the job's one-reducer task's mapping, if any
 		gathered := map[int32]chain{} // per reducer: the chain ending at its gather
 		// A one-reducer task's mapping (map part −1) is folded as a stage
-		// of its own before the map tasks its sample spawns, and the
+		// of its own before the map tasks it spawns, and the
 		// pieces of cut partitions (reduce part > 0) after the gathers,
 		// whatever order they finished in.
 		for si, k := range []taskKind{kindMap, kindMap, kindShuffle, kindReduce, kindReduce, kindMerge} {

@@ -188,12 +188,12 @@ func TestCriticalPathPieceAfterGather(t *testing.T) {
 // publishes P after map 2 ms, shuffle 1 ms, reduce 3 ms and merge 1 ms;
 // the job "one", predicted to have one reducer, reads base B and P, and
 // its one task (map part −1, 2 ms) runs once the merge that publishes P
-// is done. If its sample says r = 1 the task samples and maps both
-// inputs, then reduces (3 ms) before its merge (1 ms): the span is
-// 13 ms. If the sample says more, the task is the sample alone and
-// spawns the map tasks of B (9 ms) and P (1 ms), which wait for it, and
-// the job goes on staged — shuffle 1 ms, reduce 3 ms, merge 1 ms: the
-// span is 23 ms, through the sample and the map of B.
+// is done. If the inputs fit one reducer's allocation the task maps
+// both, then reduces (3 ms) before its merge (1 ms): the span is 13 ms.
+// If they pass it, the task only measures them and spawns the map tasks
+// of B (9 ms) and P (1 ms), which wait for it, and the job goes on
+// staged — shuffle 1 ms, reduce 3 ms, merge 1 ms: the span is 23 ms,
+// through the task and the map of B.
 func TestCriticalPathOneReducer(t *testing.T) {
 	ms := int64(time.Millisecond)
 	for _, c := range []struct {
@@ -207,7 +207,7 @@ func TestCriticalPathOneReducer(t *testing.T) {
 			{taskLabel{job: 1, kind: kindReduce}, 3 * ms},
 			{taskLabel{job: 1, part: -1, kind: kindMap}, 2 * ms},
 		}, 0.013, JobTiming{MapSeconds: 0.004, ShuffleSeconds: 0.001, ReduceSeconds: 0.006, MergeSeconds: 0.002}},
-		{"sent staged", []span{
+		{"past one allocation", []span{
 			{taskLabel{job: 1, kind: kindMerge}, 1 * ms},
 			{taskLabel{job: 1, kind: kindReduce}, 3 * ms},
 			{taskLabel{job: 1, kind: kindShuffle}, 1 * ms},

@@ -61,7 +61,7 @@ func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
 	jr.shuffleTask(c, 0, 0)
 	jr.pieces = [][]piece{make([]piece, 1)}
-	jr.reduceTask(c, 0, 0)
+	jr.reduceTask(c, 0)
 	return trace
 }
 

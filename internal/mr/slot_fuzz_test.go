@@ -14,7 +14,7 @@ import (
 // re-partitioning cannot change the answer when every group of records
 // one Reduce call needs reaches some single task whole. For a random key
 // multiset and reducer count the test runs the real shuffle tasks, the
-// real heaviness test (splitWays), the real gather (reduceGroups, in
+// real heaviness test (ways), the real gather (reduceGroups, in
 // memory or spilled) and the real cut, and checks, per reducer ri:
 //
 //   - the gather holds ri's declared (part, task)-order stream, record
@@ -99,7 +99,12 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 			jr.shuffleTask(c, part, ti)
 		}
 	}
-	ways := jr.splitWays()
+	var total int64 // the job's map output bytes, whose mean over r ways takes
+	for part := range jr.results {
+		for _, res := range jr.results[part] {
+			total += res.bytes
+		}
+	}
 
 	tasksMade := 0
 	for ri := 0; ri < reducers; ri++ {
@@ -135,9 +140,9 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 		}
 
 		pieces := []piece{{hi: len(g.locs), load: g.load}}
-		k := ways[ri]
+		k := jr.ways(g.load, int64(len(g.recs)), float64(total)/float64(reducers))
 		if k > 0 {
-			pieces = g.cut(k)
+			pieces = g.cut(pieces[0], k)
 			if int64(len(pieces)) > 2*k-1 {
 				t.Errorf("reducer %d: %d pieces for k = %d, want at most 2k − 1", ri, len(pieces), k)
 			}

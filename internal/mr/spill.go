@@ -146,13 +146,11 @@ type segment struct {
 
 // taskPartition is one map task's shuffle output: per-reducer segments
 // of encoded records, consecutive in reducer order, in buf or — once
-// spilled — at the same offsets of f. loads are the segments' modelled
-// bytes.
+// spilled — at the same offsets of f.
 type taskPartition struct {
-	buf   []byte
-	f     *os.File // non-nil = spilled: the file owns the bytes, buf is nil
-	segs  []segment
-	loads []int64
+	buf  []byte
+	f    *os.File // non-nil = spilled: the file owns the bytes, buf is nil
+	segs []segment
 }
 
 // spill writes the partition's buffer to a fresh spill file and drops

@@ -4,18 +4,20 @@ import "math"
 
 // Adaptive skew handling: runtime splitting of heavy reduce partitions.
 //
-// After the shuffle stage the engine knows every reduce partition's
-// modelled byte load (taskPartition.loads, summed in declared order).
-// When Config.SkewSplit is active and a partition's load L exceeds that
-// ratio × the mean partition load, the partition is cut at group
-// boundaries after one gather: its one reduce task gathers and groups it
-// exactly as it would an unsplit partition (reduceGroups), cuts the
+// A reduce task knows its partition's modelled byte load L once it has
+// gathered it, and the mean partition load is the job's map output
+// bytes over r (jobRun.load, folded by foldMaps). When Config.SkewSplit
+// is active and L exceeds that ratio × the mean, the partition is cut at
+// group boundaries after one gather: its one reduce task gathers and
+// groups it exactly as it would an unsplit partition (reduceGroups),
+// marks itself split, cuts the
 // groups — already in first-arrival order — into contiguous pieces of
 // whole groups (cut) and spawns one reduce task per piece over the same
 // grouped set, which the work-stealing pool schedules independently. The hot partition's
 // reduces stop serializing the run; its gather and grouping stay in one
 // task, so each of its records is decoded, and each spilled segment read
-// back, once.
+// back, once. A one-reducer task past r = 1 cuts each of its reducer
+// ranges alike, and reduces the pieces itself (reduceRanges).
 //
 // The cut has no knob. A heavy partition gets k = ⌈L / (ratio × mean)⌉
 // and a piece ends before the group that would take it past L / k, so
@@ -38,8 +40,8 @@ import "math"
 //     order, bit-identical to the unsplit accumulation.
 //
 // The cut is a function of the job and the data alone — k comes from
-// loads folded in declared (part, task) order, the groups are the
-// unsplit ones — so the same job over the same data splits identically
+// int64 sums of record sizes, the groups are the unsplit ones — so the
+// same job over the same data splits identically
 // at every pool width. The only JobStats fields that differ from an
 // unsplit run are the split observability fields (SplitReduceTasks,
 // MaxReduceTaskMB); JobStats.StripSplitInfo normalizes them for
@@ -52,34 +54,6 @@ type piece struct {
 	lo, hi int
 	load   int64
 	out    *Output
-}
-
-// splitWays returns, per reducer, the k its partition is cut for (ways),
-// from the loads and record counts the shuffle left, folded in declared
-// (part, task) order.
-func (jr *jobRun) splitWays() []int64 {
-	r := jr.reducers
-	ways := make([]int64, r)
-	if jr.e.cfg.SkewSplit <= 0 {
-		return ways
-	}
-	loads, counts := make([]int64, r), make([]int64, r)
-	var total int64
-	for part := range jr.taskParts {
-		for ti := range jr.taskParts[part] {
-			tp := &jr.taskParts[part][ti]
-			for ri, l := range tp.loads {
-				loads[ri] += l
-				total += l
-				counts[ri] += int64(tp.segs[ri].count)
-			}
-		}
-	}
-	mean := float64(total) / float64(r)
-	for ri, l := range loads {
-		ways[ri] = jr.ways(l, counts[ri], mean)
-	}
-	return ways
 }
 
 // ways is the k a partition of load l and count records is cut for,
@@ -101,29 +75,29 @@ func (jr *jobRun) ways(l, count int64, mean float64) int64 {
 	return 0
 }
 
-// cut divides the set's groups, in first-arrival order, into contiguous
-// pieces of whole groups for a k-way split of its load L: a new piece
-// starts before a group when the current one is not empty and the group
-// would take it past L / k — (cur + l)·k > L, in int64 — and each piece
+// cut divides whole's groups, in layout order, into contiguous pieces of
+// whole groups for a k-way split of its load L: a new piece starts
+// before a group when the current one is not empty and the group would
+// take it past L / k — (cur + l)·k > L, in int64 — and each piece
 // carries its groups' modelled bytes.
-func (g *groupedSet) cut(k int64) []piece {
+func (g *groupedSet) cut(whole piece, k int64) []piece {
 	var pieces []piece
-	var p piece
-	var start int32
-	for gi, l := range g.locs {
-		end := g.ends[l.first]
+	p := piece{lo: whole.lo}
+	start := g.start(whole.lo)
+	for gi := whole.lo; gi < whole.hi; gi++ {
+		end := g.ends[g.locs[gi].first]
 		var gl int64
 		for _, i := range g.idx[start:end] {
 			gl += g.recs[i].size
 		}
 		start = end
-		if gi > p.lo && (p.load+gl)*k > g.load {
+		if gi > p.lo && (p.load+gl)*k > whole.load {
 			p.hi = gi
 			pieces = append(pieces, p)
 			p = piece{lo: gi}
 		}
 		p.load += gl
 	}
-	p.hi = len(g.locs)
+	p.hi = whole.hi
 	return append(pieces, p)
 }

@@ -397,10 +397,8 @@ func TestSplitOutputOrder(t *testing.T) {
 // passes — and is cut k = ⌈L / (ratio × mean)⌉ ways, capped at its
 // record count, which also bounds a ratio so small that k overflows.
 func TestSplitWays(t *testing.T) {
-	jr := &jobRun{reducers: 3, taskParts: [][]taskPartition{{ // loads 10, 20 and 90: a mean of 40
-		{loads: []int64{10, 10, 60}, segs: []segment{{count: 1}, {count: 1}, {count: 6}}},
-		{loads: []int64{0, 10, 30}, segs: []segment{{}, {count: 1}, {count: 3}}},
-	}}}
+	loads, counts := []int64{10, 20, 90}, []int64{1, 2, 9} // a mean of 40
+	jr := &jobRun{}
 	for _, c := range []struct {
 		ratio float64
 		want  []int64
@@ -415,7 +413,11 @@ func TestSplitWays(t *testing.T) {
 		{1e-320, []int64{1, 2, 9}}, // every load over the limit, k past every record count
 	} {
 		jr.e = NewEngine(Config{SkewSplit: c.ratio})
-		if got := jr.splitWays(); !slices.Equal(got, c.want) {
+		got := make([]int64, len(loads))
+		for ri, l := range loads {
+			got[ri] = jr.ways(l, counts[ri], 40)
+		}
+		if !slices.Equal(got, c.want) {
 			t.Errorf("ratio %v: ways %v, want %v", c.ratio, got, c.want)
 		}
 	}

@@ -19,8 +19,8 @@ import (
 	"repro/internal/relation"
 )
 
-// Emitter is the map-side output sink, one per map task (and per input
-// Sample maps). Emit writes each record straight into the task's
+// Emitter is the map-side output sink, one per map task (and one for
+// all the inputs Sample maps). Emit writes each record straight into the task's
 // grow-only byte arena in the shuffle wire form (spill.go: lengths,
 // modelled size, tag, key, payload) — the form the shuffle task copies
 // into a reducer's segment and the reduce task decodes — so a map task's
@@ -210,8 +210,8 @@ type Job struct {
 
 	// reducers fixes r, which only this package's tests do; 0 derives it
 	// per §5.1 optimization (3) from the intermediate size measured after
-	// the job's last map task, not from a sample as Gumbo does (ROADMAP:
-	// "r is fixed before the maps" makes it sampled).
+	// the job's last split is mapped, by a map task or a one-reducer
+	// task, not from a sample as Gumbo does.
 	reducers int
 }
 
