@@ -8,8 +8,10 @@ import (
 
 // Memory governance for one query run. A Budget is an atomic byte
 // ledger charged at the engine's bulk allocation sites — arena chunks
-// (Emitter.Emit), shuffle partition buffers (shuffleTask), merge shards
-// (mergeTask) and spill read-back buffers — before the memory is used.
+// (Emitter.Emit), shuffle partitions (shuffleTask: their encoded bytes,
+// staged in the worker's buffer, and an overflow chunk when the arena
+// cannot hold them in segment order), merge shards (mergeTask) and spill
+// read-back buffers — before the memory is used.
 //
 // Charges are cumulative and never released mid-run: the total charged
 // over a run is a function of the plan and the data alone (each site

@@ -11,9 +11,11 @@ import "encoding/binary"
 // grow-only: a full chunk is kept as it is and a fresh one is started, so
 // emitting allocates nothing per record. Chunks are charged to the run's
 // budget before use — the arena is one of the three accounted allocation
-// sites of the memory-governance contract — and never recycled; their
-// sizes are a function of the bytes the task emitted and nothing else,
-// never of the schedule, so neither is the charge.
+// sites of the memory-governance contract — and never recycled across
+// tasks: a staged job's shuffle task writes the task's partition back
+// over them, and they go with it. Their sizes are a function of the
+// bytes the task emitted and nothing else, never of the schedule, so
+// neither is the charge.
 const (
 	arenaFirst = 1 << 10
 	arenaChunk = 1 << 16

@@ -37,10 +37,11 @@ import (
 // encodes each record once into a grow-only per-map-task arena (zero
 // allocations per record) with its modelled size already final — message
 // packing is decided there, against a per-worker key set — keys are
-// hashed with an inlined FNV-1a, a shuffle task copies the encoded
-// records into per-reducer byte segments of one buffer with counted
-// two-pass placement (the layout a spill file has, so spilling is one
-// write) — or, when a job predicted to have one reducer finds its
+// hashed with an inlined FNV-1a, a shuffle task lays the encoded
+// records out in per-reducer byte segments with counted two-pass
+// placement, staged in its worker's buffer and written back over its
+// map task's arena chunks (the staged bytes have the layout a spill file
+// has, so spilling is one write) — or, when a job predicted to have one reducer finds its
 // inputs within one reducer's allocation, its one reduce task maps
 // every split into its own key set and measures r — records are
 // grouped once, in the reduce task, through the same key set, the groups
@@ -137,9 +138,10 @@ func (e *Engine) workers() int {
 }
 
 // mapTaskResult is the output of one map task: its arena chunks — the
-// messages it emitted, in wire form, back to back — how many there are,
-// how many shuffle records they count as (one per distinct key when the
-// job packs) and their modelled bytes (keys + payloads).
+// messages it emitted, in wire form, back to back, which its shuffle task
+// takes over and refills as the partition — how many there are, how many
+// shuffle records they count as (one per distinct key when the job packs)
+// and their modelled bytes (keys + payloads).
 type mapTaskResult struct {
 	chunks  [][]byte
 	msgs    int64

@@ -338,7 +338,8 @@ func TestReduceGroupingCollidingKeys(t *testing.T) {
 
 // probesPerHit returns the mean number of slots looked at to find each
 // of the distinct keys ks holds, from the key's home slot. bufs are the
-// buffers of the task that filled the set.
+// buffers of the task that filled the set: a map task's arena, or the
+// pieces a reduce task's gather read from its partitions.
 func probesPerHit(ks *keySet, bufs [][]byte) float64 {
 	mask := uint32(len(ks.slots) - 1)
 	probes := 0
@@ -407,14 +408,14 @@ func TestReduceGroupingProbeLength(t *testing.T) {
 				}
 			}
 			var sc taskScratch
-			parts := partitionOf(t, &em)
-			if _, err := reduceGroups(&sc, parts, 0, nil); err != nil {
+			gathered, err := reduceGroups(&sc, partitionOf(t, &em), 0, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if keys := len(sc.keys.locs); keys != n {
 				t.Fatalf("R=%d %s: %d of %d keys gathered", reducers, g.name, keys, n)
 			}
-			if got := probesPerHit(&sc.keys, [][]byte{parts[0][0].buf}); got > 2 {
+			if got := probesPerHit(&sc.keys, gathered.bufs); got > 2 {
 				t.Errorf("R=%d %s: %.2f probes per hit in %d slots, want ≤ 2", reducers, g.name, got, len(sc.keys.slots))
 			}
 		}

@@ -13,7 +13,8 @@ import (
 //	input ready ──▶ map tasks (one per split of that input)
 //	all maps    ──▶ reducer count, then shuffle partition tasks
 //	              (one per map task: counted two-pass placement
-//	              into one buffer)
+//	              into the worker's staging buffer, written back
+//	              over the map task's arena chunks)
 //	all shuffles ─▶ reduce partition tasks (one per reducer:
 //	              concatenate in task order through the key set,
 //	              Reducer.Reduce per group in first-arrival order;
@@ -401,15 +402,17 @@ func (jr *jobRun) computeReducers() int {
 
 // shuffleTask partitions one map task's records by key hash with the
 // counted two-pass placement: decode the task's arena once — hash each
-// key, add the record to its reducer's segment, note its
-// reducer and encoded length in worker scratch — allocate one buffer for
-// all the segments (charged to the run's budget — the shuffle-partition
-// accounting site), then copy every record, encoded as Emit left it,
-// into its segment. Whether the job packs does not matter here: a
-// record's size already says whether it carries its key. An arena that
-// does not decode aborts the task like a damaged spill file. A
-// partition at or past the spill threshold is then written to a temp
-// file and its buffer dropped (see spill.go).
+// key, add the record to its reducer's segment, note its reducer and
+// encoded length in worker scratch — charge the segments' encoded bytes
+// to the run's budget (the shuffle-partition accounting site), then copy
+// every record, encoded as Emit left it, into its segment of the
+// worker's staging buffer (poolCtx.stage), and write the staged records
+// back over the arena's own chunks (refill), which become the partition.
+// Whether the job packs does not matter here: a record's size already
+// says whether it carries its key. An arena that does not decode aborts
+// the task like a damaged spill file. A partition at or past the spill
+// threshold writes the staged bytes to a temp file instead and drops the
+// arena (see spill.go).
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	res := &jr.results[part][ti]
 	reducers := jr.reducers
@@ -441,34 +444,41 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			tp.segs[p].off, pos[p] = total, total
 			total += tp.segs[p].len
 		}
-		tp.buf = grabBytes(jr.gov.budget, int(total))
+		jr.gov.budget.charge(total)
+		if cap(c.stage) < int(total) {
+			c.stage = make([]byte, max(int(total), 2*cap(c.stage), arenaChunk))
+		}
+		staged := c.stage[:total]
 		i = 0
 		for _, chunk := range res.chunks {
 			for at := 0; at < len(chunk); i++ {
 				p, next := target[i], at+int(lens[i])
-				pos[p] += int64(copy(tp.buf[pos[p]:], chunk[at:next]))
+				pos[p] += int64(copy(staged[pos[p]:], chunk[at:next]))
 				at = next
 			}
 		}
 		if jr.gov.spill != nil && res.bytes >= jr.e.cfg.SpillThreshold {
-			if err := tp.spill(jr.gov.spill, jr.gov.budget); err != nil {
+			if err := tp.spill(jr.gov.spill, jr.gov.budget, staged); err != nil {
 				panic(taskAbort{err: err})
 			}
+		} else {
+			tp.chunks = refill(res.chunks, staged, tp.segs, jr.gov.budget)
 		}
 	}
 	jr.taskParts[part][ti] = tp
-	res.chunks = nil // release the arena: the partition holds a copy
+	res.chunks = nil // the partition holds the arena now, or the spill file its bytes
 	if jr.stageDone() {
 		jr.shufflesDone(c)
 	}
 }
 
-// shufflesDone spawns one reduce task per reducer.
+// shufflesDone spawns one reduce task per reducer, which read the
+// partitions the shuffle tasks left: their map tasks' arenas, refilled,
+// or spill files.
 func (jr *jobRun) shufflesDone(c *poolCtx) {
-	// The map results are fully consumed (each task's arena was
-	// released as its shuffle partition copied it); drop the
-	// scaffolding so a finished stage doesn't hold memory for the
-	// program's whole duration.
+	// The map results are fully consumed (each task's arena passed to
+	// its shuffle partition); drop the scaffolding so a finished stage
+	// doesn't hold memory for the program's whole duration.
 	jr.results = nil
 	jr.reduceStage()
 	for ri := range jr.reducers {
@@ -499,15 +509,16 @@ func (jr *jobRun) reduceStage() {
 // in first-arrival order. Whether a segment is held in memory or spilled
 // is taskPartition's business (appendTo in spill.go): this loop is the
 // one ordered-fold reader of docs/INVARIANTS.md. The buffer list is
-// sized by the same walk: one buffer per non-empty segment, appendTo's
-// one append.
+// sized by the same walk: a non-empty segment's pieces, appendTo's
+// appends.
 func reduceGroups(sc *taskScratch, parts [][]taskPartition, ri int, b *Budget) (*groupedSet, error) {
 	n, bufs := 0, 0
 	for part := range parts {
 		for ti := range parts[part] {
-			if count := parts[part][ti].segs[ri].count; count > 0 {
+			tp := &parts[part][ti]
+			if count := tp.segs[ri].count; count > 0 {
 				n += int(count)
-				bufs++
+				bufs += tp.pieces(ri)
 			}
 		}
 	}

@@ -44,6 +44,14 @@ type poolCtx struct {
 	pool    *taskPool
 	id      int // worker index owning the local deque
 	scratch *taskScratch
+	// stage is the worker's shuffle staging buffer: a shuffle task
+	// places its records here before writing them back over its arena
+	// (shuffleTask). It holds query bytes, so it is the run's, never
+	// the Engine's: it lives as long as the worker's loop and goes with
+	// the run. It starts at one arena chunk and at least doubles when a
+	// partition outgrows it, so the order in which a worker meets its
+	// partitions barely moves what the run allocates.
+	stage []byte
 	// count, next and split are the running task's: the tasks of its
 	// kind the record counts it as (countAs), the phase it hands on
 	// (then), and whether it found a heavy partition to cut (ways).
@@ -60,8 +68,9 @@ type poolCtx struct {
 // scratch (poolCtx.then), lending nothing.
 // Between runs it is the Engine's (Engine.scratch), so a run's workers
 // start with arrays sized by earlier runs. It never holds a []byte or
-// anything else that points (TestScratchPointerFree; arena chunks and
-// shuffle buffers stay charged, single-use grabBytes allocations), so no
+// anything else that points (TestScratchPointerFree; arena chunks stay
+// charged, single-use grabBytes allocations, and the shuffle's staging
+// buffer is the run's, on poolCtx), so no
 // query can read another's keys, payloads or relations through it, and
 // it is bounded: every buffer grows to the largest task run on it and
 // nothing is kept per task. Every buffer is handed out to be overwritten — the key set's

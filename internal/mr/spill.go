@@ -11,17 +11,21 @@ import (
 )
 
 // The shuffle byte form, resident or spilled. A shuffle task lays one map
-// task's records — encoded by Emit — out as per-reducer segments of one
-// buffer (shuffleTask); that buffer is the partition. When the
-// partition's modelled bytes reach the run's spill threshold the buffer
-// is written to a temp file and dropped — spilling encodes nothing — and
-// the reduce stage's one reader (taskPartition.appendTo) decodes a
-// segment the same way wherever its bytes are, a slice of the resident
-// buffer or a ReadAt into a fresh one, in the same declared (part, task)
-// position. The records a reducer sees — and therefore outputs and
-// JobStats — are bit-for-bit identical in both stores (pinned by
-// TestOrderedFoldDifferential and CI's reader-configuration loop, which
-// re-runs the whole mr suite with a tiny threshold).
+// task's records — encoded by Emit — out as per-reducer segments, staged
+// in its worker's byte buffer and written back over the task's own arena
+// chunks (shuffleTask); those chunks are the partition, its segments
+// byte ranges over the chunks' fills laid end to end. When the
+// partition's modelled bytes reach the run's spill threshold the staged
+// bytes are written to a temp file instead and the arena dropped —
+// spilling encodes nothing — and the reduce stage's one reader
+// (taskPartition.appendTo) decodes a segment the same way wherever its
+// bytes are, the pieces of the resident chunks it covers or a ReadAt
+// into a fresh buffer, in the same declared (part, task) position. The
+// records a reducer sees — and therefore outputs and JobStats — are
+// bit-for-bit identical in both stores (pinned by
+// TestOrderedFoldDifferential, TestPartitionLayout and CI's
+// reader-configuration loop, which re-runs the whole mr suite with a
+// tiny threshold).
 //
 // Spill files live in the run's spillSet and are removed the moment the
 // reduce stage has consumed them (reducesDone); the run entry points
@@ -137,90 +141,163 @@ func (s *spillSet) cleanup() {
 	}
 }
 
-// segment locates one reducer's records within a task partition's
-// buffer, or within its spill file.
+// segment locates one reducer's records within a task partition: a byte
+// range over its chunk fills laid end to end, or within its spill file.
 type segment struct {
 	off, len int64
 	count    int32
 }
 
-// taskPartition is one map task's shuffle output: per-reducer segments
-// of encoded records, consecutive in reducer order, in buf or — once
-// spilled — at the same offsets of f.
-type taskPartition struct {
-	buf  []byte
-	f    *os.File // non-nil = spilled: the file owns the bytes, buf is nil
-	segs []segment
+// in returns the part of chunk fill c, which starts at byte at of the
+// fills laid end to end, that s covers: nil if none.
+func (s segment) in(c []byte, at int64) []byte {
+	lo, hi := max(s.off-at, 0), min(s.off+s.len-at, int64(len(c)))
+	if lo >= hi {
+		return nil
+	}
+	return c[lo:hi]
 }
 
-// spill writes the partition's buffer to a fresh spill file and drops
-// it: the file now owns the bytes.
-func (tp *taskPartition) spill(s *spillSet, b *Budget) error {
+// taskPartition is one map task's shuffle output: per-reducer segments
+// of encoded records, consecutive in reducer order, over chunks — the
+// map task's arena chunks, refilled, and at most one overflow chunk —
+// or, once spilled, at the same offsets of f. A record never spans two
+// chunks.
+type taskPartition struct {
+	chunks [][]byte
+	f      *os.File // non-nil = spilled: the file owns the bytes, chunks is nil
+	segs   []segment
+}
+
+// refill writes staged, a partition's records laid out as segs, back
+// over chunks, the map task's arena, and returns the chunks that hold
+// them: each is filled up to the first record that does not fit in its
+// capacity, which starts the next, and the records left when the arena
+// runs out go to one overflow chunk, charged to b. Chunks left empty at
+// the end are released. A segment's end is a record boundary, so only
+// the segment a chunk's capacity ends in is walked record by record.
+func refill(chunks [][]byte, staged []byte, segs []segment, b *Budget) [][]byte {
+	at, s := 0, 0
+	for i, chunk := range chunks {
+		if at == len(staged) {
+			clear(chunks[i:])
+			return chunks[:i]
+		}
+		end, limit := at, at+cap(chunk)
+		for ; s < len(segs) && int(segs[s].off+segs[s].len) <= limit; s++ {
+			end = max(end, int(segs[s].off+segs[s].len))
+		}
+		for end < len(staged) {
+			_, next, _ := readRecord(staged, end) // staged holds whole records: they decoded in the arena
+			if next > limit {
+				break
+			}
+			end = next
+		}
+		chunks[i] = append(chunk[:0], staged[at:end]...)
+		at = end
+	}
+	if at < len(staged) {
+		overflow := grabBytes(b, len(staged)-at)
+		copy(overflow, staged[at:])
+		chunks = append(chunks, overflow)
+	}
+	return chunks
+}
+
+// spill writes staged, the partition's records in segment order, to a
+// fresh spill file, which then owns them.
+func (tp *taskPartition) spill(s *spillSet, b *Budget, staged []byte) error {
 	f, err := s.create()
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(tp.buf); err != nil {
+	if _, err := f.Write(staged); err != nil {
 		s.drop(f)
 		return fmt.Errorf("%w: write: %w", ErrSpill, err)
 	}
-	b.noteSpill(int64(len(tp.buf)))
-	tp.buf, tp.f = nil, f
+	b.noteSpill(int64(len(staged)))
+	tp.f = f
 	return nil
 }
 
-// read returns reducer ri's segment: a slice of the resident buffer, or
-// the file range read back into one budget-charged buffer. Concurrent
-// reduce tasks may read different segments of one file (ReadAt is
-// positional and thread-safe).
-func (tp *taskPartition) read(ri int, b *Budget) ([]byte, error) {
+// read appends reducer ri's segment to bufs as the pieces that hold it:
+// the part of each chunk fill its range covers, or the file range read
+// back into one budget-charged buffer. Concurrent reduce tasks may read
+// different segments of one file (ReadAt is positional and thread-safe).
+func (tp *taskPartition) read(bufs [][]byte, ri int, b *Budget) ([][]byte, error) {
 	seg := tp.segs[ri]
-	if tp.f == nil {
-		return tp.buf[seg.off : seg.off+seg.len], nil
+	if tp.f != nil {
+		data := grabBytes(b, int(seg.len))
+		if _, err := tp.f.ReadAt(data, seg.off); err != nil {
+			return bufs, fmt.Errorf("%w: read: %w", ErrSpill, err)
+		}
+		return append(bufs, data), nil
 	}
-	data := grabBytes(b, int(seg.len))
-	if _, err := tp.f.ReadAt(data, seg.off); err != nil {
-		return nil, fmt.Errorf("%w: read: %w", ErrSpill, err)
+	var at int64
+	for _, chunk := range tp.chunks {
+		if p := seg.in(chunk, at); p != nil {
+			bufs = append(bufs, p)
+		}
+		at += int64(len(chunk))
 	}
-	return data, nil
+	return bufs, nil
+}
+
+// pieces returns how many buffers read appends for reducer ri.
+func (tp *taskPartition) pieces(ri int) int {
+	if tp.f != nil {
+		return 1
+	}
+	var at int64
+	n := 0
+	for _, chunk := range tp.chunks {
+		if tp.segs[ri].in(chunk, at) != nil {
+			n++
+		}
+		at += int64(len(chunk))
+	}
+	return n
 }
 
 // appendTo appends to dst this partition's records of reducer ri, in the
 // order the shuffle placed them, each stamped with its key group — the
 // index in dst of the first record carrying its key, from the task's key
 // set — and returns their modelled bytes: the partition's share of ri's
-// load. Resident or streamed back from the spill file, the segment goes
-// through the same decode loop, once, and the reducer sees the same
-// record sequence; the segment becomes one more buffer of dst. The
-// segment must decode to exactly its record count with no bytes left
-// over, which is where a damaged spill file is caught.
+// load. Resident or streamed back from the spill file, the segment's
+// pieces become buffers of dst and go through the same decode loop,
+// once, and the reducer sees the same record sequence. The segment must
+// decode to exactly its record count with no bytes left over, which is
+// where a damaged spill file is caught.
 func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, ri int, b *Budget) (int64, error) {
 	seg := tp.segs[ri]
 	if seg.count == 0 {
 		return 0, nil
 	}
-	data, err := tp.read(ri, b)
-	if err != nil {
+	first := len(dst.bufs)
+	var err error
+	if dst.bufs, err = tp.read(dst.bufs, ri, b); err != nil {
 		return 0, err
 	}
 	var kept int64
 	n := int32(0)
-	src := uint32(len(dst.bufs))
-	dst.bufs = append(dst.bufs, data)
-	for pos := 0; pos < len(data); n++ {
-		r, next, err := readRecord(data, pos)
-		if err != nil || n == seg.count {
-			return kept, errCorrupt
+	for src := first; src < len(dst.bufs); src++ {
+		data := dst.bufs[src]
+		for pos := 0; pos < len(data); n++ {
+			r, next, err := readRecord(data, pos)
+			if err != nil || n == seg.count {
+				return kept, errCorrupt
+			}
+			r.src = uint32(src)
+			loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
+			if made {
+				*loc = keyLoc{src: uint32(src), off: r.off, klen: r.klen, first: int32(len(dst.recs))}
+			}
+			r.group = loc.first
+			dst.recs = append(dst.recs, r)
+			kept += r.size
+			pos = next
 		}
-		r.src = src
-		loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
-		if made {
-			*loc = keyLoc{src: src, off: r.off, klen: r.klen, first: int32(len(dst.recs))}
-		}
-		r.group = loc.first
-		dst.recs = append(dst.recs, r)
-		kept += r.size
-		pos = next
 	}
 	if n != seg.count {
 		return kept, errCorrupt

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -43,19 +42,27 @@ func shuffleOne(t testing.TB, em *Emitter, spill bool) *taskPartition {
 // shuffleArena runs the real shuffle task over raw arena chunks said to
 // hold msgs records, into a partition of the given reducer count; an
 // arena the shuffle task rejects is the error. The task gets its own copy
-// of the chunk list, which it drops, as it does a map task's.
+// of the arena, chunk capacities kept, which it writes its partition
+// over or drops, as it does a map task's.
 func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, reducers int, spill bool) (tp *taskPartition, err error) {
 	t.Helper()
+	return shuffleCharging(t, cloneArena(chunks), msgs, reducers, spill, nil)
+}
+
+// shuffleCharging is shuffleArena over arena, which the shuffle task
+// takes as its own, with the task charging b.
+func shuffleCharging(t testing.TB, arena [][]byte, msgs int64, reducers int, spill bool, b *Budget) (tp *taskPartition, err error) {
+	t.Helper()
 	e := NewEngine(Config{Cost: cost.Default()})
-	gov := govern{}
+	gov := govern{budget: b}
 	if spill {
 		e.cfg.SpillThreshold = 1
 		e.cfg.SpillDir = t.TempDir()
-		gov = e.newGovern(nil)
+		gov = e.newGovern(b)
 		t.Cleanup(gov.spill.cleanup)
 	}
 	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, left: 2} // never the last shuffle, so nothing spawns
-	jr.results = [][]mapTaskResult{{{chunks: slices.Clone(chunks), msgs: msgs, bytes: 1}}}
+	jr.results = [][]mapTaskResult{{{chunks: arena, msgs: msgs, bytes: 1}}}
 	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
 	defer func() { // as the pool's runOne does
 		if ta, ok := recover().(taskAbort); ok {
@@ -109,9 +116,20 @@ func multiChunkArena(b *Budget) *Emitter {
 }
 
 // rawPartition is a resident single-reducer partition over arbitrary
-// bytes claiming count records.
+// bytes claiming count records: one chunk, filled with b.
 func rawPartition(b []byte, count int32) *taskPartition {
-	return &taskPartition{buf: b, segs: []segment{{len: int64(len(b)), count: count}}}
+	return &taskPartition{chunks: [][]byte{b}, segs: []segment{{len: int64(len(b)), count: count}}}
+}
+
+// segmentBytes is reducer ri's segment of tp as the reader finds it: its
+// pieces, laid end to end.
+func segmentBytes(t testing.TB, tp *taskPartition, ri int) []byte {
+	t.Helper()
+	pieces, err := tp.read(nil, ri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Join(pieces, nil)
 }
 
 // checkReadFails reads tp and requires a typed failure.
@@ -129,7 +147,7 @@ func checkReadFails(t *testing.T, what string, tp *taskPartition) {
 func TestSegmentCorruption(t *testing.T) {
 	kvs := []kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}}
 	tp := shuffleOne(t, setOf(kvs), false)
-	good, count := tp.buf, tp.segs[0].count
+	good, count := segmentBytes(t, tp, 0), tp.segs[0].count
 	if got, err := readAll(tp); err != nil || len(got.recs) != len(kvs) {
 		t.Fatalf("clean segment: %d records, err %v", len(got.recs), err)
 	}
@@ -290,6 +308,14 @@ func FuzzRecordCodec(f *testing.F) {
 	// 1 + 2 + 1 + 1 + 1 bytes of header, tag and key: this record fills the second rung to the
 	// last byte, so the third opens a third chunk, and the shuffle decodes a multi-chunk arena.
 	f.Add([]byte("k"), byte(8), int64(12), make([]byte, 2*arenaFirst-6), []byte{0x01, 0x40})
+	// Key "c" goes to reducer 1 of 7, "before" to reducer 2, so at r = 7 the
+	// segment order puts the last two records first. Here they fill the
+	// second rung exactly, the first stays empty, and "before" takes the
+	// overflow chunk.
+	f.Add([]byte("c"), byte(9), int64(12), make([]byte, 2*arenaFirst-11), []byte{})
+	// The same order over the third arena above: reducer 1's segment
+	// spans the second and third chunks.
+	f.Add([]byte("c"), byte(10), int64(12), make([]byte, 2*arenaFirst-6), []byte{})
 	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
 		size &= math.MaxInt64 >> 1 // a modelled size is a byte count
 		var em Emitter
@@ -314,6 +340,14 @@ func FuzzRecordCodec(f *testing.F) {
 					t.Fatalf("spill %v: record %d came back %q/%d/%d/%x", spill, i, got.key(i), r.tag, r.size, got.payload(i))
 				}
 			}
+		}
+		ref, counts := refPlacement(t, em.chunks, 7) // segment order at r = 7, over the arena's chunks and any overflow
+		for _, spill := range []bool{false, true} {
+			tp, err := shuffleArena(t, em.chunks, em.records, 7, spill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareLayout(t, fmt.Sprintf("7 reducers, spill %v", spill), tp, ref, counts)
 		}
 		if len(raw) >= 2 && raw[1] != 0 { // raw picks the arena byte to damage, and how
 			damaged := make([][]byte, len(em.chunks))

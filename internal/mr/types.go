@@ -22,8 +22,8 @@ import (
 // Emitter is the map-side output sink, one per map task (and one for
 // all the inputs Sample maps). Emit writes each record straight into the task's
 // grow-only byte arena in the shuffle wire form (spill.go: lengths,
-// modelled size, tag, key, payload) — the form the shuffle task copies
-// into a reducer's segment and the reduce task decodes — so a map task's
+// modelled size, tag, key, payload) — the form the shuffle task lays out
+// by reducer over the same chunks and the reduce task decodes — so a map task's
 // output is its chunks and three counters, and no per-record object
 // exists before the reduce task's gather. In a one-reducer task Emit
 // also writes the record array the task reduces, and the arena gets key

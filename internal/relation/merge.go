@@ -41,6 +41,15 @@ func (b *Rows) Tuple(i int) Tuple {
 	return b.vals[lo:hi:hi]
 }
 
+// RowsOf returns a buffer over vals, rows of the given arity back to
+// back: a view sharing vals, not a copy.
+func RowsOf(arity int, vals []Value) *Rows {
+	return &Rows{arity: arity, vals: vals[:len(vals):len(vals)]}
+}
+
+// RowsIn returns a buffer over r's rows: a view sharing r's slab.
+func RowsIn(r *Relation) *Rows { return RowsOf(r.arity, r.vals) }
+
 // Merge returns a relation of the given name and arity containing the
 // rows of bufs, in buffer order, with first-occurrence dedup. It is the
 // job-output merge of the MapReduce engine and the only place a job's
@@ -69,6 +78,11 @@ func (b *Rows) Tuple(i int) Tuple {
 // before Merge returns: a job's output is scanned by the jobs that read
 // it, never probed, so a merged relation retains its values only, in
 // at most twice the storage they need.
+//
+// A view (RowsOf, RowsIn) of values its owner keeps — a published
+// relation's slab, a pooled arena — may go to Merge only beside another
+// non-empty buffer: a lone one would be adopted, its rows moved in
+// place.
 //
 // Nil and empty buffers are skipped; non-empty buffers of a different
 // arity panic, as Add would.

@@ -242,6 +242,42 @@ func dumpDB(db *gumbo.Database) string {
 	return strings.Join(out, "; ")
 }
 
+// TestLoadAppendKeepsPublishedRows: an append load publishes a new
+// relation and leaves the one it replaces as it was, so a run still
+// holding that one reads the rows it held; and the new relation shares
+// nothing with the load's pooled value buffer, so later loads through
+// that buffer do not change it.
+func TestLoadAppendKeepsPublishedRows(t *testing.T) {
+	f := newLoadFixture()
+	db := f.reset(t)
+	old := db.Relation("Old")
+	rec := f.serve("POST", "/v1/db/d/load", []byte(rels(rel("Old", 2, `[[3,4],[1,2],[3,4],[5,6]]`))))
+	var resp struct{ Relations []relationInfo }
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body)
+	}
+	if got := resp.Relations; len(got) != 1 || got[0].Size != 3 || got[0].Added != 2 {
+		t.Errorf("append answered %+v, want size 3, added 2", got)
+	}
+	if got := fmt.Sprint(old.Sorted()); got != "[(1, 2)]" {
+		t.Errorf("the replaced relation reads %s after the append, want [(1, 2)]", got)
+	}
+	appended := db.Relation("Old")
+	want := fmt.Sprint(appended.Sorted())
+	if want != "[(1, 2) (3, 4) (5, 6)]" {
+		t.Fatalf("appended relation %s", want)
+	}
+	for i := range 4 {
+		body := rels(rel("R", 2, fmt.Sprintf(`[[%d,%d],[%d,%d],[%d,%d],[%d,%d]]`, i, i, i+1, i, i+2, i, i+3, i)))
+		if rec := f.serve("POST", "/v1/db/d/load", []byte(body)); rec.Code != http.StatusOK {
+			t.Fatalf("load %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	if got := fmt.Sprint(appended.Sorted()); got != want {
+		t.Errorf("the appended relation reads %s after later loads, want %s", got, want)
+	}
+}
+
 // TestLoadContractPinned pins handleLoad's answer to every body of
 // loadContract: the status, the exact message of a handler-level
 // rejection, an untouched database after any rejection, and the

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	gumbo "repro"
+	"repro/internal/relation"
 )
 
 // strategyAuto asks runQuery to resolve the strategy with System.Auto.
@@ -422,27 +423,22 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rel, seen := pending[rp.name]
+		var old *gumbo.Relation
 		if seen {
 			if rel.Arity() != rp.arity {
 				writeError(w, http.StatusBadRequest, "relation %s listed twice with arities %d and %d", rp.name, rel.Arity(), rp.arity)
 				return
 			}
 		} else {
-			switch old := dbe.db.Relation(rp.name); {
+			switch old = dbe.db.Relation(rp.name); {
 			case old == nil:
 				rel = gumbo.NewRelation(rp.name, rp.arity)
 			case old.Arity() != rp.arity:
 				writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.name, old.Arity(), rp.arity)
 				return
-			default:
-				// The clone has no index, as the published relation has
-				// none; the Grow below copies the slab a second time and
-				// hashes every old row once, into an index built at the
-				// final size. Adding the old rows one by one to a relation
-				// grown once was slower: it checks each for a duplicate.
+			case old.Size() == 0 || rp.rows == 0:
 				rel = old.Clone()
 			}
-			pending[rp.name] = rel
 			order = append(order, rp.name)
 		}
 		if rp.bad != nil {
@@ -450,12 +446,22 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		added := 0
-		rel.Grow(rp.rows)
-		for lo := 0; lo < len(rp.vals); lo += rp.arity {
-			if rel.Add(rp.vals[lo : lo+rp.arity]) {
-				added++
+		if rel == nil {
+			// An append: one dedup pass over the published rows, then the
+			// body's, into a fresh slab, hashing each row once. Both are
+			// non-empty, so Merge adopts neither: the published slab is
+			// never written, and the body's values stay the pool's.
+			rel = relation.Merge(rp.name, rp.arity, []*relation.Rows{relation.RowsIn(old), relation.RowsOf(rp.arity, rp.vals)})
+			added = rel.Size() - old.Size()
+		} else {
+			rel.Grow(rp.rows)
+			for lo := 0; lo < len(rp.vals); lo += rp.arity {
+				if rel.Add(rp.vals[lo : lo+rp.arity]) {
+					added++
+				}
 			}
 		}
+		pending[rp.name] = rel
 		infos = append(infos, relationInfo{Name: rp.name, Arity: rp.arity, Size: rel.Size(), Added: added})
 	}
 	for _, name := range order {

@@ -36,6 +36,10 @@
 # relation came to keep no hash index (Database.Put and relation.Merge
 # drop it): that change's seed-1 ten-pair medians (3.953 / 3.206 /
 # 14.19 / 16.55) × 1.10.
+# Then alloc_mb_per_op nested-sgf 17.00 and skew-spill 13.67, when a
+# shuffle partition came to be written back over its map task's arena
+# instead of into a fresh buffer: that change's ten-pair medians
+# (15.46 / 12.42) × 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
