@@ -53,7 +53,7 @@ type (
 	// copied (Clone) before being modified.
 	Tuple = relation.Tuple
 	// Relation is a named set of tuples of fixed arity, in insertion
-	// order. Add, AddAll and FromTuples copy the values in.
+	// order. Add and FromTuples copy the values in.
 	Relation = relation.Relation
 	// Database is a named collection of relations.
 	Database = relation.Database

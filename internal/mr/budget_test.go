@@ -129,7 +129,7 @@ func TestShuffleBufferCharged(t *testing.T) {
 		jr := &jobRun{e: NewEngine(Config{Cost: cost.Default()}), job: &Job{}, gov: govern{budget: budget},
 			reducers: reducers, left: 2} // never the last shuffle, so nothing spawns
 		jr.results = [][]mapTaskResult{{{chunks: slices.Clone(em.chunks), msgs: em.records, bytes: em.bytes}}}
-		jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
+		jr.partitions()
 		jr.shuffleTask(&poolCtx{scratch: new(taskScratch)}, 0, 0)
 		if got := budget.Stats().ChargedBytes; got != encoded {
 			t.Errorf("%d reducers: shuffle task charged %d bytes, want the %d encoded", reducers, got, encoded)

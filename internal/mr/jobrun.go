@@ -263,15 +263,31 @@ func (e *Emitter) mapSplit(job *Job, input string, ts mapTaskSpec, step int) map
 func (jr *jobRun) mapsDone(c *poolCtx) {
 	jr.foldMaps()
 	jr.reducers = jr.computeReducers()
-	jr.taskParts = make([][]taskPartition, len(jr.tasks))
-	for part := range jr.tasks {
-		jr.taskParts[part] = make([]taskPartition, len(jr.tasks[part]))
-	}
+	jr.partitions()
 	jr.left = jr.stats.MapTasks
 	for part := range jr.tasks {
 		for ti := range jr.tasks[part] {
 			c.spawn(jr.label(kindShuffle, part, ti), func(c *poolCtx) { jr.shuffleTask(c, part, ti) })
 		}
+	}
+}
+
+// partitions sets the shuffle stage up for r = jr.reducers: a
+// partition per map result, each with its window of r entries of one
+// segment table the job allocates once.
+func (jr *jobRun) partitions() {
+	r, n := jr.reducers, 0
+	for _, res := range jr.results {
+		n += len(res)
+	}
+	segs := make([]segment, n*r)
+	jr.taskParts = make([][]taskPartition, len(jr.results))
+	for part, res := range jr.results {
+		tps := make([]taskPartition, len(res))
+		for ti := range tps {
+			tps[ti].segs, segs = segs[:r:r], segs[r:]
+		}
+		jr.taskParts[part] = tps
 	}
 }
 
@@ -400,10 +416,11 @@ func (jr *jobRun) computeReducers() int {
 	return cost.Reducers(basis)
 }
 
-// shuffleTask partitions one map task's records by key hash with the
-// counted two-pass placement: decode the task's arena once — hash each
-// key, add the record to its reducer's segment, note its reducer and
-// encoded length in worker scratch — charge the segments' encoded bytes
+// shuffleTask partitions one map task's records by key hash into the
+// task's partition, whose segments partitions set up, with the counted
+// two-pass placement: decode the task's arena once — hash each key, add
+// the record to its reducer's segment, note its reducer and encoded
+// length in worker scratch — charge the segments' encoded bytes
 // to the run's budget (the shuffle-partition accounting site), then copy
 // every record, encoded as Emit left it, into its segment of the
 // worker's staging buffer (poolCtx.stage), and write the staged records
@@ -416,7 +433,7 @@ func (jr *jobRun) computeReducers() int {
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	res := &jr.results[part][ti]
 	reducers := jr.reducers
-	tp := taskPartition{segs: make([]segment, reducers)}
+	tp := &jr.taskParts[part][ti]
 	n := int(res.msgs)
 	if n > 0 {
 		target := grow(&c.scratch.target, n)
@@ -465,7 +482,6 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			tp.chunks = refill(res.chunks, staged, tp.segs, jr.gov.budget)
 		}
 	}
-	jr.taskParts[part][ti] = tp
 	res.chunks = nil // the partition holds the arena now, or the spill file its bytes
 	if jr.stageDone() {
 		jr.shufflesDone(c)

@@ -58,7 +58,7 @@ func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 		t.Fatalf("map task over %d messages (packing %v) counted %d records, want %d", len(kvs), packing, got, want)
 	}
 	jr.reducers = 1
-	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
+	jr.partitions()
 	jr.shuffleTask(c, 0, 0)
 	jr.pieces = [][]piece{make([]piece, 1)}
 	jr.reduceTask(c, 0)

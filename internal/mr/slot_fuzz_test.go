@@ -63,7 +63,6 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 	const parts, tasks, perTask = 2, 2, 150
 	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, left: parts*tasks + 1} // +1: never the last shuffle, so nothing spawns
 	jr.results = make([][]mapTaskResult, parts)
-	jr.taskParts = make([][]taskPartition, parts)
 	// streams[ri] is reducer ri's declared-order record stream, built
 	// independently of the engine's shuffle.
 	type streamRec struct {
@@ -75,7 +74,6 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 	id := 0
 	for part := 0; part < parts; part++ {
 		jr.results[part] = make([]mapTaskResult, tasks)
-		jr.taskParts[part] = make([]taskPartition, tasks)
 		for ti := 0; ti < tasks; ti++ {
 			res := &jr.results[part][ti]
 			var em Emitter
@@ -94,6 +92,7 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 			res.chunks, res.msgs = em.chunks, em.records
 		}
 	}
+	jr.partitions()
 	for part := 0; part < parts; part++ {
 		for ti := 0; ti < tasks; ti++ {
 			jr.shuffleTask(c, part, ti)

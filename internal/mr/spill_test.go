@@ -63,7 +63,7 @@ func shuffleCharging(t testing.TB, arena [][]byte, msgs int64, reducers int, spi
 	}
 	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, left: 2} // never the last shuffle, so nothing spawns
 	jr.results = [][]mapTaskResult{{{chunks: arena, msgs: msgs, bytes: 1}}}
-	jr.taskParts = [][]taskPartition{make([]taskPartition, 1)}
+	jr.partitions()
 	defer func() { // as the pool's runOne does
 		if ta, ok := recover().(taskAbort); ok {
 			tp, err = nil, ta.err

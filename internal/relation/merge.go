@@ -66,7 +66,7 @@ func RowsIn(r *Relation) *Rows { return RowsOf(r.arity, r.vals) }
 // Merge consumes its buffers: the result may own one's slab, whose rows
 // it has moved, so the caller must not read or append to the buffers
 // afterwards. The result itself is an ordinary relation and may be
-// added to; its first Add rebuilds the index.
+// added to; its first Add builds the index.
 //
 // Duplicates reach the merge, so the slab it sized for its input can
 // far exceed what the kept rows need. The benchmark's merges keep

@@ -73,8 +73,8 @@ func sameOrdered(a, b *Relation) error {
 // tight checks Merge's storage bound: no index is retained, and the
 // slab's capacity is at most twice its rows.
 func tight(r *Relation) error {
-	if idx := r.loadIndex(); idx != nil {
-		return fmt.Errorf("index of %d slots retained", len(idx))
+	if r.idx != nil {
+		return fmt.Errorf("index of %d slots retained", len(r.idx))
 	}
 	if c, n := cap(r.vals), len(r.vals); c > 2*n {
 		return fmt.Errorf("slab capacity %d for %d values", c, n)
@@ -199,51 +199,4 @@ func TestClonePresizedAndDeep(t *testing.T) {
 	if r.Size() != 100 || c.Size() != 101 {
 		t.Errorf("sizes: orig %d clone %d", r.Size(), c.Size())
 	}
-}
-
-func TestAddAllAndGrow(t *testing.T) {
-	r := New("R", 1)
-	r.Add(Tuple{Value(1)})
-	bulk := []Tuple{{Value(1)}, {Value(2)}, {Value(3)}, {Value(2)}}
-	if added := r.AddAll(bulk); added != 2 {
-		t.Errorf("AddAll added %d, want 2", added)
-	}
-	if r.Size() != 3 || !r.Contains(Tuple{Value(3)}) {
-		t.Errorf("after AddAll: %s", r)
-	}
-	// Grow must be content-neutral and idempotent.
-	r.Grow(1000)
-	r.Grow(0)
-	r.Grow(-5)
-	if r.Size() != 3 || !r.Contains(Tuple{Value(1)}) || r.Contains(Tuple{Value(9)}) {
-		t.Errorf("Grow changed contents: %s", r)
-	}
-	if r.Tuple(0)[0] != Value(1) || r.Tuple(2)[0] != Value(3) {
-		t.Error("Grow changed tuple order")
-	}
-	// Growing then bulk-loading keeps set semantics.
-	if added := r.AddAll([]Tuple{{Value(3)}, {Value(4)}}); added != 1 {
-		t.Errorf("second AddAll added %d, want 1", added)
-	}
-	// A negative Grow on a relation with no index builds one for all of
-	// its rows: 10 rows need 16 slots, and sized for 10−5 it would get 8,
-	// too few to hold them.
-	p := FromTuples("P", 1, seqTuples(10, 1))
-	NewDatabase().Put(p)
-	p.Grow(-5)
-	if n := len(p.loadIndex()); n*3 < p.Size()*4 {
-		t.Errorf("Grow(-5) on %d published rows built %d slots", p.Size(), n)
-	}
-	if p.Size() != 10 || !p.Contains(Tuple{Value(9)}) || p.Add(Tuple{Value(0)}) {
-		t.Errorf("Grow(-5) after Put changed contents: %s", p)
-	}
-}
-
-func TestAddAllArityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("arity mismatch did not panic")
-		}
-	}()
-	New("R", 2).AddAll([]Tuple{{Value(1)}})
 }

@@ -6,10 +6,11 @@ import (
 )
 
 // TestPublishedRelationHoldsNoIndex pins the storage rule of
-// publication: a relation put into a Database, and a Merge result, hold
-// no index, and a Clone of either holds none either. The first op that
-// needs one rebuilds it, answers as the model does (re-adding a present
-// tuple returns false), and keeps the insertion order.
+// publication: a relation put into a Database, a Merge result and a
+// FromTuples result hold no index, and a Clone of any holds none
+// either. The owner's first Add or Contains builds one, answers as the
+// model does (re-adding a present tuple returns false), and keeps the
+// insertion order; Equal, in either direction, leaves no index behind.
 func TestPublishedRelationHoldsNoIndex(t *testing.T) {
 	rows := []Tuple{mkTuple(3, 1), mkTuple(1, 2), mkTuple(2, 2), mkTuple(0, 9)}
 	sources := []struct {
@@ -17,15 +18,22 @@ func TestPublishedRelationHoldsNoIndex(t *testing.T) {
 		build func() *Relation
 	}{
 		{"put", func() *Relation {
-			r := FromTuples("R", 2, rows)
+			r := New("R", 2)
+			for _, tp := range rows {
+				r.Add(tp)
+			}
 			NewDatabase().Put(r)
 			return r
 		}},
 		{"merge", func() *Relation {
 			return Merge("R", 2, []*Rows{rowsOf(2, rows[:3]), rowsOf(2, rows[1:])})
 		}},
+		{"from tuples", func() *Relation {
+			return FromTuples("R", 2, append(rows, rows[0]))
+		}},
 		{"clone of put", func() *Relation {
 			r := FromTuples("R", 2, rows)
+			r.Contains(rows[0])
 			NewDatabase().Put(r)
 			return r.Clone()
 		}},
@@ -33,36 +41,29 @@ func TestPublishedRelationHoldsNoIndex(t *testing.T) {
 	ops := []struct {
 		name string
 		op   func(r *Relation, m *model) (got, want bool)
+		// keeps: the op builds r's index and keeps it.
+		keeps bool
 	}{
 		{"Contains present", func(r *Relation, m *model) (bool, bool) {
 			return r.Contains(rows[2]), true
-		}},
+		}, true},
 		{"Contains absent", func(r *Relation, m *model) (bool, bool) {
 			return r.Contains(mkTuple(2, 3)), false
-		}},
+		}, true},
 		{"Add present", func(r *Relation, m *model) (bool, bool) {
 			return r.Add(rows[1]), m.add(rows[1])
-		}},
+		}, true},
 		{"Add new", func(r *Relation, m *model) (bool, bool) {
 			return r.Add(mkTuple(7, 7)), m.add(mkTuple(7, 7))
-		}},
-		{"AddAll", func(r *Relation, m *model) (bool, bool) {
-			ts := []Tuple{rows[0], mkTuple(8, 8), rows[3]}
-			want := 0
-			for _, tp := range ts {
-				if m.add(tp) {
-					want++
-				}
-			}
-			return r.AddAll(ts) == want, true
-		}},
-		{"Grow", func(r *Relation, m *model) (bool, bool) {
-			r.Grow(100)
-			return true, true
-		}},
+		}, true},
 		{"Equal", func(r *Relation, m *model) (bool, bool) {
-			return FromTuples("S", 2, rows).Equal(r), true
-		}},
+			o := FromTuples("S", 2, rows)
+			return o.Equal(r) && r.Equal(o) && o.idx == nil, true
+		}, false},
+		{"Equal differing", func(r *Relation, m *model) (bool, bool) {
+			o := FromTuples("S", 2, []Tuple{rows[0], rows[1], rows[2], mkTuple(9, 0)})
+			return o.Equal(r) || r.Equal(o) || o.idx != nil, false
+		}, false},
 	}
 	for _, src := range sources {
 		for _, o := range ops {
@@ -70,10 +71,10 @@ func TestPublishedRelationHoldsNoIndex(t *testing.T) {
 			for _, tp := range rows {
 				m.add(tp)
 			}
-			if idx := r.loadIndex(); idx != nil {
-				t.Fatalf("%s: holds an index of %d slots", src.name, len(idx))
+			if r.idx != nil {
+				t.Fatalf("%s: holds an index of %d slots", src.name, len(r.idx))
 			}
-			if c := r.Clone(); c.loadIndex() != nil {
+			if c := r.Clone(); c.idx != nil {
 				t.Fatalf("%s: its clone holds an index", src.name)
 			}
 			if err := agree(r, m); err != nil {
@@ -82,8 +83,8 @@ func TestPublishedRelationHoldsNoIndex(t *testing.T) {
 			if got, want := o.op(r, m); got != want {
 				t.Errorf("%s, then %s: got %v, want %v", src.name, o.name, got, want)
 			}
-			if r.loadIndex() == nil {
-				t.Errorf("%s, then %s: no index rebuilt", src.name, o.name)
+			if kept := r.idx != nil; kept != o.keeps {
+				t.Errorf("%s, then %s: holds an index %v, want %v", src.name, o.name, kept, o.keeps)
 			}
 			if err := agree(r, m); err != nil {
 				t.Errorf("%s, then %s: %v", src.name, o.name, err)
@@ -92,10 +93,11 @@ func TestPublishedRelationHoldsNoIndex(t *testing.T) {
 	}
 }
 
-// TestPublishedRelationConcurrentReaders races the lazy index rebuild:
-// eight goroutines probe one freshly published relation through
-// Contains and Equal while a ninth keeps putting it into a second
-// database, which drops the index each time. Run it under -race.
+// TestPublishedRelationConcurrentReaders holds the read side of the
+// relation contract: eight goroutines compare one published relation
+// through Equal and scan its Tuple views while a ninth keeps putting it
+// into a second database. None of them writes the relation. Run it
+// under -race.
 func TestPublishedRelationConcurrentReaders(t *testing.T) {
 	ts := seqTuples(2000, 2)
 	r, twin := FromTuples("R", 2, ts), FromTuples("T", 2, ts)
@@ -109,12 +111,12 @@ func TestPublishedRelationConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := g; i < len(ts); i += 8 {
-				if !r.Contains(ts[i]) || r.Contains(mkTuple(-1, int64(i))) {
-					t.Errorf("reader %d: Contains wrong at tuple %d", g, i)
+				if !r.Tuple(i).Equal(ts[i]) {
+					t.Errorf("reader %d: tuple %d reads %v, want %v", g, i, r.Tuple(i), ts[i])
 					return
 				}
 			}
-			if !twin.Equal(r) {
+			if !twin.Equal(r) || !r.Equal(twin) {
 				t.Errorf("reader %d: Equal reports a difference", g)
 			}
 		}()
@@ -129,6 +131,9 @@ func TestPublishedRelationConcurrentReaders(t *testing.T) {
 	}()
 	close(start)
 	wg.Wait()
+	if r.idx != nil {
+		t.Error("readers left the published relation an index")
+	}
 	if err := agree(r, modelOf(twin)); err != nil {
 		t.Error(err)
 	}

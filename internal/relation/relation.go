@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"unsafe"
 )
 
 // BytesPerField is the assumed serialized size of one tuple field, chosen
@@ -31,23 +29,23 @@ var maxRows = 1<<31 - 2
 // good. Beside it, while the relation is built or probed, sits idx: an
 // open-addressing, linear-probing hash table over the rows' values that
 // stores row ids (a hit is confirmed against the slab; there is no key
-// string and no map). The index is a cache. Database.Put drops it, since
-// a published relation is only scanned, and the first Add, AddAll, Grow
-// or Contains that needs it rebuilds it from the slab.
+// string and no map).
+//
+// A relation's owner builds it, anyone reads it. The index is a private
+// cache of the goroutine that builds the relation: Add and Contains
+// build it and keep it, Database.Put drops it, since a published
+// relation is only scanned, and the bulk builds, Merge and FromTuples,
+// keep none. A published relation is read by many goroutines at once
+// through its views (Tuple, Each, Sorted) and Equal, which write
+// nothing, never through Add or Contains, which write the index.
 type Relation struct {
 	name  string
 	arity int
 	vals  []Value // row i is vals[i*arity : (i+1)*arity]
-	// idx points at the index's one allocation, nil when it was dropped
-	// or never built: element 0 holds the slot count − 1 as a uint32 (the
-	// count is a power of two), and the slots follow, each row id + 1 or
-	// 0 = empty, at load ≤ 3/4. It is read with one atomic load, so
-	// readers of a published relation may rebuild it while others probe
-	// it or Put drops it; mu lets one of them build it. The length lives
-	// in the array, not in a slice header, so publishing an index
-	// allocates nothing beside it.
-	idx atomic.Pointer[int32]
-	mu  sync.Mutex
+	// idx is nil when dropped or never built; else its length is a
+	// power of two and each slot holds a row id + 1, or 0 when empty,
+	// at load ≤ 3/4.
+	idx []int32
 }
 
 // New returns an empty relation with the given name and arity.
@@ -60,11 +58,16 @@ func New(name string, arity int) *Relation {
 }
 
 // FromTuples builds a relation from the given tuples (duplicates
-// removed). The values are copied: the relation does not alias tuples.
+// removed, first occurrences kept in order) through one Merge, so it
+// holds no index. The values are copied: the relation does not alias
+// tuples. It panics if any tuple's arity does not match.
 func FromTuples(name string, arity int, tuples []Tuple) *Relation {
-	r := New(name, arity)
-	r.AddAll(tuples)
-	return r
+	b := NewRows(arity)
+	b.vals = make([]Value, 0, len(tuples)*arity)
+	for _, t := range tuples {
+		b.Append(t)
+	}
+	return Merge(name, arity, []*Rows{b})
 }
 
 // Name returns the relation symbol.
@@ -98,37 +101,13 @@ func hashRow(t Tuple) int {
 	return int(hi ^ lo)
 }
 
-// loadIndex returns r's index slots, nil if it has none.
-func (r *Relation) loadIndex() []int32 {
-	if p := r.idx.Load(); p != nil {
-		return unsafe.Slice((*int32)(unsafe.Add(unsafe.Pointer(p), 4)), int(uint32(*p))+1)
-	}
-	return nil
-}
-
-// buildIndex returns r's index, building it from the slab at the length
-// rows rows need if r has none. It is the slow path of Add and Contains,
-// behind their own loadIndex: under mu, so that concurrent readers of a
-// published relation build the index once.
-func (r *Relation) buildIndex(rows int) []int32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx := r.loadIndex(); idx != nil {
-		return idx
-	}
-	return r.reindex(indexSlots(rows))
-}
-
-// reindex builds an index of the given length, a power of two, from the
-// slab, publishes it and returns its slots.
-func (r *Relation) reindex(slots int) []int32 {
-	a := make([]int32, 1+slots)
-	a[0] = int32(uint32(slots - 1))
-	idx := a[1:]
+// index returns a fresh index of the given length, a power of two,
+// over r's rows.
+func (r *Relation) index(slots int) []int32 {
+	idx := make([]int32, slots)
 	for id, n := 0, r.Size(); id < n; id++ {
 		idx[r.find(idx, r.Tuple(id))] = int32(id + 1)
 	}
-	r.idx.Store(&a[0])
 	return idx
 }
 
@@ -149,44 +128,43 @@ func (r *Relation) find(idx []int32, t Tuple) int {
 // full (2³¹−2 tuples). Re-adding a present tuple — the common case in
 // reducer outputs with heavy overlap — allocates nothing, and an insert
 // allocates only when the slab or the index grows, or when the relation
-// has no index and Add rebuilds it.
+// has no index and Add builds it.
 func (r *Relation) Add(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation %s: adding tuple of arity %d to relation of arity %d", r.name, len(t), r.arity))
 	}
 	n := r.Size()
-	idx := r.loadIndex()
-	if idx == nil {
-		idx = r.buildIndex(n + 1)
+	if r.idx == nil {
+		r.idx = r.index(indexSlots(n + 1))
 	}
-	slot := r.find(idx, t)
-	if idx[slot] != 0 {
+	slot := r.find(r.idx, t)
+	if r.idx[slot] != 0 {
 		return false
 	}
 	if n >= maxRows {
 		panic(fmt.Sprintf("relation %s: full at %d tuples (row ids are int32)", r.name, n))
 	}
-	idx[slot] = int32(n + 1)
+	r.idx[slot] = int32(n + 1)
 	r.vals = append(r.vals, t...)
-	if (n+1)*4 > len(idx)*3 { // past load 3/4
-		r.reindex(2 * len(idx))
+	if (n+1)*4 > len(r.idx)*3 { // past load 3/4
+		r.idx = r.index(2 * len(r.idx))
 	}
 	return true
 }
 
 // Contains reports whether t is present; a tuple of another arity is
 // not. It allocates nothing, except that on a non-empty relation with
-// no index it first rebuilds the index. Concurrent calls on a published
-// relation are safe and rebuild it once.
+// no index it first builds the index, which it keeps. It is the
+// owner's probe: it writes the index, so it must not be called on a
+// relation other goroutines read (use Equal there).
 func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity || len(r.vals) == 0 {
 		return false
 	}
-	idx := r.loadIndex()
-	if idx == nil {
-		idx = r.buildIndex(r.Size())
+	if r.idx == nil {
+		r.idx = r.index(indexSlots(r.Size()))
 	}
-	return idx[r.find(idx, t)] != 0
+	return r.idx[r.find(r.idx, t)] != 0
 }
 
 // Tuple returns the i-th tuple in insertion order as a read-only view
@@ -221,20 +199,6 @@ func (r *Relation) Each(fn func(id int, t Tuple)) {
 // index; the first Add or Contains on it builds one.
 func (r *Relation) Clone() *Relation {
 	return &Relation{name: r.name, arity: r.arity, vals: slices.Clone(r.vals)}
-}
-
-// Grow pre-sizes r's storage for n additional tuples, so a bulk load
-// of n tuples grows neither the slab nor the index on the way; a
-// relation with no index gets one built at that size. n ≤ 0 sizes for
-// the rows r holds. It never changes the relation's contents.
-func (r *Relation) Grow(n int) {
-	rows := min(r.Size()+max(n, 0), maxRows)
-	if need := rows * r.arity; cap(r.vals) < need {
-		r.vals = append(make([]Value, 0, need), r.vals...)
-	}
-	if slots := indexSlots(rows); slots > len(r.loadIndex()) {
-		r.reindex(slots)
-	}
 }
 
 // indexSlots is the index length for rows rows: the least power of two,
@@ -274,37 +238,23 @@ func (r *Relation) dedup() {
 	r.vals = r.vals[:k*a]
 }
 
-// AddAll inserts every tuple of ts in order (set semantics, like Add)
-// and returns the number of tuples actually added. Storage is pre-sized
-// once via Grow. It panics if any tuple's arity does not match.
-func (r *Relation) AddAll(ts []Tuple) int {
-	r.Grow(len(ts))
-	added := 0
-	for _, t := range ts {
-		if r.Add(t) {
-			added++
-		}
-	}
-	return added
-}
-
-// Rename returns a shallow view of r under a different name, sharing
-// its slab and its index, if it has one; neither may be added to
-// afterwards.
+// Rename returns a shallow view of r under a different name: it shares
+// r's slab, so neither may be added to afterwards, and not r's index.
 func (r *Relation) Rename(name string) *Relation {
-	v := &Relation{name: name, arity: r.arity, vals: r.vals}
-	v.idx.Store(r.idx.Load())
-	return v
+	return &Relation{name: name, arity: r.arity, vals: r.vals}
 }
 
 // Equal reports whether r and o contain exactly the same tuple set
-// (names may differ).
+// (names may differ). It probes a private index over o's rows and
+// writes neither relation, so it is the comparison that is safe on
+// published relations under concurrent readers.
 func (r *Relation) Equal(o *Relation) bool {
 	if r.arity != o.arity || len(r.vals) != len(o.vals) {
 		return false
 	}
+	idx := o.index(indexSlots(o.Size()))
 	for i, n := 0, r.Size(); i < n; i++ {
-		if !o.Contains(r.Tuple(i)) {
+		if idx[o.find(idx, r.Tuple(i))] == 0 {
 			return false
 		}
 	}
@@ -341,12 +291,12 @@ func (r *Relation) Dump() string {
 //
 // A Database is safe for concurrent use: Put and the read accessors may
 // be called from multiple goroutines (the server loads relations into a
-// database while queries read it). Individual Relations are not locked
-// against writers; callers must not mutate a relation after publishing
-// it with Put. Put drops the relation's hash index, which no plan reads;
-// a Contains or Equal that needs it rebuilds it, and that is safe under
-// concurrent readers, and under a Put of the same relation into another
-// database.
+// database while queries read it). Individual Relations are not locked:
+// a relation's builder publishes it with Put and neither adds to it nor
+// probes it with Contains afterwards; anyone then reads it through its
+// views and Equal (see Relation). Put drops the relation's hash index,
+// which no plan reads, so a published relation holds none, and a Put of
+// it into another database writes nothing.
 type Database struct {
 	mu    sync.RWMutex
 	rels  map[string]*Relation
@@ -360,9 +310,11 @@ func NewDatabase() *Database {
 }
 
 // Put registers rel under its name, replacing any existing relation with
-// the same name, and drops rel's index.
+// the same name, and drops rel's index where it has one.
 func (db *Database) Put(rel *Relation) {
-	rel.idx.Store(nil)
+	if rel.idx != nil {
+		rel.idx = nil
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, exists := db.rels[rel.Name()]; !exists {

@@ -53,16 +53,16 @@ func (m *model) equal(o *model) bool {
 	return true
 }
 
-// agree checks size, insertion order, membership and the index's own
-// invariants (power-of-two length, load ≤ 3/4, every row indexed once).
-// It probes through a Rename view, which shares r's index if r has one
-// and otherwise builds its own, so it leaves r with the index, or the
-// absence of one, that it found.
+// agree checks size, insertion order and membership, probing r's own
+// index, if it has one, and a Rename view's, which shares r's slab only
+// and builds its own, so r keeps the index, or the absence of one, that
+// it had. Each index must keep its invariants: power-of-two length,
+// load ≤ 3/4, every row indexed once, at its row id.
 func agree(r *Relation, m *model) error {
 	if r.Arity() != m.arity || r.Size() != len(m.tuples) {
 		return fmt.Errorf("%s vs model of arity %d with %d tuples", r, m.arity, len(m.tuples))
 	}
-	had, view := r.loadIndex(), r.Rename(r.Name())
+	view := r.Rename(r.Name())
 	for i, want := range m.tuples {
 		if got := r.Tuple(i); !got.Equal(want) {
 			return fmt.Errorf("tuple %d: %v, model %v", i, got, want)
@@ -71,41 +71,49 @@ func agree(r *Relation, m *model) error {
 			return fmt.Errorf("tuple %d %v is stored but not found", i, want)
 		}
 	}
-	if (had == nil) != (r.loadIndex() == nil) {
-		return fmt.Errorf("probing a view changed whether r has an index")
-	}
-	idx := view.loadIndex()
-	if n := len(idx); n&(n-1) != 0 || r.Size()*4 > n*3 {
-		return fmt.Errorf("index of %d slots for %d rows", n, r.Size())
-	}
-	used := 0
-	for _, id := range idx {
-		if id != 0 {
-			used++
+	for _, idx := range [][]int32{r.idx, view.idx} {
+		if idx == nil {
+			continue
 		}
-	}
-	if used != r.Size() {
-		return fmt.Errorf("%d index entries for %d rows", used, r.Size())
+		if n := len(idx); n&(n-1) != 0 || r.Size()*4 > n*3 {
+			return fmt.Errorf("index of %d slots for %d rows", n, r.Size())
+		}
+		used := 0
+		for _, id := range idx {
+			if id != 0 {
+				used++
+			}
+		}
+		if used != r.Size() {
+			return fmt.Errorf("%d index entries for %d rows", used, r.Size())
+		}
+		for i, want := range m.tuples {
+			if id := idx[r.find(idx, want)]; id != int32(i+1) {
+				return fmt.Errorf("tuple %d %v indexed as row %d", i, want, id-1)
+			}
+		}
 	}
 	return nil
 }
 
-// FuzzRelationOps runs a random op sequence — Add, AddAll, Grow, Clone,
+// FuzzRelationOps runs a random op sequence — Add, FromTuples, Clone,
 // Rename, append-then-Merge of 0–5 buffers (nil and empty ones
 // included; duplicates within and across them; whole or cut into
 // consecutive pieces), Contains, Equal, and publication by a Put into a
 // Database, which drops the index the later ops rebuild — against the
 // model, and requires identical return values, size and insertion order
-// after every op, Merge's storage bound, and no index after a Put.
+// after every op, the storage bound of Merge and of FromTuples, and no
+// index after a Put.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 2, 1, 3, 9, 9, 9, 9, 9, 9, 5, 0, 1, 2, 3})
 	f.Add([]byte{1, 2, 200, 4, 4, 1, 0, 5, 3, 0, 1, 2, 6, 0, 1, 7, 0, 250, 251})
 	f.Add([]byte{2, 1, 6, 3, 255, 254, 253, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 5, 5, 1, 0, 0, 3, 1})
 	f.Add([]byte(strings.Repeat("\x00\x01\x07\x03\x05\x02", 40)))
 	// One whole buffer of duplicates merged in place, then added to.
-	f.Add([]byte{0, 6, 0, 1, 1, 0, 5, 3, 3, 3, 4, 4, 1, 0, 1, 1, 3})
-	// Ten rows published, then Grow(-5): the index rebuilt must hold all ten.
-	f.Add([]byte{0, 2, 0, 0, 10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 0, 0, 3, 0, 0, 0, 0, 0, 0, 3})
+	f.Add([]byte{0, 5, 0, 1, 1, 0, 5, 3, 3, 3, 4, 4, 1, 0, 1, 1, 3})
+	// Twelve tuples, two of them repeats, built by FromTuples, published,
+	// then added to: a repeat and a new tuple.
+	f.Add([]byte{0, 2, 0, 0, 12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 8, 0, 0, 0, 0, 0, 3, 0, 0, 0, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -136,7 +144,7 @@ func FuzzRelationOps(f *testing.F) {
 			rels[i], mods[i] = New("R", arity), newModel(arity)
 		}
 		for step := 0; len(data) > 0; step++ {
-			op, a, b := next()%10, next()%slots, next()%slots
+			op, a, b := next()%9, next()%slots, next()%slots
 			switch op {
 			case 0, 1:
 				tp := tuple(arity)
@@ -145,21 +153,22 @@ func FuzzRelationOps(f *testing.F) {
 				}
 			case 2:
 				ts := make([]Tuple, next()%20)
-				want := 0
+				want := newModel(arity)
 				for i := range ts {
 					ts[i] = tuple(arity)
-					if mods[a].add(ts[i]) {
-						want++
-					}
+					want.add(ts[i])
 				}
-				if got := rels[a].AddAll(ts); got != want {
-					t.Fatalf("step %d: AddAll added %d, model %d", step, got, want)
+				built := FromTuples("F", arity, ts)
+				if built.Name() != "F" {
+					t.Fatalf("step %d: FromTuples named its result %q", step, built.Name())
 				}
+				if err := tight(built); err != nil {
+					t.Fatalf("step %d: FromTuples: %v", step, err)
+				}
+				rels[b], mods[b] = built, want
 			case 3:
-				rels[a].Grow(next()*8 - 5)
-			case 4:
 				rels[b], mods[b] = rels[a].Clone(), mods[a].clone()
-			case 5:
+			case 4:
 				rn := rels[a].Rename("S")
 				if rn.Name() != "S" || rels[a].Name() == "S" {
 					t.Fatalf("step %d: Rename names %q and %q", step, rn.Name(), rels[a].Name())
@@ -167,7 +176,7 @@ func FuzzRelationOps(f *testing.F) {
 				if err := agree(rn, mods[a]); err != nil {
 					t.Fatalf("step %d: Rename: %v", step, err)
 				}
-			case 6:
+			case 5:
 				// Append-then-Merge: 0–5 buffers, some seeded with a slot's
 				// tuples, all with random ones appended (duplicates within
 				// and across buffers are common), merged whole or cut
@@ -205,18 +214,18 @@ func FuzzRelationOps(f *testing.F) {
 					t.Fatalf("step %d: Merge: %v", step, err)
 				}
 				rels[b], mods[b] = merged, want
-			case 7:
+			case 6:
 				tp := tuple(arity + next()%3 - 1) // sometimes one value short or long
 				if got, want := rels[a].Contains(tp), mods[a].contains(tp); got != want {
 					t.Fatalf("step %d: Contains(%v) = %v, model %v", step, tp, got, want)
 				}
-			case 8:
+			case 7:
 				if got, want := rels[a].Equal(rels[b]), mods[a].equal(mods[b]); got != want {
 					t.Fatalf("step %d: Equal = %v, model %v", step, got, want)
 				}
-			case 9:
+			case 8:
 				NewDatabase().Put(rels[a])
-				if rels[a].loadIndex() != nil {
+				if rels[a].idx != nil {
 					t.Fatalf("step %d: a published relation holds an index", step)
 				}
 			}
@@ -288,7 +297,6 @@ func TestAddPastRowLimitPanics(t *testing.T) {
 	defer func(old int) { maxRows = old }(maxRows)
 	maxRows = 100
 	r := New("Big", 1)
-	r.Grow(1 << 20) // pre-sizing is clamped, not refused
 	for i := int64(0); i < 100; i++ {
 		r.Add(Tuple{Value(i)})
 	}
@@ -310,7 +318,7 @@ func TestAddPastRowLimitPanics(t *testing.T) {
 
 // meanProbes is the mean number of slots a successful lookup examines.
 func meanProbes(r *Relation) float64 {
-	idx := r.loadIndex()
+	idx := r.idx
 	mask, total := len(idx)-1, 0
 	for slot, id := range idx {
 		if id != 0 {
@@ -351,8 +359,8 @@ func TestIndexProbeLength(t *testing.T) {
 					}
 					r.Add(tp)
 				}
-				if r.Size() != n || len(r.loadIndex()) != slots {
-					t.Fatalf("%s/%d: %d rows in %d slots", name, arity, r.Size(), len(r.loadIndex()))
+				if r.Size() != n || len(r.idx) != slots {
+					t.Fatalf("%s/%d: %d rows in %d slots", name, arity, r.Size(), len(r.idx))
 				}
 				if got := meanProbes(r); got > 3 {
 					t.Errorf("%s, arity %d, varying column %d: %.2f probes per hit, want ≤ 3", name, arity, vary, got)
@@ -374,7 +382,8 @@ func seqTuples(n, arity int) []Tuple {
 }
 
 // TestStorageAllocations pins the layout by what it allocates: nothing
-// per tuple. A built relation is its header, one slab and one index.
+// per tuple. A built relation is its header, one slab and one index
+// (FromTuples': its Merge's dedup index, which it does not keep).
 func TestStorageAllocations(t *testing.T) {
 	r := FromTuples("R", 2, seqTuples(1000, 2))
 	present := r.Tuple(500).Clone()
@@ -413,16 +422,22 @@ func TestStorageAllocations(t *testing.T) {
 }
 
 // TestLiveHeapPerValue measures what a relation keeps alive, over a
-// unary and a 4-ary relation together: built, the slab's 8 bytes per
-// value plus the index's 4 bytes per slot, under 16 bytes per stored
-// value; published, the slab alone, under 9.
+// unary and a 4-ary relation together: built through Add, the slab's 8
+// bytes per value, with append's slack, plus the index's 4 bytes per
+// slot, under 16 bytes per stored value; published, the slab alone,
+// under 9.
 func TestLiveHeapPerValue(t *testing.T) {
 	unary, quad := seqTuples(200_000, 1), seqTuples(50_000, 4)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	a := FromTuples("A", 1, unary)
-	b := FromTuples("B", 4, quad)
+	a, b := New("A", 1), New("B", 4)
+	for _, tp := range unary {
+		a.Add(tp)
+	}
+	for _, tp := range quad {
+		b.Add(tp)
+	}
 	values := a.Size()*a.Arity() + b.Size()*b.Arity()
 	perValue := func() float64 {
 		runtime.GC()

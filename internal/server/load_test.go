@@ -421,7 +421,6 @@ func oracleLoad(db *gumbo.Database, name string, body []byte) *httptest.Response
 		added := 0
 		var t gumbo.Tuple
 		if len(rp.Tuples) > 0 {
-			rel.Grow(len(rp.Tuples))
 			t = make(gumbo.Tuple, rp.Arity)
 		}
 		for ti, raw := range rp.Tuples {
@@ -599,5 +598,126 @@ func TestConcurrentLoads(t *testing.T) {
 		if got := dumpDB(fx.s.lookup(fmt.Sprintf("g%d", g)).db); got != want[g] {
 			t.Errorf("g%d holds\n%s\nwant\n%s", g, got, want[g])
 		}
+	}
+}
+
+// compareRelation fails t unless actual holds exactly expected, in
+// expected's order.
+func compareRelation(t *testing.T, what string, actual *gumbo.Relation, expected []gumbo.Tuple) {
+	t.Helper()
+	if actual.Size() != len(expected) {
+		t.Fatalf("%s: %v != %v", what, actual.Tuples(), expected)
+	}
+	for i, want := range expected {
+		if !actual.Tuple(i).Equal(want) {
+			t.Fatalf("%s: %v != %v", what, actual.Tuples(), expected)
+		}
+	}
+}
+
+// heldRows is a relation and a copy of the rows it read when taken.
+type heldRows struct {
+	rel  *gumbo.Relation
+	rows []gumbo.Tuple
+}
+
+func holdRows(db *gumbo.Database) []heldRows {
+	var out []heldRows
+	for _, r := range db.Relations() {
+		rows := make([]gumbo.Tuple, r.Size())
+		for i := range rows {
+			rows[i] = r.Tuple(i).Clone()
+		}
+		out = append(out, heldRows{r, rows})
+	}
+	return out
+}
+
+// TestLoadMatchesSerialAdd holds handleLoad's one build path, a
+// relation.Merge per relation, against a serial-Add model of it
+// (oracleLoad over a copy of the database): the same status, sizes and
+// Added counts, and every relation with the model's tuples in the
+// model's insertion order. A relation the load replaces still reads its
+// old rows, a rejected load leaves the database untouched, and later
+// loads through the same pooled buffers leave what this one published
+// unchanged.
+func TestLoadMatchesSerialAdd(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup string // a load posted first, over Old/2 = {[1 2]}
+		body  string
+	}{
+		{name: "fresh load with duplicates", body: rels(rel("R", 2, `[[1,2],[3,4],[1,2],[5,6],[3,4]]`))},
+		{name: "append of new and present rows", body: rels(rel("Old", 2, `[[3,4],[1,2],[5,6],[3,4]]`))},
+		{name: "no rows into an existing relation", body: rels(rel("Old", 2, `[]`))},
+		{name: "rows into an existing empty relation", setup: rels(rel("E", 1, `[]`)), body: rels(rel("E", 1, `[[7],[8],[7]]`))},
+		{name: "one relation listed twice", body: rels(rel("R", 1, `[[1],[2],[1]]`), rel("Old", 2, `[[9,9]]`), rel("R", 1, `[[2],[3]]`), rel("Old", 2, `[]`))},
+		{name: "arity mismatch", body: rels(rel("R", 1, `[[1]]`), rel("Old", 3, `[[1,2,3]]`))},
+	}
+	f := newLoadFixture()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := f.reset(t)
+			if c.setup != "" {
+				if rec := f.serve("POST", "/v1/db/d/load", []byte(c.setup)); rec.Code != http.StatusOK {
+					t.Fatalf("setup: %d %s", rec.Code, rec.Body)
+				}
+			}
+			model := gumbo.NewDatabase()
+			for _, r := range db.Relations() {
+				model.Put(r.Clone())
+			}
+			before, gen := holdRows(db), db.Generation()
+			got := f.serve("POST", "/v1/db/d/load", []byte(c.body))
+			want := oracleLoad(model, "d", []byte(c.body))
+			if got.Code != want.Code {
+				t.Fatalf("status %d, model %d: %s", got.Code, want.Code, got.Body)
+			}
+			for _, h := range before {
+				compareRelation(t, "replaced "+h.rel.Name(), h.rel, h.rows)
+			}
+			if got.Code != http.StatusOK {
+				after := db.Relations()
+				if db.Generation() != gen || len(after) != len(before) {
+					t.Fatalf("rejected load changed the database: generation %d → %d", gen, db.Generation())
+				}
+				for i, r := range after {
+					if r != before[i].rel {
+						t.Fatalf("rejected load replaced %s", r.Name())
+					}
+				}
+				return
+			}
+			var gotResp, wantResp struct{ Relations []relationInfo }
+			if err := json.Unmarshal(got.Body.Bytes(), &gotResp); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(want.Body.Bytes(), &wantResp); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gotResp.Relations, wantResp.Relations) {
+				t.Fatalf("answered %+v, model %+v", gotResp.Relations, wantResp.Relations)
+			}
+			wantRels := model.Relations()
+			if names := db.Names(); !slices.Equal(names, model.Names()) {
+				t.Fatalf("relations %v, model %v", names, model.Names())
+			}
+			for i, r := range db.Relations() {
+				if r.Arity() != wantRels[i].Arity() {
+					t.Fatalf("%s/%d, model arity %d", r.Name(), r.Arity(), wantRels[i].Arity())
+				}
+				compareRelation(t, r.Name(), r, wantRels[i].Tuples())
+			}
+			published := holdRows(db)
+			for i := range 4 {
+				body := rels(rel("Tmp", 2, fmt.Sprintf(`[[%d,%d],[%d,%d],[%d,%d]]`, i, i+7, i+1, i, i+2, i)))
+				if rec := f.serve("POST", "/v1/db/d/load", []byte(body)); rec.Code != http.StatusOK {
+					t.Fatalf("later load %d: %d %s", i, rec.Code, rec.Body)
+				}
+			}
+			for _, h := range published {
+				compareRelation(t, h.rel.Name()+" after later loads", h.rel, h.rows)
+			}
+		})
 	}
 }

@@ -397,10 +397,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "load request names no relations")
 		return
 	}
-	// Loads into one database are serialized: loading appends to a copy
-	// of the current relation and republishes it (relations are immutable
-	// once in a database), which would lose tuples under a concurrent
-	// read-modify-write.
+	// Loads into one database are serialized: loading merges the current
+	// relation's rows with the body's into a new relation and publishes
+	// it (relations are immutable once in a database), which would lose
+	// tuples under a concurrent read-modify-write.
 	dbe.loadMu.Lock()
 	defer dbe.loadMu.Unlock()
 	// Two passes make the request atomic: decode and validate everything
@@ -422,22 +422,18 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "relation %s tuple %d: got %d values, want %d", rp.name, ti, width, rp.arity)
 			return
 		}
-		rel, seen := pending[rp.name]
-		var old *gumbo.Relation
+		// prev is what this entry loads into: the relation an earlier
+		// entry of this body built, else the published one, else none.
+		prev, seen := pending[rp.name]
 		if seen {
-			if rel.Arity() != rp.arity {
-				writeError(w, http.StatusBadRequest, "relation %s listed twice with arities %d and %d", rp.name, rel.Arity(), rp.arity)
+			if prev.Arity() != rp.arity {
+				writeError(w, http.StatusBadRequest, "relation %s listed twice with arities %d and %d", rp.name, prev.Arity(), rp.arity)
 				return
 			}
 		} else {
-			switch old = dbe.db.Relation(rp.name); {
-			case old == nil:
-				rel = gumbo.NewRelation(rp.name, rp.arity)
-			case old.Arity() != rp.arity:
-				writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.name, old.Arity(), rp.arity)
+			if prev = dbe.db.Relation(rp.name); prev != nil && prev.Arity() != rp.arity {
+				writeError(w, http.StatusBadRequest, "relation %s exists with arity %d, load says %d", rp.name, prev.Arity(), rp.arity)
 				return
-			case old.Size() == 0 || rp.rows == 0:
-				rel = old.Clone()
 			}
 			order = append(order, rp.name)
 		}
@@ -445,24 +441,27 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "relation %s tuple %d: %v", rp.name, rp.badRow, rp.bad)
 			return
 		}
-		added := 0
-		if rel == nil {
-			// An append: one dedup pass over the published rows, then the
-			// body's, into a fresh slab, hashing each row once. Both are
-			// non-empty, so Merge adopts neither: the published slab is
-			// never written, and the body's values stay the pool's.
-			rel = relation.Merge(rp.name, rp.arity, []*relation.Rows{relation.RowsIn(old), relation.RowsOf(rp.arity, rp.vals)})
-			added = rel.Size() - old.Size()
-		} else {
-			rel.Grow(rp.rows)
-			for lo := 0; lo < len(rp.vals); lo += rp.arity {
-				if rel.Add(rp.vals[lo : lo+rp.arity]) {
-					added++
-				}
+		rel, base := prev, 0
+		if prev != nil {
+			base = prev.Size()
+		}
+		if prev == nil || rp.rows > 0 {
+			// One dedup pass over the old rows, then the body's, hashing
+			// each row once. Merge adopts a lone buffer, so the old rows
+			// go only beside the body's, and the body's pooled values go
+			// alone only as a copy: the published slab is never written,
+			// and the pool's values never kept.
+			var old *relation.Rows
+			vals := rp.vals
+			if base > 0 {
+				old = relation.RowsIn(prev)
+			} else {
+				vals = slices.Clone(vals)
 			}
+			rel = relation.Merge(rp.name, rp.arity, []*relation.Rows{old, relation.RowsOf(rp.arity, vals)})
 		}
 		pending[rp.name] = rel
-		infos = append(infos, relationInfo{Name: rp.name, Arity: rp.arity, Size: rel.Size(), Added: added})
+		infos = append(infos, relationInfo{Name: rp.name, Arity: rp.arity, Size: rel.Size(), Added: rel.Size() - base})
 	}
 	for _, name := range order {
 		dbe.db.Put(pending[name])

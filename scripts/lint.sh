@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # lint.sh — the repo's static-analysis gate, exactly what CI's lint job
-# runs: gofmt (no unformatted files) and go vet. The engine's contracts
-# are guarded by tests that run with the rest of the suite
-# (docs/INVARIANTS.md names the guard of each). It ends by printing the
+# runs: gofmt (no unformatted files), go vet, and no .go file of the
+# root module outside bench/ importing unsafe (a relation's index is a
+# plain slice that only its builder holds; no pointer tricks come back
+# unnoticed). The engine's contracts are guarded by tests that run with
+# the rest of the suite (docs/INVARIANTS.md names the guard of each). It ends by printing the
 # non-test line count (scripts/loc.sh), so the figure a simplicity PR
 # quotes is in the job's log.
 #
@@ -20,6 +22,14 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+
+unsafe=$(find . -name '*.go' -not -path './bench/*' -print0 |
+	xargs -0 grep -lE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"unsafe"' || true)
+if [ -n "$unsafe" ]; then
+	echo "unsafe imported outside bench/ by:" >&2
+	echo "$unsafe" >&2
+	exit 1
+fi
 
 echo "non-test Go lines: $(scripts/loc.sh)"
 echo "lint: OK"
