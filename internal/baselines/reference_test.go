@@ -220,8 +220,9 @@ func refHParStageJob(name string, q *sgf.BSGF, stageAtoms []sgf.Atom, inRel, out
 		Name:    name,
 		Inputs:  inputs,
 		Outputs: map[string]int{outRel: outArity},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
+		Mapper: mr.MapperFunc(func(part int, id int, t relation.Tuple, emit *mr.Emitter) {
 			var kb [48]byte
+			input := inputs[part] // the job's Inputs
 			if input == inRel && len(t) == inArity {
 				if first && !guardMatcher.Matches(t) {
 					return
@@ -278,7 +279,7 @@ func refHParFilterJob(name string, q *sgf.BSGF, inRel string, inArity int, flagP
 		Name:    name,
 		Inputs:  []string{inRel},
 		Outputs: map[string]int{q.Name: q.OutArity()},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
+		Mapper: mr.MapperFunc(func(_ int, id int, t relation.Tuple, emit *mr.Emitter) {
 			if len(t) != inArity {
 				return
 			}
@@ -319,7 +320,7 @@ func refUnionProjectJob(name, out string, guard sgf.Atom, selectVars []string, b
 	project := sgf.NewProjector(guard, selectVars)
 	matcher := sgf.NewMatcher(guard)
 	inputs := append([]string(nil), branchRels...)
-	mapper := mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
+	mapper := mr.MapperFunc(func(_ int, id int, t relation.Tuple, emit *mr.Emitter) {
 		if !matcher.Matches(t) {
 			return
 		}

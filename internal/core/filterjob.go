@@ -137,8 +137,9 @@ func NewDistinctJob(name, out string, inputs []string, project sgf.Projector, ac
 	}
 }
 
-// Map sends f's projection under itself when accept admits f.
-func (d *distinct) Map(input string, id int, f relation.Tuple, emit *mr.Emitter) {
+// Map sends f's projection under itself when accept admits f, whatever
+// its input.
+func (d *distinct) Map(_ int, id int, f relation.Tuple, emit *mr.Emitter) {
 	if !d.accept(f) {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -25,7 +26,7 @@ func codecJob() *mr.Job {
 		Name:    "codec",
 		Inputs:  []string{"R"},
 		Outputs: map[string]int{"Out": 4},
-		Mapper: mr.MapperFunc(func(input string, id int, t relation.Tuple, emit *mr.Emitter) {
+		Mapper: mr.MapperFunc(func(_ int, id int, t relation.Tuple, emit *mr.Emitter) {
 			var kb [16]byte
 			key := t[:1].AppendKey(kb[:0])
 			Request{Verdict: int32(t[0]), Tuple: t}.Emit(emit, key, reqIDBytes)
@@ -101,11 +102,12 @@ type shuffled struct {
 }
 
 // reduceRecords runs job's real reducer over recs, which a stand-in
-// mapper emits for the one fact of the job's first input.
-func reduceRecords(job *mr.Job, recs []shuffled) error {
+// mapper emits for the one fact of the job's first input, and returns
+// what it wrote.
+func reduceRecords(job *mr.Job, recs []shuffled) (*relation.Database, error) {
 	fed := *job
-	fed.Mapper = mr.MapperFunc(func(input string, id int, _ relation.Tuple, emit *mr.Emitter) {
-		if input == job.Inputs[0] {
+	fed.Mapper = mr.MapperFunc(func(part int, id int, _ relation.Tuple, emit *mr.Emitter) {
+		if part == 0 {
 			for _, r := range recs {
 				emit.Emit(r.key, r.tag, 4, r.payload)
 			}
@@ -119,8 +121,8 @@ func reduceRecords(job *mr.Job, recs []shuffled) error {
 		}
 		db.Put(rel)
 	}
-	_, _, err := runJob(context.Background(), mr.NewEngine(mr.Config{Cost: cost.Default()}), &fed, db)
-	return err
+	outs, _, err := runJob(context.Background(), mr.NewEngine(mr.Config{Cost: cost.Default()}), &fed, db)
+	return outs, err
 }
 
 // TestCorruptPayloadIsErrSpill: a record that does not decode, or
@@ -165,7 +167,7 @@ func TestCorruptPayloadIsErrSpill(t *testing.T) {
 		{"EVAL", eval, []shuffled{{evalKey, TagAssert, vs(1)}, evalRequest}},
 		{"union", union, []shuffled{tupleVal}},
 	} {
-		if err := reduceRecords(r.job, r.recs); err != nil {
+		if _, err := reduceRecords(r.job, r.recs); err != nil {
 			t.Fatalf("sound %s records: %v", r.name, err)
 		}
 	}
@@ -206,7 +208,7 @@ func TestCorruptPayloadIsErrSpill(t *testing.T) {
 		row{"EVAL mark 2 of 2", eval, []shuffled{{evalKey, TagAssert, vs(2)}, evalRequest}},
 	)
 	for _, r := range rows {
-		if err := reduceRecords(r.job, r.recs); !errors.Is(err, mr.ErrSpill) {
+		if _, err := reduceRecords(r.job, r.recs); !errors.Is(err, mr.ErrSpill) {
 			t.Errorf("%s: err = %v, want mr.ErrSpill", r.name, err)
 		}
 	}
@@ -281,8 +283,9 @@ func TestMSJHotPathAllocatesNothing(t *testing.T) {
 		{"filter conditional fact", seq.Jobs[0], "S", cond},
 	} {
 		var em mr.Emitter
-		c.job.Mapper.Map(c.input, 5, c.fact, &em) // warm: the first arena chunk
-		if allocs := testing.AllocsPerRun(2000, func() { c.job.Mapper.Map(c.input, 5, c.fact, &em) }); allocs != 0 {
+		part := slices.Index(c.job.Inputs, c.input)
+		c.job.Mapper.Map(part, 5, c.fact, &em) // warm: the first arena chunk
+		if allocs := testing.AllocsPerRun(2000, func() { c.job.Mapper.Map(part, 5, c.fact, &em) }); allocs != 0 {
 			t.Errorf("%s: mapper allocates %v per fact, want 0", c.what, allocs)
 		}
 	}

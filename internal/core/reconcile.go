@@ -152,9 +152,9 @@ func newReconcile(kind, name string) *reconcile {
 }
 
 // rolesOf returns the roles of rel's facts, nil when rel is not in the
-// read set. The read set is a handful of names, so finding one is a scan
-// — and for Map, which the engine hands Job.Inputs' own strings, a length
-// and a pointer compare per name: nothing is hashed per fact.
+// read set. The read set is a handful of names, so finding one is a
+// scan. Only table building asks: Map is told its input's position and
+// indexes roles by it.
 func (t *reconcile) rolesOf(rel string) *inputRoles {
 	for i, name := range t.inputs {
 		if name == rel {
@@ -266,16 +266,14 @@ func streamJob(asserts bool, a sgf.Atom, vars []string) *mr.Job {
 	return job
 }
 
-// Map sends what fact f (tuple id id) of input sends in each of its
-// roles: requests, then asserts, each in table order. Keys, carried
-// tuples and payloads are built append-style in stack buffers — the
-// engine copies key and payload into its arena at emit, so they are
-// reusable immediately and mapping allocates nothing per fact.
-func (t *reconcile) Map(input string, id int, f relation.Tuple, emit *mr.Emitter) {
-	roles := t.rolesOf(input)
-	if roles == nil {
-		return
-	}
+// Map sends what fact f (tuple id id) of input part sends in each of its
+// roles: requests, then asserts, each in table order. The job's Inputs
+// is t.inputs, so part indexes roles. Keys, carried tuples and payloads
+// are built append-style in stack buffers — the engine copies key and
+// payload into its arena at emit, so they are reusable immediately and
+// mapping allocates nothing per fact.
+func (t *reconcile) Map(part int, id int, f relation.Tuple, emit *mr.Emitter) {
+	roles := &t.roles[part]
 	var kb [48]byte
 	var ob [8]relation.Value
 	for i := range roles.requests {

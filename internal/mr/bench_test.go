@@ -44,8 +44,8 @@ func benchShuffleJob(packing bool) *Job {
 	// allocs/op counts only what the engine itself does per record.
 	zOut := tup(0, 0)
 	job := semijoinJob(packing)
-	job.Mapper = MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
-		switch input {
+	job.Mapper = MapperFunc(func(part int, id int, t relation.Tuple, emit *Emitter) {
+		switch job.Inputs[part] {
 		case "R":
 			emitInt(emit, keys[t[1]], 1000)
 		case "S":

@@ -65,8 +65,9 @@ func TestBudgetChargedDeterministicAcrossWidths(t *testing.T) {
 // gathered once and cut into pieces after — so a run with every
 // partition spilled charges its spill-off total plus exactly the bytes
 // it spilled, and, when the spill-off run took the one-reducer shape,
-// the shuffle buffers of the staged jobs that spill — the same bytes
-// again, since each buffer spills whole. (The diamond's splits each fit
+// the shuffle-partition charges of the staged jobs that spill — the
+// same bytes again, since each shuffle task charges its partition's
+// encoded bytes and spills them whole. (The diamond's splits each fit
 // the arena's first chunk with record headers or without, so both shapes
 // charge their arenas alike.)
 func TestSpillReadBackCharged(t *testing.T) {
@@ -110,9 +111,11 @@ func TestSpillReadBackCharged(t *testing.T) {
 }
 
 // TestShuffleBufferCharged pins the shuffle-partition site of the
-// accounting contract: at r = 1 as at r = 7, a shuffle task charges the
-// one buffer holding its segments, which is exactly the encoded bytes of
-// its map task's records.
+// accounting contract: at r = 1 as at r = 7, a shuffle task charges its
+// partition's segments, laid out in the worker's staging buffer and
+// written back over its map task's arena chunks — exactly the encoded
+// bytes of the map task's records, since here they refill the arena
+// with no overflow chunk.
 func TestShuffleBufferCharged(t *testing.T) {
 	arena := NewBudget(0)
 	em := multiChunkArena(arena)

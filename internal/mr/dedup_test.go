@@ -87,7 +87,7 @@ func TestOutputDedupOnce(t *testing.T) {
 			Inputs:   []string{"R"},
 			Outputs:  outputs,
 			reducers: c.reducers,
-			Mapper: MapperFunc(func(_ string, id int, _ relation.Tuple, em *Emitter) {
+			Mapper: MapperFunc(func(_ int, id int, _ relation.Tuple, em *Emitter) {
 				emitInt(em, keys[id], int64(id))
 			}),
 			Reducer: ReducerFunc(func(key []byte, msgs *Group, out *Output) {

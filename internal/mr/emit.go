@@ -26,6 +26,13 @@ const (
 // key, opening the next chunk of the ladder when the current one cannot
 // hold it. See Emitter for the ownership and accounting rules.
 //
+// In a map task the record gets its wire header (spill.go). Nearly every
+// record's key length, payload length and modelled size are each below
+// 0x80, so each is one uvarint byte: Emit then writes the header, tag
+// included, with one four-byte append — the bytes the uvarint encoder
+// writes, and those readRecord decodes without its varint loop — and
+// takes the three uvarint appends only past that.
+//
 // In a one-reducer task (grouped set) the record is entered as the
 // reduce task's gather would enter it: appended to the task's record
 // array with its key group, the key found or made in the task's key set,
@@ -54,8 +61,14 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	e.records++
 	e.bytes += size
 	need := len(key) + len(payload)
+	small := false // the header is four bytes: three one-byte uvarints and the tag
 	if e.grouped == nil {
-		need += uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) + 1
+		small = uint64(len(key))|uint64(len(payload))|uint64(size) < 0x80
+		if small {
+			need += 4
+		} else {
+			need += uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) + 1
+		}
 	}
 	last := len(e.chunks) - 1
 	if last < e.base || need > cap(e.chunks[last])-len(e.chunks[last]) {
@@ -67,7 +80,9 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 		last++
 	}
 	b := e.chunks[last]
-	if e.grouped == nil {
+	if small {
+		b = append(b, byte(len(key)), byte(len(payload)), byte(size), tag)
+	} else if e.grouped == nil {
 		b = binary.AppendUvarint(b, uint64(len(key)))
 		b = binary.AppendUvarint(b, uint64(len(payload)))
 		b = binary.AppendUvarint(b, uint64(size))

@@ -234,3 +234,101 @@ func TestGroupedEmit(t *testing.T) {
 		}
 	}
 }
+
+// encodeRecord is the record wire form written the plain way, a
+// uvarint per header field: the oracle for Emit's header.
+func encodeRecord(dst, key []byte, tag byte, size int64, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = binary.AppendUvarint(dst, uint64(size))
+	dst = append(dst, tag)
+	dst = append(dst, key...)
+	return append(dst, payload...)
+}
+
+// TestRecordHeaderFastPath holds Emit's four-byte header to the uvarint
+// encoding at the edges of its fast path: key lengths, payload lengths
+// and modelled sizes of 127 (the last one-byte uvarint), 128 (the first
+// two-byte one) and 16 384 (the first three-byte one), each alone past
+// the edge and all mixed within one arena. The arena's bytes must equal
+// encodeRecord's byte for byte — a record never spans chunks, so the
+// chunks' fills laid end to end are the records back to back — and every
+// record must decode through readRecord from the arena, and through the
+// shuffle task and the one reader, resident and spilled.
+func TestRecordHeaderFastPath(t *testing.T) {
+	type rec struct {
+		klen, plen int
+		size       int64 // the modelled size Emit stores: it adds keyBytes(key) to what it is given
+	}
+	edges := []int{0, 1, 127, 128, 16384}
+	var mixed []rec
+	for _, k := range edges {
+		for _, p := range edges {
+			for _, s := range []int64{127, 128, 16384} {
+				mixed = append(mixed, rec{k, p, max(s, keyBytes(make([]byte, k)))})
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		recs []rec
+	}{
+		{"all one byte", []rec{{0, 0, 2}, {1, 1, 127}, {127, 127, 127}}},
+		{"key length 128", []rec{{127, 3, 127}, {128, 3, 128}, {127, 3, 127}}},
+		{"payload length 128", []rec{{5, 127, 127}, {5, 128, 127}, {5, 127, 127}}},
+		{"size 128", []rec{{5, 5, 127}, {5, 5, 128}, {5, 5, 127}}},
+		{"16 384 each", []rec{{16384, 1, 16384}, {1, 16384, 127}, {1, 1, 16384}, {1, 1, 127}}},
+		{"mixed in one arena", mixed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			em := Emitter{budget: NewBudget(0)}
+			var want []byte
+			for i, r := range tc.recs {
+				key := bytes.Repeat([]byte{byte(i)}, r.klen)
+				payload := bytes.Repeat([]byte{byte(i) + 1}, r.plen)
+				em.Emit(key, byte(i), r.size-keyBytes(key), payload)
+				want = encodeRecord(want, key, byte(i), r.size, payload)
+			}
+			if got := bytes.Join(em.chunks, nil); !bytes.Equal(got, want) {
+				t.Fatalf("arena holds %d bytes, the uvarint encoding %d; first difference at byte %d",
+					len(got), len(want), firstDiff(got, want))
+			}
+			check := func(where string, set *recordSet) {
+				t.Helper()
+				if len(set.recs) != len(tc.recs) {
+					t.Fatalf("%s: %d records decode, want %d", where, len(set.recs), len(tc.recs))
+				}
+				for i, r := range tc.recs {
+					got := set.recs[i]
+					if len(set.key(i)) != r.klen || len(set.payload(i)) != r.plen || got.size != r.size || got.tag != byte(i) ||
+						!bytes.Equal(set.key(i), bytes.Repeat([]byte{byte(i)}, r.klen)) ||
+						!bytes.Equal(set.payload(i), bytes.Repeat([]byte{byte(i) + 1}, r.plen)) {
+						t.Fatalf("%s: record %d decodes as key %d, payload %d, size %d, tag %d; want %+v, tag %d",
+							where, i, len(set.key(i)), len(set.payload(i)), got.size, got.tag, r, byte(i))
+					}
+				}
+			}
+			check("arena", arenaRecords(t, &em))
+			for _, spill := range []bool{false, true} {
+				got, err := readAll(shuffleOne(t, &em, spill))
+				if err != nil {
+					t.Fatalf("spill %v: %v", spill, err)
+				}
+				check(fmt.Sprintf("spill %v", spill), &got)
+			}
+		})
+	}
+}
+
+// firstDiff is the index of the first byte where a and b differ, or the
+// shorter one's length.
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := range n {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}

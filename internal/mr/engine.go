@@ -211,7 +211,7 @@ func Sample(job *Job, db *relation.Database) ([]SampleCounts, error) {
 		if c := len(em.chunks); c > 0 { // write over the last chunk
 			em.chunks = append(em.chunks[:0], em.chunks[c-1][:0])
 		}
-		res := em.mapSplit(job, name, mapTaskSpec{rel: rel, to: n}, SampleStride)
+		res := em.mapSplit(job, k, mapTaskSpec{rel: rel, to: n}, SampleStride)
 		counts[k] = SampleCounts{Tuples: int64(n), Sampled: int64(sampled), Records: res.records, Bytes: res.bytes}
 	}
 	return counts, nil

@@ -51,20 +51,11 @@ func testDB() *relation.Database {
 
 // semijoinJob builds a repartition semi-join R(x,y) ⋉ S(y) as in §4.1.
 func semijoinJob(packing bool) *Job {
-	return &Job{
+	job := &Job{
 		Name:    "semijoin",
 		Inputs:  []string{"R", "S"},
 		Outputs: map[string]int{"Z": 2},
 		Packing: packing,
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
-			var kb [12]byte
-			switch input {
-			case "R":
-				emitInt(emit, t[1].AppendKey(kb[:0]), int64(id)+1000)
-			case "S":
-				emitInt(emit, t[0].AppendKey(kb[:0]), -1)
-			}
-		}),
 		Reducer: ReducerFunc(func(key []byte, msgs *Group, out *Output) {
 			hasAssert := false
 			for i := 0; i < msgs.Len(); i++ {
@@ -83,6 +74,16 @@ func semijoinJob(packing bool) *Job {
 			}
 		}),
 	}
+	job.Mapper = MapperFunc(func(part int, id int, t relation.Tuple, emit *Emitter) {
+		var kb [12]byte
+		switch job.Inputs[part] {
+		case "R":
+			emitInt(emit, t[1].AppendKey(kb[:0]), int64(id)+1000)
+		case "S":
+			emitInt(emit, t[0].AppendKey(kb[:0]), -1)
+		}
+	})
+	return job
 }
 
 func TestRunJobSemiJoin(t *testing.T) {
@@ -281,7 +282,7 @@ func TestUndeclaredOutputPanics(t *testing.T) {
 		Name:    "bad",
 		Inputs:  []string{"R"},
 		Outputs: map[string]int{"Z": 1},
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
+		Mapper: MapperFunc(func(_ int, id int, t relation.Tuple, emit *Emitter) {
 			emitInt(emit, []byte("k"), 1)
 		}),
 		Reducer: ReducerFunc(func(key []byte, msgs *Group, out *Output) {
@@ -378,7 +379,7 @@ func TestProgramDepsAndRounds(t *testing.T) {
 		Name:    "consume",
 		Inputs:  []string{"Z"},
 		Outputs: map[string]int{"W": 2},
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
+		Mapper: MapperFunc(func(_ int, id int, t relation.Tuple, emit *Emitter) {
 			var kb [32]byte
 			emitInt(emit, t.AppendKey(kb[:0]), int64(id))
 		}),

@@ -35,7 +35,8 @@ func arenaRecords(t testing.TB, em *Emitter) *recordSet {
 	set := &recordSet{bufs: em.chunks}
 	for src, chunk := range em.chunks {
 		for pos := 0; pos < len(chunk); {
-			r, next, err := readRecord(chunk, pos)
+			var r record
+			next, err := readRecord(&r, chunk, pos)
 			if err != nil {
 				t.Fatalf("chunk %d does not decode at byte %d: %v", src, pos, err)
 			}

@@ -223,7 +223,7 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 		}
 		em.keys = c.scratch.keySet(keys, false)
 	}
-	res := em.mapSplit(jr.job, jr.job.Inputs[part], ts, 1)
+	res := em.mapSplit(jr.job, part, ts, 1)
 	if jr.job.Packing && n > 0 {
 		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
@@ -242,13 +242,13 @@ func (jr *jobRun) stageDone() bool {
 	return jr.left == 0
 }
 
-// mapSplit runs job's mapper over every step-th tuple of ts through e and
-// returns what it emitted: e's arena from its base on, and its counts —
-// a map task's result, a one-reducer task's for one of its splits, or a
-// sample's of one input.
-func (e *Emitter) mapSplit(job *Job, input string, ts mapTaskSpec, step int) mapTaskResult {
+// mapSplit runs job's mapper over every step-th tuple of ts, a split of
+// input part, through e and returns what it emitted: e's arena from its
+// base on, and its counts — a map task's result, a one-reducer task's
+// for one of its splits, or a sample's of one input.
+func (e *Emitter) mapSplit(job *Job, part int, ts mapTaskSpec, step int) mapTaskResult {
 	for i := ts.from; i < ts.to; i += step {
-		job.Mapper.Map(input, i, ts.rel.Tuple(i), e)
+		job.Mapper.Map(part, i, ts.rel.Tuple(i), e)
 	}
 	n := len(e.chunks)
 	res := mapTaskResult{chunks: e.chunks[e.base:n:n], msgs: e.records, records: e.records, bytes: e.bytes}
@@ -343,7 +343,7 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 			from := len(set.recs)
 			em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
 				grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
-			res := em.mapSplit(jr.job, jr.job.Inputs[part], jr.tasks[part][ti], 1)
+			res := em.mapSplit(jr.job, part, jr.tasks[part][ti], 1)
 			jr.results[part][ti] = res
 			set.bufs, stamps = em.chunks, em.stamps
 			split++
@@ -441,7 +441,8 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 		i := 0
 		for _, chunk := range res.chunks {
 			for at := 0; at < len(chunk); i++ {
-				r, next, err := readRecord(chunk, at)
+				var r record
+				next, err := readRecord(&r, chunk, at)
 				if err != nil || i == n {
 					panic(taskAbort{err: errCorrupt})
 				}

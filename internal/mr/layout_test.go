@@ -24,7 +24,8 @@ func refPlacement(t *testing.T, chunks [][]byte, reducers int) ([][]byte, []int3
 	segs, counts := make([][]byte, reducers), make([]int32, reducers)
 	for _, chunk := range chunks {
 		for at := 0; at < len(chunk); {
-			r, next, err := readRecord(chunk, at)
+			var r record
+			next, err := readRecord(&r, chunk, at)
 			if err != nil {
 				t.Fatal(err)
 			}

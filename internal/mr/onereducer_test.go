@@ -266,7 +266,7 @@ func TestInlinePastOneReducerMatchesStaged(t *testing.T) {
 		Name:    "past",
 		Inputs:  []string{"R"},
 		Outputs: map[string]int{"Z": 3},
-		Mapper: mr.MapperFunc(func(input string, id int, tu relation.Tuple, emit *mr.Emitter) {
+		Mapper: mr.MapperFunc(func(_ int, id int, tu relation.Tuple, emit *mr.Emitter) {
 			var kb, pb [16]byte
 			payload := binary.AppendUvarint(pb[:0], uint64(id))
 			for _, k := range []int64{int64(id % 300), 1000 + int64(id%211), 5000} {

@@ -15,20 +15,21 @@ import (
 // splitEveryTuple — after calling nap, and copies the tuples into out
 // through one reducer.
 func sleepJob(name string, ins []string, out string, nap func(input string)) *Job {
-	return &Job{
+	job := &Job{
 		Name:     name,
 		Inputs:   ins,
 		Outputs:  map[string]int{out: 1},
 		reducers: 1,
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
-			nap(input)
-			var kb [32]byte
-			emitInt(emit, t.AppendKey(kb[:0]), int64(id))
-		}),
 		Reducer: ReducerFunc(func(key []byte, msgs *Group, o *Output) {
 			o.Add(out, relation.TupleFromKeyBytes(key))
 		}),
 	}
+	job.Mapper = MapperFunc(func(part int, id int, t relation.Tuple, emit *Emitter) {
+		nap(job.Inputs[part])
+		var kb [32]byte
+		emitInt(emit, t.AppendKey(kb[:0]), int64(id))
+	})
+	return job
 }
 
 // splitEveryTuple is a cost configuration under which every input

@@ -21,7 +21,7 @@ func identityJob(name, in, out string, arity int) *Job {
 		Name:    name,
 		Inputs:  []string{in},
 		Outputs: map[string]int{out: arity},
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
+		Mapper: MapperFunc(func(_ int, id int, t relation.Tuple, emit *Emitter) {
 			var kb [32]byte
 			emitInt(emit, t.AppendKey(kb[:0]), int64(id))
 		}),
@@ -37,7 +37,7 @@ func unionJob(name string, ins []string, out string, arity int) *Job {
 		Name:    name,
 		Inputs:  ins,
 		Outputs: map[string]int{out: arity},
-		Mapper: MapperFunc(func(input string, id int, t relation.Tuple, emit *Emitter) {
+		Mapper: MapperFunc(func(_ int, id int, t relation.Tuple, emit *Emitter) {
 			var kb [32]byte
 			emitInt(emit, t.AppendKey(kb[:0]), int64(id))
 		}),
@@ -178,7 +178,7 @@ func TestRunProgramJobsOverlap(t *testing.T) {
 		var once sync.Once
 		j := identityJob(name, in, out, 1)
 		inner := j.Mapper
-		j.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit *Emitter) {
+		j.Mapper = MapperFunc(func(part int, id int, tp relation.Tuple, emit *Emitter) {
 			once.Do(func() {
 				started <- name
 				select {
@@ -186,7 +186,7 @@ func TestRunProgramJobsOverlap(t *testing.T) {
 				case <-time.After(10 * time.Second):
 				}
 			})
-			inner.Map(input, id, tp, emit)
+			inner.Map(part, id, tp, emit)
 		})
 		return j
 	}
@@ -402,25 +402,25 @@ func TestRunProgramPipelinesAcrossJobBarrier(t *testing.T) {
 	// task has demonstrably started.
 	upstream := identityJob("up", "A", "Z", 1)
 	innerUp := upstream.Mapper
-	upstream.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit *Emitter) {
+	upstream.Mapper = MapperFunc(func(part int, id int, tp relation.Tuple, emit *Emitter) {
 		select {
 		case <-bStarted:
 		case <-time.After(10 * time.Second):
 			// Barrier scheduler would hang here; fall through so the
 			// test fails on the elapsed-time assertion, not a deadlock.
 		}
-		innerUp.Map(input, id, tp, emit)
+		innerUp.Map(part, id, tp, emit)
 	})
 
 	// Downstream: reads base B and produced Z, staged.
 	downstream := unionJob("down", []string{"B", "Z"}, "W", 1)
 	downstream.reducers = 2
 	innerDown := downstream.Mapper
-	downstream.Mapper = MapperFunc(func(input string, id int, tp relation.Tuple, emit *Emitter) {
-		if input == "B" {
+	downstream.Mapper = MapperFunc(func(part int, id int, tp relation.Tuple, emit *Emitter) {
+		if downstream.Inputs[part] == "B" {
 			bOnce.Do(func() { close(bStarted) })
 		}
-		innerDown.Map(input, id, tp, emit)
+		innerDown.Map(part, id, tp, emit)
 	})
 
 	p := &Program{Jobs: []*Job{upstream, downstream}}

@@ -30,7 +30,7 @@ func traceOnWorker(t *testing.T, c *poolCtx, kvs []kv, packing bool) string {
 	job := &Job{
 		Inputs:  []string{"R"},
 		Packing: packing,
-		Mapper: MapperFunc(func(_ string, id int, _ relation.Tuple, em *Emitter) {
+		Mapper: MapperFunc(func(_ int, id int, _ relation.Tuple, em *Emitter) {
 			emitInt(em, []byte(kvs[id].key), kvs[id].v)
 		}),
 		Reducer: ReducerFunc(func(key []byte, msgs *Group, _ *Output) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -45,42 +46,50 @@ var errCorrupt = fmt.Errorf("%w: corrupt record encoding", ErrSpill)
 // modelled size, the tag byte, then the key and payload bytes. It only
 // needs in-process fidelity — a segment never outlives its run. Emit is
 // the encoder: a record is written once, into its map task's arena, and
-// copied from there on.
+// copied from there on. When all three lengths are below 0x80 — nearly
+// every record — the header is four bytes, one per field, and both
+// sides take a fast path over it: Emit writes it with one append,
+// readRecord reads it without the varint loop. The bytes are the
+// uvarint encoding's either way (TestRecordHeaderFastPath).
 
 // uvarintLen is the encoded length of x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // readRecord is the record decoder: it decodes the record starting at
-// b[pos] into a reference into b (src left 0) and returns the position
-// after it. Every length is checked against the bytes remaining before
-// it is used, so arbitrary input yields errCorrupt, never a panic. A
-// shuffled record is decoded twice, in its shuffle task and in its
-// reduce task, and nearly every header is three one-byte varints, so
-// those are read without the varint loop (measured in CHANGES.md).
-func readRecord(b []byte, pos int) (record, int, error) {
+// b[pos] into r, as a reference into b — size, off, klen, plen and tag;
+// src and group are the caller's — and returns the position after it.
+// It writes r only on success. Every length is checked against the bytes
+// remaining before it is used, so arbitrary input yields errCorrupt,
+// never a panic. A shuffled record is decoded twice, in its shuffle task
+// and in its reduce task, and nearly every header is three one-byte
+// varints, so those are read without the varint loop (measured in
+// CHANGES.md). The reduce task's gather decodes straight into the
+// record's slot of its set.
+func readRecord(r *record, b []byte, pos int) (int, error) {
 	if pos+4 <= len(b) && b[pos]|b[pos+1]|b[pos+2] < 0x80 {
 		klen, plen := int(b[pos]), int(b[pos+1])
 		end := pos + 4 + klen + plen
 		if end > len(b) {
-			return record{}, 0, errCorrupt
+			return 0, errCorrupt
 		}
-		return record{size: int64(b[pos+2]), off: uint32(pos + 4), klen: uint32(klen), plen: uint32(plen), tag: b[pos+3]}, end, nil
+		r.size, r.off, r.klen, r.plen, r.tag = int64(b[pos+2]), uint32(pos+4), uint32(klen), uint32(plen), b[pos+3]
+		return end, nil
 	}
 	var h [3]uint64 // key length, payload length, modelled size
 	for i := range h {
 		v, n := binary.Uvarint(b[pos:])
 		if n <= 0 {
-			return record{}, 0, errCorrupt
+			return 0, errCorrupt
 		}
 		h[i] = v
 		pos += n
 	}
 	rest := uint64(len(b) - pos)
 	if rest == 0 || h[0] > rest-1 || h[1] > rest-1-h[0] || h[2] > math.MaxInt64 {
-		return record{}, 0, errCorrupt
+		return 0, errCorrupt
 	}
-	r := record{size: int64(h[2]), off: uint32(pos + 1), klen: uint32(h[0]), plen: uint32(h[1]), tag: b[pos]}
-	return r, pos + 1 + int(h[0]+h[1]), nil
+	r.size, r.off, r.klen, r.plen, r.tag = int64(h[2]), uint32(pos+1), uint32(h[0]), uint32(h[1]), b[pos]
+	return pos + 1 + int(h[0]+h[1]), nil
 }
 
 // spillSet owns one run's spill files. Files are registered at
@@ -188,7 +197,8 @@ func refill(chunks [][]byte, staged []byte, segs []segment, b *Budget) [][]byte 
 			end = max(end, int(segs[s].off+segs[s].len))
 		}
 		for end < len(staged) {
-			_, next, _ := readRecord(staged, end) // staged holds whole records: they decoded in the arena
+			var r record
+			next, _ := readRecord(&r, staged, end) // staged holds whole records: they decoded in the arena
 			if next > limit {
 				break
 			}
@@ -266,9 +276,12 @@ func (tp *taskPartition) pieces(ri int) int {
 // set — and returns their modelled bytes: the partition's share of ri's
 // load. Resident or streamed back from the spill file, the segment's
 // pieces become buffers of dst and go through the same decode loop,
-// once, and the reducer sees the same record sequence. The segment must
-// decode to exactly its record count with no bytes left over, which is
-// where a damaged spill file is caught.
+// once, and the reducer sees the same record sequence. dst.recs is
+// extended by the segment's record count up front and each record
+// decoded straight into its slot, a new key's entry filled in where the
+// key set made it. The segment must decode to exactly its record count
+// with no bytes left over, which is where a damaged spill file is caught;
+// dst.recs is extended only then.
 func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, ri int, b *Budget) (int64, error) {
 	seg := tp.segs[ri]
 	if seg.count == 0 {
@@ -279,28 +292,34 @@ func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, ri int, b *Budget)
 	if dst.bufs, err = tp.read(dst.bufs, ri, b); err != nil {
 		return 0, err
 	}
+	at := len(dst.recs)
+	recs := slices.Grow(dst.recs, int(seg.count))[:at+int(seg.count)]
 	var kept int64
-	n := int32(0)
+	i := at
 	for src := first; src < len(dst.bufs); src++ {
 		data := dst.bufs[src]
-		for pos := 0; pos < len(data); n++ {
-			r, next, err := readRecord(data, pos)
-			if err != nil || n == seg.count {
+		for pos := 0; pos < len(data); i++ {
+			if i == len(recs) {
+				return kept, errCorrupt
+			}
+			r := &recs[i]
+			next, err := readRecord(r, data, pos)
+			if err != nil {
 				return kept, errCorrupt
 			}
 			r.src = uint32(src)
 			loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
 			if made {
-				*loc = keyLoc{src: uint32(src), off: r.off, klen: r.klen, first: int32(len(dst.recs))}
+				loc.src, loc.off, loc.klen, loc.first = uint32(src), r.off, r.klen, int32(i)
 			}
 			r.group = loc.first
-			dst.recs = append(dst.recs, r)
 			kept += r.size
 			pos = next
 		}
 	}
-	if n != seg.count {
+	if i != len(recs) {
 		return kept, errCorrupt
 	}
+	dst.recs = recs
 	return kept, nil
 }

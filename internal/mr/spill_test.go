@@ -214,7 +214,8 @@ func TestReadRecordMatchesReference(t *testing.T) {
 				enc = append(enc, bytes.Repeat([]byte{'p'}, plen)...)
 				for cut := 1; cut <= len(enc); cut++ {
 					want, wantNext, ok := refReadRecord(enc[:cut], 1)
-					got, next, err := readRecord(enc[:cut], 1)
+					var got record
+					next, err := readRecord(&got, enc[:cut], 1)
 					if (err == nil) != ok || got != want || next != wantNext || (err != nil && !errors.Is(err, ErrSpill)) {
 						t.Fatalf("klen %d plen %d size %d cut at %d of %d: %+v, %d, %v; the reference reads %+v, %d, %v",
 							klen, plen, size, cut, len(enc), got, next, err, want, wantNext, ok)
@@ -286,8 +287,10 @@ func TestArenaCorruption(t *testing.T) {
 // the seeds mirror their layouts (varint pairs, varint runs, empty) and
 // the arena's edges (nothing but a header, a record larger than the rung
 // it opens, one that fills its chunk to the last byte, an arena of three
-// chunks) — and every other shape the fuzzer finds must survive just the
-// same.
+// chunks) and the edges of the one-byte header — and every other shape
+// the fuzzer finds must survive just the same. The arena's bytes must be
+// the plain uvarint encoding of the records (encodeRecord), whichever
+// path Emit took.
 func FuzzRecordCodec(f *testing.F) {
 	vs := func(vals ...int64) []byte {
 		var b []byte
@@ -316,6 +319,14 @@ func FuzzRecordCodec(f *testing.F) {
 	// The same order over the third arena above: reducer 1's segment
 	// spans the second and third chunks.
 	f.Add([]byte("c"), byte(10), int64(12), make([]byte, 2*arenaFirst-6), []byte{})
+	// The edges of Emit's four-byte header: key length, payload length and
+	// stored size (size + the key's bytes) of 127, the last one-byte
+	// uvarint, then each of them at 128, then all at 16 384.
+	f.Add(make([]byte, 127), byte(11), int64(0), make([]byte, 127), []byte{})
+	f.Add(make([]byte, 128), byte(12), int64(0), make([]byte, 127), []byte{})
+	f.Add(make([]byte, 126), byte(13), int64(2), make([]byte, 127), []byte{})
+	f.Add([]byte("k"), byte(14), int64(125), make([]byte, 128), []byte{})
+	f.Add(make([]byte, 16384), byte(15), int64(0), make([]byte, 16384), []byte{})
 	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
 		size &= math.MaxInt64 >> 1 // a modelled size is a byte count
 		var em Emitter
@@ -327,6 +338,11 @@ func FuzzRecordCodec(f *testing.F) {
 			r.size != size+keyBytes(key) || !bytes.Equal(want.payload(1), payload) ||
 			!bytes.Equal(want.key(2), key) || want.recs[2].size != keyBytes(key) || len(want.payload(2)) != 0 {
 			t.Fatalf("the arena reads back %d records, the emitted one as %q/%d/%d/%x", len(want.recs), want.key(1), r.tag, r.size, want.payload(1))
+		}
+		enc := encodeRecord(nil, []byte("before"), tagInt, 8+keyBytes([]byte("before")), []byte{1})
+		enc = encodeRecord(enc, key, tag, size+keyBytes(key), payload)
+		if enc = encodeRecord(enc, key, tagInt, keyBytes(key), nil); !bytes.Equal(bytes.Join(em.chunks, nil), enc) {
+			t.Fatalf("the arena's bytes are not the uvarint encoding of the records")
 		}
 		for _, spill := range []bool{false, true} {
 			got, err := readAll(shuffleOne(t, &em, spill))
@@ -363,7 +379,8 @@ func FuzzRecordCodec(f *testing.F) {
 			}
 		}
 		wantRec, wantNext, ok := refReadRecord(raw, 0)
-		if r, next, err := readRecord(raw, 0); (err == nil) != ok || r != wantRec || next != wantNext {
+		var r record
+		if next, err := readRecord(&r, raw, 0); (err == nil) != ok || r != wantRec || next != wantNext {
 			t.Fatalf("arbitrary bytes decode as %+v, %d, %v; the reference reads %+v, %d, %v", r, next, err, wantRec, wantNext, ok)
 		}
 		for count := int32(0); count < 4; count++ {

@@ -352,7 +352,7 @@ func TestSplitOutputOrder(t *testing.T) {
 			Inputs:   []string{"R"},
 			Outputs:  map[string]int{"Z": 2},
 			reducers: reducers,
-			Mapper: MapperFunc(func(_ string, id int, _ relation.Tuple, em *Emitter) {
+			Mapper: MapperFunc(func(_ int, id int, _ relation.Tuple, em *Emitter) {
 				emitInt(em, keys[id], int64(id))
 			}),
 			Reducer: ReducerFunc(func(_ []byte, msgs *Group, out *Output) {

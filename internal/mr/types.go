@@ -65,21 +65,23 @@ type Emitter struct {
 	keyed          int64 // the records among them charged with their key's bytes, under packing
 }
 
-// Mapper processes one input fact. The same Mapper instance is used
-// concurrently by multiple map tasks and must be stateless or internally
-// synchronized. The tuple is a read-only view into the input relation
-// (see relation.Relation.Tuple): it may be kept, and must be copied
-// before being modified.
+// Mapper processes one input fact: tuple id of input Job.Inputs[part].
+// The engine passes the input's position, not its name, so a mapper that
+// keeps per-input state indexes it and compares no strings per fact. The
+// same Mapper instance is used concurrently by multiple map tasks and
+// must be stateless or internally synchronized. The tuple is a read-only
+// view into the input relation (see relation.Relation.Tuple): it may be
+// kept, and must be copied before being modified.
 type Mapper interface {
-	Map(input string, id int, t relation.Tuple, emit *Emitter)
+	Map(part int, id int, t relation.Tuple, emit *Emitter)
 }
 
 // MapperFunc adapts a function to the Mapper interface.
-type MapperFunc func(input string, id int, t relation.Tuple, emit *Emitter)
+type MapperFunc func(part int, id int, t relation.Tuple, emit *Emitter)
 
 // Map implements Mapper.
-func (f MapperFunc) Map(input string, id int, t relation.Tuple, emit *Emitter) {
-	f(input, id, t, emit)
+func (f MapperFunc) Map(part int, id int, t relation.Tuple, emit *Emitter) {
+	f(part, id, t, emit)
 }
 
 // Group is a reducer's view of one key group: the (tag, payload) pairs
@@ -187,6 +189,9 @@ type Job struct {
 	// never consult relations outside the declared set (closures over
 	// relation data captured at plan time would break the scheduling
 	// contract; the strategy suites and TestReducersRetainNothing catch both).
+	// The mapper is told a fact's input by its position here (Mapper.Map's
+	// part), so the order is part of the job: a mapper indexes its
+	// per-input state by it.
 	Inputs  []string
 	Outputs map[string]int // declared output relations: name → arity
 

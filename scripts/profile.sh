@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# profile.sh — a CPU profile of the engine path the benchmark's
+# nested-sgf workload runs: paper query C3 under Greedy-SGF, planned once
+# and run through the MR engine on one host worker
+# (BenchmarkWorkOverEval/C3 in internal/server, which also runs the
+# sequential evaluator after each run, so its functions appear beside
+# the engine's). It prints the top 30 functions by flat CPU share; the
+# profile and the test binary are kept in the output directory for
+# `go tool pprof -list <regexp>` afterwards.
+#
+# Usage:
+#   scripts/profile.sh [-benchtime 10s] [-o DIR]
+#
+#   -benchtime  go test's -benchtime: a duration or Nx (default 10s;
+#               CI runs 1x to keep the script working)
+#   -o          where the profile and the test binary go (default: a
+#               fresh directory under $TMPDIR, printed at the end)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+benchtime=10s out=
+while [ $# -gt 0 ]; do
+	case "$1" in
+	-benchtime) benchtime=$2; shift 2 ;;
+	-o) out=$2; shift 2 ;;
+	*) echo "usage: $0 [-benchtime 10s] [-o DIR]" >&2; exit 2 ;;
+	esac
+done
+if [ -z "$out" ]; then
+	out=$(mktemp -d)
+fi
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+
+go test -run NONE -bench 'BenchmarkWorkOverEval/C3$' -benchtime "$benchtime" \
+	-o "$out/server.test" -cpuprofile "$out/cpu.pprof" ./internal/server
+go tool pprof -top -nodecount 30 "$out/server.test" "$out/cpu.pprof"
+echo "profile: $out/cpu.pprof (binary $out/server.test)"
