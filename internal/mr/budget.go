@@ -8,10 +8,12 @@ import (
 
 // Memory governance for one query run. A Budget is an atomic byte
 // ledger charged at the engine's bulk allocation sites — arena chunks
-// (Emitter.Emit), shuffle partitions (shuffleTask: their encoded bytes,
-// staged in the worker's buffer, and an overflow chunk when the arena
-// cannot hold them in segment order), merge shards (mergeTask) and spill
-// read-back buffers — before the memory is used.
+// (Emitter.open: every rung a task opens, fresh or reopened from its
+// worker's free list; the one exact chunk a staged map task seals its
+// records into is covered by them), shuffle partitions (shuffleTask:
+// their encoded bytes, staged in the worker's buffer and copied back
+// into the sealed chunk), merge shards (mergeTask) and spill read-back
+// buffers — before the memory is used.
 //
 // Charges are cumulative and never released mid-run: the total charged
 // over a run is a function of the plan and the data alone (each site
@@ -121,7 +123,8 @@ func (b *Budget) Stats() MemStats {
 // grabBytes is the engine's accounted byte-slice allocator: every bulk
 // []byte the engine allocates is charged to the run's budget before
 // use (the accounting contract; docs/INVARIANTS.md names the test that
-// pins each call site).
+// pins each call site). Buffers a worker reuses within a run are
+// charged per use instead, and a sealed arena by the rungs it copies.
 func grabBytes(b *Budget, n int) []byte {
 	b.charge(int64(n))
 	return make([]byte, n)

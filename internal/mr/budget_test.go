@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -113,9 +112,8 @@ func TestSpillReadBackCharged(t *testing.T) {
 // TestShuffleBufferCharged pins the shuffle-partition site of the
 // accounting contract: at r = 1 as at r = 7, a shuffle task charges its
 // partition's segments, laid out in the worker's staging buffer and
-// written back over its map task's arena chunks — exactly the encoded
-// bytes of the map task's records, since here they refill the arena
-// with no overflow chunk.
+// copied back into its map task's sealed arena — exactly the encoded
+// bytes of the map task's records.
 func TestShuffleBufferCharged(t *testing.T) {
 	arena := NewBudget(0)
 	em := multiChunkArena(arena)
@@ -131,7 +129,7 @@ func TestShuffleBufferCharged(t *testing.T) {
 		budget := NewBudget(0)
 		jr := &jobRun{e: NewEngine(Config{Cost: cost.Default()}), job: &Job{}, gov: govern{budget: budget},
 			reducers: reducers, left: 2} // never the last shuffle, so nothing spawns
-		jr.results = [][]mapTaskResult{{{chunks: slices.Clone(em.chunks), msgs: em.records, bytes: em.bytes}}}
+		jr.results = [][]mapTaskResult{{{arena: sealed(em.chunks), msgs: em.records, bytes: em.bytes}}}
 		jr.partitions()
 		jr.shuffleTask(&poolCtx{scratch: new(taskScratch)}, 0, 0)
 		if got := budget.Stats().ChargedBytes; got != encoded {

@@ -9,13 +9,21 @@ import "encoding/binary"
 // bytes, so a task holds at most about twice what it wrote, whatever it
 // wrote (CHANGES.md, PR 23, has the ladders measured). The arena is
 // grow-only: a full chunk is kept as it is and a fresh one is started, so
-// emitting allocates nothing per record. Chunks are charged to the run's
-// budget before use — the arena is one of the three accounted allocation
-// sites of the memory-governance contract — and never recycled across
-// tasks: a staged job's shuffle task writes the task's partition back
-// over them, and they go with it. Their sizes are a function of the
-// bytes the task emitted and nothing else, never of the schedule, so
-// neither is the charge.
+// emitting allocates nothing per record. Each chunk — a rung of the
+// ladder — is charged to the run's budget when the task opens it — the
+// arena is one of the three accounted allocation sites of the
+// memory-governance contract — and its size is a function of the bytes
+// the task emitted and nothing else, never of the schedule, so neither is
+// the charge.
+//
+// A staged map task opens its rungs from its worker's free list
+// (poolCtx.rungs), run-scoped like the shuffle's staging buffer, and a
+// rung is charged on every opening, fresh or reused. When the task ends
+// it copies its records into one chunk of exactly their length (seal),
+// which the rung charges cover, and gives the rungs back: that chunk is
+// the task's result, then its shuffle partition. A one-reducer task's
+// chunks are its record set's buffers until it ends, so it and Sample
+// open fresh rungs and keep them.
 const (
 	arenaFirst = 1 << 10
 	arenaChunk = 1 << 16
@@ -72,11 +80,7 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	}
 	last := len(e.chunks) - 1
 	if last < e.base || need > cap(e.chunks[last])-len(e.chunks[last]) {
-		next := arenaChunk
-		if n := len(e.chunks) - e.base; n < arenaRungs {
-			next = arenaFirst << n
-		}
-		e.chunks = append(e.chunks, grabBytes(e.budget, max(next, need))[:0])
+		e.chunks = append(e.chunks, e.open(min(len(e.chunks)-e.base, arenaRungs), need))
 		last++
 	}
 	b := e.chunks[last]
@@ -102,6 +106,41 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 		*e.grouped = append(recs, record{size: size, src: uint32(last), off: off,
 			klen: uint32(len(key)), plen: uint32(len(payload)), group: loc.first, tag: tag})
 	}
+}
+
+// open returns the arena's next chunk, rung n of the ladder, empty and
+// charged: arenaFirst << n bytes, or need when a record needs more. A
+// rung of the ladder's size comes from the worker's free list when the
+// task has one and it holds such a rung.
+func (e *Emitter) open(n, need int) []byte {
+	size := max(arenaFirst<<n, need)
+	if e.free != nil && size == arenaFirst<<n {
+		if free := e.free[n]; len(free) > 0 {
+			e.budget.charge(int64(size))
+			e.free[n] = free[:len(free)-1]
+			return free[len(free)-1][:0]
+		}
+	}
+	return grabBytes(e.budget, size)[:0]
+}
+
+// seal ends a staged map task's arena: it copies the records into one
+// chunk of exactly their length, gives every rung of the ladder's size
+// back to the worker's free list, and returns the chunk.
+func (e *Emitter) seal() []byte {
+	n := 0
+	for _, c := range e.chunks {
+		n += len(c)
+	}
+	arena := make([]byte, 0, n)
+	for i, c := range e.chunks {
+		arena = append(arena, c...)
+		if r := min(i, arenaRungs); cap(c) == arenaFirst<<r {
+			e.free[r] = append(e.free[r], c)
+		}
+	}
+	e.chunks = nil
+	return arena
 }
 
 // firstInSplit reports whether a one-reducer task's split is to charge

@@ -40,8 +40,8 @@ import (
 // hashed with an inlined FNV-1a, a shuffle task lays the encoded
 // records out in per-reducer byte segments with counted two-pass
 // placement, staged in its worker's buffer and written back over its
-// map task's arena chunks (the staged bytes have the layout a spill file
-// has, so spilling is one write) — or, when a job predicted to have one reducer finds its
+// map task's arena, sealed into one exact chunk (the staged bytes have
+// the layout a spill file has, so spilling is one write) — or, when a job predicted to have one reducer finds its
 // inputs within one reducer's allocation, its one reduce task maps
 // every split into its own key set and measures r — records are
 // grouped once, in the reduce task, through the same key set, the groups
@@ -137,13 +137,15 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// mapTaskResult is the output of one map task: its arena chunks — the
-// messages it emitted, in wire form, back to back, which its shuffle task
-// takes over and refills as the partition — how many there are, how many
-// shuffle records they count as (one per distinct key when the job packs)
-// and their modelled bytes (keys + payloads).
+// mapTaskResult is the output of one map task: its arena, sealed — the
+// messages it emitted, in wire form, back to back in one chunk of exactly
+// their length, which its shuffle task takes over and writes the
+// partition back into — how many there are, how many shuffle records
+// they count as (one per distinct key when the job packs) and their
+// modelled bytes (keys + payloads). A one-reducer task's split, whose
+// chunks stay in its record set, and a sample have counts alone.
 type mapTaskResult struct {
-	chunks  [][]byte
+	arena   []byte
 	msgs    int64
 	records int64
 	bytes   int64

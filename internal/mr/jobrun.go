@@ -13,8 +13,8 @@ import (
 //	input ready ──▶ map tasks (one per split of that input)
 //	all maps    ──▶ reducer count, then shuffle partition tasks
 //	              (one per map task: counted two-pass placement
-//	              into the worker's staging buffer, written back
-//	              over the map task's arena chunks)
+//	              into the worker's staging buffer, copied back
+//	              into the map task's sealed arena)
 //	all shuffles ─▶ reduce partition tasks (one per reducer:
 //	              concatenate in task order through the key set,
 //	              Reducer.Reduce per group in first-arrival order;
@@ -209,13 +209,14 @@ func (jr *jobRun) spawnMaps(c *poolCtx, part int) {
 }
 
 // mapTask runs the mapper over one split through the production
-// Emitter: records encoded into the task's arena, sizes fixed — packing
-// decided, against the worker's key set, sized by the part's estimate,
-// which the task then updates — at emit.
+// Emitter: records encoded into the task's arena, its rungs from the
+// worker's free list, sizes fixed — packing decided, against the
+// worker's key set, sized by the part's estimate, which the task then
+// updates — at emit. The arena is sealed into the task's result.
 func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 	ts := jr.tasks[part][ti]
 	n := ts.to - ts.from
-	em := Emitter{budget: jr.gov.budget}
+	em := Emitter{budget: jr.gov.budget, free: &c.rungs}
 	if jr.job.Packing {
 		keys := n
 		if est := jr.est[part].Load(); est > 0 {
@@ -224,6 +225,7 @@ func (jr *jobRun) mapTask(c *poolCtx, part, ti int) {
 		em.keys = c.scratch.keySet(keys, false)
 	}
 	res := em.mapSplit(jr.job, part, ts, 1)
+	res.arena = em.seal()
 	if jr.job.Packing && n > 0 {
 		jr.est[part].Store(res.records * 1024 / int64(n))
 	}
@@ -243,15 +245,14 @@ func (jr *jobRun) stageDone() bool {
 }
 
 // mapSplit runs job's mapper over every step-th tuple of ts, a split of
-// input part, through e and returns what it emitted: e's arena from its
-// base on, and its counts — a map task's result, a one-reducer task's
-// for one of its splits, or a sample's of one input.
+// input part, through e and returns the counts of what it emitted — a
+// map task's, a one-reducer task's for one of its splits, or a sample's
+// of one input. The records stay in e's arena.
 func (e *Emitter) mapSplit(job *Job, part int, ts mapTaskSpec, step int) mapTaskResult {
 	for i := ts.from; i < ts.to; i += step {
 		job.Mapper.Map(part, i, ts.rel.Tuple(i), e)
 	}
-	n := len(e.chunks)
-	res := mapTaskResult{chunks: e.chunks[e.base:n:n], msgs: e.records, records: e.records, bytes: e.bytes}
+	res := mapTaskResult{msgs: e.records, records: e.records, bytes: e.bytes}
 	if job.Packing {
 		res.records = e.keyed
 	}
@@ -391,7 +392,7 @@ func (jr *jobRun) reduceRanges(c *poolCtx, g *groupedSet, locs []keyLoc) {
 	c.countAs(jr.left)
 	for _, pieces := range jr.pieces {
 		for pi := range pieces {
-			jr.reducePiece(c, g, &pieces[pi])
+			jr.reducePiece(c, g, &pieces[pi], false)
 		}
 	}
 }
@@ -423,35 +424,35 @@ func (jr *jobRun) computeReducers() int {
 // length in worker scratch — charge the segments' encoded bytes
 // to the run's budget (the shuffle-partition accounting site), then copy
 // every record, encoded as Emit left it, into its segment of the
-// worker's staging buffer (poolCtx.stage), and write the staged records
-// back over the arena's own chunks (refill), which become the partition.
-// Whether the job packs does not matter here: a record's size already
-// says whether it carries its key. An arena that does not decode aborts
-// the task like a damaged spill file. A partition at or past the spill
-// threshold writes the staged bytes to a temp file instead and drops the
-// arena (see spill.go).
+// worker's staging buffer (poolCtx.stage), and copy the staged records
+// back into the arena, which becomes the partition: the arena was sealed
+// at exactly the records' length, so they fill it. Whether the job packs
+// does not matter here: a record's size already says whether it carries
+// its key. An arena that does not decode aborts the task like a damaged
+// spill file. A partition at or past the spill threshold writes the
+// staged bytes to a temp file instead and drops the arena (see
+// spill.go).
 func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 	res := &jr.results[part][ti]
 	reducers := jr.reducers
 	tp := &jr.taskParts[part][ti]
 	n := int(res.msgs)
 	if n > 0 {
+		arena := res.arena
 		target := grow(&c.scratch.target, n)
 		lens := grow(&c.scratch.idx, n)
 		i := 0
-		for _, chunk := range res.chunks {
-			for at := 0; at < len(chunk); i++ {
-				var r record
-				next, err := readRecord(&r, chunk, at)
-				if err != nil || i == n {
-					panic(taskAbort{err: errCorrupt})
-				}
-				p := int32(hashKey(chunk[r.off:r.off+r.klen]) % uint32(reducers))
-				target[i], lens[i] = p, int32(next-at)
-				tp.segs[p].len += int64(next - at)
-				tp.segs[p].count++
-				at = next
+		for at := 0; at < len(arena); i++ {
+			var r record
+			next, err := readRecord(&r, arena, at)
+			if err != nil || i == n {
+				panic(taskAbort{err: errCorrupt})
 			}
+			p := int32(hashKey(arena[r.off:r.off+r.klen]) % uint32(reducers))
+			target[i], lens[i] = p, int32(next-at)
+			tp.segs[p].len += int64(next - at)
+			tp.segs[p].count++
+			at = next
 		}
 		if i != n {
 			panic(taskAbort{err: errCorrupt})
@@ -467,31 +468,28 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			c.stage = make([]byte, max(int(total), 2*cap(c.stage), arenaChunk))
 		}
 		staged := c.stage[:total]
-		i = 0
-		for _, chunk := range res.chunks {
-			for at := 0; at < len(chunk); i++ {
-				p, next := target[i], at+int(lens[i])
-				pos[p] += int64(copy(staged[pos[p]:], chunk[at:next]))
-				at = next
-			}
+		for i, at := 0, 0; at < len(arena); i++ {
+			p, next := target[i], at+int(lens[i])
+			pos[p] += int64(copy(staged[pos[p]:], arena[at:next]))
+			at = next
 		}
 		if jr.gov.spill != nil && res.bytes >= jr.e.cfg.SpillThreshold {
 			if err := tp.spill(jr.gov.spill, jr.gov.budget, staged); err != nil {
 				panic(taskAbort{err: err})
 			}
 		} else {
-			tp.chunks = refill(res.chunks, staged, tp.segs, jr.gov.budget)
+			tp.buf = arena[:copy(arena, staged)]
 		}
 	}
-	res.chunks = nil // the partition holds the arena now, or the spill file its bytes
+	res.arena = nil // the partition holds the arena now, or the spill file its bytes
 	if jr.stageDone() {
 		jr.shufflesDone(c)
 	}
 }
 
 // shufflesDone spawns one reduce task per reducer, which read the
-// partitions the shuffle tasks left: their map tasks' arenas, refilled,
-// or spill files.
+// partitions the shuffle tasks left: their map tasks' arenas, rewritten
+// in segment order, or spill files.
 func (jr *jobRun) shufflesDone(c *poolCtx) {
 	// The map results are fully consumed (each task's arena passed to
 	// its shuffle partition); drop the scaffolding so a finished stage
@@ -526,16 +524,15 @@ func (jr *jobRun) reduceStage() {
 // in first-arrival order. Whether a segment is held in memory or spilled
 // is taskPartition's business (appendTo in spill.go): this loop is the
 // one ordered-fold reader of docs/INVARIANTS.md. The buffer list is
-// sized by the same walk: a non-empty segment's pieces, appendTo's
-// appends.
+// sized by the same walk: one buffer a non-empty segment, appendTo's
+// append.
 func reduceGroups(sc *taskScratch, parts [][]taskPartition, ri int, b *Budget) (*groupedSet, error) {
 	n, bufs := 0, 0
 	for part := range parts {
 		for ti := range parts[part] {
-			tp := &parts[part][ti]
-			if count := tp.segs[ri].count; count > 0 {
+			if count := parts[part][ti].segs[ri].count; count > 0 {
 				n += int(count)
-				bufs += tp.pieces(ri)
+				bufs++
 			}
 		}
 	}
@@ -579,8 +576,9 @@ func (jr *jobRun) reduceGrouped(c *poolCtx, g *groupedSet, ri int) {
 		c.split, pieces = true, g.cut(pieces[0], k)
 		jr.pieces[ri] = pieces
 	}
+	stage := jr.reducers > 1 || len(pieces) > 1
 	if len(pieces) == 1 {
-		jr.reducePiece(c, g, &pieces[0])
+		jr.reducePiece(c, g, &pieces[0], stage)
 		return
 	}
 	g.sc = c.lend(jr.e)
@@ -591,17 +589,29 @@ func (jr *jobRun) reduceGrouped(c *poolCtx, g *groupedSet, ri int) {
 	for pi := range pieces {
 		l, p := jr.label(kindReduce, pi+1, ri), &pieces[pi]
 		l.split = true
-		c.spawn(l, func(c *poolCtx) { jr.reducePiece(c, g, p) })
+		c.spawn(l, func(c *poolCtx) { jr.reducePiece(c, g, p, true) })
 	}
 }
 
 // reducePiece runs the user Reducer over one piece's groups into the
-// piece's own Output. The last piece of a shared set to finish gives its
-// scratch back to the run; a canceled run simply drops it.
-func (jr *jobRun) reducePiece(c *poolCtx, g *groupedSet, p *piece) {
-	out := newOutput(jr.outNames, jr.outArity)
+// piece's own Output: when stage is set — a reduce task's piece of a job
+// with more than one piece — through the worker's output staging into
+// exact buffers (Output.seal), else straight into the buffers Merge
+// adopts, as the job's only piece and a one-reducer task, which reduces
+// every piece itself, do. The last piece of a shared set to finish gives
+// its scratch back to the run; a canceled run simply drops it.
+func (jr *jobRun) reducePiece(c *poolCtx, g *groupedSet, p *piece, stage bool) {
+	var staging [][]relation.Value
+	if stage {
+		if n := len(jr.outNames); len(c.out) < n {
+			c.out = append(c.out, make([][]relation.Value, n-len(c.out))...)
+		}
+		staging = c.out[:len(jr.outNames)]
+	}
+	out := newOutput(jr.outNames, jr.outArity, staging)
 	p.out = out
 	g.each(p.lo, p.hi, func(key []byte, msgs *Group) { jr.job.Reducer.Reduce(key, msgs, out) })
+	out.seal()
 	if g.sc != nil && g.left.Add(-1) == 0 {
 		c.giveBack(g.sc)
 	}

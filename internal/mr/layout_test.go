@@ -6,34 +6,22 @@ import (
 	"testing"
 )
 
-// cloneArena copies an arena chunk by chunk, each copy of its chunk's
-// capacity: a map task's arena, for a shuffle task to own.
-func cloneArena(chunks [][]byte) [][]byte {
-	out := make([][]byte, len(chunks))
-	for i, c := range chunks {
-		out[i] = append(make([]byte, 0, cap(c)), c...)
-	}
-	return out
-}
-
-// refPlacement is the reference layout of an arena at the given reducer
-// count: every record, encoded as emitted, copied into a fresh buffer of
-// its reducer's, in emission order, and the record counts.
-func refPlacement(t *testing.T, chunks [][]byte, reducers int) ([][]byte, []int32) {
+// refPlacement is the reference layout of a sealed arena at the given
+// reducer count: every record, encoded as emitted, copied into a fresh
+// buffer of its reducer's, in emission order, and the record counts.
+func refPlacement(t *testing.T, arena []byte, reducers int) ([][]byte, []int32) {
 	t.Helper()
 	segs, counts := make([][]byte, reducers), make([]int32, reducers)
-	for _, chunk := range chunks {
-		for at := 0; at < len(chunk); {
-			var r record
-			next, err := readRecord(&r, chunk, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ri := hashKey(chunk[r.off:r.off+r.klen]) % uint32(reducers)
-			segs[ri] = append(segs[ri], chunk[at:next]...)
-			counts[ri]++
-			at = next
+	for at := 0; at < len(arena); {
+		var r record
+		next, err := readRecord(&r, arena, at)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ri := hashKey(arena[r.off:r.off+r.klen]) % uint32(reducers)
+		segs[ri] = append(segs[ri], arena[at:next]...)
+		counts[ri]++
+		at = next
 	}
 	return segs, counts
 }
@@ -90,39 +78,36 @@ func keyTo(ri, r uint32) []byte {
 }
 
 // TestPartitionLayout is the shuffle's layout table: a shuffle task
-// writes its partition back over its map task's arena chunks, in segment
-// order, each chunk filled up to the first record that does not fit it.
-// Resident or spilled, every reducer's segment must read back, through
-// the one reader, as the reference placement into a fresh buffer; the
-// resident partition must hold the arena's own chunks, plus the one
-// overflow chunk exactly when the segment order does not fit them; and
-// the shuffle must charge the encoded bytes, plus that overflow chunk.
+// writes its partition back into its map task's sealed arena, in segment
+// order. Resident or spilled, every reducer's segment must read back,
+// through the one reader, as the reference placement into a fresh
+// buffer; the resident partition must be the arena itself, one buffer of
+// len = cap = the encoded bytes, however many rungs it was sealed from;
+// and the shuffle must charge the encoded bytes.
 func TestPartitionLayout(t *testing.T) {
 	cases := []struct {
 		name     string
 		reducers int
 		emit     func(em *Emitter)
-		chunks   int  // the arena's
-		overflow bool // whether the segment order outgrows the arena
+		chunks   int // the rungs the arena was sealed from
 	}{
 		{"one chunk", 3, func(em *Emitter) {
 			for i := 0; i < 20; i++ {
 				emitInt(em, []byte(fmt.Sprint("key", i%7)), int64(i))
 			}
-		}, 1, false},
+		}, 1},
 		{"one reducer over the ladder", 1, func(em *Emitter) {
 			for i := 0; i < 3000; i++ {
 				emitInt(em, []byte(fmt.Sprint("key", i%37)), int64(i))
 			}
-		}, 6, false},
+		}, 6},
 		{"seven reducers over the ladder", 7, func(em *Emitter) {
 			for i := 0; i < 3000; i++ {
 				emitInt(em, []byte(fmt.Sprint("key", i%37)), int64(i))
 			}
-		}, 6, false},
+		}, 6},
 		// The large record opens a chunk of its own size, third of four;
-		// in segment order it comes first, so the first two chunks stay
-		// empty and the fourth takes every small record.
+		// in segment order it comes first.
 		{"a record larger than arenaChunk", 2, func(em *Emitter) {
 			for i := 0; i < 300; i++ {
 				emitInt(em, keyTo(1, 2), int64(i))
@@ -130,22 +115,21 @@ func TestPartitionLayout(t *testing.T) {
 					emitLen(em, keyTo(0, 2), arenaChunk+100)
 				}
 			}
-		}, 4, false},
-		// Reducer 0's segment ends a byte past the first chunk's
-		// capacity: its second record starts the second chunk.
-		{"a segment ends a byte past a chunk", 2, func(em *Emitter) {
+		}, 4},
+		// Reducer 0's segment ends a byte past the first rung's size.
+		{"a segment ends a byte past a rung", 2, func(em *Emitter) {
 			emitLen(em, keyTo(1, 2), 1000)
 			emitLen(em, keyTo(0, 2), 500)
 			emitLen(em, keyTo(0, 2), arenaFirst+1-500)
-		}, 2, false},
-		// Reducer 1's record fills most of the first chunk, reducer 0's
-		// two the second: in segment order the first chunk holds 500
-		// bytes, the second 1 500, and the 1 000 left overflow.
-		{"segment order outgrows the arena", 2, func(em *Emitter) {
+		}, 2},
+		// Reducer 1's record fills most of the first rung, reducer 0's two
+		// the second: in segment order the first rung could hold 500 bytes
+		// of the 3 000, and the second 1 500.
+		{"segment order outgrows the rungs", 2, func(em *Emitter) {
 			emitLen(em, keyTo(1, 2), 1000)
 			emitLen(em, keyTo(0, 2), 500)
 			emitLen(em, keyTo(0, 2), 1500)
-		}, 2, true},
+		}, 2},
 	}
 	for _, c := range cases {
 		em := new(Emitter)
@@ -153,39 +137,22 @@ func TestPartitionLayout(t *testing.T) {
 		if len(em.chunks) != c.chunks {
 			t.Fatalf("%s: the arena has %d chunks, want %d", c.name, len(em.chunks), c.chunks)
 		}
-		var encoded int64
-		for _, chunk := range em.chunks {
-			encoded += int64(len(chunk))
-		}
-		ref, counts := refPlacement(t, em.chunks, c.reducers)
+		arena := sealed(em.chunks)
+		encoded := int64(len(arena))
+		ref, counts := refPlacement(t, arena, c.reducers)
 		for _, spill := range []bool{false, true} {
 			what := fmt.Sprintf("%s, spill %v", c.name, spill)
-			arena, budget := cloneArena(em.chunks), NewBudget(0)
-			bases := make([]*byte, len(arena)) // the shuffle task rewrites arena's entries
-			for i, chunk := range arena {
-				bases[i] = &chunk[:1][0]
-			}
-			tp, err := shuffleCharging(t, arena, em.records, c.reducers, spill, budget)
+			own, budget := sealed([][]byte{arena}), NewBudget(0)
+			tp, err := shuffleCharging(t, own, em.records, c.reducers, spill, budget)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			compareLayout(t, what, tp, ref, counts)
-			want := encoded
-			if !spill {
-				for i, chunk := range tp.chunks[:min(len(tp.chunks), len(bases))] {
-					if len(chunk) > 0 && &chunk[0] != bases[i] {
-						t.Fatalf("%s: chunk %d is not the arena's", what, i)
-					}
-				}
-				if overflow := len(tp.chunks) > len(bases); overflow != c.overflow {
-					t.Fatalf("%s: %d chunks over an arena of %d: overflow %v, want %v", what, len(tp.chunks), len(bases), overflow, c.overflow)
-				}
-				if c.overflow {
-					want += int64(len(tp.chunks[len(bases)]))
-				}
+			if !spill && (len(tp.buf) != len(own) || cap(tp.buf) != len(own) || &tp.buf[0] != &own[0]) {
+				t.Fatalf("%s: the partition holds %d bytes in %d, want the arena's %d in the arena itself", what, len(tp.buf), cap(tp.buf), len(own))
 			}
-			if got := budget.Stats().ChargedBytes; got != want {
-				t.Errorf("%s: the shuffle charged %d bytes, want %d (%d encoded)", what, got, want, encoded)
+			if got := budget.Stats().ChargedBytes; got != encoded {
+				t.Errorf("%s: the shuffle charged %d bytes, want the %d encoded", what, got, encoded)
 			}
 		}
 	}

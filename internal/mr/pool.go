@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/relation"
 )
 
 // The engine's unified work-stealing executor. One taskPool runs every
@@ -44,14 +46,26 @@ type poolCtx struct {
 	pool    *taskPool
 	id      int // worker index owning the local deque
 	scratch *taskScratch
-	// stage is the worker's shuffle staging buffer: a shuffle task
-	// places its records here before writing them back over its arena
-	// (shuffleTask). It holds query bytes, so it is the run's, never
-	// the Engine's: it lives as long as the worker's loop and goes with
-	// the run. It starts at one arena chunk and at least doubles when a
-	// partition outgrows it, so the order in which a worker meets its
-	// partitions barely moves what the run allocates.
+	// stage, rungs and out are the worker's staging: memory a staged
+	// task writes its bulk bytes through, keeping one exactly sized
+	// copy. They hold query data, so they are the run's, never the
+	// Engine's: they live as long as the worker's loop and go with the
+	// run.
+	//
+	// stage is the shuffle's: a shuffle task places its records here
+	// before copying them back into its map task's sealed arena
+	// (shuffleTask).
+	// It starts at one arena chunk and at least doubles when a partition
+	// outgrows it, so the order in which a worker meets its partitions
+	// barely moves what the run allocates. rungs is the free list a map
+	// task opens its arena's chunks from, by position in the ladder (see
+	// emit.go): each rung is charged on every opening, as a fresh one
+	// is. out is the output staging of a reduce task's piece when its
+	// job has more than one piece, one slice per declared output
+	// (Output.seal).
 	stage []byte
+	rungs [arenaRungs + 1][][]byte
+	out   [][]relation.Value
 	// count, next and split are the running task's: the tasks of its
 	// kind the record counts it as (countAs), the phase it hands on
 	// (then), and whether it found a heavy partition to cut (ways).
@@ -68,9 +82,9 @@ type poolCtx struct {
 // scratch (poolCtx.then), lending nothing.
 // Between runs it is the Engine's (Engine.scratch), so a run's workers
 // start with arrays sized by earlier runs. It never holds a []byte or
-// anything else that points (TestScratchPointerFree; arena chunks stay
-// charged, single-use grabBytes allocations, and the shuffle's staging
-// buffer is the run's, on poolCtx), so no
+// anything else that points (TestScratchPointerFree; arena rungs, the
+// shuffle's staging buffer and reduce output staging are the run's, on
+// poolCtx), so no
 // query can read another's keys, payloads or relations through it, and
 // it is bounded: every buffer grows to the largest task run on it and
 // nothing is kept per task. Every buffer is handed out to be overwritten — the key set's

@@ -76,7 +76,7 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 		jr.results[part] = make([]mapTaskResult, tasks)
 		for ti := 0; ti < tasks; ti++ {
 			res := &jr.results[part][ti]
-			var em Emitter
+			em := Emitter{free: &c.rungs}
 			for i := 0; i < perTask; i++ {
 				k := keys[id%len(keys)]
 				if (id*97)%256 < hot {
@@ -89,7 +89,8 @@ func checkSlotLayout(t *testing.T, c *poolCtx, keys [][]byte, reducers, hot int,
 				streams[ri] = append(streams[ri], r)
 				id++
 			}
-			res.chunks, res.msgs = em.chunks, em.records
+			res.msgs = em.records
+			res.arena = em.seal()
 		}
 	}
 	jr.partitions()

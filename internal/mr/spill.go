@@ -12,21 +12,20 @@ import (
 )
 
 // The shuffle byte form, resident or spilled. A shuffle task lays one map
-// task's records — encoded by Emit — out as per-reducer segments, staged
-// in its worker's byte buffer and written back over the task's own arena
-// chunks (shuffleTask); those chunks are the partition, its segments
-// byte ranges over the chunks' fills laid end to end. When the
-// partition's modelled bytes reach the run's spill threshold the staged
-// bytes are written to a temp file instead and the arena dropped —
-// spilling encodes nothing — and the reduce stage's one reader
+// task's records — encoded by Emit, sealed into one chunk of exactly
+// their length — out as per-reducer segments, staged in its worker's
+// byte buffer and copied back into that chunk (shuffleTask), which is
+// the partition, its segments byte ranges of it. When the partition's
+// modelled bytes reach the run's spill threshold the staged bytes are
+// written to a temp file instead and the chunk dropped — spilling
+// encodes nothing — and the reduce stage's one reader
 // (taskPartition.appendTo) decodes a segment the same way wherever its
-// bytes are, the pieces of the resident chunks it covers or a ReadAt
-// into a fresh buffer, in the same declared (part, task) position. The
-// records a reducer sees — and therefore outputs and JobStats — are
-// bit-for-bit identical in both stores (pinned by
-// TestOrderedFoldDifferential, TestPartitionLayout and CI's
-// reader-configuration loop, which re-runs the whole mr suite with a
-// tiny threshold).
+// bytes are, a range of the resident chunk or a ReadAt into a fresh
+// buffer, in the same declared (part, task) position. The records a
+// reducer sees — and therefore outputs and JobStats — are bit-for-bit
+// identical in both stores (pinned by TestOrderedFoldDifferential,
+// TestPartitionLayout and CI's reader-configuration loop, which re-runs
+// the whole mr suite with a tiny threshold).
 //
 // Spill files live in the run's spillSet and are removed the moment the
 // reduce stage has consumed them (reducesDone); the run entry points
@@ -151,68 +150,20 @@ func (s *spillSet) cleanup() {
 }
 
 // segment locates one reducer's records within a task partition: a byte
-// range over its chunk fills laid end to end, or within its spill file.
+// range of its chunk, or of its spill file.
 type segment struct {
 	off, len int64
 	count    int32
 }
 
-// in returns the part of chunk fill c, which starts at byte at of the
-// fills laid end to end, that s covers: nil if none.
-func (s segment) in(c []byte, at int64) []byte {
-	lo, hi := max(s.off-at, 0), min(s.off+s.len-at, int64(len(c)))
-	if lo >= hi {
-		return nil
-	}
-	return c[lo:hi]
-}
-
 // taskPartition is one map task's shuffle output: per-reducer segments
-// of encoded records, consecutive in reducer order, over chunks — the
-// map task's arena chunks, refilled, and at most one overflow chunk —
-// or, once spilled, at the same offsets of f. A record never spans two
-// chunks.
+// of encoded records, consecutive in reducer order, in buf — the map
+// task's sealed arena, rewritten in segment order — or, once spilled, at
+// the same offsets of f.
 type taskPartition struct {
-	chunks [][]byte
-	f      *os.File // non-nil = spilled: the file owns the bytes, chunks is nil
-	segs   []segment
-}
-
-// refill writes staged, a partition's records laid out as segs, back
-// over chunks, the map task's arena, and returns the chunks that hold
-// them: each is filled up to the first record that does not fit in its
-// capacity, which starts the next, and the records left when the arena
-// runs out go to one overflow chunk, charged to b. Chunks left empty at
-// the end are released. A segment's end is a record boundary, so only
-// the segment a chunk's capacity ends in is walked record by record.
-func refill(chunks [][]byte, staged []byte, segs []segment, b *Budget) [][]byte {
-	at, s := 0, 0
-	for i, chunk := range chunks {
-		if at == len(staged) {
-			clear(chunks[i:])
-			return chunks[:i]
-		}
-		end, limit := at, at+cap(chunk)
-		for ; s < len(segs) && int(segs[s].off+segs[s].len) <= limit; s++ {
-			end = max(end, int(segs[s].off+segs[s].len))
-		}
-		for end < len(staged) {
-			var r record
-			next, _ := readRecord(&r, staged, end) // staged holds whole records: they decoded in the arena
-			if next > limit {
-				break
-			}
-			end = next
-		}
-		chunks[i] = append(chunk[:0], staged[at:end]...)
-		at = end
-	}
-	if at < len(staged) {
-		overflow := grabBytes(b, len(staged)-at)
-		copy(overflow, staged[at:])
-		chunks = append(chunks, overflow)
-	}
-	return chunks
+	buf  []byte
+	f    *os.File // non-nil = spilled: the file owns the bytes, buf is nil
+	segs []segment
 }
 
 // spill writes staged, the partition's records in segment order, to a
@@ -231,52 +182,29 @@ func (tp *taskPartition) spill(s *spillSet, b *Budget, staged []byte) error {
 	return nil
 }
 
-// read appends reducer ri's segment to bufs as the pieces that hold it:
-// the part of each chunk fill its range covers, or the file range read
-// back into one budget-charged buffer. Concurrent reduce tasks may read
-// different segments of one file (ReadAt is positional and thread-safe).
-func (tp *taskPartition) read(bufs [][]byte, ri int, b *Budget) ([][]byte, error) {
+// read returns reducer ri's segment: its range of the resident chunk,
+// or the file range read back into one budget-charged buffer. Concurrent
+// reduce tasks may read different segments of one file (ReadAt is
+// positional and thread-safe).
+func (tp *taskPartition) read(ri int, b *Budget) ([]byte, error) {
 	seg := tp.segs[ri]
-	if tp.f != nil {
-		data := grabBytes(b, int(seg.len))
-		if _, err := tp.f.ReadAt(data, seg.off); err != nil {
-			return bufs, fmt.Errorf("%w: read: %w", ErrSpill, err)
-		}
-		return append(bufs, data), nil
+	if tp.f == nil {
+		return tp.buf[seg.off : seg.off+seg.len], nil
 	}
-	var at int64
-	for _, chunk := range tp.chunks {
-		if p := seg.in(chunk, at); p != nil {
-			bufs = append(bufs, p)
-		}
-		at += int64(len(chunk))
+	data := grabBytes(b, int(seg.len))
+	if _, err := tp.f.ReadAt(data, seg.off); err != nil {
+		return nil, fmt.Errorf("%w: read: %w", ErrSpill, err)
 	}
-	return bufs, nil
-}
-
-// pieces returns how many buffers read appends for reducer ri.
-func (tp *taskPartition) pieces(ri int) int {
-	if tp.f != nil {
-		return 1
-	}
-	var at int64
-	n := 0
-	for _, chunk := range tp.chunks {
-		if tp.segs[ri].in(chunk, at) != nil {
-			n++
-		}
-		at += int64(len(chunk))
-	}
-	return n
+	return data, nil
 }
 
 // appendTo appends to dst this partition's records of reducer ri, in the
 // order the shuffle placed them, each stamped with its key group — the
 // index in dst of the first record carrying its key, from the task's key
 // set — and returns their modelled bytes: the partition's share of ri's
-// load. Resident or streamed back from the spill file, the segment's
-// pieces become buffers of dst and go through the same decode loop,
-// once, and the reducer sees the same record sequence. dst.recs is
+// load. Resident or streamed back from the spill file, the segment
+// becomes a buffer of dst and goes through the same decode loop, once,
+// and the reducer sees the same record sequence. dst.recs is
 // extended by the segment's record count up front and each record
 // decoded straight into its slot, a new key's entry filled in where the
 // key set made it. The segment must decode to exactly its record count
@@ -287,35 +215,33 @@ func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, ri int, b *Budget)
 	if seg.count == 0 {
 		return 0, nil
 	}
-	first := len(dst.bufs)
-	var err error
-	if dst.bufs, err = tp.read(dst.bufs, ri, b); err != nil {
+	data, err := tp.read(ri, b)
+	if err != nil {
 		return 0, err
 	}
+	src := uint32(len(dst.bufs))
+	dst.bufs = append(dst.bufs, data)
 	at := len(dst.recs)
 	recs := slices.Grow(dst.recs, int(seg.count))[:at+int(seg.count)]
 	var kept int64
 	i := at
-	for src := first; src < len(dst.bufs); src++ {
-		data := dst.bufs[src]
-		for pos := 0; pos < len(data); i++ {
-			if i == len(recs) {
-				return kept, errCorrupt
-			}
-			r := &recs[i]
-			next, err := readRecord(r, data, pos)
-			if err != nil {
-				return kept, errCorrupt
-			}
-			r.src = uint32(src)
-			loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
-			if made {
-				loc.src, loc.off, loc.klen, loc.first = uint32(src), r.off, r.klen, int32(i)
-			}
-			r.group = loc.first
-			kept += r.size
-			pos = next
+	for pos := 0; pos < len(data); i++ {
+		if i == len(recs) {
+			return kept, errCorrupt
 		}
+		r := &recs[i]
+		next, err := readRecord(r, data, pos)
+		if err != nil {
+			return kept, errCorrupt
+		}
+		r.src = src
+		loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
+		if made {
+			loc.src, loc.off, loc.klen, loc.first = src, r.off, r.klen, int32(i)
+		}
+		r.group = loc.first
+		kept += r.size
+		pos = next
 	}
 	if i != len(recs) {
 		return kept, errCorrupt

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -32,37 +34,80 @@ func spillFilesIn(t *testing.T, dir string) []string {
 // segment — and returns the partition, resident or spilled.
 func shuffleOne(t testing.TB, em *Emitter, spill bool) *taskPartition {
 	t.Helper()
-	tp, err := shuffleArena(t, em.chunks, em.records, 1, spill)
+	tp, err := shuffleArena(t, sealed(em.chunks), em.records, 1, spill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tp
 }
 
-// shuffleArena runs the real shuffle task over raw arena chunks said to
+// sealed is an arena as a map task seals it: its chunks' records in one
+// buffer of exactly their length.
+func sealed(chunks [][]byte) []byte {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	arena := make([]byte, 0, n)
+	for _, c := range chunks {
+		arena = append(arena, c...)
+	}
+	return arena
+}
+
+// shuffleArena runs the real shuffle task over a sealed arena said to
 // hold msgs records, into a partition of the given reducer count; an
 // arena the shuffle task rejects is the error. The task gets its own copy
-// of the arena, chunk capacities kept, which it writes its partition
-// over or drops, as it does a map task's.
-func shuffleArena(t testing.TB, chunks [][]byte, msgs int64, reducers int, spill bool) (tp *taskPartition, err error) {
+// of the arena, which it writes its partition back into or drops, as it
+// does a map task's.
+func shuffleArena(t testing.TB, arena []byte, msgs int64, reducers int, spill bool) (tp *taskPartition, err error) {
 	t.Helper()
-	return shuffleCharging(t, cloneArena(chunks), msgs, reducers, spill, nil)
+	return shuffleCharging(t, sealed([][]byte{arena}), msgs, reducers, spill, nil)
+}
+
+// spillDir is the spill directory the shuffle helpers' spilled legs
+// share: one per test process, made on first use, so a fuzz input costs
+// no directory of its own. Each spilled leg drops its file when its test
+// or fuzz input ends; TestMain removes the directory.
+var spillDir struct {
+	once sync.Once
+	path string
+}
+
+func sharedSpillDir(t testing.TB) string {
+	spillDir.once.Do(func() {
+		dir, err := os.MkdirTemp("", "gumbo-mr-spill-*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spillDir.path = dir
+	})
+	return spillDir.path
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if spillDir.path != "" {
+		os.RemoveAll(spillDir.path)
+	}
+	os.Exit(code)
 }
 
 // shuffleCharging is shuffleArena over arena, which the shuffle task
-// takes as its own, with the task charging b.
-func shuffleCharging(t testing.TB, arena [][]byte, msgs int64, reducers int, spill bool, b *Budget) (tp *taskPartition, err error) {
+// takes as its own, with the task charging b. A spilled partition's file
+// is in the shared spill directory and removed when t ends.
+func shuffleCharging(t testing.TB, arena []byte, msgs int64, reducers int, spill bool, b *Budget) (tp *taskPartition, err error) {
 	t.Helper()
 	e := NewEngine(Config{Cost: cost.Default()})
 	gov := govern{budget: b}
 	if spill {
 		e.cfg.SpillThreshold = 1
-		e.cfg.SpillDir = t.TempDir()
+		e.cfg.SpillDir = sharedSpillDir(t)
 		gov = e.newGovern(b)
 		t.Cleanup(gov.spill.cleanup)
 	}
 	jr := &jobRun{e: e, job: &Job{}, gov: gov, reducers: reducers, left: 2} // never the last shuffle, so nothing spawns
-	jr.results = [][]mapTaskResult{{{chunks: arena, msgs: msgs, bytes: 1}}}
+	jr.results = [][]mapTaskResult{{{arena: arena, msgs: msgs, bytes: 1}}}
 	jr.partitions()
 	defer func() { // as the pool's runOne does
 		if ta, ok := recover().(taskAbort); ok {
@@ -96,9 +141,9 @@ func readAll(tp *taskPartition) (recordSet, error) {
 
 // shuffleRead is shuffleArena, then readAll over the partition: the
 // shuffle task's error, else the reader's.
-func shuffleRead(t testing.TB, chunks [][]byte, msgs int64, reducers int, spill bool) (recordSet, error) {
+func shuffleRead(t testing.TB, arena []byte, msgs int64, reducers int, spill bool) (recordSet, error) {
 	t.Helper()
-	tp, err := shuffleArena(t, chunks, msgs, reducers, spill)
+	tp, err := shuffleArena(t, arena, msgs, reducers, spill)
 	if err != nil {
 		return recordSet{}, err
 	}
@@ -116,20 +161,19 @@ func multiChunkArena(b *Budget) *Emitter {
 }
 
 // rawPartition is a resident single-reducer partition over arbitrary
-// bytes claiming count records: one chunk, filled with b.
+// bytes claiming count records.
 func rawPartition(b []byte, count int32) *taskPartition {
-	return &taskPartition{chunks: [][]byte{b}, segs: []segment{{len: int64(len(b)), count: count}}}
+	return &taskPartition{buf: b, segs: []segment{{len: int64(len(b)), count: count}}}
 }
 
-// segmentBytes is reducer ri's segment of tp as the reader finds it: its
-// pieces, laid end to end.
+// segmentBytes is reducer ri's segment of tp as the reader finds it.
 func segmentBytes(t testing.TB, tp *taskPartition, ri int) []byte {
 	t.Helper()
-	pieces, err := tp.read(nil, ri, nil)
+	seg, err := tp.read(ri, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Join(pieces, nil)
+	return seg
 }
 
 // checkReadFails reads tp and requires a typed failure.
@@ -226,14 +270,14 @@ func TestReadRecordMatchesReference(t *testing.T) {
 	}
 }
 
-// checkArenaDamage hands the shuffle task chunks — a damaged copy of an
-// arena of msgs records — and reads its partition back, requiring what a
-// damaged spill file gets: an error matching ErrSpill, from the task or
-// from the one reader, or records the reader hands out in-bounds
+// checkArenaDamage hands the shuffle task arena — a damaged copy of a
+// sealed arena of msgs records — and reads its partition back, requiring
+// what a damaged spill file gets: an error matching ErrSpill, from the
+// task or from the one reader, or records the reader hands out in-bounds
 // references to — never a panic.
-func checkArenaDamage(t *testing.T, what string, chunks [][]byte, msgs int64, reducers int, spill bool) {
+func checkArenaDamage(t *testing.T, what string, arena []byte, msgs int64, reducers int, spill bool) {
 	t.Helper()
-	got, err := shuffleRead(t, chunks, msgs, reducers, spill)
+	got, err := shuffleRead(t, arena, msgs, reducers, spill)
 	if err != nil {
 		if !errors.Is(err, ErrSpill) {
 			t.Errorf("%s, r = %d, spill %v: err = %v, want ErrSpill", what, reducers, spill, err)
@@ -246,11 +290,11 @@ func checkArenaDamage(t *testing.T, what string, chunks [][]byte, msgs int64, re
 }
 
 // TestArenaCorruption is TestSegmentCorruption one stage earlier, in
-// memory and spilled. Every bit of a map task's arena, flipped, must
-// give ErrSpill or a partition that reads back, and a record count the
-// arena does not hold must give ErrSpill — from the shuffle task, which
-// decodes the arena to place it at r = 1 as at r = 7, over one chunk or
-// several.
+// memory and spilled. Every bit of a map task's sealed arena, flipped,
+// must give ErrSpill or a partition that reads back, and a record count
+// the arena does not hold must give ErrSpill — from the shuffle task,
+// which decodes the arena to place it at r = 1 as at r = 7, sealed from
+// one rung or several.
 func TestArenaCorruption(t *testing.T) {
 	small := setOf([]kv{{"a", 7}, {"bee", -2}, {"", 1 << 40}, {"bee", 3}})
 	multi := multiChunkArena(nil)
@@ -263,12 +307,12 @@ func TestArenaCorruption(t *testing.T) {
 			for bit := 0; bit < 8*len(good); bit++ {
 				flipped := append([]byte(nil), good...)
 				flipped[bit/8] ^= 1 << (bit % 8)
-				checkArenaDamage(t, fmt.Sprintf("bit %d flipped", bit), [][]byte{flipped}, small.records, reducers, spill)
+				checkArenaDamage(t, fmt.Sprintf("bit %d flipped", bit), flipped, small.records, reducers, spill)
 			}
 			for _, em := range []*Emitter{small, multi} {
 				for _, msgs := range []int64{em.records - 1, em.records + 1} {
-					if _, err := shuffleRead(t, em.chunks, msgs, reducers, spill); !errors.Is(err, ErrSpill) {
-						t.Errorf("r = %d, spill %v: %d records claimed of %d in %d chunks: err = %v, want ErrSpill",
+					if _, err := shuffleRead(t, sealed(em.chunks), msgs, reducers, spill); !errors.Is(err, ErrSpill) {
+						t.Errorf("r = %d, spill %v: %d records claimed of %d sealed from %d chunks: err = %v, want ErrSpill",
 							reducers, spill, msgs, em.records, len(em.chunks), err)
 					}
 				}
@@ -277,20 +321,30 @@ func TestArenaCorruption(t *testing.T) {
 	}
 }
 
-// FuzzRecordCodec round-trips records through the encoder (Emit, into a
-// map task's arena), the decoder over that arena, the real shuffle task
-// of a single-reducer job (which copies the arena into its one segment)
-// and the one reader, resident and spilled; it damages a byte of the
-// arena under the shuffle task and the reader at r = 1 and r = 7, and
-// feeds the reader arbitrary bytes. The engine never interprets a
-// payload, so the message types of internal/core are byte shapes here —
-// the seeds mirror their layouts (varint pairs, varint runs, empty) and
-// the arena's edges (nothing but a header, a record larger than the rung
-// it opens, one that fills its chunk to the last byte, an arena of three
-// chunks) and the edges of the one-byte header — and every other shape
-// the fuzzer finds must survive just the same. The arena's bytes must be
-// the plain uvarint encoding of the records (encodeRecord), whichever
-// path Emit took.
+// threeRecords emits the codec fuzzers' arena: a record under "before",
+// the fuzzed one, and one more under its key with an empty payload. size
+// is masked to a modelled byte count first, and returned so.
+func threeRecords(key []byte, tag byte, size int64, payload []byte) (*Emitter, int64) {
+	size &= math.MaxInt64 >> 1
+	em := new(Emitter)
+	em.Emit([]byte("before"), tagInt, 8, []byte{1})
+	em.Emit(key, tag, size, payload)
+	em.Emit(key, tagInt, 0, nil)
+	return em, size
+}
+
+// FuzzRecordCodec holds the record codec on its own: records go through
+// the encoder (Emit, into a map task's arena) and the decoder over that
+// arena, and arbitrary bytes through the decoder, against the plain
+// uvarint reference, and through the one reader, which must answer
+// ErrSpill or in-bounds records. The engine never interprets a payload,
+// so the message types of internal/core are byte shapes here — the seeds
+// mirror their layouts (varint pairs, varint runs, empty), the arena's
+// edges and the edges of the one-byte header — and every other shape the
+// fuzzer finds must survive just the same. The arena's bytes must be the
+// plain uvarint encoding of the records (encodeRecord), whichever path
+// Emit took.
+// FuzzShufflePlacement takes the same records through the shuffle.
 func FuzzRecordCodec(f *testing.F) {
 	vs := func(vals ...int64) []byte {
 		var b []byte
@@ -305,20 +359,7 @@ func FuzzRecordCodec(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 70), byte(4), int64(42), vs(1, 2, 3, 4), []byte{9, 9}) // TupleVal: arity, T...
 	f.Add([]byte{0}, byte(5), int64(4), vs(-1), binary.AppendUvarint(nil, 1<<62))           // Assert: a class out of range
 	f.Add([]byte{}, byte(0), int64(0), []byte{}, []byte{3, 1})                              // a header and nothing else
-	f.Add([]byte("k"), byte(6), int64(12), make([]byte, arenaFirst+1), []byte{0, 0x80})     // larger than the rung it opens
-	// The 11 bytes of "before", then 1 + 2 + 1 + 1 + 1 of header, tag and key: this payload ends its chunk.
-	f.Add([]byte("k"), byte(7), int64(12), make([]byte, arenaFirst-11-6), []byte{0xff, 0x1f})
-	// 1 + 2 + 1 + 1 + 1 bytes of header, tag and key: this record fills the second rung to the
-	// last byte, so the third opens a third chunk, and the shuffle decodes a multi-chunk arena.
-	f.Add([]byte("k"), byte(8), int64(12), make([]byte, 2*arenaFirst-6), []byte{0x01, 0x40})
-	// Key "c" goes to reducer 1 of 7, "before" to reducer 2, so at r = 7 the
-	// segment order puts the last two records first. Here they fill the
-	// second rung exactly, the first stays empty, and "before" takes the
-	// overflow chunk.
-	f.Add([]byte("c"), byte(9), int64(12), make([]byte, 2*arenaFirst-11), []byte{})
-	// The same order over the third arena above: reducer 1's segment
-	// spans the second and third chunks.
-	f.Add([]byte("c"), byte(10), int64(12), make([]byte, 2*arenaFirst-6), []byte{})
+	addArenaEdges(f)
 	// The edges of Emit's four-byte header: key length, payload length and
 	// stored size (size + the key's bytes) of 127, the last one-byte
 	// uvarint, then each of them at 128, then all at 16 384.
@@ -328,12 +369,8 @@ func FuzzRecordCodec(f *testing.F) {
 	f.Add([]byte("k"), byte(14), int64(125), make([]byte, 128), []byte{})
 	f.Add(make([]byte, 16384), byte(15), int64(0), make([]byte, 16384), []byte{})
 	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
-		size &= math.MaxInt64 >> 1 // a modelled size is a byte count
-		var em Emitter
-		em.Emit([]byte("before"), tagInt, 8, []byte{1})
-		em.Emit(key, tag, size, payload)
-		em.Emit(key, tagInt, 0, nil)
-		want := arenaRecords(t, &em)
+		em, size := threeRecords(key, tag, size, payload)
+		want := arenaRecords(t, em)
 		if r := want.recs[1]; len(want.recs) != 3 || !bytes.Equal(want.key(1), key) || r.tag != tag ||
 			r.size != size+keyBytes(key) || !bytes.Equal(want.payload(1), payload) ||
 			!bytes.Equal(want.key(2), key) || want.recs[2].size != keyBytes(key) || len(want.payload(2)) != 0 {
@@ -341,42 +378,8 @@ func FuzzRecordCodec(f *testing.F) {
 		}
 		enc := encodeRecord(nil, []byte("before"), tagInt, 8+keyBytes([]byte("before")), []byte{1})
 		enc = encodeRecord(enc, key, tag, size+keyBytes(key), payload)
-		if enc = encodeRecord(enc, key, tagInt, keyBytes(key), nil); !bytes.Equal(bytes.Join(em.chunks, nil), enc) {
+		if enc = encodeRecord(enc, key, tagInt, keyBytes(key), nil); !bytes.Equal(sealed(em.chunks), enc) {
 			t.Fatalf("the arena's bytes are not the uvarint encoding of the records")
-		}
-		for _, spill := range []bool{false, true} {
-			got, err := readAll(shuffleOne(t, &em, spill))
-			if err != nil || len(got.recs) != len(want.recs) {
-				t.Fatalf("spill %v: read back %d records, err %v", spill, len(got.recs), err)
-			}
-			for i, w := range want.recs {
-				r := got.recs[i]
-				if !bytes.Equal(got.key(i), want.key(i)) || r.tag != w.tag || r.size != w.size ||
-					!bytes.Equal(got.payload(i), want.payload(i)) {
-					t.Fatalf("spill %v: record %d came back %q/%d/%d/%x", spill, i, got.key(i), r.tag, r.size, got.payload(i))
-				}
-			}
-		}
-		ref, counts := refPlacement(t, em.chunks, 7) // segment order at r = 7, over the arena's chunks and any overflow
-		for _, spill := range []bool{false, true} {
-			tp, err := shuffleArena(t, em.chunks, em.records, 7, spill)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareLayout(t, fmt.Sprintf("7 reducers, spill %v", spill), tp, ref, counts)
-		}
-		if len(raw) >= 2 && raw[1] != 0 { // raw picks the arena byte to damage, and how
-			damaged := make([][]byte, len(em.chunks))
-			for i, c := range em.chunks {
-				damaged[i] = append([]byte(nil), c...)
-			}
-			c := damaged[int(raw[0])%len(damaged)]
-			c[(int(raw[0])<<8|int(raw[1]))%len(c)] ^= raw[1]
-			for _, reducers := range []int{1, 7} {
-				for _, spill := range []bool{false, true} {
-					checkArenaDamage(t, "a damaged arena byte", damaged, em.records, reducers, spill)
-				}
-			}
 		}
 		wantRec, wantNext, ok := refReadRecord(raw, 0)
 		var r record
@@ -390,6 +393,76 @@ func FuzzRecordCodec(f *testing.F) {
 			}
 			for i := range got.recs {
 				_, _ = got.key(i), got.payload(i)
+			}
+		}
+	})
+}
+
+// addArenaEdges adds the codec fuzzers' seeds at the arena's edges: a
+// record larger than the first rung, arenas sealed from one and from
+// three rungs, and segment orders at r = 7 that put the last records
+// first.
+func addArenaEdges(f *testing.F) {
+	f.Add([]byte("k"), byte(6), int64(12), make([]byte, arenaFirst+1), []byte{0, 0x80}) // larger than the first rung
+	// The 11 bytes of "before", then 1 + 2 + 1 + 1 + 1 of header, tag and key: this payload
+	// ends the first rung, and the third record opens a second one.
+	f.Add([]byte("k"), byte(7), int64(12), make([]byte, arenaFirst-11-6), []byte{0xff, 0x1f})
+	// 1 + 2 + 1 + 1 + 1 bytes of header, tag and key: this record fills the second rung to the
+	// last byte, so the third opens a third, and the arena is sealed from three rungs.
+	f.Add([]byte("k"), byte(8), int64(12), make([]byte, 2*arenaFirst-6), []byte{0x01, 0x40})
+	// Key "c" goes to reducer 1 of 7, "before" to reducer 2, so at r = 7 the
+	// segment order puts the last two records first and "before" last.
+	f.Add([]byte("c"), byte(9), int64(12), make([]byte, 2*arenaFirst-11), []byte{})
+	// The same order over the three-rung arena above.
+	f.Add([]byte("c"), byte(10), int64(12), make([]byte, 2*arenaFirst-6), []byte{})
+}
+
+// FuzzShufflePlacement takes FuzzRecordCodec's three records through the
+// real shuffle task over their sealed arena — one chunk of exactly their
+// length — and the one reader, resident and spilled: at r = 1 every
+// record must read back as emitted; at r = 7 every segment must be the
+// reference placement (refPlacement), and a resident partition must be
+// one buffer of len = cap = the encoded bytes. raw picks an arena byte
+// to damage, and how, under the shuffle task and the reader at r = 1 and
+// r = 7. It starts from the arena-edge seeds (addArenaEdges), placed
+// over the exact chunk.
+func FuzzShufflePlacement(f *testing.F) {
+	addArenaEdges(f)
+	f.Add([]byte{}, byte(0), int64(0), []byte{}, []byte{3, 1}) // the smallest records
+	f.Fuzz(func(t *testing.T, key []byte, tag byte, size int64, payload, raw []byte) {
+		em, _ := threeRecords(key, tag, size, payload)
+		want, arena := arenaRecords(t, em), sealed(em.chunks)
+		for _, spill := range []bool{false, true} {
+			got, err := readAll(shuffleOne(t, em, spill))
+			if err != nil || len(got.recs) != len(want.recs) {
+				t.Fatalf("spill %v: read back %d records, err %v", spill, len(got.recs), err)
+			}
+			for i, w := range want.recs {
+				r := got.recs[i]
+				if !bytes.Equal(got.key(i), want.key(i)) || r.tag != w.tag || r.size != w.size ||
+					!bytes.Equal(got.payload(i), want.payload(i)) {
+					t.Fatalf("spill %v: record %d came back %q/%d/%d/%x", spill, i, got.key(i), r.tag, r.size, got.payload(i))
+				}
+			}
+		}
+		ref, counts := refPlacement(t, arena, 7) // segment order at r = 7
+		for _, spill := range []bool{false, true} {
+			tp, err := shuffleArena(t, arena, em.records, 7, spill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareLayout(t, fmt.Sprintf("7 reducers, spill %v", spill), tp, ref, counts)
+			if !spill && (len(tp.buf) != len(arena) || cap(tp.buf) != len(arena)) {
+				t.Fatalf("7 reducers: the partition holds %d bytes in %d, want the %d encoded in exactly as many", len(tp.buf), cap(tp.buf), len(arena))
+			}
+		}
+		if len(raw) >= 2 && raw[1] != 0 { // raw picks the arena byte to damage, and how
+			damaged := append([]byte(nil), arena...)
+			damaged[(int(raw[0])<<8|int(raw[1]))%len(damaged)] ^= raw[1]
+			for _, reducers := range []int{1, 7} {
+				for _, spill := range []bool{false, true} {
+					checkArenaDamage(t, "a damaged arena byte", damaged, em.records, reducers, spill)
+				}
 			}
 		}
 	})

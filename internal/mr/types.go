@@ -50,7 +50,8 @@ type Emitter struct {
 	chunks [][]byte
 	base   int
 	budget *Budget
-	keys   *keySet // the keys emitted so far, when the job packs or the task is a one-reducer one; else nil
+	free   *[arenaRungs + 1][][]byte // a staged map task's: its worker's free rungs (open, seal); else nil
+	keys   *keySet                   // the keys emitted so far, when the job packs or the task is a one-reducer one; else nil
 
 	// grouped, stamps, split and pack are a one-reducer task's (Emit):
 	// its record array, the last split each key group was charged in,
@@ -142,17 +143,27 @@ func (f ReducerFunc) Reduce(key []byte, msgs *Group, out *Output) { f(key, msgs,
 // included, and the job's output merge (mergeTask, relation.Merge) is
 // the one place facts are hashed and deduplicated, so set semantics hold
 // at the job output.
+//
+// A job's only piece appends straight into the buffers Merge adopts, as
+// does a one-reducer task, which reduces every piece itself. A reduce
+// task's piece of a job with more than one adds its facts into its
+// worker's run-scoped staging (poolCtx.out), one slice per declared
+// output, and keeps exact copies when it ends (seal): Merge copies such
+// buffers once more, so growth slack in them would be allocated for
+// nothing.
 type Output struct {
-	names []string         // the job's declared outputs, sorted
-	arity []int            // per name
-	rows  []*relation.Rows // per name; nil until the first Add to it
-	last  int              // the name the previous Add went to
+	names []string           // the job's declared outputs, sorted
+	arity []int              // per name
+	rows  []*relation.Rows   // per name; nil until the first Add to it, or until seal when staged
+	stage [][]relation.Value // per name: the worker's staging, when the piece is staged; else nil
+	last  int                // the name the previous Add went to
 }
 
 // newOutput returns a reduce task's Output for the declared outputs
-// names (sorted) of the given arities.
-func newOutput(names []string, arity []int) *Output {
-	return &Output{names: names, arity: arity, rows: make([]*relation.Rows, len(names))}
+// names (sorted) of the given arities, adding into stage, when non-nil,
+// until seal.
+func newOutput(names []string, arity []int, stage [][]relation.Value) *Output {
+	return &Output{names: names, arity: arity, rows: make([]*relation.Rows, len(names)), stage: stage}
 }
 
 // Add appends a copy of the fact to the named output relation's buffer,
@@ -168,12 +179,32 @@ func (o *Output) Add(name string, t relation.Tuple) {
 		}
 		o.last = i
 	}
+	if o.stage != nil {
+		if len(t) != o.arity[i] {
+			panic(fmt.Sprintf("mr: adding a tuple of arity %d to output %q of arity %d", len(t), name, o.arity[i]))
+		}
+		o.stage[i] = append(o.stage[i], t...)
+		return
+	}
 	rows := o.rows[i]
 	if rows == nil {
 		rows = relation.NewRows(o.arity[i])
 		o.rows[i] = rows
 	}
 	rows.Append(t)
+}
+
+// seal ends a staged Output: each output's staged rows are copied into a
+// buffer of exactly their length, and the staging is emptied for the
+// worker's next piece.
+func (o *Output) seal() {
+	for i, vals := range o.stage {
+		if len(vals) > 0 {
+			o.rows[i] = relation.RowsOf(o.arity[i], append(make([]relation.Value, 0, len(vals)), vals...))
+		}
+		o.stage[i] = vals[:0]
+	}
+	o.stage = nil
 }
 
 // Job describes one MapReduce job.

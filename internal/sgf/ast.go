@@ -42,16 +42,20 @@ func CStr(s string) Term { return Term{Const: relation.String(s)} }
 func (t Term) IsVar() bool { return t.Var != "" }
 
 // String renders the term: the variable name, a bare integer, or a quoted
-// string constant.
+// string constant. A constant is quoted the way the lexer reads it back:
+// '"' and '\' escaped with a backslash, every other character as it is.
 func (t Term) String() string {
 	if t.IsVar() {
 		return t.Var
 	}
 	if t.Const.IsString() {
-		return fmt.Sprintf("%q", t.Const.Text())
+		return `"` + constEscaper.Replace(t.Const.Text()) + `"`
 	}
 	return t.Const.Text()
 }
+
+// constEscaper escapes a string constant for its double quotes.
+var constEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
 
 // Atom is R(t1, ..., tn) for a relation symbol R and terms ti.
 type Atom struct {

@@ -40,6 +40,10 @@
 # shuffle partition came to be written back over its map task's arena
 # instead of into a fresh buffer: that change's ten-pair medians
 # (15.46 / 12.42) × 1.10.
+# Then alloc_mb_per_op nested-sgf 12.49 and skew-spill 10.24, when a
+# staged task came to write its arena and its output buffers through
+# worker staging, keeping one exactly sized copy: that change's ten-pair
+# medians (11.35 / 9.312) × 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
