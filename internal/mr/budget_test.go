@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -66,17 +67,19 @@ func TestBudgetChargedDeterministicAcrossWidths(t *testing.T) {
 // it spilled, and, when the spill-off run took the one-reducer shape,
 // the shuffle-partition charges of the staged jobs that spill — the
 // same bytes again, since each shuffle task charges its partition's
-// encoded bytes and spills them whole. (The diamond's splits each fit
-// the arena's first chunk with record headers or without, so both shapes
-// charge their arenas alike.)
+// encoded bytes and spills them whole — and those staged jobs' map-task
+// arenas less their one-reducer tasks': per map task, the ladder over
+// its headed records; per one-reducer task, one ladder over its splits'
+// bare records (InlineSplit.Charges).
 func TestSpillReadBackCharged(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		program func() (*Program, *relation.Database)
 		split   float64
 	}{{"split off", diamondProgram, -1}, {"split on", skewedProgram, 1.3}} {
-		run := func(width int, threshold int64) (MemStats, ProgressSnapshot) {
+		run := func(width int, threshold int64, h FaultHooks) (MemStats, ProgressSnapshot) {
 			t.Helper()
+			defer SetFaultHooks(h)()
 			p, db := c.program()
 			e := NewEngine(Config{Cost: cost.Default().Scaled(0.001), Workers: width,
 				SpillThreshold: threshold, SpillDir: t.TempDir(), SkewSplit: c.split})
@@ -92,14 +95,26 @@ func TestSpillReadBackCharged(t *testing.T) {
 			return budget.Stats(), prog.Snapshot()
 		}
 		for _, width := range []int{1, 4} {
-			off, offSnap := run(width, -1)
-			on, _ := run(width, 1)
+			var mu sync.Mutex
+			bare, headed := map[int][]int{}, int64(0) // the splits mapped inline: per job, and all
+			off, offSnap := run(width, -1, FaultHooks{Inline: func(job int, split InlineSplit) {
+				b, h, _ := split.Charges()
+				mu.Lock()
+				bare[job] = append(bare[job], b...)
+				headed += h
+				mu.Unlock()
+			}})
+			on, _ := run(width, 1, FaultHooks{})
 			if on.SpilledParts == 0 || on.SpilledBytes == 0 {
 				t.Fatalf("%s, width %d: nothing spilled (%+v)", c.name, width, on)
 			}
 			want := on.SpilledBytes
 			if offSnap.ShuffleTasksTotal == 0 {
 				want *= 2
+			}
+			want += headed
+			for _, b := range bare {
+				want -= ladderCharge(b)
 			}
 			if got := on.ChargedBytes - off.ChargedBytes; got != want {
 				t.Errorf("%s, width %d: spilling every partition added %d charged bytes, want %d (%d bytes read back, %d shuffle tasks spill off)",

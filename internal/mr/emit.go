@@ -23,7 +23,13 @@ import "encoding/binary"
 // which the rung charges cover, and gives the rungs back: that chunk is
 // the task's result, then its shuffle partition. A one-reducer task's
 // chunks are its record set's buffers until it ends, so it and Sample
-// open fresh rungs and keep them.
+// open fresh rungs and keep them. A one-reducer task maps all of its
+// splits onto one ladder, the next split filling the chunk the last one
+// left: it maps them one after another in declared order, so its
+// charges are a function of the bytes its splits emit, in that order,
+// and nothing else. Its arena holds each record's payload and each
+// distinct key once, written by the record that makes the key's entry
+// (enter): the key's other records take it from there.
 const (
 	arenaFirst = 1 << 10
 	arenaChunk = 1 << 16
@@ -39,28 +45,18 @@ const (
 // 0x80, so each is one uvarint byte: Emit then writes the header, tag
 // included, with one four-byte append — the bytes the uvarint encoder
 // writes, and those readRecord decodes without its varint loop — and
-// takes the three uvarint appends only past that.
-//
-// In a one-reducer task (grouped set) the record is entered as the
-// reduce task's gather would enter it: appended to the task's record
-// array with its key group, the key found or made in the task's key set,
-// which spans every split the task holds. That array entry is the
-// record's only header: the arena gets its key and payload bytes and
-// nothing else, and nothing ever decodes it. A key is then charged with
-// its first record in the split when the job packs, as a map task's own
-// key set charges it: stamps holds, at the index of a key group's first
-// record, the last split that emitted under the key.
+// takes the three uvarint appends only past that. In a one-reducer task
+// (grouped set) the record is entered (enter).
 func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	size += keyBytes(key) // the one place a record's modelled size is fixed
+	if e.grouped != nil {
+		e.enter(key, tag, size, payload)
+		return
+	}
 	var loc *keyLoc
 	made := false
-	if e.keys != nil { // packing, or a one-reducer task's grouping
-		loc, made = e.keys.entry(e.chunks, key)
-		first := made
-		if e.grouped != nil {
-			first = e.firstInSplit(loc, made)
-		}
-		if first {
+	if e.keys != nil { // packing
+		if loc, made = e.keys.entry(e.chunks, key); made {
 			e.keyed++
 		} else {
 			size -= keyBytes(key)
@@ -69,43 +65,78 @@ func (e *Emitter) Emit(key []byte, tag byte, size int64, payload []byte) {
 	e.records++
 	e.bytes += size
 	need := len(key) + len(payload)
-	small := false // the header is four bytes: three one-byte uvarints and the tag
-	if e.grouped == nil {
-		small = uint64(len(key))|uint64(len(payload))|uint64(size) < 0x80
-		if small {
-			need += 4
-		} else {
-			need += uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) + 1
-		}
+	small := uint64(len(key))|uint64(len(payload))|uint64(size) < 0x80 // the header is four bytes: three one-byte uvarints and the tag
+	if small {
+		need += 4
+	} else {
+		need += uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(size)) + 1
 	}
 	last := len(e.chunks) - 1
-	if last < e.base || need > cap(e.chunks[last])-len(e.chunks[last]) {
-		e.chunks = append(e.chunks, e.open(min(len(e.chunks)-e.base, arenaRungs), need))
+	if last < 0 || need > cap(e.chunks[last])-len(e.chunks[last]) {
+		e.chunks = append(e.chunks, e.open(min(len(e.chunks), arenaRungs), need))
 		last++
 	}
 	b := e.chunks[last]
 	if small {
 		b = append(b, byte(len(key)), byte(len(payload)), byte(size), tag)
-	} else if e.grouped == nil {
+	} else {
 		b = binary.AppendUvarint(b, uint64(len(key)))
 		b = binary.AppendUvarint(b, uint64(len(payload)))
 		b = binary.AppendUvarint(b, uint64(size))
 		b = append(b, tag)
 	}
-	off := uint32(len(b))
 	if made {
-		loc.src, loc.off, loc.klen = uint32(last), off, uint32(len(key))
+		loc.src, loc.off, loc.klen = uint32(last), uint32(len(b)), uint32(len(key))
 	}
 	b = append(b, key...)
 	e.chunks[last] = append(b, payload...)
-	if e.grouped != nil {
-		recs := *e.grouped
-		if len(recs) == cap(recs) { // past the task's estimate: double, as the stamps do
-			recs = append(make([]record, 0, 2*cap(recs)), recs...)
-		}
-		*e.grouped = append(recs, record{size: size, src: uint32(last), off: off,
-			klen: uint32(len(key)), plen: uint32(len(payload)), group: loc.first, tag: tag})
+}
+
+// enter is Emit in a one-reducer task: the record is entered as the
+// reduce task's gather would enter it, into the task's record array
+// with its key group, the key found or made in the task's key set,
+// which spans every split the task holds. That array entry is the
+// record's only header, written field by field into its slot: the
+// arena gets the record's payload bytes and, when the record makes its
+// key's entry, the key's bytes before them, once for the task — nothing
+// reads a later record's key, which is its group's. A key is charged
+// with its first record in the split when the job packs, as a map task's
+// own key set charges it: stamps holds, at the index of a key group's
+// first record, the last split that emitted under the key.
+func (e *Emitter) enter(key []byte, tag byte, size int64, payload []byte) {
+	loc, made := e.keys.entry(e.chunks, key)
+	if e.firstInSplit(loc, made) {
+		e.keyed++
+	} else {
+		size -= keyBytes(key)
 	}
+	e.records++
+	e.bytes += size
+	need := len(payload)
+	if made {
+		need += len(key)
+	}
+	last := len(e.chunks) - 1
+	if last < 0 || need > cap(e.chunks[last])-len(e.chunks[last]) {
+		e.chunks = append(e.chunks, e.open(min(len(e.chunks), arenaRungs), need))
+		last++
+	}
+	b := e.chunks[last]
+	if made {
+		loc.src, loc.off, loc.klen = uint32(last), uint32(len(b)), uint32(len(key))
+		b = append(b, key...)
+	}
+	off := uint32(len(b))
+	e.chunks[last] = append(b, payload...)
+	recs := *e.grouped
+	n := len(recs)
+	if n == cap(recs) { // past the task's estimate: double, as the stamps do, from eight when empty
+		recs = append(make([]record, 0, max(2*n, 8)), recs...)
+	}
+	recs = recs[:n+1]
+	r := &recs[n]
+	r.size, r.src, r.off, r.klen, r.plen, r.group, r.tag = size, uint32(last), off, uint32(len(key)), uint32(len(payload)), loc.first, tag
+	*e.grouped = recs
 }
 
 // open returns the arena's next chunk, rung n of the ladder, empty and

@@ -36,21 +36,32 @@ func ladderCharge(needs []int) int64 {
 	return charged
 }
 
-// Charges returns what the split's arena is charged in its one-reducer
-// task, which writes key and payload bytes alone (bare), and as a map
-// task's arena, which writes each record's header ahead of them
-// (headed): the ladder replayed over the records' lengths in each form.
-// encoded is the headed records' bytes, what the map task's shuffle
-// task charges for the buffer it copies them into.
-func (s InlineSplit) Charges() (bare, headed, encoded int64) {
-	b, h := make([]int, len(s)), make([]int, len(s))
-	for i, r := range s {
-		b[i] = int(r.klen + r.plen)
+// Charges returns what the split's records cost the arenas of the two
+// job shapes. bare is each record's length in its one-reducer task's
+// arena, in emit order: its payload, plus its key when it opened its key
+// group — the task lays every split's records on one ladder, so the
+// caller replays LadderCharge over the bare lengths of all of a job's
+// splits in order. headed is what the split's arena is charged as a map
+// task's, which writes each record's header and key ahead of its
+// payload: the ladder replayed over those lengths. encoded is the
+// headed records' bytes, what the map task's shuffle task charges for
+// the buffer it copies them into.
+func (s InlineSplit) Charges() (bare []int, headed, encoded int64) {
+	recs := s.recs[s.from:]
+	bare, h := make([]int, len(recs)), make([]int, len(recs))
+	for i, r := range recs {
+		bare[i] = int(r.plen)
+		if int(r.group) == s.from+i {
+			bare[i] += int(r.klen)
+		}
 		h[i] = recLen(int(r.klen), int(r.plen), r.size)
 		encoded += int64(h[i])
 	}
-	return ladderCharge(b), ladderCharge(h), encoded
+	return bare, ladderCharge(h), encoded
 }
+
+// LadderCharge is ladderCharge for the package's external tests.
+func LadderCharge(needs []int) int64 { return ladderCharge(needs) }
 
 // TestArenaLadder walks the arena's edges: for every emit sequence all
 // stored keys, payloads, tags and sizes read back through the record
@@ -117,7 +128,7 @@ func TestArenaLadder(t *testing.T) {
 					t.Fatalf("record %d does not read back", i)
 				}
 				n := recLen(r.klen, r.plen, got.size)
-				if start := int(got.off) - (n - r.klen - r.plen); start == 0 {
+				if start := int(got.off) - (n - r.plen); start == 0 {
 					first[got.src] = n
 					if prev := int(got.src) - 1; prev >= 0 && len(em.chunks[prev])+n <= cap(em.chunks[prev]) {
 						t.Errorf("record %d (%d bytes) opened chunk %d with %d bytes left in chunk %d", i, n, got.src, cap(em.chunks[prev])-len(em.chunks[prev]), prev)
@@ -169,12 +180,17 @@ func TestArenaIsolation(t *testing.T) {
 	}
 }
 
-// TestGroupedEmit holds a one-reducer task's Emit, which writes no record
-// header, to its record array: over splits of small, repeated, empty and
-// oversize records, packing on and off, every record's (src, off, klen,
-// plen) reads back exactly the key and payload emitted, with its tag;
-// each split's arena holds exactly Σ(len(key)+len(payload)) bytes; and
-// the budget was charged the ladder over those lengths (ladderCharge).
+// TestGroupedEmit pins the layout of a one-reducer task's Emit, which
+// writes no record header and each distinct key once: over splits of
+// small, repeated, empty and oversize records, packing on and off, from
+// an empty record array, after every split the arena holds exactly the
+// split's and its predecessors' payload bytes plus the bytes of the
+// distinct keys among them, and the budget was charged one ladder
+// (ladderCharge) over those records' bare lengths across the splits —
+// a key's bytes go with the record that opens its group. Every record's
+// payload, tag and modelled size read back, its key group is the index
+// of its key's first record, whose stored key — and the key set's entry
+// for the group — read back the key emitted.
 func TestGroupedEmit(t *testing.T) {
 	type rec struct {
 		key, payload []byte
@@ -187,8 +203,8 @@ func TestGroupedEmit(t *testing.T) {
 	}
 	mixed = []rec{{nil, nil, 1}, {[]byte("k1"), content(arenaChunk+5, 2), 2}, {nil, content(3, 3), 3},
 		{[]byte("k1"), nil, 4}, {content(arenaChunk, 5), content(1, 5), 5}, {[]byte("k2"), content(7, 6), 6}}
-	for i := 0; i < 3; i++ { // each fills its rung to the last byte
-		fill = append(fill, rec{[]byte{byte(i)}, content(ladderSize(i)-1, byte(i)), byte(i)})
+	for i := 0; i < 3; i++ { // fresh keys whose records fill the first three rungs, were they alone
+		fill = append(fill, rec{[]byte{'f', byte(i)}, content(ladderSize(i)-2, byte(i)), byte(i)})
 	}
 	splits := [][]rec{small, nil, mixed, fill, small}
 	for _, pack := range []bool{false, true} {
@@ -199,37 +215,61 @@ func TestGroupedEmit(t *testing.T) {
 		var bufs [][]byte
 		var stamps []int32
 		var want []rec
+		var needs []int           // every record's bare length, across the splits
+		first := map[string]int{} // a key's first record
+		total := 0
 		for si, split := range splits {
-			em := Emitter{chunks: bufs, base: len(bufs), budget: budget, keys: ks,
+			em := Emitter{chunks: bufs, budget: budget, keys: ks,
 				grouped: &recs, stamps: stamps, split: int32(si), pack: pack}
-			before := budget.Stats().ChargedBytes
-			needs := make([]int, len(split))
-			total := 0
-			for i, r := range split {
+			seen := map[string]bool{} // the split's keys
+			for _, r := range split {
 				em.Emit(r.key, r.tag, 8, r.payload)
-				needs[i] = len(r.key) + len(r.payload)
-				total += needs[i]
+				need := len(r.payload)
+				if _, ok := first[string(r.key)]; !ok {
+					first[string(r.key)] = len(want)
+					need += len(r.key)
+				}
+				size := int64(8)
+				if !pack || !seen[string(r.key)] {
+					size += keyBytes(r.key)
+				}
+				seen[string(r.key)] = true
+				if got := recs[len(want)].size; got != size {
+					t.Fatalf("pack %v split %d: record %d has size %d, want %d", pack, si, len(want), got, size)
+				}
+				needs = append(needs, need)
+				total += need
+				want = append(want, r)
 			}
+			bufs, stamps = em.chunks, em.stamps
 			held := 0
-			for _, b := range em.chunks[em.base:] {
+			for _, b := range bufs {
 				held += len(b)
 			}
 			if held != total {
-				t.Errorf("pack %v split %d: arena holds %d bytes, want Σ(key+payload) = %d", pack, si, held, total)
+				t.Errorf("pack %v after split %d: arena holds %d bytes, want Σ payload + Σ distinct key = %d", pack, si, held, total)
 			}
-			if got, want := budget.Stats().ChargedBytes-before, ladderCharge(needs); got != want {
-				t.Errorf("pack %v split %d: charged %d bytes, the ladder over its records wants %d", pack, si, got, want)
+			if got, want := budget.Stats().ChargedBytes, ladderCharge(needs); got != want {
+				t.Errorf("pack %v after split %d: charged %d bytes, one ladder over the task's records wants %d", pack, si, got, want)
 			}
-			bufs, stamps = em.chunks, em.stamps
-			want = append(want, split...)
 		}
 		if len(recs) != len(want) {
 			t.Fatalf("pack %v: %d records in the array, want %d", pack, len(recs), len(want))
 		}
 		set := recordSet{bufs: bufs, recs: recs}
 		for i, r := range want {
-			if !bytes.Equal(set.key(i), r.key) || !bytes.Equal(set.payload(i), r.payload) || recs[i].tag != r.tag {
-				t.Fatalf("pack %v: record %d does not read back", pack, i)
+			g := int(recs[i].group)
+			if g != first[string(r.key)] || !bytes.Equal(set.key(g), r.key) ||
+				!bytes.Equal(set.payload(i), r.payload) || recs[i].tag != r.tag {
+				t.Fatalf("pack %v: record %d does not read back (group %d)", pack, i, g)
+			}
+		}
+		if len(ks.locs) != len(first) {
+			t.Fatalf("pack %v: %d key set entries, want %d distinct keys", pack, len(ks.locs), len(first))
+		}
+		for _, l := range ks.locs {
+			if k := want[l.first].key; !bytes.Equal(bufs[l.src][l.off:l.off+l.klen], k) || first[string(k)] != int(l.first) {
+				t.Fatalf("pack %v: the entry of key %q does not read back", pack, k)
 			}
 		}
 	}

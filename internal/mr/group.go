@@ -9,12 +9,15 @@ import (
 // record is one shuffle record — one message under one key — as the
 // reduce task holds it once decoded (readRecord; on the map side and in
 // the shuffle a record is its wire bytes and nothing else), or as Emit
-// enters it in a one-reducer task, where it is the record's only header
-// and the arena holds the key and payload bytes alone: a
-// pointer-free reference to the key and payload bytes, stored adjacent
-// (key first) in buffer src of the record's recordSet, plus the payload's
-// type tag and the record's modelled size in bytes (key + payload), fixed
-// at emit. The collector has nothing to trace in a slice of records.
+// enters it in a one-reducer task, where it is the record's only header:
+// a pointer-free reference into buffer src of the record's recordSet —
+// off addresses the payload, plen long — plus its key's length, the
+// payload's type tag and the record's modelled size in bytes (key +
+// payload), fixed at emit. The key's bytes sit just before the payload
+// in a decoded record and in a one-reducer task's record that opens its
+// key group; a later record of that key stores payload bytes only, its
+// key its group's (keyLoc). The collector has nothing to trace in a
+// slice of records.
 // group is set where the record enters the reduce task's set — the
 // gather (taskPartition.appendTo), or Emit in a one-reducer task: the
 // index, in the set, of the first record carrying this record's key. It
@@ -36,14 +39,17 @@ type recordSet struct {
 	recs []record
 }
 
+// key returns the key bytes stored before record i's payload: its key
+// in a gathered set, and in a one-reducer task's only when the record
+// opened its key group (record.group == i).
 func (s *recordSet) key(i int) []byte {
 	r := &s.recs[i]
-	return s.bufs[r.src][r.off : r.off+r.klen]
+	return s.bufs[r.src][r.off-r.klen : r.off]
 }
 
 func (s *recordSet) payload(i int) []byte {
 	r := &s.recs[i]
-	return s.bufs[r.src][r.off+r.klen : r.off+r.klen+r.plen]
+	return s.bufs[r.src][r.off : r.off+r.plen]
 }
 
 // keyLoc is one entry of a keySet: where the bytes of a distinct key sit —

@@ -1,6 +1,10 @@
 package mr
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
 
 // FuzzGroupOrder differentially checks the reduce task's grouping and
 // group order — the gather's key set, the walk over its entries and the
@@ -11,9 +15,13 @@ import "testing"
 // duplicate-heavy shape of a real shuffle partition (at most 64 groups),
 // and spread, every lap of the tiling under its own two-byte suffix, so
 // the distinct keys number about the size — with the first half delivered
-// a second time, so that arrival order has something to say. One
-// worker's scratch serves every input, so each runs on what longer ones
-// left.
+// a second time, so that arrival order has something to say. Each layout
+// takes two legs: staged, through a map task's Emitter and the reduce
+// task's gather, and grouped, through a one-reducer task's Emitter over
+// two splits and its reduce phase's grouping, which must give the staged
+// leg's order and read back every payload and every group's key (the key
+// is stored once, with the group's first record). Each leg's worker
+// scratch serves every input, so each runs on what longer ones left.
 func FuzzGroupOrder(f *testing.F) {
 	seeds := [][]byte{
 		{},        // no keys
@@ -34,25 +42,29 @@ func FuzzGroupOrder(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	var sc taskScratch // one worker's scratch, reused across every input
+	var staged, grouped taskScratch // one worker's scratch per leg, reused across every input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		keys := decodeFuzzKeys(data)
 		if len(keys) == 0 {
 			keys = [][]byte{nil}
 		}
-		var kb []byte
 		for _, n := range []int{len(keys), 95, 97, 511, 513, 1100} {
-			var tiled, spread Emitter
-			for i := 0; i < n+n/2; i++ {
+			tiled, spread := make([][]byte, n+n/2), make([][]byte, n+n/2)
+			for i := range tiled {
 				key, lap := keys[i%n%len(keys)], i%n/len(keys)
-				tiled.Emit(key, tagInt, 8, nil)
+				tiled[i], spread[i] = key, key
 				if lap > 0 {
-					key = append(append(kb[:0], key...), byte(lap>>8), byte(lap))
+					spread[i] = append(key[:len(key):len(key)], byte(lap>>8), byte(lap))
 				}
-				spread.Emit(key, tagInt, 8, nil)
 			}
-			checkGroupOrder(t, &sc, &tiled)
-			checkGroupOrder(t, &sc, &spread)
+			for _, ks := range [][][]byte{tiled, spread} {
+				var em Emitter
+				for _, key := range ks {
+					em.Emit(key, tagInt, 8, nil)
+				}
+				want := checkGroupOrder(t, &staged, &em)
+				checkGroupedOrder(t, &grouped, ks, want)
+			}
 		}
 	})
 }
@@ -78,11 +90,12 @@ func decodeFuzzKeys(data []byte) [][]byte {
 // checkGroupOrder runs the production reduce path over em's records on
 // sc (whatever an earlier, possibly longer input left in its buffers) and
 // requires exactly the record sequence of arrivalOrder: keys in the order
-// of their first record, and ascending record index inside every key.
-func checkGroupOrder(t *testing.T, sc *taskScratch, em *Emitter) {
+// of their first record, and ascending record index inside every key. It
+// returns that sequence.
+func checkGroupOrder(t *testing.T, sc *taskScratch, em *Emitter) []int32 {
 	t.Helper()
 	recs := arenaRecords(t, em)
-	got, want := groupOrder(t, sc, em), arrivalOrder(t, em)
+	got, want := groupOrder(t, sc, em), arrivalOrder(recs)
 	if len(got) != len(want) {
 		t.Fatalf("n=%d: %d records delivered", len(want), len(got))
 	}
@@ -91,5 +104,48 @@ func checkGroupOrder(t *testing.T, sc *taskScratch, em *Emitter) {
 			t.Fatalf("n=%d: position %d delivers record %d (key %q), first-arrival order wants record %d (key %q)",
 				len(want), i, got[i], recs.key(int(got[i])), want[i], recs.key(int(want[i])))
 		}
+	}
+	return want
+}
+
+// checkGroupedOrder enters a record under each of keys, in order, the
+// payload of record i its index, into a one-reducer task's record array
+// on sc — the first half of the records one split, the rest a second,
+// the job packing — groups them as the task's reduce phase does at r = 1
+// (groupRecords over the key set's entries), and requires the record
+// sequence want, every record's payload and tag, and every group's key
+// to read back.
+func checkGroupedOrder(t *testing.T, sc *taskScratch, keys [][]byte, want []int32) {
+	t.Helper()
+	set := recordSet{recs: grow(&sc.recs, len(keys))[:0]}
+	ks := sc.keySet(len(keys), false)
+	stamps := grow(&sc.target, len(keys))
+	var pb [binary.MaxVarintLen64]byte
+	for split, half := range [][][]byte{keys[:len(keys)/2], keys[len(keys)/2:]} {
+		em := Emitter{chunks: set.bufs, keys: ks, grouped: &set.recs, stamps: stamps, split: int32(split), pack: true}
+		for _, key := range half {
+			em.Emit(key, tagInt, 8, binary.AppendUvarint(pb[:0], uint64(len(set.recs))))
+		}
+		set.bufs, stamps = em.chunks, em.stamps
+	}
+	sc.recs, sc.target = set.recs, stamps
+	g := groupedSet{recordSet: set}
+	g.grouping = groupRecords(sc, &g.recordSet, ks.locs)
+	at := 0
+	g.each(0, len(g.locs), func(key []byte, msgs *Group) {
+		for i := 0; i < msgs.Len(); i++ {
+			id := int(msgs.run[i])
+			tag, payload := msgs.At(i)
+			v, n := binary.Uvarint(payload)
+			if at == len(want) || id != int(want[at]) || !bytes.Equal(key, keys[id]) || tag != tagInt ||
+				n != len(payload) || v != uint64(id) {
+				t.Fatalf("n=%d: position %d delivers record %d under key %q, payload %x; the staged leg delivers record %d, key %q",
+					len(keys), at, id, key, payload, want[min(at, len(want)-1)], keys[want[min(at, len(want)-1)]])
+			}
+			at++
+		}
+	})
+	if at != len(want) {
+		t.Fatalf("n=%d: %d records delivered, the staged leg delivers %d", len(keys), at, len(want))
 	}
 }

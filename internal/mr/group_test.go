@@ -83,24 +83,32 @@ func groupOrder(t testing.TB, sc *taskScratch, s *Emitter) []int32 {
 }
 
 // arrivalOrder is the oracle for groupOrder: the indices of s's records,
-// as read back from its arena, grouped by key through a map — keys in the
-// order of their first record, and ascending record index (arrival order)
+// an arena read back (arenaRecords), ranked by key through a map — a key
+// ranks by its first record — and placed rank by rank: keys in the order
+// of their first record, and ascending record index (arrival order)
 // inside every key.
-func arrivalOrder(t testing.TB, em *Emitter) []int32 {
-	t.Helper()
-	s := arenaRecords(t, em)
-	groups := make(map[string][]int32)
-	var keys []string
+func arrivalOrder(s *recordSet) []int32 {
+	ranks := make(map[string]int)
+	rank := make([]int, len(s.recs))
+	var at []int // per rank: its count, then where its next record goes
 	for i := range s.recs {
-		k := string(s.key(i))
-		if _, seen := groups[k]; !seen {
-			keys = append(keys, k)
+		r, seen := ranks[string(s.key(i))]
+		if !seen {
+			r = len(at)
+			ranks[string(s.key(i))] = r
+			at = append(at, 0)
 		}
-		groups[k] = append(groups[k], int32(i))
+		rank[i] = r
+		at[r]++
 	}
-	want := make([]int32, 0, len(s.recs))
-	for _, k := range keys {
-		want = append(want, groups[k]...)
+	next := 0
+	for r, n := range at {
+		at[r], next = next, next+n
+	}
+	want := make([]int32, len(s.recs))
+	for i, r := range rank {
+		want[at[r]] = int32(i)
+		at[r]++
 	}
 	return want
 }

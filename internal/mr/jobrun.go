@@ -28,8 +28,9 @@ import (
 // A job predicted to have one reducer (predictOne) waits for all its
 // inputs; one task (reduceInline) then measures them. Past one reducer's
 // allocation it spawns the map tasks. Otherwise it maps every split
-// itself, Emit entering each record straight into its key set and
-// record array, the record's only header, and takes r from the measured
+// itself onto one arena ladder, Emit entering each record straight into
+// its key set and record array, the record's only header, and writing
+// each distinct key's bytes once, and takes r from the measured
 // bytes as a staged job does; its groups, reducer-major past r = 1, go
 // the staged reduce tasks' way (cut, pieces, merges). No split is mapped
 // twice.
@@ -334,7 +335,7 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 		return
 	}
 	c.countAs(splits)
-	set := recordSet{bufs: make([][]byte, 0, splits*arenaRungs), recs: grow(&sc.recs, n)[:0]}
+	set := recordSet{recs: grow(&sc.recs, n)[:0]}
 	ks := sc.keySet(n, false)
 	stamps := grow(&sc.target, n)
 	defer func() { sc.recs, sc.target = set.recs, stamps }() // keep what the walk grew
@@ -342,14 +343,14 @@ func (jr *jobRun) reduceInline(c *poolCtx) {
 	for part := range jr.tasks {
 		for ti := range jr.tasks[part] {
 			from := len(set.recs)
-			em := Emitter{chunks: set.bufs, base: len(set.bufs), budget: jr.gov.budget, keys: ks,
+			em := Emitter{chunks: set.bufs, budget: jr.gov.budget, keys: ks,
 				grouped: &set.recs, stamps: stamps, split: split, pack: jr.job.Packing}
 			res := em.mapSplit(jr.job, part, jr.tasks[part][ti], 1)
 			jr.results[part][ti] = res
 			set.bufs, stamps = em.chunks, em.stamps
 			split++
 			if h := c.pool.hooks; h != nil && h.Inline != nil {
-				h.Inline(jr.idx, InlineSplit(set.recs[from:]))
+				h.Inline(jr.idx, InlineSplit{recs: set.recs, from: from})
 			}
 		}
 	}
@@ -448,7 +449,7 @@ func (jr *jobRun) shuffleTask(c *poolCtx, part, ti int) {
 			if err != nil || i == n {
 				panic(taskAbort{err: errCorrupt})
 			}
-			p := int32(hashKey(arena[r.off:r.off+r.klen]) % uint32(reducers))
+			p := int32(hashKey(arena[r.off-r.klen:r.off]) % uint32(reducers))
 			target[i], lens[i] = p, int32(next-at)
 			tp.segs[p].len += int64(next - at)
 			tp.segs[p].count++

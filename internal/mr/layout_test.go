@@ -18,7 +18,7 @@ func refPlacement(t *testing.T, arena []byte, reducers int) ([][]byte, []int32) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		ri := hashKey(arena[r.off:r.off+r.klen]) % uint32(reducers)
+		ri := hashKey(arena[r.off-r.klen:r.off]) % uint32(reducers)
 		segs[ri] = append(segs[ri], arena[at:next]...)
 		counts[ri]++
 		at = next

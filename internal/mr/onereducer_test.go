@@ -91,10 +91,11 @@ func producedOnly(st gumbo.JobStats, db *gumbo.Database) bool {
 // the staged one (mr.FaultHooks.Staged): outputs equal tuple for tuple,
 // JobStats and Metrics deep-equal, and MemStats equal but for the bytes
 // the two shapes' arenas and shuffle buffers are charged, which are
-// derived from the records: a split the one-reducer task maps is charged
-// the chunk ladder over its key and payload bytes (it writes no header)
-// in place of the staged map task's ladder over its headed records and
-// of its shuffle task's buffer of those records
+// derived from the records: a one-reducer task is charged one chunk
+// ladder over its splits' bare records — each record's payload, plus its
+// key when it opened its key group (it writes no header, and a key
+// once) — in place of each staged map task's ladder over its headed
+// records and of its shuffle task's buffer of those records
 // (mr.InlineSplit.Charges). Every split is mapped once, and the shape
 // follows the measured input: a candidate's one-reducer task — a job
 // whose base inputs fit one reducer's allocation — maps all of its
@@ -166,20 +167,20 @@ func TestOneReducerMatchesStaged(t *testing.T) {
 					}
 					name := fmt.Sprintf("%s %s width %d split %v", s.name, strat, width, split)
 					var mu sync.Mutex
-					bare, stagedBytes := map[int]int64{}, map[int]int64{} // per job, over the splits mapped inline
+					bare, stagedBytes := map[int][]int{}, map[int]int64{} // per job, over the splits mapped inline
 					mapped := map[int]int{}                               // per job, the splits mapped inline
 					staged := runShape(t, sys, plan, s.db, true, nil)
 					one := runShape(t, sys, plan, s.db, false, func(job int, split mr.InlineSplit) {
 						b, headed, encoded := split.Charges()
 						mu.Lock()
-						bare[job] += b
+						bare[job] = append(bare[job], b...)
 						stagedBytes[job] += headed + encoded
 						mapped[job]++
 						mu.Unlock()
 					})
 					want := staged.res.Mem
 					for job, b := range bare {
-						want.ChargedBytes += b - stagedBytes[job]
+						want.ChargedBytes += mr.LadderCharge(b) - stagedBytes[job]
 					}
 					if err := sameOutputs(staged.res.Outputs, one.res.Outputs); err != nil {
 						t.Errorf("%s: one-reducer outputs differ from staged: %v", name, err)

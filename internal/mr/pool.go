@@ -258,10 +258,11 @@ type FaultHooks struct {
 	// tests hold the two shapes to each other with it.
 	Staged bool
 	// Inline, when non-nil, is called as a one-reducer task finishes
-	// mapping a split (every split of its job, whatever r it measures),
-	// with the job's index in its program and the split's records in emit
-	// order, valid during the call only. The one-reducer differential
-	// test derives the task's arena charges from them.
+	// mapping a split (every split of its job, in declared order,
+	// whatever r it measures), with the job's index in its program and
+	// the split's records in emit order, valid during the call only. The
+	// one-reducer differential test derives the task's arena charges
+	// from them.
 	Inline func(job int, split InlineSplit)
 	// Span, when non-nil, times each task as Span of its label, not as
 	// measured, so a span test asserts CriticalPath exactly.
@@ -269,8 +270,12 @@ type FaultHooks struct {
 }
 
 // InlineSplit is the records one split of a one-reducer task emitted,
-// as FaultHooks.Inline sees them.
-type InlineSplit []record
+// as FaultHooks.Inline sees them: recs[from:] of the task's record
+// array, whose records' key groups index recs.
+type InlineSplit struct {
+	recs []record
+	from int
+}
 
 // poolHooks holds the installed fault seam; nil means uninstrumented
 // (the production state). An atomic pointer so installing hooks in a

@@ -55,8 +55,9 @@ var errCorrupt = fmt.Errorf("%w: corrupt record encoding", ErrSpill)
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // readRecord is the record decoder: it decodes the record starting at
-// b[pos] into r, as a reference into b — size, off, klen, plen and tag;
-// src and group are the caller's — and returns the position after it.
+// b[pos] into r, as a reference into b — size, off (the payload's),
+// klen, plen and tag; src and group are the caller's — and returns the
+// position after it.
 // It writes r only on success. Every length is checked against the bytes
 // remaining before it is used, so arbitrary input yields errCorrupt,
 // never a panic. A shuffled record is decoded twice, in its shuffle task
@@ -71,7 +72,7 @@ func readRecord(r *record, b []byte, pos int) (int, error) {
 		if end > len(b) {
 			return 0, errCorrupt
 		}
-		r.size, r.off, r.klen, r.plen, r.tag = int64(b[pos+2]), uint32(pos+4), uint32(klen), uint32(plen), b[pos+3]
+		r.size, r.off, r.klen, r.plen, r.tag = int64(b[pos+2]), uint32(pos+4+klen), uint32(klen), uint32(plen), b[pos+3]
 		return end, nil
 	}
 	var h [3]uint64 // key length, payload length, modelled size
@@ -87,7 +88,7 @@ func readRecord(r *record, b []byte, pos int) (int, error) {
 	if rest == 0 || h[0] > rest-1 || h[1] > rest-1-h[0] || h[2] > math.MaxInt64 {
 		return 0, errCorrupt
 	}
-	r.size, r.off, r.klen, r.plen, r.tag = int64(h[2]), uint32(pos+1), uint32(h[0]), uint32(h[1]), b[pos]
+	r.size, r.off, r.klen, r.plen, r.tag = int64(h[2]), uint32(pos+1+int(h[0])), uint32(h[0]), uint32(h[1]), b[pos]
 	return pos + 1 + int(h[0]+h[1]), nil
 }
 
@@ -235,9 +236,9 @@ func (tp *taskPartition) appendTo(dst *recordSet, ks *keySet, ri int, b *Budget)
 			return kept, errCorrupt
 		}
 		r.src = src
-		loc, made := ks.entry(dst.bufs, data[r.off:r.off+r.klen])
+		loc, made := ks.entry(dst.bufs, data[r.off-r.klen:r.off])
 		if made {
-			loc.src, loc.off, loc.klen, loc.first = src, r.off, r.klen, int32(i)
+			loc.src, loc.off, loc.klen, loc.first = src, r.off-r.klen, r.klen, int32(i)
 		}
 		r.group = loc.first
 		kept += r.size

@@ -223,7 +223,7 @@ func TestSegmentCorruption(t *testing.T) {
 }
 
 // refReadRecord is the record decoder as the wire form defines it, with
-// no short cut: the oracle for readRecord.
+// no short cut: the oracle for readRecord. off is the payload's.
 func refReadRecord(b []byte, pos int) (record, int, bool) {
 	var h [3]uint64
 	for i := range h {
@@ -236,7 +236,7 @@ func refReadRecord(b []byte, pos int) (record, int, bool) {
 	if pos >= len(b) || h[0] > uint64(len(b)-pos-1) || h[1] > uint64(len(b)-pos-1)-h[0] || h[2] > math.MaxInt64 {
 		return record{}, 0, false
 	}
-	return record{size: int64(h[2]), off: uint32(pos + 1), klen: uint32(h[0]), plen: uint32(h[1]), tag: b[pos]}, pos + 1 + int(h[0]+h[1]), true
+	return record{size: int64(h[2]), off: uint32(pos + 1 + int(h[0])), klen: uint32(h[0]), plen: uint32(h[1]), tag: b[pos]}, pos + 1 + int(h[0]+h[1]), true
 }
 
 // TestReadRecordMatchesReference holds the decoder, one-byte headers read

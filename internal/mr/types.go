@@ -26,8 +26,9 @@ import (
 // by reducer over the same chunks and the reduce task decodes — so a map task's
 // output is its chunks and three counters, and no per-record object
 // exists before the reduce task's gather. In a one-reducer task Emit
-// also writes the record array the task reduces, and the arena gets key
-// and payload bytes alone: the array entry holds what the header would.
+// also writes the record array the task reduces, and the arena gets
+// payload bytes and each distinct key's bytes once: the array entry
+// holds what the header would.
 // A mapper builds key and payload in reused stack buffers
 // (Tuple.AppendKey / sgf.Projector.AppendKey for keys, the typed
 // encoders of internal/core for payloads) and emitting allocates nothing
@@ -46,9 +47,8 @@ import (
 type Emitter struct {
 	// chunks is the arena: encoded records back to back, len = bytes
 	// used. In a one-reducer task it is every buffer of the task's record
-	// set, and the split's arena is chunks[base:].
+	// set, one ladder over all of its splits.
 	chunks [][]byte
-	base   int
 	budget *Budget
 	free   *[arenaRungs + 1][][]byte // a staged map task's: its worker's free rungs (open, seal); else nil
 	keys   *keySet                   // the keys emitted so far, when the job packs or the task is a one-reducer one; else nil

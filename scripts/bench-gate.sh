@@ -44,6 +44,10 @@
 # staged task came to write its arena and its output buffers through
 # worker staging, keeping one exactly sized copy: that change's ten-pair
 # medians (11.35 / 9.312) × 1.10.
+# Then alloc_mb_per_op serve-hot 0.2416 and serve-churn 1.093, when a
+# one-reducer task came to store each key's bytes once, on one arena
+# ladder for all its splits: that change's ten-pair medians (0.2197 /
+# 0.9934) × 1.10.
 #
 # Timings are printed by the run and not gated: CI runners are shared.
 #
